@@ -174,6 +174,8 @@ def optimal_rho(
     Returns (lambda2, mu2) with lambda2 + mu2 = 1.  The approximate form
     assumes L*K >> 1; the exact form is the stationary point of the bound.
     """
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
     n = L * K
     if approximate:
         lam2 = 1.0 / (1.0 + math.sqrt((M + n) / C_u))
@@ -205,8 +207,11 @@ def kappa(inputs: AnalyticInputs, j: int, m: int) -> float:
 
 def kappa_symmetric(K: int, L: int, beta: float) -> float:
     """Crossover for the symmetric cell: unit home gains, equal power split,
-    every cross gain equal to beta, all cells sharing pilots."""
-    if beta <= 0:
+    every cross gain equal to beta, all cells sharing pilots.  A single cell
+    (L=1) has no contaminating interferers, so SP never pays off: +inf."""
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    if beta <= 0 or L == 1:
         return math.inf
     return 2.0 * K * (1.0 + 1.0 / ((L - 1) * beta**2))
 

@@ -45,7 +45,7 @@ _CONFIG_FIELDS = {
     "iterations": int, "seed": int,
 }
 _OPTION_FIELDS = {
-    "trials": int, "threads": int, "rho_form": str, "selection": str,
+    "trials": int, "rho_form": str, "selection": str,
     "m_values": tuple, "k_values": tuple, "m_per_k": int, "radii_m": tuple,
     "placements": int, "inner_realizations": int, "rate_cap": bool,
 }
@@ -278,8 +278,6 @@ def _cmd_run(args) -> int:
         cli_overrides["seed"] = args.seed
     if args.trials is not None:
         cli_overrides["trials"] = args.trials
-    if args.threads is not None:
-        cli_overrides["threads"] = args.threads
     spec = parse_config(spec_path, cli_overrides)
     out_path = args.out or spec.output
     if not out_path:
@@ -370,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="output CSV path (overrides the spec)")
     run_p.add_argument("--seed", type=int, help="master seed override")
     run_p.add_argument("--trials", type=int, help="trial count override")
-    run_p.add_argument("--threads", type=int, help="worker thread count")
     run_p.set_defaults(fn=_cmd_run)
 
     list_p = sub.add_parser("list-experiments", help="list experiment names")

@@ -11,6 +11,7 @@ matched filter followed by the nearest-point decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +33,14 @@ class ChannelEstimate:
 
 @dataclass(frozen=True)
 class DetectionResult:
+    """Matched-filter output; the P-QAM decisions are made on first access."""
+
     x_tilde: np.ndarray
-    x_hat: np.ndarray
+    P: int
+
+    @cached_property
+    def x_hat(self) -> np.ndarray:
+        return decide(self.x_tilde, self.P)
 
 
 def tp_ls_estimate(
@@ -98,7 +105,7 @@ def mf_detect_sp(
     if rho_d <= 0:
         raise ValueError("rho_d must be positive")
     x_tilde = _mf_sp_output(Y, estimate.h_hat, pilot, rho_d, rho_p, beta_home)
-    return DetectionResult(x_tilde=x_tilde, x_hat=decide(x_tilde, P))
+    return DetectionResult(x_tilde=x_tilde, P=P)
 
 
 def _mf_sp_output(
@@ -130,7 +137,7 @@ def mf_detect_tp(
         raise ValueError("beta_home must be positive")
     M = estimate.M
     x_tilde = (np.conj(estimate.h_hat) @ Y_data) / (M * np.sqrt(q) * beta_home)
-    return DetectionResult(x_tilde=x_tilde, x_hat=decide(x_tilde, P))
+    return DetectionResult(x_tilde=x_tilde, P=P)
 
 
 def hybrid_estimates(

@@ -1,13 +1,16 @@
 """Data-aided iterative channel estimation with interference prediction.
 
-The estimator sweeps all N = L*K users in decreasing order of their gains
+The estimator sweeps the N = L*K users in decreasing order of their gains
 at the serving BS.  For each target it rebuilds the superimposed-pilot
 least-squares estimate after subtracting the reconstructed data
 contributions rho_d * h_hat * x_hat^T of a chosen feedback set: users
 already updated this sweep contribute current-iteration values, the rest
-contribute the previous iteration's.  A deterministic companion recursion
-predicts the per-user matched-filter error variance, drives the decision-
-error model for square QAM, and selects which users are safe to feed back.
+contribute the previous iteration's.  When the set is fixed, only its
+members are needed in every sweep; the others are estimated once, in the
+last sweep, against the set's values at that point.  A deterministic
+companion recursion predicts the per-user matched-filter error variance,
+drives the decision-error model for square QAM, and selects which users
+are safe to feed back.
 
 All prediction formulas assume unit total power per user, i.e. gains are
 the power-controlled equivalents and rho_d^2 + rho_p^2 = 1.
@@ -260,10 +263,17 @@ def iterative_estimate(
     """Joint channel/data estimation over `sweeps` ordered sweeps.
 
     Y is the M x C_u block; pilots holds each user's dedicated column
-    (C_u x N, sorted like beta).  With an empty feedback set every sweep
-    reproduces the one-shot estimator and detector exactly.  The prediction
-    profile is data-independent, so callers running many blocks with the
-    same large-scale state should compute it once and pass it in.
+    (C_u x N, sorted like beta).  With a fixed feedback set (every rule but
+    per_iteration) only the set's members are re-estimated in every sweep,
+    in gain order, each deciding its data at once for the users after it.
+    Nobody reads the estimates of users outside the set, so they are
+    computed once, in their place in the last sweep, and decided together at
+    its end; the result equals re-estimating every user in every sweep.
+    per_iteration may feed any user back at some sweep, so it runs the full
+    schedule.  With an empty feedback set the result reproduces the one-shot
+    estimator and detector exactly.  The prediction profile is
+    data-independent, so callers running many blocks with the same
+    large-scale state should compute it once and pass it in.
     """
     beta = np.asarray(beta, dtype=float)
     n_users = beta.shape[0]
@@ -284,15 +294,19 @@ def iterative_estimate(
     elif profile.sweeps < sweeps:
         raise ValueError(f"profile covers {profile.sweeps} sweeps, need {sweeps}")
     fixed_mask = _resolve_fixed_mask(selection, beta, rho_d, rho_p, sigma2, M, C_u, P)
+    feeders = np.ones(n_users, dtype=bool) if fixed_mask is None else fixed_mask
 
-    base = np.stack([Y @ np.conj(pilots[:, n]) for n in range(n_users)])
+    conj_rows = np.conj(pilots).T.copy()
+    base = np.stack([Y @ conj_rows[n] for n in range(n_users)])
     h_work = np.zeros((n_users, M), dtype=complex)
     x_work = np.zeros((n_users, C_u), dtype=complex)
     x_tilde = np.zeros((n_users, C_u), dtype=complex)
     last_masks = np.zeros((n_users, n_users), dtype=bool)
 
+    members = np.flatnonzero(feeders)
     for i in range(1, sweeps + 1):
-        for m in range(n_users):
+        # users outside the set feed nobody back: only their last sweep counts
+        for m in range(n_users) if i == sweeps else members:
             if fixed_mask is not None:
                 mask = fixed_mask
             else:
@@ -301,14 +315,17 @@ def iterative_estimate(
             last_masks[m] = mask
             fed = np.flatnonzero(mask)
             if fed.size:
-                coefs = (x_work[fed] @ np.conj(pilots[:, m])) * rho_d[fed]
+                coefs = (x_work[fed] @ conj_rows[m]) * rho_d[fed]
                 corrected = base[m] - coefs @ h_work[fed]
                 h_new = corrected / (C_u * rho_p[m])
             else:
                 h_new = base[m] / (C_u * rho_p[m])
             h_work[m] = h_new
             x_tilde[m] = _mf_sp_output(Y, h_new, pilots[:, m], float(rho_d[m]), float(rho_p[m]), float(beta[m]))
-            x_work[m] = decide(x_tilde[m], P)
+            if feeders[m]:
+                x_work[m] = decide(x_tilde[m], P)
+    if not feeders.all():
+        x_work[~feeders] = decide(x_tilde[~feeders], P)
 
     return IterationState(
         iteration=sweeps,
@@ -322,10 +339,3 @@ def iterative_estimate(
         profile=profile,
     )
 
-
-def correction_schedule(m: int, n_users: int, in_set: np.ndarray) -> tuple[list, list]:
-    """Which feedback users contribute current- vs previous-sweep values
-    when target m is re-estimated.  Exposed for structural testing."""
-    current = [n for n in range(0, m) if in_set[n]]
-    previous = [n for n in range(m, n_users) if in_set[n]]
-    return current, previous

@@ -2,8 +2,8 @@
 
 Every stochastic operation in the package draws from a substream keyed by
 (master seed, purpose tags, trial index).  Streams depend only on the key,
-never on execution order, so Monte-Carlo trials can run on any number of
-threads and still reproduce bit-identical results.
+never on execution order, so any subset of Monte-Carlo trials, run in any
+order, reproduces bit-identical results.
 """
 
 from __future__ import annotations

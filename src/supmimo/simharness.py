@@ -8,14 +8,13 @@ signal-projection convention: the desired component of a matched-filter
 output is (||h||^2 / (M beta)) * x, everything else is residual.
 
 Trials are indexed and draw their randomness from (seed, experiment, sweep
-point, trial, purpose) substreams, so results are byte-identical for any
-thread count.
+point, trial, purpose) substreams, so a trial's result depends only on its
+key, not on which trials ran before it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,7 +69,6 @@ class RunOptions:
     """
 
     trials: int = 200
-    threads: int = 1
     rho_form: str = "exact"
     selection: str = "fixed"
     m_values: tuple = (50, 100, 200)
@@ -107,19 +105,6 @@ def signal_residual_power(
     return float(np.vdot(signal, signal).real), float(np.vdot(residual, residual).real)
 
 
-def measure_empirical_sinr(
-    x_tilde: np.ndarray,
-    x_true: np.ndarray,
-    h_true: np.ndarray,
-    beta_home: float,
-) -> float:
-    """Single-block SINR estimate; +inf when the residual vanishes."""
-    sig, res = signal_residual_power(x_tilde, x_true, h_true, beta_home)
-    if res == 0.0:
-        return math.inf
-    return sig / res
-
-
 def count_ber(x_hat: np.ndarray, bits_true: np.ndarray, P: int) -> tuple[int, int]:
     """Bit errors between decided symbols and the transmitted bits."""
     bits_hat = waveform.demap(x_hat, P)
@@ -136,14 +121,6 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least one sample")
     probs = np.arange(1, values.size + 1) / values.size
     return values, probs
-
-
-def _map_trials(n: int, fn, threads: int) -> list:
-    """Evaluate fn(0..n-1) with results in index order, optionally threaded."""
-    if threads <= 1:
-        return [fn(t) for t in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,53 +181,61 @@ def _iter_setup(bench: _Bench, options: RunOptions) -> _IterSetup:
 def _reference_trial(bench: _Bench, setup: _IterSetup, options: RunOptions, rng_key: tuple):
     """One coherence block: TP, one-shot SP, and iterative SP at BS 0.
 
-    Returns (sig, res, errors, bits) stacked per method and cell-0 user.
+    Returns (sig_res, errs): the (3, 2, K) signal and residual energies per
+    method and cell-0 user, and the (3, 2) bit errors and bit count per
+    method, summed over the cell-0 users.
     """
     cfg = bench.config
-    K, tau = cfg.K, cfg.tau
+    K, tau, P = cfg.K, cfg.tau, cfg.P
+    beta_home = bench.beta_eff.beta[0, 0, :]
+    rho_d, rho_p = bench.powers.rho_d[0], bench.powers.rho_p[0]
     H = draw_channels(bench.beta_eff, 0, cfg.M, substream(*rng_key, "channels")).H
-    out = np.zeros((3, 2, K))
-    errs = np.zeros((3, 2, K), dtype=np.int64)
 
     frames = waveform.assemble_frames(
         cfg, bench.book, bench.powers, substream(*rng_key, "tp-frames"), scheme="tp"
     )
     blk = waveform.synthesize_received(H, frames, cfg.sigma2, substream(*rng_key, "tp-noise"))
+    # one matrix-vector product per user: a batched product may round
+    # differently and so change the output bytes
+    tp_tilde = np.zeros((K, cfg.C_u - tau), dtype=complex)
     for k in range(K):
-        beta_home = float(bench.beta_eff.beta[0, 0, k])
         est = tp_ls_estimate(blk.Y[:, :tau], bench.book, (0, k), 1.0)
-        det = mf_detect_tp(blk.Y[:, tau:], est, beta_home, 1.0, cfg.P)
-        out[0, :, k] = signal_residual_power(det.x_tilde, frames.data[k], H[:, k], beta_home)
-        bits = waveform.demap(frames.data[k], cfg.P)
-        errs[0, :, k] = count_ber(det.x_hat, bits, cfg.P)
+        tp_tilde[k] = mf_detect_tp(blk.Y[:, tau:], est, float(beta_home[k]), 1.0, P).x_tilde
+    tp_data = frames.data[:K]
 
     frames = waveform.assemble_frames(
         cfg, bench.book, bench.powers, substream(*rng_key, "sp-frames"), scheme="sp"
     )
     blk = waveform.synthesize_received(H, frames, cfg.sigma2, substream(*rng_key, "sp-noise"))
+    sp_tilde = np.zeros((K, cfg.C_u), dtype=complex)
     for k in range(K):
-        beta_home = float(bench.beta_eff.beta[0, 0, k])
         pilot = bench.book.sp_column(0, k)
-        est = sp_ls_estimate(blk.Y, pilot, float(bench.powers.rho_p[0, k]))
-        det = mf_detect_sp(
-            blk.Y, est, float(bench.powers.rho_d[0, k]), float(bench.powers.rho_p[0, k]),
-            beta_home, pilot, cfg.P,
-        )
-        out[1, :, k] = signal_residual_power(det.x_tilde, frames.data[k], H[:, k], beta_home)
-        bits = waveform.demap(frames.data[k], cfg.P)
-        errs[1, :, k] = count_ber(det.x_hat, bits, cfg.P)
+        est = sp_ls_estimate(blk.Y, pilot, float(rho_p[k]))
+        sp_tilde[k] = mf_detect_sp(
+            blk.Y, est, float(rho_d[k]), float(rho_p[k]), float(beta_home[k]), pilot, P,
+        ).x_tilde
+    sp_data = frames.data[:K]
 
     state = iterative.iterative_estimate(
         blk.Y, setup.pilots, setup.beta_sorted, setup.rho_d_sorted, setup.rho_p_sorted,
-        cfg.P, cfg.sigma2, cfg.iterations, options.selection, profile=setup.profile,
+        P, cfg.sigma2, cfg.iterations, options.selection, profile=setup.profile,
     )
-    for k in range(K):
-        beta_home = float(bench.beta_eff.beta[0, 0, k])
-        pos = int(setup.pos_of_flat[k])
-        out[2, :, k] = signal_residual_power(state.x_tilde[pos], frames.data[k], H[:, k], beta_home)
-        bits = waveform.demap(frames.data[k], cfg.P)
-        errs[2, :, k] = count_ber(state.x_hat[pos], bits, cfg.P)
-    return out, errs
+    pos = setup.pos_of_flat[:K]
+
+    tp_bits = waveform.demap(tp_data, P)
+    sp_bits = waveform.demap(sp_data, P)
+    methods = (
+        (tp_tilde, waveform.decide(tp_tilde, P), tp_data, tp_bits),
+        (sp_tilde, waveform.decide(sp_tilde, P), sp_data, sp_bits),
+        (state.x_tilde[pos], state.x_hat[pos], sp_data, sp_bits),
+    )
+    sig_res = np.zeros((3, 2, K))
+    errs = np.zeros((3, 2), dtype=np.int64)
+    for i, (x_tilde, x_hat, data, bits) in enumerate(methods):
+        for k in range(K):
+            sig_res[i, :, k] = signal_residual_power(x_tilde[k], data[k], H[:, k], float(beta_home[k]))
+        errs[i] = count_ber(x_hat, bits, P)
+    return sig_res, errs
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +266,7 @@ def _sweep_antennas(config: SystemConfig, options: RunOptions, experiment: str):
             sig_res, _errs = _reference_trial(_bench, _setup, options, key)
             return sig_res
 
-        totals = sum(_map_trials(options.trials, one, options.threads))
+        totals = sum(one(t) for t in range(options.trials))
         empirical = {
             method: totals[i, 0, :] / totals[i, 1, :]
             for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD))
@@ -342,7 +327,7 @@ def _records_sinr_cdf(config, options):
             totals += sig_res
         return totals[:, 0, :] / totals[:, 1, :]
 
-    per_placement = _map_trials(options.placements, one_placement, options.threads)
+    per_placement = [one_placement(p) for p in range(options.placements)]
     for sinrs in per_placement:
         for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD)):
             samples[method].extend(sinrs[i])
@@ -373,9 +358,9 @@ def _records_ber_vs_k(config, options):
             bench = _make_bench(_cfg, options, layout)
             setup = _iter_setup(bench, options)
             _sig, errs = _reference_trial(bench, setup, options, (_cfg.seed, "ber_vs_k", _ki, t))
-            return errs.sum(axis=2)
+            return errs
 
-        totals = sum(_map_trials(options.trials, one, options.threads))
+        totals = sum(one(t) for t in range(options.trials))
         for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD)):
             records.append(MetricsRecord(
                 experiment="ber_vs_k", method=method, sweep_var="K", sweep_value=float(K),
@@ -488,7 +473,7 @@ def _records_sum_rate_vs_sir(config, options):
                         det.x_tilde, frames.data[n], H[:, n], beta_home)
             return sums
 
-        totals = sum(_map_trials(options.trials, one, options.threads))
+        totals = sum(one(t) for t in range(options.trials))
         sinr = totals[:, 0] / totals[:, 1]
 
         weights = {

@@ -71,13 +71,13 @@ class PilotBook:
 class FrameSet:
     """Transmitted symbols for all users of one coherence block.
 
-    S has shape (L*K, C_u); row l*K + k is the frame of user (l, k).  data
-    holds each user's unit-variance payload symbols (length C_u for pure SP,
-    C_u - tau otherwise) and scheme tags which format the row uses.
+    S has shape (L*K, C_u); row l*K + k is the frame of user (l, k).  Row n
+    of data holds user n's unit-variance payload symbols (C_u of them for
+    pure SP, C_u - tau otherwise) and scheme[n] tags which format it uses.
     """
 
     S: np.ndarray
-    data: list
+    data: np.ndarray
     scheme: list
     tau: int
 
@@ -277,7 +277,8 @@ def demap(symbols: np.ndarray, P: int) -> np.ndarray:
 
 def _nearest_level_index(vals: np.ndarray, side: int, c: float) -> np.ndarray:
     idx = np.rint((vals / c + (side - 1)) / 2.0).astype(np.int64)
-    return np.clip(idx, 0, side - 1)
+    # same as np.clip, without its per-call overhead on short rows
+    return np.minimum(np.maximum(idx, 0), side - 1)
 
 
 def decide(symbols: np.ndarray, P: int) -> np.ndarray:
@@ -320,42 +321,55 @@ def assemble_frames(
     L, K, C_u, tau = config.L, config.K, config.C_u, config.tau
     if scheme == "hybrid" and partition is None:
         raise ValueError("hybrid frames need a partition")
+    if scheme in (TP_SCHEME, SP_SCHEME):
+        tags = [scheme] * (L * K)
+    elif scheme == "hybrid":
+        tags = [
+            SP_SILENT_SCHEME if (cell, k) in partition.u_sp else TP_SCHEME
+            for cell in range(L)
+            for k in range(K)
+        ]
+    else:
+        raise ValueError(f"unknown frame scheme {scheme!r}")
+    payload_len = C_u if scheme == SP_SCHEME else C_u - tau
+    data = _draw_payloads(L * K, payload_len, config.P, data_dist, rng)
+
     S = np.zeros((L * K, C_u), dtype=complex)
-    data: list = []
-    tags: list = []
-    for cell in range(L):
-        for k in range(K):
-            n = cell * K + k
-            if scheme == TP_SCHEME:
-                tag = TP_SCHEME
-            elif scheme == SP_SCHEME:
-                tag = SP_SCHEME
-            elif scheme == "hybrid":
-                tag = SP_SILENT_SCHEME if (cell, k) in partition.u_sp else TP_SCHEME
-            else:
-                raise ValueError(f"unknown frame scheme {scheme!r}")
-            payload_len = C_u if tag == SP_SCHEME else C_u - tau
-            x = _draw_payload(payload_len, config.P, data_dist, rng)
-            if tag == TP_SCHEME:
-                pilot_amp = math.sqrt(power.q[cell, k]) if scheme == TP_SCHEME else 1.0
-                S[n, :tau] = pilot_amp * pilot_book.tp_column(cell, k)
-                S[n, tau:] = math.sqrt(power.q[cell, k]) * x
-            elif tag == SP_SCHEME:
-                p = pilot_book.sp_column(cell, k)
-                S[n, :] = power.rho_d[cell, k] * x + power.rho_p[cell, k] * p
-            else:
-                p = pilot_book.sp_column(cell, k)
-                S[n, tau:] = power.rho_d[cell, k] * x + power.rho_p[cell, k] * p
-            data.append(x)
-            tags.append(tag)
+    tp_rows = np.array([tag == TP_SCHEME for tag in tags])
+    sp_rows = ~tp_rows
+    if tp_rows.any():
+        q = power.q.reshape(-1)[tp_rows]
+        pilot_amp = np.sqrt(q) if scheme == TP_SCHEME else np.ones_like(q)
+        pilots = pilot_book.tp_matrix[:, pilot_book.tp_assignment.reshape(-1)[tp_rows]].T
+        S[tp_rows, :tau] = pilot_amp[:, np.newaxis] * pilots
+        S[tp_rows, tau:] = np.sqrt(q)[:, np.newaxis] * data[tp_rows]
+    if sp_rows.any():
+        cols = pilot_book.sp_assignment.reshape(-1)[sp_rows]
+        if np.any(cols < 0):
+            n = int(np.flatnonzero(sp_rows)[np.argmax(cols < 0)])
+            raise KeyError(f"user ({n // K}, {n % K}) has no superimposed pilot")
+        rho_d = power.rho_d.reshape(-1)[sp_rows, np.newaxis]
+        rho_p = power.rho_p.reshape(-1)[sp_rows, np.newaxis]
+        S[sp_rows, C_u - payload_len :] = (
+            rho_d * data[sp_rows] + rho_p * pilot_book.sp_matrix[:, cols].T
+        )
     return FrameSet(S=S, data=data, scheme=tags, tau=tau)
 
 
-def _draw_payload(n: int, P: int, data_dist: str, rng: np.random.Generator) -> np.ndarray:
+def _draw_payloads(
+    n_users: int, n: int, P: int, data_dist: str, rng: np.random.Generator
+) -> np.ndarray:
+    """n_users x n payload symbols, drawn user by user from one stream."""
     if data_dist == "qam":
-        return random_symbols(n, P, rng)
+        # one draw per user: a single draw of every bit consumes the stream
+        # differently whenever a user's bit count is not a multiple of 4
+        n_bits = n * bits_per_symbol(P)
+        bits = [rng.integers(0, 2, size=n_bits, dtype=np.uint8) for _ in range(n_users)]
+        return modulate(np.concatenate(bits), P).reshape(n_users, n)
     if data_dist == "gaussian":
-        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+        # same stream as per-user real then imaginary draws
+        z = rng.standard_normal((n_users, 2, n))
+        return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
     raise ValueError(f"unknown data distribution {data_dist!r}")
 
 

@@ -165,7 +165,65 @@ class TestQam:
         assert np.max(dist) < 1e-12
 
 
+def reference_frames(cfg, book, power, rng, partition=None, scheme="sp", data_dist="qam"):
+    """User-by-user frame assembly, one payload draw per user."""
+    S = np.zeros((cfg.L * cfg.K, cfg.C_u), dtype=complex)
+    data = []
+    for cell in range(cfg.L):
+        for k in range(cfg.K):
+            n = cell * cfg.K + k
+            silent = scheme == "hybrid" and (cell, k) in partition.u_sp
+            tp = scheme == "tp" or (scheme == "hybrid" and not silent)
+            size = cfg.C_u if scheme == "sp" else cfg.C_u - cfg.tau
+            if data_dist == "qam":
+                x = random_symbols(size, cfg.P, rng)
+            else:
+                x = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
+            if tp:
+                amp = math.sqrt(power.q[cell, k]) if scheme == "tp" else 1.0
+                S[n, : cfg.tau] = amp * book.tp_column(cell, k)
+                S[n, cfg.tau :] = math.sqrt(power.q[cell, k]) * x
+            else:
+                cols = slice(cfg.C_u - size, cfg.C_u)
+                S[n, cols] = power.rho_d[cell, k] * x + power.rho_p[cell, k] * book.sp_column(cell, k)
+            data.append(x)
+    return S, np.array(data)
+
+
 class TestFrames:
+    @pytest.mark.parametrize("scheme", ["tp", "sp", "hybrid"])
+    @pytest.mark.parametrize("data_dist", ["qam", "gaussian"])
+    def test_matches_user_by_user_assembly(self, scheme, data_dist):
+        # C_u - tau = 95 QAM symbols: 190 bits per user, not a multiple of 4
+        cfg = make_config()
+        part = Partition(
+            u_tp=frozenset((l, k) for l in range(7) for k in range(5) if (l + k) % 3),
+            u_sp=frozenset((l, k) for l in range(7) for k in range(5) if (l + k) % 3 == 0),
+        )
+        book = make_pilot_books(cfg, partition=part if scheme == "hybrid" else None)
+        powers = uniform_power(7, 5, q=1.3, data_power_fraction=0.6)
+        frames = assemble_frames(cfg, book, powers, substream(9, "f"), partition=part,
+                                 scheme=scheme, data_dist=data_dist)
+        S, data = reference_frames(cfg, book, powers, substream(9, "f"), part, scheme, data_dist)
+        assert np.array_equal(frames.S, S)
+        assert np.array_equal(frames.data, data)
+
+    def test_bad_arguments(self):
+        cfg = make_config()
+        part = Partition(u_tp=frozenset((l, k) for l in range(7) for k in range(5)),
+                         u_sp=frozenset())
+        book = make_pilot_books(cfg)
+        powers = uniform_power(7, 5)
+        with pytest.raises(ValueError, match="partition"):
+            assemble_frames(cfg, book, powers, substream(0, "f"), scheme="hybrid")
+        with pytest.raises(ValueError, match="scheme"):
+            assemble_frames(cfg, book, powers, substream(0, "f"), scheme="ofdm")
+        with pytest.raises(ValueError, match="distribution"):
+            assemble_frames(cfg, book, powers, substream(0, "f"), data_dist="uniform")
+        with pytest.raises(KeyError, match=r"\(0, 0\)"):
+            assemble_frames(cfg, make_pilot_books(cfg, partition=part), powers,
+                            substream(0, "f"), scheme="sp")
+
     def test_pure_pilot_when_data_amplitude_zero(self):
         cfg = make_config(L=1, K=1, tau=1, C_u=8)
         book = make_pilot_books(cfg)
