@@ -42,14 +42,13 @@ class AnalyticInputs:
         beta: PathLossMap,
         powers: PowerAllocation,
         config: SystemConfig,
-        M: int | None = None,
     ) -> "AnalyticInputs":
         return cls(
             beta=beta.beta,
             q=powers.q,
             rho_d=powers.rho_d,
             rho_p=powers.rho_p,
-            M=config.M if M is None else M,
+            M=config.M,
             C_u=config.C_u,
             C=config.C,
             tau=config.tau,
@@ -81,14 +80,28 @@ def sinr_tp_asymptotic(inputs: AnalyticInputs, j: int, m: int) -> float:
     return num / den
 
 
-def rate_tp(inputs: AnalyticInputs, sinr: float, cap_order: int | None = None) -> float:
+def pre_log(dims: AnalyticInputs | SystemConfig, trains: bool) -> float:
+    """Share of the C-symbol coherence interval that carries data.
+
+    (C_u - tau) / C for a scheme with a training phase in the first tau
+    symbols (TP, and hybrid, whose SP users stay silent through it); C_u / C
+    for pure SP, which sends data in every symbol.
+    """
+    return (dims.C_u - dims.tau if trains else dims.C_u) / dims.C
+
+
+def rate_tp(
+    dims: AnalyticInputs | SystemConfig, sinr: float, cap_order: int | None = None
+) -> float:
     """Per-user TP rate: ((C_u - tau) / C) * log2(1 + SINR), optionally capped."""
-    return ((inputs.C_u - inputs.tau) / inputs.C) * _spectral_efficiency(sinr, cap_order)
+    return pre_log(dims, trains=True) * _spectral_efficiency(sinr, cap_order)
 
 
-def rate_sp(inputs: AnalyticInputs, sinr: float, cap_order: int | None = None) -> float:
+def rate_sp(
+    dims: AnalyticInputs | SystemConfig, sinr: float, cap_order: int | None = None
+) -> float:
     """Per-user SP rate: (C_u / C) * log2(1 + SINR), optionally capped."""
-    return (inputs.C_u / inputs.C) * _spectral_efficiency(sinr, cap_order)
+    return pre_log(dims, trains=False) * _spectral_efficiency(sinr, cap_order)
 
 
 def _spectral_efficiency(sinr: float, cap_order: int | None) -> float:
@@ -154,6 +167,9 @@ def sinr_sp_lower_bound(L: int, K: int, C_u: int, M: int, lambda2: float) -> flo
     lambda2 is the data power fraction; the bound degenerates to zero at
     either endpoint of (0, 1).
     """
+    for name, value in (("L", L), ("K", K), ("C_u", C_u), ("M", M)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if not 0.0 < lambda2 < 1.0:
         return 0.0
     n = L * K
@@ -176,6 +192,8 @@ def optimal_rho(
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
+    if C_u < 1:
+        raise ValueError(f"C_u must be >= 1, got {C_u}")
     n = L * K
     if approximate:
         lam2 = 1.0 / (1.0 + math.sqrt((M + n) / C_u))
@@ -262,7 +280,7 @@ def hybrid_rates(
     Both branches carry the (C_u - tau) / C efficiency: TP users spend the
     training phase on pilots, SP users on radio silence.
     """
-    weight = (inputs.C_u - inputs.tau) / inputs.C
+    weight = pre_log(inputs, trains=True)
     out = {}
     for k in range(inputs.K):
         user = (j, k)

@@ -3,9 +3,14 @@
 All estimators run at a single BS on its received block.  The TP estimator
 correlates the pilot-phase slice with the user's pilot; under pilot reuse
 the result is the exact sum of the co-pilot channels plus scaled noise.
-The SP estimator correlates the whole block with the user's dedicated
-column, treating everyone's data as noise.  Detection is a conjugate
-matched filter followed by the nearest-point decision.
+The SP estimator correlates the symbols that carry the user's dedicated
+column with it, treating everyone's data as noise.  Detection is a
+conjugate matched filter followed by the nearest-point decision.
+
+receive_cell is the one receiver every pilot scheme uses: a partition says
+which users of a cell train in the first tau symbols (TP) and which carry a
+superimposed pilot over the trailing sp_length symbols (SP).  Pure TP and
+pure SP are the all-TP and all-SP partitions; a hybrid frame mixes them.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from .waveform import PilotBook, decide
 @dataclass(frozen=True)
 class ChannelEstimate:
     h_hat: np.ndarray
-    scheme: str
-    user: tuple
 
     @property
     def M(self) -> int:
@@ -62,7 +65,7 @@ def tp_ls_estimate(
         raise KeyError(f"pilot index {b} outside the {tau}-column book")
     phi = pilot_book.tp_matrix[:, b]
     h_hat = (Y_pilot @ np.conj(phi)) / (tau * np.sqrt(q))
-    return ChannelEstimate(h_hat=h_hat, scheme="tp", user=(cell, k))
+    return ChannelEstimate(h_hat=h_hat)
 
 
 def sp_ls_estimate(
@@ -82,7 +85,7 @@ def sp_ls_estimate(
     if Y.shape[1] != n:
         raise ValueError(f"observation has {Y.shape[1]} columns, pilot has {n}")
     h_hat = (Y @ np.conj(pilot)) / (n * rho_p)
-    return ChannelEstimate(h_hat=h_hat, scheme="sp", user=(-1, -1))
+    return ChannelEstimate(h_hat=h_hat)
 
 
 def mf_detect_sp(
@@ -140,31 +143,39 @@ def mf_detect_tp(
     return DetectionResult(x_tilde=x_tilde, P=P)
 
 
-def hybrid_estimates(
+def receive_cell(
     Y: np.ndarray,
-    pilot_book: PilotBook,
+    book: PilotBook,
     partition: Partition,
     powers: PowerAllocation,
     cell: int,
-) -> dict:
-    """Channel estimates for every user of `cell` under the hybrid frame.
+    beta_home: np.ndarray,
+    P: int,
+) -> np.ndarray:
+    """Matched-filter outputs of the users of `cell` at its BS, one row per user.
 
-    TP members use the tau-length pilot slice at unit pilot power; SP
-    members use the trailing C_u - tau columns with their own pilot
-    amplitude.  Raises KeyError for a user in neither set.
+    TP members are estimated from the first tau symbols at unit pilot power
+    and detected over the rest; SP members are estimated and detected over
+    the trailing book.sp_length symbols, which carry their superimposed
+    pilots (the whole block for the full-length book).  beta_home[k] is
+    user k's gain at this BS.  Raises KeyError for a user in neither set.
     """
-    tau = pilot_book.tau
-    K = powers.q.shape[1]
-    out = {}
-    for k in range(K):
+    tau = book.tau
+    Y_sp = Y[:, Y.shape[1] - book.sp_length :]
+    rows = []
+    # one matrix-vector product per user: a batched product may round
+    # differently and so change the output bytes
+    for k in range(powers.q.shape[1]):
         user = (cell, k)
         if user in partition.u_tp:
-            est = tp_ls_estimate(Y[:, :tau], pilot_book, user, 1.0)
-            out[user] = ChannelEstimate(h_hat=est.h_hat, scheme="hybrid-tp", user=user)
+            est = tp_ls_estimate(Y[:, :tau], book, user, 1.0)
+            det = mf_detect_tp(Y[:, tau:], est, float(beta_home[k]), 1.0, P)
         elif user in partition.u_sp:
-            pilot = pilot_book.sp_column(cell, k)
-            est = sp_ls_estimate(Y[:, tau:], pilot, float(powers.rho_p[cell, k]))
-            out[user] = ChannelEstimate(h_hat=est.h_hat, scheme="hybrid-sp", user=user)
+            pilot = book.sp_column(cell, k)
+            rho_d, rho_p = float(powers.rho_d[cell, k]), float(powers.rho_p[cell, k])
+            est = sp_ls_estimate(Y_sp, pilot, rho_p)
+            det = mf_detect_sp(Y_sp, est, rho_d, rho_p, float(beta_home[k]), pilot, P)
         else:
             raise KeyError(f"user {user} is in neither partition set")
-    return out
+        rows.append(det.x_tilde)
+    return np.stack(rows)

@@ -12,7 +12,7 @@ small instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +32,6 @@ class Partition:
         overlap = self.u_tp & self.u_sp
         if overlap:
             raise ValueError(f"users in both sets: {sorted(overlap)}")
-
-    @property
-    def users(self) -> frozenset:
-        return self.u_tp | self.u_sp
 
 
 def all_tp(L: int, K: int) -> Partition:
@@ -129,25 +125,23 @@ def greedy_partition(
     C_u: int,
     tau: int,
     rho_p2: float,
-    max_sp: int | None = None,
-    strict: bool = False,
 ) -> GreedyResult:
     """Greedy cost minimizer over TP/SP assignments.
 
     Starts with every user TP.  Each step moves the TP user with the largest
     TP-side contribution into the SP set and keeps the move when the total
-    cost does not increase (ties accepted; set strict=True to require a
-    strict decrease).  Stops on the first rejected move, when the TP set is
-    empty, or when the SP set hits max_sp (defaults to C_u - tau available
-    pilot columns).  Argmax ties go to the lowest (cell, user) tuple.
+    cost does not increase (ties accepted).  Stops on the first rejected
+    move, when the TP set is empty, or when the SP set fills the C_u - tau
+    available pilot columns.  Argmax ties go to the lowest (cell, user)
+    tuple.
     """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     L, _, K = beta.shape
-    if max_sp is None:
-        max_sp = C_u - tau
     current = all_tp(L, K)
     cost = total_cost(current, beta, r, C_u, tau, rho_p2)
     trace = [cost]
-    while current.u_tp and len(current.u_sp) < max_sp:
+    while current.u_tp and len(current.u_sp) < C_u - tau:
         candidate = max(
             sorted(current.u_tp),
             key=lambda u: interference_tp(u, current, beta, r),
@@ -157,8 +151,7 @@ def greedy_partition(
             u_sp=current.u_sp | {candidate},
         )
         moved_cost = total_cost(moved, beta, r, C_u, tau, rho_p2)
-        accept = moved_cost < cost if strict else moved_cost <= cost
-        if not accept:
+        if not moved_cost <= cost:
             break
         current, cost = moved, moved_cost
         trace.append(cost)
@@ -171,22 +164,20 @@ def brute_force_partition(
     C_u: int,
     tau: int,
     rho_p2: float,
-    max_sp: int | None = None,
 ) -> GreedyResult:
     """Exhaustive cost minimizer; only viable for at most 16 users.
 
-    Ties are broken toward fewer SP users, then lexicographically, so the
-    result is deterministic.
+    The SP set is capped at the C_u - tau available pilot columns.  Ties are
+    broken toward fewer SP users, then lexicographically, so the result is
+    deterministic.
     """
     L, _, K = beta.shape
     users = sorted((l, k) for l in range(L) for k in range(K))
     if len(users) > 16:
         raise ValueError(f"brute force capped at 16 users, got {len(users)}")
-    if max_sp is None:
-        max_sp = C_u - tau
     best = None
     best_key = None
-    for size in range(0, min(max_sp, len(users)) + 1):
+    for size in range(0, min(C_u - tau, len(users)) + 1):
         for sp in itertools.combinations(users, size):
             part = Partition(u_tp=frozenset(users) - set(sp), u_sp=frozenset(sp))
             cost = total_cost(part, beta, r, C_u, tau, rho_p2)

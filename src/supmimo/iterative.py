@@ -152,12 +152,15 @@ class PredictionProfile:
     interference[0] is +inf (no estimate exists yet) and alpha[0] is 1 by
     definition of the all-wrong initial decisions.  include[i][k] records
     whether user k passed the admission threshold after sweep i.
+    fixed_mask is the feedback set every sweep uses, or None when the set
+    follows include sweep by sweep (per_iteration).
     """
 
     interference: np.ndarray
     alpha: np.ndarray
     psi: np.ndarray
     include: np.ndarray
+    fixed_mask: np.ndarray | None
 
     @property
     def sweeps(self) -> int:
@@ -225,22 +228,21 @@ def predict_profile(
             interference[i, m] = predict_interference(m, beta, float(rho_d[m]), sigma2, M, psi_m)
             alpha[i, m] = alpha_pqam(interference[i, m], P)
             include[i, m] = alpha[i, m] < gamma_threshold(beta, psi_m, m, M)
-    return PredictionProfile(interference=interference, alpha=alpha, psi=psi, include=include)
+    return PredictionProfile(interference=interference, alpha=alpha, psi=psi, include=include,
+                             fixed_mask=fixed_mask)
 
 
 @dataclass(frozen=True)
 class IterationState:
-    """Final state of the data-aided estimator, in sweep (sorted) order."""
+    """Final state of the data-aided estimator, in sweep (sorted) order.
 
-    iteration: int
+    The predicted error statistics of each sweep are in the profile.
+    """
+
     h_hat: np.ndarray
     x_tilde: np.ndarray
     x_hat: np.ndarray
-    alpha: np.ndarray
-    psi: np.ndarray
-    interference: np.ndarray
     user_sets: np.ndarray
-    profile: PredictionProfile
 
 
 def decreasing_order(values: np.ndarray) -> np.ndarray:
@@ -273,7 +275,9 @@ def iterative_estimate(
     schedule.  With an empty feedback set the result reproduces the one-shot
     estimator and detector exactly.  The prediction profile is
     data-independent, so callers running many blocks with the same
-    large-scale state should compute it once and pass it in.
+    large-scale state should compute it once and pass it in; it carries the
+    feedback set, and `selection` is used only to build a profile when none
+    is passed.
     """
     beta = np.asarray(beta, dtype=float)
     n_users = beta.shape[0]
@@ -293,7 +297,7 @@ def iterative_estimate(
         profile = predict_profile(beta, rho_d, rho_p, sigma2, M, C_u, P, sweeps, selection)
     elif profile.sweeps < sweeps:
         raise ValueError(f"profile covers {profile.sweeps} sweeps, need {sweeps}")
-    fixed_mask = _resolve_fixed_mask(selection, beta, rho_d, rho_p, sigma2, M, C_u, P)
+    fixed_mask = profile.fixed_mask
     feeders = np.ones(n_users, dtype=bool) if fixed_mask is None else fixed_mask
 
     conj_rows = np.conj(pilots).T.copy()
@@ -328,14 +332,9 @@ def iterative_estimate(
         x_work[~feeders] = decide(x_tilde[~feeders], P)
 
     return IterationState(
-        iteration=sweeps,
         h_hat=h_work,
         x_tilde=x_tilde,
         x_hat=x_work,
-        alpha=profile.alpha[sweeps].copy(),
-        psi=profile.psi[sweeps].copy(),
-        interference=profile.interference[sweeps].copy(),
         user_sets=last_masks,
-        profile=profile,
     )
 

@@ -20,11 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytics, iterative, waveform
-from .estimators import hybrid_estimates, mf_detect_sp, mf_detect_tp, sp_ls_estimate, tp_ls_estimate
-from .hybrid import Partition, greedy_partition
+from .estimators import receive_cell
+from .hybrid import Partition, all_sp, all_tp, greedy_partition
 from .rng import substream
 from .sysmodel import (
     PathLossMap,
+    PowerAllocation,
     Scenario2,
     SystemConfig,
     draw_channels,
@@ -132,7 +133,7 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 class _Bench:
     config: SystemConfig
     beta_eff: PathLossMap
-    powers: object
+    powers: PowerAllocation
     book: waveform.PilotBook
     lam2: float
     mu2: float
@@ -140,7 +141,6 @@ class _Bench:
 
 @dataclass(frozen=True)
 class _IterSetup:
-    order: np.ndarray
     beta_sorted: np.ndarray
     rho_d_sorted: np.ndarray
     rho_p_sorted: np.ndarray
@@ -175,7 +175,7 @@ def _iter_setup(bench: _Bench, options: RunOptions) -> _IterSetup:
         beta_sorted, rho_d_sorted, rho_p_sorted, cfg.sigma2, cfg.M, cfg.C_u, cfg.P,
         cfg.iterations, options.selection,
     )
-    return _IterSetup(order, beta_sorted, rho_d_sorted, rho_p_sorted, pilots, profile, pos_of_flat)
+    return _IterSetup(beta_sorted, rho_d_sorted, rho_p_sorted, pilots, profile, pos_of_flat)
 
 
 def _reference_trial(bench: _Bench, setup: _IterSetup, options: RunOptions, rng_key: tuple):
@@ -186,49 +186,30 @@ def _reference_trial(bench: _Bench, setup: _IterSetup, options: RunOptions, rng_
     method, summed over the cell-0 users.
     """
     cfg = bench.config
-    K, tau, P = cfg.K, cfg.tau, cfg.P
+    K, P = cfg.K, cfg.P
     beta_home = bench.beta_eff.beta[0, 0, :]
-    rho_d, rho_p = bench.powers.rho_d[0], bench.powers.rho_p[0]
     H = draw_channels(bench.beta_eff, 0, cfg.M, substream(*rng_key, "channels")).H
 
-    frames = waveform.assemble_frames(
-        cfg, bench.book, bench.powers, substream(*rng_key, "tp-frames"), scheme="tp"
-    )
-    blk = waveform.synthesize_received(H, frames, cfg.sigma2, substream(*rng_key, "tp-noise"))
-    # one matrix-vector product per user: a batched product may round
-    # differently and so change the output bytes
-    tp_tilde = np.zeros((K, cfg.C_u - tau), dtype=complex)
-    for k in range(K):
-        est = tp_ls_estimate(blk.Y[:, :tau], bench.book, (0, k), 1.0)
-        tp_tilde[k] = mf_detect_tp(blk.Y[:, tau:], est, float(beta_home[k]), 1.0, P).x_tilde
-    tp_data = frames.data[:K]
+    methods = []
+    for scheme, partition in (("tp", all_tp(cfg.L, K)), ("sp", all_sp(cfg.L, K))):
+        frames = waveform.assemble_frames(
+            cfg, bench.book, bench.powers, substream(*rng_key, f"{scheme}-frames"), scheme=scheme
+        )
+        blk = waveform.synthesize_received(
+            H, frames, cfg.sigma2, substream(*rng_key, f"{scheme}-noise")
+        )
+        x_tilde = receive_cell(blk.Y, bench.book, partition, bench.powers, 0, beta_home, P)
+        data = frames.data[:K]
+        methods.append((x_tilde, waveform.decide(x_tilde, P), data, waveform.demap(data, P)))
 
-    frames = waveform.assemble_frames(
-        cfg, bench.book, bench.powers, substream(*rng_key, "sp-frames"), scheme="sp"
-    )
-    blk = waveform.synthesize_received(H, frames, cfg.sigma2, substream(*rng_key, "sp-noise"))
-    sp_tilde = np.zeros((K, cfg.C_u), dtype=complex)
-    for k in range(K):
-        pilot = bench.book.sp_column(0, k)
-        est = sp_ls_estimate(blk.Y, pilot, float(rho_p[k]))
-        sp_tilde[k] = mf_detect_sp(
-            blk.Y, est, float(rho_d[k]), float(rho_p[k]), float(beta_home[k]), pilot, P,
-        ).x_tilde
-    sp_data = frames.data[:K]
-
+    # blk is the SP block, the loop's last; the iterative estimator reuses it
     state = iterative.iterative_estimate(
         blk.Y, setup.pilots, setup.beta_sorted, setup.rho_d_sorted, setup.rho_p_sorted,
         P, cfg.sigma2, cfg.iterations, options.selection, profile=setup.profile,
     )
     pos = setup.pos_of_flat[:K]
-
-    tp_bits = waveform.demap(tp_data, P)
-    sp_bits = waveform.demap(sp_data, P)
-    methods = (
-        (tp_tilde, waveform.decide(tp_tilde, P), tp_data, tp_bits),
-        (sp_tilde, waveform.decide(sp_tilde, P), sp_data, sp_bits),
-        (state.x_tilde[pos], state.x_hat[pos], sp_data, sp_bits),
-    )
+    sp_data, sp_bits = methods[1][2:]
+    methods.append((state.x_tilde[pos], state.x_hat[pos], sp_data, sp_bits))
     sig_res = np.zeros((3, 2, K))
     errs = np.zeros((3, 2), dtype=np.int64)
     for i, (x_tilde, x_hat, data, bits) in enumerate(methods):
@@ -288,26 +269,19 @@ def _records_sinr_vs_m(config, options):
     return records
 
 
-def _rate_from_sinr(cfg: SystemConfig, method: str, sinr: float, cap_order: int | None) -> float:
-    se = math.log2(1.0 + sinr) if math.isfinite(sinr) else math.inf
-    if cap_order is not None:
-        se = min(se, math.log2(cap_order))
-    weight = (cfg.C_u - cfg.tau) / cfg.C if method == TP_METHOD else cfg.C_u / cfg.C
-    return weight * se
-
-
 def _records_rate_vs_m(config, options):
     records = []
     cap = config.P if options.rate_cap else None
     for M, cfg, analytic, empirical in _sweep_antennas(config, options, "rate_vs_m"):
         for method in (TP_METHOD, SP_METHOD, ITER_METHOD):
+            rate = analytics.rate_tp if method == TP_METHOD else analytics.rate_sp
             for k in range(cfg.K):
                 records.append(MetricsRecord(
                     experiment="rate_vs_m", method=method, sweep_var="M", sweep_value=float(M),
                     user=f"0:{k}", metric="rate",
-                    value=_rate_from_sinr(cfg, method, float(empirical[method][k]), cap),
+                    value=rate(cfg, float(empirical[method][k]), cap),
                     trials=options.trials,
-                    analytic_value=_rate_from_sinr(cfg, method, float(analytic[method][k]), cap),
+                    analytic_value=rate(cfg, float(analytic[method][k]), cap),
                 ))
     return records
 
@@ -408,81 +382,45 @@ def _records_sum_rate_vs_sir(config, options):
 
         # one full-length book serves both baselines: outer-tier cells reuse
         # superimposed columns when L*K exceeds C_u
-        book_tp = waveform.make_pilot_books(cfg, allow_sp_reuse=True)
-        book_sp = book_tp
+        book_full = waveform.make_pilot_books(cfg, allow_sp_reuse=True)
         book_hyb = waveform.make_pilot_books(cfg, partition=partition)
+        # (method, substream tag, frame scheme, pilot book, gain map, partition)
+        schemes = (
+            (ALL_TP_METHOD, "tp", "tp", book_full, beta_raw, all_tp(cfg.L, cfg.K)),
+            (ALL_SP_METHOD, "sp", "sp", book_full, beta_sp, all_sp(cfg.L, cfg.K)),
+            (HYBRID_METHOD, "hy", "hybrid", book_hyb, beta_hyb, partition),
+        )
 
-        def one(t, _cfg=cfg, _ri=ri):
+        def one(t, _cfg=cfg, _ri=ri, _schemes=schemes):
             key = (_cfg.seed, "sum_rate", _ri, t)
-            K, tau = _cfg.K, _cfg.tau
+            K = _cfg.K
             sums = np.zeros((3, 2, n_metric, K))
-
-            frames = waveform.assemble_frames(
-                _cfg, book_tp, unit_powers, substream(*key, "tp-frames"),
-                scheme="tp", data_dist="gaussian",
-            )
-            for j in range(n_metric):
-                H = draw_channels(beta_raw, j, _cfg.M, substream(*key, "tp-ch", j)).H
-                blk = waveform.synthesize_received(H, frames, _cfg.sigma2, substream(*key, "tp-n", j))
-                for k in range(K):
-                    beta_home = float(beta_raw.beta[j, j, k])
-                    est = tp_ls_estimate(blk.Y[:, :tau], book_tp, (j, k), 1.0)
-                    det = mf_detect_tp(blk.Y[:, tau:], est, beta_home, 1.0, _cfg.P)
-                    n = j * K + k
-                    sums[0, :, j, k] = signal_residual_power(
-                        det.x_tilde, frames.data[n], H[:, n], beta_home)
-
-            frames = waveform.assemble_frames(
-                _cfg, book_sp, unit_powers, substream(*key, "sp-frames"),
-                scheme="sp", data_dist="gaussian",
-            )
-            for j in range(n_metric):
-                H = draw_channels(beta_sp, j, _cfg.M, substream(*key, "sp-ch", j)).H
-                blk = waveform.synthesize_received(H, frames, _cfg.sigma2, substream(*key, "sp-n", j))
-                for k in range(K):
-                    beta_home = float(beta_sp.beta[j, j, k])
-                    pilot = book_sp.sp_column(j, k)
-                    est = sp_ls_estimate(blk.Y, pilot, float(unit_powers.rho_p[j, k]))
-                    det = mf_detect_sp(
-                        blk.Y, est, float(unit_powers.rho_d[j, k]),
-                        float(unit_powers.rho_p[j, k]), beta_home, pilot, _cfg.P)
-                    n = j * K + k
-                    sums[1, :, j, k] = signal_residual_power(
-                        det.x_tilde, frames.data[n], H[:, n], beta_home)
-
-            frames = waveform.assemble_frames(
-                _cfg, book_hyb, unit_powers, substream(*key, "hy-frames"),
-                scheme="hybrid", partition=partition, data_dist="gaussian",
-            )
-            for j in range(n_metric):
-                H = draw_channels(beta_hyb, j, _cfg.M, substream(*key, "hy-ch", j)).H
-                blk = waveform.synthesize_received(H, frames, _cfg.sigma2, substream(*key, "hy-n", j))
-                ests = hybrid_estimates(blk.Y, book_hyb, partition, unit_powers, j)
-                for k in range(K):
-                    beta_home = float(beta_hyb.beta[j, j, k])
-                    est = ests[(j, k)]
-                    n = j * K + k
-                    if est.scheme == "hybrid-tp":
-                        det = mf_detect_tp(blk.Y[:, tau:], est, beta_home, 1.0, _cfg.P)
-                    else:
-                        pilot = book_hyb.sp_column(j, k)
-                        det = mf_detect_sp(
-                            blk.Y[:, tau:], est, float(unit_powers.rho_d[j, k]),
-                            float(unit_powers.rho_p[j, k]), beta_home, pilot, _cfg.P)
-                    sums[2, :, j, k] = signal_residual_power(
-                        det.x_tilde, frames.data[n], H[:, n], beta_home)
+            for i, (_method, tag, scheme, book, beta, part) in enumerate(_schemes):
+                frames = waveform.assemble_frames(
+                    _cfg, book, unit_powers, substream(*key, f"{tag}-frames"),
+                    partition=part, scheme=scheme, data_dist="gaussian",
+                )
+                for j in range(n_metric):
+                    H = draw_channels(beta, j, _cfg.M, substream(*key, f"{tag}-ch", j)).H
+                    blk = waveform.synthesize_received(
+                        H, frames, _cfg.sigma2, substream(*key, f"{tag}-n", j)
+                    )
+                    beta_home = beta.beta[j, j]
+                    x_tilde = receive_cell(blk.Y, book, part, unit_powers, j, beta_home, _cfg.P)
+                    for k in range(K):
+                        n = j * K + k
+                        sums[i, :, j, k] = signal_residual_power(
+                            x_tilde[k], frames.data[n], H[:, n], float(beta_home[k]))
             return sums
 
         totals = sum(one(t) for t in range(options.trials))
         sinr = totals[:, 0] / totals[:, 1]
 
-        weights = {
-            ALL_TP_METHOD: (cfg.C_u - cfg.tau) / cfg.C,
-            ALL_SP_METHOD: cfg.C_u / cfg.C,
-            HYBRID_METHOD: (cfg.C_u - cfg.tau) / cfg.C,
-        }
-        for i, method in enumerate((ALL_TP_METHOD, ALL_SP_METHOD, HYBRID_METHOD)):
-            total_rate = float(np.sum(weights[method] * np.log2(1.0 + sinr[i])))
+        for i, (method, _tag, scheme, *_rest) in enumerate(schemes):
+            # array log2, not the scalar rate rule: numpy's log2 and math.log2
+            # differ in the last bit on some inputs, which would move the output
+            w = analytics.pre_log(cfg, trains=scheme != "sp")
+            total_rate = float(np.sum(w * np.log2(1.0 + sinr[i])))
             records.append(MetricsRecord(
                 experiment="sum_rate_vs_sir", method=method, sweep_var="sir_rx_db",
                 sweep_value=float(sir_db), user="all", metric="sum_rate",

@@ -114,9 +114,6 @@ class UserLayout:
     def K(self) -> int:
         return self.positions.shape[1]
 
-    def cell_of(self, n: int) -> int:
-        return n // self.K
-
 
 @dataclass(frozen=True)
 class PathLossMap:
@@ -176,13 +173,6 @@ class ChannelRealization:
     H: np.ndarray
     bs: int
     K: int
-
-    @property
-    def M(self) -> int:
-        return self.H.shape[0]
-
-    def column(self, cell: int, k: int) -> np.ndarray:
-        return self.H[:, cell * self.K + k]
 
 
 def hex_centers(L: int, cell_radius_m: float) -> np.ndarray:
@@ -265,22 +255,19 @@ def _sample_hex_point(cell_radius_m: float, min_dist_m: float, rng: np.random.Ge
 def path_loss(
     layout: UserLayout,
     exponent: float,
-    reference_distance_m: float | None = None,
 ) -> PathLossMap:
-    """Distance-based gains beta = (d / d0) ** (-exponent).
+    """Distance-based gains beta = (d / R) ** (-exponent), R the cell radius.
 
-    d0 defaults to the cell radius, so a user at the cell edge has beta = 1.
-    All downstream ratios are invariant to this normalization.
+    A user at the cell edge has beta = 1.  All downstream ratios are
+    invariant to this normalization.
     """
-    if reference_distance_m is None:
-        reference_distance_m = layout.cell_radius_m
-    if reference_distance_m <= 0:
-        raise ValueError("reference distance must be positive")
+    if layout.cell_radius_m <= 0:
+        raise ValueError("cell radius must be positive")
     diff = layout.bs_positions[:, np.newaxis, np.newaxis, :] - layout.positions[np.newaxis, :, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     if np.any(dist <= 0.0):
         raise ValueError("zero BS-user distance; path loss undefined")
-    beta = (dist / reference_distance_m) ** (-float(exponent))
+    beta = (dist / layout.cell_radius_m) ** (-float(exponent))
     return PathLossMap(beta=beta)
 
 

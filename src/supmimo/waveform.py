@@ -85,14 +85,6 @@ class FrameSet:
     def n_users(self) -> int:
         return self.S.shape[0]
 
-    @property
-    def C_u(self) -> int:
-        return self.S.shape[1]
-
-    def data_slice(self, n: int) -> slice:
-        """Columns of the block that carry user n's data symbols."""
-        return slice(0, self.C_u) if self.scheme[n] == SP_SCHEME else slice(self.tau, self.C_u)
-
 
 @dataclass(frozen=True)
 class ReceivedBlock:
@@ -100,14 +92,6 @@ class ReceivedBlock:
 
     Y: np.ndarray
     sigma2: float
-
-    @property
-    def M(self) -> int:
-        return self.Y.shape[0]
-
-    @property
-    def C_u(self) -> int:
-        return self.Y.shape[1]
 
 
 def dft_matrix(n: int) -> np.ndarray:

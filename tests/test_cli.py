@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from supmimo import cli
@@ -20,3 +22,49 @@ def test_single_cell_kappa_is_infinite(capsys):
 def test_optimal_rho_without_antennas_is_invalid(capsys, extra):
     assert cli.main(["analytic", "optimal-rho", "0", "7", "5", "100", *extra]) == 5
     assert capsys.readouterr().err.startswith("error invalid-parameter:")
+
+
+BETA_CSV = "bs_cell,user_cell,user_index,beta\n" + "".join(
+    f"{j},{l},0,{1.0 if j == l else 0.1}\n" for j in range(2) for l in range(2)
+)
+
+# (argv, stderr prefix, exit code); {tmp} is a directory holding the files
+# written by the test below
+EXIT_TABLE = [
+    (["list-experiments"], "", 0),
+    (["run", "{tmp}/good.yaml", "--out", "{tmp}/out.csv"], "", 0),
+    (["run"], "error config:", 3),
+    (["run", "{tmp}/good.yaml"], "error config:", 3),
+    (["run", "{tmp}/bad.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
+    (["run", "{tmp}/missing.yaml", "--out", "{tmp}/out.csv"], "error io:", 4),
+    (["analytic", "optimal-rho", "100", "7", "5", "100"], "", 0),
+    (["analytic", "optimal-rho", "100", "7", "5", "0"], "error invalid-parameter:", 5),
+    (["analytic", "optimal-rho", "100", "7", "5", "0", "--approx"], "error invalid-parameter:", 5),
+    (["analytic", "sp-lower-bound", "7", "5", "100", "100", "0.5"], "", 0),
+    (["analytic", "sp-lower-bound", "7", "5", "100", "0", "0.5"], "error invalid-parameter:", 5),
+    (["analytic", "sp-lower-bound", "7", "5", "0", "100", "0.5"], "error invalid-parameter:", 5),
+    (["analytic", "kappa-symmetric", "5", "0", "0.5"], "error invalid-parameter:", 5),
+    (["analytic", "kappa-symmetric", "x", "7", "0.5"], "error invalid-parameter:", 5),
+    (["analytic", "kappa-symmetric", "5", "7"], "error config:", 3),
+    (["analytic", "no-such-formula"], "error config:", 3),
+    (["partition", "{tmp}/beta.csv"], "", 0),
+    (["partition", "{tmp}/beta.csv", "--r", "0"], "error invalid-parameter:", 5),
+    (["partition", "{tmp}/bad.csv"], "error config:", 3),
+    (["partition", "{tmp}/missing.csv"], "error io:", 4),
+]
+
+
+@pytest.mark.parametrize("argv, err_prefix, code", EXIT_TABLE,
+                         ids=["_".join(row[0]).replace("{tmp}/", "") for row in EXIT_TABLE])
+def test_exit_codes(tmp_path, monkeypatch, capsys, argv, err_prefix, code):
+    for name in [n for n in os.environ if n.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(name)
+    (tmp_path / "good.yaml").write_text(
+        "experiment: sinr_vs_m\noverrides:\n  trials: 1\n  m_values: [20]\n", encoding="utf-8")
+    (tmp_path / "bad.yaml").write_text("experiment: nope\n", encoding="utf-8")
+    (tmp_path / "beta.csv").write_text(BETA_CSV, encoding="utf-8")
+    (tmp_path / "bad.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+    args = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert cli.main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith(err_prefix) if err_prefix else err == ""

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from supmimo.estimators import (
-    hybrid_estimates,
+    ChannelEstimate,
     mf_detect_sp,
     mf_detect_tp,
+    receive_cell,
     sp_ls_estimate,
     tp_ls_estimate,
 )
-from supmimo.hybrid import Partition, all_sp
+from supmimo.hybrid import Partition, all_sp, all_tp
 from supmimo.rng import substream
 from supmimo.sysmodel import (
     PathLossMap,
@@ -173,9 +174,7 @@ class TestMatchedFilters:
         frames = assemble_frames(cfg, book, powers, substream(8, "f"), scheme="sp")
         blk = synthesize_received(H, frames, 0.0, substream(8, "n"))
         pilot = book.sp_column(0, 0)
-        from supmimo.estimators import ChannelEstimate
-
-        genie = ChannelEstimate(h_hat=H[:, 0], scheme="sp", user=(0, 0))
+        genie = ChannelEstimate(h_hat=H[:, 0])
         det = mf_detect_sp(blk.Y, genie, rho_d, rho_p, 1.0, pilot, cfg.P)
         gain = np.vdot(H[:, 0], H[:, 0]).real / cfg.M
         # own pilot cancels exactly; what remains is the scaled data alone
@@ -187,9 +186,7 @@ class TestMatchedFilters:
         rng = substream(9, "mf")
         pts = constellation(16)
         x_tilde = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        from supmimo.estimators import ChannelEstimate
-
-        est = ChannelEstimate(h_hat=np.ones(4, dtype=complex), scheme="sp", user=(0, 0))
+        est = ChannelEstimate(h_hat=np.ones(4, dtype=complex))
         det = mf_detect_sp(np.outer(np.ones(4), x_tilde), est, 1.0, 0.5,
                            1.0, np.ones(64, dtype=complex), 16)
         dist = np.min(np.abs(det.x_hat[:, None] - pts[None, :]), axis=1)
@@ -197,12 +194,10 @@ class TestMatchedFilters:
 
     def test_qpsk_decisions_invariant_to_gain_scaling(self):
         rng = substream(10, "mf")
-        from supmimo.estimators import ChannelEstimate
-
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         Y = rng.standard_normal((16, 12)) + 1j * rng.standard_normal((16, 12))
         p = np.exp(-2j * np.pi * np.arange(12) * 3 / 12)
-        est = ChannelEstimate(h_hat=h, scheme="sp", user=(0, 0))
+        est = ChannelEstimate(h_hat=h)
         a = mf_detect_sp(Y, est, 0.7, 0.7, 1.0, p, 4)
         b = mf_detect_sp(Y, est, 0.7, 0.7, 5.0, p, 4)
         assert np.allclose(b.x_tilde * 5.0, a.x_tilde, rtol=1e-12)
@@ -222,11 +217,15 @@ class TestMatchedFilters:
 
 
 class TestHybridEstimates:
+    """receive_cell, the one receiver of every pilot scheme, against the
+    per-user estimate -> matched-filter chains it replaces."""
+
     def _system(self, sigma2=0.0, q_tp=1.0, seed=12, M=64):
         cfg = make_config(M=M)
+        sp = {(0, 1)} | {(2, k) for k in range(5)}
         part = Partition(
-            u_tp=frozenset((l, k) for l in range(7) for k in range(5) if l > 0),
-            u_sp=frozenset((0, k) for k in range(5)),
+            u_tp=frozenset((l, k) for l in range(7) for k in range(5)) - sp,
+            u_sp=frozenset(sp),
         )
         book = make_pilot_books(cfg, partition=part)
         q = np.full((7, 5), q_tp)
@@ -243,21 +242,21 @@ class TestHybridEstimates:
 
     def test_all_tp_partition_matches_plain_tp_estimator(self):
         cfg = make_config()
-        part = Partition(u_tp=frozenset((l, k) for l in range(7) for k in range(5)),
-                         u_sp=frozenset())
-        book = make_pilot_books(cfg, partition=part)
+        book = make_pilot_books(cfg, partition=all_tp(7, 5))
         rng = substream(13, "y")
         Y = rng.standard_normal((cfg.M, cfg.C_u)) + 1j * rng.standard_normal((cfg.M, cfg.C_u))
         powers = uniform_power(7, 5)
-        ests = hybrid_estimates(Y, book, part, powers, cell=0)
+        beta_home = np.linspace(0.5, 1.5, 5)
+        x_tilde = receive_cell(Y, book, all_tp(7, 5), powers, 0, beta_home, cfg.P)
+        assert x_tilde.shape == (5, cfg.C_u - cfg.tau)
         for k in range(5):
-            direct = tp_ls_estimate(Y[:, : cfg.tau], book, (0, k), 1.0)
-            assert np.array_equal(ests[(0, k)].h_hat, direct.h_hat)
-            assert ests[(0, k)].scheme == "hybrid-tp"
+            est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, k), 1.0)
+            direct = mf_detect_tp(Y[:, cfg.tau :], est, float(beta_home[k]), 1.0, cfg.P)
+            assert np.array_equal(x_tilde[k], direct.x_tilde)
 
     def test_all_sp_with_no_training_phase_matches_plain_sp(self):
-        # a zero-length training phase makes the hybrid SP branch the plain
-        # whole-block estimator
+        # a zero-length training phase makes the SP branch the plain
+        # whole-block estimator and detector
         from supmimo.waveform import dft_matrix
 
         C_u = 16
@@ -267,14 +266,35 @@ class TestHybridEstimates:
             sp_matrix=dft_matrix(C_u),
             sp_assignment=np.array([[0, 1]]),
         )
-        part = Partition(u_tp=frozenset(), u_sp=frozenset({(0, 0), (0, 1)}))
         powers = uniform_power(1, 2, q=1.0, data_power_fraction=0.5)
         rng = substream(14, "y")
         Y = rng.standard_normal((8, C_u)) + 1j * rng.standard_normal((8, C_u))
-        ests = hybrid_estimates(Y, book, part, powers, cell=0)
+        beta_home = np.array([1.0, 0.7])
+        x_tilde = receive_cell(Y, book, all_sp(1, 2), powers, 0, beta_home, 4)
         for k in range(2):
-            direct = sp_ls_estimate(Y, book.sp_column(0, k), float(powers.rho_p[0, k]))
-            assert np.array_equal(ests[(0, k)].h_hat, direct.h_hat)
+            pilot = book.sp_column(0, k)
+            rho_d, rho_p = float(powers.rho_d[0, k]), float(powers.rho_p[0, k])
+            est = sp_ls_estimate(Y, pilot, rho_p)
+            direct = mf_detect_sp(Y, est, rho_d, rho_p, float(beta_home[k]), pilot, 4)
+            assert np.array_equal(x_tilde[k], direct.x_tilde)
+
+    def test_mixed_partition_matches_per_user_chains(self):
+        cfg, part, book, powers, H, frames, blk = self._system(sigma2=0.1)
+        tau = cfg.tau
+        for cell in (0, 2):
+            beta_home = np.linspace(0.8, 1.2, 5)
+            x_tilde = receive_cell(blk.Y, book, part, powers, cell, beta_home, cfg.P)
+            for k in range(5):
+                if (cell, k) in part.u_tp:
+                    est = tp_ls_estimate(blk.Y[:, :tau], book, (cell, k), 1.0)
+                    det = mf_detect_tp(blk.Y[:, tau:], est, float(beta_home[k]), 1.0, cfg.P)
+                else:
+                    pilot = book.sp_column(cell, k)
+                    rho_d, rho_p = float(powers.rho_d[cell, k]), float(powers.rho_p[cell, k])
+                    est = sp_ls_estimate(blk.Y[:, tau:], pilot, rho_p)
+                    det = mf_detect_sp(blk.Y[:, tau:], est, rho_d, rho_p, float(beta_home[k]),
+                                       pilot, cfg.P)
+                assert np.array_equal(x_tilde[k], det.x_tilde)
 
     def test_sp_branch_error_moment_matches_short_book(self):
         # TP users carry no data power, so the SP estimate error is driven by
@@ -297,8 +317,9 @@ class TestHybridEstimates:
             frames = assemble_frames(cfg, book, powers, substream(15, "f", t),
                                      scheme="hybrid", partition=part)
             blk = synthesize_received(H, frames, 0.0, substream(15, "n", t))
-            ests = hybrid_estimates(blk.Y, book, part, powers, cell=0)
-            acc += np.linalg.norm(ests[(0, 0)].h_hat - H[:, 0]) ** 2 / cfg.M
+            pilot, rho_p = book.sp_column(0, 0), float(powers.rho_p[0, 0])
+            est = sp_ls_estimate(blk.Y[:, cfg.tau :], pilot, rho_p)
+            acc += np.linalg.norm(est.h_hat - H[:, 0]) ** 2 / cfg.M
         expected = 5 * lam2 / ((cfg.C_u - cfg.tau) * (1 - lam2))
         assert acc / trials == pytest.approx(expected, rel=0.10)
 
@@ -306,4 +327,4 @@ class TestHybridEstimates:
         cfg, part, book, powers, H, frames, blk = self._system()
         bad = Partition(u_tp=part.u_tp - {(1, 0)}, u_sp=part.u_sp)
         with pytest.raises(KeyError, match="neither"):
-            hybrid_estimates(blk.Y, book, bad, powers, cell=1)
+            receive_cell(blk.Y, book, bad, powers, 1, np.ones(5), cfg.P)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from supmimo.cli import emit_csv, parse_config
+from supmimo.cli import emit_csv, parse_config, parse_csv
 from supmimo.simharness import EXPERIMENTS, run_experiment
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -41,6 +41,14 @@ def test_csv_matches_golden(experiment, tmp_path, monkeypatch):
     out = tmp_path / f"{experiment}.csv"
     write_csv(experiment, out)
     assert out.read_bytes() == (GOLDEN_DIR / f"{experiment}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_parse_csv_round_trips_golden(experiment, tmp_path):
+    golden = GOLDEN_DIR / f"{experiment}.csv"
+    out = tmp_path / f"{experiment}.csv"
+    emit_csv(parse_csv(str(golden)), str(out))
+    assert out.read_bytes() == golden.read_bytes()
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from supmimo import analytics
+from supmimo import analytics, iterative
 from supmimo.estimators import _mf_sp_output, mf_detect_sp, sp_ls_estimate
 from supmimo.iterative import (
     decreasing_order,
@@ -104,3 +104,21 @@ def test_empty_feedback_set_is_the_one_shot_estimator(block):
         assert np.array_equal(state.h_hat[n], est.h_hat)
         assert np.array_equal(state.x_tilde[n], det.x_tilde)
         assert np.array_equal(state.x_hat[n], det.x_hat)
+
+
+def test_passed_profile_supplies_the_feedback_set(block, monkeypatch):
+    cfg, Y, pilots, args, fixed = block
+    profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
+                              cfg.C_u, cfg.P, cfg.iterations, "fixed")
+    assert np.array_equal(profile.fixed_mask, fixed)
+    calls = []
+    original = iterative.select_user_set_fixed
+    monkeypatch.setattr(iterative, "select_user_set_fixed",
+                        lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    state = iterative_estimate(Y, pilots, sigma2=cfg.sigma2, sweeps=cfg.iterations,
+                               selection="fixed", profile=profile, **args)
+    assert calls == []
+    assert np.array_equal(state.user_sets, np.tile(fixed, (fixed.size, 1)))
+    iterative_estimate(Y, pilots, sigma2=cfg.sigma2, sweeps=cfg.iterations,
+                       selection="fixed", **args)
+    assert calls == [1]
