@@ -6,7 +6,6 @@ pilot-type partitioner, and a reproducible Monte-Carlo harness.
 """
 
 from .sysmodel import (
-    ChannelRealization,
     PathLossMap,
     PowerAllocation,
     Scenario1,
@@ -27,7 +26,6 @@ from .simharness import EXPERIMENTS, MetricsRecord, RunOptions, run_experiment
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelRealization",
     "EXPERIMENTS",
     "MetricsRecord",
     "Partition",

@@ -10,6 +10,12 @@ output is (||h||^2 / (M beta)) * x, everything else is residual.
 Trials are indexed and draw their randomness from (seed, experiment, sweep
 point, trial, purpose) substreams, so a trial's result depends only on its
 key, not on which trials ran before it.
+
+sum_rate_vs_sir compares its three pilot schemes on common random numbers.
+Per trial and metric BS j, one unit-variance channel ("ch", j) is drawn and
+its columns are scaled by each scheme's gains, and one noise block ("n", j)
+is added to every scheme's received block.  Only the payloads differ: each
+scheme draws its own frames ("tp-frames", "sp-frames", "hy-frames").
 """
 
 from __future__ import annotations
@@ -85,6 +91,9 @@ class RunOptions:
             raise ValueError("trial counts must be >= 1")
         if self.rho_form not in ("exact", "approx"):
             raise ValueError(f"rho_form must be 'exact' or 'approx', got {self.rho_form!r}")
+        for name in ("m_values", "k_values", "radii_m"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must not be empty")
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +197,23 @@ def _reference_trial(bench: _Bench, setup: _IterSetup, options: RunOptions, rng_
     cfg = bench.config
     K, P = cfg.K, cfg.P
     beta_home = bench.beta_eff.beta[0, 0, :]
-    H = draw_channels(bench.beta_eff, 0, cfg.M, substream(*rng_key, "channels")).H
+    H = draw_channels(bench.beta_eff.beta[0].reshape(-1), cfg.M, substream(*rng_key, "channels"))
 
     methods = []
     for scheme, partition in (("tp", all_tp(cfg.L, K)), ("sp", all_sp(cfg.L, K))):
         frames = waveform.assemble_frames(
             cfg, bench.book, bench.powers, substream(*rng_key, f"{scheme}-frames"), scheme=scheme
         )
-        blk = waveform.synthesize_received(
-            H, frames, cfg.sigma2, substream(*rng_key, f"{scheme}-noise")
+        Y = waveform.synthesize_received(
+            H, frames.S, cfg.sigma2, substream(*rng_key, f"{scheme}-noise")
         )
-        x_tilde = receive_cell(blk.Y, bench.book, partition, bench.powers, 0, beta_home, P)
+        x_tilde = receive_cell(Y, bench.book, partition, bench.powers, 0, beta_home, P)
         data = frames.data[:K]
         methods.append((x_tilde, waveform.decide(x_tilde, P), data, waveform.demap(data, P)))
 
-    # blk is the SP block, the loop's last; the iterative estimator reuses it
+    # Y is the SP block, the loop's last; the iterative estimator reuses it
     state = iterative.iterative_estimate(
-        blk.Y, setup.pilots, setup.beta_sorted, setup.rho_d_sorted, setup.rho_p_sorted,
+        Y, setup.pilots, setup.beta_sorted, setup.rho_d_sorted, setup.rho_p_sorted,
         P, cfg.sigma2, cfg.iterations, options.selection, profile=setup.profile,
     )
     pos = setup.pos_of_flat[:K]
@@ -391,26 +400,34 @@ def _records_sum_rate_vs_sir(config, options):
             (HYBRID_METHOD, "hy", "hybrid", book_hyb, beta_hyb, partition),
         )
 
-        def one(t, _cfg=cfg, _ri=ri, _schemes=schemes):
+        # per-column variances at each metric BS j: var[j, i] for scheme i
+        var = np.stack([beta.beta[:n_metric] for *_, beta, _part in schemes], axis=1)
+        var = var.reshape(n_metric, len(schemes), -1)
+
+        def one(t, _cfg=cfg, _ri=ri, _schemes=schemes, _var=var):
             key = (_cfg.seed, "sum_rate", _ri, t)
             K = _cfg.K
-            sums = np.zeros((3, 2, n_metric, K))
-            for i, (_method, tag, scheme, book, beta, part) in enumerate(_schemes):
-                frames = waveform.assemble_frames(
+            frames = [
+                waveform.assemble_frames(
                     _cfg, book, unit_powers, substream(*key, f"{tag}-frames"),
                     partition=part, scheme=scheme, data_dist="gaussian",
                 )
-                for j in range(n_metric):
-                    H = draw_channels(beta, j, _cfg.M, substream(*key, f"{tag}-ch", j)).H
-                    blk = waveform.synthesize_received(
-                        H, frames, _cfg.sigma2, substream(*key, f"{tag}-n", j)
-                    )
+                for _method, tag, scheme, book, _beta, part in _schemes
+            ]
+            S = np.stack([f.S for f in frames])
+            sums = np.zeros((3, 2, n_metric, K))
+            # BS outer, scheme inner: one BS's channels and block alive at a time
+            for j in range(n_metric):
+                H = draw_channels(_var[j], _cfg.M, substream(*key, "ch", j))
+                Y = waveform.synthesize_received(H, S, _cfg.sigma2, substream(*key, "n", j))
+                for i, (_method, _tag, _scheme, book, beta, part) in enumerate(_schemes):
                     beta_home = beta.beta[j, j]
-                    x_tilde = receive_cell(blk.Y, book, part, unit_powers, j, beta_home, _cfg.P)
+                    x_tilde = receive_cell(Y[i], book, part, unit_powers, j, beta_home, _cfg.P)
                     for k in range(K):
                         n = j * K + k
                         sums[i, :, j, k] = signal_residual_power(
-                            x_tilde[k], frames.data[n], H[:, n], float(beta_home[k]))
+                            x_tilde[k], frames[i].data[n], H[i, :, n], float(beta_home[k]))
+                del H, Y  # freed before the next BS's draw, not after it
             return sums
 
         totals = sum(one(t) for t in range(options.trials))

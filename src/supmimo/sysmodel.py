@@ -163,18 +163,6 @@ class PowerAllocation:
             raise ValueError("power split must satisfy q = rho_d^2 + rho_p^2")
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Channels from every user to one BS for a single coherence block.
-
-    H has shape (M, L*K); column l*K + k is the channel of user (l, k).
-    """
-
-    H: np.ndarray
-    bs: int
-    K: int
-
-
 def hex_centers(L: int, cell_radius_m: float) -> np.ndarray:
     """Cell-center coordinates for the supported hexagonal layouts.
 
@@ -308,23 +296,24 @@ def uniform_power(
     return PowerAllocation(q=qs, rho_d=np.sqrt(qs * frac), rho_p=np.sqrt(qs * (1.0 - frac)))
 
 
-def draw_channels(
-    beta: PathLossMap,
-    bs: int,
-    M: int,
-    rng: np.random.Generator,
-) -> ChannelRealization:
-    """One circularly-symmetric Gaussian channel block at BS `bs`.
+def draw_channels(var: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
+    """Circularly-symmetric Gaussian channels, one column per user.
 
-    Column l*K + k has i.i.d. entries with variance beta[bs, l, k], split
-    evenly between real and imaginary parts.
+    var holds the per-column variances, shape (N,) or (S, N): row s of a
+    stacked var is a gain map at one BS, flattened so that column l*K + k
+    is user (l, k), e.g. beta.beta[bs].reshape(-1).  One unit draw of shape
+    (M, N) is made and its columns are scaled by sqrt(var) of each row, so
+    every slice of the (S, M, N) result shares the same small-scale fading.
+    Variance is split evenly between real and imaginary parts.
     """
-    L, K = beta.L, beta.K
-    var = beta.beta[bs].reshape(L * K)
-    scale = np.sqrt(var / 2.0)
-    shape = (M, L * K)
-    H = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale[np.newaxis, :]
-    return ChannelRealization(H=H, bs=bs, K=K)
+    scale = np.sqrt(np.asarray(var, dtype=float) / 2.0)[..., np.newaxis, :]
+    shape = (M, scale.shape[-1])
+    # built in place, real part drawn first: the same bits as
+    # (re + 1j*im) * scale without its complex temporaries
+    H = np.empty(scale.shape[:-2] + shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), scale, out=H.real)
+    np.multiply(rng.standard_normal(shape), scale, out=H.imag)
+    return H
 
 
 def received_sir(beta: PathLossMap, omega: float, j: int) -> float:

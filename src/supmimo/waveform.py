@@ -79,19 +79,6 @@ class FrameSet:
     S: np.ndarray
     data: np.ndarray
     scheme: list
-    tau: int
-
-    @property
-    def n_users(self) -> int:
-        return self.S.shape[0]
-
-
-@dataclass(frozen=True)
-class ReceivedBlock:
-    """One BS observation: Y = sum_n h_n s_n^T + W with W ~ CN(0, sigma2)."""
-
-    Y: np.ndarray
-    sigma2: float
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -337,7 +324,7 @@ def assemble_frames(
         S[sp_rows, C_u - payload_len :] = (
             rho_d * data[sp_rows] + rho_p * pilot_book.sp_matrix[:, cols].T
         )
-    return FrameSet(S=S, data=data, scheme=tags, tau=tau)
+    return FrameSet(S=S, data=data, scheme=tags)
 
 
 def _draw_payloads(
@@ -359,18 +346,28 @@ def _draw_payloads(
 
 def synthesize_received(
     H: np.ndarray,
-    frames: FrameSet,
+    S: np.ndarray,
     sigma2: float,
     rng: np.random.Generator,
-) -> ReceivedBlock:
-    """Superimpose every user's frame through its channel and add noise."""
-    if H.shape[1] != frames.n_users:
-        raise ValueError(f"channel columns ({H.shape[1]}) != users ({frames.n_users})")
+) -> np.ndarray:
+    """Received block Y = H @ S + W with W ~ CN(0, sigma2), i.i.d. entries.
+
+    H is (M, N) and S is (N, C_u), or both carry the same leading stack axis:
+    (n, M, N) and (n, N, C_u).  One noise block W of shape (M, C_u) is drawn
+    and added to every slice, so stacked slices share the same noise.
+    """
+    if H.shape[-1] != S.shape[-2]:
+        raise ValueError(f"channel columns ({H.shape[-1]}) != users ({S.shape[-2]})")
     if sigma2 < 0:
         raise ValueError("sigma2 must be non-negative")
-    Y = H @ frames.S
+    Y = np.asarray(H @ S, dtype=complex)
     if sigma2 > 0:
         scale = math.sqrt(sigma2 / 2.0)
-        W = scale * (rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape))
-        Y = Y + W
-    return ReceivedBlock(Y=Y, sigma2=float(sigma2))
+        shape = Y.shape[-2:]
+        # built in place, real part drawn first: the same bits as
+        # scale * (re + 1j*im) without its complex temporaries
+        W = np.empty(shape, dtype=complex)
+        np.multiply(rng.standard_normal(shape), scale, out=W.real)
+        np.multiply(rng.standard_normal(shape), scale, out=W.imag)
+        Y += W
+    return Y

@@ -37,6 +37,9 @@ EXIT_TABLE = [
     (["run", "{tmp}/good.yaml"], "error config:", 3),
     (["run", "{tmp}/bad.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
     (["run", "{tmp}/missing.yaml", "--out", "{tmp}/out.csv"], "error io:", 4),
+    (["run", "{tmp}/no-m.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
+    (["run", "{tmp}/no-k.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
+    (["run", "{tmp}/no-radii.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
     (["analytic", "optimal-rho", "100", "7", "5", "100"], "", 0),
     (["analytic", "optimal-rho", "100", "7", "5", "0"], "error invalid-parameter:", 5),
     (["analytic", "optimal-rho", "100", "7", "5", "0", "--approx"], "error invalid-parameter:", 5),
@@ -62,9 +65,17 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, argv, err_prefix, code):
     (tmp_path / "good.yaml").write_text(
         "experiment: sinr_vs_m\noverrides:\n  trials: 1\n  m_values: [20]\n", encoding="utf-8")
     (tmp_path / "bad.yaml").write_text("experiment: nope\n", encoding="utf-8")
+    # an empty sweep would write a header-only CSV
+    for name, experiment, field in (("no-m", "sinr_vs_m", "m_values"),
+                                    ("no-k", "ber_vs_k", "k_values"),
+                                    ("no-radii", "sum_rate_vs_sir", "radii_m")):
+        (tmp_path / f"{name}.yaml").write_text(
+            f"experiment: {experiment}\noverrides:\n  {field}: []\n", encoding="utf-8")
     (tmp_path / "beta.csv").write_text(BETA_CSV, encoding="utf-8")
     (tmp_path / "bad.csv").write_text("a,b\n1,2\n", encoding="utf-8")
     args = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert cli.main(args) == code
     err = capsys.readouterr().err
     assert err.startswith(err_prefix) if err_prefix else err == ""
+    if code and argv[0] == "run":
+        assert not (tmp_path / "out.csv").exists()

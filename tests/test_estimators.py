@@ -14,7 +14,6 @@ from supmimo.estimators import (
 from supmimo.hybrid import Partition, all_sp, all_tp
 from supmimo.rng import substream
 from supmimo.sysmodel import (
-    PathLossMap,
     PowerAllocation,
     SystemConfig,
     draw_channels,
@@ -36,7 +35,7 @@ def make_config(**kw):
 
 
 def draw(beta_array, bs, M, key):
-    return draw_channels(PathLossMap(beta_array), bs, M, substream(*key)).H
+    return draw_channels(beta_array[bs].reshape(-1), M, substream(*key))
 
 
 class TestTpEstimator:
@@ -47,8 +46,8 @@ class TestTpEstimator:
         beta = np.full((7, 7, 2), 0.8)
         H = draw(beta, 0, cfg.M, (1, "h"))
         frames = assemble_frames(cfg, book, uniform_power(7, 2, q=1.5), substream(1, "f"), scheme="tp")
-        blk = synthesize_received(H, frames, 0.0, substream(1, "n"))
-        est = tp_ls_estimate(blk.Y[:, : cfg.tau], book, (0, 1), q=1.5)
+        Y = synthesize_received(H, frames.S, 0.0, substream(1, "n"))
+        est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, 1), q=1.5)
         assert np.allclose(est.h_hat, H[:, 1], atol=1e-12)
 
     def test_contamination_is_copilot_sum(self):
@@ -57,8 +56,8 @@ class TestTpEstimator:
         beta = np.full((7, 7, 2), 0.5)
         H = draw(beta, 0, cfg.M, (2, "h"))
         frames = assemble_frames(cfg, book, uniform_power(7, 2), substream(2, "f"), scheme="tp")
-        blk = synthesize_received(H, frames, 0.0, substream(2, "n"))
-        est = tp_ls_estimate(blk.Y[:, : cfg.tau], book, (0, 0), q=1.0)
+        Y = synthesize_received(H, frames.S, 0.0, substream(2, "n"))
+        est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, 0), q=1.0)
         copilot_sum = H[:, 0::2].sum(axis=1)  # user 0 of every cell
         assert np.allclose(est.h_hat, copilot_sum, atol=1e-10)
 
@@ -85,8 +84,8 @@ class TestTpEstimator:
         for t in range(trials):
             H = draw(beta, 0, cfg.M, (3, "h", t))
             frames = assemble_frames(cfg, book, uniform_power(1, 2, q=q), substream(3, "f", t), scheme="tp")
-            blk = synthesize_received(H, frames, cfg.sigma2, substream(3, "n", t))
-            est = tp_ls_estimate(blk.Y[:, : cfg.tau], book, (0, 0), q=q)
+            Y = synthesize_received(H, frames.S, cfg.sigma2, substream(3, "n", t))
+            est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, 0), q=q)
             acc += np.linalg.norm(est.h_hat - H[:, 0]) ** 2
         expected = cfg.M * cfg.sigma2 / (cfg.tau * q)
         assert acc / trials == pytest.approx(expected, rel=0.05)
@@ -111,8 +110,8 @@ class TestSpEstimator:
         powers = PowerAllocation(q=np.ones((1, 1)), rho_d=np.zeros((1, 1)), rho_p=np.ones((1, 1)))
         H = draw(np.ones((1, 1, 1)), 0, 8, (4, "h"))
         frames = assemble_frames(cfg, book, powers, substream(4, "f"), scheme="sp")
-        blk = synthesize_received(H, frames, 0.0, substream(4, "n"))
-        est = sp_ls_estimate(blk.Y, book.sp_column(0, 0), 1.0)
+        Y = synthesize_received(H, frames.S, 0.0, substream(4, "n"))
+        est = sp_ls_estimate(Y, book.sp_column(0, 0), 1.0)
         assert np.allclose(est.h_hat, H[:, 0], atol=1e-12)
 
     def test_single_user_error_identity(self):
@@ -125,9 +124,9 @@ class TestSpEstimator:
                                  rho_p=np.full((1, 1), rho_p))
         H = draw(np.ones((1, 1, 1)), 0, 8, (5, "h"))
         frames = assemble_frames(cfg, book, powers, substream(5, "f"), scheme="sp")
-        blk = synthesize_received(H, frames, 0.0, substream(5, "n"))
+        Y = synthesize_received(H, frames.S, 0.0, substream(5, "n"))
         pilot = book.sp_column(0, 0)
-        est = sp_ls_estimate(blk.Y, pilot, rho_p)
+        est = sp_ls_estimate(Y, pilot, rho_p)
         leak = (rho_d / (cfg.C_u * rho_p)) * H[:, 0] * (frames.data[0] @ np.conj(pilot))
         assert np.allclose(est.h_hat - H[:, 0], leak, atol=1e-12)
 
@@ -143,8 +142,8 @@ class TestSpEstimator:
         for t in range(trials):
             H = draw(beta, 0, cfg.M, (6, "h", t))
             frames = assemble_frames(cfg, book, powers, substream(6, "f", t), scheme="sp")
-            blk = synthesize_received(H, frames, 0.0, substream(6, "n", t))
-            est = sp_ls_estimate(blk.Y, book.sp_column(0, 0), float(powers.rho_p[0, 0]))
+            Y = synthesize_received(H, frames.S, 0.0, substream(6, "n", t))
+            est = sp_ls_estimate(Y, book.sp_column(0, 0), float(powers.rho_p[0, 0]))
             acc += np.linalg.norm(est.h_hat - H[:, 0]) ** 2 / cfg.M
         expected = 35 * lam2 / (cfg.C_u * (1 - lam2))
         assert acc / trials == pytest.approx(expected, rel=0.10)
@@ -172,10 +171,10 @@ class TestMatchedFilters:
                                  rho_p=np.full((1, 1), rho_p))
         H = draw(np.ones((1, 1, 1)), 0, cfg.M, (8, "h"))
         frames = assemble_frames(cfg, book, powers, substream(8, "f"), scheme="sp")
-        blk = synthesize_received(H, frames, 0.0, substream(8, "n"))
+        Y = synthesize_received(H, frames.S, 0.0, substream(8, "n"))
         pilot = book.sp_column(0, 0)
         genie = ChannelEstimate(h_hat=H[:, 0])
-        det = mf_detect_sp(blk.Y, genie, rho_d, rho_p, 1.0, pilot, cfg.P)
+        det = mf_detect_sp(Y, genie, rho_d, rho_p, 1.0, pilot, cfg.P)
         gain = np.vdot(H[:, 0], H[:, 0]).real / cfg.M
         # own pilot cancels exactly; what remains is the scaled data alone
         assert np.allclose(det.x_tilde, gain * frames.data[0], atol=1e-10)
@@ -208,9 +207,9 @@ class TestMatchedFilters:
         book = make_pilot_books(cfg)
         H = draw(np.ones((1, 1, 1)), 0, cfg.M, (11, "h"))
         frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(11, "f"), scheme="tp")
-        blk = synthesize_received(H, frames, 0.0, substream(11, "n"))
-        est = tp_ls_estimate(blk.Y[:, :1], book, (0, 0), q=1.0)
-        det = mf_detect_tp(blk.Y[:, 1:], est, 1.0, 1.0, cfg.P)
+        Y = synthesize_received(H, frames.S, 0.0, substream(11, "n"))
+        est = tp_ls_estimate(Y[:, :1], book, (0, 0), q=1.0)
+        det = mf_detect_tp(Y[:, 1:], est, 1.0, 1.0, cfg.P)
         assert np.array_equal(det.x_hat, frames.data[0])
         errors = np.sum(det.x_hat != frames.data[0])
         assert errors == 0
@@ -237,8 +236,8 @@ class TestHybridEstimates:
         H = draw(beta, 0, cfg.M, (seed, "h"))
         frames = assemble_frames(cfg, book, powers, substream(seed, "f"), scheme="hybrid",
                                  partition=part)
-        blk = synthesize_received(H, frames, sigma2, substream(seed, "n"))
-        return cfg, part, book, powers, H, frames, blk
+        Y = synthesize_received(H, frames.S, sigma2, substream(seed, "n"))
+        return cfg, part, book, powers, H, frames, Y
 
     def test_all_tp_partition_matches_plain_tp_estimator(self):
         cfg = make_config()
@@ -279,20 +278,20 @@ class TestHybridEstimates:
             assert np.array_equal(x_tilde[k], direct.x_tilde)
 
     def test_mixed_partition_matches_per_user_chains(self):
-        cfg, part, book, powers, H, frames, blk = self._system(sigma2=0.1)
+        cfg, part, book, powers, H, frames, Y = self._system(sigma2=0.1)
         tau = cfg.tau
         for cell in (0, 2):
             beta_home = np.linspace(0.8, 1.2, 5)
-            x_tilde = receive_cell(blk.Y, book, part, powers, cell, beta_home, cfg.P)
+            x_tilde = receive_cell(Y, book, part, powers, cell, beta_home, cfg.P)
             for k in range(5):
                 if (cell, k) in part.u_tp:
-                    est = tp_ls_estimate(blk.Y[:, :tau], book, (cell, k), 1.0)
-                    det = mf_detect_tp(blk.Y[:, tau:], est, float(beta_home[k]), 1.0, cfg.P)
+                    est = tp_ls_estimate(Y[:, :tau], book, (cell, k), 1.0)
+                    det = mf_detect_tp(Y[:, tau:], est, float(beta_home[k]), 1.0, cfg.P)
                 else:
                     pilot = book.sp_column(cell, k)
                     rho_d, rho_p = float(powers.rho_d[cell, k]), float(powers.rho_p[cell, k])
-                    est = sp_ls_estimate(blk.Y[:, tau:], pilot, rho_p)
-                    det = mf_detect_sp(blk.Y[:, tau:], est, rho_d, rho_p, float(beta_home[k]),
+                    est = sp_ls_estimate(Y[:, tau:], pilot, rho_p)
+                    det = mf_detect_sp(Y[:, tau:], est, rho_d, rho_p, float(beta_home[k]),
                                        pilot, cfg.P)
                 assert np.array_equal(x_tilde[k], det.x_tilde)
 
@@ -316,15 +315,15 @@ class TestHybridEstimates:
             H = draw(beta, 0, cfg.M, (15, "h", t))
             frames = assemble_frames(cfg, book, powers, substream(15, "f", t),
                                      scheme="hybrid", partition=part)
-            blk = synthesize_received(H, frames, 0.0, substream(15, "n", t))
+            Y = synthesize_received(H, frames.S, 0.0, substream(15, "n", t))
             pilot, rho_p = book.sp_column(0, 0), float(powers.rho_p[0, 0])
-            est = sp_ls_estimate(blk.Y[:, cfg.tau :], pilot, rho_p)
+            est = sp_ls_estimate(Y[:, cfg.tau :], pilot, rho_p)
             acc += np.linalg.norm(est.h_hat - H[:, 0]) ** 2 / cfg.M
         expected = 5 * lam2 / ((cfg.C_u - cfg.tau) * (1 - lam2))
         assert acc / trials == pytest.approx(expected, rel=0.10)
 
     def test_unpartitioned_user_rejected(self):
-        cfg, part, book, powers, H, frames, blk = self._system()
+        cfg, part, book, powers, H, frames, Y = self._system()
         bad = Partition(u_tp=part.u_tp - {(1, 0)}, u_sp=part.u_sp)
         with pytest.raises(KeyError, match="neither"):
-            receive_cell(blk.Y, book, bad, powers, 1, np.ones(5), cfg.P)
+            receive_cell(Y, book, bad, powers, 1, np.ones(5), cfg.P)

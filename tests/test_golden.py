@@ -4,9 +4,11 @@ Each golden file is what ``supmimo run`` writes for a spec that sets only the
 experiment and the tiny overrides below; everything else is the CLI's
 per-experiment default.  A refactor must reproduce these bytes exactly.  A
 change that deliberately alters how random streams are consumed regenerates
-them with::
+the goldens of the experiments it changes, and only those, with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [experiment ...]
+
+With no experiment named, every golden file is rewritten.
 """
 
 from __future__ import annotations
@@ -33,11 +35,15 @@ def write_csv(experiment: str, out: Path) -> None:
     emit_csv(run_experiment(parsed.config, parsed.experiment, parsed.options), str(out))
 
 
-@pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_csv_matches_golden(experiment, tmp_path, monkeypatch):
+def _clear_env(monkeypatch):
     for name in list(os.environ):
         if name.startswith("SUPMIMO_"):
             monkeypatch.delenv(name)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_csv_matches_golden(experiment, tmp_path, monkeypatch):
+    _clear_env(monkeypatch)
     out = tmp_path / f"{experiment}.csv"
     write_csv(experiment, out)
     assert out.read_bytes() == (GOLDEN_DIR / f"{experiment}.csv").read_bytes()
@@ -51,9 +57,32 @@ def test_parse_csv_round_trips_golden(experiment, tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
-if __name__ == "__main__":
+def test_regeneration_writes_only_the_named_goldens(tmp_path, monkeypatch, capsys):
+    _clear_env(monkeypatch)
+    golden = (GOLDEN_DIR / "sinr_cdf.csv").read_bytes()
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+    assert main(["no-such-experiment"]) == 2
+    assert main(["sinr_cdf"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sinr_cdf.csv"]
+    assert (tmp_path / "sinr_cdf.csv").read_bytes() == golden
+
+
+def main(argv) -> int:
+    """Rewrite the golden CSVs of the named experiments (all when none is named)."""
+    names = argv or list(EXPERIMENTS)
+    unknown = [name for name in names if name not in EXPERIMENTS]
+    if unknown:
+        print(f"unknown experiment(s) {unknown}; expected some of {EXPERIMENTS}", file=sys.stderr)
+        return 2
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in EXPERIMENTS:
+    for name in names:
         write_csv(name, GOLDEN_DIR / f"{name}.csv")
         (GOLDEN_DIR / f"{name}.yaml").unlink()
         print(f"wrote {GOLDEN_DIR / name}.csv", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    for _name in [n for n in os.environ if n.startswith("SUPMIMO_")]:
+        del os.environ[_name]  # a golden holds the CLI defaults, not this shell's overrides
+    sys.exit(main(sys.argv[1:]))

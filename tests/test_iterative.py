@@ -53,9 +53,9 @@ def block():
     lam2, _ = analytics.optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u)
     powers = uniform_power(cfg.L, cfg.K, 1.0, lam2)
     book = make_pilot_books(cfg)
-    H = draw_channels(beta_eff, 0, cfg.M, substream(3, "channels")).H
+    H = draw_channels(beta_eff.beta[0].reshape(-1), cfg.M, substream(3, "channels"))
     frames = assemble_frames(cfg, book, powers, substream(3, "frames"), scheme="sp")
-    Y = synthesize_received(H, frames, cfg.sigma2, substream(3, "noise")).Y
+    Y = synthesize_received(H, frames.S, cfg.sigma2, substream(3, "noise"))
     order = decreasing_order(beta_eff.beta[0].reshape(-1))
     args = dict(
         beta=beta_eff.beta[0].reshape(-1)[order],

@@ -187,23 +187,43 @@ class TestPowerControl:
         assert np.allclose(powers.rho_d**2 + powers.rho_p**2, 2.0)
 
 
+def reference_draw(var, M, rng):
+    """The per-column channel formula, written out: (a + 1j*b) * sqrt(var/2)."""
+    shape = (M, var.size)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(var / 2.0)
+
+
 class TestChannels:
+    def test_matches_reference_formula_bit_for_bit(self):
+        var = np.linspace(0.05, 3.0, 35)
+        H = draw_channels(var, 200, substream(3, "h"))
+        assert H.shape == (200, 35)
+        reference = reference_draw(var, 200, substream(3, "h"))
+        assert np.array_equal(H.view(np.int64), reference.view(np.int64))
+
+    def test_stacked_rows_equal_one_dimensional_draws(self):
+        var = np.array([[0.3, 1.7, 0.9], [1.0, 1.0, 1.0], [2.5, 0.01, 0.4]])
+        H = draw_channels(var, 16, substream(4, "h"))
+        assert H.shape == (3, 16, 3)
+        for s in range(3):
+            assert np.array_equal(H[s], draw_channels(var[s], 16, substream(4, "h")))
+
     def test_zero_gain_column(self):
         beta = PathLossMap(np.array([[[0.0, 1.0]]]))
-        H = draw_channels(beta, 0, 16, substream(0, "h")).H
+        H = draw_channels(beta.beta[0].reshape(-1), 16, substream(0, "h"))
         assert np.all(H[:, 0] == 0.0)
         assert np.all(H[:, 1] != 0.0)
 
     def test_norm_concentration(self):
         beta = PathLossMap(np.ones((1, 1, 1)))
         M = 10_000
-        H = draw_channels(beta, 0, M, substream(1, "h")).H
+        H = draw_channels(beta.beta[0].reshape(-1), M, substream(1, "h"))
         assert 0.97 <= np.vdot(H[:, 0], H[:, 0]).real / M <= 1.03
 
     def test_asymptotic_orthogonality(self):
         beta = PathLossMap(np.ones((1, 1, 2)))
         M = 10_000
-        H = draw_channels(beta, 0, M, substream(2, "h")).H
+        H = draw_channels(beta.beta[0].reshape(-1), M, substream(2, "h"))
         assert abs(np.vdot(H[:, 0], H[:, 1])) / M < 0.05
 
     def test_second_moment_matches_gain(self):
@@ -211,14 +231,14 @@ class TestChannels:
         M, T = 64, 400
         acc = np.zeros(2)
         for t in range(T):
-            H = draw_channels(beta, 0, M, substream(5, "h", t)).H
+            H = draw_channels(beta.beta[0].reshape(-1), M, substream(5, "h", t))
             acc += np.sum(np.abs(H) ** 2, axis=0)
         assert np.allclose(acc / (M * T), [0.3, 1.7], rtol=0.05)
 
     def test_determinism(self):
         beta = PathLossMap(np.ones((1, 1, 3)))
-        a = draw_channels(beta, 0, 8, substream(9, "h")).H
-        b = draw_channels(beta, 0, 8, substream(9, "h")).H
+        a = draw_channels(beta.beta[0].reshape(-1), 8, substream(9, "h"))
+        b = draw_channels(beta.beta[0].reshape(-1), 8, substream(9, "h"))
         assert np.array_equal(a, b)
 
 

@@ -8,7 +8,6 @@ from supmimo.rng import substream
 from supmimo.sysmodel import PowerAllocation, SystemConfig, uniform_power
 from supmimo.waveform import (
     CapacityError,
-    FrameSet,
     bits_per_symbol,
     constellation,
     decide,
@@ -280,14 +279,13 @@ class TestSynthesis:
         cfg = make_config(L=1, K=1, tau=1, C_u=8)
         book = make_pilot_books(cfg)
         frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(0, "f"), scheme="sp")
-        blk = synthesize_received(np.zeros((4, 1), dtype=complex), frames, 0.0, substream(0, "n"))
-        assert np.all(blk.Y == 0.0)
+        Y = synthesize_received(np.zeros((4, 1), dtype=complex), frames.S, 0.0, substream(0, "n"))
+        assert np.all(Y == 0.0)
 
     def test_single_symbol_identity(self):
-        frames = FrameSet(S=np.array([[2.0 + 0j]]), data=[np.array([2.0 + 0j])],
-                          scheme=["sp"], tau=0)
-        blk = synthesize_received(np.array([[1.0 + 0j]]), frames, 0.0, substream(0, "n"))
-        assert blk.Y[0, 0] == 2.0 + 0j
+        Y = synthesize_received(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]]), 0.0,
+                                substream(0, "n"))
+        assert Y[0, 0] == 2.0 + 0j
 
     def test_received_energy_budget(self):
         # symmetric case: E||Y||_F^2 = sum_n M beta q C_u + M C_u sigma2
@@ -302,15 +300,36 @@ class TestSynthesis:
             rng = substream(8, "h", t)
             H = math.sqrt(beta / 2) * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
             frames = assemble_frames(cfg, book, powers, substream(8, "f", t), scheme="sp")
-            blk = synthesize_received(H, frames, sigma2, substream(8, "n", t))
-            total += np.linalg.norm(blk.Y) ** 2
+            Y = synthesize_received(H, frames.S, sigma2, substream(8, "n", t))
+            total += np.linalg.norm(Y) ** 2
         expected = 4 * 8 * beta * 1.3 * 32 + 8 * 32 * sigma2
         assert total / trials == pytest.approx(expected, rel=0.02)
 
     def test_dimension_mismatch(self):
-        frames = FrameSet(S=np.zeros((2, 4), dtype=complex), data=[], scheme=[], tau=0)
         with pytest.raises(ValueError, match="users"):
-            synthesize_received(np.zeros((4, 3), dtype=complex), frames, 0.0, substream(0, "n"))
+            synthesize_received(np.zeros((4, 3), dtype=complex), np.zeros((2, 4), dtype=complex),
+                                0.0, substream(0, "n"))
+
+    def test_matches_reference_formula_bit_for_bit(self):
+        rng = substream(12, "x")
+        H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        S = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        noise = substream(12, "n")
+        scale = math.sqrt(0.3 / 2.0)
+        reference = H @ S + scale * (noise.standard_normal((6, 5))
+                                     + 1j * noise.standard_normal((6, 5)))
+        Y = synthesize_received(H, S, 0.3, substream(12, "n"))
+        assert np.array_equal(Y.view(np.int64), reference.view(np.int64))
+
+    def test_stacked_slices_share_one_noise_block(self):
+        rng = substream(13, "x")
+        H = rng.standard_normal((3, 6, 4)) + 1j * rng.standard_normal((3, 6, 4))
+        S = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+        Y = synthesize_received(H, S, 0.3, substream(13, "n"))
+        assert Y.shape == (3, 6, 5)
+        W = synthesize_received(np.zeros((6, 4), dtype=complex), S[0], 0.3, substream(13, "n"))
+        for i in range(3):
+            assert np.allclose(Y[i] - H[i] @ S[i], W, rtol=0.0, atol=1e-12)
 
 
 def test_dft_matrix_unit_modulus():
