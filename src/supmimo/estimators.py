@@ -4,8 +4,9 @@ All estimators run at a single BS on its received block.  The TP estimator
 correlates the pilot-phase slice with the user's pilot; under pilot reuse
 the result is the exact sum of the co-pilot channels plus scaled noise.
 The SP estimator correlates the symbols that carry the user's dedicated
-column with it, treating everyone's data as noise.  Detection is a
-conjugate matched filter followed by the nearest-point decision.
+column with it, treating everyone's data as noise.  Estimators return
+h_hat and detectors the matched-filter output x_tilde; the caller makes
+the nearest-point decision (waveform.decide).
 
 receive_cell is the one receiver every pilot scheme uses: a partition says
 which users of a cell train in the first tau symbols (TP) and which carry a
@@ -15,35 +16,13 @@ pure SP are the all-TP and all-SP partitions; a hybrid frame mixes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .hybrid import Partition
 from .sysmodel import PowerAllocation
-from .waveform import PilotBook, decide
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    h_hat: np.ndarray
-
-    @property
-    def M(self) -> int:
-        return self.h_hat.shape[0]
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Matched-filter output; the P-QAM decisions are made on first access."""
-
-    x_tilde: np.ndarray
-    P: int
-
-    @cached_property
-    def x_hat(self) -> np.ndarray:
-        return decide(self.x_tilde, self.P)
+# decide stays bound here: bench/tracer.py patches it in every module that
+# binds it, and bench/test_bench.py checks it is restored in this one
+from .waveform import PilotBook, decide  # noqa: F401
 
 
 def tp_ls_estimate(
@@ -51,7 +30,7 @@ def tp_ls_estimate(
     pilot_book: PilotBook,
     user: tuple,
     q: float,
-) -> ChannelEstimate:
+) -> np.ndarray:
     """Least-squares estimate from the M x tau pilot-phase slice.
 
     h_hat = Y_p conj(phi_b) / (tau sqrt(q)) with phi_b the user's pilot.
@@ -64,15 +43,14 @@ def tp_ls_estimate(
     if not 0 <= b < tau:
         raise KeyError(f"pilot index {b} outside the {tau}-column book")
     phi = pilot_book.tp_matrix[:, b]
-    h_hat = (Y_pilot @ np.conj(phi)) / (tau * np.sqrt(q))
-    return ChannelEstimate(h_hat=h_hat)
+    return (Y_pilot @ np.conj(phi)) / (tau * np.sqrt(q))
 
 
 def sp_ls_estimate(
     Y: np.ndarray,
     pilot: np.ndarray,
     rho_p: float,
-) -> ChannelEstimate:
+) -> np.ndarray:
     """Least-squares estimate against one superimposed pilot column.
 
     h_hat = Y conj(p) / (len(p) * rho_p); the slice Y must span exactly the
@@ -84,19 +62,17 @@ def sp_ls_estimate(
     n = pilot.shape[0]
     if Y.shape[1] != n:
         raise ValueError(f"observation has {Y.shape[1]} columns, pilot has {n}")
-    h_hat = (Y @ np.conj(pilot)) / (n * rho_p)
-    return ChannelEstimate(h_hat=h_hat)
+    return (Y @ np.conj(pilot)) / (n * rho_p)
 
 
 def mf_detect_sp(
     Y: np.ndarray,
-    estimate: ChannelEstimate,
+    h_hat: np.ndarray,
     rho_d: float,
     rho_p: float,
     beta_home: float,
     pilot: np.ndarray,
-    P: int,
-) -> DetectionResult:
+) -> np.ndarray:
     """Matched filter for a superimposed-pilot user.
 
     Removes the user's own pilot via the estimate, correlates with it, and
@@ -107,8 +83,7 @@ def mf_detect_sp(
         raise ValueError("beta_home must be positive")
     if rho_d <= 0:
         raise ValueError("rho_d must be positive")
-    x_tilde = _mf_sp_output(Y, estimate.h_hat, pilot, rho_d, rho_p, beta_home)
-    return DetectionResult(x_tilde=x_tilde, P=P)
+    return _mf_sp_output(Y, h_hat, pilot, rho_d, rho_p, beta_home)
 
 
 def _mf_sp_output(
@@ -127,20 +102,18 @@ def _mf_sp_output(
 
 def mf_detect_tp(
     Y_data: np.ndarray,
-    estimate: ChannelEstimate,
+    h_hat: np.ndarray,
     beta_home: float,
     q: float,
-    P: int,
-) -> DetectionResult:
+) -> np.ndarray:
     """Matched filter over the data phase of a time-multiplexed user.
 
     x_tilde^T = h_hat^H Y_d / (M sqrt(q) beta_home).
     """
     if beta_home <= 0:
         raise ValueError("beta_home must be positive")
-    M = estimate.M
-    x_tilde = (np.conj(estimate.h_hat) @ Y_data) / (M * np.sqrt(q) * beta_home)
-    return DetectionResult(x_tilde=x_tilde, P=P)
+    M = h_hat.shape[0]
+    return (np.conj(h_hat) @ Y_data) / (M * np.sqrt(q) * beta_home)
 
 
 def receive_cell(
@@ -150,7 +123,6 @@ def receive_cell(
     powers: PowerAllocation,
     cell: int,
     beta_home: np.ndarray,
-    P: int,
 ) -> np.ndarray:
     """Matched-filter outputs of the users of `cell` at its BS, one row per user.
 
@@ -168,14 +140,14 @@ def receive_cell(
     for k in range(powers.q.shape[1]):
         user = (cell, k)
         if user in partition.u_tp:
-            est = tp_ls_estimate(Y[:, :tau], book, user, 1.0)
-            det = mf_detect_tp(Y[:, tau:], est, float(beta_home[k]), 1.0, P)
+            h_hat = tp_ls_estimate(Y[:, :tau], book, user, 1.0)
+            x_tilde = mf_detect_tp(Y[:, tau:], h_hat, float(beta_home[k]), 1.0)
         elif user in partition.u_sp:
             pilot = book.sp_column(cell, k)
             rho_d, rho_p = float(powers.rho_d[cell, k]), float(powers.rho_p[cell, k])
-            est = sp_ls_estimate(Y_sp, pilot, rho_p)
-            det = mf_detect_sp(Y_sp, est, rho_d, rho_p, float(beta_home[k]), pilot, P)
+            h_hat = sp_ls_estimate(Y_sp, pilot, rho_p)
+            x_tilde = mf_detect_sp(Y_sp, h_hat, rho_d, rho_p, float(beta_home[k]), pilot)
         else:
             raise KeyError(f"user {user} is in neither partition set")
-        rows.append(det.x_tilde)
+        rows.append(x_tilde)
     return np.stack(rows)

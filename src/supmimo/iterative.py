@@ -7,10 +7,20 @@ contributions rho_d * h_hat * x_hat^T of a chosen feedback set: users
 already updated this sweep contribute current-iteration values, the rest
 contribute the previous iteration's.  When the set is fixed, only its
 members are needed in every sweep; the others are estimated once, in the
-last sweep, against the set's values at that point.  A deterministic
-companion recursion predicts the per-user matched-filter error variance,
-drives the decision-error model for square QAM, and selects which users
-are safe to feed back.
+last sweep, against the set's values at that point.
+
+predict_profile is the deterministic companion recursion.  It predicts each
+target's channel-error energy psi, its matched-filter error variance and,
+through the square-QAM decision-error model, its decision-error variance
+alpha, and admits the target to the feedback set when feeding it back
+cannot raise its predicted error.  It runs the same Gauss-Seidel schedule
+as the estimator: row i of alpha, psi and include starts as a copy of row
+i - 1 and entry m is overwritten once target m is predicted, so each target
+reads this sweep's values below it and the previous sweep's from it on.
+The "fixed" feedback set is the admission row of one sweep in which nobody
+is fed back; the profile carries that set (or None for per_iteration, where
+the set follows the admission rows sweep by sweep), and the estimator takes
+its sweep count and feedback set from the profile.
 
 All prediction formulas assume unit total power per user, i.e. gains are
 the power-controlled equivalents and rho_d^2 + rho_p^2 = 1.
@@ -54,97 +64,6 @@ def alpha_pqam(interference: float, P: int) -> float:
     return coef * q_function(arg)
 
 
-def psi_recursion(
-    m: int,
-    beta: np.ndarray,
-    rho_d: np.ndarray,
-    rho_p_m: float,
-    alpha_cur: np.ndarray,
-    psi_cur: np.ndarray,
-    alpha_prev: np.ndarray,
-    psi_prev: np.ndarray,
-    sigma2: float,
-    M: int,
-    C_u: int,
-    in_set: np.ndarray,
-) -> float:
-    """Channel-error energy auxiliary for target m at the current sweep.
-
-    Users in the feedback set contribute their decision-error-scaled
-    residuals (current-iteration values when already updated, i.e. index
-    < m, previous-iteration otherwise); users outside it contribute their
-    full data power; noise adds a flat term.
-    """
-    beta = np.asarray(beta, dtype=float)
-    n_users = beta.shape[0]
-    sum_beta = float(np.sum(beta))
-    idx = np.arange(n_users)
-    alpha_used = np.where(idx < m, alpha_cur, alpha_prev)
-    psi_used = np.where(idx < m, psi_cur, psi_prev)
-
-    base = beta**2 + beta * sum_beta / M
-    fed = in_set.astype(bool)
-    core = float(
-        np.sum(rho_d[fed] ** 2 * (base[fed] * alpha_used[fed] + (1.0 + alpha_used[fed]) * psi_used[fed] / M**2))
-    )
-    core += float(np.sum(rho_d[~fed] ** 2 * base[~fed]))
-    core += sigma2 * sum_beta / M
-    return (M**2 / (C_u * rho_p_m**2)) * core
-
-
-def predict_interference(
-    m: int,
-    beta: np.ndarray,
-    rho_d_m: float,
-    sigma2: float,
-    M: int,
-    psi_m: float,
-) -> float:
-    """Matched-filter error variance of target m given its channel-error
-    auxiliary: direct cross-channel leakage, noise, and the psi part."""
-    beta = np.asarray(beta, dtype=float)
-    bm = float(beta[m])
-    cross = float(np.sum(beta)) - bm
-    return (bm * cross / M + sigma2 * bm / M + psi_m / M**2) / (rho_d_m**2 * bm**2)
-
-
-def gamma_threshold(beta: np.ndarray, psi_k: float, k: int, M: int) -> float:
-    """Feedback-admission threshold on the decision-error variance of user
-    k: below it, feeding the user back cannot raise the predicted error."""
-    beta = np.asarray(beta, dtype=float)
-    a = float(beta[k]) ** 2 + float(beta[k]) * float(np.sum(beta)) / M
-    return (a - psi_k / M**2) / (a + psi_k / M**2)
-
-
-def select_user_set_fixed(
-    beta: np.ndarray,
-    rho_d: np.ndarray,
-    rho_p: np.ndarray,
-    sigma2: float,
-    M: int,
-    C_u: int,
-    P: int,
-) -> np.ndarray:
-    """Conservative one-shot feedback set.
-
-    User m is admitted iff predicted self-feedback at the second sweep
-    strictly beats never feeding anyone back.  The set is computed once and
-    reused for every sweep and every target.
-    """
-    beta = np.asarray(beta, dtype=float)
-    n_users = beta.shape[0]
-    sum_beta = float(np.sum(beta))
-    base = beta**2 + beta * sum_beta / M
-    core0 = float(np.sum(rho_d**2 * base)) + sigma2 * sum_beta / M
-    keep = np.zeros(n_users, dtype=bool)
-    for m in range(n_users):
-        psi1 = (M**2 / (C_u * rho_p[m] ** 2)) * core0
-        i1 = predict_interference(m, beta, float(rho_d[m]), sigma2, M, psi1)
-        a1 = alpha_pqam(i1, P)
-        keep[m] = a1 * base[m] + (1.0 + a1) * psi1 / M**2 < base[m]
-    return keep
-
-
 @dataclass(frozen=True)
 class PredictionProfile:
     """Per-sweep prediction history; row i of each array is iteration i.
@@ -167,21 +86,50 @@ class PredictionProfile:
         return self.interference.shape[0] - 1
 
 
-def _resolve_fixed_mask(selection, beta, rho_d, rho_p, sigma2, M, C_u, P) -> np.ndarray | None:
+def _recursion(beta, rho_d, rho_p, sigma2, M, C_u, P, sweeps, fixed_mask):
+    """The four profile arrays of `sweeps` Gauss-Seidel sweeps.
+
+    Row i of alpha, psi and include is the working row of sweep i: it starts
+    as a copy of row i - 1 and entry m is overwritten once target m is
+    predicted, so target m sees this sweep's values below m and the previous
+    sweep's from m on.
+    """
     n_users = beta.shape[0]
-    if isinstance(selection, np.ndarray):
-        if selection.shape != (n_users,):
-            raise ValueError(f"explicit feedback set must have shape ({n_users},)")
-        return selection.astype(bool)
-    if selection == "none":
-        return np.zeros(n_users, dtype=bool)
-    if selection == "all":
-        return np.ones(n_users, dtype=bool)
-    if selection == "fixed":
-        return select_user_set_fixed(beta, rho_d, rho_p, sigma2, M, C_u, P)
-    if selection == "per_iteration":
-        return None
-    raise ValueError(f"unknown selection rule {selection!r}; expected {SELECTION_RULES}")
+    sum_beta = float(np.sum(beta))
+    M2 = M**2
+    base = beta**2 + beta * sum_beta / M
+    rho_d2 = rho_d**2
+    full_power = rho_d2 * base
+    noise = sigma2 * sum_beta / M
+    bs = [float(b) for b in beta]
+    # per-target scalars: psi scale, leakage plus noise, MF gain, admission base
+    scale = [M2 / (C_u * float(r) ** 2) for r in rho_p]
+    leak = [b * (sum_beta - b) / M + sigma2 * b / M for b in bs]
+    gain = [float(r) ** 2 * b**2 for r, b in zip(rho_d, bs)]
+    adm = [b**2 + b * sum_beta / M for b in bs]
+
+    interference = np.full((sweeps + 1, n_users), math.inf)
+    alpha = np.ones((sweeps + 1, n_users))
+    psi = np.zeros((sweeps + 1, n_users))
+    include = np.zeros((sweeps + 1, n_users), dtype=bool)
+    for i in range(1, sweeps + 1):
+        alpha[i], psi[i], include[i] = alpha[i - 1], psi[i - 1], include[i - 1]
+        alpha_w, psi_w, include_w = alpha[i], psi[i], include[i]
+        for m in range(n_users):
+            fed = include_w if fixed_mask is None else fixed_mask
+            # fed users leave their decision-error-scaled residual, the rest
+            # their full data power; noise adds a flat term
+            a_fed, psi_fed = alpha_w[fed], psi_w[fed]
+            core = float(np.sum(rho_d2[fed] * (base[fed] * a_fed + (1.0 + a_fed) * psi_fed / M2)))
+            core += float(np.sum(full_power[~fed]))
+            core += noise
+            psi_w[m] = psi_m = scale[m] * core
+            p = psi_m / M2
+            interference[i, m] = inter = (leak[m] + p) / gain[m]
+            alpha_w[m] = a = alpha_pqam(inter, P)
+            # admission: feeding m back cannot raise its predicted error
+            include_w[m] = a < (adm[m] - p) / (adm[m] + p)
+    return interference, alpha, psi, include
 
 
 def predict_profile(
@@ -193,41 +141,33 @@ def predict_profile(
     C_u: int,
     P: int,
     sweeps: int,
-    selection="fixed",
+    selection: str = "fixed",
 ) -> PredictionProfile:
     """Run the deterministic error-prediction recursion for `sweeps` sweeps.
 
     beta must already be sorted in decreasing order (ties broken by the
     caller); rho_d and rho_p are the matching per-user amplitude arrays.
+    selection is one of SELECTION_RULES.
     """
+    if sweeps < 1:
+        raise ValueError("sweeps must be >= 1")
     beta = np.asarray(beta, dtype=float)
-    n_users = beta.shape[0]
     rho_d = np.asarray(rho_d, dtype=float)
     rho_p = np.asarray(rho_p, dtype=float)
-    fixed_mask = _resolve_fixed_mask(selection, beta, rho_d, rho_p, sigma2, M, C_u, P)
-
-    interference = np.full((sweeps + 1, n_users), math.inf)
-    alpha = np.ones((sweeps + 1, n_users))
-    psi = np.zeros((sweeps + 1, n_users))
-    include = np.zeros((sweeps + 1, n_users), dtype=bool)
-
-    for i in range(1, sweeps + 1):
-        for m in range(n_users):
-            if fixed_mask is not None:
-                mask = fixed_mask
-            else:
-                idx = np.arange(n_users)
-                mask = np.where(idx < m, include[i], include[i - 1])
-            psi_m = psi_recursion(
-                m, beta, rho_d, float(rho_p[m]),
-                alpha_cur=alpha[i], psi_cur=psi[i],
-                alpha_prev=alpha[i - 1], psi_prev=psi[i - 1],
-                sigma2=sigma2, M=M, C_u=C_u, in_set=mask,
-            )
-            psi[i, m] = psi_m
-            interference[i, m] = predict_interference(m, beta, float(rho_d[m]), sigma2, M, psi_m)
-            alpha[i, m] = alpha_pqam(interference[i, m], P)
-            include[i, m] = alpha[i, m] < gamma_threshold(beta, psi_m, m, M)
+    args = (beta, rho_d, rho_p, sigma2, M, C_u, P)
+    nobody = np.zeros(beta.shape[0], dtype=bool)
+    if selection == "none":
+        fixed_mask = nobody
+    elif selection == "all":
+        fixed_mask = ~nobody
+    elif selection == "fixed":
+        # admitted iff, with nobody fed back, feeding it back cannot raise its error
+        fixed_mask = _recursion(*args, 1, nobody)[3][1]
+    elif selection == "per_iteration":
+        fixed_mask = None
+    else:
+        raise ValueError(f"unknown selection rule {selection!r}; expected {SELECTION_RULES}")
+    interference, alpha, psi, include = _recursion(*args, sweeps, fixed_mask)
     return PredictionProfile(interference=interference, alpha=alpha, psi=psi, include=include,
                              fixed_mask=fixed_mask)
 
@@ -257,27 +197,23 @@ def iterative_estimate(
     rho_d: np.ndarray,
     rho_p: np.ndarray,
     P: int,
-    sigma2: float,
-    sweeps: int,
-    selection="fixed",
-    profile: PredictionProfile | None = None,
+    profile: PredictionProfile,
 ) -> IterationState:
-    """Joint channel/data estimation over `sweeps` ordered sweeps.
+    """Joint channel/data estimation over the profile's ordered sweeps.
 
     Y is the M x C_u block; pilots holds each user's dedicated column
-    (C_u x N, sorted like beta).  With a fixed feedback set (every rule but
-    per_iteration) only the set's members are re-estimated in every sweep,
-    in gain order, each deciding its data at once for the users after it.
-    Nobody reads the estimates of users outside the set, so they are
-    computed once, in their place in the last sweep, and decided together at
-    its end; the result equals re-estimating every user in every sweep.
-    per_iteration may feed any user back at some sweep, so it runs the full
-    schedule.  With an empty feedback set the result reproduces the one-shot
-    estimator and detector exactly.  The prediction profile is
+    (C_u x N, sorted like beta).  The profile, computed for these users,
+    supplies the sweep count and the feedback set.  With a fixed feedback
+    set (every rule but per_iteration) only the set's members are
+    re-estimated in every sweep, in gain order, each deciding its data at
+    once for the users after it.  Nobody reads the estimates of users outside
+    the set, so they are computed once, in their place in the last sweep, and
+    decided together at its end; the result equals re-estimating every user
+    in every sweep.  per_iteration may feed any user back at some sweep, so
+    it runs the full schedule.  With an empty feedback set the result
+    reproduces the one-shot estimator and detector exactly.  The profile is
     data-independent, so callers running many blocks with the same
-    large-scale state should compute it once and pass it in; it carries the
-    feedback set, and `selection` is used only to build a profile when none
-    is passed.
+    large-scale state compute it once.
     """
     beta = np.asarray(beta, dtype=float)
     n_users = beta.shape[0]
@@ -287,16 +223,12 @@ def iterative_estimate(
         raise ValueError(f"pilots must be (C_u, N) = {(Y.shape[1], n_users)}, got {pilots.shape}")
     if n_users > Y.shape[1]:
         raise ValueError(f"{n_users} users exceed the {Y.shape[1]}-symbol block")
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
+    if profile.include.shape[1] != n_users:
+        raise ValueError(f"profile covers {profile.include.shape[1]} users, need {n_users}")
     M, C_u = Y.shape
     rho_d = np.asarray(rho_d, dtype=float)
     rho_p = np.asarray(rho_p, dtype=float)
-
-    if profile is None:
-        profile = predict_profile(beta, rho_d, rho_p, sigma2, M, C_u, P, sweeps, selection)
-    elif profile.sweeps < sweeps:
-        raise ValueError(f"profile covers {profile.sweeps} sweeps, need {sweeps}")
+    sweeps = profile.sweeps
     fixed_mask = profile.fixed_mask
     feeders = np.ones(n_users, dtype=bool) if fixed_mask is None else fixed_mask
 

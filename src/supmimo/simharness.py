@@ -21,6 +21,7 @@ scheme draws its own frames ("tp-frames", "sp-frames", "hy-frames").
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,9 +92,19 @@ class RunOptions:
             raise ValueError("trial counts must be >= 1")
         if self.rho_form not in ("exact", "approx"):
             raise ValueError(f"rho_form must be 'exact' or 'approx', got {self.rho_form!r}")
+        if self.selection not in iterative.SELECTION_RULES:
+            raise ValueError(
+                f"selection must be one of {iterative.SELECTION_RULES}, got {self.selection!r}"
+            )
         for name in ("m_values", "k_values", "radii_m"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must not be empty")
+        for name, values in (("m_values", self.m_values), ("k_values", self.k_values),
+                             ("m_per_k", (self.m_per_k,))):
+            if not all(isinstance(v, numbers.Integral) and v >= 1 for v in values):
+                raise ValueError(f"{name} must be integers >= 1, got {getattr(self, name)!r}")
+        if not all(v > 0 for v in self.radii_m):
+            raise ValueError(f"radii_m must be positive, got {self.radii_m!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +151,17 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Bench:
+    """One layout's large-scale state at BS 0, shared by its trials.
+
+    The *_sorted arrays, pilots and profile list the L*K users in the
+    iterative estimator's decreasing-gain order; pos_of_flat[n] is the
+    sorted position of flat user n.
+    """
+
     config: SystemConfig
     beta_eff: PathLossMap
     powers: PowerAllocation
     book: waveform.PilotBook
-    lam2: float
-    mu2: float
-
-
-@dataclass(frozen=True)
-class _IterSetup:
     beta_sorted: np.ndarray
     rho_d_sorted: np.ndarray
     rho_p_sorted: np.ndarray
@@ -160,34 +172,30 @@ class _IterSetup:
 
 def _make_bench(config: SystemConfig, options: RunOptions, layout) -> _Bench:
     beta_raw = path_loss(layout, config.path_loss_exponent)
-    lam2, mu2 = analytics.optimal_rho(
+    lam2, _ = analytics.optimal_rho(
         config.M, config.L, config.K, config.C_u, approximate=options.rho_form == "approx"
     )
     beta_eff = beta_raw.normalized(config.omega)
     powers = uniform_power(config.L, config.K, 1.0, lam2)
     book = waveform.make_pilot_books(config)
-    return _Bench(config=config, beta_eff=beta_eff, powers=powers, book=book, lam2=lam2, mu2=mu2)
 
-
-def _iter_setup(bench: _Bench, options: RunOptions) -> _IterSetup:
-    cfg = bench.config
-    beta_ref = bench.beta_eff.beta[0].reshape(-1)
+    beta_ref = beta_eff.beta[0].reshape(-1)
     order = iterative.decreasing_order(beta_ref)
     pos_of_flat = np.empty_like(order)
     pos_of_flat[order] = np.arange(order.size)
     beta_sorted = beta_ref[order]
-    rho_d_sorted = bench.powers.rho_d.reshape(-1)[order]
-    rho_p_sorted = bench.powers.rho_p.reshape(-1)[order]
-    cols = bench.book.sp_assignment.reshape(-1)[order]
-    pilots = bench.book.sp_matrix[:, cols]
+    rho_d_sorted = powers.rho_d.reshape(-1)[order]
+    rho_p_sorted = powers.rho_p.reshape(-1)[order]
+    pilots = book.sp_matrix[:, book.sp_assignment.reshape(-1)[order]]
     profile = iterative.predict_profile(
-        beta_sorted, rho_d_sorted, rho_p_sorted, cfg.sigma2, cfg.M, cfg.C_u, cfg.P,
-        cfg.iterations, options.selection,
+        beta_sorted, rho_d_sorted, rho_p_sorted, config.sigma2, config.M, config.C_u, config.P,
+        config.iterations, options.selection,
     )
-    return _IterSetup(beta_sorted, rho_d_sorted, rho_p_sorted, pilots, profile, pos_of_flat)
+    return _Bench(config, beta_eff, powers, book, beta_sorted, rho_d_sorted, rho_p_sorted,
+                  pilots, profile, pos_of_flat)
 
 
-def _reference_trial(bench: _Bench, setup: _IterSetup, options: RunOptions, rng_key: tuple):
+def _reference_trial(bench: _Bench, rng_key: tuple):
     """One coherence block: TP, one-shot SP, and iterative SP at BS 0.
 
     Returns (sig_res, errs): the (3, 2, K) signal and residual energies per
@@ -207,16 +215,16 @@ def _reference_trial(bench: _Bench, setup: _IterSetup, options: RunOptions, rng_
         Y = waveform.synthesize_received(
             H, frames.S, cfg.sigma2, substream(*rng_key, f"{scheme}-noise")
         )
-        x_tilde = receive_cell(Y, bench.book, partition, bench.powers, 0, beta_home, P)
+        x_tilde = receive_cell(Y, bench.book, partition, bench.powers, 0, beta_home)
         data = frames.data[:K]
         methods.append((x_tilde, waveform.decide(x_tilde, P), data, waveform.demap(data, P)))
 
     # Y is the SP block, the loop's last; the iterative estimator reuses it
     state = iterative.iterative_estimate(
-        Y, setup.pilots, setup.beta_sorted, setup.rho_d_sorted, setup.rho_p_sorted,
-        P, cfg.sigma2, cfg.iterations, options.selection, profile=setup.profile,
+        Y, bench.pilots, bench.beta_sorted, bench.rho_d_sorted, bench.rho_p_sorted, P,
+        bench.profile,
     )
-    pos = setup.pos_of_flat[:K]
+    pos = bench.pos_of_flat[:K]
     sp_data, sp_bits = methods[1][2:]
     methods.append((state.x_tilde[pos], state.x_hat[pos], sp_data, sp_bits))
     sig_res = np.zeros((3, 2, K))
@@ -240,20 +248,19 @@ def _sweep_antennas(config: SystemConfig, options: RunOptions, experiment: str):
         cfg = replace(config, M=M)
         layout = place_users(cfg, substream(cfg.seed, experiment, "layout", mi))
         bench = _make_bench(cfg, options, layout)
-        setup = _iter_setup(bench, options)
         inputs = analytics.AnalyticInputs.build(bench.beta_eff, bench.powers, cfg)
         analytic = {
             TP_METHOD: [analytics.sinr_tp_asymptotic(inputs, 0, k) for k in range(cfg.K)],
             SP_METHOD: [analytics.sinr_sp_finite_m(inputs, 0, k) for k in range(cfg.K)],
             ITER_METHOD: [
-                1.0 / setup.profile.interference[cfg.iterations, setup.pos_of_flat[k]]
+                1.0 / bench.profile.interference[cfg.iterations, bench.pos_of_flat[k]]
                 for k in range(cfg.K)
             ],
         }
 
-        def one(t, _bench=bench, _setup=setup, _mi=mi):
+        def one(t, _bench=bench, _mi=mi):
             key = (_bench.config.seed, experiment, _mi, t)
-            sig_res, _errs = _reference_trial(_bench, _setup, options, key)
+            sig_res, _errs = _reference_trial(_bench, key)
             return sig_res
 
         totals = sum(one(t) for t in range(options.trials))
@@ -301,12 +308,11 @@ def _records_sinr_cdf(config, options):
     def one_placement(p):
         layout = place_users(config, substream(config.seed, "sinr_cdf", p, "layout"))
         bench = _make_bench(config, options, layout)
-        setup = _iter_setup(bench, options)
 
         totals = np.zeros((3, 2, config.K))
         for t in range(options.inner_realizations):
             key = (config.seed, "sinr_cdf", p, t)
-            sig_res, _ = _reference_trial(bench, setup, options, key)
+            sig_res, _ = _reference_trial(bench, key)
             totals += sig_res
         return totals[:, 0, :] / totals[:, 1, :]
 
@@ -339,8 +345,7 @@ def _records_ber_vs_k(config, options):
         def one(t, _cfg=cfg, _ki=ki):
             layout = place_users(_cfg, substream(_cfg.seed, "ber_vs_k", _ki, t, "layout"))
             bench = _make_bench(_cfg, options, layout)
-            setup = _iter_setup(bench, options)
-            _sig, errs = _reference_trial(bench, setup, options, (_cfg.seed, "ber_vs_k", _ki, t))
+            _sig, errs = _reference_trial(bench, (_cfg.seed, "ber_vs_k", _ki, t))
             return errs
 
         totals = sum(one(t) for t in range(options.trials))
@@ -422,7 +427,7 @@ def _records_sum_rate_vs_sir(config, options):
                 Y = waveform.synthesize_received(H, S, _cfg.sigma2, substream(*key, "n", j))
                 for i, (_method, _tag, _scheme, book, beta, part) in enumerate(_schemes):
                     beta_home = beta.beta[j, j]
-                    x_tilde = receive_cell(Y[i], book, part, unit_powers, j, beta_home, _cfg.P)
+                    x_tilde = receive_cell(Y[i], book, part, unit_powers, j, beta_home)
                     for k in range(K):
                         n = j * K + k
                         sums[i, :, j, k] = signal_residual_power(

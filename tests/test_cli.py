@@ -40,6 +40,11 @@ EXIT_TABLE = [
     (["run", "{tmp}/no-m.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
     (["run", "{tmp}/no-k.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
     (["run", "{tmp}/no-radii.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
+    (["run", "{tmp}/half-m.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
+    (["run", "{tmp}/bogus-selection.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
+    (["run", "{tmp}/zero-k.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
+    (["run", "{tmp}/zero-m-per-k.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
+    (["run", "{tmp}/zero-radius.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
     (["analytic", "optimal-rho", "100", "7", "5", "100"], "", 0),
     (["analytic", "optimal-rho", "100", "7", "5", "0"], "error invalid-parameter:", 5),
     (["analytic", "optimal-rho", "100", "7", "5", "0", "--approx"], "error invalid-parameter:", 5),
@@ -65,12 +70,18 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, argv, err_prefix, code):
     (tmp_path / "good.yaml").write_text(
         "experiment: sinr_vs_m\noverrides:\n  trials: 1\n  m_values: [20]\n", encoding="utf-8")
     (tmp_path / "bad.yaml").write_text("experiment: nope\n", encoding="utf-8")
-    # an empty sweep would write a header-only CSV
-    for name, experiment, field in (("no-m", "sinr_vs_m", "m_values"),
-                                    ("no-k", "ber_vs_k", "k_values"),
-                                    ("no-radii", "sum_rate_vs_sir", "radii_m")):
+    # an empty sweep would write a header-only CSV; the other bad values
+    # would fail only once the run has started
+    for name, experiment, override in (("no-m", "sinr_vs_m", "m_values: []"),
+                                       ("no-k", "ber_vs_k", "k_values: []"),
+                                       ("no-radii", "sum_rate_vs_sir", "radii_m: []"),
+                                       ("half-m", "sinr_vs_m", "m_values: [1.5]"),
+                                       ("bogus-selection", "sinr_vs_m", "selection: bogus"),
+                                       ("zero-k", "ber_vs_k", "k_values: [0]"),
+                                       ("zero-m-per-k", "ber_vs_k", "m_per_k: 0"),
+                                       ("zero-radius", "sum_rate_vs_sir", "radii_m: [0]")):
         (tmp_path / f"{name}.yaml").write_text(
-            f"experiment: {experiment}\noverrides:\n  {field}: []\n", encoding="utf-8")
+            f"experiment: {experiment}\noverrides:\n  {override}\n", encoding="utf-8")
     (tmp_path / "beta.csv").write_text(BETA_CSV, encoding="utf-8")
     (tmp_path / "bad.csv").write_text("a,b\n1,2\n", encoding="utf-8")
     args = [a.replace("{tmp}", str(tmp_path)) for a in argv]
