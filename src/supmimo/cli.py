@@ -103,6 +103,8 @@ def _coerce(key: str, value, target):
             if not isinstance(value, (list, tuple)):
                 raise ValueError("expected a list")
             return tuple(float(v) if "." in str(v) else int(v) for v in value)
+        if target is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"not an integer: {value!r}")
         return target(value)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"override {key!r}: {exc}") from None

@@ -7,7 +7,9 @@ contributions rho_d * h_hat * x_hat^T of a chosen feedback set: users
 already updated this sweep contribute current-iteration values, the rest
 contribute the previous iteration's.  When the set is fixed, only its
 members are needed in every sweep; the others are estimated once, in the
-last sweep, against the set's values at that point.
+last sweep, against the set's values at that point.  It takes one block
+or a stack of blocks with the same users, e.g. one per Monte-Carlo trial,
+and runs each step of its sequential schedule on the whole stack.
 
 predict_profile is the deterministic companion recursion.  It predicts each
 target's channel-error energy psi, its matched-filter error variance and,
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _mf_sp_output
+from .estimators import _conj_rows, _mf_sp_output, _per_row, _project
 from .waveform import decide
 
 SELECTION_RULES = ("none", "all", "fixed", "per_iteration")
@@ -95,7 +97,8 @@ def _recursion(beta, rho_d, rho_p, sigma2, M, C_u, P, sweeps, fixed_mask):
     sweep's from m on.
     """
     n_users = beta.shape[0]
-    sum_beta = float(np.sum(beta))
+    add = np.add.reduce
+    sum_beta = float(add(beta))
     M2 = M**2
     base = beta**2 + beta * sum_beta / M
     rho_d2 = rho_d**2
@@ -120,8 +123,9 @@ def _recursion(beta, rho_d, rho_p, sigma2, M, C_u, P, sweeps, fixed_mask):
             # fed users leave their decision-error-scaled residual, the rest
             # their full data power; noise adds a flat term
             a_fed, psi_fed = alpha_w[fed], psi_w[fed]
-            core = float(np.sum(rho_d2[fed] * (base[fed] * a_fed + (1.0 + a_fed) * psi_fed / M2)))
-            core += float(np.sum(full_power[~fed]))
+            # np.add.reduce is np.sum without its Python-level dispatch
+            core = float(add(rho_d2[fed] * (base[fed] * a_fed + (1.0 + a_fed) * psi_fed / M2)))
+            core += float(add(full_power[~fed]))
             core += noise
             psi_w[m] = psi_m = scale[m] * core
             p = psi_m / M2
@@ -201,72 +205,99 @@ def iterative_estimate(
 ) -> IterationState:
     """Joint channel/data estimation over the profile's ordered sweeps.
 
-    Y is the M x C_u block; pilots holds each user's dedicated column
+    Y is the M x C_u block, or a stack (T, M, C_u) of T blocks with the same
+    users, e.g. one per trial; pilots holds each user's dedicated column
     (C_u x N, sorted like beta).  The profile, computed for these users,
     supplies the sweep count and the feedback set.  With a fixed feedback
     set (every rule but per_iteration) only the set's members are
     re-estimated in every sweep, in gain order, each deciding its data at
     once for the users after it.  Nobody reads the estimates of users outside
-    the set, so they are computed once, in their place in the last sweep, and
-    decided together at its end; the result equals re-estimating every user
-    in every sweep.  per_iteration may feed any user back at some sweep, so
-    it runs the full schedule.  With an empty feedback set the result
+    the set, so they are computed once, in their place in the last sweep,
+    where a run of them between two members is one step; the result equals
+    re-estimating every user in every sweep.  per_iteration may feed any
+    user back at some sweep, so it runs the full schedule.  With an empty feedback set the result
     reproduces the one-shot estimator and detector exactly.  The profile is
     data-independent, so callers running many blocks with the same
     large-scale state compute it once.
+
+    The (sweep, target) schedule is sequential; each of its steps runs on
+    all T blocks at once, as one stacked matrix-vector product per block,
+    so a block's result does not depend on the others in the stack.  The
+    state arrays carry the leading T axis when Y does (user_sets does not:
+    it is data-independent).
     """
     beta = np.asarray(beta, dtype=float)
     n_users = beta.shape[0]
     if np.any(np.diff(beta) > 0):
         raise ValueError("beta must be sorted in decreasing order")
-    if pilots.shape != (Y.shape[1], n_users):
-        raise ValueError(f"pilots must be (C_u, N) = {(Y.shape[1], n_users)}, got {pilots.shape}")
-    if n_users > Y.shape[1]:
-        raise ValueError(f"{n_users} users exceed the {Y.shape[1]}-symbol block")
+    if Y.ndim not in (2, 3):
+        raise ValueError(f"Y must be (M, C_u) or (T, M, C_u), got shape {Y.shape}")
+    M, C_u = Y.shape[-2:]
+    if pilots.shape != (C_u, n_users):
+        raise ValueError(f"pilots must be (C_u, N) = {(C_u, n_users)}, got {pilots.shape}")
+    if n_users > C_u:
+        raise ValueError(f"{n_users} users exceed the {C_u}-symbol block")
     if profile.include.shape[1] != n_users:
         raise ValueError(f"profile covers {profile.include.shape[1]} users, need {n_users}")
-    M, C_u = Y.shape
+    stack = Y if Y.ndim == 3 else Y[np.newaxis]
+    T = stack.shape[0]
     rho_d = np.asarray(rho_d, dtype=float)
     rho_p = np.asarray(rho_p, dtype=float)
-    sweeps = profile.sweeps
     fixed_mask = profile.fixed_mask
-    feeders = np.ones(n_users, dtype=bool) if fixed_mask is None else fixed_mask
 
-    conj_rows = np.conj(pilots).T.copy()
-    base = np.stack([Y @ conj_rows[n] for n in range(n_users)])
-    h_work = np.zeros((n_users, M), dtype=complex)
-    x_work = np.zeros((n_users, C_u), dtype=complex)
-    x_tilde = np.zeros((n_users, C_u), dtype=complex)
-    last_masks = np.zeros((n_users, n_users), dtype=bool)
+    conj_rows = _conj_rows(pilots)
+    base = _project(stack, conj_rows)
+    h_hat = np.zeros((T, n_users, M), dtype=complex)
+    x_tilde = np.zeros((T, n_users, C_u), dtype=complex)
+    x_hat = np.zeros((T, n_users, C_u), dtype=complex)
+    if fixed_mask is None:
+        user_sets = np.zeros((n_users, n_users), dtype=bool)
+        idx = np.arange(n_users)
+    else:
+        fed = np.flatnonzero(fixed_mask)
+        user_sets = np.tile(fixed_mask, (n_users, 1))
 
-    members = np.flatnonzero(feeders)
-    for i in range(1, sweeps + 1):
-        # users outside the set feed nobody back: only their last sweep counts
-        for m in range(n_users) if i == sweeps else members:
-            if fixed_mask is not None:
-                mask = fixed_mask
-            else:
-                idx = np.arange(n_users)
-                mask = np.where(idx < m, profile.include[i], profile.include[i - 1])
-            last_masks[m] = mask
+    for i, users in _schedule(n_users, profile.sweeps, fixed_mask):
+        if fixed_mask is None:
+            m = users.start
+            user_sets[m] = mask = np.where(idx < m, profile.include[i], profile.include[i - 1])
             fed = np.flatnonzero(mask)
-            if fed.size:
-                coefs = (x_work[fed] @ conj_rows[m]) * rho_d[fed]
-                corrected = base[m] - coefs @ h_work[fed]
-                h_new = corrected / (C_u * rho_p[m])
-            else:
-                h_new = base[m] / (C_u * rho_p[m])
-            h_work[m] = h_new
-            x_tilde[m] = _mf_sp_output(Y, h_new, pilots[:, m], float(rho_d[m]), float(rho_p[m]), float(beta[m]))
-            if feeders[m]:
-                x_work[m] = decide(x_tilde[m], P)
-    if not feeders.all():
-        x_work[~feeders] = decide(x_tilde[~feeders], P)
+        if fed.size:
+            # (T, G, F) coefficients, then (T, G, M) estimates: per block and
+            # user, the matrix-vector products of one user alone
+            coefs = np.matmul(x_hat[:, np.newaxis, fed], conj_rows[users, :, np.newaxis])[..., 0]
+            coefs *= rho_d[fed]
+            leak = np.matmul(coefs[..., np.newaxis, :], h_hat[:, np.newaxis, fed])[..., 0, :]
+            h_new = (base[:, users] - leak) / _per_row(C_u * rho_p[users])
+        else:
+            h_new = base[:, users] / _per_row(C_u * rho_p[users])
+        h_hat[:, users] = h_new
+        x_tilde[:, users] = x_new = _mf_sp_output(
+            stack, h_new, pilots[:, users], rho_d[users], rho_p[users], beta[users])
+        x_hat[:, users] = decide(x_new, P)
 
-    return IterationState(
-        h_hat=h_work,
-        x_tilde=x_tilde,
-        x_hat=x_work,
-        user_sets=last_masks,
-    )
+    if Y.ndim == 2:
+        h_hat, x_tilde, x_hat = h_hat[0], x_tilde[0], x_hat[0]
+    return IterationState(h_hat=h_hat, x_tilde=x_tilde, x_hat=x_hat, user_sets=user_sets)
 
+
+def _schedule(n_users: int, sweeps: int, fixed_mask) -> list:
+    """(sweep, users) steps of the estimator, in order; users is a slice.
+
+    Without a fixed set every user is its own step in every sweep.  With
+    one, the members are re-estimated one at a time in every sweep and the
+    other users only in the last; there each run of them between two
+    members reads the same feedback state, so the run is one step.
+    """
+    if fixed_mask is None:
+        return [(i, slice(m, m + 1)) for i in range(1, sweeps + 1) for m in range(n_users)]
+    members = np.flatnonzero(fixed_mask).tolist()
+    steps = [(i, slice(m, m + 1)) for i in range(1, sweeps) for m in members]
+    start = 0
+    for m in members + [n_users]:
+        if start < m:
+            steps.append((sweeps, slice(start, m)))
+        if m < n_users:
+            steps.append((sweeps, slice(m, m + 1)))
+        start = m + 1
+    return steps

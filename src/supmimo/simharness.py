@@ -11,6 +11,19 @@ Trials are indexed and draw their randomness from (seed, experiment, sweep
 point, trial, purpose) substreams, so a trial's result depends only on its
 key, not on which trials ran before it.
 
+The reference-BS experiments run their trials in batches: each trial makes
+its own draws, then the batch's SP blocks are stacked on a leading trial
+axis and received, iterated, decided and scored together.  A batch holds as
+many trials as fit _CHUNK_BYTES of stacked SP block.  Every product is a
+stack of the per-trial matrix-vector products, so a trial's energies have
+the same bits in any batch, and they are added to the totals one trial at a
+time, in trial order, so the output does not depend on the batch size.
+
+run_experiment holds numpy's OpenBLAS at one thread and restores the
+caller's count afterwards.  A product whose reduction is split over threads
+rounds differently, so otherwise the output bytes would depend on the
+thread count of the machine.
+
 sum_rate_vs_sir compares its three pilot schemes on common random numbers.
 Per trial and metric BS j, one unit-variance channel ("ch", j) is drawn and
 its columns are scaled by each scheme's gains, and one noise block ("n", j)
@@ -20,9 +33,13 @@ scheme draws its own frames ("tp-frames", "sp-frames", "hy-frames").
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -50,6 +67,11 @@ ALL_SP_METHOD = "all-sp"
 HYBRID_METHOD = "hybrid"
 
 EXPERIMENTS = ("sinr_vs_m", "rate_vs_m", "sinr_cdf", "ber_vs_k", "sum_rate_vs_sir")
+
+# bytes of one stacked (T, M, C_u) SP block in the reference trial; a batch
+# also holds about as much again in estimator state, and beyond this size
+# the peak memory grows faster than the run time falls
+_CHUNK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -116,18 +138,27 @@ def signal_residual_power(
     x_tilde: np.ndarray,
     x_true: np.ndarray,
     h_true: np.ndarray,
-    beta_home: float,
-) -> tuple[float, float]:
-    """Energy split of a matched-filter output into signal and residual."""
-    M = h_true.shape[0]
-    gain = float(np.real(np.vdot(h_true, h_true))) / (M * beta_home)
-    signal = gain * x_true
+    beta_home,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energy split of matched-filter outputs into signal and residual.
+
+    x_tilde and x_true hold one output row (..., n) per user, h_true the
+    users' channels as rows (..., M), and beta_home their home gains,
+    broadcast against the leading axes.  Returns the signal and residual
+    energies, each of the leading shape.
+    """
+    M = h_true.shape[-1]
+    gain = np.vecdot(h_true, h_true).real / (M * beta_home)
+    signal = gain[..., np.newaxis] * x_true
     residual = x_tilde - signal
-    return float(np.vdot(signal, signal).real), float(np.vdot(residual, residual).real)
+    return np.vecdot(signal, signal).real, np.vecdot(residual, residual).real
 
 
 def count_ber(x_hat: np.ndarray, bits_true: np.ndarray, P: int) -> tuple[int, int]:
-    """Bit errors between decided symbols and the transmitted bits."""
+    """Bit errors between decided symbols and the transmitted bits.
+
+    Any stack of symbols works; the bits are compared in flattened order.
+    """
     bits_hat = waveform.demap(x_hat, P)
     bits_true = np.asarray(bits_true).reshape(-1)
     if bits_hat.size != bits_true.size:
@@ -195,45 +226,84 @@ def _make_bench(config: SystemConfig, options: RunOptions, layout) -> _Bench:
                   pilots, profile, pos_of_flat)
 
 
-def _reference_trial(bench: _Bench, rng_key: tuple):
-    """One coherence block: TP, one-shot SP, and iterative SP at BS 0.
+def _reference_trials(bench: _Bench, keys: list):
+    """T coherence blocks at BS 0, one per key: TP, one-shot SP and iterative SP.
 
-    Returns (sig_res, errs): the (3, 2, K) signal and residual energies per
-    method and cell-0 user, and the (3, 2) bit errors and bit count per
-    method, summed over the cell-0 users.
+    Each trial draws its channel, frames and noise from its own substreams.
+    TP is received trial by trial; the SP blocks are stacked into one
+    (T, M, C_u) array and received, iterated, decided and scored together.
+    Returns (sig_res, errs): the (T, 3, 2, K) signal and residual energies
+    per trial, method and cell-0 user, and the (3, 2) bit errors and bit
+    count per method, summed over the trials and cell-0 users.
     """
     cfg = bench.config
-    K, P = cfg.K, cfg.P
+    K, P, M, C_u, tau = cfg.K, cfg.P, cfg.M, cfg.C_u, cfg.tau
+    T = len(keys)
     beta_home = bench.beta_eff.beta[0, 0, :]
-    H = draw_channels(bench.beta_eff.beta[0].reshape(-1), cfg.M, substream(*rng_key, "channels"))
-
-    methods = []
-    for scheme, partition in (("tp", all_tp(cfg.L, K)), ("sp", all_sp(cfg.L, K))):
+    beta_flat = bench.beta_eff.beta[0].reshape(-1)
+    tp_part = all_tp(cfg.L, K)
+    H_home = np.empty((T, M, K), dtype=complex)
+    Y_sp = np.empty((T, M, C_u), dtype=complex)
+    x_tp = np.empty((T, K, C_u - tau), dtype=complex)
+    data_tp = np.empty((T, K, C_u - tau), dtype=complex)
+    data_sp = np.empty((T, K, C_u), dtype=complex)
+    for t, key in enumerate(keys):
+        H = draw_channels(beta_flat, M, substream(*key, "channels"))
+        H_home[t] = H[:, :K]
         frames = waveform.assemble_frames(
-            cfg, bench.book, bench.powers, substream(*rng_key, f"{scheme}-frames"), scheme=scheme
-        )
-        Y = waveform.synthesize_received(
-            H, frames.S, cfg.sigma2, substream(*rng_key, f"{scheme}-noise")
-        )
-        x_tilde = receive_cell(Y, bench.book, partition, bench.powers, 0, beta_home)
-        data = frames.data[:K]
-        methods.append((x_tilde, waveform.decide(x_tilde, P), data, waveform.demap(data, P)))
+            cfg, bench.book, bench.powers, substream(*key, "tp-frames"), scheme="tp")
+        Y = waveform.synthesize_received(H, frames.S, cfg.sigma2, substream(*key, "tp-noise"))
+        x_tp[t] = receive_cell(Y, bench.book, tp_part, bench.powers, 0, beta_home)
+        data_tp[t] = frames.data[:K]
+        del Y  # freed before the SP block is made
+        frames = waveform.assemble_frames(
+            cfg, bench.book, bench.powers, substream(*key, "sp-frames"), scheme="sp")
+        Y_sp[t] = waveform.synthesize_received(H, frames.S, cfg.sigma2,
+                                               substream(*key, "sp-noise"))
+        data_sp[t] = frames.data[:K]
+    del H, frames
 
-    # Y is the SP block, the loop's last; the iterative estimator reuses it
+    x_sp = receive_cell(Y_sp, bench.book, all_sp(cfg.L, K), bench.powers, 0, beta_home)
     state = iterative.iterative_estimate(
-        Y, bench.pilots, bench.beta_sorted, bench.rho_d_sorted, bench.rho_p_sorted, P,
+        Y_sp, bench.pilots, bench.beta_sorted, bench.rho_d_sorted, bench.rho_p_sorted, P,
         bench.profile,
     )
     pos = bench.pos_of_flat[:K]
-    sp_data, sp_bits = methods[1][2:]
-    methods.append((state.x_tilde[pos], state.x_hat[pos], sp_data, sp_bits))
-    sig_res = np.zeros((3, 2, K))
+    x_iter, x_iter_hat = state.x_tilde[:, pos], state.x_hat[:, pos]
+    del state, Y_sp
+    sp_bits = waveform.demap(data_sp, P)
+    methods = (
+        (x_tp, waveform.decide(x_tp, P), data_tp, waveform.demap(data_tp, P)),
+        (x_sp, waveform.decide(x_sp, P), data_sp, sp_bits),
+        (x_iter, x_iter_hat, data_sp, sp_bits),
+    )
+    # strided rows, not a contiguous copy: that would round the channel norms differently
+    h_rows = H_home.swapaxes(1, 2)
+    sig_res = np.empty((T, 3, 2, K))
     errs = np.zeros((3, 2), dtype=np.int64)
     for i, (x_tilde, x_hat, data, bits) in enumerate(methods):
-        for k in range(K):
-            sig_res[i, :, k] = signal_residual_power(x_tilde[k], data[k], H[:, k], float(beta_home[k]))
+        sig_res[:, i, 0], sig_res[:, i, 1] = signal_residual_power(x_tilde, data, h_rows, beta_home)
         errs[i] = count_ber(x_hat, bits, P)
     return sig_res, errs
+
+
+def _sum_trials(bench: _Bench, keys: list):
+    """Energies and bit errors of the trials `keys` at one bench, summed.
+
+    The trials run in chunks whose stacked SP blocks stay within
+    _CHUNK_BYTES.  Each trial's energies are added in trial order, so the
+    totals do not depend on the chunk size.  Returns ((3, 2, K), (3, 2)).
+    """
+    cfg = bench.config
+    step = max(1, _CHUNK_BYTES // (16 * cfg.M * cfg.C_u))
+    sig_total = np.zeros((3, 2, cfg.K))
+    err_total = np.zeros((3, 2), dtype=np.int64)
+    for lo in range(0, len(keys), step):
+        sig_res, errs = _reference_trials(bench, keys[lo : lo + step])
+        for one in sig_res:
+            sig_total += one
+        err_total += errs
+    return sig_total, err_total
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +328,8 @@ def _sweep_antennas(config: SystemConfig, options: RunOptions, experiment: str):
             ],
         }
 
-        def one(t, _bench=bench, _mi=mi):
-            key = (_bench.config.seed, experiment, _mi, t)
-            sig_res, _errs = _reference_trial(_bench, key)
-            return sig_res
-
-        totals = sum(one(t) for t in range(options.trials))
+        keys = [(cfg.seed, experiment, mi, t) for t in range(options.trials)]
+        totals, _errs = _sum_trials(bench, keys)
         empirical = {
             method: totals[i, 0, :] / totals[i, 1, :]
             for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD))
@@ -309,11 +375,8 @@ def _records_sinr_cdf(config, options):
         layout = place_users(config, substream(config.seed, "sinr_cdf", p, "layout"))
         bench = _make_bench(config, options, layout)
 
-        totals = np.zeros((3, 2, config.K))
-        for t in range(options.inner_realizations):
-            key = (config.seed, "sinr_cdf", p, t)
-            sig_res, _ = _reference_trial(bench, key)
-            totals += sig_res
+        keys = [(config.seed, "sinr_cdf", p, t) for t in range(options.inner_realizations)]
+        totals, _errs = _sum_trials(bench, keys)
         return totals[:, 0, :] / totals[:, 1, :]
 
     per_placement = [one_placement(p) for p in range(options.placements)]
@@ -345,7 +408,7 @@ def _records_ber_vs_k(config, options):
         def one(t, _cfg=cfg, _ki=ki):
             layout = place_users(_cfg, substream(_cfg.seed, "ber_vs_k", _ki, t, "layout"))
             bench = _make_bench(_cfg, options, layout)
-            _sig, errs = _reference_trial(bench, (_cfg.seed, "ber_vs_k", _ki, t))
+            _sig, errs = _sum_trials(bench, [(_cfg.seed, "ber_vs_k", _ki, t)])
             return errs
 
         totals = sum(one(t) for t in range(options.trials))
@@ -425,13 +488,12 @@ def _records_sum_rate_vs_sir(config, options):
             for j in range(n_metric):
                 H = draw_channels(_var[j], _cfg.M, substream(*key, "ch", j))
                 Y = waveform.synthesize_received(H, S, _cfg.sigma2, substream(*key, "n", j))
+                cell = slice(j * K, (j + 1) * K)
                 for i, (_method, _tag, _scheme, book, beta, part) in enumerate(_schemes):
                     beta_home = beta.beta[j, j]
                     x_tilde = receive_cell(Y[i], book, part, unit_powers, j, beta_home)
-                    for k in range(K):
-                        n = j * K + k
-                        sums[i, :, j, k] = signal_residual_power(
-                            x_tilde[k], frames[i].data[n], H[i, :, n], float(beta_home[k]))
+                    sums[i, :, j] = signal_residual_power(
+                        x_tilde, frames[i].data[cell], H[i, :, cell].T, beta_home)
                 del H, Y  # freed before the next BS's draw, not after it
             return sums
 
@@ -460,12 +522,54 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None.
+
+    Looked up on first use, not at import.  None when numpy ships no
+    scipy-openblas library next to it or the library lacks the calls.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, then restore the caller's count."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def run_experiment(
     config: SystemConfig,
     experiment: str,
     options: RunOptions | None = None,
 ) -> list:
-    """Run one named experiment and return its metric records."""
+    """Run one named experiment and return its metric records.
+
+    The experiment runs with numpy's OpenBLAS held at one thread, so its
+    output bytes do not depend on the machine's thread count.
+    """
     if experiment not in _DISPATCH:
         raise ValueError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-    return _DISPATCH[experiment](config, options or RunOptions())
+    with _one_blas_thread():
+        return _DISPATCH[experiment](config, options or RunOptions())

@@ -256,10 +256,19 @@ def decide(symbols: np.ndarray, P: int) -> np.ndarray:
     """Elementwise projection onto the nearest constellation point."""
     side = _side(P)
     c = _axis_scale(P)
-    symbols = np.asarray(symbols)
-    re = (2 * _nearest_level_index(symbols.real, side, c) - (side - 1)) * c
-    im = (2 * _nearest_level_index(symbols.imag, side, c) - (side - 1)) * c
-    return re + 1j * im
+    # real and imaginary parts side by side in one float array; the level
+    # arithmetic is exact, so this gives the bits of _nearest_level_index
+    parts = np.ascontiguousarray(symbols, dtype=complex).view(np.float64)
+    point = parts / c
+    point += side - 1
+    point /= 2.0
+    np.rint(point, out=point)
+    np.maximum(point, 0.0, out=point)
+    np.minimum(point, side - 1.0, out=point)
+    point *= 2.0
+    point -= side - 1
+    point *= c
+    return point.view(complex).reshape(np.shape(symbols))
 
 
 def random_symbols(n: int, P: int, rng: np.random.Generator) -> np.ndarray:
@@ -332,16 +341,25 @@ def _draw_payloads(
 ) -> np.ndarray:
     """n_users x n payload symbols, drawn user by user from one stream."""
     if data_dist == "qam":
-        # one draw per user: a single draw of every bit consumes the stream
-        # differently whenever a user's bit count is not a multiple of 4
-        n_bits = n * bits_per_symbol(P)
-        bits = [rng.integers(0, 2, size=n_bits, dtype=np.uint8) for _ in range(n_users)]
-        return modulate(np.concatenate(bits), P).reshape(n_users, n)
+        return modulate(_draw_bits(n_users, n * bits_per_symbol(P), rng), P).reshape(n_users, n)
     if data_dist == "gaussian":
         # same stream as per-user real then imaginary draws
         z = rng.standard_normal((n_users, 2, n))
         return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
     raise ValueError(f"unknown data distribution {data_dist!r}")
+
+
+def _draw_bits(n_users: int, n_bits: int, rng: np.random.Generator) -> np.ndarray:
+    """n_users rows of n_bits uniform 0/1 values from one draw.
+
+    The bits, and the stream they use, are those of one
+    rng.integers(0, 2, n_bits, dtype=np.uint8) per user: that draw takes one
+    32-bit word per 4 bits, reads its bytes low byte first, drops a user's
+    unused bytes, and a byte's bit is its top bit.
+    """
+    words = rng.integers(0, 2**32, size=n_users * -(-n_bits // 4), dtype=np.uint32)
+    octets = words.astype("<u4", copy=False).view(np.uint8).reshape(n_users, -1)
+    return octets[:, :n_bits] >> 7
 
 
 def synthesize_received(
@@ -364,10 +382,10 @@ def synthesize_received(
     if sigma2 > 0:
         scale = math.sqrt(sigma2 / 2.0)
         shape = Y.shape[-2:]
-        # built in place, real part drawn first: the same bits as
-        # scale * (re + 1j*im) without its complex temporaries
-        W = np.empty(shape, dtype=complex)
-        np.multiply(rng.standard_normal(shape), scale, out=W.real)
-        np.multiply(rng.standard_normal(shape), scale, out=W.imag)
-        Y += W
+        # real part drawn first, each part added in place: the same bits as
+        # Y + scale * (re + 1j*im) without a complex noise block
+        for part in (Y.real, Y.imag):
+            noise = rng.standard_normal(shape)
+            noise *= scale
+            part += noise
     return Y

@@ -45,6 +45,8 @@ EXIT_TABLE = [
     (["run", "{tmp}/zero-k.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
     (["run", "{tmp}/zero-m-per-k.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
     (["run", "{tmp}/zero-radius.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
+    (["run", "{tmp}/half-trials.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
+    (["run", "{tmp}/half-m-per-k.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
     (["analytic", "optimal-rho", "100", "7", "5", "100"], "", 0),
     (["analytic", "optimal-rho", "100", "7", "5", "0"], "error invalid-parameter:", 5),
     (["analytic", "optimal-rho", "100", "7", "5", "0", "--approx"], "error invalid-parameter:", 5),
@@ -79,7 +81,9 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, argv, err_prefix, code):
                                        ("bogus-selection", "sinr_vs_m", "selection: bogus"),
                                        ("zero-k", "ber_vs_k", "k_values: [0]"),
                                        ("zero-m-per-k", "ber_vs_k", "m_per_k: 0"),
-                                       ("zero-radius", "sum_rate_vs_sir", "radii_m: [0]")):
+                                       ("zero-radius", "sum_rate_vs_sir", "radii_m: [0]"),
+                                       ("half-trials", "sinr_vs_m", "trials: 1.5"),
+                                       ("half-m-per-k", "ber_vs_k", "m_per_k: 1.5")):
         (tmp_path / f"{name}.yaml").write_text(
             f"experiment: {experiment}\noverrides:\n  {override}\n", encoding="utf-8")
     (tmp_path / "beta.csv").write_text(BETA_CSV, encoding="utf-8")

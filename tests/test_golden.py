@@ -14,13 +14,15 @@ With no experiment named, every golden file is rewritten.
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import supmimo
 from supmimo.cli import emit_csv, parse_config, parse_csv
-from supmimo.simharness import EXPERIMENTS, run_experiment
+from supmimo.simharness import EXPERIMENTS, _openblas_threads, run_experiment
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -55,6 +57,33 @@ def test_parse_csv_round_trips_golden(experiment, tmp_path):
     out = tmp_path / f"{experiment}.csv"
     emit_csv(parse_csv(str(golden)), str(out))
     assert out.read_bytes() == golden.read_bytes()
+
+
+# writes every experiment's CSV into argv[1] after printing the BLAS thread
+# count the interpreter started with
+_BLAS_CHILD = """\
+import pathlib, sys
+import test_golden
+from supmimo.simharness import _openblas_threads
+print(_openblas_threads()[0]())
+for name in test_golden.EXPERIMENTS:
+    test_golden.write_csv(name, pathlib.Path(sys.argv[1]) / f"{name}.csv")
+"""
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy's OpenBLAS thread calls not found")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_goldens_hold_at_every_blas_thread_count(threads, tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SUPMIMO_")}
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    paths = [str(Path(supmimo.__file__).resolve().parent.parent), str(Path(__file__).parent)]
+    env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", _BLAS_CHILD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(threads)]
+    for name in EXPERIMENTS:
+        assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
 def test_regeneration_writes_only_the_named_goldens(tmp_path, monkeypatch, capsys):

@@ -1,0 +1,82 @@
+"""The trial-batched reference trial and the BLAS thread pin of run_experiment."""
+
+import numpy as np
+import pytest
+
+from supmimo import simharness
+from supmimo.rng import substream
+from supmimo.simharness import RunOptions, SystemConfig, run_experiment
+from supmimo.sysmodel import place_users
+
+BLAS = simharness._openblas_threads()
+needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread calls not found")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    cfg = SystemConfig(M=40, seed=4)
+    return simharness._make_bench(cfg, RunOptions(), place_users(cfg, substream(4, "layout")))
+
+
+def keys(n):
+    return [(4, "test", 0, t) for t in range(n)]
+
+
+def test_a_batch_of_trials_equals_one_trial_batches(bench):
+    with simharness._one_blas_thread():
+        sig_res, errs = simharness._reference_trials(bench, keys(5))
+        singles = [simharness._reference_trials(bench, [key]) for key in keys(5)]
+    assert sig_res.shape == (5, 3, 2, bench.config.K)
+    assert np.array_equal(sig_res, np.concatenate([one for one, _ in singles]))
+    assert np.array_equal(errs, sum(e for _, e in singles))
+    cfg = bench.config
+    bits = 5 * cfg.K * 2  # trials x users x bits per QPSK symbol
+    assert np.all(sig_res > 0)
+    assert errs[:, 1].tolist() == [bits * (cfg.C_u - cfg.tau), bits * cfg.C_u, bits * cfg.C_u]
+
+
+@pytest.mark.parametrize("per_chunk", [2, 3])
+def test_totals_do_not_depend_on_the_chunk_size(bench, monkeypatch, per_chunk):
+    # 5 trials: chunks of 2, 2, 1 and of 3, 2 against chunks of 1 and of 5
+    block = 16 * bench.config.M * bench.config.C_u
+    totals = {}
+    with simharness._one_blas_thread():
+        for trials_per_chunk in (1, per_chunk, 5):
+            monkeypatch.setattr(simharness, "_CHUNK_BYTES", trials_per_chunk * block)
+            totals[trials_per_chunk] = simharness._sum_trials(bench, keys(5))
+    for sig, errs in totals.values():
+        assert np.array_equal(sig, totals[1][0])
+        assert np.array_equal(errs, totals[1][1])
+
+
+def test_a_chunk_holds_at_least_one_trial(bench, monkeypatch):
+    monkeypatch.setattr(simharness, "_CHUNK_BYTES", 1)
+    sig, errs = simharness._sum_trials(bench, keys(2))
+    assert np.all(sig > 0) and errs[0, 1] > 0
+
+
+@needs_blas
+@pytest.mark.parametrize("fails", [False, True])
+def test_run_experiment_pins_one_blas_thread_and_restores_the_callers(monkeypatch, fails):
+    get, set_ = BLAS
+    before = get()
+    seen = []
+
+    def record(config, options):
+        seen.append(get())
+        if fails:
+            raise RuntimeError("boom")
+        return []
+
+    monkeypatch.setitem(simharness._DISPATCH, "sinr_vs_m", record)
+    try:
+        set_(2)
+        if fails:
+            with pytest.raises(RuntimeError):
+                run_experiment(SystemConfig(), "sinr_vs_m")
+        else:
+            assert run_experiment(SystemConfig(), "sinr_vs_m") == []
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        set_(before)

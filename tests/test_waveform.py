@@ -8,6 +8,7 @@ from supmimo.rng import substream
 from supmimo.sysmodel import PowerAllocation, SystemConfig, uniform_power
 from supmimo.waveform import (
     CapacityError,
+    _draw_bits,
     bits_per_symbol,
     constellation,
     decide,
@@ -155,6 +156,20 @@ class TestQam:
             modulate(np.zeros(3, dtype=np.uint8), 8)
         with pytest.raises(ValueError, match="square"):
             decide(np.zeros(2, dtype=complex), 32)
+
+    @pytest.mark.parametrize("n_bits", [1, 5, 7, 190, 200])
+    @pytest.mark.parametrize("n_users", [1, 3, 35])
+    def test_one_bit_draw_equals_a_draw_per_user(self, n_users, n_bits):
+        # same bits and same generator state afterwards, also when a user's
+        # bit count is not a multiple of 4
+        one, each = substream(3, "bits"), substream(3, "bits")
+        bits = _draw_bits(n_users, n_bits, one)
+        ref = np.stack([each.integers(0, 2, size=n_bits, dtype=np.uint8)
+                        for _ in range(n_users)])
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, ref)
+        assert one.bit_generator.state == each.bit_generator.state
+        assert one.integers(0, 2**63) == each.integers(0, 2**63)
 
     def test_random_symbols_on_alphabet(self):
         rng = substream(2, "sym")
