@@ -4,7 +4,6 @@ Spec files are YAML::
 
     experiment: sinr_vs_m
     output: sinr.csv          # optional; --out overrides
-    format: csv               # or csv+plot-script
     overrides:
       M: 50                   # SystemConfig fields or harness options
       trials: 100
@@ -13,10 +12,11 @@ Spec files are YAML::
         cell_radius_m: 1000
         user_circle_radius_m: 800
 
-Unknown override keys are rejected.  Environment variables prefixed with
-SUPMIMO_ (e.g. SUPMIMO_TRIALS=10) override spec values, and CLI flags win
-over both.  Exit status is 0 on success and nonzero otherwise, with a
-machine-readable category on stderr: "error <category>: message".
+Settings come from three places, each overriding the one before: the
+experiment's defaults, the spec's ``overrides`` mapping, then the --seed
+and --trials flags.  Unknown keys are rejected.  Exit status is 0 on
+success and nonzero otherwise, with a machine-readable category on stderr:
+"error <category>: message".
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 
 import numpy as np
@@ -35,12 +34,10 @@ from .hybrid import greedy_partition
 from .simharness import EXPERIMENTS, MetricsRecord, RunOptions, run_experiment
 from .sysmodel import Scenario1, Scenario2, SystemConfig
 
-ENV_PREFIX = "SUPMIMO_"
-
 CSV_HEADER = "experiment,method,sweep_var,sweep_value,user,metric,value,trials,analytic_value"
 
 _CONFIG_FIELDS = {
-    "L": int, "K": int, "M": int, "C_u": int, "C": int, "tau": int, "r": int,
+    "L": int, "K": int, "M": int, "C_u": int, "C": int, "r": int,
     "P": int, "snr_db": float, "omega": float, "path_loss_exponent": float,
     "iterations": int, "seed": int,
 }
@@ -69,39 +66,30 @@ class ExperimentSpec:
     config: SystemConfig
     options: RunOptions
     output: str | None
-    format: str
 
 
 def _parse_scenario(raw) -> Scenario1 | Scenario2:
     if not isinstance(raw, dict) or "type" not in raw:
         raise SpecError("scenario override must be a mapping with a 'type' key")
     kind = raw["type"]
-    args = {k: float(v) for k, v in raw.items() if k != "type"}
     try:
+        args = {k: float(v) for k, v in raw.items() if k != "type"}
         if kind == "scenario1":
             return Scenario1(**args)
         if kind == "scenario2":
             return Scenario2(**args)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecError(f"bad scenario parameters: {exc}") from None
     raise SpecError(f"unknown scenario type {kind!r}")
 
 
 def _coerce(key: str, value, target):
     try:
-        if target is bool:
-            if isinstance(value, bool):
-                return value
-            if str(value).lower() in ("1", "true", "yes"):
-                return True
-            if str(value).lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
+        if (target is bool) != isinstance(value, bool):
+            raise ValueError(f"expected {target.__name__}, got {value!r}")
         if target is tuple:
-            if isinstance(value, str):
-                value = [v for v in value.replace(",", " ").split() if v]
-            if not isinstance(value, (list, tuple)):
-                raise ValueError("expected a list")
+            if not isinstance(value, (list, tuple)) or any(isinstance(v, bool) for v in value):
+                raise ValueError(f"expected a list of numbers, got {value!r}")
             return tuple(float(v) if "." in str(v) else int(v) for v in value)
         if target is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"not an integer: {value!r}")
@@ -113,8 +101,7 @@ def _coerce(key: str, value, target):
 def _apply_overrides(config_kwargs, option_kwargs, overrides, source):
     for key, value in overrides.items():
         if key == "scenario":
-            config_kwargs["scenario"] = value if isinstance(value, (Scenario1, Scenario2)) \
-                else _parse_scenario(value)
+            config_kwargs["scenario"] = _parse_scenario(value)
         elif key in _CONFIG_FIELDS:
             config_kwargs[key] = _coerce(key, value, _CONFIG_FIELDS[key])
         elif key in _OPTION_FIELDS:
@@ -123,24 +110,8 @@ def _apply_overrides(config_kwargs, option_kwargs, overrides, source):
             raise SpecError(f"unknown override key {key!r} (from {source})")
 
 
-def _env_overrides() -> dict:
-    out = {}
-    known = {name.lower(): name for name in (*_CONFIG_FIELDS, *_OPTION_FIELDS)}
-    for env_key, value in sorted(os.environ.items()):
-        if not env_key.startswith(ENV_PREFIX):
-            continue
-        name = env_key[len(ENV_PREFIX):].lower()
-        if name in known:
-            out[known[name]] = value
-        elif name in ("experiment", "output", "format"):
-            continue
-        else:
-            raise SpecError(f"unknown environment override {env_key}")
-    return out
-
-
 def parse_config(path: str, cli_overrides: dict | None = None) -> ExperimentSpec:
-    """Load a YAML spec; defaults, then file, then env, then CLI flags."""
+    """Load a YAML spec; experiment defaults, then its overrides, then CLI flags."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh) or {}
@@ -148,7 +119,7 @@ def parse_config(path: str, cli_overrides: dict | None = None) -> ExperimentSpec
         raise SpecError(f"cannot parse {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise SpecError(f"{path}: top level must be a mapping")
-    unknown_top = set(raw) - {"experiment", "output", "format", "overrides"}
+    unknown_top = set(raw) - {"experiment", "output", "overrides"}
     if unknown_top:
         raise SpecError(f"{path}: unknown top-level keys {sorted(unknown_top)}")
     experiment = raw.get("experiment")
@@ -163,25 +134,14 @@ def parse_config(path: str, cli_overrides: dict | None = None) -> ExperimentSpec
     _apply_overrides(config_kwargs, option_kwargs, _EXPERIMENT_DEFAULTS.get(experiment, {}),
                      "experiment defaults")
     _apply_overrides(config_kwargs, option_kwargs, overrides, path)
-    _apply_overrides(config_kwargs, option_kwargs, _env_overrides(), "environment")
     _apply_overrides(config_kwargs, option_kwargs, cli_overrides or {}, "command line")
-
-    if "tau" not in config_kwargs:
-        r = config_kwargs.get("r", 1)
-        K = config_kwargs.get("K", 5)
-        config_kwargs["tau"] = r * K
     try:
         config = SystemConfig(**config_kwargs)
         options = RunOptions(**option_kwargs)
     except (TypeError, ValueError) as exc:
         raise SpecError(str(exc)) from None
-    fmt = raw.get("format", "csv")
-    if fmt not in ("csv", "csv+plot-script"):
-        raise SpecError(f"format must be 'csv' or 'csv+plot-script', got {fmt!r}")
-    return ExperimentSpec(
-        experiment=experiment, config=config, options=options,
-        output=raw.get("output"), format=fmt,
-    )
+    return ExperimentSpec(experiment=experiment, config=config, options=options,
+                          output=raw.get("output"))
 
 
 def _format_value(value) -> str:
@@ -229,66 +189,26 @@ def parse_csv(path: str) -> list:
     return records
 
 
-_PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-\"\"\"Plot the metric CSV sitting next to this script.\"\"\"
-import csv
-import sys
-from collections import defaultdict
-
-import matplotlib.pyplot as plt
-
-path = sys.argv[1] if len(sys.argv) > 1 else {csv_name!r}
-series = defaultdict(list)
-with open(path, encoding="utf-8") as fh:
-    for row in csv.DictReader(fh):
-        key = (row["method"], row["metric"])
-        series[key].append((float(row["sweep_value"]), float(row["value"])))
-for (method, metric), points in sorted(series.items()):
-    points.sort()
-    plt.plot([p[0] for p in points], [p[1] for p in points], marker="o",
-             label=f"{{method}} ({{metric}})")
-plt.xlabel("sweep value")
-plt.ylabel("metric value")
-plt.legend()
-plt.grid(True, alpha=0.4)
-plt.savefig(path + ".png", dpi=150, bbox_inches="tight")
-print("wrote", path + ".png")
-"""
-
-
-def _write_plot_script(csv_path: str) -> str:
-    script_path = csv_path + ".plot.py"
-    with open(script_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_PLOT_SCRIPT.format(csv_name=os.path.basename(csv_path)))
-    return script_path
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_run(args) -> int:
-    spec_path = args.spec_flag or args.spec_pos
-    if not spec_path:
-        raise SpecError("missing spec path: pass it positionally or with --spec")
-    if args.spec_flag and args.spec_pos and args.spec_flag != args.spec_pos:
-        raise SpecError("conflicting spec paths given positionally and with --spec")
+    if not args.spec:
+        raise SpecError("missing spec path")
     cli_overrides = {}
     if args.seed is not None:
         cli_overrides["seed"] = args.seed
     if args.trials is not None:
         cli_overrides["trials"] = args.trials
-    spec = parse_config(spec_path, cli_overrides)
+    spec = parse_config(args.spec, cli_overrides)
     out_path = args.out or spec.output
     if not out_path:
         raise SpecError("no output path: set 'output' in the spec or pass --out")
     records = run_experiment(spec.config, spec.experiment, spec.options)
     emit_csv(records, out_path)
     print(f"wrote {len(records)} records to {out_path}")
-    if spec.format == "csv+plot-script":
-        print(f"wrote {_write_plot_script(out_path)}")
     return 0
 
 
@@ -347,7 +267,7 @@ def _cmd_partition(args) -> int:
         seen[j, l, k] = True
     if not seen.all():
         raise SpecError(f"{args.beta_csv}: missing entries for some (bs_cell, user_cell, user_index)")
-    result = greedy_partition(beta, args.r, args.c_u, args.tau, args.mu2)
+    result = greedy_partition(beta, args.r, args.c_u, args.r * K, args.mu2)
     for (l, k) in sorted(result.partition.u_tp):
         print(f"tp,{l},{k}")
     for (l, k) in sorted(result.partition.u_sp):
@@ -364,9 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run an experiment from a YAML spec")
-    run_p.add_argument("spec_pos", nargs="?", metavar="spec",
-                       help="path to the YAML experiment spec")
-    run_p.add_argument("--spec", dest="spec_flag", help="alternative way to pass the spec path")
+    run_p.add_argument("spec", nargs="?", help="path to the YAML experiment spec")
     run_p.add_argument("--out", help="output CSV path (overrides the spec)")
     run_p.add_argument("--seed", type=int, help="master seed override")
     run_p.add_argument("--trials", type=int, help="trial count override")
@@ -384,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     part_p = sub.add_parser("partition", help="run the greedy pilot-type partitioner")
     part_p.add_argument("beta_csv", help="CSV with header bs_cell,user_cell,user_index,beta")
     part_p.add_argument("--c-u", dest="c_u", type=int, default=100)
-    part_p.add_argument("--tau", type=int, default=5)
-    part_p.add_argument("--r", type=int, default=1)
+    part_p.add_argument("--r", type=int, default=1,
+                        help="pilot reuse factor; training is r * K symbols, K from the CSV")
     part_p.add_argument("--mu2", type=float, default=0.5, help="pilot power fraction")
     part_p.set_defaults(fn=_cmd_partition)
     return parser

@@ -399,7 +399,7 @@ def _records_sinr_cdf(config, options):
 def _records_ber_vs_k(config, options):
     records = []
     for ki, K in enumerate(options.k_values):
-        cfg = replace(config, K=K, tau=config.r * K, M=options.m_per_k * K)
+        cfg = replace(config, K=K, M=options.m_per_k * K)
         if cfg.L * cfg.K > cfg.C_u:
             raise ValueError(
                 f"K={K} gives {cfg.L * cfg.K} users, exceeding C_u={cfg.C_u} pilot columns"

@@ -41,9 +41,11 @@ Scenario = Scenario1 | Scenario2
 class SystemConfig:
     """Full experiment parameterization.
 
-    tau is the time-multiplexed training length and must equal r * K: each
-    pilot is reused once every r cells.  snr_db is omega / sigma^2 in dB.
-    iterations is the sweep count of the data-aided estimator.
+    Each pilot is reused once every r cells.  The time-multiplexed training
+    length tau is derived, not set: one K-symbol pilot block per reuse
+    group, so tau = r * K, and it must stay below C_u.  snr_db is
+    omega / sigma^2 in dB.  iterations is the sweep count of the data-aided
+    estimator.
     """
 
     L: int = 7
@@ -51,7 +53,6 @@ class SystemConfig:
     M: int = 100
     C_u: int = 100
     C: int = 200
-    tau: int = 5
     r: int = 1
     P: int = 4
     snr_db: float = 10.0
@@ -69,20 +70,24 @@ class SystemConfig:
             raise ValueError(f"C ({self.C}) must be >= C_u ({self.C_u})")
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.tau != self.r * self.K:
-            raise ValueError(
-                f"tau ({self.tau}) must equal r*K ({self.r * self.K}): one pilot "
-                "block per reuse group"
-            )
         if self.tau >= self.C_u:
-            raise ValueError(f"tau ({self.tau}) must be < C_u ({self.C_u})")
+            raise ValueError(f"tau = r*K ({self.tau}) must be < C_u ({self.C_u})")
         root = math.isqrt(self.P)
         if self.P < 4 or root * root != self.P:
             raise ValueError(f"P must be a square QAM order >= 4, got {self.P}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def tau(self) -> int:
+        """Time-multiplexed training length: one K-symbol block per reuse group."""
+        return self.r * self.K
 
     @property
     def sigma2(self) -> float:

@@ -31,7 +31,7 @@ def make_inputs(beta, q, lam2, cfg):
 
 
 def make_config(**kw):
-    defaults = dict(L=7, K=5, M=100, C_u=100, C=200, tau=5, r=1, P=4)
+    defaults = dict(L=7, K=5, M=100, C_u=100, C=200, r=1, P=4)
     defaults.update(kw)
     return SystemConfig(**defaults)
 
@@ -128,7 +128,7 @@ class TestLowerBound:
 class TestSpSinr:
     def test_matches_scalar_oracle(self):
         rng = substream(32, "oracle")
-        cfg = make_config(L=7, K=3, tau=3, M=64, C_u=50, C=100)
+        cfg = make_config(L=7, K=3, M=64, C_u=50, C=100)
         for trial in range(10):
             beta = rng.uniform(0.05, 2.0, size=(7, 7, 3))
             q = rng.uniform(0.2, 3.0, size=(7, 3))
@@ -142,7 +142,7 @@ class TestSpSinr:
     def test_invariant_under_power_normalization(self):
         # folding q into the gains and amplitudes leaves the SINR unchanged
         rng = substream(33, "equiv")
-        cfg = make_config(L=3, K=2, tau=2, M=48, C_u=40, C=80)
+        cfg = make_config(L=3, K=2, M=48, C_u=40, C=80)
         for _ in range(10):
             beta = rng.uniform(0.05, 2.0, size=(3, 3, 2))
             q = rng.uniform(0.2, 3.0, size=(3, 2))
@@ -170,7 +170,7 @@ class TestSpSinr:
         assert sinr_sp_asymptotic(inputs, 0, 0) == pytest.approx(100 / 70)
 
     def test_single_user_asymptotic(self):
-        cfg = make_config(L=1, K=1, tau=1, C_u=64, C=128)
+        cfg = make_config(L=1, K=1, C_u=64, C=128)
         q = 1.8
         lam2 = 0.3
         inputs = make_inputs(np.ones((1, 1, 1)), np.full((1, 1), q), lam2, cfg)
@@ -196,7 +196,7 @@ class TestSpSinr:
 
 class TestTpSinr:
     def test_no_reuse_sentinel_and_capped_rate(self):
-        cfg = make_config(L=7, K=5, r=7, tau=35)
+        cfg = make_config(L=7, K=5, r=7)
         inputs = make_inputs(np.ones((7, 7, 5)), np.ones((7, 5)), 0.5, cfg)
         sinr = sinr_tp_asymptotic(inputs, 0, 0)
         assert sinr == math.inf
@@ -211,7 +211,7 @@ class TestTpSinr:
         assert sinr_tp_asymptotic(inputs, 0, 0) == pytest.approx(1.0 / 1.5)
 
     def test_rate_weights(self):
-        cfg = make_config(tau=35, r=7)
+        cfg = make_config(r=7)
         inputs = make_inputs(np.ones((7, 7, 5)), np.ones((7, 5)), 0.5, cfg)
         assert rate_tp(inputs, 1.0) == pytest.approx((65 / 200) * 1.0)
         assert rate_sp(inputs, 1.0) == pytest.approx((100 / 200) * 1.0)

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from supmimo import cli
@@ -28,6 +26,43 @@ BETA_CSV = "bs_cell,user_cell,user_index,beta\n" + "".join(
     f"{j},{l},0,{1.0 if j == l else 0.1}\n" for j in range(2) for l in range(2)
 )
 
+# run-time trials and sweep kept tiny so that a spec which is not rejected
+# finishes quickly
+_SMALL = ("trials: 1", "m_values: [20]")
+
+
+def _spec(experiment, *overrides, top=""):
+    return f"experiment: {experiment}\n{top}overrides:\n" + "".join(f"  {o}\n" for o in overrides)
+
+
+# specs that must end in "error config" before the run starts; unchecked,
+# each would write a header-only CSV, fail mid-run, or run on a setting
+# other than the one written (a removed key or a misread value)
+BAD_SPECS = {
+    "no-m": _spec("sinr_vs_m", "m_values: []"),
+    "no-k": _spec("ber_vs_k", "k_values: []"),
+    "no-radii": _spec("sum_rate_vs_sir", "radii_m: []"),
+    "half-m": _spec("sinr_vs_m", "m_values: [1.5]"),
+    "bogus-selection": _spec("sinr_vs_m", "selection: bogus"),
+    "zero-k": _spec("ber_vs_k", "k_values: [0]"),
+    "zero-m-per-k": _spec("ber_vs_k", "m_per_k: 0"),
+    "zero-radius": _spec("sum_rate_vs_sir", "radii_m: [0]"),
+    "half-trials": _spec("sinr_vs_m", "trials: 1.5"),
+    "half-m-per-k": _spec("ber_vs_k", "m_per_k: 1.5"),
+    "format-csv": _spec("sinr_vs_m", *_SMALL, top="format: csv\n"),
+    "format-plot-script": _spec("sinr_vs_m", *_SMALL, top="format: csv+plot-script\n"),
+    "tau": _spec("sinr_vs_m", *_SMALL, "tau: 5"),
+    "m-values-string": _spec("sinr_vs_m", "trials: 1", 'm_values: "50,100"'),
+    "rate-cap-string": _spec("rate_vs_m", *_SMALL, 'rate_cap: "yes"'),
+    "bool-trials": _spec("sinr_vs_m", "trials: true", "m_values: [20]"),
+    "bool-m-values": _spec("sinr_vs_m", "trials: 1", "m_values: [true]"),
+    "nan-snr": _spec("sinr_vs_m", *_SMALL, "snr_db: .nan"),
+    "inf-omega": _spec("sum_rate_vs_sir", "trials: 1", "radii_m: [500]", "omega: .inf"),
+    "negative-seed": _spec("sinr_vs_m", *_SMALL, "seed: -1"),
+    "text-radius": _spec("sinr_vs_m", *_SMALL,
+                         "scenario: {type: scenario2, cell_radius_m: abc}"),
+}
+
 # (argv, stderr prefix, exit code); {tmp} is a directory holding the files
 # written by the test below
 EXIT_TABLE = [
@@ -37,16 +72,8 @@ EXIT_TABLE = [
     (["run", "{tmp}/good.yaml"], "error config:", 3),
     (["run", "{tmp}/bad.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
     (["run", "{tmp}/missing.yaml", "--out", "{tmp}/out.csv"], "error io:", 4),
-    (["run", "{tmp}/no-m.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
-    (["run", "{tmp}/no-k.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
-    (["run", "{tmp}/no-radii.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
-    (["run", "{tmp}/half-m.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
-    (["run", "{tmp}/bogus-selection.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
-    (["run", "{tmp}/zero-k.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
-    (["run", "{tmp}/zero-m-per-k.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
-    (["run", "{tmp}/zero-radius.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
-    (["run", "{tmp}/half-trials.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
-    (["run", "{tmp}/half-m-per-k.yaml", "--out", "{tmp}/out.csv"], "error config:", 3),
+    *((["run", f"{{tmp}}/{name}.yaml", "--out", "{tmp}/out.csv"], "error config:", 3)
+      for name in BAD_SPECS),
     (["analytic", "optimal-rho", "100", "7", "5", "100"], "", 0),
     (["analytic", "optimal-rho", "100", "7", "5", "0"], "error invalid-parameter:", 5),
     (["analytic", "optimal-rho", "100", "7", "5", "0", "--approx"], "error invalid-parameter:", 5),
@@ -66,26 +93,11 @@ EXIT_TABLE = [
 
 @pytest.mark.parametrize("argv, err_prefix, code", EXIT_TABLE,
                          ids=["_".join(row[0]).replace("{tmp}/", "") for row in EXIT_TABLE])
-def test_exit_codes(tmp_path, monkeypatch, capsys, argv, err_prefix, code):
-    for name in [n for n in os.environ if n.startswith(cli.ENV_PREFIX)]:
-        monkeypatch.delenv(name)
-    (tmp_path / "good.yaml").write_text(
-        "experiment: sinr_vs_m\noverrides:\n  trials: 1\n  m_values: [20]\n", encoding="utf-8")
+def test_exit_codes(tmp_path, capsys, argv, err_prefix, code):
+    (tmp_path / "good.yaml").write_text(_spec("sinr_vs_m", *_SMALL), encoding="utf-8")
     (tmp_path / "bad.yaml").write_text("experiment: nope\n", encoding="utf-8")
-    # an empty sweep would write a header-only CSV; the other bad values
-    # would fail only once the run has started
-    for name, experiment, override in (("no-m", "sinr_vs_m", "m_values: []"),
-                                       ("no-k", "ber_vs_k", "k_values: []"),
-                                       ("no-radii", "sum_rate_vs_sir", "radii_m: []"),
-                                       ("half-m", "sinr_vs_m", "m_values: [1.5]"),
-                                       ("bogus-selection", "sinr_vs_m", "selection: bogus"),
-                                       ("zero-k", "ber_vs_k", "k_values: [0]"),
-                                       ("zero-m-per-k", "ber_vs_k", "m_per_k: 0"),
-                                       ("zero-radius", "sum_rate_vs_sir", "radii_m: [0]"),
-                                       ("half-trials", "sinr_vs_m", "trials: 1.5"),
-                                       ("half-m-per-k", "ber_vs_k", "m_per_k: 1.5")):
-        (tmp_path / f"{name}.yaml").write_text(
-            f"experiment: {experiment}\noverrides:\n  {override}\n", encoding="utf-8")
+    for name, text in BAD_SPECS.items():
+        (tmp_path / f"{name}.yaml").write_text(text, encoding="utf-8")
     (tmp_path / "beta.csv").write_text(BETA_CSV, encoding="utf-8")
     (tmp_path / "bad.csv").write_text("a,b\n1,2\n", encoding="utf-8")
     args = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -94,3 +106,20 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, argv, err_prefix, code):
     assert err.startswith(err_prefix) if err_prefix else err == ""
     if code and argv[0] == "run":
         assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--spec", "spec.yaml"],
+                                  ["partition", "beta.csv", "--tau", "5"]],
+                         ids=["run_--spec", "partition_--tau"])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_environment_does_not_override_the_spec(tmp_path, monkeypatch):
+    monkeypatch.setenv("SUPMIMO_TRIALS", "3")
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(_spec("sinr_vs_m", "trials: 1"), encoding="utf-8")
+    assert cli.parse_config(str(spec)).options.trials == 1

@@ -29,7 +29,7 @@ from supmimo.waveform import (
 
 
 def make_config(**kw):
-    defaults = dict(L=7, K=5, M=32, C_u=100, C=200, tau=5, r=1, P=4, seed=0)
+    defaults = dict(L=7, K=5, M=32, C_u=100, C=200, r=1, P=4, seed=0)
     defaults.update(kw)
     return SystemConfig(**defaults)
 
@@ -41,7 +41,7 @@ def draw(beta_array, bs, M, key):
 class TestTpEstimator:
     def test_exact_without_noise_or_reuse(self):
         # tau = r*K = L*K pilots: every user in the system has its own
-        cfg = make_config(L=7, K=2, r=7, tau=14, M=24)
+        cfg = make_config(L=7, K=2, r=7, M=24)
         book = make_pilot_books(cfg)
         beta = np.full((7, 7, 2), 0.8)
         H = draw(beta, 0, cfg.M, (1, "h"))
@@ -51,7 +51,7 @@ class TestTpEstimator:
         assert np.allclose(est, H[:, 1], atol=1e-12)
 
     def test_contamination_is_copilot_sum(self):
-        cfg = make_config(L=7, K=2, r=1, tau=2, M=16)
+        cfg = make_config(L=7, K=2, r=1, M=16)
         book = make_pilot_books(cfg)
         beta = np.full((7, 7, 2), 0.5)
         H = draw(beta, 0, cfg.M, (2, "h"))
@@ -75,7 +75,7 @@ class TestTpEstimator:
         assert np.array_equal(est, h[:, 0] + h[:, 1])
 
     def test_noise_only_error_variance(self):
-        cfg = make_config(L=1, K=2, r=1, tau=2, M=48, snr_db=3.0)
+        cfg = make_config(L=1, K=2, r=1, M=48, snr_db=3.0)
         book = make_pilot_books(cfg)
         beta = np.full((1, 1, 2), 1.0)
         q = 1.0
@@ -91,7 +91,7 @@ class TestTpEstimator:
         assert acc / trials == pytest.approx(expected, rel=0.05)
 
     def test_unknown_pilot_index(self):
-        cfg = make_config(L=1, K=2, tau=2, r=1)
+        cfg = make_config(L=1, K=2, r=1)
         book = make_pilot_books(cfg)
         bad = PilotBook(
             tp_matrix=book.tp_matrix,
@@ -105,7 +105,7 @@ class TestTpEstimator:
 
 class TestSpEstimator:
     def test_exact_when_data_free_and_noiseless(self):
-        cfg = make_config(L=1, K=1, tau=1, C_u=16)
+        cfg = make_config(L=1, K=1, C_u=16)
         book = make_pilot_books(cfg)
         powers = PowerAllocation(q=np.ones((1, 1)), rho_d=np.zeros((1, 1)), rho_p=np.ones((1, 1)))
         H = draw(np.ones((1, 1, 1)), 0, 8, (4, "h"))
@@ -116,7 +116,7 @@ class TestSpEstimator:
 
     def test_single_user_error_identity(self):
         # noiseless single user: h_hat - h = (rho_d / (C_u rho_p)) h (x^T p*)
-        cfg = make_config(L=1, K=1, tau=1, C_u=16)
+        cfg = make_config(L=1, K=1, C_u=16)
         book = make_pilot_books(cfg)
         rho_d, rho_p = math.sqrt(0.4), math.sqrt(0.6)
         powers = PowerAllocation(q=np.ones((1, 1)),
@@ -163,7 +163,7 @@ class TestSpEstimator:
 
 class TestMatchedFilters:
     def test_sp_pilot_removal_exact_with_true_channel(self):
-        cfg = make_config(L=1, K=1, tau=1, C_u=32, M=4096)
+        cfg = make_config(L=1, K=1, C_u=32, M=4096)
         book = make_pilot_books(cfg)
         rho_d, rho_p = math.sqrt(0.5), math.sqrt(0.5)
         powers = PowerAllocation(q=np.ones((1, 1)),
@@ -200,7 +200,7 @@ class TestMatchedFilters:
         assert np.array_equal(decide(a, 4), decide(b, 4))
 
     def test_tp_symbol_exact_recovery_noiseless(self):
-        cfg = make_config(L=1, K=1, tau=1, C_u=16, M=512)
+        cfg = make_config(L=1, K=1, C_u=16, M=512)
         book = make_pilot_books(cfg)
         H = draw(np.ones((1, 1, 1)), 0, cfg.M, (11, "h"))
         frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(11, "f"), scheme="tp")

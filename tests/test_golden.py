@@ -37,15 +37,8 @@ def write_csv(experiment: str, out: Path) -> None:
     emit_csv(run_experiment(parsed.config, parsed.experiment, parsed.options), str(out))
 
 
-def _clear_env(monkeypatch):
-    for name in list(os.environ):
-        if name.startswith("SUPMIMO_"):
-            monkeypatch.delenv(name)
-
-
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_csv_matches_golden(experiment, tmp_path, monkeypatch):
-    _clear_env(monkeypatch)
+def test_csv_matches_golden(experiment, tmp_path):
     out = tmp_path / f"{experiment}.csv"
     write_csv(experiment, out)
     assert out.read_bytes() == (GOLDEN_DIR / f"{experiment}.csv").read_bytes()
@@ -74,7 +67,7 @@ for name in test_golden.EXPERIMENTS:
 @pytest.mark.skipif(_openblas_threads() is None, reason="numpy's OpenBLAS thread calls not found")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_goldens_hold_at_every_blas_thread_count(threads, tmp_path):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("SUPMIMO_")}
+    env = dict(os.environ)
     env["OPENBLAS_NUM_THREADS"] = str(threads)
     paths = [str(Path(supmimo.__file__).resolve().parent.parent), str(Path(__file__).parent)]
     env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
@@ -87,7 +80,6 @@ def test_goldens_hold_at_every_blas_thread_count(threads, tmp_path):
 
 
 def test_regeneration_writes_only_the_named_goldens(tmp_path, monkeypatch, capsys):
-    _clear_env(monkeypatch)
     golden = (GOLDEN_DIR / "sinr_cdf.csv").read_bytes()
     monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
     assert main(["no-such-experiment"]) == 2
@@ -112,6 +104,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    for _name in [n for n in os.environ if n.startswith("SUPMIMO_")]:
-        del os.environ[_name]  # a golden holds the CLI defaults, not this shell's overrides
     sys.exit(main(sys.argv[1:]))

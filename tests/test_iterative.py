@@ -148,7 +148,7 @@ def sorted_users(cfg, seed):
 @pytest.mark.parametrize("selection", SELECTION_RULES)
 def test_profile_matches_per_call_recursion(selection, K, M):
     for seed in range(3):
-        cfg = SystemConfig(K=K, tau=K, M=M, C_u=70, seed=seed, scenario=Scenario1())
+        cfg = SystemConfig(K=K, M=M, C_u=70, seed=seed, scenario=Scenario1())
         beta, rho_d, rho_p = sorted_users(cfg, seed)
         args = (beta, rho_d, rho_p, cfg.sigma2, cfg.M, cfg.C_u, cfg.P, cfg.iterations, selection)
         profile = predict_profile(*args)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from supmimo.sysmodel import (
 
 
 def make_config(**kw):
-    defaults = dict(L=7, K=5, M=32, C_u=100, C=200, tau=5, r=1, P=4, seed=0)
+    defaults = dict(L=7, K=5, M=32, C_u=100, C=200, r=1, P=4, seed=0)
     defaults.update(kw)
     return SystemConfig(**defaults)
 
@@ -39,9 +40,15 @@ class TestSystemConfig:
         cfg = make_config(snr_db=0.0, omega=2.0)
         assert cfg.sigma2 == pytest.approx(2.0)
 
-    def test_tau_must_match_reuse(self):
-        with pytest.raises(ValueError, match="tau"):
-            make_config(tau=6)
+    def test_tau_follows_reuse(self):
+        cfg = make_config()
+        for K, r in ((5, 1), (2, 3), (7, 7)):
+            assert replace(cfg, K=K, r=r).tau == r * K
+        with pytest.raises(TypeError):
+            replace(cfg, tau=6)
+        for C_u in (15, 14):
+            with pytest.raises(ValueError, match="tau"):
+                replace(cfg, K=5, r=3, C_u=C_u)
 
     def test_coherence_block_bound(self):
         with pytest.raises(ValueError, match="C "):
@@ -92,13 +99,13 @@ class TestPlacement:
         assert np.allclose(np.sort(angles), np.sort(expected))
 
     def test_scenario2_single_user(self):
-        cfg = make_config(K=1, tau=1, scenario=Scenario2(1000.0, 640.0))
+        cfg = make_config(K=1, scenario=Scenario2(1000.0, 640.0))
         layout = place_users(cfg, substream(0, "layout"))
         d = np.hypot(*(layout.positions[0, 0] - layout.bs_positions[0]))
         assert d == pytest.approx(640.0, abs=1e-9)
 
     def test_scenario1_respects_bounds(self):
-        cfg = make_config(L=1, K=100, scenario=Scenario1(1000.0, 100.0), r=1, tau=100, C_u=150)
+        cfg = make_config(L=1, K=100, scenario=Scenario1(1000.0, 100.0), r=1, C_u=150)
         rng = substream(3, "layout")
         dists = []
         for _ in range(100):  # 10^4 draws total
@@ -121,13 +128,13 @@ class TestPlacement:
 
 class TestPathLoss:
     def test_edge_user_normalization(self):
-        cfg = make_config(K=1, tau=1, scenario=Scenario2(1000.0, 1000.0))
+        cfg = make_config(K=1, scenario=Scenario2(1000.0, 1000.0))
         layout = place_users(cfg, substream(0, "x"))
         beta = path_loss(layout, 3.0)
         assert beta.beta[0, 0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_half_radius_gain(self):
-        cfg = make_config(K=1, tau=1, scenario=Scenario2(1000.0, 500.0))
+        cfg = make_config(K=1, scenario=Scenario2(1000.0, 500.0))
         layout = place_users(cfg, substream(0, "x"))
         beta = path_loss(layout, 3.0)
         assert beta.beta[0, 0, 0] == pytest.approx(8.0, rel=1e-12)

@@ -24,20 +24,20 @@ from supmimo.waveform import (
 
 
 def make_config(**kw):
-    defaults = dict(L=7, K=5, M=16, C_u=100, C=200, tau=5, r=1, P=4, seed=0)
+    defaults = dict(L=7, K=5, M=16, C_u=100, C=200, r=1, P=4, seed=0)
     defaults.update(kw)
     return SystemConfig(**defaults)
 
 
 class TestPilotBooks:
     def test_trivial_single_pilot(self):
-        cfg = make_config(L=1, K=1, tau=1, C_u=4)
+        cfg = make_config(L=1, K=1, C_u=4)
         book = make_pilot_books(cfg)
         assert book.tp_matrix.shape == (1, 1)
         assert book.tp_matrix[0, 0] == pytest.approx(1.0)
 
     def test_sp_orthogonality_exact(self):
-        cfg = make_config(L=1, K=1, tau=1, C_u=4)
+        cfg = make_config(L=1, K=1, C_u=4)
         book = make_pilot_books(cfg)
         gram = book.sp_matrix.conj().T @ book.sp_matrix
         assert np.allclose(gram, 4.0 * np.eye(4), atol=1e-12)
@@ -58,7 +58,7 @@ class TestPilotBooks:
         assert cols.min() >= 0
 
     def test_tp_reuse_pattern(self):
-        cfg = make_config(L=7, K=2, r=2, tau=4)
+        cfg = make_config(L=7, K=2, r=2)
         book = make_pilot_books(cfg)
         assert book.tp_matrix.shape == (4, 4)
         # cells alternate between the two pilot blocks with period r
@@ -79,7 +79,7 @@ class TestPilotBooks:
         assert book.sp_assignment.max() == 19
 
     def test_block_diagonal_book(self):
-        cfg = make_config(L=5, K=4, C_u=20, C=40, tau=4)
+        cfg = make_config(L=5, K=4, C_u=20, C=40)
         book = make_pilot_books(cfg, block_diagonal=True)
         gram = book.sp_matrix.conj().T @ book.sp_matrix
         assert np.allclose(gram, 20.0 * np.eye(20), atol=1e-10)
@@ -239,14 +239,14 @@ class TestFrames:
                             substream(0, "f"), scheme="sp")
 
     def test_pure_pilot_when_data_amplitude_zero(self):
-        cfg = make_config(L=1, K=1, tau=1, C_u=8)
+        cfg = make_config(L=1, K=1, C_u=8)
         book = make_pilot_books(cfg)
         powers = PowerAllocation(q=np.ones((1, 1)), rho_d=np.zeros((1, 1)), rho_p=np.ones((1, 1)))
         frames = assemble_frames(cfg, book, powers, substream(0, "f"), scheme="sp")
         assert np.allclose(frames.S[0], book.sp_column(0, 0))
 
     def test_sp_frame_average_power(self):
-        cfg = make_config(L=1, K=2, tau=2, r=1, C_u=64, C=128)
+        cfg = make_config(L=1, K=2, r=1, C_u=64, C=128)
         book = make_pilot_books(cfg)
         powers = uniform_power(1, 2, q=1.7, data_power_fraction=0.4)
         acc = 0.0
@@ -282,7 +282,7 @@ class TestFrames:
         assert np.allclose(np.abs(frames.S[5:, : cfg.tau]), 1.0, atol=1e-12)
 
     def test_gaussian_payload(self):
-        cfg = make_config(L=1, K=1, tau=1, C_u=2000, C=4000)
+        cfg = make_config(L=1, K=1, C_u=2000, C=4000)
         book = make_pilot_books(cfg)
         frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(6, "f"),
                                  scheme="sp", data_dist="gaussian")
@@ -291,7 +291,7 @@ class TestFrames:
 
 class TestSynthesis:
     def test_zero_channels_zero_noise(self):
-        cfg = make_config(L=1, K=1, tau=1, C_u=8)
+        cfg = make_config(L=1, K=1, C_u=8)
         book = make_pilot_books(cfg)
         frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(0, "f"), scheme="sp")
         Y = synthesize_received(np.zeros((4, 1), dtype=complex), frames.S, 0.0, substream(0, "n"))
@@ -304,7 +304,7 @@ class TestSynthesis:
 
     def test_received_energy_budget(self):
         # symmetric case: E||Y||_F^2 = sum_n M beta q C_u + M C_u sigma2
-        cfg = make_config(L=1, K=4, tau=4, C_u=32, C=64, M=8)
+        cfg = make_config(L=1, K=4, C_u=32, C=64, M=8)
         book = make_pilot_books(cfg)
         powers = uniform_power(1, 4, q=1.3)
         beta = 0.6
