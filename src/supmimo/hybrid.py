@@ -109,6 +109,12 @@ def total_cost(
     return cost
 
 
+def _check_block(C_u: int, tau: int) -> None:
+    """Training must leave room for data in the C_u-symbol block."""
+    if C_u <= tau:
+        raise ValueError(f"C_u ({C_u}) must exceed the training length tau ({tau})")
+
+
 @dataclass(frozen=True)
 class GreedyResult:
     partition: Partition
@@ -137,6 +143,7 @@ def greedy_partition(
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    _check_block(C_u, tau)
     L, _, K = beta.shape
     current = all_tp(L, K)
     cost = total_cost(current, beta, r, C_u, tau, rho_p2)
@@ -171,6 +178,7 @@ def brute_force_partition(
     broken toward fewer SP users, then lexicographically, so the result is
     deterministic.
     """
+    _check_block(C_u, tau)
     L, _, K = beta.shape
     users = sorted((l, k) for l in range(L) for k in range(K))
     if len(users) > 16:

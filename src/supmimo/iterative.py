@@ -22,7 +22,12 @@ reads this sweep's values below it and the previous sweep's from it on.
 The "fixed" feedback set is the admission row of one sweep in which nobody
 is fed back; the profile carries that set (or None for per_iteration, where
 the set follows the admission rows sweep by sweep), and the estimator takes
-its sweep count and feedback set from the profile.
+its sweep count and feedback set from the profile.  The recursion takes one
+layout or a batch of layouts, each with its own gains, and runs each
+(sweep, target) step on the whole batch.  Its sums over the feedback set
+are taken over rows grouped by the set's size, so every layout gets the
+bits it gets alone; padding the rows with zeros would change numpy's
+pairwise-summation lanes.
 
 All prediction formulas assume unit total power per user, i.e. gains are
 the power-controlled equivalents and rho_d^2 + rho_p^2 = 1.
@@ -74,7 +79,9 @@ class PredictionProfile:
     definition of the all-wrong initial decisions.  include[i][k] records
     whether user k passed the admission threshold after sweep i.
     fixed_mask is the feedback set every sweep uses, or None when the set
-    follows include sweep by sweep (per_iteration).
+    follows include sweep by sweep (per_iteration).  A profile of a batch of
+    B layouts carries a leading B axis on every array; layout(b) is the
+    profile of one of them.
     """
 
     interference: np.ndarray
@@ -85,54 +92,106 @@ class PredictionProfile:
 
     @property
     def sweeps(self) -> int:
-        return self.interference.shape[0] - 1
+        return self.interference.shape[-2] - 1
+
+    def layout(self, b: int) -> "PredictionProfile":
+        """The one-layout profile of row b of a batched profile."""
+        return PredictionProfile(
+            interference=self.interference[b], alpha=self.alpha[b], psi=self.psi[b],
+            include=self.include[b],
+            fixed_mask=None if self.fixed_mask is None else self.fixed_mask[b])
+
+
+def _row_groups(mask: np.ndarray) -> list:
+    """The rows of a (B, N) mask grouped by their count of set entries.
+
+    Each group is (rows, idx): idx[g] holds the flat (B * N) indices of row
+    rows[g]'s set entries, in column order.  _grouped_sums reduces a group
+    in one call.
+    """
+    counts = np.count_nonzero(mask, axis=1)
+    groups = []
+    for size in set(counts.tolist()):
+        rows = np.flatnonzero(counts == size)
+        cols = np.nonzero(mask[rows])[1].reshape(rows.size, size)
+        groups.append((rows, rows[:, np.newaxis] * mask.shape[1] + cols))
+    return groups
+
+
+def _grouped_sums(values: np.ndarray, groups: list) -> np.ndarray:
+    """Per-row sums of a (B, N) array over the grouped entries.
+
+    Each sum has the bits of np.add.reduce over that row's compacted
+    entries: numpy sums a C-contiguous (G, F) array along axis 1 row by row
+    with the same pairwise lanes as a 1-D array of F.  Padding the rows to
+    one length with zeros would change those lanes, hence the groups.
+    """
+    sums = np.empty(values.shape[0])
+    for rows, idx in groups:
+        sums[rows] = np.add.reduce(values.take(idx), axis=1)
+    return sums
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """Elementwise squares by Python's float power.
+
+    That is libm's pow, which the profile's bits are pinned to; numpy's
+    x**2 is x*x and need not round the same.
+    """
+    return np.array([[v**2 for v in row] for row in values.tolist()]).reshape(values.shape)
 
 
 def _recursion(beta, rho_d, rho_p, sigma2, M, C_u, P, sweeps, fixed_mask):
-    """The four profile arrays of `sweeps` Gauss-Seidel sweeps.
+    """The four (B, sweeps + 1, N) profile arrays of `sweeps` Gauss-Seidel sweeps.
 
-    Row i of alpha, psi and include is the working row of sweep i: it starts
-    as a copy of row i - 1 and entry m is overwritten once target m is
-    predicted, so target m sees this sweep's values below m and the previous
-    sweep's from m on.
+    beta, rho_d and rho_p are (B, N), one layout per row; fixed_mask is
+    (B, N) or None.  Row i of alpha, psi and include is the working row of
+    sweep i: it starts as a copy of row i - 1 and entry m is overwritten
+    once target m is predicted, so target m sees this sweep's values below
+    m and the previous sweep's from m on.  Each step runs on all B layouts
+    at once and gives every layout the bits it has alone.
     """
-    n_users = beta.shape[0]
-    add = np.add.reduce
-    sum_beta = float(add(beta))
+    n_layouts, n_users = beta.shape
+    sum_beta = np.add.reduce(beta, axis=1)
     M2 = M**2
-    base = beta**2 + beta * sum_beta / M
+    base = beta**2 + beta * sum_beta[:, np.newaxis] / M
     rho_d2 = rho_d**2
     full_power = rho_d2 * base
     noise = sigma2 * sum_beta / M
-    bs = [float(b) for b in beta]
-    # per-target scalars: psi scale, leakage plus noise, MF gain, admission base
-    scale = [M2 / (C_u * float(r) ** 2) for r in rho_p]
-    leak = [b * (sum_beta - b) / M + sigma2 * b / M for b in bs]
-    gain = [float(r) ** 2 * b**2 for r, b in zip(rho_d, bs)]
-    adm = [b**2 + b * sum_beta / M for b in bs]
+    # per-target (N, B) columns: psi scale, leakage plus noise, MF gain,
+    # admission base
+    b2 = _squares(beta)
+    scale = (M2 / (C_u * _squares(rho_p))).T.copy()
+    leak = (beta * (sum_beta[:, np.newaxis] - beta) / M + sigma2 * beta / M).T.copy()
+    gain = (_squares(rho_d) * b2).T.copy()
+    adm = (b2 + beta * sum_beta[:, np.newaxis] / M).T.copy()
 
-    interference = np.full((sweeps + 1, n_users), math.inf)
-    alpha = np.ones((sweeps + 1, n_users))
-    psi = np.zeros((sweeps + 1, n_users))
-    include = np.zeros((sweeps + 1, n_users), dtype=bool)
+    shape = (n_layouts, sweeps + 1, n_users)
+    interference = np.full(shape, math.inf)
+    alpha = np.ones(shape)
+    psi = np.zeros(shape)
+    include = np.zeros(shape, dtype=bool)
+    if fixed_mask is not None:
+        # the same sets in every step: group the rows once
+        fed_groups = _row_groups(fixed_mask)
+        rest = _grouped_sums(full_power, _row_groups(~fixed_mask))
     for i in range(1, sweeps + 1):
-        alpha[i], psi[i], include[i] = alpha[i - 1], psi[i - 1], include[i - 1]
-        alpha_w, psi_w, include_w = alpha[i], psi[i], include[i]
+        alpha[:, i], psi[:, i], include[:, i] = alpha[:, i - 1], psi[:, i - 1], include[:, i - 1]
+        alpha_w, psi_w, include_w = alpha[:, i], psi[:, i], include[:, i]
         for m in range(n_users):
-            fed = include_w if fixed_mask is None else fixed_mask
+            if fixed_mask is None:
+                fed_groups = _row_groups(include_w)
+                rest = _grouped_sums(full_power, _row_groups(~include_w))
             # fed users leave their decision-error-scaled residual, the rest
             # their full data power; noise adds a flat term
-            a_fed, psi_fed = alpha_w[fed], psi_w[fed]
-            # np.add.reduce is np.sum without its Python-level dispatch
-            core = float(add(rho_d2[fed] * (base[fed] * a_fed + (1.0 + a_fed) * psi_fed / M2)))
-            core += float(add(full_power[~fed]))
-            core += noise
-            psi_w[m] = psi_m = scale[m] * core
+            term = rho_d2 * (base * alpha_w + (1.0 + alpha_w) * psi_w / M2)
+            core = _grouped_sums(term, fed_groups) + rest + noise
+            psi_w[:, m] = psi_m = scale[m] * core
             p = psi_m / M2
-            interference[i, m] = inter = (leak[m] + p) / gain[m]
-            alpha_w[m] = a = alpha_pqam(inter, P)
+            interference[:, i, m] = inter = (leak[m] + p) / gain[m]
+            alpha_w[:, m] = a = np.array([alpha_pqam(x, P) for x in inter.tolist()])
             # admission: feeding m back cannot raise its predicted error
-            include_w[m] = a < (adm[m] - p) / (adm[m] + p)
+            include_w[:, m] = a < (adm[m] - p) / (adm[m] + p)
     return interference, alpha, psi, include
 
 
@@ -149,31 +208,36 @@ def predict_profile(
 ) -> PredictionProfile:
     """Run the deterministic error-prediction recursion for `sweeps` sweeps.
 
-    beta must already be sorted in decreasing order (ties broken by the
-    caller); rho_d and rho_p are the matching per-user amplitude arrays.
-    selection is one of SELECTION_RULES.
+    beta is one layout's gains (N,) or a batch of B layouts (B, N); each
+    row must already be sorted in decreasing order (ties broken by the
+    caller), and rho_d and rho_p are the matching per-user amplitudes, of
+    beta's shape.  A batch gives a profile with a leading B axis whose
+    layout(b) equals the profile of row b alone, bit for bit.  selection is
+    one of SELECTION_RULES.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     beta = np.asarray(beta, dtype=float)
-    rho_d = np.asarray(rho_d, dtype=float)
-    rho_p = np.asarray(rho_p, dtype=float)
-    args = (beta, rho_d, rho_p, sigma2, M, C_u, P)
-    nobody = np.zeros(beta.shape[0], dtype=bool)
+    batch = np.atleast_2d(beta)
+    rho_d = np.asarray(rho_d, dtype=float).reshape(batch.shape)
+    rho_p = np.asarray(rho_p, dtype=float).reshape(batch.shape)
+    args = (batch, rho_d, rho_p, sigma2, M, C_u, P)
+    nobody = np.zeros(batch.shape, dtype=bool)
     if selection == "none":
         fixed_mask = nobody
     elif selection == "all":
         fixed_mask = ~nobody
     elif selection == "fixed":
         # admitted iff, with nobody fed back, feeding it back cannot raise its error
-        fixed_mask = _recursion(*args, 1, nobody)[3][1]
+        fixed_mask = _recursion(*args, 1, nobody)[3][:, 1]
     elif selection == "per_iteration":
         fixed_mask = None
     else:
         raise ValueError(f"unknown selection rule {selection!r}; expected {SELECTION_RULES}")
     interference, alpha, psi, include = _recursion(*args, sweeps, fixed_mask)
-    return PredictionProfile(interference=interference, alpha=alpha, psi=psi, include=include,
-                             fixed_mask=fixed_mask)
+    profile = PredictionProfile(interference=interference, alpha=alpha, psi=psi, include=include,
+                                fixed_mask=fixed_mask)
+    return profile if beta.ndim == 2 else profile.layout(0)
 
 
 @dataclass(frozen=True)
@@ -237,8 +301,9 @@ def iterative_estimate(
         raise ValueError(f"pilots must be (C_u, N) = {(C_u, n_users)}, got {pilots.shape}")
     if n_users > C_u:
         raise ValueError(f"{n_users} users exceed the {C_u}-symbol block")
-    if profile.include.shape[1] != n_users:
-        raise ValueError(f"profile covers {profile.include.shape[1]} users, need {n_users}")
+    if profile.include.shape != (profile.sweeps + 1, n_users):
+        raise ValueError(f"need one layout's profile of {n_users} users, "
+                         f"got include of shape {profile.include.shape}")
     stack = Y if Y.ndim == 3 else Y[np.newaxis]
     T = stack.shape[0]
     rho_d = np.asarray(rho_d, dtype=float)

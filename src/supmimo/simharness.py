@@ -11,6 +11,13 @@ Trials are indexed and draw their randomness from (seed, experiment, sweep
 point, trial, purpose) substreams, so a trial's result depends only on its
 key, not on which trials ran before it.
 
+The reference-BS experiments set up their layouts in one batched pass
+(_make_benches): the state that depends on the config alone, i.e. the
+data/pilot split, the powers and the pilot book, is built once, and one
+prediction recursion runs over all layouts of a sweep point (ber_vs_k's
+trials of one K, sinr_cdf's placements).  Every layout gets the same bits
+as when it is set up alone.
+
 The reference-BS experiments run their trials in batches: each trial makes
 its own draws, then the batch's SP blocks are stacked on a leading trial
 axis and received, iterated, decided and scored together.  A batch holds as
@@ -201,29 +208,38 @@ class _Bench:
     pos_of_flat: np.ndarray
 
 
-def _make_bench(config: SystemConfig, options: RunOptions, layout) -> _Bench:
-    beta_raw = path_loss(layout, config.path_loss_exponent)
+def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
+    """Yield one _Bench per layout, in order, from one set-up pass.
+
+    The state that depends on the config alone (data/pilot split, powers,
+    pilot book) is built once and shared.  Each layout is sorted by its
+    gains at BS 0 and one prediction recursion runs over all of them; a
+    bench's pilot columns are gathered only when it is yielded.
+    """
     lam2, _ = analytics.optimal_rho(
         config.M, config.L, config.K, config.C_u, approximate=options.rho_form == "approx"
     )
-    beta_eff = beta_raw.normalized(config.omega)
     powers = uniform_power(config.L, config.K, 1.0, lam2)
     book = waveform.make_pilot_books(config)
+    beta_effs = [path_loss(layout, config.path_loss_exponent).normalized(config.omega)
+                 for layout in layouts]
 
-    beta_ref = beta_eff.beta[0].reshape(-1)
+    beta_ref = np.stack([beta_eff.beta[0].reshape(-1) for beta_eff in beta_effs])
     order = iterative.decreasing_order(beta_ref)
-    pos_of_flat = np.empty_like(order)
-    pos_of_flat[order] = np.arange(order.size)
-    beta_sorted = beta_ref[order]
+    beta_sorted = np.take_along_axis(beta_ref, order, axis=1)
     rho_d_sorted = powers.rho_d.reshape(-1)[order]
     rho_p_sorted = powers.rho_p.reshape(-1)[order]
-    pilots = book.sp_matrix[:, book.sp_assignment.reshape(-1)[order]]
-    profile = iterative.predict_profile(
+    profiles = iterative.predict_profile(
         beta_sorted, rho_d_sorted, rho_p_sorted, config.sigma2, config.M, config.C_u, config.P,
         config.iterations, options.selection,
     )
-    return _Bench(config, beta_eff, powers, book, beta_sorted, rho_d_sorted, rho_p_sorted,
-                  pilots, profile, pos_of_flat)
+    assignment = book.sp_assignment.reshape(-1)
+    for b, beta_eff in enumerate(beta_effs):
+        pos_of_flat = np.empty_like(order[b])
+        pos_of_flat[order[b]] = np.arange(order.shape[1])
+        yield _Bench(config, beta_eff, powers, book, beta_sorted[b], rho_d_sorted[b],
+                     rho_p_sorted[b], book.sp_matrix[:, assignment[order[b]]],
+                     profiles.layout(b), pos_of_flat)
 
 
 def _reference_trials(bench: _Bench, keys: list):
@@ -317,7 +333,7 @@ def _sweep_antennas(config: SystemConfig, options: RunOptions, experiment: str):
     for mi, M in enumerate(options.m_values):
         cfg = replace(config, M=M)
         layout = place_users(cfg, substream(cfg.seed, experiment, "layout", mi))
-        bench = _make_bench(cfg, options, layout)
+        (bench,) = _make_benches(cfg, options, [layout])
         inputs = analytics.AnalyticInputs.build(bench.beta_eff, bench.powers, cfg)
         analytic = {
             TP_METHOD: [analytics.sinr_tp_asymptotic(inputs, 0, k) for k in range(cfg.K)],
@@ -371,16 +387,12 @@ def _records_rate_vs_m(config, options):
 def _records_sinr_cdf(config, options):
     samples = {TP_METHOD: [], SP_METHOD: [], ITER_METHOD: []}
 
-    def one_placement(p):
-        layout = place_users(config, substream(config.seed, "sinr_cdf", p, "layout"))
-        bench = _make_bench(config, options, layout)
-
+    layouts = [place_users(config, substream(config.seed, "sinr_cdf", p, "layout"))
+               for p in range(options.placements)]
+    for p, bench in enumerate(_make_benches(config, options, layouts)):
         keys = [(config.seed, "sinr_cdf", p, t) for t in range(options.inner_realizations)]
         totals, _errs = _sum_trials(bench, keys)
-        return totals[:, 0, :] / totals[:, 1, :]
-
-    per_placement = [one_placement(p) for p in range(options.placements)]
-    for sinrs in per_placement:
+        sinrs = totals[:, 0, :] / totals[:, 1, :]
         for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD)):
             samples[method].extend(sinrs[i])
 
@@ -405,13 +417,11 @@ def _records_ber_vs_k(config, options):
                 f"K={K} gives {cfg.L * cfg.K} users, exceeding C_u={cfg.C_u} pilot columns"
             )
 
-        def one(t, _cfg=cfg, _ki=ki):
-            layout = place_users(_cfg, substream(_cfg.seed, "ber_vs_k", _ki, t, "layout"))
-            bench = _make_bench(_cfg, options, layout)
-            _sig, errs = _sum_trials(bench, [(_cfg.seed, "ber_vs_k", _ki, t)])
-            return errs
-
-        totals = sum(one(t) for t in range(options.trials))
+        layouts = [place_users(cfg, substream(cfg.seed, "ber_vs_k", ki, t, "layout"))
+                   for t in range(options.trials)]
+        benches = _make_benches(cfg, options, layouts)
+        totals = sum(_sum_trials(bench, [(cfg.seed, "ber_vs_k", ki, t)])[1]
+                     for t, bench in enumerate(benches))
         for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD)):
             records.append(MetricsRecord(
                 experiment="ber_vs_k", method=method, sweep_var="K", sweep_value=float(K),

@@ -194,31 +194,38 @@ def hex_centers(L: int, cell_radius_m: float) -> np.ndarray:
     return out[order]
 
 
-def in_hexagon(point: np.ndarray, cell_radius_m: float) -> bool:
+def in_hexagon(points: np.ndarray, cell_radius_m: float) -> np.ndarray:
     """Membership test for the hexagon centered at the origin.
 
-    Orientation matches hex_centers: edge normals point along 0, 60 and 120
-    degrees, so the apothem constraint is |p . n| <= sqrt(3)/2 * R per axis.
+    points is one point (2,) or an array (..., 2) of them; the result has
+    the leading shape.  Orientation matches hex_centers: edge normals point
+    along 0, 60 and 120 degrees, so the apothem constraint is
+    |p . n| <= sqrt(3)/2 * R per axis.
     """
+    points = np.asarray(points, dtype=float)
+    x, y = points[..., 0], points[..., 1]
     half_width = 0.5 * math.sqrt(3.0) * cell_radius_m
-    x, y = float(point[0]), float(point[1])
+    inside = np.ones(x.shape, dtype=bool)
     for theta in (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0):
-        if abs(x * math.cos(theta) + y * math.sin(theta)) > half_width + 1e-9:
-            return False
-    return True
+        inside &= np.abs(x * math.cos(theta) + y * math.sin(theta)) <= half_width + 1e-9
+    return inside
 
 
 def place_users(config: SystemConfig, rng: np.random.Generator) -> UserLayout:
     """Draw (or construct) user positions for the configured scenario.
 
     Scenario 1 rejection-samples uniform positions inside each hexagon at
-    distance >= min_dist_m from the BS.  Scenario 2 is deterministic: K users
-    per cell at angles 2*pi*k/K on the configured ring.
+    distance >= min_dist_m from the BS: candidate offsets are drawn in
+    blocks, and the accepted ones go, in draw order, to the users in cell
+    then user order.  A user gets the position a per-user loop of two-number
+    draws would give it, but the generator ends in another state (the last
+    block's unused draws are consumed), so pass a generator used for
+    nothing else.  Scenario 2 is deterministic: K users per cell at angles
+    2*pi*k/K on the configured ring.
     """
     scen = config.scenario
     centers = hex_centers(config.L, scen.cell_radius_m)
     K = config.K
-    positions = np.zeros((config.L, K, 2))
     if isinstance(scen, Scenario2):
         if scen.user_circle_radius_m <= 0:
             raise ValueError("user_circle_radius_m must be positive")
@@ -228,21 +235,38 @@ def place_users(config: SystemConfig, rng: np.random.Generator) -> UserLayout:
     elif isinstance(scen, Scenario1):
         if not 0 < scen.min_dist_m < scen.cell_radius_m:
             raise ValueError("need 0 < min_dist_m < cell_radius_m")
-        R = scen.cell_radius_m
-        for cell in range(config.L):
-            for k in range(K):
-                positions[cell, k] = centers[cell] + _sample_hex_point(R, scen.min_dist_m, rng)
+        offsets = _sample_hex_points(config.L * K, scen.cell_radius_m, scen.min_dist_m, rng)
+        positions = centers[:, np.newaxis, :] + offsets.reshape(config.L, K, 2)
     else:
         raise TypeError(f"unknown scenario {scen!r}")
     return UserLayout(positions=positions, bs_positions=centers, cell_radius_m=scen.cell_radius_m)
 
 
-def _sample_hex_point(cell_radius_m: float, min_dist_m: float, rng: np.random.Generator) -> np.ndarray:
-    while True:
-        p = rng.uniform(-cell_radius_m, cell_radius_m, size=2)
-        d = math.hypot(p[0], p[1])
-        if d >= min_dist_m and in_hexagon(p, cell_radius_m):
-            return p
+def _sample_hex_points(n: int, cell_radius_m: float, min_dist_m: float,
+                       rng: np.random.Generator) -> np.ndarray:
+    """The first n accepted (n, 2) offsets of uniform draws over the square.
+
+    An offset is accepted inside the hexagon and at distance >= min_dist_m.
+    np.hypot and math.hypot can differ in the last bit, so offsets whose
+    distance lies within 1e-9 relative of min_dist_m are decided by
+    math.hypot.
+    """
+    R = cell_radius_m
+    # about 64% of the square is accepted; a block of twice the need rarely falls short
+    block = 2 * n + 16
+    accepted = []
+    have = 0
+    while have < n:
+        p = rng.uniform(-R, R, size=(block, 2))
+        x, y = p[:, 0], p[:, 1]
+        d = np.hypot(x, y)
+        ok = d >= min_dist_m
+        for j in np.flatnonzero(np.abs(d - min_dist_m) <= 1e-9 * min_dist_m).tolist():
+            ok[j] = math.hypot(x[j], y[j]) >= min_dist_m
+        ok &= in_hexagon(p, R)
+        accepted.append(p[ok])
+        have += accepted[-1].shape[0]
+    return np.concatenate(accepted)[:n]
 
 
 def path_loss(

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import supmimo
 from supmimo import cli
 
 
@@ -24,6 +30,11 @@ def test_optimal_rho_without_antennas_is_invalid(capsys, extra):
 
 BETA_CSV = "bs_cell,user_cell,user_index,beta\n" + "".join(
     f"{j},{l},0,{1.0 if j == l else 0.1}\n" for j in range(2) for l in range(2)
+)
+
+# two cells of K = 2 users: with r = 1 the training takes tau = 2 symbols
+BETA_K2_CSV = "bs_cell,user_cell,user_index,beta\n" + "".join(
+    f"{j},{l},{k},{1.0 if j == l else 0.1}\n" for j in range(2) for l in range(2) for k in range(2)
 )
 
 # run-time trials and sweep kept tiny so that a spec which is not rejected
@@ -86,6 +97,9 @@ EXIT_TABLE = [
     (["analytic", "no-such-formula"], "error config:", 3),
     (["partition", "{tmp}/beta.csv"], "", 0),
     (["partition", "{tmp}/beta.csv", "--r", "0"], "error invalid-parameter:", 5),
+    (["partition", "{tmp}/beta-k2.csv", "--c-u", "3"], "", 0),
+    (["partition", "{tmp}/beta-k2.csv", "--c-u", "2"], "error invalid-parameter:", 5),
+    (["partition", "{tmp}/beta-k2.csv", "--c-u", "1"], "error invalid-parameter:", 5),
     (["partition", "{tmp}/bad.csv"], "error config:", 3),
     (["partition", "{tmp}/missing.csv"], "error io:", 4),
 ]
@@ -99,6 +113,7 @@ def test_exit_codes(tmp_path, capsys, argv, err_prefix, code):
     for name, text in BAD_SPECS.items():
         (tmp_path / f"{name}.yaml").write_text(text, encoding="utf-8")
     (tmp_path / "beta.csv").write_text(BETA_CSV, encoding="utf-8")
+    (tmp_path / "beta-k2.csv").write_text(BETA_K2_CSV, encoding="utf-8")
     (tmp_path / "bad.csv").write_text("a,b\n1,2\n", encoding="utf-8")
     args = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert cli.main(args) == code
@@ -123,3 +138,13 @@ def test_environment_does_not_override_the_spec(tmp_path, monkeypatch):
     spec = tmp_path / "spec.yaml"
     spec.write_text(_spec("sinr_vs_m", "trials: 1"), encoding="utf-8")
     assert cli.parse_config(str(spec)).options.trials == 1
+
+
+def test_the_package_runs_as_a_module():
+    env = dict(os.environ)
+    src = str(Path(supmimo.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "supmimo", "list-experiments"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == list(supmimo.EXPERIMENTS)

@@ -52,3 +52,11 @@ def test_greedy_never_beats_brute_force(solved):
         gaps.append(greedy.cost / brute.cost - 1.0)
     assert np.mean(gaps) == pytest.approx(0.018, abs=0.001)
     assert max(gaps) == pytest.approx(0.195, abs=0.001)
+
+
+@pytest.mark.parametrize("search", [greedy_partition, brute_force_partition])
+@pytest.mark.parametrize("c_u", [2, 1])
+def test_training_without_room_for_data_is_rejected(search, c_u):
+    beta, r, tau, mu2 = next(instances())  # r = 1 and K = 2, so tau = 2
+    with pytest.raises(ValueError, match="training length"):
+        search(beta, r, c_u, tau, mu2)

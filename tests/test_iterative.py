@@ -10,6 +10,8 @@ from supmimo import analytics
 from supmimo.estimators import _mf_sp_output, mf_detect_sp, sp_ls_estimate
 from supmimo.iterative import (
     SELECTION_RULES,
+    _grouped_sums,
+    _row_groups,
     alpha_pqam,
     decreasing_order,
     iterative_estimate,
@@ -163,6 +165,42 @@ def test_profile_matches_per_call_recursion(selection, K, M):
             assert np.array_equal(profile.fixed_mask, fixed_mask)
 
 
+@pytest.mark.parametrize("K", [5, 10])
+@pytest.mark.parametrize("selection", SELECTION_RULES)
+def test_batched_profile_equals_one_layout_calls(selection, K):
+    cfg = SystemConfig(K=K, M=50 * K, C_u=70, scenario=Scenario1())
+    beta, rho_d, rho_p = (np.stack(rows) for rows in zip(*(sorted_users(cfg, s) for s in range(6))))
+    rest = (cfg.sigma2, cfg.M, cfg.C_u, cfg.P, cfg.iterations)
+    # fixed sets of several sizes, so the recursion sums over several row groups
+    sizes = predict_profile(beta, rho_d, rho_p, *rest, "fixed").fixed_mask.sum(axis=1)
+    assert len(set(sizes.tolist())) > 1
+    batch = predict_profile(beta, rho_d, rho_p, *rest, selection)
+    assert batch.include.shape == (6, cfg.iterations + 1, cfg.L * K)
+    for b in range(6):
+        one = predict_profile(beta[b], rho_d[b], rho_p[b], *rest, selection)
+        row = batch.layout(b)
+        assert np.array_equal(row.interference, one.interference)
+        assert np.array_equal(row.alpha, one.alpha)
+        assert np.array_equal(row.psi, one.psi)
+        assert np.array_equal(row.include, one.include)
+        if one.fixed_mask is None:
+            assert row.fixed_mask is None
+        else:
+            assert np.array_equal(row.fixed_mask, one.fixed_mask)
+
+
+def test_grouped_sums_have_the_bits_of_each_rows_own_sum():
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((40, 70)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(40, 70))
+    mask = rng.random((40, 70)) < rng.random((40, 1))
+    sizes = mask.sum(axis=1).tolist()
+    # some rows share a size but not their entries
+    assert any(sizes.count(n) > 1 and len({tuple(np.flatnonzero(mask[b])) for b in range(40)
+                                            if sizes[b] == n}) > 1 for n in sizes)
+    sums = _grouped_sums(values, _row_groups(mask))
+    assert np.array_equal(sums, [np.add.reduce(v[m]) for v, m in zip(values, mask)])
+
+
 def test_unknown_selection_rule_rejected():
     with pytest.raises(ValueError, match="selection"):
         predict_profile(np.ones(2), np.full(2, 0.6), np.full(2, 0.8), 0.1, 10, 20, 4, 2, "bogus")
@@ -292,3 +330,14 @@ def test_passed_profile_supplies_the_feedback_set(block):
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, 1,
         np.ones(fixed.size, dtype=bool), one_sweep)
     assert np.array_equal(once.x_tilde, x_tilde)
+
+
+def test_a_batched_or_foreign_profile_is_rejected(block):
+    cfg, Y, pilots, args, _fixed = block
+    rest = (cfg.sigma2, cfg.M, cfg.C_u, cfg.P, cfg.iterations)
+    batched = predict_profile(np.stack([args["beta"]] * 2), np.stack([args["rho_d"]] * 2),
+                              np.stack([args["rho_p"]] * 2), *rest)
+    foreign = predict_profile(args["beta"][:-1], args["rho_d"][:-1], args["rho_p"][:-1], *rest)
+    for profile in (batched, foreign):
+        with pytest.raises(ValueError, match="one layout's profile"):
+            iterative_estimate(Y, pilots, profile=profile, **args)

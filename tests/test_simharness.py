@@ -1,4 +1,6 @@
-"""The trial-batched reference trial and the BLAS thread pin of run_experiment."""
+"""The batched set-up, the trial-batched reference trial and the BLAS thread pin."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from supmimo import simharness
 from supmimo.rng import substream
 from supmimo.simharness import RunOptions, SystemConfig, run_experiment
-from supmimo.sysmodel import place_users
+from supmimo.sysmodel import Scenario1, place_users
 
 BLAS = simharness._openblas_threads()
 needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread calls not found")
@@ -15,7 +17,32 @@ needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread ca
 @pytest.fixture(scope="module")
 def bench():
     cfg = SystemConfig(M=40, seed=4)
-    return simharness._make_bench(cfg, RunOptions(), place_users(cfg, substream(4, "layout")))
+    layout = place_users(cfg, substream(4, "layout"))
+    return next(simharness._make_benches(cfg, RunOptions(), [layout]))
+
+
+def assert_same_fields(a, b):
+    """Dataclasses equal field by field, arrays under np.array_equal."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for field in dataclasses.fields(a):
+            assert_same_fields(getattr(a, field.name), getattr(b, field.name))
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize("selection", ["fixed", "per_iteration"])
+def test_each_bench_of_a_batch_equals_its_one_layout_bench(selection):
+    cfg = SystemConfig(K=5, M=250, C_u=70, scenario=Scenario1(), seed=4)
+    options = RunOptions(selection=selection)
+    layouts = [place_users(cfg, substream(4, "layout", b)) for b in range(5)]
+    batch = list(simharness._make_benches(cfg, options, layouts))
+    assert len(batch) == 5
+    for layout, bench in zip(layouts, batch):
+        (one,) = simharness._make_benches(cfg, options, [layout])
+        assert_same_fields(bench, one)
 
 
 def keys(n):

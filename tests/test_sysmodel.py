@@ -85,6 +85,56 @@ class TestGeometry:
         assert in_hexagon(np.array([0.0, 0.0]), R)
         assert in_hexagon(np.array([0.0, R - 1e-6]), R)  # vertex direction
         assert not in_hexagon(np.array([math.sqrt(3) / 2 * R + 1.0, 0.0]), R)
+        points = substream(2, "hexagon").uniform(-R, R, size=(500, 2))
+        assert in_hexagon(points, R).tolist() == [point_in_hexagon(p, R) for p in points]
+
+
+def point_in_hexagon(point, cell_radius_m):
+    """One point's hexagon test, in Python floats."""
+    half_width = 0.5 * math.sqrt(3.0) * cell_radius_m
+    x, y = float(point[0]), float(point[1])
+    for theta in (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0):
+        if abs(x * math.cos(theta) + y * math.sin(theta)) > half_width + 1e-9:
+            return False
+    return True
+
+
+def per_user_placement(config, rng):
+    """Scenario 1 user by user: two-number draws until one is accepted."""
+    scen = config.scenario
+    R = scen.cell_radius_m
+    centers = hex_centers(config.L, R)
+    positions = np.zeros((config.L, config.K, 2))
+    for cell in range(config.L):
+        for k in range(config.K):
+            while True:
+                p = rng.uniform(-R, R, size=2)
+                if math.hypot(p[0], p[1]) >= scen.min_dist_m and point_in_hexagon(p, R):
+                    break
+            positions[cell, k] = centers[cell] + p
+    return positions
+
+
+class Candidates:
+    """A generator stand-in whose uniform draws start with given offsets."""
+
+    def __init__(self, first):
+        self.first = np.asarray(first, dtype=float)
+
+    def uniform(self, low, high, size):
+        out = np.full(size, 0.25 * high)  # inside the hexagon, far from the BS
+        out[: len(self.first)] = self.first
+        return out
+
+
+def hypot_disagreement(sign):
+    """An offset at about 100 m whose np.hypot is above (+1) or below (-1) math.hypot."""
+    rng = np.random.default_rng(5)
+    while True:
+        p = rng.standard_normal(2)
+        p *= 100.0 / math.hypot(p[0], p[1])
+        if np.sign(np.hypot(p[0], p[1]) - math.hypot(p[0], p[1])) == sign:
+            return p
 
 
 class TestPlacement:
@@ -118,6 +168,30 @@ class TestPlacement:
         dists = np.concatenate(dists)
         assert dists.min() >= 100.0
         assert dists.max() <= 1000.0
+
+    @pytest.mark.parametrize("L", [1, 7, 19])
+    @pytest.mark.parametrize("K", [1, 5, 10])
+    def test_scenario1_matches_the_per_user_loop(self, L, K):
+        # 12 layouts each, 108 in all; an 800 m keep-out rejects most
+        # candidates, so those layouts take several blocks
+        for seed in range(12):
+            scen = Scenario1(1000.0, (100.0, 800.0)[seed % 2])
+            cfg = make_config(L=L, K=K, scenario=scen)
+            layout = place_users(cfg, substream(seed, "layout", L, K))
+            assert np.array_equal(layout.positions,
+                                  per_user_placement(cfg, substream(seed, "layout", L, K)))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_distance_near_the_keep_out_follows_math_hypot(self, sign):
+        p = hypot_disagreement(sign)
+        # the keep-out radius sits on one of the two distances, so the two
+        # hypots decide differently
+        min_dist = float(np.hypot(p[0], p[1])) if sign == 1 else math.hypot(p[0], p[1])
+        cfg = make_config(L=1, K=1, scenario=Scenario1(1000.0, min_dist))
+        got = place_users(cfg, Candidates([p])).positions[0, 0]
+        accepted = math.hypot(p[0], p[1]) >= min_dist
+        assert accepted == (sign == -1)
+        assert np.array_equal(got, p if accepted else np.full(2, 250.0))
 
     def test_determinism(self):
         cfg = make_config(scenario=Scenario1(1000.0, 100.0))
