@@ -234,6 +234,8 @@ def _cmd_analytic(args) -> int:
         names = " ".join(name for name, _ in sig)
         raise SpecError(f"{form} needs parameters: {names}")
     vals = [typ(p) for (_name, typ), p in zip(sig, args.params)]
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"{form} parameters must be finite, got {' '.join(args.params)}")
     if form == "optimal-rho":
         lam2, mu2 = analytics.optimal_rho(*vals, approximate=args.approx)
         print(f"lambda2={lam2!r} mu2={mu2!r}")
@@ -254,8 +256,12 @@ def _cmd_partition(args) -> int:
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
             raise SpecError(f"{args.beta_csv}: header must be bs_cell,user_cell,user_index,beta")
         for row in reader:
-            rows.append((int(row["bs_cell"]), int(row["user_cell"]),
-                         int(row["user_index"]), float(row["beta"])))
+            j, l, k = (int(row[key]) for key in ("bs_cell", "user_cell", "user_index"))
+            value = float(row["beta"])
+            if min(j, l, k) < 0 or not 0.0 <= value < math.inf:
+                raise SpecError(f"{args.beta_csv}: row {j},{l},{k},{value!r} needs non-negative "
+                                "indices and a finite non-negative beta")
+            rows.append((j, l, k, value))
     if not rows:
         raise SpecError(f"{args.beta_csv}: no data rows")
     L = max(max(r[0] for r in rows), max(r[1] for r in rows)) + 1
@@ -263,6 +269,8 @@ def _cmd_partition(args) -> int:
     beta = np.zeros((L, L, K))
     seen = np.zeros((L, L, K), dtype=bool)
     for j, l, k, value in rows:
+        if seen[j, l, k]:
+            raise SpecError(f"{args.beta_csv}: more than one row for ({j}, {l}, {k})")
         beta[j, l, k] = value
         seen[j, l, k] = True
     if not seen.all():

@@ -82,8 +82,8 @@ def interference_sp(
     (C_u - tau)-symbol superimposed segment.
     """
     j, m = user
-    if rho_p2 <= 0:
-        raise ValueError("rho_p2 must be positive")
+    if not 0 < rho_p2 < np.inf:
+        raise ValueError(f"rho_p2 must be positive and finite, got {rho_p2}")
     if C_u - tau <= 0:
         raise ValueError("need C_u > tau")
     total = 0.0

@@ -1,33 +1,37 @@
 """Data-aided iterative channel estimation with interference prediction.
 
 The estimator sweeps the N = L*K users in decreasing order of their gains
-at the serving BS.  For each target it rebuilds the superimposed-pilot
+at the serving BS, ties in the order given.  Only this module knows that
+order: callers pass per-user arrays in any order (the harness passes flat
+l*K + k) and get results back in it.  Inputs are permuted into sweep order
+once on entry and results back once on exit, so every step works on
+contiguous slices.  For each target it rebuilds the superimposed-pilot
 least-squares estimate after subtracting the reconstructed data
 contributions rho_d * h_hat * x_hat^T of a chosen feedback set: users
 already updated this sweep contribute current-iteration values, the rest
-contribute the previous iteration's.  When the set is fixed, only its
-members are needed in every sweep; the others are estimated once, in the
-last sweep, against the set's values at that point.  It takes one block
-or a stack of blocks with the same users, e.g. one per Monte-Carlo trial,
-and runs each step of its sequential schedule on the whole stack.
+the previous iteration's.  When the set is fixed, only its members are
+needed in every sweep; the others are estimated once, in the last sweep,
+against the set's values at that point.  It takes one block or a stack of
+blocks with the same users, e.g. one per Monte-Carlo trial, and runs each
+step of its sequential schedule on the whole stack.
 
 predict_profile is the deterministic companion recursion.  It predicts each
 target's channel-error energy psi, its matched-filter error variance and,
 through the square-QAM decision-error model, its decision-error variance
 alpha, and admits the target to the feedback set when feeding it back
 cannot raise its predicted error.  It runs the same Gauss-Seidel schedule
-as the estimator: row i of alpha, psi and include starts as a copy of row
-i - 1 and entry m is overwritten once target m is predicted, so each target
-reads this sweep's values below it and the previous sweep's from it on.
-The "fixed" feedback set is the admission row of one sweep in which nobody
-is fed back; the profile carries that set (or None for per_iteration, where
-the set follows the admission rows sweep by sweep), and the estimator takes
-its sweep count and feedback set from the profile.  The recursion takes one
-layout or a batch of layouts, each with its own gains, and runs each
-(sweep, target) step on the whole batch.  Its sums over the feedback set
-are taken over rows grouped by the set's size, so every layout gets the
-bits it gets alone; padding the rows with zeros would change numpy's
-pairwise-summation lanes.
+as the estimator: in sweep order, row i of alpha, psi and include starts as
+a copy of row i - 1 and entry m is overwritten once target m is predicted,
+so each target reads this sweep's values before it and the previous
+sweep's from it on.  The "fixed" feedback set is the admission row of one
+sweep in which nobody is fed back.  The profile carries that set (or None
+for per_iteration, where the set follows the admission rows sweep by
+sweep) and the sweep order, and the estimator's schedule (_schedule) comes
+from the profile.  The recursion takes one layout or a batch of layouts,
+each with its own gains, and runs each (sweep, target) step on the whole
+batch.  Its sums over the feedback set are taken over rows grouped by the
+set's size, so every layout gets the bits it gets alone; padding the rows
+with zeros would change numpy's pairwise-summation lanes.
 
 All prediction formulas assume unit total power per user, i.e. gains are
 the power-controlled equivalents and rho_d^2 + rho_p^2 = 1.
@@ -75,12 +79,13 @@ def alpha_pqam(interference: float, P: int) -> float:
 class PredictionProfile:
     """Per-sweep prediction history; row i of each array is iteration i.
 
-    interference[0] is +inf (no estimate exists yet) and alpha[0] is 1 by
-    definition of the all-wrong initial decisions.  include[i][k] records
-    whether user k passed the admission threshold after sweep i.
-    fixed_mask is the feedback set every sweep uses, or None when the set
-    follows include sweep by sweep (per_iteration).  A profile of a batch of
-    B layouts carries a leading B axis on every array; layout(b) is the
+    Columns are users in flat order.  interference[0] is +inf (no estimate
+    exists yet) and alpha[0] is 1 by definition of the all-wrong initial
+    decisions.  include[i][n] records whether user n passed the admission
+    threshold after sweep i.  fixed_mask is the feedback set every sweep
+    uses, or None when the set follows include sweep by sweep
+    (per_iteration).  order[j] is the user swept j-th.  A profile of a batch
+    of B layouts carries a leading B axis on every array; layout(b) is the
     profile of one of them.
     """
 
@@ -89,6 +94,7 @@ class PredictionProfile:
     psi: np.ndarray
     include: np.ndarray
     fixed_mask: np.ndarray | None
+    order: np.ndarray
 
     @property
     def sweeps(self) -> int:
@@ -99,7 +105,8 @@ class PredictionProfile:
         return PredictionProfile(
             interference=self.interference[b], alpha=self.alpha[b], psi=self.psi[b],
             include=self.include[b],
-            fixed_mask=None if self.fixed_mask is None else self.fixed_mask[b])
+            fixed_mask=None if self.fixed_mask is None else self.fixed_mask[b],
+            order=self.order[b])
 
 
 def _row_groups(mask: np.ndarray) -> list:
@@ -208,20 +215,22 @@ def predict_profile(
 ) -> PredictionProfile:
     """Run the deterministic error-prediction recursion for `sweeps` sweeps.
 
-    beta is one layout's gains (N,) or a batch of B layouts (B, N); each
-    row must already be sorted in decreasing order (ties broken by the
-    caller), and rho_d and rho_p are the matching per-user amplitudes, of
-    beta's shape.  A batch gives a profile with a leading B axis whose
-    layout(b) equals the profile of row b alone, bit for bit.  selection is
-    one of SELECTION_RULES.
+    beta is one layout's gains (N,) or a batch of B layouts (B, N), users in
+    any order; rho_d and rho_p are the matching per-user amplitudes, of
+    beta's shape or broadcast to it.  Each row is sorted into sweep order for
+    the recursion and its results are returned in the row's own order.  A
+    batch gives a profile with a leading B axis whose layout(b) equals the
+    profile of row b alone, bit for bit.  selection is one of SELECTION_RULES.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     beta = np.asarray(beta, dtype=float)
     batch = np.atleast_2d(beta)
-    rho_d = np.asarray(rho_d, dtype=float).reshape(batch.shape)
-    rho_p = np.asarray(rho_p, dtype=float).reshape(batch.shape)
-    args = (batch, rho_d, rho_p, sigma2, M, C_u, P)
+    # the sweep order: decreasing gain, ties in the order given
+    order = np.argsort(-batch, axis=1, kind="stable")
+    args = tuple(np.take_along_axis(np.broadcast_to(np.asarray(a, dtype=float), batch.shape),
+                                    order, axis=1) for a in (batch, rho_d, rho_p))
+    args += (sigma2, M, C_u, P)
     nobody = np.zeros(batch.shape, dtype=bool)
     if selection == "none":
         fixed_mask = nobody
@@ -234,15 +243,20 @@ def predict_profile(
         fixed_mask = None
     else:
         raise ValueError(f"unknown selection rule {selection!r}; expected {SELECTION_RULES}")
-    interference, alpha, psi, include = _recursion(*args, sweeps, fixed_mask)
+    # sweep positions back to each row's own order
+    flat = np.argsort(order, axis=1)[:, np.newaxis]
+    interference, alpha, psi, include = (np.take_along_axis(a, flat, axis=2)
+                                         for a in _recursion(*args, sweeps, fixed_mask))
+    if fixed_mask is not None:
+        fixed_mask = np.take_along_axis(fixed_mask, flat[:, 0], axis=1)
     profile = PredictionProfile(interference=interference, alpha=alpha, psi=psi, include=include,
-                                fixed_mask=fixed_mask)
+                                fixed_mask=fixed_mask, order=order)
     return profile if beta.ndim == 2 else profile.layout(0)
 
 
 @dataclass(frozen=True)
 class IterationState:
-    """Final state of the data-aided estimator, in sweep (sorted) order.
+    """Final state of the data-aided estimator, users in flat order.
 
     The predicted error statistics of each sweep are in the profile.
     """
@@ -250,12 +264,6 @@ class IterationState:
     h_hat: np.ndarray
     x_tilde: np.ndarray
     x_hat: np.ndarray
-    user_sets: np.ndarray
-
-
-def decreasing_order(values: np.ndarray) -> np.ndarray:
-    """Indices sorting values in decreasing order; ties keep index order."""
-    return np.argsort(-np.asarray(values), kind="stable")
 
 
 def iterative_estimate(
@@ -271,29 +279,26 @@ def iterative_estimate(
 
     Y is the M x C_u block, or a stack (T, M, C_u) of T blocks with the same
     users, e.g. one per trial; pilots holds each user's dedicated column
-    (C_u x N, sorted like beta).  The profile, computed for these users,
-    supplies the sweep count and the feedback set.  With a fixed feedback
-    set (every rule but per_iteration) only the set's members are
-    re-estimated in every sweep, in gain order, each deciding its data at
-    once for the users after it.  Nobody reads the estimates of users outside
-    the set, so they are computed once, in their place in the last sweep,
-    where a run of them between two members is one step; the result equals
-    re-estimating every user in every sweep.  per_iteration may feed any
-    user back at some sweep, so it runs the full schedule.  With an empty feedback set the result
-    reproduces the one-shot estimator and detector exactly.  The profile is
-    data-independent, so callers running many blocks with the same
-    large-scale state compute it once.
+    (C_u x N), and pilots, beta, rho_d and rho_p list the users in the same
+    order as the profile, which is computed for them and supplies the sweep
+    order, the sweep count and the feedback set.  With a fixed feedback set
+    (every rule but per_iteration) only the set's members are re-estimated
+    in every sweep, in sweep order, each deciding its data at once for the
+    users after it.  Nobody reads the estimates of users outside the set, so
+    they are computed once, in their place in the last sweep, where a run of
+    them between two members is one step; the result equals re-estimating
+    every user in every sweep.  per_iteration may feed any user back at some
+    sweep, so it runs the full schedule.  With an empty feedback set the
+    result reproduces the one-shot estimator and detector exactly.  The
+    profile is data-independent, so callers running many blocks with the
+    same large-scale state compute it once.
 
-    The (sweep, target) schedule is sequential; each of its steps runs on
-    all T blocks at once, as one stacked matrix-vector product per block,
-    so a block's result does not depend on the others in the stack.  The
-    state arrays carry the leading T axis when Y does (user_sets does not:
-    it is data-independent).
+    The schedule is sequential; each of its steps runs on all T blocks at
+    once, as one stacked matrix-vector product per block, so a block's
+    result does not depend on the others in the stack.  The state arrays
+    carry the leading T axis when Y does.
     """
-    beta = np.asarray(beta, dtype=float)
-    n_users = beta.shape[0]
-    if np.any(np.diff(beta) > 0):
-        raise ValueError("beta must be sorted in decreasing order")
+    n_users = np.shape(beta)[0]
     if Y.ndim not in (2, 3):
         raise ValueError(f"Y must be (M, C_u) or (T, M, C_u), got shape {Y.shape}")
     M, C_u = Y.shape[-2:]
@@ -306,27 +311,17 @@ def iterative_estimate(
                          f"got include of shape {profile.include.shape}")
     stack = Y if Y.ndim == 3 else Y[np.newaxis]
     T = stack.shape[0]
-    rho_d = np.asarray(rho_d, dtype=float)
-    rho_p = np.asarray(rho_p, dtype=float)
-    fixed_mask = profile.fixed_mask
+    # into sweep order once, so every step below reads contiguous slices
+    order = profile.order
+    pilots = pilots[:, order]
+    beta, rho_d, rho_p = (np.asarray(a, dtype=float)[order] for a in (beta, rho_d, rho_p))
 
     conj_rows = _conj_rows(pilots)
     base = _project(stack, conj_rows)
     h_hat = np.zeros((T, n_users, M), dtype=complex)
     x_tilde = np.zeros((T, n_users, C_u), dtype=complex)
     x_hat = np.zeros((T, n_users, C_u), dtype=complex)
-    if fixed_mask is None:
-        user_sets = np.zeros((n_users, n_users), dtype=bool)
-        idx = np.arange(n_users)
-    else:
-        fed = np.flatnonzero(fixed_mask)
-        user_sets = np.tile(fixed_mask, (n_users, 1))
-
-    for i, users in _schedule(n_users, profile.sweeps, fixed_mask):
-        if fixed_mask is None:
-            m = users.start
-            user_sets[m] = mask = np.where(idx < m, profile.include[i], profile.include[i - 1])
-            fed = np.flatnonzero(mask)
+    for users, fed in _schedule(profile):
         if fed.size:
             # (T, G, F) coefficients, then (T, G, M) estimates: per block and
             # user, the matrix-vector products of one user alone
@@ -341,28 +336,39 @@ def iterative_estimate(
             stack, h_new, pilots[:, users], rho_d[users], rho_p[users], beta[users])
         x_hat[:, users] = decide(x_new, P)
 
+    # back to flat order one array at a time, so at most one extra copy is alive
+    flat = np.argsort(order)
+    h_hat = h_hat[:, flat]
+    x_tilde = x_tilde[:, flat]
+    x_hat = x_hat[:, flat]
     if Y.ndim == 2:
         h_hat, x_tilde, x_hat = h_hat[0], x_tilde[0], x_hat[0]
-    return IterationState(h_hat=h_hat, x_tilde=x_tilde, x_hat=x_hat, user_sets=user_sets)
+    return IterationState(h_hat=h_hat, x_tilde=x_tilde, x_hat=x_hat)
 
 
-def _schedule(n_users: int, sweeps: int, fixed_mask) -> list:
-    """(sweep, users) steps of the estimator, in order; users is a slice.
+def _schedule(profile: PredictionProfile):
+    """The estimator's steps in order: (users, fed) in sweep positions.
 
-    Without a fixed set every user is its own step in every sweep.  With
-    one, the members are re-estimated one at a time in every sweep and the
-    other users only in the last; there each run of them between two
-    members reads the same feedback state, so the run is one step.
+    users is the slice a step re-estimates and fed the feedback set it reads.
+    With a fixed set the members are re-estimated one at a time in every
+    sweep and the others only in the last, where each run of them between
+    two members reads the same state and is one step.  per_iteration makes
+    every user a step in every sweep, fed by this sweep's admissions before
+    it and the previous sweep's from it on.
     """
-    if fixed_mask is None:
-        return [(i, slice(m, m + 1)) for i in range(1, sweeps + 1) for m in range(n_users)]
-    members = np.flatnonzero(fixed_mask).tolist()
-    steps = [(i, slice(m, m + 1)) for i in range(1, sweeps) for m in members]
-    start = 0
-    for m in members + [n_users]:
-        if start < m:
-            steps.append((sweeps, slice(start, m)))
-        if m < n_users:
-            steps.append((sweeps, slice(m, m + 1)))
-        start = m + 1
-    return steps
+    n_users, sweeps = profile.order.size, profile.sweeps
+    if profile.fixed_mask is None:
+        include = profile.include[:, profile.order]
+        for i in range(1, sweeps + 1):
+            for m in range(n_users):
+                mask = np.concatenate((include[i, :m], include[i - 1, m:]))
+                yield slice(m, m + 1), np.flatnonzero(mask)
+        return
+    fed = np.flatnonzero(profile.fixed_mask[profile.order])
+    members = fed.tolist()
+    for _ in range(1, sweeps):
+        for m in members:
+            yield slice(m, m + 1), fed
+    edges = sorted({0, n_users, *members, *(m + 1 for m in members)})
+    for lo, hi in zip(edges, edges[1:]):
+        yield slice(lo, hi), fed

@@ -16,7 +16,9 @@ The reference-BS experiments set up their layouts in one batched pass
 data/pilot split, the powers and the pilot book, is built once, and one
 prediction recursion runs over all layouts of a sweep point (ber_vs_k's
 trials of one K, sinr_cdf's placements).  Every layout gets the same bits
-as when it is set up alone.
+as when it is set up alone.  Users are passed to the iterative layer as
+drawn, in flat l*K + k order, and its results come back in that order; the
+sweep order is that layer's own.
 
 The reference-BS experiments run their trials in batches: each trial makes
 its own draws, then the batch's SP blocks are stacked on a leading trial
@@ -189,32 +191,21 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Bench:
-    """One layout's large-scale state at BS 0, shared by its trials.
-
-    The *_sorted arrays, pilots and profile list the L*K users in the
-    iterative estimator's decreasing-gain order; pos_of_flat[n] is the
-    sorted position of flat user n.
-    """
+    """One layout's large-scale state at BS 0, shared by its trials."""
 
     config: SystemConfig
     beta_eff: PathLossMap
     powers: PowerAllocation
     book: waveform.PilotBook
-    beta_sorted: np.ndarray
-    rho_d_sorted: np.ndarray
-    rho_p_sorted: np.ndarray
-    pilots: np.ndarray
     profile: iterative.PredictionProfile
-    pos_of_flat: np.ndarray
 
 
 def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
     """Yield one _Bench per layout, in order, from one set-up pass.
 
     The state that depends on the config alone (data/pilot split, powers,
-    pilot book) is built once and shared.  Each layout is sorted by its
-    gains at BS 0 and one prediction recursion runs over all of them; a
-    bench's pilot columns are gathered only when it is yielded.
+    pilot book) is built once and shared, and one prediction recursion runs
+    over the layouts' gains at BS 0.
     """
     lam2, _ = analytics.optimal_rho(
         config.M, config.L, config.K, config.C_u, approximate=options.rho_form == "approx"
@@ -224,22 +215,13 @@ def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
     beta_effs = [path_loss(layout, config.path_loss_exponent).normalized(config.omega)
                  for layout in layouts]
 
-    beta_ref = np.stack([beta_eff.beta[0].reshape(-1) for beta_eff in beta_effs])
-    order = iterative.decreasing_order(beta_ref)
-    beta_sorted = np.take_along_axis(beta_ref, order, axis=1)
-    rho_d_sorted = powers.rho_d.reshape(-1)[order]
-    rho_p_sorted = powers.rho_p.reshape(-1)[order]
     profiles = iterative.predict_profile(
-        beta_sorted, rho_d_sorted, rho_p_sorted, config.sigma2, config.M, config.C_u, config.P,
-        config.iterations, options.selection,
+        np.stack([beta_eff.beta[0].reshape(-1) for beta_eff in beta_effs]),
+        powers.rho_d.reshape(-1), powers.rho_p.reshape(-1), config.sigma2, config.M, config.C_u,
+        config.P, config.iterations, options.selection,
     )
-    assignment = book.sp_assignment.reshape(-1)
     for b, beta_eff in enumerate(beta_effs):
-        pos_of_flat = np.empty_like(order[b])
-        pos_of_flat[order[b]] = np.arange(order.shape[1])
-        yield _Bench(config, beta_eff, powers, book, beta_sorted[b], rho_d_sorted[b],
-                     rho_p_sorted[b], book.sp_matrix[:, assignment[order[b]]],
-                     profiles.layout(b), pos_of_flat)
+        yield _Bench(config, beta_eff, powers, book, profiles.layout(b))
 
 
 def _reference_trials(bench: _Bench, keys: list):
@@ -281,11 +263,11 @@ def _reference_trials(bench: _Bench, keys: list):
 
     x_sp = receive_cell(Y_sp, bench.book, all_sp(cfg.L, K), bench.powers, 0, beta_home)
     state = iterative.iterative_estimate(
-        Y_sp, bench.pilots, bench.beta_sorted, bench.rho_d_sorted, bench.rho_p_sorted, P,
-        bench.profile,
+        Y_sp, bench.book.sp_matrix[:, bench.book.sp_assignment.reshape(-1)], beta_flat,
+        bench.powers.rho_d.reshape(-1), bench.powers.rho_p.reshape(-1), P, bench.profile,
     )
-    pos = bench.pos_of_flat[:K]
-    x_iter, x_iter_hat = state.x_tilde[:, pos], state.x_hat[:, pos]
+    # copies, so the all-user state is freed before scoring
+    x_iter, x_iter_hat = state.x_tilde[:, :K].copy(), state.x_hat[:, :K].copy()
     del state, Y_sp
     sp_bits = waveform.demap(data_sp, P)
     methods = (
@@ -338,10 +320,7 @@ def _sweep_antennas(config: SystemConfig, options: RunOptions, experiment: str):
         analytic = {
             TP_METHOD: [analytics.sinr_tp_asymptotic(inputs, 0, k) for k in range(cfg.K)],
             SP_METHOD: [analytics.sinr_sp_finite_m(inputs, 0, k) for k in range(cfg.K)],
-            ITER_METHOD: [
-                1.0 / bench.profile.interference[cfg.iterations, bench.pos_of_flat[k]]
-                for k in range(cfg.K)
-            ],
+            ITER_METHOD: 1.0 / bench.profile.interference[cfg.iterations, :cfg.K],
         }
 
         keys = [(cfg.seed, experiment, mi, t) for t in range(options.trials)]
@@ -431,25 +410,40 @@ def _records_ber_vs_k(config, options):
     return records
 
 
-def _hybrid_system(config: SystemConfig, beta_raw: PathLossMap, mu2: float):
-    """Greedy partition over the metric cells; outer-tier users stay TP."""
-    n_metric = min(config.L, 7)
-    submap = beta_raw.beta[:n_metric, :n_metric, :]
-    result = greedy_partition(submap, config.r, config.C_u, config.tau, mu2)
-    outer = frozenset(
-        (l, k) for l in range(n_metric, config.L) for k in range(config.K)
-    )
-    partition = Partition(u_tp=result.partition.u_tp | outer, u_sp=result.partition.u_sp)
-    return partition, result
+def _sum_rate_trial(cfg: SystemConfig, key: tuple, unit_powers: PowerAllocation, schemes: tuple,
+                    var: np.ndarray) -> np.ndarray:
+    """(scheme, signal/residual, metric BS, user) energies of one sum-rate trial.
+
+    var[j, i] holds scheme i's per-column channel variances at metric BS j.
+    """
+    n_metric, K = var.shape[0], cfg.K
+    frames = [
+        waveform.assemble_frames(cfg, book, unit_powers, substream(*key, f"{tag}-frames"),
+                                 partition=part, scheme=scheme, data_dist="gaussian")
+        for _method, tag, scheme, book, _beta, part in schemes
+    ]
+    S = np.stack([f.S for f in frames])
+    sums = np.zeros((len(schemes), 2, n_metric, K))
+    # BS outer, scheme inner: one BS's channels and block alive at a time
+    for j in range(n_metric):
+        H = draw_channels(var[j], cfg.M, substream(*key, "ch", j))
+        Y = waveform.synthesize_received(H, S, cfg.sigma2, substream(*key, "n", j))
+        cell = slice(j * K, (j + 1) * K)
+        for i, (_method, _tag, _scheme, book, beta, part) in enumerate(schemes):
+            beta_home = beta.beta[j, j]
+            x_tilde = receive_cell(Y[i], book, part, unit_powers, j, beta_home)
+            sums[i, :, j] = signal_residual_power(
+                x_tilde, frames[i].data[cell], H[i, :, cell].T, beta_home)
+        del H, Y  # freed before the next BS's draw, not after it
+    return sums
 
 
 def _records_sum_rate_vs_sir(config, options):
     records = []
     n_metric = min(config.L, 7)
-    base_scen = config.scenario
-    cell_radius = getattr(base_scen, "cell_radius_m", 1000.0)
     for ri, radius in enumerate(options.radii_m):
-        cfg = replace(config, scenario=Scenario2(cell_radius_m=cell_radius, user_circle_radius_m=radius))
+        cfg = replace(config, scenario=Scenario2(cell_radius_m=config.scenario.cell_radius_m,
+                                                 user_circle_radius_m=radius))
         layout = place_users(cfg, substream(cfg.seed, "sum_rate", ri, "layout"))
         beta_raw = path_loss(layout, cfg.path_loss_exponent)
         lam2, mu2 = analytics.optimal_rho(
@@ -460,7 +454,11 @@ def _records_sum_rate_vs_sir(config, options):
         beta_sp = beta_raw.normalized(cfg.omega)
         sir_db = 10.0 * math.log10(received_sir(beta_sp, cfg.omega, 0))
 
-        partition, _greedy = _hybrid_system(cfg, beta_raw, mu2)
+        # greedy partition over the metric cells; outer-tier users stay TP
+        greedy = greedy_partition(beta_raw.beta[:n_metric, :n_metric, :], cfg.r, cfg.C_u,
+                                  cfg.tau, mu2).partition
+        outer = frozenset((l, k) for l in range(n_metric, cfg.L) for k in range(cfg.K))
+        partition = Partition(u_tp=greedy.u_tp | outer, u_sp=greedy.u_sp)
         q_hyb = np.ones((cfg.L, cfg.K))
         home = beta_raw.home()
         for (l, k) in partition.u_sp:
@@ -482,32 +480,8 @@ def _records_sum_rate_vs_sir(config, options):
         var = np.stack([beta.beta[:n_metric] for *_, beta, _part in schemes], axis=1)
         var = var.reshape(n_metric, len(schemes), -1)
 
-        def one(t, _cfg=cfg, _ri=ri, _schemes=schemes, _var=var):
-            key = (_cfg.seed, "sum_rate", _ri, t)
-            K = _cfg.K
-            frames = [
-                waveform.assemble_frames(
-                    _cfg, book, unit_powers, substream(*key, f"{tag}-frames"),
-                    partition=part, scheme=scheme, data_dist="gaussian",
-                )
-                for _method, tag, scheme, book, _beta, part in _schemes
-            ]
-            S = np.stack([f.S for f in frames])
-            sums = np.zeros((3, 2, n_metric, K))
-            # BS outer, scheme inner: one BS's channels and block alive at a time
-            for j in range(n_metric):
-                H = draw_channels(_var[j], _cfg.M, substream(*key, "ch", j))
-                Y = waveform.synthesize_received(H, S, _cfg.sigma2, substream(*key, "n", j))
-                cell = slice(j * K, (j + 1) * K)
-                for i, (_method, _tag, _scheme, book, beta, part) in enumerate(_schemes):
-                    beta_home = beta.beta[j, j]
-                    x_tilde = receive_cell(Y[i], book, part, unit_powers, j, beta_home)
-                    sums[i, :, j] = signal_residual_power(
-                        x_tilde, frames[i].data[cell], H[i, :, cell].T, beta_home)
-                del H, Y  # freed before the next BS's draw, not after it
-            return sums
-
-        totals = sum(one(t) for t in range(options.trials))
+        totals = sum(_sum_rate_trial(cfg, (cfg.seed, "sum_rate", ri, t), unit_powers, schemes, var)
+                     for t in range(options.trials))
         sinr = totals[:, 0] / totals[:, 1]
 
         for i, (method, _tag, scheme, *_rest) in enumerate(schemes):

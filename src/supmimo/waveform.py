@@ -27,7 +27,6 @@ from .sysmodel import PowerAllocation, SystemConfig
 
 TP_SCHEME = "tp"
 SP_SCHEME = "sp"
-SP_SILENT_SCHEME = "sp-silent"
 
 
 class CapacityError(ValueError):
@@ -73,12 +72,11 @@ class FrameSet:
 
     S has shape (L*K, C_u); row l*K + k is the frame of user (l, k).  Row n
     of data holds user n's unit-variance payload symbols (C_u of them for
-    pure SP, C_u - tau otherwise) and scheme[n] tags which format it uses.
+    pure SP, C_u - tau otherwise).
     """
 
     S: np.ndarray
     data: np.ndarray
-    scheme: list
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -92,7 +90,6 @@ def dft_matrix(n: int) -> np.ndarray:
 def make_pilot_books(
     config: SystemConfig,
     partition: Partition | None = None,
-    block_diagonal: bool = False,
     allow_sp_reuse: bool = False,
 ) -> PilotBook:
     """Build TP and SP pilot matrices with their user assignments.
@@ -102,10 +99,6 @@ def make_pilot_books(
     column blocks repeat across cell groups, mimicking pilot reuse).  With a
     partition, only the superimposed users are assigned columns, drawn from a
     (C_u - tau)-length book.
-
-    block_diagonal groups each cell's K superimposed pilots on its own
-    K-symbol support (requires C_u == L*K); columns are scaled so the
-    norm-squared stays C_u.
     """
     L, K, C_u, tau, r = config.L, config.K, config.C_u, config.tau, config.r
     tp_matrix = dft_matrix(tau)
@@ -115,8 +108,6 @@ def make_pilot_books(
     sp_assignment = np.full((L, K), -1, dtype=int)
     if partition is not None:
         sp_len = C_u - tau
-        if block_diagonal:
-            raise ValueError("block-diagonal layout applies to the full-length book only")
         sp_users = sorted(partition.u_sp)
         if len(sp_users) > sp_len:
             raise CapacityError(
@@ -125,15 +116,6 @@ def make_pilot_books(
         sp_matrix = dft_matrix(sp_len)
         for col, (cell, k) in enumerate(sp_users):
             sp_assignment[cell, k] = col
-    elif block_diagonal:
-        if C_u != L * K:
-            raise ValueError("block-diagonal book needs C_u == L*K")
-        sp_matrix = np.zeros((C_u, C_u), dtype=complex)
-        block = dft_matrix(K) * math.sqrt(C_u / K)
-        for cell in range(L):
-            lo = cell * K
-            sp_matrix[lo : lo + K, lo : lo + K] = block
-        sp_assignment = np.arange(L * K).reshape(L, K)
     else:
         sp_matrix = dft_matrix(C_u)
         if L * K <= C_u:
@@ -302,20 +284,16 @@ def assemble_frames(
     if scheme == "hybrid" and partition is None:
         raise ValueError("hybrid frames need a partition")
     if scheme in (TP_SCHEME, SP_SCHEME):
-        tags = [scheme] * (L * K)
+        tp_rows = np.full(L * K, scheme == TP_SCHEME)
     elif scheme == "hybrid":
-        tags = [
-            SP_SILENT_SCHEME if (cell, k) in partition.u_sp else TP_SCHEME
-            for cell in range(L)
-            for k in range(K)
-        ]
+        tp_rows = np.array([(cell, k) not in partition.u_sp
+                            for cell in range(L) for k in range(K)])
     else:
         raise ValueError(f"unknown frame scheme {scheme!r}")
     payload_len = C_u if scheme == SP_SCHEME else C_u - tau
     data = _draw_payloads(L * K, payload_len, config.P, data_dist, rng)
 
     S = np.zeros((L * K, C_u), dtype=complex)
-    tp_rows = np.array([tag == TP_SCHEME for tag in tags])
     sp_rows = ~tp_rows
     if tp_rows.any():
         q = power.q.reshape(-1)[tp_rows]
@@ -333,7 +311,7 @@ def assemble_frames(
         S[sp_rows, C_u - payload_len :] = (
             rho_d * data[sp_rows] + rho_p * pilot_book.sp_matrix[:, cols].T
         )
-    return FrameSet(S=S, data=data, scheme=tags)
+    return FrameSet(S=S, data=data)
 
 
 def _draw_payloads(

@@ -37,6 +37,16 @@ BETA_K2_CSV = "bs_cell,user_cell,user_index,beta\n" + "".join(
     f"{j},{l},{k},{1.0 if j == l else 0.1}\n" for j in range(2) for l in range(2) for k in range(2)
 )
 
+# beta CSVs that must end in "error config"; unchecked, each ran on with a
+# gain map other than the one written
+BAD_BETA_CSVS = {
+    "negative-cell": BETA_CSV + "-1,0,0,5.0\n",
+    "duplicate-row": BETA_CSV + "0,0,0,3.0\n",
+    "nan-beta": BETA_CSV.replace("1.0", "nan", 1),
+    "inf-beta": BETA_CSV.replace("1.0", "inf", 1),
+    "negative-beta": BETA_CSV.replace("0.1", "-0.1", 1),
+}
+
 # run-time trials and sweep kept tiny so that a spec which is not rejected
 # finishes quickly
 _SMALL = ("trials: 1", "m_values: [20]")
@@ -94,13 +104,20 @@ EXIT_TABLE = [
     (["analytic", "kappa-symmetric", "5", "0", "0.5"], "error invalid-parameter:", 5),
     (["analytic", "kappa-symmetric", "x", "7", "0.5"], "error invalid-parameter:", 5),
     (["analytic", "kappa-symmetric", "5", "7"], "error config:", 3),
+    (["analytic", "kappa-symmetric", "5", "7", "nan"], "error invalid-parameter:", 5),
+    (["analytic", "kappa-symmetric", "5", "7", "inf"], "error invalid-parameter:", 5),
+    (["analytic", "sp-lower-bound", "7", "5", "100", "100", "nan"], "error invalid-parameter:", 5),
     (["analytic", "no-such-formula"], "error config:", 3),
     (["partition", "{tmp}/beta.csv"], "", 0),
     (["partition", "{tmp}/beta.csv", "--r", "0"], "error invalid-parameter:", 5),
     (["partition", "{tmp}/beta-k2.csv", "--c-u", "3"], "", 0),
     (["partition", "{tmp}/beta-k2.csv", "--c-u", "2"], "error invalid-parameter:", 5),
     (["partition", "{tmp}/beta-k2.csv", "--c-u", "1"], "error invalid-parameter:", 5),
+    (["partition", "{tmp}/beta.csv", "--mu2", "0"], "error invalid-parameter:", 5),
+    (["partition", "{tmp}/beta.csv", "--mu2", "nan"], "error invalid-parameter:", 5),
+    (["partition", "{tmp}/beta.csv", "--mu2", "inf"], "error invalid-parameter:", 5),
     (["partition", "{tmp}/bad.csv"], "error config:", 3),
+    *((["partition", f"{{tmp}}/{name}.csv"], "error config:", 3) for name in BAD_BETA_CSVS),
     (["partition", "{tmp}/missing.csv"], "error io:", 4),
 ]
 
@@ -115,6 +132,8 @@ def test_exit_codes(tmp_path, capsys, argv, err_prefix, code):
     (tmp_path / "beta.csv").write_text(BETA_CSV, encoding="utf-8")
     (tmp_path / "beta-k2.csv").write_text(BETA_K2_CSV, encoding="utf-8")
     (tmp_path / "bad.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+    for name, text in BAD_BETA_CSVS.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
     args = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert cli.main(args) == code
     err = capsys.readouterr().err

@@ -13,7 +13,6 @@ from supmimo.iterative import (
     _grouped_sums,
     _row_groups,
     alpha_pqam,
-    decreasing_order,
     iterative_estimate,
     predict_profile,
 )
@@ -30,22 +29,25 @@ from supmimo.waveform import assemble_frames, decide, make_pilot_books, synthesi
 
 
 def reference_estimate(Y, pilots, beta, rho_d, rho_p, P, sweeps, fixed_mask, profile):
-    """Every user re-estimated in every sweep, each deciding at once."""
+    """Every user re-estimated in every sweep of the profile's order, each
+    deciding at once; users in and out in flat order."""
+    order = profile.order
+    pilots, beta, rho_d, rho_p = pilots[:, order], beta[order], rho_d[order], rho_p[order]
+    include = profile.include[:, order]
+    fixed_mask = None if fixed_mask is None else fixed_mask[order]
     n_users = beta.shape[0]
     M, C_u = Y.shape
     base = np.stack([Y @ np.conj(pilots[:, n]) for n in range(n_users)])
     h_work = np.zeros((n_users, M), dtype=complex)
     x_work = np.zeros((n_users, C_u), dtype=complex)
     x_tilde = np.zeros((n_users, C_u), dtype=complex)
-    last_masks = np.zeros((n_users, n_users), dtype=bool)
     for i in range(1, sweeps + 1):
         for m in range(n_users):
             if fixed_mask is not None:
                 mask = fixed_mask
             else:
                 idx = np.arange(n_users)
-                mask = np.where(idx < m, profile.include[i], profile.include[i - 1])
-            last_masks[m] = mask
+                mask = np.where(idx < m, include[i], include[i - 1])
             fed = np.flatnonzero(mask)
             if fed.size:
                 coefs = (x_work[fed] @ np.conj(pilots[:, m])) * rho_d[fed]
@@ -56,7 +58,8 @@ def reference_estimate(Y, pilots, beta, rho_d, rho_p, P, sweeps, fixed_mask, pro
             x_tilde[m] = _mf_sp_output(Y, h_new, pilots[:, m], float(rho_d[m]), float(rho_p[m]),
                                        float(beta[m]))
             x_work[m] = decide(x_tilde[m], P)
-    return h_work, x_tilde, x_work, last_masks
+    flat = np.argsort(order)
+    return h_work[flat], x_tilde[flat], x_work[flat]
 
 
 # Reference prediction recursion: one call per (sweep, target) for each of
@@ -135,14 +138,26 @@ def ref_predict_profile(beta, rho_d, rho_p, sigma2, M, C_u, P, sweeps, selection
     return interference, alpha, psi, include, fixed_mask
 
 
-def sorted_users(cfg, seed):
-    """Sorted gains and amplitudes of BS 0's users, as the harness builds them."""
+def layout_users(cfg, seed):
+    """Gains and amplitudes of BS 0's users in flat order, as the harness builds them."""
     beta = path_loss(place_users(cfg, substream(seed, "layout")), cfg.path_loss_exponent)
     beta = beta.normalized(cfg.omega).beta[0].reshape(-1)
     lam2, _ = analytics.optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u)
     powers = uniform_power(cfg.L, cfg.K, 1.0, lam2)
-    order = decreasing_order(beta)
-    return beta[order], powers.rho_d.reshape(-1)[order], powers.rho_p.reshape(-1)[order]
+    return beta, powers.rho_d.reshape(-1), powers.rho_p.reshape(-1)
+
+
+def sp_block(cfg, seed):
+    """One SP block at BS 0 with its users' pilot columns and estimator inputs, in flat order."""
+    beta, rho_d, rho_p = layout_users(cfg, seed)
+    lam2, _ = analytics.optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u)
+    book = make_pilot_books(cfg)
+    H = draw_channels(beta, cfg.M, substream(seed, "channels"))
+    frames = assemble_frames(cfg, book, uniform_power(cfg.L, cfg.K, 1.0, lam2),
+                             substream(seed, "frames"), scheme="sp")
+    Y = synthesize_received(H, frames.S, cfg.sigma2, substream(seed, "noise"))
+    pilots = book.sp_matrix[:, book.sp_assignment.reshape(-1)]
+    return Y, pilots, dict(beta=beta, rho_d=rho_d, rho_p=rho_p, P=cfg.P)
 
 
 @pytest.mark.parametrize("M", [50, 500])
@@ -151,25 +166,32 @@ def sorted_users(cfg, seed):
 def test_profile_matches_per_call_recursion(selection, K, M):
     for seed in range(3):
         cfg = SystemConfig(K=K, M=M, C_u=70, seed=seed, scenario=Scenario1())
-        beta, rho_d, rho_p = sorted_users(cfg, seed)
-        args = (beta, rho_d, rho_p, cfg.sigma2, cfg.M, cfg.C_u, cfg.P, cfg.iterations, selection)
-        profile = predict_profile(*args)
-        interference, alpha, psi, include, fixed_mask = ref_predict_profile(*args)
-        assert np.array_equal(profile.interference, interference)
-        assert np.array_equal(profile.alpha, alpha)
-        assert np.array_equal(profile.psi, psi)
-        assert np.array_equal(profile.include, include)
+        beta, rho_d, rho_p = layout_users(cfg, seed)
+        rest = (cfg.sigma2, cfg.M, cfg.C_u, cfg.P, cfg.iterations, selection)
+        profile = predict_profile(beta, rho_d, rho_p, *rest)
+        # decreasing gain, ties in index order; the reference sweeps its
+        # inputs in index order
+        order = profile.order
+        assert sorted(order.tolist()) == list(range(beta.size))
+        steps = np.diff(beta[order])
+        assert np.all((steps < 0) | ((steps == 0) & (np.diff(order) > 0)))
+        interference, alpha, psi, include, fixed_mask = ref_predict_profile(
+            beta[order], rho_d[order], rho_p[order], *rest)
+        assert np.array_equal(profile.interference[:, order], interference)
+        assert np.array_equal(profile.alpha[:, order], alpha)
+        assert np.array_equal(profile.psi[:, order], psi)
+        assert np.array_equal(profile.include[:, order], include)
         if fixed_mask is None:
             assert profile.fixed_mask is None
         else:
-            assert np.array_equal(profile.fixed_mask, fixed_mask)
+            assert np.array_equal(profile.fixed_mask[order], fixed_mask)
 
 
 @pytest.mark.parametrize("K", [5, 10])
 @pytest.mark.parametrize("selection", SELECTION_RULES)
 def test_batched_profile_equals_one_layout_calls(selection, K):
     cfg = SystemConfig(K=K, M=50 * K, C_u=70, scenario=Scenario1())
-    beta, rho_d, rho_p = (np.stack(rows) for rows in zip(*(sorted_users(cfg, s) for s in range(6))))
+    beta, rho_d, rho_p = (np.stack(rows) for rows in zip(*(layout_users(cfg, s) for s in range(6))))
     rest = (cfg.sigma2, cfg.M, cfg.C_u, cfg.P, cfg.iterations)
     # fixed sets of several sizes, so the recursion sums over several row groups
     sizes = predict_profile(beta, rho_d, rho_p, *rest, "fixed").fixed_mask.sum(axis=1)
@@ -183,6 +205,7 @@ def test_batched_profile_equals_one_layout_calls(selection, K):
         assert np.array_equal(row.alpha, one.alpha)
         assert np.array_equal(row.psi, one.psi)
         assert np.array_equal(row.include, one.include)
+        assert np.array_equal(row.order, one.order)
         if one.fixed_mask is None:
             assert row.fixed_mask is None
         else:
@@ -223,8 +246,7 @@ def test_alpha_pqam_is_non_decreasing_and_bounded(P, a, b):
 @st.composite
 def profile_inputs(draw):
     n_users = draw(st.integers(1, 12))
-    beta = sorted(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_users, max_size=n_users)),
-                  reverse=True)
+    beta = draw(st.lists(st.floats(1e-3, 1.0), min_size=n_users, max_size=n_users))
     lam2 = draw(st.floats(0.05, 0.95))
     rho_d = np.full(n_users, math.sqrt(lam2))
     rho_p = np.full(n_users, math.sqrt(1.0 - lam2))
@@ -254,24 +276,14 @@ def test_profile_rows_start_from_no_estimate(inputs):
 def block():
     """A 35-user SP block at BS 0 with a feedback set that is neither empty nor full."""
     cfg = SystemConfig(M=40, seed=3)
-    beta_eff = path_loss(place_users(cfg, substream(3, "layout")), cfg.path_loss_exponent)
-    beta_eff = beta_eff.normalized(cfg.omega)
-    lam2, _ = analytics.optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u)
-    powers = uniform_power(cfg.L, cfg.K, 1.0, lam2)
-    book = make_pilot_books(cfg)
-    H = draw_channels(beta_eff.beta[0].reshape(-1), cfg.M, substream(3, "channels"))
-    frames = assemble_frames(cfg, book, powers, substream(3, "frames"), scheme="sp")
-    Y = synthesize_received(H, frames.S, cfg.sigma2, substream(3, "noise"))
-    order = decreasing_order(beta_eff.beta[0].reshape(-1))
-    args = dict(
-        beta=beta_eff.beta[0].reshape(-1)[order],
-        rho_d=powers.rho_d.reshape(-1)[order],
-        rho_p=powers.rho_p.reshape(-1)[order],
-        P=cfg.P,
-    )
-    pilots = book.sp_matrix[:, book.sp_assignment.reshape(-1)[order]]
-    fixed = ref_select_user_set_fixed(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2,
-                                      cfg.M, cfg.C_u, cfg.P)
+    Y, pilots, args = sp_block(cfg, 3)
+    # the reference selection, run in the profile's sweep order
+    order = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
+                            cfg.C_u, cfg.P, 1, "none").order
+    fixed = np.empty(order.size, dtype=bool)
+    fixed[order] = ref_select_user_set_fixed(args["beta"][order], args["rho_d"][order],
+                                             args["rho_p"][order], cfg.sigma2, cfg.M, cfg.C_u,
+                                             cfg.P)
     assert 0 < fixed.sum() < fixed.size
     return cfg, Y, pilots, args, fixed
 
@@ -292,13 +304,12 @@ def test_matches_every_user_every_sweep(block, selection):
         # any fixed set the profile carries drives the estimator
         profile = dataclasses.replace(profile, fixed_mask=explicit)
     state = iterative_estimate(Y, pilots, profile=profile, **args)
-    h_hat, x_tilde, x_hat, user_sets = reference_estimate(
+    h_hat, x_tilde, x_hat = reference_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
         fixed_mask, profile)
     assert np.array_equal(state.h_hat, h_hat)
     assert np.array_equal(state.x_tilde, x_tilde)
     assert np.array_equal(state.x_hat, x_hat)
-    assert np.array_equal(state.user_sets, user_sets)
 
 
 def test_empty_feedback_set_is_the_one_shot_estimator(block):
@@ -321,12 +332,17 @@ def test_passed_profile_supplies_the_feedback_set(block):
                               cfg.C_u, cfg.P, cfg.iterations, "fixed")
     assert np.array_equal(profile.fixed_mask, fixed)
     state = iterative_estimate(Y, pilots, profile=profile, **args)
-    assert np.array_equal(state.user_sets, np.tile(fixed, (fixed.size, 1)))
+    h_hat, x_tilde, x_hat = reference_estimate(
+        Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations, fixed,
+        profile)
+    assert np.array_equal(state.h_hat, h_hat)
+    assert np.array_equal(state.x_tilde, x_tilde)
+    assert np.array_equal(state.x_hat, x_hat)
     # so does the sweep count
     one_sweep = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                                 cfg.C_u, cfg.P, 1, "all")
     once = iterative_estimate(Y, pilots, profile=one_sweep, **args)
-    _h, x_tilde, _x, _sets = reference_estimate(
+    _h, x_tilde, _x = reference_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, 1,
         np.ones(fixed.size, dtype=bool), one_sweep)
     assert np.array_equal(once.x_tilde, x_tilde)
@@ -341,3 +357,43 @@ def test_a_batched_or_foreign_profile_is_rejected(block):
     for profile in (batched, foreign):
         with pytest.raises(ValueError, match="one layout's profile"):
             iterative_estimate(Y, pilots, profile=profile, **args)
+
+
+@pytest.mark.parametrize("selection", SELECTION_RULES)
+def test_users_in_any_order_give_the_permuted_bits(selection):
+    cfg = SystemConfig(K=5, M=60, C_u=70, scenario=Scenario1())
+    rest = (cfg.sigma2, cfg.M, cfg.C_u, cfg.P, cfg.iterations, selection)
+    blocks = [sp_block(cfg, seed) for seed in (1, 2)]
+    rng = np.random.default_rng(5)
+    # each layout's users shuffled, and the same users in their sweep order:
+    # by gain, equal gains (the home cell's) in their shuffled order; perm[j]
+    # is the flat user passed j-th
+    shuffled = [rng.permutation(cfg.L * cfg.K) for _ in blocks]
+    perms = {
+        "sorted": [perm[np.argsort(-args["beta"][perm], kind="stable")]
+                   for perm, (_Y, _pilots, args) in zip(shuffled, blocks)],
+        "shuffled": shuffled,
+    }
+    flat = {}
+    for name, layout_perms in perms.items():
+        inputs = [{key: args[key][perm] for key in ("beta", "rho_d", "rho_p")}
+                  for (_Y, _pilots, args), perm in zip(blocks, layout_perms)]
+        batch = predict_profile(*(np.stack([one[key] for one in inputs])
+                                  for key in ("beta", "rho_d", "rho_p")), *rest)
+        flat[name] = []
+        for b, ((Y, pilots, _args), perm) in enumerate(zip(blocks, layout_perms)):
+            profile = batch.layout(b)
+            state = iterative_estimate(Y, pilots[:, perm], P=cfg.P, profile=profile, **inputs[b])
+            back = np.argsort(perm)
+            fields = [perm[profile.order], state.h_hat[back], state.x_tilde[back],
+                      state.x_hat[back]]
+            fields += [np.take(getattr(profile, key), back, axis=-1)
+                       for key in ("interference", "alpha", "psi", "include")]
+            if profile.fixed_mask is not None:
+                fields.append(profile.fixed_mask[back])
+            flat[name].append(fields)
+    assert not all(np.array_equal(s, h) for s, h in zip(*perms.values()))
+    for sorted_fields, shuffled_fields in zip(flat["sorted"], flat["shuffled"]):
+        assert len(sorted_fields) == len(shuffled_fields)
+        for a, b in zip(sorted_fields, shuffled_fields):
+            assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -78,19 +78,6 @@ class TestPilotBooks:
         assert np.array_equal(book.sp_assignment[4], book.sp_assignment[0])
         assert book.sp_assignment.max() == 19
 
-    def test_block_diagonal_book(self):
-        cfg = make_config(L=5, K=4, C_u=20, C=40)
-        book = make_pilot_books(cfg, block_diagonal=True)
-        gram = book.sp_matrix.conj().T @ book.sp_matrix
-        assert np.allclose(gram, 20.0 * np.eye(20), atol=1e-10)
-        # each cell's pilots live on its own K-symbol support
-        col = book.sp_matrix[:, book.sp_assignment[2, 0]]
-        assert np.all(col[:8] == 0) and np.all(col[12:] == 0)
-
-    def test_block_diagonal_needs_exact_fit(self):
-        with pytest.raises(ValueError, match="C_u == L\\*K"):
-            make_pilot_books(make_config(), block_diagonal=True)
-
     def test_hybrid_book_uses_short_columns(self):
         cfg = make_config()
         part = Partition(
@@ -276,8 +263,6 @@ class TestFrames:
                                  partition=part)
         assert np.all(frames.S[:5, : cfg.tau] == 0.0)
         assert np.all(frames.S[5:, : cfg.tau] != 0.0)
-        assert frames.scheme[0] == "sp-silent"
-        assert frames.scheme[5] == "tp"
         # hybrid TP pilots ride at unit amplitude regardless of data power
         assert np.allclose(np.abs(frames.S[5:, : cfg.tau]), 1.0, atol=1e-12)
 
