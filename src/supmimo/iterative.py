@@ -274,6 +274,7 @@ def iterative_estimate(
     rho_p: np.ndarray,
     P: int,
     profile: PredictionProfile,
+    report,
 ) -> IterationState:
     """Joint channel/data estimation over the profile's ordered sweeps.
 
@@ -281,22 +282,28 @@ def iterative_estimate(
     users, e.g. one per trial; pilots holds each user's dedicated column
     (C_u x N), and pilots, beta, rho_d and rho_p list the users in the same
     order as the profile, which is computed for them and supplies the sweep
-    order, the sweep count and the feedback set.  With a fixed feedback set
-    (every rule but per_iteration) only the set's members are re-estimated
-    in every sweep, in sweep order, each deciding its data at once for the
-    users after it.  Nobody reads the estimates of users outside the set, so
-    they are computed once, in their place in the last sweep, where a run of
-    them between two members is one step; the result equals re-estimating
-    every user in every sweep.  per_iteration may feed any user back at some
-    sweep, so it runs the full schedule.  With an empty feedback set the
-    result reproduces the one-shot estimator and detector exactly.  The
-    profile is data-independent, so callers running many blocks with the
-    same large-scale state compute it once.
+    order, the sweep count and the feedback set.  report lists the users
+    the caller reads, as indices into that order; the state holds their
+    rows only, in report's order.
+
+    With a fixed feedback set (every rule but per_iteration) only the set's
+    members are re-estimated in every sweep, in sweep order, each deciding
+    its data at once for the users after it.  Nobody reads the estimates of
+    users outside the set, so the reported ones are computed once, in their
+    place in the last sweep, where a run of them between two members is one
+    step, and the unreported ones are not computed at all.  A reported
+    user's result equals re-estimating every user in every sweep.
+    per_iteration may feed any user back at some sweep, so it runs the full
+    schedule.  With an empty feedback set the result reproduces the
+    one-shot estimator and detector exactly.  The profile is
+    data-independent, so callers running many blocks with the same
+    large-scale state compute it once.
 
     The schedule is sequential; each of its steps runs on all T blocks at
-    once, as one stacked matrix-vector product per block, so a block's
-    result does not depend on the others in the stack.  The state arrays
-    carry the leading T axis when Y does.
+    once, as one stacked matrix-vector product per block and user, so a
+    user's result depends neither on the other blocks in the stack nor on
+    which other users are computed.  The state arrays carry the leading T
+    axis when Y does.
     """
     n_users = np.shape(beta)[0]
     if Y.ndim not in (2, 3):
@@ -309,19 +316,25 @@ def iterative_estimate(
     if profile.include.shape != (profile.sweeps + 1, n_users):
         raise ValueError(f"need one layout's profile of {n_users} users, "
                          f"got include of shape {profile.include.shape}")
+    report = np.asarray(report)
+    if report.ndim != 1 or np.any((report < 0) | (report >= n_users)):
+        raise ValueError(f"report must list user indices in [0, {n_users}), got {report!r}")
     stack = Y if Y.ndim == 3 else Y[np.newaxis]
     T = stack.shape[0]
-    # into sweep order once, so every step below reads contiguous slices
-    order = profile.order
-    pilots = pilots[:, order]
-    beta, rho_d, rho_p = (np.asarray(a, dtype=float)[order] for a in (beta, rho_d, rho_p))
+    # the computed users, in sweep order, so every step below reads
+    # contiguous slices
+    position = np.argsort(profile.order)
+    kept, steps = _schedule(profile, position[report])
+    users_kept = profile.order[kept]
+    pilots = pilots[:, users_kept]
+    beta, rho_d, rho_p = (np.asarray(a, dtype=float)[users_kept] for a in (beta, rho_d, rho_p))
 
     conj_rows = _conj_rows(pilots)
     base = _project(stack, conj_rows)
-    h_hat = np.zeros((T, n_users, M), dtype=complex)
-    x_tilde = np.zeros((T, n_users, C_u), dtype=complex)
-    x_hat = np.zeros((T, n_users, C_u), dtype=complex)
-    for users, fed in _schedule(profile):
+    h_hat = np.zeros((T, kept.size, M), dtype=complex)
+    x_tilde = np.zeros((T, kept.size, C_u), dtype=complex)
+    x_hat = np.zeros((T, kept.size, C_u), dtype=complex)
+    for users, fed in steps:
         if fed.size:
             # (T, G, F) coefficients, then (T, G, M) estimates: per block and
             # user, the matrix-vector products of one user alone
@@ -336,39 +349,42 @@ def iterative_estimate(
             stack, h_new, pilots[:, users], rho_d[users], rho_p[users], beta[users])
         x_hat[:, users] = decide(x_new, P)
 
-    # back to flat order one array at a time, so at most one extra copy is alive
-    flat = np.argsort(order)
-    h_hat = h_hat[:, flat]
-    x_tilde = x_tilde[:, flat]
-    x_hat = x_hat[:, flat]
+    # the reported rows in report's order
+    rows = np.searchsorted(kept, position[report])
+    h_hat, x_tilde, x_hat = h_hat[:, rows], x_tilde[:, rows], x_hat[:, rows]
     if Y.ndim == 2:
         h_hat, x_tilde, x_hat = h_hat[0], x_tilde[0], x_hat[0]
     return IterationState(h_hat=h_hat, x_tilde=x_tilde, x_hat=x_hat)
 
 
-def _schedule(profile: PredictionProfile):
-    """The estimator's steps in order: (users, fed) in sweep positions.
+def _schedule(profile: PredictionProfile, report: np.ndarray):
+    """The users the estimator computes and its steps, in sweep positions.
 
-    users is the slice a step re-estimates and fed the feedback set it reads.
-    With a fixed set the members are re-estimated one at a time in every
-    sweep and the others only in the last, where each run of them between
-    two members reads the same state and is one step.  per_iteration makes
-    every user a step in every sweep, fed by this sweep's admissions before
-    it and the previous sweep's from it on.
+    report holds the sweep positions the caller reads.  Returns (kept,
+    steps): kept lists the sweep positions computed, in sweep order, and
+    each step (users, fed) indexes kept, users being the slice it
+    re-estimates and fed the feedback set it reads.  With a fixed set,
+    kept is the members and the reported users; the members are
+    re-estimated one at a time in every sweep and the reported others only
+    in the last, where each run of them between two members reads the same
+    state and is one step.  per_iteration keeps every user and makes it a
+    step in every sweep, fed by this sweep's admissions before it and the
+    previous sweep's from it on.
     """
     n_users, sweeps = profile.order.size, profile.sweeps
     if profile.fixed_mask is None:
         include = profile.include[:, profile.order]
-        for i in range(1, sweeps + 1):
-            for m in range(n_users):
-                mask = np.concatenate((include[i, :m], include[i - 1, m:]))
-                yield slice(m, m + 1), np.flatnonzero(mask)
-        return
-    fed = np.flatnonzero(profile.fixed_mask[profile.order])
+        steps = [(slice(m, m + 1),
+                  np.flatnonzero(np.concatenate((include[i, :m], include[i - 1, m:]))))
+                 for i in range(1, sweeps + 1) for m in range(n_users)]
+        return np.arange(n_users), steps
+    member = profile.fixed_mask[profile.order]
+    keep = member.copy()
+    keep[report] = True
+    kept = np.flatnonzero(keep)
+    fed = np.flatnonzero(member[kept])
     members = fed.tolist()
-    for _ in range(1, sweeps):
-        for m in members:
-            yield slice(m, m + 1), fed
-    edges = sorted({0, n_users, *members, *(m + 1 for m in members)})
-    for lo, hi in zip(edges, edges[1:]):
-        yield slice(lo, hi), fed
+    steps = [(slice(m, m + 1), fed) for _ in range(1, sweeps) for m in members]
+    edges = sorted({0, kept.size, *members, *(m + 1 for m in members)})
+    steps += [(slice(lo, hi), fed) for lo, hi in zip(edges, edges[1:])]
+    return kept, steps

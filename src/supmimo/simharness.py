@@ -265,9 +265,9 @@ def _reference_trials(bench: _Bench, keys: list):
     state = iterative.iterative_estimate(
         Y_sp, bench.book.sp_matrix[:, bench.book.sp_assignment.reshape(-1)], beta_flat,
         bench.powers.rho_d.reshape(-1), bench.powers.rho_p.reshape(-1), P, bench.profile,
+        report=np.arange(K),
     )
-    # copies, so the all-user state is freed before scoring
-    x_iter, x_iter_hat = state.x_tilde[:, :K].copy(), state.x_hat[:, :K].copy()
+    x_iter, x_iter_hat = state.x_tilde, state.x_hat
     del state, Y_sp
     sp_bits = waveform.demap(data_sp, P)
     methods = (

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supmimo import analytics
-from supmimo.estimators import _mf_sp_output, mf_detect_sp, sp_ls_estimate
+from supmimo import analytics, iterative
+from supmimo.estimators import _mf_sp_output, _project, mf_detect_sp, sp_ls_estimate
 from supmimo.iterative import (
     SELECTION_RULES,
     _grouped_sums,
@@ -147,17 +147,24 @@ def layout_users(cfg, seed):
     return beta, powers.rho_d.reshape(-1), powers.rho_p.reshape(-1)
 
 
-def sp_block(cfg, seed):
-    """One SP block at BS 0 with its users' pilot columns and estimator inputs, in flat order."""
+def sp_block(cfg, seed, trials=None):
+    """One SP block at BS 0 with its users' pilot columns and estimator inputs, in flat
+    order; every user is reported.  With `trials`, a (trials, M, C_u) stack of
+    blocks over the same layout."""
     beta, rho_d, rho_p = layout_users(cfg, seed)
     lam2, _ = analytics.optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u)
     book = make_pilot_books(cfg)
-    H = draw_channels(beta, cfg.M, substream(seed, "channels"))
-    frames = assemble_frames(cfg, book, uniform_power(cfg.L, cfg.K, 1.0, lam2),
-                             substream(seed, "frames"), scheme="sp")
-    Y = synthesize_received(H, frames.S, cfg.sigma2, substream(seed, "noise"))
+
+    def received(*key):
+        H = draw_channels(beta, cfg.M, substream(*key, "channels"))
+        frames = assemble_frames(cfg, book, uniform_power(cfg.L, cfg.K, 1.0, lam2),
+                                 substream(*key, "frames"), scheme="sp")
+        return synthesize_received(H, frames.S, cfg.sigma2, substream(*key, "noise"))
+
+    Y = received(seed) if trials is None else np.stack([received(seed, t) for t in range(trials)])
     pilots = book.sp_matrix[:, book.sp_assignment.reshape(-1)]
-    return Y, pilots, dict(beta=beta, rho_d=rho_d, rho_p=rho_p, P=cfg.P)
+    return Y, pilots, dict(beta=beta, rho_d=rho_d, rho_p=rho_p, P=cfg.P,
+                           report=np.arange(beta.size))
 
 
 @pytest.mark.parametrize("M", [50, 500])
@@ -383,7 +390,8 @@ def test_users_in_any_order_give_the_permuted_bits(selection):
         flat[name] = []
         for b, ((Y, pilots, _args), perm) in enumerate(zip(blocks, layout_perms)):
             profile = batch.layout(b)
-            state = iterative_estimate(Y, pilots[:, perm], P=cfg.P, profile=profile, **inputs[b])
+            state = iterative_estimate(Y, pilots[:, perm], P=cfg.P, profile=profile,
+                                       report=np.arange(perm.size), **inputs[b])
             back = np.argsort(perm)
             fields = [perm[profile.order], state.h_hat[back], state.x_tilde[back],
                       state.x_hat[back]]
@@ -397,3 +405,51 @@ def test_users_in_any_order_give_the_permuted_bits(selection):
         assert len(sorted_fields) == len(shuffled_fields)
         for a, b in zip(sorted_fields, shuffled_fields):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def reports(n_users, K):
+    """The harness's cell-0 users, and a scattered subset out of sweep and index order."""
+    return [np.arange(K), np.random.default_rng(n_users).permutation(n_users)[: n_users // 3]]
+
+
+@pytest.mark.parametrize("trials", [None, 3])
+@pytest.mark.parametrize("K", [5, 10])
+@pytest.mark.parametrize("selection", SELECTION_RULES)
+def test_reported_rows_equal_the_all_user_rows(selection, K, trials):
+    cfg = SystemConfig(K=K, M=50 * K, C_u=70, scenario=Scenario1())
+    Y, pilots, args = sp_block(cfg, 6, trials)
+    profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
+                              cfg.C_u, cfg.P, cfg.iterations, selection)
+    everyone = iterative_estimate(Y, pilots, profile=profile, **args)
+    for report in reports(args["beta"].size, K):
+        state = iterative_estimate(Y, pilots, profile=profile, **{**args, "report": report})
+        for name in ("h_hat", "x_tilde", "x_hat"):
+            got, want = getattr(state, name), getattr(everyone, name)
+            assert got.shape == want[..., report, :].shape
+            assert np.array_equal(got, want[..., report, :]), name
+
+
+def test_unreported_non_members_are_not_computed(monkeypatch):
+    cfg = SystemConfig(K=10, M=500, C_u=70, scenario=Scenario1())
+    Y, pilots, args = sp_block(cfg, 6, 2)
+    profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
+                              cfg.C_u, cfg.P, cfg.iterations, "fixed")
+    report = np.arange(cfg.K)
+    kept = set(np.flatnonzero(profile.fixed_mask).tolist()) | set(report.tolist())
+    assert len(kept) < pilots.shape[1]
+    column_of = {col.tobytes(): n for n, col in enumerate(pilots.T)}
+    filtered, projected = set(), []
+
+    def mf_spy(Y, h_hat, pilot, *rest):
+        filtered.update(column_of[col.tobytes()] for col in np.ascontiguousarray(pilot.T))
+        return _mf_sp_output(Y, h_hat, pilot, *rest)
+
+    def project_spy(Y, rows):
+        projected.append(rows.shape[0])
+        return _project(Y, rows)
+
+    monkeypatch.setattr(iterative, "_mf_sp_output", mf_spy)
+    monkeypatch.setattr(iterative, "_project", project_spy)
+    iterative_estimate(Y, pilots, profile=profile, **{**args, "report": report})
+    assert filtered == kept
+    assert projected == [len(kept)]
