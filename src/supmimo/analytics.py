@@ -161,12 +161,19 @@ def sinr_sp_asymptotic(inputs: AnalyticInputs, j: int, m: int) -> float:
     return num / den
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def sinr_sp_lower_bound(L: int, K: int, C_u: int, M: int, lambda2: float) -> float:
     """Worst-case SP SINR under power control with a common data share.
 
     lambda2 is the data power fraction; the bound degenerates to zero at
-    either endpoint of (0, 1).
+    either endpoint of (0, 1).  Non-finite parameters raise ValueError.
     """
+    _require_finite(L=L, K=K, C_u=C_u, M=M, lambda2=lambda2)
     for name, value in (("L", L), ("K", K), ("C_u", C_u), ("M", M)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -189,7 +196,9 @@ def optimal_rho(
 
     Returns (lambda2, mu2) with lambda2 + mu2 = 1.  The approximate form
     assumes L*K >> 1; the exact form is the stationary point of the bound.
+    Non-finite parameters raise ValueError.
     """
+    _require_finite(M=M, L=L, K=K, C_u=C_u)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     if C_u < 1:
@@ -226,7 +235,9 @@ def kappa(inputs: AnalyticInputs, j: int, m: int) -> float:
 def kappa_symmetric(K: int, L: int, beta: float) -> float:
     """Crossover for the symmetric cell: unit home gains, equal power split,
     every cross gain equal to beta, all cells sharing pilots.  A single cell
-    (L=1) has no contaminating interferers, so SP never pays off: +inf."""
+    (L=1) has no contaminating interferers, so SP never pays off: +inf.
+    Non-finite parameters raise ValueError."""
+    _require_finite(K=K, L=L, beta=beta)
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     if beta <= 0 or L == 1:

@@ -234,8 +234,6 @@ def _cmd_analytic(args) -> int:
         names = " ".join(name for name, _ in sig)
         raise SpecError(f"{form} needs parameters: {names}")
     vals = [typ(p) for (_name, typ), p in zip(sig, args.params)]
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"{form} parameters must be finite, got {' '.join(args.params)}")
     if form == "optimal-rho":
         lam2, mu2 = analytics.optimal_rho(*vals, approximate=args.approx)
         print(f"lambda2={lam2!r} mu2={mu2!r}")

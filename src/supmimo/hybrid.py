@@ -82,8 +82,9 @@ def interference_sp(
     (C_u - tau)-symbol superimposed segment.
     """
     j, m = user
-    if not 0 < rho_p2 < np.inf:
-        raise ValueError(f"rho_p2 must be positive and finite, got {rho_p2}")
+    # the pilot share of unit total power: rho_d^2 + rho_p^2 = 1
+    if not 0 < rho_p2 <= 1:
+        raise ValueError(f"rho_p2 must lie in (0, 1], got {rho_p2}")
     if C_u - tau <= 0:
         raise ValueError("need C_u > tau")
     total = 0.0

@@ -3,17 +3,21 @@
 The estimator sweeps the N = L*K users in decreasing order of their gains
 at the serving BS, ties in the order given.  Only this module knows that
 order: callers pass per-user arrays in any order (the harness passes flat
-l*K + k) and get results back in it.  Inputs are permuted into sweep order
-once on entry and results back once on exit, so every step works on
-contiguous slices.  For each target it rebuilds the superimposed-pilot
-least-squares estimate after subtracting the reconstructed data
-contributions rho_d * h_hat * x_hat^T of a chosen feedback set: users
-already updated this sweep contribute current-iteration values, the rest
-the previous iteration's.  When the set is fixed, only its members are
-needed in every sweep; the others are estimated once, in the last sweep,
-against the set's values at that point.  It takes one block or a stack of
-blocks with the same users, e.g. one per Monte-Carlo trial, and runs each
-step of its sequential schedule on the whole stack.
+l*K + k) and get back the rows of the users they list.  Inputs are
+permuted into sweep order once on entry and results back once on exit, so
+every step works on contiguous slices.  For each target it rebuilds the
+superimposed-pilot least-squares estimate after subtracting the
+reconstructed data contributions rho_d * h_hat * x_hat^T of a chosen
+feedback set: users already updated this sweep contribute
+current-iteration values, the rest the previous iteration's.  When the set
+is fixed, only its members are needed in every sweep.  The caller names
+the users it reads (report); those outside the set are estimated once, in
+the last sweep, against the set's values at that point, and a user in
+neither is neither projected nor matched-filtered.  Every computed user
+gets the bits of the full schedule.  per_iteration may feed any user back,
+so it computes everyone.  It takes one block or a stack of blocks with the
+same users, e.g. one per Monte-Carlo trial, and runs each step of its
+sequential schedule on the whole stack.
 
 predict_profile is the deterministic companion recursion.  It predicts each
 target's channel-error energy psi, its matched-filter error variance and,
@@ -274,7 +278,7 @@ def iterative_estimate(
     rho_p: np.ndarray,
     P: int,
     profile: PredictionProfile,
-    report,
+    report: np.ndarray,
 ) -> IterationState:
     """Joint channel/data estimation over the profile's ordered sweeps.
 
@@ -288,11 +292,11 @@ def iterative_estimate(
 
     With a fixed feedback set (every rule but per_iteration) only the set's
     members are re-estimated in every sweep, in sweep order, each deciding
-    its data at once for the users after it.  Nobody reads the estimates of
-    users outside the set, so the reported ones are computed once, in their
+    its data at once for the users after it.  Of the users outside the set
+    only the reported ones are read, so they are computed once, in their
     place in the last sweep, where a run of them between two members is one
-    step, and the unreported ones are not computed at all.  A reported
-    user's result equals re-estimating every user in every sweep.
+    step, and the others not at all.  A reported user's result equals
+    re-estimating every user in every sweep.
     per_iteration may feed any user back at some sweep, so it runs the full
     schedule.  With an empty feedback set the result reproduces the
     one-shot estimator and detector exactly.  The profile is

@@ -22,11 +22,16 @@ sweep order is that layer's own.
 
 The reference-BS experiments run their trials in batches: each trial makes
 its own draws, then the batch's SP blocks are stacked on a leading trial
-axis and received, iterated, decided and scored together.  A batch holds as
-many trials as fit _CHUNK_BYTES of stacked SP block.  Every product is a
-stack of the per-trial matrix-vector products, so a trial's energies have
-the same bits in any batch, and they are added to the totals one trial at a
-time, in trial order, so the output does not depend on the batch size.
+axis and received, iterated, decided and scored together.  Within a trial,
+TP and SP see common random numbers: one channel ("channels") and one noise
+block ("noise"), added to both schemes' blocks in one synthesize_received
+call; only their frames ("tp-frames", "sp-frames") differ.  The iterative
+estimator is asked for the K cell-0 users only, the ones scored.  A batch
+holds as many trials as fit _CHUNK_BYTES of stacked SP block.  Every
+product is a stack of the per-trial matrix-vector products, so a trial's
+energies have the same bits in any batch, and they are added to the totals
+one trial at a time, in trial order, so the output does not depend on the
+batch size.
 
 run_experiment holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards.  A product whose reduction is split over threads
@@ -227,9 +232,10 @@ def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
 def _reference_trials(bench: _Bench, keys: list):
     """T coherence blocks at BS 0, one per key: TP, one-shot SP and iterative SP.
 
-    Each trial draws its channel, frames and noise from its own substreams.
-    TP is received trial by trial; the SP blocks are stacked into one
-    (T, M, C_u) array and received, iterated, decided and scored together.
+    Each trial draws its channel, frames and noise from its own substreams;
+    its TP and SP blocks share the channel and the "noise" draw.  TP is
+    received trial by trial; the SP blocks are stacked into one (T, M, C_u)
+    array and received, iterated, decided and scored together.
     Returns (sig_res, errs): the (T, 3, 2, K) signal and residual energies
     per trial, method and cell-0 user, and the (3, 2) bit errors and bit
     count per method, summed over the trials and cell-0 users.
@@ -248,18 +254,15 @@ def _reference_trials(bench: _Bench, keys: list):
     for t, key in enumerate(keys):
         H = draw_channels(beta_flat, M, substream(*key, "channels"))
         H_home[t] = H[:, :K]
-        frames = waveform.assemble_frames(
-            cfg, bench.book, bench.powers, substream(*key, "tp-frames"), scheme="tp")
-        Y = waveform.synthesize_received(H, frames.S, cfg.sigma2, substream(*key, "tp-noise"))
-        x_tp[t] = receive_cell(Y, bench.book, tp_part, bench.powers, 0, beta_home)
-        data_tp[t] = frames.data[:K]
-        del Y  # freed before the SP block is made
-        frames = waveform.assemble_frames(
-            cfg, bench.book, bench.powers, substream(*key, "sp-frames"), scheme="sp")
-        Y_sp[t] = waveform.synthesize_received(H, frames.S, cfg.sigma2,
-                                               substream(*key, "sp-noise"))
-        data_sp[t] = frames.data[:K]
-    del H, frames
+        tp, sp = (waveform.assemble_frames(cfg, bench.book, bench.powers,
+                                           substream(*key, f"{scheme}-frames"), scheme=scheme)
+                  for scheme in ("tp", "sp"))
+        # one noise block, added to both schemes' blocks
+        Y_tp, Y_sp[t] = waveform.synthesize_received(H, np.stack([tp.S, sp.S]), cfg.sigma2,
+                                                     substream(*key, "noise"))
+        x_tp[t] = receive_cell(Y_tp, bench.book, tp_part, bench.powers, 0, beta_home)
+        data_tp[t], data_sp[t] = tp.data[:K], sp.data[:K]
+    del H, tp, sp, Y_tp
 
     x_sp = receive_cell(Y_sp, bench.book, all_sp(cfg.L, K), bench.powers, 0, beta_home)
     state = iterative.iterative_estimate(
@@ -267,13 +270,12 @@ def _reference_trials(bench: _Bench, keys: list):
         bench.powers.rho_d.reshape(-1), bench.powers.rho_p.reshape(-1), P, bench.profile,
         report=np.arange(K),
     )
-    x_iter, x_iter_hat = state.x_tilde, state.x_hat
-    del state, Y_sp
+    del Y_sp
     sp_bits = waveform.demap(data_sp, P)
     methods = (
         (x_tp, waveform.decide(x_tp, P), data_tp, waveform.demap(data_tp, P)),
         (x_sp, waveform.decide(x_sp, P), data_sp, sp_bits),
-        (x_iter, x_iter_hat, data_sp, sp_bits),
+        (state.x_tilde, state.x_hat, data_sp, sp_bits),
     )
     # strided rows, not a contiguous copy: that would round the channel norms differently
     h_rows = H_home.swapaxes(1, 2)

@@ -299,3 +299,20 @@ class TestHybridRates:
         )
         # four of six contaminating cells remain
         assert hybrid_tp_sinr(inputs, part, 0, 0) == pytest.approx(1.0 / (4 * 0.25))
+
+
+# the closed forms behind `supmimo analytic`, with finite reference arguments
+CLI_FORMS = [
+    (optimal_rho, (100, 7, 5, 100)),
+    (kappa_symmetric, (5, 7, 0.5)),
+    (sinr_sp_lower_bound, (7, 5, 100, 100, 0.5)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("form, args", CLI_FORMS, ids=[f.__name__ for f, _ in CLI_FORMS])
+def test_cli_forms_reject_each_non_finite_parameter(form, args, bad):
+    form(*args)  # accepted as given
+    for i in range(len(args)):
+        with pytest.raises(ValueError, match="must be finite"):
+            form(*args[:i], bad, *args[i + 1:])

@@ -116,6 +116,8 @@ EXIT_TABLE = [
     (["partition", "{tmp}/beta.csv", "--mu2", "0"], "error invalid-parameter:", 5),
     (["partition", "{tmp}/beta.csv", "--mu2", "nan"], "error invalid-parameter:", 5),
     (["partition", "{tmp}/beta.csv", "--mu2", "inf"], "error invalid-parameter:", 5),
+    (["partition", "{tmp}/beta.csv", "--mu2", "1.5"], "error invalid-parameter:", 5),
+    (["partition", "{tmp}/beta.csv", "--mu2", "1"], "", 0),
     (["partition", "{tmp}/bad.csv"], "error config:", 3),
     *((["partition", f"{{tmp}}/{name}.csv"], "error config:", 3) for name in BAD_BETA_CSVS),
     (["partition", "{tmp}/missing.csv"], "error io:", 4),

@@ -9,7 +9,13 @@ them (12.5%); the mean gap is +1.8% and the worst +19.5%.
 import numpy as np
 import pytest
 
-from supmimo.hybrid import brute_force_partition, greedy_partition, total_cost
+from supmimo.hybrid import (
+    all_sp,
+    brute_force_partition,
+    greedy_partition,
+    interference_sp,
+    total_cost,
+)
 from supmimo.rng import substream
 
 C_U = 20
@@ -60,3 +66,16 @@ def test_training_without_room_for_data_is_rejected(search, c_u):
     beta, r, tau, mu2 = next(instances())  # r = 1 and K = 2, so tau = 2
     with pytest.raises(ValueError, match="training length"):
         search(beta, r, c_u, tau, mu2)
+
+
+@pytest.mark.parametrize("rho_p2", [0.0, -0.5, 1.5, np.nan, np.inf])
+def test_pilot_share_outside_the_unit_interval_is_rejected(rho_p2):
+    beta = np.ones((2, 2, 1))
+    with pytest.raises(ValueError, match="rho_p2"):
+        interference_sp((0, 0), all_sp(2, 1), beta, C_U, 1, rho_p2)
+
+
+def test_a_full_pilot_share_is_accepted():
+    beta = np.ones((2, 2, 1))
+    # two SP users absorb beta^2 = 1 each over the C_U - 1 symbols
+    assert interference_sp((0, 0), all_sp(2, 1), beta, C_U, 1, 1.0) == 2.0 / (C_U - 1)

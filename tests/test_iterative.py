@@ -416,7 +416,7 @@ def reports(n_users, K):
 @pytest.mark.parametrize("K", [5, 10])
 @pytest.mark.parametrize("selection", SELECTION_RULES)
 def test_reported_rows_equal_the_all_user_rows(selection, K, trials):
-    cfg = SystemConfig(K=K, M=50 * K, C_u=70, scenario=Scenario1())
+    cfg = SystemConfig(K=K, M=100, C_u=70, scenario=Scenario1())
     Y, pilots, args = sp_block(cfg, 6, trials)
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, selection)
@@ -436,7 +436,8 @@ def test_unreported_non_members_are_not_computed(monkeypatch):
                               cfg.C_u, cfg.P, cfg.iterations, "fixed")
     report = np.arange(cfg.K)
     kept = set(np.flatnonzero(profile.fixed_mask).tolist()) | set(report.tolist())
-    assert len(kept) < pilots.shape[1]
+    # members outside the report, and users in neither
+    assert not kept <= set(report.tolist()) and len(kept) < pilots.shape[1]
     column_of = {col.tobytes(): n for n, col in enumerate(pilots.T)}
     filtered, projected = set(), []
 

@@ -1,0 +1,44 @@
+"""Statistical gates on the reproduction: empirical SINR against the closed forms.
+
+sinr_vs_m at its defaults (L=7, K=5, M in {50, 100, 200}) with 100 trials at
+seed 0.  At that trial count one-shot SP sat within 0.31 dB of
+sinr_sp_finite_m for every user, and iterative SP at least 1.89 dB above
+one-shot SP.
+"""
+
+import math
+
+import pytest
+
+from supmimo.simharness import ITER_METHOD, SP_METHOD, RunOptions, SystemConfig, run_experiment
+
+TRIALS = 100
+
+
+@pytest.fixture(scope="module")
+def records():
+    recs = run_experiment(SystemConfig(seed=0), "sinr_vs_m", RunOptions(trials=TRIALS))
+    return {(r.method, r.sweep_value, r.user): r for r in recs}
+
+
+def db(ratio):
+    return 10.0 * math.log10(ratio)
+
+
+def points(records, method):
+    return [(M, user) for (m, M, user) in records if m == method]
+
+
+def test_one_shot_sp_is_within_half_a_db_of_its_finite_m_form(records):
+    sp = points(records, SP_METHOD)
+    assert len(sp) == 15  # 3 antenna counts x 5 users
+    for M, user in sp:
+        rec = records[(SP_METHOD, M, user)]
+        assert rec.trials == TRIALS
+        assert abs(db(rec.value / rec.analytic_value)) <= 0.5, (M, user)
+
+
+def test_iterative_sp_is_at_least_one_shot_sp_for_each_user(records):
+    for M, user in points(records, SP_METHOD):
+        assert records[(ITER_METHOD, M, user)].value >= records[(SP_METHOD, M, user)].value, \
+            (M, user)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from supmimo import simharness
+from supmimo import simharness, waveform
 from supmimo.rng import substream
 from supmimo.simharness import RunOptions, SystemConfig, run_experiment
 from supmimo.sysmodel import Scenario1, place_users
@@ -60,6 +60,29 @@ def test_a_batch_of_trials_equals_one_trial_batches(bench):
     bits = 5 * cfg.K * 2  # trials x users x bits per QPSK symbol
     assert np.all(sig_res > 0)
     assert errs[:, 1].tolist() == [bits * (cfg.C_u - cfg.tau), bits * cfg.C_u, bits * cfg.C_u]
+
+
+def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
+    calls = []
+    synthesize = waveform.synthesize_received
+
+    def spy(H, S, sigma2, rng):
+        Y = synthesize(H, S, sigma2, rng)
+        calls.append((H, S, Y))
+        return Y
+
+    monkeypatch.setattr(simharness.waveform, "synthesize_received", spy)
+    with simharness._one_blas_thread():
+        simharness._reference_trials(bench, keys(2))
+    assert len(calls) == 2  # one per trial
+    noises = []
+    for H, S, Y in calls:
+        assert S.shape[0] == Y.shape[0] == 2  # TP, then SP
+        noise_tp, noise_sp = Y - H @ S
+        np.testing.assert_allclose(noise_tp, noise_sp, rtol=0, atol=1e-12)
+        noises.append(noise_tp)
+    # the trials' draws differ
+    assert not np.allclose(*noises)
 
 
 @pytest.mark.parametrize("per_chunk", [2, 3])
