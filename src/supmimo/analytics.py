@@ -163,7 +163,11 @@ def sinr_sp_asymptotic(inputs: AnalyticInputs, j: int, m: int) -> float:
 
 def _require_finite(**values) -> None:
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{name} is too large for a float") from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 

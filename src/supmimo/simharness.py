@@ -25,13 +25,17 @@ its own draws, then the batch's SP blocks are stacked on a leading trial
 axis and received, iterated, decided and scored together.  Within a trial,
 TP and SP see common random numbers: one channel ("channels") and one noise
 block ("noise"), added to both schemes' blocks in one synthesize_received
-call; only their frames ("tp-frames", "sp-frames") differ.  The iterative
-estimator is asked for the K cell-0 users only, the ones scored.  A batch
-holds as many trials as fit _CHUNK_BYTES of stacked SP block.  Every
-product is a stack of the per-trial matrix-vector products, so a trial's
-energies have the same bits in any batch, and they are added to the totals
-one trial at a time, in trial order, so the output does not depend on the
-batch size.
+call; only their frames ("tp-frames", "sp-frames") differ.  That call
+writes both blocks straight into the batch's stack: the SP block into the
+trial's slot and the TP block into the next slot, which the next trial's SP
+block overwrites.  The trial's other draws are freed before the next
+trial's are made.  The iterative estimator is asked for the K cell-0 users
+only, the ones scored.  A batch holds as many trials as fit _CHUNK_BYTES at
+_trial_bytes each: the SP block, the estimator state of the users it keeps
+and the scored arrays.  Every product is a stack of the per-trial
+matrix-vector products, so a trial's energies have the same bits in any
+batch, and they are added to the totals one trial at a time, in trial
+order, so the output does not depend on the batch size.
 
 run_experiment holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards.  A product whose reduction is split over threads
@@ -82,10 +86,12 @@ HYBRID_METHOD = "hybrid"
 
 EXPERIMENTS = ("sinr_vs_m", "rate_vs_m", "sinr_cdf", "ber_vs_k", "sum_rate_vs_sir")
 
-# bytes of one stacked (T, M, C_u) SP block in the reference trial; a batch
-# also holds about as much again in estimator state, and beyond this size
-# the peak memory grows faster than the run time falls
-_CHUNK_BYTES = 512 * 1024
+# budget of one reference-trial batch, which holds as many trials as fit at
+# _trial_bytes each.  sinr_vs_m gets 7, 4 and 2 trials at M = 50, 100 and
+# 200, and its traced peak (1,620 KiB, at M = 200) stays below that of the
+# earlier rule, one trial per batch at M = 200 (1,737 KiB); 3 trials at
+# M = 200 would pass it.
+_CHUNK_BYTES = 1280 * 1024
 
 
 @dataclass(frozen=True)
@@ -229,13 +235,34 @@ def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
         yield _Bench(config, beta_eff, powers, book, profiles.layout(b))
 
 
+def _receive_trial(bench: _Bench, key: tuple, tp_part: Partition, Y: np.ndarray):
+    """One trial's draws at BS 0: its SP block is kept, its TP block received.
+
+    The channel, frames and noise come from the trial's own substreams; one
+    noise block is added to both schemes' blocks.  Y is a (2, M, C_u) buffer
+    the caller owns: the SP block is written into Y[0] and the TP block into
+    Y[1].  Returns the cell-0 channels (M, K), the TP outputs (K, C_u - tau)
+    and the TP and SP payloads of cell 0.  The trial's other draws are freed
+    on return, before the next trial's are made.
+    """
+    cfg = bench.config
+    H = draw_channels(bench.beta_eff.beta[0].reshape(-1), cfg.M, substream(*key, "channels"))
+    tp, sp = (waveform.assemble_frames(cfg, bench.book, bench.powers,
+                                       substream(*key, f"{scheme}-frames"), scheme=scheme)
+              for scheme in ("tp", "sp"))
+    waveform.synthesize_received(H, np.stack([sp.S, tp.S]), cfg.sigma2,
+                                 substream(*key, "noise"), out=Y)
+    x_tp = receive_cell(Y[1], bench.book, tp_part, bench.powers, 0, bench.beta_eff.beta[0, 0, :])
+    return H[:, :cfg.K], x_tp, tp.data[:cfg.K], sp.data[:cfg.K]
+
+
 def _reference_trials(bench: _Bench, keys: list):
     """T coherence blocks at BS 0, one per key: TP, one-shot SP and iterative SP.
 
-    Each trial draws its channel, frames and noise from its own substreams;
-    its TP and SP blocks share the channel and the "noise" draw.  TP is
-    received trial by trial; the SP blocks are stacked into one (T, M, C_u)
-    array and received, iterated, decided and scored together.
+    The trials are drawn one by one into a stack of T + 1 (M, C_u) slots:
+    trial t's SP block goes to slot t and its TP block, received at once, to
+    slot t + 1, which the next trial's SP block overwrites.  The T SP blocks
+    are then received, iterated, decided and scored together.
     Returns (sig_res, errs): the (T, 3, 2, K) signal and residual energies
     per trial, method and cell-0 user, and the (3, 2) bit errors and bit
     count per method, summed over the trials and cell-0 users.
@@ -247,22 +274,14 @@ def _reference_trials(bench: _Bench, keys: list):
     beta_flat = bench.beta_eff.beta[0].reshape(-1)
     tp_part = all_tp(cfg.L, K)
     H_home = np.empty((T, M, K), dtype=complex)
-    Y_sp = np.empty((T, M, C_u), dtype=complex)
+    slots = np.empty((T + 1, M, C_u), dtype=complex)
     x_tp = np.empty((T, K, C_u - tau), dtype=complex)
     data_tp = np.empty((T, K, C_u - tau), dtype=complex)
     data_sp = np.empty((T, K, C_u), dtype=complex)
     for t, key in enumerate(keys):
-        H = draw_channels(beta_flat, M, substream(*key, "channels"))
-        H_home[t] = H[:, :K]
-        tp, sp = (waveform.assemble_frames(cfg, bench.book, bench.powers,
-                                           substream(*key, f"{scheme}-frames"), scheme=scheme)
-                  for scheme in ("tp", "sp"))
-        # one noise block, added to both schemes' blocks
-        Y_tp, Y_sp[t] = waveform.synthesize_received(H, np.stack([tp.S, sp.S]), cfg.sigma2,
-                                                     substream(*key, "noise"))
-        x_tp[t] = receive_cell(Y_tp, bench.book, tp_part, bench.powers, 0, beta_home)
-        data_tp[t], data_sp[t] = tp.data[:K], sp.data[:K]
-    del H, tp, sp, Y_tp
+        H_home[t], x_tp[t], data_tp[t], data_sp[t] = _receive_trial(bench, key, tp_part,
+                                                                    slots[t : t + 2])
+    Y_sp = slots[:T]
 
     x_sp = receive_cell(Y_sp, bench.book, all_sp(cfg.L, K), bench.powers, 0, beta_home)
     state = iterative.iterative_estimate(
@@ -270,7 +289,7 @@ def _reference_trials(bench: _Bench, keys: list):
         bench.powers.rho_d.reshape(-1), bench.powers.rho_p.reshape(-1), P, bench.profile,
         report=np.arange(K),
     )
-    del Y_sp
+    del Y_sp, slots
     sp_bits = waveform.demap(data_sp, P)
     methods = (
         (x_tp, waveform.decide(x_tp, P), data_tp, waveform.demap(data_tp, P)),
@@ -287,15 +306,32 @@ def _reference_trials(bench: _Bench, keys: list):
     return sig_res, errs
 
 
+def _trial_bytes(bench: _Bench) -> int:
+    """Bytes one trial adds to a batch of the reference trial, all complex.
+
+    Its SP block (M, C_u) and cell-0 channels (M, K); for every user the
+    iterative estimator keeps (the feedback set and the K cell-0 users, or
+    everyone under per_iteration), a projection and an estimate of M entries
+    and an output and a decision of C_u; and eight scored (K, C_u) arrays:
+    outputs, decisions and payloads.
+    """
+    cfg = bench.config
+    mask = bench.profile.fixed_mask
+    kept = (cfg.L * cfg.K if mask is None
+            else np.count_nonzero(mask) + np.count_nonzero(~mask[:cfg.K]))
+    return 16 * (cfg.M * (cfg.C_u + cfg.K) + 2 * kept * (cfg.M + cfg.C_u) + 8 * cfg.K * cfg.C_u)
+
+
 def _sum_trials(bench: _Bench, keys: list):
     """Energies and bit errors of the trials `keys` at one bench, summed.
 
-    The trials run in chunks whose stacked SP blocks stay within
-    _CHUNK_BYTES.  Each trial's energies are added in trial order, so the
-    totals do not depend on the chunk size.  Returns ((3, 2, K), (3, 2)).
+    The trials run in chunks of as many trials as fit _CHUNK_BYTES at
+    _trial_bytes each, at least one.  Each trial's energies are added in
+    trial order, so the totals do not depend on the chunk size.  Returns
+    ((3, 2, K), (3, 2)).
     """
     cfg = bench.config
-    step = max(1, _CHUNK_BYTES // (16 * cfg.M * cfg.C_u))
+    step = max(1, _CHUNK_BYTES // _trial_bytes(bench))
     sig_total = np.zeros((3, 2, cfg.K))
     err_total = np.zeros((3, 2), dtype=np.int64)
     for lo in range(0, len(keys), step):

@@ -345,25 +345,36 @@ def synthesize_received(
     S: np.ndarray,
     sigma2: float,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Received block Y = H @ S + W with W ~ CN(0, sigma2), i.i.d. entries.
 
-    H is (M, N) and S is (N, C_u), or both carry the same leading stack axis:
-    (n, M, N) and (n, N, C_u).  One noise block W of shape (M, C_u) is drawn
-    and added to every slice, so stacked slices share the same noise.
+    H is (M, N) and S is (N, C_u), or either or both carry a leading stack
+    axis: (n, M, N) and (n, N, C_u).  One noise block W of shape (M, C_u) is
+    drawn and added to every slice, so stacked slices share the same noise.
+
+    Caller-buffer form: out is a complex array of Y's shape that the caller
+    owns, e.g. a run of slots in a larger stack.  Y is written into it and
+    out is returned, with the bits Y has without out and no temporary of
+    Y's size.
     """
     if H.shape[-1] != S.shape[-2]:
         raise ValueError(f"channel columns ({H.shape[-1]}) != users ({S.shape[-2]})")
     if sigma2 < 0:
         raise ValueError("sigma2 must be non-negative")
-    Y = np.asarray(H @ S, dtype=complex)
+    if out is None:
+        Y = np.asarray(H @ S, dtype=complex)
+    elif out.dtype != complex:
+        raise ValueError(f"out must be complex, got {out.dtype}")
+    else:
+        Y = np.matmul(H, S, out=out)
     if sigma2 > 0:
         scale = math.sqrt(sigma2 / 2.0)
-        shape = Y.shape[-2:]
-        # real part drawn first, each part added in place: the same bits as
-        # Y + scale * (re + 1j*im) without a complex noise block
+        noise = np.empty(Y.shape[-2:])
+        # real part drawn first, both into one buffer and added in place: the
+        # same bits as Y + scale * (re + 1j*im) without a complex noise block
         for part in (Y.real, Y.imag):
-            noise = rng.standard_normal(shape)
+            rng.standard_normal(out=noise)
             noise *= scale
             part += noise
     return Y

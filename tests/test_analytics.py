@@ -316,3 +316,11 @@ def test_cli_forms_reject_each_non_finite_parameter(form, args, bad):
     for i in range(len(args)):
         with pytest.raises(ValueError, match="must be finite"):
             form(*args[:i], bad, *args[i + 1:])
+
+
+@pytest.mark.parametrize("form, args", CLI_FORMS, ids=[f.__name__ for f, _ in CLI_FORMS])
+def test_cli_forms_reject_an_integer_beyond_the_float_range(form, args):
+    huge = 10**400  # math.isfinite raises OverflowError on it
+    for i in range(len(args)):
+        with pytest.raises(ValueError, match="too large for a float"):
+            form(*args[:i], huge, *args[i + 1:])

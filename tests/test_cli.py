@@ -98,6 +98,7 @@ EXIT_TABLE = [
     (["analytic", "optimal-rho", "100", "7", "5", "100"], "", 0),
     (["analytic", "optimal-rho", "100", "7", "5", "0"], "error invalid-parameter:", 5),
     (["analytic", "optimal-rho", "100", "7", "5", "0", "--approx"], "error invalid-parameter:", 5),
+    (["analytic", "optimal-rho", "1" + "0" * 400, "7", "5", "100"], "error invalid-parameter:", 5),
     (["analytic", "sp-lower-bound", "7", "5", "100", "100", "0.5"], "", 0),
     (["analytic", "sp-lower-bound", "7", "5", "100", "0", "0.5"], "error invalid-parameter:", 5),
     (["analytic", "sp-lower-bound", "7", "5", "0", "100", "0.5"], "error invalid-parameter:", 5),

@@ -1,6 +1,7 @@
 """The batched set-up, the trial-batched reference trial and the BLAS thread pin."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,9 +67,10 @@ def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
     calls = []
     synthesize = waveform.synthesize_received
 
-    def spy(H, S, sigma2, rng):
-        Y = synthesize(H, S, sigma2, rng)
-        calls.append((H, S, Y))
+    def spy(H, S, sigma2, rng, out=None):
+        Y = synthesize(H, S, sigma2, rng, out=out)
+        # a copy: the next trial overwrites the TP slot
+        calls.append((H, S, Y.copy()))
         return Y
 
     monkeypatch.setattr(simharness.waveform, "synthesize_received", spy)
@@ -77,32 +79,75 @@ def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
     assert len(calls) == 2  # one per trial
     noises = []
     for H, S, Y in calls:
-        assert S.shape[0] == Y.shape[0] == 2  # TP, then SP
-        noise_tp, noise_sp = Y - H @ S
+        assert S.shape[0] == Y.shape[0] == 2  # SP, then TP
+        noise_sp, noise_tp = Y - H @ S
         np.testing.assert_allclose(noise_tp, noise_sp, rtol=0, atol=1e-12)
         noises.append(noise_tp)
     # the trials' draws differ
     assert not np.allclose(*noises)
 
 
+def batch_sizes(monkeypatch):
+    """Spy on the reference trial; returns the list its batch sizes go to."""
+    sizes = []
+    reference = simharness._reference_trials
+
+    def spy(bench, keys):
+        sizes.append(len(keys))
+        return reference(bench, keys)
+
+    monkeypatch.setattr(simharness, "_reference_trials", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("per_chunk", [2, 3])
 def test_totals_do_not_depend_on_the_chunk_size(bench, monkeypatch, per_chunk):
     # 5 trials: chunks of 2, 2, 1 and of 3, 2 against chunks of 1 and of 5
-    block = 16 * bench.config.M * bench.config.C_u
+    sizes = batch_sizes(monkeypatch)
     totals = {}
     with simharness._one_blas_thread():
         for trials_per_chunk in (1, per_chunk, 5):
-            monkeypatch.setattr(simharness, "_CHUNK_BYTES", trials_per_chunk * block)
+            budget = trials_per_chunk * simharness._trial_bytes(bench)
+            monkeypatch.setattr(simharness, "_CHUNK_BYTES", budget)
             totals[trials_per_chunk] = simharness._sum_trials(bench, keys(5))
+    assert sizes == [1] * 5 + {2: [2, 2, 1], 3: [3, 2]}[per_chunk] + [5]
     for sig, errs in totals.values():
         assert np.array_equal(sig, totals[1][0])
         assert np.array_equal(errs, totals[1][1])
 
 
 def test_a_chunk_holds_at_least_one_trial(bench, monkeypatch):
-    monkeypatch.setattr(simharness, "_CHUNK_BYTES", 1)
+    sizes = batch_sizes(monkeypatch)
+    monkeypatch.setattr(simharness, "_CHUNK_BYTES", simharness._trial_bytes(bench) - 1)
     sig, errs = simharness._sum_trials(bench, keys(2))
+    assert sizes == [1, 1]
     assert np.all(sig > 0) and errs[0, 1] > 0
+
+
+# Traced peak of _sum_trials over the 4 trials below under the SP-block rule
+# this rule replaced (512 KiB of stacked SP block, so one trial per batch at
+# M=200): 1,774,632 bytes, numpy 2.4.  The rule in force holds 2 trials per
+# batch and peaked at 1,654,888 bytes.
+PEAK_BOUND_BYTES = 1_775_000
+
+
+def test_two_trials_fit_a_batch_at_m_200_within_the_earlier_peak(monkeypatch):
+    cfg = SystemConfig(M=200, seed=5)
+    layout = place_users(cfg, substream(5, "sinr_vs_m", "layout", 2))
+    (bench_200,) = simharness._make_benches(cfg, RunOptions(), [layout])
+    sizes = batch_sizes(monkeypatch)
+    trials = [(5, "sinr_vs_m", 2, t) for t in range(4)]
+    with simharness._one_blas_thread():
+        simharness._sum_trials(bench_200, trials)  # warm-up: first-call caches
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            simharness._sum_trials(bench_200, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert min(sizes) >= 2
+    assert peak < PEAK_BOUND_BYTES
 
 
 @needs_blas

@@ -331,6 +331,38 @@ class TestSynthesis:
         for i in range(3):
             assert np.allclose(Y[i] - H[i] @ S[i], W, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("stacked_channels", [False, True])
+    def test_caller_buffer_gets_the_returned_bits_from_one_noise_draw(self, stacked_channels):
+        rng = substream(14, "x")
+        H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        if stacked_channels:
+            H = np.stack([H, 2.0 * H])
+        S = rng.standard_normal((2, 4, 5)) + 1j * rng.standard_normal((2, 4, 5))
+        returned = synthesize_received(H, S, 0.3, substream(14, "n"))
+        # two slots of a larger stack, as the harness passes them
+        slots = np.full((4, 6, 5), np.nan, dtype=complex)
+        noise = substream(14, "n")
+        got = synthesize_received(H, S, 0.3, noise, out=slots[1:3])
+        assert got.base is slots
+        assert np.array_equal(slots[1:3].view(np.int64), returned.view(np.int64))
+        assert np.isnan(slots[[0, 3]]).all()
+        # one (M, C_u) noise block, shared: the stream advanced by one real
+        # and one imaginary draw, and both slots carry the same noise
+        reference = substream(14, "n")
+        reference.standard_normal(2 * 6 * 5)
+        assert noise.standard_normal() == reference.standard_normal()
+        W = slots[1:3] - H @ S
+        np.testing.assert_allclose(W[0], W[1], rtol=0, atol=1e-12)
+
+    def test_caller_buffer_must_be_complex_and_of_the_result_shape(self):
+        H = np.ones((6, 4), dtype=complex)
+        S = np.ones((2, 4, 5), dtype=complex)
+        with pytest.raises(ValueError, match="complex"):
+            synthesize_received(H.real, S.real, 0.3, substream(0, "n"), out=np.empty((2, 6, 5)))
+        with pytest.raises(ValueError):
+            synthesize_received(H, S, 0.3, substream(0, "n"),
+                                out=np.empty((6, 5), dtype=complex))
+
 
 def test_dft_matrix_unit_modulus():
     F = dft_matrix(9)
