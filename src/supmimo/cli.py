@@ -94,7 +94,7 @@ def _coerce(key: str, value, target):
         if target is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"not an integer: {value!r}")
         return target(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise SpecError(f"override {key!r}: {exc}") from None
 
 
@@ -328,6 +328,11 @@ def main(argv=None) -> int:
         return 4
     except ValueError as exc:
         print(f"error invalid-parameter: {exc}", file=sys.stderr)
+        return 5
+    except MemoryError as exc:
+        # settings whose arrays cannot be allocated, e.g. a huge sweep count
+        print(f"error invalid-parameter: the settings need more memory than is available: {exc}",
+              file=sys.stderr)
         return 5
 
 

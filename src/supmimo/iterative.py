@@ -13,11 +13,22 @@ current-iteration values, the rest the previous iteration's.  When the set
 is fixed, only its members are needed in every sweep.  The caller names
 the users it reads (report); those outside the set are estimated once, in
 the last sweep, against the set's values at that point, and a user in
-neither is neither projected nor matched-filtered.  Every computed user
-gets the bits of the full schedule.  per_iteration may feed any user back,
-so it computes everyone.  It takes one block or a stack of blocks with the
-same users, e.g. one per Monte-Carlo trial, and runs each step of its
-sequential schedule on the whole stack.
+neither is neither reduced nor matched-filtered.  per_iteration may feed
+any user back, so it computes everyone.
+
+The sweeps never touch the M-antenna block.  Every estimate they make is a
+linear combination of the kept users' one-shot estimates h0_n = Y conj(p_n)
+/ (C_u rho_p,n), so reduce_block first reduces each block to two arrays
+over the n kept users: G = conj(h0) Y (n x C_u), their matched-filter
+outputs, and R = conj(h0) h0^T (n x n).  The estimator then carries each
+user as a row of coefficients over that basis; its matched-filter output
+is a combination of G's rows and its power a quadratic form in R.  A
+block's state is thus n (C_u + n) entries whatever M is, and a step's
+matched filter costs n C_u instead of M C_u, so a caller can reduce each
+Monte-Carlo trial as it is drawn, free its block, and run the sweeps on a
+stack of many trials' reductions at once.  A user with an empty feedback
+set gets the one-shot estimator's bits, and every computed user gets the
+bits it has alone, whatever else is reported or stacked.
 
 predict_profile is the deterministic companion recursion.  It predicts each
 target's channel-error energy psi, its matched-filter error variance and,
@@ -48,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _conj_rows, _mf_sp_output, _per_row, _project
+from .estimators import _conj_rows, _matched, _per_row, sp_ls_estimate
 from .waveform import decide
 
 SELECTION_RULES = ("none", "all", "fixed", "per_iteration")
@@ -259,19 +270,64 @@ def predict_profile(
 
 
 @dataclass(frozen=True)
-class IterationState:
-    """Final state of the data-aided estimator, users in flat order.
+class Reduction:
+    """SP blocks reduced to the statistics the data-aided estimator reads.
 
-    The predicted error statistics of each sweep are in the profile.
+    h0_n = Y conj(p_n) / (C_u rho_p,n) is user n's one-shot SP estimate from
+    its block Y.  users lists the reduced users, as indices into the
+    caller's user order, in sweep order; G[..., i, :] = conj(h0_{users[i]}) Y
+    is user i's matched-filter output and R[..., i, j] = conj(h0_{users[i]})
+    . h0_{users[j]}, with a real diagonal.  A stack of T blocks carries a
+    leading T axis on G and R.  M is the antenna count of the blocks.
     """
 
-    h_hat: np.ndarray
+    users: np.ndarray
+    M: int
+    G: np.ndarray
+    R: np.ndarray
+
+
+@dataclass(frozen=True)
+class IterationState:
+    """Final matched-filter outputs and decisions of the reported users."""
+
     x_tilde: np.ndarray
     x_hat: np.ndarray
 
 
-def iterative_estimate(
+def reduced_users(profile: PredictionProfile, report: np.ndarray) -> np.ndarray:
+    """The users a reduction for (profile, report) keeps, in sweep order."""
+    return profile.order[_kept(profile, np.argsort(profile.order)[report])[0]]
+
+
+def reduce_block(
     Y: np.ndarray,
+    pilots: np.ndarray,
+    rho_p: np.ndarray,
+    profile: PredictionProfile,
+    report: np.ndarray,
+) -> Reduction:
+    """Reduce an SP block (M, C_u), or a stack (T, M, C_u), for the estimator.
+
+    Only the users the estimator computes for (profile, report) are kept
+    (see iterative_estimate); pilots (C_u x N) and rho_p list every user in
+    the order the profile was computed for, and report indexes that order.
+    Each user's one-shot estimate is sp_ls_estimate's, so G and R's diagonal
+    have the bits of mf_detect_sp's matched filter and power.
+    """
+    if Y.ndim not in (2, 3):
+        raise ValueError(f"Y must be (M, C_u) or (T, M, C_u), got shape {Y.shape}")
+    users = reduced_users(profile, _check_report(report, np.shape(rho_p)[0]))
+    h0 = sp_ls_estimate(Y, pilots[:, users], np.asarray(rho_p, dtype=float)[users])
+    # every entry is one dot product of two estimates, whatever else is kept
+    R = np.vecdot(h0[..., :, np.newaxis, :], h0[..., np.newaxis, :, :])
+    diagonal = np.arange(users.size)
+    R[..., diagonal, diagonal] = np.vecdot(h0, h0).real
+    return Reduction(users=users, M=Y.shape[-2], G=_matched(Y, h0), R=R)
+
+
+def iterative_estimate(
+    Y,
     pilots: np.ndarray,
     beta: np.ndarray,
     rho_d: np.ndarray,
@@ -282,113 +338,172 @@ def iterative_estimate(
 ) -> IterationState:
     """Joint channel/data estimation over the profile's ordered sweeps.
 
-    Y is the M x C_u block, or a stack (T, M, C_u) of T blocks with the same
-    users, e.g. one per trial; pilots holds each user's dedicated column
-    (C_u x N), and pilots, beta, rho_d and rho_p list the users in the same
-    order as the profile, which is computed for them and supplies the sweep
-    order, the sweep count and the feedback set.  report lists the users
-    the caller reads, as indices into that order; the state holds their
-    rows only, in report's order.
+    Y is the M x C_u block, a stack (T, M, C_u) of T blocks with the same
+    users, e.g. one per trial, or their reduce_block Reduction; a block is
+    reduced first, so the sweeps always run on the reduction.  pilots holds
+    each user's dedicated column (C_u x N), and pilots, beta, rho_d and
+    rho_p list the users in the same order as the profile, which is
+    computed for them and supplies the sweep order, the sweep count and the
+    feedback set.  report lists the users the caller reads, as indices
+    into that order; the state holds their rows only, in report's order.
 
     With a fixed feedback set (every rule but per_iteration) only the set's
     members are re-estimated in every sweep, in sweep order, each deciding
     its data at once for the users after it.  Of the users outside the set
     only the reported ones are read, so they are computed once, in their
     place in the last sweep, where a run of them between two members is one
-    step, and the others not at all.  A reported user's result equals
-    re-estimating every user in every sweep.
+    step, and the others not at all: they are neither reduced nor filtered.
     per_iteration may feed any user back at some sweep, so it runs the full
-    schedule.  With an empty feedback set the result reproduces the
-    one-shot estimator and detector exactly.  The profile is
-    data-independent, so callers running many blocks with the same
-    large-scale state compute it once.
+    schedule for everyone.
 
-    The schedule is sequential; each of its steps runs on all T blocks at
-    once, as one stacked matrix-vector product per block and user, so a
-    user's result depends neither on the other blocks in the stack nor on
-    which other users are computed.  The state arrays carry the leading T
-    axis when Y does.
+    Every estimate is a combination of one-shot estimates: a user's update
+    h = h0 - sum_f rho_d,f (x_hat_f . conj(p)) h_f / (C_u rho_p) keeps it in
+    the span of the basis (the feedback set; everyone under per_iteration)
+    plus the user's own h0.  So a user is a row a of coefficients over the
+    basis, plus its own h0 at coefficient 1 when it is outside the basis,
+    and its matched-filter output conj(h) Y and power ||h||^2 come from G
+    and R: conj(a) G_B (+ G_u) and conj(a) R_BB a (+ 2 Re(R_uB a) + R_uu).
+    A user with an empty feedback set is its own h0, so it reproduces the
+    one-shot estimator and detector exactly.  Each sum runs over the user's
+    own basis in sweep order, as one stacked matrix-vector product per
+    block and user, so a user's result depends neither on report, nor on
+    the other blocks in the stack, nor on which other users are computed.
+    The profile is data-independent, so callers running many blocks with
+    the same large-scale state compute it once.  The state arrays carry the
+    leading T axis when Y does.
     """
     n_users = np.shape(beta)[0]
-    if Y.ndim not in (2, 3):
-        raise ValueError(f"Y must be (M, C_u) or (T, M, C_u), got shape {Y.shape}")
-    M, C_u = Y.shape[-2:]
+    if profile.include.shape != (profile.sweeps + 1, n_users):
+        raise ValueError(f"need one layout's profile of {n_users} users, "
+                         f"got include of shape {profile.include.shape}")
+    report = _check_report(report, n_users)
+    C_u = (Y.G if isinstance(Y, Reduction) else Y).shape[-1]
     if pilots.shape != (C_u, n_users):
         raise ValueError(f"pilots must be (C_u, N) = {(C_u, n_users)}, got {pilots.shape}")
     if n_users > C_u:
         raise ValueError(f"{n_users} users exceed the {C_u}-symbol block")
-    if profile.include.shape != (profile.sweeps + 1, n_users):
-        raise ValueError(f"need one layout's profile of {n_users} users, "
-                         f"got include of shape {profile.include.shape}")
-    report = np.asarray(report)
-    if report.ndim != 1 or np.any((report < 0) | (report >= n_users)):
-        raise ValueError(f"report must list user indices in [0, {n_users}), got {report!r}")
-    stack = Y if Y.ndim == 3 else Y[np.newaxis]
-    T = stack.shape[0]
+    stats = Y if isinstance(Y, Reduction) else reduce_block(Y, pilots, rho_p, profile, report)
+    position = np.argsort(profile.order)
+    kept, basis = _kept(profile, position[report])
+    if not np.array_equal(stats.users, profile.order[kept]):
+        raise ValueError("the reduction keeps other users than this profile and report need")
+    stacked = stats.G.ndim == 3
+    G, R = (stats.G, stats.R) if stacked else (stats.G[np.newaxis], stats.R[np.newaxis])
     # the computed users, in sweep order, so every step below reads
     # contiguous slices
-    position = np.argsort(profile.order)
-    kept, steps = _schedule(profile, position[report])
-    users_kept = profile.order[kept]
+    users_kept = stats.users
     pilots = pilots[:, users_kept]
-    beta, rho_d, rho_p = (np.asarray(a, dtype=float)[users_kept] for a in (beta, rho_d, rho_p))
-
     conj_rows = _conj_rows(pilots)
-    base = _project(stack, conj_rows)
-    h_hat = np.zeros((T, kept.size, M), dtype=complex)
+    pilot_rows = np.ascontiguousarray(pilots.T)
+    beta, rho_d, rho_p = (np.asarray(a, dtype=float)[users_kept] for a in (beta, rho_d, rho_p))
+    ls_scale = C_u * rho_p
+    mf_gain = stats.M * rho_d * beta
+    T = G.shape[0]
+    slot = np.full(kept.size, -1)
+    slot[basis] = np.arange(basis.size)
+    # C-contiguous gathers: a product's bits follow its operands' strides,
+    # and a fancy index lays its axes out by the stack size
+    G_basis = G.take(basis, axis=1)
+    R_basis = R.take(basis, axis=1).take(basis, axis=2)
+    # coefficient rows and decisions of the basis users, the ones fed back;
+    # zero rows are the zero estimates nobody has computed yet
+    coefs = np.zeros((T, basis.size, basis.size), dtype=complex)
+    x_basis = np.zeros((T, basis.size, C_u), dtype=complex)
     x_tilde = np.zeros((T, kept.size, C_u), dtype=complex)
     x_hat = np.zeros((T, kept.size, C_u), dtype=complex)
-    for users, fed in steps:
-        if fed.size:
-            # (T, G, F) coefficients, then (T, G, M) estimates: per block and
-            # user, the matrix-vector products of one user alone
-            coefs = np.matmul(x_hat[:, np.newaxis, fed], conj_rows[users, :, np.newaxis])[..., 0]
-            coefs *= rho_d[fed]
-            leak = np.matmul(coefs[..., np.newaxis, :], h_hat[:, np.newaxis, fed])[..., 0, :]
-            h_new = (base[:, users] - leak) / _per_row(C_u * rho_p[users])
-        else:
-            h_new = base[:, users] / _per_row(C_u * rho_p[users])
-        h_hat[:, users] = h_new
-        x_tilde[:, users] = x_new = _mf_sp_output(
-            stack, h_new, pilots[:, users], rho_d[users], rho_p[users], beta[users])
-        x_hat[:, users] = decide(x_new, P)
+    for users, fed in _schedule(profile, kept, basis):
+        inside = slot[users.start]
+        everyone = fed.size == basis.size
+        x_fed, coefs_fed = ((x_basis, coefs) if everyone
+                            else (a.take(slot[fed], axis=1) for a in (x_basis, coefs)))
+        # (T, G, F) weights, then (T, G, B) coefficients: per block and
+        # user, the matrix-vector products of one user alone
+        weights = np.matmul(x_fed[:, np.newaxis], conj_rows[users, :, np.newaxis])[..., 0]
+        weights *= rho_d[fed]
+        weights /= _per_row(ls_scale[users])
+        a = np.matmul(weights[..., np.newaxis, :], coefs_fed[:, np.newaxis])[..., 0, :]
+        np.negative(a, out=a)
+        if inside >= 0:
+            a[..., inside] += 1.0
+            coefs[:, inside] = a[:, 0]
+        out = np.matmul(np.conj(a)[..., np.newaxis, :], G_basis[:, np.newaxis])[..., 0, :]
+        power = np.vecdot(a, np.matmul(R_basis[:, np.newaxis], a[..., np.newaxis])[..., 0]).real
+        if inside < 0:
+            # the users' own h0, at coefficient 1
+            out += G[:, users]
+            cross = np.matmul(R[:, users].take(basis, axis=2)[..., np.newaxis, :],
+                              a[..., np.newaxis])[..., 0, 0]
+            power += 2.0 * cross.real
+            power += np.diagonal(R[:, users, users], axis1=1, axis2=2).real
+        x_tilde[:, users] = x_new = _sp_output(out, power, pilot_rows[users], rho_p[users],
+                                               mf_gain[users])
+        x_hat[:, users] = decided = decide(x_new, P)
+        if inside >= 0:
+            x_basis[:, inside] = decided[:, 0]
 
     # the reported rows in report's order
     rows = np.searchsorted(kept, position[report])
-    h_hat, x_tilde, x_hat = h_hat[:, rows], x_tilde[:, rows], x_hat[:, rows]
-    if Y.ndim == 2:
-        h_hat, x_tilde, x_hat = h_hat[0], x_tilde[0], x_hat[0]
-    return IterationState(h_hat=h_hat, x_tilde=x_tilde, x_hat=x_hat)
+    x_tilde, x_hat = x_tilde[:, rows], x_hat[:, rows]
+    if not stacked:
+        x_tilde, x_hat = x_tilde[0], x_hat[0]
+    return IterationState(x_tilde=x_tilde, x_hat=x_hat)
 
 
-def _schedule(profile: PredictionProfile, report: np.ndarray):
-    """The users the estimator computes and its steps, in sweep positions.
+def _sp_output(matched, power, pilot_rows, rho_p, mf_gain) -> np.ndarray:
+    """mf_detect_sp's output from conj(h) Y and ||h||^2, in its arithmetic.
+
+    pilot_rows are the users' pilots as rows and mf_gain their M rho_d beta.
+    """
+    matched -= _per_row(rho_p * power) * pilot_rows
+    matched /= _per_row(mf_gain)
+    return matched
+
+
+def _check_report(report, n_users: int) -> np.ndarray:
+    report = np.asarray(report)
+    if report.ndim != 1 or np.any((report < 0) | (report >= n_users)):
+        raise ValueError(f"report must list user indices in [0, {n_users}), got {report!r}")
+    return report
+
+
+def _kept(profile: PredictionProfile, report: np.ndarray):
+    """The sweep positions the estimator computes, and its basis.
 
     report holds the sweep positions the caller reads.  Returns (kept,
-    steps): kept lists the sweep positions computed, in sweep order, and
-    each step (users, fed) indexes kept, users being the slice it
-    re-estimates and fed the feedback set it reads.  With a fixed set,
-    kept is the members and the reported users; the members are
-    re-estimated one at a time in every sweep and the reported others only
-    in the last, where each run of them between two members reads the same
-    state and is one step.  per_iteration keeps every user and makes it a
+    basis): kept lists the sweep positions computed, in sweep order, and
+    basis indexes kept.  With a fixed set, kept is the members and the
+    reported users, and the basis the members; per_iteration keeps
+    everyone, all in the basis.
+    """
+    if profile.fixed_mask is None:
+        everyone = np.arange(profile.order.size)
+        return everyone, everyone
+    member = profile.fixed_mask[profile.order]
+    keep = member.copy()
+    keep[report] = True
+    kept = np.flatnonzero(keep)
+    return kept, np.flatnonzero(member[kept])
+
+
+def _schedule(profile: PredictionProfile, kept: np.ndarray, basis: np.ndarray) -> list:
+    """The estimator's steps over _kept's users, in sweep order.
+
+    Each step (users, fed) indexes kept, users being the slice it
+    re-estimates and fed the feedback set it reads.  With a fixed set, the
+    members are re-estimated one at a time in every sweep and the reported
+    others only in the last, where each run of them between two members
+    reads the same state and is one step.  per_iteration makes every user a
     step in every sweep, fed by this sweep's admissions before it and the
     previous sweep's from it on.
     """
     n_users, sweeps = profile.order.size, profile.sweeps
     if profile.fixed_mask is None:
         include = profile.include[:, profile.order]
-        steps = [(slice(m, m + 1),
-                  np.flatnonzero(np.concatenate((include[i, :m], include[i - 1, m:]))))
-                 for i in range(1, sweeps + 1) for m in range(n_users)]
-        return np.arange(n_users), steps
-    member = profile.fixed_mask[profile.order]
-    keep = member.copy()
-    keep[report] = True
-    kept = np.flatnonzero(keep)
-    fed = np.flatnonzero(member[kept])
-    members = fed.tolist()
-    steps = [(slice(m, m + 1), fed) for _ in range(1, sweeps) for m in members]
+        return [(slice(m, m + 1),
+                 np.flatnonzero(np.concatenate((include[i, :m], include[i - 1, m:]))))
+                for i in range(1, sweeps + 1) for m in range(n_users)]
+    members = basis.tolist()
+    steps = [(slice(m, m + 1), basis) for _ in range(1, sweeps) for m in members]
     edges = sorted({0, kept.size, *members, *(m + 1 for m in members)})
-    steps += [(slice(lo, hi), fed) for lo, hi in zip(edges, edges[1:])]
-    return kept, steps
+    steps += [(slice(lo, hi), basis) for lo, hi in zip(edges, edges[1:])]
+    return steps

@@ -20,19 +20,22 @@ as when it is set up alone.  Users are passed to the iterative layer as
 drawn, in flat l*K + k order, and its results come back in that order; the
 sweep order is that layer's own.
 
-The reference-BS experiments run their trials in batches: each trial makes
-its own draws, then the batch's SP blocks are stacked on a leading trial
-axis and received, iterated, decided and scored together.  Within a trial,
+The reference-BS experiments run their trials in batches.  Within a trial,
 TP and SP see common random numbers: one channel ("channels") and one noise
 block ("noise"), added to both schemes' blocks in one synthesize_received
 call; only their frames ("tp-frames", "sp-frames") differ.  That call
-writes both blocks straight into the batch's stack: the SP block into the
-trial's slot and the TP block into the next slot, which the next trial's SP
-block overwrites.  The trial's other draws are freed before the next
-trial's are made.  The iterative estimator is asked for the K cell-0 users
-only, the ones scored.  A batch holds as many trials as fit _CHUNK_BYTES at
-_trial_bytes each: the SP block, the estimator state of the users it keeps
-and the scored arrays.  Every product is a stack of the per-trial
+writes both blocks into one (2, M, C_u) buffer that every trial of the
+batch reuses.  Each trial is received at once: TP and one-shot SP through
+receive_cell, and its SP block is reduced (iterative.reduce_block) to the
+statistics the iterative estimator reads, G and R over the users it keeps,
+so no block outlives its trial.  A FrameSet carries the bits its QAM
+payloads were drawn from, and the bit errors are counted against them.
+The iterative estimator is asked for the K cell-0 users only, the ones
+scored, and runs once per batch on the stacked reductions; then every
+method is decided and scored together.  A batch holds as many trials as
+fit _CHUNK_BYTES at _trial_bytes each: the cell-0 channels, the
+reduction, the estimator's state and the scored arrays, which grow with M
+only through the channels.  Every product is a stack of the per-trial
 matrix-vector products, so a trial's energies have the same bits in any
 batch, and they are added to the totals one trial at a time, in trial
 order, so the output does not depend on the batch size.
@@ -87,10 +90,9 @@ HYBRID_METHOD = "hybrid"
 EXPERIMENTS = ("sinr_vs_m", "rate_vs_m", "sinr_cdf", "ber_vs_k", "sum_rate_vs_sir")
 
 # budget of one reference-trial batch, which holds as many trials as fit at
-# _trial_bytes each.  sinr_vs_m gets 7, 4 and 2 trials at M = 50, 100 and
-# 200, and its traced peak (1,620 KiB, at M = 200) stays below that of the
-# earlier rule, one trial per batch at M = 200 (1,737 KiB); 3 trials at
-# M = 200 would pass it.
+# _trial_bytes each.  sinr_vs_m gets 11, 10 and 8 trials at M = 50, 100 and
+# 200, and its traced peak (1,740 KiB at seed 5, 20 trials) stays below that
+# of the rule that stacked whole SP blocks (1,809 KiB with 7, 4 and 2).
 _CHUNK_BYTES = 1280 * 1024
 
 
@@ -235,34 +237,56 @@ def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
         yield _Bench(config, beta_eff, powers, book, profiles.layout(b))
 
 
-def _receive_trial(bench: _Bench, key: tuple, tp_part: Partition, Y: np.ndarray):
-    """One trial's draws at BS 0: its SP block is kept, its TP block received.
+def _receive_trial(bench: _Bench, key: tuple, Y: np.ndarray, parts: tuple):
+    """One trial's draws at BS 0, received and reduced.
 
     The channel, frames and noise come from the trial's own substreams; one
     noise block is added to both schemes' blocks.  Y is a (2, M, C_u) buffer
     the caller owns: the SP block is written into Y[0] and the TP block into
-    Y[1].  Returns the cell-0 channels (M, K), the TP outputs (K, C_u - tau)
-    and the TP and SP payloads of cell 0.  The trial's other draws are freed
-    on return, before the next trial's are made.
+    Y[1].  Both are received at once under parts, the all-TP and all-SP
+    partitions, and the SP block is reduced for the iterative estimator
+    (iterative.reduce_block) over the users it keeps.
+    Returns the cell-0 channels (M, K), the TP and one-shot SP outputs, the
+    reduction's G and R, and the TP and SP payloads and bits of cell 0.  The
+    trial's other draws are freed on return, before the next trial's are
+    made.
     """
-    cfg = bench.config
+    cfg, book, powers = bench.config, bench.book, bench.powers
+    K = cfg.K
+    beta_home = bench.beta_eff.beta[0, 0, :]
+    # one scheme's frames at a time, the channel after them: the substreams
+    # are keyed, so the order of the draws does not change their bits
+    S = np.empty((2, cfg.L * K, cfg.C_u), dtype=complex)
+    payloads = {}
+    for i, scheme in enumerate(("sp", "tp")):
+        frames = waveform.assemble_frames(cfg, book, powers, substream(*key, f"{scheme}-frames"),
+                                          scheme=scheme)
+        S[i] = frames.S
+        payloads[scheme] = frames.data[:K].copy(), frames.bits[:K].copy()
+        del frames
     H = draw_channels(bench.beta_eff.beta[0].reshape(-1), cfg.M, substream(*key, "channels"))
-    tp, sp = (waveform.assemble_frames(cfg, bench.book, bench.powers,
-                                       substream(*key, f"{scheme}-frames"), scheme=scheme)
-              for scheme in ("tp", "sp"))
-    waveform.synthesize_received(H, np.stack([sp.S, tp.S]), cfg.sigma2,
-                                 substream(*key, "noise"), out=Y)
-    x_tp = receive_cell(Y[1], bench.book, tp_part, bench.powers, 0, bench.beta_eff.beta[0, 0, :])
-    return H[:, :cfg.K], x_tp, tp.data[:cfg.K], sp.data[:cfg.K]
+    waveform.synthesize_received(H, S, cfg.sigma2, substream(*key, "noise"), out=Y)
+    del S
+    tp_part, sp_part = parts
+    x_tp = receive_cell(Y[1], book, tp_part, powers, 0, beta_home)
+    x_sp = receive_cell(Y[0], book, sp_part, powers, 0, beta_home)
+    reduced = iterative.reduce_block(Y[0], _sp_pilots(book), powers.rho_p.reshape(-1),
+                                     bench.profile, np.arange(K))
+    return (H[:, :K], x_tp, x_sp, reduced.G, reduced.R) + payloads["tp"] + payloads["sp"]
+
+
+def _sp_pilots(book: waveform.PilotBook) -> np.ndarray:
+    """Every user's dedicated SP column, in flat order (C_u, L*K)."""
+    return book.sp_matrix[:, book.sp_assignment.reshape(-1)]
 
 
 def _reference_trials(bench: _Bench, keys: list):
     """T coherence blocks at BS 0, one per key: TP, one-shot SP and iterative SP.
 
-    The trials are drawn one by one into a stack of T + 1 (M, C_u) slots:
-    trial t's SP block goes to slot t and its TP block, received at once, to
-    slot t + 1, which the next trial's SP block overwrites.  The T SP blocks
-    are then received, iterated, decided and scored together.
+    The trials are drawn and received one by one in a (2, M, C_u) buffer;
+    each keeps only its SP block's reduction, its cell-0 outputs, channels,
+    payloads and bits.  The T reductions are then iterated together, and
+    every method is decided and scored together.
     Returns (sig_res, errs): the (T, 3, 2, K) signal and residual energies
     per trial, method and cell-0 user, and the (3, 2) bit errors and bit
     count per method, summed over the trials and cell-0 users.
@@ -271,30 +295,35 @@ def _reference_trials(bench: _Bench, keys: list):
     K, P, M, C_u, tau = cfg.K, cfg.P, cfg.M, cfg.C_u, cfg.tau
     T = len(keys)
     beta_home = bench.beta_eff.beta[0, 0, :]
-    beta_flat = bench.beta_eff.beta[0].reshape(-1)
-    tp_part = all_tp(cfg.L, K)
+    report = np.arange(K)
+    users = iterative.reduced_users(bench.profile, report)
+    n_bits = waveform.bits_per_symbol(P)
     H_home = np.empty((T, M, K), dtype=complex)
-    slots = np.empty((T + 1, M, C_u), dtype=complex)
     x_tp = np.empty((T, K, C_u - tau), dtype=complex)
+    x_sp = np.empty((T, K, C_u), dtype=complex)
+    G = np.empty((T, users.size, C_u), dtype=complex)
+    R = np.empty((T, users.size, users.size), dtype=complex)
     data_tp = np.empty((T, K, C_u - tau), dtype=complex)
     data_sp = np.empty((T, K, C_u), dtype=complex)
+    bits_tp = np.empty((T, K, n_bits * (C_u - tau)), dtype=np.uint8)
+    bits_sp = np.empty((T, K, n_bits * C_u), dtype=np.uint8)
+    parts = all_tp(cfg.L, K), all_sp(cfg.L, K)
+    Y = np.empty((2, M, C_u), dtype=complex)
     for t, key in enumerate(keys):
-        H_home[t], x_tp[t], data_tp[t], data_sp[t] = _receive_trial(bench, key, tp_part,
-                                                                    slots[t : t + 2])
-    Y_sp = slots[:T]
+        (H_home[t], x_tp[t], x_sp[t], G[t], R[t], data_tp[t], bits_tp[t], data_sp[t],
+         bits_sp[t]) = _receive_trial(bench, key, Y, parts)
+    del Y
 
-    x_sp = receive_cell(Y_sp, bench.book, all_sp(cfg.L, K), bench.powers, 0, beta_home)
     state = iterative.iterative_estimate(
-        Y_sp, bench.book.sp_matrix[:, bench.book.sp_assignment.reshape(-1)], beta_flat,
-        bench.powers.rho_d.reshape(-1), bench.powers.rho_p.reshape(-1), P, bench.profile,
-        report=np.arange(K),
+        iterative.Reduction(users=users, M=M, G=G, R=R), _sp_pilots(bench.book),
+        bench.beta_eff.beta[0].reshape(-1), bench.powers.rho_d.reshape(-1),
+        bench.powers.rho_p.reshape(-1), P, bench.profile, report,
     )
-    del Y_sp, slots
-    sp_bits = waveform.demap(data_sp, P)
+    del G, R
     methods = (
-        (x_tp, waveform.decide(x_tp, P), data_tp, waveform.demap(data_tp, P)),
-        (x_sp, waveform.decide(x_sp, P), data_sp, sp_bits),
-        (state.x_tilde, state.x_hat, data_sp, sp_bits),
+        (x_tp, waveform.decide(x_tp, P), data_tp, bits_tp),
+        (x_sp, waveform.decide(x_sp, P), data_sp, bits_sp),
+        (state.x_tilde, state.x_hat, data_sp, bits_sp),
     )
     # strided rows, not a contiguous copy: that would round the channel norms differently
     h_rows = H_home.swapaxes(1, 2)
@@ -307,19 +336,21 @@ def _reference_trials(bench: _Bench, keys: list):
 
 
 def _trial_bytes(bench: _Bench) -> int:
-    """Bytes one trial adds to a batch of the reference trial, all complex.
+    """Bytes one trial adds to a batch of the reference trial.
 
-    Its SP block (M, C_u) and cell-0 channels (M, K); for every user the
-    iterative estimator keeps (the feedback set and the K cell-0 users, or
-    everyone under per_iteration), a projection and an estimate of M entries
-    and an output and a decision of C_u; and eight scored (K, C_u) arrays:
-    outputs, decisions and payloads.
+    All complex but the bits: its cell-0 channels (M, K); its reduction, G
+    and R over the n users the iterative estimator keeps (the feedback set
+    and the K cell-0 users, or everyone under per_iteration), and the
+    estimator's outputs, decisions and copy of G for them, three (n, C_u)
+    arrays; eight scored (K, C_u) arrays (outputs, decisions and payloads)
+    and their bits, one byte each.  None of it grows with M but the
+    channels.
     """
     cfg = bench.config
-    mask = bench.profile.fixed_mask
-    kept = (cfg.L * cfg.K if mask is None
-            else np.count_nonzero(mask) + np.count_nonzero(~mask[:cfg.K]))
-    return 16 * (cfg.M * (cfg.C_u + cfg.K) + 2 * kept * (cfg.M + cfg.C_u) + 8 * cfg.K * cfg.C_u)
+    n = iterative.reduced_users(bench.profile, np.arange(cfg.K)).size
+    n_bits = waveform.bits_per_symbol(cfg.P)
+    return (16 * (cfg.M * cfg.K + n * (cfg.C_u + n) + 3 * n * cfg.C_u + 8 * cfg.K * cfg.C_u)
+            + 4 * n_bits * cfg.K * cfg.C_u)
 
 
 def _sum_trials(bench: _Bench, keys: list):

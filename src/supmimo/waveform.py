@@ -17,6 +17,7 @@ is exact up to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,11 +73,14 @@ class FrameSet:
 
     S has shape (L*K, C_u); row l*K + k is the frame of user (l, k).  Row n
     of data holds user n's unit-variance payload symbols (C_u of them for
-    pure SP, C_u - tau otherwise).
+    pure SP, C_u - tau otherwise), and row n of bits the Gray bits they
+    carry, bits_per_symbol(P) per symbol; bits is None for Gaussian
+    payloads.
     """
 
     S: np.ndarray
     data: np.ndarray
+    bits: np.ndarray | None = None
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -155,11 +159,6 @@ def _axis_scale(P: int) -> float:
     return math.sqrt(3.0 / (2.0 * (P - 1)))
 
 
-def min_distance(P: int) -> float:
-    """Nearest-neighbor distance of the unit-power constellation."""
-    return math.sqrt(6.0 / (P - 1))
-
-
 def constellation(P: int) -> np.ndarray:
     """All P points of the Gray-labelled unit-average-power square QAM."""
     side = _side(P)
@@ -173,28 +172,26 @@ def bits_per_symbol(P: int) -> int:
     return int(round(math.log2(P)))
 
 
-def _gray_decode(v: np.ndarray) -> np.ndarray:
-    out = np.asarray(v, dtype=np.int64).copy()
-    shift = 1
-    while shift < 32:
-        out ^= out >> shift
-        shift *= 2
-    return out
+@functools.cache
+def _qam_table(P: int):
+    """(points, bits) of the Gray-labelled P-QAM, read-only.
 
-
-def _bits_to_levels(bits: np.ndarray, side: int) -> np.ndarray:
-    width = bits.shape[1]
-    weights = 1 << np.arange(width - 1, -1, -1)
-    gray = bits.astype(np.int64) @ weights
-    idx = _gray_decode(gray)
-    return 2 * idx - (side - 1)
-
-
-def _levels_to_bits(idx: np.ndarray, side: int) -> np.ndarray:
-    width = int(round(math.log2(side)))
+    points[label] is the symbol of a label, whose first half of bits (most
+    significant first) is the Gray code of the in-phase level and whose
+    second half that of the quadrature level.  bits[i * side + j] is the
+    label of the point at in-phase level i and quadrature level j, as
+    bits_per_symbol(P) bits, most significant first.
+    """
+    side = _side(P)
+    width = bits_per_symbol(P)
+    idx = np.arange(side)
     gray = idx ^ (idx >> 1)
-    shifts = np.arange(width - 1, -1, -1)
-    return ((gray[:, np.newaxis] >> shifts) & 1).astype(np.uint8)
+    labels = ((gray[:, np.newaxis] << (width // 2)) | gray[np.newaxis, :]).reshape(-1)
+    points = np.empty(P, dtype=complex)
+    points[labels] = constellation(P)
+    bits = ((labels[:, np.newaxis] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+    points.flags.writeable = bits.flags.writeable = False
+    return points, bits
 
 
 def modulate(bits: np.ndarray, P: int) -> np.ndarray:
@@ -203,29 +200,28 @@ def modulate(bits: np.ndarray, P: int) -> np.ndarray:
     The first half of each symbol's bit group selects the in-phase level,
     the second half the quadrature level.
     """
-    side = _side(P)
-    bits = np.asarray(bits).astype(np.uint8).reshape(-1)
+    points, _ = _qam_table(P)
     b = bits_per_symbol(P)
+    bits = np.asarray(bits).reshape(-1)
     if bits.size % b != 0:
         raise ValueError(f"bit count {bits.size} is not a multiple of {b}")
     groups = bits.reshape(-1, b)
-    half = b // 2
-    c = _axis_scale(P)
-    re = _bits_to_levels(groups[:, :half], side) * c
-    im = _bits_to_levels(groups[:, half:], side) * c
-    return re + 1j * im
+    labels = groups[:, 0].astype(np.intp)
+    for j in range(1, b):
+        labels <<= 1
+        labels |= groups[:, j]
+    return points.take(labels)
 
 
 def demap(symbols: np.ndarray, P: int) -> np.ndarray:
     """Recover the Gray-coded bits of (decided) constellation points."""
+    _, bits = _qam_table(P)
     side = _side(P)
     c = _axis_scale(P)
     symbols = np.asarray(symbols).reshape(-1)
-    re_idx = _nearest_level_index(symbols.real, side, c)
-    im_idx = _nearest_level_index(symbols.imag, side, c)
-    re_bits = _levels_to_bits(re_idx, side)
-    im_bits = _levels_to_bits(im_idx, side)
-    return np.concatenate([re_bits, im_bits], axis=1).reshape(-1)
+    grid = _nearest_level_index(symbols.real, side, c) * side
+    grid += _nearest_level_index(symbols.imag, side, c)
+    return bits.take(grid, axis=0).reshape(-1)
 
 
 def _nearest_level_index(vals: np.ndarray, side: int, c: float) -> np.ndarray:
@@ -253,12 +249,6 @@ def decide(symbols: np.ndarray, P: int) -> np.ndarray:
     return point.view(complex).reshape(np.shape(symbols))
 
 
-def random_symbols(n: int, P: int, rng: np.random.Generator) -> np.ndarray:
-    """n unit-variance symbols drawn uniformly from the P-QAM alphabet."""
-    bits = rng.integers(0, 2, size=n * bits_per_symbol(P), dtype=np.uint8)
-    return modulate(bits, P)
-
-
 # ---------------------------------------------------------------------------
 # Frames and received blocks
 # ---------------------------------------------------------------------------
@@ -281,49 +271,59 @@ def assemble_frames(
     "gaussian" (unit-variance complex normal).
     """
     L, K, C_u, tau = config.L, config.K, config.C_u, config.tau
+    n_users = L * K
     if scheme == "hybrid" and partition is None:
         raise ValueError("hybrid frames need a partition")
-    if scheme in (TP_SCHEME, SP_SCHEME):
-        tp_rows = np.full(L * K, scheme == TP_SCHEME)
+    # the TP and SP rows: a slice when one scheme has every user, else
+    # index arrays; None for a scheme nobody uses
+    if scheme == TP_SCHEME:
+        tp_rows, sp_rows = slice(None), None
+    elif scheme == SP_SCHEME:
+        tp_rows, sp_rows = None, slice(None)
     elif scheme == "hybrid":
-        tp_rows = np.array([(cell, k) not in partition.u_sp
-                            for cell in range(L) for k in range(K)])
+        sp_mask = np.array([(cell, k) in partition.u_sp for cell in range(L) for k in range(K)])
+        tp_rows, sp_rows = (np.flatnonzero(rows) if rows.any() else None
+                            for rows in (~sp_mask, sp_mask))
     else:
         raise ValueError(f"unknown frame scheme {scheme!r}")
     payload_len = C_u if scheme == SP_SCHEME else C_u - tau
-    data = _draw_payloads(L * K, payload_len, config.P, data_dist, rng)
+    data, bits = _draw_payloads(n_users, payload_len, config.P, data_dist, rng)
 
-    S = np.zeros((L * K, C_u), dtype=complex)
-    sp_rows = ~tp_rows
-    if tp_rows.any():
+    S = np.zeros((n_users, C_u), dtype=complex)
+    if tp_rows is not None:
         q = power.q.reshape(-1)[tp_rows]
         pilot_amp = np.sqrt(q) if scheme == TP_SCHEME else np.ones_like(q)
         pilots = pilot_book.tp_matrix[:, pilot_book.tp_assignment.reshape(-1)[tp_rows]].T
         S[tp_rows, :tau] = pilot_amp[:, np.newaxis] * pilots
         S[tp_rows, tau:] = np.sqrt(q)[:, np.newaxis] * data[tp_rows]
-    if sp_rows.any():
+    if sp_rows is not None:
         cols = pilot_book.sp_assignment.reshape(-1)[sp_rows]
         if np.any(cols < 0):
-            n = int(np.flatnonzero(sp_rows)[np.argmax(cols < 0)])
+            n = int(np.arange(n_users)[sp_rows][np.argmax(cols < 0)])
             raise KeyError(f"user ({n // K}, {n % K}) has no superimposed pilot")
         rho_d = power.rho_d.reshape(-1)[sp_rows, np.newaxis]
         rho_p = power.rho_p.reshape(-1)[sp_rows, np.newaxis]
-        S[sp_rows, C_u - payload_len :] = (
-            rho_d * data[sp_rows] + rho_p * pilot_book.sp_matrix[:, cols].T
-        )
-    return FrameSet(S=S, data=data)
+        # rho_d * data + rho_p * pilot, with one temporary besides the gather
+        pilots = pilot_book.sp_matrix.T[cols]
+        pilots *= rho_p
+        pilots += rho_d * data[sp_rows]
+        S[sp_rows, C_u - payload_len :] = pilots
+    return FrameSet(S=S, data=data, bits=bits)
 
 
-def _draw_payloads(
-    n_users: int, n: int, P: int, data_dist: str, rng: np.random.Generator
-) -> np.ndarray:
-    """n_users x n payload symbols, drawn user by user from one stream."""
+def _draw_payloads(n_users: int, n: int, P: int, data_dist: str, rng: np.random.Generator):
+    """n_users x n payload symbols, drawn user by user from one stream, and their bits.
+
+    The bits are n_users rows of n * bits_per_symbol(P), or None for
+    Gaussian payloads.
+    """
     if data_dist == "qam":
-        return modulate(_draw_bits(n_users, n * bits_per_symbol(P), rng), P).reshape(n_users, n)
+        bits = _draw_bits(n_users, n * bits_per_symbol(P), rng)
+        return modulate(bits, P).reshape(n_users, n), bits
     if data_dist == "gaussian":
         # same stream as per-user real then imaginary draws
         z = rng.standard_normal((n_users, 2, n))
-        return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+        return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0), None
     raise ValueError(f"unknown data distribution {data_dist!r}")
 
 

@@ -82,6 +82,15 @@ BAD_SPECS = {
     "negative-seed": _spec("sinr_vs_m", *_SMALL, "seed: -1"),
     "text-radius": _spec("sinr_vs_m", *_SMALL,
                          "scenario: {type: scenario2, cell_radius_m: abc}"),
+    "inf-radius": _spec("sum_rate_vs_sir", "trials: 1", "radii_m: [.inf]"),
+    "inf-m": _spec("sinr_vs_m", "trials: 1", "m_values: [.inf]"),
+}
+
+# specs that parse but whose arrays numpy refuses at once; each must end in
+# "error invalid-parameter", not a traceback
+HUGE_SPECS = {
+    # a 255 TiB prediction history
+    "huge-iterations": _spec("sinr_vs_m", *_SMALL, f"iterations: {10**12}"),
 }
 
 # (argv, stderr prefix, exit code); {tmp} is a directory holding the files
@@ -95,6 +104,8 @@ EXIT_TABLE = [
     (["run", "{tmp}/missing.yaml", "--out", "{tmp}/out.csv"], "error io:", 4),
     *((["run", f"{{tmp}}/{name}.yaml", "--out", "{tmp}/out.csv"], "error config:", 3)
       for name in BAD_SPECS),
+    *((["run", f"{{tmp}}/{name}.yaml", "--out", "{tmp}/out.csv"], "error invalid-parameter:", 5)
+      for name in HUGE_SPECS),
     (["analytic", "optimal-rho", "100", "7", "5", "100"], "", 0),
     (["analytic", "optimal-rho", "100", "7", "5", "0"], "error invalid-parameter:", 5),
     (["analytic", "optimal-rho", "100", "7", "5", "0", "--approx"], "error invalid-parameter:", 5),
@@ -130,7 +141,7 @@ EXIT_TABLE = [
 def test_exit_codes(tmp_path, capsys, argv, err_prefix, code):
     (tmp_path / "good.yaml").write_text(_spec("sinr_vs_m", *_SMALL), encoding="utf-8")
     (tmp_path / "bad.yaml").write_text("experiment: nope\n", encoding="utf-8")
-    for name, text in BAD_SPECS.items():
+    for name, text in {**BAD_SPECS, **HUGE_SPECS}.items():
         (tmp_path / f"{name}.yaml").write_text(text, encoding="utf-8")
     (tmp_path / "beta.csv").write_text(BETA_CSV, encoding="utf-8")
     (tmp_path / "beta-k2.csv").write_text(BETA_K2_CSV, encoding="utf-8")

@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supmimo import analytics, iterative
-from supmimo.estimators import _mf_sp_output, _project, mf_detect_sp, sp_ls_estimate
+from supmimo.estimators import _matched, mf_detect_sp, sp_ls_estimate
 from supmimo.iterative import (
     SELECTION_RULES,
     _grouped_sums,
     _row_groups,
+    _sp_output,
     alpha_pqam,
     iterative_estimate,
     predict_profile,
+    reduce_block,
+    reduced_users,
 )
 from supmimo.rng import substream
 from supmimo.sysmodel import (
@@ -30,7 +33,60 @@ from supmimo.waveform import assemble_frames, decide, make_pilot_books, synthesi
 
 def reference_estimate(Y, pilots, beta, rho_d, rho_p, P, sweeps, fixed_mask, profile):
     """Every user re-estimated in every sweep of the profile's order, each
-    deciding at once; users in and out in flat order."""
+    deciding at once, in the estimator's reduced arithmetic, one user or one
+    pair of users at a time; users in and out in flat order.  Returns
+    (x_tilde, x_hat)."""
+    order = profile.order
+    pilots, beta, rho_d, rho_p = pilots[:, order], beta[order], rho_d[order], rho_p[order]
+    include = profile.include[:, order]
+    fixed_mask = None if fixed_mask is None else fixed_mask[order]
+    n_users = beta.shape[0]
+    M, C_u = Y.shape
+    # one-shot estimates, their matched-filter outputs and inner products
+    h0 = [(Y @ np.conj(pilots[:, n])) / (C_u * rho_p[n]) for n in range(n_users)]
+    G = np.stack([np.conj(h) @ Y for h in h0])
+    R = np.array([[np.vecdot(h, g) for g in h0] for h in h0])
+    R[np.diag_indices(n_users)] = [np.vecdot(h, h).real for h in h0]
+    # estimates as coefficient rows over the basis: the feedback set, or
+    # everyone under per_iteration
+    basis = np.arange(n_users) if fixed_mask is None else np.flatnonzero(fixed_mask)
+    slot = {int(n): j for j, n in enumerate(basis)}
+    G_basis, R_basis = G[basis], R[np.ix_(basis, basis)]
+    coefs = np.zeros((n_users, basis.size), dtype=complex)
+    x_work = np.zeros((n_users, C_u), dtype=complex)
+    x_tilde = np.zeros((n_users, C_u), dtype=complex)
+    for i in range(1, sweeps + 1):
+        for m in range(n_users):
+            if fixed_mask is not None:
+                mask = fixed_mask
+            else:
+                idx = np.arange(n_users)
+                mask = np.where(idx < m, include[i], include[i - 1])
+            fed = np.flatnonzero(mask)
+            weights = (x_work[fed] @ np.conj(pilots[:, m])) * rho_d[fed]
+            weights = weights / (C_u * rho_p[m])
+            a = -(weights @ coefs[fed])
+            if m in slot:
+                a[slot[m]] += 1.0
+            out = np.conj(a) @ G_basis
+            power = np.vecdot(a, R_basis @ a).real
+            if m not in slot:
+                # its own h0 at coefficient 1
+                out = out + G[m]
+                power = power + 2.0 * (R[m, basis] @ a).real
+                power = power + R[m, m].real
+            coefs[m] = a
+            x_tilde[m] = (out - (rho_p[m] * power) * pilots[:, m]) / (M * rho_d[m] * beta[m])
+            x_work[m] = decide(x_tilde[m], P)
+    flat = np.argsort(order)
+    return x_tilde[flat], x_work[flat]
+
+
+def m_space_estimate(Y, pilots, beta, rho_d, rho_p, P, sweeps, fixed_mask, profile):
+    """The same schedule on M-entry estimates: each user's update is formed
+    from the block itself, h = (Y conj(p) - sum_f rho_d,f (x_hat_f .
+    conj(p)) h_f) / (C_u rho_p), and filtered against it.  Returns
+    (x_tilde, x_hat) in flat order."""
     order = profile.order
     pilots, beta, rho_d, rho_p = pilots[:, order], beta[order], rho_d[order], rho_p[order]
     include = profile.include[:, order]
@@ -49,17 +105,14 @@ def reference_estimate(Y, pilots, beta, rho_d, rho_p, P, sweeps, fixed_mask, pro
                 idx = np.arange(n_users)
                 mask = np.where(idx < m, include[i], include[i - 1])
             fed = np.flatnonzero(mask)
-            if fed.size:
-                coefs = (x_work[fed] @ np.conj(pilots[:, m])) * rho_d[fed]
-                h_new = (base[m] - coefs @ h_work[fed]) / (C_u * rho_p[m])
-            else:
-                h_new = base[m] / (C_u * rho_p[m])
+            coefs = (x_work[fed] @ np.conj(pilots[:, m])) * rho_d[fed]
+            h_new = (base[m] - coefs @ h_work[fed]) / (C_u * rho_p[m])
             h_work[m] = h_new
-            x_tilde[m] = _mf_sp_output(Y, h_new, pilots[:, m], float(rho_d[m]), float(rho_p[m]),
-                                       float(beta[m]))
+            x_tilde[m] = mf_detect_sp(Y, h_new, float(rho_d[m]), float(rho_p[m]), float(beta[m]),
+                                      pilots[:, m])
             x_work[m] = decide(x_tilde[m], P)
     flat = np.argsort(order)
-    return h_work[flat], x_tilde[flat], x_work[flat]
+    return x_tilde[flat], x_work[flat]
 
 
 # Reference prediction recursion: one call per (sweep, target) for each of
@@ -311,12 +364,47 @@ def test_matches_every_user_every_sweep(block, selection):
         # any fixed set the profile carries drives the estimator
         profile = dataclasses.replace(profile, fixed_mask=explicit)
     state = iterative_estimate(Y, pilots, profile=profile, **args)
-    h_hat, x_tilde, x_hat = reference_estimate(
+    x_tilde, x_hat = reference_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
         fixed_mask, profile)
-    assert np.array_equal(state.h_hat, h_hat)
     assert np.array_equal(state.x_tilde, x_tilde)
     assert np.array_equal(state.x_hat, x_hat)
+
+
+@pytest.mark.parametrize("selection", ["none", "all", "fixed", "per_iteration"])
+def test_reduced_estimates_match_the_m_space_loop(block, selection):
+    cfg, Y, pilots, args, _fixed = block
+    profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
+                              cfg.C_u, cfg.P, cfg.iterations, selection)
+    state = iterative_estimate(Y, pilots, profile=profile, **args)
+    x_tilde, x_hat = m_space_estimate(
+        Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
+        profile.fixed_mask, profile)
+    np.testing.assert_allclose(state.x_tilde, x_tilde, rtol=0,
+                               atol=1e-12 * np.max(np.abs(x_tilde)))
+    assert np.array_equal(state.x_hat, x_hat)
+
+
+def test_a_reduction_is_estimated_like_its_block(block):
+    cfg, Y, pilots, args, fixed = block
+    profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
+                              cfg.C_u, cfg.P, cfg.iterations, "fixed")
+    report = args["report"][:cfg.K]
+    stats = reduce_block(Y, pilots, args["rho_p"], profile, report)
+    # the members and the reported users, in sweep order, and nothing of size M
+    kept = fixed.copy()
+    kept[report] = True
+    assert sorted(stats.users.tolist()) == np.flatnonzero(kept).tolist()
+    assert np.array_equal(stats.users, reduced_users(profile, report))
+    assert stats.M == cfg.M
+    assert stats.G.shape == (kept.sum(), cfg.C_u) and stats.R.shape == (kept.sum(),) * 2
+    from_block = iterative_estimate(Y, pilots, profile=profile, **{**args, "report": report})
+    from_stats = iterative_estimate(stats, pilots, profile=profile, **{**args, "report": report})
+    assert np.array_equal(from_stats.x_tilde, from_block.x_tilde)
+    assert np.array_equal(from_stats.x_hat, from_block.x_hat)
+    # a reduction made for other users is refused
+    with pytest.raises(ValueError, match="other users"):
+        iterative_estimate(stats, pilots, profile=profile, **args)
 
 
 def test_empty_feedback_set_is_the_one_shot_estimator(block):
@@ -328,7 +416,6 @@ def test_empty_feedback_set_is_the_one_shot_estimator(block):
         rho_d, rho_p = float(args["rho_d"][n]), float(args["rho_p"][n])
         h_hat = sp_ls_estimate(Y, pilots[:, n], rho_p)
         x_tilde = mf_detect_sp(Y, h_hat, rho_d, rho_p, float(args["beta"][n]), pilots[:, n])
-        assert np.array_equal(state.h_hat[n], h_hat)
         assert np.array_equal(state.x_tilde[n], x_tilde)
         assert np.array_equal(state.x_hat[n], decide(x_tilde, cfg.P))
 
@@ -339,17 +426,16 @@ def test_passed_profile_supplies_the_feedback_set(block):
                               cfg.C_u, cfg.P, cfg.iterations, "fixed")
     assert np.array_equal(profile.fixed_mask, fixed)
     state = iterative_estimate(Y, pilots, profile=profile, **args)
-    h_hat, x_tilde, x_hat = reference_estimate(
+    x_tilde, x_hat = reference_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations, fixed,
         profile)
-    assert np.array_equal(state.h_hat, h_hat)
     assert np.array_equal(state.x_tilde, x_tilde)
     assert np.array_equal(state.x_hat, x_hat)
     # so does the sweep count
     one_sweep = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                                 cfg.C_u, cfg.P, 1, "all")
     once = iterative_estimate(Y, pilots, profile=one_sweep, **args)
-    _h, x_tilde, _x = reference_estimate(
+    x_tilde, _x = reference_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, 1,
         np.ones(fixed.size, dtype=bool), one_sweep)
     assert np.array_equal(once.x_tilde, x_tilde)
@@ -393,8 +479,7 @@ def test_users_in_any_order_give_the_permuted_bits(selection):
             state = iterative_estimate(Y, pilots[:, perm], P=cfg.P, profile=profile,
                                        report=np.arange(perm.size), **inputs[b])
             back = np.argsort(perm)
-            fields = [perm[profile.order], state.h_hat[back], state.x_tilde[back],
-                      state.x_hat[back]]
+            fields = [perm[profile.order], state.x_tilde[back], state.x_hat[back]]
             fields += [np.take(getattr(profile, key), back, axis=-1)
                        for key in ("interference", "alpha", "psi", "include")]
             if profile.fixed_mask is not None:
@@ -423,7 +508,7 @@ def test_reported_rows_equal_the_all_user_rows(selection, K, trials):
     everyone = iterative_estimate(Y, pilots, profile=profile, **args)
     for report in reports(args["beta"].size, K):
         state = iterative_estimate(Y, pilots, profile=profile, **{**args, "report": report})
-        for name in ("h_hat", "x_tilde", "x_hat"):
+        for name in ("x_tilde", "x_hat"):
             got, want = getattr(state, name), getattr(everyone, name)
             assert got.shape == want[..., report, :].shape
             assert np.array_equal(got, want[..., report, :]), name
@@ -439,18 +524,26 @@ def test_unreported_non_members_are_not_computed(monkeypatch):
     # members outside the report, and users in neither
     assert not kept <= set(report.tolist()) and len(kept) < pilots.shape[1]
     column_of = {col.tobytes(): n for n, col in enumerate(pilots.T)}
-    filtered, projected = set(), []
+    projected, matched, filtered = set(), [], set()
 
-    def mf_spy(Y, h_hat, pilot, *rest):
-        filtered.update(column_of[col.tobytes()] for col in np.ascontiguousarray(pilot.T))
-        return _mf_sp_output(Y, h_hat, pilot, *rest)
+    def users_of(pilot):
+        return {column_of[col.tobytes()] for col in np.ascontiguousarray(pilot.T)}
 
-    def project_spy(Y, rows):
-        projected.append(rows.shape[0])
-        return _project(Y, rows)
+    def project_spy(Y, pilot, rho_p):
+        projected.update(users_of(pilot))
+        return sp_ls_estimate(Y, pilot, rho_p)
 
-    monkeypatch.setattr(iterative, "_mf_sp_output", mf_spy)
-    monkeypatch.setattr(iterative, "_project", project_spy)
+    def matched_spy(Y, h_hat):
+        matched.append(h_hat.shape[-2])
+        return _matched(Y, h_hat)
+
+    def output_spy(out, power, pilot_rows, *rest):
+        filtered.update(users_of(pilot_rows.T))
+        return _sp_output(out, power, pilot_rows, *rest)
+
+    monkeypatch.setattr(iterative, "sp_ls_estimate", project_spy)
+    monkeypatch.setattr(iterative, "_matched", matched_spy)
+    monkeypatch.setattr(iterative, "_sp_output", output_spy)
     iterative_estimate(Y, pilots, profile=profile, **{**args, "report": report})
-    assert filtered == kept
-    assert projected == [len(kept)]
+    assert projected == filtered == kept
+    assert matched == [len(kept)]

@@ -1,16 +1,28 @@
 """Statistical gates on the reproduction: empirical SINR against the closed forms.
 
 sinr_vs_m at its defaults (L=7, K=5, M in {50, 100, 200}) with 100 trials at
-seed 0.  At that trial count one-shot SP sat within 0.31 dB of
-sinr_sp_finite_m for every user, and iterative SP at least 1.89 dB above
-one-shot SP.
+seed 0.  At that trial count, for every user:
+
+* one-shot SP sat within 0.31 dB of sinr_sp_finite_m;
+* iterative SP was at least 1.89 dB above one-shot SP;
+* TP was at least 0.84 dB below its large-M limit sinr_tp_asymptotic, and
+  rose by at least 0.47 dB from each antenna count to the next;
+* the iterative predictor (1 / the profile's last-sweep interference) was
+  conservative: the empirical SINR was at least 0.64 dB above it.
 """
 
 import math
 
 import pytest
 
-from supmimo.simharness import ITER_METHOD, SP_METHOD, RunOptions, SystemConfig, run_experiment
+from supmimo.simharness import (
+    ITER_METHOD,
+    SP_METHOD,
+    TP_METHOD,
+    RunOptions,
+    SystemConfig,
+    run_experiment,
+)
 
 TRIALS = 100
 
@@ -42,3 +54,27 @@ def test_iterative_sp_is_at_least_one_shot_sp_for_each_user(records):
     for M, user in points(records, SP_METHOD):
         assert records[(ITER_METHOD, M, user)].value >= records[(SP_METHOD, M, user)].value, \
             (M, user)
+
+
+def test_tp_stays_below_its_large_m_limit(records):
+    tp = points(records, TP_METHOD)
+    assert len(tp) == 15
+    for M, user in tp:
+        rec = records[(TP_METHOD, M, user)]
+        assert rec.value <= rec.analytic_value, (M, user)
+
+
+def test_tp_does_not_fall_as_antennas_are_added(records):
+    users = sorted({user for _M, user in points(records, TP_METHOD)})
+    antennas = sorted({M for M, _user in points(records, TP_METHOD)})
+    assert len(antennas) == 3
+    for user in users:
+        sinr = [records[(TP_METHOD, M, user)].value for M in antennas]
+        assert sinr == sorted(sinr), user
+
+
+def test_the_iterative_predictor_is_conservative(records):
+    # predicted <= empirical + 0.25 dB
+    for M, user in points(records, ITER_METHOD):
+        rec = records[(ITER_METHOD, M, user)]
+        assert db(rec.analytic_value) <= db(rec.value) + 0.25, (M, user)

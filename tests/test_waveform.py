@@ -15,9 +15,7 @@ from supmimo.waveform import (
     demap,
     dft_matrix,
     make_pilot_books,
-    min_distance,
     modulate,
-    random_symbols,
     synthesize_received,
     assemble_frames,
 )
@@ -119,8 +117,8 @@ class TestQam:
         for P in (4, 16, 64):
             pts = constellation(P)
             d = min(abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1:])
-            assert d == pytest.approx(min_distance(P), rel=1e-12)
-            assert min_distance(P) == pytest.approx(math.sqrt(6.0 / (P - 1)))
+            # adjacent levels sit 2c apart, c^2 = 3 / (2 (P - 1))
+            assert d == pytest.approx(math.sqrt(6.0 / (P - 1)), rel=1e-12)
 
     def test_modulate_demap_roundtrip(self):
         rng = substream(1, "bits")
@@ -158,9 +156,9 @@ class TestQam:
         assert one.bit_generator.state == each.bit_generator.state
         assert one.integers(0, 2**63) == each.integers(0, 2**63)
 
-    def test_random_symbols_on_alphabet(self):
+    def test_modulated_bits_land_on_the_alphabet(self):
         rng = substream(2, "sym")
-        sym = random_symbols(500, 16, rng)
+        sym = modulate(rng.integers(0, 2, size=500 * bits_per_symbol(16), dtype=np.uint8), 16)
         pts = constellation(16)
         dist = np.min(np.abs(sym[:, None] - pts[None, :]), axis=1)
         assert np.max(dist) < 1e-12
@@ -177,7 +175,8 @@ def reference_frames(cfg, book, power, rng, partition=None, scheme="sp", data_di
             tp = scheme == "tp" or (scheme == "hybrid" and not silent)
             size = cfg.C_u if scheme == "sp" else cfg.C_u - cfg.tau
             if data_dist == "qam":
-                x = random_symbols(size, cfg.P, rng)
+                x = modulate(rng.integers(0, 2, size=size * bits_per_symbol(cfg.P),
+                                          dtype=np.uint8), cfg.P)
             else:
                 x = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
             if tp:
