@@ -17,7 +17,6 @@ from .sysmodel import (
     path_loss,
     place_users,
     received_sir,
-    statistics_aware_power,
     uniform_power,
 )
 from .hybrid import Partition, brute_force_partition, greedy_partition, total_cost
@@ -44,7 +43,6 @@ __all__ = [
     "place_users",
     "received_sir",
     "run_experiment",
-    "statistics_aware_power",
     "total_cost",
     "uniform_power",
     "__version__",

@@ -120,16 +120,23 @@ def mf_detect_sp(
         raise ValueError("beta_home must be positive")
     if np.any(np.asarray(rho_d) <= 0):
         raise ValueError("rho_d must be positive")
-    return _mf_sp_output(Y, h_hat, pilot, rho_d, rho_p, beta_home)
-
-
-def _mf_sp_output(Y, h_hat, pilot, rho_d, rho_p, beta_home) -> np.ndarray:
     M = h_hat.shape[-1]
-    x_tilde = _matched(Y, h_hat)
-    power = np.vecdot(h_hat, h_hat).real
-    x_tilde -= _per_row(rho_p * power) * pilot.T
-    x_tilde /= _per_row(M * rho_d * beta_home)
-    return x_tilde
+    return sp_output(_matched(Y, h_hat), np.vecdot(h_hat, h_hat).real, pilot.T, rho_p,
+                     M * rho_d * beta_home)
+
+
+def sp_output(matched, power, pilot_rows, rho_p, mf_gain) -> np.ndarray:
+    """mf_detect_sp's output from an estimate's matched filter and power.
+
+    matched is conj(h) Y and power ||h||^2, per user when matched has a
+    user axis; pilot_rows are the users' pilots as rows and mf_gain their
+    M rho_d beta_home.  Returns (matched - rho_p power p^T) / mf_gain,
+    written into matched, so a caller holding conj(h) Y and ||h||^2 but
+    not h gets the detector's bits.
+    """
+    matched -= _per_row(rho_p * power) * pilot_rows
+    matched /= _per_row(mf_gain)
+    return matched
 
 
 def mf_detect_tp(
@@ -181,10 +188,7 @@ def receive_cell(
         groups.append((ks, mf_detect_tp(Y[..., tau:], h_hat, beta_home[ks], 1.0)))
     if sp:
         ks = np.array(sp)
-        cols = book.sp_assignment[cell, ks]
-        if np.any(cols < 0):
-            raise KeyError(f"user {(cell, int(ks[np.argmax(cols < 0)]))} has no superimposed pilot")
-        pilots = book.sp_matrix[:, cols]
+        pilots = book.sp_columns(cell * K + ks)
         rho_d, rho_p = powers.rho_d[cell, ks], powers.rho_p[cell, ks]
         Y_sp = Y[..., Y.shape[-1] - book.sp_length :]
         h_hat = sp_ls_estimate(Y_sp, pilots, rho_p)

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _conj_rows, _matched, _per_row, sp_ls_estimate
+from .estimators import _conj_rows, _matched, _per_row, sp_ls_estimate, sp_output
 from .waveform import decide
 
 SELECTION_RULES = ("none", "all", "fixed", "per_iteration")
@@ -435,8 +435,8 @@ def iterative_estimate(
                               a[..., np.newaxis])[..., 0, 0]
             power += 2.0 * cross.real
             power += np.diagonal(R[:, users, users], axis1=1, axis2=2).real
-        x_tilde[:, users] = x_new = _sp_output(out, power, pilot_rows[users], rho_p[users],
-                                               mf_gain[users])
+        x_tilde[:, users] = x_new = sp_output(out, power, pilot_rows[users], rho_p[users],
+                                              mf_gain[users])
         x_hat[:, users] = decided = decide(x_new, P)
         if inside >= 0:
             x_basis[:, inside] = decided[:, 0]
@@ -447,16 +447,6 @@ def iterative_estimate(
     if not stacked:
         x_tilde, x_hat = x_tilde[0], x_hat[0]
     return IterationState(x_tilde=x_tilde, x_hat=x_hat)
-
-
-def _sp_output(matched, power, pilot_rows, rho_p, mf_gain) -> np.ndarray:
-    """mf_detect_sp's output from conj(h) Y and ||h||^2, in its arithmetic.
-
-    pilot_rows are the users' pilots as rows and mf_gain their M rho_d beta.
-    """
-    matched -= _per_row(rho_p * power) * pilot_rows
-    matched /= _per_row(mf_gain)
-    return matched
 
 
 def _check_report(report, n_users: int) -> np.ndarray:

@@ -25,20 +25,23 @@ TP and SP see common random numbers: one channel ("channels") and one noise
 block ("noise"), added to both schemes' blocks in one synthesize_received
 call; only their frames ("tp-frames", "sp-frames") differ.  That call
 writes both blocks into one (2, M, C_u) buffer that every trial of the
-batch reuses.  Each trial is received at once: TP and one-shot SP through
-receive_cell, and its SP block is reduced (iterative.reduce_block) to the
-statistics the iterative estimator reads, G and R over the users it keeps,
-so no block outlives its trial.  A FrameSet carries the bits its QAM
-payloads were drawn from, and the bit errors are counted against them.
-The iterative estimator is asked for the K cell-0 users only, the ones
-scored, and runs once per batch on the stacked reductions; then every
-method is decided and scored together.  A batch holds as many trials as
-fit _CHUNK_BYTES at _trial_bytes each: the cell-0 channels, the
-reduction, the estimator's state and the scored arrays, which grow with M
-only through the channels.  Every product is a stack of the per-trial
-matrix-vector products, so a trial's energies have the same bits in any
-batch, and they are added to the totals one trial at a time, in trial
-order, so the output does not depend on the batch size.
+batch reuses.  Each trial is received at once: TP through receive_cell,
+and the SP block is reduced (iterative.reduce_block) to the statistics the
+iterative estimator reads, G and R over the users it keeps, so no block
+outlives its trial and the SP block is projected once.  A FrameSet carries
+the bits its QAM payloads were drawn from, and the bit errors are counted
+against them.  The iterative estimator is asked for the K cell-0 users
+only, the ones scored, so every reduction keeps them, and their G rows and
+R diagonal are the one-shot SP detector's matched filters and powers.  So
+the one-shot SP outputs are finished from the stacked reductions
+(estimators.sp_output) and the estimator iterates them, both once per
+batch; then every method is decided and scored together.  A batch holds as
+many trials as fit _CHUNK_BYTES at _trial_bytes each: the cell-0
+channels, the reduction, the estimator's state and the scored arrays,
+which grow with M only through the channels.  Every product is a stack of
+the per-trial matrix-vector products, so a trial's energies have the same
+bits in any batch, and they are added to the totals one trial at a time,
+in trial order, so the output does not depend on the batch size.
 
 run_experiment holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards.  A product whose reduction is split over threads
@@ -65,7 +68,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, iterative, waveform
-from .estimators import receive_cell
+from .estimators import receive_cell, sp_output
 from .hybrid import Partition, all_sp, all_tp, greedy_partition
 from .rng import substream
 from .sysmodel import (
@@ -237,23 +240,22 @@ def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
         yield _Bench(config, beta_eff, powers, book, profiles.layout(b))
 
 
-def _receive_trial(bench: _Bench, key: tuple, Y: np.ndarray, parts: tuple):
+def _receive_trial(bench: _Bench, key: tuple, Y: np.ndarray):
     """One trial's draws at BS 0, received and reduced.
 
     The channel, frames and noise come from the trial's own substreams; one
     noise block is added to both schemes' blocks.  Y is a (2, M, C_u) buffer
     the caller owns: the SP block is written into Y[0] and the TP block into
-    Y[1].  Both are received at once under parts, the all-TP and all-SP
-    partitions, and the SP block is reduced for the iterative estimator
-    (iterative.reduce_block) over the users it keeps.
-    Returns the cell-0 channels (M, K), the TP and one-shot SP outputs, the
-    reduction's G and R, and the TP and SP payloads and bits of cell 0.  The
-    trial's other draws are freed on return, before the next trial's are
-    made.
+    Y[1].  The TP block is received under the all-TP partition, and the SP
+    block is reduced for the iterative estimator (iterative.reduce_block)
+    over the users it keeps, the K cell-0 users among them; their one-shot
+    SP outputs are finished from the reduction later (_one_shot_sp).
+    Returns the cell-0 channels (M, K), the TP outputs, the reduction's G
+    and R, and the TP and SP payloads and bits of cell 0.  The trial's
+    other draws are freed on return, before the next trial's are made.
     """
     cfg, book, powers = bench.config, bench.book, bench.powers
     K = cfg.K
-    beta_home = bench.beta_eff.beta[0, 0, :]
     # one scheme's frames at a time, the channel after them: the substreams
     # are keyed, so the order of the draws does not change their bits
     S = np.empty((2, cfg.L * K, cfg.C_u), dtype=complex)
@@ -267,26 +269,36 @@ def _receive_trial(bench: _Bench, key: tuple, Y: np.ndarray, parts: tuple):
     H = draw_channels(bench.beta_eff.beta[0].reshape(-1), cfg.M, substream(*key, "channels"))
     waveform.synthesize_received(H, S, cfg.sigma2, substream(*key, "noise"), out=Y)
     del S
-    tp_part, sp_part = parts
-    x_tp = receive_cell(Y[1], book, tp_part, powers, 0, beta_home)
-    x_sp = receive_cell(Y[0], book, sp_part, powers, 0, beta_home)
-    reduced = iterative.reduce_block(Y[0], _sp_pilots(book), powers.rho_p.reshape(-1),
+    x_tp = receive_cell(Y[1], book, all_tp(cfg.L, K), powers, 0, bench.beta_eff.beta[0, 0, :])
+    reduced = iterative.reduce_block(Y[0], book.sp_columns(slice(None)), powers.rho_p.reshape(-1),
                                      bench.profile, np.arange(K))
-    return (H[:, :K], x_tp, x_sp, reduced.G, reduced.R) + payloads["tp"] + payloads["sp"]
+    return (H[:, :K], x_tp, reduced.G, reduced.R) + payloads["tp"] + payloads["sp"]
 
 
-def _sp_pilots(book: waveform.PilotBook) -> np.ndarray:
-    """Every user's dedicated SP column, in flat order (C_u, L*K)."""
-    return book.sp_matrix[:, book.sp_assignment.reshape(-1)]
+def _one_shot_sp(bench: _Bench, reduced: iterative.Reduction) -> np.ndarray:
+    """The one-shot SP outputs of the K cell-0 users, (..., K, C_u), from a reduction.
+
+    A kept user's G row and R diagonal entry are mf_detect_sp's matched
+    filter and power, bit for bit, so these are receive_cell's all-SP
+    outputs of cell 0 for the reduced blocks.
+    """
+    K = bench.config.K
+    # the cell-0 users are flat users 0..K-1, kept and the smallest kept
+    rows = np.argsort(reduced.users)[:K]
+    power = np.diagonal(reduced.R, axis1=-2, axis2=-1)[..., rows].real
+    mf_gain = reduced.M * bench.powers.rho_d[0] * bench.beta_eff.beta[0, 0, :]
+    return sp_output(reduced.G.take(rows, axis=-2), power, bench.book.sp_columns(np.arange(K)).T,
+                     bench.powers.rho_p[0], mf_gain)
 
 
 def _reference_trials(bench: _Bench, keys: list):
     """T coherence blocks at BS 0, one per key: TP, one-shot SP and iterative SP.
 
     The trials are drawn and received one by one in a (2, M, C_u) buffer;
-    each keeps only its SP block's reduction, its cell-0 outputs, channels,
-    payloads and bits.  The T reductions are then iterated together, and
-    every method is decided and scored together.
+    each keeps only its SP block's reduction, its TP outputs, cell-0
+    channels, payloads and bits.  The one-shot SP outputs are finished from
+    the stacked reductions and the reductions iterated, each once for all T
+    trials, and every method is decided and scored together.
     Returns (sig_res, errs): the (T, 3, 2, K) signal and residual energies
     per trial, method and cell-0 user, and the (3, 2) bit errors and bit
     count per method, summed over the trials and cell-0 users.
@@ -300,26 +312,25 @@ def _reference_trials(bench: _Bench, keys: list):
     n_bits = waveform.bits_per_symbol(P)
     H_home = np.empty((T, M, K), dtype=complex)
     x_tp = np.empty((T, K, C_u - tau), dtype=complex)
-    x_sp = np.empty((T, K, C_u), dtype=complex)
     G = np.empty((T, users.size, C_u), dtype=complex)
     R = np.empty((T, users.size, users.size), dtype=complex)
     data_tp = np.empty((T, K, C_u - tau), dtype=complex)
     data_sp = np.empty((T, K, C_u), dtype=complex)
     bits_tp = np.empty((T, K, n_bits * (C_u - tau)), dtype=np.uint8)
     bits_sp = np.empty((T, K, n_bits * C_u), dtype=np.uint8)
-    parts = all_tp(cfg.L, K), all_sp(cfg.L, K)
     Y = np.empty((2, M, C_u), dtype=complex)
     for t, key in enumerate(keys):
-        (H_home[t], x_tp[t], x_sp[t], G[t], R[t], data_tp[t], bits_tp[t], data_sp[t],
-         bits_sp[t]) = _receive_trial(bench, key, Y, parts)
+        (H_home[t], x_tp[t], G[t], R[t], data_tp[t], bits_tp[t], data_sp[t],
+         bits_sp[t]) = _receive_trial(bench, key, Y)
     del Y
 
+    reduced = iterative.Reduction(users=users, M=M, G=G, R=R)
+    x_sp = _one_shot_sp(bench, reduced)
     state = iterative.iterative_estimate(
-        iterative.Reduction(users=users, M=M, G=G, R=R), _sp_pilots(bench.book),
-        bench.beta_eff.beta[0].reshape(-1), bench.powers.rho_d.reshape(-1),
-        bench.powers.rho_p.reshape(-1), P, bench.profile, report,
+        reduced, bench.book.sp_columns(slice(None)), bench.beta_eff.beta[0].reshape(-1),
+        bench.powers.rho_d.reshape(-1), bench.powers.rho_p.reshape(-1), P, bench.profile, report,
     )
-    del G, R
+    del reduced, G, R
     methods = (
         (x_tp, waveform.decide(x_tp, P), data_tp, bits_tp),
         (x_sp, waveform.decide(x_sp, P), data_sp, bits_sp),

@@ -144,7 +144,10 @@ class PathLossMap:
 
         Scales user (l, k) by q = omega / beta[l, l, k], so every home-cell
         gain becomes exactly omega and cross gains become at most omega
-        whenever the home gain dominates.
+        whenever the home gain dominates.  This is the documented
+        power-control path: pair these gains with uniform_power at unit
+        power, and each user's q is folded into its gains rather than into
+        its transmit power.
         """
         q = omega / self.home()
         return PathLossMap(self.beta * q[np.newaxis, :, :])
@@ -286,27 +289,6 @@ def path_loss(
         raise ValueError("zero BS-user distance; path loss undefined")
     beta = (dist / layout.cell_radius_m) ** (-float(exponent))
     return PathLossMap(beta=beta)
-
-
-def statistics_aware_power(
-    beta: PathLossMap,
-    omega: float,
-    data_power_fraction: float | np.ndarray = 0.5,
-) -> PowerAllocation:
-    """Inversion power control: q = omega / beta_home per user.
-
-    Every user is then received at its home BS with power exactly omega.
-    data_power_fraction is the share of q spent on data symbols (scalar or
-    per-user array); the remainder goes to the embedded pilot.
-    """
-    home = beta.home()
-    if np.any(home <= 0):
-        raise ValueError("home-cell gains must be positive")
-    q = omega / home
-    frac = np.broadcast_to(np.asarray(data_power_fraction, dtype=float), q.shape)
-    if np.any((frac < 0) | (frac > 1)):
-        raise ValueError("data_power_fraction must lie in [0, 1]")
-    return PowerAllocation(q=q, rho_d=np.sqrt(q * frac), rho_p=np.sqrt(q * (1.0 - frac)))
 
 
 def uniform_power(

@@ -57,14 +57,18 @@ class PilotBook:
     def sp_length(self) -> int:
         return self.sp_matrix.shape[0]
 
-    def tp_column(self, cell: int, k: int) -> np.ndarray:
-        return self.tp_matrix[:, self.tp_assignment[cell, k]]
+    def sp_columns(self, users) -> np.ndarray:
+        """The superimposed pilot columns (sp_length, n) of the given users.
 
-    def sp_column(self, cell: int, k: int) -> np.ndarray:
-        col = self.sp_assignment[cell, k]
-        if col < 0:
-            raise KeyError(f"user ({cell}, {k}) has no superimposed pilot")
-        return self.sp_matrix[:, col]
+        users indexes the flat l*K + k order: an index array or a slice.
+        Raises KeyError for a user with no superimposed pilot.
+        """
+        cols = self.sp_assignment.reshape(-1)[users]
+        if np.any(cols < 0):
+            n = int(np.arange(self.sp_assignment.size)[users][np.argmax(cols < 0)])
+            K = self.sp_assignment.shape[1]
+            raise KeyError(f"user ({n // K}, {n % K}) has no superimposed pilot")
+        return self.sp_matrix[:, cols]
 
 
 @dataclass(frozen=True)
@@ -297,14 +301,10 @@ def assemble_frames(
         S[tp_rows, :tau] = pilot_amp[:, np.newaxis] * pilots
         S[tp_rows, tau:] = np.sqrt(q)[:, np.newaxis] * data[tp_rows]
     if sp_rows is not None:
-        cols = pilot_book.sp_assignment.reshape(-1)[sp_rows]
-        if np.any(cols < 0):
-            n = int(np.arange(n_users)[sp_rows][np.argmax(cols < 0)])
-            raise KeyError(f"user ({n // K}, {n % K}) has no superimposed pilot")
         rho_d = power.rho_d.reshape(-1)[sp_rows, np.newaxis]
         rho_p = power.rho_p.reshape(-1)[sp_rows, np.newaxis]
         # rho_d * data + rho_p * pilot, with one temporary besides the gather
-        pilots = pilot_book.sp_matrix.T[cols]
+        pilots = pilot_book.sp_columns(sp_rows).T
         pilots *= rho_p
         pilots += rho_d * data[sp_rows]
         S[sp_rows, C_u - payload_len :] = pilots

@@ -111,7 +111,7 @@ class TestSpEstimator:
         H = draw(np.ones((1, 1, 1)), 0, 8, (4, "h"))
         frames = assemble_frames(cfg, book, powers, substream(4, "f"), scheme="sp")
         Y = synthesize_received(H, frames.S, 0.0, substream(4, "n"))
-        est = sp_ls_estimate(Y, book.sp_column(0, 0), 1.0)
+        est = sp_ls_estimate(Y, book.sp_matrix[:, book.sp_assignment[0, 0]], 1.0)
         assert np.allclose(est, H[:, 0], atol=1e-12)
 
     def test_single_user_error_identity(self):
@@ -125,7 +125,7 @@ class TestSpEstimator:
         H = draw(np.ones((1, 1, 1)), 0, 8, (5, "h"))
         frames = assemble_frames(cfg, book, powers, substream(5, "f"), scheme="sp")
         Y = synthesize_received(H, frames.S, 0.0, substream(5, "n"))
-        pilot = book.sp_column(0, 0)
+        pilot = book.sp_matrix[:, book.sp_assignment[0, 0]]
         est = sp_ls_estimate(Y, pilot, rho_p)
         leak = (rho_d / (cfg.C_u * rho_p)) * H[:, 0] * (frames.data[0] @ np.conj(pilot))
         assert np.allclose(est - H[:, 0], leak, atol=1e-12)
@@ -143,7 +143,8 @@ class TestSpEstimator:
             H = draw(beta, 0, cfg.M, (6, "h", t))
             frames = assemble_frames(cfg, book, powers, substream(6, "f", t), scheme="sp")
             Y = synthesize_received(H, frames.S, 0.0, substream(6, "n", t))
-            est = sp_ls_estimate(Y, book.sp_column(0, 0), float(powers.rho_p[0, 0]))
+            pilot = book.sp_matrix[:, book.sp_assignment[0, 0]]
+            est = sp_ls_estimate(Y, pilot, float(powers.rho_p[0, 0]))
             acc += np.linalg.norm(est - H[:, 0]) ** 2 / cfg.M
         expected = 35 * lam2 / (cfg.C_u * (1 - lam2))
         assert acc / trials == pytest.approx(expected, rel=0.10)
@@ -172,7 +173,7 @@ class TestMatchedFilters:
         H = draw(np.ones((1, 1, 1)), 0, cfg.M, (8, "h"))
         frames = assemble_frames(cfg, book, powers, substream(8, "f"), scheme="sp")
         Y = synthesize_received(H, frames.S, 0.0, substream(8, "n"))
-        pilot = book.sp_column(0, 0)
+        pilot = book.sp_matrix[:, book.sp_assignment[0, 0]]
         x_tilde = mf_detect_sp(Y, H[:, 0], rho_d, rho_p, 1.0, pilot)
         gain = np.vdot(H[:, 0], H[:, 0]).real / cfg.M
         # own pilot cancels exactly; what remains is the scaled data alone
@@ -268,7 +269,7 @@ class TestHybridEstimates:
         beta_home = np.array([1.0, 0.7])
         x_tilde = receive_cell(Y, book, all_sp(1, 2), powers, 0, beta_home)
         for k in range(2):
-            pilot = book.sp_column(0, k)
+            pilot = book.sp_matrix[:, book.sp_assignment[0, k]]
             rho_d, rho_p = float(powers.rho_d[0, k]), float(powers.rho_p[0, k])
             est = sp_ls_estimate(Y, pilot, rho_p)
             direct = mf_detect_sp(Y, est, rho_d, rho_p, float(beta_home[k]), pilot)
@@ -285,7 +286,7 @@ class TestHybridEstimates:
                     est = tp_ls_estimate(Y[:, :tau], book, (cell, k), 1.0)
                     det = mf_detect_tp(Y[:, tau:], est, float(beta_home[k]), 1.0)
                 else:
-                    pilot = book.sp_column(cell, k)
+                    pilot = book.sp_matrix[:, book.sp_assignment[cell, k]]
                     rho_d, rho_p = float(powers.rho_d[cell, k]), float(powers.rho_p[cell, k])
                     est = sp_ls_estimate(Y[:, tau:], pilot, rho_p)
                     det = mf_detect_sp(Y[:, tau:], est, rho_d, rho_p, float(beta_home[k]), pilot)
@@ -312,7 +313,7 @@ class TestHybridEstimates:
             frames = assemble_frames(cfg, book, powers, substream(15, "f", t),
                                      scheme="hybrid", partition=part)
             Y = synthesize_received(H, frames.S, 0.0, substream(15, "n", t))
-            pilot, rho_p = book.sp_column(0, 0), float(powers.rho_p[0, 0])
+            pilot, rho_p = book.sp_matrix[:, book.sp_assignment[0, 0]], float(powers.rho_p[0, 0])
             est = sp_ls_estimate(Y[:, cfg.tau :], pilot, rho_p)
             acc += np.linalg.norm(est - H[:, 0]) ** 2 / cfg.M
         expected = 5 * lam2 / ((cfg.C_u - cfg.tau) * (1 - lam2))
@@ -322,4 +323,11 @@ class TestHybridEstimates:
         cfg, part, book, powers, H, frames, Y = self._system()
         bad = Partition(u_tp=part.u_tp - {(1, 0)}, u_sp=part.u_sp)
         with pytest.raises(KeyError, match="neither"):
+            receive_cell(Y, book, bad, powers, 1, np.ones(5))
+
+    def test_sp_user_without_a_column_rejected(self):
+        cfg, part, book, powers, H, frames, Y = self._system()
+        # (1, 0) trained in the book's partition, so the book has no SP column for it
+        bad = Partition(u_tp=part.u_tp - {(1, 0)}, u_sp=part.u_sp | {(1, 0)})
+        with pytest.raises(KeyError, match=r"\(1, 0\) has no superimposed pilot"):
             receive_cell(Y, book, bad, powers, 1, np.ones(5))

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supmimo import analytics, iterative
-from supmimo.estimators import _matched, mf_detect_sp, sp_ls_estimate
+from supmimo.estimators import _matched, mf_detect_sp, sp_ls_estimate, sp_output
 from supmimo.iterative import (
     SELECTION_RULES,
     _grouped_sums,
     _row_groups,
-    _sp_output,
     alpha_pqam,
     iterative_estimate,
     predict_profile,
@@ -539,11 +538,11 @@ def test_unreported_non_members_are_not_computed(monkeypatch):
 
     def output_spy(out, power, pilot_rows, *rest):
         filtered.update(users_of(pilot_rows.T))
-        return _sp_output(out, power, pilot_rows, *rest)
+        return sp_output(out, power, pilot_rows, *rest)
 
     monkeypatch.setattr(iterative, "sp_ls_estimate", project_spy)
     monkeypatch.setattr(iterative, "_matched", matched_spy)
-    monkeypatch.setattr(iterative, "_sp_output", output_spy)
+    monkeypatch.setattr(iterative, "sp_output", output_spy)
     iterative_estimate(Y, pilots, profile=profile, **{**args, "report": report})
     assert projected == filtered == kept
     assert matched == [len(kept)]

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from supmimo import simharness, waveform
+from supmimo import iterative, simharness, waveform
+from supmimo.estimators import receive_cell
+from supmimo.hybrid import all_sp
 from supmimo.rng import substream
 from supmimo.simharness import RunOptions, SystemConfig, run_experiment
 from supmimo.sysmodel import Scenario1, place_users
@@ -85,6 +87,27 @@ def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
         noises.append(noise_tp)
     # the trials' draws differ
     assert not np.allclose(*noises)
+
+
+@pytest.mark.parametrize("selection", ["fixed", "per_iteration"])
+def test_one_shot_sp_from_the_reduction_equals_receive_cell(selection):
+    # at this layout the sweep takes cell 0's users out of flat order, and
+    # the two rules keep different users around them
+    cfg = SystemConfig(M=40, scenario=Scenario1(), seed=7)
+    layout = place_users(cfg, substream(7, "layout"))
+    (bench,) = simharness._make_benches(cfg, RunOptions(selection=selection), [layout])
+    K, book, powers = cfg.K, bench.book, bench.powers
+    rng = substream(7, "blocks")
+    shape = (3, cfg.M, cfg.C_u)
+    Y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    with simharness._one_blas_thread():
+        reduced = iterative.reduce_block(Y, book.sp_columns(slice(None)),
+                                         powers.rho_p.reshape(-1), bench.profile, np.arange(K))
+        x_sp = simharness._one_shot_sp(bench, reduced)
+        expected = receive_cell(Y, book, all_sp(cfg.L, K), powers, 0, bench.beta_eff.beta[0, 0])
+    assert reduced.users[:K].tolist() != list(range(K))
+    assert x_sp.shape == (3, K, cfg.C_u)
+    assert np.array_equal(x_sp, expected)
 
 
 def batch_sizes(monkeypatch):

@@ -17,7 +17,6 @@ from supmimo.sysmodel import (
     path_loss,
     place_users,
     received_sir,
-    statistics_aware_power,
     uniform_power,
 )
 
@@ -233,22 +232,11 @@ class TestPathLoss:
 
 
 class TestPowerControl:
-    def test_inversion(self):
-        beta = PathLossMap(np.full((1, 1, 1), 0.25))
-        powers = statistics_aware_power(beta, 1.0)
-        assert powers.q[0, 0] == pytest.approx(4.0)
-
-    def test_inversion_with_target(self):
-        beta = PathLossMap(np.ones((1, 1, 1)))
-        powers = statistics_aware_power(beta, 10.0)
-        assert powers.q[0, 0] == pytest.approx(10.0)
-
     def test_received_home_power_is_omega(self):
         cfg = make_config(scenario=Scenario1(1000.0, 100.0))
         layout = place_users(cfg, substream(11, "x"))
-        beta = path_loss(layout, 3.0)
-        powers = statistics_aware_power(beta, omega=2.5)
-        assert np.allclose(powers.q * beta.home(), 2.5, rtol=1e-12)
+        eff = path_loss(layout, 3.0).normalized(omega=2.5)
+        assert np.allclose(eff.home(), 2.5, rtol=1e-12)
 
     def test_cross_power_bounded_when_home_dominates(self):
         # hexagonal cells are the Voronoi regions of their BSs, so the home

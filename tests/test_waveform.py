@@ -86,8 +86,10 @@ class TestPilotBooks:
         assert book.sp_matrix.shape == (95, 95)
         assert book.sp_assignment[0, 0] >= 0
         assert book.sp_assignment[0, 2] == -1
-        with pytest.raises(KeyError):
-            book.sp_column(0, 2)
+        cols = [book.sp_assignment[0, 1], book.sp_assignment[0, 0]]
+        assert np.array_equal(book.sp_columns(np.array([1, 0])), book.sp_matrix[:, cols])
+        with pytest.raises(KeyError, match=r"\(0, 2\)"):
+            book.sp_columns(np.array([0, 2]))
 
     def test_hybrid_capacity(self):
         cfg = make_config(L=7, K=5, C_u=20, C=40)
@@ -181,11 +183,12 @@ def reference_frames(cfg, book, power, rng, partition=None, scheme="sp", data_di
                 x = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
             if tp:
                 amp = math.sqrt(power.q[cell, k]) if scheme == "tp" else 1.0
-                S[n, : cfg.tau] = amp * book.tp_column(cell, k)
+                S[n, : cfg.tau] = amp * book.tp_matrix[:, book.tp_assignment[cell, k]]
                 S[n, cfg.tau :] = math.sqrt(power.q[cell, k]) * x
             else:
                 cols = slice(cfg.C_u - size, cfg.C_u)
-                S[n, cols] = power.rho_d[cell, k] * x + power.rho_p[cell, k] * book.sp_column(cell, k)
+                pilot = book.sp_matrix[:, book.sp_assignment[cell, k]]
+                S[n, cols] = power.rho_d[cell, k] * x + power.rho_p[cell, k] * pilot
             data.append(x)
     return S, np.array(data)
 
@@ -229,7 +232,7 @@ class TestFrames:
         book = make_pilot_books(cfg)
         powers = PowerAllocation(q=np.ones((1, 1)), rho_d=np.zeros((1, 1)), rho_p=np.ones((1, 1)))
         frames = assemble_frames(cfg, book, powers, substream(0, "f"), scheme="sp")
-        assert np.allclose(frames.S[0], book.sp_column(0, 0))
+        assert np.allclose(frames.S[0], book.sp_matrix[:, book.sp_assignment[0, 0]])
 
     def test_sp_frame_average_power(self):
         cfg = make_config(L=1, K=2, r=1, C_u=64, C=128)
