@@ -11,48 +11,37 @@ Trials are indexed and draw their randomness from (seed, experiment, sweep
 point, trial, purpose) substreams, so a trial's result depends only on its
 key, not on which trials ran before it.
 
-The reference-BS experiments set up their layouts in one batched pass
-(_make_benches): the state that depends on the config alone, i.e. the
-data/pilot split, the powers and the pilot book, is built once, and one
-prediction recursion runs over all layouts of a sweep point (ber_vs_k's
-trials of one K, sinr_cdf's placements).  Every layout gets the same bits
-as when it is set up alone.  Users are passed to the iterative layer as
-drawn, in flat l*K + k order, and its results come back in that order; the
-sweep order is that layer's own.
+Every experiment draws, receives and scores its trials in one kernel,
+_run_trials, over a bench: the pilot schemes it compares (_Scheme), each
+metric BS's channel and noise substreams, the payload distribution, and an
+optional prediction profile, which adds the iterative estimator on the SP
+block at BS 0.  The reference-BS experiments compare TP and SP at BS 0 with
+QAM payloads and the profile; their benches are set up in one batched pass
+(_make_benches), which builds the data/pilot split, powers and pilot book
+once and runs one prediction recursion over all layouts of a sweep point.
+Users are passed to the iterative layer as drawn, in flat l*K + k order;
+the sweep order is that layer's own.  sum_rate_vs_sir compares all-TP,
+all-SP and hybrid pilots at its 7 metric BSs with Gaussian payloads
+(_sum_rate_bench).
 
-The reference-BS experiments run their trials in batches.  Within a trial,
-TP and SP see common random numbers: one channel ("channels") and one noise
-block ("noise"), added to both schemes' blocks in one synthesize_received
-call; only their frames ("tp-frames", "sp-frames") differ.  That call
-writes both blocks into one (2, M, C_u) buffer that every trial of the
-batch reuses.  Each trial is received at once: TP through receive_cell,
-and the SP block is reduced (iterative.reduce_block) to the statistics the
-iterative estimator reads, G and R over the users it keeps, so no block
-outlives its trial and the SP block is projected once.  A FrameSet carries
-the bits its QAM payloads were drawn from, and the bit errors are counted
-against them.  The iterative estimator is asked for the K cell-0 users
-only, the ones scored, so every reduction keeps them, and their G rows and
-R diagonal are the one-shot SP detector's matched filters and powers.  So
-the one-shot SP outputs are finished from the stacked reductions
-(estimators.sp_output) and the estimator iterates them, both once per
-batch; then every method is decided and scored together.  A batch holds as
-many trials as fit _CHUNK_BYTES at _trial_bytes each: the cell-0
-channels, the reduction, the estimator's state and the scored arrays,
-which grow with M only through the channels.  Every product is a stack of
-the per-trial matrix-vector products, so a trial's energies have the same
-bits in any batch, and they are added to the totals one trial at a time,
-in trial order, so the output does not depend on the batch size.
+Within a trial the schemes see common random numbers: each draws its own
+frames, but at each metric BS one channel per distinct gain map (the
+reference schemes share one) and one noise block serve every scheme, in one
+synthesize_received call.  Each block is received through receive_cell;
+with a profile the SP block is instead reduced (iterative.reduce_block) to
+the statistics the estimator reads, and the one-shot SP outputs are
+finished from the reductions.  Only the metric cells' channel powers
+||h||^2, the outputs, payloads, bits and reductions outlive a trial; the
+estimator runs, and every method is decided and scored, once per batch of
+as many trials as fit _CHUNK_BYTES at _trial_bytes each.  Every product is
+a stack of per-trial products, so a trial's energies have the same bits in
+any batch, and they are added to the totals in trial order, so the output
+does not depend on the batch size.
 
 run_experiment holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards.  A product whose reduction is split over threads
 rounds differently, so otherwise the output bytes would depend on the
 thread count of the machine.
-
-sum_rate_vs_sir compares its three pilot schemes on common random numbers.
-Per trial and metric BS j, one unit-variance channel ("ch", j) is drawn and
-its columns are scaled by each scheme's gains, and one noise block ("n", j)
-is added to every scheme's received block.  Only the payloads differ: each
-scheme draws its own frames ("tp-frames", "sp-frames", "hy-frames").
 """
 
 from __future__ import annotations
@@ -64,6 +53,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,10 +82,10 @@ HYBRID_METHOD = "hybrid"
 
 EXPERIMENTS = ("sinr_vs_m", "rate_vs_m", "sinr_cdf", "ber_vs_k", "sum_rate_vs_sir")
 
-# budget of one reference-trial batch, which holds as many trials as fit at
-# _trial_bytes each.  sinr_vs_m gets 11, 10 and 8 trials at M = 50, 100 and
-# 200, and its traced peak (1,740 KiB at seed 5, 20 trials) stays below that
-# of the rule that stacked whole SP blocks (1,809 KiB with 7, 4 and 2).
+# budget of one batch of _run_trials, which holds as many trials as fit at
+# _trial_bytes each: 12, 11 and 9 for sinr_vs_m at M = 50, 100 and 200, and
+# all 8 of sum_rate_vs_sir, about 1 MB of outputs and payloads (traced peaks
+# at seed 5: 1,674 and 2,843 KiB; 2,087 KiB for the sum-rate loop before).
 _CHUNK_BYTES = 1280 * 1024
 
 
@@ -162,18 +152,16 @@ class RunOptions:
 def signal_residual_power(
     x_tilde: np.ndarray,
     x_true: np.ndarray,
-    h_true: np.ndarray,
-    beta_home,
+    gain: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Energy split of matched-filter outputs into signal and residual.
 
-    x_tilde and x_true hold one output row (..., n) per user, h_true the
-    users' channels as rows (..., M), and beta_home their home gains,
-    broadcast against the leading axes.  Returns the signal and residual
-    energies, each of the leading shape.
+    x_tilde and x_true hold one output row (..., n) per user, and gain each
+    user's desired-signal gain ||h||^2 / (M beta_home), of the leading
+    shape.  The signal is gain * x_true and the residual the rest of
+    x_tilde.  Returns the signal and residual energies, each of the leading
+    shape.
     """
-    M = h_true.shape[-1]
-    gain = np.vecdot(h_true, h_true).real / (M * beta_home)
     signal = gain[..., np.newaxis] * x_true
     residual = x_tilde - signal
     return np.vecdot(signal, signal).real, np.vecdot(residual, residual).real
@@ -201,32 +189,57 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Shared single-cell bench (reference-BS experiments)
+# The trial kernel
 # ---------------------------------------------------------------------------
+
+
+class _Scheme(NamedTuple):
+    """One pilot scheme of a bench, scored as one method.
+
+    Its frames are assemble_frames(scheme=frame) from the trial's (tag +
+    "-frames") substream, received under partition with book, on channels
+    drawn from gains.
+    """
+
+    method: str
+    tag: str
+    frame: str
+    book: waveform.PilotBook
+    gains: PathLossMap
+    partition: Partition
 
 
 @dataclass(frozen=True)
 class _Bench:
-    """One layout's large-scale state at BS 0, shared by its trials."""
+    """What the trials of one layout share: its schemes and metric BSs.
+
+    streams[j] holds the channel and noise substream tags of metric BS j,
+    whose cell's users are scored.  data_dist is the payload distribution
+    of waveform.assemble_frames.  A profile, the prediction recursion of the
+    gains at BS 0, adds the iterative pass on the "sp" scheme there.
+    """
 
     config: SystemConfig
-    beta_eff: PathLossMap
     powers: PowerAllocation
-    book: waveform.PilotBook
-    profile: iterative.PredictionProfile
+    schemes: tuple
+    streams: tuple
+    data_dist: str
+    profile: iterative.PredictionProfile | None = None
 
 
 def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
-    """Yield one _Bench per layout, in order, from one set-up pass.
+    """Yield one reference bench per layout, in order, from one set-up pass.
 
-    The state that depends on the config alone (data/pilot split, powers,
-    pilot book) is built once and shared, and one prediction recursion runs
-    over the layouts' gains at BS 0.
+    TP and SP at BS 0 on one gain map, QAM payloads and the profile.  The
+    state that depends on the config alone (data/pilot split, powers, pilot
+    book) is built once and shared, and one prediction recursion runs over
+    the layouts' gains at BS 0.
     """
+    L, K = config.L, config.K
     lam2, _ = analytics.optimal_rho(
-        config.M, config.L, config.K, config.C_u, approximate=options.rho_form == "approx"
+        config.M, L, K, config.C_u, approximate=options.rho_form == "approx"
     )
-    powers = uniform_power(config.L, config.K, 1.0, lam2)
+    powers = uniform_power(L, K, 1.0, lam2)
     book = waveform.make_pilot_books(config)
     beta_effs = [path_loss(layout, config.path_loss_exponent).normalized(config.omega)
                  for layout in layouts]
@@ -236,132 +249,135 @@ def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
         powers.rho_d.reshape(-1), powers.rho_p.reshape(-1), config.sigma2, config.M, config.C_u,
         config.P, config.iterations, options.selection,
     )
+    tp, sp = all_tp(L, K), all_sp(L, K)
     for b, beta_eff in enumerate(beta_effs):
-        yield _Bench(config, beta_eff, powers, book, profiles.layout(b))
+        schemes = (_Scheme(TP_METHOD, "tp", "tp", book, beta_eff, tp),
+                   _Scheme(SP_METHOD, "sp", "sp", book, beta_eff, sp))
+        yield _Bench(config, powers, schemes, ((("channels",), ("noise",)),), "qam",
+                     profiles.layout(b))
 
 
-def _receive_trial(bench: _Bench, key: tuple, Y: np.ndarray):
-    """One trial's draws at BS 0, received and reduced.
-
-    The channel, frames and noise come from the trial's own substreams; one
-    noise block is added to both schemes' blocks.  Y is a (2, M, C_u) buffer
-    the caller owns: the SP block is written into Y[0] and the TP block into
-    Y[1].  The TP block is received under the all-TP partition, and the SP
-    block is reduced for the iterative estimator (iterative.reduce_block)
-    over the users it keeps, the K cell-0 users among them; their one-shot
-    SP outputs are finished from the reduction later (_one_shot_sp).
-    Returns the cell-0 channels (M, K), the TP outputs, the reduction's G
-    and R, and the TP and SP payloads and bits of cell 0.  The trial's
-    other draws are freed on return, before the next trial's are made.
-    """
-    cfg, book, powers = bench.config, bench.book, bench.powers
-    K = cfg.K
-    # one scheme's frames at a time, the channel after them: the substreams
-    # are keyed, so the order of the draws does not change their bits
-    S = np.empty((2, cfg.L * K, cfg.C_u), dtype=complex)
-    payloads = {}
-    for i, scheme in enumerate(("sp", "tp")):
-        frames = waveform.assemble_frames(cfg, book, powers, substream(*key, f"{scheme}-frames"),
-                                          scheme=scheme)
-        S[i] = frames.S
-        payloads[scheme] = frames.data[:K].copy(), frames.bits[:K].copy()
-        del frames
-    H = draw_channels(bench.beta_eff.beta[0].reshape(-1), cfg.M, substream(*key, "channels"))
-    waveform.synthesize_received(H, S, cfg.sigma2, substream(*key, "noise"), out=Y)
-    del S
-    x_tp = receive_cell(Y[1], book, all_tp(cfg.L, K), powers, 0, bench.beta_eff.beta[0, 0, :])
-    reduced = iterative.reduce_block(Y[0], book.sp_columns(slice(None)), powers.rho_p.reshape(-1),
-                                     bench.profile, np.arange(K))
-    return (H[:, :K], x_tp, reduced.G, reduced.R) + payloads["tp"] + payloads["sp"]
-
-
-def _one_shot_sp(bench: _Bench, reduced: iterative.Reduction) -> np.ndarray:
-    """The one-shot SP outputs of the K cell-0 users, (..., K, C_u), from a reduction.
-
-    A kept user's G row and R diagonal entry are mf_detect_sp's matched
-    filter and power, bit for bit, so these are receive_cell's all-SP
-    outputs of cell 0 for the reduced blocks.
-    """
-    K = bench.config.K
-    # the cell-0 users are flat users 0..K-1, kept and the smallest kept
-    rows = np.argsort(reduced.users)[:K]
-    power = np.diagonal(reduced.R, axis1=-2, axis2=-1)[..., rows].real
-    mf_gain = reduced.M * bench.powers.rho_d[0] * bench.beta_eff.beta[0, 0, :]
-    return sp_output(reduced.G.take(rows, axis=-2), power, bench.book.sp_columns(np.arange(K)).T,
-                     bench.powers.rho_p[0], mf_gain)
-
-
-def _reference_trials(bench: _Bench, keys: list):
-    """T coherence blocks at BS 0, one per key: TP, one-shot SP and iterative SP.
-
-    The trials are drawn and received one by one in a (2, M, C_u) buffer;
-    each keeps only its SP block's reduction, its TP outputs, cell-0
-    channels, payloads and bits.  The one-shot SP outputs are finished from
-    the stacked reductions and the reductions iterated, each once for all T
-    trials, and every method is decided and scored together.
-    Returns (sig_res, errs): the (T, 3, 2, K) signal and residual energies
-    per trial, method and cell-0 user, and the (3, 2) bit errors and bit
-    count per method, summed over the trials and cell-0 users.
-    """
+def _payload_lengths(bench: _Bench) -> list:
+    """Each scheme's payload and output symbols per user: C_u for SP frames, else C_u - tau."""
     cfg = bench.config
-    K, P, M, C_u, tau = cfg.K, cfg.P, cfg.M, cfg.C_u, cfg.tau
-    T = len(keys)
-    beta_home = bench.beta_eff.beta[0, 0, :]
-    report = np.arange(K)
-    users = iterative.reduced_users(bench.profile, report)
+    return [cfg.C_u if s.frame == "sp" else cfg.C_u - cfg.tau for s in bench.schemes]
+
+
+def _run_trials(bench: _Bench, keys: list):
+    """T trials of a bench, one per key: drawn, received and scored.
+
+    Per trial and metric BS j, one channel per distinct gain map
+    (streams[j][0]) and one noise block (streams[j][1]) serve every scheme,
+    and each block is received into the batch arrays; a channel is freed
+    before the next draw.  With a profile the "sp" block is reduced instead,
+    and the stacked reductions give its one-shot outputs (their G rows and R
+    diagonal are mf_detect_sp's matched filters and powers, bit for bit) and
+    are iterated, once per batch.  Returns (sig_res, errs): the (T, methods,
+    2, J, K) signal and residual energies per trial, method, metric BS and
+    user, and the (methods, 2) bit errors and bit count per method over the
+    batch (zero for Gaussian payloads).  The methods are the schemes, then
+    the iterative pass.
+    """
+    cfg, powers, schemes, profile = bench.config, bench.powers, bench.schemes, bench.profile
+    K, M, C_u, P = cfg.K, cfg.M, cfg.C_u, cfg.P
+    T, J = len(keys), len(bench.streams)
+    qam = bench.data_dist == "qam"
+    # schemes on one gain map share one channel, slice 0 of the draw
+    maps = [s.gains for s in schemes]
+    if all(gains is maps[0] for gains in maps):
+        maps = maps[:1]
+    var = [np.stack([gains.beta[j].reshape(-1) for gains in maps]) for j in range(J)]
+    power = np.empty((T, len(maps), J, K))
+    lengths = _payload_lengths(bench)
+    x = [np.empty((T, J, K, n), dtype=complex) for n in lengths]
+    data = [np.empty((T, J, K, n), dtype=complex) for n in lengths]
     n_bits = waveform.bits_per_symbol(P)
-    H_home = np.empty((T, M, K), dtype=complex)
-    x_tp = np.empty((T, K, C_u - tau), dtype=complex)
-    G = np.empty((T, users.size, C_u), dtype=complex)
-    R = np.empty((T, users.size, users.size), dtype=complex)
-    data_tp = np.empty((T, K, C_u - tau), dtype=complex)
-    data_sp = np.empty((T, K, C_u), dtype=complex)
-    bits_tp = np.empty((T, K, n_bits * (C_u - tau)), dtype=np.uint8)
-    bits_sp = np.empty((T, K, n_bits * C_u), dtype=np.uint8)
-    Y = np.empty((2, M, C_u), dtype=complex)
+    bits = [np.empty((T, J, K, n_bits * n), dtype=np.uint8) if qam else None for n in lengths]
+    if profile is not None:
+        sp = [s.frame for s in schemes].index("sp")
+        report = np.arange(K)
+        users = iterative.reduced_users(profile, report)
+        G = np.empty((T, users.size, C_u), dtype=complex)
+        R = np.empty((T, users.size, users.size), dtype=complex)
+    Y = np.empty((len(schemes), M, C_u), dtype=complex)
     for t, key in enumerate(keys):
-        (H_home[t], x_tp[t], G[t], R[t], data_tp[t], bits_tp[t], data_sp[t],
-         bits_sp[t]) = _receive_trial(bench, key, Y)
+        # one scheme's frames at a time: the substreams are keyed, so the
+        # order of the draws does not change their bits
+        S = np.empty((len(schemes), cfg.L * K, C_u), dtype=complex)
+        for i, s in enumerate(schemes):
+            frames = waveform.assemble_frames(
+                cfg, s.book, powers, substream(*key, f"{s.tag}-frames"),
+                partition=s.partition, scheme=s.frame, data_dist=bench.data_dist)
+            S[i] = frames.S
+            data[i][t] = frames.data[: J * K].reshape(J, K, -1)
+            if qam:
+                bits[i][t] = frames.bits[: J * K].reshape(J, K, -1)
+            del frames  # before the next scheme's are drawn
+        for j, (channel_tag, noise_tag) in enumerate(bench.streams):
+            H = draw_channels(var[j], M, substream(*key, *channel_tag))
+            waveform.synthesize_received(H if len(maps) > 1 else H[0], S, cfg.sigma2,
+                                         substream(*key, *noise_tag), out=Y)
+            # the cell's columns copied and read as rows: how ||h||^2 rounds
+            # depends on that layout (contiguous rows at K = 1)
+            h = np.ascontiguousarray(H[..., j * K : (j + 1) * K]).swapaxes(-1, -2)
+            power[t, :, j] = np.vecdot(h, h).real
+            del H, h
+            for i, s in enumerate(schemes):
+                if profile is not None and i == sp:
+                    reduced = iterative.reduce_block(Y[i], s.book.sp_columns(slice(None)),
+                                                     powers.rho_p.reshape(-1), profile, report)
+                    G[t], R[t] = reduced.G, reduced.R
+                    del reduced  # no trial's draws outlive it
+                else:
+                    x[i][t, j] = receive_cell(Y[i], s.book, s.partition, powers, j,
+                                              s.gains.beta[j, j])
+        del S
     del Y
 
-    reduced = iterative.Reduction(users=users, M=M, G=G, R=R)
-    x_sp = _one_shot_sp(bench, reduced)
-    state = iterative.iterative_estimate(
-        reduced, bench.book.sp_columns(slice(None)), bench.beta_eff.beta[0].reshape(-1),
-        bench.powers.rho_d.reshape(-1), bench.powers.rho_p.reshape(-1), P, bench.profile, report,
-    )
-    del reduced, G, R
-    methods = (
-        (x_tp, waveform.decide(x_tp, P), data_tp, bits_tp),
-        (x_sp, waveform.decide(x_sp, P), data_sp, bits_sp),
-        (state.x_tilde, state.x_hat, data_sp, bits_sp),
-    )
-    # strided rows, not a contiguous copy: that would round the channel norms differently
-    h_rows = H_home.swapaxes(1, 2)
-    sig_res = np.empty((T, 3, 2, K))
-    errs = np.zeros((3, 2), dtype=np.int64)
-    for i, (x_tilde, x_hat, data, bits) in enumerate(methods):
-        sig_res[:, i, 0], sig_res[:, i, 1] = signal_residual_power(x_tilde, data, h_rows, beta_home)
-        errs[i] = count_ber(x_hat, bits, P)
+    methods = [(x[i], None, i) for i in range(len(schemes))]  # (outputs, decisions, scheme)
+    if profile is not None:
+        book, gains = schemes[sp].book, schemes[sp].gains
+        rows = np.argsort(users)[:K]  # cell 0's users are flat users 0..K-1, all kept
+        x[sp][:, 0] = sp_output(G.take(rows, axis=1), R[:, rows, rows].real,
+                                book.sp_columns(report).T, powers.rho_p[0],
+                                M * powers.rho_d[0] * gains.beta[0, 0])
+        state = iterative.iterative_estimate(
+            iterative.Reduction(users=users, M=M, G=G, R=R), book.sp_columns(slice(None)),
+            gains.beta[0].reshape(-1), powers.rho_d.reshape(-1), powers.rho_p.reshape(-1), P,
+            profile, report,
+        )
+        del G, R
+        methods.append((state.x_tilde[:, np.newaxis], state.x_hat[:, np.newaxis], sp))
+    cells = np.arange(J)
+    sig_res = np.empty((T, len(methods), 2, J, K))
+    errs = np.zeros((len(methods), 2), dtype=np.int64)
+    for m, (x_tilde, x_hat, i) in enumerate(methods):
+        gain = power[:, i % len(maps)] / (M * schemes[i].gains.beta[cells, cells])
+        sig_res[:, m, 0], sig_res[:, m, 1] = signal_residual_power(x_tilde, data[i], gain)
+        if qam:
+            errs[m] = count_ber(waveform.decide(x_tilde, P) if x_hat is None else x_hat, bits[i], P)
     return sig_res, errs
 
 
 def _trial_bytes(bench: _Bench) -> int:
-    """Bytes one trial adds to a batch of the reference trial.
+    """Bytes one trial adds to a batch of _run_trials; none of them grow with M.
 
-    All complex but the bits: its cell-0 channels (M, K); its reduction, G
-    and R over the n users the iterative estimator keeps (the feedback set
-    and the K cell-0 users, or everyone under per_iteration), and the
-    estimator's outputs, decisions and copy of G for them, three (n, C_u)
-    arrays; eight scored (K, C_u) arrays (outputs, decisions and payloads)
-    and their bits, one byte each.  None of it grows with M but the
-    channels.
+    For each metric cell's K users: every scheme's payloads and every
+    method's outputs and, for QAM payloads, decisions, all complex, and the
+    payload bits and their demapped copy; with a profile, the reduction's G
+    and R over the n users the iterative estimator keeps and its three
+    (n, C_u) working arrays.  The few channel powers per user are left out.
     """
     cfg = bench.config
-    n = iterative.reduced_users(bench.profile, np.arange(cfg.K)).size
-    n_bits = waveform.bits_per_symbol(cfg.P)
-    return (16 * (cfg.M * cfg.K + n * (cfg.C_u + n) + 3 * n * cfg.C_u + 8 * cfg.K * cfg.C_u)
-            + 4 * n_bits * cfg.K * cfg.C_u)
+    payloads = len(bench.streams) * cfg.K * sum(_payload_lengths(bench))
+    outputs = payloads + (cfg.K * cfg.C_u if bench.profile is not None else 0)
+    total = 16 * (payloads + outputs)
+    if bench.data_dist == "qam":
+        total += 16 * outputs + 2 * waveform.bits_per_symbol(cfg.P) * payloads
+    if bench.profile is not None:
+        n = iterative.reduced_users(bench.profile, np.arange(cfg.K)).size
+        total += 16 * (n * (cfg.C_u + n) + 3 * n * cfg.C_u)
+    return total
 
 
 def _sum_trials(bench: _Bench, keys: list):
@@ -370,14 +386,12 @@ def _sum_trials(bench: _Bench, keys: list):
     The trials run in chunks of as many trials as fit _CHUNK_BYTES at
     _trial_bytes each, at least one.  Each trial's energies are added in
     trial order, so the totals do not depend on the chunk size.  Returns
-    ((3, 2, K), (3, 2)).
+    ((methods, 2, J, K), (methods, 2)), as _run_trials.
     """
-    cfg = bench.config
     step = max(1, _CHUNK_BYTES // _trial_bytes(bench))
-    sig_total = np.zeros((3, 2, cfg.K))
-    err_total = np.zeros((3, 2), dtype=np.int64)
+    sig_total = err_total = 0  # the first trial's arrays, as 0 + x == x
     for lo in range(0, len(keys), step):
-        sig_res, errs = _reference_trials(bench, keys[lo : lo + step])
+        sig_res, errs = _run_trials(bench, keys[lo : lo + step])
         for one in sig_res:
             sig_total += one
         err_total += errs
@@ -389,56 +403,34 @@ def _sum_trials(bench: _Bench, keys: list):
 # ---------------------------------------------------------------------------
 
 
-def _sweep_antennas(config: SystemConfig, options: RunOptions, experiment: str):
-    """Empirical and predicted SINRs per antenna count, method, and user."""
-    results = []
+def _records_vs_m(config, options, experiment):
+    """Empirical and predicted SINR (sinr_vs_m) or rate (rate_vs_m) per M, method and user."""
+    records = []
+    cap = config.P if options.rate_cap else None
     for mi, M in enumerate(options.m_values):
         cfg = replace(config, M=M)
         layout = place_users(cfg, substream(cfg.seed, experiment, "layout", mi))
         (bench,) = _make_benches(cfg, options, [layout])
-        inputs = analytics.AnalyticInputs.build(bench.beta_eff, bench.powers, cfg)
-        analytic = {
-            TP_METHOD: [analytics.sinr_tp_asymptotic(inputs, 0, k) for k in range(cfg.K)],
-            SP_METHOD: [analytics.sinr_sp_finite_m(inputs, 0, k) for k in range(cfg.K)],
-            ITER_METHOD: 1.0 / bench.profile.interference[cfg.iterations, :cfg.K],
-        }
-
+        inputs = analytics.AnalyticInputs.build(bench.schemes[0].gains, bench.powers, cfg)
+        analytic = (
+            [analytics.sinr_tp_asymptotic(inputs, 0, k) for k in range(cfg.K)],
+            [analytics.sinr_sp_finite_m(inputs, 0, k) for k in range(cfg.K)],
+            1.0 / bench.profile.interference[cfg.iterations, :cfg.K],
+        )
         keys = [(cfg.seed, experiment, mi, t) for t in range(options.trials)]
         totals, _errs = _sum_trials(bench, keys)
-        empirical = {
-            method: totals[i, 0, :] / totals[i, 1, :]
-            for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD))
-        }
-        results.append((M, cfg, analytic, empirical))
-    return results
-
-
-def _records_sinr_vs_m(config, options):
-    records = []
-    for M, cfg, analytic, empirical in _sweep_antennas(config, options, "sinr_vs_m"):
-        for method in (TP_METHOD, SP_METHOD, ITER_METHOD):
-            for k in range(cfg.K):
-                records.append(MetricsRecord(
-                    experiment="sinr_vs_m", method=method, sweep_var="M", sweep_value=float(M),
-                    user=f"0:{k}", metric="sinr", value=float(empirical[method][k]),
-                    trials=options.trials, analytic_value=float(analytic[method][k]),
-                ))
-    return records
-
-
-def _records_rate_vs_m(config, options):
-    records = []
-    cap = config.P if options.rate_cap else None
-    for M, cfg, analytic, empirical in _sweep_antennas(config, options, "rate_vs_m"):
-        for method in (TP_METHOD, SP_METHOD, ITER_METHOD):
+        empirical = totals[:, 0, 0] / totals[:, 1, 0]
+        for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD)):
             rate = analytics.rate_tp if method == TP_METHOD else analytics.rate_sp
             for k in range(cfg.K):
+                value, predicted = float(empirical[i, k]), float(analytic[i][k])
+                if experiment == "rate_vs_m":
+                    value, predicted = rate(cfg, value, cap), rate(cfg, predicted, cap)
                 records.append(MetricsRecord(
-                    experiment="rate_vs_m", method=method, sweep_var="M", sweep_value=float(M),
-                    user=f"0:{k}", metric="rate",
-                    value=rate(cfg, float(empirical[method][k]), cap),
-                    trials=options.trials,
-                    analytic_value=rate(cfg, float(analytic[method][k]), cap),
+                    experiment=experiment, method=method, sweep_var="M", sweep_value=float(M),
+                    user=f"0:{k}", metric="rate" if experiment == "rate_vs_m" else "sinr",
+                    value=value,
+                    trials=options.trials, analytic_value=predicted,
                 ))
     return records
 
@@ -451,7 +443,7 @@ def _records_sinr_cdf(config, options):
     for p, bench in enumerate(_make_benches(config, options, layouts)):
         keys = [(config.seed, "sinr_cdf", p, t) for t in range(options.inner_realizations)]
         totals, _errs = _sum_trials(bench, keys)
-        sinrs = totals[:, 0, :] / totals[:, 1, :]
+        sinrs = totals[:, 0, 0] / totals[:, 1, 0]
         for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD)):
             samples[method].extend(sinrs[i])
 
@@ -490,87 +482,65 @@ def _records_ber_vs_k(config, options):
     return records
 
 
-def _sum_rate_trial(cfg: SystemConfig, key: tuple, unit_powers: PowerAllocation, schemes: tuple,
-                    var: np.ndarray) -> np.ndarray:
-    """(scheme, signal/residual, metric BS, user) energies of one sum-rate trial.
+def _sum_rate_bench(cfg: SystemConfig, layout, options: RunOptions) -> _Bench:
+    """All-TP, all-SP and hybrid pilots at the min(L, 7) metric BSs of one layout.
 
-    var[j, i] holds scheme i's per-column channel variances at metric BS j.
+    Gaussian payloads at unit power.  Each metric BS j draws its channel
+    from ("ch", j) and its noise from ("n", j).
     """
-    n_metric, K = var.shape[0], cfg.K
-    frames = [
-        waveform.assemble_frames(cfg, book, unit_powers, substream(*key, f"{tag}-frames"),
-                                 partition=part, scheme=scheme, data_dist="gaussian")
-        for _method, tag, scheme, book, _beta, part in schemes
-    ]
-    S = np.stack([f.S for f in frames])
-    sums = np.zeros((len(schemes), 2, n_metric, K))
-    # BS outer, scheme inner: one BS's channels and block alive at a time
-    for j in range(n_metric):
-        H = draw_channels(var[j], cfg.M, substream(*key, "ch", j))
-        Y = waveform.synthesize_received(H, S, cfg.sigma2, substream(*key, "n", j))
-        cell = slice(j * K, (j + 1) * K)
-        for i, (_method, _tag, _scheme, book, beta, part) in enumerate(schemes):
-            beta_home = beta.beta[j, j]
-            x_tilde = receive_cell(Y[i], book, part, unit_powers, j, beta_home)
-            sums[i, :, j] = signal_residual_power(
-                x_tilde, frames[i].data[cell], H[i, :, cell].T, beta_home)
-        del H, Y  # freed before the next BS's draw, not after it
-    return sums
+    n_metric = min(cfg.L, 7)
+    beta_raw = path_loss(layout, cfg.path_loss_exponent)
+    lam2, mu2 = analytics.optimal_rho(
+        cfg.M, n_metric, cfg.K, cfg.C_u, approximate=options.rho_form == "approx"
+    )
+    unit_powers = uniform_power(cfg.L, cfg.K, 1.0, lam2)
+
+    # greedy partition over the metric cells; outer-tier users stay TP
+    greedy = greedy_partition(beta_raw.beta[:n_metric, :n_metric, :], cfg.r, cfg.C_u,
+                              cfg.tau, mu2).partition
+    outer = frozenset((l, k) for l in range(n_metric, cfg.L) for k in range(cfg.K))
+    partition = Partition(u_tp=greedy.u_tp | outer, u_sp=greedy.u_sp)
+    q_hyb = np.ones((cfg.L, cfg.K))
+    home = beta_raw.home()
+    for (l, k) in partition.u_sp:
+        q_hyb[l, k] = cfg.omega / home[l, k]
+    beta_hyb = PathLossMap(beta_raw.beta * q_hyb[np.newaxis, :, :])
+
+    # one full-length book serves both baselines: outer-tier cells reuse
+    # superimposed columns when L*K exceeds C_u
+    book_full = waveform.make_pilot_books(cfg, allow_sp_reuse=True)
+    book_hyb = waveform.make_pilot_books(cfg, partition=partition)
+    schemes = (
+        _Scheme(ALL_TP_METHOD, "tp", "tp", book_full, beta_raw, all_tp(cfg.L, cfg.K)),
+        _Scheme(ALL_SP_METHOD, "sp", "sp", book_full, beta_raw.normalized(cfg.omega),
+                all_sp(cfg.L, cfg.K)),
+        _Scheme(HYBRID_METHOD, "hy", "hybrid", book_hyb, beta_hyb, partition),
+    )
+    streams = tuple((("ch", j), ("n", j)) for j in range(n_metric))
+    return _Bench(cfg, unit_powers, schemes, streams, "gaussian")
 
 
 def _records_sum_rate_vs_sir(config, options):
     records = []
-    n_metric = min(config.L, 7)
     for ri, radius in enumerate(options.radii_m):
         cfg = replace(config, scenario=Scenario2(cell_radius_m=config.scenario.cell_radius_m,
                                                  user_circle_radius_m=radius))
         layout = place_users(cfg, substream(cfg.seed, "sum_rate", ri, "layout"))
-        beta_raw = path_loss(layout, cfg.path_loss_exponent)
-        lam2, mu2 = analytics.optimal_rho(
-            cfg.M, n_metric, cfg.K, cfg.C_u, approximate=options.rho_form == "approx"
-        )
-        unit_powers = uniform_power(cfg.L, cfg.K, 1.0, lam2)
+        bench = _sum_rate_bench(cfg, layout, options)
+        # the all-SP gains are the power-controlled map
+        sir_db = 10.0 * math.log10(received_sir(bench.schemes[1].gains, cfg.omega, 0))
 
-        beta_sp = beta_raw.normalized(cfg.omega)
-        sir_db = 10.0 * math.log10(received_sir(beta_sp, cfg.omega, 0))
-
-        # greedy partition over the metric cells; outer-tier users stay TP
-        greedy = greedy_partition(beta_raw.beta[:n_metric, :n_metric, :], cfg.r, cfg.C_u,
-                                  cfg.tau, mu2).partition
-        outer = frozenset((l, k) for l in range(n_metric, cfg.L) for k in range(cfg.K))
-        partition = Partition(u_tp=greedy.u_tp | outer, u_sp=greedy.u_sp)
-        q_hyb = np.ones((cfg.L, cfg.K))
-        home = beta_raw.home()
-        for (l, k) in partition.u_sp:
-            q_hyb[l, k] = cfg.omega / home[l, k]
-        beta_hyb = PathLossMap(beta_raw.beta * q_hyb[np.newaxis, :, :])
-
-        # one full-length book serves both baselines: outer-tier cells reuse
-        # superimposed columns when L*K exceeds C_u
-        book_full = waveform.make_pilot_books(cfg, allow_sp_reuse=True)
-        book_hyb = waveform.make_pilot_books(cfg, partition=partition)
-        # (method, substream tag, frame scheme, pilot book, gain map, partition)
-        schemes = (
-            (ALL_TP_METHOD, "tp", "tp", book_full, beta_raw, all_tp(cfg.L, cfg.K)),
-            (ALL_SP_METHOD, "sp", "sp", book_full, beta_sp, all_sp(cfg.L, cfg.K)),
-            (HYBRID_METHOD, "hy", "hybrid", book_hyb, beta_hyb, partition),
-        )
-
-        # per-column variances at each metric BS j: var[j, i] for scheme i
-        var = np.stack([beta.beta[:n_metric] for *_, beta, _part in schemes], axis=1)
-        var = var.reshape(n_metric, len(schemes), -1)
-
-        totals = sum(_sum_rate_trial(cfg, (cfg.seed, "sum_rate", ri, t), unit_powers, schemes, var)
-                     for t in range(options.trials))
+        keys = [(cfg.seed, "sum_rate", ri, t) for t in range(options.trials)]
+        totals, _errs = _sum_trials(bench, keys)
         sinr = totals[:, 0] / totals[:, 1]
 
-        for i, (method, _tag, scheme, *_rest) in enumerate(schemes):
+        for i, scheme in enumerate(bench.schemes):
             # array log2, not the scalar rate rule: numpy's log2 and math.log2
             # differ in the last bit on some inputs, which would move the output
-            w = analytics.pre_log(cfg, trains=scheme != "sp")
+            w = analytics.pre_log(cfg, trains=scheme.frame != "sp")
             total_rate = float(np.sum(w * np.log2(1.0 + sinr[i])))
             records.append(MetricsRecord(
-                experiment="sum_rate_vs_sir", method=method, sweep_var="sir_rx_db",
+                experiment="sum_rate_vs_sir", method=scheme.method, sweep_var="sir_rx_db",
                 sweep_value=float(sir_db), user="all", metric="sum_rate",
                 value=total_rate, trials=options.trials, analytic_value=None,
             ))
@@ -578,8 +548,8 @@ def _records_sum_rate_vs_sir(config, options):
 
 
 _DISPATCH = {
-    "sinr_vs_m": _records_sinr_vs_m,
-    "rate_vs_m": _records_rate_vs_m,
+    "sinr_vs_m": functools.partial(_records_vs_m, experiment="sinr_vs_m"),
+    "rate_vs_m": functools.partial(_records_vs_m, experiment="rate_vs_m"),
     "sinr_cdf": _records_sinr_cdf,
     "ber_vs_k": _records_ber_vs_k,
     "sum_rate_vs_sir": _records_sum_rate_vs_sir,

@@ -1,4 +1,4 @@
-"""Every public name in src/supmimo has a caller in the package."""
+"""Every public name and every private helper in src/supmimo has a caller in the package."""
 
 import ast
 from collections import Counter
@@ -28,14 +28,21 @@ def public_definitions(tree: ast.Module):
                         yield f"{node.name}.{item.name}", item
 
 
+def private_definitions(tree: ast.Module):
+    """The private top-level functions and classes, as (name, node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            yield node.name, node
+
+
 def references(tree: ast.AST) -> Counter:
     """How often each name is read under tree: as a Name, or as an attribute."""
     return Counter(node.id if isinstance(node, ast.Name) else node.attr
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def unreferenced() -> list:
-    """Public names that no code of the package reads, __init__.py aside.
+def unreferenced(definitions=public_definitions) -> list:
+    """Defined names that no code of the package reads, __init__.py aside.
 
     A name read only inside its own definition has no caller.
     """
@@ -43,10 +50,15 @@ def unreferenced() -> list:
              if path.name != "__init__.py"}
     read = sum((references(tree) for tree in trees.values()), Counter())
     return [f"{module}.{qualname}" for module, tree in trees.items()
-            for qualname, node in public_definitions(tree)
+            for qualname, node in definitions(tree)
             if read[node.name] == references(node)[node.name]]
 
 
 def test_every_public_name_has_a_caller_in_the_package():
     # an allowed name that gains a caller, or is deleted, leaves the list too
     assert sorted(unreferenced()) == sorted(ALLOWED)
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a helper read only by tests is dead code too
+    assert unreferenced(private_definitions) == []

@@ -1,4 +1,4 @@
-"""The batched set-up, the trial-batched reference trial and the BLAS thread pin."""
+"""The measurement primitives, the batched set-up, the trial kernel and the BLAS thread pin."""
 
 import dataclasses
 import tracemalloc
@@ -8,13 +8,53 @@ import pytest
 
 from supmimo import iterative, simharness, waveform
 from supmimo.estimators import receive_cell
-from supmimo.hybrid import all_sp
 from supmimo.rng import substream
 from supmimo.simharness import RunOptions, SystemConfig, run_experiment
-from supmimo.sysmodel import Scenario1, place_users
+from supmimo.sysmodel import Scenario1, draw_channels, place_users
 
 BLAS = simharness._openblas_threads()
 needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread calls not found")
+
+
+def test_signal_and_residual_energies_of_a_hand_built_output():
+    # x_tilde = g x + e with e on the symbol x leaves out: exact in floating point
+    x = np.array([[1, 1j, -1, 0], [0, 2, 0, 1j]])
+    e = np.array([[0, 0, 0, 3], [1j, 0, -2, 0]])
+    gain = np.array([2.0, 0.5])
+    signal, residual = simharness.signal_residual_power(gain[:, np.newaxis] * x + e, x, gain)
+    assert signal.tolist() == [12.0, 1.25]
+    assert residual.tolist() == [9.0, 5.0]
+    # a stack of users, and a noiseless output that is all signal
+    rng = substream(9, "energies")
+    x = rng.standard_normal((2, 3, 8)) + 1j * rng.standard_normal((2, 3, 8))
+    e = rng.standard_normal((2, 3, 8)) + 1j * rng.standard_normal((2, 3, 8))
+    gain = rng.uniform(0.5, 2.0, (2, 3))
+    signal, residual = simharness.signal_residual_power(gain[..., np.newaxis] * x + e, x, gain)
+    np.testing.assert_allclose(signal, gain**2 * np.sum(np.abs(x) ** 2, axis=-1), rtol=1e-12)
+    np.testing.assert_allclose(residual, np.sum(np.abs(e) ** 2, axis=-1), rtol=1e-12)
+    signal, residual = simharness.signal_residual_power(gain[..., np.newaxis] * x, x, gain)
+    assert np.all(residual == 0) and np.all(signal > 0)
+
+
+def test_count_ber_counts_flipped_bits():
+    P = 16
+    bits = substream(9, "bits").integers(0, 2, (3, 40), dtype=np.uint8)  # 3 users, 10 symbols
+    symbols = waveform.modulate(bits, P).reshape(3, 10)
+    assert simharness.count_ber(symbols, bits, P) == (0, 120)
+    flipped = bits.copy()
+    flipped[0, [0, 5]] ^= 1
+    flipped[2, 39] ^= 1
+    assert simharness.count_ber(symbols, flipped, P) == (3, 120)
+    with pytest.raises(ValueError, match="bit count mismatch"):
+        simharness.count_ber(symbols, bits[:, :-4], P)
+
+
+def test_empirical_cdf_sorts_and_ends_at_one():
+    values, probs = simharness.empirical_cdf([3.0, -1.0, 2.0])
+    assert values.tolist() == [-1.0, 2.0, 3.0]
+    assert probs.tolist() == [1 / 3, 2 / 3, 1.0]
+    with pytest.raises(ValueError, match="at least one sample"):
+        simharness.empirical_cdf([])
 
 
 @pytest.fixture(scope="module")
@@ -24,12 +64,27 @@ def bench():
     return next(simharness._make_benches(cfg, RunOptions(), [layout]))
 
 
+def sum_rate_bench(K):
+    cfg = SystemConfig(L=7, K=K, M=40, C_u=40, omega=10.0, seed=4)
+    layout = place_users(cfg, substream(4, "layout"))
+    return simharness._sum_rate_bench(cfg, layout, RunOptions())
+
+
+@pytest.fixture(scope="module", params=["reference", "sum_rate"])
+def any_bench(request, bench):
+    return bench if request.param == "reference" else sum_rate_bench(5)
+
+
 def assert_same_fields(a, b):
-    """Dataclasses equal field by field, arrays under np.array_equal."""
+    """Dataclasses and tuples equal field by field, arrays under np.array_equal."""
     if dataclasses.is_dataclass(a):
         assert type(a) is type(b)
         for field in dataclasses.fields(a):
             assert_same_fields(getattr(a, field.name), getattr(b, field.name))
+    elif isinstance(a, tuple):
+        assert type(a) is type(b) and len(a) == len(b)
+        for one, other in zip(a, b):
+            assert_same_fields(one, other)
     elif isinstance(a, np.ndarray):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     else:
@@ -54,9 +109,9 @@ def keys(n):
 
 def test_a_batch_of_trials_equals_one_trial_batches(bench):
     with simharness._one_blas_thread():
-        sig_res, errs = simharness._reference_trials(bench, keys(5))
-        singles = [simharness._reference_trials(bench, [key]) for key in keys(5)]
-    assert sig_res.shape == (5, 3, 2, bench.config.K)
+        sig_res, errs = simharness._run_trials(bench, keys(5))
+        singles = [simharness._run_trials(bench, [key]) for key in keys(5)]
+    assert sig_res.shape == (5, 3, 2, 1, bench.config.K)
     assert np.array_equal(sig_res, np.concatenate([one for one, _ in singles]))
     assert np.array_equal(errs, sum(e for _, e in singles))
     cfg = bench.config
@@ -77,12 +132,12 @@ def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
 
     monkeypatch.setattr(simharness.waveform, "synthesize_received", spy)
     with simharness._one_blas_thread():
-        simharness._reference_trials(bench, keys(2))
+        simharness._run_trials(bench, keys(2))
     assert len(calls) == 2  # one per trial
     noises = []
     for H, S, Y in calls:
-        assert S.shape[0] == Y.shape[0] == 2  # SP, then TP
-        noise_sp, noise_tp = Y - H @ S
+        assert S.shape[0] == Y.shape[0] == 2  # TP, then SP
+        noise_tp, noise_sp = Y - H @ S
         np.testing.assert_allclose(noise_tp, noise_sp, rtol=0, atol=1e-12)
         noises.append(noise_tp)
     # the trials' draws differ
@@ -96,61 +151,106 @@ def test_one_shot_sp_from_the_reduction_equals_receive_cell(selection):
     cfg = SystemConfig(M=40, scenario=Scenario1(), seed=7)
     layout = place_users(cfg, substream(7, "layout"))
     (bench,) = simharness._make_benches(cfg, RunOptions(selection=selection), [layout])
-    K, book, powers = cfg.K, bench.book, bench.powers
-    rng = substream(7, "blocks")
-    shape = (3, cfg.M, cfg.C_u)
-    Y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    K = cfg.K
+    assert iterative.reduced_users(bench.profile, np.arange(K))[:K].tolist() != list(range(K))
+    # without a profile the SP blocks go through receive_cell
+    plain = dataclasses.replace(bench, profile=None)
     with simharness._one_blas_thread():
-        reduced = iterative.reduce_block(Y, book.sp_columns(slice(None)),
-                                         powers.rho_p.reshape(-1), bench.profile, np.arange(K))
-        x_sp = simharness._one_shot_sp(bench, reduced)
-        expected = receive_cell(Y, book, all_sp(cfg.L, K), powers, 0, bench.beta_eff.beta[0, 0])
-    assert reduced.users[:K].tolist() != list(range(K))
-    assert x_sp.shape == (3, K, cfg.C_u)
-    assert np.array_equal(x_sp, expected)
+        sig_res, errs = simharness._run_trials(bench, keys(3))
+        expected, expected_errs = simharness._run_trials(plain, keys(3))
+    assert expected.shape == (3, 2, 2, 1, K)
+    assert np.array_equal(sig_res[:, :2], expected)
+    assert np.array_equal(errs[:2], expected_errs)
+
+
+def per_trial_energies(bench, key):
+    """One sum-rate trial as a loop over metric BSs and schemes: receive_cell, then the energies.
+
+    Each scheme draws its own frames; at each BS one unit channel, its
+    columns scaled by every scheme's gains, and one noise block serve all
+    schemes.  A user's channel row is read from a contiguous copy of its
+    cell's columns.
+    """
+    cfg, powers = bench.config, bench.powers
+    K, M = cfg.K, cfg.M
+    frames = [waveform.assemble_frames(cfg, s.book, powers, substream(*key, f"{s.tag}-frames"),
+                                       partition=s.partition, scheme=s.frame, data_dist="gaussian")
+              for s in bench.schemes]
+    S = np.stack([f.S for f in frames])
+    energies = np.empty((len(bench.schemes), 2, len(bench.streams), K))
+    for j, (channel_tag, noise_tag) in enumerate(bench.streams):
+        var = np.stack([s.gains.beta[j].reshape(-1) for s in bench.schemes])
+        H = draw_channels(var, M, substream(*key, *channel_tag))
+        Y = waveform.synthesize_received(H, S, cfg.sigma2, substream(*key, *noise_tag))
+        cell = slice(j * K, (j + 1) * K)
+        for i, s in enumerate(bench.schemes):
+            beta_home = s.gains.beta[j, j]
+            x_tilde = receive_cell(Y[i], s.book, s.partition, powers, j, beta_home)
+            h = np.ascontiguousarray(H[i, :, cell]).T
+            gain = np.vecdot(h, h).real / (M * beta_home)
+            signal = gain[:, np.newaxis] * frames[i].data[cell]
+            residual = x_tilde - signal
+            energies[i, :, j] = np.vecdot(signal, signal).real, np.vecdot(residual, residual).real
+    return energies
+
+
+@pytest.mark.parametrize("K", [5, 1])
+def test_sum_rate_energies_equal_the_per_trial_loop(K):
+    # at K = 1 the rows are contiguous, and the norms round unlike strided rows
+    bench = sum_rate_bench(K)
+    assert [s.frame for s in bench.schemes] == ["tp", "sp", "hybrid"]
+    assert len(bench.streams) == 7 and bench.schemes[2].partition.u_sp
+    with simharness._one_blas_thread():
+        sig_res, errs = simharness._run_trials(bench, keys(3))
+        for t, key in enumerate(keys(3)):
+            assert np.array_equal(sig_res[t], per_trial_energies(bench, key))
+    assert not errs.any()  # Gaussian payloads carry no bits
 
 
 def batch_sizes(monkeypatch):
-    """Spy on the reference trial; returns the list its batch sizes go to."""
+    """Spy on the trial kernel; returns the list its batch sizes go to."""
     sizes = []
-    reference = simharness._reference_trials
+    kernel = simharness._run_trials
 
     def spy(bench, keys):
         sizes.append(len(keys))
-        return reference(bench, keys)
+        return kernel(bench, keys)
 
-    monkeypatch.setattr(simharness, "_reference_trials", spy)
+    monkeypatch.setattr(simharness, "_run_trials", spy)
     return sizes
 
 
 @pytest.mark.parametrize("per_chunk", [2, 3])
-def test_totals_do_not_depend_on_the_chunk_size(bench, monkeypatch, per_chunk):
+def test_totals_do_not_depend_on_the_chunk_size(any_bench, monkeypatch, per_chunk):
     # 5 trials: chunks of 2, 2, 1 and of 3, 2 against chunks of 1 and of 5
     sizes = batch_sizes(monkeypatch)
     totals = {}
     with simharness._one_blas_thread():
         for trials_per_chunk in (1, per_chunk, 5):
-            budget = trials_per_chunk * simharness._trial_bytes(bench)
+            budget = trials_per_chunk * simharness._trial_bytes(any_bench)
             monkeypatch.setattr(simharness, "_CHUNK_BYTES", budget)
-            totals[trials_per_chunk] = simharness._sum_trials(bench, keys(5))
+            totals[trials_per_chunk] = simharness._sum_trials(any_bench, keys(5))
     assert sizes == [1] * 5 + {2: [2, 2, 1], 3: [3, 2]}[per_chunk] + [5]
     for sig, errs in totals.values():
         assert np.array_equal(sig, totals[1][0])
         assert np.array_equal(errs, totals[1][1])
 
 
-def test_a_chunk_holds_at_least_one_trial(bench, monkeypatch):
+def test_a_chunk_holds_at_least_one_trial(any_bench, monkeypatch):
     sizes = batch_sizes(monkeypatch)
-    monkeypatch.setattr(simharness, "_CHUNK_BYTES", simharness._trial_bytes(bench) - 1)
-    sig, errs = simharness._sum_trials(bench, keys(2))
+    monkeypatch.setattr(simharness, "_CHUNK_BYTES", simharness._trial_bytes(any_bench) - 1)
+    sig, errs = simharness._sum_trials(any_bench, keys(2))
     assert sizes == [1, 1]
-    assert np.all(sig > 0) and errs[0, 1] > 0
+    assert np.all(sig > 0)
+    assert (errs[0, 1] > 0) == (any_bench.data_dist == "qam")
 
 
-# Traced peak of _sum_trials over the 4 trials below under the SP-block rule
-# this rule replaced (512 KiB of stacked SP block, so one trial per batch at
-# M=200): 1,774,632 bytes, numpy 2.4.  The rule in force holds 2 trials per
-# batch and peaked at 1,654,888 bytes.
+# Traced peak of _sum_trials over the 4 trials below under the rule that
+# stacked whole SP blocks (512 KiB of them, so one trial per batch at M=200):
+# 1,774,632 bytes, numpy 2.4.  The trial kernel, which keeps the channel
+# powers instead of the channels, runs all 4 trials in one batch and peaks at
+# 1,249,712 bytes; the separate reference trial it replaced peaked at
+# 1,283,622.
 PEAK_BOUND_BYTES = 1_775_000
 
 
