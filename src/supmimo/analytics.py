@@ -1,11 +1,9 @@
 """Closed-form SINR, rate, power-split, and crossover expressions.
 
 Conventions: beta[j, l, k] is the large-scale gain between BS j and user
-(l, k); q[l, k] is the user's total transmit power; rho_d and rho_p are the
-raw data/pilot amplitudes (rho_d^2 + rho_p^2 = q).  Feeding the
-power-controlled equivalent gains with q = 1 and the normalized amplitude
-split gives identical results; the finite-antenna expression is exactly
-invariant under that reduction.
+(l, k), with any power control already folded in (PathLossMap.normalized);
+every user transmits at unit power, split into data and pilot amplitudes
+rho_d and rho_p with rho_d^2 + rho_p^2 = 1.
 
 Empty interference sums return +inf; the rate helpers optionally cap the
 spectral efficiency at log2(P) to model a fixed constellation.
@@ -27,7 +25,6 @@ class AnalyticInputs:
     """Parameter bundle consumed by the closed-form expressions."""
 
     beta: np.ndarray
-    q: np.ndarray
     rho_d: np.ndarray
     rho_p: np.ndarray
     M: int
@@ -45,7 +42,6 @@ class AnalyticInputs:
     ) -> "AnalyticInputs":
         return cls(
             beta=beta.beta,
-            q=powers.q,
             rho_d=powers.rho_d,
             rho_p=powers.rho_p,
             M=config.M,
@@ -67,41 +63,40 @@ class AnalyticInputs:
 def sinr_tp_asymptotic(inputs: AnalyticInputs, j: int, m: int) -> float:
     """Large-M SINR of a time-multiplexed user: pilot contamination only.
 
-    Equals (q beta_home)^2 over the summed squared effective gains of the
-    same-pilot users in the other reuse-group cells.
+    Equals beta_home^2 over the summed squared gains of the same-pilot
+    users in the other reuse-group cells.
     """
-    num = (inputs.q[j, m] * inputs.beta[j, j, m]) ** 2
+    num = inputs.beta[j, j, m] ** 2
     den = 0.0
     for l in copilot_cells(inputs.L, inputs.r, j):
         if l != j:
-            den += (inputs.q[l, m] * inputs.beta[j, l, m]) ** 2
+            den += inputs.beta[j, l, m] ** 2
     if den == 0.0:
         return math.inf
     return num / den
 
 
-def pre_log(dims: AnalyticInputs | SystemConfig, trains: bool) -> float:
-    """Share of the C-symbol coherence interval that carries data.
-
-    (C_u - tau) / C for a scheme with a training phase in the first tau
-    symbols (TP, and hybrid, whose SP users stay silent through it); C_u / C
-    for pure SP, which sends data in every symbol.
-    """
-    return (dims.C_u - dims.tau if trains else dims.C_u) / dims.C
-
-
 def rate_tp(
     dims: AnalyticInputs | SystemConfig, sinr: float, cap_order: int | None = None
 ) -> float:
-    """Per-user TP rate: ((C_u - tau) / C) * log2(1 + SINR), optionally capped."""
-    return pre_log(dims, trains=True) * _spectral_efficiency(sinr, cap_order)
+    """Per-user rate of a scheme with a training phase in the first tau symbols.
+
+    ((C_u - tau) / C) * log2(1 + SINR), optionally capped: TP, and hybrid,
+    whose SP users stay silent through the training phase.  The pre-log is
+    waveform.PilotBook.payload_length over C for such a partition.
+    """
+    return (dims.C_u - dims.tau) / dims.C * _spectral_efficiency(sinr, cap_order)
 
 
 def rate_sp(
     dims: AnalyticInputs | SystemConfig, sinr: float, cap_order: int | None = None
 ) -> float:
-    """Per-user SP rate: (C_u / C) * log2(1 + SINR), optionally capped."""
-    return pre_log(dims, trains=False) * _spectral_efficiency(sinr, cap_order)
+    """Per-user pure-SP rate: (C_u / C) * log2(1 + SINR), optionally capped.
+
+    Data fills every symbol of the full-length book (waveform.PilotBook.
+    payload_length of the all-SP partition over C).
+    """
+    return dims.C_u / dims.C * _spectral_efficiency(sinr, cap_order)
 
 
 def _spectral_efficiency(sinr: float, cap_order: int | None) -> float:
@@ -120,7 +115,6 @@ def sinr_sp_finite_m(inputs: AnalyticInputs, j: int, m: int) -> float:
     exclusion patterns drop single flattened users, not whole cells.
     """
     beta_row = inputs.beta[j].reshape(-1)
-    q = inputs.q.reshape(-1)
     rho_d2 = (inputs.rho_d.reshape(-1)) ** 2
     C_u, M = inputs.C_u, inputs.M
     t = j * inputs.K + m
@@ -130,17 +124,17 @@ def sinr_sp_finite_m(inputs: AnalyticInputs, j: int, m: int) -> float:
     if bm <= 0 or adm2 <= 0 or apm2 <= 0:
         raise ValueError("target user needs positive gain and both amplitudes")
 
-    w = rho_d2 * q * beta_row**2
+    w = rho_d2 * beta_row**2
     term_self = float(np.sum(w)) / (C_u * apm2 * adm2 * bm**2)
 
     others = np.ones(beta_row.shape[0], dtype=bool)
     others[t] = False
-    term_cross = float(np.sum(q[others] * beta_row[others])) / (M * adm2 * bm)
+    term_cross = float(np.sum(beta_row[others])) / (M * adm2 * bm)
 
-    # sum over n != t of q_n beta_n * (sum over k != n of rho_dk^2 beta_k)
+    # sum over n != t of beta_n * (sum over k != n of rho_dk^2 beta_k)
     inner_total = float(np.sum(rho_d2 * beta_row))
     inner = inner_total - rho_d2 * beta_row  # drop k == n
-    term_pair = float(np.sum((q[others] * beta_row[others]) * inner[others])) / (
+    term_pair = float(np.sum(beta_row[others] * inner[others])) / (
         M * C_u * apm2 * adm2 * bm**2
     )
     return 1.0 / (term_self + term_cross + term_pair)
@@ -149,13 +143,12 @@ def sinr_sp_finite_m(inputs: AnalyticInputs, j: int, m: int) -> float:
 def sinr_sp_asymptotic(inputs: AnalyticInputs, j: int, m: int) -> float:
     """Large-M limit of the SP SINR: the self-interference term alone."""
     beta_row = inputs.beta[j].reshape(-1)
-    q = inputs.q.reshape(-1)
     rho_d2 = (inputs.rho_d.reshape(-1)) ** 2
     t = j * inputs.K + m
     adm2 = rho_d2[t]
     apm2 = (inputs.rho_p.reshape(-1)[t]) ** 2
     num = apm2 * adm2 * beta_row[t] ** 2
-    den = float(np.sum(rho_d2 * q * beta_row**2)) / inputs.C_u
+    den = float(np.sum(rho_d2 * beta_row**2)) / inputs.C_u
     if den == 0.0:
         return math.inf
     return num / den
@@ -221,16 +214,15 @@ def optimal_rho(
 def kappa(inputs: AnalyticInputs, j: int, m: int) -> float:
     """Uplink-length crossover: SP beats TP (asymptotically) iff C_u > kappa."""
     beta_row = inputs.beta[j].reshape(-1)
-    q = inputs.q.reshape(-1)
     rho_d2 = (inputs.rho_d.reshape(-1)) ** 2
     t = j * inputs.K + m
     adm2 = rho_d2[t]
     apm2 = (inputs.rho_p.reshape(-1)[t]) ** 2
-    num = q[t] ** 2 * float(np.sum(rho_d2 * q * beta_row**2))
+    num = float(np.sum(rho_d2 * beta_row**2))
     den = 0.0
     for l in copilot_cells(inputs.L, inputs.r, j):
         if l != j:
-            den += (inputs.q[l, m] * inputs.beta[j, l, m]) ** 2
+            den += inputs.beta[j, l, m] ** 2
     if den == 0.0:
         return math.inf
     return num / (apm2 * adm2 * den)
@@ -269,7 +261,7 @@ def hybrid_sp_sinr(inputs: AnalyticInputs, partition: Partition, j: int, m: int)
     """Large-M SINR of an SP member of a hybrid system.
 
     The superimposed segment spans C_u - tau symbols, so the residual
-    data-interference floor sums the effective squared gains of the SP set
+    data-interference floor sums the squared gains of the SP set
     scaled by 1 / ((C_u - tau) * pilot share).
     """
     t_rho_d2 = inputs.rho_d[j, m] ** 2
@@ -277,7 +269,7 @@ def hybrid_sp_sinr(inputs: AnalyticInputs, partition: Partition, j: int, m: int)
     num = inputs.beta[j, j, m] ** 2
     den = 0.0
     for (l, k) in partition.u_sp:
-        den += (inputs.rho_d[l, k] ** 2) * inputs.q[l, k] * inputs.beta[j, l, k] ** 2
+        den += (inputs.rho_d[l, k] ** 2) * inputs.beta[j, l, k] ** 2
     den /= (inputs.C_u - inputs.tau) * t_rho_p2 * t_rho_d2
     if den == 0.0:
         return math.inf
@@ -292,10 +284,9 @@ def hybrid_rates(
 ) -> dict:
     """Per-user (sinr, rate) for every cell-j member of the partition.
 
-    Both branches carry the (C_u - tau) / C efficiency: TP users spend the
-    training phase on pilots, SP users on radio silence.
+    Both branches carry rate_tp's (C_u - tau) / C efficiency: TP users
+    spend the training phase on pilots, SP users on radio silence.
     """
-    weight = pre_log(inputs, trains=True)
     out = {}
     for k in range(inputs.K):
         user = (j, k)
@@ -305,7 +296,7 @@ def hybrid_rates(
             sinr = hybrid_sp_sinr(inputs, partition, j, k)
         else:
             continue
-        out[user] = (sinr, weight * _spectral_efficiency(sinr, cap_order))
+        out[user] = (sinr, rate_tp(inputs, sinr, cap_order))
     return out
 
 

@@ -62,13 +62,11 @@ def tp_ls_estimate(
     Y_pilot: np.ndarray,
     pilot_book: PilotBook,
     user: tuple,
-    q,
 ) -> np.ndarray:
     """Least-squares estimate from the M x tau pilot-phase slice.
 
-    h_hat = Y_p conj(phi_b) / (tau sqrt(q)) with phi_b the user's pilot.
-    user is (cell, k); k may be an array of the cell's users, and q one
-    value or one per user.
+    h_hat = Y_p conj(phi_b) / tau with phi_b the user's unit-modulus pilot.
+    user is (cell, k); k may be an array of the cell's users.
     """
     cell, k = user
     tau = pilot_book.tau
@@ -78,7 +76,7 @@ def tp_ls_estimate(
     if np.any((b < 0) | (b >= tau)):
         raise KeyError(f"pilot index {b} outside the {tau}-column book")
     rows = _conj_rows(pilot_book.tp_matrix[:, b])
-    return _project(Y_pilot, rows) / _per_row(tau * np.sqrt(q))
+    return _project(Y_pilot, rows) / tau
 
 
 def sp_ls_estimate(
@@ -143,17 +141,16 @@ def mf_detect_tp(
     Y_data: np.ndarray,
     h_hat: np.ndarray,
     beta_home,
-    q,
 ) -> np.ndarray:
     """Matched filter over the data phase of time-multiplexed users.
 
-    x_tilde^T = h_hat^H Y_d / (M sqrt(q) beta_home), per user when h_hat
-    has a user axis.
+    x_tilde^T = h_hat^H Y_d / (M beta_home), per user when h_hat has a user
+    axis.
     """
     if np.any(np.asarray(beta_home) <= 0):
         raise ValueError("beta_home must be positive")
     M = h_hat.shape[-1]
-    return _matched(Y_data, h_hat) / _per_row(M * np.sqrt(q) * beta_home)
+    return _matched(Y_data, h_hat) / _per_row(M * beta_home)
 
 
 def receive_cell(
@@ -168,15 +165,15 @@ def receive_cell(
 
     Y is one block (M, C_u) or a stack (..., M, C_u); the result is
     (..., K, symbols).  TP members are estimated from the first tau symbols
-    at unit pilot power and detected over the rest; SP members are estimated
-    and detected over the trailing book.sp_length symbols, which carry their
-    superimposed pilots (the whole block for the full-length book).
+    and detected over the rest; SP members are estimated and detected over
+    the trailing book.sp_length symbols, which carry their superimposed
+    pilots (the whole block for the full-length book).
     beta_home[k] is user k's gain at this BS.  Raises KeyError for a user in
     neither set.
     """
-    K = powers.q.shape[1]
+    K = powers.rho_d.shape[1]
     tp = [k for k in range(K) if (cell, k) in partition.u_tp]
-    sp = [k for k in range(K) if (cell, k) in partition.u_sp and k not in tp]
+    sp = [k for k in range(K) if (cell, k) in partition.u_sp]
     if len(tp) + len(sp) < K:
         k = min(set(range(K)) - set(tp) - set(sp))
         raise KeyError(f"user {(cell, k)} is in neither partition set")
@@ -184,8 +181,8 @@ def receive_cell(
     groups = []
     if tp:
         ks, tau = np.array(tp), book.tau
-        h_hat = tp_ls_estimate(Y[..., :tau], book, (cell, ks), 1.0)
-        groups.append((ks, mf_detect_tp(Y[..., tau:], h_hat, beta_home[ks], 1.0)))
+        h_hat = tp_ls_estimate(Y[..., :tau], book, (cell, ks))
+        groups.append((ks, mf_detect_tp(Y[..., tau:], h_hat, beta_home[ks])))
     if sp:
         ks = np.array(sp)
         pilots = book.sp_columns(cell * K + ks)

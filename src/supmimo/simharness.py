@@ -196,14 +196,13 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 class _Scheme(NamedTuple):
     """One pilot scheme of a bench, scored as one method.
 
-    Its frames are assemble_frames(scheme=frame) from the trial's (tag +
-    "-frames") substream, received under partition with book, on channels
-    drawn from gains.
+    Its frames follow partition and book, drawn from the trial's (tag +
+    "-frames") substream, and are received under them on channels drawn
+    from gains.
     """
 
     method: str
     tag: str
-    frame: str
     book: waveform.PilotBook
     gains: PathLossMap
     partition: Partition
@@ -216,7 +215,7 @@ class _Bench:
     streams[j] holds the channel and noise substream tags of metric BS j,
     whose cell's users are scored.  data_dist is the payload distribution
     of waveform.assemble_frames.  A profile, the prediction recursion of the
-    gains at BS 0, adds the iterative pass on the "sp" scheme there.
+    gains at BS 0, adds the iterative pass on the all-SP scheme there.
     """
 
     config: SystemConfig
@@ -239,7 +238,7 @@ def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
     lam2, _ = analytics.optimal_rho(
         config.M, L, K, config.C_u, approximate=options.rho_form == "approx"
     )
-    powers = uniform_power(L, K, 1.0, lam2)
+    powers = uniform_power(L, K, lam2)
     book = waveform.make_pilot_books(config)
     beta_effs = [path_loss(layout, config.path_loss_exponent).normalized(config.omega)
                  for layout in layouts]
@@ -251,16 +250,15 @@ def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
     )
     tp, sp = all_tp(L, K), all_sp(L, K)
     for b, beta_eff in enumerate(beta_effs):
-        schemes = (_Scheme(TP_METHOD, "tp", "tp", book, beta_eff, tp),
-                   _Scheme(SP_METHOD, "sp", "sp", book, beta_eff, sp))
+        schemes = (_Scheme(TP_METHOD, "tp", book, beta_eff, tp),
+                   _Scheme(SP_METHOD, "sp", book, beta_eff, sp))
         yield _Bench(config, powers, schemes, ((("channels",), ("noise",)),), "qam",
                      profiles.layout(b))
 
 
 def _payload_lengths(bench: _Bench) -> list:
-    """Each scheme's payload and output symbols per user: C_u for SP frames, else C_u - tau."""
-    cfg = bench.config
-    return [cfg.C_u if s.frame == "sp" else cfg.C_u - cfg.tau for s in bench.schemes]
+    """Each scheme's payload and output symbols per user."""
+    return [s.book.payload_length(s.partition, bench.config.C_u) for s in bench.schemes]
 
 
 def _run_trials(bench: _Bench, keys: list):
@@ -269,7 +267,7 @@ def _run_trials(bench: _Bench, keys: list):
     Per trial and metric BS j, one channel per distinct gain map
     (streams[j][0]) and one noise block (streams[j][1]) serve every scheme,
     and each block is received into the batch arrays; a channel is freed
-    before the next draw.  With a profile the "sp" block is reduced instead,
+    before the next draw.  With a profile the all-SP block is reduced instead,
     and the stacked reductions give its one-shot outputs (their G rows and R
     diagonal are mf_detect_sp's matched filters and powers, bit for bit) and
     are iterated, once per batch.  Returns (sig_res, errs): the (T, methods,
@@ -294,7 +292,7 @@ def _run_trials(bench: _Bench, keys: list):
     n_bits = waveform.bits_per_symbol(P)
     bits = [np.empty((T, J, K, n_bits * n), dtype=np.uint8) if qam else None for n in lengths]
     if profile is not None:
-        sp = [s.frame for s in schemes].index("sp")
+        sp = next(i for i, s in enumerate(schemes) if not s.partition.u_tp)
         report = np.arange(K)
         users = iterative.reduced_users(profile, report)
         G = np.empty((T, users.size, C_u), dtype=complex)
@@ -305,9 +303,9 @@ def _run_trials(bench: _Bench, keys: list):
         # order of the draws does not change their bits
         S = np.empty((len(schemes), cfg.L * K, C_u), dtype=complex)
         for i, s in enumerate(schemes):
-            frames = waveform.assemble_frames(
-                cfg, s.book, powers, substream(*key, f"{s.tag}-frames"),
-                partition=s.partition, scheme=s.frame, data_dist=bench.data_dist)
+            frames = waveform.assemble_frames(cfg, s.book, powers,
+                                              substream(*key, f"{s.tag}-frames"), s.partition,
+                                              bench.data_dist)
             S[i] = frames.S
             data[i][t] = frames.data[: J * K].reshape(J, K, -1)
             if qam:
@@ -463,11 +461,6 @@ def _records_ber_vs_k(config, options):
     records = []
     for ki, K in enumerate(options.k_values):
         cfg = replace(config, K=K, M=options.m_per_k * K)
-        if cfg.L * cfg.K > cfg.C_u:
-            raise ValueError(
-                f"K={K} gives {cfg.L * cfg.K} users, exceeding C_u={cfg.C_u} pilot columns"
-            )
-
         layouts = [place_users(cfg, substream(cfg.seed, "ber_vs_k", ki, t, "layout"))
                    for t in range(options.trials)]
         benches = _make_benches(cfg, options, layouts)
@@ -493,7 +486,7 @@ def _sum_rate_bench(cfg: SystemConfig, layout, options: RunOptions) -> _Bench:
     lam2, mu2 = analytics.optimal_rho(
         cfg.M, n_metric, cfg.K, cfg.C_u, approximate=options.rho_form == "approx"
     )
-    unit_powers = uniform_power(cfg.L, cfg.K, 1.0, lam2)
+    unit_powers = uniform_power(cfg.L, cfg.K, lam2)
 
     # greedy partition over the metric cells; outer-tier users stay TP
     greedy = greedy_partition(beta_raw.beta[:n_metric, :n_metric, :], cfg.r, cfg.C_u,
@@ -511,10 +504,10 @@ def _sum_rate_bench(cfg: SystemConfig, layout, options: RunOptions) -> _Bench:
     book_full = waveform.make_pilot_books(cfg, allow_sp_reuse=True)
     book_hyb = waveform.make_pilot_books(cfg, partition=partition)
     schemes = (
-        _Scheme(ALL_TP_METHOD, "tp", "tp", book_full, beta_raw, all_tp(cfg.L, cfg.K)),
-        _Scheme(ALL_SP_METHOD, "sp", "sp", book_full, beta_raw.normalized(cfg.omega),
+        _Scheme(ALL_TP_METHOD, "tp", book_full, beta_raw, all_tp(cfg.L, cfg.K)),
+        _Scheme(ALL_SP_METHOD, "sp", book_full, beta_raw.normalized(cfg.omega),
                 all_sp(cfg.L, cfg.K)),
-        _Scheme(HYBRID_METHOD, "hy", "hybrid", book_hyb, beta_hyb, partition),
+        _Scheme(HYBRID_METHOD, "hy", book_hyb, beta_hyb, partition),
     )
     streams = tuple((("ch", j), ("n", j)) for j in range(n_metric))
     return _Bench(cfg, unit_powers, schemes, streams, "gaussian")
@@ -534,11 +527,11 @@ def _records_sum_rate_vs_sir(config, options):
         totals, _errs = _sum_trials(bench, keys)
         sinr = totals[:, 0] / totals[:, 1]
 
-        for i, scheme in enumerate(bench.schemes):
-            # array log2, not the scalar rate rule: numpy's log2 and math.log2
-            # differ in the last bit on some inputs, which would move the output
-            w = analytics.pre_log(cfg, trains=scheme.frame != "sp")
-            total_rate = float(np.sum(w * np.log2(1.0 + sinr[i])))
+        for i, (scheme, n) in enumerate(zip(bench.schemes, _payload_lengths(bench))):
+            # the pre-log n / C, times an array log2, not the scalar rate rule:
+            # numpy's log2 and math.log2 differ in the last bit on some inputs,
+            # which would move the output
+            total_rate = float(np.sum(n / cfg.C * np.log2(1.0 + sinr[i])))
             records.append(MetricsRecord(
                 experiment="sum_rate_vs_sir", method=scheme.method, sweep_var="sir_rx_db",
                 sweep_value=float(sir_db), user="all", metric="sum_rate",

@@ -94,10 +94,6 @@ class SystemConfig:
         """Noise variance implied by the SNR target omega / sigma^2."""
         return self.omega / 10.0 ** (self.snr_db / 10.0)
 
-    @property
-    def n_users(self) -> int:
-        return self.L * self.K
-
 
 @dataclass(frozen=True)
 class UserLayout:
@@ -144,10 +140,9 @@ class PathLossMap:
 
         Scales user (l, k) by q = omega / beta[l, l, k], so every home-cell
         gain becomes exactly omega and cross gains become at most omega
-        whenever the home gain dominates.  This is the documented
-        power-control path: pair these gains with uniform_power at unit
-        power, and each user's q is folded into its gains rather than into
-        its transmit power.
+        whenever the home gain dominates.  This is the power-control path:
+        each user's q is folded into its gains, not into its transmit power,
+        so every frame keeps unit total power (see PowerAllocation).
         """
         q = omega / self.home()
         return PathLossMap(self.beta * q[np.newaxis, :, :])
@@ -155,20 +150,20 @@ class PathLossMap:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-user transmit power q and its pilot/data amplitude split.
+    """Per-user data/pilot amplitude split of a unit transmit power.
 
-    q, rho_d, rho_p all have shape (L, K) and satisfy q = rho_d^2 + rho_p^2.
-    rho_d and rho_p are amplitudes (not fractions); for a superimposed-pilot
-    user both are positive.
+    rho_d and rho_p have shape (L, K) and satisfy rho_d^2 + rho_p^2 = 1.
+    They are amplitudes (not fractions); for a superimposed-pilot user both
+    are positive.  Power control lives in the gain map
+    (PathLossMap.normalized), not here.
     """
 
-    q: np.ndarray
     rho_d: np.ndarray
     rho_p: np.ndarray
 
     def __post_init__(self):
-        if not np.allclose(self.q, self.rho_d**2 + self.rho_p**2, rtol=1e-10):
-            raise ValueError("power split must satisfy q = rho_d^2 + rho_p^2")
+        if not np.allclose(self.rho_d**2 + self.rho_p**2, 1.0, rtol=1e-10):
+            raise ValueError("power split must satisfy rho_d^2 + rho_p^2 = 1")
 
 
 def hex_centers(L: int, cell_radius_m: float) -> np.ndarray:
@@ -294,17 +289,13 @@ def path_loss(
 def uniform_power(
     L: int,
     K: int,
-    q: float = 1.0,
     data_power_fraction: float | np.ndarray = 0.5,
 ) -> PowerAllocation:
-    """Identical transmit power q for every user (no inversion)."""
-    if q <= 0:
-        raise ValueError("q must be positive")
-    qs = np.full((L, K), float(q))
-    frac = np.broadcast_to(np.asarray(data_power_fraction, dtype=float), qs.shape)
+    """Unit transmit power for every user, data_power_fraction of it on data."""
+    frac = np.broadcast_to(np.asarray(data_power_fraction, dtype=float), (L, K))
     if np.any((frac < 0) | (frac > 1)):
         raise ValueError("data_power_fraction must lie in [0, 1]")
-    return PowerAllocation(q=qs, rho_d=np.sqrt(qs * frac), rho_p=np.sqrt(qs * (1.0 - frac)))
+    return PowerAllocation(rho_d=np.sqrt(frac), rho_p=np.sqrt(1.0 - frac))
 
 
 def draw_channels(var: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,15 +1,18 @@
 """Pilot books, QAM mapping, frame assembly, and received-signal synthesis.
 
-Three uplink frame formats are supported:
+A user's uplink frame follows the pilot partition (hybrid.Partition):
 
-* time-multiplexed ("tp"): sqrt(q) * pilot over the first tau symbols, then
-  sqrt(q) * data for the remaining C_u - tau;
-* superimposed ("sp"): rho_d * data + rho_p * pilot over all C_u symbols,
-  every user owning a dedicated pilot column;
-* hybrid: TP users send unit-amplitude pilots then sqrt(q) * data, while the
-  superimposed users stay silent for the first tau symbols and transmit
-  rho_d * data + rho_p * pilot over the trailing C_u - tau symbols with a
-  shorter pilot book.
+* a time-multiplexed (TP) user sends its pilot over the first tau symbols,
+  then data over the remaining C_u - tau;
+* a superimposed (SP) user sends rho_d * data + rho_p * pilot over the
+  trailing book.sp_length symbols, on a dedicated pilot column, and stays
+  silent before them.
+
+Pure TP and pure SP are the all-TP and all-SP partitions; with the
+full-length book the SP frames fill the whole block.  A hybrid partition
+mixes both and needs the (C_u - tau)-length book, so that every user carries
+C_u - tau payload symbols.  Every user transmits at unit power: power
+control is folded into the gain map (sysmodel.PathLossMap.normalized).
 
 Pilot matrices are DFT-based, so entries have unit modulus and orthogonality
 is exact up to rounding.
@@ -18,6 +21,7 @@ is exact up to rounding.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,9 +29,6 @@ import numpy as np
 
 from .hybrid import Partition
 from .sysmodel import PowerAllocation, SystemConfig
-
-TP_SCHEME = "tp"
-SP_SCHEME = "sp"
 
 
 class CapacityError(ValueError):
@@ -70,16 +71,34 @@ class PilotBook:
             raise KeyError(f"user ({n // K}, {n % K}) has no superimposed pilot")
         return self.sp_matrix[:, cols]
 
+    def payload_length(self, partition: Partition, C_u: int) -> int:
+        """Payload (and matched-filter output) symbols per user of a partition's frames.
+
+        C_u - tau when some user trains in the first tau symbols, else
+        sp_length.  Raises ValueError for a partition with both kinds of
+        user on a book whose SP segment is not C_u - tau long.  The frames
+        (assemble_frames) and the simulation harness both read this rule;
+        analytics.rate_tp and rate_sp are its closed forms for the pure
+        schemes on the full-length book.
+        """
+        if not partition.u_tp:
+            return self.sp_length
+        n = C_u - self.tau
+        if partition.u_sp and self.sp_length != n:
+            raise ValueError(f"TP users carry {n} payload symbols but the SP segment is "
+                             f"{self.sp_length} long; a mixed partition needs the "
+                             "(C_u - tau)-length book")
+        return n
+
 
 @dataclass(frozen=True)
 class FrameSet:
     """Transmitted symbols for all users of one coherence block.
 
     S has shape (L*K, C_u); row l*K + k is the frame of user (l, k).  Row n
-    of data holds user n's unit-variance payload symbols (C_u of them for
-    pure SP, C_u - tau otherwise), and row n of bits the Gray bits they
-    carry, bits_per_symbol(P) per symbol; bits is None for Gaussian
-    payloads.
+    of data holds user n's unit-variance payload symbols
+    (PilotBook.payload_length of them), and row n of bits the Gray bits they carry, bits_per_symbol(P)
+    per symbol; bits is None for Gaussian payloads.
     """
 
     S: np.ndarray
@@ -135,8 +154,7 @@ def make_pilot_books(
             sp_assignment = (cells[:, np.newaxis] % groups) * K + np.arange(K)[np.newaxis, :]
         else:
             raise CapacityError(
-                f"{L * K} users exceed {C_u} superimposed pilot columns; "
-                "use allow_sp_reuse or a hybrid partition"
+                f"L={L}, K={K}: {L * K} users exceed the C_u={C_u} superimposed pilot columns"
             )
     return PilotBook(
         tp_matrix=tp_matrix,
@@ -263,43 +281,25 @@ def assemble_frames(
     pilot_book: PilotBook,
     power: PowerAllocation,
     rng: np.random.Generator,
-    partition: Partition | None = None,
-    scheme: str = SP_SCHEME,
+    partition: Partition,
     data_dist: str = "qam",
 ) -> FrameSet:
     """Build every user's transmitted frame for one coherence block.
 
-    scheme selects the system-wide format ("tp", "sp", or "hybrid"); hybrid
-    requires a partition, and any partitioned user missing from u_sp is
-    treated as time-multiplexed.  data_dist is "qam" (unit-power P-QAM) or
-    "gaussian" (unit-variance complex normal).
+    Each user's format follows the partition (see the module docstring); a
+    user in neither of its sets raises KeyError.  data_dist is "qam"
+    (unit-power P-QAM) or "gaussian" (unit-variance complex normal).
     """
     L, K, C_u, tau = config.L, config.K, config.C_u, config.tau
-    n_users = L * K
-    if scheme == "hybrid" and partition is None:
-        raise ValueError("hybrid frames need a partition")
-    # the TP and SP rows: a slice when one scheme has every user, else
-    # index arrays; None for a scheme nobody uses
-    if scheme == TP_SCHEME:
-        tp_rows, sp_rows = slice(None), None
-    elif scheme == SP_SCHEME:
-        tp_rows, sp_rows = None, slice(None)
-    elif scheme == "hybrid":
-        sp_mask = np.array([(cell, k) in partition.u_sp for cell in range(L) for k in range(K)])
-        tp_rows, sp_rows = (np.flatnonzero(rows) if rows.any() else None
-                            for rows in (~sp_mask, sp_mask))
-    else:
-        raise ValueError(f"unknown frame scheme {scheme!r}")
-    payload_len = C_u if scheme == SP_SCHEME else C_u - tau
-    data, bits = _draw_payloads(n_users, payload_len, config.P, data_dist, rng)
+    payload_len = pilot_book.payload_length(partition, C_u)
+    tp_rows, sp_rows = _partition_rows(partition, L, K)
+    data, bits = _draw_payloads(L * K, payload_len, config.P, data_dist, rng)
 
-    S = np.zeros((n_users, C_u), dtype=complex)
+    S = np.zeros((L * K, C_u), dtype=complex)
     if tp_rows is not None:
-        q = power.q.reshape(-1)[tp_rows]
-        pilot_amp = np.sqrt(q) if scheme == TP_SCHEME else np.ones_like(q)
-        pilots = pilot_book.tp_matrix[:, pilot_book.tp_assignment.reshape(-1)[tp_rows]].T
-        S[tp_rows, :tau] = pilot_amp[:, np.newaxis] * pilots
-        S[tp_rows, tau:] = np.sqrt(q)[:, np.newaxis] * data[tp_rows]
+        columns = pilot_book.tp_assignment.reshape(-1)[tp_rows]
+        S[tp_rows, :tau] = pilot_book.tp_matrix[:, columns].T
+        S[tp_rows, tau:] = data[tp_rows]
     if sp_rows is not None:
         rho_d = power.rho_d.reshape(-1)[sp_rows, np.newaxis]
         rho_p = power.rho_p.reshape(-1)[sp_rows, np.newaxis]
@@ -309,6 +309,29 @@ def assemble_frames(
         pilots += rho_d * data[sp_rows]
         S[sp_rows, C_u - payload_len :] = pilots
     return FrameSet(S=S, data=data, bits=bits)
+
+
+@functools.lru_cache(maxsize=32)
+def _partition_rows(partition: Partition, L: int, K: int):
+    """The flat l*K + k rows of the TP and of the SP users.
+
+    Each is a slice when its set holds every user, a read-only index array
+    otherwise, and None when the set is empty.  Raises KeyError for a user
+    in neither set.  Cached: a run frames many trials on a few partitions.
+    """
+    users = list(itertools.product(range(L), range(K)))
+    members = partition.u_tp | partition.u_sp
+    if not members.issuperset(users):
+        user = next(u for u in users if u not in members)
+        raise KeyError(f"user {user} is in neither partition set")
+    if not partition.u_sp:
+        return slice(None), None
+    if not partition.u_tp:
+        return None, slice(None)
+    in_sp = np.array([user in partition.u_sp for user in users])
+    tp_rows, sp_rows = np.flatnonzero(~in_sp), np.flatnonzero(in_sp)
+    tp_rows.flags.writeable = sp_rows.flags.writeable = False
+    return tp_rows, sp_rows
 
 
 def _draw_payloads(n_users: int, n: int, P: int, data_dist: str, rng: np.random.Generator):

@@ -21,13 +21,13 @@ from supmimo.analytics import (
 )
 from supmimo.hybrid import Partition, all_tp
 from supmimo.rng import substream
-from supmimo.sysmodel import PathLossMap, PowerAllocation, SystemConfig, uniform_power
+from supmimo.sysmodel import PathLossMap, SystemConfig, uniform_power
 
 
-def make_inputs(beta, q, lam2, cfg):
-    q = np.asarray(q, dtype=float)
-    powers = PowerAllocation(q=q, rho_d=np.sqrt(q * lam2), rho_p=np.sqrt(q * (1 - lam2)))
-    return AnalyticInputs.build(PathLossMap(np.asarray(beta, dtype=float)), powers, cfg)
+def make_inputs(beta, lam2, cfg):
+    beta = np.asarray(beta, dtype=float)
+    powers = uniform_power(beta.shape[1], beta.shape[2], lam2)
+    return AnalyticInputs.build(PathLossMap(beta), powers, cfg)
 
 
 def make_config(**kw):
@@ -50,7 +50,7 @@ def scalar_sp_finite_m(inputs, j, m):
     t1 = 0.0
     for l in range(L):
         for k in range(K):
-            t1 += (inputs.rho_d[l, k] ** 2 * inputs.q[l, k] * inputs.beta[j, l, k] ** 2) / (
+            t1 += (inputs.rho_d[l, k] ** 2 * inputs.beta[j, l, k] ** 2) / (
                 C_u * apm2 * adm2 * bm**2
             )
     t2 = 0.0
@@ -59,7 +59,7 @@ def scalar_sp_finite_m(inputs, j, m):
         for k in range(K):
             if (l, k) == (j, m):
                 continue
-            t2 += (inputs.beta[j, l, k] * inputs.q[l, k]) / (M * adm2 * bm)
+            t2 += inputs.beta[j, l, k] / (M * adm2 * bm)
             for n in range(L):
                 for p in range(K):
                     if (n, p) == (l, k):
@@ -68,7 +68,6 @@ def scalar_sp_finite_m(inputs, j, m):
                         inputs.rho_d[n, p] ** 2
                         * inputs.beta[j, l, k]
                         * inputs.beta[j, n, p]
-                        * inputs.q[l, k]
                     ) / (M * C_u * apm2 * adm2 * bm**2)
     return 1.0 / (t1 + t2 + t3)
 
@@ -106,7 +105,7 @@ class TestLowerBound:
 
     def test_bounded_by_asymptotic_at_uniform_gain(self):
         cfg = make_config()
-        inputs = make_inputs(np.ones((7, 7, 5)), np.ones((7, 5)), 0.46, cfg)
+        inputs = make_inputs(np.ones((7, 7, 5)), 0.46, cfg)
         bound = sinr_sp_lower_bound(7, 5, 100, 100, 0.46)
         assert bound <= sinr_sp_asymptotic(inputs, 0, 0)
 
@@ -119,7 +118,7 @@ class TestLowerBound:
             beta = rng.uniform(0.0, 1.0, size=(7, 7, 5))
             idx = np.arange(7)
             beta[idx, idx, :] = 1.0
-            inputs = make_inputs(beta, np.ones((7, 5)), lam2, cfg)
+            inputs = make_inputs(beta, lam2, cfg)
             exact = sinr_sp_finite_m(inputs, 0, 0)
             bound = sinr_sp_lower_bound(7, 5, cfg.C_u, cfg.M, lam2)
             assert exact >= bound - 1e-12
@@ -131,34 +130,18 @@ class TestSpSinr:
         cfg = make_config(L=7, K=3, M=64, C_u=50, C=100)
         for trial in range(10):
             beta = rng.uniform(0.05, 2.0, size=(7, 7, 3))
-            q = rng.uniform(0.2, 3.0, size=(7, 3))
             lam2 = float(rng.uniform(0.2, 0.8))
-            inputs = make_inputs(beta, q, lam2, cfg)
+            inputs = make_inputs(beta, lam2, cfg)
             j, m = int(rng.integers(0, 7)), int(rng.integers(0, 3))
             assert sinr_sp_finite_m(inputs, j, m) == pytest.approx(
                 scalar_sp_finite_m(inputs, j, m), rel=1e-12
             )
 
-    def test_invariant_under_power_normalization(self):
-        # folding q into the gains and amplitudes leaves the SINR unchanged
-        rng = substream(33, "equiv")
-        cfg = make_config(L=3, K=2, M=48, C_u=40, C=80)
-        for _ in range(10):
-            beta = rng.uniform(0.05, 2.0, size=(3, 3, 2))
-            q = rng.uniform(0.2, 3.0, size=(3, 2))
-            lam2 = float(rng.uniform(0.2, 0.8))
-            raw = make_inputs(beta, q, lam2, cfg)
-            normalized = make_inputs(beta * q[np.newaxis, :, :], np.ones((3, 2)), lam2, cfg)
-            for j, m in ((0, 0), (1, 1), (2, 0)):
-                assert sinr_sp_finite_m(raw, j, m) == pytest.approx(
-                    sinr_sp_finite_m(normalized, j, m), rel=1e-10
-                )
-
     def test_limit_consistency(self):
         rng = substream(34, "limit")
         cfg = make_config(M=10**12)
         beta = rng.uniform(0.1, 1.5, size=(7, 7, 5))
-        inputs = make_inputs(beta, np.ones((7, 5)), 0.46, cfg)
+        inputs = make_inputs(beta, 0.46, cfg)
         for m in range(5):
             finite = sinr_sp_finite_m(inputs, 0, m)
             asym = sinr_sp_asymptotic(inputs, 0, m)
@@ -166,15 +149,14 @@ class TestSpSinr:
 
     def test_symmetric_closed_form(self):
         cfg = make_config()
-        inputs = make_inputs(np.ones((7, 7, 5)), np.ones((7, 5)), 0.5, cfg)
+        inputs = make_inputs(np.ones((7, 7, 5)), 0.5, cfg)
         assert sinr_sp_asymptotic(inputs, 0, 0) == pytest.approx(100 / 70)
 
     def test_single_user_asymptotic(self):
         cfg = make_config(L=1, K=1, C_u=64, C=128)
-        q = 1.8
         lam2 = 0.3
-        inputs = make_inputs(np.ones((1, 1, 1)), np.full((1, 1), q), lam2, cfg)
-        # C_u * rho_p^2 / q with raw amplitudes rho_p^2 = q * (1 - lam2)
+        inputs = make_inputs(np.ones((1, 1, 1)), lam2, cfg)
+        # C_u * rho_p^2 with rho_p^2 = 1 - lam2
         assert sinr_sp_asymptotic(inputs, 0, 0) == pytest.approx(64 * (1 - lam2))
 
     def test_scale_invariance_under_power_control(self):
@@ -187,7 +169,7 @@ class TestSpSinr:
 
         def controlled(b):
             eff = PathLossMap(b).normalized(1.0)
-            return make_inputs(eff.beta, np.ones((7, 5)), 0.46, cfg)
+            return make_inputs(eff.beta, 0.46, cfg)
 
         a = sinr_sp_asymptotic(controlled(beta), 0, 0)
         b = sinr_sp_asymptotic(controlled(2.0 * beta), 0, 0)
@@ -197,7 +179,7 @@ class TestSpSinr:
 class TestTpSinr:
     def test_no_reuse_sentinel_and_capped_rate(self):
         cfg = make_config(L=7, K=5, r=7)
-        inputs = make_inputs(np.ones((7, 7, 5)), np.ones((7, 5)), 0.5, cfg)
+        inputs = make_inputs(np.ones((7, 7, 5)), 0.5, cfg)
         sinr = sinr_tp_asymptotic(inputs, 0, 0)
         assert sinr == math.inf
         assert rate_tp(inputs, sinr, cap_order=4) == pytest.approx((65 / 200) * 2.0)
@@ -207,12 +189,12 @@ class TestTpSinr:
         beta = np.full((7, 7, 5), 0.5)
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
-        inputs = make_inputs(beta, np.ones((7, 5)), 0.5, cfg)
+        inputs = make_inputs(beta, 0.5, cfg)
         assert sinr_tp_asymptotic(inputs, 0, 0) == pytest.approx(1.0 / 1.5)
 
     def test_rate_weights(self):
         cfg = make_config(r=7)
-        inputs = make_inputs(np.ones((7, 7, 5)), np.ones((7, 5)), 0.5, cfg)
+        inputs = make_inputs(np.ones((7, 7, 5)), 0.5, cfg)
         assert rate_tp(inputs, 1.0) == pytest.approx((65 / 200) * 1.0)
         assert rate_sp(inputs, 1.0) == pytest.approx((100 / 200) * 1.0)
 
@@ -231,7 +213,7 @@ class TestKappa:
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
         cfg = make_config()
-        inputs = make_inputs(beta, np.ones((7, 5)), 0.5, cfg)
+        inputs = make_inputs(beta, 0.5, cfg)
         assert kappa(inputs, 0, 0) == pytest.approx(kappa_symmetric(5, 7, 0.5), rel=1e-12)
 
     def test_crossover_property(self):
@@ -240,7 +222,7 @@ class TestKappa:
         beta[idx, idx, :] = 1.0
         for C_u, sp_wins in ((15, False), (18, True)):
             cfg = make_config(C_u=C_u, C=200)
-            inputs = make_inputs(beta, np.ones((7, 5)), 0.5, cfg)
+            inputs = make_inputs(beta, 0.5, cfg)
             sp = sinr_sp_asymptotic(inputs, 0, 0)
             tp = sinr_tp_asymptotic(inputs, 0, 0)
             assert (sp > tp) == sp_wins
@@ -253,7 +235,7 @@ class TestHybridRates:
         beta = rng.uniform(0.1, 1.0, size=(7, 7, 5))
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
-        inputs = make_inputs(beta, np.ones((7, 5)), 0.5, cfg)
+        inputs = make_inputs(beta, 0.5, cfg)
         part = all_tp(7, 5)
         rates = hybrid_rates(inputs, part, 0)
         for k in range(5):
@@ -268,7 +250,7 @@ class TestHybridRates:
             u_sp=frozenset({(0, 0)}),
         )
         mu2 = 0.55
-        inputs = make_inputs(np.ones((7, 7, 5)), np.ones((7, 5)), 1 - mu2, cfg)
+        inputs = make_inputs(np.ones((7, 7, 5)), 1 - mu2, cfg)
         assert hybrid_sp_sinr(inputs, part, 0, 0) == pytest.approx((100 - 5) * mu2)
 
     def test_silent_extra_user_lifts_sum_rate(self):
@@ -277,7 +259,7 @@ class TestHybridRates:
         beta = rng.uniform(0.1, 1.0, size=(7, 7, 6))
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
-        inputs = make_inputs(beta, np.ones((7, 6)), 0.5, cfg)
+        inputs = make_inputs(beta, 0.5, cfg)
         before = all_tp(7, 5)  # user index 5 of cell 0 not present yet
         rates_before = hybrid_rates(inputs, before, 0)
         after = Partition(u_tp=before.u_tp, u_sp=frozenset({(0, 5)}))
@@ -292,7 +274,7 @@ class TestHybridRates:
         beta = np.full((7, 7, 5), 0.5)
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
-        inputs = make_inputs(beta, np.ones((7, 5)), 0.5, cfg)
+        inputs = make_inputs(beta, 0.5, cfg)
         part = Partition(
             u_tp=frozenset((l, k) for l in range(7) for k in range(5) if l not in (1, 2)),
             u_sp=frozenset((l, k) for l in range(7) for k in range(5) if l in (1, 2)),

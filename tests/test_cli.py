@@ -86,11 +86,15 @@ BAD_SPECS = {
     "inf-m": _spec("sinr_vs_m", "trials: 1", "m_values: [.inf]"),
 }
 
-# specs that parse but whose arrays numpy refuses at once; each must end in
-# "error invalid-parameter", not a traceback
-HUGE_SPECS = {
+# specs that parse but that the run refuses before its first trial, with
+# the start of their "error invalid-parameter" line, not a traceback
+INVALID_SPECS = {
     # a 255 TiB prediction history
-    "huge-iterations": _spec("sinr_vs_m", *_SMALL, f"iterations: {10**12}"),
+    "huge-iterations": (_spec("sinr_vs_m", *_SMALL, f"iterations: {10**12}"),
+                        "error invalid-parameter:"),
+    # 7 cells of 15 users need 105 superimposed pilots; C_u is 70
+    "sp-over-capacity": (_spec("ber_vs_k", "trials: 1", "k_values: [15]"),
+                         "error invalid-parameter: L=7, K=15: 105 users exceed the C_u=70"),
 }
 
 # (argv, stderr prefix, exit code); {tmp} is a directory holding the files
@@ -104,8 +108,8 @@ EXIT_TABLE = [
     (["run", "{tmp}/missing.yaml", "--out", "{tmp}/out.csv"], "error io:", 4),
     *((["run", f"{{tmp}}/{name}.yaml", "--out", "{tmp}/out.csv"], "error config:", 3)
       for name in BAD_SPECS),
-    *((["run", f"{{tmp}}/{name}.yaml", "--out", "{tmp}/out.csv"], "error invalid-parameter:", 5)
-      for name in HUGE_SPECS),
+    *((["run", f"{{tmp}}/{name}.yaml", "--out", "{tmp}/out.csv"], prefix, 5)
+      for name, (_text, prefix) in INVALID_SPECS.items()),
     (["analytic", "optimal-rho", "100", "7", "5", "100"], "", 0),
     (["analytic", "optimal-rho", "100", "7", "5", "0"], "error invalid-parameter:", 5),
     (["analytic", "optimal-rho", "100", "7", "5", "0", "--approx"], "error invalid-parameter:", 5),
@@ -141,7 +145,8 @@ EXIT_TABLE = [
 def test_exit_codes(tmp_path, capsys, argv, err_prefix, code):
     (tmp_path / "good.yaml").write_text(_spec("sinr_vs_m", *_SMALL), encoding="utf-8")
     (tmp_path / "bad.yaml").write_text("experiment: nope\n", encoding="utf-8")
-    for name, text in {**BAD_SPECS, **HUGE_SPECS}.items():
+    specs = {**BAD_SPECS, **{name: text for name, (text, _prefix) in INVALID_SPECS.items()}}
+    for name, text in specs.items():
         (tmp_path / f"{name}.yaml").write_text(text, encoding="utf-8")
     (tmp_path / "beta.csv").write_text(BETA_CSV, encoding="utf-8")
     (tmp_path / "beta-k2.csv").write_text(BETA_K2_CSV, encoding="utf-8")

@@ -45,9 +45,9 @@ class TestTpEstimator:
         book = make_pilot_books(cfg)
         beta = np.full((7, 7, 2), 0.8)
         H = draw(beta, 0, cfg.M, (1, "h"))
-        frames = assemble_frames(cfg, book, uniform_power(7, 2, q=1.5), substream(1, "f"), scheme="tp")
+        frames = assemble_frames(cfg, book, uniform_power(7, 2), substream(1, "f"), all_tp(7, 2))
         Y = synthesize_received(H, frames.S, 0.0, substream(1, "n"))
-        est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, 1), q=1.5)
+        est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, 1))
         assert np.allclose(est, H[:, 1], atol=1e-12)
 
     def test_contamination_is_copilot_sum(self):
@@ -55,9 +55,9 @@ class TestTpEstimator:
         book = make_pilot_books(cfg)
         beta = np.full((7, 7, 2), 0.5)
         H = draw(beta, 0, cfg.M, (2, "h"))
-        frames = assemble_frames(cfg, book, uniform_power(7, 2), substream(2, "f"), scheme="tp")
+        frames = assemble_frames(cfg, book, uniform_power(7, 2), substream(2, "f"), all_tp(7, 2))
         Y = synthesize_received(H, frames.S, 0.0, substream(2, "n"))
-        est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, 0), q=1.0)
+        est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, 0))
         copilot_sum = H[:, 0::2].sum(axis=1)  # user 0 of every cell
         assert np.allclose(est, copilot_sum, atol=1e-10)
 
@@ -71,23 +71,23 @@ class TestTpEstimator:
         )
         h = np.array([[1.25 + 0.5j, -0.75 + 2.0j]])
         Y_pilot = (h[:, 0] + h[:, 1]).reshape(1, 1)
-        est = tp_ls_estimate(Y_pilot, book, (0, 0), q=1.0)
+        est = tp_ls_estimate(Y_pilot, book, (0, 0))
         assert np.array_equal(est, h[:, 0] + h[:, 1])
 
     def test_noise_only_error_variance(self):
         cfg = make_config(L=1, K=2, r=1, M=48, snr_db=3.0)
         book = make_pilot_books(cfg)
         beta = np.full((1, 1, 2), 1.0)
-        q = 1.0
         acc = 0.0
         trials = 1000
         for t in range(trials):
             H = draw(beta, 0, cfg.M, (3, "h", t))
-            frames = assemble_frames(cfg, book, uniform_power(1, 2, q=q), substream(3, "f", t), scheme="tp")
+            frames = assemble_frames(cfg, book, uniform_power(1, 2), substream(3, "f", t),
+                                     all_tp(1, 2))
             Y = synthesize_received(H, frames.S, cfg.sigma2, substream(3, "n", t))
-            est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, 0), q=q)
+            est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, 0))
             acc += np.linalg.norm(est - H[:, 0]) ** 2
-        expected = cfg.M * cfg.sigma2 / (cfg.tau * q)
+        expected = cfg.M * cfg.sigma2 / cfg.tau
         assert acc / trials == pytest.approx(expected, rel=0.05)
 
     def test_unknown_pilot_index(self):
@@ -100,16 +100,16 @@ class TestTpEstimator:
             sp_assignment=book.sp_assignment,
         )
         with pytest.raises(KeyError):
-            tp_ls_estimate(np.zeros((4, 2), dtype=complex), bad, (0, 1), q=1.0)
+            tp_ls_estimate(np.zeros((4, 2), dtype=complex), bad, (0, 1))
 
 
 class TestSpEstimator:
     def test_exact_when_data_free_and_noiseless(self):
         cfg = make_config(L=1, K=1, C_u=16)
         book = make_pilot_books(cfg)
-        powers = PowerAllocation(q=np.ones((1, 1)), rho_d=np.zeros((1, 1)), rho_p=np.ones((1, 1)))
+        powers = PowerAllocation(rho_d=np.zeros((1, 1)), rho_p=np.ones((1, 1)))
         H = draw(np.ones((1, 1, 1)), 0, 8, (4, "h"))
-        frames = assemble_frames(cfg, book, powers, substream(4, "f"), scheme="sp")
+        frames = assemble_frames(cfg, book, powers, substream(4, "f"), all_sp(1, 1))
         Y = synthesize_received(H, frames.S, 0.0, substream(4, "n"))
         est = sp_ls_estimate(Y, book.sp_matrix[:, book.sp_assignment[0, 0]], 1.0)
         assert np.allclose(est, H[:, 0], atol=1e-12)
@@ -119,11 +119,9 @@ class TestSpEstimator:
         cfg = make_config(L=1, K=1, C_u=16)
         book = make_pilot_books(cfg)
         rho_d, rho_p = math.sqrt(0.4), math.sqrt(0.6)
-        powers = PowerAllocation(q=np.ones((1, 1)),
-                                 rho_d=np.full((1, 1), rho_d),
-                                 rho_p=np.full((1, 1), rho_p))
+        powers = PowerAllocation(rho_d=np.full((1, 1), rho_d), rho_p=np.full((1, 1), rho_p))
         H = draw(np.ones((1, 1, 1)), 0, 8, (5, "h"))
-        frames = assemble_frames(cfg, book, powers, substream(5, "f"), scheme="sp")
+        frames = assemble_frames(cfg, book, powers, substream(5, "f"), all_sp(1, 1))
         Y = synthesize_received(H, frames.S, 0.0, substream(5, "n"))
         pilot = book.sp_matrix[:, book.sp_assignment[0, 0]]
         est = sp_ls_estimate(Y, pilot, rho_p)
@@ -135,13 +133,13 @@ class TestSpEstimator:
         cfg = make_config(M=256)
         book = make_pilot_books(cfg)
         lam2 = 0.46
-        powers = uniform_power(7, 5, q=1.0, data_power_fraction=lam2)
+        powers = uniform_power(7, 5, data_power_fraction=lam2)
         beta = np.full((7, 7, 5), 1.0)
         acc = 0.0
         trials = 60
         for t in range(trials):
             H = draw(beta, 0, cfg.M, (6, "h", t))
-            frames = assemble_frames(cfg, book, powers, substream(6, "f", t), scheme="sp")
+            frames = assemble_frames(cfg, book, powers, substream(6, "f", t), all_sp(7, 5))
             Y = synthesize_received(H, frames.S, 0.0, substream(6, "n", t))
             pilot = book.sp_matrix[:, book.sp_assignment[0, 0]]
             est = sp_ls_estimate(Y, pilot, float(powers.rho_p[0, 0]))
@@ -167,11 +165,9 @@ class TestMatchedFilters:
         cfg = make_config(L=1, K=1, C_u=32, M=4096)
         book = make_pilot_books(cfg)
         rho_d, rho_p = math.sqrt(0.5), math.sqrt(0.5)
-        powers = PowerAllocation(q=np.ones((1, 1)),
-                                 rho_d=np.full((1, 1), rho_d),
-                                 rho_p=np.full((1, 1), rho_p))
+        powers = PowerAllocation(rho_d=np.full((1, 1), rho_d), rho_p=np.full((1, 1), rho_p))
         H = draw(np.ones((1, 1, 1)), 0, cfg.M, (8, "h"))
-        frames = assemble_frames(cfg, book, powers, substream(8, "f"), scheme="sp")
+        frames = assemble_frames(cfg, book, powers, substream(8, "f"), all_sp(1, 1))
         Y = synthesize_received(H, frames.S, 0.0, substream(8, "n"))
         pilot = book.sp_matrix[:, book.sp_assignment[0, 0]]
         x_tilde = mf_detect_sp(Y, H[:, 0], rho_d, rho_p, 1.0, pilot)
@@ -204,10 +200,10 @@ class TestMatchedFilters:
         cfg = make_config(L=1, K=1, C_u=16, M=512)
         book = make_pilot_books(cfg)
         H = draw(np.ones((1, 1, 1)), 0, cfg.M, (11, "h"))
-        frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(11, "f"), scheme="tp")
+        frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(11, "f"), all_tp(1, 1))
         Y = synthesize_received(H, frames.S, 0.0, substream(11, "n"))
-        est = tp_ls_estimate(Y[:, :1], book, (0, 0), q=1.0)
-        x_hat = decide(mf_detect_tp(Y[:, 1:], est, 1.0, 1.0), cfg.P)
+        est = tp_ls_estimate(Y[:, :1], book, (0, 0))
+        x_hat = decide(mf_detect_tp(Y[:, 1:], est, 1.0), cfg.P)
         assert np.array_equal(x_hat, frames.data[0])
         errors = np.sum(x_hat != frames.data[0])
         assert errors == 0
@@ -217,7 +213,7 @@ class TestHybridEstimates:
     """receive_cell, the one receiver of every pilot scheme, against the
     per-user estimate -> matched-filter chains it replaces."""
 
-    def _system(self, sigma2=0.0, q_tp=1.0, seed=12, M=64):
+    def _system(self, sigma2=0.0, seed=12, M=64):
         cfg = make_config(M=M)
         sp = {(0, 1)} | {(2, k) for k in range(5)}
         part = Partition(
@@ -225,15 +221,11 @@ class TestHybridEstimates:
             u_sp=frozenset(sp),
         )
         book = make_pilot_books(cfg, partition=part)
-        q = np.full((7, 5), q_tp)
-        q[0, :] = 1.0
-        lam2 = 0.4
-        powers = PowerAllocation(q=q, rho_d=np.sqrt(q * lam2), rho_p=np.sqrt(q * (1 - lam2)))
+        powers = uniform_power(7, 5, data_power_fraction=0.4)
         beta = np.full((7, 7, 5), 0.3)
         beta[0, 0, :] = 1.0
         H = draw(beta, 0, cfg.M, (seed, "h"))
-        frames = assemble_frames(cfg, book, powers, substream(seed, "f"), scheme="hybrid",
-                                 partition=part)
+        frames = assemble_frames(cfg, book, powers, substream(seed, "f"), part)
         Y = synthesize_received(H, frames.S, sigma2, substream(seed, "n"))
         return cfg, part, book, powers, H, frames, Y
 
@@ -247,8 +239,8 @@ class TestHybridEstimates:
         x_tilde = receive_cell(Y, book, all_tp(7, 5), powers, 0, beta_home)
         assert x_tilde.shape == (5, cfg.C_u - cfg.tau)
         for k in range(5):
-            est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, k), 1.0)
-            direct = mf_detect_tp(Y[:, cfg.tau :], est, float(beta_home[k]), 1.0)
+            est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, k))
+            direct = mf_detect_tp(Y[:, cfg.tau :], est, float(beta_home[k]))
             assert np.array_equal(x_tilde[k], direct)
 
     def test_all_sp_with_no_training_phase_matches_plain_sp(self):
@@ -263,7 +255,7 @@ class TestHybridEstimates:
             sp_matrix=dft_matrix(C_u),
             sp_assignment=np.array([[0, 1]]),
         )
-        powers = uniform_power(1, 2, q=1.0, data_power_fraction=0.5)
+        powers = uniform_power(1, 2, data_power_fraction=0.5)
         rng = substream(14, "y")
         Y = rng.standard_normal((8, C_u)) + 1j * rng.standard_normal((8, C_u))
         beta_home = np.array([1.0, 0.7])
@@ -283,8 +275,8 @@ class TestHybridEstimates:
             x_tilde = receive_cell(Y, book, part, powers, cell, beta_home)
             for k in range(5):
                 if (cell, k) in part.u_tp:
-                    est = tp_ls_estimate(Y[:, :tau], book, (cell, k), 1.0)
-                    det = mf_detect_tp(Y[:, tau:], est, float(beta_home[k]), 1.0)
+                    est = tp_ls_estimate(Y[:, :tau], book, (cell, k))
+                    det = mf_detect_tp(Y[:, tau:], est, float(beta_home[k]))
                 else:
                     pilot = book.sp_matrix[:, book.sp_assignment[cell, k]]
                     rho_d, rho_p = float(powers.rho_d[cell, k]), float(powers.rho_p[cell, k])
@@ -293,25 +285,23 @@ class TestHybridEstimates:
                 assert np.array_equal(x_tilde[k], det)
 
     def test_sp_branch_error_moment_matches_short_book(self):
-        # TP users carry no data power, so the SP estimate error is driven by
-        # the SP set alone over the C_u - tau segment
+        # the TP users do not reach BS 0, so over the C_u - tau segment the SP
+        # estimate error is driven by the data of the SP set alone
         cfg = make_config(M=256)
         part = Partition(
             u_tp=frozenset((l, k) for l in range(7) for k in range(5) if l > 0),
             u_sp=frozenset((0, k) for k in range(5)),
         )
         book = make_pilot_books(cfg, partition=part)
-        q = np.ones((7, 5))
-        q[1:, :] = 0.0  # TP users send no data power (pilots stay unit)
         lam2 = 0.5
-        powers = PowerAllocation(q=q, rho_d=np.sqrt(q * lam2), rho_p=np.sqrt(q * (1 - lam2)))
+        powers = uniform_power(7, 5, data_power_fraction=lam2)
         beta = np.full((7, 7, 5), 1.0)
+        beta[0, 1:, :] = 0.0
         acc = 0.0
         trials = 60
         for t in range(trials):
             H = draw(beta, 0, cfg.M, (15, "h", t))
-            frames = assemble_frames(cfg, book, powers, substream(15, "f", t),
-                                     scheme="hybrid", partition=part)
+            frames = assemble_frames(cfg, book, powers, substream(15, "f", t), part)
             Y = synthesize_received(H, frames.S, 0.0, substream(15, "n", t))
             pilot, rho_p = book.sp_matrix[:, book.sp_assignment[0, 0]], float(powers.rho_p[0, 0])
             est = sp_ls_estimate(Y[:, cfg.tau :], pilot, rho_p)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from supmimo import analytics, iterative
 from supmimo.estimators import _matched, mf_detect_sp, sp_ls_estimate, sp_output
+from supmimo.hybrid import all_sp
 from supmimo.iterative import (
     SELECTION_RULES,
     _grouped_sums,
@@ -195,7 +196,7 @@ def layout_users(cfg, seed):
     beta = path_loss(place_users(cfg, substream(seed, "layout")), cfg.path_loss_exponent)
     beta = beta.normalized(cfg.omega).beta[0].reshape(-1)
     lam2, _ = analytics.optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u)
-    powers = uniform_power(cfg.L, cfg.K, 1.0, lam2)
+    powers = uniform_power(cfg.L, cfg.K, lam2)
     return beta, powers.rho_d.reshape(-1), powers.rho_p.reshape(-1)
 
 
@@ -209,8 +210,8 @@ def sp_block(cfg, seed, trials=None):
 
     def received(*key):
         H = draw_channels(beta, cfg.M, substream(*key, "channels"))
-        frames = assemble_frames(cfg, book, uniform_power(cfg.L, cfg.K, 1.0, lam2),
-                                 substream(*key, "frames"), scheme="sp")
+        frames = assemble_frames(cfg, book, uniform_power(cfg.L, cfg.K, lam2),
+                                 substream(*key, "frames"), all_sp(cfg.L, cfg.K))
         return synthesize_received(H, frames.S, cfg.sigma2, substream(*key, "noise"))
 
     Y = received(seed) if trials is None else np.stack([received(seed, t) for t in range(trials)])

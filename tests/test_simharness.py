@@ -174,7 +174,7 @@ def per_trial_energies(bench, key):
     cfg, powers = bench.config, bench.powers
     K, M = cfg.K, cfg.M
     frames = [waveform.assemble_frames(cfg, s.book, powers, substream(*key, f"{s.tag}-frames"),
-                                       partition=s.partition, scheme=s.frame, data_dist="gaussian")
+                                       s.partition, "gaussian")
               for s in bench.schemes]
     S = np.stack([f.S for f in frames])
     energies = np.empty((len(bench.schemes), 2, len(bench.streams), K))
@@ -198,7 +198,7 @@ def per_trial_energies(bench, key):
 def test_sum_rate_energies_equal_the_per_trial_loop(K):
     # at K = 1 the rows are contiguous, and the norms round unlike strided rows
     bench = sum_rate_bench(K)
-    assert [s.frame for s in bench.schemes] == ["tp", "sp", "hybrid"]
+    assert [s.method for s in bench.schemes] == ["all-tp", "all-sp", "hybrid"]
     assert len(bench.streams) == 7 and bench.schemes[2].partition.u_sp
     with simharness._one_blas_thread():
         sig_res, errs = simharness._run_trials(bench, keys(3))

@@ -31,7 +31,6 @@ class TestSystemConfig:
     def test_defaults_are_consistent(self):
         cfg = SystemConfig()
         assert cfg.tau == cfg.r * cfg.K
-        assert cfg.n_users == 35
 
     def test_sigma2_from_snr(self):
         cfg = make_config(snr_db=10.0, omega=1.0)
@@ -251,9 +250,10 @@ class TestPowerControl:
 
     def test_power_split_invariant(self):
         with pytest.raises(ValueError, match="split"):
-            PowerAllocation(q=np.ones((1, 1)), rho_d=np.ones((1, 1)), rho_p=np.ones((1, 1)))
-        powers = uniform_power(2, 3, q=2.0, data_power_fraction=0.25)
-        assert np.allclose(powers.rho_d**2 + powers.rho_p**2, 2.0)
+            PowerAllocation(rho_d=np.ones((1, 1)), rho_p=np.ones((1, 1)))
+        powers = uniform_power(2, 3, data_power_fraction=0.25)
+        assert np.allclose(powers.rho_d**2 + powers.rho_p**2, 1.0)
+        assert np.allclose(powers.rho_d**2, 0.25)
 
 
 def reference_draw(var, M, rng):

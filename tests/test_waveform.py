@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from supmimo.hybrid import Partition, all_sp
+from supmimo.hybrid import Partition, all_sp, all_tp
 from supmimo.rng import substream
 from supmimo.sysmodel import PowerAllocation, SystemConfig, uniform_power
 from supmimo.waveform import (
@@ -66,7 +66,8 @@ class TestPilotBooks:
 
     def test_capacity_error_without_reuse(self):
         cfg = make_config(L=7, K=5, C_u=20, C=40)
-        with pytest.raises(CapacityError):
+        # in the spec's terms: the CLI prints this for an over-capacity K
+        with pytest.raises(CapacityError, match=r"^L=7, K=5: 35 users exceed the C_u=20 "):
             make_pilot_books(cfg)
 
     def test_reuse_groups_when_allowed(self):
@@ -166,25 +167,22 @@ class TestQam:
         assert np.max(dist) < 1e-12
 
 
-def reference_frames(cfg, book, power, rng, partition=None, scheme="sp", data_dist="qam"):
+def reference_frames(cfg, book, power, rng, partition, data_dist="qam"):
     """User-by-user frame assembly, one payload draw per user."""
     S = np.zeros((cfg.L * cfg.K, cfg.C_u), dtype=complex)
+    size = cfg.C_u - cfg.tau if partition.u_tp else book.sp_length
     data = []
     for cell in range(cfg.L):
         for k in range(cfg.K):
             n = cell * cfg.K + k
-            silent = scheme == "hybrid" and (cell, k) in partition.u_sp
-            tp = scheme == "tp" or (scheme == "hybrid" and not silent)
-            size = cfg.C_u if scheme == "sp" else cfg.C_u - cfg.tau
             if data_dist == "qam":
                 x = modulate(rng.integers(0, 2, size=size * bits_per_symbol(cfg.P),
                                           dtype=np.uint8), cfg.P)
             else:
                 x = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
-            if tp:
-                amp = math.sqrt(power.q[cell, k]) if scheme == "tp" else 1.0
-                S[n, : cfg.tau] = amp * book.tp_matrix[:, book.tp_assignment[cell, k]]
-                S[n, cfg.tau :] = math.sqrt(power.q[cell, k]) * x
+            if (cell, k) in partition.u_tp:
+                S[n, : cfg.tau] = book.tp_matrix[:, book.tp_assignment[cell, k]]
+                S[n, cfg.tau :] = x
             else:
                 cols = slice(cfg.C_u - size, cfg.C_u)
                 pilot = book.sp_matrix[:, book.sp_assignment[cell, k]]
@@ -193,64 +191,89 @@ def reference_frames(cfg, book, power, rng, partition=None, scheme="sp", data_di
     return S, np.array(data)
 
 
+# a third of the 35 users superimpose their pilots, the rest train
+HYBRID = Partition(
+    u_tp=frozenset((l, k) for l in range(7) for k in range(5) if (l + k) % 3),
+    u_sp=frozenset((l, k) for l in range(7) for k in range(5) if (l + k) % 3 == 0),
+)
+# all-TP, all-SP and hybrid frames
+PARTITIONS = {"tp": all_tp(7, 5), "sp": all_sp(7, 5), "hybrid": HYBRID}
+
+
 class TestFrames:
-    @pytest.mark.parametrize("scheme", ["tp", "sp", "hybrid"])
+    @pytest.mark.parametrize("name", PARTITIONS)
     @pytest.mark.parametrize("data_dist", ["qam", "gaussian"])
-    def test_matches_user_by_user_assembly(self, scheme, data_dist):
+    def test_matches_user_by_user_assembly(self, name, data_dist):
         # C_u - tau = 95 QAM symbols: 190 bits per user, not a multiple of 4
         cfg = make_config()
-        part = Partition(
-            u_tp=frozenset((l, k) for l in range(7) for k in range(5) if (l + k) % 3),
-            u_sp=frozenset((l, k) for l in range(7) for k in range(5) if (l + k) % 3 == 0),
-        )
-        book = make_pilot_books(cfg, partition=part if scheme == "hybrid" else None)
-        powers = uniform_power(7, 5, q=1.3, data_power_fraction=0.6)
-        frames = assemble_frames(cfg, book, powers, substream(9, "f"), partition=part,
-                                 scheme=scheme, data_dist=data_dist)
-        S, data = reference_frames(cfg, book, powers, substream(9, "f"), part, scheme, data_dist)
+        part = PARTITIONS[name]
+        book = make_pilot_books(cfg, partition=part if name == "hybrid" else None)
+        powers = uniform_power(7, 5, data_power_fraction=0.6)
+        frames = assemble_frames(cfg, book, powers, substream(9, "f"), part, data_dist)
+        S, data = reference_frames(cfg, book, powers, substream(9, "f"), part, data_dist)
         assert np.array_equal(frames.S, S)
         assert np.array_equal(frames.data, data)
+        # an equal partition reuses the cached rows, which the first call left intact
+        equal = Partition(u_tp=frozenset(part.u_tp), u_sp=frozenset(part.u_sp))
+        again = assemble_frames(cfg, book, powers, substream(9, "f"), equal, data_dist)
+        assert np.array_equal(again.S, S)
+
+    @pytest.mark.parametrize("name, short_book, length", [
+        ("tp", False, 95), ("tp", True, 95), ("sp", False, 100), ("sp", True, 95),
+        ("hybrid", True, 95),
+    ])
+    def test_payload_length(self, name, short_book, length):
+        # C_u - tau with training, else the book's SP segment
+        cfg = make_config()
+        part = PARTITIONS[name]
+        book = make_pilot_books(cfg, partition=part if short_book else None)
+        assert book.payload_length(part, cfg.C_u) == length
+        frames = assemble_frames(cfg, book, uniform_power(7, 5), substream(0, "f"), part)
+        assert frames.data.shape == (35, length)
 
     def test_bad_arguments(self):
         cfg = make_config()
-        part = Partition(u_tp=frozenset((l, k) for l in range(7) for k in range(5)),
-                         u_sp=frozenset())
         book = make_pilot_books(cfg)
         powers = uniform_power(7, 5)
-        with pytest.raises(ValueError, match="partition"):
-            assemble_frames(cfg, book, powers, substream(0, "f"), scheme="hybrid")
-        with pytest.raises(ValueError, match="scheme"):
-            assemble_frames(cfg, book, powers, substream(0, "f"), scheme="ofdm")
         with pytest.raises(ValueError, match="distribution"):
-            assemble_frames(cfg, book, powers, substream(0, "f"), data_dist="uniform")
+            assemble_frames(cfg, book, powers, substream(0, "f"), all_sp(7, 5), "uniform")
         with pytest.raises(KeyError, match=r"\(0, 0\)"):
-            assemble_frames(cfg, make_pilot_books(cfg, partition=part), powers,
-                            substream(0, "f"), scheme="sp")
+            assemble_frames(cfg, make_pilot_books(cfg, partition=all_tp(7, 5)), powers,
+                            substream(0, "f"), all_sp(7, 5))
+        missing = Partition(u_tp=all_tp(7, 5).u_tp - {(3, 2)}, u_sp=frozenset())
+        with pytest.raises(KeyError, match=r"\(3, 2\) is in neither"):
+            assemble_frames(cfg, book, powers, substream(0, "f"), missing)
+
+    def test_mixed_partition_needs_the_short_book(self):
+        # on the full-length book the SP rows would carry C_u symbols, the TP rows C_u - tau
+        cfg = make_config()
+        with pytest.raises(ValueError, match="C_u - tau"):
+            assemble_frames(cfg, make_pilot_books(cfg), uniform_power(7, 5), substream(0, "f"),
+                            HYBRID)
 
     def test_pure_pilot_when_data_amplitude_zero(self):
         cfg = make_config(L=1, K=1, C_u=8)
         book = make_pilot_books(cfg)
-        powers = PowerAllocation(q=np.ones((1, 1)), rho_d=np.zeros((1, 1)), rho_p=np.ones((1, 1)))
-        frames = assemble_frames(cfg, book, powers, substream(0, "f"), scheme="sp")
+        powers = PowerAllocation(rho_d=np.zeros((1, 1)), rho_p=np.ones((1, 1)))
+        frames = assemble_frames(cfg, book, powers, substream(0, "f"), all_sp(1, 1))
         assert np.allclose(frames.S[0], book.sp_matrix[:, book.sp_assignment[0, 0]])
 
     def test_sp_frame_average_power(self):
         cfg = make_config(L=1, K=2, r=1, C_u=64, C=128)
         book = make_pilot_books(cfg)
-        powers = uniform_power(1, 2, q=1.7, data_power_fraction=0.4)
+        powers = uniform_power(1, 2, data_power_fraction=0.4)
         acc = 0.0
         n_frames = 200
         for t in range(n_frames):
-            frames = assemble_frames(cfg, book, powers, substream(3, "f", t), scheme="sp")
+            frames = assemble_frames(cfg, book, powers, substream(3, "f", t), all_sp(1, 2))
             acc += np.mean(np.abs(frames.S[0]) ** 2)
-        assert acc / n_frames == pytest.approx(1.7, rel=0.02)
+        assert acc / n_frames == pytest.approx(1.0, rel=0.02)
 
     def test_tp_pilot_phase_power_exact(self):
         cfg = make_config()
         book = make_pilot_books(cfg)
-        powers = uniform_power(7, 5, q=2.0)
-        frames = assemble_frames(cfg, book, powers, substream(4, "f"), scheme="tp")
-        assert np.allclose(np.abs(frames.S[:, : cfg.tau]) ** 2, 2.0, atol=1e-12)
+        frames = assemble_frames(cfg, book, uniform_power(7, 5), substream(4, "f"), all_tp(7, 5))
+        assert np.allclose(np.abs(frames.S[:, : cfg.tau]) ** 2, 1.0, atol=1e-12)
         assert frames.data[0].shape == (cfg.C_u - cfg.tau,)
 
     def test_hybrid_sp_user_is_silent_during_training(self):
@@ -260,19 +283,16 @@ class TestFrames:
             u_sp=frozenset((0, k) for k in range(5)),
         )
         book = make_pilot_books(cfg, partition=part)
-        powers = uniform_power(7, 5)
-        frames = assemble_frames(cfg, book, powers, substream(5, "f"), scheme="hybrid",
-                                 partition=part)
+        frames = assemble_frames(cfg, book, uniform_power(7, 5), substream(5, "f"), part)
         assert np.all(frames.S[:5, : cfg.tau] == 0.0)
         assert np.all(frames.S[5:, : cfg.tau] != 0.0)
-        # hybrid TP pilots ride at unit amplitude regardless of data power
         assert np.allclose(np.abs(frames.S[5:, : cfg.tau]), 1.0, atol=1e-12)
 
     def test_gaussian_payload(self):
         cfg = make_config(L=1, K=1, C_u=2000, C=4000)
         book = make_pilot_books(cfg)
-        frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(6, "f"),
-                                 scheme="sp", data_dist="gaussian")
+        frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(6, "f"), all_sp(1, 1),
+                                 "gaussian")
         assert np.mean(np.abs(frames.data[0]) ** 2) == pytest.approx(1.0, rel=0.1)
 
 
@@ -280,7 +300,7 @@ class TestSynthesis:
     def test_zero_channels_zero_noise(self):
         cfg = make_config(L=1, K=1, C_u=8)
         book = make_pilot_books(cfg)
-        frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(0, "f"), scheme="sp")
+        frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(0, "f"), all_sp(1, 1))
         Y = synthesize_received(np.zeros((4, 1), dtype=complex), frames.S, 0.0, substream(0, "n"))
         assert np.all(Y == 0.0)
 
@@ -290,10 +310,10 @@ class TestSynthesis:
         assert Y[0, 0] == 2.0 + 0j
 
     def test_received_energy_budget(self):
-        # symmetric case: E||Y||_F^2 = sum_n M beta q C_u + M C_u sigma2
+        # symmetric case: E||Y||_F^2 = sum_n M beta C_u + M C_u sigma2
         cfg = make_config(L=1, K=4, C_u=32, C=64, M=8)
         book = make_pilot_books(cfg)
-        powers = uniform_power(1, 4, q=1.3)
+        powers = uniform_power(1, 4)
         beta = 0.6
         sigma2 = 0.2
         total = 0.0
@@ -301,10 +321,10 @@ class TestSynthesis:
         for t in range(trials):
             rng = substream(8, "h", t)
             H = math.sqrt(beta / 2) * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
-            frames = assemble_frames(cfg, book, powers, substream(8, "f", t), scheme="sp")
+            frames = assemble_frames(cfg, book, powers, substream(8, "f", t), all_sp(1, 4))
             Y = synthesize_received(H, frames.S, sigma2, substream(8, "n", t))
             total += np.linalg.norm(Y) ** 2
-        expected = 4 * 8 * beta * 1.3 * 32 + 8 * 32 * sigma2
+        expected = 4 * 8 * beta * 32 + 8 * 32 * sigma2
         assert total / trials == pytest.approx(expected, rel=0.02)
 
     def test_dimension_mismatch(self):
