@@ -13,6 +13,7 @@ from .sysmodel import (
     SystemConfig,
     UserLayout,
     draw_channels,
+    draw_noise,
     hex_centers,
     path_loss,
     place_users,
@@ -37,6 +38,7 @@ __all__ = [
     "UserLayout",
     "brute_force_partition",
     "draw_channels",
+    "draw_noise",
     "greedy_partition",
     "hex_centers",
     "path_loss",

@@ -1,15 +1,18 @@
 """Monte-Carlo experiment engine and the five built-in experiments.
 
-Simulation runs in power-controlled equivalent coordinates: channels are
-drawn from the effective gain map (statistics-aware inversion toward the
-home BS), every frame carries unit total power, and the data/pilot split
-comes from the SINR-bound maximizer.  Empirical SINR follows the
-signal-projection convention: the desired component of a matched-filter
-output is (||h||^2 / (M beta)) * x, everything else is residual.
+Simulation runs in power-controlled equivalent coordinates: each scheme's
+gains come from its effective gain map (statistics-aware inversion toward
+the home BS) over unit-variance fading, every frame carries unit total
+power, and the data/pilot split comes from the SINR-bound maximizer.
+Empirical SINR follows the signal-projection convention: the desired
+component of a matched-filter output is (||h||^2 / (M beta)) * x,
+everything else is residual.
 
 Trials are indexed and draw their randomness from (seed, experiment, sweep
 point, trial, purpose) substreams, so a trial's result depends only on its
-key, not on which trials ran before it.
+key, not on which trials ran before it.  sum_rate_vs_sir keys its trials
+without the sweep point: one trial serves every radius, and only its frame
+tags name the radius.
 
 Every experiment draws, receives and scores its trials in one kernel,
 _run_trials, over a bench: the pilot schemes it compares (_Scheme), each
@@ -21,22 +24,28 @@ QAM payloads and the profile; their benches are set up in one batched pass
 once and runs one prediction recursion over all layouts of a sweep point.
 Users are passed to the iterative layer as drawn, in flat l*K + k order;
 the sweep order is that layer's own.  sum_rate_vs_sir compares all-TP,
-all-SP and hybrid pilots at its 7 metric BSs with Gaussian payloads
+all-SP and hybrid pilots at its 7 metric BSs with Gaussian payloads, on one
+bench whose schemes are the (radius, method) pairs of its sweep
 (_sum_rate_bench).
 
-Within a trial the schemes see common random numbers: each draws its own
-frames, but at each metric BS one channel per distinct gain map (the
-reference schemes share one) and one noise block serve every scheme, in one
-synthesize_received call.  Each block is received through receive_cell;
-with a profile the SP block is instead reduced (iterative.reduce_block) to
-the statistics the estimator reads, and the one-shot SP outputs are
-finished from the reductions.  Only the metric cells' channel powers
-||h||^2, the outputs, payloads, bits and reductions outlive a trial; the
-estimator runs, and every method is decided and scored, once per batch of
-as many trials as fit _CHUNK_BYTES at _trial_bytes each.  Every product is
-a stack of per-trial products, so a trial's energies have the same bits in
-any batch, and they are added to the totals in trial order, so the output
-does not depend on the batch size.
+The schemes of a bench see common random numbers: each draws its own
+frames, but at each metric BS one unit-variance fading matrix Z and one
+noise block W per trial serve every scheme, so the draws are shared across
+schemes and, in sum_rate_vs_sir, across radii.  A scheme's gains are folded
+into its frames: its block is Z @ (sqrt(beta) * S) + W, made by
+synthesize_received in one received-block buffer that every scheme reuses.
+Each block is received through receive_cell; with a profile the SP block
+is instead reduced (iterative.reduce_block) to the statistics the
+estimator reads, and the one-shot SP outputs are finished from the
+reductions.  Gaussian benches
+are scored per BS as each block is received, so only their energies outlive
+a trial.  For QAM benches the metric cells' channel gains, the outputs,
+payloads, bits and reductions outlive a trial; the estimator runs, and
+every method is decided and scored, once per batch of as many trials as fit
+_CHUNK_BYTES at _trial_bytes each.  Every product is a stack of per-trial
+products, so a trial's energies have the same bits in any batch, and they
+are added to the totals in trial order, so the output does not depend on
+the batch size.
 
 run_experiment holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards.  A product whose reduction is split over threads
@@ -67,6 +76,7 @@ from .sysmodel import (
     Scenario2,
     SystemConfig,
     draw_channels,
+    draw_noise,
     path_loss,
     place_users,
     received_sir,
@@ -83,9 +93,9 @@ HYBRID_METHOD = "hybrid"
 EXPERIMENTS = ("sinr_vs_m", "rate_vs_m", "sinr_cdf", "ber_vs_k", "sum_rate_vs_sir")
 
 # budget of one batch of _run_trials, which holds as many trials as fit at
-# _trial_bytes each: 12, 11 and 9 for sinr_vs_m at M = 50, 100 and 200, and
-# all 8 of sum_rate_vs_sir, about 1 MB of outputs and payloads (traced peaks
-# at seed 5: 1,674 and 2,843 KiB; 2,087 KiB for the sum-rate loop before).
+# _trial_bytes each: 12, 11 and 9 for sinr_vs_m at M = 50, 100 and 200
+# (traced peak at seed 5: 1,674 KiB).  sum_rate_vs_sir holds only energies,
+# so all its trials fit one batch.
 _CHUNK_BYTES = 1280 * 1024
 
 
@@ -197,8 +207,8 @@ class _Scheme(NamedTuple):
     """One pilot scheme of a bench, scored as one method.
 
     Its frames follow partition and book, drawn from the trial's (tag +
-    "-frames") substream, and are received under them on channels drawn
-    from gains.
+    "-frames") substream, are sent over the square roots of its gains, and
+    are received under partition and book.
     """
 
     method: str
@@ -210,12 +220,14 @@ class _Scheme(NamedTuple):
 
 @dataclass(frozen=True)
 class _Bench:
-    """What the trials of one layout share: its schemes and metric BSs.
+    """What a run of trials shares: its schemes and metric BSs.
 
-    streams[j] holds the channel and noise substream tags of metric BS j,
-    whose cell's users are scored.  data_dist is the payload distribution
-    of waveform.assemble_frames.  A profile, the prediction recursion of the
-    gains at BS 0, adds the iterative pass on the all-SP scheme there.
+    The schemes are those of one layout, or of several (sum_rate_vs_sir's
+    radii), each with its own gains.  streams[j] holds the channel and
+    noise substream tags of metric BS j, whose cell's users are scored.
+    data_dist is the payload distribution of waveform.assemble_frames.  A
+    profile, the prediction recursion of the gains at BS 0, adds the
+    iterative pass on the all-SP scheme there.
     """
 
     config: SystemConfig
@@ -264,75 +276,89 @@ def _payload_lengths(bench: _Bench) -> list:
 def _run_trials(bench: _Bench, keys: list):
     """T trials of a bench, one per key: drawn, received and scored.
 
-    Per trial and metric BS j, one channel per distinct gain map
-    (streams[j][0]) and one noise block (streams[j][1]) serve every scheme,
-    and each block is received into the batch arrays; a channel is freed
-    before the next draw.  With a profile the all-SP block is reduced instead,
-    and the stacked reductions give its one-shot outputs (their G rows and R
-    diagonal are mf_detect_sp's matched filters and powers, bit for bit) and
-    are iterated, once per batch.  Returns (sig_res, errs): the (T, methods,
-    2, J, K) signal and residual energies per trial, method, metric BS and
+    Per trial and metric BS j, one unit-variance fading matrix Z
+    (streams[j][0]) and one noise block W (streams[j][1]) serve every
+    scheme: scheme s receives Y_s = Z @ (sqrt(beta_s) * S_s) + W, its gains
+    at BS j folded into its frame rows, one scheme at a time into one reused
+    buffer.  A user's desired-signal gain ||h||^2 / (M beta) is ||z||^2 / M
+    of its column, the same for every scheme.  Gaussian payloads are scored
+    per BS as received; QAM outputs go into the batch arrays.  With a
+    profile the all-SP block is reduced instead, and the stacked reductions
+    give its one-shot outputs (their G rows and R diagonal are
+    mf_detect_sp's matched filters and powers, bit for bit) and are
+    iterated, once per batch.  Returns (sig_res, errs): the (T, methods, 2,
+    J, K) signal and residual energies per trial, method, metric BS and
     user, and the (methods, 2) bit errors and bit count per method over the
     batch (zero for Gaussian payloads).  The methods are the schemes, then
     the iterative pass.
     """
     cfg, powers, schemes, profile = bench.config, bench.powers, bench.schemes, bench.profile
-    K, M, C_u, P = cfg.K, cfg.M, cfg.C_u, cfg.P
-    T, J = len(keys), len(bench.streams)
+    K, M, C_u, P, N = cfg.K, cfg.M, cfg.C_u, cfg.P, cfg.L * cfg.K
+    T, J, n_schemes = len(keys), len(bench.streams), len(schemes)
     qam = bench.data_dist == "qam"
-    # schemes on one gain map share one channel, slice 0 of the draw
-    maps = [s.gains for s in schemes]
-    if all(gains is maps[0] for gains in maps):
-        maps = maps[:1]
-    var = [np.stack([gains.beta[j].reshape(-1) for gains in maps]) for j in range(J)]
-    power = np.empty((T, len(maps), J, K))
+    # sqrt(beta) of every scheme's users at every metric BS, the frame row scales
+    roots = np.sqrt(np.stack([s.gains.beta[:J].reshape(J, N) for s in schemes]))
+    gain = np.empty((T, J, K))
     lengths = _payload_lengths(bench)
-    x = [np.empty((T, J, K, n), dtype=complex) for n in lengths]
-    data = [np.empty((T, J, K, n), dtype=complex) for n in lengths]
-    n_bits = waveform.bits_per_symbol(P)
-    bits = [np.empty((T, J, K, n_bits * n), dtype=np.uint8) if qam else None for n in lengths]
+    held = T if qam else 1  # Gaussian payloads need only the current trial's
+    data = [np.empty((held, J, K, n), dtype=complex) for n in lengths]
+    if qam:
+        x = [np.empty((T, J, K, n), dtype=complex) for n in lengths]
+        n_bits = waveform.bits_per_symbol(P)
+        bits = [np.empty((T, J, K, n_bits * n), dtype=np.uint8) for n in lengths]
+    else:
+        sig_res = np.empty((T, n_schemes, 2, J, K))
     if profile is not None:
         sp = next(i for i, s in enumerate(schemes) if not s.partition.u_tp)
         report = np.arange(K)
         users = iterative.reduced_users(profile, report)
         G = np.empty((T, users.size, C_u), dtype=complex)
         R = np.empty((T, users.size, users.size), dtype=complex)
-    Y = np.empty((len(schemes), M, C_u), dtype=complex)
+    S = np.empty((n_schemes, N, C_u), dtype=complex)
+    scaled = np.empty((N, C_u), dtype=complex)
+    Y = np.empty((M, C_u), dtype=complex)
     for t, key in enumerate(keys):
+        u = t if qam else 0
         # one scheme's frames at a time: the substreams are keyed, so the
         # order of the draws does not change their bits
-        S = np.empty((len(schemes), cfg.L * K, C_u), dtype=complex)
         for i, s in enumerate(schemes):
             frames = waveform.assemble_frames(cfg, s.book, powers,
                                               substream(*key, f"{s.tag}-frames"), s.partition,
                                               bench.data_dist)
             S[i] = frames.S
-            data[i][t] = frames.data[: J * K].reshape(J, K, -1)
+            data[i][u] = frames.data[: J * K].reshape(J, K, -1)
             if qam:
                 bits[i][t] = frames.bits[: J * K].reshape(J, K, -1)
             del frames  # before the next scheme's are drawn
         for j, (channel_tag, noise_tag) in enumerate(bench.streams):
-            H = draw_channels(var[j], M, substream(*key, *channel_tag))
-            waveform.synthesize_received(H if len(maps) > 1 else H[0], S, cfg.sigma2,
-                                         substream(*key, *noise_tag), out=Y)
-            # the cell's columns copied and read as rows: how ||h||^2 rounds
+            Z = draw_channels(cfg, substream(*key, *channel_tag))
+            W = draw_noise(cfg, substream(*key, *noise_tag))
+            # the cell's columns copied and read as rows: how ||z||^2 rounds
             # depends on that layout (contiguous rows at K = 1)
-            h = np.ascontiguousarray(H[..., j * K : (j + 1) * K]).swapaxes(-1, -2)
-            power[t, :, j] = np.vecdot(h, h).real
-            del H, h
+            z = np.ascontiguousarray(Z[:, j * K : (j + 1) * K]).T
+            gain[t, j] = np.vecdot(z, z).real / M
             for i, s in enumerate(schemes):
+                np.multiply(roots[i, j, :, np.newaxis], S[i], out=scaled)
+                waveform.synthesize_received(Z, scaled, W, out=Y)
+                if i == n_schemes - 1:
+                    del Z, W  # the last block is made: free the draws before it is received
                 if profile is not None and i == sp:
-                    reduced = iterative.reduce_block(Y[i], s.book.sp_columns(slice(None)),
+                    reduced = iterative.reduce_block(Y, s.book.sp_columns(slice(None)),
                                                      powers.rho_p.reshape(-1), profile, report)
                     G[t], R[t] = reduced.G, reduced.R
                     del reduced  # no trial's draws outlive it
+                    continue
+                x_tilde = receive_cell(Y, s.book, s.partition, powers, j, s.gains.beta[j, j])
+                if qam:
+                    x[i][t, j] = x_tilde
                 else:
-                    x[i][t, j] = receive_cell(Y[i], s.book, s.partition, powers, j,
-                                              s.gains.beta[j, j])
-        del S
-    del Y
+                    sig_res[t, i, 0, j], sig_res[t, i, 1, j] = signal_residual_power(
+                        x_tilde, data[i][0, j], gain[t, j])
+    del S, scaled, Y
+    if not qam:
+        return sig_res, np.zeros((n_schemes, 2), dtype=np.int64)
 
-    methods = [(x[i], None, i) for i in range(len(schemes))]  # (outputs, decisions, scheme)
+    methods = [(x[i], None, i) for i in range(n_schemes)]  # (outputs, decisions, scheme)
     if profile is not None:
         book, gains = schemes[sp].book, schemes[sp].gains
         rows = np.argsort(users)[:K]  # cell 0's users are flat users 0..K-1, all kept
@@ -346,32 +372,31 @@ def _run_trials(bench: _Bench, keys: list):
         )
         del G, R
         methods.append((state.x_tilde[:, np.newaxis], state.x_hat[:, np.newaxis], sp))
-    cells = np.arange(J)
     sig_res = np.empty((T, len(methods), 2, J, K))
-    errs = np.zeros((len(methods), 2), dtype=np.int64)
+    errs = np.empty((len(methods), 2), dtype=np.int64)
     for m, (x_tilde, x_hat, i) in enumerate(methods):
-        gain = power[:, i % len(maps)] / (M * schemes[i].gains.beta[cells, cells])
         sig_res[:, m, 0], sig_res[:, m, 1] = signal_residual_power(x_tilde, data[i], gain)
-        if qam:
-            errs[m] = count_ber(waveform.decide(x_tilde, P) if x_hat is None else x_hat, bits[i], P)
+        errs[m] = count_ber(waveform.decide(x_tilde, P) if x_hat is None else x_hat, bits[i], P)
     return sig_res, errs
 
 
 def _trial_bytes(bench: _Bench) -> int:
     """Bytes one trial adds to a batch of _run_trials; none of them grow with M.
 
-    For each metric cell's K users: every scheme's payloads and every
-    method's outputs and, for QAM payloads, decisions, all complex, and the
-    payload bits and their demapped copy; with a profile, the reduction's G
-    and R over the n users the iterative estimator keeps and its three
-    (n, C_u) working arrays.  The few channel powers per user are left out.
+    Gaussian payloads are scored as they are received, so such a trial adds
+    only its energies and channel gains.  For QAM payloads, for each metric
+    cell's K users: every scheme's payloads and every method's outputs and
+    decisions, all complex, and the payload bits and their demapped copy;
+    with a profile, the reduction's G and R over the n users the iterative
+    estimator keeps and its three (n, C_u) working arrays.  The few channel
+    gains per user are left out.
     """
     cfg = bench.config
+    if bench.data_dist != "qam":
+        return 8 * len(bench.streams) * cfg.K * (2 * len(bench.schemes) + 1)
     payloads = len(bench.streams) * cfg.K * sum(_payload_lengths(bench))
     outputs = payloads + (cfg.K * cfg.C_u if bench.profile is not None else 0)
-    total = 16 * (payloads + outputs)
-    if bench.data_dist == "qam":
-        total += 16 * outputs + 2 * waveform.bits_per_symbol(cfg.P) * payloads
+    total = 16 * (payloads + 2 * outputs) + 2 * waveform.bits_per_symbol(cfg.P) * payloads
     if bench.profile is not None:
         n = iterative.reduced_users(bench.profile, np.arange(cfg.K)).size
         total += 16 * (n * (cfg.C_u + n) + 3 * n * cfg.C_u)
@@ -458,9 +483,12 @@ def _records_sinr_cdf(config, options):
 
 
 def _records_ber_vs_k(config, options):
+    configs = [replace(config, K=K, M=options.m_per_k * K) for K in options.k_values]
+    for cfg in configs:
+        # raises CapacityError for an over-capacity K before any trial runs
+        waveform.make_pilot_books(cfg)
     records = []
-    for ki, K in enumerate(options.k_values):
-        cfg = replace(config, K=K, M=options.m_per_k * K)
+    for ki, cfg in enumerate(configs):
         layouts = [place_users(cfg, substream(cfg.seed, "ber_vs_k", ki, t, "layout"))
                    for t in range(options.trials)]
         benches = _make_benches(cfg, options, layouts)
@@ -468,74 +496,79 @@ def _records_ber_vs_k(config, options):
                      for t, bench in enumerate(benches))
         for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD)):
             records.append(MetricsRecord(
-                experiment="ber_vs_k", method=method, sweep_var="K", sweep_value=float(K),
+                experiment="ber_vs_k", method=method, sweep_var="K", sweep_value=float(cfg.K),
                 user="all", metric="ber", value=float(totals[i, 0] / totals[i, 1]),
                 trials=options.trials, analytic_value=None,
             ))
     return records
 
 
-def _sum_rate_bench(cfg: SystemConfig, layout, options: RunOptions) -> _Bench:
-    """All-TP, all-SP and hybrid pilots at the min(L, 7) metric BSs of one layout.
+def _sum_rate_bench(cfg: SystemConfig, layouts: list, options: RunOptions) -> _Bench:
+    """All-TP, all-SP and hybrid pilots at the min(L, 7) metric BSs of each layout.
 
-    Gaussian payloads at unit power.  Each metric BS j draws its channel
-    from ("ch", j) and its noise from ("n", j).
+    One bench for the whole sweep: its schemes are the (layout, method)
+    pairs, three per layout in layout order, and layout i's frames use the
+    tags f"{i}-tp", f"{i}-sp" and f"{i}-hy".  Gaussian payloads at unit
+    power.  Each metric BS j draws its fading from ("ch", j) and its noise
+    from ("n", j), shared by every layout's schemes.
     """
     n_metric = min(cfg.L, 7)
-    beta_raw = path_loss(layout, cfg.path_loss_exponent)
     lam2, mu2 = analytics.optimal_rho(
         cfg.M, n_metric, cfg.K, cfg.C_u, approximate=options.rho_form == "approx"
     )
     unit_powers = uniform_power(cfg.L, cfg.K, lam2)
-
-    # greedy partition over the metric cells; outer-tier users stay TP
-    greedy = greedy_partition(beta_raw.beta[:n_metric, :n_metric, :], cfg.r, cfg.C_u,
-                              cfg.tau, mu2).partition
-    outer = frozenset((l, k) for l in range(n_metric, cfg.L) for k in range(cfg.K))
-    partition = Partition(u_tp=greedy.u_tp | outer, u_sp=greedy.u_sp)
-    q_hyb = np.ones((cfg.L, cfg.K))
-    home = beta_raw.home()
-    for (l, k) in partition.u_sp:
-        q_hyb[l, k] = cfg.omega / home[l, k]
-    beta_hyb = PathLossMap(beta_raw.beta * q_hyb[np.newaxis, :, :])
-
     # one full-length book serves both baselines: outer-tier cells reuse
     # superimposed columns when L*K exceeds C_u
     book_full = waveform.make_pilot_books(cfg, allow_sp_reuse=True)
-    book_hyb = waveform.make_pilot_books(cfg, partition=partition)
-    schemes = (
-        _Scheme(ALL_TP_METHOD, "tp", book_full, beta_raw, all_tp(cfg.L, cfg.K)),
-        _Scheme(ALL_SP_METHOD, "sp", book_full, beta_raw.normalized(cfg.omega),
-                all_sp(cfg.L, cfg.K)),
-        _Scheme(HYBRID_METHOD, "hy", book_hyb, beta_hyb, partition),
-    )
+    outer = frozenset((l, k) for l in range(n_metric, cfg.L) for k in range(cfg.K))
+    schemes = []
+    for i, layout in enumerate(layouts):
+        beta_raw = path_loss(layout, cfg.path_loss_exponent)
+        controlled = beta_raw.normalized(cfg.omega)
+        # greedy partition over the metric cells; outer-tier users stay TP
+        greedy = greedy_partition(beta_raw.beta[:n_metric, :n_metric, :], cfg.r, cfg.C_u,
+                                  cfg.tau, mu2).partition
+        partition = Partition(u_tp=greedy.u_tp | outer, u_sp=greedy.u_sp)
+        # power control on the SP users only
+        in_sp = np.array([[(l, k) in partition.u_sp for k in range(cfg.K)]
+                          for l in range(cfg.L)])
+        beta_hyb = PathLossMap(np.where(in_sp, controlled.beta, beta_raw.beta))
+        schemes += [
+            _Scheme(ALL_TP_METHOD, f"{i}-tp", book_full, beta_raw, all_tp(cfg.L, cfg.K)),
+            _Scheme(ALL_SP_METHOD, f"{i}-sp", book_full, controlled, all_sp(cfg.L, cfg.K)),
+            _Scheme(HYBRID_METHOD, f"{i}-hy", waveform.make_pilot_books(cfg, partition=partition),
+                    beta_hyb, partition),
+        ]
     streams = tuple((("ch", j), ("n", j)) for j in range(n_metric))
-    return _Bench(cfg, unit_powers, schemes, streams, "gaussian")
+    return _Bench(cfg, unit_powers, tuple(schemes), streams, "gaussian")
 
 
 def _records_sum_rate_vs_sir(config, options):
-    records = []
+    layouts = []
     for ri, radius in enumerate(options.radii_m):
         cfg = replace(config, scenario=Scenario2(cell_radius_m=config.scenario.cell_radius_m,
                                                  user_circle_radius_m=radius))
-        layout = place_users(cfg, substream(cfg.seed, "sum_rate", ri, "layout"))
-        bench = _sum_rate_bench(cfg, layout, options)
+        layouts.append(place_users(cfg, substream(cfg.seed, "sum_rate", ri, "layout")))
+    bench = _sum_rate_bench(config, layouts, options)
+    keys = [(config.seed, "sum_rate", t) for t in range(options.trials)]
+    totals, _errs = _sum_trials(bench, keys)
+    sinr = totals[:, 0] / totals[:, 1]
+
+    records = []
+    lengths = _payload_lengths(bench)
+    for lo in range(0, len(bench.schemes), 3):  # one layout's three schemes
         # the all-SP gains are the power-controlled map
-        sir_db = 10.0 * math.log10(received_sir(bench.schemes[1].gains, cfg.omega, 0))
-
-        keys = [(cfg.seed, "sum_rate", ri, t) for t in range(options.trials)]
-        totals, _errs = _sum_trials(bench, keys)
-        sinr = totals[:, 0] / totals[:, 1]
-
-        for i, (scheme, n) in enumerate(zip(bench.schemes, _payload_lengths(bench))):
+        sir_db = 10.0 * math.log10(received_sir(bench.schemes[lo + 1].gains, config.omega, 0))
+        for i in range(lo, lo + 3):
             # the pre-log n / C, times an array log2, not the scalar rate rule:
             # numpy's log2 and math.log2 differ in the last bit on some inputs,
             # which would move the output
-            total_rate = float(np.sum(n / cfg.C * np.log2(1.0 + sinr[i])))
+            total_rate = float(np.sum(lengths[i] / config.C * np.log2(1.0 + sinr[i])))
             records.append(MetricsRecord(
-                experiment="sum_rate_vs_sir", method=scheme.method, sweep_var="sir_rx_db",
-                sweep_value=float(sir_db), user="all", metric="sum_rate",
-                value=total_rate, trials=options.trials, analytic_value=None,
+                experiment="sum_rate_vs_sir", method=bench.schemes[i].method,
+                sweep_var="sir_rx_db", sweep_value=float(sir_db), user="all",
+                metric="sum_rate", value=total_rate, trials=options.trials,
+                analytic_value=None,
             ))
     return records
 

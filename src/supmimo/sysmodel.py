@@ -1,11 +1,11 @@
-"""Cell geometry, user placement, path loss, power control, and channels.
+"""Cell geometry, user placement, path loss, power control, channels and noise.
 
 The network is a hexagonal grid of L cells (L in {1, 7, 19}) with one
 M-antenna base station at each cell center and K single-antenna users per
 cell.  Large-scale gains are distance-based path loss, normalized so that a
-user at the cell edge has unit gain.  Small-scale channels are i.i.d.
-circularly-symmetric complex Gaussian with per-user variance given by the
-gain map.
+user at the cell edge has unit gain.  Small-scale fading is i.i.d.
+circularly-symmetric complex Gaussian of unit variance; a user's channel is
+its fading column scaled by the square root of its gain.
 """
 
 from __future__ import annotations
@@ -298,24 +298,43 @@ def uniform_power(
     return PowerAllocation(rho_d=np.sqrt(frac), rho_p=np.sqrt(1.0 - frac))
 
 
-def draw_channels(var: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
-    """Circularly-symmetric Gaussian channels, one column per user.
+def draw_channels(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Unit-variance Rayleigh fading at one BS: an (M, L*K) complex matrix.
 
-    var holds the per-column variances, shape (N,) or (S, N): row s of a
-    stacked var is a gain map at one BS, flattened so that column l*K + k
-    is user (l, k), e.g. beta.beta[bs].reshape(-1).  One unit draw of shape
-    (M, N) is made and its columns are scaled by sqrt(var) of each row, so
-    every slice of the (S, M, N) result shares the same small-scale fading.
-    Variance is split evenly between real and imaginary parts.
+    Column l*K + k is user (l, k), with i.i.d. CN(0, 1) entries, the
+    variance split evenly between real and imaginary parts.  Large-scale
+    gains are not applied here: a user's channel is sqrt(beta) times its
+    column, and the harness folds sqrt(beta) into the user's frame row
+    instead (waveform.synthesize_received), so one draw serves every gain
+    map at that BS.
     """
-    scale = np.sqrt(np.asarray(var, dtype=float) / 2.0)[..., np.newaxis, :]
-    shape = (M, scale.shape[-1])
-    # built in place, real part drawn first: the same bits as
-    # (re + 1j*im) * scale without its complex temporaries
-    H = np.empty(scale.shape[:-2] + shape, dtype=complex)
-    np.multiply(rng.standard_normal(shape), scale, out=H.real)
-    np.multiply(rng.standard_normal(shape), scale, out=H.imag)
-    return H
+    return _complex_normal((config.M, config.L * config.K), 1.0, rng)
+
+
+def draw_noise(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """One receiver noise block: (M, C_u) i.i.d. CN(0, sigma2) entries."""
+    return _complex_normal((config.M, config.C_u), config.sigma2, rng)
+
+
+def _complex_normal(shape: tuple, variance: float, rng: np.random.Generator) -> np.ndarray:
+    """A 2-D array of i.i.d. CN(0, variance) entries, built in place.
+
+    Every real part is drawn first, in row-major order, then every
+    imaginary part, each scaled by sqrt(variance / 2): the same bits as
+    (re + 1j*im) * sqrt(variance / 2).  The parts are drawn a few rows at a
+    time (4096 numbers), which the stream gives the same values as one
+    draw, so that no float temporary of the result's size is made: at
+    M = 500 those temporaries raised the peak RSS of the trial kernel.
+    """
+    rows, cols = shape
+    scale = math.sqrt(variance / 2.0)
+    out = np.empty(shape, dtype=complex)
+    step = max(1, 4096 // cols)
+    for part in (out.real, out.imag):
+        for lo in range(0, rows, step):
+            block = part[lo : lo + step]
+            np.multiply(rng.standard_normal(block.shape), scale, out=block)
+    return out
 
 
 def received_sir(beta: PathLossMap, omega: float, j: int) -> float:

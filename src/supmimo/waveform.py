@@ -366,15 +366,17 @@ def _draw_bits(n_users: int, n_bits: int, rng: np.random.Generator) -> np.ndarra
 def synthesize_received(
     H: np.ndarray,
     S: np.ndarray,
-    sigma2: float,
-    rng: np.random.Generator,
+    noise: np.ndarray | float,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Received block Y = H @ S + W with W ~ CN(0, sigma2), i.i.d. entries.
+    """Received block Y = H @ S + noise.
 
     H is (M, N) and S is (N, C_u), or either or both carry a leading stack
-    axis: (n, M, N) and (n, N, C_u).  One noise block W of shape (M, C_u) is
-    drawn and added to every slice, so stacked slices share the same noise.
+    axis: (n, M, N) and (n, N, C_u).  noise is one (M, C_u) block
+    (sysmodel.draw_noise), added to every slice, so stacked slices share the same
+    noise; 0.0 adds none.  With unit-variance fading H (sysmodel.draw_channels)
+    and each frame row scaled by the square root of its user's gain, Y is the
+    block received over the gain map.
 
     Caller-buffer form: out is a complex array of Y's shape that the caller
     owns, e.g. a run of slots in a larger stack.  Y is written into it and
@@ -383,21 +385,11 @@ def synthesize_received(
     """
     if H.shape[-1] != S.shape[-2]:
         raise ValueError(f"channel columns ({H.shape[-1]}) != users ({S.shape[-2]})")
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be non-negative")
     if out is None:
         Y = np.asarray(H @ S, dtype=complex)
     elif out.dtype != complex:
         raise ValueError(f"out must be complex, got {out.dtype}")
     else:
         Y = np.matmul(H, S, out=out)
-    if sigma2 > 0:
-        scale = math.sqrt(sigma2 / 2.0)
-        noise = np.empty(Y.shape[-2:])
-        # real part drawn first, both into one buffer and added in place: the
-        # same bits as Y + scale * (re + 1j*im) without a complex noise block
-        for part in (Y.real, Y.imag):
-            rng.standard_normal(out=noise)
-            noise *= scale
-            part += noise
+    Y += noise
     return Y

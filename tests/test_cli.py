@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import supmimo
-from supmimo import cli
+from supmimo import cli, simharness
 
 
 def test_threads_override_is_a_config_error(tmp_path, capsys):
@@ -159,6 +159,26 @@ def test_exit_codes(tmp_path, capsys, argv, err_prefix, code):
     assert err.startswith(err_prefix) if err_prefix else err == ""
     if code and argv[0] == "run":
         assert not (tmp_path / "out.csv").exists()
+
+
+def test_an_over_capacity_k_is_refused_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    # K = 10 fits C_u = 70 (70 users), K = 15 does not (105): without the
+    # up-front check K = 10 ran to completion first
+    trials = []
+    kernel = simharness._run_trials
+
+    def spy(bench, keys):
+        trials.extend(keys)
+        return kernel(bench, keys)
+
+    monkeypatch.setattr(simharness, "_run_trials", spy)
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(_spec("ber_vs_k", "trials: 1", "k_values: [10, 15]"), encoding="utf-8")
+    assert cli.main(["run", str(spec), "--out", str(tmp_path / "out.csv")]) == 5
+    assert capsys.readouterr().err.startswith(
+        "error invalid-parameter: L=7, K=15: 105 users exceed the C_u=70")
+    assert trials == []
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [["run", "--spec", "spec.yaml"],

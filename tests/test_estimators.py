@@ -16,6 +16,7 @@ from supmimo.sysmodel import (
     PowerAllocation,
     SystemConfig,
     draw_channels,
+    draw_noise,
     uniform_power,
 )
 from supmimo.waveform import (
@@ -35,7 +36,10 @@ def make_config(**kw):
 
 
 def draw(beta_array, bs, M, key):
-    return draw_channels(beta_array[bs].reshape(-1), M, substream(*key))
+    """Channels (M, L*K) at BS bs: unit-variance fading, each column scaled by sqrt(beta)."""
+    _, L, K = beta_array.shape
+    Z = draw_channels(SystemConfig(L=L, K=K, M=M), substream(*key))
+    return Z * np.sqrt(beta_array[bs].reshape(-1))
 
 
 class TestTpEstimator:
@@ -46,7 +50,7 @@ class TestTpEstimator:
         beta = np.full((7, 7, 2), 0.8)
         H = draw(beta, 0, cfg.M, (1, "h"))
         frames = assemble_frames(cfg, book, uniform_power(7, 2), substream(1, "f"), all_tp(7, 2))
-        Y = synthesize_received(H, frames.S, 0.0, substream(1, "n"))
+        Y = synthesize_received(H, frames.S, 0.0)
         est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, 1))
         assert np.allclose(est, H[:, 1], atol=1e-12)
 
@@ -56,7 +60,7 @@ class TestTpEstimator:
         beta = np.full((7, 7, 2), 0.5)
         H = draw(beta, 0, cfg.M, (2, "h"))
         frames = assemble_frames(cfg, book, uniform_power(7, 2), substream(2, "f"), all_tp(7, 2))
-        Y = synthesize_received(H, frames.S, 0.0, substream(2, "n"))
+        Y = synthesize_received(H, frames.S, 0.0)
         est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, 0))
         copilot_sum = H[:, 0::2].sum(axis=1)  # user 0 of every cell
         assert np.allclose(est, copilot_sum, atol=1e-10)
@@ -84,7 +88,7 @@ class TestTpEstimator:
             H = draw(beta, 0, cfg.M, (3, "h", t))
             frames = assemble_frames(cfg, book, uniform_power(1, 2), substream(3, "f", t),
                                      all_tp(1, 2))
-            Y = synthesize_received(H, frames.S, cfg.sigma2, substream(3, "n", t))
+            Y = synthesize_received(H, frames.S, draw_noise(cfg, substream(3, "n", t)))
             est = tp_ls_estimate(Y[:, : cfg.tau], book, (0, 0))
             acc += np.linalg.norm(est - H[:, 0]) ** 2
         expected = cfg.M * cfg.sigma2 / cfg.tau
@@ -110,7 +114,7 @@ class TestSpEstimator:
         powers = PowerAllocation(rho_d=np.zeros((1, 1)), rho_p=np.ones((1, 1)))
         H = draw(np.ones((1, 1, 1)), 0, 8, (4, "h"))
         frames = assemble_frames(cfg, book, powers, substream(4, "f"), all_sp(1, 1))
-        Y = synthesize_received(H, frames.S, 0.0, substream(4, "n"))
+        Y = synthesize_received(H, frames.S, 0.0)
         est = sp_ls_estimate(Y, book.sp_matrix[:, book.sp_assignment[0, 0]], 1.0)
         assert np.allclose(est, H[:, 0], atol=1e-12)
 
@@ -122,7 +126,7 @@ class TestSpEstimator:
         powers = PowerAllocation(rho_d=np.full((1, 1), rho_d), rho_p=np.full((1, 1), rho_p))
         H = draw(np.ones((1, 1, 1)), 0, 8, (5, "h"))
         frames = assemble_frames(cfg, book, powers, substream(5, "f"), all_sp(1, 1))
-        Y = synthesize_received(H, frames.S, 0.0, substream(5, "n"))
+        Y = synthesize_received(H, frames.S, 0.0)
         pilot = book.sp_matrix[:, book.sp_assignment[0, 0]]
         est = sp_ls_estimate(Y, pilot, rho_p)
         leak = (rho_d / (cfg.C_u * rho_p)) * H[:, 0] * (frames.data[0] @ np.conj(pilot))
@@ -140,7 +144,7 @@ class TestSpEstimator:
         for t in range(trials):
             H = draw(beta, 0, cfg.M, (6, "h", t))
             frames = assemble_frames(cfg, book, powers, substream(6, "f", t), all_sp(7, 5))
-            Y = synthesize_received(H, frames.S, 0.0, substream(6, "n", t))
+            Y = synthesize_received(H, frames.S, 0.0)
             pilot = book.sp_matrix[:, book.sp_assignment[0, 0]]
             est = sp_ls_estimate(Y, pilot, float(powers.rho_p[0, 0]))
             acc += np.linalg.norm(est - H[:, 0]) ** 2 / cfg.M
@@ -168,7 +172,7 @@ class TestMatchedFilters:
         powers = PowerAllocation(rho_d=np.full((1, 1), rho_d), rho_p=np.full((1, 1), rho_p))
         H = draw(np.ones((1, 1, 1)), 0, cfg.M, (8, "h"))
         frames = assemble_frames(cfg, book, powers, substream(8, "f"), all_sp(1, 1))
-        Y = synthesize_received(H, frames.S, 0.0, substream(8, "n"))
+        Y = synthesize_received(H, frames.S, 0.0)
         pilot = book.sp_matrix[:, book.sp_assignment[0, 0]]
         x_tilde = mf_detect_sp(Y, H[:, 0], rho_d, rho_p, 1.0, pilot)
         gain = np.vdot(H[:, 0], H[:, 0]).real / cfg.M
@@ -201,7 +205,7 @@ class TestMatchedFilters:
         book = make_pilot_books(cfg)
         H = draw(np.ones((1, 1, 1)), 0, cfg.M, (11, "h"))
         frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(11, "f"), all_tp(1, 1))
-        Y = synthesize_received(H, frames.S, 0.0, substream(11, "n"))
+        Y = synthesize_received(H, frames.S, 0.0)
         est = tp_ls_estimate(Y[:, :1], book, (0, 0))
         x_hat = decide(mf_detect_tp(Y[:, 1:], est, 1.0), cfg.P)
         assert np.array_equal(x_hat, frames.data[0])
@@ -213,7 +217,7 @@ class TestHybridEstimates:
     """receive_cell, the one receiver of every pilot scheme, against the
     per-user estimate -> matched-filter chains it replaces."""
 
-    def _system(self, sigma2=0.0, seed=12, M=64):
+    def _system(self, noisy=False, seed=12, M=64):
         cfg = make_config(M=M)
         sp = {(0, 1)} | {(2, k) for k in range(5)}
         part = Partition(
@@ -226,7 +230,8 @@ class TestHybridEstimates:
         beta[0, 0, :] = 1.0
         H = draw(beta, 0, cfg.M, (seed, "h"))
         frames = assemble_frames(cfg, book, powers, substream(seed, "f"), part)
-        Y = synthesize_received(H, frames.S, sigma2, substream(seed, "n"))
+        noise = draw_noise(cfg, substream(seed, "n")) if noisy else 0.0
+        Y = synthesize_received(H, frames.S, noise)
         return cfg, part, book, powers, H, frames, Y
 
     def test_all_tp_partition_matches_plain_tp_estimator(self):
@@ -268,7 +273,7 @@ class TestHybridEstimates:
             assert np.array_equal(x_tilde[k], direct)
 
     def test_mixed_partition_matches_per_user_chains(self):
-        cfg, part, book, powers, H, frames, Y = self._system(sigma2=0.1)
+        cfg, part, book, powers, H, frames, Y = self._system(noisy=True)
         tau = cfg.tau
         for cell in (0, 2):
             beta_home = np.linspace(0.8, 1.2, 5)
@@ -302,7 +307,7 @@ class TestHybridEstimates:
         for t in range(trials):
             H = draw(beta, 0, cfg.M, (15, "h", t))
             frames = assemble_frames(cfg, book, powers, substream(15, "f", t), part)
-            Y = synthesize_received(H, frames.S, 0.0, substream(15, "n", t))
+            Y = synthesize_received(H, frames.S, 0.0)
             pilot, rho_p = book.sp_matrix[:, book.sp_assignment[0, 0]], float(powers.rho_p[0, 0])
             est = sp_ls_estimate(Y[:, cfg.tau :], pilot, rho_p)
             acc += np.linalg.norm(est - H[:, 0]) ** 2 / cfg.M

@@ -24,6 +24,7 @@ from supmimo.sysmodel import (
     Scenario1,
     SystemConfig,
     draw_channels,
+    draw_noise,
     path_loss,
     place_users,
     uniform_power,
@@ -209,10 +210,10 @@ def sp_block(cfg, seed, trials=None):
     book = make_pilot_books(cfg)
 
     def received(*key):
-        H = draw_channels(beta, cfg.M, substream(*key, "channels"))
+        H = draw_channels(cfg, substream(*key, "channels")) * np.sqrt(beta)
         frames = assemble_frames(cfg, book, uniform_power(cfg.L, cfg.K, lam2),
                                  substream(*key, "frames"), all_sp(cfg.L, cfg.K))
-        return synthesize_received(H, frames.S, cfg.sigma2, substream(*key, "noise"))
+        return synthesize_received(H, frames.S, draw_noise(cfg, substream(*key, "noise")))
 
     Y = received(seed) if trials is None else np.stack([received(seed, t) for t in range(trials)])
     pilots = book.sp_matrix[:, book.sp_assignment.reshape(-1)]

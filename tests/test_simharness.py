@@ -10,7 +10,14 @@ from supmimo import iterative, simharness, waveform
 from supmimo.estimators import receive_cell
 from supmimo.rng import substream
 from supmimo.simharness import RunOptions, SystemConfig, run_experiment
-from supmimo.sysmodel import Scenario1, draw_channels, place_users
+from supmimo.sysmodel import (
+    PathLossMap,
+    Scenario1,
+    Scenario2,
+    draw_channels,
+    draw_noise,
+    place_users,
+)
 
 BLAS = simharness._openblas_threads()
 needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread calls not found")
@@ -64,10 +71,15 @@ def bench():
     return next(simharness._make_benches(cfg, RunOptions(), [layout]))
 
 
-def sum_rate_bench(K):
+def sum_rate_layouts(cfg, radii):
+    return [place_users(dataclasses.replace(cfg, scenario=Scenario2(user_circle_radius_m=radius)),
+                        substream(cfg.seed, "sum_rate", ri, "layout"))
+            for ri, radius in enumerate(radii)]
+
+
+def sum_rate_bench(K, radii=(300.0, 850.0)):
     cfg = SystemConfig(L=7, K=K, M=40, C_u=40, omega=10.0, seed=4)
-    layout = place_users(cfg, substream(4, "layout"))
-    return simharness._sum_rate_bench(cfg, layout, RunOptions())
+    return simharness._sum_rate_bench(cfg, sum_rate_layouts(cfg, radii), RunOptions())
 
 
 @pytest.fixture(scope="module", params=["reference", "sum_rate"])
@@ -124,20 +136,21 @@ def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
     calls = []
     synthesize = waveform.synthesize_received
 
-    def spy(H, S, sigma2, rng, out=None):
-        Y = synthesize(H, S, sigma2, rng, out=out)
-        # a copy: the next trial overwrites the TP slot
-        calls.append((H, S, Y.copy()))
+    def spy(H, S, noise, out=None):
+        Y = synthesize(H, S, noise, out=out)
+        # copies: the kernel reuses its scaled-frame and block buffers
+        calls.append((H, S.copy(), Y.copy()))
         return Y
 
     monkeypatch.setattr(simharness.waveform, "synthesize_received", spy)
     with simharness._one_blas_thread():
         simharness._run_trials(bench, keys(2))
-    assert len(calls) == 2  # one per trial
+    assert len(calls) == 4  # TP, then SP, per trial
     noises = []
-    for H, S, Y in calls:
-        assert S.shape[0] == Y.shape[0] == 2  # TP, then SP
-        noise_tp, noise_sp = Y - H @ S
+    for (H_tp, S_tp, Y_tp), (H_sp, S_sp, Y_sp) in zip(calls[::2], calls[1::2]):
+        assert H_tp is H_sp  # one fading draw
+        assert not np.allclose(S_tp, S_sp)
+        noise_tp, noise_sp = Y_tp - H_tp @ S_tp, Y_sp - H_sp @ S_sp
         np.testing.assert_allclose(noise_tp, noise_sp, rtol=0, atol=1e-12)
         noises.append(noise_tp)
     # the trials' draws differ
@@ -166,28 +179,27 @@ def test_one_shot_sp_from_the_reduction_equals_receive_cell(selection):
 def per_trial_energies(bench, key):
     """One sum-rate trial as a loop over metric BSs and schemes: receive_cell, then the energies.
 
-    Each scheme draws its own frames; at each BS one unit channel, its
-    columns scaled by every scheme's gains, and one noise block serve all
-    schemes.  A user's channel row is read from a contiguous copy of its
-    cell's columns.
+    Each scheme draws its own frames; at each BS one unit-variance fading
+    matrix Z and one noise block W serve all schemes, and scheme s receives
+    Z @ (sqrt(beta_s) * S_s) + W.  A user's desired-signal gain is ||z||^2 / M
+    of its column, read from a contiguous copy of its cell's columns.
     """
     cfg, powers = bench.config, bench.powers
     K, M = cfg.K, cfg.M
     frames = [waveform.assemble_frames(cfg, s.book, powers, substream(*key, f"{s.tag}-frames"),
                                        s.partition, "gaussian")
               for s in bench.schemes]
-    S = np.stack([f.S for f in frames])
     energies = np.empty((len(bench.schemes), 2, len(bench.streams), K))
     for j, (channel_tag, noise_tag) in enumerate(bench.streams):
-        var = np.stack([s.gains.beta[j].reshape(-1) for s in bench.schemes])
-        H = draw_channels(var, M, substream(*key, *channel_tag))
-        Y = waveform.synthesize_received(H, S, cfg.sigma2, substream(*key, *noise_tag))
+        Z = draw_channels(cfg, substream(*key, *channel_tag))
+        W = draw_noise(cfg, substream(*key, *noise_tag))
         cell = slice(j * K, (j + 1) * K)
+        z = np.ascontiguousarray(Z[:, cell]).T
+        gain = np.vecdot(z, z).real / M
         for i, s in enumerate(bench.schemes):
-            beta_home = s.gains.beta[j, j]
-            x_tilde = receive_cell(Y[i], s.book, s.partition, powers, j, beta_home)
-            h = np.ascontiguousarray(H[i, :, cell]).T
-            gain = np.vecdot(h, h).real / (M * beta_home)
+            scaled = np.sqrt(s.gains.beta[j].reshape(-1))[:, np.newaxis] * frames[i].S
+            Y = Z @ scaled + W
+            x_tilde = receive_cell(Y, s.book, s.partition, powers, j, s.gains.beta[j, j])
             signal = gain[:, np.newaxis] * frames[i].data[cell]
             residual = x_tilde - signal
             energies[i, :, j] = np.vecdot(signal, signal).real, np.vecdot(residual, residual).real
@@ -198,13 +210,53 @@ def per_trial_energies(bench, key):
 def test_sum_rate_energies_equal_the_per_trial_loop(K):
     # at K = 1 the rows are contiguous, and the norms round unlike strided rows
     bench = sum_rate_bench(K)
-    assert [s.method for s in bench.schemes] == ["all-tp", "all-sp", "hybrid"]
-    assert len(bench.streams) == 7 and bench.schemes[2].partition.u_sp
+    assert [s.method for s in bench.schemes] == ["all-tp", "all-sp", "hybrid"] * 2
+    assert [s.tag for s in bench.schemes] == ["0-tp", "0-sp", "0-hy", "1-tp", "1-sp", "1-hy"]
+    assert len(bench.streams) == 7 and bench.schemes[5].partition.u_sp
     with simharness._one_blas_thread():
         sig_res, errs = simharness._run_trials(bench, keys(3))
         for t, key in enumerate(keys(3)):
             assert np.array_equal(sig_res[t], per_trial_energies(bench, key))
     assert not errs.any()  # Gaussian payloads carry no bits
+
+
+def test_hybrid_gains_control_the_sp_users_only():
+    # reference: q = omega / beta_llk on the SP users, 1 elsewhere, at the
+    # four default radii
+    cfg = SystemConfig(L=19, K=5, M=200, C_u=40, omega=10.0, seed=0)
+    layouts = sum_rate_layouts(cfg, RunOptions().radii_m)
+    bench = simharness._sum_rate_bench(cfg, layouts, RunOptions())
+    moved = 0
+    for i, layout in enumerate(layouts):
+        all_tp, all_sp, hybrid = bench.schemes[3 * i : 3 * i + 3]
+        beta_raw = all_tp.gains
+        q_hyb = np.ones((cfg.L, cfg.K))
+        home = beta_raw.home()
+        for (l, k) in hybrid.partition.u_sp:
+            q_hyb[l, k] = cfg.omega / home[l, k]
+        expected = PathLossMap(beta_raw.beta * q_hyb[np.newaxis, :, :])
+        assert np.array_equal(hybrid.gains.beta, expected.beta)
+        moved += len(hybrid.partition.u_sp)
+    assert moved > 0  # the outer radii move users to SP
+
+
+def test_sum_rate_draws_one_channel_and_one_noise_block_per_trial_and_bs(monkeypatch):
+    draws = {"channels": 0, "noise": 0}
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            draws[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(simharness, "draw_channels", counting("channels", draw_channels))
+    monkeypatch.setattr(simharness, "draw_noise", counting("noise", draw_noise))
+    cfg = SystemConfig(L=7, K=2, M=20, C_u=20, omega=10.0, seed=4)
+    for radii in [(500.0,), (300.0, 850.0), (300.0, 500.0, 700.0, 850.0)]:
+        draws.update(channels=0, noise=0)
+        records = run_experiment(cfg, "sum_rate_vs_sir", RunOptions(trials=3, radii_m=radii))
+        assert len(records) == 3 * len(radii)
+        assert draws == {"channels": 3 * 7, "noise": 3 * 7}
 
 
 def batch_sizes(monkeypatch):
@@ -248,9 +300,10 @@ def test_a_chunk_holds_at_least_one_trial(any_bench, monkeypatch):
 # Traced peak of _sum_trials over the 4 trials below under the rule that
 # stacked whole SP blocks (512 KiB of them, so one trial per batch at M=200):
 # 1,774,632 bytes, numpy 2.4.  The trial kernel, which keeps the channel
-# powers instead of the channels, runs all 4 trials in one batch and peaks at
+# powers instead of the channels, runs all 4 trials in one batch and peaked at
 # 1,249,712 bytes; the separate reference trial it replaced peaked at
-# 1,283,622.
+# 1,283,622.  On one unit fading draw and one reused block buffer it peaks at
+# 1,209,576.
 PEAK_BOUND_BYTES = 1_775_000
 
 
@@ -271,6 +324,34 @@ def test_two_trials_fit_a_batch_at_m_200_within_the_earlier_peak(monkeypatch):
             tracemalloc.stop()
     assert min(sizes) >= 2
     assert peak < PEAK_BOUND_BYTES
+
+
+# Traced peak of _sum_trials over sum_rate_vs_sir's 8 bench trials at the CLI
+# defaults (L=19, M=200, C_u=40, seed 5), numpy 2.4: a bench of one radius's
+# three schemes, which drew one channel per gain map and held the batch's
+# outputs and payloads, peaked at 2,722,324 bytes.  The one bench of all four
+# radii (12 schemes), on one unit draw per BS, peaks at 1,816,664.
+SUM_RATE_PEAK_BOUND_BYTES = 2_722_000
+
+
+def test_four_radii_fit_within_the_earlier_peak_of_one(monkeypatch):
+    cfg = SystemConfig(L=19, K=5, M=200, C_u=40, omega=10.0, seed=5)
+    options = RunOptions(trials=8)
+    bench = simharness._sum_rate_bench(cfg, sum_rate_layouts(cfg, options.radii_m), options)
+    assert len(bench.schemes) == 12
+    sizes = batch_sizes(monkeypatch)
+    trials = [(5, "sum_rate", t) for t in range(8)]
+    with simharness._one_blas_thread():
+        simharness._sum_trials(bench, trials)  # warm-up: first-call caches
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            simharness._sum_trials(bench, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sizes == [8]
+    assert peak < SUM_RATE_PEAK_BOUND_BYTES
 
 
 @needs_blas

@@ -12,6 +12,7 @@ from supmimo.sysmodel import (
     Scenario2,
     SystemConfig,
     draw_channels,
+    draw_noise,
     hex_centers,
     in_hexagon,
     path_loss,
@@ -256,58 +257,61 @@ class TestPowerControl:
         assert np.allclose(powers.rho_d**2, 0.25)
 
 
-def reference_draw(var, M, rng):
-    """The per-column channel formula, written out: (a + 1j*b) * sqrt(var/2)."""
-    shape = (M, var.size)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(var / 2.0)
+def reference_draw(M, N, rng):
+    """The unit-variance fading formula, written out: (a + 1j*b) * sqrt(1/2)."""
+    shape = (M, N)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+
+
+def fading_config(L=1, K=1, M=16):
+    return SystemConfig(L=L, K=K, M=M)
 
 
 class TestChannels:
     def test_matches_reference_formula_bit_for_bit(self):
-        var = np.linspace(0.05, 3.0, 35)
-        H = draw_channels(var, 200, substream(3, "h"))
-        assert H.shape == (200, 35)
-        reference = reference_draw(var, 200, substream(3, "h"))
-        assert np.array_equal(H.view(np.int64), reference.view(np.int64))
-
-    def test_stacked_rows_equal_one_dimensional_draws(self):
-        var = np.array([[0.3, 1.7, 0.9], [1.0, 1.0, 1.0], [2.5, 0.01, 0.4]])
-        H = draw_channels(var, 16, substream(4, "h"))
-        assert H.shape == (3, 16, 3)
-        for s in range(3):
-            assert np.array_equal(H[s], draw_channels(var[s], 16, substream(4, "h")))
-
-    def test_zero_gain_column(self):
-        beta = PathLossMap(np.array([[[0.0, 1.0]]]))
-        H = draw_channels(beta.beta[0].reshape(-1), 16, substream(0, "h"))
-        assert np.all(H[:, 0] == 0.0)
-        assert np.all(H[:, 1] != 0.0)
+        Z = draw_channels(fading_config(L=7, K=5, M=200), substream(3, "h"))
+        assert Z.shape == (200, 35)
+        reference = reference_draw(200, 35, substream(3, "h"))
+        assert np.array_equal(Z.view(np.int64), reference.view(np.int64))
 
     def test_norm_concentration(self):
-        beta = PathLossMap(np.ones((1, 1, 1)))
         M = 10_000
-        H = draw_channels(beta.beta[0].reshape(-1), M, substream(1, "h"))
-        assert 0.97 <= np.vdot(H[:, 0], H[:, 0]).real / M <= 1.03
+        Z = draw_channels(fading_config(M=M), substream(1, "h"))
+        assert 0.97 <= np.vdot(Z[:, 0], Z[:, 0]).real / M <= 1.03
 
     def test_asymptotic_orthogonality(self):
-        beta = PathLossMap(np.ones((1, 1, 2)))
         M = 10_000
-        H = draw_channels(beta.beta[0].reshape(-1), M, substream(2, "h"))
-        assert abs(np.vdot(H[:, 0], H[:, 1])) / M < 0.05
+        Z = draw_channels(fading_config(K=2, M=M), substream(2, "h"))
+        assert abs(np.vdot(Z[:, 0], Z[:, 1])) / M < 0.05
 
-    def test_second_moment_matches_gain(self):
-        beta = PathLossMap(np.array([[[0.3, 1.7]]]))
+    def test_unit_second_moment_split_evenly(self):
         M, T = 64, 400
-        acc = np.zeros(2)
+        acc = np.zeros((2, 2))
         for t in range(T):
-            H = draw_channels(beta.beta[0].reshape(-1), M, substream(5, "h", t))
-            acc += np.sum(np.abs(H) ** 2, axis=0)
-        assert np.allclose(acc / (M * T), [0.3, 1.7], rtol=0.05)
+            Z = draw_channels(fading_config(K=2, M=M), substream(5, "h", t))
+            acc += [np.sum(Z.real**2, axis=0), np.sum(Z.imag**2, axis=0)]
+        assert np.allclose(acc / (M * T), 0.5, rtol=0.05)
+
+    def test_noise_matches_reference_formula_bit_for_bit(self):
+        # 300 x 100 is drawn in blocks of 40 rows: the same stream as one draw
+        cfg = SystemConfig(L=1, K=1, M=300, C_u=100, snr_db=4.0)
+        W = draw_noise(cfg, substream(7, "n"))
+        rng = substream(7, "n")
+        scale = math.sqrt(cfg.sigma2 / 2.0)
+        reference = scale * rng.standard_normal((300, 100)) + 1j * (
+            scale * rng.standard_normal((300, 100)))
+        assert np.array_equal(W.view(np.int64), reference.view(np.int64))
+
+    def test_noise_block_has_the_config_variance(self):
+        cfg = SystemConfig(L=1, K=1, M=400, C_u=50, snr_db=3.0)
+        W = draw_noise(cfg, substream(6, "n"))
+        assert W.shape == (400, 50)
+        # 20,000 entries: a relative standard error of 0.7 %
+        assert np.mean(np.abs(W) ** 2) == pytest.approx(cfg.sigma2, rel=0.03)
 
     def test_determinism(self):
-        beta = PathLossMap(np.ones((1, 1, 3)))
-        a = draw_channels(beta.beta[0].reshape(-1), 8, substream(9, "h"))
-        b = draw_channels(beta.beta[0].reshape(-1), 8, substream(9, "h"))
+        a = draw_channels(fading_config(K=3, M=8), substream(9, "h"))
+        b = draw_channels(fading_config(K=3, M=8), substream(9, "h"))
         assert np.array_equal(a, b)
 
 

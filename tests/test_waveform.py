@@ -5,7 +5,7 @@ import pytest
 
 from supmimo.hybrid import Partition, all_sp, all_tp
 from supmimo.rng import substream
-from supmimo.sysmodel import PowerAllocation, SystemConfig, uniform_power
+from supmimo.sysmodel import PowerAllocation, SystemConfig, draw_noise, uniform_power
 from supmimo.waveform import (
     CapacityError,
     _draw_bits,
@@ -301,70 +301,72 @@ class TestSynthesis:
         cfg = make_config(L=1, K=1, C_u=8)
         book = make_pilot_books(cfg)
         frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(0, "f"), all_sp(1, 1))
-        Y = synthesize_received(np.zeros((4, 1), dtype=complex), frames.S, 0.0, substream(0, "n"))
+        Y = synthesize_received(np.zeros((4, 1), dtype=complex), frames.S, 0.0)
         assert np.all(Y == 0.0)
 
     def test_single_symbol_identity(self):
-        Y = synthesize_received(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]]), 0.0,
-                                substream(0, "n"))
+        Y = synthesize_received(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]]), 0.0)
         assert Y[0, 0] == 2.0 + 0j
 
     def test_received_energy_budget(self):
         # symmetric case: E||Y||_F^2 = sum_n M beta C_u + M C_u sigma2
-        cfg = make_config(L=1, K=4, C_u=32, C=64, M=8)
+        cfg = make_config(L=1, K=4, C_u=32, C=64, M=8, snr_db=7.0)
         book = make_pilot_books(cfg)
         powers = uniform_power(1, 4)
         beta = 0.6
-        sigma2 = 0.2
         total = 0.0
         trials = 1000
         for t in range(trials):
             rng = substream(8, "h", t)
             H = math.sqrt(beta / 2) * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
             frames = assemble_frames(cfg, book, powers, substream(8, "f", t), all_sp(1, 4))
-            Y = synthesize_received(H, frames.S, sigma2, substream(8, "n", t))
+            Y = synthesize_received(H, frames.S, draw_noise(cfg, substream(8, "n", t)))
             total += np.linalg.norm(Y) ** 2
-        expected = 4 * 8 * beta * 32 + 8 * 32 * sigma2
+        expected = 4 * 8 * beta * 32 + 8 * 32 * cfg.sigma2
         assert total / trials == pytest.approx(expected, rel=0.02)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="users"):
             synthesize_received(np.zeros((4, 3), dtype=complex), np.zeros((2, 4), dtype=complex),
-                                0.0, substream(0, "n"))
+                                0.0)
 
     def test_matches_reference_formula_bit_for_bit(self):
+        cfg = make_config(L=1, K=1, M=6, C_u=5, snr_db=5.2)
         rng = substream(12, "x")
         H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         S = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
         noise = substream(12, "n")
-        scale = math.sqrt(0.3 / 2.0)
+        scale = math.sqrt(cfg.sigma2 / 2.0)
         reference = H @ S + scale * (noise.standard_normal((6, 5))
                                      + 1j * noise.standard_normal((6, 5)))
-        Y = synthesize_received(H, S, 0.3, substream(12, "n"))
+        W = draw_noise(cfg, substream(12, "n"))
+        assert W.shape == (6, 5)
+        Y = synthesize_received(H, S, W)
         assert np.array_equal(Y.view(np.int64), reference.view(np.int64))
 
     def test_stacked_slices_share_one_noise_block(self):
         rng = substream(13, "x")
         H = rng.standard_normal((3, 6, 4)) + 1j * rng.standard_normal((3, 6, 4))
         S = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
-        Y = synthesize_received(H, S, 0.3, substream(13, "n"))
+        W = draw_noise(make_config(L=1, K=1, M=6, C_u=5), substream(13, "n"))
+        Y = synthesize_received(H, S, W)
         assert Y.shape == (3, 6, 5)
-        W = synthesize_received(np.zeros((6, 4), dtype=complex), S[0], 0.3, substream(13, "n"))
         for i in range(3):
             assert np.allclose(Y[i] - H[i] @ S[i], W, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("stacked_channels", [False, True])
     def test_caller_buffer_gets_the_returned_bits_from_one_noise_draw(self, stacked_channels):
+        cfg = make_config(L=1, K=1, M=6, C_u=5)
         rng = substream(14, "x")
         H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         if stacked_channels:
             H = np.stack([H, 2.0 * H])
         S = rng.standard_normal((2, 4, 5)) + 1j * rng.standard_normal((2, 4, 5))
-        returned = synthesize_received(H, S, 0.3, substream(14, "n"))
+        returned = synthesize_received(H, S, draw_noise(cfg, substream(14, "n")))
         # two slots of a larger stack, as the harness passes them
         slots = np.full((4, 6, 5), np.nan, dtype=complex)
         noise = substream(14, "n")
-        got = synthesize_received(H, S, 0.3, noise, out=slots[1:3])
+        got = synthesize_received(H, S, draw_noise(cfg, noise), out=slots[1:3])
         assert got.base is slots
         assert np.array_equal(slots[1:3].view(np.int64), returned.view(np.int64))
         assert np.isnan(slots[[0, 3]]).all()
@@ -380,10 +382,9 @@ class TestSynthesis:
         H = np.ones((6, 4), dtype=complex)
         S = np.ones((2, 4, 5), dtype=complex)
         with pytest.raises(ValueError, match="complex"):
-            synthesize_received(H.real, S.real, 0.3, substream(0, "n"), out=np.empty((2, 6, 5)))
+            synthesize_received(H.real, S.real, 0.0, out=np.empty((2, 6, 5)))
         with pytest.raises(ValueError):
-            synthesize_received(H, S, 0.3, substream(0, "n"),
-                                out=np.empty((6, 5), dtype=complex))
+            synthesize_received(H, S, 0.0, out=np.empty((6, 5), dtype=complex))
 
 
 def test_dft_matrix_unit_modulus():
