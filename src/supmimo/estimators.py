@@ -31,7 +31,7 @@ from .hybrid import Partition
 from .sysmodel import PowerAllocation
 # decide stays bound here: bench/tracer.py patches it in every module that
 # binds it, and bench/test_bench.py checks it is restored in this one
-from .waveform import PilotBook, decide  # noqa: F401
+from .waveform import PilotBook, decide, _partition_rows  # noqa: F401
 
 
 def _conj_rows(pilot: np.ndarray) -> np.ndarray:
@@ -168,28 +168,23 @@ def receive_cell(
     and detected over the rest; SP members are estimated and detected over
     the trailing book.sp_length symbols, which carry their superimposed
     pilots (the whole block for the full-length book).
-    beta_home[k] is user k's gain at this BS.  Raises KeyError for a user in
-    neither set.
+    beta_home[k] is user k's gain at this BS.  Raises KeyError for a user of
+    the network in neither set (waveform._partition_rows).
     """
-    K = powers.rho_d.shape[1]
-    tp = [k for k in range(K) if (cell, k) in partition.u_tp]
-    sp = [k for k in range(K) if (cell, k) in partition.u_sp]
-    if len(tp) + len(sp) < K:
-        k = min(set(range(K)) - set(tp) - set(sp))
-        raise KeyError(f"user {(cell, k)} is in neither partition set")
+    L, K = powers.rho_d.shape
+    _tp_rows, _sp_rows, cells = _partition_rows(partition, L, K)
+    tp, sp = cells[cell]
     beta_home = np.asarray(beta_home)
     groups = []
-    if tp:
-        ks, tau = np.array(tp), book.tau
-        h_hat = tp_ls_estimate(Y[..., :tau], book, (cell, ks))
-        groups.append((ks, mf_detect_tp(Y[..., tau:], h_hat, beta_home[ks])))
-    if sp:
-        ks = np.array(sp)
-        pilots = book.sp_columns(cell * K + ks)
-        rho_d, rho_p = powers.rho_d[cell, ks], powers.rho_p[cell, ks]
+    if tp.size:
+        h_hat = tp_ls_estimate(Y[..., : book.tau], book, (cell, tp))
+        groups.append((tp, mf_detect_tp(Y[..., book.tau :], h_hat, beta_home[tp])))
+    if sp.size:
+        pilots = book.sp_columns(cell * K + sp)
+        rho_d, rho_p = powers.rho_d[cell, sp], powers.rho_p[cell, sp]
         Y_sp = Y[..., Y.shape[-1] - book.sp_length :]
         h_hat = sp_ls_estimate(Y_sp, pilots, rho_p)
-        groups.append((ks, mf_detect_sp(Y_sp, h_hat, rho_d, rho_p, beta_home[ks], pilots)))
+        groups.append((sp, mf_detect_sp(Y_sp, h_hat, rho_d, rho_p, beta_home[sp], pilots)))
     if len(groups) == 1:
         return groups[0][1]
     x_first = groups[0][1]

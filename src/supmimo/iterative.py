@@ -327,7 +327,7 @@ def reduce_block(
 
 
 def iterative_estimate(
-    Y,
+    stats: Reduction,
     pilots: np.ndarray,
     beta: np.ndarray,
     rho_d: np.ndarray,
@@ -338,14 +338,14 @@ def iterative_estimate(
 ) -> IterationState:
     """Joint channel/data estimation over the profile's ordered sweeps.
 
-    Y is the M x C_u block, a stack (T, M, C_u) of T blocks with the same
-    users, e.g. one per trial, or their reduce_block Reduction; a block is
-    reduced first, so the sweeps always run on the reduction.  pilots holds
-    each user's dedicated column (C_u x N), and pilots, beta, rho_d and
-    rho_p list the users in the same order as the profile, which is
-    computed for them and supplies the sweep order, the sweep count and the
-    feedback set.  report lists the users the caller reads, as indices
-    into that order; the state holds their rows only, in report's order.
+    stats is the reduce_block Reduction of a stack (T, M, C_u) of T blocks
+    with the same users, e.g. one per trial; one block is reduced as a
+    stack of one.  pilots holds each user's dedicated column (C_u x N),
+    and pilots, beta, rho_d and rho_p list the users in the same order as
+    the profile, which is computed for them and supplies the sweep order,
+    the sweep count and the feedback set.  report lists the users the
+    caller reads, as indices into that order; the state holds their rows
+    only, in report's order, as (T, len(report), C_u) arrays.
 
     With a fixed feedback set (every rule but per_iteration) only the set's
     members are re-estimated in every sweep, in sweep order, each deciding
@@ -369,26 +369,25 @@ def iterative_estimate(
     block and user, so a user's result depends neither on report, nor on
     the other blocks in the stack, nor on which other users are computed.
     The profile is data-independent, so callers running many blocks with
-    the same large-scale state compute it once.  The state arrays carry the
-    leading T axis when Y does.
+    the same large-scale state compute it once.
     """
     n_users = np.shape(beta)[0]
     if profile.include.shape != (profile.sweeps + 1, n_users):
         raise ValueError(f"need one layout's profile of {n_users} users, "
                          f"got include of shape {profile.include.shape}")
     report = _check_report(report, n_users)
-    C_u = (Y.G if isinstance(Y, Reduction) else Y).shape[-1]
+    if stats.G.ndim != 3:
+        raise ValueError(f"need a stacked reduction, got G of shape {stats.G.shape}")
+    C_u = stats.G.shape[-1]
     if pilots.shape != (C_u, n_users):
         raise ValueError(f"pilots must be (C_u, N) = {(C_u, n_users)}, got {pilots.shape}")
     if n_users > C_u:
         raise ValueError(f"{n_users} users exceed the {C_u}-symbol block")
-    stats = Y if isinstance(Y, Reduction) else reduce_block(Y, pilots, rho_p, profile, report)
     position = np.argsort(profile.order)
     kept, basis = _kept(profile, position[report])
     if not np.array_equal(stats.users, profile.order[kept]):
         raise ValueError("the reduction keeps other users than this profile and report need")
-    stacked = stats.G.ndim == 3
-    G, R = (stats.G, stats.R) if stacked else (stats.G[np.newaxis], stats.R[np.newaxis])
+    G, R = stats.G, stats.R
     # the computed users, in sweep order, so every step below reads
     # contiguous slices
     users_kept = stats.users
@@ -443,10 +442,7 @@ def iterative_estimate(
 
     # the reported rows in report's order
     rows = np.searchsorted(kept, position[report])
-    x_tilde, x_hat = x_tilde[:, rows], x_hat[:, rows]
-    if not stacked:
-        x_tilde, x_hat = x_tilde[0], x_hat[0]
-    return IterationState(x_tilde=x_tilde, x_hat=x_hat)
+    return IterationState(x_tilde=x_tilde[:, rows], x_hat=x_hat[:, rows])
 
 
 def _check_report(report, n_users: int) -> np.ndarray:

@@ -34,18 +34,17 @@ noise block W per trial serve every scheme, so the draws are shared across
 schemes and, in sum_rate_vs_sir, across radii.  A scheme's gains are folded
 into its frames: its block is Z @ (sqrt(beta) * S) + W, made by
 synthesize_received in one received-block buffer that every scheme reuses.
-Each block is received through receive_cell; with a profile the SP block
-is instead reduced (iterative.reduce_block) to the statistics the
-estimator reads, and the one-shot SP outputs are finished from the
-reductions.  Gaussian benches
-are scored per BS as each block is received, so only their energies outlive
-a trial.  For QAM benches the metric cells' channel gains, the outputs,
-payloads, bits and reductions outlive a trial; the estimator runs, and
-every method is decided and scored, once per batch of as many trials as fit
-_CHUNK_BYTES at _trial_bytes each.  Every product is a stack of per-trial
-products, so a trial's energies have the same bits in any batch, and they
-are added to the totals in trial order, so the output does not depend on
-the batch size.
+Each block is received through receive_cell, and its outputs are scored
+(energies, and bit errors for QAM payloads) as soon as they are made, so a
+trial's frames, draws and outputs do not outlive it.  With a profile the SP
+block is instead reduced (iterative.reduce_block) to the statistics the
+estimator reads, and the one-shot SP outputs are finished from that trial's
+reduction.  Only the iterative pass needs a batch: the reductions, cell 0's
+payloads and bits and the channel gains outlive a trial, and the estimator
+runs once per batch of as many trials as fit _CHUNK_BYTES at _trial_bytes
+each.  Its products are stacks of per-trial products, so a trial's energies
+have the same bits in any batch, and they are added to the totals in trial
+order, so the output does not depend on the batch size.
 
 run_experiment holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards.  A product whose reduction is split over threads
@@ -93,9 +92,9 @@ HYBRID_METHOD = "hybrid"
 EXPERIMENTS = ("sinr_vs_m", "rate_vs_m", "sinr_cdf", "ber_vs_k", "sum_rate_vs_sir")
 
 # budget of one batch of _run_trials, which holds as many trials as fit at
-# _trial_bytes each: 12, 11 and 9 for sinr_vs_m at M = 50, 100 and 200
-# (traced peak at seed 5: 1,674 KiB).  sum_rate_vs_sir holds only energies,
-# so all its trials fit one batch.
+# _trial_bytes each: 17, 14 and 12 for sinr_vs_m at M = 50, 100 and 200
+# (traced peak of its 20 trials at M = 200, seed 5: 1,427 KiB).
+# sum_rate_vs_sir holds only energies, so all its trials fit one batch.
 _CHUNK_BYTES = 1280 * 1024
 
 
@@ -281,16 +280,16 @@ def _run_trials(bench: _Bench, keys: list):
     scheme: scheme s receives Y_s = Z @ (sqrt(beta_s) * S_s) + W, its gains
     at BS j folded into its frame rows, one scheme at a time into one reused
     buffer.  A user's desired-signal gain ||h||^2 / (M beta) is ||z||^2 / M
-    of its column, the same for every scheme.  Gaussian payloads are scored
-    per BS as received; QAM outputs go into the batch arrays.  With a
-    profile the all-SP block is reduced instead, and the stacked reductions
-    give its one-shot outputs (their G rows and R diagonal are
-    mf_detect_sp's matched filters and powers, bit for bit) and are
-    iterated, once per batch.  Returns (sig_res, errs): the (T, methods, 2,
-    J, K) signal and residual energies per trial, method, metric BS and
-    user, and the (methods, 2) bit errors and bit count per method over the
-    batch (zero for Gaussian payloads).  The methods are the schemes, then
-    the iterative pass.
+    of its column, the same for every scheme.  Each scheme's outputs are
+    scored as they are made, QAM and Gaussian payloads alike.  With a
+    profile the all-SP block is reduced instead; the one-shot outputs are
+    finished from the trial's own G rows and R diagonal (mf_detect_sp's
+    matched filters and powers, bit for bit), and the reductions, with cell
+    0's payloads and bits, are iterated once per batch.  Returns (sig_res,
+    errs): the (T, methods, 2, J, K) signal and residual energies per trial,
+    method, metric BS and user, and the (methods, 2) bit errors and bit
+    count per method over the batch (zero for Gaussian payloads).  The
+    methods are the schemes, then the iterative pass.
     """
     cfg, powers, schemes, profile = bench.config, bench.powers, bench.schemes, bench.profile
     K, M, C_u, P, N = cfg.K, cfg.M, cfg.C_u, cfg.P, cfg.L * cfg.K
@@ -298,27 +297,32 @@ def _run_trials(bench: _Bench, keys: list):
     qam = bench.data_dist == "qam"
     # sqrt(beta) of every scheme's users at every metric BS, the frame row scales
     roots = np.sqrt(np.stack([s.gains.beta[:J].reshape(J, N) for s in schemes]))
+    n_methods = n_schemes + (profile is not None)
     gain = np.empty((T, J, K))
+    sig_res = np.empty((T, n_methods, 2, J, K))
+    errs = np.zeros((n_methods, 2), dtype=np.int64)
+    # the current trial's payloads and bits of every scheme's metric cells
     lengths = _payload_lengths(bench)
-    held = T if qam else 1  # Gaussian payloads need only the current trial's
-    data = [np.empty((held, J, K, n), dtype=complex) for n in lengths]
-    if qam:
-        x = [np.empty((T, J, K, n), dtype=complex) for n in lengths]
-        n_bits = waveform.bits_per_symbol(P)
-        bits = [np.empty((T, J, K, n_bits * n), dtype=np.uint8) for n in lengths]
-    else:
-        sig_res = np.empty((T, n_schemes, 2, J, K))
+    n_bits = waveform.bits_per_symbol(P)
+    data = [np.empty((J, K, n), dtype=complex) for n in lengths]
+    bits = [np.empty((J, K, n_bits * n), dtype=np.uint8) for n in lengths] if qam else None
     if profile is not None:
         sp = next(i for i, s in enumerate(schemes) if not s.partition.u_tp)
+        book, gains = schemes[sp].book, schemes[sp].gains
+        rho_p = powers.rho_p.reshape(-1)
         report = np.arange(K)
         users = iterative.reduced_users(profile, report)
+        rows = np.argsort(users)[:K]  # cell 0's users are flat users 0..K-1, all kept
+        # cell 0's pilot rows and matched-filter gains, for its one-shot outputs
+        own_pilots, mf_gain = book.sp_columns(report).T, M * powers.rho_d[0] * gains.beta[0, 0]
         G = np.empty((T, users.size, C_u), dtype=complex)
         R = np.empty((T, users.size, users.size), dtype=complex)
+        sp_data = np.empty((T, K, lengths[sp]), dtype=complex)
+        sp_bits = np.empty((T, K, n_bits * lengths[sp]), dtype=np.uint8)
     S = np.empty((n_schemes, N, C_u), dtype=complex)
     scaled = np.empty((N, C_u), dtype=complex)
     Y = np.empty((M, C_u), dtype=complex)
     for t, key in enumerate(keys):
-        u = t if qam else 0
         # one scheme's frames at a time: the substreams are keyed, so the
         # order of the draws does not change their bits
         for i, s in enumerate(schemes):
@@ -326,9 +330,9 @@ def _run_trials(bench: _Bench, keys: list):
                                               substream(*key, f"{s.tag}-frames"), s.partition,
                                               bench.data_dist)
             S[i] = frames.S
-            data[i][u] = frames.data[: J * K].reshape(J, K, -1)
+            data[i][...] = frames.data[: J * K].reshape(J, K, -1)
             if qam:
-                bits[i][t] = frames.bits[: J * K].reshape(J, K, -1)
+                bits[i][...] = frames.bits[: J * K].reshape(J, K, -1)
             del frames  # before the next scheme's are drawn
         for j, (channel_tag, noise_tag) in enumerate(bench.streams):
             Z = draw_channels(cfg, substream(*key, *channel_tag))
@@ -343,63 +347,51 @@ def _run_trials(bench: _Bench, keys: list):
                 if i == n_schemes - 1:
                     del Z, W  # the last block is made: free the draws before it is received
                 if profile is not None and i == sp:
-                    reduced = iterative.reduce_block(Y, s.book.sp_columns(slice(None)),
-                                                     powers.rho_p.reshape(-1), profile, report)
+                    # made per trial: held through the loop, the (C_u, N) columns raise the peak
+                    reduced = iterative.reduce_block(Y, book.sp_columns(slice(None)), rho_p,
+                                                     profile, report)
                     G[t], R[t] = reduced.G, reduced.R
                     del reduced  # no trial's draws outlive it
-                    continue
-                x_tilde = receive_cell(Y, s.book, s.partition, powers, j, s.gains.beta[j, j])
-                if qam:
-                    x[i][t, j] = x_tilde
+                    x_tilde = sp_output(G[t, rows], R[t, rows, rows].real, own_pilots,
+                                        powers.rho_p[0], mf_gain)
+                    sp_data[t], sp_bits[t] = data[i][0], bits[i][0]
                 else:
-                    sig_res[t, i, 0, j], sig_res[t, i, 1, j] = signal_residual_power(
-                        x_tilde, data[i][0, j], gain[t, j])
+                    x_tilde = receive_cell(Y, s.book, s.partition, powers, j, s.gains.beta[j, j])
+                sig_res[t, i, 0, j], sig_res[t, i, 1, j] = signal_residual_power(
+                    x_tilde, data[i][j], gain[t, j])
+                if qam:
+                    errs[i] += count_ber(waveform.decide(x_tilde, P), bits[i][j], P)
     del S, scaled, Y
-    if not qam:
-        return sig_res, np.zeros((n_schemes, 2), dtype=np.int64)
-
-    methods = [(x[i], None, i) for i in range(n_schemes)]  # (outputs, decisions, scheme)
     if profile is not None:
-        book, gains = schemes[sp].book, schemes[sp].gains
-        rows = np.argsort(users)[:K]  # cell 0's users are flat users 0..K-1, all kept
-        x[sp][:, 0] = sp_output(G.take(rows, axis=1), R[:, rows, rows].real,
-                                book.sp_columns(report).T, powers.rho_p[0],
-                                M * powers.rho_d[0] * gains.beta[0, 0])
         state = iterative.iterative_estimate(
             iterative.Reduction(users=users, M=M, G=G, R=R), book.sp_columns(slice(None)),
-            gains.beta[0].reshape(-1), powers.rho_d.reshape(-1), powers.rho_p.reshape(-1), P,
-            profile, report,
+            gains.beta[0].reshape(-1), powers.rho_d.reshape(-1), rho_p, P, profile, report,
         )
         del G, R
-        methods.append((state.x_tilde[:, np.newaxis], state.x_hat[:, np.newaxis], sp))
-    sig_res = np.empty((T, len(methods), 2, J, K))
-    errs = np.empty((len(methods), 2), dtype=np.int64)
-    for m, (x_tilde, x_hat, i) in enumerate(methods):
-        sig_res[:, m, 0], sig_res[:, m, 1] = signal_residual_power(x_tilde, data[i], gain)
-        errs[m] = count_ber(waveform.decide(x_tilde, P) if x_hat is None else x_hat, bits[i], P)
+        sig_res[:, -1, 0, 0], sig_res[:, -1, 1, 0] = signal_residual_power(
+            state.x_tilde, sp_data, gain[:, 0])
+        errs[-1] = count_ber(state.x_hat, sp_bits, P)
     return sig_res, errs
 
 
 def _trial_bytes(bench: _Bench) -> int:
     """Bytes one trial adds to a batch of _run_trials; none of them grow with M.
 
-    Gaussian payloads are scored as they are received, so such a trial adds
-    only its energies and channel gains.  For QAM payloads, for each metric
-    cell's K users: every scheme's payloads and every method's outputs and
-    decisions, all complex, and the payload bits and their demapped copy;
-    with a profile, the reduction's G and R over the n users the iterative
-    estimator keeps and its three (n, C_u) working arrays.  The few channel
-    gains per user are left out.
+    Each trial keeps its energies and its metric users' channel gains.  With
+    a profile it also keeps what the iterative pass reads: the reduction's
+    G and R over the n users the estimator keeps, and cell 0's all-SP
+    payloads and bits; the pass adds four (n, C_u) working arrays (G's
+    basis rows among them), its outputs and decisions, and the demapped
+    copy of the bits.
     """
     cfg = bench.config
-    if bench.data_dist != "qam":
-        return 8 * len(bench.streams) * cfg.K * (2 * len(bench.schemes) + 1)
-    payloads = len(bench.streams) * cfg.K * sum(_payload_lengths(bench))
-    outputs = payloads + (cfg.K * cfg.C_u if bench.profile is not None else 0)
-    total = 16 * (payloads + 2 * outputs) + 2 * waveform.bits_per_symbol(cfg.P) * payloads
+    methods = len(bench.schemes) + (bench.profile is not None)
+    total = 8 * len(bench.streams) * cfg.K * (2 * methods + 1)
     if bench.profile is not None:
         n = iterative.reduced_users(bench.profile, np.arange(cfg.K)).size
-        total += 16 * (n * (cfg.C_u + n) + 3 * n * cfg.C_u)
+        payloads = cfg.K * cfg.C_u
+        total += (16 * (n * (cfg.C_u + n) + 4 * n * cfg.C_u + 3 * payloads)
+                  + 2 * waveform.bits_per_symbol(cfg.P) * payloads)
     return total
 
 

@@ -11,11 +11,19 @@ its fading column scaled by the square root of its gain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 HEX_CELL_COUNTS = (1, 7, 19)
+
+
+def _check_lengths(scenario) -> None:
+    """Every length of a scenario must be positive and finite."""
+    for item in fields(scenario):
+        value = getattr(scenario, item.name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{item.name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -25,6 +33,11 @@ class Scenario1:
     cell_radius_m: float = 1000.0
     min_dist_m: float = 100.0
 
+    def __post_init__(self):
+        _check_lengths(self)
+        if not self.min_dist_m < self.cell_radius_m:
+            raise ValueError("need 0 < min_dist_m < cell_radius_m")
+
 
 @dataclass(frozen=True)
 class Scenario2:
@@ -32,6 +45,9 @@ class Scenario2:
 
     cell_radius_m: float = 1000.0
     user_circle_radius_m: float = 800.0
+
+    def __post_init__(self):
+        _check_lengths(self)
 
 
 Scenario = Scenario1 | Scenario2
@@ -81,6 +97,9 @@ class SystemConfig:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if not (math.isfinite(self.path_loss_exponent) and self.path_loss_exponent > 0):
+            raise ValueError("path_loss_exponent must be positive and finite, "
+                             f"got {self.path_loss_exponent}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -225,14 +244,10 @@ def place_users(config: SystemConfig, rng: np.random.Generator) -> UserLayout:
     centers = hex_centers(config.L, scen.cell_radius_m)
     K = config.K
     if isinstance(scen, Scenario2):
-        if scen.user_circle_radius_m <= 0:
-            raise ValueError("user_circle_radius_m must be positive")
         angles = 2.0 * np.pi * np.arange(K) / K
         ring = scen.user_circle_radius_m * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         positions = centers[:, np.newaxis, :] + ring[np.newaxis, :, :]
     elif isinstance(scen, Scenario1):
-        if not 0 < scen.min_dist_m < scen.cell_radius_m:
-            raise ValueError("need 0 < min_dist_m < cell_radius_m")
         offsets = _sample_hex_points(config.L * K, scen.cell_radius_m, scen.min_dist_m, rng)
         positions = centers[:, np.newaxis, :] + offsets.reshape(config.L, K, 2)
     else:

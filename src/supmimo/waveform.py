@@ -292,7 +292,7 @@ def assemble_frames(
     """
     L, K, C_u, tau = config.L, config.K, config.C_u, config.tau
     payload_len = pilot_book.payload_length(partition, C_u)
-    tp_rows, sp_rows = _partition_rows(partition, L, K)
+    tp_rows, sp_rows, _cells = _partition_rows(partition, L, K)
     data, bits = _draw_payloads(L * K, payload_len, config.P, data_dist, rng)
 
     S = np.zeros((L * K, C_u), dtype=complex)
@@ -313,25 +313,30 @@ def assemble_frames(
 
 @functools.lru_cache(maxsize=32)
 def _partition_rows(partition: Partition, L: int, K: int):
-    """The flat l*K + k rows of the TP and of the SP users.
+    """The TP and SP users of a partition: (tp_rows, sp_rows, cells).
 
-    Each is a slice when its set holds every user, a read-only index array
-    otherwise, and None when the set is empty.  Raises KeyError for a user
-    in neither set.  Cached: a run frames many trials on a few partitions.
+    tp_rows and sp_rows are the flat l*K + k rows of the TP and of the SP
+    users, each a slice when its set holds every user, a read-only index
+    array otherwise, and None when the set is empty.  cells[l] is the pair
+    of read-only arrays of cell l's TP and SP user indices k.  Raises
+    KeyError for a user in neither set.  Cached: a run frames and receives
+    many trials on a few partitions.
     """
     users = list(itertools.product(range(L), range(K)))
     members = partition.u_tp | partition.u_sp
     if not members.issuperset(users):
         user = next(u for u in users if u not in members)
         raise KeyError(f"user {user} is in neither partition set")
-    if not partition.u_sp:
-        return slice(None), None
-    if not partition.u_tp:
-        return None, slice(None)
-    in_sp = np.array([user in partition.u_sp for user in users])
+    in_sp = np.array([user in partition.u_sp for user in users]).reshape(L, K)
+    cells = tuple((np.flatnonzero(~row), np.flatnonzero(row)) for row in in_sp)
     tp_rows, sp_rows = np.flatnonzero(~in_sp), np.flatnonzero(in_sp)
-    tp_rows.flags.writeable = sp_rows.flags.writeable = False
-    return tp_rows, sp_rows
+    for rows in (tp_rows, sp_rows, *itertools.chain(*cells)):
+        rows.flags.writeable = False
+    if not partition.u_sp:
+        return slice(None), None, cells
+    if not partition.u_tp:
+        return None, slice(None), cells
+    return tp_rows, sp_rows, cells
 
 
 def _draw_payloads(n_users: int, n: int, P: int, data_dist: str, rng: np.random.Generator):

@@ -84,6 +84,15 @@ BAD_SPECS = {
                          "scenario: {type: scenario2, cell_radius_m: abc}"),
     "inf-radius": _spec("sum_rate_vs_sir", "trials: 1", "radii_m: [.inf]"),
     "inf-m": _spec("sinr_vs_m", "trials: 1", "m_values: [.inf]"),
+    # non-finite geometry: each ran to NaN records or an OverflowError
+    "nan-path-loss": _spec("sinr_vs_m", "trials: 2", "m_values: [20]",
+                           "path_loss_exponent: .nan"),
+    "inf-user-circle": _spec("sinr_vs_m", "trials: 2", "m_values: [20]",
+                             "scenario: {type: scenario2, user_circle_radius_m: .inf}"),
+    "inf-ring-cell": _spec("sinr_vs_m", "trials: 2", "m_values: [20]",
+                           "scenario: {type: scenario2, cell_radius_m: .inf}"),
+    "inf-hex-cell": _spec("sinr_cdf", "trials: 2", "m_values: [20]",
+                          "scenario: {type: scenario1, cell_radius_m: .inf}"),
 }
 
 # specs that parse but that the run refuses before its first trial, with

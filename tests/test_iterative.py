@@ -11,6 +11,7 @@ from supmimo.estimators import _matched, mf_detect_sp, sp_ls_estimate, sp_output
 from supmimo.hybrid import all_sp
 from supmimo.iterative import (
     SELECTION_RULES,
+    IterationState,
     _grouped_sums,
     _row_groups,
     alpha_pqam,
@@ -221,6 +222,20 @@ def sp_block(cfg, seed, trials=None):
                            report=np.arange(beta.size))
 
 
+def estimate(Y, pilots, beta, rho_d, rho_p, P, profile, report):
+    """iterative_estimate on a block (M, C_u), or a stack of them, through reduce_block.
+
+    A single block is reduced as a stack of one, and its state is returned
+    without the stack axis.
+    """
+    single = Y.ndim == 2
+    stats = reduce_block(Y[np.newaxis] if single else Y, pilots, rho_p, profile, report)
+    state = iterative_estimate(stats, pilots, beta, rho_d, rho_p, P, profile, report)
+    if single:
+        return IterationState(x_tilde=state.x_tilde[0], x_hat=state.x_hat[0])
+    return state
+
+
 @pytest.mark.parametrize("M", [50, 500])
 @pytest.mark.parametrize("K", [1, 5, 10])
 @pytest.mark.parametrize("selection", SELECTION_RULES)
@@ -364,7 +379,7 @@ def test_matches_every_user_every_sweep(block, selection):
     if selection == "explicit":
         # any fixed set the profile carries drives the estimator
         profile = dataclasses.replace(profile, fixed_mask=explicit)
-    state = iterative_estimate(Y, pilots, profile=profile, **args)
+    state = estimate(Y, pilots, profile=profile, **args)
     x_tilde, x_hat = reference_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
         fixed_mask, profile)
@@ -377,7 +392,7 @@ def test_reduced_estimates_match_the_m_space_loop(block, selection):
     cfg, Y, pilots, args, _fixed = block
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, selection)
-    state = iterative_estimate(Y, pilots, profile=profile, **args)
+    state = estimate(Y, pilots, profile=profile, **args)
     x_tilde, x_hat = m_space_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
         profile.fixed_mask, profile)
@@ -399,20 +414,25 @@ def test_a_reduction_is_estimated_like_its_block(block):
     assert np.array_equal(stats.users, reduced_users(profile, report))
     assert stats.M == cfg.M
     assert stats.G.shape == (kept.sum(), cfg.C_u) and stats.R.shape == (kept.sum(),) * 2
-    from_block = iterative_estimate(Y, pilots, profile=profile, **{**args, "report": report})
-    from_stats = iterative_estimate(stats, pilots, profile=profile, **{**args, "report": report})
-    assert np.array_equal(from_stats.x_tilde, from_block.x_tilde)
-    assert np.array_equal(from_stats.x_hat, from_block.x_hat)
-    # a reduction made for other users is refused
+    # the one block's reduction, given a stack axis, is estimated like the
+    # block reduced as a stack of one
+    stacked = dataclasses.replace(stats, G=stats.G[np.newaxis], R=stats.R[np.newaxis])
+    from_block = estimate(Y, pilots, profile=profile, **{**args, "report": report})
+    from_stats = iterative_estimate(stacked, pilots, profile=profile, **{**args, "report": report})
+    assert np.array_equal(from_stats.x_tilde[0], from_block.x_tilde)
+    assert np.array_equal(from_stats.x_hat[0], from_block.x_hat)
+    # a reduction made for other users is refused, and so is one without a stack axis
     with pytest.raises(ValueError, match="other users"):
-        iterative_estimate(stats, pilots, profile=profile, **args)
+        iterative_estimate(stacked, pilots, profile=profile, **args)
+    with pytest.raises(ValueError, match="stacked reduction"):
+        iterative_estimate(stats, pilots, profile=profile, **{**args, "report": report})
 
 
 def test_empty_feedback_set_is_the_one_shot_estimator(block):
     cfg, Y, pilots, args, _fixed = block
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, "none")
-    state = iterative_estimate(Y, pilots, profile=profile, **args)
+    state = estimate(Y, pilots, profile=profile, **args)
     for n in range(pilots.shape[1]):
         rho_d, rho_p = float(args["rho_d"][n]), float(args["rho_p"][n])
         h_hat = sp_ls_estimate(Y, pilots[:, n], rho_p)
@@ -426,7 +446,7 @@ def test_passed_profile_supplies_the_feedback_set(block):
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, "fixed")
     assert np.array_equal(profile.fixed_mask, fixed)
-    state = iterative_estimate(Y, pilots, profile=profile, **args)
+    state = estimate(Y, pilots, profile=profile, **args)
     x_tilde, x_hat = reference_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations, fixed,
         profile)
@@ -435,7 +455,7 @@ def test_passed_profile_supplies_the_feedback_set(block):
     # so does the sweep count
     one_sweep = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                                 cfg.C_u, cfg.P, 1, "all")
-    once = iterative_estimate(Y, pilots, profile=one_sweep, **args)
+    once = estimate(Y, pilots, profile=one_sweep, **args)
     x_tilde, _x = reference_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, 1,
         np.ones(fixed.size, dtype=bool), one_sweep)
@@ -448,9 +468,11 @@ def test_a_batched_or_foreign_profile_is_rejected(block):
     batched = predict_profile(np.stack([args["beta"]] * 2), np.stack([args["rho_d"]] * 2),
                               np.stack([args["rho_p"]] * 2), *rest)
     foreign = predict_profile(args["beta"][:-1], args["rho_d"][:-1], args["rho_p"][:-1], *rest)
+    good = predict_profile(args["beta"], args["rho_d"], args["rho_p"], *rest)
+    stats = reduce_block(Y[np.newaxis], pilots, args["rho_p"], good, args["report"])
     for profile in (batched, foreign):
         with pytest.raises(ValueError, match="one layout's profile"):
-            iterative_estimate(Y, pilots, profile=profile, **args)
+            iterative_estimate(stats, pilots, profile=profile, **args)
 
 
 @pytest.mark.parametrize("selection", SELECTION_RULES)
@@ -477,8 +499,8 @@ def test_users_in_any_order_give_the_permuted_bits(selection):
         flat[name] = []
         for b, ((Y, pilots, _args), perm) in enumerate(zip(blocks, layout_perms)):
             profile = batch.layout(b)
-            state = iterative_estimate(Y, pilots[:, perm], P=cfg.P, profile=profile,
-                                       report=np.arange(perm.size), **inputs[b])
+            state = estimate(Y, pilots[:, perm], P=cfg.P, profile=profile,
+                             report=np.arange(perm.size), **inputs[b])
             back = np.argsort(perm)
             fields = [perm[profile.order], state.x_tilde[back], state.x_hat[back]]
             fields += [np.take(getattr(profile, key), back, axis=-1)
@@ -506,9 +528,9 @@ def test_reported_rows_equal_the_all_user_rows(selection, K, trials):
     Y, pilots, args = sp_block(cfg, 6, trials)
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, selection)
-    everyone = iterative_estimate(Y, pilots, profile=profile, **args)
+    everyone = estimate(Y, pilots, profile=profile, **args)
     for report in reports(args["beta"].size, K):
-        state = iterative_estimate(Y, pilots, profile=profile, **{**args, "report": report})
+        state = estimate(Y, pilots, profile=profile, **{**args, "report": report})
         for name in ("x_tilde", "x_hat"):
             got, want = getattr(state, name), getattr(everyone, name)
             assert got.shape == want[..., report, :].shape
@@ -545,6 +567,6 @@ def test_unreported_non_members_are_not_computed(monkeypatch):
     monkeypatch.setattr(iterative, "sp_ls_estimate", project_spy)
     monkeypatch.setattr(iterative, "_matched", matched_spy)
     monkeypatch.setattr(iterative, "sp_output", output_spy)
-    iterative_estimate(Y, pilots, profile=profile, **{**args, "report": report})
+    estimate(Y, pilots, profile=profile, **{**args, "report": report})
     assert projected == filtered == kept
     assert matched == [len(kept)]

@@ -302,8 +302,9 @@ def test_a_chunk_holds_at_least_one_trial(any_bench, monkeypatch):
 # 1,774,632 bytes, numpy 2.4.  The trial kernel, which keeps the channel
 # powers instead of the channels, runs all 4 trials in one batch and peaked at
 # 1,249,712 bytes; the separate reference trial it replaced peaked at
-# 1,283,622.  On one unit fading draw and one reused block buffer it peaks at
-# 1,209,576.
+# 1,283,622.  On one unit fading draw and one reused block buffer it peaked at
+# 1,209,576; scoring each one-shot method as it is received, so that only the
+# iterative pass's inputs outlive a trial, it peaks at 1,140,678.
 PEAK_BOUND_BYTES = 1_775_000
 
 
@@ -330,7 +331,8 @@ def test_two_trials_fit_a_batch_at_m_200_within_the_earlier_peak(monkeypatch):
 # defaults (L=19, M=200, C_u=40, seed 5), numpy 2.4: a bench of one radius's
 # three schemes, which drew one channel per gain map and held the batch's
 # outputs and payloads, peaked at 2,722,324 bytes.  The one bench of all four
-# radii (12 schemes), on one unit draw per BS, peaks at 1,816,664.
+# radii (12 schemes), on one unit draw per BS, peaked at 1,816,664, and at
+# 1,817,072 with its scoring shared with the QAM benches.
 SUM_RATE_PEAK_BOUND_BYTES = 2_722_000
 
 

@@ -57,6 +57,26 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="square"):
             make_config(P=8)
 
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, 0.0, -3.0])
+    def test_path_loss_exponent_must_be_positive_and_finite(self, exponent):
+        with pytest.raises(ValueError, match="path_loss_exponent"):
+            make_config(path_loss_exponent=exponent)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: Scenario1(cell_radius_m=math.inf), "cell_radius_m"),
+    (lambda: Scenario1(min_dist_m=math.nan), "min_dist_m"),
+    (lambda: Scenario1(min_dist_m=0.0), "min_dist_m"),
+    (lambda: Scenario1(cell_radius_m=100.0, min_dist_m=100.0), "min_dist_m < cell_radius_m"),
+    (lambda: Scenario2(cell_radius_m=math.inf), "cell_radius_m"),
+    (lambda: Scenario2(cell_radius_m=-1.0), "cell_radius_m"),
+    (lambda: Scenario2(user_circle_radius_m=math.inf), "user_circle_radius_m"),
+    (lambda: Scenario2(user_circle_radius_m=0.0), "user_circle_radius_m"),
+])
+def test_a_scenario_is_checked_where_it_is_made(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
 
 class TestGeometry:
     def test_seven_cell_grid(self):
