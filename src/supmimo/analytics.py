@@ -5,6 +5,12 @@ Conventions: beta[j, l, k] is the large-scale gain between BS j and user
 every user transmits at unit power, split into data and pilot amplitudes
 rho_d and rho_p with rho_d^2 + rho_p^2 = 1.
 
+Each form takes what it reads: the gain map (PathLossMap), which also sets
+the cell and user counts L and K; the PowerAllocation, when it reads the
+amplitudes; and the SystemConfig, when it reads M, C_u, C, tau or the reuse
+factor r.  Pilot reuse is hybrid's: the cells that share a pilot are those
+of one hybrid.reuse_groups group, as in the pilot books.
+
 Empty interference sums return +inf; the rate helpers optionally cap the
 spectral efficiency at log2(P) to model a fixed constellation.
 """
@@ -12,91 +18,43 @@ spectral efficiency at log2(P) to model a fixed constellation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import Partition, copilot_cells
+from .hybrid import Partition, _copilot_power
 from .sysmodel import PathLossMap, PowerAllocation, SystemConfig
 
 
-@dataclass(frozen=True)
-class AnalyticInputs:
-    """Parameter bundle consumed by the closed-form expressions."""
-
-    beta: np.ndarray
-    rho_d: np.ndarray
-    rho_p: np.ndarray
-    M: int
-    C_u: int
-    C: int
-    tau: int
-    r: int
-
-    @classmethod
-    def build(
-        cls,
-        beta: PathLossMap,
-        powers: PowerAllocation,
-        config: SystemConfig,
-    ) -> "AnalyticInputs":
-        return cls(
-            beta=beta.beta,
-            rho_d=powers.rho_d,
-            rho_p=powers.rho_p,
-            M=config.M,
-            C_u=config.C_u,
-            C=config.C,
-            tau=config.tau,
-            r=config.r,
-        )
-
-    @property
-    def L(self) -> int:
-        return self.beta.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.beta.shape[2]
-
-
-def sinr_tp_asymptotic(inputs: AnalyticInputs, j: int, m: int) -> float:
+def sinr_tp_asymptotic(gains: PathLossMap, config: SystemConfig, j: int, m: int) -> float:
     """Large-M SINR of a time-multiplexed user: pilot contamination only.
 
     Equals beta_home^2 over the summed squared gains of the same-pilot
     users in the other reuse-group cells.
     """
-    num = inputs.beta[j, j, m] ** 2
-    den = 0.0
-    for l in copilot_cells(inputs.L, inputs.r, j):
-        if l != j:
-            den += inputs.beta[j, l, m] ** 2
+    num = gains.beta[j, j, m] ** 2
+    den = _copilot_power(gains.beta, config.r, j, m)
     if den == 0.0:
         return math.inf
     return num / den
 
 
-def rate_tp(
-    dims: AnalyticInputs | SystemConfig, sinr: float, cap_order: int | None = None
-) -> float:
+def rate_tp(config: SystemConfig, sinr: float, cap_order: int | None = None) -> float:
     """Per-user rate of a scheme with a training phase in the first tau symbols.
 
     ((C_u - tau) / C) * log2(1 + SINR), optionally capped: TP, and hybrid,
     whose SP users stay silent through the training phase.  The pre-log is
     waveform.PilotBook.payload_length over C for such a partition.
     """
-    return (dims.C_u - dims.tau) / dims.C * _spectral_efficiency(sinr, cap_order)
+    return (config.C_u - config.tau) / config.C * _spectral_efficiency(sinr, cap_order)
 
 
-def rate_sp(
-    dims: AnalyticInputs | SystemConfig, sinr: float, cap_order: int | None = None
-) -> float:
+def rate_sp(config: SystemConfig, sinr: float, cap_order: int | None = None) -> float:
     """Per-user pure-SP rate: (C_u / C) * log2(1 + SINR), optionally capped.
 
     Data fills every symbol of the full-length book (waveform.PilotBook.
     payload_length of the all-SP partition over C).
     """
-    return dims.C_u / dims.C * _spectral_efficiency(sinr, cap_order)
+    return config.C_u / config.C * _spectral_efficiency(sinr, cap_order)
 
 
 def _spectral_efficiency(sinr: float, cap_order: int | None) -> float:
@@ -106,7 +64,22 @@ def _spectral_efficiency(sinr: float, cap_order: int | None) -> float:
     return se
 
 
-def sinr_sp_finite_m(inputs: AnalyticInputs, j: int, m: int) -> float:
+def _target(gains: PathLossMap, powers: PowerAllocation, j: int, m: int):
+    """What the SP forms read of BS j and its user (j, m), flat over users.
+
+    Returns (beta_row, rho_d2, t, adm2, apm2): BS j's gains and every user's
+    rho_d^2 in l*K + k order, the target's flat index t, and the target's
+    rho_d^2 and rho_p^2.
+    """
+    beta_row = gains.beta[j].reshape(-1)
+    rho_d2 = (powers.rho_d.reshape(-1)) ** 2
+    t = j * gains.beta.shape[2] + m
+    return beta_row, rho_d2, t, rho_d2[t], (powers.rho_p.reshape(-1)[t]) ** 2
+
+
+def sinr_sp_finite_m(
+    gains: PathLossMap, powers: PowerAllocation, config: SystemConfig, j: int, m: int
+) -> float:
     """Finite-antenna SINR at the matched-filter output for an SP user.
 
     Inverse of a three-part interference budget: the O(1) term from data
@@ -114,13 +87,9 @@ def sinr_sp_finite_m(inputs: AnalyticInputs, j: int, m: int) -> float:
     cross-channel leakage and the estimate-error cross products).  Both
     exclusion patterns drop single flattened users, not whole cells.
     """
-    beta_row = inputs.beta[j].reshape(-1)
-    rho_d2 = (inputs.rho_d.reshape(-1)) ** 2
-    C_u, M = inputs.C_u, inputs.M
-    t = j * inputs.K + m
+    beta_row, rho_d2, t, adm2, apm2 = _target(gains, powers, j, m)
+    C_u, M = config.C_u, config.M
     bm = beta_row[t]
-    adm2 = rho_d2[t]
-    apm2 = (inputs.rho_p.reshape(-1)[t]) ** 2
     if bm <= 0 or adm2 <= 0 or apm2 <= 0:
         raise ValueError("target user needs positive gain and both amplitudes")
 
@@ -140,15 +109,13 @@ def sinr_sp_finite_m(inputs: AnalyticInputs, j: int, m: int) -> float:
     return 1.0 / (term_self + term_cross + term_pair)
 
 
-def sinr_sp_asymptotic(inputs: AnalyticInputs, j: int, m: int) -> float:
+def sinr_sp_asymptotic(
+    gains: PathLossMap, powers: PowerAllocation, config: SystemConfig, j: int, m: int
+) -> float:
     """Large-M limit of the SP SINR: the self-interference term alone."""
-    beta_row = inputs.beta[j].reshape(-1)
-    rho_d2 = (inputs.rho_d.reshape(-1)) ** 2
-    t = j * inputs.K + m
-    adm2 = rho_d2[t]
-    apm2 = (inputs.rho_p.reshape(-1)[t]) ** 2
+    beta_row, rho_d2, t, adm2, apm2 = _target(gains, powers, j, m)
     num = apm2 * adm2 * beta_row[t] ** 2
-    den = float(np.sum(rho_d2 * beta_row**2)) / inputs.C_u
+    den = float(np.sum(rho_d2 * beta_row**2)) / config.C_u
     if den == 0.0:
         return math.inf
     return num / den
@@ -211,18 +178,13 @@ def optimal_rho(
     return lam2, 1.0 - lam2
 
 
-def kappa(inputs: AnalyticInputs, j: int, m: int) -> float:
+def kappa(
+    gains: PathLossMap, powers: PowerAllocation, config: SystemConfig, j: int, m: int
+) -> float:
     """Uplink-length crossover: SP beats TP (asymptotically) iff C_u > kappa."""
-    beta_row = inputs.beta[j].reshape(-1)
-    rho_d2 = (inputs.rho_d.reshape(-1)) ** 2
-    t = j * inputs.K + m
-    adm2 = rho_d2[t]
-    apm2 = (inputs.rho_p.reshape(-1)[t]) ** 2
+    beta_row, rho_d2, _t, adm2, apm2 = _target(gains, powers, j, m)
     num = float(np.sum(rho_d2 * beta_row**2))
-    den = 0.0
-    for l in copilot_cells(inputs.L, inputs.r, j):
-        if l != j:
-            den += inputs.beta[j, l, m] ** 2
+    den = _copilot_power(gains.beta, config.r, j, m)
     if den == 0.0:
         return math.inf
     return num / (apm2 * adm2 * den)
@@ -241,43 +203,51 @@ def kappa_symmetric(K: int, L: int, beta: float) -> float:
     return 2.0 * K * (1.0 + 1.0 / ((L - 1) * beta**2))
 
 
-def hybrid_tp_sinr(inputs: AnalyticInputs, partition: Partition, j: int, m: int) -> float:
+def hybrid_tp_sinr(
+    gains: PathLossMap, config: SystemConfig, partition: Partition, j: int, m: int
+) -> float:
     """Large-M SINR of a TP member of a hybrid system.
 
     Only same-pilot users that stayed in the TP set contaminate; silent SP
     users are invisible to the training phase.
     """
-    num = inputs.beta[j, j, m] ** 2
-    den = 0.0
-    for l in copilot_cells(inputs.L, inputs.r, j):
-        if l != j and (l, m) in partition.u_tp:
-            den += inputs.beta[j, l, m] ** 2
+    num = gains.beta[j, j, m] ** 2
+    den = _copilot_power(gains.beta, config.r, j, m, partition.u_tp)
     if den == 0.0:
         return math.inf
     return num / den
 
 
-def hybrid_sp_sinr(inputs: AnalyticInputs, partition: Partition, j: int, m: int) -> float:
+def hybrid_sp_sinr(
+    gains: PathLossMap,
+    powers: PowerAllocation,
+    config: SystemConfig,
+    partition: Partition,
+    j: int,
+    m: int,
+) -> float:
     """Large-M SINR of an SP member of a hybrid system.
 
     The superimposed segment spans C_u - tau symbols, so the residual
     data-interference floor sums the squared gains of the SP set
     scaled by 1 / ((C_u - tau) * pilot share).
     """
-    t_rho_d2 = inputs.rho_d[j, m] ** 2
-    t_rho_p2 = inputs.rho_p[j, m] ** 2
-    num = inputs.beta[j, j, m] ** 2
+    t_rho_d2 = powers.rho_d[j, m] ** 2
+    t_rho_p2 = powers.rho_p[j, m] ** 2
+    num = gains.beta[j, j, m] ** 2
     den = 0.0
     for (l, k) in partition.u_sp:
-        den += (inputs.rho_d[l, k] ** 2) * inputs.beta[j, l, k] ** 2
-    den /= (inputs.C_u - inputs.tau) * t_rho_p2 * t_rho_d2
+        den += (powers.rho_d[l, k] ** 2) * gains.beta[j, l, k] ** 2
+    den /= (config.C_u - config.tau) * t_rho_p2 * t_rho_d2
     if den == 0.0:
         return math.inf
     return num / den
 
 
 def hybrid_rates(
-    inputs: AnalyticInputs,
+    gains: PathLossMap,
+    powers: PowerAllocation,
+    config: SystemConfig,
     partition: Partition,
     j: int,
     cap_order: int | None = None,
@@ -288,15 +258,15 @@ def hybrid_rates(
     spend the training phase on pilots, SP users on radio silence.
     """
     out = {}
-    for k in range(inputs.K):
+    for k in range(gains.beta.shape[2]):
         user = (j, k)
         if user in partition.u_tp:
-            sinr = hybrid_tp_sinr(inputs, partition, j, k)
+            sinr = hybrid_tp_sinr(gains, config, partition, j, k)
         elif user in partition.u_sp:
-            sinr = hybrid_sp_sinr(inputs, partition, j, k)
+            sinr = hybrid_sp_sinr(gains, powers, config, partition, j, k)
         else:
             continue
-        out[user] = (sinr, rate_tp(inputs, sinr, cap_order))
+        out[user] = (sinr, rate_tp(config, sinr, cap_order))
     return out
 
 

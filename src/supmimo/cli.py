@@ -36,21 +36,23 @@ from .sysmodel import Scenario1, Scenario2, SystemConfig
 
 CSV_HEADER = "experiment,method,sweep_var,sweep_value,user,metric,value,trials,analytic_value"
 
-_CONFIG_FIELDS = {
-    "L": int, "K": int, "M": int, "C_u": int, "C": int, "r": int,
-    "P": int, "snr_db": float, "omega": float, "path_loss_exponent": float,
-    "iterations": int, "seed": int,
-}
-_OPTION_FIELDS = {
-    "trials": int, "rho_form": str, "selection": str,
-    "m_values": tuple, "k_values": tuple, "m_per_k": int, "radii_m": tuple,
-    "placements": int, "inner_realizations": int, "rate_cap": bool,
-}
+
+def _settings(cls) -> dict:
+    """Each field of a settings dataclass with a plain default, with its default's type.
+
+    SystemConfig.scenario has none; overrides parse it on their own.
+    """
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+_CONFIG_FIELDS = _settings(SystemConfig)
+_OPTION_FIELDS = _settings(RunOptions)
 
 # experiment-specific defaults applied before user overrides
 _EXPERIMENT_DEFAULTS = {
     "rate_vs_m": {"P": 16},
-    "sinr_cdf": {"M": 300, "scenario": {"type": "scenario1"}},
+    "sinr_cdf": {"M": 300, "trials": 20, "scenario": {"type": "scenario1"}},
     "ber_vs_k": {"C_u": 70, "scenario": {"type": "scenario1"}},
     "sum_rate_vs_sir": {"L": 19, "C_u": 40, "M": 200, "omega": 10.0},
 }

@@ -7,10 +7,14 @@ data interference floor of every SP user (itself included).  The greedy
 optimizer starts all-TP and keeps moving the worst TP offender to the SP
 set while the total cost does not increase; a brute-force oracle covers
 small instances.
+
+Pilot reuse is one rule, reuse_groups: the pilot books (waveform) and the
+closed forms (analytics) read it from here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -42,9 +46,31 @@ def all_sp(L: int, K: int) -> Partition:
     return Partition(u_tp=frozenset(), u_sp=frozenset((l, k) for l in range(L) for k in range(K)))
 
 
-def copilot_cells(L: int, r: int, j: int) -> list:
-    """Cells whose TP pilot block coincides with cell j's (including j)."""
-    return [l for l in range(L) if l % r == j % r]
+@functools.cache
+def reuse_groups(L: int, r: int) -> np.ndarray:
+    """The reuse group of each of L cells when a pilot block serves every r-th cell.
+
+    Cells in one group send the same pilots: group l % r, so cells l and
+    l' share pilots iff l % r == l' % r.  Read-only and cached: the
+    partitioner reads it once per user and move.
+    """
+    groups = np.arange(L) % r
+    groups.flags.writeable = False
+    return groups
+
+
+def _copilot_power(beta: np.ndarray, r: int, j: int, m: int, u_tp=None) -> float:
+    """Summed beta[j, l, m]^2 over the other cells l in cell j's reuse group.
+
+    With u_tp, only the cells l whose user (l, m) is in u_tp count.  The
+    cells are summed in ascending order.
+    """
+    groups = reuse_groups(beta.shape[0], r).tolist()
+    total = 0.0
+    for l, group in enumerate(groups):
+        if group == groups[j] and l != j and (u_tp is None or (l, m) in u_tp):
+            total += float(beta[j, l, m]) ** 2
+    return total
 
 
 def interference_tp(
@@ -59,12 +85,7 @@ def interference_tp(
     currently field a TP user with the same pilot index.
     """
     j, m = user
-    L = beta.shape[0]
-    total = 0.0
-    for l in copilot_cells(L, r, j):
-        if l != j and (l, m) in partition.u_tp:
-            total += float(beta[l, j, m]) ** 2
-    return total
+    return _copilot_power(beta.transpose(1, 0, 2), r, j, m, partition.u_tp)
 
 
 def interference_sp(

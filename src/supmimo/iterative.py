@@ -287,14 +287,6 @@ class Reduction:
     R: np.ndarray
 
 
-@dataclass(frozen=True)
-class IterationState:
-    """Final matched-filter outputs and decisions of the reported users."""
-
-    x_tilde: np.ndarray
-    x_hat: np.ndarray
-
-
 def reduced_users(profile: PredictionProfile, report: np.ndarray) -> np.ndarray:
     """The users a reduction for (profile, report) keeps, in sweep order."""
     return profile.order[_kept(profile, np.argsort(profile.order)[report])[0]]
@@ -335,7 +327,7 @@ def iterative_estimate(
     P: int,
     profile: PredictionProfile,
     report: np.ndarray,
-) -> IterationState:
+) -> np.ndarray:
     """Joint channel/data estimation over the profile's ordered sweeps.
 
     stats is the reduce_block Reduction of a stack (T, M, C_u) of T blocks
@@ -344,8 +336,10 @@ def iterative_estimate(
     and pilots, beta, rho_d and rho_p list the users in the same order as
     the profile, which is computed for them and supplies the sweep order,
     the sweep count and the feedback set.  report lists the users the
-    caller reads, as indices into that order; the state holds their rows
-    only, in report's order, as (T, len(report), C_u) arrays.
+    caller reads, as indices into that order.  Returns their final
+    matched-filter outputs only, in report's order, as a (T, len(report),
+    C_u) array; only the feedback set's decisions are made, the ones fed
+    back.
 
     With a fixed feedback set (every rule but per_iteration) only the set's
     members are re-estimated in every sweep, in sweep order, each deciding
@@ -409,7 +403,6 @@ def iterative_estimate(
     coefs = np.zeros((T, basis.size, basis.size), dtype=complex)
     x_basis = np.zeros((T, basis.size, C_u), dtype=complex)
     x_tilde = np.zeros((T, kept.size, C_u), dtype=complex)
-    x_hat = np.zeros((T, kept.size, C_u), dtype=complex)
     for users, fed in _schedule(profile, kept, basis):
         inside = slot[users.start]
         everyone = fed.size == basis.size
@@ -436,13 +429,12 @@ def iterative_estimate(
             power += np.diagonal(R[:, users, users], axis1=1, axis2=2).real
         x_tilde[:, users] = x_new = sp_output(out, power, pilot_rows[users], rho_p[users],
                                               mf_gain[users])
-        x_hat[:, users] = decided = decide(x_new, P)
         if inside >= 0:
-            x_basis[:, inside] = decided[:, 0]
+            x_basis[:, inside] = decide(x_new[:, 0], P)
 
     # the reported rows in report's order
     rows = np.searchsorted(kept, position[report])
-    return IterationState(x_tilde=x_tilde[:, rows], x_hat=x_hat[:, rows])
+    return x_tilde[:, rows]
 
 
 def _check_report(report, n_users: int) -> np.ndarray:

@@ -92,8 +92,8 @@ HYBRID_METHOD = "hybrid"
 EXPERIMENTS = ("sinr_vs_m", "rate_vs_m", "sinr_cdf", "ber_vs_k", "sum_rate_vs_sir")
 
 # budget of one batch of _run_trials, which holds as many trials as fit at
-# _trial_bytes each: 17, 14 and 12 for sinr_vs_m at M = 50, 100 and 200
-# (traced peak of its 20 trials at M = 200, seed 5: 1,427 KiB).
+# _trial_bytes each: 19, 15 and 13 for sinr_vs_m at M = 50, 100 and 200
+# (traced peak of its 20 trials at M = 200, seed 5: 1,353 KiB).
 # sum_rate_vs_sir holds only energies, so all its trials fit one batch.
 _CHUNK_BYTES = 1280 * 1024
 
@@ -119,25 +119,22 @@ class RunOptions:
 
     Desk-scale defaults: trial counts and antenna sweeps are reduced
     relative to the reference experiments; raise them via the CLI for
-    full-scale runs.
+    full-scale runs.  trials counts the trials per sweep point; sinr_cdf
+    runs that many for each of its placements user placements.
     """
 
     trials: int = 200
-    rho_form: str = "exact"
     selection: str = "fixed"
     m_values: tuple = (50, 100, 200)
     k_values: tuple = (1, 5, 10)
     m_per_k: int = 50
     radii_m: tuple = (300.0, 500.0, 700.0, 850.0)
     placements: int = 30
-    inner_realizations: int = 20
     rate_cap: bool = True
 
     def __post_init__(self):
-        if self.trials < 1 or self.placements < 1 or self.inner_realizations < 1:
+        if self.trials < 1 or self.placements < 1:
             raise ValueError("trial counts must be >= 1")
-        if self.rho_form not in ("exact", "approx"):
-            raise ValueError(f"rho_form must be 'exact' or 'approx', got {self.rho_form!r}")
         if self.selection not in iterative.SELECTION_RULES:
             raise ValueError(
                 f"selection must be one of {iterative.SELECTION_RULES}, got {self.selection!r}"
@@ -176,12 +173,14 @@ def signal_residual_power(
     return np.vecdot(signal, signal).real, np.vecdot(residual, residual).real
 
 
-def count_ber(x_hat: np.ndarray, bits_true: np.ndarray, P: int) -> tuple[int, int]:
-    """Bit errors between decided symbols and the transmitted bits.
+def count_ber(x: np.ndarray, bits_true: np.ndarray, P: int) -> tuple[int, int]:
+    """Bit errors between the decisions on symbols and the transmitted bits.
 
-    Any stack of symbols works; the bits are compared in flattened order.
+    x holds matched-filter outputs or decided points: demap decides each
+    symbol, with the bits of demap(waveform.decide(x, P)).  Any stack of
+    symbols works; the bits are compared in flattened order.
     """
-    bits_hat = waveform.demap(x_hat, P)
+    bits_hat = waveform.demap(x, P)
     bits_true = np.asarray(bits_true).reshape(-1)
     if bits_hat.size != bits_true.size:
         raise ValueError(f"bit count mismatch: {bits_hat.size} vs {bits_true.size}")
@@ -246,9 +245,7 @@ def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
     the layouts' gains at BS 0.
     """
     L, K = config.L, config.K
-    lam2, _ = analytics.optimal_rho(
-        config.M, L, K, config.C_u, approximate=options.rho_form == "approx"
-    )
+    lam2, _ = analytics.optimal_rho(config.M, L, K, config.C_u)
     powers = uniform_power(L, K, lam2)
     book = waveform.make_pilot_books(config)
     beta_effs = [path_loss(layout, config.path_loss_exponent).normalized(config.omega)
@@ -360,17 +357,17 @@ def _run_trials(bench: _Bench, keys: list):
                 sig_res[t, i, 0, j], sig_res[t, i, 1, j] = signal_residual_power(
                     x_tilde, data[i][j], gain[t, j])
                 if qam:
-                    errs[i] += count_ber(waveform.decide(x_tilde, P), bits[i][j], P)
+                    errs[i] += count_ber(x_tilde, bits[i][j], P)
     del S, scaled, Y
     if profile is not None:
-        state = iterative.iterative_estimate(
+        x_tilde = iterative.iterative_estimate(
             iterative.Reduction(users=users, M=M, G=G, R=R), book.sp_columns(slice(None)),
             gains.beta[0].reshape(-1), powers.rho_d.reshape(-1), rho_p, P, profile, report,
         )
         del G, R
         sig_res[:, -1, 0, 0], sig_res[:, -1, 1, 0] = signal_residual_power(
-            state.x_tilde, sp_data, gain[:, 0])
-        errs[-1] = count_ber(state.x_hat, sp_bits, P)
+            x_tilde, sp_data, gain[:, 0])
+        errs[-1] = count_ber(x_tilde, sp_bits, P)
     return sig_res, errs
 
 
@@ -380,9 +377,9 @@ def _trial_bytes(bench: _Bench) -> int:
     Each trial keeps its energies and its metric users' channel gains.  With
     a profile it also keeps what the iterative pass reads: the reduction's
     G and R over the n users the estimator keeps, and cell 0's all-SP
-    payloads and bits; the pass adds four (n, C_u) working arrays (G's
-    basis rows among them), its outputs and decisions, and the demapped
-    copy of the bits.
+    payloads and bits; the pass adds at most four (n, C_u) working arrays
+    (G's basis rows among them), its outputs, and the demapped copy of the
+    bits.
     """
     cfg = bench.config
     methods = len(bench.schemes) + (bench.profile is not None)
@@ -390,7 +387,7 @@ def _trial_bytes(bench: _Bench) -> int:
     if bench.profile is not None:
         n = iterative.reduced_users(bench.profile, np.arange(cfg.K)).size
         payloads = cfg.K * cfg.C_u
-        total += (16 * (n * (cfg.C_u + n) + 4 * n * cfg.C_u + 3 * payloads)
+        total += (16 * (n * (cfg.C_u + n) + 4 * n * cfg.C_u + 2 * payloads)
                   + 2 * waveform.bits_per_symbol(cfg.P) * payloads)
     return total
 
@@ -426,10 +423,10 @@ def _records_vs_m(config, options, experiment):
         cfg = replace(config, M=M)
         layout = place_users(cfg, substream(cfg.seed, experiment, "layout", mi))
         (bench,) = _make_benches(cfg, options, [layout])
-        inputs = analytics.AnalyticInputs.build(bench.schemes[0].gains, bench.powers, cfg)
+        gains = bench.schemes[0].gains
         analytic = (
-            [analytics.sinr_tp_asymptotic(inputs, 0, k) for k in range(cfg.K)],
-            [analytics.sinr_sp_finite_m(inputs, 0, k) for k in range(cfg.K)],
+            [analytics.sinr_tp_asymptotic(gains, cfg, 0, k) for k in range(cfg.K)],
+            [analytics.sinr_sp_finite_m(gains, bench.powers, cfg, 0, k) for k in range(cfg.K)],
             1.0 / bench.profile.interference[cfg.iterations, :cfg.K],
         )
         keys = [(cfg.seed, experiment, mi, t) for t in range(options.trials)]
@@ -456,7 +453,7 @@ def _records_sinr_cdf(config, options):
     layouts = [place_users(config, substream(config.seed, "sinr_cdf", p, "layout"))
                for p in range(options.placements)]
     for p, bench in enumerate(_make_benches(config, options, layouts)):
-        keys = [(config.seed, "sinr_cdf", p, t) for t in range(options.inner_realizations)]
+        keys = [(config.seed, "sinr_cdf", p, t) for t in range(options.trials)]
         totals, _errs = _sum_trials(bench, keys)
         sinrs = totals[:, 0, 0] / totals[:, 1, 0]
         for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD)):
@@ -469,7 +466,7 @@ def _records_sinr_cdf(config, options):
             records.append(MetricsRecord(
                 experiment="sinr_cdf", method=method, sweep_var="prob", sweep_value=float(pr),
                 user="all", metric="sinr_db", value=float(v),
-                trials=options.inner_realizations, analytic_value=None,
+                trials=options.trials, analytic_value=None,
             ))
     return records
 
@@ -495,7 +492,7 @@ def _records_ber_vs_k(config, options):
     return records
 
 
-def _sum_rate_bench(cfg: SystemConfig, layouts: list, options: RunOptions) -> _Bench:
+def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
     """All-TP, all-SP and hybrid pilots at the min(L, 7) metric BSs of each layout.
 
     One bench for the whole sweep: its schemes are the (layout, method)
@@ -505,9 +502,7 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list, options: RunOptions) -> _B
     from ("n", j), shared by every layout's schemes.
     """
     n_metric = min(cfg.L, 7)
-    lam2, mu2 = analytics.optimal_rho(
-        cfg.M, n_metric, cfg.K, cfg.C_u, approximate=options.rho_form == "approx"
-    )
+    lam2, mu2 = analytics.optimal_rho(cfg.M, n_metric, cfg.K, cfg.C_u)
     unit_powers = uniform_power(cfg.L, cfg.K, lam2)
     # one full-length book serves both baselines: outer-tier cells reuse
     # superimposed columns when L*K exceeds C_u
@@ -541,7 +536,7 @@ def _records_sum_rate_vs_sir(config, options):
         cfg = replace(config, scenario=Scenario2(cell_radius_m=config.scenario.cell_radius_m,
                                                  user_circle_radius_m=radius))
         layouts.append(place_users(cfg, substream(cfg.seed, "sum_rate", ri, "layout")))
-    bench = _sum_rate_bench(config, layouts, options)
+    bench = _sum_rate_bench(config, layouts)
     keys = [(config.seed, "sum_rate", t) for t in range(options.trials)]
     totals, _errs = _sum_trials(bench, keys)
     sinr = totals[:, 0] / totals[:, 1]

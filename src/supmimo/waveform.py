@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import Partition
+from .hybrid import Partition, reuse_groups
 from .sysmodel import PowerAllocation, SystemConfig
 
 
@@ -39,10 +39,10 @@ class CapacityError(ValueError):
 class PilotBook:
     """Pilot matrices plus the user-to-column assignments.
 
-    tp_matrix is tau x tau; tp_assignment[l, k] indexes its columns and
-    repeats with period r cells.  sp_matrix is square with sp_length columns;
-    sp_assignment[l, k] is the dedicated column of user (l, k), or -1 when
-    that user has no superimposed pilot.
+    tp_matrix is tau x tau; tp_assignment[l, k] indexes its columns, by
+    reuse_groups: the cells of one group have equal rows.  sp_matrix is
+    square with sp_length columns; sp_assignment[l, k] is the dedicated
+    column of user (l, k), or -1 when that user has no superimposed pilot.
     """
 
     tp_matrix: np.ndarray
@@ -123,14 +123,13 @@ def make_pilot_books(
 
     Without a partition every user gets a dedicated superimposed column of
     length C_u, which requires L*K <= C_u unless allow_sp_reuse is set (then
-    column blocks repeat across cell groups, mimicking pilot reuse).  With a
-    partition, only the superimposed users are assigned columns, drawn from a
-    (C_u - tau)-length book.
+    each of the C_u // K column blocks serves one reuse_groups group of
+    cells, mimicking pilot reuse).  With a partition, only the superimposed
+    users are assigned columns, drawn from a (C_u - tau)-length book.
     """
     L, K, C_u, tau, r = config.L, config.K, config.C_u, config.tau, config.r
     tp_matrix = dft_matrix(tau)
-    cells = np.arange(L)
-    tp_assignment = (cells[:, np.newaxis] % r) * K + np.arange(K)[np.newaxis, :]
+    tp_assignment = reuse_groups(L, r)[:, np.newaxis] * K + np.arange(K)
 
     sp_assignment = np.full((L, K), -1, dtype=int)
     if partition is not None:
@@ -151,7 +150,7 @@ def make_pilot_books(
             groups = C_u // K
             if groups < 1:
                 raise CapacityError(f"C_u ({C_u}) cannot fit even one cell of {K} pilots")
-            sp_assignment = (cells[:, np.newaxis] % groups) * K + np.arange(K)[np.newaxis, :]
+            sp_assignment = reuse_groups(L, groups)[:, np.newaxis] * K + np.arange(K)
         else:
             raise CapacityError(
                 f"L={L}, K={K}: {L * K} users exceed the C_u={C_u} superimposed pilot columns"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from supmimo.analytics import (
-    AnalyticInputs,
     cell_sum_rate,
     hybrid_rates,
     hybrid_sp_sinr,
@@ -19,15 +18,17 @@ from supmimo.analytics import (
     sinr_sp_lower_bound,
     sinr_tp_asymptotic,
 )
-from supmimo.hybrid import Partition, all_tp
+from supmimo.hybrid import Partition, all_tp, interference_tp
 from supmimo.rng import substream
 from supmimo.sysmodel import PathLossMap, SystemConfig, uniform_power
+from supmimo.waveform import make_pilot_books
 
 
 def make_inputs(beta, lam2, cfg):
+    """(gains, powers, config): the leading arguments of the SP closed forms."""
     beta = np.asarray(beta, dtype=float)
     powers = uniform_power(beta.shape[1], beta.shape[2], lam2)
-    return AnalyticInputs.build(PathLossMap(beta), powers, cfg)
+    return PathLossMap(beta), powers, cfg
 
 
 def make_config(**kw):
@@ -42,15 +43,17 @@ def scalar_sp_finite_m(inputs, j, m):
     Both exclusion patterns drop single (cell, user) tuples: the target from
     the outer sums, the outer tuple from the inner one.
     """
-    L, K = inputs.L, inputs.K
-    C_u, M = inputs.C_u, inputs.M
-    bm = inputs.beta[j, j, m]
-    adm2 = inputs.rho_d[j, m] ** 2
-    apm2 = inputs.rho_p[j, m] ** 2
+    gains, powers, cfg = inputs
+    beta, rho_d, rho_p = gains.beta, powers.rho_d, powers.rho_p
+    L, _, K = beta.shape
+    C_u, M = cfg.C_u, cfg.M
+    bm = beta[j, j, m]
+    adm2 = rho_d[j, m] ** 2
+    apm2 = rho_p[j, m] ** 2
     t1 = 0.0
     for l in range(L):
         for k in range(K):
-            t1 += (inputs.rho_d[l, k] ** 2 * inputs.beta[j, l, k] ** 2) / (
+            t1 += (rho_d[l, k] ** 2 * beta[j, l, k] ** 2) / (
                 C_u * apm2 * adm2 * bm**2
             )
     t2 = 0.0
@@ -59,15 +62,15 @@ def scalar_sp_finite_m(inputs, j, m):
         for k in range(K):
             if (l, k) == (j, m):
                 continue
-            t2 += inputs.beta[j, l, k] / (M * adm2 * bm)
+            t2 += beta[j, l, k] / (M * adm2 * bm)
             for n in range(L):
                 for p in range(K):
                     if (n, p) == (l, k):
                         continue
                     t3 += (
-                        inputs.rho_d[n, p] ** 2
-                        * inputs.beta[j, l, k]
-                        * inputs.beta[j, n, p]
+                        rho_d[n, p] ** 2
+                        * beta[j, l, k]
+                        * beta[j, n, p]
                     ) / (M * C_u * apm2 * adm2 * bm**2)
     return 1.0 / (t1 + t2 + t3)
 
@@ -107,7 +110,7 @@ class TestLowerBound:
         cfg = make_config()
         inputs = make_inputs(np.ones((7, 7, 5)), 0.46, cfg)
         bound = sinr_sp_lower_bound(7, 5, 100, 100, 0.46)
-        assert bound <= sinr_sp_asymptotic(inputs, 0, 0)
+        assert bound <= sinr_sp_asymptotic(*inputs, 0, 0)
 
     def test_true_lower_bound_under_power_control(self):
         # random normalized maps: home gains pinned at omega, cross below it
@@ -119,7 +122,7 @@ class TestLowerBound:
             idx = np.arange(7)
             beta[idx, idx, :] = 1.0
             inputs = make_inputs(beta, lam2, cfg)
-            exact = sinr_sp_finite_m(inputs, 0, 0)
+            exact = sinr_sp_finite_m(*inputs, 0, 0)
             bound = sinr_sp_lower_bound(7, 5, cfg.C_u, cfg.M, lam2)
             assert exact >= bound - 1e-12
 
@@ -133,7 +136,7 @@ class TestSpSinr:
             lam2 = float(rng.uniform(0.2, 0.8))
             inputs = make_inputs(beta, lam2, cfg)
             j, m = int(rng.integers(0, 7)), int(rng.integers(0, 3))
-            assert sinr_sp_finite_m(inputs, j, m) == pytest.approx(
+            assert sinr_sp_finite_m(*inputs, j, m) == pytest.approx(
                 scalar_sp_finite_m(inputs, j, m), rel=1e-12
             )
 
@@ -143,21 +146,21 @@ class TestSpSinr:
         beta = rng.uniform(0.1, 1.5, size=(7, 7, 5))
         inputs = make_inputs(beta, 0.46, cfg)
         for m in range(5):
-            finite = sinr_sp_finite_m(inputs, 0, m)
-            asym = sinr_sp_asymptotic(inputs, 0, m)
+            finite = sinr_sp_finite_m(*inputs, 0, m)
+            asym = sinr_sp_asymptotic(*inputs, 0, m)
             assert abs(finite - asym) / asym < 1e-6
 
     def test_symmetric_closed_form(self):
         cfg = make_config()
         inputs = make_inputs(np.ones((7, 7, 5)), 0.5, cfg)
-        assert sinr_sp_asymptotic(inputs, 0, 0) == pytest.approx(100 / 70)
+        assert sinr_sp_asymptotic(*inputs, 0, 0) == pytest.approx(100 / 70)
 
     def test_single_user_asymptotic(self):
         cfg = make_config(L=1, K=1, C_u=64, C=128)
         lam2 = 0.3
         inputs = make_inputs(np.ones((1, 1, 1)), lam2, cfg)
         # C_u * rho_p^2 with rho_p^2 = 1 - lam2
-        assert sinr_sp_asymptotic(inputs, 0, 0) == pytest.approx(64 * (1 - lam2))
+        assert sinr_sp_asymptotic(*inputs, 0, 0) == pytest.approx(64 * (1 - lam2))
 
     def test_scale_invariance_under_power_control(self):
         # doubling all gains rescales q, leaving the normalized system alone
@@ -171,32 +174,29 @@ class TestSpSinr:
             eff = PathLossMap(b).normalized(1.0)
             return make_inputs(eff.beta, 0.46, cfg)
 
-        a = sinr_sp_asymptotic(controlled(beta), 0, 0)
-        b = sinr_sp_asymptotic(controlled(2.0 * beta), 0, 0)
+        a = sinr_sp_asymptotic(*controlled(beta), 0, 0)
+        b = sinr_sp_asymptotic(*controlled(2.0 * beta), 0, 0)
         assert a == pytest.approx(b, rel=1e-12)
 
 
 class TestTpSinr:
     def test_no_reuse_sentinel_and_capped_rate(self):
         cfg = make_config(L=7, K=5, r=7)
-        inputs = make_inputs(np.ones((7, 7, 5)), 0.5, cfg)
-        sinr = sinr_tp_asymptotic(inputs, 0, 0)
+        sinr = sinr_tp_asymptotic(PathLossMap(np.ones((7, 7, 5))), cfg, 0, 0)
         assert sinr == math.inf
-        assert rate_tp(inputs, sinr, cap_order=4) == pytest.approx((65 / 200) * 2.0)
+        assert rate_tp(cfg, sinr, cap_order=4) == pytest.approx((65 / 200) * 2.0)
 
     def test_six_interferers(self):
         cfg = make_config()
         beta = np.full((7, 7, 5), 0.5)
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
-        inputs = make_inputs(beta, 0.5, cfg)
-        assert sinr_tp_asymptotic(inputs, 0, 0) == pytest.approx(1.0 / 1.5)
+        assert sinr_tp_asymptotic(PathLossMap(beta), cfg, 0, 0) == pytest.approx(1.0 / 1.5)
 
     def test_rate_weights(self):
         cfg = make_config(r=7)
-        inputs = make_inputs(np.ones((7, 7, 5)), 0.5, cfg)
-        assert rate_tp(inputs, 1.0) == pytest.approx((65 / 200) * 1.0)
-        assert rate_sp(inputs, 1.0) == pytest.approx((100 / 200) * 1.0)
+        assert rate_tp(cfg, 1.0) == pytest.approx((65 / 200) * 1.0)
+        assert rate_sp(cfg, 1.0) == pytest.approx((100 / 200) * 1.0)
 
 
 class TestKappa:
@@ -214,7 +214,7 @@ class TestKappa:
         beta[idx, idx, :] = 1.0
         cfg = make_config()
         inputs = make_inputs(beta, 0.5, cfg)
-        assert kappa(inputs, 0, 0) == pytest.approx(kappa_symmetric(5, 7, 0.5), rel=1e-12)
+        assert kappa(*inputs, 0, 0) == pytest.approx(kappa_symmetric(5, 7, 0.5), rel=1e-12)
 
     def test_crossover_property(self):
         beta = np.full((7, 7, 5), 0.5)
@@ -223,8 +223,8 @@ class TestKappa:
         for C_u, sp_wins in ((15, False), (18, True)):
             cfg = make_config(C_u=C_u, C=200)
             inputs = make_inputs(beta, 0.5, cfg)
-            sp = sinr_sp_asymptotic(inputs, 0, 0)
-            tp = sinr_tp_asymptotic(inputs, 0, 0)
+            sp = sinr_sp_asymptotic(*inputs, 0, 0)
+            tp = sinr_tp_asymptotic(PathLossMap(beta), cfg, 0, 0)
             assert (sp > tp) == sp_wins
 
 
@@ -237,11 +237,12 @@ class TestHybridRates:
         beta[idx, idx, :] = 1.0
         inputs = make_inputs(beta, 0.5, cfg)
         part = all_tp(7, 5)
-        rates = hybrid_rates(inputs, part, 0)
+        rates = hybrid_rates(*inputs, part, 0)
         for k in range(5):
             sinr, rate = rates[(0, k)]
-            assert sinr == pytest.approx(sinr_tp_asymptotic(inputs, 0, k), rel=1e-12)
-            assert rate == pytest.approx(rate_tp(inputs, sinr), rel=1e-12)
+            assert sinr == pytest.approx(sinr_tp_asymptotic(PathLossMap(beta), cfg, 0, k),
+                                         rel=1e-12)
+            assert rate == pytest.approx(rate_tp(cfg, sinr), rel=1e-12)
 
     def test_single_sp_user_sinr(self):
         cfg = make_config()
@@ -251,7 +252,7 @@ class TestHybridRates:
         )
         mu2 = 0.55
         inputs = make_inputs(np.ones((7, 7, 5)), 1 - mu2, cfg)
-        assert hybrid_sp_sinr(inputs, part, 0, 0) == pytest.approx((100 - 5) * mu2)
+        assert hybrid_sp_sinr(*inputs, part, 0, 0) == pytest.approx((100 - 5) * mu2)
 
     def test_silent_extra_user_lifts_sum_rate(self):
         cfg = make_config()
@@ -261,9 +262,9 @@ class TestHybridRates:
         beta[idx, idx, :] = 1.0
         inputs = make_inputs(beta, 0.5, cfg)
         before = all_tp(7, 5)  # user index 5 of cell 0 not present yet
-        rates_before = hybrid_rates(inputs, before, 0)
+        rates_before = hybrid_rates(*inputs, before, 0)
         after = Partition(u_tp=before.u_tp, u_sp=frozenset({(0, 5)}))
-        rates_after = hybrid_rates(inputs, after, 0)
+        rates_after = hybrid_rates(*inputs, after, 0)
         for k in range(5):
             assert rates_after[(0, k)] == rates_before[(0, k)]
         assert cell_sum_rate(rates_after) > cell_sum_rate(rates_before)
@@ -274,13 +275,33 @@ class TestHybridRates:
         beta = np.full((7, 7, 5), 0.5)
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
-        inputs = make_inputs(beta, 0.5, cfg)
         part = Partition(
             u_tp=frozenset((l, k) for l in range(7) for k in range(5) if l not in (1, 2)),
             u_sp=frozenset((l, k) for l in range(7) for k in range(5) if l in (1, 2)),
         )
         # four of six contaminating cells remain
-        assert hybrid_tp_sinr(inputs, part, 0, 0) == pytest.approx(1.0 / (4 * 0.25))
+        assert hybrid_tp_sinr(PathLossMap(beta), cfg, part, 0, 0) == pytest.approx(1.0 / (4 * 0.25))
+
+
+@pytest.mark.parametrize("L", [7, 19])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_books_and_closed_forms_share_pilots_with_the_same_cells(L, r):
+    # a cell counts when its one cross gain to cell j contaminates user (j, 1):
+    # in the TP closed form (beta[j, l]) and in the partitioner (beta[l, j])
+    cfg = make_config(L=L, K=2, r=r)
+    rows = make_pilot_books(cfg).tp_assignment
+    for j in range(L):
+        in_book = {l for l in range(L) if np.array_equal(rows[l], rows[j])}
+        counted = {j}
+        for l in set(range(L)) - {j}:
+            beta = np.zeros((L, L, 2))
+            beta[j, j, 1] = beta[j, l, 1] = 1.0
+            closed_form = sinr_tp_asymptotic(PathLossMap(beta), cfg, j, 1) < math.inf
+            greedy = interference_tp((j, 1), all_tp(L, 2), beta.transpose(1, 0, 2), r) > 0
+            assert closed_form == greedy
+            if closed_form:
+                counted.add(l)
+        assert counted == in_book
 
 
 # the closed forms behind `supmimo analytic`, with finite reference arguments

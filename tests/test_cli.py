@@ -93,6 +93,11 @@ BAD_SPECS = {
                            "scenario: {type: scenario2, cell_radius_m: .inf}"),
     "inf-hex-cell": _spec("sinr_cdf", "trials: 2", "m_values: [20]",
                           "scenario: {type: scenario1, cell_radius_m: .inf}"),
+    # removed options: the exact power split is the only one, and trials
+    # counts sinr_cdf's realizations per placement
+    "rho-form": _spec("sinr_vs_m", *_SMALL, "rho_form: exact"),
+    "inner-realizations": _spec("sinr_cdf", "trials: 1", "placements: 1",
+                                "inner_realizations: 2"),
 }
 
 # specs that parse but that the run refuses before its first trial, with
@@ -198,6 +203,16 @@ def test_removed_flags_are_usage_errors(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_trials_flag_sets_the_sinr_cdf_realizations(tmp_path):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(_spec("sinr_cdf", "placements: 1", "M: 20"), encoding="utf-8")
+    assert cli.parse_config(str(spec)).options.trials == 20
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", str(spec), "--out", str(out), "--trials", "3"]) == 0
+    records = cli.parse_csv(str(out))
+    assert records and {rec.trials for rec in records} == {3}
 
 
 def test_environment_does_not_override_the_spec(tmp_path, monkeypatch):

@@ -26,8 +26,8 @@ from supmimo.simharness import EXPERIMENTS, _openblas_threads, run_experiment
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-# tiny on purpose: sinr_cdf runs placements x inner_realizations trials
-OVERRIDES = {"seed": 0, "trials": 2, "placements": 2, "inner_realizations": 2}
+# tiny on purpose: sinr_cdf runs placements x trials trials
+OVERRIDES = {"seed": 0, "trials": 2, "placements": 2}
 
 
 def write_csv(experiment: str, out: Path) -> None:

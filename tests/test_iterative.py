@@ -11,7 +11,6 @@ from supmimo.estimators import _matched, mf_detect_sp, sp_ls_estimate, sp_output
 from supmimo.hybrid import all_sp
 from supmimo.iterative import (
     SELECTION_RULES,
-    IterationState,
     _grouped_sums,
     _row_groups,
     alpha_pqam,
@@ -225,15 +224,13 @@ def sp_block(cfg, seed, trials=None):
 def estimate(Y, pilots, beta, rho_d, rho_p, P, profile, report):
     """iterative_estimate on a block (M, C_u), or a stack of them, through reduce_block.
 
-    A single block is reduced as a stack of one, and its state is returned
-    without the stack axis.
+    A single block is reduced as a stack of one, and its outputs are
+    returned without the stack axis.
     """
     single = Y.ndim == 2
     stats = reduce_block(Y[np.newaxis] if single else Y, pilots, rho_p, profile, report)
-    state = iterative_estimate(stats, pilots, beta, rho_d, rho_p, P, profile, report)
-    if single:
-        return IterationState(x_tilde=state.x_tilde[0], x_hat=state.x_hat[0])
-    return state
+    x_tilde = iterative_estimate(stats, pilots, beta, rho_d, rho_p, P, profile, report)
+    return x_tilde[0] if single else x_tilde
 
 
 @pytest.mark.parametrize("M", [50, 500])
@@ -379,12 +376,12 @@ def test_matches_every_user_every_sweep(block, selection):
     if selection == "explicit":
         # any fixed set the profile carries drives the estimator
         profile = dataclasses.replace(profile, fixed_mask=explicit)
-    state = estimate(Y, pilots, profile=profile, **args)
+    got = estimate(Y, pilots, profile=profile, **args)
     x_tilde, x_hat = reference_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
         fixed_mask, profile)
-    assert np.array_equal(state.x_tilde, x_tilde)
-    assert np.array_equal(state.x_hat, x_hat)
+    assert np.array_equal(got, x_tilde)
+    assert np.array_equal(decide(got, cfg.P), x_hat)
 
 
 @pytest.mark.parametrize("selection", ["none", "all", "fixed", "per_iteration"])
@@ -392,13 +389,12 @@ def test_reduced_estimates_match_the_m_space_loop(block, selection):
     cfg, Y, pilots, args, _fixed = block
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, selection)
-    state = estimate(Y, pilots, profile=profile, **args)
+    got = estimate(Y, pilots, profile=profile, **args)
     x_tilde, x_hat = m_space_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
         profile.fixed_mask, profile)
-    np.testing.assert_allclose(state.x_tilde, x_tilde, rtol=0,
-                               atol=1e-12 * np.max(np.abs(x_tilde)))
-    assert np.array_equal(state.x_hat, x_hat)
+    np.testing.assert_allclose(got, x_tilde, rtol=0, atol=1e-12 * np.max(np.abs(x_tilde)))
+    assert np.array_equal(decide(got, cfg.P), x_hat)
 
 
 def test_a_reduction_is_estimated_like_its_block(block):
@@ -419,8 +415,7 @@ def test_a_reduction_is_estimated_like_its_block(block):
     stacked = dataclasses.replace(stats, G=stats.G[np.newaxis], R=stats.R[np.newaxis])
     from_block = estimate(Y, pilots, profile=profile, **{**args, "report": report})
     from_stats = iterative_estimate(stacked, pilots, profile=profile, **{**args, "report": report})
-    assert np.array_equal(from_stats.x_tilde[0], from_block.x_tilde)
-    assert np.array_equal(from_stats.x_hat[0], from_block.x_hat)
+    assert np.array_equal(from_stats[0], from_block)
     # a reduction made for other users is refused, and so is one without a stack axis
     with pytest.raises(ValueError, match="other users"):
         iterative_estimate(stacked, pilots, profile=profile, **args)
@@ -432,13 +427,12 @@ def test_empty_feedback_set_is_the_one_shot_estimator(block):
     cfg, Y, pilots, args, _fixed = block
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, "none")
-    state = estimate(Y, pilots, profile=profile, **args)
+    got = estimate(Y, pilots, profile=profile, **args)
     for n in range(pilots.shape[1]):
         rho_d, rho_p = float(args["rho_d"][n]), float(args["rho_p"][n])
         h_hat = sp_ls_estimate(Y, pilots[:, n], rho_p)
         x_tilde = mf_detect_sp(Y, h_hat, rho_d, rho_p, float(args["beta"][n]), pilots[:, n])
-        assert np.array_equal(state.x_tilde[n], x_tilde)
-        assert np.array_equal(state.x_hat[n], decide(x_tilde, cfg.P))
+        assert np.array_equal(got[n], x_tilde)
 
 
 def test_passed_profile_supplies_the_feedback_set(block):
@@ -446,12 +440,12 @@ def test_passed_profile_supplies_the_feedback_set(block):
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, "fixed")
     assert np.array_equal(profile.fixed_mask, fixed)
-    state = estimate(Y, pilots, profile=profile, **args)
+    got = estimate(Y, pilots, profile=profile, **args)
     x_tilde, x_hat = reference_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations, fixed,
         profile)
-    assert np.array_equal(state.x_tilde, x_tilde)
-    assert np.array_equal(state.x_hat, x_hat)
+    assert np.array_equal(got, x_tilde)
+    assert np.array_equal(decide(got, cfg.P), x_hat)
     # so does the sweep count
     one_sweep = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                                 cfg.C_u, cfg.P, 1, "all")
@@ -459,7 +453,7 @@ def test_passed_profile_supplies_the_feedback_set(block):
     x_tilde, _x = reference_estimate(
         Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, 1,
         np.ones(fixed.size, dtype=bool), one_sweep)
-    assert np.array_equal(once.x_tilde, x_tilde)
+    assert np.array_equal(once, x_tilde)
 
 
 def test_a_batched_or_foreign_profile_is_rejected(block):
@@ -499,10 +493,10 @@ def test_users_in_any_order_give_the_permuted_bits(selection):
         flat[name] = []
         for b, ((Y, pilots, _args), perm) in enumerate(zip(blocks, layout_perms)):
             profile = batch.layout(b)
-            state = estimate(Y, pilots[:, perm], P=cfg.P, profile=profile,
-                             report=np.arange(perm.size), **inputs[b])
+            x_tilde = estimate(Y, pilots[:, perm], P=cfg.P, profile=profile,
+                               report=np.arange(perm.size), **inputs[b])
             back = np.argsort(perm)
-            fields = [perm[profile.order], state.x_tilde[back], state.x_hat[back]]
+            fields = [perm[profile.order], x_tilde[back]]
             fields += [np.take(getattr(profile, key), back, axis=-1)
                        for key in ("interference", "alpha", "psi", "include")]
             if profile.fixed_mask is not None:
@@ -530,11 +524,9 @@ def test_reported_rows_equal_the_all_user_rows(selection, K, trials):
                               cfg.C_u, cfg.P, cfg.iterations, selection)
     everyone = estimate(Y, pilots, profile=profile, **args)
     for report in reports(args["beta"].size, K):
-        state = estimate(Y, pilots, profile=profile, **{**args, "report": report})
-        for name in ("x_tilde", "x_hat"):
-            got, want = getattr(state, name), getattr(everyone, name)
-            assert got.shape == want[..., report, :].shape
-            assert np.array_equal(got, want[..., report, :]), name
+        got = estimate(Y, pilots, profile=profile, **{**args, "report": report})
+        assert got.shape == everyone[..., report, :].shape
+        assert np.array_equal(got, everyone[..., report, :])
 
 
 def test_unreported_non_members_are_not_computed(monkeypatch):

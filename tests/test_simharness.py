@@ -79,7 +79,7 @@ def sum_rate_layouts(cfg, radii):
 
 def sum_rate_bench(K, radii=(300.0, 850.0)):
     cfg = SystemConfig(L=7, K=K, M=40, C_u=40, omega=10.0, seed=4)
-    return simharness._sum_rate_bench(cfg, sum_rate_layouts(cfg, radii), RunOptions())
+    return simharness._sum_rate_bench(cfg, sum_rate_layouts(cfg, radii))
 
 
 @pytest.fixture(scope="module", params=["reference", "sum_rate"])
@@ -225,7 +225,7 @@ def test_hybrid_gains_control_the_sp_users_only():
     # four default radii
     cfg = SystemConfig(L=19, K=5, M=200, C_u=40, omega=10.0, seed=0)
     layouts = sum_rate_layouts(cfg, RunOptions().radii_m)
-    bench = simharness._sum_rate_bench(cfg, layouts, RunOptions())
+    bench = simharness._sum_rate_bench(cfg, layouts)
     moved = 0
     for i, layout in enumerate(layouts):
         all_tp, all_sp, hybrid = bench.schemes[3 * i : 3 * i + 3]
@@ -338,8 +338,7 @@ SUM_RATE_PEAK_BOUND_BYTES = 2_722_000
 
 def test_four_radii_fit_within_the_earlier_peak_of_one(monkeypatch):
     cfg = SystemConfig(L=19, K=5, M=200, C_u=40, omega=10.0, seed=5)
-    options = RunOptions(trials=8)
-    bench = simharness._sum_rate_bench(cfg, sum_rate_layouts(cfg, options.radii_m), options)
+    bench = simharness._sum_rate_bench(cfg, sum_rate_layouts(cfg, RunOptions().radii_m))
     assert len(bench.schemes) == 12
     sizes = batch_sizes(monkeypatch)
     trials = [(5, "sum_rate", t) for t in range(8)]
