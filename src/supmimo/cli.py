@@ -14,7 +14,8 @@ Spec files are YAML::
 
 Settings come from three places, each overriding the one before: the
 experiment's defaults, the spec's ``overrides`` mapping, then the --seed
-and --trials flags.  Unknown keys are rejected.  Exit status is 0 on
+and --trials flags.  Unknown keys are rejected, and so is a harness option
+the experiment does not read (simharness.OPTIONS_READ).  Exit status is 0 on
 success and nonzero otherwise, with a machine-readable category on stderr:
 "error <category>: message".
 """
@@ -31,7 +32,7 @@ import yaml
 
 from . import analytics
 from .hybrid import greedy_partition
-from .simharness import EXPERIMENTS, MetricsRecord, RunOptions, run_experiment
+from .simharness import EXPERIMENTS, OPTIONS_READ, MetricsRecord, RunOptions, run_experiment
 from .sysmodel import Scenario1, Scenario2, SystemConfig
 
 CSV_HEADER = "experiment,method,sweep_var,sweep_value,user,metric,value,trials,analytic_value"
@@ -100,14 +101,16 @@ def _coerce(key: str, value, target):
         raise SpecError(f"override {key!r}: {exc}") from None
 
 
-def _apply_overrides(config_kwargs, option_kwargs, overrides, source):
+def _apply_overrides(experiment, config_kwargs, option_kwargs, overrides, source):
     for key, value in overrides.items():
         if key == "scenario":
             config_kwargs["scenario"] = _parse_scenario(value)
         elif key in _CONFIG_FIELDS:
             config_kwargs[key] = _coerce(key, value, _CONFIG_FIELDS[key])
-        elif key in _OPTION_FIELDS:
+        elif key in OPTIONS_READ[experiment]:
             option_kwargs[key] = _coerce(key, value, _OPTION_FIELDS[key])
+        elif key in _OPTION_FIELDS:
+            raise SpecError(f"{experiment} does not read override {key!r} (from {source})")
         else:
             raise SpecError(f"unknown override key {key!r} (from {source})")
 
@@ -133,10 +136,9 @@ def parse_config(path: str, cli_overrides: dict | None = None) -> ExperimentSpec
 
     config_kwargs: dict = {}
     option_kwargs: dict = {}
-    _apply_overrides(config_kwargs, option_kwargs, _EXPERIMENT_DEFAULTS.get(experiment, {}),
-                     "experiment defaults")
-    _apply_overrides(config_kwargs, option_kwargs, overrides, path)
-    _apply_overrides(config_kwargs, option_kwargs, cli_overrides or {}, "command line")
+    for settings, source in ((_EXPERIMENT_DEFAULTS.get(experiment, {}), "experiment defaults"),
+                             (overrides, path), (cli_overrides or {}, "command line")):
+        _apply_overrides(experiment, config_kwargs, option_kwargs, settings, source)
     try:
         config = SystemConfig(**config_kwargs)
         options = RunOptions(**option_kwargs)

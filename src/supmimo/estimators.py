@@ -1,37 +1,48 @@
-"""Non-iterative channel estimation and matched-filter detection.
+"""Non-iterative channel estimation and matched-filter detection, on projections.
 
-All estimators run at a single BS on its received block.  The TP estimator
-correlates the pilot-phase slice with the user's pilot; under pilot reuse
-the result is the exact sum of the co-pilot channels plus scaled noise.
-The SP estimator correlates the symbols that carry the user's dedicated
-column with it, treating everyone's data as noise.  Estimators return
-h_hat and detectors the matched-filter output x_tilde; the caller makes
-the nearest-point decision (waveform.decide).
-
-Every function takes a block Y of shape (M, C) or a stack (..., M, C) of
-blocks, e.g. one per Monte-Carlo trial.  The estimators take one user or
-several users of a cell: h_hat is (..., M) for one user and (..., n, M)
-for n, and the detectors read the same layout.  Each is one stacked
-numpy.matmul whose slices are the matrix-vector products of one user and
-one block, so a user's result has the same bits whether it is computed
-alone, with its cell, or in a stack of blocks.
+Every receiver here is linear in a BS's received block Y = Z (sqrt(beta) *
+S) + W.  A least-squares estimate is h_hat = Y e for a fixed estimator
+column e per user (estimator_columns): conj(phi_b) / tau on the first tau
+symbols for a time-multiplexed (TP) user, whose pilot phi_b is shared under
+reuse, so the estimate is the exact sum of the co-pilot channels plus scaled
+noise; conj(p) / (n rho_p) on the trailing n = sp_length symbols for a
+superimposed (SP) user, treating everyone's data as noise.  A matched filter
+is conj(h_hat) Y.  So a receiver reads Y only through its users' estimator
+columns E: the estimates Y E and their matched filters conj(Y E)^T Y, a
+Projection.  project makes every scheme's projection at one BS from the
+draws they share, without forming any M x C_u block.
 
 receive_cell is the one receiver every pilot scheme uses: a partition says
 which users of a cell train in the first tau symbols (TP) and which carry a
 superimposed pilot over the trailing sp_length symbols (SP).  Pure TP and
 pure SP are the all-TP and all-SP partitions; a hybrid frame mixes them.
-It makes one estimate and one detection call per pilot scheme present.
+The caller makes the nearest-point decision (waveform.decide).
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
+from . import waveform
 from .hybrid import Partition
 from .sysmodel import PowerAllocation
 # decide stays bound here: bench/tracer.py patches it in every module that
 # binds it, and bench/test_bench.py checks it is restored in this one
 from .waveform import PilotBook, decide, _partition_rows  # noqa: F401
+
+
+class Projection(NamedTuple):
+    """A received block Y seen through the estimator columns E of n users.
+
+    estimates = Y E is (..., M, n): column i is user i's estimate h_i.
+    matched = conj(estimates)^T Y is (..., n, C_u): row i is conj(h_i) Y,
+    user i's matched filter over the whole block.
+    """
+
+    estimates: np.ndarray
+    matched: np.ndarray
 
 
 def _conj_rows(pilot: np.ndarray) -> np.ndarray:
@@ -44,117 +55,108 @@ def _per_row(value) -> np.ndarray:
     return np.asarray(value)[..., np.newaxis]
 
 
-def _project(Y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Y @ row for each block of Y and each row: (..., M) or (..., n, M)."""
-    if rows.ndim == 1:
-        return Y @ rows
-    return np.matmul(Y[..., np.newaxis, :, :], rows[..., np.newaxis])[..., 0]
+def _powers(estimates: np.ndarray) -> np.ndarray:
+    """||h||^2 of each estimate column of (..., M, n), as (..., n).
 
-
-def _matched(Y: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
-    """conj(h) @ Y for each estimate h: (..., C) or, with a user axis, (..., n, C)."""
-    if h_hat.ndim == Y.ndim:  # a user axis before M
-        Y = Y[..., np.newaxis, :, :]
-    return np.matmul(np.conj(h_hat)[..., np.newaxis, :], Y)[..., 0, :]
-
-
-def tp_ls_estimate(
-    Y_pilot: np.ndarray,
-    pilot_book: PilotBook,
-    user: tuple,
-) -> np.ndarray:
-    """Least-squares estimate from the M x tau pilot-phase slice.
-
-    h_hat = Y_p conj(phi_b) / tau with phi_b the user's unit-modulus pilot.
-    user is (cell, k); k may be an array of the cell's users.
+    Taken over contiguous rows, so a user's power has the same bits whichever
+    other columns share its array.
     """
-    cell, k = user
-    tau = pilot_book.tau
-    if Y_pilot.shape[-1] != tau:
-        raise ValueError(f"pilot slice has {Y_pilot.shape[-1]} columns, expected {tau}")
-    b = np.asarray(pilot_book.tp_assignment[cell, k])
+    rows = np.ascontiguousarray(np.swapaxes(estimates, -1, -2))
+    return np.vecdot(rows, rows).real
+
+
+def estimator_columns(
+    book: PilotBook,
+    partition: Partition,
+    powers: PowerAllocation,
+    users: np.ndarray,
+    C_u: int,
+) -> np.ndarray:
+    """Least-squares estimator columns E (C_u, n) of the listed flat users l*K + k.
+
+    A TP user's column is conj(phi_b) / tau on the first tau symbols, an SP
+    user's conj(p) / (n rho_p) on the trailing n = book.sp_length symbols,
+    zero elsewhere; Y E are their estimates.  Raises KeyError for a user in
+    neither partition set (waveform._partition_rows), a TP pilot index
+    outside the book, or an SP user without a pilot column, and
+    ZeroDivisionError for an SP user with rho_p = 0.
+    """
+    L, K = powers.rho_d.shape
+    _tp_rows, sp_rows, _cells = _partition_rows(partition, L, K)
+    users = np.asarray(users)
+    in_sp = np.zeros(L * K, dtype=bool)
+    if sp_rows is not None:
+        in_sp[sp_rows] = True
+    sp = in_sp[users]
+    E = np.zeros((C_u, users.size), dtype=complex)
+    tau, n = book.tau, book.sp_length
+    b = book.tp_assignment.reshape(-1)[users[~sp]]
     if np.any((b < 0) | (b >= tau)):
         raise KeyError(f"pilot index {b} outside the {tau}-column book")
-    rows = _conj_rows(pilot_book.tp_matrix[:, b])
-    return _project(Y_pilot, rows) / tau
-
-
-def sp_ls_estimate(
-    Y: np.ndarray,
-    pilot: np.ndarray,
-    rho_p,
-) -> np.ndarray:
-    """Least-squares estimate against superimposed pilot columns.
-
-    h_hat = Y conj(p) / (len(p) * rho_p); the slice Y must span exactly the
-    symbols carrying the pilot (the whole block for pure SP, the trailing
-    C_u - tau columns for hybrid SP users).  pilot is one column (C,) or one
-    per user (C, n), with rho_p one value or one per user.
-    """
-    if np.any(np.asarray(rho_p) == 0):
+    E[:tau, ~sp] = np.conj(book.tp_matrix[:, b]) / tau
+    rho_p = powers.rho_p.reshape(-1)[users[sp]]
+    if np.any(rho_p == 0):
         raise ZeroDivisionError("rho_p must be nonzero for an SP estimate")
-    n = pilot.shape[0]
-    if Y.shape[-1] != n:
-        raise ValueError(f"observation has {Y.shape[-1]} columns, pilot has {n}")
-    return _project(Y, _conj_rows(pilot)) / _per_row(n * rho_p)
+    E[C_u - n :, sp] = np.conj(book.sp_columns(users[sp])) / (n * rho_p)
+    return E
 
 
-def mf_detect_sp(
-    Y: np.ndarray,
-    h_hat: np.ndarray,
-    rho_d,
-    rho_p,
-    beta_home,
-    pilot: np.ndarray,
-) -> np.ndarray:
-    """Matched filter for superimposed-pilot users.
+def project(
+    Z: np.ndarray,
+    W: np.ndarray,
+    frames,
+    roots,
+    columns: list,
+) -> list:
+    """Each scheme's Projection at one BS, from the draws every scheme shares.
 
-    Removes the user's own pilot via the estimate, correlates with it, and
-    normalizes so the desired symbol appears at unit gain:
-    x_tilde^T = h_hat^H (Y - rho_p h_hat p^T) / (M rho_d beta_home).
-    The scalars and pilot columns are per user when h_hat has a user axis.
+    Scheme i would receive Y_i = Z (roots[i] * frames[i]) + W: Z (M, N) is
+    the unit-variance fading and W (M, C_u) the noise at the BS, frames[i]
+    (N, C_u) the scheme's frame rows and roots[i] (N,) the square roots of
+    its users' gains there.  columns[i] (C_u, n_i) are the estimator columns
+    of the users it scores.  One product, waveform.synthesize_received, makes
+    every estimate, Y_i E_i = Z (roots_i * (S_i E_i)) + W E_i, and one pair
+    every matched filter, (conj(Y_i E_i)^T Z * roots_i) S_i + conj(Y_i E_i)^T
+    W.  No Y_i is formed.  A user's results are a column and a row of
+    products over all the users projected, so their last bits can depend on
+    which other users share the call.
     """
-    if np.any(np.asarray(beta_home) <= 0):
-        raise ValueError("beta_home must be positive")
-    if np.any(np.asarray(rho_d) <= 0):
-        raise ValueError("rho_d must be positive")
-    M = h_hat.shape[-1]
-    return sp_output(_matched(Y, h_hat), np.vecdot(h_hat, h_hat).real, pilot.T, rho_p,
-                     M * rho_d * beta_home)
+    noise = W @ np.concatenate(columns, axis=1)
+    framed = np.concatenate([root[:, np.newaxis] * (S @ E)
+                             for S, root, E in zip(frames, roots, columns)], axis=1)
+    estimates = waveform.synthesize_received(Z, framed, noise)
+    del noise, framed
+    # conjugated in place for the products and back after them: exact, and
+    # no copy of the estimates
+    conj_rows = np.conj(estimates, out=estimates).T
+    through_z, through_w = conj_rows @ Z, conj_rows @ W
+    np.conj(estimates, out=estimates)
+    projections, lo = [], 0
+    for S, root, E in zip(frames, roots, columns):
+        hi = lo + E.shape[1]
+        matched = (through_z[lo:hi] * root) @ S
+        matched += through_w[lo:hi]
+        projections.append(Projection(estimates[:, lo:hi], matched))
+        lo = hi
+    return projections
 
 
 def sp_output(matched, power, pilot_rows, rho_p, mf_gain) -> np.ndarray:
-    """mf_detect_sp's output from an estimate's matched filter and power.
+    """SP matched-filter outputs from an estimate's matched filter and power.
 
-    matched is conj(h) Y and power ||h||^2, per user when matched has a
-    user axis; pilot_rows are the users' pilots as rows and mf_gain their
-    M rho_d beta_home.  Returns (matched - rho_p power p^T) / mf_gain,
-    written into matched, so a caller holding conj(h) Y and ||h||^2 but
-    not h gets the detector's bits.
+    matched is conj(h) Y over the user's pilot symbols and power ||h||^2,
+    per user when matched has a user axis; pilot_rows are the users' pilots
+    as rows and mf_gain their M rho_d beta_home.  Removes the user's own
+    pilot through its estimate and normalizes the desired symbol to unit
+    gain: (matched - rho_p power p^T) / mf_gain, written into matched.
     """
     matched -= _per_row(rho_p * power) * pilot_rows
     matched /= _per_row(mf_gain)
     return matched
 
 
-def mf_detect_tp(
-    Y_data: np.ndarray,
-    h_hat: np.ndarray,
-    beta_home,
-) -> np.ndarray:
-    """Matched filter over the data phase of time-multiplexed users.
-
-    x_tilde^T = h_hat^H Y_d / (M beta_home), per user when h_hat has a user
-    axis.
-    """
-    if np.any(np.asarray(beta_home) <= 0):
-        raise ValueError("beta_home must be positive")
-    M = h_hat.shape[-1]
-    return _matched(Y_data, h_hat) / _per_row(M * beta_home)
-
-
 def receive_cell(
-    Y: np.ndarray,
+    projection: Projection,
     book: PilotBook,
     partition: Partition,
     powers: PowerAllocation,
@@ -163,32 +165,33 @@ def receive_cell(
 ) -> np.ndarray:
     """Matched-filter outputs of the users of `cell` at its BS, one row per user.
 
-    Y is one block (M, C_u) or a stack (..., M, C_u); the result is
-    (..., K, symbols).  TP members are estimated from the first tau symbols
-    and detected over the rest; SP members are estimated and detected over
-    the trailing book.sp_length symbols, which carry their superimposed
-    pilots (the whole block for the full-length book).
+    projection is the BS's block seen through the estimator columns of the
+    cell's K users in order (estimator_columns of cell * K + k); the result
+    is (..., K, symbols), over each user's trailing payload symbols
+    (PilotBook.payload_length).  A TP user's output is conj(h) Y_d / (M
+    beta_home); an SP user's removes its own pilot first (sp_output).
     beta_home[k] is user k's gain at this BS.  Raises KeyError for a user of
     the network in neither set (waveform._partition_rows).
     """
     L, K = powers.rho_d.shape
     _tp_rows, _sp_rows, cells = _partition_rows(partition, L, K)
     tp, sp = cells[cell]
+    estimates, matched = projection
+    M, C_u = estimates.shape[-2], matched.shape[-1]
+    # TP and SP rows span equally many symbols, or payload_length raises
+    payload = matched[..., C_u - book.payload_length(partition, C_u) :]
     beta_home = np.asarray(beta_home)
     groups = []
     if tp.size:
-        h_hat = tp_ls_estimate(Y[..., : book.tau], book, (cell, tp))
-        groups.append((tp, mf_detect_tp(Y[..., book.tau :], h_hat, beta_home[tp])))
+        groups.append((tp, payload[..., tp, :] / _per_row(M * beta_home[tp])))
     if sp.size:
         pilots = book.sp_columns(cell * K + sp)
         rho_d, rho_p = powers.rho_d[cell, sp], powers.rho_p[cell, sp]
-        Y_sp = Y[..., Y.shape[-1] - book.sp_length :]
-        h_hat = sp_ls_estimate(Y_sp, pilots, rho_p)
-        groups.append((sp, mf_detect_sp(Y_sp, h_hat, rho_d, rho_p, beta_home[sp], pilots)))
+        groups.append((sp, sp_output(payload[..., sp, :], _powers(estimates[..., sp]), pilots.T,
+                                     rho_p, M * rho_d * beta_home[sp])))
     if len(groups) == 1:
         return groups[0][1]
-    x_first = groups[0][1]
-    x_tilde = np.empty(x_first.shape[:-2] + (K, x_first.shape[-1]), dtype=complex)
+    x_tilde = np.empty(payload.shape, dtype=complex)
     for ks, x in groups:
-        x_tilde[..., ks, :] = x  # TP and SP rows must span equally many symbols
+        x_tilde[..., ks, :] = x
     return x_tilde

@@ -18,14 +18,16 @@ any user back, so it computes everyone.
 
 The sweeps never touch the M-antenna block.  Every estimate they make is a
 linear combination of the kept users' one-shot estimates h0_n = Y conj(p_n)
-/ (C_u rho_p,n), so reduce_block first reduces each block to two arrays
+/ (C_u rho_p,n), so the estimator reads a block only through two arrays
 over the n kept users: G = conj(h0) Y (n x C_u), their matched-filter
-outputs, and R = conj(h0) h0^T (n x n).  The estimator then carries each
-user as a row of coefficients over that basis; its matched-filter output
-is a combination of G's rows and its power a quadratic form in R.  A
-block's state is thus n (C_u + n) entries whatever M is, and a step's
-matched filter costs n C_u instead of M C_u, so a caller can reduce each
-Monte-Carlo trial as it is drawn, free its block, and run the sweeps on a
+outputs, and R = conj(h0) h0^T (n x n).  The caller projects the block
+onto the kept users' estimator columns (estimators.project), which gives
+h0 and G without forming the block, and reduce_block adds R.  The
+estimator then carries each user as a row of coefficients over that basis;
+its matched-filter output is a combination of G's rows and its power a
+quadratic form in R.  A block's state is thus n (C_u + n) entries whatever
+M is, and a step's matched filter costs n C_u instead of M C_u, so a caller
+can reduce each Monte-Carlo trial as it is drawn and run the sweeps on a
 stack of many trials' reductions at once.  A user with an empty feedback
 set gets the one-shot estimator's bits, and every computed user gets the
 bits it has alone, whatever else is reported or stacked.
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _conj_rows, _matched, _per_row, sp_ls_estimate, sp_output
+from .estimators import Projection, _conj_rows, _per_row, _powers, sp_output
 from .waveform import decide
 
 SELECTION_RULES = ("none", "all", "fixed", "per_iteration")
@@ -293,29 +295,33 @@ def reduced_users(profile: PredictionProfile, report: np.ndarray) -> np.ndarray:
 
 
 def reduce_block(
-    Y: np.ndarray,
-    pilots: np.ndarray,
-    rho_p: np.ndarray,
+    projection: Projection,
     profile: PredictionProfile,
     report: np.ndarray,
 ) -> Reduction:
-    """Reduce an SP block (M, C_u), or a stack (T, M, C_u), for the estimator.
+    """Reduce an SP block, seen through its kept users' estimators, for the estimator.
 
     Only the users the estimator computes for (profile, report) are kept
-    (see iterative_estimate); pilots (C_u x N) and rho_p list every user in
-    the order the profile was computed for, and report indexes that order.
-    Each user's one-shot estimate is sp_ls_estimate's, so G and R's diagonal
-    have the bits of mf_detect_sp's matched filter and power.
+    (see iterative_estimate): reduced_users lists them, in sweep order, as
+    indices into the order the profile was computed for, and report indexes
+    that order too.  projection is the block, or a stack of T blocks, seen
+    through those users' one-shot estimator columns conj(p_n) / (C_u
+    rho_p,n) in that order (estimators.estimator_columns under the all-SP
+    partition): its estimates are the h0 and its matched rows G.  R's
+    diagonal has the bits of the powers estimators.receive_cell reads, so a
+    user with an empty feedback set gets receive_cell's output.
     """
-    if Y.ndim not in (2, 3):
-        raise ValueError(f"Y must be (M, C_u) or (T, M, C_u), got shape {Y.shape}")
-    users = reduced_users(profile, _check_report(report, np.shape(rho_p)[0]))
-    h0 = sp_ls_estimate(Y, pilots[:, users], np.asarray(rho_p, dtype=float)[users])
+    users = reduced_users(profile, _check_report(report, profile.order.size))
+    estimates, G = projection
+    if estimates.shape[-1] != users.size:
+        raise ValueError(f"the projection has {estimates.shape[-1]} estimates; "
+                         f"this profile and report keep {users.size} users")
+    h0 = np.ascontiguousarray(np.swapaxes(estimates, -1, -2))
     # every entry is one dot product of two estimates, whatever else is kept
     R = np.vecdot(h0[..., :, np.newaxis, :], h0[..., np.newaxis, :, :])
     diagonal = np.arange(users.size)
-    R[..., diagonal, diagonal] = np.vecdot(h0, h0).real
-    return Reduction(users=users, M=Y.shape[-2], G=_matched(Y, h0), R=R)
+    R[..., diagonal, diagonal] = _powers(estimates)
+    return Reduction(users=users, M=estimates.shape[-2], G=G, R=R)
 
 
 def iterative_estimate(
@@ -330,7 +336,7 @@ def iterative_estimate(
 ) -> np.ndarray:
     """Joint channel/data estimation over the profile's ordered sweeps.
 
-    stats is the reduce_block Reduction of a stack (T, M, C_u) of T blocks
+    stats is the reduce_block Reduction of a stack of T blocks
     with the same users, e.g. one per trial; one block is reduced as a
     stack of one.  pilots holds each user's dedicated column (C_u x N),
     and pilots, beta, rho_d and rho_p list the users in the same order as

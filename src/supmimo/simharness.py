@@ -32,17 +32,21 @@ The schemes of a bench see common random numbers: each draws its own
 frames, but at each metric BS one unit-variance fading matrix Z and one
 noise block W per trial serve every scheme, so the draws are shared across
 schemes and, in sum_rate_vs_sir, across radii.  A scheme's gains are folded
-into its frames: its block is Z @ (sqrt(beta) * S) + W, made by
-synthesize_received in one received-block buffer that every scheme reuses.
-Each block is received through receive_cell, and its outputs are scored
-(energies, and bit errors for QAM payloads) as soon as they are made, so a
-trial's frames, draws and outputs do not outlive it.  With a profile the SP
-block is instead reduced (iterative.reduce_block) to the statistics the
-estimator reads, and the one-shot SP outputs are finished from that trial's
-reduction.  Only the iterative pass needs a batch: the reductions, cell 0's
-payloads and bits and the channel gains outlive a trial, and the estimator
-runs once per batch of as many trials as fit _CHUNK_BYTES at _trial_bytes
-each.  Its products are stacks of per-trial products, so a trial's energies
+into its frames: its block would be Z @ (sqrt(beta) * S) + W.  No block is
+formed.  Every receiver is linear in it, so each trial and metric BS makes
+one projection of its draws onto the estimator columns of every scheme's
+scored users (estimators.project), which gives their estimates and matched
+filters from one synthesize_received call and one pair of products.  Each
+scheme's cell is received from its projection through receive_cell, and
+its outputs are scored (energies, and bit errors for QAM payloads) as soon
+as they are made, so a trial's frames, draws and outputs do not outlive it.
+With a profile the all-SP scheme is projected onto the users the estimator
+keeps and reduced (iterative.reduce_block) to the statistics it reads, and
+the one-shot SP outputs are finished from that trial's reduction.  Only the
+iterative pass needs a batch: the reductions, cell 0's payloads and bits
+and the channel gains outlive a trial, and the estimator runs once per
+batch of as many trials as fit _CHUNK_BYTES at _trial_bytes each.  Its
+products are stacks of per-trial products, so a trial's energies
 have the same bits in any batch, and they are added to the totals in trial
 order, so the output does not depend on the batch size.
 
@@ -66,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytics, iterative, waveform
-from .estimators import receive_cell, sp_output
+from .estimators import estimator_columns, project, receive_cell, sp_output
 from .hybrid import Partition, all_sp, all_tp, greedy_partition
 from .rng import substream
 from .sysmodel import (
@@ -91,9 +95,18 @@ HYBRID_METHOD = "hybrid"
 
 EXPERIMENTS = ("sinr_vs_m", "rate_vs_m", "sinr_cdf", "ber_vs_k", "sum_rate_vs_sir")
 
+# the RunOptions fields each experiment reads; the others leave its output as it is
+OPTIONS_READ = {
+    "sinr_vs_m": frozenset({"trials", "selection", "m_values"}),
+    "rate_vs_m": frozenset({"trials", "selection", "m_values", "rate_cap"}),
+    "sinr_cdf": frozenset({"trials", "selection", "placements"}),
+    "ber_vs_k": frozenset({"trials", "selection", "k_values", "m_per_k"}),
+    "sum_rate_vs_sir": frozenset({"trials", "radii_m"}),
+}
+
 # budget of one batch of _run_trials, which holds as many trials as fit at
 # _trial_bytes each: 19, 15 and 13 for sinr_vs_m at M = 50, 100 and 200
-# (traced peak of its 20 trials at M = 200, seed 5: 1,353 KiB).
+# (traced peak of its 20 trials at M = 200, seed 5: 1,197 KiB).
 # sum_rate_vs_sir holds only energies, so all its trials fit one batch.
 _CHUNK_BYTES = 1280 * 1024
 
@@ -274,19 +287,22 @@ def _run_trials(bench: _Bench, keys: list):
 
     Per trial and metric BS j, one unit-variance fading matrix Z
     (streams[j][0]) and one noise block W (streams[j][1]) serve every
-    scheme: scheme s receives Y_s = Z @ (sqrt(beta_s) * S_s) + W, its gains
-    at BS j folded into its frame rows, one scheme at a time into one reused
-    buffer.  A user's desired-signal gain ||h||^2 / (M beta) is ||z||^2 / M
-    of its column, the same for every scheme.  Each scheme's outputs are
-    scored as they are made, QAM and Gaussian payloads alike.  With a
-    profile the all-SP block is reduced instead; the one-shot outputs are
-    finished from the trial's own G rows and R diagonal (mf_detect_sp's
-    matched filters and powers, bit for bit), and the reductions, with cell
-    0's payloads and bits, are iterated once per batch.  Returns (sig_res,
-    errs): the (T, methods, 2, J, K) signal and residual energies per trial,
-    method, metric BS and user, and the (methods, 2) bit errors and bit
-    count per method over the batch (zero for Gaussian payloads).  The
-    methods are the schemes, then the iterative pass.
+    scheme: scheme s would receive Y_s = Z @ (sqrt(beta_s) * S_s) + W, its
+    gains at BS j folded into its frame rows.  One projection
+    (estimators.project) makes the estimates and matched filters of every
+    scheme's users of cell j, and no Y_s.  A user's desired-signal gain
+    ||h||^2 / (M beta) is ||z||^2 / M of its column, the same for every
+    scheme.  Each scheme's outputs are scored as they are made, QAM and
+    Gaussian payloads alike.  With a profile the all-SP scheme is projected
+    onto the users the estimator keeps and reduced instead; the one-shot
+    outputs are finished from the trial's own G rows and R diagonal
+    (receive_cell's matched filters and powers, bit for bit), and the
+    reductions, with cell 0's payloads and bits, are iterated once per
+    batch.  Returns (sig_res, errs): the (T, methods, 2, J, K) signal and
+    residual energies per trial, method, metric BS and user, and the
+    (methods, 2) bit errors and bit count per method over the batch (zero
+    for Gaussian payloads).  The methods are the schemes, then the iterative
+    pass.
     """
     cfg, powers, schemes, profile = bench.config, bench.powers, bench.schemes, bench.profile
     K, M, C_u, P, N = cfg.K, cfg.M, cfg.C_u, cfg.P, cfg.L * cfg.K
@@ -294,6 +310,13 @@ def _run_trials(bench: _Bench, keys: list):
     qam = bench.data_dist == "qam"
     # sqrt(beta) of every scheme's users at every metric BS, the frame row scales
     roots = np.sqrt(np.stack([s.gains.beta[:J].reshape(J, N) for s in schemes]))
+    # each scheme's estimator columns at each metric BS, those of its cell's
+    # users; schemes on one book and partition share them
+    unique = {(id(s.book), s.partition): s for s in schemes}
+    cells = {key: [estimator_columns(s.book, s.partition, powers, j * K + np.arange(K), C_u)
+                   for j in range(J)] for key, s in unique.items()}
+    columns = [[cells[id(s.book), s.partition][j] for s in schemes] for j in range(J)]
+    del unique, cells
     n_methods = n_schemes + (profile is not None)
     gain = np.empty((T, J, K))
     sig_res = np.empty((T, n_methods, 2, J, K))
@@ -310,6 +333,8 @@ def _run_trials(bench: _Bench, keys: list):
         report = np.arange(K)
         users = iterative.reduced_users(profile, report)
         rows = np.argsort(users)[:K]  # cell 0's users are flat users 0..K-1, all kept
+        # the all-SP scheme's BS 0 projection is onto the users the estimator keeps
+        columns[0][sp] = estimator_columns(book, schemes[sp].partition, powers, users, C_u)
         # cell 0's pilot rows and matched-filter gains, for its one-shot outputs
         own_pilots, mf_gain = book.sp_columns(report).T, M * powers.rho_d[0] * gains.beta[0, 0]
         G = np.empty((T, users.size, C_u), dtype=complex)
@@ -317,8 +342,6 @@ def _run_trials(bench: _Bench, keys: list):
         sp_data = np.empty((T, K, lengths[sp]), dtype=complex)
         sp_bits = np.empty((T, K, n_bits * lengths[sp]), dtype=np.uint8)
     S = np.empty((n_schemes, N, C_u), dtype=complex)
-    scaled = np.empty((N, C_u), dtype=complex)
-    Y = np.empty((M, C_u), dtype=complex)
     for t, key in enumerate(keys):
         # one scheme's frames at a time: the substreams are keyed, so the
         # order of the draws does not change their bits
@@ -338,27 +361,25 @@ def _run_trials(bench: _Bench, keys: list):
             # depends on that layout (contiguous rows at K = 1)
             z = np.ascontiguousarray(Z[:, j * K : (j + 1) * K]).T
             gain[t, j] = np.vecdot(z, z).real / M
-            for i, s in enumerate(schemes):
-                np.multiply(roots[i, j, :, np.newaxis], S[i], out=scaled)
-                waveform.synthesize_received(Z, scaled, W, out=Y)
-                if i == n_schemes - 1:
-                    del Z, W  # the last block is made: free the draws before it is received
+            projections = project(Z, W, S, roots[:, j], columns[j])
+            del Z, W, z
+            for i, (s, projection) in enumerate(zip(schemes, projections)):
                 if profile is not None and i == sp:
-                    # made per trial: held through the loop, the (C_u, N) columns raise the peak
-                    reduced = iterative.reduce_block(Y, book.sp_columns(slice(None)), rho_p,
-                                                     profile, report)
+                    reduced = iterative.reduce_block(projection, profile, report)
                     G[t], R[t] = reduced.G, reduced.R
                     del reduced  # no trial's draws outlive it
                     x_tilde = sp_output(G[t, rows], R[t, rows, rows].real, own_pilots,
                                         powers.rho_p[0], mf_gain)
                     sp_data[t], sp_bits[t] = data[i][0], bits[i][0]
                 else:
-                    x_tilde = receive_cell(Y, s.book, s.partition, powers, j, s.gains.beta[j, j])
+                    x_tilde = receive_cell(projection, s.book, s.partition, powers, j,
+                                           s.gains.beta[j, j])
                 sig_res[t, i, 0, j], sig_res[t, i, 1, j] = signal_residual_power(
                     x_tilde, data[i][j], gain[t, j])
                 if qam:
                     errs[i] += count_ber(x_tilde, bits[i][j], P)
-    del S, scaled, Y
+            del projections, projection  # before the next BS's draws
+    del S, columns
     if profile is not None:
         x_tilde = iterative.iterative_estimate(
             iterative.Reduction(users=users, M=M, G=G, R=R), book.sp_columns(slice(None)),
@@ -374,7 +395,9 @@ def _run_trials(bench: _Bench, keys: list):
 def _trial_bytes(bench: _Bench) -> int:
     """Bytes one trial adds to a batch of _run_trials; none of them grow with M.
 
-    Each trial keeps its energies and its metric users' channel gains.  With
+    A trial's frames, draws and projections are freed before the next
+    trial's are made.  Each trial keeps its energies and its metric users'
+    channel gains.  With
     a profile it also keeps what the iterative pass reads: the reduction's
     G and R over the n users the estimator keeps, and cell 0's all-SP
     payloads and bits; the pass adds at most four (n, C_u) working arrays

@@ -320,8 +320,8 @@ def draw_channels(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     variance split evenly between real and imaginary parts.  Large-scale
     gains are not applied here: a user's channel is sqrt(beta) times its
     column, and the harness folds sqrt(beta) into the user's frame row
-    instead (waveform.synthesize_received), so one draw serves every gain
-    map at that BS.
+    instead (estimators.project), so one draw serves every gain map at that
+    BS.
     """
     return _complex_normal((config.M, config.L * config.K), 1.0, rng)
 

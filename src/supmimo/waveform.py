@@ -373,14 +373,17 @@ def synthesize_received(
     noise: np.ndarray | float,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Received block Y = H @ S + noise.
+    """Received block Y = H @ S + noise, or that block seen through columns E.
 
     H is (M, N) and S is (N, C_u), or either or both carry a leading stack
     axis: (n, M, N) and (n, N, C_u).  noise is one (M, C_u) block
     (sysmodel.draw_noise), added to every slice, so stacked slices share the same
     noise; 0.0 adds none.  With unit-variance fading H (sysmodel.draw_channels)
     and each frame row scaled by the square root of its user's gain, Y is the
-    block received over the gain map.
+    block received over the gain map.  Given S E and noise E instead, with E
+    (C_u, n) any n columns, it returns Y E (M, n) without forming Y: the
+    estimates of the users whose estimator columns E holds
+    (estimators.project).
 
     Caller-buffer form: out is a complex array of Y's shape that the caller
     owns, e.g. a run of slots in a larger stack.  Y is written into it and

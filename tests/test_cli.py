@@ -91,13 +91,18 @@ BAD_SPECS = {
                              "scenario: {type: scenario2, user_circle_radius_m: .inf}"),
     "inf-ring-cell": _spec("sinr_vs_m", "trials: 2", "m_values: [20]",
                            "scenario: {type: scenario2, cell_radius_m: .inf}"),
-    "inf-hex-cell": _spec("sinr_cdf", "trials: 2", "m_values: [20]",
+    "inf-hex-cell": _spec("sinr_cdf", "trials: 2",
                           "scenario: {type: scenario1, cell_radius_m: .inf}"),
     # removed options: the exact power split is the only one, and trials
     # counts sinr_cdf's realizations per placement
     "rho-form": _spec("sinr_vs_m", *_SMALL, "rho_form: exact"),
     "inner-realizations": _spec("sinr_cdf", "trials: 1", "placements: 1",
                                 "inner_realizations: 2"),
+    # a sweep of another experiment: each ran on the defaults and exited 0
+    "sinr-cdf-m-values": _spec("sinr_cdf", "trials: 1", "placements: 1", "m_values: [20]"),
+    "sinr-vs-m-radii": _spec("sinr_vs_m", *_SMALL, "radii_m: [500]"),
+    "sum-rate-selection": _spec("sum_rate_vs_sir", "trials: 1", "selection: none"),
+    "sinr-vs-m-rate-cap": _spec("sinr_vs_m", *_SMALL, "rate_cap: false"),
 }
 
 # specs that parse but that the run refuses before its first trial, with

@@ -26,14 +26,17 @@ from supmimo.simharness import EXPERIMENTS, _openblas_threads, run_experiment
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-# tiny on purpose: sinr_cdf runs placements x trials trials
-OVERRIDES = {"seed": 0, "trials": 2, "placements": 2}
+# tiny on purpose: sinr_cdf runs placements x trials trials, and only
+# sinr_cdf reads placements
+OVERRIDES = {"seed": 0, "trials": 2}
+SINR_CDF_OVERRIDES = {"placements": 2}
 
 
 def write_csv(experiment: str, out: Path) -> None:
     spec = out.with_suffix(".yaml")
     spec.write_text(f"experiment: {experiment}\n", encoding="utf-8")
-    parsed = parse_config(str(spec), dict(OVERRIDES))
+    overrides = {**OVERRIDES, **(SINR_CDF_OVERRIDES if experiment == "sinr_cdf" else {})}
+    parsed = parse_config(str(spec), overrides)
     emit_csv(run_experiment(parsed.config, parsed.experiment, parsed.options), str(out))
 
 

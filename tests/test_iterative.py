@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supmimo import analytics, iterative
-from supmimo.estimators import _matched, mf_detect_sp, sp_ls_estimate, sp_output
+from supmimo.estimators import Projection, estimator_columns, project, receive_cell, sp_output
 from supmimo.hybrid import all_sp
 from supmimo.iterative import (
     SELECTION_RULES,
@@ -32,20 +33,20 @@ from supmimo.sysmodel import (
 from supmimo.waveform import assemble_frames, decide, make_pilot_books, synthesize_received
 
 
-def reference_estimate(Y, pilots, beta, rho_d, rho_p, P, sweeps, fixed_mask, profile):
+def reference_estimate(block, pilots, beta, rho_d, rho_p, P, sweeps, fixed_mask, profile):
     """Every user re-estimated in every sweep of the profile's order, each
     deciding at once, in the estimator's reduced arithmetic, one user or one
-    pair of users at a time; users in and out in flat order.  Returns
-    (x_tilde, x_hat)."""
+    pair of users at a time, from the block's projection onto every user;
+    users in and out in flat order.  Returns (x_tilde, x_hat)."""
     order = profile.order
     pilots, beta, rho_d, rho_p = pilots[:, order], beta[order], rho_d[order], rho_p[order]
     include = profile.include[:, order]
     fixed_mask = None if fixed_mask is None else fixed_mask[order]
     n_users = beta.shape[0]
-    M, C_u = Y.shape
+    M, C_u = block.Y.shape
     # one-shot estimates, their matched-filter outputs and inner products
-    h0 = [(Y @ np.conj(pilots[:, n])) / (C_u * rho_p[n]) for n in range(n_users)]
-    G = np.stack([np.conj(h) @ Y for h in h0])
+    h0 = list(np.ascontiguousarray(block.projection.estimates.T[order]))
+    G = block.projection.matched[order]
     R = np.array([[np.vecdot(h, g) for g in h0] for h in h0])
     R[np.diag_indices(n_users)] = [np.vecdot(h, h).real for h in h0]
     # estimates as coefficient rows over the basis: the feedback set, or
@@ -109,8 +110,8 @@ def m_space_estimate(Y, pilots, beta, rho_d, rho_p, P, sweeps, fixed_mask, profi
             coefs = (x_work[fed] @ np.conj(pilots[:, m])) * rho_d[fed]
             h_new = (base[m] - coefs @ h_work[fed]) / (C_u * rho_p[m])
             h_work[m] = h_new
-            x_tilde[m] = mf_detect_sp(Y, h_new, float(rho_d[m]), float(rho_p[m]), float(beta[m]),
-                                      pilots[:, m])
+            own_pilot = rho_p[m] * np.outer(h_new, pilots[:, m])
+            x_tilde[m] = np.conj(h_new) @ (Y - own_pilot) / (M * rho_d[m] * beta[m])
             x_work[m] = decide(x_tilde[m], P)
     flat = np.argsort(order)
     return x_tilde[flat], x_work[flat]
@@ -201,34 +202,70 @@ def layout_users(cfg, seed):
     return beta, powers.rho_d.reshape(-1), powers.rho_p.reshape(-1)
 
 
+class Block(NamedTuple):
+    """SP blocks at BS 0: Y (M, C_u), or a stack of trials' (T, M, C_u), and
+    their projection onto every user's one-shot estimator column, users in
+    flat order, made from the draws as the harness makes it."""
+
+    Y: np.ndarray
+    projection: Projection
+
+
 def sp_block(cfg, seed, trials=None):
     """One SP block at BS 0 with its users' pilot columns and estimator inputs, in flat
-    order; every user is reported.  With `trials`, a (trials, M, C_u) stack of
-    blocks over the same layout."""
+    order; every user is reported.  With `trials`, a stack of blocks over the
+    same layout."""
     beta, rho_d, rho_p = layout_users(cfg, seed)
     lam2, _ = analytics.optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u)
+    powers = uniform_power(cfg.L, cfg.K, lam2)
     book = make_pilot_books(cfg)
+    everyone = np.arange(beta.size)
+    columns = estimator_columns(book, all_sp(cfg.L, cfg.K), powers, everyone, cfg.C_u)
+    roots = np.sqrt(beta)
 
     def received(*key):
-        H = draw_channels(cfg, substream(*key, "channels")) * np.sqrt(beta)
-        frames = assemble_frames(cfg, book, uniform_power(cfg.L, cfg.K, lam2),
-                                 substream(*key, "frames"), all_sp(cfg.L, cfg.K))
-        return synthesize_received(H, frames.S, draw_noise(cfg, substream(*key, "noise")))
+        Z = draw_channels(cfg, substream(*key, "channels"))
+        S = assemble_frames(cfg, book, powers, substream(*key, "frames"),
+                            all_sp(cfg.L, cfg.K)).S
+        W = draw_noise(cfg, substream(*key, "noise"))
+        (projection,) = project(Z, W, [S], [roots], [columns])
+        return synthesize_received(Z, roots[:, np.newaxis] * S, W), projection
 
-    Y = received(seed) if trials is None else np.stack([received(seed, t) for t in range(trials)])
+    if trials is None:
+        block = Block(*received(seed))
+    else:
+        blocks = [received(seed, t) for t in range(trials)]
+        block = Block(np.stack([Y for Y, _ in blocks]),
+                      Projection(*(np.stack(part) for part in zip(*(p for _, p in blocks)))))
     pilots = book.sp_matrix[:, book.sp_assignment.reshape(-1)]
-    return Y, pilots, dict(beta=beta, rho_d=rho_d, rho_p=rho_p, P=cfg.P,
-                           report=np.arange(beta.size))
+    return block, pilots, dict(beta=beta, rho_d=rho_d, rho_p=rho_p, P=cfg.P, report=everyone)
 
 
-def estimate(Y, pilots, beta, rho_d, rho_p, P, profile, report):
-    """iterative_estimate on a block (M, C_u), or a stack of them, through reduce_block.
+def stack_of_one(block):
+    return Block(block.Y[np.newaxis], Projection(*(part[np.newaxis] for part in block.projection)))
+
+
+def permuted(block, perm):
+    """The block's projection with its users in the order perm lists them."""
+    estimates, matched = block.projection
+    return Block(block.Y, Projection(estimates[..., perm], matched[..., perm, :]))
+
+
+def reduction(block, profile, report):
+    """reduce_block on the kept users' columns of the block's projection."""
+    users = reduced_users(profile, report)
+    estimates, matched = block.projection
+    return reduce_block(Projection(estimates[..., users], matched[..., users, :]), profile, report)
+
+
+def estimate(block, pilots, beta, rho_d, rho_p, P, profile, report):
+    """iterative_estimate on a block, or a stack of them, through reduce_block.
 
     A single block is reduced as a stack of one, and its outputs are
     returned without the stack axis.
     """
-    single = Y.ndim == 2
-    stats = reduce_block(Y[np.newaxis] if single else Y, pilots, rho_p, profile, report)
+    single = block.Y.ndim == 2
+    stats = reduction(stack_of_one(block) if single else block, profile, report)
     x_tilde = iterative_estimate(stats, pilots, beta, rho_d, rho_p, P, profile, report)
     return x_tilde[0] if single else x_tilde
 
@@ -349,7 +386,7 @@ def test_profile_rows_start_from_no_estimate(inputs):
 def block():
     """A 35-user SP block at BS 0 with a feedback set that is neither empty nor full."""
     cfg = SystemConfig(M=40, seed=3)
-    Y, pilots, args = sp_block(cfg, 3)
+    blk, pilots, args = sp_block(cfg, 3)
     # the reference selection, run in the profile's sweep order
     order = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                             cfg.C_u, cfg.P, 1, "none").order
@@ -358,12 +395,12 @@ def block():
                                              args["rho_p"][order], cfg.sigma2, cfg.M, cfg.C_u,
                                              cfg.P)
     assert 0 < fixed.sum() < fixed.size
-    return cfg, Y, pilots, args, fixed
+    return cfg, blk, pilots, args, fixed
 
 
 @pytest.mark.parametrize("selection", ["none", "all", "fixed", "per_iteration", "explicit"])
 def test_matches_every_user_every_sweep(block, selection):
-    cfg, Y, pilots, args, fixed = block
+    cfg, blk, pilots, args, fixed = block
     n_users = fixed.size
     explicit = np.arange(n_users) % 3 == 1
     fixed_mask = {
@@ -376,9 +413,9 @@ def test_matches_every_user_every_sweep(block, selection):
     if selection == "explicit":
         # any fixed set the profile carries drives the estimator
         profile = dataclasses.replace(profile, fixed_mask=explicit)
-    got = estimate(Y, pilots, profile=profile, **args)
+    got = estimate(blk, pilots, profile=profile, **args)
     x_tilde, x_hat = reference_estimate(
-        Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
+        blk, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
         fixed_mask, profile)
     assert np.array_equal(got, x_tilde)
     assert np.array_equal(decide(got, cfg.P), x_hat)
@@ -386,23 +423,23 @@ def test_matches_every_user_every_sweep(block, selection):
 
 @pytest.mark.parametrize("selection", ["none", "all", "fixed", "per_iteration"])
 def test_reduced_estimates_match_the_m_space_loop(block, selection):
-    cfg, Y, pilots, args, _fixed = block
+    cfg, blk, pilots, args, _fixed = block
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, selection)
-    got = estimate(Y, pilots, profile=profile, **args)
+    got = estimate(blk, pilots, profile=profile, **args)
     x_tilde, x_hat = m_space_estimate(
-        Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
+        blk.Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
         profile.fixed_mask, profile)
     np.testing.assert_allclose(got, x_tilde, rtol=0, atol=1e-12 * np.max(np.abs(x_tilde)))
     assert np.array_equal(decide(got, cfg.P), x_hat)
 
 
 def test_a_reduction_is_estimated_like_its_block(block):
-    cfg, Y, pilots, args, fixed = block
+    cfg, blk, pilots, args, fixed = block
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, "fixed")
     report = args["report"][:cfg.K]
-    stats = reduce_block(Y, pilots, args["rho_p"], profile, report)
+    stats = reduction(blk, profile, report)
     # the members and the reported users, in sweep order, and nothing of size M
     kept = fixed.copy()
     kept[report] = True
@@ -413,7 +450,7 @@ def test_a_reduction_is_estimated_like_its_block(block):
     # the one block's reduction, given a stack axis, is estimated like the
     # block reduced as a stack of one
     stacked = dataclasses.replace(stats, G=stats.G[np.newaxis], R=stats.R[np.newaxis])
-    from_block = estimate(Y, pilots, profile=profile, **{**args, "report": report})
+    from_block = estimate(blk, pilots, profile=profile, **{**args, "report": report})
     from_stats = iterative_estimate(stacked, pilots, profile=profile, **{**args, "report": report})
     assert np.array_equal(from_stats[0], from_block)
     # a reduction made for other users is refused, and so is one without a stack axis
@@ -424,46 +461,51 @@ def test_a_reduction_is_estimated_like_its_block(block):
 
 
 def test_empty_feedback_set_is_the_one_shot_estimator(block):
-    cfg, Y, pilots, args, _fixed = block
+    cfg, blk, pilots, args, _fixed = block
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, "none")
-    got = estimate(Y, pilots, profile=profile, **args)
-    for n in range(pilots.shape[1]):
-        rho_d, rho_p = float(args["rho_d"][n]), float(args["rho_p"][n])
-        h_hat = sp_ls_estimate(Y, pilots[:, n], rho_p)
-        x_tilde = mf_detect_sp(Y, h_hat, rho_d, rho_p, float(args["beta"][n]), pilots[:, n])
-        assert np.array_equal(got[n], x_tilde)
+    got = estimate(blk, pilots, profile=profile, **args)
+    # receive_cell on each cell's columns of the same projection; its
+    # arithmetic is per user, so at BS 0 it serves every cell's users
+    lam2, _ = analytics.optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u)
+    book, powers = make_pilot_books(cfg), uniform_power(cfg.L, cfg.K, lam2)
+    estimates, matched = blk.projection
+    for cell in range(cfg.L):
+        users = cell * cfg.K + np.arange(cfg.K)
+        x_tilde = receive_cell(Projection(estimates[:, users], matched[users]), book,
+                               all_sp(cfg.L, cfg.K), powers, cell, args["beta"][users])
+        assert np.array_equal(got[users], x_tilde)
 
 
 def test_passed_profile_supplies_the_feedback_set(block):
-    cfg, Y, pilots, args, fixed = block
+    cfg, blk, pilots, args, fixed = block
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, "fixed")
     assert np.array_equal(profile.fixed_mask, fixed)
-    got = estimate(Y, pilots, profile=profile, **args)
+    got = estimate(blk, pilots, profile=profile, **args)
     x_tilde, x_hat = reference_estimate(
-        Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations, fixed,
+        blk, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations, fixed,
         profile)
     assert np.array_equal(got, x_tilde)
     assert np.array_equal(decide(got, cfg.P), x_hat)
     # so does the sweep count
     one_sweep = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                                 cfg.C_u, cfg.P, 1, "all")
-    once = estimate(Y, pilots, profile=one_sweep, **args)
+    once = estimate(blk, pilots, profile=one_sweep, **args)
     x_tilde, _x = reference_estimate(
-        Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, 1,
+        blk, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, 1,
         np.ones(fixed.size, dtype=bool), one_sweep)
     assert np.array_equal(once, x_tilde)
 
 
 def test_a_batched_or_foreign_profile_is_rejected(block):
-    cfg, Y, pilots, args, _fixed = block
+    cfg, blk, pilots, args, _fixed = block
     rest = (cfg.sigma2, cfg.M, cfg.C_u, cfg.P, cfg.iterations)
     batched = predict_profile(np.stack([args["beta"]] * 2), np.stack([args["rho_d"]] * 2),
                               np.stack([args["rho_p"]] * 2), *rest)
     foreign = predict_profile(args["beta"][:-1], args["rho_d"][:-1], args["rho_p"][:-1], *rest)
     good = predict_profile(args["beta"], args["rho_d"], args["rho_p"], *rest)
-    stats = reduce_block(Y[np.newaxis], pilots, args["rho_p"], good, args["report"])
+    stats = reduction(stack_of_one(blk), good, args["report"])
     for profile in (batched, foreign):
         with pytest.raises(ValueError, match="one layout's profile"):
             iterative_estimate(stats, pilots, profile=profile, **args)
@@ -481,19 +523,19 @@ def test_users_in_any_order_give_the_permuted_bits(selection):
     shuffled = [rng.permutation(cfg.L * cfg.K) for _ in blocks]
     perms = {
         "sorted": [perm[np.argsort(-args["beta"][perm], kind="stable")]
-                   for perm, (_Y, _pilots, args) in zip(shuffled, blocks)],
+                   for perm, (_blk, _pilots, args) in zip(shuffled, blocks)],
         "shuffled": shuffled,
     }
     flat = {}
     for name, layout_perms in perms.items():
         inputs = [{key: args[key][perm] for key in ("beta", "rho_d", "rho_p")}
-                  for (_Y, _pilots, args), perm in zip(blocks, layout_perms)]
+                  for (_blk, _pilots, args), perm in zip(blocks, layout_perms)]
         batch = predict_profile(*(np.stack([one[key] for one in inputs])
                                   for key in ("beta", "rho_d", "rho_p")), *rest)
         flat[name] = []
-        for b, ((Y, pilots, _args), perm) in enumerate(zip(blocks, layout_perms)):
+        for b, ((blk, pilots, _args), perm) in enumerate(zip(blocks, layout_perms)):
             profile = batch.layout(b)
-            x_tilde = estimate(Y, pilots[:, perm], P=cfg.P, profile=profile,
+            x_tilde = estimate(permuted(blk, perm), pilots[:, perm], P=cfg.P, profile=profile,
                                report=np.arange(perm.size), **inputs[b])
             back = np.argsort(perm)
             fields = [perm[profile.order], x_tilde[back]]
@@ -519,46 +561,53 @@ def reports(n_users, K):
 @pytest.mark.parametrize("selection", SELECTION_RULES)
 def test_reported_rows_equal_the_all_user_rows(selection, K, trials):
     cfg = SystemConfig(K=K, M=100, C_u=70, scenario=Scenario1())
-    Y, pilots, args = sp_block(cfg, 6, trials)
+    blk, pilots, args = sp_block(cfg, 6, trials)
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, selection)
-    everyone = estimate(Y, pilots, profile=profile, **args)
+    everyone = estimate(blk, pilots, profile=profile, **args)
     for report in reports(args["beta"].size, K):
-        got = estimate(Y, pilots, profile=profile, **{**args, "report": report})
+        got = estimate(blk, pilots, profile=profile, **{**args, "report": report})
         assert got.shape == everyone[..., report, :].shape
         assert np.array_equal(got, everyone[..., report, :])
 
 
 def test_unreported_non_members_are_not_computed(monkeypatch):
     cfg = SystemConfig(K=10, M=500, C_u=70, scenario=Scenario1())
-    Y, pilots, args = sp_block(cfg, 6, 2)
+    blk, pilots, args = sp_block(cfg, 6, 2)
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, "fixed")
     report = np.arange(cfg.K)
     kept = set(np.flatnonzero(profile.fixed_mask).tolist()) | set(report.tolist())
     # members outside the report, and users in neither
     assert not kept <= set(report.tolist()) and len(kept) < pilots.shape[1]
+    # a reduction reads the kept users' estimates only, and refuses a
+    # projection onto others
+    assert set(reduced_users(profile, report).tolist()) == kept
+    with pytest.raises(ValueError, match="keep"):
+        reduce_block(blk.projection, profile, report)
     column_of = {col.tobytes(): n for n, col in enumerate(pilots.T)}
-    projected, matched, filtered = set(), [], set()
-
-    def users_of(pilot):
-        return {column_of[col.tobytes()] for col in np.ascontiguousarray(pilot.T)}
-
-    def project_spy(Y, pilot, rho_p):
-        projected.update(users_of(pilot))
-        return sp_ls_estimate(Y, pilot, rho_p)
-
-    def matched_spy(Y, h_hat):
-        matched.append(h_hat.shape[-2])
-        return _matched(Y, h_hat)
+    filtered = set()
 
     def output_spy(out, power, pilot_rows, *rest):
-        filtered.update(users_of(pilot_rows.T))
+        filtered.update(column_of[row.tobytes()] for row in np.ascontiguousarray(pilot_rows))
         return sp_output(out, power, pilot_rows, *rest)
 
-    monkeypatch.setattr(iterative, "sp_ls_estimate", project_spy)
-    monkeypatch.setattr(iterative, "_matched", matched_spy)
     monkeypatch.setattr(iterative, "sp_output", output_spy)
-    estimate(Y, pilots, profile=profile, **{**args, "report": report})
-    assert projected == filtered == kept
-    assert matched == [len(kept)]
+    estimate(blk, pilots, profile=profile, **{**args, "report": report})
+    assert filtered == kept
+
+
+def test_a_reduction_reads_the_block_through_its_projection(block):
+    # G = conj(h0) Y and R = conj(h0) h0^T of the kept users' one-shot
+    # estimates h0 = Y conj(p) / (C_u rho_p), written out on the block
+    cfg, blk, pilots, args, _fixed = block
+    profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
+                              cfg.C_u, cfg.P, cfg.iterations, "fixed")
+    report = args["report"][:cfg.K]
+    users = reduced_users(profile, report)
+    stats = reduction(blk, profile, report)
+    h0 = blk.Y @ np.conj(pilots[:, users]) / (cfg.C_u * args["rho_p"][users])
+    G, R = np.conj(h0).T @ blk.Y, np.conj(h0).T @ h0
+    np.testing.assert_allclose(stats.G, G, rtol=1e-12, atol=1e-12 * np.max(np.abs(G)))
+    np.testing.assert_allclose(stats.R, R, rtol=1e-12, atol=1e-12 * np.max(np.abs(R)))
+    assert np.all(np.diagonal(stats.R).imag == 0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from supmimo import iterative, simharness, waveform
-from supmimo.estimators import receive_cell
+from supmimo.estimators import Projection, estimator_columns, project, receive_cell
 from supmimo.rng import substream
 from supmimo.simharness import RunOptions, SystemConfig, run_experiment
 from supmimo.sysmodel import (
@@ -132,29 +132,69 @@ def test_a_batch_of_trials_equals_one_trial_batches(bench):
     assert errs[:, 1].tolist() == [bits * (cfg.C_u - cfg.tau), bits * cfg.C_u, bits * cfg.C_u]
 
 
-def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
+def synthesis_calls(monkeypatch):
+    """Spy on the synthesis every projection makes; returns the list its calls go to."""
     calls = []
     synthesize = waveform.synthesize_received
 
     def spy(H, S, noise, out=None):
-        Y = synthesize(H, S, noise, out=out)
-        # copies: the kernel reuses its scaled-frame and block buffers
-        calls.append((H, S.copy(), Y.copy()))
-        return Y
+        result = synthesize(H, S, noise, out=out)
+        calls.append((H, S, noise, result))
+        return result
 
     monkeypatch.setattr(simharness.waveform, "synthesize_received", spy)
+    return calls
+
+
+def scored_users(bench, j):
+    """The flat users each scheme's projection at metric BS j covers: its
+    cell's, or for the all-SP scheme of a profile, the users the estimator
+    keeps."""
+    K = bench.config.K
+    users = [j * K + np.arange(K)] * len(bench.schemes)
+    if bench.profile is not None:
+        sp = next(i for i, s in enumerate(bench.schemes) if not s.partition.u_tp)
+        users[sp] = iterative.reduced_users(bench.profile, np.arange(K))
+    return users
+
+
+def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
+    calls = synthesis_calls(monkeypatch)
     with simharness._one_blas_thread():
         simharness._run_trials(bench, keys(2))
-    assert len(calls) == 4  # TP, then SP, per trial
+    assert len(calls) == 2  # one projection of TP and SP together per trial
+    cfg = bench.config
+    columns = np.concatenate([estimator_columns(s.book, s.partition, bench.powers, users, cfg.C_u)
+                              for s, users in zip(bench.schemes, scored_users(bench, 0))], axis=1)
     noises = []
-    for (H_tp, S_tp, Y_tp), (H_sp, S_sp, Y_sp) in zip(calls[::2], calls[1::2]):
-        assert H_tp is H_sp  # one fading draw
-        assert not np.allclose(S_tp, S_sp)
-        noise_tp, noise_sp = Y_tp - H_tp @ S_tp, Y_sp - H_sp @ S_sp
-        np.testing.assert_allclose(noise_tp, noise_sp, rtol=0, atol=1e-12)
-        noises.append(noise_tp)
+    for key, (H, _S, noise, _estimates) in zip(keys(2), calls):
+        # one fading draw, and TP and SP estimates read the same noise block
+        assert np.array_equal(H, draw_channels(cfg, substream(*key, "channels")))
+        W = draw_noise(cfg, substream(*key, "noise"))
+        assert np.array_equal(noise, W @ columns)
+        noises.append(W)
     # the trials' draws differ
     assert not np.allclose(*noises)
+
+
+@pytest.mark.parametrize("radii", [1, 2, 4, "reference"])
+def test_one_projection_per_trial_and_bs(bench, monkeypatch, radii):
+    if radii == "reference":
+        b = bench
+        assert b.profile is not None
+    else:
+        b = sum_rate_bench(5, RunOptions().radii_m[:radii])
+    calls = synthesis_calls(monkeypatch)
+    with simharness._one_blas_thread():
+        simharness._run_trials(b, keys(3))
+    assert len(calls) == 3 * len(b.streams)
+    M, C_u = b.config.M, b.config.C_u
+    for t in range(3):
+        for j in range(len(b.streams)):
+            _H, _S, _noise, estimates = calls[t * len(b.streams) + j]
+            n = sum(users.size for users in scored_users(b, j))
+            # every scheme's scored users, and no received block
+            assert estimates.shape == (M, n) and n != C_u
 
 
 @pytest.mark.parametrize("selection", ["fixed", "per_iteration"])
@@ -166,40 +206,52 @@ def test_one_shot_sp_from_the_reduction_equals_receive_cell(selection):
     (bench,) = simharness._make_benches(cfg, RunOptions(selection=selection), [layout])
     K = cfg.K
     assert iterative.reduced_users(bench.profile, np.arange(K))[:K].tolist() != list(range(K))
-    # without a profile the SP blocks go through receive_cell
-    plain = dataclasses.replace(bench, profile=None)
     with simharness._one_blas_thread():
         sig_res, errs = simharness._run_trials(bench, keys(3))
+        # receive_cell on cell 0's columns of the same projection, bit for bit
+        for t, key in enumerate(keys(3)):
+            assert np.array_equal(sig_res[t, :2], per_trial_energies(bench, key))
+        # without a profile the SP scheme projects onto cell 0's users alone,
+        # a product of other shape, which rounds otherwise
+        plain = dataclasses.replace(bench, profile=None)
         expected, expected_errs = simharness._run_trials(plain, keys(3))
     assert expected.shape == (3, 2, 2, 1, K)
-    assert np.array_equal(sig_res[:, :2], expected)
+    np.testing.assert_allclose(sig_res[:, :2], expected, rtol=1e-12)
     assert np.array_equal(errs[:2], expected_errs)
 
 
 def per_trial_energies(bench, key):
-    """One sum-rate trial as a loop over metric BSs and schemes: receive_cell, then the energies.
+    """One trial as a loop over metric BSs: one projection, receive_cell, then the energies.
 
     Each scheme draws its own frames; at each BS one unit-variance fading
-    matrix Z and one noise block W serve all schemes, and scheme s receives
-    Z @ (sqrt(beta_s) * S_s) + W.  A user's desired-signal gain is ||z||^2 / M
-    of its column, read from a contiguous copy of its cell's columns.
+    matrix Z and one noise block W serve all schemes, and scheme s would
+    receive Z @ (sqrt(beta_s) * S_s) + W.  Every scheme's scored users are
+    projected together; each scheme's cell is received from its own users'
+    columns.  A user's desired-signal gain is ||z||^2 / M of its column,
+    read from a contiguous copy of its cell's columns.
     """
     cfg, powers = bench.config, bench.powers
     K, M = cfg.K, cfg.M
     frames = [waveform.assemble_frames(cfg, s.book, powers, substream(*key, f"{s.tag}-frames"),
-                                       s.partition, "gaussian")
+                                       s.partition, bench.data_dist)
               for s in bench.schemes]
     energies = np.empty((len(bench.schemes), 2, len(bench.streams), K))
     for j, (channel_tag, noise_tag) in enumerate(bench.streams):
         Z = draw_channels(cfg, substream(*key, *channel_tag))
         W = draw_noise(cfg, substream(*key, *noise_tag))
-        cell = slice(j * K, (j + 1) * K)
+        cell = np.arange(j * K, (j + 1) * K)
         z = np.ascontiguousarray(Z[:, cell]).T
         gain = np.vecdot(z, z).real / M
-        for i, s in enumerate(bench.schemes):
-            scaled = np.sqrt(s.gains.beta[j].reshape(-1))[:, np.newaxis] * frames[i].S
-            Y = Z @ scaled + W
-            x_tilde = receive_cell(Y, s.book, s.partition, powers, j, s.gains.beta[j, j])
+        users = scored_users(bench, j)
+        columns = [estimator_columns(s.book, s.partition, powers, u, cfg.C_u)
+                   for s, u in zip(bench.schemes, users)]
+        roots = [np.sqrt(s.gains.beta[j].reshape(-1)) for s in bench.schemes]
+        projections = project(Z, W, [f.S for f in frames], roots, columns)
+        for i, (s, (estimates, matched)) in enumerate(zip(bench.schemes, projections)):
+            at = np.searchsorted(users[i], cell, sorter=np.argsort(users[i]))
+            at = np.argsort(users[i])[at]  # the cell's users among the projected, in order
+            x_tilde = receive_cell(Projection(estimates[:, at], matched[at]), s.book,
+                                   s.partition, powers, j, s.gains.beta[j, j])
             signal = gain[:, np.newaxis] * frames[i].data[cell]
             residual = x_tilde - signal
             energies[i, :, j] = np.vecdot(signal, signal).real, np.vecdot(residual, residual).real
@@ -304,7 +356,8 @@ def test_a_chunk_holds_at_least_one_trial(any_bench, monkeypatch):
 # 1,249,712 bytes; the separate reference trial it replaced peaked at
 # 1,283,622.  On one unit fading draw and one reused block buffer it peaked at
 # 1,209,576; scoring each one-shot method as it is received, so that only the
-# iterative pass's inputs outlive a trial, it peaks at 1,140,678.
+# iterative pass's inputs outlive a trial, at 1,140,678.  Receiving each
+# trial from one projection of its draws, it peaks at 843,814.
 PEAK_BOUND_BYTES = 1_775_000
 
 
@@ -332,7 +385,9 @@ def test_two_trials_fit_a_batch_at_m_200_within_the_earlier_peak(monkeypatch):
 # three schemes, which drew one channel per gain map and held the batch's
 # outputs and payloads, peaked at 2,722,324 bytes.  The one bench of all four
 # radii (12 schemes), on one unit draw per BS, peaked at 1,816,664, and at
-# 1,817,072 with its scoring shared with the QAM benches.
+# 1,817,072 with its scoring shared with the QAM benches.  Received from one
+# projection per trial and BS, onto the 60 scored users of all 12 schemes,
+# it peaks at 2,182,232.
 SUM_RATE_PEAK_BOUND_BYTES = 2_722_000
 
 
@@ -353,6 +408,26 @@ def test_four_radii_fit_within_the_earlier_peak_of_one(monkeypatch):
             tracemalloc.stop()
     assert sizes == [8]
     assert peak < SUM_RATE_PEAK_BOUND_BYTES
+
+
+# a value other than the default for each option an experiment may not read
+OTHER_VALUES = {"selection": "none", "m_values": (30,), "k_values": (2,), "m_per_k": 7,
+                "radii_m": (400.0,), "placements": 2, "rate_cap": False}
+
+
+@pytest.mark.parametrize("experiment", simharness.EXPERIMENTS)
+def test_an_option_the_experiment_does_not_read_leaves_its_output(experiment):
+    fields = {f.name for f in dataclasses.fields(RunOptions)}
+    assert set().union(*simharness.OPTIONS_READ.values()) == fields
+    read = simharness.OPTIONS_READ[experiment]
+    assert "trials" in read and set(OTHER_VALUES) == fields - {"trials"}
+    cfg = SystemConfig(L=7, K=1, M=20, C_u=20, seed=3)
+    base = RunOptions(trials=1, m_values=(20,), k_values=(1,), m_per_k=20, radii_m=(500.0,),
+                      placements=1)
+    expected = run_experiment(cfg, experiment, base)
+    for name in sorted(fields - read):
+        other = dataclasses.replace(base, **{name: OTHER_VALUES[name]})
+        assert run_experiment(cfg, experiment, other) == expected, name
 
 
 @needs_blas
