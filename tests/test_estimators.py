@@ -314,6 +314,82 @@ class TestHybridEstimates:
                                    np.ones(35), book, part, powers, np.arange(5, 10), cfg.C_u)
         return cfg, part, book, powers, projection
 
+    @staticmethod
+    def _block_projection(Y, book, partition, powers, cell):
+        """An arbitrary block Y seen through the estimator columns of `cell`'s users.
+
+        Zero fading and Y as the noise make the projected block exactly Y.
+        """
+        L, K = powers.rho_d.shape
+        M, C_u = Y.shape
+        users = cell * K + np.arange(K)
+        S = np.zeros((L * K, C_u), dtype=complex)
+        return projection_of(np.zeros((M, L * K)), Y, S, np.ones(L * K), book, partition,
+                             powers, users, C_u)
+
+    @staticmethod
+    def _assert_close(got, expected):
+        np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+
+    def test_all_tp_partition_matches_plain_tp_estimator(self):
+        cfg = make_config()
+        book = make_pilot_books(cfg, partition=all_tp(7, 5))
+        rng = substream(13, "y")
+        Y = rng.standard_normal((cfg.M, cfg.C_u)) + 1j * rng.standard_normal((cfg.M, cfg.C_u))
+        powers = uniform_power(7, 5)
+        beta_home = np.linspace(0.5, 1.5, 5)
+        projection = self._block_projection(Y, book, all_tp(7, 5), powers, 0)
+        x_tilde = receive_cell(projection, book, all_tp(7, 5), powers, 0, beta_home)
+        assert x_tilde.shape == (5, cfg.C_u - cfg.tau)
+        self._assert_close(x_tilde, textbook_outputs(Y, book, all_tp(7, 5), powers, 0,
+                                                     beta_home))
+
+    def test_all_sp_with_no_training_phase_matches_plain_sp(self):
+        # a zero-length training phase makes the SP branch the plain
+        # whole-block estimator and detector
+        from supmimo.waveform import dft_matrix
+
+        C_u = 16
+        book = PilotBook(
+            tp_matrix=np.zeros((0, 0), dtype=complex),
+            tp_assignment=np.zeros((1, 2), dtype=int),
+            sp_matrix=dft_matrix(C_u),
+            sp_assignment=np.array([[0, 1]]),
+        )
+        powers = uniform_power(1, 2, data_power_fraction=0.5)
+        rng = substream(14, "y")
+        Y = rng.standard_normal((8, C_u)) + 1j * rng.standard_normal((8, C_u))
+        beta_home = np.array([1.0, 0.7])
+        projection = self._block_projection(Y, book, all_sp(1, 2), powers, 0)
+        x_tilde = receive_cell(projection, book, all_sp(1, 2), powers, 0, beta_home)
+        assert x_tilde.shape == (2, C_u)
+        self._assert_close(x_tilde, textbook_outputs(Y, book, all_sp(1, 2), powers, 0,
+                                                     beta_home))
+
+    def test_mixed_partition_matches_per_user_chains(self):
+        cfg = make_config(M=64)
+        sp = {(0, 1)} | {(2, k) for k in range(5)}
+        part = Partition(
+            u_tp=frozenset((l, k) for l in range(7) for k in range(5)) - sp,
+            u_sp=frozenset(sp),
+        )
+        book = make_pilot_books(cfg, partition=part)
+        powers = uniform_power(7, 5, data_power_fraction=0.4)
+        frames = assemble_frames(cfg, book, powers, substream(12, "f"), part)
+        beta_home = np.linspace(0.8, 1.2, 5)
+        for cell in (0, 2):
+            beta = np.full((7, 5), 0.3)
+            beta[cell] = 1.0
+            roots = np.sqrt(beta.reshape(-1))
+            Z, W = fading(cfg, (12, "h", cell)), draw_noise(cfg, substream(12, "n", cell))
+            projection = projection_of(Z, W, frames.S, roots, book, part, powers,
+                                       cell * 5 + np.arange(5), cfg.C_u)
+            x_tilde = receive_cell(projection, book, part, powers, cell, beta_home)
+            Y = synthesize_received(Z, roots[:, np.newaxis] * frames.S, W)
+            self._assert_close(x_tilde, textbook_outputs(Y, book, part, powers, cell,
+                                                         beta_home))
+
     def test_sp_branch_error_moment_matches_short_book(self):
         # the TP users do not reach BS 0, so over the C_u - tau segment the SP
         # estimate error is driven by the data of the SP set alone
