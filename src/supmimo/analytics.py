@@ -212,7 +212,7 @@ def hybrid_tp_sinr(
     users are invisible to the training phase.
     """
     num = gains.beta[j, j, m] ** 2
-    den = _copilot_power(gains.beta, config.r, j, m, partition.u_tp)
+    den = _copilot_power(gains.beta, config.r, j, m, partition.sp)
     if den == 0.0:
         return math.inf
     return num / den
@@ -229,14 +229,14 @@ def hybrid_sp_sinr(
     """Large-M SINR of an SP member of a hybrid system.
 
     The superimposed segment spans C_u - tau symbols, so the residual
-    data-interference floor sums the squared gains of the SP set
-    scaled by 1 / ((C_u - tau) * pilot share).
+    data-interference floor sums the squared gains of the SP users, in
+    (cell, user) order, scaled by 1 / ((C_u - tau) * pilot share).
     """
     t_rho_d2 = powers.rho_d[j, m] ** 2
     t_rho_p2 = powers.rho_p[j, m] ** 2
     num = gains.beta[j, j, m] ** 2
     den = 0.0
-    for (l, k) in partition.u_sp:
+    for l, k in np.argwhere(partition.sp).tolist():
         den += (powers.rho_d[l, k] ** 2) * gains.beta[j, l, k] ** 2
     den /= (config.C_u - config.tau) * t_rho_p2 * t_rho_d2
     if den == 0.0:
@@ -252,21 +252,16 @@ def hybrid_rates(
     j: int,
     cap_order: int | None = None,
 ) -> dict:
-    """Per-user (sinr, rate) for every cell-j member of the partition.
+    """Per-user (sinr, rate) of every user of cell j, keyed by (j, k).
 
     Both branches carry rate_tp's (C_u - tau) / C efficiency: TP users
     spend the training phase on pilots, SP users on radio silence.
     """
     out = {}
-    for k in range(gains.beta.shape[2]):
-        user = (j, k)
-        if user in partition.u_tp:
-            sinr = hybrid_tp_sinr(gains, config, partition, j, k)
-        elif user in partition.u_sp:
-            sinr = hybrid_sp_sinr(gains, powers, config, partition, j, k)
-        else:
-            continue
-        out[user] = (sinr, rate_tp(config, sinr, cap_order))
+    for k, sp in enumerate(partition.sp[j]):
+        sinr = (hybrid_sp_sinr(gains, powers, config, partition, j, k) if sp
+                else hybrid_tp_sinr(gains, config, partition, j, k))
+        out[(j, k)] = (sinr, rate_tp(config, sinr, cap_order))
     return out
 
 

@@ -278,9 +278,9 @@ def _cmd_partition(args) -> int:
     if not seen.all():
         raise SpecError(f"{args.beta_csv}: missing entries for some (bs_cell, user_cell, user_index)")
     result = greedy_partition(beta, args.r, args.c_u, args.r * K, args.mu2)
-    for (l, k) in sorted(result.partition.u_tp):
+    for l, k in np.argwhere(~result.partition.sp).tolist():
         print(f"tp,{l},{k}")
-    for (l, k) in sorted(result.partition.u_sp):
+    for l, k in np.argwhere(result.partition.sp).tolist():
         print(f"sp,{l},{k}")
     print(f"cost,{result.cost!r}")
     return 0

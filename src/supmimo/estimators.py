@@ -12,10 +12,11 @@ columns E: the estimates Y E and their matched filters conj(Y E)^T Y, a
 Projection.  project makes every scheme's projection at one BS from the
 draws they share, without forming any M x C_u block.
 
-receive_cell is the one receiver every pilot scheme uses: a partition says
-which users of a cell train in the first tau symbols (TP) and which carry a
-superimposed pilot over the trailing sp_length symbols (SP).  Pure TP and
-pure SP are the all-TP and all-SP partitions; a hybrid frame mixes them.
+receive_cell is the one receiver every pilot scheme uses: the partition's
+SP mask says which users of a cell carry a superimposed pilot over the
+trailing sp_length symbols (SP); the others train in the first tau symbols
+(TP).  Pure TP and pure SP are the all-TP and all-SP masks; a hybrid frame
+mixes them.
 The caller makes the nearest-point decision (waveform.decide).
 """
 
@@ -30,7 +31,7 @@ from .hybrid import Partition
 from .sysmodel import PowerAllocation
 # decide stays bound here: bench/tracer.py patches it in every module that
 # binds it, and bench/test_bench.py checks it is restored in this one
-from .waveform import PilotBook, decide, _partition_rows  # noqa: F401
+from .waveform import PilotBook, decide  # noqa: F401
 
 
 class Projection(NamedTuple):
@@ -74,20 +75,15 @@ def estimator_columns(
 ) -> np.ndarray:
     """Least-squares estimator columns E (C_u, n) of the listed flat users l*K + k.
 
-    A TP user's column is conj(phi_b) / tau on the first tau symbols, an SP
-    user's conj(p) / (n rho_p) on the trailing n = book.sp_length symbols,
-    zero elsewhere; Y E are their estimates.  Raises KeyError for a user in
-    neither partition set (waveform._partition_rows), a TP pilot index
-    outside the book, or an SP user without a pilot column, and
-    ZeroDivisionError for an SP user with rho_p = 0.
+    A user is TP or SP by partition.sp.  A TP user's column is
+    conj(phi_b) / tau on the first tau symbols, an SP user's conj(p) / (n
+    rho_p) on the trailing n = book.sp_length symbols, zero elsewhere; Y E
+    are their estimates.  Raises KeyError for a TP pilot index outside the
+    book or an SP user without a pilot column, and ZeroDivisionError for an
+    SP user with rho_p = 0.
     """
-    L, K = powers.rho_d.shape
-    _tp_rows, sp_rows, _cells = _partition_rows(partition, L, K)
     users = np.asarray(users)
-    in_sp = np.zeros(L * K, dtype=bool)
-    if sp_rows is not None:
-        in_sp[sp_rows] = True
-    sp = in_sp[users]
+    sp = partition.sp.reshape(-1)[users]
     E = np.zeros((C_u, users.size), dtype=complex)
     tau, n = book.tau, book.sp_length
     b = book.tp_assignment.reshape(-1)[users[~sp]]
@@ -169,13 +165,12 @@ def receive_cell(
     cell's K users in order (estimator_columns of cell * K + k); the result
     is (..., K, symbols), over each user's trailing payload symbols
     (PilotBook.payload_length).  A TP user's output is conj(h) Y_d / (M
-    beta_home); an SP user's removes its own pilot first (sp_output).
-    beta_home[k] is user k's gain at this BS.  Raises KeyError for a user of
-    the network in neither set (waveform._partition_rows).
+    beta_home); an SP user's (partition.sp[cell, k]) removes its own pilot
+    first (sp_output).  The two groups are filtered apart and written into
+    one array.  beta_home[k] is user k's gain at this BS.
     """
-    L, K = powers.rho_d.shape
-    _tp_rows, _sp_rows, cells = _partition_rows(partition, L, K)
-    tp, sp = cells[cell]
+    in_sp = partition.sp[cell]
+    K, tp, sp = in_sp.size, np.flatnonzero(~in_sp), np.flatnonzero(in_sp)
     estimates, matched = projection
     M, C_u = estimates.shape[-2], matched.shape[-1]
     # TP and SP rows span equally many symbols, or payload_length raises

@@ -1,12 +1,12 @@
-"""User partitioning between time-multiplexed and superimposed pilots.
+"""User partitioning between time-multiplexed (TP) and superimposed (SP) pilots.
 
-Each user is charged the interference it injects into the rest of the
-system given its pilot type: a TP user contaminates the channel estimates
-of same-pilot TP users in other cells, while an SP user raises the residual
-data interference floor of every SP user (itself included).  The greedy
-optimizer starts all-TP and keeps moving the worst TP offender to the SP
-set while the total cost does not increase; a brute-force oracle covers
-small instances.
+A Partition is one (L, K) mask, True for the SP users.  Each user is charged
+the interference it injects given its pilot type: a TP user contaminates the
+channel estimates of same-pilot TP users in other cells, while an SP user
+raises the residual data interference floor of every SP user (itself
+included).  The greedy optimizer starts all-TP and keeps moving the worst TP
+offender to the SP set while the total cost does not increase; a brute-force
+oracle covers small instances.  Sums over users run in (cell, user) order.
 
 Pilot reuse is one rule, reuse_groups: the pilot books (waveform) and the
 closed forms (analytics) read it from here.
@@ -23,27 +23,30 @@ import numpy as np
 User = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint TP / SP user sets, keyed by (cell, user-index) tuples."""
+    """The pilot type of every user: sp[l, k] is True for SP, False for TP.
 
-    u_tp: frozenset
-    u_sp: frozenset
+    sp is a read-only (L, K) bool copy of the caller's mask.  Partitions
+    compare and hash by identity, so one object keys what is built for it.
+    """
+
+    sp: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u_tp", frozenset(self.u_tp))
-        object.__setattr__(self, "u_sp", frozenset(self.u_sp))
-        overlap = self.u_tp & self.u_sp
-        if overlap:
-            raise ValueError(f"users in both sets: {sorted(overlap)}")
+        sp = np.array(self.sp, dtype=bool)
+        if sp.ndim != 2:
+            raise ValueError(f"the SP mask must be (L, K), got shape {sp.shape}")
+        sp.flags.writeable = False
+        object.__setattr__(self, "sp", sp)
 
 
 def all_tp(L: int, K: int) -> Partition:
-    return Partition(u_tp=frozenset((l, k) for l in range(L) for k in range(K)), u_sp=frozenset())
+    return Partition(np.zeros((L, K), dtype=bool))
 
 
 def all_sp(L: int, K: int) -> Partition:
-    return Partition(u_tp=frozenset(), u_sp=frozenset((l, k) for l in range(L) for k in range(K)))
+    return Partition(np.ones((L, K), dtype=bool))
 
 
 @functools.cache
@@ -59,16 +62,16 @@ def reuse_groups(L: int, r: int) -> np.ndarray:
     return groups
 
 
-def _copilot_power(beta: np.ndarray, r: int, j: int, m: int, u_tp=None) -> float:
+def _copilot_power(beta: np.ndarray, r: int, j: int, m: int, sp=None) -> float:
     """Summed beta[j, l, m]^2 over the other cells l in cell j's reuse group.
 
-    With u_tp, only the cells l whose user (l, m) is in u_tp count.  The
-    cells are summed in ascending order.
+    With an SP mask sp, the cells l whose user (l, m) is SP do not count.
+    The cells are summed in ascending order.
     """
     groups = reuse_groups(beta.shape[0], r).tolist()
     total = 0.0
     for l, group in enumerate(groups):
-        if group == groups[j] and l != j and (u_tp is None or (l, m) in u_tp):
+        if group == groups[j] and l != j and (sp is None or not sp[l, m]):
             total += float(beta[j, l, m]) ** 2
     return total
 
@@ -85,7 +88,7 @@ def interference_tp(
     currently field a TP user with the same pilot index.
     """
     j, m = user
-    return _copilot_power(beta.transpose(1, 0, 2), r, j, m, partition.u_tp)
+    return _copilot_power(beta.transpose(1, 0, 2), r, j, m, partition.sp)
 
 
 def interference_sp(
@@ -109,7 +112,7 @@ def interference_sp(
     if C_u - tau <= 0:
         raise ValueError("need C_u > tau")
     total = 0.0
-    for (l, _k) in partition.u_sp:
+    for l in np.nonzero(partition.sp)[0].tolist():
         total += float(beta[l, j, m]) ** 2
     return total / ((C_u - tau) * rho_p2)
 
@@ -124,10 +127,11 @@ def total_cost(
 ) -> float:
     """Summed per-user interference contributions under the partition."""
     cost = 0.0
-    for user in partition.u_tp:
-        cost += interference_tp(user, partition, beta, r)
-    for user in partition.u_sp:
-        cost += interference_sp(user, partition, beta, C_u, tau, rho_p2)
+    for user, sp in np.ndenumerate(partition.sp):
+        if sp:
+            cost += interference_sp(user, partition, beta, C_u, tau, rho_p2)
+        else:
+            cost += interference_tp(user, partition, beta, r)
     return cost
 
 
@@ -167,18 +171,17 @@ def greedy_partition(
         raise ValueError(f"r must be >= 1, got {r}")
     _check_block(C_u, tau)
     L, _, K = beta.shape
+    flat = np.arange(L * K).reshape(L, K)
     current = all_tp(L, K)
     cost = total_cost(current, beta, r, C_u, tau, rho_p2)
     trace = [cost]
-    while current.u_tp and len(current.u_sp) < C_u - tau:
+    for _ in range(min(L * K, C_u - tau)):
+        # the flat TP users ascend, so max keeps the lowest on ties
         candidate = max(
-            sorted(current.u_tp),
-            key=lambda u: interference_tp(u, current, beta, r),
+            flat[~current.sp].tolist(),
+            key=lambda n: interference_tp(divmod(n, K), current, beta, r),
         )
-        moved = Partition(
-            u_tp=current.u_tp - {candidate},
-            u_sp=current.u_sp | {candidate},
-        )
+        moved = Partition(current.sp | (flat == candidate))
         moved_cost = total_cost(moved, beta, r, C_u, tau, rho_p2)
         if not moved_cost <= cost:
             break
@@ -202,16 +205,17 @@ def brute_force_partition(
     """
     _check_block(C_u, tau)
     L, _, K = beta.shape
-    users = sorted((l, k) for l in range(L) for k in range(K))
-    if len(users) > 16:
-        raise ValueError(f"brute force capped at 16 users, got {len(users)}")
+    flat = np.arange(L * K).reshape(L, K)
+    if flat.size > 16:
+        raise ValueError(f"brute force capped at 16 users, got {flat.size}")
     best = None
     best_key = None
-    for size in range(0, min(C_u - tau, len(users)) + 1):
-        for sp in itertools.combinations(users, size):
-            part = Partition(u_tp=frozenset(users) - set(sp), u_sp=frozenset(sp))
+    for size in range(0, min(C_u - tau, flat.size) + 1):
+        # flat l*K + k indices, whose order is that of the (cell, user) tuples
+        for users in itertools.combinations(range(flat.size), size):
+            part = Partition(np.isin(flat, users))
             cost = total_cost(part, beta, r, C_u, tau, rho_p2)
-            key = (cost, size, tuple(sorted(sp)))
+            key = (cost, size, users)
             if best_key is None or key < best_key:
                 best, best_key = part, key
     return GreedyResult(partition=best, cost_trace=(best_key[0],))

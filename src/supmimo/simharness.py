@@ -41,14 +41,14 @@ scheme's cell is received from its projection through receive_cell, and
 its outputs are scored (energies, and bit errors for QAM payloads) as soon
 as they are made, so a trial's frames, draws and outputs do not outlive it.
 With a profile the all-SP scheme is projected onto the users the estimator
-keeps and reduced (iterative.reduce_block) to the statistics it reads, and
-the one-shot SP outputs are finished from that trial's reduction.  Only the
-iterative pass needs a batch: the reductions, cell 0's payloads and bits
-and the channel gains outlive a trial, and the estimator runs once per
+keeps and reduced (iterative.reduce_block) to the statistics it reads; its
+one-shot outputs are received from cell 0's users of that projection.  Only
+the iterative pass needs a batch: the reductions, cell 0's payloads and
+bits and the channel gains outlive a trial, and the estimator runs once per
 batch of as many trials as fit _CHUNK_BYTES at _trial_bytes each.  Its
-products are stacks of per-trial products, so a trial's energies
-have the same bits in any batch, and they are added to the totals in trial
-order, so the output does not depend on the batch size.
+products are stacks of per-trial products, so a trial's energies have the
+same bits in any batch, and they are added to the totals in trial order, so
+the output does not depend on the batch size.
 
 run_experiment holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards.  A product whose reduction is split over threads
@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytics, iterative, waveform
-from .estimators import estimator_columns, project, receive_cell, sp_output
+from .estimators import Projection, estimator_columns, project, receive_cell
 from .hybrid import Partition, all_sp, all_tp, greedy_partition
 from .rng import substream
 from .sysmodel import (
@@ -294,11 +294,10 @@ def _run_trials(bench: _Bench, keys: list):
     ||h||^2 / (M beta) is ||z||^2 / M of its column, the same for every
     scheme.  Each scheme's outputs are scored as they are made, QAM and
     Gaussian payloads alike.  With a profile the all-SP scheme is projected
-    onto the users the estimator keeps and reduced instead; the one-shot
-    outputs are finished from the trial's own G rows and R diagonal
-    (receive_cell's matched filters and powers, bit for bit), and the
-    reductions, with cell 0's payloads and bits, are iterated once per
-    batch.  Returns (sig_res, errs): the (T, methods, 2, J, K) signal and
+    onto the users the estimator keeps and also reduced; its one-shot
+    outputs are received from cell 0's columns and rows of that projection,
+    and the reductions, with cell 0's payloads and bits, are iterated once
+    per batch.  Returns (sig_res, errs): the (T, methods, 2, J, K) signal and
     residual energies per trial, method, metric BS and user, and the
     (methods, 2) bit errors and bit count per method over the batch (zero
     for Gaussian payloads).  The methods are the schemes, then the iterative
@@ -311,7 +310,7 @@ def _run_trials(bench: _Bench, keys: list):
     # sqrt(beta) of every scheme's users at every metric BS, the frame row scales
     roots = np.sqrt(np.stack([s.gains.beta[:J].reshape(J, N) for s in schemes]))
     # each scheme's estimator columns at each metric BS, those of its cell's
-    # users; schemes on one book and partition share them
+    # users; schemes on one book and one Partition object share them
     unique = {(id(s.book), s.partition): s for s in schemes}
     cells = {key: [estimator_columns(s.book, s.partition, powers, j * K + np.arange(K), C_u)
                    for j in range(J)] for key, s in unique.items()}
@@ -327,16 +326,13 @@ def _run_trials(bench: _Bench, keys: list):
     data = [np.empty((J, K, n), dtype=complex) for n in lengths]
     bits = [np.empty((J, K, n_bits * n), dtype=np.uint8) for n in lengths] if qam else None
     if profile is not None:
-        sp = next(i for i, s in enumerate(schemes) if not s.partition.u_tp)
+        sp = next(i for i, s in enumerate(schemes) if s.partition.sp.all())
         book, gains = schemes[sp].book, schemes[sp].gains
-        rho_p = powers.rho_p.reshape(-1)
         report = np.arange(K)
         users = iterative.reduced_users(profile, report)
         rows = np.argsort(users)[:K]  # cell 0's users are flat users 0..K-1, all kept
         # the all-SP scheme's BS 0 projection is onto the users the estimator keeps
         columns[0][sp] = estimator_columns(book, schemes[sp].partition, powers, users, C_u)
-        # cell 0's pilot rows and matched-filter gains, for its one-shot outputs
-        own_pilots, mf_gain = book.sp_columns(report).T, M * powers.rho_d[0] * gains.beta[0, 0]
         G = np.empty((T, users.size, C_u), dtype=complex)
         R = np.empty((T, users.size, users.size), dtype=complex)
         sp_data = np.empty((T, K, lengths[sp]), dtype=complex)
@@ -368,12 +364,12 @@ def _run_trials(bench: _Bench, keys: list):
                     reduced = iterative.reduce_block(projection, profile, report)
                     G[t], R[t] = reduced.G, reduced.R
                     del reduced  # no trial's draws outlive it
-                    x_tilde = sp_output(G[t, rows], R[t, rows, rows].real, own_pilots,
-                                        powers.rho_p[0], mf_gain)
                     sp_data[t], sp_bits[t] = data[i][0], bits[i][0]
-                else:
-                    x_tilde = receive_cell(projection, s.book, s.partition, powers, j,
-                                           s.gains.beta[j, j])
+                    # the one-shot outputs read cell 0's users among those kept
+                    projection = Projection(projection.estimates[:, rows],
+                                            projection.matched[rows])
+                x_tilde = receive_cell(projection, s.book, s.partition, powers, j,
+                                       s.gains.beta[j, j])
                 sig_res[t, i, 0, j], sig_res[t, i, 1, j] = signal_residual_power(
                     x_tilde, data[i][j], gain[t, j])
                 if qam:
@@ -383,7 +379,8 @@ def _run_trials(bench: _Bench, keys: list):
     if profile is not None:
         x_tilde = iterative.iterative_estimate(
             iterative.Reduction(users=users, M=M, G=G, R=R), book.sp_columns(slice(None)),
-            gains.beta[0].reshape(-1), powers.rho_d.reshape(-1), rho_p, P, profile, report,
+            gains.beta[0].reshape(-1), powers.rho_d.reshape(-1), powers.rho_p.reshape(-1), P,
+            profile, report,
         )
         del G, R
         sig_res[:, -1, 0, 0], sig_res[:, -1, 1, 0] = signal_residual_power(
@@ -522,7 +519,9 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
     pairs, three per layout in layout order, and layout i's frames use the
     tags f"{i}-tp", f"{i}-sp" and f"{i}-hy".  Gaussian payloads at unit
     power.  Each metric BS j draws its fading from ("ch", j) and its noise
-    from ("n", j), shared by every layout's schemes.
+    from ("n", j), shared by every layout's schemes.  All layouts share one
+    all-TP and one all-SP Partition, so _run_trials builds their estimator
+    columns once.
     """
     n_metric = min(cfg.L, 7)
     lam2, mu2 = analytics.optimal_rho(cfg.M, n_metric, cfg.K, cfg.C_u)
@@ -530,22 +529,20 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
     # one full-length book serves both baselines: outer-tier cells reuse
     # superimposed columns when L*K exceeds C_u
     book_full = waveform.make_pilot_books(cfg, allow_sp_reuse=True)
-    outer = frozenset((l, k) for l in range(n_metric, cfg.L) for k in range(cfg.K))
+    tp, sp = all_tp(cfg.L, cfg.K), all_sp(cfg.L, cfg.K)
     schemes = []
     for i, layout in enumerate(layouts):
         beta_raw = path_loss(layout, cfg.path_loss_exponent)
         controlled = beta_raw.normalized(cfg.omega)
-        # greedy partition over the metric cells; outer-tier users stay TP
+        # greedy SP mask of the metric cells, padded with TP rows for the outer tier
         greedy = greedy_partition(beta_raw.beta[:n_metric, :n_metric, :], cfg.r, cfg.C_u,
                                   cfg.tau, mu2).partition
-        partition = Partition(u_tp=greedy.u_tp | outer, u_sp=greedy.u_sp)
+        partition = Partition(np.pad(greedy.sp, ((0, cfg.L - n_metric), (0, 0))))
         # power control on the SP users only
-        in_sp = np.array([[(l, k) in partition.u_sp for k in range(cfg.K)]
-                          for l in range(cfg.L)])
-        beta_hyb = PathLossMap(np.where(in_sp, controlled.beta, beta_raw.beta))
+        beta_hyb = PathLossMap(np.where(partition.sp, controlled.beta, beta_raw.beta))
         schemes += [
-            _Scheme(ALL_TP_METHOD, f"{i}-tp", book_full, beta_raw, all_tp(cfg.L, cfg.K)),
-            _Scheme(ALL_SP_METHOD, f"{i}-sp", book_full, controlled, all_sp(cfg.L, cfg.K)),
+            _Scheme(ALL_TP_METHOD, f"{i}-tp", book_full, beta_raw, tp),
+            _Scheme(ALL_SP_METHOD, f"{i}-sp", book_full, controlled, sp),
             _Scheme(HYBRID_METHOD, f"{i}-hy", waveform.make_pilot_books(cfg, partition=partition),
                     beta_hyb, partition),
         ]

@@ -28,15 +28,20 @@ def _check_lengths(scenario) -> None:
 
 @dataclass(frozen=True)
 class Scenario1:
-    """Users drawn uniformly over each hexagonal cell, kept off the BS."""
+    """Users drawn uniformly over each hexagonal cell, kept min_dist_m off the BS.
+
+    min_dist_m stays below the hexagon's inradius, so that at least 6 % of
+    the placement draws are kept; beyond it only the corners are."""
 
     cell_radius_m: float = 1000.0
     min_dist_m: float = 100.0
 
     def __post_init__(self):
         _check_lengths(self)
-        if not self.min_dist_m < self.cell_radius_m:
-            raise ValueError("need 0 < min_dist_m < cell_radius_m")
+        inradius = self.cell_radius_m * math.sqrt(3.0) / 2.0
+        if not self.min_dist_m < inradius:
+            raise ValueError(f"need 0 < min_dist_m < cell_radius_m * sqrt(3)/2 = {inradius}, "
+                             f"the hexagon's inradius; got {self.min_dist_m}")
 
 
 @dataclass(frozen=True)

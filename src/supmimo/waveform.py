@@ -1,6 +1,7 @@
 """Pilot books, QAM mapping, frame assembly, and received-signal synthesis.
 
-A user's uplink frame follows the pilot partition (hybrid.Partition):
+A user's uplink frame follows its pilot type in the partition
+(hybrid.Partition, an (L, K) mask that is True for the SP users):
 
 * a time-multiplexed (TP) user sends its pilot over the first tau symbols,
   then data over the remaining C_u - tau;
@@ -21,7 +22,6 @@ is exact up to rounding.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,8 +61,8 @@ class PilotBook:
     def sp_columns(self, users) -> np.ndarray:
         """The superimposed pilot columns (sp_length, n) of the given users.
 
-        users indexes the flat l*K + k order: an index array or a slice.
-        Raises KeyError for a user with no superimposed pilot.
+        users indexes the flat l*K + k order: an index array, a bool mask or
+        a slice.  Raises KeyError for a user with no superimposed pilot.
         """
         cols = self.sp_assignment.reshape(-1)[users]
         if np.any(cols < 0):
@@ -81,10 +81,11 @@ class PilotBook:
         analytics.rate_tp and rate_sp are its closed forms for the pure
         schemes on the full-length book.
         """
-        if not partition.u_tp:
+        n_sp = np.count_nonzero(partition.sp)
+        if n_sp == partition.sp.size:
             return self.sp_length
         n = C_u - self.tau
-        if partition.u_sp and self.sp_length != n:
+        if n_sp and self.sp_length != n:
             raise ValueError(f"TP users carry {n} payload symbols but the SP segment is "
                              f"{self.sp_length} long; a mixed partition needs the "
                              "(C_u - tau)-length book")
@@ -125,7 +126,8 @@ def make_pilot_books(
     length C_u, which requires L*K <= C_u unless allow_sp_reuse is set (then
     each of the C_u // K column blocks serves one reuse_groups group of
     cells, mimicking pilot reuse).  With a partition, only the superimposed
-    users are assigned columns, drawn from a (C_u - tau)-length book.
+    users are assigned columns, drawn from a (C_u - tau)-length book in
+    (cell, user) order.
     """
     L, K, C_u, tau, r = config.L, config.K, config.C_u, config.tau, config.r
     tp_matrix = dft_matrix(tau)
@@ -134,14 +136,11 @@ def make_pilot_books(
     sp_assignment = np.full((L, K), -1, dtype=int)
     if partition is not None:
         sp_len = C_u - tau
-        sp_users = sorted(partition.u_sp)
-        if len(sp_users) > sp_len:
-            raise CapacityError(
-                f"{len(sp_users)} superimposed users exceed {sp_len} available columns"
-            )
+        n_sp = np.count_nonzero(partition.sp)
+        if n_sp > sp_len:
+            raise CapacityError(f"{n_sp} superimposed users exceed {sp_len} available columns")
         sp_matrix = dft_matrix(sp_len)
-        for col, (cell, k) in enumerate(sp_users):
-            sp_assignment[cell, k] = col
+        sp_assignment[partition.sp] = np.arange(n_sp)
     else:
         sp_matrix = dft_matrix(C_u)
         if L * K <= C_u:
@@ -285,57 +284,33 @@ def assemble_frames(
 ) -> FrameSet:
     """Build every user's transmitted frame for one coherence block.
 
-    Each user's format follows the partition (see the module docstring); a
-    user in neither of its sets raises KeyError.  data_dist is "qam"
-    (unit-power P-QAM) or "gaussian" (unit-variance complex normal).
+    Row l*K + k of S is an SP frame where partition.sp is True, else a TP
+    frame (see the module docstring); a mask of another shape than (L, K)
+    raises ValueError.  data_dist is "qam" (unit-power P-QAM) or "gaussian"
+    (unit-variance complex normal).
     """
     L, K, C_u, tau = config.L, config.K, config.C_u, config.tau
+    if partition.sp.shape != (L, K):
+        raise ValueError(f"a {partition.sp.shape} partition for a system of ({L}, {K}) users")
     payload_len = pilot_book.payload_length(partition, C_u)
-    tp_rows, sp_rows, _cells = _partition_rows(partition, L, K)
+    sp = partition.sp.reshape(-1)
+    tp = ~sp
     data, bits = _draw_payloads(L * K, payload_len, config.P, data_dist, rng)
 
     S = np.zeros((L * K, C_u), dtype=complex)
-    if tp_rows is not None:
-        columns = pilot_book.tp_assignment.reshape(-1)[tp_rows]
-        S[tp_rows, :tau] = pilot_book.tp_matrix[:, columns].T
-        S[tp_rows, tau:] = data[tp_rows]
-    if sp_rows is not None:
-        rho_d = power.rho_d.reshape(-1)[sp_rows, np.newaxis]
-        rho_p = power.rho_p.reshape(-1)[sp_rows, np.newaxis]
+    if tp.any():
+        columns = pilot_book.tp_assignment.reshape(-1)[tp]
+        S[tp, :tau] = pilot_book.tp_matrix[:, columns].T
+        S[tp, tau:] = data[tp]
+    if sp.any():
+        rho_d = power.rho_d.reshape(-1)[sp, np.newaxis]
+        rho_p = power.rho_p.reshape(-1)[sp, np.newaxis]
         # rho_d * data + rho_p * pilot, with one temporary besides the gather
-        pilots = pilot_book.sp_columns(sp_rows).T
+        pilots = pilot_book.sp_columns(sp).T
         pilots *= rho_p
-        pilots += rho_d * data[sp_rows]
-        S[sp_rows, C_u - payload_len :] = pilots
+        pilots += rho_d * data[sp]
+        S[sp, C_u - payload_len :] = pilots
     return FrameSet(S=S, data=data, bits=bits)
-
-
-@functools.lru_cache(maxsize=32)
-def _partition_rows(partition: Partition, L: int, K: int):
-    """The TP and SP users of a partition: (tp_rows, sp_rows, cells).
-
-    tp_rows and sp_rows are the flat l*K + k rows of the TP and of the SP
-    users, each a slice when its set holds every user, a read-only index
-    array otherwise, and None when the set is empty.  cells[l] is the pair
-    of read-only arrays of cell l's TP and SP user indices k.  Raises
-    KeyError for a user in neither set.  Cached: a run frames and receives
-    many trials on a few partitions.
-    """
-    users = list(itertools.product(range(L), range(K)))
-    members = partition.u_tp | partition.u_sp
-    if not members.issuperset(users):
-        user = next(u for u in users if u not in members)
-        raise KeyError(f"user {user} is in neither partition set")
-    in_sp = np.array([user in partition.u_sp for user in users]).reshape(L, K)
-    cells = tuple((np.flatnonzero(~row), np.flatnonzero(row)) for row in in_sp)
-    tp_rows, sp_rows = np.flatnonzero(~in_sp), np.flatnonzero(in_sp)
-    for rows in (tp_rows, sp_rows, *itertools.chain(*cells)):
-        rows.flags.writeable = False
-    if not partition.u_sp:
-        return slice(None), None, cells
-    if not partition.u_tp:
-        return None, slice(None), cells
-    return tp_rows, sp_rows, cells
 
 
 def _draw_payloads(n_users: int, n: int, P: int, data_dist: str, rng: np.random.Generator):
@@ -371,7 +346,6 @@ def synthesize_received(
     H: np.ndarray,
     S: np.ndarray,
     noise: np.ndarray | float,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Received block Y = H @ S + noise, or that block seen through columns E.
 
@@ -384,19 +358,9 @@ def synthesize_received(
     (C_u, n) any n columns, it returns Y E (M, n) without forming Y: the
     estimates of the users whose estimator columns E holds
     (estimators.project).
-
-    Caller-buffer form: out is a complex array of Y's shape that the caller
-    owns, e.g. a run of slots in a larger stack.  Y is written into it and
-    out is returned, with the bits Y has without out and no temporary of
-    Y's size.
     """
     if H.shape[-1] != S.shape[-2]:
         raise ValueError(f"channel columns ({H.shape[-1]}) != users ({S.shape[-2]})")
-    if out is None:
-        Y = np.asarray(H @ S, dtype=complex)
-    elif out.dtype != complex:
-        raise ValueError(f"out must be complex, got {out.dtype}")
-    else:
-        Y = np.matmul(H, S, out=out)
+    Y = np.asarray(H @ S, dtype=complex)
     Y += noise
     return Y

@@ -246,10 +246,9 @@ class TestHybridRates:
 
     def test_single_sp_user_sinr(self):
         cfg = make_config()
-        part = Partition(
-            u_tp=frozenset((l, k) for l in range(7) for k in range(5) if (l, k) != (0, 0)),
-            u_sp=frozenset({(0, 0)}),
-        )
+        sp = np.zeros((7, 5), dtype=bool)
+        sp[0, 0] = True
+        part = Partition(sp)
         mu2 = 0.55
         inputs = make_inputs(np.ones((7, 7, 5)), 1 - mu2, cfg)
         assert hybrid_sp_sinr(*inputs, part, 0, 0) == pytest.approx((100 - 5) * mu2)
@@ -261,10 +260,13 @@ class TestHybridRates:
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
         inputs = make_inputs(beta, 0.5, cfg)
-        before = all_tp(7, 5)  # user index 5 of cell 0 not present yet
+        before = all_tp(7, 5)  # user index 5 of each cell not present yet
         rates_before = hybrid_rates(*inputs, before, 0)
-        after = Partition(u_tp=before.u_tp, u_sp=frozenset({(0, 5)}))
-        rates_after = hybrid_rates(*inputs, after, 0)
+        # six users per cell, and the new pilot 5 of cell 0 the only SP one:
+        # it touches none of the pilots 0-4
+        sp = np.zeros((7, 6), dtype=bool)
+        sp[0, 5] = True
+        rates_after = hybrid_rates(*inputs, Partition(sp), 0)
         for k in range(5):
             assert rates_after[(0, k)] == rates_before[(0, k)]
         assert cell_sum_rate(rates_after) > cell_sum_rate(rates_before)
@@ -275,10 +277,9 @@ class TestHybridRates:
         beta = np.full((7, 7, 5), 0.5)
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
-        part = Partition(
-            u_tp=frozenset((l, k) for l in range(7) for k in range(5) if l not in (1, 2)),
-            u_sp=frozenset((l, k) for l in range(7) for k in range(5) if l in (1, 2)),
-        )
+        sp = np.zeros((7, 5), dtype=bool)
+        sp[1:3] = True
+        part = Partition(sp)
         # four of six contaminating cells remain
         assert hybrid_tp_sinr(PathLossMap(beta), cfg, part, 0, 0) == pytest.approx(1.0 / (4 * 0.25))
 

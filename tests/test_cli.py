@@ -93,6 +93,10 @@ BAD_SPECS = {
                            "scenario: {type: scenario2, cell_radius_m: .inf}"),
     "inf-hex-cell": _spec("sinr_cdf", "trials: 2",
                           "scenario: {type: scenario1, cell_radius_m: .inf}"),
+    # a keep-out beyond the hexagon's inradius: only corner slivers are
+    # kept, about 1e-6 of the draws, and the run did not finish
+    "hex-keep-out": _spec("sinr_cdf", "trials: 1", "placements: 1",
+                          "scenario: {type: scenario1, min_dist_m: 999.999}"),
     # removed options: the exact power split is the only one, and trials
     # counts sinr_cdf's realizations per placement
     "rho-form": _spec("sinr_vs_m", *_SMALL, "rho_form: exact"),
@@ -157,6 +161,23 @@ EXIT_TABLE = [
     *((["partition", f"{{tmp}}/{name}.csv"], "error config:", 3) for name in BAD_BETA_CSVS),
     (["partition", "{tmp}/missing.csv"], "error io:", 4),
 ]
+
+
+def test_partition_prints_users_in_cell_then_user_order(tmp_path, capsys):
+    # three cells of K = 2: pilot 0 is reused over strong cross gains and
+    # moves to SP in cells 0 and 1, pilot 1 over weak ones and stays trained
+    (tmp_path / "beta.csv").write_text("bs_cell,user_cell,user_index,beta\n" + "".join(
+        f"{j},{l},{k},{1.0 if j == l else (0.6, 0.05)[k]}\n"
+        for j in range(3) for l in range(3) for k in range(2)), encoding="utf-8")
+    assert cli.main(["partition", str(tmp_path / "beta.csv"), "--c-u", "20"]) == 0
+    *lines, cost = capsys.readouterr().out.splitlines()
+    assert lines == ["tp,0,1", "tp,1,1", "tp,2,0", "tp,2,1", "sp,0,0", "sp,1,0"]
+    # three TP users each see two weak co-pilots; each SP user absorbs its
+    # own and the other SP user's gain over C_u - tau = 18 symbols at mu2 = 0.5
+    name, value = cost.split(",")
+    assert name == "cost"
+    assert float(value) == pytest.approx(3 * 2 * 0.05**2 + 2 * (1.0 + 0.6**2) / (18 * 0.5),
+                                         rel=1e-12)
 
 
 @pytest.mark.parametrize("argv, err_prefix, code", EXIT_TABLE,

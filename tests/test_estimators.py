@@ -236,9 +236,16 @@ class TestMatchedFilters:
 
 def hybrid_partition(L, K):
     """Users with (l + k) % 3 == 0 on superimposed pilots, the rest trained."""
-    users = {(l, k) for l in range(L) for k in range(K)}
-    sp = frozenset(u for u in users if sum(u) % 3 == 0)
-    return Partition(u_tp=frozenset(users) - sp, u_sp=sp)
+    l, k = np.indices((L, K))
+    return Partition((l + k) % 3 == 0)
+
+
+def sp_partition(sp_users, L=7, K=5):
+    """The partition whose SP users are sp_users; every other user is TP."""
+    sp = np.zeros((L, K), dtype=bool)
+    for user in sp_users:
+        sp[user] = True
+    return Partition(sp)
 
 
 def textbook_outputs(Y, book, partition, powers, cell, beta_home):
@@ -248,7 +255,7 @@ def textbook_outputs(Y, book, partition, powers, cell, beta_home):
     n = book.payload_length(partition, C_u)
     rows = []
     for k in range(K):
-        if (cell, k) in partition.u_tp:
+        if not partition.sp[cell, k]:
             tau = book.tau
             phi = book.tp_matrix[:, book.tp_assignment[cell, k]]
             h = Y[:, :tau] @ np.conj(phi) / tau
@@ -277,7 +284,7 @@ def test_receiver_matches_the_textbook_formulas_on_the_block(reuse, K):
     hybrid = hybrid_partition(L, K)
     schemes = [(book, all_tp(L, K)), (book, all_sp(L, K)),
                (make_pilot_books(cfg, partition=hybrid), hybrid)]
-    assert hybrid.u_tp and hybrid.u_sp
+    assert hybrid.sp.any() and not hybrid.sp.all()
     powers = uniform_power(L, K, 0.4)
     beta = substream(12, "gains", K).uniform(0.1, 1.0, (L, L, K))
     frames = [assemble_frames(cfg, b, powers, substream(12, "f", i), part).S
@@ -302,11 +309,7 @@ class TestHybridEstimates:
 
     def _system(self, seed=12, M=64):
         cfg = make_config(M=M)
-        sp = {(0, 1)} | {(2, k) for k in range(5)}
-        part = Partition(
-            u_tp=frozenset((l, k) for l in range(7) for k in range(5)) - sp,
-            u_sp=frozenset(sp),
-        )
+        part = sp_partition({(0, 1)} | {(2, k) for k in range(5)})
         book = make_pilot_books(cfg, partition=part)
         powers = uniform_power(7, 5, data_power_fraction=0.4)
         frames = assemble_frames(cfg, book, powers, substream(seed, "f"), part)
@@ -369,11 +372,7 @@ class TestHybridEstimates:
 
     def test_mixed_partition_matches_per_user_chains(self):
         cfg = make_config(M=64)
-        sp = {(0, 1)} | {(2, k) for k in range(5)}
-        part = Partition(
-            u_tp=frozenset((l, k) for l in range(7) for k in range(5)) - sp,
-            u_sp=frozenset(sp),
-        )
+        part = sp_partition({(0, 1)} | {(2, k) for k in range(5)})
         book = make_pilot_books(cfg, partition=part)
         powers = uniform_power(7, 5, data_power_fraction=0.4)
         frames = assemble_frames(cfg, book, powers, substream(12, "f"), part)
@@ -394,10 +393,7 @@ class TestHybridEstimates:
         # the TP users do not reach BS 0, so over the C_u - tau segment the SP
         # estimate error is driven by the data of the SP set alone
         cfg = make_config(M=256)
-        part = Partition(
-            u_tp=frozenset((l, k) for l in range(7) for k in range(5) if l > 0),
-            u_sp=frozenset((0, k) for k in range(5)),
-        )
+        part = sp_partition((0, k) for k in range(5))
         book = make_pilot_books(cfg, partition=part)
         lam2 = 0.5
         powers = uniform_power(7, 5, data_power_fraction=lam2)
@@ -414,18 +410,10 @@ class TestHybridEstimates:
         expected = 5 * lam2 / ((cfg.C_u - cfg.tau) * (1 - lam2))
         assert acc / trials == pytest.approx(expected, rel=0.10)
 
-    def test_unpartitioned_user_rejected(self):
-        cfg, part, book, powers, projection = self._system()
-        bad = Partition(u_tp=part.u_tp - {(1, 0)}, u_sp=part.u_sp)
-        with pytest.raises(KeyError, match="neither"):
-            receive_cell(projection, book, bad, powers, 1, np.ones(5))
-        with pytest.raises(KeyError, match="neither"):
-            estimator_columns(book, bad, powers, np.arange(5, 10), cfg.C_u)
-
     def test_sp_user_without_a_column_rejected(self):
         cfg, part, book, powers, projection = self._system()
         # (1, 0) trained in the book's partition, so the book has no SP column for it
-        bad = Partition(u_tp=part.u_tp - {(1, 0)}, u_sp=part.u_sp | {(1, 0)})
+        bad = sp_partition({(0, 1), (1, 0)} | {(2, k) for k in range(5)})
         with pytest.raises(KeyError, match=r"\(1, 0\) has no superimposed pilot"):
             receive_cell(projection, book, bad, powers, 1, np.ones(5))
         with pytest.raises(KeyError, match=r"\(1, 0\) has no superimposed pilot"):

@@ -6,10 +6,14 @@ under unit home gains), greedy lands above the brute-force optimum on 5 of
 them (12.5%); the mean gap is +1.8% and the worst +19.5%.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from supmimo.analytics import optimal_rho
 from supmimo.hybrid import (
+    Partition,
     all_sp,
     brute_force_partition,
     greedy_partition,
@@ -17,6 +21,8 @@ from supmimo.hybrid import (
     total_cost,
 )
 from supmimo.rng import substream
+from supmimo.simharness import RunOptions
+from supmimo.sysmodel import Scenario1, Scenario2, SystemConfig, path_loss, place_users
 
 C_U = 20
 
@@ -79,3 +85,88 @@ def test_a_full_pilot_share_is_accepted():
     beta = np.ones((2, 2, 1))
     # two SP users absorb beta^2 = 1 each over the C_U - 1 symbols
     assert interference_sp((0, 0), all_sp(2, 1), beta, C_U, 1, 1.0) == 2.0 / (C_U - 1)
+
+
+def test_partition_copies_and_freezes_its_mask():
+    mask = np.zeros((2, 3), dtype=bool)
+    part = Partition(mask)
+    mask[0, 0] = True
+    assert part.sp.shape == (2, 3) and part.sp.dtype == bool and not part.sp.any()
+    with pytest.raises(ValueError, match="read-only"):
+        part.sp[0, 0] = True
+    # compared and hashed by identity: an equal mask is another partition
+    assert Partition(part.sp) != part and {part: 0}.get(Partition(part.sp)) is None
+
+
+@pytest.mark.parametrize("mask", [True, np.zeros(3, dtype=bool), np.zeros((1, 2, 3), dtype=bool)],
+                         ids=["scalar", "1-D", "3-D"])
+def test_partition_refuses_a_mask_that_is_not_2d(mask):
+    with pytest.raises(ValueError, match=r"\(L, K\)"):
+        Partition(mask)
+
+
+def set_greedy(beta, r, C_u, tau, rho_p2):
+    """The greedy partitioner on (cell, user) sets, each sum in set order.
+
+    Returns the SP set.  Moves the worst TP offender to SP while the cost
+    does not rise, as greedy_partition does.
+    """
+    L, _, K = beta.shape
+    groups = np.arange(L) % r
+
+    def tp_cost(user, u_tp):
+        j, m = user
+        total = 0.0
+        for l in range(L):
+            if groups[l] == groups[j] and l != j and (l, m) in u_tp:
+                total += float(beta[l, j, m]) ** 2
+        return total
+
+    def cost(u_tp, u_sp):
+        total = 0.0
+        for user in u_tp:
+            total += tp_cost(user, u_tp)
+        for j, m in u_sp:
+            absorbed = 0.0
+            for l, _k in u_sp:
+                absorbed += float(beta[l, j, m]) ** 2
+            total += absorbed / ((C_u - tau) * rho_p2)
+        return total
+
+    u_tp, u_sp = frozenset((l, k) for l in range(L) for k in range(K)), frozenset()
+    current = cost(u_tp, u_sp)
+    while u_tp and len(u_sp) < C_u - tau:
+        candidate = max(sorted(u_tp), key=lambda u: tp_cost(u, u_tp))
+        moved_tp, moved_sp = u_tp - {candidate}, u_sp | {candidate}
+        moved = cost(moved_tp, moved_sp)
+        if not moved <= current:
+            break
+        u_tp, u_sp, current = moved_tp, moved_sp, moved
+    return u_sp
+
+
+def partition_instances():
+    """(beta, r, C_u, tau, mu2) of the sum_rate_vs_sir metric cells and of Scenario 1 layouts."""
+    for K in (2, 5):
+        for r in (1, 3):
+            cfg = SystemConfig(L=19, K=K, M=200, C_u=40, omega=10.0, r=r)
+            _, mu2 = optimal_rho(cfg.M, 7, K, cfg.C_u)
+            for ri, radius in enumerate(RunOptions().radii_m):
+                ring = replace(cfg, scenario=Scenario2(user_circle_radius_m=radius))
+                layout = place_users(ring, substream(0, "sum_rate", ri, "layout"))
+                beta = path_loss(layout, cfg.path_loss_exponent).beta[:7, :7]
+                yield beta, r, cfg.C_u, cfg.tau, mu2
+    for seed in range(20):
+        cfg = SystemConfig(scenario=Scenario1(), seed=seed)
+        _, mu2 = optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u)
+        layout = place_users(cfg, substream(seed, "layout"))
+        yield path_loss(layout, cfg.path_loss_exponent).beta, cfg.r, cfg.C_u, cfg.tau, mu2
+
+
+def test_greedy_mask_equals_the_set_greedy():
+    moved = 0
+    for args in partition_instances():
+        sp = greedy_partition(*args).partition.sp
+        assert {tuple(u) for u in np.argwhere(sp).tolist()} == set_greedy(*args)
+        moved += np.count_nonzero(sp)
+    assert moved > 0

@@ -137,8 +137,8 @@ def synthesis_calls(monkeypatch):
     calls = []
     synthesize = waveform.synthesize_received
 
-    def spy(H, S, noise, out=None):
-        result = synthesize(H, S, noise, out=out)
+    def spy(H, S, noise):
+        result = synthesize(H, S, noise)
         calls.append((H, S, noise, result))
         return result
 
@@ -153,7 +153,7 @@ def scored_users(bench, j):
     K = bench.config.K
     users = [j * K + np.arange(K)] * len(bench.schemes)
     if bench.profile is not None:
-        sp = next(i for i, s in enumerate(bench.schemes) if not s.partition.u_tp)
+        sp = next(i for i, s in enumerate(bench.schemes) if s.partition.sp.all())
         users[sp] = iterative.reduced_users(bench.profile, np.arange(K))
     return users
 
@@ -264,7 +264,7 @@ def test_sum_rate_energies_equal_the_per_trial_loop(K):
     bench = sum_rate_bench(K)
     assert [s.method for s in bench.schemes] == ["all-tp", "all-sp", "hybrid"] * 2
     assert [s.tag for s in bench.schemes] == ["0-tp", "0-sp", "0-hy", "1-tp", "1-sp", "1-hy"]
-    assert len(bench.streams) == 7 and bench.schemes[5].partition.u_sp
+    assert len(bench.streams) == 7 and bench.schemes[5].partition.sp.any()
     with simharness._one_blas_thread():
         sig_res, errs = simharness._run_trials(bench, keys(3))
         for t, key in enumerate(keys(3)):
@@ -284,11 +284,11 @@ def test_hybrid_gains_control_the_sp_users_only():
         beta_raw = all_tp.gains
         q_hyb = np.ones((cfg.L, cfg.K))
         home = beta_raw.home()
-        for (l, k) in hybrid.partition.u_sp:
+        for l, k in np.argwhere(hybrid.partition.sp):
             q_hyb[l, k] = cfg.omega / home[l, k]
         expected = PathLossMap(beta_raw.beta * q_hyb[np.newaxis, :, :])
         assert np.array_equal(hybrid.gains.beta, expected.beta)
-        moved += len(hybrid.partition.u_sp)
+        moved += np.count_nonzero(hybrid.partition.sp)
     assert moved > 0  # the outer radii move users to SP
 
 

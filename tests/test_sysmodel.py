@@ -78,6 +78,20 @@ def test_a_scenario_is_checked_where_it_is_made(make, match):
         make()
 
 
+def test_the_keep_out_stays_inside_the_hexagon_inradius():
+    # beyond the inradius only the corner slivers of the hexagon are kept:
+    # about 1e-6 of the square's draws at 999 m
+    inradius = 1000.0 * math.sqrt(3.0) / 2.0
+    for min_dist in (999.999, inradius):
+        with pytest.raises(ValueError, match="inradius"):
+            Scenario1(1000.0, min_dist)
+    # just inside, about 6 % of the draws are kept and placement finishes
+    scen = Scenario1(1000.0, math.nextafter(inradius, 0.0))
+    layout = place_users(make_config(L=1, K=20, scenario=scen), substream(0, "layout"))
+    offsets = layout.positions[0] - layout.bs_positions[0]
+    assert np.all(np.hypot(offsets[:, 0], offsets[:, 1]) >= scen.min_dist_m)
+
+
 class TestGeometry:
     def test_seven_cell_grid(self):
         centers = hex_centers(7, 1000.0)
