@@ -5,13 +5,17 @@ Conventions: beta[j, l, k] is the large-scale gain between BS j and user
 every user transmits at unit power, split into data and pilot amplitudes
 rho_d and rho_p with rho_d^2 + rho_p^2 = 1.
 
-Each form takes what it reads: the gain map (PathLossMap), which also sets
-the cell and user counts L and K; the PowerAllocation, when it reads the
-amplitudes; and the SystemConfig, when it reads M, C_u, C, tau or the reuse
-factor r.  Pilot reuse is hybrid's: the cells that share a pilot are those
-of one hybrid.reuse_groups group, as in the pilot books.
+The SINR forms are maps: each returns one (L, K) array whose entry [j, k]
+is the SINR of user (j, k) at its own BS j.  Each takes what it reads: the
+gain map (PathLossMap), which also sets the cell and user counts L and K;
+the PowerAllocation, when it reads the amplitudes; the SystemConfig, when
+it reads M, C_u, tau or the reuse factor r; and, for a hybrid system, the
+Partition.  Pilot contamination is hybrid.copilot_sum, whose cells that
+share a pilot are those of one hybrid.reuse_groups group, as in the pilot
+books.  A hybrid system's SINR map is the TP map on its TP users and the
+SP map on its SP users, np.where(partition.sp, sp_map, tp_map).
 
-Empty interference sums return +inf; the rate helpers optionally cap the
+Empty interference sums give +inf; the rate rule optionally caps the
 spectral efficiency at log2(P) to model a fixed constellation.
 """
 
@@ -21,104 +25,119 @@ import math
 
 import numpy as np
 
-from .hybrid import Partition, _copilot_power
+from .hybrid import Partition, copilot_sum
 from .sysmodel import PathLossMap, PowerAllocation, SystemConfig
 
 
-def sinr_tp_asymptotic(gains: PathLossMap, config: SystemConfig, j: int, m: int) -> float:
-    """Large-M SINR of a time-multiplexed user: pilot contamination only.
+def _home(beta: np.ndarray) -> np.ndarray:
+    """The (L, K) gains beta[j, j, k] of every user at its own BS."""
+    return np.diagonal(beta).T
 
-    Equals beta_home^2 over the summed squared gains of the same-pilot
-    users in the other reuse-group cells.
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and +inf where den is 0: an empty interference sum.
+
+    den broadcasts to num's shape.
     """
-    num = gains.beta[j, j, m] ** 2
-    den = _copilot_power(gains.beta, config.r, j, m)
-    if den == 0.0:
-        return math.inf
-    return num / den
+    out = np.full(num.shape, math.inf)
+    return np.divide(num, den, out=out, where=den != 0)
 
 
-def rate_tp(config: SystemConfig, sinr: float, cap_order: int | None = None) -> float:
-    """Per-user rate of a scheme with a training phase in the first tau symbols.
+def _sp_signal(beta: np.ndarray, powers: PowerAllocation) -> np.ndarray:
+    """The SP forms' signal factor rho_p^2 rho_d^2 beta[j, j, k]^2, as an (L, K) map."""
+    home = _home(beta)
+    return powers.rho_p**2 * powers.rho_d**2 * (home * home)
 
-    ((C_u - tau) / C) * log2(1 + SINR), optionally capped: TP, and hybrid,
-    whose SP users stay silent through the training phase.  The pre-log is
-    waveform.PilotBook.payload_length over C for such a partition.
+
+def sinr_tp_asymptotic(
+    gains: PathLossMap, config: SystemConfig, partition: Partition | None = None
+) -> np.ndarray:
+    """Large-M SINR map of time-multiplexed users: pilot contamination only.
+
+    Entry [j, k] is beta[j, j, k]^2 over the summed squared gains of the
+    same-pilot users in the other reuse-group cells.  With a hybrid
+    partition, only the same-pilot users that stayed TP contaminate; silent
+    SP users are invisible to the training phase.
     """
-    return (config.C_u - config.tau) / config.C * _spectral_efficiency(sinr, cap_order)
-
-
-def rate_sp(config: SystemConfig, sinr: float, cap_order: int | None = None) -> float:
-    """Per-user pure-SP rate: (C_u / C) * log2(1 + SINR), optionally capped.
-
-    Data fills every symbol of the full-length book (waveform.PilotBook.
-    payload_length of the all-SP partition over C).
-    """
-    return config.C_u / config.C * _spectral_efficiency(sinr, cap_order)
-
-
-def _spectral_efficiency(sinr: float, cap_order: int | None) -> float:
-    se = math.log2(1.0 + sinr) if math.isfinite(sinr) else math.inf
-    if cap_order is not None:
-        se = min(se, math.log2(cap_order))
-    return se
-
-
-def _target(gains: PathLossMap, powers: PowerAllocation, j: int, m: int):
-    """What the SP forms read of BS j and its user (j, m), flat over users.
-
-    Returns (beta_row, rho_d2, t, adm2, apm2): BS j's gains and every user's
-    rho_d^2 in l*K + k order, the target's flat index t, and the target's
-    rho_d^2 and rho_p^2.
-    """
-    beta_row = gains.beta[j].reshape(-1)
-    rho_d2 = (powers.rho_d.reshape(-1)) ** 2
-    t = j * gains.beta.shape[2] + m
-    return beta_row, rho_d2, t, rho_d2[t], (powers.rho_p.reshape(-1)[t]) ** 2
-
-
-def sinr_sp_finite_m(
-    gains: PathLossMap, powers: PowerAllocation, config: SystemConfig, j: int, m: int
-) -> float:
-    """Finite-antenna SINR at the matched-filter output for an SP user.
-
-    Inverse of a three-part interference budget: the O(1) term from data
-    leaking into everyone's channel estimate, plus two O(1/M) terms (direct
-    cross-channel leakage and the estimate-error cross products).  Both
-    exclusion patterns drop single flattened users, not whole cells.
-    """
-    beta_row, rho_d2, t, adm2, apm2 = _target(gains, powers, j, m)
-    C_u, M = config.C_u, config.M
-    bm = beta_row[t]
-    if bm <= 0 or adm2 <= 0 or apm2 <= 0:
-        raise ValueError("target user needs positive gain and both amplitudes")
-
-    w = rho_d2 * beta_row**2
-    term_self = float(np.sum(w)) / (C_u * apm2 * adm2 * bm**2)
-
-    others = np.ones(beta_row.shape[0], dtype=bool)
-    others[t] = False
-    term_cross = float(np.sum(beta_row[others])) / (M * adm2 * bm)
-
-    # sum over n != t of beta_n * (sum over k != n of rho_dk^2 beta_k)
-    inner_total = float(np.sum(rho_d2 * beta_row))
-    inner = inner_total - rho_d2 * beta_row  # drop k == n
-    term_pair = float(np.sum(beta_row[others] * inner[others])) / (
-        M * C_u * apm2 * adm2 * bm**2
-    )
-    return 1.0 / (term_self + term_cross + term_pair)
+    home = _home(gains.beta)
+    sp = None if partition is None else partition.sp
+    return _ratio(home * home, copilot_sum(gains.beta, config.r, sp))
 
 
 def sinr_sp_asymptotic(
-    gains: PathLossMap, powers: PowerAllocation, config: SystemConfig, j: int, m: int
-) -> float:
-    """Large-M limit of the SP SINR: the self-interference term alone."""
-    beta_row, rho_d2, t, adm2, apm2 = _target(gains, powers, j, m)
-    num = apm2 * adm2 * beta_row[t] ** 2
-    den = float(np.sum(rho_d2 * beta_row**2)) / config.C_u
-    if den == 0.0:
-        return math.inf
-    return num / den
+    gains: PathLossMap,
+    powers: PowerAllocation,
+    config: SystemConfig,
+    partition: Partition | None = None,
+) -> np.ndarray:
+    """Large-M SINR map of superimposed users: the self-interference term alone.
+
+    Entry [j, k] is n rho_p^2 rho_d^2 beta[j, j, k]^2 over the summed
+    rho_d^2 beta^2 of the users at BS j, for n = C_u superimposed symbols.
+    With a hybrid partition the superimposed segment spans the n = C_u - tau
+    symbols after training, and only the SP users count in the sum.
+
+    Without a partition, C_u * TP / SP of this map and sinr_tp_asymptotic's
+    is the uplink-length crossover kappa: SP beats TP (asymptotically) for
+    user (j, k) iff C_u exceeds it (kappa_symmetric on a symmetric system).
+    """
+    beta = gains.beta
+    rho_d2 = powers.rho_d**2
+    weighted = rho_d2 * (beta * beta)
+    if partition is None:
+        n = config.C_u
+    else:
+        n = config.C_u - config.tau
+        weighted = np.where(partition.sp, weighted, 0.0)
+    den = weighted.reshape(beta.shape[0], -1).sum(axis=1)[:, np.newaxis] / n
+    return _ratio(_sp_signal(beta, powers), den)
+
+
+def sinr_sp_finite_m(
+    gains: PathLossMap, powers: PowerAllocation, config: SystemConfig
+) -> np.ndarray:
+    """Finite-antenna SINR map at the matched-filter output of SP users.
+
+    Inverse of a three-part interference budget: the O(1) term from data
+    leaking into everyone's channel estimate (the inverse of
+    sinr_sp_asymptotic), plus two O(1/M) terms (direct cross-channel
+    leakage and the estimate-error cross products).  Both exclusion
+    patterns drop single flattened users, not whole cells.  Raises
+    ValueError unless every user has a positive home gain and both
+    amplitudes.
+    """
+    beta = gains.beta
+    signal = _sp_signal(beta, powers)
+    if signal.min() <= 0:
+        raise ValueError("every user needs a positive home gain and both amplitudes")
+    M, C_u = config.M, config.C_u
+    home, adm2 = _home(beta), powers.rho_d**2
+    # BS j's gains, and its rho_d^2 beta, flat over users n = l*K + k
+    rows = beta.reshape(beta.shape[0], -1)
+    weighted = adm2.reshape(-1) * rows
+
+    term_self = 1.0 / sinr_sp_asymptotic(gains, powers, config)
+    # sums over n != t, the target user t = (j, k): the sum over all n less t's term
+    term_cross = (rows.sum(axis=1)[:, np.newaxis] - home) / (M * adm2 * home)
+    # inner[j, n] = sum over k != n of rho_dk^2 beta[j, k]
+    inner = weighted.sum(axis=1)[:, np.newaxis] - weighted
+    pair = (rows * inner).sum(axis=1)[:, np.newaxis] - home * _home(inner.reshape(beta.shape))
+    term_pair = pair / (M * C_u * signal)
+    return 1.0 / (term_self + term_cross + term_pair)
+
+
+def rate(config: SystemConfig, sinr, n, cap_order: int | None = None):
+    """Rate of users whose frames carry n payload symbols: n / C * log2(1 + SINR).
+
+    n is the scheme's waveform.PilotBook.payload_length: C_u - tau when
+    users train in the first tau symbols (TP, hybrid), else the length of
+    the SP segment (C_u on the full-length book).  Element-wise on arrays;
+    with cap_order P the spectral efficiency is capped at log2(P).
+    """
+    se = np.log2(1.0 + sinr)
+    if cap_order is not None:
+        se = np.minimum(se, np.log2(cap_order))
+    return n / config.C * se
 
 
 def _require_finite(**values) -> None:
@@ -178,18 +197,6 @@ def optimal_rho(
     return lam2, 1.0 - lam2
 
 
-def kappa(
-    gains: PathLossMap, powers: PowerAllocation, config: SystemConfig, j: int, m: int
-) -> float:
-    """Uplink-length crossover: SP beats TP (asymptotically) iff C_u > kappa."""
-    beta_row, rho_d2, _t, adm2, apm2 = _target(gains, powers, j, m)
-    num = float(np.sum(rho_d2 * beta_row**2))
-    den = _copilot_power(gains.beta, config.r, j, m)
-    if den == 0.0:
-        return math.inf
-    return num / (apm2 * adm2 * den)
-
-
 def kappa_symmetric(K: int, L: int, beta: float) -> float:
     """Crossover for the symmetric cell: unit home gains, equal power split,
     every cross gain equal to beta, all cells sharing pilots.  A single cell
@@ -201,69 +208,3 @@ def kappa_symmetric(K: int, L: int, beta: float) -> float:
     if beta <= 0 or L == 1:
         return math.inf
     return 2.0 * K * (1.0 + 1.0 / ((L - 1) * beta**2))
-
-
-def hybrid_tp_sinr(
-    gains: PathLossMap, config: SystemConfig, partition: Partition, j: int, m: int
-) -> float:
-    """Large-M SINR of a TP member of a hybrid system.
-
-    Only same-pilot users that stayed in the TP set contaminate; silent SP
-    users are invisible to the training phase.
-    """
-    num = gains.beta[j, j, m] ** 2
-    den = _copilot_power(gains.beta, config.r, j, m, partition.sp)
-    if den == 0.0:
-        return math.inf
-    return num / den
-
-
-def hybrid_sp_sinr(
-    gains: PathLossMap,
-    powers: PowerAllocation,
-    config: SystemConfig,
-    partition: Partition,
-    j: int,
-    m: int,
-) -> float:
-    """Large-M SINR of an SP member of a hybrid system.
-
-    The superimposed segment spans C_u - tau symbols, so the residual
-    data-interference floor sums the squared gains of the SP users, in
-    (cell, user) order, scaled by 1 / ((C_u - tau) * pilot share).
-    """
-    t_rho_d2 = powers.rho_d[j, m] ** 2
-    t_rho_p2 = powers.rho_p[j, m] ** 2
-    num = gains.beta[j, j, m] ** 2
-    den = 0.0
-    for l, k in np.argwhere(partition.sp).tolist():
-        den += (powers.rho_d[l, k] ** 2) * gains.beta[j, l, k] ** 2
-    den /= (config.C_u - config.tau) * t_rho_p2 * t_rho_d2
-    if den == 0.0:
-        return math.inf
-    return num / den
-
-
-def hybrid_rates(
-    gains: PathLossMap,
-    powers: PowerAllocation,
-    config: SystemConfig,
-    partition: Partition,
-    j: int,
-    cap_order: int | None = None,
-) -> dict:
-    """Per-user (sinr, rate) of every user of cell j, keyed by (j, k).
-
-    Both branches carry rate_tp's (C_u - tau) / C efficiency: TP users
-    spend the training phase on pilots, SP users on radio silence.
-    """
-    out = {}
-    for k, sp in enumerate(partition.sp[j]):
-        sinr = (hybrid_sp_sinr(gains, powers, config, partition, j, k) if sp
-                else hybrid_tp_sinr(gains, config, partition, j, k))
-        out[(j, k)] = (sinr, rate_tp(config, sinr, cap_order))
-    return out
-
-
-def cell_sum_rate(rates: dict) -> float:
-    return float(sum(rate for _sinr, rate in rates.values()))

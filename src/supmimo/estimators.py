@@ -78,10 +78,14 @@ def estimator_columns(
     A user is TP or SP by partition.sp.  A TP user's column is
     conj(phi_b) / tau on the first tau symbols, an SP user's conj(p) / (n
     rho_p) on the trailing n = book.sp_length symbols, zero elsewhere; Y E
-    are their estimates.  Raises KeyError for a TP pilot index outside the
-    book or an SP user without a pilot column, and ZeroDivisionError for an
-    SP user with rho_p = 0.
+    are their estimates.  Raises ValueError for a mask of another shape than
+    the book's (L, K), KeyError for a TP pilot index outside the book or an
+    SP user without a pilot column, and ZeroDivisionError for an SP user
+    with rho_p = 0.
     """
+    if partition.sp.shape != book.sp_assignment.shape:
+        raise ValueError(f"a {partition.sp.shape} partition for a system of "
+                         f"{book.sp_assignment.shape} users")
     users = np.asarray(users)
     sp = partition.sp.reshape(-1)[users]
     E = np.zeros((C_u, users.size), dtype=complex)

@@ -1,26 +1,27 @@
 """User partitioning between time-multiplexed (TP) and superimposed (SP) pilots.
 
-A Partition is one (L, K) mask, True for the SP users.  Each user is charged
-the interference it injects given its pilot type: a TP user contaminates the
-channel estimates of same-pilot TP users in other cells, while an SP user
-raises the residual data interference floor of every SP user (itself
-included).  The greedy optimizer starts all-TP and keeps moving the worst TP
-offender to the SP set while the total cost does not increase; a brute-force
-oracle covers small instances.  Sums over users run in (cell, user) order.
+A Partition is one (L, K) mask, True for the SP users, and each cost is an
+(L, K) map on the same grid: entry [j, m] is the interference user (j, m)
+injects given its pilot type.  A TP user contaminates the channel estimates
+of the same-pilot TP users in the other cells of its reuse group, while an
+SP user raises the residual data interference floor of every SP user
+(itself included).  The total cost is the two maps summed under the mask.
+The greedy optimizer starts all-TP and keeps moving the worst TP offender
+to the SP set while the total cost does not increase; a brute-force oracle
+covers small instances.
 
-Pilot reuse is one rule, reuse_groups: the pilot books (waveform) and the
-closed forms (analytics) read it from here.
+Pilot reuse is one rule, reuse_groups, and pilot contamination one map,
+copilot_sum: the pilot books (waveform) read the first, and the closed
+forms (analytics) and the partitioner the second, the partitioner with
+BSs and cells swapped.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-User = tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,72 +50,67 @@ def all_sp(L: int, K: int) -> Partition:
     return Partition(np.ones((L, K), dtype=bool))
 
 
-@functools.cache
 def reuse_groups(L: int, r: int) -> np.ndarray:
     """The reuse group of each of L cells when a pilot block serves every r-th cell.
 
     Cells in one group send the same pilots: group l % r, so cells l and
-    l' share pilots iff l % r == l' % r.  Read-only and cached: the
-    partitioner reads it once per user and move.
+    l' share pilots iff l % r == l' % r.
     """
-    groups = np.arange(L) % r
-    groups.flags.writeable = False
-    return groups
+    return np.arange(L) % r
 
 
-def _copilot_power(beta: np.ndarray, r: int, j: int, m: int, sp=None) -> float:
-    """Summed beta[j, l, m]^2 over the other cells l in cell j's reuse group.
+def copilot_sum(beta: np.ndarray, r: int, sp=None) -> np.ndarray:
+    """The (L, K) map of summed beta[j, l, k]^2 over the other cells l of cell j's reuse group.
 
-    With an SP mask sp, the cells l whose user (l, m) is SP do not count.
-    The cells are summed in ascending order.
+    Entry [j, k] is the pilot contamination of user (j, k) at BS j: the
+    power of the users (l, k) that send its pilot from the other cells of
+    its group.  With an SP mask sp, the cells l whose user (l, k) is SP do
+    not count.  The cells are summed in ascending order.
     """
-    groups = reuse_groups(beta.shape[0], r).tolist()
-    total = 0.0
-    for l, group in enumerate(groups):
-        if group == groups[j] and l != j and (sp is None or not sp[l, m]):
-            total += float(beta[j, l, m]) ** 2
-    return total
+    groups = reuse_groups(beta.shape[0], r)
+    shared = groups[:, np.newaxis] == groups
+    np.fill_diagonal(shared, False)
+    # counted[l, j, k]: cell l's user k contaminates user (j, k)
+    counted = shared[:, :, np.newaxis]
+    if sp is not None:
+        counted = counted & ~sp[:, np.newaxis]
+    # squares laid out [l, j, k], so the sum over l adds whole (L, K) slices
+    squares = np.square(beta.transpose(1, 0, 2), order="C")
+    return squares.sum(axis=0, where=counted)
 
 
-def interference_tp(
-    user: User,
-    partition: Partition,
-    beta: np.ndarray,
-    r: int,
-) -> float:
-    """Pilot-contamination power user (j, m) injects as a TP member.
+def interference_tp(partition: Partition, beta: np.ndarray, r: int) -> np.ndarray:
+    """The (L, K) map of the pilot contamination each user injects as a TP member.
 
-    Sums beta[l, j, m]^2 over the other cells l that reuse its pilot and
-    currently field a TP user with the same pilot index.
+    Entry [j, m] sums beta[l, j, m]^2 over the other cells l that reuse the
+    pilot of user (j, m) and currently field a TP user (l, m): copilot_sum
+    on beta with BSs and cells swapped.
     """
-    j, m = user
-    return _copilot_power(beta.transpose(1, 0, 2), r, j, m, partition.sp)
+    return copilot_sum(beta.transpose(1, 0, 2), r, partition.sp)
 
 
 def interference_sp(
-    user: User,
     partition: Partition,
     beta: np.ndarray,
     C_u: int,
     tau: int,
     rho_p2: float,
-) -> float:
-    """Residual-interference power user (j, m) injects as an SP member.
+) -> np.ndarray:
+    """The (L, K) map of the residual-interference power each user injects as an SP member.
 
-    Every SP user (l, k), itself included, absorbs beta[l, j, m]^2 through
-    its channel-estimate error, scaled by the pilot share over the
-    (C_u - tau)-symbol superimposed segment.
+    Every SP user (l, k), itself included, absorbs beta[l, j, m]^2 of user
+    (j, m) through its channel-estimate error, scaled by the pilot share
+    over the (C_u - tau)-symbol superimposed segment.
     """
-    j, m = user
     # the pilot share of unit total power: rho_d^2 + rho_p^2 = 1
     if not 0 < rho_p2 <= 1:
         raise ValueError(f"rho_p2 must lie in (0, 1], got {rho_p2}")
     if C_u - tau <= 0:
         raise ValueError("need C_u > tau")
-    total = 0.0
-    for l in np.nonzero(partition.sp)[0].tolist():
-        total += float(beta[l, j, m]) ** 2
-    return total / ((C_u - tau) * rho_p2)
+    # each cell's beta^2 weighted by its count of SP users
+    n_sp = np.count_nonzero(partition.sp, axis=1)
+    absorbed = (n_sp[:, np.newaxis, np.newaxis] * (beta * beta)).sum(axis=0)
+    return absorbed / ((C_u - tau) * rho_p2)
 
 
 def total_cost(
@@ -125,14 +121,9 @@ def total_cost(
     tau: int,
     rho_p2: float,
 ) -> float:
-    """Summed per-user interference contributions under the partition."""
-    cost = 0.0
-    for user, sp in np.ndenumerate(partition.sp):
-        if sp:
-            cost += interference_sp(user, partition, beta, C_u, tau, rho_p2)
-        else:
-            cost += interference_tp(user, partition, beta, r)
-    return cost
+    """Summed interference the users inject under the partition, each by its pilot type."""
+    sp_cost = interference_sp(partition, beta, C_u, tau, rho_p2)
+    return float(np.sum(np.where(partition.sp, sp_cost, interference_tp(partition, beta, r))))
 
 
 def _check_block(C_u: int, tau: int) -> None:
@@ -176,11 +167,8 @@ def greedy_partition(
     cost = total_cost(current, beta, r, C_u, tau, rho_p2)
     trace = [cost]
     for _ in range(min(L * K, C_u - tau)):
-        # the flat TP users ascend, so max keeps the lowest on ties
-        candidate = max(
-            flat[~current.sp].tolist(),
-            key=lambda n: interference_tp(divmod(n, K), current, beta, r),
-        )
+        # argmax keeps the first of equal maxima, the lowest flat index
+        candidate = np.argmax(np.where(current.sp, -np.inf, interference_tp(current, beta, r)))
         moved = Partition(current.sp | (flat == candidate))
         moved_cost = total_cost(moved, beta, r, C_u, tau, rho_p2)
         if not moved_cost <= cost:

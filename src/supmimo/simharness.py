@@ -444,25 +444,28 @@ def _records_vs_m(config, options, experiment):
         layout = place_users(cfg, substream(cfg.seed, experiment, "layout", mi))
         (bench,) = _make_benches(cfg, options, [layout])
         gains = bench.schemes[0].gains
-        analytic = (
-            [analytics.sinr_tp_asymptotic(gains, cfg, 0, k) for k in range(cfg.K)],
-            [analytics.sinr_sp_finite_m(gains, bench.powers, cfg, 0, k) for k in range(cfg.K)],
+        # BS 0's users, row 0 of the maps
+        analytic = np.stack([
+            analytics.sinr_tp_asymptotic(gains, cfg)[0],
+            analytics.sinr_sp_finite_m(gains, bench.powers, cfg)[0],
             1.0 / bench.profile.interference[cfg.iterations, :cfg.K],
-        )
+        ])
         keys = [(cfg.seed, experiment, mi, t) for t in range(options.trials)]
         totals, _errs = _sum_trials(bench, keys)
         empirical = totals[:, 0, 0] / totals[:, 1, 0]
+        if experiment == "rate_vs_m":
+            # the iterative pass decodes the all-SP frames
+            tp_length, sp_length = _payload_lengths(bench)
+            n = np.array([[tp_length], [sp_length], [sp_length]])
+            empirical = analytics.rate(cfg, empirical, n, cap)
+            analytic = analytics.rate(cfg, analytic, n, cap)
         for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD)):
-            rate = analytics.rate_tp if method == TP_METHOD else analytics.rate_sp
             for k in range(cfg.K):
-                value, predicted = float(empirical[i, k]), float(analytic[i][k])
-                if experiment == "rate_vs_m":
-                    value, predicted = rate(cfg, value, cap), rate(cfg, predicted, cap)
                 records.append(MetricsRecord(
                     experiment=experiment, method=method, sweep_var="M", sweep_value=float(M),
                     user=f"0:{k}", metric="rate" if experiment == "rate_vs_m" else "sinr",
-                    value=value,
-                    trials=options.trials, analytic_value=predicted,
+                    value=float(empirical[i, k]),
+                    trials=options.trials, analytic_value=float(analytic[i, k]),
                 ))
     return records
 
@@ -567,10 +570,7 @@ def _records_sum_rate_vs_sir(config, options):
         # the all-SP gains are the power-controlled map
         sir_db = 10.0 * math.log10(received_sir(bench.schemes[lo + 1].gains, config.omega, 0))
         for i in range(lo, lo + 3):
-            # the pre-log n / C, times an array log2, not the scalar rate rule:
-            # numpy's log2 and math.log2 differ in the last bit on some inputs,
-            # which would move the output
-            total_rate = float(np.sum(lengths[i] / config.C * np.log2(1.0 + sinr[i])))
+            total_rate = float(np.sum(analytics.rate(config, sinr[i], lengths[i])))
             records.append(MetricsRecord(
                 experiment="sum_rate_vs_sir", method=bench.schemes[i].method,
                 sweep_var="sir_rx_db", sweep_value=float(sir_db), user="all",

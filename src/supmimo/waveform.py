@@ -77,9 +77,8 @@ class PilotBook:
         C_u - tau when some user trains in the first tau symbols, else
         sp_length.  Raises ValueError for a partition with both kinds of
         user on a book whose SP segment is not C_u - tau long.  The frames
-        (assemble_frames) and the simulation harness both read this rule;
-        analytics.rate_tp and rate_sp are its closed forms for the pure
-        schemes on the full-length book.
+        (assemble_frames) and the simulation harness both read this rule,
+        and analytics.rate takes it as the pre-log's n.
         """
         n_sp = np.count_nonzero(partition.sp)
         if n_sp == partition.sp.size:

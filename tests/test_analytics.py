@@ -4,23 +4,17 @@ import numpy as np
 import pytest
 
 from supmimo.analytics import (
-    cell_sum_rate,
-    hybrid_rates,
-    hybrid_sp_sinr,
-    hybrid_tp_sinr,
-    kappa,
     kappa_symmetric,
     optimal_rho,
-    rate_sp,
-    rate_tp,
+    rate,
     sinr_sp_asymptotic,
     sinr_sp_finite_m,
     sinr_sp_lower_bound,
     sinr_tp_asymptotic,
 )
-from supmimo.hybrid import Partition, all_tp, interference_tp
+from supmimo.hybrid import Partition, all_sp, all_tp, interference_tp
 from supmimo.rng import substream
-from supmimo.sysmodel import PathLossMap, SystemConfig, uniform_power
+from supmimo.sysmodel import PathLossMap, PowerAllocation, SystemConfig, uniform_power
 from supmimo.waveform import make_pilot_books
 
 
@@ -75,6 +69,38 @@ def scalar_sp_finite_m(inputs, j, m):
     return 1.0 / (t1 + t2 + t3)
 
 
+def scalar_tp_asymptotic(beta, r, j, m, sp=None):
+    """Loop-by-loop large-M TP SINR of user (j, m): its co-pilot cells one by one.
+
+    With an SP mask sp, a co-pilot cell whose user (l, m) is SP does not count.
+    """
+    den = 0.0
+    for l in range(beta.shape[0]):
+        if l != j and l % r == j % r and (sp is None or not sp[l, m]):
+            den += beta[j, l, m] ** 2
+    return beta[j, j, m] ** 2 / den if den else math.inf
+
+
+def scalar_hybrid_sp(inputs, sp, j, m):
+    """Loop-by-loop large-M SINR of SP user (j, m) of a hybrid system: the SP users one by one."""
+    gains, powers, cfg = inputs
+    beta, rho_d, rho_p = gains.beta, powers.rho_d, powers.rho_p
+    den = 0.0
+    for l in range(beta.shape[1]):
+        for k in range(beta.shape[2]):
+            if sp[l, k]:
+                den += rho_d[l, k] ** 2 * beta[j, l, k] ** 2
+    return ((cfg.C_u - cfg.tau) * rho_p[j, m] ** 2 * rho_d[j, m] ** 2 * beta[j, j, m] ** 2
+            / den)
+
+
+def hybrid_sinr(inputs, partition):
+    """A hybrid system's SINR map: the TP map on its TP users, the SP map on its SP users."""
+    gains, _powers, cfg = inputs
+    return np.where(partition.sp, sinr_sp_asymptotic(*inputs, partition),
+                    sinr_tp_asymptotic(gains, cfg, partition))
+
+
 class TestOptimalRho:
     def test_reference_values(self):
         lam2, mu2 = optimal_rho(100, 7, 5, 100)
@@ -110,7 +136,7 @@ class TestLowerBound:
         cfg = make_config()
         inputs = make_inputs(np.ones((7, 7, 5)), 0.46, cfg)
         bound = sinr_sp_lower_bound(7, 5, 100, 100, 0.46)
-        assert bound <= sinr_sp_asymptotic(*inputs, 0, 0)
+        assert bound <= sinr_sp_asymptotic(*inputs)[0, 0]
 
     def test_true_lower_bound_under_power_control(self):
         # random normalized maps: home gains pinned at omega, cross below it
@@ -122,7 +148,7 @@ class TestLowerBound:
             idx = np.arange(7)
             beta[idx, idx, :] = 1.0
             inputs = make_inputs(beta, lam2, cfg)
-            exact = sinr_sp_finite_m(*inputs, 0, 0)
+            exact = sinr_sp_finite_m(*inputs)[0, 0]
             bound = sinr_sp_lower_bound(7, 5, cfg.C_u, cfg.M, lam2)
             assert exact >= bound - 1e-12
 
@@ -136,7 +162,7 @@ class TestSpSinr:
             lam2 = float(rng.uniform(0.2, 0.8))
             inputs = make_inputs(beta, lam2, cfg)
             j, m = int(rng.integers(0, 7)), int(rng.integers(0, 3))
-            assert sinr_sp_finite_m(*inputs, j, m) == pytest.approx(
+            assert sinr_sp_finite_m(*inputs)[j, m] == pytest.approx(
                 scalar_sp_finite_m(inputs, j, m), rel=1e-12
             )
 
@@ -146,21 +172,21 @@ class TestSpSinr:
         beta = rng.uniform(0.1, 1.5, size=(7, 7, 5))
         inputs = make_inputs(beta, 0.46, cfg)
         for m in range(5):
-            finite = sinr_sp_finite_m(*inputs, 0, m)
-            asym = sinr_sp_asymptotic(*inputs, 0, m)
+            finite = sinr_sp_finite_m(*inputs)[0, m]
+            asym = sinr_sp_asymptotic(*inputs)[0, m]
             assert abs(finite - asym) / asym < 1e-6
 
     def test_symmetric_closed_form(self):
         cfg = make_config()
         inputs = make_inputs(np.ones((7, 7, 5)), 0.5, cfg)
-        assert sinr_sp_asymptotic(*inputs, 0, 0) == pytest.approx(100 / 70)
+        assert sinr_sp_asymptotic(*inputs)[0, 0] == pytest.approx(100 / 70)
 
     def test_single_user_asymptotic(self):
         cfg = make_config(L=1, K=1, C_u=64, C=128)
         lam2 = 0.3
         inputs = make_inputs(np.ones((1, 1, 1)), lam2, cfg)
         # C_u * rho_p^2 with rho_p^2 = 1 - lam2
-        assert sinr_sp_asymptotic(*inputs, 0, 0) == pytest.approx(64 * (1 - lam2))
+        assert sinr_sp_asymptotic(*inputs)[0, 0] == pytest.approx(64 * (1 - lam2))
 
     def test_scale_invariance_under_power_control(self):
         # doubling all gains rescales q, leaving the normalized system alone
@@ -174,29 +200,36 @@ class TestSpSinr:
             eff = PathLossMap(b).normalized(1.0)
             return make_inputs(eff.beta, 0.46, cfg)
 
-        a = sinr_sp_asymptotic(*controlled(beta), 0, 0)
-        b = sinr_sp_asymptotic(*controlled(2.0 * beta), 0, 0)
+        a = sinr_sp_asymptotic(*controlled(beta))[0, 0]
+        b = sinr_sp_asymptotic(*controlled(2.0 * beta))[0, 0]
         assert a == pytest.approx(b, rel=1e-12)
 
 
 class TestTpSinr:
     def test_no_reuse_sentinel_and_capped_rate(self):
         cfg = make_config(L=7, K=5, r=7)
-        sinr = sinr_tp_asymptotic(PathLossMap(np.ones((7, 7, 5))), cfg, 0, 0)
-        assert sinr == math.inf
-        assert rate_tp(cfg, sinr, cap_order=4) == pytest.approx((65 / 200) * 2.0)
+        sinr = sinr_tp_asymptotic(PathLossMap(np.ones((7, 7, 5))), cfg)
+        assert np.all(sinr == math.inf)
+        assert rate(cfg, sinr[0, 0], cfg.C_u - cfg.tau, cap_order=4) == pytest.approx(
+            (65 / 200) * 2.0)
 
     def test_six_interferers(self):
         cfg = make_config()
         beta = np.full((7, 7, 5), 0.5)
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
-        assert sinr_tp_asymptotic(PathLossMap(beta), cfg, 0, 0) == pytest.approx(1.0 / 1.5)
+        assert sinr_tp_asymptotic(PathLossMap(beta), cfg)[0, 0] == pytest.approx(1.0 / 1.5)
 
     def test_rate_weights(self):
+        # the pre-log is the payload length of the scheme's frames
         cfg = make_config(r=7)
-        assert rate_tp(cfg, 1.0) == pytest.approx((65 / 200) * 1.0)
-        assert rate_sp(cfg, 1.0) == pytest.approx((100 / 200) * 1.0)
+        book = make_pilot_books(cfg)
+        tp, sp = (book.payload_length(p, cfg.C_u) for p in (all_tp(7, 5), all_sp(7, 5)))
+        assert rate(cfg, 1.0, tp) == pytest.approx((65 / 200) * 1.0)
+        assert rate(cfg, 1.0, sp) == pytest.approx((100 / 200) * 1.0)
+        # element-wise on arrays, with the cap on every entry
+        np.testing.assert_array_equal(rate(cfg, np.array([1.0, 15.0, math.inf]), sp, 4),
+                                      [0.5, 1.0, 1.0])
 
 
 class TestKappa:
@@ -209,12 +242,14 @@ class TestKappa:
         assert kappa_symmetric(5, 7, 1e-9) > 1e15
 
     def test_general_matches_symmetric(self):
+        # kappa is C_u times the ratio of the large-M TP and SP maps
         beta = np.full((7, 7, 5), 0.5)
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
         cfg = make_config()
         inputs = make_inputs(beta, 0.5, cfg)
-        assert kappa(*inputs, 0, 0) == pytest.approx(kappa_symmetric(5, 7, 0.5), rel=1e-12)
+        kappa = cfg.C_u * sinr_tp_asymptotic(PathLossMap(beta), cfg) / sinr_sp_asymptotic(*inputs)
+        np.testing.assert_allclose(kappa, kappa_symmetric(5, 7, 0.5), rtol=1e-12)
 
     def test_crossover_property(self):
         beta = np.full((7, 7, 5), 0.5)
@@ -223,8 +258,8 @@ class TestKappa:
         for C_u, sp_wins in ((15, False), (18, True)):
             cfg = make_config(C_u=C_u, C=200)
             inputs = make_inputs(beta, 0.5, cfg)
-            sp = sinr_sp_asymptotic(*inputs, 0, 0)
-            tp = sinr_tp_asymptotic(PathLossMap(beta), cfg, 0, 0)
+            sp = sinr_sp_asymptotic(*inputs)[0, 0]
+            tp = sinr_tp_asymptotic(PathLossMap(beta), cfg)[0, 0]
             assert (sp > tp) == sp_wins
 
 
@@ -237,12 +272,13 @@ class TestHybridRates:
         beta[idx, idx, :] = 1.0
         inputs = make_inputs(beta, 0.5, cfg)
         part = all_tp(7, 5)
-        rates = hybrid_rates(*inputs, part, 0)
-        for k in range(5):
-            sinr, rate = rates[(0, k)]
-            assert sinr == pytest.approx(sinr_tp_asymptotic(PathLossMap(beta), cfg, 0, k),
-                                         rel=1e-12)
-            assert rate == pytest.approx(rate_tp(cfg, sinr), rel=1e-12)
+        sinr = hybrid_sinr(inputs, part)[0]
+        plain = sinr_tp_asymptotic(PathLossMap(beta), cfg)[0]
+        np.testing.assert_allclose(sinr, plain, rtol=1e-12)
+        # the hybrid book's TP users carry C_u - tau payload symbols
+        n = make_pilot_books(cfg, partition=part).payload_length(part, cfg.C_u)
+        np.testing.assert_allclose(rate(cfg, sinr, n), rate(cfg, plain, cfg.C_u - cfg.tau),
+                                   rtol=1e-12)
 
     def test_single_sp_user_sinr(self):
         cfg = make_config()
@@ -251,26 +287,27 @@ class TestHybridRates:
         part = Partition(sp)
         mu2 = 0.55
         inputs = make_inputs(np.ones((7, 7, 5)), 1 - mu2, cfg)
-        assert hybrid_sp_sinr(*inputs, part, 0, 0) == pytest.approx((100 - 5) * mu2)
+        assert sinr_sp_asymptotic(*inputs, part)[0, 0] == pytest.approx((100 - 5) * mu2)
 
     def test_silent_extra_user_lifts_sum_rate(self):
+        # both branches carry the (C_u - tau) / C pre-log: TP users spend the
+        # training phase on pilots, SP users on radio silence
         cfg = make_config()
+        n = cfg.C_u - cfg.tau
         rng = substream(37, "thm")
         beta = rng.uniform(0.1, 1.0, size=(7, 7, 6))
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
-        inputs = make_inputs(beta, 0.5, cfg)
-        before = all_tp(7, 5)  # user index 5 of each cell not present yet
-        rates_before = hybrid_rates(*inputs, before, 0)
+        # five users per cell before: user index 5 of each cell not present yet
+        before = hybrid_sinr(make_inputs(beta[:, :, :5], 0.5, cfg), all_tp(7, 5))[0]
         # six users per cell, and the new pilot 5 of cell 0 the only SP one:
         # it touches none of the pilots 0-4
         sp = np.zeros((7, 6), dtype=bool)
         sp[0, 5] = True
-        rates_after = hybrid_rates(*inputs, Partition(sp), 0)
-        for k in range(5):
-            assert rates_after[(0, k)] == rates_before[(0, k)]
-        assert cell_sum_rate(rates_after) > cell_sum_rate(rates_before)
-        assert rates_after[(0, 5)][0] == pytest.approx((cfg.C_u - cfg.tau) * 0.5)
+        after = hybrid_sinr(make_inputs(beta, 0.5, cfg), Partition(sp))[0]
+        np.testing.assert_array_equal(after[:5], before)
+        assert np.sum(rate(cfg, after, n)) > np.sum(rate(cfg, before, n))
+        assert after[5] == pytest.approx((cfg.C_u - cfg.tau) * 0.5)
 
     def test_tp_branch_ignores_sp_members(self):
         cfg = make_config()
@@ -281,7 +318,33 @@ class TestHybridRates:
         sp[1:3] = True
         part = Partition(sp)
         # four of six contaminating cells remain
-        assert hybrid_tp_sinr(PathLossMap(beta), cfg, part, 0, 0) == pytest.approx(1.0 / (4 * 0.25))
+        assert sinr_tp_asymptotic(PathLossMap(beta), cfg, part)[0, 0] == pytest.approx(
+            1.0 / (4 * 0.25))
+
+
+def test_maps_match_per_user_loops():
+    # 19 cells in three reuse groups, gains and power splits drawn per user
+    cfg = make_config(L=19, K=5, r=3)
+    rng = substream(38, "maps")
+    beta = rng.uniform(0.05, 2.0, size=(19, 19, 5))
+    lam2 = rng.uniform(0.2, 0.8, size=(19, 5))
+    inputs = (PathLossMap(beta), PowerAllocation(np.sqrt(lam2), np.sqrt(1.0 - lam2)), cfg)
+    part = Partition(rng.uniform(size=(19, 5)) < 0.4)
+    assert part.sp.any() and not part.sp.all()
+    plain = sinr_tp_asymptotic(inputs[0], cfg)
+    hybrid_tp = sinr_tp_asymptotic(inputs[0], cfg, part)
+    hybrid_sp = sinr_sp_asymptotic(*inputs, part)
+    for j in range(19):
+        for m in range(5):
+            assert plain[j, m] == pytest.approx(scalar_tp_asymptotic(beta, 3, j, m), rel=1e-12)
+            assert hybrid_tp[j, m] == pytest.approx(
+                scalar_tp_asymptotic(beta, 3, j, m, part.sp), rel=1e-12)
+            assert hybrid_sp[j, m] == pytest.approx(scalar_hybrid_sp(inputs, part.sp, j, m),
+                                                    rel=1e-12)
+    # the finite-M oracle is quadratic in the users: a few of them
+    finite = sinr_sp_finite_m(*inputs)
+    for j, m in ((0, 0), (7, 2), (18, 4)):
+        assert finite[j, m] == pytest.approx(scalar_sp_finite_m(inputs, j, m), rel=1e-12)
 
 
 @pytest.mark.parametrize("L", [7, 19])
@@ -297,8 +360,11 @@ def test_books_and_closed_forms_share_pilots_with_the_same_cells(L, r):
         for l in set(range(L)) - {j}:
             beta = np.zeros((L, L, 2))
             beta[j, j, 1] = beta[j, l, 1] = 1.0
-            closed_form = sinr_tp_asymptotic(PathLossMap(beta), cfg, j, 1) < math.inf
-            greedy = interference_tp((j, 1), all_tp(L, 2), beta.transpose(1, 0, 2), r) > 0
+            sinr = sinr_tp_asymptotic(PathLossMap(beta), cfg)
+            # the other cells' users have no home gain and no co-pilot power
+            assert np.all(np.delete(sinr, j, axis=0) == math.inf)
+            closed_form = sinr[j, 1] < math.inf
+            greedy = interference_tp(all_tp(L, 2), beta.transpose(1, 0, 2), r)[j, 1] > 0
             assert closed_form == greedy
             if closed_form:
                 counted.add(l)

@@ -418,3 +418,11 @@ class TestHybridEstimates:
             receive_cell(projection, book, bad, powers, 1, np.ones(5))
         with pytest.raises(KeyError, match=r"\(1, 0\) has no superimposed pilot"):
             estimator_columns(book, bad, powers, np.arange(5, 10), cfg.C_u)
+
+    def test_a_mask_of_another_shape_than_the_book_is_refused(self):
+        cfg = make_config()
+        book = make_pilot_books(cfg)
+        # as many users as the system, but transposed: read in flat order it
+        # would name other users
+        with pytest.raises(ValueError, match=r"\(5, 7\) partition for a system of \(7, 5\)"):
+            estimator_columns(book, all_tp(5, 7), uniform_power(7, 5), np.arange(5), cfg.C_u)

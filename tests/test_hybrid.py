@@ -78,13 +78,13 @@ def test_training_without_room_for_data_is_rejected(search, c_u):
 def test_pilot_share_outside_the_unit_interval_is_rejected(rho_p2):
     beta = np.ones((2, 2, 1))
     with pytest.raises(ValueError, match="rho_p2"):
-        interference_sp((0, 0), all_sp(2, 1), beta, C_U, 1, rho_p2)
+        interference_sp(all_sp(2, 1), beta, C_U, 1, rho_p2)
 
 
 def test_a_full_pilot_share_is_accepted():
     beta = np.ones((2, 2, 1))
     # two SP users absorb beta^2 = 1 each over the C_U - 1 symbols
-    assert interference_sp((0, 0), all_sp(2, 1), beta, C_U, 1, 1.0) == 2.0 / (C_U - 1)
+    assert interference_sp(all_sp(2, 1), beta, C_U, 1, 1.0)[0, 0] == 2.0 / (C_U - 1)
 
 
 def test_partition_copies_and_freezes_its_mask():
