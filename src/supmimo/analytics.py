@@ -31,7 +31,7 @@ from .sysmodel import PathLossMap, PowerAllocation, SystemConfig
 
 def _home(beta: np.ndarray) -> np.ndarray:
     """The (L, K) gains beta[j, j, k] of every user at its own BS."""
-    return np.diagonal(beta).T
+    return beta.diagonal().T
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
