@@ -66,6 +66,12 @@ def _powers(estimates: np.ndarray) -> np.ndarray:
     return np.vecdot(rows, rows).real
 
 
+def _check_mask(book: PilotBook, partition: Partition) -> None:
+    if partition.sp.shape != book.sp_assignment.shape:
+        raise ValueError(f"a {partition.sp.shape} partition for a system of "
+                         f"{book.sp_assignment.shape} users")
+
+
 def estimator_columns(
     book: PilotBook,
     partition: Partition,
@@ -83,9 +89,7 @@ def estimator_columns(
     SP user without a pilot column, and ZeroDivisionError for an SP user
     with rho_p = 0.
     """
-    if partition.sp.shape != book.sp_assignment.shape:
-        raise ValueError(f"a {partition.sp.shape} partition for a system of "
-                         f"{book.sp_assignment.shape} users")
+    _check_mask(book, partition)
     users = np.asarray(users)
     sp = partition.sp.reshape(-1)[users]
     E = np.zeros((C_u, users.size), dtype=complex)
@@ -171,8 +175,10 @@ def receive_cell(
     (PilotBook.payload_length).  A TP user's output is conj(h) Y_d / (M
     beta_home); an SP user's (partition.sp[cell, k]) removes its own pilot
     first (sp_output).  The two groups are filtered apart and written into
-    one array.  beta_home[k] is user k's gain at this BS.
+    one array.  beta_home[k] is user k's gain at this BS.  A mask of another
+    shape than the book's (L, K) raises ValueError.
     """
+    _check_mask(book, partition)
     in_sp = partition.sp[cell]
     K, tp, sp = in_sp.size, np.flatnonzero(~in_sp), np.flatnonzero(in_sp)
     estimates, matched = projection

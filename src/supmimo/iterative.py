@@ -28,7 +28,7 @@ its matched-filter output is a combination of G's rows and its power a
 quadratic form in R.  A block's state is thus n (C_u + n) entries whatever
 M is, and a step's matched filter costs n C_u instead of M C_u, so a caller
 can reduce each Monte-Carlo trial as it is drawn and run the sweeps on a
-stack of many trials' reductions at once.  A user with an empty feedback
+stack of many trials' (G, R) pairs at once.  A user with an empty feedback
 set gets the one-shot estimator's bits, and every computed user gets the
 bits it has alone, whatever else is reported or stacked.
 
@@ -43,12 +43,14 @@ so each target reads this sweep's values before it and the previous
 sweep's from it on.  The "fixed" feedback set is the admission row of one
 sweep in which nobody is fed back.  The profile carries that set (or None
 for per_iteration, where the set follows the admission rows sweep by
-sweep) and the sweep order, and the estimator's schedule (_schedule) comes
+sweep), the sweep order, and the gains, amplitudes, M and P it was computed
+for; the estimator reads all of them, its schedule (_schedule) included,
 from the profile.  The recursion takes one layout or a batch of layouts,
 each with its own gains, and runs each (sweep, target) step on the whole
-batch.  Its sums over the feedback set are taken over rows grouped by the
-set's size, so every layout gets the bits it gets alone; padding the rows
-with zeros would change numpy's pairwise-summation lanes.
+batch.  A step's psi core is one masked row sum of a C-contiguous (B, N)
+array, and numpy sums each row of such an array along axis 1 with the
+pairwise lanes of a 1-D sum of that row, so every layout gets the bits it
+gets alone.
 
 All prediction formulas assume unit total power per user, i.e. gains are
 the power-controlled equivalents and rho_d^2 + rho_p^2 = 1.
@@ -57,12 +59,12 @@ the power-controlled equivalents and rho_d^2 + rho_p^2 = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .estimators import Projection, _conj_rows, _per_row, _powers, sp_output
-from .waveform import decide
+from .waveform import _side, decide
 
 SELECTION_RULES = ("none", "all", "fixed", "per_iteration")
 
@@ -82,9 +84,7 @@ def alpha_pqam(interference: float, P: int) -> float:
     """
     if interference < 0:
         raise ValueError("interference variance must be non-negative")
-    side = math.isqrt(P)
-    if P < 4 or side * side != P:
-        raise ValueError(f"P must be a square QAM order >= 4, got {P}")
+    side = _side(P)
     coef = 24.0 / (side * (side + 1.0))
     if interference == 0.0:
         return 0.0
@@ -96,13 +96,15 @@ def alpha_pqam(interference: float, P: int) -> float:
 class PredictionProfile:
     """Per-sweep prediction history; row i of each array is iteration i.
 
-    Columns are users in flat order.  interference[0] is +inf (no estimate
-    exists yet) and alpha[0] is 1 by definition of the all-wrong initial
-    decisions.  include[i][n] records whether user n passed the admission
-    threshold after sweep i.  fixed_mask is the feedback set every sweep
-    uses, or None when the set follows include sweep by sweep
-    (per_iteration).  order[j] is the user swept j-th.  A profile of a batch
-    of B layouts carries a leading B axis on every array; layout(b) is the
+    Columns are users in the caller's order.  interference[0] is +inf (no
+    estimate exists yet) and alpha[0] is 1 by definition of the all-wrong
+    initial decisions.  include[i][n] records whether user n passed the
+    admission threshold after sweep i.  fixed_mask is the feedback set every
+    sweep uses, or None when the set follows include sweep by sweep
+    (per_iteration).  order[j] is the user swept j-th.  beta, rho_d and
+    rho_p are the per-user gains and amplitudes the profile was computed
+    for, M its antenna count and P its QAM order.  A profile of a batch of B
+    layouts carries a leading B axis on every array; layout(b) is the
     profile of one of them.
     """
 
@@ -112,6 +114,11 @@ class PredictionProfile:
     include: np.ndarray
     fixed_mask: np.ndarray | None
     order: np.ndarray
+    beta: np.ndarray
+    rho_d: np.ndarray
+    rho_p: np.ndarray
+    M: int
+    P: int
 
     @property
     def sweeps(self) -> int:
@@ -119,50 +126,10 @@ class PredictionProfile:
 
     def layout(self, b: int) -> "PredictionProfile":
         """The one-layout profile of row b of a batched profile."""
-        return PredictionProfile(
-            interference=self.interference[b], alpha=self.alpha[b], psi=self.psi[b],
-            include=self.include[b],
-            fixed_mask=None if self.fixed_mask is None else self.fixed_mask[b],
-            order=self.order[b])
-
-
-def _row_groups(mask: np.ndarray) -> list:
-    """The rows of a (B, N) mask grouped by their count of set entries.
-
-    Each group is (rows, idx): idx[g] holds the flat (B * N) indices of row
-    rows[g]'s set entries, in column order.  _grouped_sums reduces a group
-    in one call.
-    """
-    counts = np.count_nonzero(mask, axis=1)
-    groups = []
-    for size in set(counts.tolist()):
-        rows = np.flatnonzero(counts == size)
-        cols = np.nonzero(mask[rows])[1].reshape(rows.size, size)
-        groups.append((rows, rows[:, np.newaxis] * mask.shape[1] + cols))
-    return groups
-
-
-def _grouped_sums(values: np.ndarray, groups: list) -> np.ndarray:
-    """Per-row sums of a (B, N) array over the grouped entries.
-
-    Each sum has the bits of np.add.reduce over that row's compacted
-    entries: numpy sums a C-contiguous (G, F) array along axis 1 row by row
-    with the same pairwise lanes as a 1-D array of F.  Padding the rows to
-    one length with zeros would change those lanes, hence the groups.
-    """
-    sums = np.empty(values.shape[0])
-    for rows, idx in groups:
-        sums[rows] = np.add.reduce(values.take(idx), axis=1)
-    return sums
-
-
-def _squares(values: np.ndarray) -> np.ndarray:
-    """Elementwise squares by Python's float power.
-
-    That is libm's pow, which the profile's bits are pinned to; numpy's
-    x**2 is x*x and need not round the same.
-    """
-    return np.array([[v**2 for v in row] for row in values.tolist()]).reshape(values.shape)
+        rows = {name: getattr(self, name)[b] for name in
+                ("interference", "alpha", "psi", "include", "order", "beta", "rho_d", "rho_p")}
+        return replace(self, fixed_mask=None if self.fixed_mask is None else self.fixed_mask[b],
+                       **rows)
 
 
 def _recursion(beta, rho_d, rho_p, sigma2, M, C_u, P, sweeps, fixed_mask):
@@ -173,49 +140,43 @@ def _recursion(beta, rho_d, rho_p, sigma2, M, C_u, P, sweeps, fixed_mask):
     sweep i: it starts as a copy of row i - 1 and entry m is overwritten
     once target m is predicted, so target m sees this sweep's values below
     m and the previous sweep's from m on.  Each step runs on all B layouts
-    at once and gives every layout the bits it has alone.
+    at once and gives every layout the bits it has alone: the psi core is
+    one masked sum of a C-contiguous (B, N) array along its rows.
     """
     n_layouts, n_users = beta.shape
     sum_beta = np.add.reduce(beta, axis=1)
     M2 = M**2
-    base = beta**2 + beta * sum_beta[:, np.newaxis] / M
-    rho_d2 = rho_d**2
+    b2 = beta * beta
+    base = b2 + beta * sum_beta[:, np.newaxis] / M
+    rho_d2 = rho_d * rho_d
     full_power = rho_d2 * base
     noise = sigma2 * sum_beta / M
-    # per-target (N, B) columns: psi scale, leakage plus noise, MF gain,
-    # admission base
-    b2 = _squares(beta)
-    scale = (M2 / (C_u * _squares(rho_p))).T.copy()
+    # per-target (N, B) columns: psi scale, leakage plus noise, MF gain
+    scale = (M2 / (C_u * (rho_p * rho_p))).T.copy()
     leak = (beta * (sum_beta[:, np.newaxis] - beta) / M + sigma2 * beta / M).T.copy()
-    gain = (_squares(rho_d) * b2).T.copy()
-    adm = (b2 + beta * sum_beta[:, np.newaxis] / M).T.copy()
+    gain = (rho_d2 * b2).T.copy()
 
     shape = (n_layouts, sweeps + 1, n_users)
     interference = np.full(shape, math.inf)
     alpha = np.ones(shape)
     psi = np.zeros(shape)
     include = np.zeros(shape, dtype=bool)
-    if fixed_mask is not None:
-        # the same sets in every step: group the rows once
-        fed_groups = _row_groups(fixed_mask)
-        rest = _grouped_sums(full_power, _row_groups(~fixed_mask))
     for i in range(1, sweeps + 1):
         alpha[:, i], psi[:, i], include[:, i] = alpha[:, i - 1], psi[:, i - 1], include[:, i - 1]
         alpha_w, psi_w, include_w = alpha[:, i], psi[:, i], include[:, i]
+        # per_iteration feeds back the working row, updated in place below
+        fed = include_w if fixed_mask is None else fixed_mask
         for m in range(n_users):
-            if fixed_mask is None:
-                fed_groups = _row_groups(include_w)
-                rest = _grouped_sums(full_power, _row_groups(~include_w))
             # fed users leave their decision-error-scaled residual, the rest
             # their full data power; noise adds a flat term
             term = rho_d2 * (base * alpha_w + (1.0 + alpha_w) * psi_w / M2)
-            core = _grouped_sums(term, fed_groups) + rest + noise
+            core = np.where(fed, term, full_power).sum(axis=1) + noise
             psi_w[:, m] = psi_m = scale[m] * core
             p = psi_m / M2
             interference[:, i, m] = inter = (leak[m] + p) / gain[m]
             alpha_w[:, m] = a = np.array([alpha_pqam(x, P) for x in inter.tolist()])
             # admission: feeding m back cannot raise its predicted error
-            include_w[:, m] = a < (adm[m] - p) / (adm[m] + p)
+            include_w[:, m] = a < (base[:, m] - p) / (base[:, m] + p)
     return interference, alpha, psi, include
 
 
@@ -238,15 +199,18 @@ def predict_profile(
     the recursion and its results are returned in the row's own order.  A
     batch gives a profile with a leading B axis whose layout(b) equals the
     profile of row b alone, bit for bit.  selection is one of SELECTION_RULES.
+    The profile keeps copies of beta, rho_d and rho_p, at beta's shape, with
+    M and P: they are what iterative_estimate reads.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
-    beta = np.asarray(beta, dtype=float)
-    batch = np.atleast_2d(beta)
+    single = np.ndim(beta) == 1
+    batch = np.atleast_2d(np.array(beta, dtype=float))
+    rho_d, rho_p = (np.broadcast_to(np.asarray(a, dtype=float), batch.shape).copy()
+                    for a in (rho_d, rho_p))
     # the sweep order: decreasing gain, ties in the order given
     order = np.argsort(-batch, axis=1, kind="stable")
-    args = tuple(np.take_along_axis(np.broadcast_to(np.asarray(a, dtype=float), batch.shape),
-                                    order, axis=1) for a in (batch, rho_d, rho_p))
+    args = tuple(np.take_along_axis(a, order, axis=1) for a in (batch, rho_d, rho_p))
     args += (sigma2, M, C_u, P)
     nobody = np.zeros(batch.shape, dtype=bool)
     if selection == "none":
@@ -267,85 +231,55 @@ def predict_profile(
     if fixed_mask is not None:
         fixed_mask = np.take_along_axis(fixed_mask, flat[:, 0], axis=1)
     profile = PredictionProfile(interference=interference, alpha=alpha, psi=psi, include=include,
-                                fixed_mask=fixed_mask, order=order)
-    return profile if beta.ndim == 2 else profile.layout(0)
-
-
-@dataclass(frozen=True)
-class Reduction:
-    """SP blocks reduced to the statistics the data-aided estimator reads.
-
-    h0_n = Y conj(p_n) / (C_u rho_p,n) is user n's one-shot SP estimate from
-    its block Y.  users lists the reduced users, as indices into the
-    caller's user order, in sweep order; G[..., i, :] = conj(h0_{users[i]}) Y
-    is user i's matched-filter output and R[..., i, j] = conj(h0_{users[i]})
-    . h0_{users[j]}, with a real diagonal.  A stack of T blocks carries a
-    leading T axis on G and R.  M is the antenna count of the blocks.
-    """
-
-    users: np.ndarray
-    M: int
-    G: np.ndarray
-    R: np.ndarray
+                                fixed_mask=fixed_mask, order=order, beta=batch, rho_d=rho_d,
+                                rho_p=rho_p, M=M, P=P)
+    return profile.layout(0) if single else profile
 
 
 def reduced_users(profile: PredictionProfile, report: np.ndarray) -> np.ndarray:
-    """The users a reduction for (profile, report) keeps, in sweep order."""
+    """The users iterative_estimate keeps for (profile, report), in sweep order."""
     return profile.order[_kept(profile, np.argsort(profile.order)[report])[0]]
 
 
-def reduce_block(
-    projection: Projection,
-    profile: PredictionProfile,
-    report: np.ndarray,
-) -> Reduction:
-    """Reduce an SP block, seen through its kept users' estimators, for the estimator.
+def reduce_block(projection: Projection) -> tuple[np.ndarray, np.ndarray]:
+    """The (G, R) statistics the estimator reads from an SP block's projection.
 
-    Only the users the estimator computes for (profile, report) are kept
-    (see iterative_estimate): reduced_users lists them, in sweep order, as
-    indices into the order the profile was computed for, and report indexes
-    that order too.  projection is the block, or a stack of T blocks, seen
-    through those users' one-shot estimator columns conj(p_n) / (C_u
-    rho_p,n) in that order (estimators.estimator_columns under the all-SP
-    partition): its estimates are the h0 and its matched rows G.  R's
-    diagonal has the bits of the powers estimators.receive_cell reads, so a
-    user with an empty feedback set gets receive_cell's output.
+    projection is the block, or a stack of T blocks, seen through the
+    one-shot estimator columns conj(p_n) / (C_u rho_p,n) of the n users the
+    estimator keeps, as reduced_users lists them (estimators.estimator_columns
+    under the all-SP partition): its estimates are their h0 and its matched
+    rows G[..., i, :] = conj(h0_i) Y.  R[..., i, j] = conj(h0_i) . h0_j, with
+    a real diagonal that has the bits of the powers estimators.receive_cell
+    reads, so a user with an empty feedback set gets receive_cell's output.
     """
-    users = reduced_users(profile, _check_report(report, profile.order.size))
     estimates, G = projection
-    if estimates.shape[-1] != users.size:
-        raise ValueError(f"the projection has {estimates.shape[-1]} estimates; "
-                         f"this profile and report keep {users.size} users")
     h0 = np.ascontiguousarray(np.swapaxes(estimates, -1, -2))
     # every entry is one dot product of two estimates, whatever else is kept
     R = np.vecdot(h0[..., :, np.newaxis, :], h0[..., np.newaxis, :, :])
-    diagonal = np.arange(users.size)
+    diagonal = np.arange(estimates.shape[-1])
     R[..., diagonal, diagonal] = _powers(estimates)
-    return Reduction(users=users, M=estimates.shape[-2], G=G, R=R)
+    return G, R
 
 
 def iterative_estimate(
-    stats: Reduction,
+    G: np.ndarray,
+    R: np.ndarray,
     pilots: np.ndarray,
-    beta: np.ndarray,
-    rho_d: np.ndarray,
-    rho_p: np.ndarray,
-    P: int,
     profile: PredictionProfile,
     report: np.ndarray,
 ) -> np.ndarray:
     """Joint channel/data estimation over the profile's ordered sweeps.
 
-    stats is the reduce_block Reduction of a stack of T blocks
-    with the same users, e.g. one per trial; one block is reduced as a
-    stack of one.  pilots holds each user's dedicated column (C_u x N),
-    and pilots, beta, rho_d and rho_p list the users in the same order as
-    the profile, which is computed for them and supplies the sweep order,
-    the sweep count and the feedback set.  report lists the users the
-    caller reads, as indices into that order.  Returns their final
-    matched-filter outputs only, in report's order, as a (T, len(report),
-    C_u) array; only the feedback set's decisions are made, the ones fed
-    back.
+    G (T, n, C_u) and R (T, n, n) are the reduce_block statistics of a stack
+    of T blocks over the same n kept users (reduced_users), e.g. one block
+    per trial; one block is a stack of one.  profile is one layout's: it
+    supplies the users' gains and amplitudes, M, P, the sweep order, the
+    sweep count and the feedback set.  pilots holds each user's dedicated
+    column (C_u x N), users in the order the profile was computed for, and
+    report lists the users the caller reads, as indices into that order.
+    Returns their final matched-filter outputs only, in report's order, as a
+    (T, len(report), C_u) array; only the feedback set's decisions are made,
+    the ones fed back.
 
     With a fixed feedback set (every rule but per_iteration) only the set's
     members are re-estimated in every sweep, in sweep order, each deciding
@@ -371,33 +305,30 @@ def iterative_estimate(
     The profile is data-independent, so callers running many blocks with
     the same large-scale state compute it once.
     """
-    n_users = np.shape(beta)[0]
-    if profile.include.shape != (profile.sweeps + 1, n_users):
-        raise ValueError(f"need one layout's profile of {n_users} users, "
-                         f"got include of shape {profile.include.shape}")
+    if profile.order.ndim != 1:
+        raise ValueError(f"need one layout's profile, got a batch of {profile.order.shape[0]}")
+    n_users = profile.order.size
     report = _check_report(report, n_users)
-    if stats.G.ndim != 3:
-        raise ValueError(f"need a stacked reduction, got G of shape {stats.G.shape}")
-    C_u = stats.G.shape[-1]
+    position = np.argsort(profile.order)
+    kept, basis = _kept(profile, position[report])
+    n = kept.size
+    if G.ndim != 3 or G.shape[1] != n or R.shape != (G.shape[0], n, n):
+        raise ValueError(f"need G (T, {n}, C_u) and R (T, {n}, {n}) over the {n} users this "
+                         f"profile and report keep, got {G.shape} and {R.shape}")
+    T, _, C_u = G.shape
     if pilots.shape != (C_u, n_users):
         raise ValueError(f"pilots must be (C_u, N) = {(C_u, n_users)}, got {pilots.shape}")
     if n_users > C_u:
         raise ValueError(f"{n_users} users exceed the {C_u}-symbol block")
-    position = np.argsort(profile.order)
-    kept, basis = _kept(profile, position[report])
-    if not np.array_equal(stats.users, profile.order[kept]):
-        raise ValueError("the reduction keeps other users than this profile and report need")
-    G, R = stats.G, stats.R
     # the computed users, in sweep order, so every step below reads
     # contiguous slices
-    users_kept = stats.users
+    users_kept = profile.order[kept]
     pilots = pilots[:, users_kept]
     conj_rows = _conj_rows(pilots)
     pilot_rows = np.ascontiguousarray(pilots.T)
-    beta, rho_d, rho_p = (np.asarray(a, dtype=float)[users_kept] for a in (beta, rho_d, rho_p))
+    beta, rho_d, rho_p = (a[users_kept] for a in (profile.beta, profile.rho_d, profile.rho_p))
     ls_scale = C_u * rho_p
-    mf_gain = stats.M * rho_d * beta
-    T = G.shape[0]
+    mf_gain = profile.M * rho_d * beta
     slot = np.full(kept.size, -1)
     slot[basis] = np.arange(basis.size)
     # C-contiguous gathers: a product's bits follow its operands' strides,
@@ -436,7 +367,7 @@ def iterative_estimate(
         x_tilde[:, users] = x_new = sp_output(out, power, pilot_rows[users], rho_p[users],
                                               mf_gain[users])
         if inside >= 0:
-            x_basis[:, inside] = decide(x_new[:, 0], P)
+            x_basis[:, inside] = decide(x_new[:, 0], profile.P)
 
     # the reported rows in report's order
     rows = np.searchsorted(kept, position[report])

@@ -41,11 +41,15 @@ scheme's cell is received from its projection through receive_cell, and
 its outputs are scored (energies, and bit errors for QAM payloads) as soon
 as they are made, so a trial's frames, draws and outputs do not outlive it.
 With a profile the all-SP scheme is projected onto the users the estimator
-keeps and reduced (iterative.reduce_block) to the statistics it reads; its
-one-shot outputs are received from cell 0's users of that projection.  Only
-the iterative pass needs a batch: the reductions, cell 0's payloads and
-bits and the channel gains outlive a trial, and the estimator runs once per
-batch of as many trials as fit _CHUNK_BYTES at _trial_bytes each.  Its
+keeps (iterative.reduced_users), and iterative.reduce_block turns that
+projection into the two arrays the estimator reads: G, the kept users'
+matched filters, and R, the inner products of their one-shot estimates.
+The scheme's one-shot outputs are received from cell 0's users of the same
+projection.  Only the iterative pass needs a batch: each trial's G and R,
+cell 0's payloads and bits and the channel gains outlive a trial, and the
+estimator runs once per batch of as many trials as fit _CHUNK_BYTES at
+_trial_bytes each.  It reads the layout's gains, amplitudes, M and P from
+the profile, so the harness passes them once, to predict_profile.  Its
 products are stacks of per-trial products, so a trial's energies have the
 same bits in any batch, and they are added to the totals in trial order, so
 the output does not depend on the batch size.
@@ -296,7 +300,7 @@ def _run_trials(bench: _Bench, keys: list):
     Gaussian payloads alike.  With a profile the all-SP scheme is projected
     onto the users the estimator keeps and also reduced; its one-shot
     outputs are received from cell 0's columns and rows of that projection,
-    and the reductions, with cell 0's payloads and bits, are iterated once
+    and the G and R stacks, with cell 0's payloads and bits, are iterated once
     per batch.  Returns (sig_res, errs): the (T, methods, 2, J, K) signal and
     residual energies per trial, method, metric BS and user, and the
     (methods, 2) bit errors and bit count per method over the batch (zero
@@ -327,7 +331,7 @@ def _run_trials(bench: _Bench, keys: list):
     bits = [np.empty((J, K, n_bits * n), dtype=np.uint8) for n in lengths] if qam else None
     if profile is not None:
         sp = next(i for i, s in enumerate(schemes) if s.partition.sp.all())
-        book, gains = schemes[sp].book, schemes[sp].gains
+        book = schemes[sp].book
         report = np.arange(K)
         users = iterative.reduced_users(profile, report)
         rows = np.argsort(users)[:K]  # cell 0's users are flat users 0..K-1, all kept
@@ -361,9 +365,7 @@ def _run_trials(bench: _Bench, keys: list):
             del Z, W, z
             for i, (s, projection) in enumerate(zip(schemes, projections)):
                 if profile is not None and i == sp:
-                    reduced = iterative.reduce_block(projection, profile, report)
-                    G[t], R[t] = reduced.G, reduced.R
-                    del reduced  # no trial's draws outlive it
+                    G[t], R[t] = iterative.reduce_block(projection)
                     sp_data[t], sp_bits[t] = data[i][0], bits[i][0]
                     # the one-shot outputs read cell 0's users among those kept
                     projection = Projection(projection.estimates[:, rows],
@@ -377,11 +379,7 @@ def _run_trials(bench: _Bench, keys: list):
             del projections, projection  # before the next BS's draws
     del S, columns
     if profile is not None:
-        x_tilde = iterative.iterative_estimate(
-            iterative.Reduction(users=users, M=M, G=G, R=R), book.sp_columns(slice(None)),
-            gains.beta[0].reshape(-1), powers.rho_d.reshape(-1), powers.rho_p.reshape(-1), P,
-            profile, report,
-        )
+        x_tilde = iterative.iterative_estimate(G, R, book.sp_columns(slice(None)), profile, report)
         del G, R
         sig_res[:, -1, 0, 0], sig_res[:, -1, 1, 0] = signal_residual_power(
             x_tilde, sp_data, gain[:, 0])
@@ -395,7 +393,7 @@ def _trial_bytes(bench: _Bench) -> int:
     A trial's frames, draws and projections are freed before the next
     trial's are made.  Each trial keeps its energies and its metric users'
     channel gains.  With
-    a profile it also keeps what the iterative pass reads: the reduction's
+    a profile it also keeps what the iterative pass reads: the reduce_block
     G and R over the n users the estimator keeps, and cell 0's all-SP
     payloads and bits; the pass adds at most four (n, C_u) working arrays
     (G's basis rows among them), its outputs, and the demapped copy of the

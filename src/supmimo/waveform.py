@@ -297,10 +297,11 @@ def assemble_frames(
     data, bits = _draw_payloads(L * K, payload_len, config.P, data_dist, rng)
 
     S = np.zeros((L * K, C_u), dtype=complex)
+    # every row's payload, then the TP pilots; the SP rows are overwritten
+    S[:, C_u - payload_len :] = data
     if tp.any():
         columns = pilot_book.tp_assignment.reshape(-1)[tp]
         S[tp, :tau] = pilot_book.tp_matrix[:, columns].T
-        S[tp, tau:] = data[tp]
     if sp.any():
         rho_d = power.rho_d.reshape(-1)[sp, np.newaxis]
         rho_p = power.rho_p.reshape(-1)[sp, np.newaxis]

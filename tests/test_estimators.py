@@ -426,3 +426,10 @@ class TestHybridEstimates:
         # would name other users
         with pytest.raises(ValueError, match=r"\(5, 7\) partition for a system of \(7, 5\)"):
             estimator_columns(book, all_tp(5, 7), uniform_power(7, 5), np.arange(5), cfg.C_u)
+        # the receiver refuses a mask of too few cells or too few users per cell
+        # too, where it would read a row of the mask as cell 0's users
+        projection = self._block_projection(np.ones((cfg.M, cfg.C_u), dtype=complex), book,
+                                            all_tp(7, 5), uniform_power(7, 5), 0)
+        for L, K in ((3, 5), (7, 4)):
+            with pytest.raises(ValueError, match=rf"\({L}, {K}\) partition for a system of"):
+                receive_cell(projection, book, all_tp(L, K), uniform_power(7, 5), 0, np.ones(5))

@@ -12,8 +12,6 @@ from supmimo.estimators import Projection, estimator_columns, project, receive_c
 from supmimo.hybrid import all_sp
 from supmimo.iterative import (
     SELECTION_RULES,
-    _grouped_sums,
-    _row_groups,
     alpha_pqam,
     iterative_estimate,
     predict_profile,
@@ -119,7 +117,8 @@ def m_space_estimate(Y, pilots, beta, rho_d, rho_p, P, sweeps, fixed_mask, profi
 
 # Reference prediction recursion: one call per (sweep, target) for each of
 # psi, the interference and the admission threshold, every call rebuilding
-# its sums and masks from scratch.
+# its sums and masks from scratch.  Squares are products, and psi's core is
+# one sum over every user, the fed ones' residual and the others' full power.
 
 
 def ref_psi_recursion(m, beta, rho_d, rho_p_m, alpha_cur, psi_cur, alpha_prev, psi_prev,
@@ -129,35 +128,34 @@ def ref_psi_recursion(m, beta, rho_d, rho_p_m, alpha_cur, psi_cur, alpha_prev, p
     idx = np.arange(n_users)
     alpha_used = np.where(idx < m, alpha_cur, alpha_prev)
     psi_used = np.where(idx < m, psi_cur, psi_prev)
-    base = beta**2 + beta * sum_beta / M
+    base = beta * beta + beta * sum_beta / M
     fed = in_set.astype(bool)
-    core = float(
-        np.sum(rho_d[fed] ** 2 * (base[fed] * alpha_used[fed] + (1.0 + alpha_used[fed]) * psi_used[fed] / M**2))
-    )
-    core += float(np.sum(rho_d[~fed] ** 2 * base[~fed]))
+    residual = rho_d * rho_d * (base * alpha_used + (1.0 + alpha_used) * psi_used / M**2)
+    core = float(np.sum(np.where(fed, residual, rho_d * rho_d * base)))
     core += sigma2 * sum_beta / M
-    return (M**2 / (C_u * rho_p_m**2)) * core
+    return (M**2 / (C_u * (rho_p_m * rho_p_m))) * core
 
 
 def ref_predict_interference(m, beta, rho_d_m, sigma2, M, psi_m):
     bm = float(beta[m])
     cross = float(np.sum(beta)) - bm
-    return (bm * cross / M + sigma2 * bm / M + psi_m / M**2) / (rho_d_m**2 * bm**2)
+    return (bm * cross / M + sigma2 * bm / M + psi_m / M**2) / (rho_d_m * rho_d_m * (bm * bm))
 
 
 def ref_gamma_threshold(beta, psi_k, k, M):
-    a = float(beta[k]) ** 2 + float(beta[k]) * float(np.sum(beta)) / M
+    bk = float(beta[k])
+    a = bk * bk + bk * float(np.sum(beta)) / M
     return (a - psi_k / M**2) / (a + psi_k / M**2)
 
 
 def ref_select_user_set_fixed(beta, rho_d, rho_p, sigma2, M, C_u, P):
     n_users = beta.shape[0]
     sum_beta = float(np.sum(beta))
-    base = beta**2 + beta * sum_beta / M
-    core0 = float(np.sum(rho_d**2 * base)) + sigma2 * sum_beta / M
+    base = beta * beta + beta * sum_beta / M
+    core0 = float(np.sum(rho_d * rho_d * base)) + sigma2 * sum_beta / M
     keep = np.zeros(n_users, dtype=bool)
     for m in range(n_users):
-        psi1 = (M**2 / (C_u * rho_p[m] ** 2)) * core0
+        psi1 = (M**2 / (C_u * (rho_p[m] * rho_p[m]))) * core0
         i1 = ref_predict_interference(m, beta, float(rho_d[m]), sigma2, M, psi1)
         a1 = alpha_pqam(i1, P)
         keep[m] = a1 * base[m] + (1.0 + a1) * psi1 / M**2 < base[m]
@@ -238,7 +236,7 @@ def sp_block(cfg, seed, trials=None):
         block = Block(np.stack([Y for Y, _ in blocks]),
                       Projection(*(np.stack(part) for part in zip(*(p for _, p in blocks)))))
     pilots = book.sp_matrix[:, book.sp_assignment.reshape(-1)]
-    return block, pilots, dict(beta=beta, rho_d=rho_d, rho_p=rho_p, P=cfg.P, report=everyone)
+    return block, pilots, dict(beta=beta, rho_d=rho_d, rho_p=rho_p, report=everyone)
 
 
 def stack_of_one(block):
@@ -252,21 +250,21 @@ def permuted(block, perm):
 
 
 def reduction(block, profile, report):
-    """reduce_block on the kept users' columns of the block's projection."""
+    """reduce_block's (G, R) on the kept users' columns of the block's projection."""
     users = reduced_users(profile, report)
     estimates, matched = block.projection
-    return reduce_block(Projection(estimates[..., users], matched[..., users, :]), profile, report)
+    return reduce_block(Projection(estimates[..., users], matched[..., users, :]))
 
 
-def estimate(block, pilots, beta, rho_d, rho_p, P, profile, report):
+def estimate(block, pilots, profile, report):
     """iterative_estimate on a block, or a stack of them, through reduce_block.
 
     A single block is reduced as a stack of one, and its outputs are
     returned without the stack axis.
     """
     single = block.Y.ndim == 2
-    stats = reduction(stack_of_one(block) if single else block, profile, report)
-    x_tilde = iterative_estimate(stats, pilots, beta, rho_d, rho_p, P, profile, report)
+    G, R = reduction(stack_of_one(block) if single else block, profile, report)
+    x_tilde = iterative_estimate(G, R, pilots, profile, report)
     return x_tilde[0] if single else x_tilde
 
 
@@ -322,18 +320,6 @@ def test_batched_profile_equals_one_layout_calls(selection, K):
             assert np.array_equal(row.fixed_mask, one.fixed_mask)
 
 
-def test_grouped_sums_have_the_bits_of_each_rows_own_sum():
-    rng = np.random.default_rng(8)
-    values = rng.standard_normal((40, 70)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(40, 70))
-    mask = rng.random((40, 70)) < rng.random((40, 1))
-    sizes = mask.sum(axis=1).tolist()
-    # some rows share a size but not their entries
-    assert any(sizes.count(n) > 1 and len({tuple(np.flatnonzero(mask[b])) for b in range(40)
-                                            if sizes[b] == n}) > 1 for n in sizes)
-    sums = _grouped_sums(values, _row_groups(mask))
-    assert np.array_equal(sums, [np.add.reduce(v[m]) for v, m in zip(values, mask)])
-
-
 def test_unknown_selection_rule_rejected():
     with pytest.raises(ValueError, match="selection"):
         predict_profile(np.ones(2), np.full(2, 0.6), np.full(2, 0.8), 0.1, 10, 20, 4, 2, "bogus")
@@ -372,6 +358,10 @@ def profile_inputs(draw):
 @given(inputs=profile_inputs())
 def test_profile_rows_start_from_no_estimate(inputs):
     profile = predict_profile(**inputs)
+    # the profile carries what it was computed for
+    for key in ("beta", "rho_d", "rho_p"):
+        assert np.array_equal(getattr(profile, key), inputs[key])
+    assert (profile.M, profile.P) == (inputs["M"], inputs["P"])
     shape = (inputs["sweeps"] + 1, inputs["beta"].size)
     for row in (profile.interference, profile.alpha, profile.psi, profile.include):
         assert row.shape == shape
@@ -413,7 +403,7 @@ def test_matches_every_user_every_sweep(block, selection):
     if selection == "explicit":
         # any fixed set the profile carries drives the estimator
         profile = dataclasses.replace(profile, fixed_mask=explicit)
-    got = estimate(blk, pilots, profile=profile, **args)
+    got = estimate(blk, pilots, profile, args["report"])
     x_tilde, x_hat = reference_estimate(
         blk, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
         fixed_mask, profile)
@@ -426,7 +416,7 @@ def test_reduced_estimates_match_the_m_space_loop(block, selection):
     cfg, blk, pilots, args, _fixed = block
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, selection)
-    got = estimate(blk, pilots, profile=profile, **args)
+    got = estimate(blk, pilots, profile, args["report"])
     x_tilde, x_hat = m_space_estimate(
         blk.Y, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations,
         profile.fixed_mask, profile)
@@ -439,32 +429,31 @@ def test_a_reduction_is_estimated_like_its_block(block):
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, "fixed")
     report = args["report"][:cfg.K]
-    stats = reduction(blk, profile, report)
+    G, R = reduction(blk, profile, report)
     # the members and the reported users, in sweep order, and nothing of size M
     kept = fixed.copy()
     kept[report] = True
-    assert sorted(stats.users.tolist()) == np.flatnonzero(kept).tolist()
-    assert np.array_equal(stats.users, reduced_users(profile, report))
-    assert stats.M == cfg.M
-    assert stats.G.shape == (kept.sum(), cfg.C_u) and stats.R.shape == (kept.sum(),) * 2
+    assert sorted(reduced_users(profile, report).tolist()) == np.flatnonzero(kept).tolist()
+    assert profile.M == cfg.M
+    assert G.shape == (kept.sum(), cfg.C_u) and R.shape == (kept.sum(),) * 2
     # the one block's reduction, given a stack axis, is estimated like the
     # block reduced as a stack of one
-    stacked = dataclasses.replace(stats, G=stats.G[np.newaxis], R=stats.R[np.newaxis])
-    from_block = estimate(blk, pilots, profile=profile, **{**args, "report": report})
-    from_stats = iterative_estimate(stacked, pilots, profile=profile, **{**args, "report": report})
+    from_block = estimate(blk, pilots, profile, report)
+    from_stats = iterative_estimate(G[np.newaxis], R[np.newaxis], pilots, profile, report)
     assert np.array_equal(from_stats[0], from_block)
-    # a reduction made for other users is refused, and so is one without a stack axis
-    with pytest.raises(ValueError, match="other users"):
-        iterative_estimate(stacked, pilots, profile=profile, **args)
-    with pytest.raises(ValueError, match="stacked reduction"):
-        iterative_estimate(stats, pilots, profile=profile, **{**args, "report": report})
+    # G and R need a row per user kept for the report, and a stack axis
+    for bad_G, bad_R, bad_report in ((G[np.newaxis], R[np.newaxis], args["report"]),
+                                     (G, R, report),
+                                     (G[np.newaxis], R[np.newaxis, :-1, :-1], report)):
+        with pytest.raises(ValueError, match="need G"):
+            iterative_estimate(bad_G, bad_R, pilots, profile, bad_report)
 
 
 def test_empty_feedback_set_is_the_one_shot_estimator(block):
     cfg, blk, pilots, args, _fixed = block
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, "none")
-    got = estimate(blk, pilots, profile=profile, **args)
+    got = estimate(blk, pilots, profile, args["report"])
     # receive_cell on each cell's columns of the same projection; its
     # arithmetic is per user, so at BS 0 it serves every cell's users
     lam2, _ = analytics.optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u)
@@ -482,7 +471,7 @@ def test_passed_profile_supplies_the_feedback_set(block):
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, "fixed")
     assert np.array_equal(profile.fixed_mask, fixed)
-    got = estimate(blk, pilots, profile=profile, **args)
+    got = estimate(blk, pilots, profile, args["report"])
     x_tilde, x_hat = reference_estimate(
         blk, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, cfg.iterations, fixed,
         profile)
@@ -491,7 +480,7 @@ def test_passed_profile_supplies_the_feedback_set(block):
     # so does the sweep count
     one_sweep = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                                 cfg.C_u, cfg.P, 1, "all")
-    once = estimate(blk, pilots, profile=one_sweep, **args)
+    once = estimate(blk, pilots, one_sweep, args["report"])
     x_tilde, _x = reference_estimate(
         blk, pilots, args["beta"], args["rho_d"], args["rho_p"], cfg.P, 1,
         np.ones(fixed.size, dtype=bool), one_sweep)
@@ -505,10 +494,12 @@ def test_a_batched_or_foreign_profile_is_rejected(block):
                               np.stack([args["rho_p"]] * 2), *rest)
     foreign = predict_profile(args["beta"][:-1], args["rho_d"][:-1], args["rho_p"][:-1], *rest)
     good = predict_profile(args["beta"], args["rho_d"], args["rho_p"], *rest)
-    stats = reduction(stack_of_one(blk), good, args["report"])
-    for profile in (batched, foreign):
-        with pytest.raises(ValueError, match="one layout's profile"):
-            iterative_estimate(stats, pilots, profile=profile, **args)
+    G, R = reduction(stack_of_one(blk), good, args["report"])
+    with pytest.raises(ValueError, match="one layout's profile"):
+        iterative_estimate(G, R, pilots, batched, args["report"])
+    # a profile of one user fewer: its kept rows fit, the N users' pilots do not
+    with pytest.raises(ValueError, match="pilots"):
+        iterative_estimate(G[:, :-1], R[:, :-1, :-1], pilots, foreign, args["report"][:-1])
 
 
 @pytest.mark.parametrize("selection", SELECTION_RULES)
@@ -535,8 +526,9 @@ def test_users_in_any_order_give_the_permuted_bits(selection):
         flat[name] = []
         for b, ((blk, pilots, _args), perm) in enumerate(zip(blocks, layout_perms)):
             profile = batch.layout(b)
-            x_tilde = estimate(permuted(blk, perm), pilots[:, perm], P=cfg.P, profile=profile,
-                               report=np.arange(perm.size), **inputs[b])
+            # the profile carries its layout's inputs, in the order passed
+            assert all(np.array_equal(getattr(profile, key), inputs[b][key]) for key in inputs[b])
+            x_tilde = estimate(permuted(blk, perm), pilots[:, perm], profile, np.arange(perm.size))
             back = np.argsort(perm)
             fields = [perm[profile.order], x_tilde[back]]
             fields += [np.take(getattr(profile, key), back, axis=-1)
@@ -564,9 +556,9 @@ def test_reported_rows_equal_the_all_user_rows(selection, K, trials):
     blk, pilots, args = sp_block(cfg, 6, trials)
     profile = predict_profile(args["beta"], args["rho_d"], args["rho_p"], cfg.sigma2, cfg.M,
                               cfg.C_u, cfg.P, cfg.iterations, selection)
-    everyone = estimate(blk, pilots, profile=profile, **args)
+    everyone = estimate(blk, pilots, profile, args["report"])
     for report in reports(args["beta"].size, K):
-        got = estimate(blk, pilots, profile=profile, **{**args, "report": report})
+        got = estimate(blk, pilots, profile, report)
         assert got.shape == everyone[..., report, :].shape
         assert np.array_equal(got, everyone[..., report, :])
 
@@ -580,11 +572,11 @@ def test_unreported_non_members_are_not_computed(monkeypatch):
     kept = set(np.flatnonzero(profile.fixed_mask).tolist()) | set(report.tolist())
     # members outside the report, and users in neither
     assert not kept <= set(report.tolist()) and len(kept) < pilots.shape[1]
-    # a reduction reads the kept users' estimates only, and refuses a
-    # projection onto others
+    # the estimator reads the kept users' G and R rows only, and refuses a
+    # reduction of everyone's projection
     assert set(reduced_users(profile, report).tolist()) == kept
     with pytest.raises(ValueError, match="keep"):
-        reduce_block(blk.projection, profile, report)
+        iterative_estimate(*reduce_block(blk.projection), pilots, profile, report)
     column_of = {col.tobytes(): n for n, col in enumerate(pilots.T)}
     filtered = set()
 
@@ -593,7 +585,7 @@ def test_unreported_non_members_are_not_computed(monkeypatch):
         return sp_output(out, power, pilot_rows, *rest)
 
     monkeypatch.setattr(iterative, "sp_output", output_spy)
-    estimate(blk, pilots, profile=profile, **{**args, "report": report})
+    estimate(blk, pilots, profile, report)
     assert filtered == kept
 
 
@@ -605,9 +597,9 @@ def test_a_reduction_reads_the_block_through_its_projection(block):
                               cfg.C_u, cfg.P, cfg.iterations, "fixed")
     report = args["report"][:cfg.K]
     users = reduced_users(profile, report)
-    stats = reduction(blk, profile, report)
+    got_G, got_R = reduction(blk, profile, report)
     h0 = blk.Y @ np.conj(pilots[:, users]) / (cfg.C_u * args["rho_p"][users])
     G, R = np.conj(h0).T @ blk.Y, np.conj(h0).T @ h0
-    np.testing.assert_allclose(stats.G, G, rtol=1e-12, atol=1e-12 * np.max(np.abs(G)))
-    np.testing.assert_allclose(stats.R, R, rtol=1e-12, atol=1e-12 * np.max(np.abs(R)))
-    assert np.all(np.diagonal(stats.R).imag == 0)
+    np.testing.assert_allclose(got_G, G, rtol=1e-12, atol=1e-12 * np.max(np.abs(G)))
+    np.testing.assert_allclose(got_R, R, rtol=1e-12, atol=1e-12 * np.max(np.abs(R)))
+    assert np.all(np.diagonal(got_R).imag == 0)
