@@ -13,7 +13,6 @@ from .sysmodel import (
     SystemConfig,
     UserLayout,
     draw_channels,
-    draw_noise,
     hex_centers,
     path_loss,
     place_users,
@@ -38,7 +37,6 @@ __all__ = [
     "UserLayout",
     "brute_force_partition",
     "draw_channels",
-    "draw_noise",
     "greedy_partition",
     "hex_centers",
     "path_loss",

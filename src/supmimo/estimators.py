@@ -10,7 +10,8 @@ superimposed (SP) user, treating everyone's data as noise.  A matched filter
 is conj(h_hat) Y.  So a receiver reads Y only through its users' estimator
 columns E: the estimates Y E and their matched filters conj(Y E)^T Y, a
 Projection.  project makes every scheme's projection at one BS from the
-draws they share, without forming any M x C_u block.
+draws they share, without forming any M x C_u block, and from their
+triangular factor, without any M-row array.
 
 receive_cell is the one receiver every pilot scheme uses: the partition's
 SP mask says which users of a cell carry a superimposed pilot over the
@@ -39,7 +40,10 @@ class Projection(NamedTuple):
 
     estimates = Y E is (..., M, n): column i is user i's estimate h_i.
     matched = conj(estimates)^T Y is (..., n, C_u): row i is conj(h_i) Y,
-    user i's matched filter over the whole block.
+    user i's matched filter over the whole block.  Made from a trial's
+    triangular factor (project), the estimates are Q^H Y E, with fewer rows
+    than M when M exceeds the factor's columns; their norms and inner
+    products, and the matched filters, are those of Y E.
     """
 
     estimates: np.ndarray
@@ -106,8 +110,8 @@ def estimator_columns(
 
 
 def project(
-    Z: np.ndarray,
-    W: np.ndarray,
+    factor: np.ndarray,
+    sigma: float,
     frames,
     roots,
     columns: list,
@@ -117,29 +121,40 @@ def project(
     Scheme i would receive Y_i = Z (roots[i] * frames[i]) + W: Z (M, N) is
     the unit-variance fading and W (M, C_u) the noise at the BS, frames[i]
     (N, C_u) the scheme's frame rows and roots[i] (N,) the square roots of
-    its users' gains there.  columns[i] (C_u, n_i) are the estimator columns
-    of the users it scores.  One product, waveform.synthesize_received, makes
-    every estimate, Y_i E_i = Z (roots_i * (S_i E_i)) + W E_i, and one pair
-    every matched filter, (conj(Y_i E_i)^T Z * roots_i) S_i + conj(Y_i E_i)^T
-    W.  No Y_i is formed.  A user's results are a column and a row of
-    products over all the users projected, so their last bits can depend on
-    which other users share the call.
+    its users' gains there.  factor is X = [Z, W / sigma], or any F with
+    F^H F = X^H X, such as sysmodel.draw_channels's triangular factor R =
+    Q^H X: a projection reads X only through such inner products, so it
+    comes out rotated by Q^H, with as many rows as factor has, and every
+    norm and inner product the receivers take is the same.  columns[i]
+    (C_u, n_i) are the estimator columns of the users scheme i scores.  One
+    product, waveform.synthesize_received, makes every estimate,
+    Y_i E_i = F [roots_i * (S_i E_i) ; sigma E_i], and one product every
+    matched filter, conj(Y_i E_i)^T F, split at column N into its fading
+    part, which meets roots_i * S_i, and its noise part, scaled by sigma.
+    No Y_i is formed.  A user's results are a column and a row of products
+    over all the users projected, so their last bits can depend on which
+    other users share the call.
     """
-    noise = W @ np.concatenate(columns, axis=1)
-    framed = np.concatenate([root[:, np.newaxis] * (S @ E)
-                             for S, root, E in zip(frames, roots, columns)], axis=1)
-    estimates = waveform.synthesize_received(Z, framed, noise)
-    del noise, framed
-    # conjugated in place for the products and back after them: exact, and
-    # no copy of the estimates
-    conj_rows = np.conj(estimates, out=estimates).T
-    through_z, through_w = conj_rows @ Z, conj_rows @ W
+    N = frames[0].shape[0]
+    stacked = np.empty((factor.shape[1], sum(E.shape[1] for E in columns)), dtype=complex)
+    lo = 0
+    for S, root, E in zip(frames, roots, columns):
+        hi = lo + E.shape[1]
+        np.multiply(root[:, np.newaxis], S @ E, out=stacked[:N, lo:hi])
+        np.multiply(E, sigma, out=stacked[N:, lo:hi])
+        lo = hi
+    estimates = waveform.synthesize_received(factor, stacked, 0.0)
+    del stacked
+    # conjugated in place for the product and back after it: exact, and no
+    # copy of the estimates
+    through = np.conj(estimates, out=estimates).T @ factor
     np.conj(estimates, out=estimates)
+    through[:, N:] *= sigma
     projections, lo = [], 0
     for S, root, E in zip(frames, roots, columns):
         hi = lo + E.shape[1]
-        matched = (through_z[lo:hi] * root) @ S
-        matched += through_w[lo:hi]
+        matched = (through[lo:hi, :N] * root) @ S
+        matched += through[lo:hi, N:]
         projections.append(Projection(estimates[:, lo:hi], matched))
         lo = hi
     return projections
@@ -166,6 +181,7 @@ def receive_cell(
     powers: PowerAllocation,
     cell: int,
     beta_home: np.ndarray,
+    M: int,
 ) -> np.ndarray:
     """Matched-filter outputs of the users of `cell` at its BS, one row per user.
 
@@ -175,14 +191,15 @@ def receive_cell(
     (PilotBook.payload_length).  A TP user's output is conj(h) Y_d / (M
     beta_home); an SP user's (partition.sp[cell, k]) removes its own pilot
     first (sp_output).  The two groups are filtered apart and written into
-    one array.  beta_home[k] is user k's gain at this BS.  A mask of another
-    shape than the book's (L, K) raises ValueError.
+    one array.  beta_home[k] is user k's gain at this BS, and M its antenna
+    count, which the projection's row count need not be (project).  A mask
+    of another shape than the book's (L, K) raises ValueError.
     """
     _check_mask(book, partition)
     in_sp = partition.sp[cell]
     K, tp, sp = in_sp.size, np.flatnonzero(~in_sp), np.flatnonzero(in_sp)
     estimates, matched = projection
-    M, C_u = estimates.shape[-2], matched.shape[-1]
+    C_u = matched.shape[-1]
     # TP and SP rows span equally many symbols, or payload_length raises
     payload = matched[..., C_u - book.payload_length(partition, C_u) :]
     beta_home = np.asarray(beta_home)

@@ -16,7 +16,7 @@ tags name the radius.
 
 Every experiment draws, receives and scores its trials in one kernel,
 _run_trials, over a bench: the pilot schemes it compares (_Scheme), each
-metric BS's channel and noise substreams, the payload distribution, and an
+metric BS's substream of fading and noise, the payload distribution, and an
 optional prediction profile, which adds the iterative estimator on the SP
 block at BS 0.  The reference-BS experiments compare TP and SP at BS 0 with
 QAM payloads and the profile; their benches are set up in one batched pass
@@ -36,8 +36,22 @@ into its frames: its block would be Z @ (sqrt(beta) * S) + W.  No block is
 formed.  Every receiver is linear in it, so each trial and metric BS makes
 one projection of its draws onto the estimator columns of every scheme's
 scored users (estimators.project), which gives their estimates and matched
-filters from one synthesize_received call and one pair of products.  Each
-scheme's cell is received from its projection through receive_cell, and
+filters from one synthesize_received call and one more product.
+
+Z and W are not drawn either, only the r x d factor R of X = [Z, W / sigma]
+= Q R, d = L*K + C_u and r = min(M, d) (sysmodel.draw_channels), so a
+trial's cost does not grow with M.  The law of every output is exact, not
+a large-M approximation.  Every output is a function of the frames and of
+X's Gram matrix: the estimates enter only through their norms (||h||^2 in
+the SP pilot removal) and inner products (iterative.reduce_block) and
+through the matched filters conj(Y E)^T Y, and the desired-signal gain is
+||z||^2 / M.  None of these changes when the M antennas are rotated, so
+computing with R = Q^H X in place of X only rotates the estimates.  The
+frames are independent of X, and R is drawn from its own exact law (the
+complex Bartlett decomposition), so every record keeps the law it had with
+X.  Receivers take M from the config, not from the estimates' row count.
+
+Each scheme's cell is received from its projection through receive_cell, and
 its outputs are scored (energies, and bit errors for QAM payloads) as soon
 as they are made, so a trial's frames, draws and outputs do not outlive it.
 With a profile the all-SP scheme is projected onto the users the estimator
@@ -83,7 +97,6 @@ from .sysmodel import (
     Scenario2,
     SystemConfig,
     draw_channels,
-    draw_noise,
     path_loss,
     place_users,
     received_sir,
@@ -110,7 +123,7 @@ OPTIONS_READ = {
 
 # budget of one batch of _run_trials, which holds as many trials as fit at
 # _trial_bytes each: 19, 15 and 13 for sinr_vs_m at M = 50, 100 and 200
-# (traced peak of its 20 trials at M = 200, seed 5: 1,197 KiB).
+# (traced peak of its 20 trials at M = 200, seed 5: 1,189 KiB).
 # sum_rate_vs_sir holds only energies, so all its trials fit one batch.
 _CHUNK_BYTES = 1280 * 1024
 
@@ -238,8 +251,9 @@ class _Bench:
     """What a run of trials shares: its schemes and metric BSs.
 
     The schemes are those of one layout, or of several (sum_rate_vs_sir's
-    radii), each with its own gains.  streams[j] holds the channel and
-    noise substream tags of metric BS j, whose cell's users are scored.
+    radii), each with its own gains.  streams[j] is the substream tag of
+    metric BS j's draws (sysmodel.draw_channels), whose cell's users are
+    scored.
     data_dist is the payload distribution of waveform.assemble_frames.  A
     profile, the prediction recursion of the gains at BS 0, adds the
     iterative pass on the all-SP scheme there.
@@ -277,7 +291,7 @@ def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
     for b, beta_eff in enumerate(beta_effs):
         schemes = (_Scheme(TP_METHOD, "tp", book, beta_eff, tp),
                    _Scheme(SP_METHOD, "sp", book, beta_eff, sp))
-        yield _Bench(config, powers, schemes, ((("channels",), ("noise",)),), "qam",
+        yield _Bench(config, powers, schemes, (("channels",),), "qam",
                      profiles.layout(b))
 
 
@@ -289,26 +303,27 @@ def _payload_lengths(bench: _Bench) -> list:
 def _run_trials(bench: _Bench, keys: list):
     """T trials of a bench, one per key: drawn, received and scored.
 
-    Per trial and metric BS j, one unit-variance fading matrix Z
-    (streams[j][0]) and one noise block W (streams[j][1]) serve every
-    scheme: scheme s would receive Y_s = Z @ (sqrt(beta_s) * S_s) + W, its
-    gains at BS j folded into its frame rows.  One projection
-    (estimators.project) makes the estimates and matched filters of every
-    scheme's users of cell j, and no Y_s.  A user's desired-signal gain
-    ||h||^2 / (M beta) is ||z||^2 / M of its column, the same for every
-    scheme.  Each scheme's outputs are scored as they are made, QAM and
-    Gaussian payloads alike.  With a profile the all-SP scheme is projected
-    onto the users the estimator keeps and also reduced; its one-shot
-    outputs are received from cell 0's columns and rows of that projection,
-    and the G and R stacks, with cell 0's payloads and bits, are iterated once
-    per batch.  Returns (sig_res, errs): the (T, methods, 2, J, K) signal and
-    residual energies per trial, method, metric BS and user, and the
-    (methods, 2) bit errors and bit count per method over the batch (zero
-    for Gaussian payloads).  The methods are the schemes, then the iterative
-    pass.
+    Per trial and metric BS j, one draw (streams[j]) serves every scheme:
+    the factor of the unit-variance fading Z and the noise W there
+    (sysmodel.draw_channels).  Scheme s would receive Y_s = Z @ (sqrt(beta_s)
+    * S_s) + W, its gains at BS j folded into its frame rows.  One
+    projection of the factor (estimators.project) makes the estimates and
+    matched filters of every scheme's users of cell j, and no Y_s.  A user's
+    desired-signal gain ||h||^2 / (M beta) is ||z||^2 / M, the squared norm
+    of its column of the factor, the same for every scheme.  Each scheme's
+    outputs are scored as they are made, QAM and Gaussian payloads alike.
+    With a profile the all-SP scheme is projected onto the users the
+    estimator keeps and also reduced; its one-shot outputs are received from
+    cell 0's columns and rows of that projection, and the G and R stacks,
+    with cell 0's payloads and bits, are iterated once per batch.  Returns
+    (sig_res, errs): the (T, methods, 2, J, K) signal and residual energies
+    per trial, method, metric BS and user, and the (methods, 2) bit errors
+    and bit count per method over the batch (zero for Gaussian payloads).
+    The methods are the schemes, then the iterative pass.
     """
     cfg, powers, schemes, profile = bench.config, bench.powers, bench.schemes, bench.profile
     K, M, C_u, P, N = cfg.K, cfg.M, cfg.C_u, cfg.P, cfg.L * cfg.K
+    sigma = math.sqrt(cfg.sigma2)
     T, J, n_schemes = len(keys), len(bench.streams), len(schemes)
     qam = bench.data_dist == "qam"
     # sqrt(beta) of every scheme's users at every metric BS, the frame row scales
@@ -354,15 +369,14 @@ def _run_trials(bench: _Bench, keys: list):
             if qam:
                 bits[i][...] = frames.bits[: J * K].reshape(J, K, -1)
             del frames  # before the next scheme's are drawn
-        for j, (channel_tag, noise_tag) in enumerate(bench.streams):
-            Z = draw_channels(cfg, substream(*key, *channel_tag))
-            W = draw_noise(cfg, substream(*key, *noise_tag))
+        for j, tag in enumerate(bench.streams):
+            factor = draw_channels(cfg, substream(*key, *tag))
             # the cell's columns copied and read as rows: how ||z||^2 rounds
             # depends on that layout (contiguous rows at K = 1)
-            z = np.ascontiguousarray(Z[:, j * K : (j + 1) * K]).T
+            z = np.ascontiguousarray(factor[:, j * K : (j + 1) * K]).T
             gain[t, j] = np.vecdot(z, z).real / M
-            projections = project(Z, W, S, roots[:, j], columns[j])
-            del Z, W, z
+            projections = project(factor, sigma, S, roots[:, j], columns[j])
+            del factor, z
             for i, (s, projection) in enumerate(zip(schemes, projections)):
                 if profile is not None and i == sp:
                     G[t], R[t] = iterative.reduce_block(projection)
@@ -371,7 +385,7 @@ def _run_trials(bench: _Bench, keys: list):
                     projection = Projection(projection.estimates[:, rows],
                                             projection.matched[rows])
                 x_tilde = receive_cell(projection, s.book, s.partition, powers, j,
-                                       s.gains.beta[j, j])
+                                       s.gains.beta[j, j], M)
                 sig_res[t, i, 0, j], sig_res[t, i, 1, j] = signal_residual_power(
                     x_tilde, data[i][j], gain[t, j])
                 if qam:
@@ -391,13 +405,15 @@ def _trial_bytes(bench: _Bench) -> int:
     """Bytes one trial adds to a batch of _run_trials; none of them grow with M.
 
     A trial's frames, draws and projections are freed before the next
-    trial's are made.  Each trial keeps its energies and its metric users'
-    channel gains.  With
-    a profile it also keeps what the iterative pass reads: the reduce_block
-    G and R over the n users the estimator keeps, and cell 0's all-SP
-    payloads and bits; the pass adds at most four (n, C_u) working arrays
-    (G's basis rows among them), its outputs, and the demapped copy of the
-    bits.
+    trial's are made, and none of them grows with M either: the draw at a
+    metric BS is the (r, d) factor of sysmodel.draw_channels, r = min(M, d)
+    and d = L*K + C_u, so at most d * d complex numbers (135 x 135, 285 KiB,
+    for sinr_vs_m at M = 200).  Each trial keeps its energies and its metric users' channel
+    gains.  With a profile it also keeps what the iterative pass reads: the
+    reduce_block G and R over the n users the estimator keeps, and cell 0's
+    all-SP payloads and bits; the pass adds at most four (n, C_u) working
+    arrays (G's basis rows among them), its outputs, and the demapped copy
+    of the bits.
     """
     cfg = bench.config
     methods = len(bench.schemes) + (bench.profile is not None)
@@ -519,8 +535,8 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
     One bench for the whole sweep: its schemes are the (layout, method)
     pairs, three per layout in layout order, and layout i's frames use the
     tags f"{i}-tp", f"{i}-sp" and f"{i}-hy".  Gaussian payloads at unit
-    power.  Each metric BS j draws its fading from ("ch", j) and its noise
-    from ("n", j), shared by every layout's schemes.  All layouts share one
+    power.  Each metric BS j draws its fading and noise factor from
+    ("ch", j), shared by every layout's schemes.  All layouts share one
     all-TP and one all-SP Partition, so _run_trials builds their estimator
     columns once.
     """
@@ -547,7 +563,7 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
             _Scheme(HYBRID_METHOD, f"{i}-hy", waveform.make_pilot_books(cfg, partition=partition),
                     beta_hyb, partition),
         ]
-    streams = tuple((("ch", j), ("n", j)) for j in range(n_metric))
+    streams = tuple(("ch", j) for j in range(n_metric))
     return _Bench(cfg, unit_powers, tuple(schemes), streams, "gaussian")
 
 

@@ -1,11 +1,13 @@
-"""Cell geometry, user placement, path loss, power control, channels and noise.
+"""Cell geometry, user placement, path loss, power control, and a trial's draws.
 
 The network is a hexagonal grid of L cells (L in {1, 7, 19}) with one
 M-antenna base station at each cell center and K single-antenna users per
 cell.  Large-scale gains are distance-based path loss, normalized so that a
 user at the cell edge has unit gain.  Small-scale fading is i.i.d.
 circularly-symmetric complex Gaussian of unit variance; a user's channel is
-its fading column scaled by the square root of its gain.
+its fading column scaled by the square root of its gain.  A trial draws the
+fading and noise at a BS as the small triangular factor of their joint
+matrix (draw_channels), not as M-row matrices.
 """
 
 from __future__ import annotations
@@ -162,14 +164,19 @@ class PathLossMap:
     def normalized(self, omega: float) -> "PathLossMap":
         """Equivalent gains under statistics-aware power control.
 
-        Scales user (l, k) by q = omega / beta[l, l, k], so every home-cell
-        gain becomes exactly omega and cross gains become at most omega
-        whenever the home gain dominates.  This is the power-control path:
-        each user's q is folded into its gains, not into its transmit power,
-        so every frame keeps unit total power (see PowerAllocation).
+        Scales user (l, k) by q = omega / beta[l, l, k], so cross gains
+        become at most omega whenever the home gain dominates, and sets every
+        home-cell gain to exactly omega: beta * q can miss it in the last
+        bit, which would break the tie of a cell's users at their BS by
+        rounding.  This is the power-control path: each user's q is folded
+        into its gains, not into its transmit power, so every frame keeps
+        unit total power (see PowerAllocation).
         """
         q = omega / self.home()
-        return PathLossMap(self.beta * q[np.newaxis, :, :])
+        beta = self.beta * q[np.newaxis, :, :]
+        idx = np.arange(self.L)
+        beta[idx, idx, :] = omega
+        return PathLossMap(beta)
 
 
 @dataclass(frozen=True)
@@ -319,42 +326,42 @@ def uniform_power(
 
 
 def draw_channels(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Unit-variance Rayleigh fading at one BS: an (M, L*K) complex matrix.
+    """One trial's draws at one BS, as the (r, d) factor R of X = [Z, W / sigma].
 
-    Column l*K + k is user (l, k), with i.i.d. CN(0, 1) entries, the
-    variance split evenly between real and imaginary parts.  Large-scale
-    gains are not applied here: a user's channel is sqrt(beta) times its
-    column, and the harness folds sqrt(beta) into the user's frame row
-    instead (estimators.project), so one draw serves every gain map at that
-    BS.
+    Z (M, L*K) is the unit-variance Rayleigh fading at the BS, column l*K + k
+    user (l, k)'s, and W (M, C_u) the receiver noise, CN(0, sigma2) entries;
+    so X is M x d with d = L*K + C_u and i.i.d. CN(0, 1) entries, the
+    variance split evenly between real and imaginary parts.  Write X = Q R
+    with Q (M, r) orthonormal and R (r, d) upper trapezoidal, r = min(M, d).
+    Every receiver reads X only through inner products of its columns with
+    each other and with fixed vectors (estimators.project), which R gives as
+    X does: X^H X = R^H R, and Q^H X = R.  So R is drawn instead of X, from
+    its exact law (the complex Bartlett decomposition; Goodman 1963, Ann.
+    Math. Stat.; Edelman and Rao 2005, Acta Numerica): R[i, i] is the square
+    root of a Gamma(M - i, 1) draw, the entries above the diagonal are i.i.d.
+    CN(0, 1), and those below it are zero.  For M >= d the diagonal and the
+    entries above it are those of the Cholesky factor of the complex Wishart
+    X^H X; for M < d the first M columns are that factor of X's first M
+    columns, and the columns after them are Q^H applied to columns
+    independent of Q, so i.i.d. CN(0, 1) again.  The draw is r*d numbers at
+    most, whatever M is.
+
+    Large-scale gains are not applied here: a user's channel is sqrt(beta)
+    times its column, and the harness folds sqrt(beta) into the user's frame
+    row instead, so one draw serves every gain map at that BS.  The
+    diagonal's Gamma variates are drawn first, then the entries above the
+    diagonal in row-major order, as interleaved real and imaginary parts.
     """
-    return _complex_normal((config.M, config.L * config.K), 1.0, rng)
-
-
-def draw_noise(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """One receiver noise block: (M, C_u) i.i.d. CN(0, sigma2) entries."""
-    return _complex_normal((config.M, config.C_u), config.sigma2, rng)
-
-
-def _complex_normal(shape: tuple, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """A 2-D array of i.i.d. CN(0, variance) entries, built in place.
-
-    Every real part is drawn first, in row-major order, then every
-    imaginary part, each scaled by sqrt(variance / 2): the same bits as
-    (re + 1j*im) * sqrt(variance / 2).  The parts are drawn a few rows at a
-    time (4096 numbers), which the stream gives the same values as one
-    draw, so that no float temporary of the result's size is made: at
-    M = 500 those temporaries raised the peak RSS of the trial kernel.
-    """
-    rows, cols = shape
-    scale = math.sqrt(variance / 2.0)
-    out = np.empty(shape, dtype=complex)
-    step = max(1, 4096 // cols)
-    for part in (out.real, out.imag):
-        for lo in range(0, rows, step):
-            block = part[lo : lo + step]
-            np.multiply(rng.standard_normal(block.shape), scale, out=block)
-    return out
+    d = config.L * config.K + config.C_u
+    r = min(config.M, d)
+    R = np.zeros((r, d), dtype=complex)
+    diagonal = np.arange(r)
+    R[diagonal, diagonal] = np.sqrt(rng.gamma(config.M - diagonal))
+    above = ~np.tri(r, d, dtype=bool)
+    draws = rng.standard_normal(2 * np.count_nonzero(above)).view(complex)
+    draws *= math.sqrt(0.5)
+    R[above] = draws
+    return R
 
 
 def received_sir(beta: PathLossMap, omega: float, j: int) -> float:

@@ -350,14 +350,14 @@ def synthesize_received(
     """Received block Y = H @ S + noise, or that block seen through columns E.
 
     H is (M, N) and S is (N, C_u), or either or both carry a leading stack
-    axis: (n, M, N) and (n, N, C_u).  noise is one (M, C_u) block
-    (sysmodel.draw_noise), added to every slice, so stacked slices share the same
-    noise; 0.0 adds none.  With unit-variance fading H (sysmodel.draw_channels)
-    and each frame row scaled by the square root of its user's gain, Y is the
-    block received over the gain map.  Given S E and noise E instead, with E
-    (C_u, n) any n columns, it returns Y E (M, n) without forming Y: the
-    estimates of the users whose estimator columns E holds
-    (estimators.project).
+    axis: (n, M, N) and (n, N, C_u).  noise is one (M, C_u) block, added to
+    every slice, so stacked slices share the same noise; 0.0 adds none.  With
+    unit-variance fading H and each frame row scaled by the square root of
+    its user's gain, Y is the block received over the gain map.  Given a
+    trial's factor [Z, W / sigma] (sysmodel.draw_channels) for H, and the
+    stacked [sqrt(beta) * (S E) ; sigma E] for S, with E (C_u, n) any n
+    columns, it returns Y E without forming Y: the estimates of the users
+    whose estimator columns E holds (estimators.project).
     """
     if H.shape[-1] != S.shape[-2]:
         raise ValueError(f"channel columns ({H.shape[-1]}) != users ({S.shape[-2]})")

@@ -6,13 +6,7 @@ import pytest
 from supmimo.estimators import Projection, estimator_columns, project, receive_cell
 from supmimo.hybrid import Partition, all_sp, all_tp
 from supmimo.rng import substream
-from supmimo.sysmodel import (
-    PowerAllocation,
-    SystemConfig,
-    draw_channels,
-    draw_noise,
-    uniform_power,
-)
+from supmimo.sysmodel import PowerAllocation, SystemConfig, uniform_power
 from supmimo.waveform import (
     PilotBook,
     assemble_frames,
@@ -29,9 +23,19 @@ def make_config(**kw):
     return SystemConfig(**defaults)
 
 
+def gaussian(shape, rng):
+    """i.i.d. CN(0, 1) entries, the variance split evenly between the parts."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+
+
 def fading(cfg, key):
     """Unit-variance fading (M, L*K) at one BS."""
-    return draw_channels(cfg, substream(*key))
+    return gaussian((cfg.M, cfg.L * cfg.K), substream(*key))
+
+
+def noise(cfg, key):
+    """A receiver noise block (M, C_u) of CN(0, sigma2) entries."""
+    return math.sqrt(cfg.sigma2) * gaussian((cfg.M, cfg.C_u), substream(*key))
 
 
 def no_noise(cfg):
@@ -41,7 +45,7 @@ def no_noise(cfg):
 def projection_of(Z, W, S, roots, book, partition, powers, users, C_u):
     """The block Z (roots * S) + W seen through the listed users' estimator columns."""
     columns = estimator_columns(book, partition, powers, users, C_u)
-    (projection,) = project(Z, W, [S], [roots], [columns])
+    (projection,) = project(np.concatenate([Z, W], axis=1), 1.0, [S], [roots], [columns])
     return projection
 
 
@@ -92,7 +96,7 @@ class TestTpEstimator:
         for t in range(trials):
             Z = fading(cfg, (3, "h", t))
             frames = assemble_frames(cfg, book, powers, substream(3, "f", t), all_tp(1, 2))
-            W = draw_noise(cfg, substream(3, "n", t))
+            W = noise(cfg, (3, "n", t))
             est = projection_of(Z, W, frames.S, np.ones(2), book, all_tp(1, 2), powers, [0],
                                 cfg.C_u).estimates
             acc += np.linalg.norm(est[:, 0] - Z[:, 0]) ** 2
@@ -190,7 +194,7 @@ class TestMatchedFilters:
         frames = assemble_frames(cfg, book, powers, substream(8, "f"), all_sp(1, 1))
         projection = projection_of(Z, no_noise(cfg), frames.S, np.ones(1), book, all_sp(1, 1),
                                    powers, [0], cfg.C_u)
-        x_tilde = receive_cell(projection, book, all_sp(1, 1), powers, 0, np.ones(1))[0]
+        x_tilde = receive_cell(projection, book, all_sp(1, 1), powers, 0, np.ones(1), cfg.M)[0]
         x, pilot = frames.data[0], book.sp_matrix[:, book.sp_assignment[0, 0]]
         overlap = x @ np.conj(pilot) / cfg.C_u
         c = 1.0 + rho_d * overlap / rho_p
@@ -205,7 +209,8 @@ class TestMatchedFilters:
         book = make_pilot_books(make_config(L=1, K=1, C_u=64))
         projection = Projection(np.ones((4, 1), dtype=complex),
                                 (rng.standard_normal(64) + 1j * rng.standard_normal(64))[None])
-        x_tilde = receive_cell(projection, book, all_sp(1, 1), uniform_power(1, 1), 0, np.ones(1))
+        x_tilde = receive_cell(projection, book, all_sp(1, 1), uniform_power(1, 1), 0,
+                               np.ones(1), 4)
         x_hat = decide(x_tilde[0], 16)
         dist = np.min(np.abs(x_hat[:, None] - pts[None, :]), axis=1)
         assert np.max(dist) < 1e-12
@@ -216,8 +221,8 @@ class TestMatchedFilters:
         projection = Projection(rng.standard_normal((16, 1)) + 1j * rng.standard_normal((16, 1)),
                                 rng.standard_normal((1, 12)) + 1j * rng.standard_normal((1, 12)))
         powers = uniform_power(1, 1)
-        a = receive_cell(projection, book, all_sp(1, 1), powers, 0, np.ones(1))
-        b = receive_cell(projection, book, all_sp(1, 1), powers, 0, np.full(1, 5.0))
+        a = receive_cell(projection, book, all_sp(1, 1), powers, 0, np.ones(1), 16)
+        b = receive_cell(projection, book, all_sp(1, 1), powers, 0, np.full(1, 5.0), 16)
         assert np.allclose(b * 5.0, a, rtol=1e-12)
         assert np.array_equal(decide(a, 4), decide(b, 4))
 
@@ -229,8 +234,8 @@ class TestMatchedFilters:
         frames = assemble_frames(cfg, book, powers, substream(11, "f"), all_tp(1, 1))
         projection = projection_of(Z, no_noise(cfg), frames.S, np.ones(1), book, all_tp(1, 1),
                                    powers, [0], cfg.C_u)
-        x_hat = decide(receive_cell(projection, book, all_tp(1, 1), powers, 0, np.ones(1))[0],
-                       cfg.P)
+        x_hat = decide(receive_cell(projection, book, all_tp(1, 1), powers, 0, np.ones(1),
+                                    cfg.M)[0], cfg.P)
         assert np.array_equal(x_hat, frames.data[0])
 
 
@@ -290,18 +295,46 @@ def test_receiver_matches_the_textbook_formulas_on_the_block(reuse, K):
     frames = [assemble_frames(cfg, b, powers, substream(12, "f", i), part).S
               for i, (b, part) in enumerate(schemes)]
     for j in (0, 2):
-        Z, W = fading(cfg, (12, "h", j)), draw_noise(cfg, substream(12, "n", j))
+        Z, W = fading(cfg, (12, "h", j)), noise(cfg, (12, "n", j))
         roots = np.sqrt(beta[j].reshape(-1))
         cell = j * K + np.arange(K)
         columns = [estimator_columns(b, part, powers, cell, cfg.C_u) for b, part in schemes]
-        projections = project(Z, W, frames, [roots] * 3, columns)
+        sigma = math.sqrt(cfg.sigma2)
+        projections = project(np.concatenate([Z, W / sigma], axis=1), sigma, frames,
+                              [roots] * 3, columns)
         for (b, part), S, projection in zip(schemes, frames, projections):
             assert projection.estimates.shape == (cfg.M, K)
             Y = synthesize_received(Z, roots[:, np.newaxis] * S, W)
-            got = receive_cell(projection, b, part, powers, j, beta[j, j])
+            got = receive_cell(projection, b, part, powers, j, beta[j, j], cfg.M)
             expected = textbook_outputs(Y, b, part, powers, j, beta[j, j])
             np.testing.assert_allclose(got, expected, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_a_factor_with_fewer_rows_than_m_receives_as_its_block():
+    # X = [Z, W / sigma] and its triangular factor F (F^H F = X^H X) give
+    # rotated estimates, of d < M rows, with the same norms and matched
+    # filters; receive_cell normalises by the M it is given, not by the rows
+    L, K = 7, 2
+    cfg = make_config(L=L, K=K, M=120, C_u=16)
+    d = L * K + cfg.C_u
+    hybrid = hybrid_partition(L, K)
+    book = make_pilot_books(cfg, partition=hybrid)
+    powers = uniform_power(L, K, 0.4)
+    beta = substream(16, "gains").uniform(0.1, 1.0, (L, K))
+    frames = assemble_frames(cfg, book, powers, substream(16, "f"), hybrid).S
+    X = gaussian((cfg.M, d), substream(16, "x"))
+    columns = estimator_columns(book, hybrid, powers, np.arange(K), cfg.C_u)
+    sigma = math.sqrt(cfg.sigma2)
+    (block,), (factor,) = (project(F, sigma, [frames], [np.sqrt(beta.reshape(-1))], [columns])
+                           for F in (X, np.linalg.qr(X, mode="r")))
+    assert block.estimates.shape == (cfg.M, K) and factor.estimates.shape == (d, K)
+    gram = np.conj(block.estimates.T) @ block.estimates
+    np.testing.assert_allclose(np.conj(factor.estimates.T) @ factor.estimates, gram, rtol=1e-12)
+    np.testing.assert_allclose(factor.matched, block.matched, rtol=1e-11)
+    got, expected = (receive_cell(p, book, hybrid, powers, 0, beta[0], cfg.M)
+                     for p in (factor, block))
+    np.testing.assert_allclose(got, expected, rtol=1e-11)
 
 
 class TestHybridEstimates:
@@ -343,7 +376,7 @@ class TestHybridEstimates:
         powers = uniform_power(7, 5)
         beta_home = np.linspace(0.5, 1.5, 5)
         projection = self._block_projection(Y, book, all_tp(7, 5), powers, 0)
-        x_tilde = receive_cell(projection, book, all_tp(7, 5), powers, 0, beta_home)
+        x_tilde = receive_cell(projection, book, all_tp(7, 5), powers, 0, beta_home, cfg.M)
         assert x_tilde.shape == (5, cfg.C_u - cfg.tau)
         self._assert_close(x_tilde, textbook_outputs(Y, book, all_tp(7, 5), powers, 0,
                                                      beta_home))
@@ -365,7 +398,7 @@ class TestHybridEstimates:
         Y = rng.standard_normal((8, C_u)) + 1j * rng.standard_normal((8, C_u))
         beta_home = np.array([1.0, 0.7])
         projection = self._block_projection(Y, book, all_sp(1, 2), powers, 0)
-        x_tilde = receive_cell(projection, book, all_sp(1, 2), powers, 0, beta_home)
+        x_tilde = receive_cell(projection, book, all_sp(1, 2), powers, 0, beta_home, 8)
         assert x_tilde.shape == (2, C_u)
         self._assert_close(x_tilde, textbook_outputs(Y, book, all_sp(1, 2), powers, 0,
                                                      beta_home))
@@ -381,10 +414,10 @@ class TestHybridEstimates:
             beta = np.full((7, 5), 0.3)
             beta[cell] = 1.0
             roots = np.sqrt(beta.reshape(-1))
-            Z, W = fading(cfg, (12, "h", cell)), draw_noise(cfg, substream(12, "n", cell))
+            Z, W = fading(cfg, (12, "h", cell)), noise(cfg, (12, "n", cell))
             projection = projection_of(Z, W, frames.S, roots, book, part, powers,
                                        cell * 5 + np.arange(5), cfg.C_u)
-            x_tilde = receive_cell(projection, book, part, powers, cell, beta_home)
+            x_tilde = receive_cell(projection, book, part, powers, cell, beta_home, cfg.M)
             Y = synthesize_received(Z, roots[:, np.newaxis] * frames.S, W)
             self._assert_close(x_tilde, textbook_outputs(Y, book, part, powers, cell,
                                                          beta_home))
@@ -415,7 +448,7 @@ class TestHybridEstimates:
         # (1, 0) trained in the book's partition, so the book has no SP column for it
         bad = sp_partition({(0, 1), (1, 0)} | {(2, k) for k in range(5)})
         with pytest.raises(KeyError, match=r"\(1, 0\) has no superimposed pilot"):
-            receive_cell(projection, book, bad, powers, 1, np.ones(5))
+            receive_cell(projection, book, bad, powers, 1, np.ones(5), cfg.M)
         with pytest.raises(KeyError, match=r"\(1, 0\) has no superimposed pilot"):
             estimator_columns(book, bad, powers, np.arange(5, 10), cfg.C_u)
 
@@ -432,4 +465,5 @@ class TestHybridEstimates:
                                             all_tp(7, 5), uniform_power(7, 5), 0)
         for L, K in ((3, 5), (7, 4)):
             with pytest.raises(ValueError, match=rf"\({L}, {K}\) partition for a system of"):
-                receive_cell(projection, book, all_tp(L, K), uniform_power(7, 5), 0, np.ones(5))
+                receive_cell(projection, book, all_tp(L, K), uniform_power(7, 5), 0, np.ones(5),
+                             cfg.M)

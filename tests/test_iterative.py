@@ -22,8 +22,6 @@ from supmimo.rng import substream
 from supmimo.sysmodel import (
     Scenario1,
     SystemConfig,
-    draw_channels,
-    draw_noise,
     path_loss,
     place_users,
     uniform_power,
@@ -221,12 +219,15 @@ def sp_block(cfg, seed, trials=None):
     columns = estimator_columns(book, all_sp(cfg.L, cfg.K), powers, everyone, cfg.C_u)
     roots = np.sqrt(beta)
 
+    def gaussian(shape, rng):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+
     def received(*key):
-        Z = draw_channels(cfg, substream(*key, "channels"))
+        Z = gaussian((cfg.M, beta.size), substream(*key, "channels"))
         S = assemble_frames(cfg, book, powers, substream(*key, "frames"),
                             all_sp(cfg.L, cfg.K)).S
-        W = draw_noise(cfg, substream(*key, "noise"))
-        (projection,) = project(Z, W, [S], [roots], [columns])
+        W = math.sqrt(cfg.sigma2) * gaussian((cfg.M, cfg.C_u), substream(*key, "noise"))
+        (projection,) = project(np.concatenate([Z, W], axis=1), 1.0, [S], [roots], [columns])
         return synthesize_received(Z, roots[:, np.newaxis] * S, W), projection
 
     if trials is None:
@@ -462,7 +463,7 @@ def test_empty_feedback_set_is_the_one_shot_estimator(block):
     for cell in range(cfg.L):
         users = cell * cfg.K + np.arange(cfg.K)
         x_tilde = receive_cell(Projection(estimates[:, users], matched[users]), book,
-                               all_sp(cfg.L, cfg.K), powers, cell, args["beta"][users])
+                               all_sp(cfg.L, cfg.K), powers, cell, args["beta"][users], cfg.M)
         assert np.array_equal(got[users], x_tilde)
 
 

@@ -1,6 +1,7 @@
 """The measurement primitives, the batched set-up, the trial kernel and the BLAS thread pin."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from supmimo.sysmodel import (
     Scenario1,
     Scenario2,
     draw_channels,
-    draw_noise,
+    path_loss,
     place_users,
 )
 
@@ -164,17 +165,19 @@ def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
         simharness._run_trials(bench, keys(2))
     assert len(calls) == 2  # one projection of TP and SP together per trial
     cfg = bench.config
+    N = cfg.L * cfg.K
     columns = np.concatenate([estimator_columns(s.book, s.partition, bench.powers, users, cfg.C_u)
                               for s, users in zip(bench.schemes, scored_users(bench, 0))], axis=1)
-    noises = []
-    for key, (H, _S, noise, _estimates) in zip(keys(2), calls):
-        # one fading draw, and TP and SP estimates read the same noise block
+    factors = []
+    for key, (H, S, noise, _estimates) in zip(keys(2), calls):
+        # one draw of fading and noise, and TP and SP estimates read the same
+        # noise columns of it, through sigma times their estimator columns
         assert np.array_equal(H, draw_channels(cfg, substream(*key, "channels")))
-        W = draw_noise(cfg, substream(*key, "noise"))
-        assert np.array_equal(noise, W @ columns)
-        noises.append(W)
+        assert H.shape == (cfg.M, N + cfg.C_u)  # M = 40 rows, fewer than d = 135
+        assert np.array_equal(S[N:], math.sqrt(cfg.sigma2) * columns) and noise == 0.0
+        factors.append(H)
     # the trials' draws differ
-    assert not np.allclose(*noises)
+    assert not np.allclose(*factors)
 
 
 @pytest.mark.parametrize("radii", [1, 2, 4, "reference"])
@@ -188,23 +191,32 @@ def test_one_projection_per_trial_and_bs(bench, monkeypatch, radii):
     with simharness._one_blas_thread():
         simharness._run_trials(b, keys(3))
     assert len(calls) == 3 * len(b.streams)
-    M, C_u = b.config.M, b.config.C_u
+    C_u = b.config.C_u
+    # the factor's rows: min(M, d) for d = L K + C_u columns
+    rows = min(b.config.M, b.config.L * b.config.K + C_u)
     for t in range(3):
         for j in range(len(b.streams)):
             _H, _S, _noise, estimates = calls[t * len(b.streams) + j]
             n = sum(users.size for users in scored_users(b, j))
             # every scheme's scored users, and no received block
-            assert estimates.shape == (M, n) and n != C_u
+            assert estimates.shape == (rows, n) and n != C_u
 
 
 @pytest.mark.parametrize("selection", ["fixed", "per_iteration"])
 def test_one_shot_sp_from_the_reduction_equals_receive_cell(selection):
-    # at this layout the sweep takes cell 0's users out of flat order, and
-    # the two rules keep different users around them
+    # power control ties cell 0's users at BS 0, so the harness's profile
+    # sweeps them first and in flat order; a profile of the raw gains
+    # takes them out of it, and the two rules keep different users around
+    # them
     cfg = SystemConfig(M=40, scenario=Scenario1(), seed=7)
     layout = place_users(cfg, substream(7, "layout"))
     (bench,) = simharness._make_benches(cfg, RunOptions(selection=selection), [layout])
     K = cfg.K
+    raw = iterative.predict_profile(
+        path_loss(layout, cfg.path_loss_exponent).beta[0].reshape(1, -1),
+        bench.powers.rho_d.reshape(-1), bench.powers.rho_p.reshape(-1), cfg.sigma2, cfg.M,
+        cfg.C_u, cfg.P, cfg.iterations, selection)
+    bench = dataclasses.replace(bench, profile=raw.layout(0))
     assert iterative.reduced_users(bench.profile, np.arange(K))[:K].tolist() != list(range(K))
     with simharness._one_blas_thread():
         sig_res, errs = simharness._run_trials(bench, keys(3))
@@ -220,38 +232,50 @@ def test_one_shot_sp_from_the_reduction_equals_receive_cell(selection):
     assert np.array_equal(errs[:2], expected_errs)
 
 
+def test_bs_0s_tied_users_are_swept_in_their_given_order():
+    # power control sets every home gain to exactly omega, so cell 0's
+    # users tie at BS 0, above every cross gain, and the tie rule sweeps
+    # them first, in flat order, under either rule
+    cfg = SystemConfig(M=40, scenario=Scenario1(), seed=7)
+    layout = place_users(cfg, substream(7, "layout"))
+    for selection in ("fixed", "per_iteration"):
+        (bench,) = simharness._make_benches(cfg, RunOptions(selection=selection), [layout])
+        assert np.all(bench.schemes[1].gains.beta[0, 0] == cfg.omega)
+        assert bench.profile.order[: cfg.K].tolist() == [0, 1, 2, 3, 4]
+
+
 def per_trial_energies(bench, key):
     """One trial as a loop over metric BSs: one projection, receive_cell, then the energies.
 
-    Each scheme draws its own frames; at each BS one unit-variance fading
-    matrix Z and one noise block W serve all schemes, and scheme s would
-    receive Z @ (sqrt(beta_s) * S_s) + W.  Every scheme's scored users are
-    projected together; each scheme's cell is received from its own users'
-    columns.  A user's desired-signal gain is ||z||^2 / M of its column,
-    read from a contiguous copy of its cell's columns.
+    Each scheme draws its own frames; at each BS the factor R of one
+    unit-variance fading matrix Z and one noise block W serves all schemes,
+    and scheme s would receive Z @ (sqrt(beta_s) * S_s) + W.  Every scheme's
+    scored users are projected together; each scheme's cell is received
+    from its own users' columns.  A user's desired-signal gain is
+    ||z||^2 / M of its column of R, read from a contiguous copy of its
+    cell's columns.
     """
     cfg, powers = bench.config, bench.powers
-    K, M = cfg.K, cfg.M
+    K, M, sigma = cfg.K, cfg.M, math.sqrt(cfg.sigma2)
     frames = [waveform.assemble_frames(cfg, s.book, powers, substream(*key, f"{s.tag}-frames"),
                                        s.partition, bench.data_dist)
               for s in bench.schemes]
     energies = np.empty((len(bench.schemes), 2, len(bench.streams), K))
-    for j, (channel_tag, noise_tag) in enumerate(bench.streams):
-        Z = draw_channels(cfg, substream(*key, *channel_tag))
-        W = draw_noise(cfg, substream(*key, *noise_tag))
+    for j, tag in enumerate(bench.streams):
+        factor = draw_channels(cfg, substream(*key, *tag))
         cell = np.arange(j * K, (j + 1) * K)
-        z = np.ascontiguousarray(Z[:, cell]).T
+        z = np.ascontiguousarray(factor[:, cell]).T
         gain = np.vecdot(z, z).real / M
         users = scored_users(bench, j)
         columns = [estimator_columns(s.book, s.partition, powers, u, cfg.C_u)
                    for s, u in zip(bench.schemes, users)]
         roots = [np.sqrt(s.gains.beta[j].reshape(-1)) for s in bench.schemes]
-        projections = project(Z, W, [f.S for f in frames], roots, columns)
+        projections = project(factor, sigma, [f.S for f in frames], roots, columns)
         for i, (s, (estimates, matched)) in enumerate(zip(bench.schemes, projections)):
             at = np.searchsorted(users[i], cell, sorter=np.argsort(users[i]))
             at = np.argsort(users[i])[at]  # the cell's users among the projected, in order
             x_tilde = receive_cell(Projection(estimates[:, at], matched[at]), s.book,
-                                   s.partition, powers, j, s.gains.beta[j, j])
+                                   s.partition, powers, j, s.gains.beta[j, j], M)
             signal = gain[:, np.newaxis] * frames[i].data[cell]
             residual = x_tilde - signal
             energies[i, :, j] = np.vecdot(signal, signal).real, np.vecdot(residual, residual).real
@@ -292,23 +316,21 @@ def test_hybrid_gains_control_the_sp_users_only():
     assert moved > 0  # the outer radii move users to SP
 
 
-def test_sum_rate_draws_one_channel_and_one_noise_block_per_trial_and_bs(monkeypatch):
-    draws = {"channels": 0, "noise": 0}
+def test_sum_rate_draws_one_factor_per_trial_and_bs(monkeypatch):
+    draws = []
 
-    def counting(name, fn):
-        def spy(*args, **kwargs):
-            draws[name] += 1
-            return fn(*args, **kwargs)
-        return spy
+    def spy(config, rng):
+        draws.append(config.M)
+        return draw_channels(config, rng)
 
-    monkeypatch.setattr(simharness, "draw_channels", counting("channels", draw_channels))
-    monkeypatch.setattr(simharness, "draw_noise", counting("noise", draw_noise))
+    monkeypatch.setattr(simharness, "draw_channels", spy)
     cfg = SystemConfig(L=7, K=2, M=20, C_u=20, omega=10.0, seed=4)
     for radii in [(500.0,), (300.0, 850.0), (300.0, 500.0, 700.0, 850.0)]:
-        draws.update(channels=0, noise=0)
+        draws.clear()
         records = run_experiment(cfg, "sum_rate_vs_sir", RunOptions(trials=3, radii_m=radii))
         assert len(records) == 3 * len(radii)
-        assert draws == {"channels": 3 * 7, "noise": 3 * 7}
+        # one factor of the fading and the noise per trial and metric BS, for every radius
+        assert draws == [20] * (3 * 7)
 
 
 def batch_sizes(monkeypatch):
@@ -357,7 +379,9 @@ def test_a_chunk_holds_at_least_one_trial(any_bench, monkeypatch):
 # 1,283,622.  On one unit fading draw and one reused block buffer it peaked at
 # 1,209,576; scoring each one-shot method as it is received, so that only the
 # iterative pass's inputs outlive a trial, at 1,140,678.  Receiving each
-# trial from one projection of its draws, it peaks at 843,814.
+# trial from one projection of its draws, it peaked at 843,814 (835,030 with
+# numpy 2.4.6).  Drawing the 135 x 135 triangular factor of the fading and
+# noise instead of their 200 x 135 entries, it peaks at 731,979.
 PEAK_BOUND_BYTES = 1_775_000
 
 
@@ -387,7 +411,9 @@ def test_two_trials_fit_a_batch_at_m_200_within_the_earlier_peak(monkeypatch):
 # radii (12 schemes), on one unit draw per BS, peaked at 1,816,664, and at
 # 1,817,072 with its scoring shared with the QAM benches.  Received from one
 # projection per trial and BS, onto the 60 scored users of all 12 schemes,
-# it peaks at 2,182,232.
+# it peaked at 2,182,232.  Drawing the 135 x 135 triangular factor of each
+# BS's fading and noise instead of their 200 x 135 entries, it peaks at
+# 1,899,328.
 SUM_RATE_PEAK_BOUND_BYTES = 2_722_000
 
 

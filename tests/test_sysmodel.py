@@ -12,7 +12,6 @@ from supmimo.sysmodel import (
     Scenario2,
     SystemConfig,
     draw_channels,
-    draw_noise,
     hex_centers,
     in_hexagon,
     path_loss,
@@ -272,6 +271,18 @@ class TestPowerControl:
         eff = path_loss(layout, 3.0).normalized(omega=2.5)
         assert np.allclose(eff.home(), 2.5, rtol=1e-12)
 
+    @pytest.mark.parametrize("omega", [1.0, 2.5, 10.0])
+    def test_home_gains_are_omega_bit_for_bit(self, omega):
+        # beta * (omega / home) misses omega in the last bit on some users,
+        # e.g. on cell 0's users of this layout; cross gains keep that product
+        cfg = SystemConfig(M=40, scenario=Scenario1(), seed=7)
+        beta = path_loss(place_users(cfg, substream(7, "layout")), 3.0)
+        eff = beta.normalized(omega)
+        assert np.all(eff.home() == omega)
+        scaled = beta.beta * (omega / beta.home())[np.newaxis]
+        cross = ~np.eye(cfg.L, dtype=bool)
+        assert np.array_equal(eff.beta[cross], scaled[cross])
+
     def test_cross_power_bounded_when_home_dominates(self):
         # hexagonal cells are the Voronoi regions of their BSs, so the home
         # gain dominates and power control caps every cross gain at omega
@@ -291,57 +302,109 @@ class TestPowerControl:
         assert np.allclose(powers.rho_d**2, 0.25)
 
 
-def reference_draw(M, N, rng):
-    """The unit-variance fading formula, written out: (a + 1j*b) * sqrt(1/2)."""
-    shape = (M, N)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+def reference_factor(M, d, rng):
+    """The factor's draw written out: sqrt(Gamma(M - i, 1)) on the diagonal,
+    one row at a time, then the entries above it row by row, each from two
+    normals as (a + 1j*b) * sqrt(1/2)."""
+    r = min(M, d)
+    R = np.zeros((r, d), dtype=complex)
+    for i in range(r):
+        R[i, i] = math.sqrt(rng.gamma(M - i))
+    parts = rng.standard_normal(2 * (r * d - r * (r + 1) // 2))
+    at = 0
+    for i in range(r):
+        for c in range(i + 1, d):
+            R[i, c] = complex(parts[at] * math.sqrt(0.5), parts[at + 1] * math.sqrt(0.5))
+            at += 2
+    return R
 
 
-def fading_config(L=1, K=1, M=16):
-    return SystemConfig(L=L, K=K, M=M)
+def fading_config(L=1, K=1, M=16, C_u=100):
+    return SystemConfig(L=L, K=K, M=M, C_u=C_u)
+
+
+def gram_moments(draws):
+    """Per Gram entry G = F^H F over a list of factors F: the means of Re G,
+    Im G and |G|^2, stacked (3, d, d), and their standard errors."""
+    gram = np.stack([np.conj(F.T) @ F for F in draws])
+    parts = np.stack([gram.real, gram.imag, np.abs(gram) ** 2], axis=1)
+    return parts.mean(axis=0), parts.std(axis=0, ddof=1) / math.sqrt(len(draws))
 
 
 class TestChannels:
     def test_matches_reference_formula_bit_for_bit(self):
-        Z = draw_channels(fading_config(L=7, K=5, M=200), substream(3, "h"))
-        assert Z.shape == (200, 35)
-        reference = reference_draw(200, 35, substream(3, "h"))
-        assert np.array_equal(Z.view(np.int64), reference.view(np.int64))
+        # d = 35 + 100 = 135 columns: d rows at M = 200, M rows at M = 50
+        for M in (200, 50):
+            R = draw_channels(fading_config(L=7, K=5, M=M), substream(3, "h"))
+            assert R.shape == (min(M, 135), 135)
+            reference = reference_factor(M, 135, substream(3, "h"))
+            assert np.array_equal(R.view(np.int64), reference.view(np.int64))
+
+    @pytest.mark.parametrize("M", [1, 5, 8, 20, 10**6])
+    def test_the_factor_is_upper_trapezoidal_with_a_positive_diagonal(self, M):
+        cfg = fading_config(K=2, M=M, C_u=6)  # d = 8
+        R = draw_channels(cfg, substream(4, "shape", M))
+        r = min(M, 8)
+        assert R.shape == (r, 8)
+        assert np.all(np.tril(R, -1) == 0)
+        diagonal = np.diagonal(R)
+        assert np.all(diagonal.imag == 0) and np.all(diagonal.real > 0)
+
+    @pytest.mark.parametrize("M", [5, 20])
+    def test_gram_moments_match_those_of_the_gaussian_block(self, M):
+        # d = 8: the factor has M rows at M = 5 and d rows at M = 20.  The
+        # means of Re G, Im G and |G|^2 for every Gram entry G, from 3,000
+        # factors and from 3,000 M x 8 Gaussian blocks, agree within 4.5
+        # standard errors of their difference (192 comparisons; one Gamma
+        # shape off by one on the diagonal moves a diagonal mean by over 20)
+        cfg = fading_config(K=2, M=M, C_u=6)
+        trials = 3000
+        factors = [draw_channels(cfg, substream(6, "law", M, t)) for t in range(trials)]
+        rng = substream(6, "block", M)
+        blocks = [(rng.standard_normal((M, 8)) + 1j * rng.standard_normal((M, 8)))
+                  * math.sqrt(0.5) for _ in range(trials)]
+        got, se_got = gram_moments(factors)
+        expected, se_expected = gram_moments(blocks)
+        assert np.all(np.abs(got - expected) <= 4.5 * np.hypot(se_got, se_expected))
+        # the law itself: E[X^H X] = M I, and E|G_ij|^2 = M (1 + M [i == j])
+        law = np.stack([M * np.eye(8), np.zeros((8, 8)), M * (1 + M * np.eye(8))])
+        assert np.all(np.abs(got - law) <= 4.5 * se_got)
 
     def test_norm_concentration(self):
         M = 10_000
-        Z = draw_channels(fading_config(M=M), substream(1, "h"))
-        assert 0.97 <= np.vdot(Z[:, 0], Z[:, 0]).real / M <= 1.03
+        R = draw_channels(fading_config(M=M), substream(1, "h"))
+        assert 0.97 <= np.vdot(R[:, 0], R[:, 0]).real / M <= 1.03
 
     def test_asymptotic_orthogonality(self):
         M = 10_000
-        Z = draw_channels(fading_config(K=2, M=M), substream(2, "h"))
-        assert abs(np.vdot(Z[:, 0], Z[:, 1])) / M < 0.05
+        R = draw_channels(fading_config(K=2, M=M), substream(2, "h"))
+        assert abs(np.vdot(R[:, 0], R[:, 1])) / M < 0.05
 
     def test_unit_second_moment_split_evenly(self):
-        M, T = 64, 400
-        acc = np.zeros((2, 2))
+        # above the diagonal the parts each carry half the unit variance; the
+        # diagonal is real, with mean square M - i
+        M, T = 64, 40
+        cfg = fading_config(K=2, M=M)
+        above = ~np.tri(64, 102, dtype=bool)
+        parts, diagonal = np.zeros(2), np.zeros(64)
         for t in range(T):
-            Z = draw_channels(fading_config(K=2, M=M), substream(5, "h", t))
-            acc += [np.sum(Z.real**2, axis=0), np.sum(Z.imag**2, axis=0)]
-        assert np.allclose(acc / (M * T), 0.5, rtol=0.05)
-
-    def test_noise_matches_reference_formula_bit_for_bit(self):
-        # 300 x 100 is drawn in blocks of 40 rows: the same stream as one draw
-        cfg = SystemConfig(L=1, K=1, M=300, C_u=100, snr_db=4.0)
-        W = draw_noise(cfg, substream(7, "n"))
-        rng = substream(7, "n")
-        scale = math.sqrt(cfg.sigma2 / 2.0)
-        reference = scale * rng.standard_normal((300, 100)) + 1j * (
-            scale * rng.standard_normal((300, 100)))
-        assert np.array_equal(W.view(np.int64), reference.view(np.int64))
+            R = draw_channels(cfg, substream(5, "h", t))
+            parts += [np.sum(R.real[above] ** 2), np.sum(R.imag[above] ** 2)]
+            diagonal += np.abs(np.diagonal(R)) ** 2
+        assert np.allclose(parts / (T * np.count_nonzero(above)), 0.5, rtol=0.02)
+        # a Gamma(k, 1) draw has variance k: within 4 standard errors of the mean
+        shape = M - np.arange(64)
+        assert np.all(np.abs(diagonal / T - shape) <= 4 * np.sqrt(shape / T))
 
     def test_noise_block_has_the_config_variance(self):
+        # sigma times the factor's noise columns (estimators.project) have
+        # the noise block's variance per antenna
         cfg = SystemConfig(L=1, K=1, M=400, C_u=50, snr_db=3.0)
-        W = draw_noise(cfg, substream(6, "n"))
-        assert W.shape == (400, 50)
-        # 20,000 entries: a relative standard error of 0.7 %
-        assert np.mean(np.abs(W) ** 2) == pytest.approx(cfg.sigma2, rel=0.03)
+        R = draw_channels(cfg, substream(6, "n"))
+        W = math.sqrt(cfg.sigma2) * R[:, 1:]
+        assert W.shape == (51, 50)
+        # 20,000 unit entries of X behind them: a relative standard error of 0.7 %
+        assert np.sum(np.abs(W) ** 2) / (cfg.M * cfg.C_u) == pytest.approx(cfg.sigma2, rel=0.03)
 
     def test_determinism(self):
         a = draw_channels(fading_config(K=3, M=8), substream(9, "h"))

@@ -5,7 +5,7 @@ import pytest
 
 from supmimo.hybrid import Partition, all_sp, all_tp
 from supmimo.rng import substream
-from supmimo.sysmodel import PowerAllocation, SystemConfig, draw_noise, uniform_power
+from supmimo.sysmodel import PowerAllocation, SystemConfig, uniform_power
 from supmimo.waveform import (
     CapacityError,
     _draw_bits,
@@ -286,6 +286,12 @@ class TestFrames:
         assert np.mean(np.abs(frames.data[0]) ** 2) == pytest.approx(1.0, rel=0.1)
 
 
+def noise_block(cfg, rng):
+    """A receiver noise block: (M, C_u) i.i.d. CN(0, sigma2) entries."""
+    shape, scale = (cfg.M, cfg.C_u), math.sqrt(cfg.sigma2 / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 class TestSynthesis:
     def test_zero_channels_zero_noise(self):
         cfg = make_config(L=1, K=1, C_u=8)
@@ -310,7 +316,7 @@ class TestSynthesis:
             rng = substream(8, "h", t)
             H = math.sqrt(beta / 2) * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
             frames = assemble_frames(cfg, book, powers, substream(8, "f", t), all_sp(1, 4))
-            Y = synthesize_received(H, frames.S, draw_noise(cfg, substream(8, "n", t)))
+            Y = synthesize_received(H, frames.S, noise_block(cfg, substream(8, "n", t)))
             total += np.linalg.norm(Y) ** 2
         expected = 4 * 8 * beta * 32 + 8 * 32 * cfg.sigma2
         assert total / trials == pytest.approx(expected, rel=0.02)
@@ -325,12 +331,9 @@ class TestSynthesis:
         rng = substream(12, "x")
         H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         S = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        noise = substream(12, "n")
-        scale = math.sqrt(cfg.sigma2 / 2.0)
-        reference = H @ S + scale * (noise.standard_normal((6, 5))
-                                     + 1j * noise.standard_normal((6, 5)))
-        W = draw_noise(cfg, substream(12, "n"))
+        W = noise_block(cfg, substream(12, "n"))
         assert W.shape == (6, 5)
+        reference = H @ S + W
         Y = synthesize_received(H, S, W)
         assert np.array_equal(Y.view(np.int64), reference.view(np.int64))
 
@@ -338,7 +341,7 @@ class TestSynthesis:
         rng = substream(13, "x")
         H = rng.standard_normal((3, 6, 4)) + 1j * rng.standard_normal((3, 6, 4))
         S = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
-        W = draw_noise(make_config(L=1, K=1, M=6, C_u=5), substream(13, "n"))
+        W = noise_block(make_config(L=1, K=1, M=6, C_u=5), substream(13, "n"))
         Y = synthesize_received(H, S, W)
         assert Y.shape == (3, 6, 5)
         for i in range(3):
