@@ -17,7 +17,6 @@ from .sysmodel import (
     path_loss,
     place_users,
     received_sir,
-    uniform_power,
 )
 from .hybrid import Partition, brute_force_partition, greedy_partition, total_cost
 from .simharness import EXPERIMENTS, MetricsRecord, RunOptions, run_experiment
@@ -44,6 +43,5 @@ __all__ = [
     "received_sir",
     "run_experiment",
     "total_cost",
-    "uniform_power",
     "__version__",
 ]

@@ -2,13 +2,13 @@
 
 Conventions: beta[j, l, k] is the large-scale gain between BS j and user
 (l, k), with any power control already folded in (PathLossMap.normalized);
-every user transmits at unit power, split into data and pilot amplitudes
-rho_d and rho_p with rho_d^2 + rho_p^2 = 1.
+every user transmits at unit power, split by one PowerAllocation into data
+and pilot amplitudes rho_d and rho_p with rho_d^2 + rho_p^2 = 1.
 
 The SINR forms are maps: each returns one (L, K) array whose entry [j, k]
 is the SINR of user (j, k) at its own BS j.  Each takes what it reads: the
 gain map (PathLossMap), which also sets the cell and user counts L and K;
-the PowerAllocation, when it reads the amplitudes; the SystemConfig, when
+the PowerAllocation, when it reads the split; the SystemConfig, when
 it reads M, C_u, tau or the reuse factor r; and, for a hybrid system, the
 Partition.  Pilot contamination is hybrid.copilot_sum, whose cells that
 share a pilot are those of one hybrid.reuse_groups group, as in the pilot
@@ -61,7 +61,7 @@ def sinr_tp_asymptotic(
     """
     home = _home(gains.beta)
     sp = None if partition is None else partition.sp
-    return _ratio(home * home, copilot_sum(gains.beta, config.r, sp))
+    return _ratio(home * home, copilot_sum(gains.beta, config, sp))
 
 
 def sinr_sp_asymptotic(
@@ -103,8 +103,8 @@ def sinr_sp_finite_m(
     sinr_sp_asymptotic), plus two O(1/M) terms (direct cross-channel
     leakage and the estimate-error cross products).  Both exclusion
     patterns drop single flattened users, not whole cells.  Raises
-    ValueError unless every user has a positive home gain and both
-    amplitudes.
+    ValueError unless every user has a positive home gain and the split
+    puts power on both data and pilot.
     """
     beta = gains.beta
     signal = _sp_signal(beta, powers)
@@ -114,12 +114,12 @@ def sinr_sp_finite_m(
     home, adm2 = _home(beta), powers.rho_d**2
     # BS j's gains, and its rho_d^2 beta, flat over users n = l*K + k
     rows = beta.reshape(beta.shape[0], -1)
-    weighted = adm2.reshape(-1) * rows
+    weighted = adm2 * rows
 
     term_self = 1.0 / sinr_sp_asymptotic(gains, powers, config)
     # sums over n != t, the target user t = (j, k): the sum over all n less t's term
     term_cross = (rows.sum(axis=1)[:, np.newaxis] - home) / (M * adm2 * home)
-    # inner[j, n] = sum over k != n of rho_dk^2 beta[j, k]
+    # inner[j, n] = sum over k != n of rho_d^2 beta[j, k]
     inner = weighted.sum(axis=1)[:, np.newaxis] - weighted
     pair = (rows * inner).sum(axis=1)[:, np.newaxis] - home * _home(inner.reshape(beta.shape))
     term_pair = pair / (M * C_u * signal)

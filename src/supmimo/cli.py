@@ -33,7 +33,7 @@ import yaml
 from . import analytics
 from .hybrid import greedy_partition
 from .simharness import EXPERIMENTS, OPTIONS_READ, MetricsRecord, RunOptions, run_experiment
-from .sysmodel import Scenario1, Scenario2, SystemConfig
+from .sysmodel import PowerAllocation, Scenario1, Scenario2, SystemConfig
 
 CSV_HEADER = "experiment,method,sweep_var,sweep_value,user,metric,value,trials,analytic_value"
 
@@ -277,7 +277,9 @@ def _cmd_partition(args) -> int:
         seen[j, l, k] = True
     if not seen.all():
         raise SpecError(f"{args.beta_csv}: missing entries for some (bs_cell, user_cell, user_index)")
-    result = greedy_partition(beta, args.r, args.c_u, args.r * K, args.mu2)
+    # C follows C_u, so any C_u the partitioner can use makes a config
+    config = SystemConfig(L=L, K=K, C_u=args.c_u, C=args.c_u, r=args.r)
+    result = greedy_partition(beta, config, PowerAllocation(1.0 - args.mu2, args.mu2))
     for l, k in np.argwhere(~result.partition.sp).tolist():
         print(f"tp,{l},{k}")
     for l, k in np.argwhere(result.partition.sp).tolist():

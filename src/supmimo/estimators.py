@@ -91,7 +91,7 @@ def estimator_columns(
     are their estimates.  Raises ValueError for a mask of another shape than
     the book's (L, K), KeyError for a TP pilot index outside the book or an
     SP user without a pilot column, and ZeroDivisionError for an SP user
-    with rho_p = 0.
+    when the split has rho_p = 0.
     """
     _check_mask(book, partition)
     users = np.asarray(users)
@@ -102,10 +102,9 @@ def estimator_columns(
     if np.any((b < 0) | (b >= tau)):
         raise KeyError(f"pilot index {b} outside the {tau}-column book")
     E[:tau, ~sp] = np.conj(book.tp_matrix[:, b]) / tau
-    rho_p = powers.rho_p.reshape(-1)[users[sp]]
-    if np.any(rho_p == 0):
+    if sp.any() and powers.rho_p == 0:
         raise ZeroDivisionError("rho_p must be nonzero for an SP estimate")
-    E[C_u - n :, sp] = np.conj(book.sp_columns(users[sp])) / (n * rho_p)
+    E[C_u - n :, sp] = np.conj(book.sp_columns(users[sp])) / (n * powers.rho_p)
     return E
 
 
@@ -143,7 +142,7 @@ def project(
         np.multiply(root[:, np.newaxis], S @ E, out=stacked[:N, lo:hi])
         np.multiply(E, sigma, out=stacked[N:, lo:hi])
         lo = hi
-    estimates = waveform.synthesize_received(factor, stacked, 0.0)
+    estimates = waveform.synthesize_received(factor, stacked)
     del stacked
     # conjugated in place for the product and back after it: exact, and no
     # copy of the estimates
@@ -208,9 +207,8 @@ def receive_cell(
         groups.append((tp, payload[..., tp, :] / _per_row(M * beta_home[tp])))
     if sp.size:
         pilots = book.sp_columns(cell * K + sp)
-        rho_d, rho_p = powers.rho_d[cell, sp], powers.rho_p[cell, sp]
         groups.append((sp, sp_output(payload[..., sp, :], _powers(estimates[..., sp]), pilots.T,
-                                     rho_p, M * rho_d * beta_home[sp])))
+                                     powers.rho_p, M * powers.rho_d * beta_home[sp])))
     if len(groups) == 1:
         return groups[0][1]
     x_tilde = np.empty(payload.shape, dtype=complex)

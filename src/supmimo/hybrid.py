@@ -14,6 +14,10 @@ Pilot reuse is one rule, reuse_groups, and pilot contamination one map,
 copilot_sum: the pilot books (waveform) read the first, and the closed
 forms (analytics) and the partitioner the second, the partitioner with
 BSs and cells swapped.
+
+As in analytics, each function takes the system objects it reads: the
+gains beta, the SystemConfig for the reuse factor r, C_u and tau, and the
+PowerAllocation for the pilot fraction.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .sysmodel import PowerAllocation, SystemConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,15 +65,16 @@ def reuse_groups(L: int, r: int) -> np.ndarray:
     return np.arange(L) % r
 
 
-def copilot_sum(beta: np.ndarray, r: int, sp=None) -> np.ndarray:
+def copilot_sum(beta: np.ndarray, config: SystemConfig, sp=None) -> np.ndarray:
     """The (L, K) map of summed beta[j, l, k]^2 over the other cells l of cell j's reuse group.
 
     Entry [j, k] is the pilot contamination of user (j, k) at BS j: the
     power of the users (l, k) that send its pilot from the other cells of
-    its group.  With an SP mask sp, the cells l whose user (l, k) is SP do
-    not count.  The cells are summed in ascending order.
+    its group, under the config's reuse factor r.  With an SP mask sp, the
+    cells l whose user (l, k) is SP do not count.  The cells are summed in
+    ascending order.
     """
-    groups = reuse_groups(beta.shape[0], r)
+    groups = reuse_groups(beta.shape[0], config.r)
     shared = groups[:, np.newaxis] == groups
     np.fill_diagonal(shared, False)
     # counted[l, j, k]: cell l's user k contaminates user (j, k)
@@ -79,57 +86,46 @@ def copilot_sum(beta: np.ndarray, r: int, sp=None) -> np.ndarray:
     return squares.sum(axis=0, where=counted)
 
 
-def interference_tp(partition: Partition, beta: np.ndarray, r: int) -> np.ndarray:
+def interference_tp(partition: Partition, beta: np.ndarray, config: SystemConfig) -> np.ndarray:
     """The (L, K) map of the pilot contamination each user injects as a TP member.
 
     Entry [j, m] sums beta[l, j, m]^2 over the other cells l that reuse the
     pilot of user (j, m) and currently field a TP user (l, m): copilot_sum
     on beta with BSs and cells swapped.
     """
-    return copilot_sum(beta.transpose(1, 0, 2), r, partition.sp)
+    return copilot_sum(beta.transpose(1, 0, 2), config, partition.sp)
 
 
 def interference_sp(
     partition: Partition,
     beta: np.ndarray,
-    C_u: int,
-    tau: int,
-    rho_p2: float,
+    config: SystemConfig,
+    powers: PowerAllocation,
 ) -> np.ndarray:
     """The (L, K) map of the residual-interference power each user injects as an SP member.
 
     Every SP user (l, k), itself included, absorbs beta[l, j, m]^2 of user
-    (j, m) through its channel-estimate error, scaled by the pilot share
-    over the (C_u - tau)-symbol superimposed segment.
+    (j, m) through its channel-estimate error, scaled by the pilot fraction
+    over the (C_u - tau)-symbol superimposed segment.  Raises ValueError
+    when the pilot fraction is 0: an SP user then sends no pilot.
     """
-    # the pilot share of unit total power: rho_d^2 + rho_p^2 = 1
-    if not 0 < rho_p2 <= 1:
-        raise ValueError(f"rho_p2 must lie in (0, 1], got {rho_p2}")
-    if C_u - tau <= 0:
-        raise ValueError("need C_u > tau")
+    if powers.pilot == 0:
+        raise ValueError("the SP cost needs a positive pilot fraction, got 0")
     # each cell's beta^2 weighted by its count of SP users
     n_sp = np.count_nonzero(partition.sp, axis=1)
     absorbed = (n_sp[:, np.newaxis, np.newaxis] * (beta * beta)).sum(axis=0)
-    return absorbed / ((C_u - tau) * rho_p2)
+    return absorbed / ((config.C_u - config.tau) * powers.pilot)
 
 
 def total_cost(
     partition: Partition,
     beta: np.ndarray,
-    r: int,
-    C_u: int,
-    tau: int,
-    rho_p2: float,
+    config: SystemConfig,
+    powers: PowerAllocation,
 ) -> float:
     """Summed interference the users inject under the partition, each by its pilot type."""
-    sp_cost = interference_sp(partition, beta, C_u, tau, rho_p2)
-    return float(np.sum(np.where(partition.sp, sp_cost, interference_tp(partition, beta, r))))
-
-
-def _check_block(C_u: int, tau: int) -> None:
-    """Training must leave room for data in the C_u-symbol block."""
-    if C_u <= tau:
-        raise ValueError(f"C_u ({C_u}) must exceed the training length tau ({tau})")
+    sp_cost = interference_sp(partition, beta, config, powers)
+    return float(np.sum(np.where(partition.sp, sp_cost, interference_tp(partition, beta, config))))
 
 
 @dataclass(frozen=True)
@@ -143,14 +139,12 @@ class GreedyResult:
 
 
 def greedy_partition(
-    beta: np.ndarray,
-    r: int,
-    C_u: int,
-    tau: int,
-    rho_p2: float,
+    beta: np.ndarray, config: SystemConfig, powers: PowerAllocation
 ) -> GreedyResult:
     """Greedy cost minimizer over TP/SP assignments.
 
+    beta is the (L, L, K) gain map of the cells partitioned, which may be
+    fewer than config.L; the config gives the reuse factor r, C_u and tau.
     Starts with every user TP.  Each step moves the TP user with the largest
     TP-side contribution into the SP set and keeps the move when the total
     cost does not increase (ties accepted).  Stops on the first rejected
@@ -158,19 +152,16 @@ def greedy_partition(
     available pilot columns.  Argmax ties go to the lowest (cell, user)
     tuple.
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    _check_block(C_u, tau)
     L, _, K = beta.shape
     flat = np.arange(L * K).reshape(L, K)
     current = all_tp(L, K)
-    cost = total_cost(current, beta, r, C_u, tau, rho_p2)
+    cost = total_cost(current, beta, config, powers)
     trace = [cost]
-    for _ in range(min(L * K, C_u - tau)):
+    for _ in range(min(L * K, config.C_u - config.tau)):
         # argmax keeps the first of equal maxima, the lowest flat index
-        candidate = np.argmax(np.where(current.sp, -np.inf, interference_tp(current, beta, r)))
+        candidate = np.argmax(np.where(current.sp, -np.inf, interference_tp(current, beta, config)))
         moved = Partition(current.sp | (flat == candidate))
-        moved_cost = total_cost(moved, beta, r, C_u, tau, rho_p2)
+        moved_cost = total_cost(moved, beta, config, powers)
         if not moved_cost <= cost:
             break
         current, cost = moved, moved_cost
@@ -179,11 +170,7 @@ def greedy_partition(
 
 
 def brute_force_partition(
-    beta: np.ndarray,
-    r: int,
-    C_u: int,
-    tau: int,
-    rho_p2: float,
+    beta: np.ndarray, config: SystemConfig, powers: PowerAllocation
 ) -> GreedyResult:
     """Exhaustive cost minimizer; only viable for at most 16 users.
 
@@ -191,18 +178,17 @@ def brute_force_partition(
     broken toward fewer SP users, then lexicographically, so the result is
     deterministic.
     """
-    _check_block(C_u, tau)
     L, _, K = beta.shape
     flat = np.arange(L * K).reshape(L, K)
     if flat.size > 16:
         raise ValueError(f"brute force capped at 16 users, got {flat.size}")
     best = None
     best_key = None
-    for size in range(0, min(C_u - tau, flat.size) + 1):
+    for size in range(0, min(config.C_u - config.tau, flat.size) + 1):
         # flat l*K + k indices, whose order is that of the (cell, user) tuples
         for users in itertools.combinations(range(flat.size), size):
             part = Partition(np.isin(flat, users))
-            cost = total_cost(part, beta, r, C_u, tau, rho_p2)
+            cost = total_cost(part, beta, config, powers)
             key = (cost, size, users)
             if best_key is None or key < best_key:
                 best, best_key = part, key

@@ -18,7 +18,7 @@ any user back, so it computes everyone.
 
 The sweeps never touch the M-antenna block.  Every estimate they make is a
 linear combination of the kept users' one-shot estimates h0_n = Y conj(p_n)
-/ (C_u rho_p,n), so the estimator reads a block only through two arrays
+/ (C_u rho_p), so the estimator reads a block only through two arrays
 over the n kept users: G = conj(h0) Y (n x C_u), their matched-filter
 outputs, and R = conj(h0) h0^T (n x n).  The caller projects the block
 onto the kept users' estimator columns (estimators.project), which gives
@@ -43,17 +43,21 @@ so each target reads this sweep's values before it and the previous
 sweep's from it on.  The "fixed" feedback set is the admission row of one
 sweep in which nobody is fed back.  The profile carries that set (or None
 for per_iteration, where the set follows the admission rows sweep by
-sweep), the sweep order, and the gains, amplitudes, M and P it was computed
-for; the estimator reads all of them, its schedule (_schedule) included,
-from the profile.  The recursion takes one layout or a batch of layouts,
-each with its own gains, and runs each (sweep, target) step on the whole
-batch.  A step's psi core is one masked row sum of a C-contiguous (B, N)
-array, and numpy sums each row of such an array along axis 1 with the
-pairwise lanes of a 1-D sum of that row, so every layout gets the bits it
-gets alone.
+sweep), the sweep order, and the gains, PowerAllocation and SystemConfig
+it was computed for; the estimator reads all of them, its schedule
+(_schedule) included, from the profile.  The recursion takes one layout or
+a batch of layouts, each with its own gains, and runs each (sweep, target)
+step on the whole batch.  A step's psi core is one masked row sum of a
+C-contiguous (B, N) array, and numpy sums each row of such an array along
+axis 1 with the pairwise lanes of a 1-D sum of that row, so every layout
+gets the bits it gets alone.
 
 All prediction formulas assume unit total power per user, i.e. gains are
-the power-controlled equivalents and rho_d^2 + rho_p^2 = 1.
+the power-controlled equivalents and every user splits it by one
+PowerAllocation, rho_d^2 + rho_p^2 = 1.  As in analytics, each function
+takes the system objects it reads: the gains, the PowerAllocation and the
+SystemConfig (sigma2, M, C_u, P and the sweep count) go to predict_profile,
+and the profile carries them to the estimator.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import Projection, _conj_rows, _per_row, _powers, sp_output
+from .estimators import Projection, _conj_rows, _powers, sp_output
+from .sysmodel import PowerAllocation, SystemConfig
 from .waveform import _side, decide
 
 SELECTION_RULES = ("none", "all", "fixed", "per_iteration")
@@ -74,8 +79,8 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def alpha_pqam(interference: float, P: int) -> float:
-    """Decision-error variance of a unit-power square-QAM slicer.
+def alpha_pqam(interference: float, config: SystemConfig) -> float:
+    """Decision-error variance of the config's unit-power square-QAM slicer.
 
     Models symbol errors as jumps to nearest neighbors under Gaussian
     residual interference of the given variance.  Zero interference gives
@@ -84,6 +89,7 @@ def alpha_pqam(interference: float, P: int) -> float:
     """
     if interference < 0:
         raise ValueError("interference variance must be non-negative")
+    P = config.P
     side = _side(P)
     coef = 24.0 / (side * (side + 1.0))
     if interference == 0.0:
@@ -101,10 +107,10 @@ class PredictionProfile:
     initial decisions.  include[i][n] records whether user n passed the
     admission threshold after sweep i.  fixed_mask is the feedback set every
     sweep uses, or None when the set follows include sweep by sweep
-    (per_iteration).  order[j] is the user swept j-th.  beta, rho_d and
-    rho_p are the per-user gains and amplitudes the profile was computed
-    for, M its antenna count and P its QAM order.  A profile of a batch of B
-    layouts carries a leading B axis on every array; layout(b) is the
+    (per_iteration).  order[j] is the user swept j-th.  beta holds the
+    per-user gains the profile was computed for, and powers and config the
+    split, antenna count, QAM order and sweep count.  A profile of a batch
+    of B layouts carries a leading B axis on every array; layout(b) is the
     profile of one of them.
     """
 
@@ -115,10 +121,8 @@ class PredictionProfile:
     fixed_mask: np.ndarray | None
     order: np.ndarray
     beta: np.ndarray
-    rho_d: np.ndarray
-    rho_p: np.ndarray
-    M: int
-    P: int
+    powers: PowerAllocation
+    config: SystemConfig
 
     @property
     def sweeps(self) -> int:
@@ -127,32 +131,33 @@ class PredictionProfile:
     def layout(self, b: int) -> "PredictionProfile":
         """The one-layout profile of row b of a batched profile."""
         rows = {name: getattr(self, name)[b] for name in
-                ("interference", "alpha", "psi", "include", "order", "beta", "rho_d", "rho_p")}
+                ("interference", "alpha", "psi", "include", "order", "beta")}
         return replace(self, fixed_mask=None if self.fixed_mask is None else self.fixed_mask[b],
                        **rows)
 
 
-def _recursion(beta, rho_d, rho_p, sigma2, M, C_u, P, sweeps, fixed_mask):
+def _recursion(beta, powers, config, sweeps, fixed_mask):
     """The four (B, sweeps + 1, N) profile arrays of `sweeps` Gauss-Seidel sweeps.
 
-    beta, rho_d and rho_p are (B, N), one layout per row; fixed_mask is
-    (B, N) or None.  Row i of alpha, psi and include is the working row of
-    sweep i: it starts as a copy of row i - 1 and entry m is overwritten
-    once target m is predicted, so target m sees this sweep's values below
-    m and the previous sweep's from m on.  Each step runs on all B layouts
-    at once and gives every layout the bits it has alone: the psi core is
-    one masked sum of a C-contiguous (B, N) array along its rows.
+    beta is (B, N), one layout per row; fixed_mask is (B, N) or None.  Row i
+    of alpha, psi and include is the working row of sweep i: it starts as a
+    copy of row i - 1 and entry m is overwritten once target m is predicted,
+    so target m sees this sweep's values below m and the previous sweep's
+    from m on.  Each step runs on all B layouts at once and gives every
+    layout the bits it has alone: the psi core is one masked sum of a
+    C-contiguous (B, N) array along its rows.
     """
     n_layouts, n_users = beta.shape
+    M, sigma2 = config.M, config.sigma2
     sum_beta = np.add.reduce(beta, axis=1)
     M2 = M**2
     b2 = beta * beta
     base = b2 + beta * sum_beta[:, np.newaxis] / M
-    rho_d2 = rho_d * rho_d
+    rho_d2 = powers.rho_d * powers.rho_d
     full_power = rho_d2 * base
     noise = sigma2 * sum_beta / M
-    # per-target (N, B) columns: psi scale, leakage plus noise, MF gain
-    scale = (M2 / (C_u * (rho_p * rho_p))).T.copy()
+    # psi scale, then per-target (N, B) columns: leakage plus noise, MF gain
+    scale = M2 / (config.C_u * (powers.rho_p * powers.rho_p))
     leak = (beta * (sum_beta[:, np.newaxis] - beta) / M + sigma2 * beta / M).T.copy()
     gain = (rho_d2 * b2).T.copy()
 
@@ -171,10 +176,10 @@ def _recursion(beta, rho_d, rho_p, sigma2, M, C_u, P, sweeps, fixed_mask):
             # their full data power; noise adds a flat term
             term = rho_d2 * (base * alpha_w + (1.0 + alpha_w) * psi_w / M2)
             core = np.where(fed, term, full_power).sum(axis=1) + noise
-            psi_w[:, m] = psi_m = scale[m] * core
+            psi_w[:, m] = psi_m = scale * core
             p = psi_m / M2
             interference[:, i, m] = inter = (leak[m] + p) / gain[m]
-            alpha_w[:, m] = a = np.array([alpha_pqam(x, P) for x in inter.tolist()])
+            alpha_w[:, m] = a = np.array([alpha_pqam(x, config) for x in inter.tolist()])
             # admission: feeding m back cannot raise its predicted error
             include_w[:, m] = a < (base[:, m] - p) / (base[:, m] + p)
     return interference, alpha, psi, include
@@ -182,36 +187,26 @@ def _recursion(beta, rho_d, rho_p, sigma2, M, C_u, P, sweeps, fixed_mask):
 
 def predict_profile(
     beta: np.ndarray,
-    rho_d: np.ndarray,
-    rho_p: np.ndarray,
-    sigma2: float,
-    M: int,
-    C_u: int,
-    P: int,
-    sweeps: int,
+    powers: PowerAllocation,
+    config: SystemConfig,
     selection: str = "fixed",
 ) -> PredictionProfile:
-    """Run the deterministic error-prediction recursion for `sweeps` sweeps.
+    """Run the deterministic error-prediction recursion for config.iterations sweeps.
 
     beta is one layout's gains (N,) or a batch of B layouts (B, N), users in
-    any order; rho_d and rho_p are the matching per-user amplitudes, of
-    beta's shape or broadcast to it.  Each row is sorted into sweep order for
-    the recursion and its results are returned in the row's own order.  A
-    batch gives a profile with a leading B axis whose layout(b) equals the
-    profile of row b alone, bit for bit.  selection is one of SELECTION_RULES.
-    The profile keeps copies of beta, rho_d and rho_p, at beta's shape, with
-    M and P: they are what iterative_estimate reads.
+    any order, all under the one split powers; config gives sigma2, M, C_u,
+    P and the sweep count.  Each row is sorted into sweep order for the
+    recursion and its results are returned in the row's own order.  A batch
+    gives a profile with a leading B axis whose layout(b) equals the profile
+    of row b alone, bit for bit.  selection is one of SELECTION_RULES.  The
+    profile keeps a copy of beta, at its shape, with powers and config:
+    they are what iterative_estimate reads.
     """
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
     single = np.ndim(beta) == 1
     batch = np.atleast_2d(np.array(beta, dtype=float))
-    rho_d, rho_p = (np.broadcast_to(np.asarray(a, dtype=float), batch.shape).copy()
-                    for a in (rho_d, rho_p))
     # the sweep order: decreasing gain, ties in the order given
     order = np.argsort(-batch, axis=1, kind="stable")
-    args = tuple(np.take_along_axis(a, order, axis=1) for a in (batch, rho_d, rho_p))
-    args += (sigma2, M, C_u, P)
+    sorted_beta = np.take_along_axis(batch, order, axis=1)
     nobody = np.zeros(batch.shape, dtype=bool)
     if selection == "none":
         fixed_mask = nobody
@@ -219,20 +214,21 @@ def predict_profile(
         fixed_mask = ~nobody
     elif selection == "fixed":
         # admitted iff, with nobody fed back, feeding it back cannot raise its error
-        fixed_mask = _recursion(*args, 1, nobody)[3][:, 1]
+        fixed_mask = _recursion(sorted_beta, powers, config, 1, nobody)[3][:, 1]
     elif selection == "per_iteration":
         fixed_mask = None
     else:
         raise ValueError(f"unknown selection rule {selection!r}; expected {SELECTION_RULES}")
     # sweep positions back to each row's own order
     flat = np.argsort(order, axis=1)[:, np.newaxis]
-    interference, alpha, psi, include = (np.take_along_axis(a, flat, axis=2)
-                                         for a in _recursion(*args, sweeps, fixed_mask))
+    interference, alpha, psi, include = (
+        np.take_along_axis(a, flat, axis=2)
+        for a in _recursion(sorted_beta, powers, config, config.iterations, fixed_mask))
     if fixed_mask is not None:
         fixed_mask = np.take_along_axis(fixed_mask, flat[:, 0], axis=1)
     profile = PredictionProfile(interference=interference, alpha=alpha, psi=psi, include=include,
-                                fixed_mask=fixed_mask, order=order, beta=batch, rho_d=rho_d,
-                                rho_p=rho_p, M=M, P=P)
+                                fixed_mask=fixed_mask, order=order, beta=batch, powers=powers,
+                                config=config)
     return profile.layout(0) if single else profile
 
 
@@ -245,7 +241,7 @@ def reduce_block(projection: Projection) -> tuple[np.ndarray, np.ndarray]:
     """The (G, R) statistics the estimator reads from an SP block's projection.
 
     projection is the block, or a stack of T blocks, seen through the
-    one-shot estimator columns conj(p_n) / (C_u rho_p,n) of the n users the
+    one-shot estimator columns conj(p_n) / (C_u rho_p) of the n users the
     estimator keeps, as reduced_users lists them (estimators.estimator_columns
     under the all-SP partition): its estimates are their h0 and its matched
     rows G[..., i, :] = conj(h0_i) Y.  R[..., i, j] = conj(h0_i) . h0_j, with
@@ -273,8 +269,8 @@ def iterative_estimate(
     G (T, n, C_u) and R (T, n, n) are the reduce_block statistics of a stack
     of T blocks over the same n kept users (reduced_users), e.g. one block
     per trial; one block is a stack of one.  profile is one layout's: it
-    supplies the users' gains and amplitudes, M, P, the sweep order, the
-    sweep count and the feedback set.  pilots holds each user's dedicated
+    supplies the users' gains, the split, M, P, the sweep order, the sweep
+    count and the feedback set.  pilots holds each user's dedicated
     column (C_u x N), users in the order the profile was computed for, and
     report lists the users the caller reads, as indices into that order.
     Returns their final matched-filter outputs only, in report's order, as a
@@ -291,7 +287,7 @@ def iterative_estimate(
     schedule for everyone.
 
     Every estimate is a combination of one-shot estimates: a user's update
-    h = h0 - sum_f rho_d,f (x_hat_f . conj(p)) h_f / (C_u rho_p) keeps it in
+    h = h0 - sum_f rho_d (x_hat_f . conj(p)) h_f / (C_u rho_p) keeps it in
     the span of the basis (the feedback set; everyone under per_iteration)
     plus the user's own h0.  So a user is a row a of coefficients over the
     basis, plus its own h0 at coefficient 1 when it is outside the basis,
@@ -326,9 +322,9 @@ def iterative_estimate(
     pilots = pilots[:, users_kept]
     conj_rows = _conj_rows(pilots)
     pilot_rows = np.ascontiguousarray(pilots.T)
-    beta, rho_d, rho_p = (a[users_kept] for a in (profile.beta, profile.rho_d, profile.rho_p))
+    rho_d, rho_p = profile.powers.rho_d, profile.powers.rho_p
     ls_scale = C_u * rho_p
-    mf_gain = profile.M * rho_d * beta
+    mf_gain = profile.config.M * rho_d * profile.beta[users_kept]
     slot = np.full(kept.size, -1)
     slot[basis] = np.arange(basis.size)
     # C-contiguous gathers: a product's bits follow its operands' strides,
@@ -348,8 +344,8 @@ def iterative_estimate(
         # (T, G, F) weights, then (T, G, B) coefficients: per block and
         # user, the matrix-vector products of one user alone
         weights = np.matmul(x_fed[:, np.newaxis], conj_rows[users, :, np.newaxis])[..., 0]
-        weights *= rho_d[fed]
-        weights /= _per_row(ls_scale[users])
+        weights *= rho_d
+        weights /= ls_scale
         a = np.matmul(weights[..., np.newaxis, :], coefs_fed[:, np.newaxis])[..., 0, :]
         np.negative(a, out=a)
         if inside >= 0:
@@ -364,10 +360,10 @@ def iterative_estimate(
                               a[..., np.newaxis])[..., 0, 0]
             power += 2.0 * cross.real
             power += np.diagonal(R[:, users, users], axis1=1, axis2=2).real
-        x_tilde[:, users] = x_new = sp_output(out, power, pilot_rows[users], rho_p[users],
+        x_tilde[:, users] = x_new = sp_output(out, power, pilot_rows[users], rho_p,
                                               mf_gain[users])
         if inside >= 0:
-            x_basis[:, inside] = decide(x_new[:, 0], profile.P)
+            x_basis[:, inside] = decide(x_new[:, 0], profile.config.P)
 
     # the reported rows in report's order
     rows = np.searchsorted(kept, position[report])

@@ -100,7 +100,6 @@ from .sysmodel import (
     path_loss,
     place_users,
     received_sir,
-    uniform_power,
 )
 
 TP_METHOD = "tp-ls"
@@ -276,16 +275,14 @@ def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
     the layouts' gains at BS 0.
     """
     L, K = config.L, config.K
-    lam2, _ = analytics.optimal_rho(config.M, L, K, config.C_u)
-    powers = uniform_power(L, K, lam2)
+    powers = PowerAllocation(*analytics.optimal_rho(config.M, L, K, config.C_u))
     book = waveform.make_pilot_books(config)
     beta_effs = [path_loss(layout, config.path_loss_exponent).normalized(config.omega)
                  for layout in layouts]
 
     profiles = iterative.predict_profile(
-        np.stack([beta_eff.beta[0].reshape(-1) for beta_eff in beta_effs]),
-        powers.rho_d.reshape(-1), powers.rho_p.reshape(-1), config.sigma2, config.M, config.C_u,
-        config.P, config.iterations, options.selection,
+        np.stack([beta_eff.beta[0].reshape(-1) for beta_eff in beta_effs]), powers, config,
+        options.selection,
     )
     tp, sp = all_tp(L, K), all_sp(L, K)
     for b, beta_eff in enumerate(beta_effs):
@@ -541,8 +538,7 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
     columns once.
     """
     n_metric = min(cfg.L, 7)
-    lam2, mu2 = analytics.optimal_rho(cfg.M, n_metric, cfg.K, cfg.C_u)
-    unit_powers = uniform_power(cfg.L, cfg.K, lam2)
+    powers = PowerAllocation(*analytics.optimal_rho(cfg.M, n_metric, cfg.K, cfg.C_u))
     # one full-length book serves both baselines: outer-tier cells reuse
     # superimposed columns when L*K exceeds C_u
     book_full = waveform.make_pilot_books(cfg, allow_sp_reuse=True)
@@ -552,8 +548,7 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
         beta_raw = path_loss(layout, cfg.path_loss_exponent)
         controlled = beta_raw.normalized(cfg.omega)
         # greedy SP mask of the metric cells, padded with TP rows for the outer tier
-        greedy = greedy_partition(beta_raw.beta[:n_metric, :n_metric, :], cfg.r, cfg.C_u,
-                                  cfg.tau, mu2).partition
+        greedy = greedy_partition(beta_raw.beta[:n_metric, :n_metric, :], cfg, powers).partition
         partition = Partition(np.pad(greedy.sp, ((0, cfg.L - n_metric), (0, 0))))
         # power control on the SP users only
         beta_hyb = PathLossMap(np.where(partition.sp, controlled.beta, beta_raw.beta))
@@ -564,7 +559,7 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
                     beta_hyb, partition),
         ]
     streams = tuple(("ch", j) for j in range(n_metric))
-    return _Bench(cfg, unit_powers, tuple(schemes), streams, "gaussian")
+    return _Bench(cfg, powers, tuple(schemes), streams, "gaussian")
 
 
 def _records_sum_rate_vs_sir(config, options):

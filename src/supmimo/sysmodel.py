@@ -181,20 +181,35 @@ class PathLossMap:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-user data/pilot amplitude split of a unit transmit power.
+    """The data/pilot split of a unit transmit power, shared by every user.
 
-    rho_d and rho_p have shape (L, K) and satisfy rho_d^2 + rho_p^2 = 1.
-    They are amplitudes (not fractions); for a superimposed-pilot user both
-    are positive.  Power control lives in the gain map
+    data and pilot are the power fractions lambda^2 and mu^2, each in [0, 1]
+    and summing to 1; PowerAllocation(*analytics.optimal_rho(...)) is the
+    split that maximizes the SP SINR bound.  rho_d and rho_p are the
+    matching amplitudes.  Power control lives in the gain map
     (PathLossMap.normalized), not here.
     """
 
-    rho_d: np.ndarray
-    rho_p: np.ndarray
+    data: float
+    pilot: float
 
     def __post_init__(self):
-        if not np.allclose(self.rho_d**2 + self.rho_p**2, 1.0, rtol=1e-10):
-            raise ValueError("power split must satisfy rho_d^2 + rho_p^2 = 1")
+        for name in ("data", "pilot"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"the {name} fraction must lie in [0, 1], got {value!r}")
+        if not math.isclose(self.data + self.pilot, 1.0, rel_tol=1e-10):
+            raise ValueError(f"the fractions must sum to 1, got {self.data!r} + {self.pilot!r}")
+
+    @property
+    def rho_d(self) -> float:
+        """Data amplitude, sqrt(data)."""
+        return math.sqrt(self.data)
+
+    @property
+    def rho_p(self) -> float:
+        """Pilot amplitude, sqrt(pilot)."""
+        return math.sqrt(self.pilot)
 
 
 def hex_centers(L: int, cell_radius_m: float) -> np.ndarray:
@@ -311,18 +326,6 @@ def path_loss(
         raise ValueError("zero BS-user distance; path loss undefined")
     beta = (dist / layout.cell_radius_m) ** (-float(exponent))
     return PathLossMap(beta=beta)
-
-
-def uniform_power(
-    L: int,
-    K: int,
-    data_power_fraction: float | np.ndarray = 0.5,
-) -> PowerAllocation:
-    """Unit transmit power for every user, data_power_fraction of it on data."""
-    frac = np.broadcast_to(np.asarray(data_power_fraction, dtype=float), (L, K))
-    if np.any((frac < 0) | (frac > 1)):
-        raise ValueError("data_power_fraction must lie in [0, 1]")
-    return PowerAllocation(rho_d=np.sqrt(frac), rho_p=np.sqrt(1.0 - frac))
 
 
 def draw_channels(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:

@@ -232,36 +232,37 @@ def modulate(bits: np.ndarray, P: int) -> np.ndarray:
     return points.take(labels)
 
 
+def _levels(parts: np.ndarray, side: int, c: float) -> np.ndarray:
+    """The nearest amplitude level, 0 .. side - 1, of each real component, as floats.
+
+    Clipped in floating point, so a huge or infinite component goes to the
+    outer level.
+    """
+    level = parts / c
+    level += side - 1
+    level /= 2.0
+    np.rint(level, out=level)
+    np.maximum(level, 0.0, out=level)
+    np.minimum(level, side - 1.0, out=level)
+    return level
+
+
 def demap(symbols: np.ndarray, P: int) -> np.ndarray:
-    """Recover the Gray-coded bits of (decided) constellation points."""
+    """The Gray-coded bits of each symbol's nearest constellation point."""
     _, bits = _qam_table(P)
     side = _side(P)
-    c = _axis_scale(P)
-    symbols = np.asarray(symbols).reshape(-1)
-    grid = _nearest_level_index(symbols.real, side, c) * side
-    grid += _nearest_level_index(symbols.imag, side, c)
-    return bits.take(grid, axis=0).reshape(-1)
-
-
-def _nearest_level_index(vals: np.ndarray, side: int, c: float) -> np.ndarray:
-    idx = np.rint((vals / c + (side - 1)) / 2.0).astype(np.int64)
-    # same as np.clip, without its per-call overhead on short rows
-    return np.minimum(np.maximum(idx, 0), side - 1)
+    # (in-phase, quadrature) level pairs, one row per symbol
+    parts = np.ascontiguousarray(symbols, dtype=complex).reshape(-1).view(np.float64)
+    level = _levels(parts, side, _axis_scale(P)).astype(np.intp).reshape(-1, 2)
+    return bits.take(level[:, 0] * side + level[:, 1], axis=0).reshape(-1)
 
 
 def decide(symbols: np.ndarray, P: int) -> np.ndarray:
     """Elementwise projection onto the nearest constellation point."""
     side = _side(P)
     c = _axis_scale(P)
-    # real and imaginary parts side by side in one float array; the level
-    # arithmetic is exact, so this gives the bits of _nearest_level_index
-    parts = np.ascontiguousarray(symbols, dtype=complex).view(np.float64)
-    point = parts / c
-    point += side - 1
-    point /= 2.0
-    np.rint(point, out=point)
-    np.maximum(point, 0.0, out=point)
-    np.minimum(point, side - 1.0, out=point)
+    # real and imaginary parts side by side in one float array
+    point = _levels(np.ascontiguousarray(symbols, dtype=complex).view(np.float64), side, c)
     point *= 2.0
     point -= side - 1
     point *= c
@@ -303,12 +304,10 @@ def assemble_frames(
         columns = pilot_book.tp_assignment.reshape(-1)[tp]
         S[tp, :tau] = pilot_book.tp_matrix[:, columns].T
     if sp.any():
-        rho_d = power.rho_d.reshape(-1)[sp, np.newaxis]
-        rho_p = power.rho_p.reshape(-1)[sp, np.newaxis]
         # rho_d * data + rho_p * pilot, with one temporary besides the gather
         pilots = pilot_book.sp_columns(sp).T
-        pilots *= rho_p
-        pilots += rho_d * data[sp]
+        pilots *= power.rho_p
+        pilots += power.rho_d * data[sp]
         S[sp, C_u - payload_len :] = pilots
     return FrameSet(S=S, data=data, bits=bits)
 
@@ -342,25 +341,19 @@ def _draw_bits(n_users: int, n_bits: int, rng: np.random.Generator) -> np.ndarra
     return octets[:, :n_bits] >> 7
 
 
-def synthesize_received(
-    H: np.ndarray,
-    S: np.ndarray,
-    noise: np.ndarray | float,
-) -> np.ndarray:
-    """Received block Y = H @ S + noise, or that block seen through columns E.
+def synthesize_received(H: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Noiseless received block Y = H @ S, or a block seen through columns E.
 
     H is (M, N) and S is (N, C_u), or either or both carry a leading stack
-    axis: (n, M, N) and (n, N, C_u).  noise is one (M, C_u) block, added to
-    every slice, so stacked slices share the same noise; 0.0 adds none.  With
-    unit-variance fading H and each frame row scaled by the square root of
-    its user's gain, Y is the block received over the gain map.  Given a
-    trial's factor [Z, W / sigma] (sysmodel.draw_channels) for H, and the
-    stacked [sqrt(beta) * (S E) ; sigma E] for S, with E (C_u, n) any n
-    columns, it returns Y E without forming Y: the estimates of the users
-    whose estimator columns E holds (estimators.project).
+    axis: (n, M, N) and (n, N, C_u).  With unit-variance fading H and each
+    frame row scaled by the square root of its user's gain, Y is the block
+    received over the gain map before noise.  Given a trial's factor
+    [Z, W / sigma] (sysmodel.draw_channels) for H, and the stacked
+    [sqrt(beta) * (S E) ; sigma E] for S, with E (C_u, n) any n columns, it
+    returns the noisy block seen through E without forming the block: the
+    estimates of the users whose estimator columns E holds
+    (estimators.project).
     """
     if H.shape[-1] != S.shape[-2]:
         raise ValueError(f"channel columns ({H.shape[-1]}) != users ({S.shape[-2]})")
-    Y = np.asarray(H @ S, dtype=complex)
-    Y += noise
-    return Y
+    return np.asarray(H @ S, dtype=complex)

@@ -14,14 +14,14 @@ from supmimo.analytics import (
 )
 from supmimo.hybrid import Partition, all_sp, all_tp, interference_tp
 from supmimo.rng import substream
-from supmimo.sysmodel import PathLossMap, PowerAllocation, SystemConfig, uniform_power
+from supmimo.sysmodel import PathLossMap, PowerAllocation, SystemConfig
 from supmimo.waveform import make_pilot_books
 
 
 def make_inputs(beta, lam2, cfg):
     """(gains, powers, config): the leading arguments of the SP closed forms."""
     beta = np.asarray(beta, dtype=float)
-    powers = uniform_power(beta.shape[1], beta.shape[2], lam2)
+    powers = PowerAllocation(lam2, 1.0 - lam2)
     return PathLossMap(beta), powers, cfg
 
 
@@ -42,12 +42,12 @@ def scalar_sp_finite_m(inputs, j, m):
     L, _, K = beta.shape
     C_u, M = cfg.C_u, cfg.M
     bm = beta[j, j, m]
-    adm2 = rho_d[j, m] ** 2
-    apm2 = rho_p[j, m] ** 2
+    adm2 = rho_d**2
+    apm2 = rho_p**2
     t1 = 0.0
     for l in range(L):
         for k in range(K):
-            t1 += (rho_d[l, k] ** 2 * beta[j, l, k] ** 2) / (
+            t1 += (rho_d**2 * beta[j, l, k] ** 2) / (
                 C_u * apm2 * adm2 * bm**2
             )
     t2 = 0.0
@@ -62,7 +62,7 @@ def scalar_sp_finite_m(inputs, j, m):
                     if (n, p) == (l, k):
                         continue
                     t3 += (
-                        rho_d[n, p] ** 2
+                        rho_d**2
                         * beta[j, l, k]
                         * beta[j, n, p]
                     ) / (M * C_u * apm2 * adm2 * bm**2)
@@ -89,9 +89,8 @@ def scalar_hybrid_sp(inputs, sp, j, m):
     for l in range(beta.shape[1]):
         for k in range(beta.shape[2]):
             if sp[l, k]:
-                den += rho_d[l, k] ** 2 * beta[j, l, k] ** 2
-    return ((cfg.C_u - cfg.tau) * rho_p[j, m] ** 2 * rho_d[j, m] ** 2 * beta[j, j, m] ** 2
-            / den)
+                den += rho_d**2 * beta[j, l, k] ** 2
+    return (cfg.C_u - cfg.tau) * rho_p**2 * rho_d**2 * beta[j, j, m] ** 2 / den
 
 
 def hybrid_sinr(inputs, partition):
@@ -323,12 +322,11 @@ class TestHybridRates:
 
 
 def test_maps_match_per_user_loops():
-    # 19 cells in three reuse groups, gains and power splits drawn per user
+    # 19 cells in three reuse groups, gains drawn per user and one drawn power split
     cfg = make_config(L=19, K=5, r=3)
     rng = substream(38, "maps")
     beta = rng.uniform(0.05, 2.0, size=(19, 19, 5))
-    lam2 = rng.uniform(0.2, 0.8, size=(19, 5))
-    inputs = (PathLossMap(beta), PowerAllocation(np.sqrt(lam2), np.sqrt(1.0 - lam2)), cfg)
+    inputs = make_inputs(beta, rng.uniform(0.2, 0.8), cfg)
     part = Partition(rng.uniform(size=(19, 5)) < 0.4)
     assert part.sp.any() and not part.sp.all()
     plain = sinr_tp_asymptotic(inputs[0], cfg)
@@ -364,7 +362,7 @@ def test_books_and_closed_forms_share_pilots_with_the_same_cells(L, r):
             # the other cells' users have no home gain and no co-pilot power
             assert np.all(np.delete(sinr, j, axis=0) == math.inf)
             closed_form = sinr[j, 1] < math.inf
-            greedy = interference_tp(all_tp(L, 2), beta.transpose(1, 0, 2), r)[j, 1] > 0
+            greedy = interference_tp(all_tp(L, 2), beta.transpose(1, 0, 2), cfg)[j, 1] > 0
             assert closed_form == greedy
             if closed_form:
                 counted.add(l)

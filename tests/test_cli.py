@@ -150,6 +150,8 @@ EXIT_TABLE = [
     (["partition", "{tmp}/beta.csv"], "", 0),
     (["partition", "{tmp}/beta.csv", "--r", "0"], "error invalid-parameter:", 5),
     (["partition", "{tmp}/beta-k2.csv", "--c-u", "3"], "", 0),
+    # a block longer than the default coherence time C = 200
+    (["partition", "{tmp}/beta.csv", "--c-u", "300"], "", 0),
     (["partition", "{tmp}/beta-k2.csv", "--c-u", "2"], "error invalid-parameter:", 5),
     (["partition", "{tmp}/beta-k2.csv", "--c-u", "1"], "error invalid-parameter:", 5),
     (["partition", "{tmp}/beta.csv", "--mu2", "0"], "error invalid-parameter:", 5),

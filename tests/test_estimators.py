@@ -6,7 +6,7 @@ import pytest
 from supmimo.estimators import Projection, estimator_columns, project, receive_cell
 from supmimo.hybrid import Partition, all_sp, all_tp
 from supmimo.rng import substream
-from supmimo.sysmodel import PowerAllocation, SystemConfig, uniform_power
+from supmimo.sysmodel import PowerAllocation, SystemConfig
 from supmimo.waveform import (
     PilotBook,
     assemble_frames,
@@ -21,6 +21,10 @@ def make_config(**kw):
     defaults = dict(L=7, K=5, M=32, C_u=100, C=200, r=1, P=4, seed=0)
     defaults.update(kw)
     return SystemConfig(**defaults)
+
+
+# an even split of every user's power
+HALF = PowerAllocation(0.5, 0.5)
 
 
 def gaussian(shape, rng):
@@ -54,7 +58,7 @@ class TestTpEstimator:
         # tau = r*K = L*K pilots: every user in the system has its own
         cfg = make_config(L=7, K=2, r=7, M=24)
         book = make_pilot_books(cfg)
-        powers = uniform_power(7, 2)
+        powers = HALF
         Z = fading(cfg, (1, "h"))
         frames = assemble_frames(cfg, book, powers, substream(1, "f"), all_tp(7, 2))
         roots = np.full(14, math.sqrt(0.8))
@@ -65,7 +69,7 @@ class TestTpEstimator:
     def test_contamination_is_copilot_sum(self):
         cfg = make_config(L=7, K=2, r=1, M=16)
         book = make_pilot_books(cfg)
-        powers = uniform_power(7, 2)
+        powers = HALF
         H = math.sqrt(0.5) * fading(cfg, (2, "h"))
         frames = assemble_frames(cfg, book, powers, substream(2, "f"), all_tp(7, 2))
         est = projection_of(H, no_noise(cfg), frames.S, np.ones(14), book, all_tp(7, 2), powers,
@@ -84,13 +88,13 @@ class TestTpEstimator:
         h = np.array([[1.25 + 0.5j, -0.75 + 2.0j]])
         S = np.ones((2, 1), dtype=complex)
         est = projection_of(h, np.zeros((1, 1), dtype=complex), S, np.ones(2), book,
-                            all_tp(2, 1), uniform_power(2, 1), [0], 1).estimates
+                            all_tp(2, 1), HALF, [0], 1).estimates
         assert np.array_equal(est[:, 0], h[:, 0] + h[:, 1])
 
     def test_noise_only_error_variance(self):
         cfg = make_config(L=1, K=2, r=1, M=48, snr_db=3.0)
         book = make_pilot_books(cfg)
-        powers = uniform_power(1, 2)
+        powers = HALF
         acc = 0.0
         trials = 1000
         for t in range(trials):
@@ -113,14 +117,14 @@ class TestTpEstimator:
             sp_assignment=book.sp_assignment,
         )
         with pytest.raises(KeyError):
-            estimator_columns(bad, all_tp(1, 2), uniform_power(1, 2), [1], cfg.C_u)
+            estimator_columns(bad, all_tp(1, 2), HALF, [1], cfg.C_u)
 
 
 class TestSpEstimator:
     def test_exact_when_data_free_and_noiseless(self):
         cfg = make_config(L=1, K=1, C_u=16, M=8)
         book = make_pilot_books(cfg)
-        powers = PowerAllocation(rho_d=np.zeros((1, 1)), rho_p=np.ones((1, 1)))
+        powers = PowerAllocation(0.0, 1.0)
         Z = fading(cfg, (4, "h"))
         frames = assemble_frames(cfg, book, powers, substream(4, "f"), all_sp(1, 1))
         est = projection_of(Z, no_noise(cfg), frames.S, np.ones(1), book, all_sp(1, 1), powers,
@@ -131,8 +135,8 @@ class TestSpEstimator:
         # noiseless single user: h_hat - h = (rho_d / (C_u rho_p)) h (x^T p*)
         cfg = make_config(L=1, K=1, C_u=16, M=8)
         book = make_pilot_books(cfg)
-        rho_d, rho_p = math.sqrt(0.4), math.sqrt(0.6)
-        powers = PowerAllocation(rho_d=np.full((1, 1), rho_d), rho_p=np.full((1, 1), rho_p))
+        powers = PowerAllocation(0.4, 0.6)
+        rho_d, rho_p = powers.rho_d, powers.rho_p
         Z = fading(cfg, (5, "h"))
         frames = assemble_frames(cfg, book, powers, substream(5, "f"), all_sp(1, 1))
         est = projection_of(Z, no_noise(cfg), frames.S, np.ones(1), book, all_sp(1, 1), powers,
@@ -146,7 +150,7 @@ class TestSpEstimator:
         cfg = make_config(M=256)
         book = make_pilot_books(cfg)
         lam2 = 0.46
-        powers = uniform_power(7, 5, data_power_fraction=lam2)
+        powers = PowerAllocation(lam2, 1.0 - lam2)
         acc = 0.0
         trials = 60
         for t in range(trials):
@@ -160,7 +164,7 @@ class TestSpEstimator:
 
     def test_zero_pilot_amplitude_rejected(self):
         cfg = make_config(L=1, K=1, C_u=4)
-        powers = PowerAllocation(rho_d=np.ones((1, 1)), rho_p=np.zeros((1, 1)))
+        powers = PowerAllocation(1.0, 0.0)
         with pytest.raises(ZeroDivisionError):
             estimator_columns(make_pilot_books(cfg), all_sp(1, 1), powers, [0], cfg.C_u)
 
@@ -169,7 +173,7 @@ class TestSpEstimator:
         # matched filter by the square of the scale
         cfg = make_config(L=1, K=2, C_u=8, M=4)
         book = make_pilot_books(cfg)
-        powers = uniform_power(1, 2, 0.7)
+        powers = PowerAllocation(0.7, 0.3)
         rng = substream(7, "lin")
         Z = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         W = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
@@ -188,8 +192,8 @@ class TestMatchedFilters:
         # data without its pilot component, at gain conj(c) ||h||^2 / M
         cfg = make_config(L=1, K=1, C_u=32, M=4096)
         book = make_pilot_books(cfg)
-        rho_d, rho_p = math.sqrt(0.5), math.sqrt(0.5)
-        powers = PowerAllocation(rho_d=np.full((1, 1), rho_d), rho_p=np.full((1, 1), rho_p))
+        powers = HALF
+        rho_d, rho_p = powers.rho_d, powers.rho_p
         Z = fading(cfg, (8, "h"))
         frames = assemble_frames(cfg, book, powers, substream(8, "f"), all_sp(1, 1))
         projection = projection_of(Z, no_noise(cfg), frames.S, np.ones(1), book, all_sp(1, 1),
@@ -209,7 +213,7 @@ class TestMatchedFilters:
         book = make_pilot_books(make_config(L=1, K=1, C_u=64))
         projection = Projection(np.ones((4, 1), dtype=complex),
                                 (rng.standard_normal(64) + 1j * rng.standard_normal(64))[None])
-        x_tilde = receive_cell(projection, book, all_sp(1, 1), uniform_power(1, 1), 0,
+        x_tilde = receive_cell(projection, book, all_sp(1, 1), HALF, 0,
                                np.ones(1), 4)
         x_hat = decide(x_tilde[0], 16)
         dist = np.min(np.abs(x_hat[:, None] - pts[None, :]), axis=1)
@@ -220,7 +224,7 @@ class TestMatchedFilters:
         book = make_pilot_books(make_config(L=1, K=1, C_u=12))
         projection = Projection(rng.standard_normal((16, 1)) + 1j * rng.standard_normal((16, 1)),
                                 rng.standard_normal((1, 12)) + 1j * rng.standard_normal((1, 12)))
-        powers = uniform_power(1, 1)
+        powers = HALF
         a = receive_cell(projection, book, all_sp(1, 1), powers, 0, np.ones(1), 16)
         b = receive_cell(projection, book, all_sp(1, 1), powers, 0, np.full(1, 5.0), 16)
         assert np.allclose(b * 5.0, a, rtol=1e-12)
@@ -229,7 +233,7 @@ class TestMatchedFilters:
     def test_tp_symbol_exact_recovery_noiseless(self):
         cfg = make_config(L=1, K=1, C_u=16, M=512)
         book = make_pilot_books(cfg)
-        powers = uniform_power(1, 1)
+        powers = HALF
         Z = fading(cfg, (11, "h"))
         frames = assemble_frames(cfg, book, powers, substream(11, "f"), all_tp(1, 1))
         projection = projection_of(Z, no_noise(cfg), frames.S, np.ones(1), book, all_tp(1, 1),
@@ -256,7 +260,7 @@ def sp_partition(sp_users, L=7, K=5):
 def textbook_outputs(Y, book, partition, powers, cell, beta_home):
     """LS, then MF, then SP own-pilot removal, one user of `cell` at a time on Y."""
     M, C_u = Y.shape
-    K = powers.rho_d.shape[1]
+    K = partition.sp.shape[1]
     n = book.payload_length(partition, C_u)
     rows = []
     for k in range(K):
@@ -267,7 +271,7 @@ def textbook_outputs(Y, book, partition, powers, cell, beta_home):
             rows.append(np.conj(h) @ Y[:, tau:] / (M * beta_home[k]))
         else:
             p = book.sp_matrix[:, book.sp_assignment[cell, k]]
-            rho_d, rho_p = powers.rho_d[cell, k], powers.rho_p[cell, k]
+            rho_d, rho_p = powers.rho_d, powers.rho_p
             Y_sp = Y[:, C_u - p.size :]
             h = Y_sp @ np.conj(p) / (p.size * rho_p)
             own_pilot = rho_p * np.outer(h, p)
@@ -290,7 +294,7 @@ def test_receiver_matches_the_textbook_formulas_on_the_block(reuse, K):
     schemes = [(book, all_tp(L, K)), (book, all_sp(L, K)),
                (make_pilot_books(cfg, partition=hybrid), hybrid)]
     assert hybrid.sp.any() and not hybrid.sp.all()
-    powers = uniform_power(L, K, 0.4)
+    powers = PowerAllocation(0.4, 0.6)
     beta = substream(12, "gains", K).uniform(0.1, 1.0, (L, L, K))
     frames = [assemble_frames(cfg, b, powers, substream(12, "f", i), part).S
               for i, (b, part) in enumerate(schemes)]
@@ -304,7 +308,7 @@ def test_receiver_matches_the_textbook_formulas_on_the_block(reuse, K):
                               [roots] * 3, columns)
         for (b, part), S, projection in zip(schemes, frames, projections):
             assert projection.estimates.shape == (cfg.M, K)
-            Y = synthesize_received(Z, roots[:, np.newaxis] * S, W)
+            Y = synthesize_received(Z, roots[:, np.newaxis] * S) + W
             got = receive_cell(projection, b, part, powers, j, beta[j, j], cfg.M)
             expected = textbook_outputs(Y, b, part, powers, j, beta[j, j])
             np.testing.assert_allclose(got, expected, rtol=1e-12,
@@ -320,7 +324,7 @@ def test_a_factor_with_fewer_rows_than_m_receives_as_its_block():
     d = L * K + cfg.C_u
     hybrid = hybrid_partition(L, K)
     book = make_pilot_books(cfg, partition=hybrid)
-    powers = uniform_power(L, K, 0.4)
+    powers = PowerAllocation(0.4, 0.6)
     beta = substream(16, "gains").uniform(0.1, 1.0, (L, K))
     frames = assemble_frames(cfg, book, powers, substream(16, "f"), hybrid).S
     X = gaussian((cfg.M, d), substream(16, "x"))
@@ -344,7 +348,7 @@ class TestHybridEstimates:
         cfg = make_config(M=M)
         part = sp_partition({(0, 1)} | {(2, k) for k in range(5)})
         book = make_pilot_books(cfg, partition=part)
-        powers = uniform_power(7, 5, data_power_fraction=0.4)
+        powers = PowerAllocation(0.4, 0.6)
         frames = assemble_frames(cfg, book, powers, substream(seed, "f"), part)
         projection = projection_of(fading(cfg, (seed, "h")), no_noise(cfg), frames.S,
                                    np.ones(35), book, part, powers, np.arange(5, 10), cfg.C_u)
@@ -356,7 +360,7 @@ class TestHybridEstimates:
 
         Zero fading and Y as the noise make the projected block exactly Y.
         """
-        L, K = powers.rho_d.shape
+        L, K = partition.sp.shape
         M, C_u = Y.shape
         users = cell * K + np.arange(K)
         S = np.zeros((L * K, C_u), dtype=complex)
@@ -373,7 +377,7 @@ class TestHybridEstimates:
         book = make_pilot_books(cfg, partition=all_tp(7, 5))
         rng = substream(13, "y")
         Y = rng.standard_normal((cfg.M, cfg.C_u)) + 1j * rng.standard_normal((cfg.M, cfg.C_u))
-        powers = uniform_power(7, 5)
+        powers = HALF
         beta_home = np.linspace(0.5, 1.5, 5)
         projection = self._block_projection(Y, book, all_tp(7, 5), powers, 0)
         x_tilde = receive_cell(projection, book, all_tp(7, 5), powers, 0, beta_home, cfg.M)
@@ -393,7 +397,7 @@ class TestHybridEstimates:
             sp_matrix=dft_matrix(C_u),
             sp_assignment=np.array([[0, 1]]),
         )
-        powers = uniform_power(1, 2, data_power_fraction=0.5)
+        powers = HALF
         rng = substream(14, "y")
         Y = rng.standard_normal((8, C_u)) + 1j * rng.standard_normal((8, C_u))
         beta_home = np.array([1.0, 0.7])
@@ -407,7 +411,7 @@ class TestHybridEstimates:
         cfg = make_config(M=64)
         part = sp_partition({(0, 1)} | {(2, k) for k in range(5)})
         book = make_pilot_books(cfg, partition=part)
-        powers = uniform_power(7, 5, data_power_fraction=0.4)
+        powers = PowerAllocation(0.4, 0.6)
         frames = assemble_frames(cfg, book, powers, substream(12, "f"), part)
         beta_home = np.linspace(0.8, 1.2, 5)
         for cell in (0, 2):
@@ -418,7 +422,7 @@ class TestHybridEstimates:
             projection = projection_of(Z, W, frames.S, roots, book, part, powers,
                                        cell * 5 + np.arange(5), cfg.C_u)
             x_tilde = receive_cell(projection, book, part, powers, cell, beta_home, cfg.M)
-            Y = synthesize_received(Z, roots[:, np.newaxis] * frames.S, W)
+            Y = synthesize_received(Z, roots[:, np.newaxis] * frames.S) + W
             self._assert_close(x_tilde, textbook_outputs(Y, book, part, powers, cell,
                                                          beta_home))
 
@@ -429,7 +433,7 @@ class TestHybridEstimates:
         part = sp_partition((0, k) for k in range(5))
         book = make_pilot_books(cfg, partition=part)
         lam2 = 0.5
-        powers = uniform_power(7, 5, data_power_fraction=lam2)
+        powers = PowerAllocation(lam2, 1.0 - lam2)
         roots = np.zeros(35)
         roots[:5] = 1.0
         acc = 0.0
@@ -458,12 +462,12 @@ class TestHybridEstimates:
         # as many users as the system, but transposed: read in flat order it
         # would name other users
         with pytest.raises(ValueError, match=r"\(5, 7\) partition for a system of \(7, 5\)"):
-            estimator_columns(book, all_tp(5, 7), uniform_power(7, 5), np.arange(5), cfg.C_u)
+            estimator_columns(book, all_tp(5, 7), HALF, np.arange(5), cfg.C_u)
         # the receiver refuses a mask of too few cells or too few users per cell
         # too, where it would read a row of the mask as cell 0's users
         projection = self._block_projection(np.ones((cfg.M, cfg.C_u), dtype=complex), book,
-                                            all_tp(7, 5), uniform_power(7, 5), 0)
+                                            all_tp(7, 5), HALF, 0)
         for L, K in ((3, 5), (7, 4)):
             with pytest.raises(ValueError, match=rf"\({L}, {K}\) partition for a system of"):
-                receive_cell(projection, book, all_tp(L, K), uniform_power(7, 5), 0, np.ones(5),
+                receive_cell(projection, book, all_tp(L, K), HALF, 0, np.ones(5),
                              cfg.M)

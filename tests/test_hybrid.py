@@ -22,9 +22,21 @@ from supmimo.hybrid import (
 )
 from supmimo.rng import substream
 from supmimo.simharness import RunOptions
-from supmimo.sysmodel import Scenario1, Scenario2, SystemConfig, path_loss, place_users
+from supmimo.sysmodel import (
+    PowerAllocation,
+    Scenario1,
+    Scenario2,
+    SystemConfig,
+    path_loss,
+    place_users,
+)
 
 C_U = 20
+
+
+def split(mu2):
+    """The PowerAllocation of pilot fraction mu2."""
+    return PowerAllocation(1.0 - mu2, mu2)
 
 
 def instances():
@@ -36,23 +48,20 @@ def instances():
         beta[idx, idx, :] = 1.0
         r = 1 + i % 2
         mu2 = (0.2, 0.5)[(i // 2) % 2]
-        yield beta, r, r * K, mu2
+        yield beta, SystemConfig(L=L, K=K, C_u=C_U, r=r), split(mu2)
 
 
 @pytest.fixture(scope="module")
 def solved():
-    return [
-        (args, greedy_partition(args[0], args[1], C_U, args[2], args[3]),
-         brute_force_partition(args[0], args[1], C_U, args[2], args[3]))
-        for args in instances()
-    ]
+    return [(args, greedy_partition(*args), brute_force_partition(*args))
+            for args in instances()]
 
 
 def test_greedy_cost_trace_never_increases(solved):
-    for (beta, r, tau, mu2), greedy, _brute in solved:
+    for (beta, config, powers), greedy, _brute in solved:
         trace = greedy.cost_trace
         assert all(b <= a for a, b in zip(trace, trace[1:]))
-        assert greedy.cost == pytest.approx(total_cost(greedy.partition, beta, r, C_U, tau, mu2),
+        assert greedy.cost == pytest.approx(total_cost(greedy.partition, beta, config, powers),
                                             rel=1e-12)
 
 
@@ -66,25 +75,33 @@ def test_greedy_never_beats_brute_force(solved):
     assert max(gaps) == pytest.approx(0.195, abs=0.001)
 
 
+@pytest.mark.parametrize("mu2", [0.0, -0.5, 1.5, np.nan, np.inf])
+def test_pilot_share_outside_the_unit_interval_is_rejected(mu2):
+    # PowerAllocation refuses a fraction outside [0, 1], the SP cost a zero one
+    beta, config, _ = next(instances())
+    with pytest.raises(ValueError, match="fraction"):
+        greedy_partition(beta, config, split(mu2))
+
+
+@pytest.mark.parametrize("fractions", [(0.5, np.nan), (0.3, 0.3), (0.6, 0.6)],
+                         ids=["one-nan", "sum-below-1", "sum-above-1"])
+def test_power_allocation_refuses_fractions_that_are_not_a_split(fractions):
+    with pytest.raises(ValueError, match="fraction"):
+        PowerAllocation(*fractions)
+
+
 @pytest.mark.parametrize("search", [greedy_partition, brute_force_partition])
-@pytest.mark.parametrize("c_u", [2, 1])
-def test_training_without_room_for_data_is_rejected(search, c_u):
-    beta, r, tau, mu2 = next(instances())  # r = 1 and K = 2, so tau = 2
-    with pytest.raises(ValueError, match="training length"):
-        search(beta, r, c_u, tau, mu2)
-
-
-@pytest.mark.parametrize("rho_p2", [0.0, -0.5, 1.5, np.nan, np.inf])
-def test_pilot_share_outside_the_unit_interval_is_rejected(rho_p2):
-    beta = np.ones((2, 2, 1))
-    with pytest.raises(ValueError, match="rho_p2"):
-        interference_sp(all_sp(2, 1), beta, C_U, 1, rho_p2)
+def test_partitioners_refuse_a_split_without_pilot_power(search):
+    beta, config, _ = next(instances())
+    with pytest.raises(ValueError, match="positive pilot fraction"):
+        search(beta, config, PowerAllocation(1.0, 0.0))
 
 
 def test_a_full_pilot_share_is_accepted():
     beta = np.ones((2, 2, 1))
+    config = SystemConfig(L=2, K=1, C_u=C_U)
     # two SP users absorb beta^2 = 1 each over the C_U - 1 symbols
-    assert interference_sp(all_sp(2, 1), beta, C_U, 1, 1.0)[0, 0] == 2.0 / (C_U - 1)
+    assert interference_sp(all_sp(2, 1), beta, config, split(1.0))[0, 0] == 2.0 / (C_U - 1)
 
 
 def test_partition_copies_and_freezes_its_mask():
@@ -105,12 +122,13 @@ def test_partition_refuses_a_mask_that_is_not_2d(mask):
         Partition(mask)
 
 
-def set_greedy(beta, r, C_u, tau, rho_p2):
+def set_greedy(beta, config, powers):
     """The greedy partitioner on (cell, user) sets, each sum in set order.
 
     Returns the SP set.  Moves the worst TP offender to SP while the cost
     does not rise, as greedy_partition does.
     """
+    r, C_u, tau, rho_p2 = config.r, config.C_u, config.tau, powers.pilot
     L, _, K = beta.shape
     groups = np.arange(L) % r
 
@@ -146,21 +164,21 @@ def set_greedy(beta, r, C_u, tau, rho_p2):
 
 
 def partition_instances():
-    """(beta, r, C_u, tau, mu2) of the sum_rate_vs_sir metric cells and of Scenario 1 layouts."""
+    """(beta, config, powers) of the sum_rate_vs_sir metric cells and of Scenario 1 layouts."""
     for K in (2, 5):
         for r in (1, 3):
             cfg = SystemConfig(L=19, K=K, M=200, C_u=40, omega=10.0, r=r)
-            _, mu2 = optimal_rho(cfg.M, 7, K, cfg.C_u)
+            powers = PowerAllocation(*optimal_rho(cfg.M, 7, K, cfg.C_u))
             for ri, radius in enumerate(RunOptions().radii_m):
                 ring = replace(cfg, scenario=Scenario2(user_circle_radius_m=radius))
                 layout = place_users(ring, substream(0, "sum_rate", ri, "layout"))
                 beta = path_loss(layout, cfg.path_loss_exponent).beta[:7, :7]
-                yield beta, r, cfg.C_u, cfg.tau, mu2
+                yield beta, cfg, powers
     for seed in range(20):
         cfg = SystemConfig(scenario=Scenario1(), seed=seed)
-        _, mu2 = optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u)
+        powers = PowerAllocation(*optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u))
         layout = place_users(cfg, substream(seed, "layout"))
-        yield path_loss(layout, cfg.path_loss_exponent).beta, cfg.r, cfg.C_u, cfg.tau, mu2
+        yield path_loss(layout, cfg.path_loss_exponent).beta, cfg, powers
 
 
 def test_greedy_mask_equals_the_set_greedy():

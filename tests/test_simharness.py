@@ -138,9 +138,9 @@ def synthesis_calls(monkeypatch):
     calls = []
     synthesize = waveform.synthesize_received
 
-    def spy(H, S, noise):
-        result = synthesize(H, S, noise)
-        calls.append((H, S, noise, result))
+    def spy(H, S):
+        result = synthesize(H, S)
+        calls.append((H, S, result))
         return result
 
     monkeypatch.setattr(simharness.waveform, "synthesize_received", spy)
@@ -169,12 +169,12 @@ def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
     columns = np.concatenate([estimator_columns(s.book, s.partition, bench.powers, users, cfg.C_u)
                               for s, users in zip(bench.schemes, scored_users(bench, 0))], axis=1)
     factors = []
-    for key, (H, S, noise, _estimates) in zip(keys(2), calls):
+    for key, (H, S, _estimates) in zip(keys(2), calls):
         # one draw of fading and noise, and TP and SP estimates read the same
         # noise columns of it, through sigma times their estimator columns
         assert np.array_equal(H, draw_channels(cfg, substream(*key, "channels")))
         assert H.shape == (cfg.M, N + cfg.C_u)  # M = 40 rows, fewer than d = 135
-        assert np.array_equal(S[N:], math.sqrt(cfg.sigma2) * columns) and noise == 0.0
+        assert np.array_equal(S[N:], math.sqrt(cfg.sigma2) * columns)
         factors.append(H)
     # the trials' draws differ
     assert not np.allclose(*factors)
@@ -196,7 +196,7 @@ def test_one_projection_per_trial_and_bs(bench, monkeypatch, radii):
     rows = min(b.config.M, b.config.L * b.config.K + C_u)
     for t in range(3):
         for j in range(len(b.streams)):
-            _H, _S, _noise, estimates = calls[t * len(b.streams) + j]
+            _H, _S, estimates = calls[t * len(b.streams) + j]
             n = sum(users.size for users in scored_users(b, j))
             # every scheme's scored users, and no received block
             assert estimates.shape == (rows, n) and n != C_u
@@ -213,9 +213,8 @@ def test_one_shot_sp_from_the_reduction_equals_receive_cell(selection):
     (bench,) = simharness._make_benches(cfg, RunOptions(selection=selection), [layout])
     K = cfg.K
     raw = iterative.predict_profile(
-        path_loss(layout, cfg.path_loss_exponent).beta[0].reshape(1, -1),
-        bench.powers.rho_d.reshape(-1), bench.powers.rho_p.reshape(-1), cfg.sigma2, cfg.M,
-        cfg.C_u, cfg.P, cfg.iterations, selection)
+        path_loss(layout, cfg.path_loss_exponent).beta[0].reshape(1, -1), bench.powers, cfg,
+        selection)
     bench = dataclasses.replace(bench, profile=raw.layout(0))
     assert iterative.reduced_users(bench.profile, np.arange(K))[:K].tolist() != list(range(K))
     with simharness._one_blas_thread():

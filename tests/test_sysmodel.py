@@ -17,7 +17,6 @@ from supmimo.sysmodel import (
     path_loss,
     place_users,
     received_sir,
-    uniform_power,
 )
 
 
@@ -295,11 +294,11 @@ class TestPowerControl:
             assert np.allclose(eff.home(), 1.0)
 
     def test_power_split_invariant(self):
-        with pytest.raises(ValueError, match="split"):
-            PowerAllocation(rho_d=np.ones((1, 1)), rho_p=np.ones((1, 1)))
-        powers = uniform_power(2, 3, data_power_fraction=0.25)
-        assert np.allclose(powers.rho_d**2 + powers.rho_p**2, 1.0)
-        assert np.allclose(powers.rho_d**2, 0.25)
+        with pytest.raises(ValueError, match="sum to 1"):
+            PowerAllocation(1.0, 1.0)
+        powers = PowerAllocation(0.25, 0.75)
+        assert powers.rho_d**2 + powers.rho_p**2 == pytest.approx(1.0)
+        assert (powers.rho_d, powers.rho_p) == (0.5, math.sqrt(0.75))
 
 
 def reference_factor(M, d, rng):

@@ -5,7 +5,7 @@ import pytest
 
 from supmimo.hybrid import Partition, all_sp, all_tp
 from supmimo.rng import substream
-from supmimo.sysmodel import PowerAllocation, SystemConfig, uniform_power
+from supmimo.sysmodel import PowerAllocation, SystemConfig
 from supmimo.waveform import (
     CapacityError,
     _draw_bits,
@@ -25,6 +25,10 @@ def make_config(**kw):
     defaults = dict(L=7, K=5, M=16, C_u=100, C=200, r=1, P=4, seed=0)
     defaults.update(kw)
     return SystemConfig(**defaults)
+
+
+# an even split of every user's power
+HALF = PowerAllocation(0.5, 0.5)
 
 
 class TestPilotBooks:
@@ -137,6 +141,15 @@ class TestQam:
                     b = demap(np.array([pts[i, j + 1]]), P)
                     assert np.sum(a != b) == 1
 
+    @pytest.mark.parametrize("P", [4, 16, 64, 256])
+    def test_demap_reads_the_nearest_point(self, P):
+        # random components and huge ones, which the slicer clips to the outer levels
+        rng = substream(14, "demap", P)
+        parts = rng.standard_normal((2, 400)) * np.array([[1.0], [1e300]])
+        # (real, imaginary) pairs, viewed as complex without arithmetic on inf
+        x = np.concatenate([parts.reshape(-1), [np.inf, -np.inf, 1e300, -1e300]]).view(complex)
+        assert np.array_equal(demap(x, P), demap(decide(x, P), P))
+
     def test_non_square_order_rejected(self):
         with pytest.raises(ValueError, match="square"):
             modulate(np.zeros(3, dtype=np.uint8), 8)
@@ -184,7 +197,7 @@ def reference_frames(cfg, book, power, rng, partition, data_dist="qam"):
             else:
                 cols = slice(cfg.C_u - size, cfg.C_u)
                 pilot = book.sp_matrix[:, book.sp_assignment[cell, k]]
-                S[n, cols] = power.rho_d[cell, k] * x + power.rho_p[cell, k] * pilot
+                S[n, cols] = power.rho_d * x + power.rho_p * pilot
             data.append(x)
     return S, np.array(data)
 
@@ -203,7 +216,7 @@ class TestFrames:
         cfg = make_config()
         part = PARTITIONS[name]
         book = make_pilot_books(cfg, partition=part if name == "hybrid" else None)
-        powers = uniform_power(7, 5, data_power_fraction=0.6)
+        powers = PowerAllocation(0.6, 0.4)
         frames = assemble_frames(cfg, book, powers, substream(9, "f"), part, data_dist)
         S, data = reference_frames(cfg, book, powers, substream(9, "f"), part, data_dist)
         assert np.array_equal(frames.S, S)
@@ -219,13 +232,13 @@ class TestFrames:
         part = PARTITIONS[name]
         book = make_pilot_books(cfg, partition=part if short_book else None)
         assert book.payload_length(part, cfg.C_u) == length
-        frames = assemble_frames(cfg, book, uniform_power(7, 5), substream(0, "f"), part)
+        frames = assemble_frames(cfg, book, HALF, substream(0, "f"), part)
         assert frames.data.shape == (35, length)
 
     def test_bad_arguments(self):
         cfg = make_config()
         book = make_pilot_books(cfg)
-        powers = uniform_power(7, 5)
+        powers = HALF
         with pytest.raises(ValueError, match="distribution"):
             assemble_frames(cfg, book, powers, substream(0, "f"), all_sp(7, 5), "uniform")
         with pytest.raises(KeyError, match=r"\(0, 0\)"):
@@ -239,20 +252,20 @@ class TestFrames:
         # on the full-length book the SP rows would carry C_u symbols, the TP rows C_u - tau
         cfg = make_config()
         with pytest.raises(ValueError, match="C_u - tau"):
-            assemble_frames(cfg, make_pilot_books(cfg), uniform_power(7, 5), substream(0, "f"),
+            assemble_frames(cfg, make_pilot_books(cfg), HALF, substream(0, "f"),
                             HYBRID)
 
     def test_pure_pilot_when_data_amplitude_zero(self):
         cfg = make_config(L=1, K=1, C_u=8)
         book = make_pilot_books(cfg)
-        powers = PowerAllocation(rho_d=np.zeros((1, 1)), rho_p=np.ones((1, 1)))
+        powers = PowerAllocation(0.0, 1.0)
         frames = assemble_frames(cfg, book, powers, substream(0, "f"), all_sp(1, 1))
         assert np.allclose(frames.S[0], book.sp_matrix[:, book.sp_assignment[0, 0]])
 
     def test_sp_frame_average_power(self):
         cfg = make_config(L=1, K=2, r=1, C_u=64, C=128)
         book = make_pilot_books(cfg)
-        powers = uniform_power(1, 2, data_power_fraction=0.4)
+        powers = PowerAllocation(0.4, 0.6)
         acc = 0.0
         n_frames = 200
         for t in range(n_frames):
@@ -263,7 +276,7 @@ class TestFrames:
     def test_tp_pilot_phase_power_exact(self):
         cfg = make_config()
         book = make_pilot_books(cfg)
-        frames = assemble_frames(cfg, book, uniform_power(7, 5), substream(4, "f"), all_tp(7, 5))
+        frames = assemble_frames(cfg, book, HALF, substream(4, "f"), all_tp(7, 5))
         assert np.allclose(np.abs(frames.S[:, : cfg.tau]) ** 2, 1.0, atol=1e-12)
         assert frames.data[0].shape == (cfg.C_u - cfg.tau,)
 
@@ -273,7 +286,7 @@ class TestFrames:
         sp[0] = True
         part = Partition(sp)
         book = make_pilot_books(cfg, partition=part)
-        frames = assemble_frames(cfg, book, uniform_power(7, 5), substream(5, "f"), part)
+        frames = assemble_frames(cfg, book, HALF, substream(5, "f"), part)
         assert np.all(frames.S[:5, : cfg.tau] == 0.0)
         assert np.all(frames.S[5:, : cfg.tau] != 0.0)
         assert np.allclose(np.abs(frames.S[5:, : cfg.tau]), 1.0, atol=1e-12)
@@ -281,7 +294,7 @@ class TestFrames:
     def test_gaussian_payload(self):
         cfg = make_config(L=1, K=1, C_u=2000, C=4000)
         book = make_pilot_books(cfg)
-        frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(6, "f"), all_sp(1, 1),
+        frames = assemble_frames(cfg, book, HALF, substream(6, "f"), all_sp(1, 1),
                                  "gaussian")
         assert np.mean(np.abs(frames.data[0]) ** 2) == pytest.approx(1.0, rel=0.1)
 
@@ -296,53 +309,50 @@ class TestSynthesis:
     def test_zero_channels_zero_noise(self):
         cfg = make_config(L=1, K=1, C_u=8)
         book = make_pilot_books(cfg)
-        frames = assemble_frames(cfg, book, uniform_power(1, 1), substream(0, "f"), all_sp(1, 1))
-        Y = synthesize_received(np.zeros((4, 1), dtype=complex), frames.S, 0.0)
+        frames = assemble_frames(cfg, book, HALF, substream(0, "f"), all_sp(1, 1))
+        Y = synthesize_received(np.zeros((4, 1), dtype=complex), frames.S)
         assert np.all(Y == 0.0)
 
     def test_single_symbol_identity(self):
-        Y = synthesize_received(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]]), 0.0)
+        Y = synthesize_received(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]]))
         assert Y[0, 0] == 2.0 + 0j
 
     def test_received_energy_budget(self):
         # symmetric case: E||Y||_F^2 = sum_n M beta C_u + M C_u sigma2
         cfg = make_config(L=1, K=4, C_u=32, C=64, M=8, snr_db=7.0)
         book = make_pilot_books(cfg)
-        powers = uniform_power(1, 4)
+        powers = HALF
         beta = 0.6
         total = 0.0
         trials = 1000
         for t in range(trials):
             rng = substream(8, "h", t)
-            H = math.sqrt(beta / 2) * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
+            H = math.sqrt(beta / 2) * (rng.standard_normal((8, 4))
+                                       + 1j * rng.standard_normal((8, 4)))
             frames = assemble_frames(cfg, book, powers, substream(8, "f", t), all_sp(1, 4))
-            Y = synthesize_received(H, frames.S, noise_block(cfg, substream(8, "n", t)))
+            Y = synthesize_received(H, frames.S) + noise_block(cfg, substream(8, "n", t))
             total += np.linalg.norm(Y) ** 2
         expected = 4 * 8 * beta * 32 + 8 * 32 * cfg.sigma2
         assert total / trials == pytest.approx(expected, rel=0.02)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="users"):
-            synthesize_received(np.zeros((4, 3), dtype=complex), np.zeros((2, 4), dtype=complex),
-                                0.0)
+            synthesize_received(np.zeros((4, 3), dtype=complex), np.zeros((2, 4), dtype=complex))
 
     def test_matches_reference_formula_bit_for_bit(self):
-        cfg = make_config(L=1, K=1, M=6, C_u=5, snr_db=5.2)
         rng = substream(12, "x")
         H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         S = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        W = noise_block(cfg, substream(12, "n"))
-        assert W.shape == (6, 5)
-        reference = H @ S + W
-        Y = synthesize_received(H, S, W)
-        assert np.array_equal(Y.view(np.int64), reference.view(np.int64))
+        Y = synthesize_received(H, S)
+        assert np.array_equal(Y.view(np.int64), (H @ S).view(np.int64))
 
     def test_stacked_slices_share_one_noise_block(self):
         rng = substream(13, "x")
         H = rng.standard_normal((3, 6, 4)) + 1j * rng.standard_normal((3, 6, 4))
         S = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
         W = noise_block(make_config(L=1, K=1, M=6, C_u=5), substream(13, "n"))
-        Y = synthesize_received(H, S, W)
+        # the caller adds one noise block to every slice of the stack
+        Y = synthesize_received(H, S) + W
         assert Y.shape == (3, 6, 5)
         for i in range(3):
             assert np.allclose(Y[i] - H[i] @ S[i], W, rtol=0.0, atol=1e-12)
