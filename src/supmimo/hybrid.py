@@ -107,10 +107,14 @@ def interference_sp(
     Every SP user (l, k), itself included, absorbs beta[l, j, m]^2 of user
     (j, m) through its channel-estimate error, scaled by the pilot fraction
     over the (C_u - tau)-symbol superimposed segment.  Raises ValueError
-    when the pilot fraction is 0: an SP user then sends no pilot.
+    when the pilot fraction is 0, as an SP user then sends no pilot, and for
+    a map whose K is not the config's, from which tau = r K comes.
     """
     if powers.pilot == 0:
         raise ValueError("the SP cost needs a positive pilot fraction, got 0")
+    if beta.shape[2] != config.K:
+        raise ValueError(f"a gain map of K={beta.shape[2]} users per cell for a config of "
+                         f"K={config.K}")
     # each cell's beta^2 weighted by its count of SP users
     n_sp = np.count_nonzero(partition.sp, axis=1)
     absorbed = (n_sp[:, np.newaxis, np.newaxis] * (beta * beta)).sum(axis=0)
@@ -144,7 +148,8 @@ def greedy_partition(
     """Greedy cost minimizer over TP/SP assignments.
 
     beta is the (L, L, K) gain map of the cells partitioned, which may be
-    fewer than config.L; the config gives the reuse factor r, C_u and tau.
+    fewer than config.L; the config gives the reuse factor r, C_u and tau,
+    and a map whose K is not the config's raises ValueError.
     Starts with every user TP.  Each step moves the TP user with the largest
     TP-side contribution into the SP set and keeps the move when the total
     cost does not increase (ties accepted).  Stops on the first rejected
@@ -174,9 +179,9 @@ def brute_force_partition(
 ) -> GreedyResult:
     """Exhaustive cost minimizer; only viable for at most 16 users.
 
-    The SP set is capped at the C_u - tau available pilot columns.  Ties are
-    broken toward fewer SP users, then lexicographically, so the result is
-    deterministic.
+    beta and config as for greedy_partition.  The SP set is capped at the
+    C_u - tau available pilot columns.  Ties are broken toward fewer SP
+    users, then lexicographically, so the result is deterministic.
     """
     L, _, K = beta.shape
     flat = np.arange(L * K).reshape(L, K)

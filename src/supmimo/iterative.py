@@ -71,7 +71,9 @@ from .estimators import Projection, _conj_rows, _powers, sp_output
 from .sysmodel import PowerAllocation, SystemConfig
 from .waveform import _side, decide
 
-SELECTION_RULES = ("none", "all", "fixed", "per_iteration")
+# the feedback set: every user, those admitted after one sweep in which
+# nobody is fed back, or each sweep's admissions
+SELECTION_RULES = ("all", "fixed", "per_iteration")
 
 
 def q_function(x: float) -> float:
@@ -195,22 +197,23 @@ def predict_profile(
 
     beta is one layout's gains (N,) or a batch of B layouts (B, N), users in
     any order, all under the one split powers; config gives sigma2, M, C_u,
-    P and the sweep count.  Each row is sorted into sweep order for the
-    recursion and its results are returned in the row's own order.  A batch
-    gives a profile with a leading B axis whose layout(b) equals the profile
-    of row b alone, bit for bit.  selection is one of SELECTION_RULES.  The
-    profile keeps a copy of beta, at its shape, with powers and config:
-    they are what iterative_estimate reads.
+    P and the sweep count, and N must be its L*K.  Each row is sorted into
+    sweep order for the recursion and its results are returned in the row's
+    own order.  A batch gives a profile with a leading B axis whose
+    layout(b) equals the profile of row b alone, bit for bit.  selection is
+    one of SELECTION_RULES.  The profile keeps a copy of beta, at its shape,
+    with powers and config: they are what iterative_estimate reads.
     """
     single = np.ndim(beta) == 1
     batch = np.atleast_2d(np.array(beta, dtype=float))
+    if batch.shape[-1] != config.L * config.K:
+        raise ValueError(f"need one gain per user, {config.L * config.K} for L={config.L}, "
+                         f"K={config.K}, got {batch.shape[-1]}")
     # the sweep order: decreasing gain, ties in the order given
     order = np.argsort(-batch, axis=1, kind="stable")
     sorted_beta = np.take_along_axis(batch, order, axis=1)
     nobody = np.zeros(batch.shape, dtype=bool)
-    if selection == "none":
-        fixed_mask = nobody
-    elif selection == "all":
+    if selection == "all":
         fixed_mask = ~nobody
     elif selection == "fixed":
         # admitted iff, with nobody fed back, feeding it back cannot raise its error

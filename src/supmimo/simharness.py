@@ -15,18 +15,16 @@ without the sweep point: one trial serves every radius, and only its frame
 tags name the radius.
 
 Every experiment draws, receives and scores its trials in one kernel,
-_run_trials, over a bench: the pilot schemes it compares (_Scheme), each
-metric BS's substream of fading and noise, the payload distribution, and an
-optional prediction profile, which adds the iterative estimator on the SP
-block at BS 0.  The reference-BS experiments compare TP and SP at BS 0 with
-QAM payloads and the profile; their benches are set up in one batched pass
+_run_trials, over a bench: a table of the pilot schemes it compares
+(_Scheme), each metric BS's substream of fading and noise, and the payload
+distribution.  Each entry is one method, and an entry that iterates, with a
+prediction profile per metric BS, one more: the iterative estimator on its
+block.  The reference-BS experiments compare TP, SP and iterated SP at BS 0
+with QAM payloads; their benches are set up in one batched pass
 (_make_benches), which builds the data/pilot split, powers and pilot book
 once and runs one prediction recursion over all layouts of a sweep point.
-Users are passed to the iterative layer as drawn, in flat l*K + k order;
-the sweep order is that layer's own.  sum_rate_vs_sir compares all-TP,
-all-SP and hybrid pilots at its 7 metric BSs with Gaussian payloads, on one
-bench whose schemes are the (radius, method) pairs of its sweep
-(_sum_rate_bench).
+sum_rate_vs_sir compares all-TP, all-SP and hybrid pilots at its 7 metric
+BSs with Gaussian payloads, one entry per (radius, method) (_sum_rate_bench).
 
 The schemes of a bench see common random numbers: each draws its own
 frames, but at each metric BS one unit-variance fading matrix Z and one
@@ -39,34 +37,26 @@ scored users (estimators.project), which gives their estimates and matched
 filters from one synthesize_received call and one more product.
 
 Z and W are not drawn either, only the r x d factor R of X = [Z, W / sigma]
-= Q R, d = L*K + C_u and r = min(M, d) (sysmodel.draw_channels), so a
-trial's cost does not grow with M.  The law of every output is exact, not
-a large-M approximation.  Every output is a function of the frames and of
-X's Gram matrix: the estimates enter only through their norms (||h||^2 in
-the SP pilot removal) and inner products (iterative.reduce_block) and
-through the matched filters conj(Y E)^T Y, and the desired-signal gain is
-||z||^2 / M.  None of these changes when the M antennas are rotated, so
-computing with R = Q^H X in place of X only rotates the estimates.  The
-frames are independent of X, and R is drawn from its own exact law (the
-complex Bartlett decomposition), so every record keeps the law it had with
-X.  Receivers take M from the config, not from the estimates' row count.
+= Q R, d = L*K + C_u and r = min(M, d), from its exact law
+(sysmodel.draw_channels), so a trial's cost does not grow with M and no
+output is a large-M approximation.  Every output reads X only through its
+Gram matrix: the estimates' norms and inner products, the matched filters
+conj(Y E)^T Y and the desired-signal gain ||z||^2 / M, which R gives as X
+does.  Receivers take M from the config, not from the estimates' row count.
 
 Each scheme's cell is received from its projection through receive_cell, and
 its outputs are scored (energies, and bit errors for QAM payloads) as soon
 as they are made, so a trial's frames, draws and outputs do not outlive it.
-With a profile the all-SP scheme is projected onto the users the estimator
-keeps (iterative.reduced_users), and iterative.reduce_block turns that
-projection into the two arrays the estimator reads: G, the kept users'
-matched filters, and R, the inner products of their one-shot estimates.
-The scheme's one-shot outputs are received from cell 0's users of the same
-projection.  Only the iterative pass needs a batch: each trial's G and R,
-cell 0's payloads and bits and the channel gains outlive a trial, and the
-estimator runs once per batch of as many trials as fit _CHUNK_BYTES at
-_trial_bytes each.  It reads the layout's gains, amplitudes, M and P from
-the profile, so the harness passes them once, to predict_profile.  Its
-products are stacks of per-trial products, so a trial's energies have the
-same bits in any batch, and they are added to the totals in trial order, so
-the output does not depend on the batch size.
+An entry that iterates is projected at metric BS j onto the users its
+estimator keeps for cell j (iterative.reduced_users); its one-shot outputs
+are received from cell j's users of that projection, and reduce_block turns
+it into the G and R the estimator reads.  Only the iterative passes need a
+batch: each trial's G and R, payloads, bits and channel gains outlive it,
+and the estimator runs once per (entry, BS) on a batch of as many trials
+as fit _CHUNK_BYTES at _trial_bytes each, reading the layout's gains, M and
+P from the profile.  Its products are stacks of per-trial products, so a
+trial's energies have the same bits in any batch, and they are added to the
+totals in trial order, so the output does not depend on the batch size.
 
 run_experiment holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards.  A product whose reduction is split over threads
@@ -153,7 +143,7 @@ class RunOptions:
     """
 
     trials: int = 200
-    selection: str = "fixed"
+    selection: str = "fixed"  # the iterative estimator's feedback set, iterative.SELECTION_RULES
     m_values: tuple = (50, 100, 200)
     k_values: tuple = (1, 5, 10)
     m_per_k: int = 50
@@ -231,11 +221,14 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Scheme(NamedTuple):
-    """One pilot scheme of a bench, scored as one method.
+    """One entry of a bench's scheme table: a pilot scheme, scored as one method.
 
     Its frames follow partition and book, drawn from the trial's (tag +
     "-frames") substream, are sent over the square roots of its gains, and
-    are received under partition and book.
+    are received under partition and book.  An entry that iterates has
+    iterated = (method, profiles): profiles[j] is the prediction profile of
+    its gains at metric BS j, and at every metric BS the iterative estimator
+    also runs on its projection, scored as that second method.
     """
 
     method: str
@@ -243,19 +236,18 @@ class _Scheme(NamedTuple):
     book: waveform.PilotBook
     gains: PathLossMap
     partition: Partition
+    iterated: tuple | None = None
 
 
 @dataclass(frozen=True)
 class _Bench:
-    """What a run of trials shares: its schemes and metric BSs.
+    """What a run of trials shares: its scheme table and metric BSs.
 
     The schemes are those of one layout, or of several (sum_rate_vs_sir's
     radii), each with its own gains.  streams[j] is the substream tag of
     metric BS j's draws (sysmodel.draw_channels), whose cell's users are
-    scored.
-    data_dist is the payload distribution of waveform.assemble_frames.  A
-    profile, the prediction recursion of the gains at BS 0, adds the
-    iterative pass on the all-SP scheme there.
+    scored.  data_dist is the payload distribution of
+    waveform.assemble_frames.
     """
 
     config: SystemConfig
@@ -263,16 +255,15 @@ class _Bench:
     schemes: tuple
     streams: tuple
     data_dist: str
-    profile: iterative.PredictionProfile | None = None
 
 
 def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
     """Yield one reference bench per layout, in order, from one set-up pass.
 
-    TP and SP at BS 0 on one gain map, QAM payloads and the profile.  The
-    state that depends on the config alone (data/pilot split, powers, pilot
-    book) is built once and shared, and one prediction recursion runs over
-    the layouts' gains at BS 0.
+    TP and SP at BS 0 on one gain map, QAM payloads, and the SP entry
+    iterated.  The state that depends on the config alone (data/pilot split,
+    powers, pilot book) is built once and shared, and one prediction
+    recursion runs over the layouts' gains at BS 0.
     """
     L, K = config.L, config.K
     powers = PowerAllocation(*analytics.optimal_rho(config.M, L, K, config.C_u))
@@ -286,75 +277,76 @@ def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
     )
     tp, sp = all_tp(L, K), all_sp(L, K)
     for b, beta_eff in enumerate(beta_effs):
+        iterated = (ITER_METHOD, (profiles.layout(b),))
         schemes = (_Scheme(TP_METHOD, "tp", book, beta_eff, tp),
-                   _Scheme(SP_METHOD, "sp", book, beta_eff, sp))
-        yield _Bench(config, powers, schemes, (("channels",),), "qam",
-                     profiles.layout(b))
+                   _Scheme(SP_METHOD, "sp", book, beta_eff, sp, iterated))
+        yield _Bench(config, powers, schemes, (("channels",),), "qam")
 
 
-def _payload_lengths(bench: _Bench) -> list:
-    """Each scheme's payload and output symbols per user."""
-    return [s.book.payload_length(s.partition, bench.config.C_u) for s in bench.schemes]
+def _methods(bench: _Bench) -> list:
+    """The methods of _run_trials's method axis, as (name, entry, payload symbols per user).
+
+    Every entry of the table, then the iterated pass of each entry that
+    iterates, in table order.
+    """
+    schemes, C_u = bench.schemes, bench.config.C_u
+    named = [(s.method, s) for s in schemes] + [(s.iterated[0], s) for s in schemes if s.iterated]
+    return [(name, s, s.book.payload_length(s.partition, C_u)) for name, s in named]
 
 
 def _run_trials(bench: _Bench, keys: list):
     """T trials of a bench, one per key: drawn, received and scored.
 
-    Per trial and metric BS j, one draw (streams[j]) serves every scheme:
-    the factor of the unit-variance fading Z and the noise W there
-    (sysmodel.draw_channels).  Scheme s would receive Y_s = Z @ (sqrt(beta_s)
-    * S_s) + W, its gains at BS j folded into its frame rows.  One
-    projection of the factor (estimators.project) makes the estimates and
-    matched filters of every scheme's users of cell j, and no Y_s.  A user's
-    desired-signal gain ||h||^2 / (M beta) is ||z||^2 / M, the squared norm
-    of its column of the factor, the same for every scheme.  Each scheme's
-    outputs are scored as they are made, QAM and Gaussian payloads alike.
-    With a profile the all-SP scheme is projected onto the users the
-    estimator keeps and also reduced; its one-shot outputs are received from
-    cell 0's columns and rows of that projection, and the G and R stacks,
-    with cell 0's payloads and bits, are iterated once per batch.  Returns
-    (sig_res, errs): the (T, methods, 2, J, K) signal and residual energies
-    per trial, method, metric BS and user, and the (methods, 2) bit errors
-    and bit count per method over the batch (zero for Gaussian payloads).
-    The methods are the schemes, then the iterative pass.
+    Per trial and metric BS j, one draw (streams[j]) serves every scheme,
+    whose gains at BS j are folded into its frame rows, and one projection
+    of it (estimators.project) makes the estimates and matched filters of
+    every scheme's scored users.  A user's desired-signal gain ||h||^2 / (M
+    beta) is ||z||^2 / M, the squared norm of its column of the draw, the
+    same for every scheme.  Returns (sig_res, errs): the (T, methods, 2, J,
+    K) signal and residual energies per trial, method, metric BS and user,
+    and the (methods, 2) bit errors and bit count per method over the batch
+    (zero for Gaussian payloads), methods as _methods lists them.
     """
-    cfg, powers, schemes, profile = bench.config, bench.powers, bench.schemes, bench.profile
+    cfg, powers, schemes = bench.config, bench.powers, bench.schemes
     K, M, C_u, P, N = cfg.K, cfg.M, cfg.C_u, cfg.P, cfg.L * cfg.K
     sigma = math.sqrt(cfg.sigma2)
     T, J, n_schemes = len(keys), len(bench.streams), len(schemes)
     qam = bench.data_dist == "qam"
+    cells = np.arange(J * K).reshape(J, K)
     # sqrt(beta) of every scheme's users at every metric BS, the frame row scales
     roots = np.sqrt(np.stack([s.gains.beta[:J].reshape(J, N) for s in schemes]))
     # each scheme's estimator columns at each metric BS, those of its cell's
     # users; schemes on one book and one Partition object share them
     unique = {(id(s.book), s.partition): s for s in schemes}
-    cells = {key: [estimator_columns(s.book, s.partition, powers, j * K + np.arange(K), C_u)
-                   for j in range(J)] for key, s in unique.items()}
-    columns = [[cells[id(s.book), s.partition][j] for s in schemes] for j in range(J)]
-    del unique, cells
-    n_methods = n_schemes + (profile is not None)
+    shared = {key: [estimator_columns(s.book, s.partition, powers, cell, C_u) for cell in cells]
+              for key, s in unique.items()}
+    columns = [[shared[id(s.book), s.partition][j] for s in schemes] for j in range(J)]
+    del unique, shared
+    # an iterated entry i's projection at BS j is onto the users its
+    # estimator keeps: rows[i, j] are cell j's among them, and stacks[i, j]
+    # the batch's G and R over them
+    iterated = [i for i, s in enumerate(schemes) if s.iterated]
+    rows, stacks = {}, {}
+    for i in iterated:
+        s = schemes[i]
+        for j, profile in enumerate(s.iterated[1]):
+            users = iterative.reduced_users(profile, cells[j])
+            columns[j][i] = estimator_columns(s.book, s.partition, powers, users, C_u)
+            rows[i, j] = np.nonzero(cells[j][:, np.newaxis] == users)[1]
+            stacks[i, j] = (np.empty((T, users.size, C_u), dtype=complex),
+                            np.empty((T, users.size, users.size), dtype=complex))
     gain = np.empty((T, J, K))
-    sig_res = np.empty((T, n_methods, 2, J, K))
-    errs = np.zeros((n_methods, 2), dtype=np.int64)
-    # the current trial's payloads and bits of every scheme's metric cells
-    lengths = _payload_lengths(bench)
+    sig_res = np.empty((T, n_schemes + len(iterated), 2, J, K))
+    errs = np.zeros((n_schemes + len(iterated), 2), dtype=np.int64)
+    # the payloads and bits of every scheme's metric cells: the current
+    # trial's, or every trial's for an entry that iterates
     n_bits = waveform.bits_per_symbol(P)
-    data = [np.empty((J, K, n), dtype=complex) for n in lengths]
-    bits = [np.empty((J, K, n_bits * n), dtype=np.uint8) for n in lengths] if qam else None
-    if profile is not None:
-        sp = next(i for i, s in enumerate(schemes) if s.partition.sp.all())
-        book = schemes[sp].book
-        report = np.arange(K)
-        users = iterative.reduced_users(profile, report)
-        rows = np.argsort(users)[:K]  # cell 0's users are flat users 0..K-1, all kept
-        # the all-SP scheme's BS 0 projection is onto the users the estimator keeps
-        columns[0][sp] = estimator_columns(book, schemes[sp].partition, powers, users, C_u)
-        G = np.empty((T, users.size, C_u), dtype=complex)
-        R = np.empty((T, users.size, users.size), dtype=complex)
-        sp_data = np.empty((T, K, lengths[sp]), dtype=complex)
-        sp_bits = np.empty((T, K, n_bits * lengths[sp]), dtype=np.uint8)
+    held = [(T if s.iterated else 1, n) for _, s, n in _methods(bench)[:n_schemes]]
+    data = [np.empty((d, J, K, n), dtype=complex) for d, n in held]
+    bits = [np.empty((d, J, K, n_bits * n), dtype=np.uint8) for d, n in held] if qam else None
     S = np.empty((n_schemes, N, C_u), dtype=complex)
     for t, key in enumerate(keys):
+        at = [t if s.iterated else 0 for s in schemes]
         # one scheme's frames at a time: the substreams are keyed, so the
         # order of the draws does not change their bits
         for i, s in enumerate(schemes):
@@ -362,39 +354,42 @@ def _run_trials(bench: _Bench, keys: list):
                                               substream(*key, f"{s.tag}-frames"), s.partition,
                                               bench.data_dist)
             S[i] = frames.S
-            data[i][...] = frames.data[: J * K].reshape(J, K, -1)
+            data[i][at[i]] = frames.data[: J * K].reshape(J, K, -1)
             if qam:
-                bits[i][...] = frames.bits[: J * K].reshape(J, K, -1)
+                bits[i][at[i]] = frames.bits[: J * K].reshape(J, K, -1)
             del frames  # before the next scheme's are drawn
         for j, tag in enumerate(bench.streams):
             factor = draw_channels(cfg, substream(*key, *tag))
             # the cell's columns copied and read as rows: how ||z||^2 rounds
             # depends on that layout (contiguous rows at K = 1)
-            z = np.ascontiguousarray(factor[:, j * K : (j + 1) * K]).T
+            z = np.ascontiguousarray(factor[:, cells[j]]).T
             gain[t, j] = np.vecdot(z, z).real / M
             projections = project(factor, sigma, S, roots[:, j], columns[j])
             del factor, z
             for i, (s, projection) in enumerate(zip(schemes, projections)):
-                if profile is not None and i == sp:
+                if s.iterated:
+                    G, R = stacks[i, j]
                     G[t], R[t] = iterative.reduce_block(projection)
-                    sp_data[t], sp_bits[t] = data[i][0], bits[i][0]
-                    # the one-shot outputs read cell 0's users among those kept
-                    projection = Projection(projection.estimates[:, rows],
-                                            projection.matched[rows])
+                    # the one-shot outputs read cell j's users among those kept
+                    cell = rows[i, j]
+                    projection = Projection(projection.estimates[:, cell], projection.matched[cell])
                 x_tilde = receive_cell(projection, s.book, s.partition, powers, j,
                                        s.gains.beta[j, j], M)
                 sig_res[t, i, 0, j], sig_res[t, i, 1, j] = signal_residual_power(
-                    x_tilde, data[i][j], gain[t, j])
+                    x_tilde, data[i][at[i], j], gain[t, j])
                 if qam:
-                    errs[i] += count_ber(x_tilde, bits[i][j], P)
+                    errs[i] += count_ber(x_tilde, bits[i][at[i], j], P)
             del projections, projection  # before the next BS's draws
     del S, columns
-    if profile is not None:
-        x_tilde = iterative.iterative_estimate(G, R, book.sp_columns(slice(None)), profile, report)
-        del G, R
-        sig_res[:, -1, 0, 0], sig_res[:, -1, 1, 0] = signal_residual_power(
-            x_tilde, sp_data, gain[:, 0])
-        errs[-1] = count_ber(x_tilde, sp_bits, P)
+    for m, i in enumerate(iterated, n_schemes):
+        pilots = schemes[i].book.sp_columns(slice(None))
+        for j, profile in enumerate(schemes[i].iterated[1]):
+            # the stacks are freed as the pass returns
+            x_tilde = iterative.iterative_estimate(*stacks.pop((i, j)), pilots, profile, cells[j])
+            sig_res[:, m, 0, j], sig_res[:, m, 1, j] = signal_residual_power(
+                x_tilde, data[i][:, j], gain[:, j])
+            if qam:
+                errs[m] += count_ber(x_tilde, bits[i][:, j], P)
     return sig_res, errs
 
 
@@ -405,21 +400,21 @@ def _trial_bytes(bench: _Bench) -> int:
     trial's are made, and none of them grows with M either: the draw at a
     metric BS is the (r, d) factor of sysmodel.draw_channels, r = min(M, d)
     and d = L*K + C_u, so at most d * d complex numbers (135 x 135, 285 KiB,
-    for sinr_vs_m at M = 200).  Each trial keeps its energies and its metric users' channel
-    gains.  With a profile it also keeps what the iterative pass reads: the
-    reduce_block G and R over the n users the estimator keeps, and cell 0's
-    all-SP payloads and bits; the pass adds at most four (n, C_u) working
-    arrays (G's basis rows among them), its outputs, and the demapped copy
-    of the bits.
+    for sinr_vs_m at M = 200).  Each trial keeps its energies and its metric
+    users' channel gains, and for each entry that iterates and metric BS what
+    the pass reads: the reduce_block G and R over the n users the estimator
+    keeps, and the cell's payloads and bits.  The pass adds at most four (n,
+    C_u) working arrays (G's basis rows among them), its outputs, and the
+    demapped copy of the bits.
     """
     cfg = bench.config
-    methods = len(bench.schemes) + (bench.profile is not None)
-    total = 8 * len(bench.streams) * cfg.K * (2 * methods + 1)
-    if bench.profile is not None:
-        n = iterative.reduced_users(bench.profile, np.arange(cfg.K)).size
-        payloads = cfg.K * cfg.C_u
-        total += (16 * (n * (cfg.C_u + n) + 4 * n * cfg.C_u + 2 * payloads)
-                  + 2 * waveform.bits_per_symbol(cfg.P) * payloads)
+    K, C_u, payloads = cfg.K, cfg.C_u, cfg.K * cfg.C_u
+    total = 8 * len(bench.streams) * K * (2 * len(_methods(bench)) + 1)
+    for s in bench.schemes:
+        for j, profile in enumerate(s.iterated[1] if s.iterated else ()):
+            n = iterative.reduced_users(profile, j * K + np.arange(K)).size
+            total += (16 * (n * (C_u + n) + 4 * n * C_u + 2 * payloads)
+                      + 2 * waveform.bits_per_symbol(cfg.P) * payloads)
     return total
 
 
@@ -450,57 +445,56 @@ def _records_vs_m(config, options, experiment):
     """Empirical and predicted SINR (sinr_vs_m) or rate (rate_vs_m) per M, method and user."""
     records = []
     cap = config.P if options.rate_cap else None
+    metric = "rate" if experiment == "rate_vs_m" else "sinr"
     for mi, M in enumerate(options.m_values):
         cfg = replace(config, M=M)
         layout = place_users(cfg, substream(cfg.seed, experiment, "layout", mi))
         (bench,) = _make_benches(cfg, options, [layout])
-        gains = bench.schemes[0].gains
-        # BS 0's users, row 0 of the maps
-        analytic = np.stack([
-            analytics.sinr_tp_asymptotic(gains, cfg)[0],
-            analytics.sinr_sp_finite_m(gains, bench.powers, cfg)[0],
-            1.0 / bench.profile.interference[cfg.iterations, :cfg.K],
-        ])
+        J, K = len(bench.streams), cfg.K
+        # each entry's closed form for its pilots at the metric BSs, then each
+        # iterated pass's prediction after the last sweep
+        analytic = [analytics.sinr_sp_finite_m(s.gains, bench.powers, cfg)[:J]
+                    if s.partition.sp.all() else analytics.sinr_tp_asymptotic(s.gains, cfg)[:J]
+                    for s in bench.schemes]
+        analytic += [1.0 / np.stack([profile.interference[-1, j * K : (j + 1) * K]
+                                     for j, profile in enumerate(s.iterated[1])])
+                     for s in bench.schemes if s.iterated]
+        analytic = np.stack(analytic)
         keys = [(cfg.seed, experiment, mi, t) for t in range(options.trials)]
         totals, _errs = _sum_trials(bench, keys)
-        empirical = totals[:, 0, 0] / totals[:, 1, 0]
-        if experiment == "rate_vs_m":
-            # the iterative pass decodes the all-SP frames
-            tp_length, sp_length = _payload_lengths(bench)
-            n = np.array([[tp_length], [sp_length], [sp_length]])
+        empirical = totals[:, 0] / totals[:, 1]
+        if metric == "rate":
+            n = np.array([n for _, _, n in _methods(bench)])[:, np.newaxis, np.newaxis]
             empirical = analytics.rate(cfg, empirical, n, cap)
             analytic = analytics.rate(cfg, analytic, n, cap)
-        for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD)):
-            for k in range(cfg.K):
+        for (method, _, _), values, predicted in zip(_methods(bench), empirical, analytic):
+            for (j, k), value in np.ndenumerate(values):
                 records.append(MetricsRecord(
                     experiment=experiment, method=method, sweep_var="M", sweep_value=float(M),
-                    user=f"0:{k}", metric="rate" if experiment == "rate_vs_m" else "sinr",
-                    value=float(empirical[i, k]),
-                    trials=options.trials, analytic_value=float(analytic[i, k]),
+                    user=f"{j}:{k}", metric=metric, value=float(value), trials=options.trials,
+                    analytic_value=float(predicted[j, k]),
                 ))
     return records
 
 
 def _records_sinr_cdf(config, options):
-    samples = {TP_METHOD: [], SP_METHOD: [], ITER_METHOD: []}
-
+    samples = {}
     layouts = [place_users(config, substream(config.seed, "sinr_cdf", p, "layout"))
                for p in range(options.placements)]
     for p, bench in enumerate(_make_benches(config, options, layouts)):
         keys = [(config.seed, "sinr_cdf", p, t) for t in range(options.trials)]
         totals, _errs = _sum_trials(bench, keys)
-        sinrs = totals[:, 0, 0] / totals[:, 1, 0]
-        for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD)):
-            samples[method].extend(sinrs[i])
+        sinrs = totals[:, 0] / totals[:, 1]
+        for (method, _, _), sinr in zip(_methods(bench), sinrs):
+            samples.setdefault(method, []).extend(sinr.reshape(-1))
 
     records = []
-    for method in (TP_METHOD, SP_METHOD, ITER_METHOD):
-        values, probs = empirical_cdf(10.0 * np.log10(samples[method]))
+    for method, sinrs in samples.items():
+        values, probs = empirical_cdf(10.0 * np.log10(sinrs))
         for v, pr in zip(values, probs):
             records.append(MetricsRecord(
                 experiment="sinr_cdf", method=method, sweep_var="prob", sweep_value=float(pr),
-                user="all", metric="sinr_db", value=float(v),
-                trials=options.trials, analytic_value=None,
+                user="all", metric="sinr_db", value=float(v), trials=options.trials,
             ))
     return records
 
@@ -514,14 +508,14 @@ def _records_ber_vs_k(config, options):
     for ki, cfg in enumerate(configs):
         layouts = [place_users(cfg, substream(cfg.seed, "ber_vs_k", ki, t, "layout"))
                    for t in range(options.trials)]
-        benches = _make_benches(cfg, options, layouts)
+        benches = list(_make_benches(cfg, options, layouts))
         totals = sum(_sum_trials(bench, [(cfg.seed, "ber_vs_k", ki, t)])[1]
                      for t, bench in enumerate(benches))
-        for i, method in enumerate((TP_METHOD, SP_METHOD, ITER_METHOD)):
+        # every layout's bench has the same methods
+        for (method, _, _), (errors, count) in zip(_methods(benches[0]), totals):
             records.append(MetricsRecord(
                 experiment="ber_vs_k", method=method, sweep_var="K", sweep_value=float(cfg.K),
-                user="all", metric="ber", value=float(totals[i, 0] / totals[i, 1]),
-                trials=options.trials, analytic_value=None,
+                user="all", metric="ber", value=float(errors / count), trials=options.trials,
             ))
     return records
 
@@ -563,29 +557,25 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
 
 
 def _records_sum_rate_vs_sir(config, options):
-    layouts = []
-    for ri, radius in enumerate(options.radii_m):
-        cfg = replace(config, scenario=Scenario2(cell_radius_m=config.scenario.cell_radius_m,
-                                                 user_circle_radius_m=radius))
-        layouts.append(place_users(cfg, substream(cfg.seed, "sum_rate", ri, "layout")))
+    layouts = [place_users(replace(config, scenario=Scenario2(
+                   cell_radius_m=config.scenario.cell_radius_m, user_circle_radius_m=radius)),
+                   substream(config.seed, "sum_rate", ri, "layout"))
+               for ri, radius in enumerate(options.radii_m)]
     bench = _sum_rate_bench(config, layouts)
     keys = [(config.seed, "sum_rate", t) for t in range(options.trials)]
     totals, _errs = _sum_trials(bench, keys)
     sinr = totals[:, 0] / totals[:, 1]
 
     records = []
-    lengths = _payload_lengths(bench)
-    for lo in range(0, len(bench.schemes), 3):  # one layout's three schemes
-        # the all-SP gains are the power-controlled map
-        sir_db = 10.0 * math.log10(received_sir(bench.schemes[lo + 1].gains, config.omega, 0))
-        for i in range(lo, lo + 3):
-            total_rate = float(np.sum(analytics.rate(config, sinr[i], lengths[i])))
-            records.append(MetricsRecord(
-                experiment="sum_rate_vs_sir", method=bench.schemes[i].method,
-                sweep_var="sir_rx_db", sweep_value=float(sir_db), user="all",
-                metric="sum_rate", value=total_rate, trials=options.trials,
-                analytic_value=None,
-            ))
+    for (method, s, n), method_sinr in zip(_methods(bench), sinr):
+        # the sweep value is the SIR at the centre BS under power control,
+        # which every entry's gains give for its layout
+        sir_db = 10.0 * math.log10(received_sir(s.gains.normalized(config.omega), config.omega, 0))
+        records.append(MetricsRecord(
+            experiment="sum_rate_vs_sir", method=method, sweep_var="sir_rx_db",
+            sweep_value=float(sir_db), user="all", metric="sum_rate",
+            value=float(np.sum(analytics.rate(config, method_sinr, n))), trials=options.trials,
+        ))
     return records
 
 

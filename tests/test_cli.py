@@ -105,7 +105,7 @@ BAD_SPECS = {
     # a sweep of another experiment: each ran on the defaults and exited 0
     "sinr-cdf-m-values": _spec("sinr_cdf", "trials: 1", "placements: 1", "m_values: [20]"),
     "sinr-vs-m-radii": _spec("sinr_vs_m", *_SMALL, "radii_m: [500]"),
-    "sum-rate-selection": _spec("sum_rate_vs_sir", "trials: 1", "selection: none"),
+    "sum-rate-selection": _spec("sum_rate_vs_sir", "trials: 1", "selection: all"),
     "sinr-vs-m-rate-cap": _spec("sinr_vs_m", *_SMALL, "rate_cap: false"),
 }
 

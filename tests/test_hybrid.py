@@ -97,6 +97,21 @@ def test_partitioners_refuse_a_split_without_pilot_power(search):
         search(beta, config, PowerAllocation(1.0, 0.0))
 
 
+@pytest.mark.parametrize("search", [greedy_partition, brute_force_partition])
+def test_partitioners_refuse_a_config_of_another_k(search):
+    # a 3-cell, K = 2 map: its own config gives tau = 2, a K = 5 one gave
+    # tau = 5 and another partition before the two K were compared
+    beta = np.full((3, 3, 2), 0.3)
+    idx = np.arange(3)
+    beta[idx, idx, :] = 1.0
+    powers = split(0.5)
+    assert search(beta, SystemConfig(L=3, K=2, C_u=C_U), powers).partition.sp.shape == (3, 2)
+    with pytest.raises(ValueError, match="K=2 users per cell for a config of K=5"):
+        search(beta, SystemConfig(L=3, K=5, C_u=C_U), powers)
+    # fewer cells than the config's are partitioned as given
+    assert search(beta, SystemConfig(L=7, K=2, C_u=C_U), powers).partition.sp.shape == (3, 2)
+
+
 def test_a_full_pilot_share_is_accepted():
     beta = np.ones((2, 2, 1))
     config = SystemConfig(L=2, K=1, C_u=C_U)

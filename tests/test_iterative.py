@@ -168,11 +168,7 @@ def ref_predict_profile(beta, powers, cfg, selection):
     rho_d, rho_p = powers.rho_d, powers.rho_p
     sigma2, M, C_u, sweeps = cfg.sigma2, cfg.M, cfg.C_u, cfg.iterations
     n_users = beta.shape[0]
-    fixed_mask = {
-        "none": np.zeros(n_users, dtype=bool),
-        "all": np.ones(n_users, dtype=bool),
-        "per_iteration": None,
-    }.get(selection)
+    fixed_mask = {"all": np.ones(n_users, dtype=bool), "per_iteration": None}.get(selection)
     if selection == "fixed":
         fixed_mask = ref_select_user_set_fixed(beta, powers, cfg)
     interference = np.full((sweeps + 1, n_users), math.inf)
@@ -198,6 +194,19 @@ def layout_users(cfg, seed):
     """Gains of BS 0's users in flat order, as the harness builds them."""
     beta = path_loss(place_users(cfg, substream(seed, "layout")), cfg.path_loss_exponent)
     return beta.normalized(cfg.omega).beta[0].reshape(-1)
+
+
+# the selection rules, and "none": a "fixed" profile with its feedback set
+# emptied, so that every user gets the one-shot estimator
+FEEDBACK = ("none", *SELECTION_RULES)
+
+
+def profile_for(beta, powers, cfg, selection):
+    """predict_profile under a selection rule, or for "none" with nobody fed back."""
+    if selection != "none":
+        return predict_profile(beta, powers, cfg, selection)
+    profile = predict_profile(beta, powers, cfg, "fixed")
+    return dataclasses.replace(profile, fixed_mask=np.zeros(profile.order.shape, dtype=bool))
 
 
 def split(cfg):
@@ -324,6 +333,14 @@ def test_batched_profile_equals_one_layout_calls(selection, K):
             assert np.array_equal(row.fixed_mask, one.fixed_mask)
 
 
+@pytest.mark.parametrize("shape", [(34,), (2, 36)])
+def test_gains_of_another_user_count_than_the_config_are_refused(shape):
+    # 7 cells of 5 users: a profile needs 35 gains per layout
+    cfg = SystemConfig(M=40)
+    with pytest.raises(ValueError, match="35 for L=7, K=5"):
+        predict_profile(np.ones(shape), split(cfg), cfg)
+
+
 def test_unknown_selection_rule_rejected():
     with pytest.raises(ValueError, match="selection"):
         predict_profile(np.ones(2), PowerAllocation(0.36, 0.64), SystemConfig(L=1, K=2, C_u=20),
@@ -381,14 +398,14 @@ def block():
     cfg = SystemConfig(M=40, seed=3)
     blk, pilots, args = sp_block(cfg, 3)
     # the reference selection, run in the profile's sweep order
-    order = predict_profile(args["beta"], args["powers"], cfg, "none").order
+    order = predict_profile(args["beta"], args["powers"], cfg, "fixed").order
     fixed = np.empty(order.size, dtype=bool)
     fixed[order] = ref_select_user_set_fixed(args["beta"][order], args["powers"], cfg)
     assert 0 < fixed.sum() < fixed.size
     return cfg, blk, pilots, args, fixed
 
 
-@pytest.mark.parametrize("selection", ["none", "all", "fixed", "per_iteration", "explicit"])
+@pytest.mark.parametrize("selection", [*FEEDBACK, "explicit"])
 def test_matches_every_user_every_sweep(block, selection):
     cfg, blk, pilots, args, fixed = block
     n_users = fixed.size
@@ -398,7 +415,7 @@ def test_matches_every_user_every_sweep(block, selection):
         "fixed": fixed, "per_iteration": None, "explicit": explicit,
     }[selection]
     rule = "fixed" if selection == "explicit" else selection
-    profile = predict_profile(args["beta"], args["powers"], cfg, rule)
+    profile = profile_for(args["beta"], args["powers"], cfg, rule)
     if selection == "explicit":
         # any fixed set the profile carries drives the estimator
         profile = dataclasses.replace(profile, fixed_mask=explicit)
@@ -410,10 +427,10 @@ def test_matches_every_user_every_sweep(block, selection):
     assert np.array_equal(decide(got, cfg.P), x_hat)
 
 
-@pytest.mark.parametrize("selection", ["none", "all", "fixed", "per_iteration"])
+@pytest.mark.parametrize("selection", FEEDBACK)
 def test_reduced_estimates_match_the_m_space_loop(block, selection):
     cfg, blk, pilots, args, _fixed = block
-    profile = predict_profile(args["beta"], args["powers"], cfg, selection)
+    profile = profile_for(args["beta"], args["powers"], cfg, selection)
     got = estimate(blk, pilots, profile, args["report"])
     x_tilde, x_hat = m_space_estimate(
         blk.Y, pilots, args["beta"], args["powers"], cfg.P, cfg.iterations,
@@ -448,7 +465,7 @@ def test_a_reduction_is_estimated_like_its_block(block):
 
 def test_empty_feedback_set_is_the_one_shot_estimator(block):
     cfg, blk, pilots, args, _fixed = block
-    profile = predict_profile(args["beta"], args["powers"], cfg, "none")
+    profile = profile_for(args["beta"], args["powers"], cfg, "none")
     got = estimate(blk, pilots, profile, args["report"])
     # receive_cell on each cell's columns of the same projection; its
     # arithmetic is per user, so at BS 0 it serves every cell's users
@@ -483,8 +500,11 @@ def test_passed_profile_supplies_the_feedback_set(block):
 
 def test_a_batched_or_foreign_profile_is_rejected(block):
     cfg, blk, pilots, args, _fixed = block
-    batched, foreign, good = (predict_profile(beta, args["powers"], cfg) for beta in
-                              (np.stack([args["beta"]] * 2), args["beta"][:-1], args["beta"]))
+    batched, good = (predict_profile(beta, args["powers"], cfg)
+                     for beta in (np.stack([args["beta"]] * 2), args["beta"]))
+    # 34 users, as one cell of a config of their own
+    foreign = predict_profile(args["beta"][:-1], args["powers"],
+                              dataclasses.replace(cfg, L=1, K=cfg.L * cfg.K - 1))
     G, R = reduction(stack_of_one(blk), good, args["report"])
     with pytest.raises(ValueError, match="one layout's profile"):
         iterative_estimate(G, R, pilots, batched, args["report"])
@@ -493,7 +513,7 @@ def test_a_batched_or_foreign_profile_is_rejected(block):
         iterative_estimate(G[:, :-1], R[:, :-1, :-1], pilots, foreign, args["report"][:-1])
 
 
-@pytest.mark.parametrize("selection", SELECTION_RULES)
+@pytest.mark.parametrize("selection", FEEDBACK)
 def test_users_in_any_order_give_the_permuted_bits(selection):
     cfg = SystemConfig(K=5, M=60, C_u=70, scenario=Scenario1())
     blocks = [sp_block(cfg, seed) for seed in (1, 2)]
@@ -510,7 +530,7 @@ def test_users_in_any_order_give_the_permuted_bits(selection):
     flat = {}
     for name, layout_perms in perms.items():
         inputs = [args["beta"][perm] for (_blk, _pilots, args), perm in zip(blocks, layout_perms)]
-        batch = predict_profile(np.stack(inputs), split(cfg), cfg, selection)
+        batch = profile_for(np.stack(inputs), split(cfg), cfg, selection)
         flat[name] = []
         for b, ((blk, pilots, _args), perm) in enumerate(zip(blocks, layout_perms)):
             profile = batch.layout(b)
@@ -538,11 +558,11 @@ def reports(n_users, K):
 
 @pytest.mark.parametrize("trials", [None, 3])
 @pytest.mark.parametrize("K", [5, 10])
-@pytest.mark.parametrize("selection", SELECTION_RULES)
+@pytest.mark.parametrize("selection", FEEDBACK)
 def test_reported_rows_equal_the_all_user_rows(selection, K, trials):
     cfg = SystemConfig(K=K, M=100, C_u=70, scenario=Scenario1())
     blk, pilots, args = sp_block(cfg, 6, trials)
-    profile = predict_profile(args["beta"], args["powers"], cfg, selection)
+    profile = profile_for(args["beta"], args["powers"], cfg, selection)
     everyone = estimate(blk, pilots, profile, args["report"])
     for report in reports(args["beta"].size, K):
         got = estimate(blk, pilots, profile, report)

@@ -35,7 +35,9 @@ def gate():
     cfg = SystemConfig(M=M, seed=SEED)
     layout = place_users(cfg, substream(SEED, "sinr_vs_m", "layout", 0))
     (bench,) = simharness._make_benches(cfg, RunOptions(), [layout])
-    bench = dataclasses.replace(bench, profile=None)  # TP and one-shot SP only
+    # TP and one-shot SP only
+    bench = dataclasses.replace(
+        bench, schemes=tuple(s._replace(iterated=None) for s in bench.schemes))
     with simharness._one_blas_thread():
         sig_res, _errs = simharness._run_trials(
             bench, [(SEED, "large_m", t) for t in range(TRIALS)])

@@ -149,14 +149,11 @@ def synthesis_calls(monkeypatch):
 
 def scored_users(bench, j):
     """The flat users each scheme's projection at metric BS j covers: its
-    cell's, or for the all-SP scheme of a profile, the users the estimator
-    keeps."""
-    K = bench.config.K
-    users = [j * K + np.arange(K)] * len(bench.schemes)
-    if bench.profile is not None:
-        sp = next(i for i, s in enumerate(bench.schemes) if s.partition.sp.all())
-        users[sp] = iterative.reduced_users(bench.profile, np.arange(K))
-    return users
+    cell's, or for an entry that iterates, the users its estimator keeps
+    there."""
+    cell = j * bench.config.K + np.arange(bench.config.K)
+    return [cell if s.iterated is None else iterative.reduced_users(s.iterated[1][j], cell)
+            for s in bench.schemes]
 
 
 def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
@@ -184,7 +181,7 @@ def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
 def test_one_projection_per_trial_and_bs(bench, monkeypatch, radii):
     if radii == "reference":
         b = bench
-        assert b.profile is not None
+        assert any(s.iterated for s in b.schemes)
     else:
         b = sum_rate_bench(5, RunOptions().radii_m[:radii])
     calls = synthesis_calls(monkeypatch)
@@ -215,8 +212,10 @@ def test_one_shot_sp_from_the_reduction_equals_receive_cell(selection):
     raw = iterative.predict_profile(
         path_loss(layout, cfg.path_loss_exponent).beta[0].reshape(1, -1), bench.powers, cfg,
         selection)
-    bench = dataclasses.replace(bench, profile=raw.layout(0))
-    assert iterative.reduced_users(bench.profile, np.arange(K))[:K].tolist() != list(range(K))
+    tp, sp = bench.schemes
+    bench = dataclasses.replace(bench, schemes=(tp, sp._replace(iterated=(sp.iterated[0],
+                                                                          (raw.layout(0),)))))
+    assert iterative.reduced_users(raw.layout(0), np.arange(K))[:K].tolist() != list(range(K))
     with simharness._one_blas_thread():
         sig_res, errs = simharness._run_trials(bench, keys(3))
         # receive_cell on cell 0's columns of the same projection, bit for bit
@@ -224,7 +223,7 @@ def test_one_shot_sp_from_the_reduction_equals_receive_cell(selection):
             assert np.array_equal(sig_res[t, :2], per_trial_energies(bench, key))
         # without a profile the SP scheme projects onto cell 0's users alone,
         # a product of other shape, which rounds otherwise
-        plain = dataclasses.replace(bench, profile=None)
+        plain = dataclasses.replace(bench, schemes=(tp, sp._replace(iterated=None)))
         expected, expected_errs = simharness._run_trials(plain, keys(3))
     assert expected.shape == (3, 2, 2, 1, K)
     np.testing.assert_allclose(sig_res[:, :2], expected, rtol=1e-12)
@@ -240,7 +239,8 @@ def test_bs_0s_tied_users_are_swept_in_their_given_order():
     for selection in ("fixed", "per_iteration"):
         (bench,) = simharness._make_benches(cfg, RunOptions(selection=selection), [layout])
         assert np.all(bench.schemes[1].gains.beta[0, 0] == cfg.omega)
-        assert bench.profile.order[: cfg.K].tolist() == [0, 1, 2, 3, 4]
+        (profile,) = bench.schemes[1].iterated[1]
+        assert profile.order[: cfg.K].tolist() == [0, 1, 2, 3, 4]
 
 
 def per_trial_energies(bench, key):
@@ -293,6 +293,88 @@ def test_sum_rate_energies_equal_the_per_trial_loop(K):
         for t, key in enumerate(keys(3)):
             assert np.array_equal(sig_res[t], per_trial_energies(bench, key))
     assert not errs.any()  # Gaussian payloads carry no bits
+
+
+def test_an_entry_iterates_at_every_metric_bs():
+    # one all-SP entry that iterates, at two metric BSs: its pass at BS 1,
+    # written out as a loop, gives the kernel's energies and bit errors
+    cfg = SystemConfig(M=40, seed=4)
+    K, N = cfg.K, cfg.L * cfg.K
+    layout = place_users(cfg, substream(4, "layout"))
+    (reference,) = simharness._make_benches(cfg, RunOptions(), [layout])
+    sp, powers = reference.schemes[1], reference.powers
+    batch = iterative.predict_profile(sp.gains.beta[:2].reshape(2, N), powers, cfg)
+    profiles = (batch.layout(0), batch.layout(1))
+    entry = sp._replace(iterated=(simharness.ITER_METHOD, profiles))
+    bench = dataclasses.replace(reference, schemes=(entry,), streams=(("ch", 0), ("ch", 1)))
+    report = K + np.arange(K)
+    users = iterative.reduced_users(profiles[1], report)
+    assert users.size > K  # the pass keeps users outside cell 1
+    columns = estimator_columns(sp.book, sp.partition, powers, users, cfg.C_u)
+    roots = np.sqrt(sp.gains.beta[1].reshape(-1))
+    G, R, data, bits, gain = [], [], [], [], []
+    with simharness._one_blas_thread():
+        sig_res, errs = simharness._run_trials(bench, keys(3))
+        for t, key in enumerate(keys(3)):
+            # the entry's one-shot row, from cell j's rows of the same projection
+            assert np.array_equal(sig_res[t, :1], per_trial_energies(bench, key))
+            frames = waveform.assemble_frames(cfg, sp.book, powers, substream(*key, "sp-frames"),
+                                              sp.partition)
+            factor = draw_channels(cfg, substream(*key, "ch", 1))
+            (projection,) = project(factor, math.sqrt(cfg.sigma2), [frames.S], [roots], [columns])
+            G_t, R_t = iterative.reduce_block(projection)
+            G.append(G_t)
+            R.append(R_t)
+            data.append(frames.data[report])
+            bits.append(frames.bits[report])
+            z = np.ascontiguousarray(factor[:, report]).T
+            gain.append(np.vecdot(z, z).real / cfg.M)
+        x_tilde = iterative.iterative_estimate(np.stack(G), np.stack(R),
+                                               sp.book.sp_columns(slice(None)), profiles[1],
+                                               report)
+    signal, residual = simharness.signal_residual_power(x_tilde, np.stack(data), np.stack(gain))
+    assert sig_res.shape == (3, 2, 2, 2, K)
+    assert np.array_equal(sig_res[:, 1, 0, 1], signal)
+    assert np.array_equal(sig_res[:, 1, 1, 1], residual)
+    # the pass's bit errors are its two BSs' together
+    bs_1 = simharness.count_ber(x_tilde, np.stack(bits), cfg.P)
+    assert errs[1, 1] == 2 * bs_1[1] and errs[1, 0] >= bs_1[0]
+
+
+def test_one_more_entry_is_one_more_row(monkeypatch):
+    # all-SP on the raw gains of the first radius: one entry more in the
+    # table, and the kernel and the records code as they are.  The entries'
+    # columns share one projection, so an entry's last bits can depend on
+    # the others (estimators.project): at the experiment's four radii (60
+    # users) an appended entry leaves them be, but at two radii (30 users)
+    # the last hybrid's energies move in the last place.
+    cfg = SystemConfig(L=7, K=5, M=40, C_u=40, omega=10.0, seed=4)
+    options = RunOptions(trials=3)
+    build = simharness._sum_rate_bench
+
+    def grown(config, layouts):
+        bench = build(config, layouts)
+        all_tp, all_sp = bench.schemes[:2]
+        raw_sp = all_sp._replace(method="all-sp-raw", tag="0-sp-raw", gains=all_tp.gains)
+        return dataclasses.replace(bench, schemes=bench.schemes + (raw_sp,))
+
+    bench = build(cfg, sum_rate_layouts(cfg, options.radii_m))
+    more = grown(cfg, sum_rate_layouts(cfg, options.radii_m))
+    with simharness._one_blas_thread():
+        sig_res, _errs = simharness._run_trials(bench, keys(3))
+        more_sig_res, _errs = simharness._run_trials(more, keys(3))
+        for t, key in enumerate(keys(3)):
+            assert np.array_equal(more_sig_res[t], per_trial_energies(more, key))
+    # the existing entries' energies keep their bits
+    assert more_sig_res.shape == (3, 13, 2, 7, 5)
+    assert np.array_equal(more_sig_res[:, :-1], sig_res)
+    expected = run_experiment(cfg, "sum_rate_vs_sir", options)
+    monkeypatch.setattr(simharness, "_sum_rate_bench", grown)
+    records = run_experiment(cfg, "sum_rate_vs_sir", options)
+    assert records[:-1] == expected
+    row = records[-1]
+    assert (row.method, row.sweep_value) == ("all-sp-raw", expected[0].sweep_value)
+    assert 0 < row.value != expected[1].value
 
 
 def test_hybrid_gains_control_the_sp_users_only():
@@ -436,7 +518,7 @@ def test_four_radii_fit_within_the_earlier_peak_of_one(monkeypatch):
 
 
 # a value other than the default for each option an experiment may not read
-OTHER_VALUES = {"selection": "none", "m_values": (30,), "k_values": (2,), "m_per_k": 7,
+OTHER_VALUES = {"selection": "all", "m_values": (30,), "k_values": (2,), "m_per_k": 7,
                 "radii_m": (400.0,), "placements": 2, "rate_cap": False}
 
 
