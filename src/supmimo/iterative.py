@@ -27,10 +27,12 @@ estimator then carries each user as a row of coefficients over that basis;
 its matched-filter output is a combination of G's rows and its power a
 quadratic form in R.  A block's state is thus n (C_u + n) entries whatever
 M is, and a step's matched filter costs n C_u instead of M C_u, so a caller
-can reduce each Monte-Carlo trial as it is drawn and run the sweeps on a
-stack of many trials' (G, R) pairs at once.  A user with an empty feedback
-set gets the one-shot estimator's bits, and every computed user gets the
-bits it has alone, whatever else is reported or stacked.
+can reduce each Monte-Carlo trial as it is drawn and run the sweeps on many
+trials' (G, R) pairs at once, each trial under one layout's profile or its
+own row of a batch of layouts.  Blocks whose layouts give one schedule run
+as one stack.  A user with an empty feedback set gets the one-shot
+estimator's bits, and every computed user gets the bits it has alone,
+whatever else is reported or stacked.
 
 predict_profile is the deterministic companion recursion.  It predicts each
 target's channel-error energy psi, its matched-filter error variance and,
@@ -46,11 +48,15 @@ for per_iteration, where the set follows the admission rows sweep by
 sweep), the sweep order, and the gains, PowerAllocation and SystemConfig
 it was computed for; the estimator reads all of them, its schedule
 (_schedule) included, from the profile.  The recursion takes one layout or
-a batch of layouts, each with its own gains, and runs each (sweep, target)
-step on the whole batch.  A step's psi core is one masked row sum of a
-C-contiguous (B, N) array, and numpy sums each row of such an array along
-axis 1 with the pairwise lanes of a 1-D sum of that row, so every layout
-gets the bits it gets alone.
+a batch of layouts, each with its own gains, and runs each step on the
+whole batch.  A target reads the working row only at the users fed back,
+so under a fixed set a run of targets that no layout of the batch feeds
+back is one step, and a sweep takes one step per member and one per run
+between them; the one-sweep recursion that picks the fixed set, in which
+nobody is fed back, is one step.  A step's psi core is one masked row sum
+of a C-contiguous (B, N) array, and numpy sums each row of such an array
+along axis 1 with the pairwise lanes of a 1-D sum of that row, so every
+layout gets the bits it gets alone.
 
 All prediction formulas assume unit total power per user, i.e. gains are
 the power-controlled equivalents and every user splits it by one
@@ -62,6 +68,7 @@ and the profile carries them to the estimator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -76,28 +83,41 @@ from .waveform import _side, decide
 SELECTION_RULES = ("all", "fixed", "per_iteration")
 
 
-def q_function(x: float) -> float:
-    """Standard Gaussian tail probability."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
+# math.erfc over an array, entry by entry, so each keeps the bits of its scalar call
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def alpha_pqam(interference: float, config: SystemConfig) -> float:
+@functools.cache
+def _slicer(P: int) -> tuple:
+    """(coefficient, 3 / (P - 1)) of alpha_pqam at QAM order P, checked once."""
+    side = _side(P)
+    return 24.0 / (side * (side + 1.0)), 3.0 / (P - 1)
+
+
+def alpha_pqam(interference, config: SystemConfig):
     """Decision-error variance of the config's unit-power square-QAM slicer.
 
     Models symbol errors as jumps to nearest neighbors under Gaussian
     residual interference of the given variance.  Zero interference gives
     zero; the value grows monotonically and saturates at half the
-    nearest-neighbor coefficient.
+    nearest-neighbor coefficient.  interference is a number, which gives a
+    float, or an ndarray, which gives an array of the values its entries
+    give alone, bit for bit.  A negative variance raises ValueError.
     """
-    if interference < 0:
+    coef, scale = _slicer(config.P)
+    if not isinstance(interference, np.ndarray):
+        if interference < 0:
+            raise ValueError("interference variance must be non-negative")
+        if interference == 0.0:
+            return 0.0
+        return coef * (0.5 * math.erfc(math.sqrt(scale / interference) / math.sqrt(2.0)))
+    if np.any(interference < 0):
         raise ValueError("interference variance must be non-negative")
-    P = config.P
-    side = _side(P)
-    coef = 24.0 / (side * (side + 1.0))
-    if interference == 0.0:
-        return 0.0
-    arg = math.sqrt((3.0 / (P - 1)) / interference)
-    return coef * q_function(arg)
+    alpha = np.zeros(interference.shape)
+    some = interference != 0.0
+    tail = 0.5 * _erfc(np.sqrt(scale / interference[some]) / math.sqrt(2.0))
+    alpha[some] = coef * tail.astype(float)
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -113,7 +133,8 @@ class PredictionProfile:
     per-user gains the profile was computed for, and powers and config the
     split, antenna count, QAM order and sweep count.  A profile of a batch
     of B layouts carries a leading B axis on every array; layout(b) is the
-    profile of one of them.
+    profile of one of them, and layout of an index array the batch of the
+    layouts it lists.
     """
 
     interference: np.ndarray
@@ -130,8 +151,8 @@ class PredictionProfile:
     def sweeps(self) -> int:
         return self.interference.shape[-2] - 1
 
-    def layout(self, b: int) -> "PredictionProfile":
-        """The one-layout profile of row b of a batched profile."""
+    def layout(self, b) -> "PredictionProfile":
+        """The one-layout profile of row b of a batched profile, or the batch of rows b lists."""
         rows = {name: getattr(self, name)[b] for name in
                 ("interference", "alpha", "psi", "include", "order", "beta")}
         return replace(self, fixed_mask=None if self.fixed_mask is None else self.fixed_mask[b],
@@ -147,7 +168,11 @@ def _recursion(beta, powers, config, sweeps, fixed_mask):
     so target m sees this sweep's values below m and the previous sweep's
     from m on.  Each step runs on all B layouts at once and gives every
     layout the bits it has alone: the psi core is one masked sum of a
-    C-contiguous (B, N) array along its rows.
+    C-contiguous (B, N) array along its rows.  A target's core reads the
+    working row only where the target's layout feeds back, so under a fixed
+    set a run of targets that no layout feeds back reads one core, and is
+    one step; a fed target, and every target under per_iteration, whose set
+    is the working row itself, is a step of its own.
     """
     n_layouts, n_users = beta.shape
     M, sigma2 = config.M, config.sigma2
@@ -158,10 +183,18 @@ def _recursion(beta, powers, config, sweeps, fixed_mask):
     rho_d2 = powers.rho_d * powers.rho_d
     full_power = rho_d2 * base
     noise = sigma2 * sum_beta / M
-    # psi scale, then per-target (N, B) columns: leakage plus noise, MF gain
+    # psi scale, then per-target leakage plus noise, and MF gain
     scale = M2 / (config.C_u * (powers.rho_p * powers.rho_p))
-    leak = (beta * (sum_beta[:, np.newaxis] - beta) / M + sigma2 * beta / M).T.copy()
-    gain = (rho_d2 * b2).T.copy()
+    leak = beta * (sum_beta[:, np.newaxis] - beta) / M + sigma2 * beta / M
+    gain = rho_d2 * b2
+    # the steps in sweep order: a run of targets, as a slice, or a lone one
+    if fixed_mask is None:
+        edges = list(range(n_users + 1))
+    else:
+        fed_somewhere = np.flatnonzero(fixed_mask.any(axis=0)).tolist()
+        edges = sorted({0, n_users, *fed_somewhere, *(m + 1 for m in fed_somewhere)})
+    steps = [(slice(lo, hi), True) if hi - lo > 1 else (lo, False)
+             for lo, hi in zip(edges, edges[1:])]
 
     shape = (n_layouts, sweeps + 1, n_users)
     interference = np.full(shape, math.inf)
@@ -173,17 +206,21 @@ def _recursion(beta, powers, config, sweeps, fixed_mask):
         alpha_w, psi_w, include_w = alpha[:, i], psi[:, i], include[:, i]
         # per_iteration feeds back the working row, updated in place below
         fed = include_w if fixed_mask is None else fixed_mask
-        for m in range(n_users):
+        for at, run in steps:
             # fed users leave their decision-error-scaled residual, the rest
             # their full data power; noise adds a flat term
             term = rho_d2 * (base * alpha_w + (1.0 + alpha_w) * psi_w / M2)
-            core = np.where(fed, term, full_power).sum(axis=1) + noise
-            psi_w[:, m] = psi_m = scale * core
+            core = np.add.reduce(np.where(fed, term, full_power), axis=1) + noise
+            # a run's targets are a (B, run) block, a lone target a (B,) column
+            psi_w[:, at] = psi_m = (scale * core)[:, np.newaxis] if run else scale * core
             p = psi_m / M2
-            interference[:, i, m] = inter = (leak[m] + p) / gain[m]
-            alpha_w[:, m] = a = np.array([alpha_pqam(x, config) for x in inter.tolist()])
-            # admission: feeding m back cannot raise its predicted error
-            include_w[:, m] = a < (base[:, m] - p) / (base[:, m] + p)
+            interference[:, i, at] = inter = (leak[:, at] + p) / gain[:, at]
+            # scalar calls cost less than the array path for a lone target
+            alpha_w[:, at] = a = (alpha_pqam(inter, config) if run
+                                  else np.array([alpha_pqam(x, config) for x in inter.tolist()]))
+            # admission: feeding the target back cannot raise its predicted error
+            base_at = base[:, at]
+            include_w[:, at] = a < (base_at - p) / (base_at + p)
     return interference, alpha, psi, include
 
 
@@ -237,7 +274,7 @@ def predict_profile(
 
 def reduced_users(profile: PredictionProfile, report: np.ndarray) -> np.ndarray:
     """The users iterative_estimate keeps for (profile, report), in sweep order."""
-    return profile.order[_kept(profile, np.argsort(profile.order)[report])[0]]
+    return _plan(profile, report)[1]
 
 
 def reduce_block(projection: Projection) -> tuple[np.ndarray, np.ndarray]:
@@ -261,19 +298,21 @@ def reduce_block(projection: Projection) -> tuple[np.ndarray, np.ndarray]:
 
 
 def iterative_estimate(
-    G: np.ndarray,
-    R: np.ndarray,
+    G,
+    R,
     pilots: np.ndarray,
     profile: PredictionProfile,
     report: np.ndarray,
 ) -> np.ndarray:
     """Joint channel/data estimation over the profile's ordered sweeps.
 
-    G (T, n, C_u) and R (T, n, n) are the reduce_block statistics of a stack
-    of T blocks over the same n kept users (reduced_users), e.g. one block
-    per trial; one block is a stack of one.  profile is one layout's: it
-    supplies the users' gains, the split, M, P, the sweep order, the sweep
-    count and the feedback set.  pilots holds each user's dedicated
+    G and R hold the reduce_block statistics of T blocks, e.g. one block per
+    trial: G[t] (n_t, C_u) and R[t] (n_t, n_t) over the n_t users the
+    estimator keeps for block t (reduced_users), as two sequences or as
+    (T, n, C_u) and (T, n, n) stacks.  profile is one layout's, which
+    serves every block, or a batch of T layouts, whose row t serves block
+    t: it supplies the users' gains, the split, M, P, the sweep order, the
+    sweep count and the feedback set.  pilots holds each user's dedicated
     column (C_u x N), users in the order the profile was computed for, and
     report lists the users the caller reads, as indices into that order.
     Returns their final matched-filter outputs only, in report's order, as a
@@ -297,80 +336,101 @@ def iterative_estimate(
     and its matched-filter output conj(h) Y and power ||h||^2 come from G
     and R: conj(a) G_B (+ G_u) and conj(a) R_BB a (+ 2 Re(R_uB a) + R_uu).
     A user with an empty feedback set is its own h0, so it reproduces the
-    one-shot estimator and detector exactly.  Each sum runs over the user's
-    own basis in sweep order, as one stacked matrix-vector product per
-    block and user, so a user's result depends neither on report, nor on
-    the other blocks in the stack, nor on which other users are computed.
-    The profile is data-independent, so callers running many blocks with
-    the same large-scale state compute it once.
+    one-shot estimator and detector exactly.
+
+    Blocks whose layouts give the same schedule (_plan) run as one stack,
+    each with its own users' pilot rows and gains, and blocks of other
+    schedules as other stacks; no block is padded to another's size.  Each
+    sum runs over the user's own basis in sweep order, as one stacked
+    matrix-vector product per block and user, so a user's result depends
+    neither on report, nor on the other blocks in the stack, nor on which
+    other users are computed.  The profile is data-independent, so callers
+    running many blocks with the same large-scale state compute it once.
     """
-    if profile.order.ndim != 1:
-        raise ValueError(f"need one layout's profile, got a batch of {profile.order.shape[0]}")
-    n_users = profile.order.size
+    n_users = profile.order.shape[-1]
     report = _check_report(report, n_users)
-    position = np.argsort(profile.order)
-    kept, basis = _kept(profile, position[report])
-    n = kept.size
-    if G.ndim != 3 or G.shape[1] != n or R.shape != (G.shape[0], n, n):
-        raise ValueError(f"need G (T, {n}, C_u) and R (T, {n}, {n}) over the {n} users this "
-                         f"profile and report keep, got {G.shape} and {R.shape}")
-    T, _, C_u = G.shape
+    T = len(G)
+    if profile.order.ndim == 1:
+        layouts, at = [profile], [0] * T
+    elif profile.order.shape[0] == T:
+        layouts, at = [profile.layout(t) for t in range(T)], range(T)
+    else:
+        raise ValueError(f"need one layout's profile or one per block, got "
+                         f"{profile.order.shape[0]} layouts for {T} blocks")
+    C_u = pilots.shape[0]
     if pilots.shape != (C_u, n_users):
         raise ValueError(f"pilots must be (C_u, N) = {(C_u, n_users)}, got {pilots.shape}")
     if n_users > C_u:
         raise ValueError(f"{n_users} users exceed the {C_u}-symbol block")
-    # the computed users, in sweep order, so every step below reads
-    # contiguous slices
-    users_kept = profile.order[kept]
-    pilots = pilots[:, users_kept]
-    conj_rows = _conj_rows(pilots)
-    pilot_rows = np.ascontiguousarray(pilots.T)
+    kept_of, users_of, rows_of, basis_of, key_of = zip(*(_plan(layout, report)
+                                                         for layout in layouts))
+    groups = {}
+    for t, b in enumerate(at):
+        n = users_of[b].size
+        if np.shape(G[t]) != (n, C_u) or np.shape(R[t]) != (n, n):
+            raise ValueError(f"need G (n, {C_u}) and R (n, n) per block over the n = {n} users "
+                             f"its profile and report keep, got {np.shape(G[t])} and "
+                             f"{np.shape(R[t])} for block {t}")
+        groups.setdefault(key_of[b], []).append(t)
+    x_report = np.empty((T, report.size, C_u), dtype=complex)
+    conj_all = _conj_rows(pilots)
     rho_d, rho_p = profile.powers.rho_d, profile.powers.rho_p
     ls_scale = C_u * rho_p
-    mf_gain = profile.config.M * rho_d * profile.beta[users_kept]
-    slot = np.full(kept.size, -1)
-    slot[basis] = np.arange(basis.size)
-    # C-contiguous gathers: a product's bits follow its operands' strides,
-    # and a fancy index lays its axes out by the stack size
-    G_basis = G.take(basis, axis=1)
-    R_basis = R.take(basis, axis=1).take(basis, axis=2)
-    # coefficient rows and decisions of the basis users, the ones fed back;
-    # zero rows are the zero estimates nobody has computed yet
-    coefs = np.zeros((T, basis.size, basis.size), dtype=complex)
-    x_basis = np.zeros((T, basis.size, C_u), dtype=complex)
-    x_tilde = np.zeros((T, kept.size, C_u), dtype=complex)
-    for users, fed in _schedule(profile, kept, basis):
-        inside = slot[users.start]
-        everyone = fed.size == basis.size
-        x_fed, coefs_fed = ((x_basis, coefs) if everyone
-                            else (a.take(slot[fed], axis=1) for a in (x_basis, coefs)))
-        # (T, G, F) weights, then (T, G, B) coefficients: per block and
-        # user, the matrix-vector products of one user alone
-        weights = np.matmul(x_fed[:, np.newaxis], conj_rows[users, :, np.newaxis])[..., 0]
-        weights *= rho_d
-        weights /= ls_scale
-        a = np.matmul(weights[..., np.newaxis, :], coefs_fed[:, np.newaxis])[..., 0, :]
-        np.negative(a, out=a)
-        if inside >= 0:
-            a[..., inside] += 1.0
-            coefs[:, inside] = a[:, 0]
-        out = np.matmul(np.conj(a)[..., np.newaxis, :], G_basis[:, np.newaxis])[..., 0, :]
-        power = np.vecdot(a, np.matmul(R_basis[:, np.newaxis], a[..., np.newaxis])[..., 0]).real
-        if inside < 0:
-            # the users' own h0, at coefficient 1
-            out += G[:, users]
-            cross = np.matmul(R[:, users].take(basis, axis=2)[..., np.newaxis, :],
-                              a[..., np.newaxis])[..., 0, 0]
-            power += 2.0 * cross.real
-            power += np.diagonal(R[:, users, users], axis1=1, axis2=2).real
-        x_tilde[:, users] = x_new = sp_output(out, power, pilot_rows[users], rho_p,
-                                              mf_gain[users])
-        if inside >= 0:
-            x_basis[:, inside] = decide(x_new[:, 0], profile.config.P)
-
-    # the reported rows in report's order
-    rows = np.searchsorted(kept, position[report])
-    return x_tilde[:, rows]
+    for blocks in groups.values():
+        first = at[blocks[0]]
+        kept, basis = kept_of[first], basis_of[first]
+        # per layout, one for every block of a one-layout profile: the kept
+        # users' conjugated pilot rows and MF gains
+        sources = [at[t] for t in blocks] if len(layouts) > 1 else [first]
+        conj_rows = conj_all[np.stack([users_of[b] for b in sources])]
+        mf_gain = profile.config.M * rho_d * np.stack([layouts[b].beta[users_of[b]]
+                                                       for b in sources])
+        n_basis = basis.size
+        slot = np.full(kept.size, -1)
+        slot[basis] = np.arange(n_basis)
+        # C-contiguous gathers: a product's bits follow its operands' strides,
+        # and a fancy index lays its axes out by the stack size
+        G_basis = np.stack([np.take(G[t], basis, axis=0) for t in blocks])
+        R_basis = np.stack([np.take(R[t], basis, axis=0).take(basis, axis=1) for t in blocks])
+        # coefficient rows and decisions of the basis users, the ones fed
+        # back; zero rows are the zero estimates nobody has computed yet
+        coefs = np.zeros((len(blocks), n_basis, n_basis), dtype=complex)
+        x_basis = np.zeros((len(blocks), n_basis, C_u), dtype=complex)
+        x_tilde = np.zeros((len(blocks), kept.size, C_u), dtype=complex)
+        for step, fed in _schedule(layouts[first], kept, basis):
+            inside = slot[step.start]
+            everyone = fed.size == n_basis
+            x_fed, coefs_fed = ((x_basis, coefs) if everyone
+                                else (a.take(slot[fed], axis=1) for a in (x_basis, coefs)))
+            # (T, G, F) weights, then (T, G, B) coefficients: per block and
+            # user, the matrix-vector products of one user alone
+            weights = np.matmul(x_fed[:, np.newaxis], conj_rows[:, step, :, np.newaxis])[..., 0]
+            weights *= rho_d
+            weights /= ls_scale
+            a = np.matmul(weights[..., np.newaxis, :], coefs_fed[:, np.newaxis])[..., 0, :]
+            np.negative(a, out=a)
+            if inside >= 0:
+                a[..., inside] += 1.0
+                coefs[:, inside] = a[:, 0]
+            out = np.matmul(np.conj(a)[..., np.newaxis, :], G_basis[:, np.newaxis])[..., 0, :]
+            power = np.vecdot(a, np.matmul(R_basis[:, np.newaxis],
+                                           a[..., np.newaxis])[..., 0]).real
+            if inside < 0:
+                # the users' own h0, at coefficient 1
+                out += np.stack([G[t][step] for t in blocks])
+                R_step = np.stack([R[t][step] for t in blocks])
+                cross = np.matmul(R_step.take(basis, axis=2)[..., np.newaxis, :],
+                                  a[..., np.newaxis])[..., 0, 0]
+                power += 2.0 * cross.real
+                power += np.diagonal(R_step[:, :, step], axis1=1, axis2=2).real
+            x_tilde[:, step] = x_new = sp_output(out, power, np.conj(conj_rows[:, step]), rho_p,
+                                                 mf_gain[:, step])
+            if inside >= 0:
+                x_basis[:, inside] = decide(x_new[:, 0], profile.config.P)
+        # the reported rows in report's order, block by block
+        for k, t in enumerate(blocks):
+            x_report[t] = x_tilde[k, rows_of[at[t]]]
+    return x_report
 
 
 def _check_report(report, n_users: int) -> np.ndarray:
@@ -378,6 +438,22 @@ def _check_report(report, n_users: int) -> np.ndarray:
     if report.ndim != 1 or np.any((report < 0) | (report >= n_users)):
         raise ValueError(f"report must list user indices in [0, {n_users}), got {report!r}")
     return report
+
+
+def _plan(profile: PredictionProfile, report: np.ndarray) -> tuple:
+    """One layout's pass for `report`: (kept, users, rows, basis, key).
+
+    kept and basis are _kept's, users the kept users (reduced_users) and
+    rows the reported ones' places among them.  _schedule depends on the
+    layout only through the number of kept users, the basis and, under
+    per_iteration, the admission rows in sweep order, which key names, so
+    the blocks of one key run one schedule as one stack.
+    """
+    position = np.argsort(profile.order)
+    kept, basis = _kept(profile, position[report])
+    key = (kept.size, basis.tobytes(),
+           None if profile.fixed_mask is not None else profile.include[:, profile.order].tobytes())
+    return kept, profile.order[kept], np.searchsorted(kept, position[report]), basis, key
 
 
 def _kept(profile: PredictionProfile, report: np.ndarray):

@@ -19,12 +19,18 @@ _run_trials, over a bench: a table of the pilot schemes it compares
 (_Scheme), each metric BS's substream of fading and noise, and the payload
 distribution.  Each entry is one method, and an entry that iterates, with a
 prediction profile per metric BS, one more: the iterative estimator on its
-block.  The reference-BS experiments compare TP, SP and iterated SP at BS 0
-with QAM payloads; their benches are set up in one batched pass
-(_make_benches), which builds the data/pilot split, powers and pilot book
-once and runs one prediction recursion over all layouts of a sweep point.
+block.  A bench spans one or more user placements: each entry's gains, and
+each profile, carry a leading placement axis, and a trial is a (placement,
+key) pair, run on its placement's gains.  The reference-BS experiments
+compare TP, SP and iterated SP at BS 0 with QAM payloads on one bench per
+sweep point (_make_bench), which builds the data/pilot split, powers and
+pilot book once and runs one prediction recursion over the point's
+placements: sinr_vs_m and rate_vs_m have one placement per M, sinr_cdf all
+its placements on one bench, each placement's trials summed apart, and
+ber_vs_k one placement per trial, all of one K in one _sum_trials call.
 sum_rate_vs_sir compares all-TP, all-SP and hybrid pilots at its 7 metric
-BSs with Gaussian payloads, one entry per (radius, method) (_sum_rate_bench).
+BSs with Gaussian payloads, one entry per (radius, method), on one
+placement (_sum_rate_bench).
 
 The schemes of a bench see common random numbers: each draws its own
 frames, but at each metric BS one unit-variance fading matrix Z and one
@@ -48,15 +54,17 @@ Each scheme's cell is received from its projection through receive_cell, and
 its outputs are scored (energies, and bit errors for QAM payloads) as soon
 as they are made, so a trial's frames, draws and outputs do not outlive it.
 An entry that iterates is projected at metric BS j onto the users its
-estimator keeps for cell j (iterative.reduced_users); its one-shot outputs
-are received from cell j's users of that projection, and reduce_block turns
-it into the G and R the estimator reads.  Only the iterative passes need a
-batch: each trial's G and R, payloads, bits and channel gains outlive it,
-and the estimator runs once per (entry, BS) on a batch of as many trials
-as fit _CHUNK_BYTES at _trial_bytes each, reading the layout's gains, M and
-P from the profile.  Its products are stacks of per-trial products, so a
-trial's energies have the same bits in any batch, and they are added to the
-totals in trial order, so the output does not depend on the batch size.
+estimator keeps for cell j at the trial's placement
+(iterative.reduced_users); its one-shot outputs are received from cell j's
+users of that projection, and reduce_block turns it into the G and R the
+estimator reads.  Those G and R, with the trial's payloads, bits and
+channel gains, outlive the trial: the estimator runs once per (entry, BS)
+on a batch of as many trials as fit _CHUNK_BYTES at _trial_bytes each,
+each trial under its placement's profile row.  The estimator stacks the
+trials whose placements give it one schedule and runs its products as
+stacks of per-trial products, so a trial's energies have the same bits in
+any batch, and they are added to the totals in trial order, so the output
+does not depend on the batch size.
 
 run_experiment holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards.  A product whose reduction is split over threads
@@ -225,16 +233,18 @@ class _Scheme(NamedTuple):
 
     Its frames follow partition and book, drawn from the trial's (tag +
     "-frames") substream, are sent over the square roots of its gains, and
-    are received under partition and book.  An entry that iterates has
-    iterated = (method, profiles): profiles[j] is the prediction profile of
-    its gains at metric BS j, and at every metric BS the iterative estimator
-    also runs on its projection, scored as that second method.
+    are received under partition and book.  gains[p] is its (L, L, K) gain
+    map at the bench's placement p.  An entry that iterates has iterated =
+    (method, profiles): profiles[j] is the prediction profile of its gains
+    at metric BS j, a batch of one layout per placement, and at every
+    metric BS the iterative estimator also runs on its projection, scored
+    as that second method.
     """
 
     method: str
     tag: str
     book: waveform.PilotBook
-    gains: PathLossMap
+    gains: np.ndarray
     partition: Partition
     iterated: tuple | None = None
 
@@ -243,11 +253,12 @@ class _Scheme(NamedTuple):
 class _Bench:
     """What a run of trials shares: its scheme table and metric BSs.
 
-    The schemes are those of one layout, or of several (sum_rate_vs_sir's
-    radii), each with its own gains.  streams[j] is the substream tag of
-    metric BS j's draws (sysmodel.draw_channels), whose cell's users are
-    scored.  data_dist is the payload distribution of
-    waveform.assemble_frames.
+    The schemes are those of one or more user placements, each entry with
+    its gains at every placement, and of one layout or of several
+    (sum_rate_vs_sir's radii, one placement), each entry with its own
+    gains.  streams[j] is the substream tag of metric BS j's draws
+    (sysmodel.draw_channels), whose cell's users are scored.  data_dist is
+    the payload distribution of waveform.assemble_frames.
     """
 
     config: SystemConfig
@@ -257,30 +268,24 @@ class _Bench:
     data_dist: str
 
 
-def _make_benches(config: SystemConfig, options: RunOptions, layouts: list):
-    """Yield one reference bench per layout, in order, from one set-up pass.
+def _make_bench(config: SystemConfig, options: RunOptions, layouts: list) -> _Bench:
+    """The reference bench over the user placements `layouts`, from one set-up pass.
 
-    TP and SP at BS 0 on one gain map, QAM payloads, and the SP entry
-    iterated.  The state that depends on the config alone (data/pilot split,
-    powers, pilot book) is built once and shared, and one prediction
-    recursion runs over the layouts' gains at BS 0.
+    TP and SP at BS 0, QAM payloads, and the SP entry iterated.  The state
+    that depends on the config alone (data/pilot split, powers, pilot book)
+    is built once, each entry's gains carry one map per placement, and one
+    prediction recursion runs over the placements' gains at BS 0.
     """
     L, K = config.L, config.K
     powers = PowerAllocation(*analytics.optimal_rho(config.M, L, K, config.C_u))
     book = waveform.make_pilot_books(config)
-    beta_effs = [path_loss(layout, config.path_loss_exponent).normalized(config.omega)
-                 for layout in layouts]
-
-    profiles = iterative.predict_profile(
-        np.stack([beta_eff.beta[0].reshape(-1) for beta_eff in beta_effs]), powers, config,
-        options.selection,
-    )
-    tp, sp = all_tp(L, K), all_sp(L, K)
-    for b, beta_eff in enumerate(beta_effs):
-        iterated = (ITER_METHOD, (profiles.layout(b),))
-        schemes = (_Scheme(TP_METHOD, "tp", book, beta_eff, tp),
-                   _Scheme(SP_METHOD, "sp", book, beta_eff, sp, iterated))
-        yield _Bench(config, powers, schemes, (("channels",),), "qam")
+    gains = np.stack([path_loss(layout, config.path_loss_exponent).normalized(config.omega).beta
+                      for layout in layouts])
+    profile = iterative.predict_profile(gains[:, 0].reshape(len(layouts), -1), powers, config,
+                                        options.selection)
+    schemes = (_Scheme(TP_METHOD, "tp", book, gains, all_tp(L, K)),
+               _Scheme(SP_METHOD, "sp", book, gains, all_sp(L, K), (ITER_METHOD, (profile,))))
+    return _Bench(config, powers, schemes, (("channels",),), "qam")
 
 
 def _methods(bench: _Bench) -> list:
@@ -294,47 +299,59 @@ def _methods(bench: _Bench) -> list:
     return [(name, s, s.book.payload_length(s.partition, C_u)) for name, s in named]
 
 
-def _run_trials(bench: _Bench, keys: list):
-    """T trials of a bench, one per key: drawn, received and scored.
+def _run_trials(bench: _Bench, trials: list):
+    """T trials of a bench, one per (placement, key) pair: drawn, received and scored.
 
-    Per trial and metric BS j, one draw (streams[j]) serves every scheme,
-    whose gains at BS j are folded into its frame rows, and one projection
-    of it (estimators.project) makes the estimates and matched filters of
-    every scheme's scored users.  A user's desired-signal gain ||h||^2 / (M
-    beta) is ||z||^2 / M, the squared norm of its column of the draw, the
-    same for every scheme.  Returns (sig_res, errs): the (T, methods, 2, J,
-    K) signal and residual energies per trial, method, metric BS and user,
-    and the (methods, 2) bit errors and bit count per method over the batch
-    (zero for Gaussian payloads), methods as _methods lists them.
+    A trial draws its randomness from its key's substreams and runs on its
+    placement's gains.  Per trial and metric BS j, one draw (streams[j])
+    serves every scheme, whose gains at BS j are folded into its frame rows,
+    and one projection of it (estimators.project) makes the estimates and
+    matched filters of every scheme's scored users.  A user's
+    desired-signal gain ||h||^2 / (M beta) is ||z||^2 / M, the squared norm
+    of its column of the draw, the same for every scheme.  Returns
+    (sig_res, errs): the (T, methods, 2, J, K) signal and residual energies
+    per trial, method, metric BS and user, and the (methods, 2) bit errors
+    and bit count per method over the batch (zero for Gaussian payloads),
+    methods as _methods lists them.
     """
     cfg, powers, schemes = bench.config, bench.powers, bench.schemes
+    for s in schemes:
+        # the iterative estimator reads every user's superimposed pilot
+        if s.iterated and not s.partition.sp.all():
+            l, k = np.argwhere(~s.partition.sp)[0].tolist()
+            raise ValueError(f"entry {s.method!r} (tag {s.tag!r}) iterates, but its user "
+                             f"({l}, {k}) has no superimposed pilot")
     K, M, C_u, P, N = cfg.K, cfg.M, cfg.C_u, cfg.P, cfg.L * cfg.K
     sigma = math.sqrt(cfg.sigma2)
-    T, J, n_schemes = len(keys), len(bench.streams), len(schemes)
+    T, J, n_schemes = len(trials), len(bench.streams), len(schemes)
     qam = bench.data_dist == "qam"
     cells = np.arange(J * K).reshape(J, K)
-    # sqrt(beta) of every scheme's users at every metric BS, the frame row scales
-    roots = np.sqrt(np.stack([s.gains.beta[:J].reshape(J, N) for s in schemes]))
-    # each scheme's estimator columns at each metric BS, those of its cell's
-    # users; schemes on one book and one Partition object share them
+    placements = np.array([p for p, _ in trials], dtype=np.intp)
+    # sqrt(beta) of every scheme's users at every placement and metric BS,
+    # the frame row scales
+    roots = np.sqrt(np.stack([s.gains[:, :J].reshape(-1, J, N) for s in schemes]))
+    # each scheme's estimator columns at each placement and metric BS, those
+    # of its cell's users; schemes on one book and one Partition object
+    # share them
     unique = {(id(s.book), s.partition): s for s in schemes}
     shared = {key: [estimator_columns(s.book, s.partition, powers, cell, C_u) for cell in cells]
               for key, s in unique.items()}
-    columns = [[shared[id(s.book), s.partition][j] for s in schemes] for j in range(J)]
+    columns = {p: [[shared[id(s.book), s.partition][j] for s in schemes] for j in range(J)]
+               for p in set(placements.tolist())}
     del unique, shared
-    # an iterated entry i's projection at BS j is onto the users its
-    # estimator keeps: rows[i, j] are cell j's among them, and stacks[i, j]
-    # the batch's G and R over them
+    # an iterated entry i's projection at placement p and BS j is onto the
+    # users its estimator keeps: rows[i, j, p] are cell j's among them.
+    # Each trial's G and R over them go to stacks[i, j]
     iterated = [i for i, s in enumerate(schemes) if s.iterated]
     rows, stacks = {}, {}
     for i in iterated:
         s = schemes[i]
         for j, profile in enumerate(s.iterated[1]):
-            users = iterative.reduced_users(profile, cells[j])
-            columns[j][i] = estimator_columns(s.book, s.partition, powers, users, C_u)
-            rows[i, j] = np.nonzero(cells[j][:, np.newaxis] == users)[1]
-            stacks[i, j] = (np.empty((T, users.size, C_u), dtype=complex),
-                            np.empty((T, users.size, users.size), dtype=complex))
+            stacks[i, j] = ([], [])
+            for p, at_p in columns.items():
+                users = iterative.reduced_users(profile.layout(p), cells[j])
+                at_p[j][i] = estimator_columns(s.book, s.partition, powers, users, C_u)
+                rows[i, j, p] = np.nonzero(cells[j][:, np.newaxis] == users)[1]
     gain = np.empty((T, J, K))
     sig_res = np.empty((T, n_schemes + len(iterated), 2, J, K))
     errs = np.zeros((n_schemes + len(iterated), 2), dtype=np.int64)
@@ -345,7 +362,7 @@ def _run_trials(bench: _Bench, keys: list):
     data = [np.empty((d, J, K, n), dtype=complex) for d, n in held]
     bits = [np.empty((d, J, K, n_bits * n), dtype=np.uint8) for d, n in held] if qam else None
     S = np.empty((n_schemes, N, C_u), dtype=complex)
-    for t, key in enumerate(keys):
+    for t, (p, key) in enumerate(trials):
         at = [t if s.iterated else 0 for s in schemes]
         # one scheme's frames at a time: the substreams are keyed, so the
         # order of the draws does not change their bits
@@ -364,28 +381,34 @@ def _run_trials(bench: _Bench, keys: list):
             # depends on that layout (contiguous rows at K = 1)
             z = np.ascontiguousarray(factor[:, cells[j]]).T
             gain[t, j] = np.vecdot(z, z).real / M
-            projections = project(factor, sigma, S, roots[:, j], columns[j])
+            projections = project(factor, sigma, S, roots[:, p, j], columns[p][j])
             del factor, z
             for i, (s, projection) in enumerate(zip(schemes, projections)):
                 if s.iterated:
-                    G, R = stacks[i, j]
-                    G[t], R[t] = iterative.reduce_block(projection)
+                    G, R = iterative.reduce_block(projection)
+                    stacks[i, j][0].append(G)
+                    stacks[i, j][1].append(R)
                     # the one-shot outputs read cell j's users among those kept
-                    cell = rows[i, j]
+                    cell = rows[i, j, p]
                     projection = Projection(projection.estimates[:, cell], projection.matched[cell])
                 x_tilde = receive_cell(projection, s.book, s.partition, powers, j,
-                                       s.gains.beta[j, j], M)
+                                       s.gains[p, j, j], M)
                 sig_res[t, i, 0, j], sig_res[t, i, 1, j] = signal_residual_power(
                     x_tilde, data[i][at[i], j], gain[t, j])
                 if qam:
                     errs[i] += count_ber(x_tilde, bits[i][at[i], j], P)
             del projections, projection  # before the next BS's draws
     del S, columns
+    # one pass per (entry, BS) over the batch, each trial under its
+    # placement's profile row, or under one layout's for a batch of one
+    # placement
+    layouts = placements[0] if np.all(placements == placements[0]) else placements
     for m, i in enumerate(iterated, n_schemes):
         pilots = schemes[i].book.sp_columns(slice(None))
         for j, profile in enumerate(schemes[i].iterated[1]):
             # the stacks are freed as the pass returns
-            x_tilde = iterative.iterative_estimate(*stacks.pop((i, j)), pilots, profile, cells[j])
+            x_tilde = iterative.iterative_estimate(*stacks.pop((i, j)), pilots,
+                                                   profile.layout(layouts), cells[j])
             sig_res[:, m, 0, j], sig_res[:, m, 1, j] = signal_residual_power(
                 x_tilde, data[i][:, j], gain[:, j])
             if qam:
@@ -403,23 +426,25 @@ def _trial_bytes(bench: _Bench) -> int:
     for sinr_vs_m at M = 200).  Each trial keeps its energies and its metric
     users' channel gains, and for each entry that iterates and metric BS what
     the pass reads: the reduce_block G and R over the n users the estimator
-    keeps, and the cell's payloads and bits.  The pass adds at most four (n,
-    C_u) working arrays (G's basis rows among them), its outputs, and the
-    demapped copy of the bits.
+    keeps, at most the largest such set over the bench's placements, and
+    the cell's payloads and bits.  The pass adds at most five (n, C_u)
+    working arrays (G's basis rows and the users' pilot rows among them),
+    its outputs, and the demapped copy of the bits.
     """
     cfg = bench.config
     K, C_u, payloads = cfg.K, cfg.C_u, cfg.K * cfg.C_u
     total = 8 * len(bench.streams) * K * (2 * len(_methods(bench)) + 1)
     for s in bench.schemes:
         for j, profile in enumerate(s.iterated[1] if s.iterated else ()):
-            n = iterative.reduced_users(profile, j * K + np.arange(K)).size
-            total += (16 * (n * (C_u + n) + 4 * n * C_u + 2 * payloads)
+            n = max(iterative.reduced_users(profile.layout(p), j * K + np.arange(K)).size
+                    for p in range(profile.order.shape[0]))
+            total += (16 * (n * (C_u + n) + 5 * n * C_u + 2 * payloads)
                       + 2 * waveform.bits_per_symbol(cfg.P) * payloads)
     return total
 
 
-def _sum_trials(bench: _Bench, keys: list):
-    """Energies and bit errors of the trials `keys` at one bench, summed.
+def _sum_trials(bench: _Bench, trials: list):
+    """Energies and bit errors of the (placement, key) trials at one bench, summed.
 
     The trials run in chunks of as many trials as fit _CHUNK_BYTES at
     _trial_bytes each, at least one.  Each trial's energies are added in
@@ -428,8 +453,8 @@ def _sum_trials(bench: _Bench, keys: list):
     """
     step = max(1, _CHUNK_BYTES // _trial_bytes(bench))
     sig_total = err_total = 0  # the first trial's arrays, as 0 + x == x
-    for lo in range(0, len(keys), step):
-        sig_res, errs = _run_trials(bench, keys[lo : lo + step])
+    for lo in range(0, len(trials), step):
+        sig_res, errs = _run_trials(bench, trials[lo : lo + step])
         for one in sig_res:
             sig_total += one
         err_total += errs
@@ -449,19 +474,20 @@ def _records_vs_m(config, options, experiment):
     for mi, M in enumerate(options.m_values):
         cfg = replace(config, M=M)
         layout = place_users(cfg, substream(cfg.seed, experiment, "layout", mi))
-        (bench,) = _make_benches(cfg, options, [layout])
+        bench = _make_bench(cfg, options, [layout])
         J, K = len(bench.streams), cfg.K
         # each entry's closed form for its pilots at the metric BSs, then each
         # iterated pass's prediction after the last sweep
-        analytic = [analytics.sinr_sp_finite_m(s.gains, bench.powers, cfg)[:J]
-                    if s.partition.sp.all() else analytics.sinr_tp_asymptotic(s.gains, cfg)[:J]
-                    for s in bench.schemes]
-        analytic += [1.0 / np.stack([profile.interference[-1, j * K : (j + 1) * K]
+        gains = [PathLossMap(s.gains[0]) for s in bench.schemes]
+        analytic = [analytics.sinr_sp_finite_m(g, bench.powers, cfg)[:J]
+                    if s.partition.sp.all() else analytics.sinr_tp_asymptotic(g, cfg)[:J]
+                    for s, g in zip(bench.schemes, gains)]
+        analytic += [1.0 / np.stack([profile.interference[0, -1, j * K : (j + 1) * K]
                                      for j, profile in enumerate(s.iterated[1])])
                      for s in bench.schemes if s.iterated]
         analytic = np.stack(analytic)
-        keys = [(cfg.seed, experiment, mi, t) for t in range(options.trials)]
-        totals, _errs = _sum_trials(bench, keys)
+        trials = [(0, (cfg.seed, experiment, mi, t)) for t in range(options.trials)]
+        totals, _errs = _sum_trials(bench, trials)
         empirical = totals[:, 0] / totals[:, 1]
         if metric == "rate":
             n = np.array([n for _, _, n in _methods(bench)])[:, np.newaxis, np.newaxis]
@@ -481,9 +507,11 @@ def _records_sinr_cdf(config, options):
     samples = {}
     layouts = [place_users(config, substream(config.seed, "sinr_cdf", p, "layout"))
                for p in range(options.placements)]
-    for p, bench in enumerate(_make_benches(config, options, layouts)):
-        keys = [(config.seed, "sinr_cdf", p, t) for t in range(options.trials)]
-        totals, _errs = _sum_trials(bench, keys)
+    bench = _make_bench(config, options, layouts)
+    for p in range(options.placements):
+        # each placement's sums apart: a sample is one placement's SINR
+        trials = [(p, (config.seed, "sinr_cdf", p, t)) for t in range(options.trials)]
+        totals, _errs = _sum_trials(bench, trials)
         sinrs = totals[:, 0] / totals[:, 1]
         for (method, _, _), sinr in zip(_methods(bench), sinrs):
             samples.setdefault(method, []).extend(sinr.reshape(-1))
@@ -508,11 +536,11 @@ def _records_ber_vs_k(config, options):
     for ki, cfg in enumerate(configs):
         layouts = [place_users(cfg, substream(cfg.seed, "ber_vs_k", ki, t, "layout"))
                    for t in range(options.trials)]
-        benches = list(_make_benches(cfg, options, layouts))
-        totals = sum(_sum_trials(bench, [(cfg.seed, "ber_vs_k", ki, t)])[1]
-                     for t, bench in enumerate(benches))
-        # every layout's bench has the same methods
-        for (method, _, _), (errors, count) in zip(_methods(benches[0]), totals):
+        bench = _make_bench(cfg, options, layouts)
+        # trial t runs on placement t
+        _totals, errs = _sum_trials(bench, [(t, (cfg.seed, "ber_vs_k", ki, t))
+                                            for t in range(options.trials)])
+        for (method, _, _), (errors, count) in zip(_methods(bench), errs):
             records.append(MetricsRecord(
                 experiment="ber_vs_k", method=method, sweep_var="K", sweep_value=float(cfg.K),
                 user="all", metric="ber", value=float(errors / count), trials=options.trials,
@@ -523,11 +551,11 @@ def _records_ber_vs_k(config, options):
 def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
     """All-TP, all-SP and hybrid pilots at the min(L, 7) metric BSs of each layout.
 
-    One bench for the whole sweep: its schemes are the (layout, method)
-    pairs, three per layout in layout order, and layout i's frames use the
-    tags f"{i}-tp", f"{i}-sp" and f"{i}-hy".  Gaussian payloads at unit
-    power.  Each metric BS j draws its fading and noise factor from
-    ("ch", j), shared by every layout's schemes.  All layouts share one
+    One bench of one placement for the whole sweep: its schemes are the
+    (layout, method) pairs, three per layout in layout order, and layout
+    i's frames use the tags f"{i}-tp", f"{i}-sp" and f"{i}-hy".  Gaussian
+    payloads at unit power.  Each metric BS j draws its fading and noise
+    factor from ("ch", j), shared by every layout's schemes.  All layouts share one
     all-TP and one all-SP Partition, so _run_trials builds their estimator
     columns once.
     """
@@ -545,12 +573,12 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
         greedy = greedy_partition(beta_raw.beta[:n_metric, :n_metric, :], cfg, powers).partition
         partition = Partition(np.pad(greedy.sp, ((0, cfg.L - n_metric), (0, 0))))
         # power control on the SP users only
-        beta_hyb = PathLossMap(np.where(partition.sp, controlled.beta, beta_raw.beta))
+        beta_hyb = np.where(partition.sp, controlled.beta, beta_raw.beta)
         schemes += [
-            _Scheme(ALL_TP_METHOD, f"{i}-tp", book_full, beta_raw, tp),
-            _Scheme(ALL_SP_METHOD, f"{i}-sp", book_full, controlled, sp),
+            _Scheme(ALL_TP_METHOD, f"{i}-tp", book_full, beta_raw.beta[np.newaxis], tp),
+            _Scheme(ALL_SP_METHOD, f"{i}-sp", book_full, controlled.beta[np.newaxis], sp),
             _Scheme(HYBRID_METHOD, f"{i}-hy", waveform.make_pilot_books(cfg, partition=partition),
-                    beta_hyb, partition),
+                    beta_hyb[np.newaxis], partition),
         ]
     streams = tuple(("ch", j) for j in range(n_metric))
     return _Bench(cfg, powers, tuple(schemes), streams, "gaussian")
@@ -562,15 +590,16 @@ def _records_sum_rate_vs_sir(config, options):
                    substream(config.seed, "sum_rate", ri, "layout"))
                for ri, radius in enumerate(options.radii_m)]
     bench = _sum_rate_bench(config, layouts)
-    keys = [(config.seed, "sum_rate", t) for t in range(options.trials)]
-    totals, _errs = _sum_trials(bench, keys)
+    trials = [(0, (config.seed, "sum_rate", t)) for t in range(options.trials)]
+    totals, _errs = _sum_trials(bench, trials)
     sinr = totals[:, 0] / totals[:, 1]
 
     records = []
     for (method, s, n), method_sinr in zip(_methods(bench), sinr):
         # the sweep value is the SIR at the centre BS under power control,
         # which every entry's gains give for its layout
-        sir_db = 10.0 * math.log10(received_sir(s.gains.normalized(config.omega), config.omega, 0))
+        controlled = PathLossMap(s.gains[0]).normalized(config.omega)
+        sir_db = 10.0 * math.log10(received_sir(controlled, config.omega, 0))
         records.append(MetricsRecord(
             experiment="sum_rate_vs_sir", method=method, sweep_var="sir_rx_db",
             sweep_value=float(sir_db), user="all", metric="sum_rate",

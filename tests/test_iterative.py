@@ -165,12 +165,19 @@ def ref_select_user_set_fixed(beta, powers, cfg):
 
 
 def ref_predict_profile(beta, powers, cfg, selection):
-    rho_d, rho_p = powers.rho_d, powers.rho_p
-    sigma2, M, C_u, sweeps = cfg.sigma2, cfg.M, cfg.C_u, cfg.iterations
     n_users = beta.shape[0]
     fixed_mask = {"all": np.ones(n_users, dtype=bool), "per_iteration": None}.get(selection)
     if selection == "fixed":
         fixed_mask = ref_select_user_set_fixed(beta, powers, cfg)
+    return *ref_sweeps(beta, powers, cfg, cfg.iterations, fixed_mask), fixed_mask
+
+
+def ref_sweeps(beta, powers, cfg, sweeps, fixed_mask):
+    """interference, alpha, psi and include of `sweeps` sweeps in index order,
+    one target per step, under a fixed set or, for None, per_iteration's."""
+    rho_d, rho_p = powers.rho_d, powers.rho_p
+    sigma2, M, C_u = cfg.sigma2, cfg.M, cfg.C_u
+    n_users = beta.shape[0]
     interference = np.full((sweeps + 1, n_users), math.inf)
     alpha = np.ones((sweeps + 1, n_users))
     psi = np.zeros((sweeps + 1, n_users))
@@ -187,7 +194,7 @@ def ref_predict_profile(beta, powers, cfg, selection):
             interference[i, m] = ref_predict_interference(m, beta, rho_d, sigma2, M, psi_m)
             alpha[i, m] = alpha_pqam(interference[i, m], cfg)
             include[i, m] = alpha[i, m] < ref_gamma_threshold(beta, psi_m, m, M)
-    return interference, alpha, psi, include, fixed_mask
+    return interference, alpha, psi, include
 
 
 def layout_users(cfg, seed):
@@ -333,6 +340,31 @@ def test_batched_profile_equals_one_layout_calls(selection, K):
             assert np.array_equal(row.fixed_mask, one.fixed_mask)
 
 
+@pytest.mark.parametrize("B", [1, 7])
+@pytest.mark.parametrize("selection", SELECTION_RULES)
+def test_the_recursion_steps_through_the_feedback_set_only(selection, B):
+    # fed positions scattered through the sweep, other ones in every row,
+    # so the runs of unfed targets the recursion takes as one step are
+    # neither a suffix of the sweep nor the same for every row
+    cfg = SystemConfig(K=10, M=500, C_u=70, scenario=Scenario1())
+    N, sweeps, powers = cfg.L * cfg.K, cfg.iterations, split(cfg)
+    rng = np.random.default_rng(B)
+    beta = -np.sort(-rng.uniform(1e-3, 1.0, (B, N)), axis=1)
+    fixed_mask = {"all": np.ones((B, N), dtype=bool), "per_iteration": None,
+                  "fixed": rng.random((B, N)) < 0.15}[selection]
+    if selection == "fixed":
+        for row in fixed_mask:
+            fed = np.flatnonzero(row)
+            assert 0 < fed.size and fed[-1] >= fed.size  # not a prefix of the sweep
+        assert B == 1 or len({row.tobytes() for row in fixed_mask}) == B
+    got = iterative._recursion(beta, powers, cfg, sweeps, fixed_mask)
+    for b in range(B):
+        expected = ref_sweeps(beta[b], powers, cfg, sweeps,
+                              None if fixed_mask is None else fixed_mask[b])
+        for array, ref in zip(got, expected):
+            assert np.array_equal(array[b], ref)
+
+
 @pytest.mark.parametrize("shape", [(34,), (2, 36)])
 def test_gains_of_another_user_count_than_the_config_are_refused(shape):
     # 7 cells of 5 users: a profile needs 35 gains per layout
@@ -359,6 +391,30 @@ def test_alpha_pqam_is_non_decreasing_and_bounded(P, a, b):
     lo, hi = sorted((a, b))
     side, cfg = math.isqrt(P), SystemConfig(P=P)
     assert alpha_pqam(lo, cfg) <= alpha_pqam(hi, cfg) <= 12.0 / (side * (side + 1))
+
+
+@given(P=st.sampled_from([4, 16, 64, 256]),
+       values=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=False)),
+                       min_size=1, max_size=12),
+       shape=st.sampled_from([(-1,), (1, -1), (-1, 1)]))
+def test_alpha_pqam_of_an_array_is_its_entries_alone(P, values, shape):
+    cfg = SystemConfig(P=P)
+    x = np.array(values).reshape(shape)
+    alpha = alpha_pqam(x, cfg)
+    assert alpha.shape == x.shape and alpha.dtype == float
+    assert np.array_equal(alpha.reshape(-1), [alpha_pqam(v, cfg) for v in values])
+    # 0 at 0, non-decreasing, bounded, as each entry alone
+    side = math.isqrt(P)
+    assert np.all(alpha[x == 0] == 0)
+    order = np.argsort(x, axis=None, kind="stable")
+    assert np.all(np.diff(alpha.reshape(-1)[order]) >= 0)
+    assert np.all(alpha <= 12.0 / (side * (side + 1)))
+
+
+@pytest.mark.parametrize("interference", [-1e-3, np.array([0.5, -1e-300, 2.0])])
+def test_alpha_pqam_refuses_a_negative_variance(interference):
+    with pytest.raises(ValueError, match="non-negative"):
+        alpha_pqam(interference, SystemConfig())
 
 
 @st.composite
@@ -506,7 +562,8 @@ def test_a_batched_or_foreign_profile_is_rejected(block):
     foreign = predict_profile(args["beta"][:-1], args["powers"],
                               dataclasses.replace(cfg, L=1, K=cfg.L * cfg.K - 1))
     G, R = reduction(stack_of_one(blk), good, args["report"])
-    with pytest.raises(ValueError, match="one layout's profile"):
+    # two layouts for one block
+    with pytest.raises(ValueError, match="one layout's profile or one per block"):
         iterative_estimate(G, R, pilots, batched, args["report"])
     # a profile of one user fewer: its kept rows fit, the N users' pilots do not
     with pytest.raises(ValueError, match="pilots"):
@@ -568,6 +625,33 @@ def test_reported_rows_equal_the_all_user_rows(selection, K, trials):
         got = estimate(blk, pilots, profile, report)
         assert got.shape == everyone[..., report, :].shape
         assert np.array_equal(got, everyone[..., report, :])
+
+
+@pytest.mark.parametrize("selection", FEEDBACK)
+def test_a_batch_of_layouts_is_estimated_as_each_layout_alone(selection):
+    # three layouts, two trials each, interleaved: blocks of one layout share
+    # a schedule, and the layouts' kept sets differ in size
+    cfg = SystemConfig(K=5, M=100, C_u=70, scenario=Scenario1())
+    layouts = [sp_block(cfg, seed, 2) for seed in (1, 2, 3)]
+    pilots = layouts[0][1]
+    batch = profile_for(np.stack([args["beta"] for _blk, _p, args in layouts]), split(cfg), cfg,
+                        selection)
+    report = reports(cfg.L * cfg.K, cfg.K)[1]
+    blocks = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (2, 1)]  # (layout, trial)
+    G, R, expected = [], [], []
+    for b, t in blocks:
+        blk = layouts[b][0]
+        trial = Block(blk.Y[t], Projection(*(part[t] for part in blk.projection)))
+        profile = batch.layout(b)
+        G_t, R_t = reduction(trial, profile, report)
+        G.append(G_t)
+        R.append(R_t)
+        expected.append(estimate(trial, pilots, profile, report))
+    if selection == "fixed":
+        assert len({g.shape for g in G}) > 1
+    got = iterative_estimate(G, R, pilots, batch.layout([b for b, _t in blocks]), report)
+    assert got.shape == (len(blocks), report.size, cfg.C_u)
+    assert np.array_equal(got, np.stack(expected))
 
 
 def test_unreported_non_members_are_not_computed(monkeypatch):

@@ -23,7 +23,7 @@ import pytest
 from supmimo import analytics, simharness
 from supmimo.rng import substream
 from supmimo.simharness import RunOptions, SystemConfig
-from supmimo.sysmodel import place_users
+from supmimo.sysmodel import PathLossMap, place_users
 
 M, TRIALS, SEED, BOUND_SE = 10**6, 40, 0, 4.0
 
@@ -34,18 +34,18 @@ def gate():
     row 0 TP, row 1 one-shot SP."""
     cfg = SystemConfig(M=M, seed=SEED)
     layout = place_users(cfg, substream(SEED, "sinr_vs_m", "layout", 0))
-    (bench,) = simharness._make_benches(cfg, RunOptions(), [layout])
+    bench = simharness._make_bench(cfg, RunOptions(), [layout])
     # TP and one-shot SP only
     bench = dataclasses.replace(
         bench, schemes=tuple(s._replace(iterated=None) for s in bench.schemes))
     with simharness._one_blas_thread():
         sig_res, _errs = simharness._run_trials(
-            bench, [(SEED, "large_m", t) for t in range(TRIALS)])
+            bench, [(0, (SEED, "large_m", t)) for t in range(TRIALS)])
     signal, residual = sig_res[:, :, 0, 0], sig_res[:, :, 1, 0]  # (T, 2, K)
     sinr = signal.sum(axis=0) / residual.sum(axis=0)
     spread = signal - sinr * residual
     stderr = np.sqrt(np.sum(spread**2, axis=0) / (TRIALS * (TRIALS - 1))) / residual.mean(axis=0)
-    gains = bench.schemes[0].gains
+    gains = PathLossMap(bench.schemes[0].gains[0])
     limit = np.stack([analytics.sinr_tp_asymptotic(gains, cfg)[0],
                       analytics.sinr_sp_asymptotic(gains, bench.powers, cfg)[0]])
     return sinr, stderr, limit

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -69,7 +70,7 @@ def test_empirical_cdf_sorts_and_ends_at_one():
 def bench():
     cfg = SystemConfig(M=40, seed=4)
     layout = place_users(cfg, substream(4, "layout"))
-    return next(simharness._make_benches(cfg, RunOptions(), [layout]))
+    return simharness._make_bench(cfg, RunOptions(), [layout])
 
 
 def sum_rate_layouts(cfg, radii):
@@ -83,9 +84,17 @@ def sum_rate_bench(K, radii=(300.0, 850.0)):
     return simharness._sum_rate_bench(cfg, sum_rate_layouts(cfg, radii))
 
 
-@pytest.fixture(scope="module", params=["reference", "sum_rate"])
+def placements_bench(n):
+    """A reference bench over n placements whose estimator keeps sets of several sizes."""
+    cfg = SystemConfig(K=5, M=250, C_u=70, scenario=Scenario1(), seed=4)
+    layouts = [place_users(cfg, substream(4, "layout", b)) for b in range(n)]
+    return simharness._make_bench(cfg, RunOptions(), layouts)
+
+
+@pytest.fixture(scope="module", params=["reference", "sum_rate", "placements"])
 def any_bench(request, bench):
-    return bench if request.param == "reference" else sum_rate_bench(5)
+    return {"reference": bench, "sum_rate": sum_rate_bench(5),
+            "placements": placements_bench(3)}[request.param]
 
 
 def assert_same_fields(a, b):
@@ -104,26 +113,54 @@ def assert_same_fields(a, b):
         assert a == b
 
 
-@pytest.mark.parametrize("selection", ["fixed", "per_iteration"])
-def test_each_bench_of_a_batch_equals_its_one_layout_bench(selection):
+def one_placement(bench, p):
+    """The bench of placement p alone: its gains and profile rows, as a one-placement bench."""
+    schemes = tuple(s._replace(gains=s.gains[p : p + 1], iterated=s.iterated and (
+        s.iterated[0], tuple(profile.layout([p]) for profile in s.iterated[1])))
+        for s in bench.schemes)
+    return dataclasses.replace(bench, schemes=schemes)
+
+
+@pytest.mark.parametrize("selection", iterative.SELECTION_RULES)
+def test_each_placement_of_a_bench_runs_as_its_one_placement_bench(selection):
     cfg = SystemConfig(K=5, M=250, C_u=70, scenario=Scenario1(), seed=4)
     options = RunOptions(selection=selection)
     layouts = [place_users(cfg, substream(4, "layout", b)) for b in range(5)]
-    batch = list(simharness._make_benches(cfg, options, layouts))
-    assert len(batch) == 5
-    for layout, bench in zip(layouts, batch):
-        (one,) = simharness._make_benches(cfg, options, [layout])
-        assert_same_fields(bench, one)
+    bench = simharness._make_bench(cfg, options, layouts)
+    # the set-up of a placement is that of its layout alone
+    for p, layout in enumerate(layouts):
+        assert_same_fields(one_placement(bench, p), simharness._make_bench(cfg, options, [layout]))
+    # the pass runs blocks of several schedules, but for "all", where every
+    # layout feeds everyone back
+    (profile,) = bench.schemes[1].iterated[1]
+    schedules = {iterative._plan(profile.layout(p), np.arange(cfg.K))[4] for p in range(5)}
+    assert len(schedules) == 1 if selection == "all" else len(schedules) > 1
+    # placements out of order and repeated, each with its own trial keys
+    batch = [(p, (4, "test", p, t)) for t, p in enumerate([3, 0, 4, 0, 1, 2, 3])]
+    with simharness._one_blas_thread():
+        sig_res, errs = simharness._run_trials(bench, batch)
+        singles = [simharness._run_trials(one_placement(bench, p), [(0, key)])
+                   for p, key in batch]
+        alone = [simharness._run_trials(bench, [trial])[1] for trial in batch]
+    for t, (one, one_errs) in enumerate(singles):
+        assert np.array_equal(sig_res[t], one[0])
+        assert np.array_equal(alone[t], one_errs)
+    assert np.array_equal(errs, sum(e for _, e in singles))
 
 
-def keys(n):
-    return [(4, "test", 0, t) for t in range(n)]
+def trials(n, placements=1):
+    """n trials with their keys, cycling through the bench's first `placements` placements."""
+    return [(t % placements, (4, "test", 0, t)) for t in range(n)]
+
+
+def placements(bench):
+    return bench.schemes[0].gains.shape[0]
 
 
 def test_a_batch_of_trials_equals_one_trial_batches(bench):
     with simharness._one_blas_thread():
-        sig_res, errs = simharness._run_trials(bench, keys(5))
-        singles = [simharness._run_trials(bench, [key]) for key in keys(5)]
+        sig_res, errs = simharness._run_trials(bench, trials(5))
+        singles = [simharness._run_trials(bench, [trial]) for trial in trials(5)]
     assert sig_res.shape == (5, 3, 2, 1, bench.config.K)
     assert np.array_equal(sig_res, np.concatenate([one for one, _ in singles]))
     assert np.array_equal(errs, sum(e for _, e in singles))
@@ -152,21 +189,22 @@ def scored_users(bench, j):
     cell's, or for an entry that iterates, the users its estimator keeps
     there."""
     cell = j * bench.config.K + np.arange(bench.config.K)
-    return [cell if s.iterated is None else iterative.reduced_users(s.iterated[1][j], cell)
+    return [cell if s.iterated is None
+            else iterative.reduced_users(s.iterated[1][j].layout(0), cell)
             for s in bench.schemes]
 
 
 def test_tp_and_sp_share_each_trials_noise(bench, monkeypatch):
     calls = synthesis_calls(monkeypatch)
     with simharness._one_blas_thread():
-        simharness._run_trials(bench, keys(2))
+        simharness._run_trials(bench, trials(2))
     assert len(calls) == 2  # one projection of TP and SP together per trial
     cfg = bench.config
     N = cfg.L * cfg.K
     columns = np.concatenate([estimator_columns(s.book, s.partition, bench.powers, users, cfg.C_u)
                               for s, users in zip(bench.schemes, scored_users(bench, 0))], axis=1)
     factors = []
-    for key, (H, S, _estimates) in zip(keys(2), calls):
+    for (_p, key), (H, S, _estimates) in zip(trials(2), calls):
         # one draw of fading and noise, and TP and SP estimates read the same
         # noise columns of it, through sigma times their estimator columns
         assert np.array_equal(H, draw_channels(cfg, substream(*key, "channels")))
@@ -186,7 +224,7 @@ def test_one_projection_per_trial_and_bs(bench, monkeypatch, radii):
         b = sum_rate_bench(5, RunOptions().radii_m[:radii])
     calls = synthesis_calls(monkeypatch)
     with simharness._one_blas_thread():
-        simharness._run_trials(b, keys(3))
+        simharness._run_trials(b, trials(3))
     assert len(calls) == 3 * len(b.streams)
     C_u = b.config.C_u
     # the factor's rows: min(M, d) for d = L K + C_u columns
@@ -207,24 +245,24 @@ def test_one_shot_sp_from_the_reduction_equals_receive_cell(selection):
     # them
     cfg = SystemConfig(M=40, scenario=Scenario1(), seed=7)
     layout = place_users(cfg, substream(7, "layout"))
-    (bench,) = simharness._make_benches(cfg, RunOptions(selection=selection), [layout])
+    bench = simharness._make_bench(cfg, RunOptions(selection=selection), [layout])
     K = cfg.K
     raw = iterative.predict_profile(
         path_loss(layout, cfg.path_loss_exponent).beta[0].reshape(1, -1), bench.powers, cfg,
         selection)
     tp, sp = bench.schemes
-    bench = dataclasses.replace(bench, schemes=(tp, sp._replace(iterated=(sp.iterated[0],
-                                                                          (raw.layout(0),)))))
+    bench = dataclasses.replace(bench,
+                                schemes=(tp, sp._replace(iterated=(sp.iterated[0], (raw,)))))
     assert iterative.reduced_users(raw.layout(0), np.arange(K))[:K].tolist() != list(range(K))
     with simharness._one_blas_thread():
-        sig_res, errs = simharness._run_trials(bench, keys(3))
+        sig_res, errs = simharness._run_trials(bench, trials(3))
         # receive_cell on cell 0's columns of the same projection, bit for bit
-        for t, key in enumerate(keys(3)):
-            assert np.array_equal(sig_res[t, :2], per_trial_energies(bench, key))
+        for t, trial in enumerate(trials(3)):
+            assert np.array_equal(sig_res[t, :2], per_trial_energies(bench, trial))
         # without a profile the SP scheme projects onto cell 0's users alone,
         # a product of other shape, which rounds otherwise
         plain = dataclasses.replace(bench, schemes=(tp, sp._replace(iterated=None)))
-        expected, expected_errs = simharness._run_trials(plain, keys(3))
+        expected, expected_errs = simharness._run_trials(plain, trials(3))
     assert expected.shape == (3, 2, 2, 1, K)
     np.testing.assert_allclose(sig_res[:, :2], expected, rtol=1e-12)
     assert np.array_equal(errs[:2], expected_errs)
@@ -237,14 +275,15 @@ def test_bs_0s_tied_users_are_swept_in_their_given_order():
     cfg = SystemConfig(M=40, scenario=Scenario1(), seed=7)
     layout = place_users(cfg, substream(7, "layout"))
     for selection in ("fixed", "per_iteration"):
-        (bench,) = simharness._make_benches(cfg, RunOptions(selection=selection), [layout])
-        assert np.all(bench.schemes[1].gains.beta[0, 0] == cfg.omega)
+        bench = simharness._make_bench(cfg, RunOptions(selection=selection), [layout])
+        assert np.all(bench.schemes[1].gains[0, 0, 0] == cfg.omega)
         (profile,) = bench.schemes[1].iterated[1]
-        assert profile.order[: cfg.K].tolist() == [0, 1, 2, 3, 4]
+        assert profile.order[0, : cfg.K].tolist() == [0, 1, 2, 3, 4]
 
 
-def per_trial_energies(bench, key):
-    """One trial as a loop over metric BSs: one projection, receive_cell, then the energies.
+def per_trial_energies(bench, trial):
+    """One (placement, key) trial as a loop over metric BSs: one projection,
+    receive_cell, then the energies.
 
     Each scheme draws its own frames; at each BS the factor R of one
     unit-variance fading matrix Z and one noise block W serves all schemes,
@@ -256,6 +295,7 @@ def per_trial_energies(bench, key):
     """
     cfg, powers = bench.config, bench.powers
     K, M, sigma = cfg.K, cfg.M, math.sqrt(cfg.sigma2)
+    p, key = trial
     frames = [waveform.assemble_frames(cfg, s.book, powers, substream(*key, f"{s.tag}-frames"),
                                        s.partition, bench.data_dist)
               for s in bench.schemes]
@@ -268,13 +308,13 @@ def per_trial_energies(bench, key):
         users = scored_users(bench, j)
         columns = [estimator_columns(s.book, s.partition, powers, u, cfg.C_u)
                    for s, u in zip(bench.schemes, users)]
-        roots = [np.sqrt(s.gains.beta[j].reshape(-1)) for s in bench.schemes]
+        roots = [np.sqrt(s.gains[p, j].reshape(-1)) for s in bench.schemes]
         projections = project(factor, sigma, [f.S for f in frames], roots, columns)
         for i, (s, (estimates, matched)) in enumerate(zip(bench.schemes, projections)):
             at = np.searchsorted(users[i], cell, sorter=np.argsort(users[i]))
             at = np.argsort(users[i])[at]  # the cell's users among the projected, in order
             x_tilde = receive_cell(Projection(estimates[:, at], matched[at]), s.book,
-                                   s.partition, powers, j, s.gains.beta[j, j], M)
+                                   s.partition, powers, j, s.gains[p, j, j], M)
             signal = gain[:, np.newaxis] * frames[i].data[cell]
             residual = x_tilde - signal
             energies[i, :, j] = np.vecdot(signal, signal).real, np.vecdot(residual, residual).real
@@ -289,9 +329,9 @@ def test_sum_rate_energies_equal_the_per_trial_loop(K):
     assert [s.tag for s in bench.schemes] == ["0-tp", "0-sp", "0-hy", "1-tp", "1-sp", "1-hy"]
     assert len(bench.streams) == 7 and bench.schemes[5].partition.sp.any()
     with simharness._one_blas_thread():
-        sig_res, errs = simharness._run_trials(bench, keys(3))
-        for t, key in enumerate(keys(3)):
-            assert np.array_equal(sig_res[t], per_trial_energies(bench, key))
+        sig_res, errs = simharness._run_trials(bench, trials(3))
+        for t, trial in enumerate(trials(3)):
+            assert np.array_equal(sig_res[t], per_trial_energies(bench, trial))
     assert not errs.any()  # Gaussian payloads carry no bits
 
 
@@ -301,23 +341,24 @@ def test_an_entry_iterates_at_every_metric_bs():
     cfg = SystemConfig(M=40, seed=4)
     K, N = cfg.K, cfg.L * cfg.K
     layout = place_users(cfg, substream(4, "layout"))
-    (reference,) = simharness._make_benches(cfg, RunOptions(), [layout])
+    reference = simharness._make_bench(cfg, RunOptions(), [layout])
     sp, powers = reference.schemes[1], reference.powers
-    batch = iterative.predict_profile(sp.gains.beta[:2].reshape(2, N), powers, cfg)
-    profiles = (batch.layout(0), batch.layout(1))
+    batch = iterative.predict_profile(sp.gains[0, :2].reshape(2, N), powers, cfg)
+    # each BS's profile, a batch of the bench's one placement
+    profiles = (batch.layout([0]), batch.layout([1]))
     entry = sp._replace(iterated=(simharness.ITER_METHOD, profiles))
     bench = dataclasses.replace(reference, schemes=(entry,), streams=(("ch", 0), ("ch", 1)))
     report = K + np.arange(K)
-    users = iterative.reduced_users(profiles[1], report)
+    users = iterative.reduced_users(batch.layout(1), report)
     assert users.size > K  # the pass keeps users outside cell 1
     columns = estimator_columns(sp.book, sp.partition, powers, users, cfg.C_u)
-    roots = np.sqrt(sp.gains.beta[1].reshape(-1))
+    roots = np.sqrt(sp.gains[0, 1].reshape(-1))
     G, R, data, bits, gain = [], [], [], [], []
     with simharness._one_blas_thread():
-        sig_res, errs = simharness._run_trials(bench, keys(3))
-        for t, key in enumerate(keys(3)):
+        sig_res, errs = simharness._run_trials(bench, trials(3))
+        for t, (_p, key) in enumerate(trials(3)):
             # the entry's one-shot row, from cell j's rows of the same projection
-            assert np.array_equal(sig_res[t, :1], per_trial_energies(bench, key))
+            assert np.array_equal(sig_res[t, :1], per_trial_energies(bench, (0, key)))
             frames = waveform.assemble_frames(cfg, sp.book, powers, substream(*key, "sp-frames"),
                                               sp.partition)
             factor = draw_channels(cfg, substream(*key, "ch", 1))
@@ -330,8 +371,8 @@ def test_an_entry_iterates_at_every_metric_bs():
             z = np.ascontiguousarray(factor[:, report]).T
             gain.append(np.vecdot(z, z).real / cfg.M)
         x_tilde = iterative.iterative_estimate(np.stack(G), np.stack(R),
-                                               sp.book.sp_columns(slice(None)), profiles[1],
-                                               report)
+                                               sp.book.sp_columns(slice(None)),
+                                               batch.layout(1), report)
     signal, residual = simharness.signal_residual_power(x_tilde, np.stack(data), np.stack(gain))
     assert sig_res.shape == (3, 2, 2, 2, K)
     assert np.array_equal(sig_res[:, 1, 0, 1], signal)
@@ -361,10 +402,10 @@ def test_one_more_entry_is_one_more_row(monkeypatch):
     bench = build(cfg, sum_rate_layouts(cfg, options.radii_m))
     more = grown(cfg, sum_rate_layouts(cfg, options.radii_m))
     with simharness._one_blas_thread():
-        sig_res, _errs = simharness._run_trials(bench, keys(3))
-        more_sig_res, _errs = simharness._run_trials(more, keys(3))
-        for t, key in enumerate(keys(3)):
-            assert np.array_equal(more_sig_res[t], per_trial_energies(more, key))
+        sig_res, _errs = simharness._run_trials(bench, trials(3))
+        more_sig_res, _errs = simharness._run_trials(more, trials(3))
+        for t, trial in enumerate(trials(3)):
+            assert np.array_equal(more_sig_res[t], per_trial_energies(more, trial))
     # the existing entries' energies keep their bits
     assert more_sig_res.shape == (3, 13, 2, 7, 5)
     assert np.array_equal(more_sig_res[:, :-1], sig_res)
@@ -377,6 +418,25 @@ def test_one_more_entry_is_one_more_row(monkeypatch):
     assert 0 < row.value != expected[1].value
 
 
+def test_an_entry_that_iterates_over_tp_users_is_refused_before_any_draw(monkeypatch):
+    # the 850 m hybrid entry, given per-BS profiles: the estimator reads every
+    # user's superimposed pilot, which its TP users lack
+    bench = sum_rate_bench(5, radii=(850.0,))
+    cfg, hybrid = bench.config, bench.schemes[2]
+    assert not hybrid.partition.sp.all()
+    first = tuple(np.argwhere(~hybrid.partition.sp)[0].tolist())
+    profile = iterative.predict_profile(hybrid.gains[0, 0].reshape(1, -1), bench.powers, cfg)
+    entry = hybrid._replace(iterated=("hybrid-iter", (profile,) * len(bench.streams)))
+    bench = dataclasses.replace(bench, schemes=bench.schemes[:2] + (entry,))
+    draws = []
+    monkeypatch.setattr(simharness, "draw_channels", lambda *args: draws.append(args))
+    monkeypatch.setattr(simharness.waveform, "assemble_frames", lambda *args: draws.append(args))
+    message = rf"'hybrid' \(tag '0-hy'\).*user {re.escape(str(first))}"
+    with pytest.raises(ValueError, match=message):
+        simharness._run_trials(bench, trials(1))
+    assert draws == []
+
+
 def test_hybrid_gains_control_the_sp_users_only():
     # reference: q = omega / beta_llk on the SP users, 1 elsewhere, at the
     # four default radii
@@ -386,13 +446,13 @@ def test_hybrid_gains_control_the_sp_users_only():
     moved = 0
     for i, layout in enumerate(layouts):
         all_tp, all_sp, hybrid = bench.schemes[3 * i : 3 * i + 3]
-        beta_raw = all_tp.gains
+        beta_raw = PathLossMap(all_tp.gains[0])
         q_hyb = np.ones((cfg.L, cfg.K))
         home = beta_raw.home()
         for l, k in np.argwhere(hybrid.partition.sp):
             q_hyb[l, k] = cfg.omega / home[l, k]
         expected = PathLossMap(beta_raw.beta * q_hyb[np.newaxis, :, :])
-        assert np.array_equal(hybrid.gains.beta, expected.beta)
+        assert np.array_equal(hybrid.gains, expected.beta[np.newaxis])
         moved += np.count_nonzero(hybrid.partition.sp)
     assert moved > 0  # the outer radii move users to SP
 
@@ -429,14 +489,16 @@ def batch_sizes(monkeypatch):
 
 @pytest.mark.parametrize("per_chunk", [2, 3])
 def test_totals_do_not_depend_on_the_chunk_size(any_bench, monkeypatch, per_chunk):
-    # 5 trials: chunks of 2, 2, 1 and of 3, 2 against chunks of 1 and of 5
+    # 5 trials: chunks of 2, 2, 1 and of 3, 2 against chunks of 1 and of 5;
+    # on several placements, each chunk mixes them
     sizes = batch_sizes(monkeypatch)
     totals = {}
     with simharness._one_blas_thread():
         for trials_per_chunk in (1, per_chunk, 5):
             budget = trials_per_chunk * simharness._trial_bytes(any_bench)
             monkeypatch.setattr(simharness, "_CHUNK_BYTES", budget)
-            totals[trials_per_chunk] = simharness._sum_trials(any_bench, keys(5))
+            totals[trials_per_chunk] = simharness._sum_trials(
+                any_bench, trials(5, placements(any_bench)))
     assert sizes == [1] * 5 + {2: [2, 2, 1], 3: [3, 2]}[per_chunk] + [5]
     for sig, errs in totals.values():
         assert np.array_equal(sig, totals[1][0])
@@ -446,7 +508,7 @@ def test_totals_do_not_depend_on_the_chunk_size(any_bench, monkeypatch, per_chun
 def test_a_chunk_holds_at_least_one_trial(any_bench, monkeypatch):
     sizes = batch_sizes(monkeypatch)
     monkeypatch.setattr(simharness, "_CHUNK_BYTES", simharness._trial_bytes(any_bench) - 1)
-    sig, errs = simharness._sum_trials(any_bench, keys(2))
+    sig, errs = simharness._sum_trials(any_bench, trials(2, placements(any_bench)))
     assert sizes == [1, 1]
     assert np.all(sig > 0)
     assert (errs[0, 1] > 0) == (any_bench.data_dist == "qam")
@@ -469,20 +531,50 @@ PEAK_BOUND_BYTES = 1_775_000
 def test_two_trials_fit_a_batch_at_m_200_within_the_earlier_peak(monkeypatch):
     cfg = SystemConfig(M=200, seed=5)
     layout = place_users(cfg, substream(5, "sinr_vs_m", "layout", 2))
-    (bench_200,) = simharness._make_benches(cfg, RunOptions(), [layout])
+    bench_200 = simharness._make_bench(cfg, RunOptions(), [layout])
     sizes = batch_sizes(monkeypatch)
-    trials = [(5, "sinr_vs_m", 2, t) for t in range(4)]
+    batch = [(0, (5, "sinr_vs_m", 2, t)) for t in range(4)]
     with simharness._one_blas_thread():
-        simharness._sum_trials(bench_200, trials)  # warm-up: first-call caches
+        simharness._sum_trials(bench_200, batch)  # warm-up: first-call caches
         sizes.clear()
         tracemalloc.start()
         try:
-            simharness._sum_trials(bench_200, trials)
+            simharness._sum_trials(bench_200, batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert min(sizes) >= 2
     assert peak < PEAK_BOUND_BYTES
+
+
+# Traced peak of _sum_trials over ber_vs_k's 10 bench trials at K = 10 (CLI
+# defaults: L = 7, M = 500, C_u = 70, scenario 1; seed 5), each on its own
+# placement, numpy 2.4.  As ten one-trial chunks, one bench per placement,
+# they peaked at 744,144 bytes.  In one chunk, which keeps every trial's G
+# and R over the 11-14 users the estimator keeps for it until the pass, and
+# whose pass stacks the blocks of one schedule at a time, they peak at
+# 1,119,068 bytes: within the chunk budget they were sized for.
+BER_PEAK_BOUND_BYTES = simharness._CHUNK_BYTES
+
+
+def test_ber_vs_k_runs_its_ten_placements_in_one_chunk(monkeypatch):
+    cfg = SystemConfig(K=10, M=500, C_u=70, scenario=Scenario1(), seed=5)
+    options = RunOptions(trials=10)
+    layouts = [place_users(cfg, substream(5, "ber_vs_k", 2, t, "layout")) for t in range(10)]
+    bench = simharness._make_bench(cfg, options, layouts)
+    sizes = batch_sizes(monkeypatch)
+    batch = [(t, (5, "ber_vs_k", 2, t)) for t in range(10)]
+    with simharness._one_blas_thread():
+        simharness._sum_trials(bench, batch)  # warm-up: first-call caches
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            simharness._sum_trials(bench, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sizes == [10]
+    assert peak < BER_PEAK_BOUND_BYTES
 
 
 # Traced peak of _sum_trials over sum_rate_vs_sir's 8 bench trials at the CLI
@@ -503,13 +595,13 @@ def test_four_radii_fit_within_the_earlier_peak_of_one(monkeypatch):
     bench = simharness._sum_rate_bench(cfg, sum_rate_layouts(cfg, RunOptions().radii_m))
     assert len(bench.schemes) == 12
     sizes = batch_sizes(monkeypatch)
-    trials = [(5, "sum_rate", t) for t in range(8)]
+    batch = [(0, (5, "sum_rate", t)) for t in range(8)]
     with simharness._one_blas_thread():
-        simharness._sum_trials(bench, trials)  # warm-up: first-call caches
+        simharness._sum_trials(bench, batch)  # warm-up: first-call caches
         sizes.clear()
         tracemalloc.start()
         try:
-            simharness._sum_trials(bench, trials)
+            simharness._sum_trials(bench, batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
