@@ -9,27 +9,31 @@ noise; conj(p) / (n rho_p) on the trailing n = sp_length symbols for a
 superimposed (SP) user, treating everyone's data as noise.  A matched filter
 is conj(h_hat) Y.  So a receiver reads Y only through its users' estimator
 columns E: the estimates Y E and their matched filters conj(Y E)^T Y, a
-Projection.  project makes every scheme's projection at one BS from the
-draws they share, without forming any M x C_u block, and from their
-triangular factor, without any M-row array.
+Projection.  project makes one projection of every scheme's users at one BS
+from the draws they share, without forming any M x C_u block, and from
+their triangular factor, without any M-row array.  Schemes that send one
+frame matrix share its products.
 
-receive_cell is the one receiver every pilot scheme uses: the partition's
-SP mask says which users of a cell carry a superimposed pilot over the
-trailing sp_length symbols (SP); the others train in the first tau symbols
-(TP).  Pure TP and pure SP are the all-TP and all-SP masks; a hybrid frame
-mixes them.
+receive is the one receiver of every pilot scheme, and it receives any run
+of projected users of one payload length at once, whatever schemes and
+cells they belong to.  A Receiver holds what it reads besides the
+projection (receiver builds it): which users carry a superimposed pilot
+over the trailing sp_length symbols (SP), their pilots, and every user's
+matched-filter gain; the others train in the first tau symbols (TP).  Pure
+TP and pure SP are the all-TP and all-SP masks; a hybrid frame mixes them.
 The caller makes the nearest-point decision (waveform.decide).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from . import waveform
 from .hybrid import Partition
-from .sysmodel import PowerAllocation
+from .sysmodel import PowerAllocation, SystemConfig
 # decide stays bound here: bench/tracer.py patches it in every module that
 # binds it, and bench/test_bench.py checks it is restored in this one
 from .waveform import PilotBook, decide  # noqa: F401
@@ -114,8 +118,8 @@ def project(
     frames,
     roots,
     columns: list,
-) -> list:
-    """Each scheme's Projection at one BS, from the draws every scheme shares.
+) -> Projection:
+    """One Projection of every scheme's users at one BS, from the draws they share.
 
     Scheme i would receive Y_i = Z (roots[i] * frames[i]) + W: Z (M, N) is
     the unit-variance fading and W (M, C_u) the noise at the BS, frames[i]
@@ -125,23 +129,34 @@ def project(
     Q^H X: a projection reads X only through such inner products, so it
     comes out rotated by Q^H, with as many rows as factor has, and every
     norm and inner product the receivers take is the same.  columns[i]
-    (C_u, n_i) are the estimator columns of the users scheme i scores.  One
-    product, waveform.synthesize_received, makes every estimate,
-    Y_i E_i = F [roots_i * (S_i E_i) ; sigma E_i], and one product every
-    matched filter, conj(Y_i E_i)^T F, split at column N into its fading
-    part, which meets roots_i * S_i, and its noise part, scaled by sigma.
-    No Y_i is formed.  A user's results are a column and a row of products
-    over all the users projected, so their last bits can depend on which
-    other users share the call.
+    (C_u, n_i) are the estimator columns of the users scheme i scores; the
+    projection's estimate columns and matched rows are theirs, scheme by
+    scheme in order.
+
+    One product, waveform.synthesize_received, makes every estimate,
+    Y_i E_i = F [roots_i * (S_i E_i) ; sigma E_i], and one more every
+    matched filter's part conj(Y_i E_i)^T F, split at column N into its
+    fading part, which meets roots_i * S_i, and its noise part, scaled by
+    sigma.  Schemes that pass one frame matrix object share its products:
+    S E once per (frame matrix, columns) pair, and the fading part of their
+    matched filters as one product with it.  No Y_i is formed.  A user's
+    results are a column and a row of products over all the users
+    projected, so their last bits can depend on which other users share the
+    call.
     """
     N = frames[0].shape[0]
-    stacked = np.empty((factor.shape[1], sum(E.shape[1] for E in columns)), dtype=complex)
-    lo = 0
-    for S, root, E in zip(frames, roots, columns):
-        hi = lo + E.shape[1]
-        np.multiply(root[:, np.newaxis], S @ E, out=stacked[:N, lo:hi])
-        np.multiply(E, sigma, out=stacked[N:, lo:hi])
-        lo = hi
+    bounds = [0, *itertools.accumulate(E.shape[1] for E in columns)]
+    stacked = np.empty((factor.shape[1], bounds[-1]), dtype=complex)
+    # S E once per (frame matrix, columns) pair, scaled by each scheme's
+    # roots into its columns
+    products = {}
+    for S, root, E, lo, hi in zip(frames, roots, columns, bounds, bounds[1:]):
+        if (id(S), id(E)) not in products:
+            products[id(S), id(E)] = S @ E
+        np.multiply(root[:, np.newaxis], products[id(S), id(E)], out=stacked[:N, lo:hi])
+    del products
+    np.concatenate(columns, axis=1, out=stacked[N:])
+    stacked[N:] *= sigma
     estimates = waveform.synthesize_received(factor, stacked)
     del stacked
     # conjugated in place for the product and back after it: exact, and no
@@ -149,14 +164,21 @@ def project(
     through = np.conj(estimates, out=estimates).T @ factor
     np.conj(estimates, out=estimates)
     through[:, N:] *= sigma
-    projections, lo = [], 0
-    for S, root, E in zip(frames, roots, columns):
-        hi = lo + E.shape[1]
-        matched = (through[lo:hi, :N] * root) @ S
-        matched += through[lo:hi, N:]
-        projections.append(Projection(estimates[:, lo:hi], matched))
-        lo = hi
-    return projections
+    # one product per frame matrix, over the users of the schemes that send
+    # it, each row scaled by its scheme's roots
+    users = {}
+    for S, root, lo, hi in zip(frames, roots, bounds, bounds[1:]):
+        users.setdefault(id(S), (S, []))[1].append((root, lo, hi))
+    matched = np.empty((bounds[-1], frames[0].shape[1]), dtype=complex)
+    for S, spans in users.values():
+        fading = [through[lo:hi, :N] * root for root, lo, hi in spans]
+        fading = fading[0] if len(fading) == 1 else np.concatenate(fading)
+        if all(hi == lo for (_, _, hi), (_, lo, _) in zip(spans, spans[1:])):
+            np.matmul(fading, S, out=matched[spans[0][1] : spans[-1][2]])
+        else:
+            matched[np.concatenate([np.arange(lo, hi) for _, lo, hi in spans])] = fading @ S
+    matched += through[:, N:]
+    return Projection(estimates, matched)
 
 
 def sp_output(matched, power, pilot_rows, rho_p, mf_gain) -> np.ndarray:
@@ -173,45 +195,73 @@ def sp_output(matched, power, pilot_rows, rho_p, mf_gain) -> np.ndarray:
     return matched
 
 
-def receive_cell(
-    projection: Projection,
-    book: PilotBook,
-    partition: Partition,
-    powers: PowerAllocation,
-    cell: int,
-    beta_home: np.ndarray,
-    M: int,
-) -> np.ndarray:
-    """Matched-filter outputs of the users of `cell` at its BS, one row per user.
+class Receiver(NamedTuple):
+    """What receive reads besides the projection, for a run of users of one payload length.
 
-    projection is the BS's block seen through the estimator columns of the
-    cell's K users in order (estimator_columns of cell * K + k); the result
-    is (..., K, symbols), over each user's trailing payload symbols
-    (PilotBook.payload_length).  A TP user's output is conj(h) Y_d / (M
-    beta_home); an SP user's (partition.sp[cell, k]) removes its own pilot
-    first (sp_output).  The two groups are filtered apart and written into
-    one array.  beta_home[k] is user k's gain at this BS, and M its antenna
-    count, which the projection's row count need not be (project).  A mask
-    of another shape than the book's (L, K) raises ValueError.
+    sp indexes the run's SP users, pilots holds their superimposed pilots
+    as rows (sp.size, n), n the payload (and output) symbols of every user,
+    the trailing n of the block, and rho_p is the pilot amplitude.
+    gain (..., users) is each user's matched-filter gain, M beta_home for a
+    TP user and M rho_d beta_home for an SP user, with a leading axis per
+    placement when the cells' gains have one.
     """
-    _check_mask(book, partition)
-    in_sp = partition.sp[cell]
-    K, tp, sp = in_sp.size, np.flatnonzero(~in_sp), np.flatnonzero(in_sp)
+
+    sp: np.ndarray
+    pilots: np.ndarray
+    rho_p: float
+    gain: np.ndarray
+
+    @property
+    def n(self) -> int:
+        """Payload symbols per user: the length of the pilot rows."""
+        return self.pilots.shape[-1]
+
+
+def receiver(cells, powers: PowerAllocation, config: SystemConfig) -> Receiver:
+    """The Receiver of the K users of each listed cell, cell after cell.
+
+    cells lists (book, partition, cell, beta_home): the cell's users under
+    that book and partition, and beta_home (..., K) their gains at the
+    cell's BS, with any leading axes, the same for every cell.  config
+    gives M and C_u.  Every cell's users must carry one payload length
+    (PilotBook.payload_length).  A mask of another shape than the book's
+    (L, K) raises ValueError, an SP user without a pilot column KeyError.
+    """
+    M, C_u = config.M, config.C_u
+    lengths, sp, pilots, gain = set(), [], [], []
+    for i, (book, partition, cell, beta_home) in enumerate(cells):
+        _check_mask(book, partition)
+        in_sp = partition.sp[cell]
+        K, users = in_sp.size, np.flatnonzero(in_sp)
+        lengths.add(book.payload_length(partition, C_u))
+        sp.append(i * K + users)
+        if users.size:
+            pilots.append(book.sp_columns(cell * K + users).T)
+        gain.append(np.where(in_sp, M * powers.rho_d, float(M)) * beta_home)
+    if len(lengths) != 1:
+        raise ValueError(f"one receiver for payloads of {sorted(lengths)} symbols")
+    (n,) = lengths
+    return Receiver(np.concatenate(sp),
+                    np.concatenate(pilots) if pilots else np.empty((0, n), dtype=complex),
+                    powers.rho_p, np.concatenate(gain, axis=-1))
+
+
+def receive(projection: Projection, users, rx: Receiver, placement=()) -> np.ndarray:
+    """Matched-filter outputs of the projected users `users`, one row each.
+
+    users indexes the projection's users (estimate columns and matched
+    rows) in the order of rx's users; the result is (users, rx.n), over
+    each user's trailing payload symbols.  A TP user's output is conj(h) Y_d
+    over its gain; an SP user's removes its own pilot through its estimate
+    first, (conj(h) Y_d - rho_p ||h||^2 p^T) / gain (sp_output).  The gains
+    are rx.gain[placement].  Every step is per user, so a user's output has
+    the same bits in any run of users.  M is read from the gains, not from
+    the projection's row count (project).
+    """
     estimates, matched = projection
-    C_u = matched.shape[-1]
-    # TP and SP rows span equally many symbols, or payload_length raises
-    payload = matched[..., C_u - book.payload_length(partition, C_u) :]
-    beta_home = np.asarray(beta_home)
-    groups = []
-    if tp.size:
-        groups.append((tp, payload[..., tp, :] / _per_row(M * beta_home[tp])))
-    if sp.size:
-        pilots = book.sp_columns(cell * K + sp)
-        groups.append((sp, sp_output(payload[..., sp, :], _powers(estimates[..., sp]), pilots.T,
-                                     powers.rho_p, M * powers.rho_d * beta_home[sp])))
-    if len(groups) == 1:
-        return groups[0][1]
-    x_tilde = np.empty(payload.shape, dtype=complex)
-    for ks, x in groups:
-        x_tilde[..., ks, :] = x
+    users = np.asarray(users)
+    x_tilde = matched[users, matched.shape[-1] - rx.n :]
+    if rx.sp.size:
+        x_tilde[rx.sp] -= _per_row(rx.rho_p * _powers(estimates[:, users[rx.sp]])) * rx.pilots
+    x_tilde /= _per_row(rx.gain[placement])
     return x_tilde

@@ -285,8 +285,8 @@ def reduce_block(projection: Projection) -> tuple[np.ndarray, np.ndarray]:
     estimator keeps, as reduced_users lists them (estimators.estimator_columns
     under the all-SP partition): its estimates are their h0 and its matched
     rows G[..., i, :] = conj(h0_i) Y.  R[..., i, j] = conj(h0_i) . h0_j, with
-    a real diagonal that has the bits of the powers estimators.receive_cell
-    reads, so a user with an empty feedback set gets receive_cell's output.
+    a real diagonal that has the bits of the powers estimators.receive
+    reads, so a user with an empty feedback set gets its one-shot output.
     """
     estimates, G = projection
     h0 = np.ascontiguousarray(np.swapaxes(estimates, -1, -2))

@@ -11,8 +11,8 @@ everything else is residual.
 Trials are indexed and draw their randomness from (seed, experiment, sweep
 point, trial, purpose) substreams, so a trial's result depends only on its
 key, not on which trials ran before it.  sum_rate_vs_sir keys its trials
-without the sweep point: one trial serves every radius, and only its frame
-tags name the radius.
+without the sweep point: one trial, and one payload draw, serves every
+radius and every entry.
 
 Every experiment draws, receives and scores its trials in one kernel,
 _run_trials, over a bench: a table of the pilot schemes it compares
@@ -32,15 +32,22 @@ sum_rate_vs_sir compares all-TP, all-SP and hybrid pilots at its 7 metric
 BSs with Gaussian payloads, one entry per (radius, method), on one
 placement (_sum_rate_bench).
 
-The schemes of a bench see common random numbers: each draws its own
-frames, but at each metric BS one unit-variance fading matrix Z and one
-noise block W per trial serve every scheme, so the draws are shared across
-schemes and, in sum_rate_vs_sir, across radii.  A scheme's gains are folded
-into its frames: its block would be Z @ (sqrt(beta) * S) + W.  No block is
-formed.  Every receiver is linear in it, so each trial and metric BS makes
-one projection of its draws onto the estimator columns of every scheme's
-scored users (estimators.project), which gives their estimates and matched
-filters from one synthesize_received call and one more product.
+The schemes of a bench see common random numbers.  A scheme's tag names
+its frame stream: per trial, one payload draw serves every entry of a tag,
+as long as the longest payload among them, and an entry sends, and is
+scored on, the trailing symbols of each user's row that its payload length
+asks for; entries on one (tag, book, Partition object) send one frame
+matrix.  The reference benches give TP and SP their own tags;
+sum_rate_vs_sir gives all its entries one.  At each metric BS one
+unit-variance fading matrix Z and one noise block W per trial serve every
+scheme, so the draws are shared across schemes and, in sum_rate_vs_sir,
+across radii.  A scheme's gains are folded into its frames: its block would
+be Z @ (sqrt(beta) * S) + W.  No block is formed.  Every receiver is linear
+in it, so each trial and metric BS makes one projection of its draws onto
+the estimator columns of every scheme's scored users (estimators.project),
+which gives their estimates and matched filters from one
+synthesize_received call, one more product, and one product per frame
+matrix.
 
 Z and W are not drawn either, only the r x d factor R of X = [Z, W / sigma]
 = Q R, d = L*K + C_u and r = min(M, d), from its exact law
@@ -50,21 +57,23 @@ Gram matrix: the estimates' norms and inner products, the matched filters
 conj(Y E)^T Y and the desired-signal gain ||z||^2 / M, which R gives as X
 does.  Receivers take M from the config, not from the estimates' row count.
 
-Each scheme's cell is received from its projection through receive_cell, and
-its outputs are scored (energies, and bit errors for QAM payloads) as soon
-as they are made, so a trial's frames, draws and outputs do not outlive it.
-An entry that iterates is projected at metric BS j onto the users its
-estimator keeps for cell j at the trial's placement
-(iterative.reduced_users); its one-shot outputs are received from cell j's
-users of that projection, and reduce_block turns it into the G and R the
-estimator reads.  Those G and R, with the trial's payloads, bits and
-channel gains, outlive the trial: the estimator runs once per (entry, BS)
-on a batch of as many trials as fit _CHUNK_BYTES at _trial_bytes each,
-each trial under its placement's profile row.  The estimator stacks the
-trials whose placements give it one schedule and runs its products as
-stacks of per-trial products, so a trial's energies have the same bits in
-any batch, and they are added to the totals in trial order, so the output
-does not depend on the batch size.
+The receivers' constants (estimators.Receiver: SP users, pilot rows and
+matched-filter gains, as arrays over the bench's placements) are built once
+per batch of trials.  Per trial and metric BS, the cells of all entries of
+one (tag, payload length) are received in one estimators.receive call and
+scored in one pass, against the payloads they share, as soon as they are
+made, so a trial's frames, draws and outputs do not outlive it.  An entry that
+iterates is projected at metric BS j onto the users its estimator keeps for
+cell j at the trial's placement (iterative.reduced_users); its one-shot
+outputs are received from cell j's users of that projection, and
+reduce_block turns it into the G and R the estimator reads.  Those G and R,
+with the trial's payloads, bits and channel gains, outlive the trial: the
+estimator runs once per (entry, BS) on a batch of as many trials as fit
+_CHUNK_BYTES at _trial_bytes each, each trial under its placement's profile
+row.  The estimator stacks the trials whose placements give it one schedule
+and runs its products as stacks of per-trial products, so a trial's
+energies have the same bits in any batch, and they are added to the totals
+in trial order, so the output does not depend on the batch size.
 
 run_experiment holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards.  A product whose reduction is split over threads
@@ -86,7 +95,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytics, iterative, waveform
-from .estimators import Projection, estimator_columns, project, receive_cell
+from .estimators import Projection, estimator_columns, project, receive, receiver
 from .hybrid import Partition, all_sp, all_tp, greedy_partition
 from .rng import substream
 from .sysmodel import (
@@ -120,7 +129,7 @@ OPTIONS_READ = {
 
 # budget of one batch of _run_trials, which holds as many trials as fit at
 # _trial_bytes each: 19, 15 and 13 for sinr_vs_m at M = 50, 100 and 200
-# (traced peak of its 20 trials at M = 200, seed 5: 1,189 KiB).
+# (traced peak of its 20 trials at M = 200, seed 5: 1,271 KiB).
 # sum_rate_vs_sir holds only energies, so all its trials fit one batch.
 _CHUNK_BYTES = 1280 * 1024
 
@@ -231,9 +240,13 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 class _Scheme(NamedTuple):
     """One entry of a bench's scheme table: a pilot scheme, scored as one method.
 
-    Its frames follow partition and book, drawn from the trial's (tag +
-    "-frames") substream, are sent over the square roots of its gains, and
-    are received under partition and book.  gains[p] is its (L, L, K) gain
+    tag names the entry's frame stream, which it shares with every entry of
+    the same tag: per trial, one payload draw from the (tag + "-frames")
+    substream, as long as the longest payload of the tag's entries, of which
+    the entry sends the trailing PilotBook.payload_length symbols per user.
+    Its frames follow partition and book, one frame matrix per (tag, book,
+    Partition object), are sent over the square roots of its gains, and are
+    received under partition and book.  gains[p] is its (L, L, K) gain
     map at the bench's placement p.  An entry that iterates has iterated =
     (method, profiles): profiles[j] is the prediction profile of its gains
     at metric BS j, a batch of one layout per placement, and at every
@@ -303,30 +316,43 @@ def _run_trials(bench: _Bench, trials: list):
     """T trials of a bench, one per (placement, key) pair: drawn, received and scored.
 
     A trial draws its randomness from its key's substreams and runs on its
-    placement's gains.  Per trial and metric BS j, one draw (streams[j])
-    serves every scheme, whose gains at BS j are folded into its frame rows,
-    and one projection of it (estimators.project) makes the estimates and
-    matched filters of every scheme's scored users.  A user's
-    desired-signal gain ||h||^2 / (M beta) is ||z||^2 / M, the squared norm
-    of its column of the draw, the same for every scheme.  Returns
-    (sig_res, errs): the (T, methods, 2, J, K) signal and residual energies
-    per trial, method, metric BS and user, and the (methods, 2) bit errors
-    and bit count per method over the batch (zero for Gaussian payloads),
-    methods as _methods lists them.
+    placement's gains.  Per trial and tag, one payload draw serves every
+    entry of that tag, and per (tag, book, Partition object) one frame
+    matrix.  Per trial and metric BS j, one draw (streams[j]) serves every
+    scheme, whose gains at BS j are folded into its frame rows, and one
+    projection of it (estimators.project) makes the estimates and matched
+    filters of every scheme's scored users.  Their cells' users are then
+    received and scored in one pass per (tag, payload length), against the
+    payloads they share.  A user's desired-signal gain ||h||^2 / (M beta)
+    is ||z||^2 / M, the squared norm of its column of the draw, the same
+    for every scheme.  Returns (sig_res, errs): the (T, methods, 2, J, K)
+    signal and residual energies per trial, method, metric BS and user, and
+    the (methods, 2) bit errors and bit count per method over the batch
+    (zero for Gaussian payloads), methods as _methods lists them.
     """
     cfg, powers, schemes = bench.config, bench.powers, bench.schemes
-    for s in schemes:
+    for i, s in enumerate(schemes):
         # the iterative estimator reads every user's superimposed pilot
         if s.iterated and not s.partition.sp.all():
             l, k = np.argwhere(~s.partition.sp)[0].tolist()
-            raise ValueError(f"entry {s.method!r} (tag {s.tag!r}) iterates, but its user "
+            raise ValueError(f"entry {i} ({s.method!r}) iterates, but its user "
                              f"({l}, {k}) has no superimposed pilot")
     K, M, C_u, P, N = cfg.K, cfg.M, cfg.C_u, cfg.P, cfg.L * cfg.K
     sigma = math.sqrt(cfg.sigma2)
     T, J, n_schemes = len(trials), len(bench.streams), len(schemes)
     qam = bench.data_dist == "qam"
+    n_bits = waveform.bits_per_symbol(P)
     cells = np.arange(J * K).reshape(J, K)
     placements = np.array([p for p, _ in trials], dtype=np.intp)
+    lengths = [n for _, _, n in _methods(bench)[:n_schemes]]
+    # each tag's payload length, its entries' longest; its frame matrices,
+    # one per (tag, book, Partition object); and the entries of each (tag,
+    # payload length)
+    drawn, frame_sets, members = {}, {}, {}
+    for i, (s, n) in enumerate(zip(schemes, lengths)):
+        drawn[s.tag] = max(drawn.get(s.tag, 0), n)
+        frame_sets.setdefault((s.tag, id(s.book), s.partition), s)
+        members.setdefault((s.tag, n), []).append(i)
     # sqrt(beta) of every scheme's users at every placement and metric BS,
     # the frame row scales
     roots = np.sqrt(np.stack([s.gains[:, :J].reshape(-1, J, N) for s in schemes]))
@@ -339,107 +365,146 @@ def _run_trials(bench: _Bench, trials: list):
     columns = {p: [[shared[id(s.book), s.partition][j] for s in schemes] for j in range(J)]
                for p in set(placements.tolist())}
     del unique, shared
-    # an iterated entry i's projection at placement p and BS j is onto the
-    # users its estimator keeps: rows[i, j, p] are cell j's among them.
-    # Each trial's G and R over them go to stacks[i, j]
+    # counts[j, p, i] users of scheme i are projected at BS j and placement
+    # p, cell j's.  An iterated entry i is projected onto the users its
+    # estimator keeps, and scored[i, j][p] are cell j's among them.  Each
+    # trial's G and R over them go to stacks[i, j]
     iterated = [i for i, s in enumerate(schemes) if s.iterated]
-    rows, stacks = {}, {}
+    counts = np.full((J, schemes[0].gains.shape[0], n_schemes), K)
+    scored, stacks = {}, {}
     for i in iterated:
         s = schemes[i]
         for j, profile in enumerate(s.iterated[1]):
             stacks[i, j] = ([], [])
+            scored[i, j] = np.zeros((counts.shape[1], K), dtype=np.intp)
             for p, at_p in columns.items():
                 users = iterative.reduced_users(profile.layout(p), cells[j])
                 at_p[j][i] = estimator_columns(s.book, s.partition, powers, users, C_u)
-                rows[i, j, p] = np.nonzero(cells[j][:, np.newaxis] == users)[1]
+                scored[i, j][p] = np.nonzero(cells[j][:, np.newaxis] == users)[1]
+                counts[j, p, i] = users.size
+    # where each scheme's users start in the projection
+    starts = np.cumsum(counts, axis=2) - counts
+    # the entries of one (tag, payload length) are received and scored
+    # together: their receiver at each BS (over placements), the projected
+    # users it reads at each BS and placement, and their energies and bit
+    # errors over the batch
+    groups = [(tag, n, entries,
+               [receiver([(schemes[i].book, schemes[i].partition, j, schemes[i].gains[:, j, j])
+                          for i in entries], powers, cfg) for j in range(J)],
+               [np.concatenate([starts[j, :, i, np.newaxis] + scored.get((i, j), np.arange(K))
+                                for i in entries], axis=1) for j in range(J)],
+               np.empty((T, 2, J, len(entries), K)), np.zeros(len(entries), dtype=np.int64))
+              for (tag, n), entries in members.items()]
     gain = np.empty((T, J, K))
-    sig_res = np.empty((T, n_schemes + len(iterated), 2, J, K))
-    errs = np.zeros((n_schemes + len(iterated), 2), dtype=np.int64)
-    # the payloads and bits of every scheme's metric cells: the current
-    # trial's, or every trial's for an entry that iterates
-    n_bits = waveform.bits_per_symbol(P)
-    held = [(T if s.iterated else 1, n) for _, s, n in _methods(bench)[:n_schemes]]
-    data = [np.empty((d, J, K, n), dtype=complex) for d, n in held]
-    bits = [np.empty((d, J, K, n_bits * n), dtype=np.uint8) for d, n in held] if qam else None
-    S = np.empty((n_schemes, N, C_u), dtype=complex)
+    # each tag's payloads and bits at the metric cells: the current trial's,
+    # or every trial's for the tag of an entry that iterates
+    held = {schemes[i].tag for i in iterated}
+    sent = {tag: (np.empty((T if tag in held else 1, J, K, n), dtype=complex),
+                  np.empty((T if tag in held else 1, J, K, n_bits * n), dtype=np.uint8)
+                  if qam else None) for tag, n in drawn.items()}
+    # the frame matrices of the current trial, one buffer for the batch; each
+    # scheme's entry of frames is its set's matrix, the object project keys
+    # its shared products on
+    frame_buffer = dict(zip(frame_sets, np.empty((len(frame_sets), N, C_u), dtype=complex)))
+    frames = [frame_buffer[s.tag, id(s.book), s.partition] for s in schemes]
     for t, (p, key) in enumerate(trials):
-        at = [t if s.iterated else 0 for s in schemes]
-        # one scheme's frames at a time: the substreams are keyed, so the
-        # order of the draws does not change their bits
-        for i, s in enumerate(schemes):
-            frames = waveform.assemble_frames(cfg, s.book, powers,
-                                              substream(*key, f"{s.tag}-frames"), s.partition,
-                                              bench.data_dist)
-            S[i] = frames.S
-            data[i][at[i]] = frames.data[: J * K].reshape(J, K, -1)
+        # one tag's draw at a time, freed once its frames are made
+        for tag, n in drawn.items():
+            data, bits = waveform._draw_payloads(N, n, P, bench.data_dist,
+                                                 substream(*key, f"{tag}-frames"))
+            at = t if tag in held else 0
+            sent[tag][0][at] = data[: J * K].reshape(J, K, n)
             if qam:
-                bits[i][at[i]] = frames.bits[: J * K].reshape(J, K, -1)
-            del frames  # before the next scheme's are drawn
+                sent[tag][1][at] = bits[: J * K].reshape(J, K, -1)
+            for frame_set, s in frame_sets.items():
+                if frame_set[0] == tag:
+                    frame_buffer[frame_set][...] = waveform.assemble_frames(
+                        cfg, s.book, powers, data, s.partition)
+            del data, bits
         for j, tag in enumerate(bench.streams):
             factor = draw_channels(cfg, substream(*key, *tag))
             # the cell's columns copied and read as rows: how ||z||^2 rounds
             # depends on that layout (contiguous rows at K = 1)
             z = np.ascontiguousarray(factor[:, cells[j]]).T
             gain[t, j] = np.vecdot(z, z).real / M
-            projections = project(factor, sigma, S, roots[:, p, j], columns[p][j])
+            # the previous BS's projection is freed only as this one replaces
+            # it, so the heap does not shrink to the system and regrow, page
+            # fault by page fault, at every BS
+            projection = project(factor, sigma, frames, roots[:, p, j], columns[p][j])
             del factor, z
-            for i, (s, projection) in enumerate(zip(schemes, projections)):
-                if s.iterated:
-                    G, R = iterative.reduce_block(projection)
-                    stacks[i, j][0].append(G)
-                    stacks[i, j][1].append(R)
-                    # the one-shot outputs read cell j's users among those kept
-                    cell = rows[i, j, p]
-                    projection = Projection(projection.estimates[:, cell], projection.matched[cell])
-                x_tilde = receive_cell(projection, s.book, s.partition, powers, j,
-                                       s.gains[p, j, j], M)
-                sig_res[t, i, 0, j], sig_res[t, i, 1, j] = signal_residual_power(
-                    x_tilde, data[i][at[i], j], gain[t, j])
+            estimates, matched = projection
+            for i in iterated:
+                users = slice(starts[j, p, i], starts[j, p, i] + counts[j, p, i])
+                # G copied, so the trial's projection does not outlive it
+                G, R = iterative.reduce_block(Projection(estimates[:, users],
+                                                         matched[users].copy()))
+                stacks[i, j][0].append(G)
+                stacks[i, j][1].append(R)
+            for tag, n, entries, rx, users, energies, wrong in groups:
+                x_tilde = receive(projection, users[j][p], rx[j], p).reshape(len(entries), K, n)
+                data, bits = sent[tag]
+                at = t if tag in held else 0
+                # every entry of the group is scored against the same payloads
+                energies[t, 0, j], energies[t, 1, j] = signal_residual_power(
+                    x_tilde, data[at, j, :, data.shape[-1] - n :], gain[t, j])
                 if qam:
-                    errs[i] += count_ber(x_tilde, bits[i][at[i], j], P)
-            del projections, projection  # before the next BS's draws
-    del S, columns
+                    wrong += np.sum(waveform.demap(x_tilde, P).reshape(len(entries), -1)
+                                    != bits[at, j, :, bits.shape[-1] - n_bits * n :].reshape(-1),
+                                    axis=1)
+    del frame_buffer, frames, columns
+    sig_res = np.empty((T, n_schemes + len(iterated), 2, J, K))
+    errs = np.zeros((n_schemes + len(iterated), 2), dtype=np.int64)
+    for _, n, entries, _, _, energies, wrong in groups:
+        sig_res[:, entries] = np.moveaxis(energies, 3, 1)
+        if qam:
+            errs[entries, 0] = wrong
+            errs[entries, 1] = T * J * K * n_bits * n
     # one pass per (entry, BS) over the batch, each trial under its
     # placement's profile row, or under one layout's for a batch of one
     # placement
     layouts = placements[0] if np.all(placements == placements[0]) else placements
     for m, i in enumerate(iterated, n_schemes):
-        pilots = schemes[i].book.sp_columns(slice(None))
-        for j, profile in enumerate(schemes[i].iterated[1]):
+        s, n = schemes[i], lengths[i]
+        data, bits = sent[s.tag]
+        pilots = s.book.sp_columns(slice(None))
+        for j, profile in enumerate(s.iterated[1]):
             # the stacks are freed as the pass returns
             x_tilde = iterative.iterative_estimate(*stacks.pop((i, j)), pilots,
                                                    profile.layout(layouts), cells[j])
             sig_res[:, m, 0, j], sig_res[:, m, 1, j] = signal_residual_power(
-                x_tilde, data[i][:, j], gain[:, j])
+                x_tilde, data[:, j, :, data.shape[-1] - n :], gain[:, j])
             if qam:
-                errs[m] += count_ber(x_tilde, bits[i][:, j], P)
+                errs[m] += count_ber(x_tilde, bits[:, j, :, bits.shape[-1] - n_bits * n :], P)
     return sig_res, errs
 
 
 def _trial_bytes(bench: _Bench) -> int:
     """Bytes one trial adds to a batch of _run_trials; none of them grow with M.
 
-    A trial's frames, draws and projections are freed before the next
-    trial's are made, and none of them grows with M either: the draw at a
-    metric BS is the (r, d) factor of sysmodel.draw_channels, r = min(M, d)
-    and d = L*K + C_u, so at most d * d complex numbers (135 x 135, 285 KiB,
-    for sinr_vs_m at M = 200).  Each trial keeps its energies and its metric
-    users' channel gains, and for each entry that iterates and metric BS what
-    the pass reads: the reduce_block G and R over the n users the estimator
-    keeps, at most the largest such set over the bench's placements, and
-    the cell's payloads and bits.  The pass adds at most five (n, C_u)
-    working arrays (G's basis rows and the users' pilot rows among them),
-    its outputs, and the demapped copy of the bits.
+    A trial's payloads, frames, draws and projections are freed before the
+    next trial's are made, and none of them grows with M either: the draw at
+    a metric BS is the (r, d) factor of sysmodel.draw_channels, r = min(M,
+    d) and d = L*K + C_u, so at most d * d complex numbers (135 x 135, 285
+    KiB, for sinr_vs_m at M = 200).  Each trial keeps its energies and its
+    metric users' channel gains; for each tag of an entry that iterates, its
+    cells' payloads and bits at every metric BS, once however many entries
+    carry the tag; and for each entry that iterates and metric BS what the
+    pass reads: the reduce_block G and R over the n users the estimator
+    keeps, at most the largest such set over the bench's placements.  The
+    pass adds at most five (n, C_u) working arrays (G's basis rows and the
+    users' pilot rows among them), its outputs, and the demapped copy of
+    the bits.  A payload is counted at C_u symbols, its longest.
     """
     cfg = bench.config
-    K, C_u, payloads = cfg.K, cfg.C_u, cfg.K * cfg.C_u
-    total = 8 * len(bench.streams) * K * (2 * len(_methods(bench)) + 1)
+    K, C_u, J, payloads = cfg.K, cfg.C_u, len(bench.streams), cfg.K * cfg.C_u
+    per_payload = 16 * payloads + waveform.bits_per_symbol(cfg.P) * payloads
+    total = 8 * J * K * (2 * len(_methods(bench)) + 1)
+    total += J * per_payload * len({s.tag for s in bench.schemes if s.iterated})
     for s in bench.schemes:
         for j, profile in enumerate(s.iterated[1] if s.iterated else ()):
             n = max(iterative.reduced_users(profile.layout(p), j * K + np.arange(K)).size
                     for p in range(profile.order.shape[0]))
-            total += (16 * (n * (C_u + n) + 5 * n * C_u + 2 * payloads)
-                      + 2 * waveform.bits_per_symbol(cfg.P) * payloads)
+            total += 16 * (n * (C_u + n) + 5 * n * C_u) + per_payload
     return total
 
 
@@ -552,12 +617,12 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
     """All-TP, all-SP and hybrid pilots at the min(L, 7) metric BSs of each layout.
 
     One bench of one placement for the whole sweep: its schemes are the
-    (layout, method) pairs, three per layout in layout order, and layout
-    i's frames use the tags f"{i}-tp", f"{i}-sp" and f"{i}-hy".  Gaussian
+    (layout, method) pairs, three per layout in layout order, all on the
+    tag "common", so every entry sends one payload draw per trial.  Gaussian
     payloads at unit power.  Each metric BS j draws its fading and noise
-    factor from ("ch", j), shared by every layout's schemes.  All layouts share one
-    all-TP and one all-SP Partition, so _run_trials builds their estimator
-    columns once.
+    factor from ("ch", j), shared by every layout's schemes.  All layouts
+    share one all-TP and one all-SP Partition, so _run_trials builds their
+    estimator columns and frame matrices once.
     """
     n_metric = min(cfg.L, 7)
     powers = PowerAllocation(*analytics.optimal_rho(cfg.M, n_metric, cfg.K, cfg.C_u))
@@ -575,9 +640,9 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
         # power control on the SP users only
         beta_hyb = np.where(partition.sp, controlled.beta, beta_raw.beta)
         schemes += [
-            _Scheme(ALL_TP_METHOD, f"{i}-tp", book_full, beta_raw.beta[np.newaxis], tp),
-            _Scheme(ALL_SP_METHOD, f"{i}-sp", book_full, controlled.beta[np.newaxis], sp),
-            _Scheme(HYBRID_METHOD, f"{i}-hy", waveform.make_pilot_books(cfg, partition=partition),
+            _Scheme(ALL_TP_METHOD, "common", book_full, beta_raw.beta[np.newaxis], tp),
+            _Scheme(ALL_SP_METHOD, "common", book_full, controlled.beta[np.newaxis], sp),
+            _Scheme(HYBRID_METHOD, "common", waveform.make_pilot_books(cfg, partition=partition),
                     beta_hyb[np.newaxis], partition),
         ]
     streams = tuple(("ch", j) for j in range(n_metric))

@@ -15,6 +15,11 @@ mixes both and needs the (C_u - tau)-length book, so that every user carries
 C_u - tau payload symbols.  Every user transmits at unit power: power
 control is folded into the gain map (sysmodel.PathLossMap.normalized).
 
+Payloads are drawn apart from the frames (_draw_payloads), one row per
+user, and assemble_frames sends the trailing payload_length symbols of each
+row.  So frames of different partitions can carry one draw: each sends the
+same symbols where their payloads overlap.
+
 Pilot matrices are DFT-based, so entries have unit modulus and orthogonality
 is exact up to rounding.
 """
@@ -89,21 +94,6 @@ class PilotBook:
                              f"{self.sp_length} long; a mixed partition needs the "
                              "(C_u - tau)-length book")
         return n
-
-
-@dataclass(frozen=True)
-class FrameSet:
-    """Transmitted symbols for all users of one coherence block.
-
-    S has shape (L*K, C_u); row l*K + k is the frame of user (l, k).  Row n
-    of data holds user n's unit-variance payload symbols
-    (PilotBook.payload_length of them), and row n of bits the Gray bits they carry, bits_per_symbol(P)
-    per symbol; bits is None for Gaussian payloads.
-    """
-
-    S: np.ndarray
-    data: np.ndarray
-    bits: np.ndarray | None = None
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -278,24 +268,28 @@ def assemble_frames(
     config: SystemConfig,
     pilot_book: PilotBook,
     power: PowerAllocation,
-    rng: np.random.Generator,
+    data: np.ndarray,
     partition: Partition,
-    data_dist: str = "qam",
-) -> FrameSet:
-    """Build every user's transmitted frame for one coherence block.
+) -> np.ndarray:
+    """Every user's transmitted frame for one coherence block, S (L*K, C_u).
 
-    Row l*K + k of S is an SP frame where partition.sp is True, else a TP
-    frame (see the module docstring); a mask of another shape than (L, K)
-    raises ValueError.  data_dist is "qam" (unit-power P-QAM) or "gaussian"
-    (unit-variance complex normal).
+    data holds one row of payload symbols per user (_draw_payloads), at
+    least PilotBook.payload_length long; each user sends the trailing
+    payload_length symbols of its row.  Row l*K + k of S is an SP frame
+    where partition.sp is True, else a TP frame (see the module docstring).
+    A mask of another shape than (L, K), or too few rows or symbols, raises
+    ValueError.
     """
     L, K, C_u, tau = config.L, config.K, config.C_u, config.tau
     if partition.sp.shape != (L, K):
         raise ValueError(f"a {partition.sp.shape} partition for a system of ({L}, {K}) users")
     payload_len = pilot_book.payload_length(partition, C_u)
+    if data.shape[0] != L * K or data.shape[1] < payload_len:
+        raise ValueError(f"payloads of shape {data.shape} for {L * K} users of "
+                         f"{payload_len} symbols")
+    data = data[:, data.shape[1] - payload_len :]
     sp = partition.sp.reshape(-1)
     tp = ~sp
-    data, bits = _draw_payloads(L * K, payload_len, config.P, data_dist, rng)
 
     S = np.zeros((L * K, C_u), dtype=complex)
     # every row's payload, then the TP pilots; the SP rows are overwritten
@@ -309,14 +303,17 @@ def assemble_frames(
         pilots *= power.rho_p
         pilots += power.rho_d * data[sp]
         S[sp, C_u - payload_len :] = pilots
-    return FrameSet(S=S, data=data, bits=bits)
+    return S
 
 
 def _draw_payloads(n_users: int, n: int, P: int, data_dist: str, rng: np.random.Generator):
     """n_users x n payload symbols, drawn user by user from one stream, and their bits.
 
-    The bits are n_users rows of n * bits_per_symbol(P), or None for
-    Gaussian payloads.
+    data_dist is "qam" (unit-power P-QAM) or "gaussian" (unit-variance
+    complex normal).  The bits are n_users rows of n * bits_per_symbol(P),
+    symbol i's bits at columns i * bits_per_symbol(P) on, or None for
+    Gaussian payloads.  So the trailing m symbols of a row carry its
+    trailing m * bits_per_symbol(P) bits.
     """
     if data_dist == "qam":
         bits = _draw_bits(n_users, n * bits_per_symbol(P), rng)

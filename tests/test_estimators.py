@@ -1,14 +1,16 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from supmimo.estimators import Projection, estimator_columns, project, receive_cell
+from supmimo.estimators import Projection, estimator_columns, project, receive, receiver
 from supmimo.hybrid import Partition, all_sp, all_tp
 from supmimo.rng import substream
 from supmimo.sysmodel import PowerAllocation, SystemConfig
 from supmimo.waveform import (
     PilotBook,
+    _draw_payloads,
     assemble_frames,
     constellation,
     decide,
@@ -46,11 +48,30 @@ def no_noise(cfg):
     return np.zeros((cfg.M, cfg.C_u), dtype=complex)
 
 
+class Frames(NamedTuple):
+    S: np.ndarray
+    data: np.ndarray
+    bits: np.ndarray | None
+
+
+def draw_frames(cfg, book, powers, rng, partition, data_dist="qam"):
+    """One block's frames, on a payload draw as long as the partition's payloads."""
+    n = book.payload_length(partition, cfg.C_u)
+    data, bits = _draw_payloads(cfg.L * cfg.K, n, cfg.P, data_dist, rng)
+    return Frames(assemble_frames(cfg, book, powers, data, partition), data, bits)
+
+
 def projection_of(Z, W, S, roots, book, partition, powers, users, C_u):
     """The block Z (roots * S) + W seen through the listed users' estimator columns."""
     columns = estimator_columns(book, partition, powers, users, C_u)
-    (projection,) = project(np.concatenate([Z, W], axis=1), 1.0, [S], [roots], [columns])
-    return projection
+    return project(np.concatenate([Z, W], axis=1), 1.0, [S], [roots], [columns])
+
+
+def cell_outputs(projection, book, partition, powers, cell, beta_home, config):
+    """The receiver of `cell`'s K users, the projection's users in order."""
+    K = partition.sp.shape[1]
+    rx = receiver([(book, partition, cell, np.asarray(beta_home))], powers, config)
+    return receive(projection, np.arange(K), rx)
 
 
 class TestTpEstimator:
@@ -60,7 +81,7 @@ class TestTpEstimator:
         book = make_pilot_books(cfg)
         powers = HALF
         Z = fading(cfg, (1, "h"))
-        frames = assemble_frames(cfg, book, powers, substream(1, "f"), all_tp(7, 2))
+        frames = draw_frames(cfg, book, powers, substream(1, "f"), all_tp(7, 2))
         roots = np.full(14, math.sqrt(0.8))
         est = projection_of(Z, no_noise(cfg), frames.S, roots, book, all_tp(7, 2), powers,
                             [1], cfg.C_u).estimates
@@ -71,7 +92,7 @@ class TestTpEstimator:
         book = make_pilot_books(cfg)
         powers = HALF
         H = math.sqrt(0.5) * fading(cfg, (2, "h"))
-        frames = assemble_frames(cfg, book, powers, substream(2, "f"), all_tp(7, 2))
+        frames = draw_frames(cfg, book, powers, substream(2, "f"), all_tp(7, 2))
         est = projection_of(H, no_noise(cfg), frames.S, np.ones(14), book, all_tp(7, 2), powers,
                             [0], cfg.C_u).estimates
         copilot_sum = H[:, 0::2].sum(axis=1)  # user 0 of every cell
@@ -99,7 +120,7 @@ class TestTpEstimator:
         trials = 1000
         for t in range(trials):
             Z = fading(cfg, (3, "h", t))
-            frames = assemble_frames(cfg, book, powers, substream(3, "f", t), all_tp(1, 2))
+            frames = draw_frames(cfg, book, powers, substream(3, "f", t), all_tp(1, 2))
             W = noise(cfg, (3, "n", t))
             est = projection_of(Z, W, frames.S, np.ones(2), book, all_tp(1, 2), powers, [0],
                                 cfg.C_u).estimates
@@ -126,7 +147,7 @@ class TestSpEstimator:
         book = make_pilot_books(cfg)
         powers = PowerAllocation(0.0, 1.0)
         Z = fading(cfg, (4, "h"))
-        frames = assemble_frames(cfg, book, powers, substream(4, "f"), all_sp(1, 1))
+        frames = draw_frames(cfg, book, powers, substream(4, "f"), all_sp(1, 1))
         est = projection_of(Z, no_noise(cfg), frames.S, np.ones(1), book, all_sp(1, 1), powers,
                             [0], cfg.C_u).estimates
         assert np.allclose(est[:, 0], Z[:, 0], atol=1e-12)
@@ -138,7 +159,7 @@ class TestSpEstimator:
         powers = PowerAllocation(0.4, 0.6)
         rho_d, rho_p = powers.rho_d, powers.rho_p
         Z = fading(cfg, (5, "h"))
-        frames = assemble_frames(cfg, book, powers, substream(5, "f"), all_sp(1, 1))
+        frames = draw_frames(cfg, book, powers, substream(5, "f"), all_sp(1, 1))
         est = projection_of(Z, no_noise(cfg), frames.S, np.ones(1), book, all_sp(1, 1), powers,
                             [0], cfg.C_u).estimates
         pilot = book.sp_matrix[:, book.sp_assignment[0, 0]]
@@ -155,7 +176,7 @@ class TestSpEstimator:
         trials = 60
         for t in range(trials):
             Z = fading(cfg, (6, "h", t))
-            frames = assemble_frames(cfg, book, powers, substream(6, "f", t), all_sp(7, 5))
+            frames = draw_frames(cfg, book, powers, substream(6, "f", t), all_sp(7, 5))
             est = projection_of(Z, no_noise(cfg), frames.S, np.ones(35), book, all_sp(7, 5),
                                 powers, [0], cfg.C_u).estimates
             acc += np.linalg.norm(est[:, 0] - Z[:, 0]) ** 2 / cfg.M
@@ -195,10 +216,10 @@ class TestMatchedFilters:
         powers = HALF
         rho_d, rho_p = powers.rho_d, powers.rho_p
         Z = fading(cfg, (8, "h"))
-        frames = assemble_frames(cfg, book, powers, substream(8, "f"), all_sp(1, 1))
+        frames = draw_frames(cfg, book, powers, substream(8, "f"), all_sp(1, 1))
         projection = projection_of(Z, no_noise(cfg), frames.S, np.ones(1), book, all_sp(1, 1),
                                    powers, [0], cfg.C_u)
-        x_tilde = receive_cell(projection, book, all_sp(1, 1), powers, 0, np.ones(1), cfg.M)[0]
+        x_tilde = cell_outputs(projection, book, all_sp(1, 1), powers, 0, np.ones(1), cfg)[0]
         x, pilot = frames.data[0], book.sp_matrix[:, book.sp_assignment[0, 0]]
         overlap = x @ np.conj(pilot) / cfg.C_u
         c = 1.0 + rho_d * overlap / rho_p
@@ -210,23 +231,24 @@ class TestMatchedFilters:
     def test_decisions_live_on_constellation(self):
         rng = substream(9, "mf")
         pts = constellation(16)
-        book = make_pilot_books(make_config(L=1, K=1, C_u=64))
+        cfg = make_config(L=1, K=1, C_u=64, M=4)
+        book = make_pilot_books(cfg)
         projection = Projection(np.ones((4, 1), dtype=complex),
                                 (rng.standard_normal(64) + 1j * rng.standard_normal(64))[None])
-        x_tilde = receive_cell(projection, book, all_sp(1, 1), HALF, 0,
-                               np.ones(1), 4)
+        x_tilde = cell_outputs(projection, book, all_sp(1, 1), HALF, 0, np.ones(1), cfg)
         x_hat = decide(x_tilde[0], 16)
         dist = np.min(np.abs(x_hat[:, None] - pts[None, :]), axis=1)
         assert np.max(dist) < 1e-12
 
     def test_qpsk_decisions_invariant_to_gain_scaling(self):
         rng = substream(10, "mf")
-        book = make_pilot_books(make_config(L=1, K=1, C_u=12))
+        cfg = make_config(L=1, K=1, C_u=12, M=16)
+        book = make_pilot_books(cfg)
         projection = Projection(rng.standard_normal((16, 1)) + 1j * rng.standard_normal((16, 1)),
                                 rng.standard_normal((1, 12)) + 1j * rng.standard_normal((1, 12)))
         powers = HALF
-        a = receive_cell(projection, book, all_sp(1, 1), powers, 0, np.ones(1), 16)
-        b = receive_cell(projection, book, all_sp(1, 1), powers, 0, np.full(1, 5.0), 16)
+        a = cell_outputs(projection, book, all_sp(1, 1), powers, 0, np.ones(1), cfg)
+        b = cell_outputs(projection, book, all_sp(1, 1), powers, 0, np.full(1, 5.0), cfg)
         assert np.allclose(b * 5.0, a, rtol=1e-12)
         assert np.array_equal(decide(a, 4), decide(b, 4))
 
@@ -235,11 +257,11 @@ class TestMatchedFilters:
         book = make_pilot_books(cfg)
         powers = HALF
         Z = fading(cfg, (11, "h"))
-        frames = assemble_frames(cfg, book, powers, substream(11, "f"), all_tp(1, 1))
+        frames = draw_frames(cfg, book, powers, substream(11, "f"), all_tp(1, 1))
         projection = projection_of(Z, no_noise(cfg), frames.S, np.ones(1), book, all_tp(1, 1),
                                    powers, [0], cfg.C_u)
-        x_hat = decide(receive_cell(projection, book, all_tp(1, 1), powers, 0, np.ones(1),
-                                    cfg.M)[0], cfg.P)
+        x_hat = decide(cell_outputs(projection, book, all_tp(1, 1), powers, 0, np.ones(1),
+                                    cfg)[0], cfg.P)
         assert np.array_equal(x_hat, frames.data[0])
 
 
@@ -296,7 +318,7 @@ def test_receiver_matches_the_textbook_formulas_on_the_block(reuse, K):
     assert hybrid.sp.any() and not hybrid.sp.all()
     powers = PowerAllocation(0.4, 0.6)
     beta = substream(12, "gains", K).uniform(0.1, 1.0, (L, L, K))
-    frames = [assemble_frames(cfg, b, powers, substream(12, "f", i), part).S
+    frames = [draw_frames(cfg, b, powers, substream(12, "f", i), part).S
               for i, (b, part) in enumerate(schemes)]
     for j in (0, 2):
         Z, W = fading(cfg, (12, "h", j)), noise(cfg, (12, "n", j))
@@ -304,21 +326,53 @@ def test_receiver_matches_the_textbook_formulas_on_the_block(reuse, K):
         cell = j * K + np.arange(K)
         columns = [estimator_columns(b, part, powers, cell, cfg.C_u) for b, part in schemes]
         sigma = math.sqrt(cfg.sigma2)
-        projections = project(np.concatenate([Z, W / sigma], axis=1), sigma, frames,
-                              [roots] * 3, columns)
-        for (b, part), S, projection in zip(schemes, frames, projections):
-            assert projection.estimates.shape == (cfg.M, K)
+        projection = project(np.concatenate([Z, W / sigma], axis=1), sigma, frames,
+                             [roots] * 3, columns)
+        assert projection.estimates.shape == (cfg.M, 3 * K)
+        for i, ((b, part), S) in enumerate(zip(schemes, frames)):
             Y = synthesize_received(Z, roots[:, np.newaxis] * S) + W
-            got = receive_cell(projection, b, part, powers, j, beta[j, j], cfg.M)
+            got = receive(projection, i * K + np.arange(K),
+                          receiver([(b, part, j, beta[j, j])], powers, cfg))
             expected = textbook_outputs(Y, b, part, powers, j, beta[j, j])
             np.testing.assert_allclose(got, expected, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(expected)))
 
 
+def test_schemes_that_send_one_frame_matrix_share_its_products():
+    # four schemes over two frame matrices, each sent by two schemes that
+    # are not adjacent, on gains and estimator columns of their own; every
+    # scheme's estimates and matched filters are those of its own block
+    L, K = 7, 2
+    cfg = make_config(L=L, K=K, M=24, C_u=16)
+    powers = PowerAllocation(0.4, 0.6)
+    book = make_pilot_books(cfg)
+    tp, sp = all_tp(L, K), all_sp(L, K)
+    S_tp = draw_frames(cfg, book, powers, substream(17, "f", 0), tp).S
+    S_sp = draw_frames(cfg, book, powers, substream(17, "f", 1), sp).S
+    E_tp = estimator_columns(book, tp, powers, np.arange(K), cfg.C_u)
+    schemes = [(S_tp, E_tp), (S_sp, estimator_columns(book, sp, powers, np.arange(K), cfg.C_u)),
+               (S_tp, E_tp), (S_sp, estimator_columns(book, sp, powers, np.arange(3), cfg.C_u))]
+    roots = np.sqrt(substream(17, "gains").uniform(0.1, 1.0, (4, L * K)))
+    Z, W = fading(cfg, (17, "h")), noise(cfg, (17, "n"))
+    sigma = math.sqrt(cfg.sigma2)
+    projection = project(np.concatenate([Z, W / sigma], axis=1), sigma, [S for S, _ in schemes],
+                         roots, [E for _, E in schemes])
+    lo = 0
+    for (S, E), root in zip(schemes, roots):
+        Y = synthesize_received(Z, root[:, np.newaxis] * S) + W
+        estimates = Y @ E
+        users = slice(lo, lo + E.shape[1])
+        lo = users.stop
+        np.testing.assert_allclose(projection.estimates[:, users], estimates, rtol=1e-12)
+        np.testing.assert_allclose(projection.matched[users], np.conj(estimates).T @ Y,
+                                   rtol=1e-11)
+    assert lo == projection.matched.shape[0] == 2 * K + K + 3
+
+
 def test_a_factor_with_fewer_rows_than_m_receives_as_its_block():
     # X = [Z, W / sigma] and its triangular factor F (F^H F = X^H X) give
     # rotated estimates, of d < M rows, with the same norms and matched
-    # filters; receive_cell normalises by the M it is given, not by the rows
+    # filters; the receiver normalises by the config's M, not by the rows
     L, K = 7, 2
     cfg = make_config(L=L, K=K, M=120, C_u=16)
     d = L * K + cfg.C_u
@@ -326,30 +380,30 @@ def test_a_factor_with_fewer_rows_than_m_receives_as_its_block():
     book = make_pilot_books(cfg, partition=hybrid)
     powers = PowerAllocation(0.4, 0.6)
     beta = substream(16, "gains").uniform(0.1, 1.0, (L, K))
-    frames = assemble_frames(cfg, book, powers, substream(16, "f"), hybrid).S
+    frames = draw_frames(cfg, book, powers, substream(16, "f"), hybrid).S
     X = gaussian((cfg.M, d), substream(16, "x"))
     columns = estimator_columns(book, hybrid, powers, np.arange(K), cfg.C_u)
     sigma = math.sqrt(cfg.sigma2)
-    (block,), (factor,) = (project(F, sigma, [frames], [np.sqrt(beta.reshape(-1))], [columns])
-                           for F in (X, np.linalg.qr(X, mode="r")))
+    block, factor = (project(F, sigma, [frames], [np.sqrt(beta.reshape(-1))], [columns])
+                     for F in (X, np.linalg.qr(X, mode="r")))
     assert block.estimates.shape == (cfg.M, K) and factor.estimates.shape == (d, K)
     gram = np.conj(block.estimates.T) @ block.estimates
     np.testing.assert_allclose(np.conj(factor.estimates.T) @ factor.estimates, gram, rtol=1e-12)
     np.testing.assert_allclose(factor.matched, block.matched, rtol=1e-11)
-    got, expected = (receive_cell(p, book, hybrid, powers, 0, beta[0], cfg.M)
+    got, expected = (cell_outputs(p, book, hybrid, powers, 0, beta[0], cfg)
                      for p in (factor, block))
     np.testing.assert_allclose(got, expected, rtol=1e-11)
 
 
 class TestHybridEstimates:
-    """receive_cell, the one receiver of every pilot scheme, on a hybrid frame."""
+    """receive, the one receiver of every pilot scheme, on a hybrid frame."""
 
     def _system(self, seed=12, M=64):
         cfg = make_config(M=M)
         part = sp_partition({(0, 1)} | {(2, k) for k in range(5)})
         book = make_pilot_books(cfg, partition=part)
         powers = PowerAllocation(0.4, 0.6)
-        frames = assemble_frames(cfg, book, powers, substream(seed, "f"), part)
+        frames = draw_frames(cfg, book, powers, substream(seed, "f"), part)
         projection = projection_of(fading(cfg, (seed, "h")), no_noise(cfg), frames.S,
                                    np.ones(35), book, part, powers, np.arange(5, 10), cfg.C_u)
         return cfg, part, book, powers, projection
@@ -380,7 +434,7 @@ class TestHybridEstimates:
         powers = HALF
         beta_home = np.linspace(0.5, 1.5, 5)
         projection = self._block_projection(Y, book, all_tp(7, 5), powers, 0)
-        x_tilde = receive_cell(projection, book, all_tp(7, 5), powers, 0, beta_home, cfg.M)
+        x_tilde = cell_outputs(projection, book, all_tp(7, 5), powers, 0, beta_home, cfg)
         assert x_tilde.shape == (5, cfg.C_u - cfg.tau)
         self._assert_close(x_tilde, textbook_outputs(Y, book, all_tp(7, 5), powers, 0,
                                                      beta_home))
@@ -402,7 +456,8 @@ class TestHybridEstimates:
         Y = rng.standard_normal((8, C_u)) + 1j * rng.standard_normal((8, C_u))
         beta_home = np.array([1.0, 0.7])
         projection = self._block_projection(Y, book, all_sp(1, 2), powers, 0)
-        x_tilde = receive_cell(projection, book, all_sp(1, 2), powers, 0, beta_home, 8)
+        x_tilde = cell_outputs(projection, book, all_sp(1, 2), powers, 0, beta_home,
+                               make_config(L=1, K=2, C_u=C_u, M=8))
         assert x_tilde.shape == (2, C_u)
         self._assert_close(x_tilde, textbook_outputs(Y, book, all_sp(1, 2), powers, 0,
                                                      beta_home))
@@ -412,7 +467,7 @@ class TestHybridEstimates:
         part = sp_partition({(0, 1)} | {(2, k) for k in range(5)})
         book = make_pilot_books(cfg, partition=part)
         powers = PowerAllocation(0.4, 0.6)
-        frames = assemble_frames(cfg, book, powers, substream(12, "f"), part)
+        frames = draw_frames(cfg, book, powers, substream(12, "f"), part)
         beta_home = np.linspace(0.8, 1.2, 5)
         for cell in (0, 2):
             beta = np.full((7, 5), 0.3)
@@ -421,7 +476,7 @@ class TestHybridEstimates:
             Z, W = fading(cfg, (12, "h", cell)), noise(cfg, (12, "n", cell))
             projection = projection_of(Z, W, frames.S, roots, book, part, powers,
                                        cell * 5 + np.arange(5), cfg.C_u)
-            x_tilde = receive_cell(projection, book, part, powers, cell, beta_home, cfg.M)
+            x_tilde = cell_outputs(projection, book, part, powers, cell, beta_home, cfg)
             Y = synthesize_received(Z, roots[:, np.newaxis] * frames.S) + W
             self._assert_close(x_tilde, textbook_outputs(Y, book, part, powers, cell,
                                                          beta_home))
@@ -440,7 +495,7 @@ class TestHybridEstimates:
         trials = 60
         for t in range(trials):
             Z = fading(cfg, (15, "h", t))
-            frames = assemble_frames(cfg, book, powers, substream(15, "f", t), part)
+            frames = draw_frames(cfg, book, powers, substream(15, "f", t), part)
             est = projection_of(Z, no_noise(cfg), frames.S, roots, book, part, powers, [0],
                                 cfg.C_u).estimates
             acc += np.linalg.norm(est[:, 0] - Z[:, 0]) ** 2 / cfg.M
@@ -452,7 +507,7 @@ class TestHybridEstimates:
         # (1, 0) trained in the book's partition, so the book has no SP column for it
         bad = sp_partition({(0, 1), (1, 0)} | {(2, k) for k in range(5)})
         with pytest.raises(KeyError, match=r"\(1, 0\) has no superimposed pilot"):
-            receive_cell(projection, book, bad, powers, 1, np.ones(5), cfg.M)
+            cell_outputs(projection, book, bad, powers, 1, np.ones(5), cfg)
         with pytest.raises(KeyError, match=r"\(1, 0\) has no superimposed pilot"):
             estimator_columns(book, bad, powers, np.arange(5, 10), cfg.C_u)
 
@@ -469,5 +524,4 @@ class TestHybridEstimates:
                                             all_tp(7, 5), HALF, 0)
         for L, K in ((3, 5), (7, 4)):
             with pytest.raises(ValueError, match=rf"\({L}, {K}\) partition for a system of"):
-                receive_cell(projection, book, all_tp(L, K), HALF, 0, np.ones(5),
-                             cfg.M)
+                cell_outputs(projection, book, all_tp(L, K), HALF, 0, np.ones(5), cfg)

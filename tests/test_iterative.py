@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supmimo import analytics, iterative
-from supmimo.estimators import Projection, estimator_columns, project, receive_cell, sp_output
+from supmimo.estimators import (
+    Projection,
+    estimator_columns,
+    project,
+    receive,
+    receiver,
+    sp_output,
+)
 from supmimo.hybrid import all_sp
 from supmimo.iterative import (
     SELECTION_RULES,
@@ -26,7 +33,13 @@ from supmimo.sysmodel import (
     path_loss,
     place_users,
 )
-from supmimo.waveform import assemble_frames, decide, make_pilot_books, synthesize_received
+from supmimo.waveform import (
+    _draw_payloads,
+    assemble_frames,
+    decide,
+    make_pilot_books,
+    synthesize_received,
+)
 
 
 def reference_estimate(block, pilots, beta, powers, P, sweeps, fixed_mask, profile):
@@ -245,10 +258,10 @@ def sp_block(cfg, seed, trials=None):
 
     def received(*key):
         Z = gaussian((cfg.M, beta.size), substream(*key, "channels"))
-        S = assemble_frames(cfg, book, powers, substream(*key, "frames"),
-                            all_sp(cfg.L, cfg.K)).S
+        data, _bits = _draw_payloads(beta.size, cfg.C_u, cfg.P, "qam", substream(*key, "frames"))
+        S = assemble_frames(cfg, book, powers, data, all_sp(cfg.L, cfg.K))
         W = math.sqrt(cfg.sigma2) * gaussian((cfg.M, cfg.C_u), substream(*key, "noise"))
-        (projection,) = project(np.concatenate([Z, W], axis=1), 1.0, [S], [roots], [columns])
+        projection = project(np.concatenate([Z, W], axis=1), 1.0, [S], [roots], [columns])
         return synthesize_received(Z, roots[:, np.newaxis] * S) + W, projection
 
     if trials is None:
@@ -523,15 +536,12 @@ def test_empty_feedback_set_is_the_one_shot_estimator(block):
     cfg, blk, pilots, args, _fixed = block
     profile = profile_for(args["beta"], args["powers"], cfg, "none")
     got = estimate(blk, pilots, profile, args["report"])
-    # receive_cell on each cell's columns of the same projection; its
-    # arithmetic is per user, so at BS 0 it serves every cell's users
-    book, powers = make_pilot_books(cfg), args["powers"]
-    estimates, matched = blk.projection
-    for cell in range(cfg.L):
-        users = cell * cfg.K + np.arange(cfg.K)
-        x_tilde = receive_cell(Projection(estimates[:, users], matched[users]), book,
-                               all_sp(cfg.L, cfg.K), powers, cell, args["beta"][users], cfg.M)
-        assert np.array_equal(got[users], x_tilde)
+    # the one-shot receiver on every cell's users of the same projection;
+    # its arithmetic is per user, so at BS 0 it serves every cell's users
+    book, part = make_pilot_books(cfg), all_sp(cfg.L, cfg.K)
+    beta = args["beta"].reshape(cfg.L, cfg.K)
+    rx = receiver([(book, part, cell, beta[cell]) for cell in range(cfg.L)], args["powers"], cfg)
+    assert np.array_equal(got, receive(blk.projection, np.arange(cfg.L * cfg.K), rx))
 
 
 def test_passed_profile_supplies_the_feedback_set(block):

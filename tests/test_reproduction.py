@@ -11,10 +11,13 @@ seed 0.  At that trial count, for every user:
   conservative: the empirical SINR was at least 0.64 dB above it.
 """
 
+import dataclasses
 import math
 
 import pytest
 
+from supmimo import analytics
+from supmimo.rng import substream
 from supmimo.simharness import (
     ITER_METHOD,
     SP_METHOD,
@@ -23,6 +26,7 @@ from supmimo.simharness import (
     SystemConfig,
     run_experiment,
 )
+from supmimo.sysmodel import path_loss, place_users
 
 TRIALS = 100
 
@@ -57,11 +61,19 @@ def test_iterative_sp_is_at_least_one_shot_sp_for_each_user(records):
 
 
 def test_tp_stays_below_its_large_m_limit(records):
+    # the limit computed here, from the layout sinr_vs_m draws at each M and
+    # its power-controlled gains, not read from the record's analytic_value
     tp = points(records, TP_METHOD)
     assert len(tp) == 15
-    for M, user in tp:
-        rec = records[(TP_METHOD, M, user)]
-        assert rec.value <= rec.analytic_value, (M, user)
+    config = SystemConfig(seed=0)
+    for mi, M in enumerate(RunOptions().m_values):
+        cfg = dataclasses.replace(config, M=M)
+        layout = place_users(cfg, substream(cfg.seed, "sinr_vs_m", "layout", mi))
+        gains = path_loss(layout, cfg.path_loss_exponent).normalized(cfg.omega)
+        limit = analytics.sinr_tp_asymptotic(gains, cfg)[0]
+        for k, value in enumerate(limit):
+            rec = records[(TP_METHOD, float(M), f"0:{k}")]
+            assert rec.value <= value, (M, k)
 
 
 def test_tp_does_not_fall_as_antennas_are_added(records):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from supmimo import iterative, simharness, waveform
-from supmimo.estimators import Projection, estimator_columns, project, receive_cell
+from supmimo.estimators import Projection, estimator_columns, project, receive, receiver
 from supmimo.rng import substream
 from supmimo.simharness import RunOptions, SystemConfig, run_experiment
 from supmimo.sysmodel import (
@@ -238,7 +238,7 @@ def test_one_projection_per_trial_and_bs(bench, monkeypatch, radii):
 
 
 @pytest.mark.parametrize("selection", ["fixed", "per_iteration"])
-def test_one_shot_sp_from_the_reduction_equals_receive_cell(selection):
+def test_one_shot_sp_from_the_reduction_equals_the_one_shot_receiver(selection):
     # power control ties cell 0's users at BS 0, so the harness's profile
     # sweeps them first and in flat order; a profile of the raw gains
     # takes them out of it, and the two rules keep different users around
@@ -256,7 +256,8 @@ def test_one_shot_sp_from_the_reduction_equals_receive_cell(selection):
     assert iterative.reduced_users(raw.layout(0), np.arange(K))[:K].tolist() != list(range(K))
     with simharness._one_blas_thread():
         sig_res, errs = simharness._run_trials(bench, trials(3))
-        # receive_cell on cell 0's columns of the same projection, bit for bit
+        # the textbook receiver on cell 0's columns of the same projection,
+        # bit for bit
         for t, trial in enumerate(trials(3)):
             assert np.array_equal(sig_res[t, :2], per_trial_energies(bench, trial))
         # without a profile the SP scheme projects onto cell 0's users alone,
@@ -281,24 +282,69 @@ def test_bs_0s_tied_users_are_swept_in_their_given_order():
         assert profile.order[0, : cfg.K].tolist() == [0, 1, 2, 3, 4]
 
 
-def per_trial_energies(bench, trial):
-    """One (placement, key) trial as a loop over metric BSs: one projection,
-    receive_cell, then the energies.
+def trial_frames(bench, key):
+    """A trial's frames by the common-frame rule, and each tag's payload draw.
 
-    Each scheme draws its own frames; at each BS the factor R of one
-    unit-variance fading matrix Z and one noise block W serves all schemes,
-    and scheme s would receive Z @ (sqrt(beta_s) * S_s) + W.  Every scheme's
-    scored users are projected together; each scheme's cell is received
-    from its own users' columns.  A user's desired-signal gain is
+    Each tag draws one payload row per user, as long as the longest payload
+    of its entries; an entry sends the trailing symbols of each row that its
+    payload length asks for.  Entries on one (tag, book, Partition object)
+    send one frame matrix, the same object.
+    """
+    cfg = bench.config
+    longest = {}
+    for s in bench.schemes:
+        longest[s.tag] = max(longest.get(s.tag, 0), s.book.payload_length(s.partition, cfg.C_u))
+    payloads = {tag: waveform._draw_payloads(cfg.L * cfg.K, n, cfg.P, bench.data_dist,
+                                             substream(*key, f"{tag}-frames"))
+                for tag, n in longest.items()}
+    sent = {}
+    for s in bench.schemes:
+        if (s.tag, id(s.book), s.partition) not in sent:
+            sent[s.tag, id(s.book), s.partition] = waveform.assemble_frames(
+                cfg, s.book, bench.powers, payloads[s.tag][0], s.partition)
+    return [sent[s.tag, id(s.book), s.partition] for s in bench.schemes], payloads
+
+
+def textbook_outputs(projection, at, s, j, p, config, powers):
+    """Matched-filter outputs of cell j's users of entry s, at projected users `at`.
+
+    One user at a time: a TP user's payload conj(h) Y_d / (M beta_home); an
+    SP user's (conj(h) Y_d - rho_p ||h||^2 p^T) / (M rho_d beta_home).
+    """
+    estimates, matched = projection
+    K, M, C_u = config.K, config.M, config.C_u
+    n = s.book.payload_length(s.partition, C_u)
+    x_tilde = np.empty((K, n), dtype=complex)
+    for k, user in enumerate(at):
+        beta = s.gains[p, j, j, k]
+        y = matched[user, C_u - n :]
+        if s.partition.sp[j, k]:
+            h = np.ascontiguousarray(estimates[:, user])
+            pilot = s.book.sp_columns([j * K + k])[:, 0]
+            x_tilde[k] = (y - (powers.rho_p * np.vecdot(h, h).real) * pilot) / (
+                (M * powers.rho_d) * beta)
+        else:
+            x_tilde[k] = y / (M * beta)
+    return x_tilde
+
+
+def per_trial_energies(bench, trial):
+    """One (placement, key) trial as a loop over metric BSs and entries: one
+    projection, each entry's cell received user by user, then the energies.
+
+    The frames follow the common-frame rule (trial_frames); at each BS the
+    factor R of one unit-variance fading matrix Z and one noise block W
+    serves all entries, and entry s would receive Z @ (sqrt(beta_s) * S_s) +
+    W.  Every entry's scored users are projected together; each entry's
+    cell is received from its own users' columns and scored against the
+    trailing symbols of its tag's draw.  A user's desired-signal gain is
     ||z||^2 / M of its column of R, read from a contiguous copy of its
     cell's columns.
     """
     cfg, powers = bench.config, bench.powers
     K, M, sigma = cfg.K, cfg.M, math.sqrt(cfg.sigma2)
     p, key = trial
-    frames = [waveform.assemble_frames(cfg, s.book, powers, substream(*key, f"{s.tag}-frames"),
-                                       s.partition, bench.data_dist)
-              for s in bench.schemes]
+    frames, payloads = trial_frames(bench, key)
     energies = np.empty((len(bench.schemes), 2, len(bench.streams), K))
     for j, tag in enumerate(bench.streams):
         factor = draw_channels(cfg, substream(*key, *tag))
@@ -309,13 +355,15 @@ def per_trial_energies(bench, trial):
         columns = [estimator_columns(s.book, s.partition, powers, u, cfg.C_u)
                    for s, u in zip(bench.schemes, users)]
         roots = [np.sqrt(s.gains[p, j].reshape(-1)) for s in bench.schemes]
-        projections = project(factor, sigma, [f.S for f in frames], roots, columns)
-        for i, (s, (estimates, matched)) in enumerate(zip(bench.schemes, projections)):
+        projection = project(factor, sigma, frames, roots, columns)
+        lo = 0
+        for i, s in enumerate(bench.schemes):
             at = np.searchsorted(users[i], cell, sorter=np.argsort(users[i]))
-            at = np.argsort(users[i])[at]  # the cell's users among the projected, in order
-            x_tilde = receive_cell(Projection(estimates[:, at], matched[at]), s.book,
-                                   s.partition, powers, j, s.gains[p, j, j], M)
-            signal = gain[:, np.newaxis] * frames[i].data[cell]
+            at = lo + np.argsort(users[i])[at]  # the cell's users among the projected, in order
+            lo += users[i].size
+            x_tilde = textbook_outputs(projection, at, s, j, p, cfg, powers)
+            sent = payloads[s.tag][0][cell]
+            signal = gain[:, np.newaxis] * sent[:, sent.shape[1] - x_tilde.shape[1] :]
             residual = x_tilde - signal
             energies[i, :, j] = np.vecdot(signal, signal).real, np.vecdot(residual, residual).real
     return energies
@@ -326,7 +374,7 @@ def test_sum_rate_energies_equal_the_per_trial_loop(K):
     # at K = 1 the rows are contiguous, and the norms round unlike strided rows
     bench = sum_rate_bench(K)
     assert [s.method for s in bench.schemes] == ["all-tp", "all-sp", "hybrid"] * 2
-    assert [s.tag for s in bench.schemes] == ["0-tp", "0-sp", "0-hy", "1-tp", "1-sp", "1-hy"]
+    assert [s.tag for s in bench.schemes] == ["common"] * 6
     assert len(bench.streams) == 7 and bench.schemes[5].partition.sp.any()
     with simharness._one_blas_thread():
         sig_res, errs = simharness._run_trials(bench, trials(3))
@@ -359,15 +407,16 @@ def test_an_entry_iterates_at_every_metric_bs():
         for t, (_p, key) in enumerate(trials(3)):
             # the entry's one-shot row, from cell j's rows of the same projection
             assert np.array_equal(sig_res[t, :1], per_trial_energies(bench, (0, key)))
-            frames = waveform.assemble_frames(cfg, sp.book, powers, substream(*key, "sp-frames"),
-                                              sp.partition)
+            sent, drawn_bits = waveform._draw_payloads(N, cfg.C_u, cfg.P, "qam",
+                                                       substream(*key, "sp-frames"))
+            S = waveform.assemble_frames(cfg, sp.book, powers, sent, sp.partition)
             factor = draw_channels(cfg, substream(*key, "ch", 1))
-            (projection,) = project(factor, math.sqrt(cfg.sigma2), [frames.S], [roots], [columns])
+            projection = project(factor, math.sqrt(cfg.sigma2), [S], [roots], [columns])
             G_t, R_t = iterative.reduce_block(projection)
             G.append(G_t)
             R.append(R_t)
-            data.append(frames.data[report])
-            bits.append(frames.bits[report])
+            data.append(sent[report])
+            bits.append(drawn_bits[report])
             z = np.ascontiguousarray(factor[:, report]).T
             gain.append(np.vecdot(z, z).real / cfg.M)
         x_tilde = iterative.iterative_estimate(np.stack(G), np.stack(R),
@@ -383,12 +432,13 @@ def test_an_entry_iterates_at_every_metric_bs():
 
 
 def test_one_more_entry_is_one_more_row(monkeypatch):
-    # all-SP on the raw gains of the first radius: one entry more in the
-    # table, and the kernel and the records code as they are.  The entries'
-    # columns share one projection, so an entry's last bits can depend on
-    # the others (estimators.project): at the experiment's four radii (60
-    # users) an appended entry leaves them be, but at two radii (30 users)
-    # the last hybrid's energies move in the last place.
+    # all-SP on the raw gains of the first radius, on the shared tag: one
+    # entry more in the table, and the kernel and the records code as they
+    # are.  It sends the all-SP frame matrix (same tag, book and Partition)
+    # and the trial's one payload draw.  The entries' columns share one
+    # projection, and the all-SP entries one matched-filter product, so an
+    # entry's last bits can depend on the others (estimators.project): at
+    # the experiment's four radii an appended entry leaves them be.
     cfg = SystemConfig(L=7, K=5, M=40, C_u=40, omega=10.0, seed=4)
     options = RunOptions(trials=3)
     build = simharness._sum_rate_bench
@@ -396,7 +446,7 @@ def test_one_more_entry_is_one_more_row(monkeypatch):
     def grown(config, layouts):
         bench = build(config, layouts)
         all_tp, all_sp = bench.schemes[:2]
-        raw_sp = all_sp._replace(method="all-sp-raw", tag="0-sp-raw", gains=all_tp.gains)
+        raw_sp = all_sp._replace(method="all-sp-raw", gains=all_tp.gains)
         return dataclasses.replace(bench, schemes=bench.schemes + (raw_sp,))
 
     bench = build(cfg, sum_rate_layouts(cfg, options.radii_m))
@@ -430,11 +480,134 @@ def test_an_entry_that_iterates_over_tp_users_is_refused_before_any_draw(monkeyp
     bench = dataclasses.replace(bench, schemes=bench.schemes[:2] + (entry,))
     draws = []
     monkeypatch.setattr(simharness, "draw_channels", lambda *args: draws.append(args))
+    monkeypatch.setattr(simharness.waveform, "_draw_payloads", lambda *args: draws.append(args))
     monkeypatch.setattr(simharness.waveform, "assemble_frames", lambda *args: draws.append(args))
-    message = rf"'hybrid' \(tag '0-hy'\).*user {re.escape(str(first))}"
+    # every entry carries the tag "common", so the refusal names the
+    # entry by its table index and method
+    message = rf"entry 2 \('hybrid'\).*user {re.escape(str(first))}"
     with pytest.raises(ValueError, match=message):
         simharness._run_trials(bench, trials(1))
     assert draws == []
+
+
+def grouped_receives(monkeypatch, J):
+    """Spy on the kernel's projections and grouped receives.
+
+    Returns the list each receive goes to, as (projection, the entries'
+    estimator columns, BS, users, placement, outputs).
+    """
+    calls, state = [], {"bs": -1}
+    real_project, real_receive = simharness.project, simharness.receive
+
+    def project_spy(factor, sigma, frames, roots, columns):
+        state["bs"] = (state["bs"] + 1) % J
+        state["projection"], state["columns"] = real_project(factor, sigma, frames, roots,
+                                                             columns), columns
+        return state["projection"]
+
+    def receive_spy(projection, users, rx, placement):
+        x_tilde = real_receive(projection, users, rx, placement)
+        assert projection is state["projection"]
+        calls.append((projection, state["columns"], state["bs"], users, placement,
+                      x_tilde.copy()))
+        return x_tilde
+
+    monkeypatch.setattr(simharness, "project", project_spy)
+    monkeypatch.setattr(simharness, "receive", receive_spy)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["sum_rate_k5", "sum_rate_k1", "reference"])
+def test_the_grouped_pass_receives_each_entry_as_its_projection_alone(bench, monkeypatch,
+                                                                       which):
+    # the sum-rate entries of one payload length are received in one pass
+    # per trial and BS, the 850 m hybrid with both kinds of user among them;
+    # the reference bench's iterated entry is received from cell j's users
+    # among those its estimator keeps
+    b = bench if which == "reference" else sum_rate_bench(int(which[-1]))
+    cfg, K, J = b.config, b.config.K, len(b.streams)
+    if which != "reference":
+        hybrid = b.schemes[5].partition.sp
+        assert hybrid.any() and not hybrid.all()
+    calls = grouped_receives(monkeypatch, J)
+    with simharness._one_blas_thread():
+        simharness._run_trials(b, trials(2))
+    # the entries of one (tag, payload length) share a pass
+    groups = {}
+    for i, s in enumerate(b.schemes):
+        groups.setdefault((s.tag, s.book.payload_length(s.partition, cfg.C_u)), []).append(i)
+    assert len(groups) == 2 and len(calls) == 2 * J * len(groups)
+    for c, (projection, columns, j, users, p, x_tilde) in enumerate(calls):
+        (_tag, n), entries = list(groups.items())[c % len(groups)]
+        assert x_tilde.shape == (len(entries) * K, n)
+        bounds = np.cumsum([0] + [E.shape[1] for E in columns])
+        for e, i in enumerate(entries):
+            s, lo, hi = b.schemes[i], bounds[i], bounds[i + 1]
+            alone = Projection(projection.estimates[:, lo:hi], projection.matched[lo:hi])
+            rows = users[e * K : (e + 1) * K] - lo
+            assert np.all((rows >= 0) & (rows < hi - lo))
+            rx = receiver([(s.book, s.partition, j, s.gains[:, j, j])], b.powers, cfg)
+            assert np.array_equal(x_tilde[e * K : (e + 1) * K], receive(alone, rows, rx, p))
+
+
+@pytest.mark.parametrize("radii", [1, 2, 4])
+def test_a_sum_rate_trial_makes_one_payload_draw(monkeypatch, radii):
+    # however many entries: one draw per trial, as long as the longest
+    # payload (all-SP's C_u on the full-length book), and one frame matrix
+    # per (book, Partition): all-TP, all-SP and each radius's hybrid
+    b = sum_rate_bench(5, RunOptions().radii_m[:radii])
+    cfg, K, N = b.config, b.config.K, b.config.L * b.config.K
+    assert len(b.schemes) == 3 * radii and {s.tag for s in b.schemes} == {"common"}
+    draws, made = [], []
+    draw, assemble = waveform._draw_payloads, waveform.assemble_frames
+
+    def draw_spy(*args):
+        draws.append((args, draw(*args)))
+        return draws[-1][1]
+
+    def assemble_spy(config, book, powers, data, partition):
+        made.append(data)
+        return assemble(config, book, powers, data, partition)
+
+    monkeypatch.setattr(simharness.waveform, "_draw_payloads", draw_spy)
+    monkeypatch.setattr(simharness.waveform, "assemble_frames", assemble_spy)
+    with simharness._one_blas_thread():
+        sig_res, _errs = simharness._run_trials(b, trials(3))
+    assert [args[:2] for args, _ in draws] == [(N, cfg.C_u)] * 3
+    assert len(made) == 3 * (2 + radii)
+    for t, (_p, key) in enumerate(trials(3)):
+        data, bits = draws[t][1]
+        assert bits is None
+        assert all(one is data for one in made[t * (2 + radii) : (t + 1) * (2 + radii)])
+        # each entry is scored on the trailing symbols of that draw that its
+        # payload length asks for: 35 for all-TP and hybrid, 40 for all-SP
+        for j in range(len(b.streams)):
+            factor = draw_channels(cfg, substream(*key, "ch", j))
+            z = np.ascontiguousarray(factor[:, j * K : (j + 1) * K]).T
+            gain = np.vecdot(z, z).real / cfg.M
+            for i, s in enumerate(b.schemes):
+                n = s.book.payload_length(s.partition, cfg.C_u)
+                assert n == (cfg.C_u if s.method == simharness.ALL_SP_METHOD
+                             else cfg.C_u - cfg.tau)
+                signal = gain[:, np.newaxis] * data[j * K : (j + 1) * K, cfg.C_u - n :]
+                assert np.array_equal(sig_res[t, i, 0, j], np.vecdot(signal, signal).real)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7])
+def test_where_nobody_moves_to_sp_the_hybrid_row_is_the_all_tp_row(seed):
+    # the bench's system at 300 m and 500 m, where the greedy partitioner
+    # keeps every user on TP: the hybrid then sends the all-TP frames on
+    # the same draws, and only its place in the shared products, and its
+    # own matched-filter product, can round otherwise
+    cfg = SystemConfig(L=19, K=5, M=200, C_u=40, omega=10.0, seed=seed)
+    options = RunOptions(trials=8, radii_m=(300.0, 500.0))
+    bench = simharness._sum_rate_bench(cfg, sum_rate_layouts(cfg, options.radii_m))
+    assert not any(s.partition.sp.any() for s in bench.schemes[2::3])
+    records = run_experiment(cfg, "sum_rate_vs_sir", options)
+    for all_tp, _all_sp, hybrid in zip(records[0::3], records[1::3], records[2::3]):
+        assert (all_tp.method, hybrid.method) == ("all-tp", "hybrid")
+        assert hybrid.sweep_value == all_tp.sweep_value
+        assert hybrid.value == pytest.approx(all_tp.value, rel=1e-12, abs=0)
 
 
 def test_hybrid_gains_control_the_sp_users_only():
@@ -524,7 +697,10 @@ def test_a_chunk_holds_at_least_one_trial(any_bench, monkeypatch):
 # iterative pass's inputs outlive a trial, at 1,140,678.  Receiving each
 # trial from one projection of its draws, it peaked at 843,814 (835,030 with
 # numpy 2.4.6).  Drawing the 135 x 135 triangular factor of the fading and
-# noise instead of their 200 x 135 entries, it peaks at 731,979.
+# noise instead of their 200 x 135 entries, it peaked at 731,979 (706,599
+# with numpy 2.4.6).  Drawing one payload per tag and trial, receiving each
+# trial's cells in one grouped pass, and freeing each projection only as the
+# next replaces it, it peaks at 774,192.
 PEAK_BOUND_BYTES = 1_775_000
 
 
@@ -552,8 +728,12 @@ def test_two_trials_fit_a_batch_at_m_200_within_the_earlier_peak(monkeypatch):
 # placement, numpy 2.4.  As ten one-trial chunks, one bench per placement,
 # they peaked at 744,144 bytes.  In one chunk, which keeps every trial's G
 # and R over the 11-14 users the estimator keeps for it until the pass, and
-# whose pass stacks the blocks of one schedule at a time, they peak at
-# 1,119,068 bytes: within the chunk budget they were sized for.
+# whose pass stacks the blocks of one schedule at a time, they peaked at
+# 1,119,068 bytes.  Projected into one array of both entries' matched rows,
+# whose iterated rows the trial copies out as G, received in one grouped
+# pass per payload length, and each projection freed only as the next
+# replaces it, they peak at 1,226,781: within the chunk budget they were
+# sized for.
 BER_PEAK_BOUND_BYTES = simharness._CHUNK_BYTES
 
 
@@ -585,8 +765,10 @@ def test_ber_vs_k_runs_its_ten_placements_in_one_chunk(monkeypatch):
 # 1,817,072 with its scoring shared with the QAM benches.  Received from one
 # projection per trial and BS, onto the 60 scored users of all 12 schemes,
 # it peaked at 2,182,232.  Drawing the 135 x 135 triangular factor of each
-# BS's fading and noise instead of their 200 x 135 entries, it peaks at
-# 1,899,328.
+# BS's fading and noise instead of their 200 x 135 entries, it peaked at
+# 1,899,328.  On one payload draw per trial for all 12 schemes, six frame
+# matrices (one per book and Partition) in one buffer, and one grouped
+# receive per payload length, it peaks at 1,647,607.
 SUM_RATE_PEAK_BOUND_BYTES = 2_722_000
 
 

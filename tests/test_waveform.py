@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from supmimo.sysmodel import PowerAllocation, SystemConfig
 from supmimo.waveform import (
     CapacityError,
     _draw_bits,
+    _draw_payloads,
     bits_per_symbol,
     constellation,
     decide,
@@ -19,6 +21,19 @@ from supmimo.waveform import (
     synthesize_received,
     assemble_frames,
 )
+
+
+class Frames(NamedTuple):
+    S: np.ndarray
+    data: np.ndarray
+    bits: np.ndarray | None
+
+
+def draw_frames(cfg, book, powers, rng, partition, data_dist="qam"):
+    """One block's frames, on a payload draw as long as the partition's payloads."""
+    n = book.payload_length(partition, cfg.C_u)
+    data, bits = _draw_payloads(cfg.L * cfg.K, n, cfg.P, data_dist, rng)
+    return Frames(assemble_frames(cfg, book, powers, data, partition), data, bits)
 
 
 def make_config(**kw):
@@ -217,7 +232,7 @@ class TestFrames:
         part = PARTITIONS[name]
         book = make_pilot_books(cfg, partition=part if name == "hybrid" else None)
         powers = PowerAllocation(0.6, 0.4)
-        frames = assemble_frames(cfg, book, powers, substream(9, "f"), part, data_dist)
+        frames = draw_frames(cfg, book, powers, substream(9, "f"), part, data_dist)
         S, data = reference_frames(cfg, book, powers, substream(9, "f"), part, data_dist)
         assert np.array_equal(frames.S, S)
         assert np.array_equal(frames.data, data)
@@ -232,34 +247,51 @@ class TestFrames:
         part = PARTITIONS[name]
         book = make_pilot_books(cfg, partition=part if short_book else None)
         assert book.payload_length(part, cfg.C_u) == length
-        frames = assemble_frames(cfg, book, HALF, substream(0, "f"), part)
-        assert frames.data.shape == (35, length)
+        # from a draw of C_u symbols per user, each sends its trailing
+        # `length`, the frames of that slice alone, and nothing before them
+        # but its TP pilot
+        data, _ = _draw_payloads(35, cfg.C_u, cfg.P, "qam", substream(0, "f"))
+        S = assemble_frames(cfg, book, HALF, data, part)
+        tail = data[:, cfg.C_u - length :]
+        assert np.array_equal(S, assemble_frames(cfg, book, HALF, tail.copy(), part))
+        sp = part.sp.reshape(-1)
+        expected = tail.copy()
+        if sp.any():
+            expected[sp] = HALF.rho_d * tail[sp] + HALF.rho_p * book.sp_columns(sp).T
+        np.testing.assert_allclose(S[:, cfg.C_u - length :], expected, rtol=0, atol=1e-12)
+        assert np.all(S[sp, : cfg.C_u - length] == 0)
+        assert np.all(S[~sp, cfg.tau : cfg.C_u - length] == 0)
 
     def test_bad_arguments(self):
         cfg = make_config()
         book = make_pilot_books(cfg)
         powers = HALF
         with pytest.raises(ValueError, match="distribution"):
-            assemble_frames(cfg, book, powers, substream(0, "f"), all_sp(7, 5), "uniform")
+            draw_frames(cfg, book, powers, substream(0, "f"), all_sp(7, 5), "uniform")
+        # payloads of too few users, or too few symbols for the partition's
+        data, _ = _draw_payloads(35, cfg.C_u, cfg.P, "qam", substream(0, "f"))
+        for short in (data[:-1], data[:, 1:]):
+            with pytest.raises(ValueError, match="payloads of shape"):
+                assemble_frames(cfg, book, powers, short, all_sp(7, 5))
         with pytest.raises(KeyError, match=r"\(0, 0\)"):
-            assemble_frames(cfg, make_pilot_books(cfg, partition=all_tp(7, 5)), powers,
+            draw_frames(cfg, make_pilot_books(cfg, partition=all_tp(7, 5)), powers,
                             substream(0, "f"), all_sp(7, 5))
         # as many users as the system, but transposed
         with pytest.raises(ValueError, match=r"\(5, 7\) partition"):
-            assemble_frames(cfg, book, powers, substream(0, "f"), all_tp(5, 7))
+            draw_frames(cfg, book, powers, substream(0, "f"), all_tp(5, 7))
 
     def test_mixed_partition_needs_the_short_book(self):
         # on the full-length book the SP rows would carry C_u symbols, the TP rows C_u - tau
         cfg = make_config()
         with pytest.raises(ValueError, match="C_u - tau"):
-            assemble_frames(cfg, make_pilot_books(cfg), HALF, substream(0, "f"),
+            draw_frames(cfg, make_pilot_books(cfg), HALF, substream(0, "f"),
                             HYBRID)
 
     def test_pure_pilot_when_data_amplitude_zero(self):
         cfg = make_config(L=1, K=1, C_u=8)
         book = make_pilot_books(cfg)
         powers = PowerAllocation(0.0, 1.0)
-        frames = assemble_frames(cfg, book, powers, substream(0, "f"), all_sp(1, 1))
+        frames = draw_frames(cfg, book, powers, substream(0, "f"), all_sp(1, 1))
         assert np.allclose(frames.S[0], book.sp_matrix[:, book.sp_assignment[0, 0]])
 
     def test_sp_frame_average_power(self):
@@ -269,14 +301,14 @@ class TestFrames:
         acc = 0.0
         n_frames = 200
         for t in range(n_frames):
-            frames = assemble_frames(cfg, book, powers, substream(3, "f", t), all_sp(1, 2))
+            frames = draw_frames(cfg, book, powers, substream(3, "f", t), all_sp(1, 2))
             acc += np.mean(np.abs(frames.S[0]) ** 2)
         assert acc / n_frames == pytest.approx(1.0, rel=0.02)
 
     def test_tp_pilot_phase_power_exact(self):
         cfg = make_config()
         book = make_pilot_books(cfg)
-        frames = assemble_frames(cfg, book, HALF, substream(4, "f"), all_tp(7, 5))
+        frames = draw_frames(cfg, book, HALF, substream(4, "f"), all_tp(7, 5))
         assert np.allclose(np.abs(frames.S[:, : cfg.tau]) ** 2, 1.0, atol=1e-12)
         assert frames.data[0].shape == (cfg.C_u - cfg.tau,)
 
@@ -286,7 +318,7 @@ class TestFrames:
         sp[0] = True
         part = Partition(sp)
         book = make_pilot_books(cfg, partition=part)
-        frames = assemble_frames(cfg, book, HALF, substream(5, "f"), part)
+        frames = draw_frames(cfg, book, HALF, substream(5, "f"), part)
         assert np.all(frames.S[:5, : cfg.tau] == 0.0)
         assert np.all(frames.S[5:, : cfg.tau] != 0.0)
         assert np.allclose(np.abs(frames.S[5:, : cfg.tau]), 1.0, atol=1e-12)
@@ -294,7 +326,7 @@ class TestFrames:
     def test_gaussian_payload(self):
         cfg = make_config(L=1, K=1, C_u=2000, C=4000)
         book = make_pilot_books(cfg)
-        frames = assemble_frames(cfg, book, HALF, substream(6, "f"), all_sp(1, 1),
+        frames = draw_frames(cfg, book, HALF, substream(6, "f"), all_sp(1, 1),
                                  "gaussian")
         assert np.mean(np.abs(frames.data[0]) ** 2) == pytest.approx(1.0, rel=0.1)
 
@@ -309,7 +341,7 @@ class TestSynthesis:
     def test_zero_channels_zero_noise(self):
         cfg = make_config(L=1, K=1, C_u=8)
         book = make_pilot_books(cfg)
-        frames = assemble_frames(cfg, book, HALF, substream(0, "f"), all_sp(1, 1))
+        frames = draw_frames(cfg, book, HALF, substream(0, "f"), all_sp(1, 1))
         Y = synthesize_received(np.zeros((4, 1), dtype=complex), frames.S)
         assert np.all(Y == 0.0)
 
@@ -329,7 +361,7 @@ class TestSynthesis:
             rng = substream(8, "h", t)
             H = math.sqrt(beta / 2) * (rng.standard_normal((8, 4))
                                        + 1j * rng.standard_normal((8, 4)))
-            frames = assemble_frames(cfg, book, powers, substream(8, "f", t), all_sp(1, 4))
+            frames = draw_frames(cfg, book, powers, substream(8, "f", t), all_sp(1, 4))
             Y = synthesize_received(H, frames.S) + noise_block(cfg, substream(8, "n", t))
             total += np.linalg.norm(Y) ** 2
         expected = 4 * 8 * beta * 32 + 8 * 32 * cfg.sigma2
