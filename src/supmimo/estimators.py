@@ -113,71 +113,105 @@ def estimator_columns(
 
 
 def project(
-    factor: np.ndarray,
+    factors,
     sigma: float,
     frames,
     roots,
     columns: list,
 ) -> Projection:
-    """One Projection of every scheme's users at one BS, from the draws they share.
+    """One Projection of every scheme's users at one BS per trial, from the draws they share.
 
-    Scheme i would receive Y_i = Z (roots[i] * frames[i]) + W: Z (M, N) is
-    the unit-variance fading and W (M, C_u) the noise at the BS, frames[i]
-    (N, C_u) the scheme's frame rows and roots[i] (N,) the square roots of
-    its users' gains there.  factor is X = [Z, W / sigma], or any F with
-    F^H F = X^H X, such as sysmodel.draw_channels's triangular factor R =
-    Q^H X: a projection reads X only through such inner products, so it
+    Scheme i would receive Y_i = Z (roots[i] * frames[i][b]) + W in trial b:
+    Z (M, N) is the unit-variance fading and W (M, C_u) the noise at the
+    BS, frames[i] (B, N, C_u) the scheme's frame rows in each of B trials,
+    and roots[i] (N,) the square roots of its users' gains there.  factors
+    yields each trial's X = [Z, W / sigma], or any F with F^H F = X^H X,
+    such as sysmodel.draw_channels's triangular factor R = Q^H X; it is
+    consumed one factor at a time, so the caller can draw each as it is
+    read.  A projection reads X only through such inner products, so it
     comes out rotated by Q^H, with as many rows as factor has, and every
     norm and inner product the receivers take is the same.  columns[i]
     (C_u, n_i) are the estimator columns of the users scheme i scores; the
     projection's estimate columns and matched rows are theirs, scheme by
-    scheme in order.
+    scheme in order, behind a leading trial axis.  Given one trial's factor
+    and (N, C_u) frames instead, the projection has no trial axis.
 
-    One product, waveform.synthesize_received, makes every estimate,
-    Y_i E_i = F [roots_i * (S_i E_i) ; sigma E_i], and one more every
-    matched filter's part conj(Y_i E_i)^T F, split at column N into its
-    fading part, which meets roots_i * S_i, and its noise part, scaled by
-    sigma.  Schemes that pass one frame matrix object share its products:
-    S E once per (frame matrix, columns) pair, and the fading part of their
-    matched filters as one product with it.  No Y_i is formed.  A user's
-    results are a column and a row of products over all the users
-    projected, so their last bits can depend on which other users share the
-    call.
+    Per trial, one product, waveform.synthesize_received, makes every
+    estimate, Y_i E_i = F [roots_i * (S_i E_i) ; sigma E_i], and one more
+    every matched filter's part conj(Y_i E_i)^T F, split at column N into
+    its fading part, which meets roots_i * S_i, and its noise part, scaled
+    by sigma.  The rest runs once for the B trials, as stacks of the
+    per-trial products: S E once per (frame matrix, columns) pair, and the
+    fading part of the matched filters of the schemes that pass one frame
+    matrix object as one product with it.  sigma E is the same in every
+    trial.  No Y_i is formed.  A user's results are a column and a row of
+    products over all the users projected, so their last bits can depend
+    on which other users share the call, but not on the other trials.
     """
-    N = frames[0].shape[0]
-    bounds = [0, *itertools.accumulate(E.shape[1] for E in columns)]
-    stacked = np.empty((factor.shape[1], bounds[-1]), dtype=complex)
-    # S E once per (frame matrix, columns) pair, scaled by each scheme's
-    # roots into its columns
+    if frames[0].ndim == 2:
+        # one trial's factor and frames: a stack of one, without its axis
+        lifted = {id(S): S[np.newaxis] for S in frames}
+        estimates, matched = project([factors], sigma, [lifted[id(S)] for S in frames], roots,
+                                     columns)
+        return Projection(estimates[0], matched[0])
+    B, N = frames[0].shape[:2]
+    widths = [E.shape[1] for E in columns]
+    bounds = [0, *itertools.accumulate(widths)]
+    # each projected user's scheme's roots, as complex numbers, so that no
+    # product below casts them in an iterator buffer
+    roots = np.asarray(roots, dtype=complex)
+    # S E once per (frame matrix, columns) pair, copied into each scheme's
+    # columns of the stack, then scaled by its roots at once
+    stacked = np.empty((B, N + columns[0].shape[0], bounds[-1]), dtype=complex)
     products = {}
-    for S, root, E, lo, hi in zip(frames, roots, columns, bounds, bounds[1:]):
+    for S, E, lo, hi in zip(frames, columns, bounds, bounds[1:]):
         if (id(S), id(E)) not in products:
             products[id(S), id(E)] = S @ E
-        np.multiply(root[:, np.newaxis], products[id(S), id(E)], out=stacked[:N, lo:hi])
+        stacked[:, :N, lo:hi] = products[id(S), id(E)]
     del products
-    np.concatenate(columns, axis=1, out=stacked[N:])
-    stacked[N:] *= sigma
-    estimates = waveform.synthesize_received(factor, stacked)
-    del stacked
-    # conjugated in place for the product and back after it: exact, and no
-    # copy of the estimates
-    through = np.conj(estimates, out=estimates).T @ factor
-    np.conj(estimates, out=estimates)
-    through[:, N:] *= sigma
-    # one product per frame matrix, over the users of the schemes that send
-    # it, each row scaled by its scheme's roots
+    stacked[:, :N] *= np.repeat(roots.T, widths, axis=1)
+    noise = np.concatenate(columns, axis=1)
+    noise *= sigma
+    stacked[:, N:] = noise
+    estimates, through = [], None
+    factors = iter(factors)
+    for b in range(B):
+        # taken with next, so no iterator holds the previous factor while the
+        # next one is made
+        factor = next(factors)
+        estimates.append(waveform.synthesize_received(factor, stacked[b]))
+        if b == B - 1:
+            # every trial's columns are read
+            del stacked
+        if through is None:
+            # made only once the first draw's normals are freed
+            through = np.empty((B, bounds[-1], factor.shape[1]), dtype=complex)
+        # conjugated in place for the product and back after it: exact, and
+        # no copy of the estimates
+        np.matmul(np.conj(estimates[b], out=estimates[b]).T, factor, out=through[b])
+        np.conj(estimates[b], out=estimates[b])
+        del factor
+    estimates = estimates[0][np.newaxis] if B == 1 else np.stack(estimates)
+    # the noise and fading parts, copied out contiguous and scaled there:
+    # the fading part of each user's row by its scheme's roots
+    matched = np.ascontiguousarray(through[..., N:])
+    matched *= sigma
+    fading = np.ascontiguousarray(through[..., :N])
+    del through
+    fading *= np.repeat(roots, widths, axis=0)
+    # one product per frame matrix, over the users of the schemes that send it
     users = {}
-    for S, root, lo, hi in zip(frames, roots, bounds, bounds[1:]):
-        users.setdefault(id(S), (S, []))[1].append((root, lo, hi))
-    matched = np.empty((bounds[-1], frames[0].shape[1]), dtype=complex)
+    for S, lo, hi in zip(frames, bounds, bounds[1:]):
+        users.setdefault(id(S), (S, []))[1].append((lo, hi))
     for S, spans in users.values():
-        fading = [through[lo:hi, :N] * root for root, lo, hi in spans]
-        fading = fading[0] if len(fading) == 1 else np.concatenate(fading)
-        if all(hi == lo for (_, _, hi), (_, lo, _) in zip(spans, spans[1:])):
-            np.matmul(fading, S, out=matched[spans[0][1] : spans[-1][2]])
+        if all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:])):
+            rows = slice(spans[0][0], spans[-1][1])
         else:
-            matched[np.concatenate([np.arange(lo, hi) for _, lo, hi in spans])] = fading @ S
-    matched += through[:, N:]
+            rows = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+        product = fading[:, rows] @ S
+        # trial by trial, so each sum runs over contiguous blocks
+        for b in range(B):
+            matched[b, rows] += product[b]
     return Projection(estimates, matched)
 
 
@@ -250,18 +284,20 @@ def receive(projection: Projection, users, rx: Receiver, placement=()) -> np.nda
     """Matched-filter outputs of the projected users `users`, one row each.
 
     users indexes the projection's users (estimate columns and matched
-    rows) in the order of rx's users; the result is (users, rx.n), over
-    each user's trailing payload symbols.  A TP user's output is conj(h) Y_d
-    over its gain; an SP user's removes its own pilot through its estimate
-    first, (conj(h) Y_d - rho_p ||h||^2 p^T) / gain (sp_output).  The gains
-    are rx.gain[placement].  Every step is per user, so a user's output has
-    the same bits in any run of users.  M is read from the gains, not from
-    the projection's row count (project).
+    rows) in the order of rx's users; the result is (..., users, rx.n),
+    over each user's trailing payload symbols, behind the projection's
+    leading axes.  A TP user's output is conj(h) Y_d over its gain; an SP
+    user's removes its own pilot through its estimate first, (conj(h) Y_d -
+    rho_p ||h||^2 p^T) / gain (sp_output).  The gains are
+    rx.gain[placement].  Every step is per user, so a user's output has the
+    same bits in any run of users and in any stack of projections.  M is
+    read from the gains, not from the projection's row count (project).
     """
     estimates, matched = projection
     users = np.asarray(users)
-    x_tilde = matched[users, matched.shape[-1] - rx.n :]
+    x_tilde = matched[..., users, matched.shape[-1] - rx.n :]
     if rx.sp.size:
-        x_tilde[rx.sp] -= _per_row(rx.rho_p * _powers(estimates[:, users[rx.sp]])) * rx.pilots
+        power = _powers(estimates[..., users[rx.sp]])
+        x_tilde[..., rx.sp, :] -= _per_row(rx.rho_p * power) * rx.pilots
     x_tilde /= _per_row(rx.gain[placement])
     return x_tilde

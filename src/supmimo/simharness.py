@@ -57,23 +57,34 @@ Gram matrix: the estimates' norms and inner products, the matched filters
 conj(Y E)^T Y and the desired-signal gain ||z||^2 / M, which R gives as X
 does.  Receivers take M from the config, not from the estimates' row count.
 
-The receivers' constants (estimators.Receiver: SP users, pilot rows and
-matched-filter gains, as arrays over the bench's placements) are built once
-per batch of trials.  Per trial and metric BS, the cells of all entries of
-one (tag, payload length) are received in one estimators.receive call and
-scored in one pass, against the payloads they share, as soon as they are
-made, so a trial's frames, draws and outputs do not outlive it.  An entry that
-iterates is projected at metric BS j onto the users its estimator keeps for
-cell j at the trial's placement (iterative.reduced_users); its one-shot
-outputs are received from cell j's users of that projection, and
-reduce_block turns it into the G and R the estimator reads.  Those G and R,
-with the trial's payloads, bits and channel gains, outlive the trial: the
-estimator runs once per (entry, BS) on a batch of as many trials as fit
+What a bench's trials read besides their keys is built once per bench
+(_Plan): the estimator columns and frame row scales of every entry at every
+placement and metric BS, the users an iterated entry's estimator keeps
+there (iterative.reduced_users), and the receivers' constants
+(estimators.Receiver: SP users, pilot rows and matched-filter gains, as
+arrays over the bench's placements).  The trials run in chunks, and a chunk
+in sub-batches whose stacked arrays fit what _CHUNK_BYTES leaves beside the
+chunk's pass inputs.  Only the keyed draws are made trial by trial: each
+tag's payloads, from the trial's own substream, and at each metric BS the
+factor of its fading and noise, with the two products that read it
+(estimators.project).  Every other stage runs once per sub-batch on stacks
+of its trials' arrays: the modulation, the frames, the products of frames
+and estimator columns, the matched filters, and, per metric BS, one
+estimators.receive call and one scoring pass per (tag, payload length),
+against the payloads its entries share.  Each stacked product is a stack of
+the per-trial products, so a trial's outputs have the same bits in any
+sub-batch, and a sub-batch's frames, draws and outputs do not outlive it.
+An entry that iterates is projected at metric BS j onto the users its
+estimator keeps for cell j at the trial's placement; its one-shot outputs
+are received from cell j's users of that projection, and reduce_block
+turns it into the G and R the estimator reads.  Those G and R, with the
+trial's payloads, bits and channel gains, outlive the sub-batch: the
+estimator runs once per (entry, BS) on a chunk of as many trials as fit
 _CHUNK_BYTES at _trial_bytes each, each trial under its placement's profile
 row.  The estimator stacks the trials whose placements give it one schedule
 and runs its products as stacks of per-trial products, so a trial's
-energies have the same bits in any batch, and they are added to the totals
-in trial order, so the output does not depend on the batch size.
+energies have the same bits in any chunk, and they are added to the totals
+in trial order, so the output does not depend on the chunk size.
 
 run_experiment holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards.  A product whose reduction is split over threads
@@ -127,11 +138,15 @@ OPTIONS_READ = {
     "sum_rate_vs_sir": frozenset({"trials", "radii_m"}),
 }
 
-# budget of one batch of _run_trials, which holds as many trials as fit at
-# _trial_bytes each: 19, 15 and 13 for sinr_vs_m at M = 50, 100 and 200
-# (traced peak of its 20 trials at M = 200, seed 5: 1,271 KiB).
-# sum_rate_vs_sir holds only energies, so all its trials fit one batch.
-_CHUNK_BYTES = 1280 * 1024
+# budget of one chunk of _run_trials: as many trials as fit at _trial_bytes
+# each, and beside what they keep for the pass, sub-batches of as many as
+# fit at _Plan.staged_bytes with one draw.  At seed 5, sinr_vs_m runs one
+# chunk of 20 trials at M = 50 and two of 10 at M = 100 and 200, in
+# sub-batches of 3 or 2 (traced peak of its 20 trials at M = 200: 1,417
+# KiB); ber_vs_k at K = 10 one chunk of 10 in sub-batches of 2.
+# sum_rate_vs_sir holds only energies, so all its trials fit one chunk,
+# stacked one at a time.
+_CHUNK_BYTES = 1536 * 1024
 
 
 @dataclass(frozen=True)
@@ -280,6 +295,11 @@ class _Bench:
     streams: tuple
     data_dist: str
 
+    @functools.cached_property
+    def plan(self) -> "_Plan":
+        """The set-up _run_trials reads of the bench, built on first use."""
+        return _Plan(self)
+
 
 def _make_bench(config: SystemConfig, options: RunOptions, layouts: list) -> _Bench:
     """The reference bench over the user placements `layouts`, from one set-up pass.
@@ -312,31 +332,134 @@ def _methods(bench: _Bench) -> list:
     return [(name, s, s.book.payload_length(s.partition, C_u)) for name, s in named]
 
 
+class _Plan:
+    """What _run_trials reads of a bench besides its trials, built once per bench.
+
+    Per tag, the payload symbols drawn per user, its entries' longest; the
+    frame sets, one per (tag, book, Partition object); sqrt(beta) of every
+    entry's users at every placement and metric BS (roots), the frame row
+    scales; and each entry's estimator columns at each placement and metric
+    BS (columns[p][j][i]), those of its cell's users, shared by the entries
+    on one book and one Partition object.  An entry i that iterates is
+    projected at BS j and placement p onto the users its estimator keeps
+    there (iterative.reduced_users), of which cell j's are scored.
+    counts[j, p, i] users of entry i are projected, from starts[j, p, i] on.  The entries of one (tag, payload length) are
+    received and scored together (groups): their receiver at each BS, over
+    placements, and the projected users it reads at each BS and placement.
+    held_bytes, pass_bytes and staged_bytes count what a trial holds from
+    its sub-batch to the pass, in the pass, and in its sub-batch's stacked
+    stages, and draw_bytes what one trial's draw at one BS holds
+    (_trial_bytes).
+    """
+
+    def __init__(self, bench: _Bench):
+        cfg, powers, schemes = bench.config, bench.powers, bench.schemes
+        for i, s in enumerate(schemes):
+            # the iterative estimator reads every user's superimposed pilot
+            if s.iterated and not s.partition.sp.all():
+                l, k = np.argwhere(~s.partition.sp)[0].tolist()
+                raise ValueError(f"entry {i} ({s.method!r}) iterates, but its user "
+                                 f"({l}, {k}) has no superimposed pilot")
+        K, C_u, N, J = cfg.K, cfg.C_u, cfg.L * cfg.K, len(bench.streams)
+        n_placements = schemes[0].gains.shape[0]
+        cells = np.arange(J * K).reshape(J, K)
+        self.lengths = [n for _, _, n in _methods(bench)[: len(schemes)]]
+        self.drawn, self.frame_sets, members = {}, {}, {}
+        for i, (s, n) in enumerate(zip(schemes, self.lengths)):
+            self.drawn[s.tag] = max(self.drawn.get(s.tag, 0), n)
+            self.frame_sets.setdefault((s.tag, id(s.book), s.partition), s)
+            members.setdefault((s.tag, n), []).append(i)
+        self.iterated = [i for i, s in enumerate(schemes) if s.iterated]
+        self.held = {schemes[i].tag for i in self.iterated}
+        self.roots = np.sqrt(np.stack([s.gains[:, :J].reshape(-1, J, N) for s in schemes]))
+        unique = {(id(s.book), s.partition): s for s in schemes}
+        shared = {key: [estimator_columns(s.book, s.partition, powers, cell, C_u) for cell in cells]
+                  for key, s in unique.items()}
+        self.columns = [[[shared[id(s.book), s.partition][j] for s in schemes] for j in range(J)]
+                        for _ in range(n_placements)]
+        self.counts = np.full((J, n_placements, len(schemes)), K)
+        scored = {}
+        for i in self.iterated:
+            s = schemes[i]
+            for j, profile in enumerate(s.iterated[1]):
+                scored[i, j] = np.zeros((n_placements, K), dtype=np.intp)
+                for p in range(n_placements):
+                    users = iterative.reduced_users(profile.layout(p), cells[j])
+                    self.columns[p][j][i] = estimator_columns(s.book, s.partition, powers,
+                                                              users, C_u)
+                    scored[i, j][p] = np.nonzero(cells[j][:, np.newaxis] == users)[1]
+                    self.counts[j, p, i] = users.size
+        self.starts = np.cumsum(self.counts, axis=2) - self.counts
+        self.groups = [(tag, n, entries,
+                        [receiver([(schemes[i].book, schemes[i].partition, j,
+                                    schemes[i].gains[:, j, j]) for i in entries], powers, cfg)
+                         for j in range(J)],
+                        [np.concatenate([self.starts[j, :, i, np.newaxis]
+                                         + scored.get((i, j), np.arange(K))
+                                         for i in entries], axis=1) for j in range(J)])
+                       for (tag, n), entries in members.items()]
+        # bytes per trial: what it keeps from its sub-batch to the pass
+        # (energies and channel gains; per tag of an entry that iterates, its
+        # cells' payloads and bits; per iterated entry and BS, G and R over
+        # the n users kept, at most the largest such set); what the pass adds
+        # (five (n, C_u) working arrays, its outputs and the demapped bits);
+        # and what its sub-batch holds in the stacked stages: the frame
+        # matrices, each group's outputs, the draws' cell columns and the
+        # other tags' payloads and bits at the metric cells, and the larger
+        # of a payload draw with the frame matrix assembled from it and one
+        # BS's projection (the stack, estimates and matched-filter products
+        # over its e users), with the previous BS's where there are several.
+        # Payloads are counted at C_u symbols, their longest.
+        n_bits = waveform.bits_per_symbol(cfg.P)
+        d, r = N + C_u, min(cfg.M, N + C_u)
+        per_payload = (16 + n_bits) * K * C_u
+        self.held_bytes = (8 * J * K * (2 * len(_methods(bench)) + 1)
+                           + J * per_payload * len(self.held))
+        self.pass_bytes = 0
+        for (i, j) in scored:
+            n = self.counts[j, :, i].max()
+            self.held_bytes += 16 * n * (C_u + n)
+            self.pass_bytes += 16 * 5 * n * C_u + per_payload
+        e = int(self.counts.sum(axis=2).max())
+        self.staged_bytes = (16 * N * C_u * len(self.frame_sets)
+                             + 16 * K * (sum(len(g[2]) * g[1] for g in self.groups) + r)
+                             + J * per_payload * len(self.drawn.keys() - self.held)
+                             + max((32 + n_bits) * N * C_u, 16 * e * (2 * d + r))
+                             + 16 * e * (r + C_u) * (J > 1))
+        # one trial's factor at a time, and the normal draws above its diagonal
+        self.draw_bytes = 16 * (2 * r * d - r * (r + 1) // 2)
+
+
 def _run_trials(bench: _Bench, trials: list):
     """T trials of a bench, one per (placement, key) pair: drawn, received and scored.
 
     A trial draws its randomness from its key's substreams and runs on its
-    placement's gains.  Per trial and tag, one payload draw serves every
-    entry of that tag, and per (tag, book, Partition object) one frame
-    matrix.  Per trial and metric BS j, one draw (streams[j]) serves every
-    scheme, whose gains at BS j are folded into its frame rows, and one
-    projection of it (estimators.project) makes the estimates and matched
-    filters of every scheme's scored users.  Their cells' users are then
-    received and scored in one pass per (tag, payload length), against the
+    placement's gains.  The trials run in sub-batches, as many as fit what
+    _CHUNK_BYTES leaves beside the T trials' pass inputs and one draw, at
+    the bytes the stacked stages hold per trial (_Plan.staged_bytes), at
+    least one, in runs of equal length (_runs).  Only
+    the keyed draws are made trial by trial: per trial and tag, one payload
+    draw, which serves every entry of that tag, and per trial and metric BS
+    j one factor of fading and noise (streams[j]), which serves every
+    scheme, with its two products in estimators.project.  Everything else
+    runs once per sub-batch on stacks of the trials' arrays: one frame
+    matrix per (tag, book, Partition object), and per metric BS and run of
+    trials on one placement one projection (estimators.project), which
+    makes the estimates and matched filters of every scheme's scored users,
+    with each scheme's gains at BS j folded into its frame rows.  Their
+    cells' users are received in one pass per (tag, payload length) and
+    run, and scored per (tag, payload length) and sub-batch, against the
     payloads they share.  A user's desired-signal gain ||h||^2 / (M beta)
     is ||z||^2 / M, the squared norm of its column of the draw, the same
-    for every scheme.  Returns (sig_res, errs): the (T, methods, 2, J, K)
-    signal and residual energies per trial, method, metric BS and user, and
-    the (methods, 2) bit errors and bit count per method over the batch
-    (zero for Gaussian payloads), methods as _methods lists them.
+    for every scheme.  Every stacked step is a stack of the per-trial steps,
+    so a trial's outputs have the same bits in any sub-batch.  Returns
+    (sig_res, errs): the (T, methods, 2, J, K) signal and residual energies
+    per trial, method, metric BS and user, and the (methods, 2) bit errors
+    and bit count per method over the batch (zero for Gaussian payloads),
+    methods as _methods lists them.
     """
+    plan = bench.plan
     cfg, powers, schemes = bench.config, bench.powers, bench.schemes
-    for i, s in enumerate(schemes):
-        # the iterative estimator reads every user's superimposed pilot
-        if s.iterated and not s.partition.sp.all():
-            l, k = np.argwhere(~s.partition.sp)[0].tolist()
-            raise ValueError(f"entry {i} ({s.method!r}) iterates, but its user "
-                             f"({l}, {k}) has no superimposed pilot")
     K, M, C_u, P, N = cfg.K, cfg.M, cfg.C_u, cfg.P, cfg.L * cfg.K
     sigma = math.sqrt(cfg.sigma2)
     T, J, n_schemes = len(trials), len(bench.streams), len(schemes)
@@ -344,117 +467,118 @@ def _run_trials(bench: _Bench, trials: list):
     n_bits = waveform.bits_per_symbol(P)
     cells = np.arange(J * K).reshape(J, K)
     placements = np.array([p for p, _ in trials], dtype=np.intp)
-    lengths = [n for _, _, n in _methods(bench)[:n_schemes]]
-    # each tag's payload length, its entries' longest; its frame matrices,
-    # one per (tag, book, Partition object); and the entries of each (tag,
-    # payload length)
-    drawn, frame_sets, members = {}, {}, {}
-    for i, (s, n) in enumerate(zip(schemes, lengths)):
-        drawn[s.tag] = max(drawn.get(s.tag, 0), n)
-        frame_sets.setdefault((s.tag, id(s.book), s.partition), s)
-        members.setdefault((s.tag, n), []).append(i)
-    # sqrt(beta) of every scheme's users at every placement and metric BS,
-    # the frame row scales
-    roots = np.sqrt(np.stack([s.gains[:, :J].reshape(-1, J, N) for s in schemes]))
-    # each scheme's estimator columns at each placement and metric BS, those
-    # of its cell's users; schemes on one book and one Partition object
-    # share them
-    unique = {(id(s.book), s.partition): s for s in schemes}
-    shared = {key: [estimator_columns(s.book, s.partition, powers, cell, C_u) for cell in cells]
-              for key, s in unique.items()}
-    columns = {p: [[shared[id(s.book), s.partition][j] for s in schemes] for j in range(J)]
-               for p in set(placements.tolist())}
-    del unique, shared
-    # counts[j, p, i] users of scheme i are projected at BS j and placement
-    # p, cell j's.  An iterated entry i is projected onto the users its
-    # estimator keeps, and scored[i, j][p] are cell j's among them.  Each
-    # trial's G and R over them go to stacks[i, j]
-    iterated = [i for i, s in enumerate(schemes) if s.iterated]
-    counts = np.full((J, schemes[0].gains.shape[0], n_schemes), K)
-    scored, stacks = {}, {}
-    for i in iterated:
-        s = schemes[i]
-        for j, profile in enumerate(s.iterated[1]):
-            stacks[i, j] = ([], [])
-            scored[i, j] = np.zeros((counts.shape[1], K), dtype=np.intp)
-            for p, at_p in columns.items():
-                users = iterative.reduced_users(profile.layout(p), cells[j])
-                at_p[j][i] = estimator_columns(s.book, s.partition, powers, users, C_u)
-                scored[i, j][p] = np.nonzero(cells[j][:, np.newaxis] == users)[1]
-                counts[j, p, i] = users.size
-    # where each scheme's users start in the projection
-    starts = np.cumsum(counts, axis=2) - counts
-    # the entries of one (tag, payload length) are received and scored
-    # together: their receiver at each BS (over placements), the projected
-    # users it reads at each BS and placement, and their energies and bit
-    # errors over the batch
-    groups = [(tag, n, entries,
-               [receiver([(schemes[i].book, schemes[i].partition, j, schemes[i].gains[:, j, j])
-                          for i in entries], powers, cfg) for j in range(J)],
-               [np.concatenate([starts[j, :, i, np.newaxis] + scored.get((i, j), np.arange(K))
-                                for i in entries], axis=1) for j in range(J)],
-               np.empty((T, 2, J, len(entries), K)), np.zeros(len(entries), dtype=np.int64))
-              for (tag, n), entries in members.items()]
+    # the trials where the placement changes: a run of one placement's
+    # trials is projected in one call
+    cuts = (np.flatnonzero(placements[1:] != placements[:-1]) + 1).tolist()
+    step = min(T, max(1, (_CHUNK_BYTES - T * plan.held_bytes - plan.draw_bytes)
+                      // plan.staged_bytes))
+    # What outlives a sub-batch is allocated once, before the first, so
+    # that each sub-batch reuses the heap the one before it freed instead
+    # of growing it past what the allocator trims.  Each (tag, payload
+    # length)'s energies and bit errors over the batch; each tag's payloads
+    # and bits at the metric cells, every trial's for the tag of an entry
+    # that iterates, else the sub-batch's; each trial's G and R per
+    # (iterated entry, BS), over the users kept, in the leading block of
+    # the largest such set's arrays; the frame matrices, the receivers'
+    # outputs per (tag, payload length) and the draws' cell columns of the
+    # sub-batch
+    scores = [(np.empty((T, 2, J, len(entries), K)), np.zeros(len(entries), dtype=np.int64))
+              for _, _, entries, _, _ in plan.groups]
     gain = np.empty((T, J, K))
-    # each tag's payloads and bits at the metric cells: the current trial's,
-    # or every trial's for the tag of an entry that iterates
-    held = {schemes[i].tag for i in iterated}
-    sent = {tag: (np.empty((T if tag in held else 1, J, K, n), dtype=complex),
-                  np.empty((T if tag in held else 1, J, K, n_bits * n), dtype=np.uint8)
-                  if qam else None) for tag, n in drawn.items()}
-    # the frame matrices of the current trial, one buffer for the batch; each
-    # scheme's entry of frames is its set's matrix, the object project keys
-    # its shared products on
-    frame_buffer = dict(zip(frame_sets, np.empty((len(frame_sets), N, C_u), dtype=complex)))
-    frames = [frame_buffer[s.tag, id(s.book), s.partition] for s in schemes]
-    for t, (p, key) in enumerate(trials):
+    sent = {tag: (np.empty((T if tag in plan.held else step, J, K, n), dtype=complex),
+                  np.empty((T if tag in plan.held else step, J, K, n_bits * n), dtype=np.uint8)
+                  if qam else None) for tag, n in plan.drawn.items()}
+    stacks = {}
+    for i in plan.iterated:
+        for j in range(J):
+            n = plan.counts[j, :, i].max()
+            stacks[i, j] = np.empty((T, n, C_u), dtype=complex), np.empty((T, n, n), dtype=complex)
+    buffer = dict(zip(plan.frame_sets, np.empty((len(plan.frame_sets), step, N, C_u),
+                                                 dtype=complex)))
+    outputs = [np.empty((step, len(entries) * K, n), dtype=complex)
+               for _, n, entries, _, _ in plan.groups]
+    columns = np.empty((step, min(M, N + C_u), K), dtype=complex)
+    for lo, hi in _runs(T, step):
+        batch = trials[lo:hi]
+        B = len(batch)
+        at = {tag: slice(lo, lo + B) if tag in plan.held else slice(B) for tag in plan.drawn}
+        # each frame set's matrices, one view, the object project keys its
+        # shared products on
+        views = {frame_set: matrices[:B] for frame_set, matrices in buffer.items()}
         # one tag's draw at a time, freed once its frames are made
-        for tag, n in drawn.items():
-            data, bits = waveform._draw_payloads(N, n, P, bench.data_dist,
-                                                 substream(*key, f"{tag}-frames"))
-            at = t if tag in held else 0
-            sent[tag][0][at] = data[: J * K].reshape(J, K, n)
+        for tag, n in plan.drawn.items():
+            data, bits = waveform._draw_payloads(
+                N, n, P, bench.data_dist, [substream(*key, f"{tag}-frames") for _, key in batch])
+            sent[tag][0][at[tag]] = data[:, : J * K].reshape(B, J, K, n)
             if qam:
-                sent[tag][1][at] = bits[: J * K].reshape(J, K, -1)
-            for frame_set, s in frame_sets.items():
+                sent[tag][1][at[tag]] = bits[:, : J * K].reshape(B, J, K, n_bits * n)
+            for frame_set, s in plan.frame_sets.items():
                 if frame_set[0] == tag:
-                    frame_buffer[frame_set][...] = waveform.assemble_frames(
-                        cfg, s.book, powers, data, s.partition)
+                    views[frame_set][...] = waveform.assemble_frames(cfg, s.book, powers, data,
+                                                                     s.partition)
             del data, bits
-        for j, tag in enumerate(bench.streams):
-            factor = draw_channels(cfg, substream(*key, *tag))
-            # the cell's columns copied and read as rows: how ||z||^2 rounds
-            # depends on that layout (contiguous rows at K = 1)
-            z = np.ascontiguousarray(factor[:, cells[j]]).T
-            gain[t, j] = np.vecdot(z, z).real / M
-            # the previous BS's projection is freed only as this one replaces
-            # it, so the heap does not shrink to the system and regrow, page
-            # fault by page fault, at every BS
-            projection = project(factor, sigma, frames, roots[:, p, j], columns[p][j])
-            del factor, z
-            estimates, matched = projection
-            for i in iterated:
-                users = slice(starts[j, p, i], starts[j, p, i] + counts[j, p, i])
-                # G copied, so the trial's projection does not outlive it
-                G, R = iterative.reduce_block(Projection(estimates[:, users],
-                                                         matched[users].copy()))
-                stacks[i, j][0].append(G)
-                stacks[i, j][1].append(R)
-            for tag, n, entries, rx, users, energies, wrong in groups:
-                x_tilde = receive(projection, users[j][p], rx[j], p).reshape(len(entries), K, n)
-                data, bits = sent[tag]
-                at = t if tag in held else 0
+        frames = [views[s.tag, id(s.book), s.partition] for s in schemes]
+        del views
+        edges = [0, *(cut - lo for cut in cuts if lo < cut < hi), B]
+        for j, stream in enumerate(bench.streams):
+
+            def factors(a, b):
+                # each trial's factor, drawn as project reads it, and its
+                # cell's columns copied: how ||z||^2 rounds depends on that
+                # layout (contiguous rows at K = 1)
+                for t in range(a, b):
+                    factor = draw_channels(cfg, substream(*batch[t][1], *stream))
+                    columns[t] = factor[:, cells[j]]
+                    yield factor
+                    del factor
+
+            for a, b in zip(edges, edges[1:]):
+                p = placements[lo + a]
+                run = frames
+                if b - a < B:
+                    # one view per frame matrix, the object project keys its
+                    # shared products on
+                    views = {id(S): S[a:b] for S in frames}
+                    run = [views[id(S)] for S in frames]
+                    del views
+                projection = project(factors(a, b), sigma, run, plan.roots[:, p, j],
+                                     plan.columns[p][j])
+                del run
+                for i in plan.iterated:
+                    n = plan.counts[j, p, i]
+                    users = slice(plan.starts[j, p, i], plan.starts[j, p, i] + n)
+                    G, R = stacks[i, j]
+                    G[lo + a : lo + b, :n], R[lo + a : lo + b, :n, :n] = iterative.reduce_block(
+                        Projection(projection.estimates[..., users], projection.matched[:, users]))
+                for out, (_, _, _, rx, users) in zip(outputs, plan.groups):
+                    out[a:b] = receive(projection, users[j][p], rx[j], p)
+                # with several metric BSs, each projection is freed only as
+                # the next BS's replaces it, so the heap does not shrink to
+                # the system and regrow, page fault by page fault, at every
+                # BS; with one, as soon as it is read
+                if J == 1:
+                    projection = None
+            z = np.swapaxes(columns[:B], 1, 2)
+            gain[lo : lo + B, j] = np.vecdot(z, z).real / M
+            for out, (tag, n, entries, _, _), (energies, wrong) in zip(outputs, plan.groups,
+                                                                      scores):
+                x_tilde = out[:B].reshape(B, len(entries), K, n)
+                data, bits = (held if held is None else held[at[tag]] for held in sent[tag])
                 # every entry of the group is scored against the same payloads
-                energies[t, 0, j], energies[t, 1, j] = signal_residual_power(
-                    x_tilde, data[at, j, :, data.shape[-1] - n :], gain[t, j])
+                signal, residual = signal_residual_power(
+                    x_tilde, data[:, np.newaxis, j, :, data.shape[-1] - n :],
+                    gain[lo : lo + B, np.newaxis, j])
+                energies[lo : lo + B, 0, j] = signal
+                energies[lo : lo + B, 1, j] = residual
                 if qam:
-                    wrong += np.sum(waveform.demap(x_tilde, P).reshape(len(entries), -1)
-                                    != bits[at, j, :, bits.shape[-1] - n_bits * n :].reshape(-1),
-                                    axis=1)
-    del frame_buffer, frames, columns
-    sig_res = np.empty((T, n_schemes + len(iterated), 2, J, K))
-    errs = np.zeros((n_schemes + len(iterated), 2), dtype=np.int64)
-    for _, n, entries, _, _, energies, wrong in groups:
+                    wrong += np.sum(waveform.demap(x_tilde, P).reshape(B, len(entries), -1)
+                                    != bits[:, np.newaxis, j, :, bits.shape[-1] - n_bits * n :]
+                                    .reshape(B, 1, -1), axis=(0, 2))
+        del frames
+    del buffer, outputs, columns, projection
+    sig_res = np.empty((T, n_schemes + len(plan.iterated), 2, J, K))
+    errs = np.zeros((n_schemes + len(plan.iterated), 2), dtype=np.int64)
+    for (_, n, entries, _, _), (energies, wrong) in zip(plan.groups, scores):
         sig_res[:, entries] = np.moveaxis(energies, 3, 1)
         if qam:
             errs[entries, 0] = wrong
@@ -463,14 +587,18 @@ def _run_trials(bench: _Bench, trials: list):
     # placement's profile row, or under one layout's for a batch of one
     # placement
     layouts = placements[0] if np.all(placements == placements[0]) else placements
-    for m, i in enumerate(iterated, n_schemes):
-        s, n = schemes[i], lengths[i]
+    for m, i in enumerate(plan.iterated, n_schemes):
+        s, n = schemes[i], plan.lengths[i]
         data, bits = sent[s.tag]
         pilots = s.book.sp_columns(slice(None))
         for j, profile in enumerate(s.iterated[1]):
+            G, R = stacks.pop((i, j))
+            kept = plan.counts[j, placements, i]
             # the stacks are freed as the pass returns
-            x_tilde = iterative.iterative_estimate(*stacks.pop((i, j)), pilots,
-                                                   profile.layout(layouts), cells[j])
+            x_tilde = iterative.iterative_estimate(
+                [G[t, :k] for t, k in enumerate(kept)], [R[t, :k, :k] for t, k in enumerate(kept)],
+                pilots, profile.layout(layouts), cells[j])
+            del G, R
             sig_res[:, m, 0, j], sig_res[:, m, 1, j] = signal_residual_power(
                 x_tilde, data[:, j, :, data.shape[-1] - n :], gain[:, j])
             if qam:
@@ -479,33 +607,39 @@ def _run_trials(bench: _Bench, trials: list):
 
 
 def _trial_bytes(bench: _Bench) -> int:
-    """Bytes one trial adds to a batch of _run_trials; none of them grow with M.
+    """Bytes one trial adds to a chunk of _run_trials; none of them grow with M.
 
-    A trial's payloads, frames, draws and projections are freed before the
-    next trial's are made, and none of them grows with M either: the draw at
-    a metric BS is the (r, d) factor of sysmodel.draw_channels, r = min(M,
-    d) and d = L*K + C_u, so at most d * d complex numbers (135 x 135, 285
-    KiB, for sinr_vs_m at M = 200).  Each trial keeps its energies and its
-    metric users' channel gains; for each tag of an entry that iterates, its
-    cells' payloads and bits at every metric BS, once however many entries
-    carry the tag; and for each entry that iterates and metric BS what the
-    pass reads: the reduce_block G and R over the n users the estimator
-    keeps, at most the largest such set over the bench's placements.  The
-    pass adds at most five (n, C_u) working arrays (G's basis rows and the
-    users' pilot rows among them), its outputs, and the demapped copy of
-    the bits.  A payload is counted at C_u symbols, its longest.
+    A trial keeps, from its sub-batch's stacked stages to the iterative
+    pass, its energies and its metric users' channel gains; for each tag of
+    an entry that iterates, its cells' payloads and bits at every metric BS,
+    once however many entries carry the tag; and for each entry that
+    iterates and metric BS what the pass reads: the reduce_block G and R
+    over the n users the estimator keeps, at most the largest such set over
+    the bench's placements.  The pass adds at most five (n, C_u) working
+    arrays (G's basis rows and the users' pilot rows among them), its
+    outputs, and the demapped copy of the bits.  A payload is counted at
+    C_u symbols, its longest.  What a trial holds only while its sub-batch
+    is in the stacked stages (its payload draw, frame matrices and
+    projections, _Plan.staged_bytes) is freed before the pass and not
+    counted here: _run_trials sizes its sub-batches by it, beside one
+    trial's draw at one BS (_Plan.draw_bytes).  None of it grows with M
+    either: that draw is the (r, d) factor of sysmodel.draw_channels, r =
+    min(M, d) and d = L*K + C_u.
     """
-    cfg = bench.config
-    K, C_u, J, payloads = cfg.K, cfg.C_u, len(bench.streams), cfg.K * cfg.C_u
-    per_payload = 16 * payloads + waveform.bits_per_symbol(cfg.P) * payloads
-    total = 8 * J * K * (2 * len(_methods(bench)) + 1)
-    total += J * per_payload * len({s.tag for s in bench.schemes if s.iterated})
-    for s in bench.schemes:
-        for j, profile in enumerate(s.iterated[1] if s.iterated else ()):
-            n = max(iterative.reduced_users(profile.layout(p), j * K + np.arange(K)).size
-                    for p in range(profile.order.shape[0]))
-            total += 16 * (n * (C_u + n) + 5 * n * C_u) + per_payload
-    return total
+    return bench.plan.held_bytes + bench.plan.pass_bytes
+
+
+def _runs(n: int, most: int) -> list:
+    """(lo, hi) of the fewest runs of at most `most` of n items, in order.
+
+    Their lengths differ by one at most, the longer first, so the arrays
+    of the runs of a batch have one or two sizes and each run reuses the
+    heap the one before it freed.
+    """
+    count = -(-n // most)
+    size, longer = divmod(n, count)
+    edges = [k * size + min(k, longer) for k in range(count + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def _sum_trials(bench: _Bench, trials: list):
@@ -516,10 +650,9 @@ def _sum_trials(bench: _Bench, trials: list):
     trial order, so the totals do not depend on the chunk size.  Returns
     ((methods, 2, J, K), (methods, 2)), as _run_trials.
     """
-    step = max(1, _CHUNK_BYTES // _trial_bytes(bench))
     sig_total = err_total = 0  # the first trial's arrays, as 0 + x == x
-    for lo in range(0, len(trials), step):
-        sig_res, errs = _run_trials(bench, trials[lo : lo + step])
+    for lo, hi in _runs(len(trials), max(1, _CHUNK_BYTES // _trial_bytes(bench))):
+        sig_res, errs = _run_trials(bench, trials[lo:hi])
         for one in sig_res:
             sig_total += one
         err_total += errs

@@ -12,6 +12,7 @@ matrix (draw_channels), not as M-row matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -360,11 +361,19 @@ def draw_channels(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     R = np.zeros((r, d), dtype=complex)
     diagonal = np.arange(r)
     R[diagonal, diagonal] = np.sqrt(rng.gamma(config.M - diagonal))
-    above = ~np.tri(r, d, dtype=bool)
-    draws = rng.standard_normal(2 * np.count_nonzero(above)).view(complex)
+    above = _above_diagonal(r, d)
+    draws = rng.standard_normal(2 * above.size).view(complex)
     draws *= math.sqrt(0.5)
-    R[above] = draws
+    R.reshape(-1)[above] = draws
     return R
+
+
+@functools.cache
+def _above_diagonal(r: int, d: int) -> np.ndarray:
+    """Flat indices of the entries above the diagonal of an (r, d) array, row-major; read-only."""
+    above = np.flatnonzero(~np.tri(r, d, dtype=bool))
+    above.flags.writeable = False
+    return above
 
 
 def received_sir(beta: PathLossMap, omega: float, j: int) -> float:

@@ -96,12 +96,19 @@ class PilotBook:
         return n
 
 
+@functools.cache
 def dft_matrix(n: int) -> np.ndarray:
-    """Unnormalized DFT matrix: unit-modulus entries, F^H F = n I."""
+    """Unnormalized DFT matrix: unit-modulus entries, F^H F = n I.
+
+    Built once per size and read-only, so every pilot book of that size
+    shares it.
+    """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
     idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n)
+    F = np.exp(-2j * np.pi * np.outer(idx, idx) / n)
+    F.flags.writeable = False
+    return F
 
 
 def make_pilot_books(
@@ -277,51 +284,64 @@ def assemble_frames(
     least PilotBook.payload_length long; each user sends the trailing
     payload_length symbols of its row.  Row l*K + k of S is an SP frame
     where partition.sp is True, else a TP frame (see the module docstring).
-    A mask of another shape than (L, K), or too few rows or symbols, raises
-    ValueError.
+    A stack of draws (..., L*K, n) gives a stack of frames (..., L*K, C_u),
+    each as its draw alone would.  A mask of another shape than (L, K), or
+    too few rows or symbols, raises ValueError.
     """
     L, K, C_u, tau = config.L, config.K, config.C_u, config.tau
     if partition.sp.shape != (L, K):
         raise ValueError(f"a {partition.sp.shape} partition for a system of ({L}, {K}) users")
     payload_len = pilot_book.payload_length(partition, C_u)
-    if data.shape[0] != L * K or data.shape[1] < payload_len:
+    if data.ndim < 2 or data.shape[-2] != L * K or data.shape[-1] < payload_len:
         raise ValueError(f"payloads of shape {data.shape} for {L * K} users of "
                          f"{payload_len} symbols")
-    data = data[:, data.shape[1] - payload_len :]
+    data = data[..., data.shape[-1] - payload_len :]
     sp = partition.sp.reshape(-1)
     tp = ~sp
 
-    S = np.zeros((L * K, C_u), dtype=complex)
+    S = np.zeros((*data.shape[:-1], C_u), dtype=complex)
     # every row's payload, then the TP pilots; the SP rows are overwritten
-    S[:, C_u - payload_len :] = data
+    S[..., C_u - payload_len :] = data
     if tp.any():
         columns = pilot_book.tp_assignment.reshape(-1)[tp]
-        S[tp, :tau] = pilot_book.tp_matrix[:, columns].T
+        S[..., tp, :tau] = pilot_book.tp_matrix[:, columns].T
     if sp.any():
-        # rho_d * data + rho_p * pilot, with one temporary besides the gather
+        # rho_d * data + rho_p * pilot on the SP rows, in place, run by run of
+        # consecutive SP rows
         pilots = pilot_book.sp_columns(sp).T
         pilots *= power.rho_p
-        pilots += power.rho_d * data[sp]
-        S[sp, C_u - payload_len :] = pilots
+        edges = [0, *(np.flatnonzero(sp[1:] != sp[:-1]) + 1).tolist(), sp.size]
+        at = 0
+        for lo, hi in zip(edges, edges[1:]):
+            if sp[lo]:
+                rows = S[..., lo:hi, C_u - payload_len :]
+                rows *= power.rho_d
+                rows += pilots[at : at + hi - lo]
+                at += hi - lo
     return S
 
 
-def _draw_payloads(n_users: int, n: int, P: int, data_dist: str, rng: np.random.Generator):
+def _draw_payloads(n_users: int, n: int, P: int, data_dist: str, rng):
     """n_users x n payload symbols, drawn user by user from one stream, and their bits.
 
     data_dist is "qam" (unit-power P-QAM) or "gaussian" (unit-variance
     complex normal).  The bits are n_users rows of n * bits_per_symbol(P),
     symbol i's bits at columns i * bits_per_symbol(P) on, or None for
     Gaussian payloads.  So the trailing m symbols of a row carry its
-    trailing m * bits_per_symbol(P) bits.
+    trailing m * bits_per_symbol(P) bits.  rng is one Generator, or a
+    sequence of them for a stack of draws, (len(rng), n_users, n), each the
+    draw of its Generator alone.
     """
+    if isinstance(rng, np.random.Generator):
+        data, bits = _draw_payloads(n_users, n, P, data_dist, [rng])
+        return data[0], None if bits is None else bits[0]
     if data_dist == "qam":
-        bits = _draw_bits(n_users, n * bits_per_symbol(P), rng)
-        return modulate(bits, P).reshape(n_users, n), bits
+        bits = np.stack([_draw_bits(n_users, n * bits_per_symbol(P), one) for one in rng])
+        return modulate(bits, P).reshape(len(rng), n_users, n), bits
     if data_dist == "gaussian":
         # same stream as per-user real then imaginary draws
-        z = rng.standard_normal((n_users, 2, n))
-        return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0), None
+        z = np.stack([one.standard_normal((n_users, 2, n)) for one in rng])
+        return (z[:, :, 0] + 1j * z[:, :, 1]) / math.sqrt(2.0), None
     raise ValueError(f"unknown data distribution {data_dist!r}")
 
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from supmimo.estimators import Projection, estimator_columns, project, receive, receiver
 from supmimo.hybrid import Partition, all_sp, all_tp
 from supmimo.rng import substream
-from supmimo.sysmodel import PowerAllocation, SystemConfig
+from supmimo.sysmodel import PowerAllocation, SystemConfig, draw_channels
 from supmimo.waveform import (
     PilotBook,
     _draw_payloads,
@@ -367,6 +368,45 @@ def test_schemes_that_send_one_frame_matrix_share_its_products():
         np.testing.assert_allclose(projection.matched[users], np.conj(estimates).T @ Y,
                                    rtol=1e-11)
     assert lo == projection.matched.shape[0] == 2 * K + K + 3
+
+
+def test_a_stack_of_trials_projects_each_as_it_would_alone():
+    # four schemes over two frame matrices, each sent by two schemes that
+    # are not adjacent, in three trials: every trial's estimates and matched
+    # filters have the bits of its own one-trial projection, and project
+    # draws each trial's factor only once the one before it is released
+    L, K = 7, 2
+    cfg = make_config(L=L, K=K, M=24, C_u=16)
+    powers = PowerAllocation(0.4, 0.6)
+    book = make_pilot_books(cfg)
+    tp, sp = all_tp(L, K), all_sp(L, K)
+    E_tp = estimator_columns(book, tp, powers, np.arange(K), cfg.C_u)
+    columns = [E_tp, estimator_columns(book, sp, powers, np.arange(K), cfg.C_u), E_tp,
+               estimator_columns(book, sp, powers, np.arange(3), cfg.C_u)]
+    roots = np.sqrt(substream(18, "gains").uniform(0.1, 1.0, (4, L * K)))
+    sigma = math.sqrt(cfg.sigma2)
+    S_tp, S_sp = (np.stack([draw_frames(cfg, book, powers, substream(18, "f", i, t), part).S
+                            for t in range(3)]) for i, part in enumerate((tp, sp)))
+    made = []
+
+    def factors():
+        for t in range(3):
+            assert all(factor() is None for factor in made)
+            factor = draw_channels(cfg, substream(18, "h", t))
+            made.append(weakref.ref(factor))
+            yield factor
+            del factor
+
+    stack = project(factors(), sigma, [S_tp, S_sp, S_tp, S_sp], roots, columns)
+    assert len(made) == 3
+    assert stack.estimates.shape == (3, cfg.M, 3 * K + 3)
+    assert stack.matched.shape == (3, 3 * K + 3, cfg.C_u)
+    for t in range(3):
+        S = (S_tp[t], S_sp[t])
+        alone = project(draw_channels(cfg, substream(18, "h", t)), sigma,
+                        [S[0], S[1], S[0], S[1]], roots, columns)
+        assert np.array_equal(stack.estimates[t], alone.estimates)
+        assert np.array_equal(stack.matched[t], alone.matched)
 
 
 def test_a_factor_with_fewer_rows_than_m_receives_as_its_block():

@@ -2,8 +2,12 @@
 
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,17 +161,42 @@ def placements(bench):
     return bench.schemes[0].gains.shape[0]
 
 
-def test_a_batch_of_trials_equals_one_trial_batches(bench):
+def sub_batch_sizes(monkeypatch, bench, T, most):
+    """Set the budget so that a chunk of T trials stacks at most `most` of
+    them at a time; returns the list each payload draw's trial count goes to."""
+    plan = bench.plan
+    monkeypatch.setattr(simharness, "_CHUNK_BYTES",
+                        T * plan.held_bytes + plan.draw_bytes + most * plan.staged_bytes)
+    sizes, draw = [], waveform._draw_payloads
+
+    def spy(n_users, n, P, data_dist, rngs):
+        sizes.append(len(rngs))
+        return draw(n_users, n, P, data_dist, rngs)
+
+    monkeypatch.setattr(simharness.waveform, "_draw_payloads", spy)
+    return sizes
+
+
+def test_a_batch_of_trials_equals_one_trial_batches(any_bench, monkeypatch):
+    # 7 trials in sub-batches of 3, 2 and 2: every stacked stage gives each
+    # trial the bits it has alone, on several placements too
+    b, T = any_bench, 7
     with simharness._one_blas_thread():
-        sig_res, errs = simharness._run_trials(bench, trials(5))
-        singles = [simharness._run_trials(bench, [trial]) for trial in trials(5)]
-    assert sig_res.shape == (5, 3, 2, 1, bench.config.K)
+        singles = [simharness._run_trials(b, [trial]) for trial in trials(T, placements(b))]
+        sizes = sub_batch_sizes(monkeypatch, b, T, 3)
+        sig_res, errs = simharness._run_trials(b, trials(T, placements(b)))
+    # one payload draw per tag and sub-batch
+    assert sizes == [n for n in (3, 2, 2) for _ in {s.tag for s in b.schemes}]
+    cfg, J = b.config, len(b.streams)
+    assert sig_res.shape == (T, len(simharness._methods(b)), 2, J, cfg.K)
     assert np.array_equal(sig_res, np.concatenate([one for one, _ in singles]))
     assert np.array_equal(errs, sum(e for _, e in singles))
-    cfg = bench.config
-    bits = 5 * cfg.K * 2  # trials x users x bits per QPSK symbol
     assert np.all(sig_res > 0)
-    assert errs[:, 1].tolist() == [bits * (cfg.C_u - cfg.tau), bits * cfg.C_u, bits * cfg.C_u]
+    bits = T * J * cfg.K * waveform.bits_per_symbol(cfg.P)  # trials x users x bits per symbol
+    if b.data_dist == "qam":
+        assert errs[:, 1].tolist() == [bits * n for _, _, n in simharness._methods(b)]
+    else:
+        assert not errs.any()
 
 
 def synthesis_calls(monkeypatch):
@@ -499,9 +528,9 @@ def grouped_receives(monkeypatch, J):
     calls, state = [], {"bs": -1}
     real_project, real_receive = simharness.project, simharness.receive
 
-    def project_spy(factor, sigma, frames, roots, columns):
+    def project_spy(factors, sigma, frames, roots, columns):
         state["bs"] = (state["bs"] + 1) % J
-        state["projection"], state["columns"] = real_project(factor, sigma, frames, roots,
+        state["projection"], state["columns"] = real_project(factors, sigma, frames, roots,
                                                              columns), columns
         return state["projection"]
 
@@ -521,9 +550,10 @@ def grouped_receives(monkeypatch, J):
 def test_the_grouped_pass_receives_each_entry_as_its_projection_alone(bench, monkeypatch,
                                                                        which):
     # the sum-rate entries of one payload length are received in one pass
-    # per trial and BS, the 850 m hybrid with both kinds of user among them;
-    # the reference bench's iterated entry is received from cell j's users
-    # among those its estimator keeps
+    # per sub-batch and BS, the 850 m hybrid with both kinds of user among
+    # them; the reference bench's iterated entry is received from cell j's
+    # users among those its estimator keeps.  Each trial of the stack is
+    # received as its own projection alone.
     b = bench if which == "reference" else sum_rate_bench(int(which[-1]))
     cfg, K, J = b.config, b.config.K, len(b.streams)
     if which != "reference":
@@ -531,30 +561,40 @@ def test_the_grouped_pass_receives_each_entry_as_its_projection_alone(bench, mon
         assert hybrid.any() and not hybrid.all()
     calls = grouped_receives(monkeypatch, J)
     with simharness._one_blas_thread():
-        simharness._run_trials(b, trials(2))
-    # the entries of one (tag, payload length) share a pass
+        sizes = sub_batch_sizes(monkeypatch, b, 3, 2)
+        simharness._run_trials(b, trials(3))
+    # the entries of one (tag, payload length) share a pass, per sub-batch of
+    # 2 and 1 trials
     groups = {}
     for i, s in enumerate(b.schemes):
         groups.setdefault((s.tag, s.book.payload_length(s.partition, cfg.C_u)), []).append(i)
+    assert sorted(set(sizes)) == [1, 2]
     assert len(groups) == 2 and len(calls) == 2 * J * len(groups)
+    assert [len(x_tilde) for *_, x_tilde in calls] == [2] * (J * len(groups)) + [1] * (
+        J * len(groups))
     for c, (projection, columns, j, users, p, x_tilde) in enumerate(calls):
         (_tag, n), entries = list(groups.items())[c % len(groups)]
-        assert x_tilde.shape == (len(entries) * K, n)
+        assert x_tilde.shape == (len(x_tilde), len(entries) * K, n)
         bounds = np.cumsum([0] + [E.shape[1] for E in columns])
         for e, i in enumerate(entries):
             s, lo, hi = b.schemes[i], bounds[i], bounds[i + 1]
-            alone = Projection(projection.estimates[:, lo:hi], projection.matched[lo:hi])
             rows = users[e * K : (e + 1) * K] - lo
             assert np.all((rows >= 0) & (rows < hi - lo))
             rx = receiver([(s.book, s.partition, j, s.gains[:, j, j])], b.powers, cfg)
-            assert np.array_equal(x_tilde[e * K : (e + 1) * K], receive(alone, rows, rx, p))
+            for t in range(len(x_tilde)):
+                alone = Projection(projection.estimates[t, :, lo:hi],
+                                   projection.matched[t, lo:hi])
+                assert np.array_equal(x_tilde[t, e * K : (e + 1) * K],
+                                      receive(alone, rows, rx, p))
 
 
 @pytest.mark.parametrize("radii", [1, 2, 4])
 def test_a_sum_rate_trial_makes_one_payload_draw(monkeypatch, radii):
     # however many entries: one draw per trial, as long as the longest
-    # payload (all-SP's C_u on the full-length book), and one frame matrix
-    # per (book, Partition): all-TP, all-SP and each radius's hybrid
+    # payload (all-SP's C_u on the full-length book), drawn from the trial's
+    # own stream as part of its sub-batch's stack, and one frame matrix per
+    # (book, Partition) and trial: all-TP, all-SP and each radius's hybrid,
+    # assembled from that stack
     b = sum_rate_bench(5, RunOptions().radii_m[:radii])
     cfg, K, N = b.config, b.config.K, b.config.L * b.config.K
     assert len(b.schemes) == 3 * radii and {s.tag for s in b.schemes} == {"common"}
@@ -572,13 +612,19 @@ def test_a_sum_rate_trial_makes_one_payload_draw(monkeypatch, radii):
     monkeypatch.setattr(simharness.waveform, "_draw_payloads", draw_spy)
     monkeypatch.setattr(simharness.waveform, "assemble_frames", assemble_spy)
     with simharness._one_blas_thread():
+        sub_sizes = sub_batch_sizes(monkeypatch, b, 3, 2)
         sig_res, _errs = simharness._run_trials(b, trials(3))
-    assert [args[:2] for args, _ in draws] == [(N, cfg.C_u)] * 3
-    assert len(made) == 3 * (2 + radii)
+    assert sub_sizes == [2, 1]
+    assert [args[:2] for args, _ in draws] == [(N, cfg.C_u)] * 2
+    assert len(made) == 2 * (2 + radii)
+    data = np.concatenate([one for _, (one, _) in draws])
+    assert data.shape == (3, N, cfg.C_u) and all(bits is None for _, (_, bits) in draws)
+    for k, (_, (stack, _)) in enumerate(draws):
+        assert all(one is stack for one in made[k * (2 + radii) : (k + 1) * (2 + radii)])
     for t, (_p, key) in enumerate(trials(3)):
-        data, bits = draws[t][1]
-        assert bits is None
-        assert all(one is data for one in made[t * (2 + radii) : (t + 1) * (2 + radii)])
+        # the trial's rows of the stack are its own stream's draw
+        alone, _ = draw(N, cfg.C_u, cfg.P, "gaussian", substream(*key, "common-frames"))
+        assert np.array_equal(data[t], alone)
         # each entry is scored on the trailing symbols of that draw that its
         # payload length asks for: 35 for all-TP and hybrid, 40 for all-SP
         for j in range(len(b.streams)):
@@ -589,7 +635,7 @@ def test_a_sum_rate_trial_makes_one_payload_draw(monkeypatch, radii):
                 n = s.book.payload_length(s.partition, cfg.C_u)
                 assert n == (cfg.C_u if s.method == simharness.ALL_SP_METHOD
                              else cfg.C_u - cfg.tau)
-                signal = gain[:, np.newaxis] * data[j * K : (j + 1) * K, cfg.C_u - n :]
+                signal = gain[:, np.newaxis] * data[t, j * K : (j + 1) * K, cfg.C_u - n :]
                 assert np.array_equal(sig_res[t, i, 0, j], np.vecdot(signal, signal).real)
 
 
@@ -700,7 +746,9 @@ def test_a_chunk_holds_at_least_one_trial(any_bench, monkeypatch):
 # noise instead of their 200 x 135 entries, it peaked at 731,979 (706,599
 # with numpy 2.4.6).  Drawing one payload per tag and trial, receiving each
 # trial's cells in one grouped pass, and freeing each projection only as the
-# next replaces it, it peaks at 774,192.
+# next replaces it, it peaks at 774,192.  Stacking its 4 trials in two
+# sub-batches of 2, beside what they keep for the pass and one draw, it
+# peaks at 1,183,802.
 PEAK_BOUND_BYTES = 1_775_000
 
 
@@ -732,9 +780,12 @@ def test_two_trials_fit_a_batch_at_m_200_within_the_earlier_peak(monkeypatch):
 # 1,119,068 bytes.  Projected into one array of both entries' matched rows,
 # whose iterated rows the trial copies out as G, received in one grouped
 # pass per payload length, and each projection freed only as the next
-# replaces it, they peak at 1,226,781: within the chunk budget they were
-# sized for.
-BER_PEAK_BOUND_BYTES = simharness._CHUNK_BYTES
+# replaces it, they peaked at 1,226,781: within the 1,310,720-byte chunk
+# budget they were sized for.  The bound stays that figure whatever the
+# budget.  Stacked in five sub-batches of 2 under a budget of 1,572,864
+# bytes, which counts one draw and the sub-batch's stacked stages beside
+# the trials' pass inputs, they peak at 1,305,404.
+BER_PEAK_BOUND_BYTES = 1_310_720
 
 
 def test_ber_vs_k_runs_its_ten_placements_in_one_chunk(monkeypatch):
@@ -768,7 +819,9 @@ def test_ber_vs_k_runs_its_ten_placements_in_one_chunk(monkeypatch):
 # BS's fading and noise instead of their 200 x 135 entries, it peaked at
 # 1,899,328.  On one payload draw per trial for all 12 schemes, six frame
 # matrices (one per book and Partition) in one buffer, and one grouped
-# receive per payload length, it peaks at 1,647,607.
+# receive per payload length, it peaked at 1,647,607.  Through the stacked
+# kernel, one trial per sub-batch, with no estimate copied and the
+# projection's scalings on contiguous complex arrays, it peaks at 1,415,744.
 SUM_RATE_PEAK_BOUND_BYTES = 2_722_000
 
 
@@ -789,6 +842,55 @@ def test_four_radii_fit_within_the_earlier_peak_of_one(monkeypatch):
             tracemalloc.stop()
     assert sizes == [8]
     assert peak < SUM_RATE_PEAK_BOUND_BYTES
+
+
+# Minor page faults per repetition of sinr_vs_m and sum_rate_vs_sir at the
+# bench's settings (20 and 8 trials, seed 5), in a fresh process after two
+# warm-up repetitions (numpy 2.4.6, glibc malloc, one BLAS thread).  When a
+# change of per-BS array sizes let the allocator trim the heap after every
+# BS, a sum_rate_vs_sir repetition faulted 10,309 times.  Before the kernel
+# stacked its trials, the two faulted 339 to 637 and 203 to 350 times, over
+# several processes; stacked, 4 to 5 and 146 to 235.
+MINOR_FAULT_BOUND = 3_000
+
+FAULT_COUNT = """
+import resource, sys
+from supmimo import cli
+from supmimo.simharness import run_experiment
+for path in sys.argv[1:]:
+    spec = cli.parse_config(path)
+    faults = []
+    for rep in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_experiment(spec.config, spec.experiment, spec.options)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(spec.experiment, max(faults[2:]))
+"""
+
+
+def test_a_repetition_does_not_regrow_the_heap(tmp_path):
+    pytest.importorskip("resource")
+    specs = []
+    for experiment, trials in (("sinr_vs_m", 20), ("sum_rate_vs_sir", 8)):
+        specs.append(tmp_path / f"{experiment}.yaml")
+        specs[-1].write_text(f"experiment: {experiment}\noverrides:\n  trials: {trials}\n"
+                             "  seed: 5\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(simharness.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", FAULT_COUNT, *map(str, specs)], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    faults = dict(line.split() for line in done.stdout.splitlines())
+    assert set(faults) == {"sinr_vs_m", "sum_rate_vs_sir"}
+    assert all(int(count) < MINOR_FAULT_BOUND for count in faults.values()), faults
+
+
+@pytest.mark.parametrize("n, most", [(5, 2), (5, 3), (20, 17), (10, 3), (1, 4), (7, 7)])
+def test_runs_are_the_fewest_of_near_equal_length_longest_first(n, most):
+    runs = simharness._runs(n, most)
+    lengths = [hi - lo for lo, hi in runs]
+    assert runs[0][0] == 0 and runs[-1][1] == n
+    assert all(one[1] == other[0] for one, other in zip(runs, runs[1:]))
+    assert len(runs) == -(-n // most) and max(lengths) <= most
+    assert lengths == sorted(lengths, reverse=True) and lengths[0] - lengths[-1] <= 1
 
 
 # a value other than the default for each option an experiment may not read

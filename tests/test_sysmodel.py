@@ -405,6 +405,32 @@ class TestChannels:
         # 20,000 unit entries of X behind them: a relative standard error of 0.7 %
         assert np.sum(np.abs(W) ** 2) / (cfg.M * cfg.C_u) == pytest.approx(cfg.sigma2, rel=0.03)
 
+    @pytest.mark.parametrize("L, K, M", [(7, 5, 50), (7, 5, 200), (7, 1, 60)],
+                             ids=["r<d", "M>=d", "K=1"])
+    def test_the_entries_above_the_diagonal_fill_as_the_boolean_mask_did(self, L, K, M):
+        # the factor as it was built before its flat index was cached: the
+        # same bits, and the generator left in the same state, twice over
+        def by_mask(config, rng):
+            d = config.L * config.K + config.C_u
+            r = min(config.M, d)
+            R = np.zeros((r, d), dtype=complex)
+            diagonal = np.arange(r)
+            R[diagonal, diagonal] = np.sqrt(rng.gamma(config.M - diagonal))
+            above = ~np.tri(r, d, dtype=bool)
+            draws = rng.standard_normal(2 * np.count_nonzero(above)).view(complex)
+            draws *= math.sqrt(0.5)
+            R[above] = draws
+            return R
+
+        cfg = fading_config(L=L, K=K, M=M)
+        d = L * K + cfg.C_u
+        for t in range(2):
+            ours, mask = substream(8, "fill", M, t), substream(8, "fill", M, t)
+            R = draw_channels(cfg, ours)
+            assert R.shape == (min(M, d), d)
+            assert np.array_equal(R.view(np.int64), by_mask(cfg, mask).view(np.int64))
+            assert ours.bit_generator.state == mask.bit_generator.state
+
     def test_determinism(self):
         a = draw_channels(fading_config(K=3, M=8), substream(9, "h"))
         b = draw_channels(fading_config(K=3, M=8), substream(9, "h"))

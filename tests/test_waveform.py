@@ -262,6 +262,29 @@ class TestFrames:
         assert np.all(S[sp, : cfg.C_u - length] == 0)
         assert np.all(S[~sp, cfg.tau : cfg.C_u - length] == 0)
 
+    @pytest.mark.parametrize("name", PARTITIONS)
+    @pytest.mark.parametrize("data_dist", ["qam", "gaussian"])
+    def test_a_stack_of_draws_gives_each_draws_frames(self, name, data_dist):
+        # three trials' payloads drawn and assembled as stacks: each slice is
+        # the draw of its generator alone, which ends in the same state, and
+        # its frames are those of that draw (the hybrid's SP rows come in
+        # several runs)
+        cfg = make_config()
+        part = PARTITIONS[name]
+        book = make_pilot_books(cfg, partition=part if name == "hybrid" else None)
+        rngs = [substream(9, "stack", t) for t in range(3)]
+        data, bits = _draw_payloads(35, cfg.C_u, cfg.P, data_dist, rngs)
+        S = assemble_frames(cfg, book, HALF, data, part)
+        assert data.shape == S.shape == (3, 35, cfg.C_u)
+        assert (bits is None) == (data_dist == "gaussian")
+        for t, rng in enumerate(rngs):
+            alone = substream(9, "stack", t)
+            one, one_bits = _draw_payloads(35, cfg.C_u, cfg.P, data_dist, alone)
+            assert rng.bit_generator.state == alone.bit_generator.state
+            assert np.array_equal(data[t], one)
+            assert bits is None or np.array_equal(bits[t], one_bits)
+            assert np.array_equal(S[t], assemble_frames(cfg, book, HALF, one, part))
+
     def test_bad_arguments(self):
         cfg = make_config()
         book = make_pilot_books(cfg)
