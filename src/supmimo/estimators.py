@@ -11,8 +11,9 @@ is conj(h_hat) Y.  So a receiver reads Y only through its users' estimator
 columns E: the estimates Y E and their matched filters conj(Y E)^T Y, a
 Projection.  project makes one projection of every scheme's users at one BS
 from the draws they share, without forming any M x C_u block, and from
-their triangular factor, without any M-row array.  Schemes that send one
-frame matrix share its products.
+their triangular factor, without any M-row array.  The caller passes each
+frame matrix once and each scheme's index into them, and the schemes that
+send one frame matrix share its products.
 
 receive is the one receiver of every pilot scheme, and it receives any run
 of projected users of one payload length at once, whatever schemes and
@@ -115,26 +116,29 @@ def estimator_columns(
 def project(
     factors,
     sigma: float,
-    frames,
+    frames: np.ndarray,
+    sends,
     roots,
     columns: list,
 ) -> Projection:
     """One Projection of every scheme's users at one BS per trial, from the draws they share.
 
-    Scheme i would receive Y_i = Z (roots[i] * frames[i][b]) + W in trial b:
-    Z (M, N) is the unit-variance fading and W (M, C_u) the noise at the
-    BS, frames[i] (B, N, C_u) the scheme's frame rows in each of B trials,
-    and roots[i] (N,) the square roots of its users' gains there.  factors
-    yields each trial's X = [Z, W / sigma], or any F with F^H F = X^H X,
-    such as sysmodel.draw_channels's triangular factor R = Q^H X; it is
-    consumed one factor at a time, so the caller can draw each as it is
-    read.  A projection reads X only through such inner products, so it
-    comes out rotated by Q^H, with as many rows as factor has, and every
-    norm and inner product the receivers take is the same.  columns[i]
-    (C_u, n_i) are the estimator columns of the users scheme i scores; the
-    projection's estimate columns and matched rows are theirs, scheme by
-    scheme in order, behind a leading trial axis.  Given one trial's factor
-    and (N, C_u) frames instead, the projection has no trial axis.
+    Scheme i would receive Y_i = Z (roots[i] * S_i[b]) + W in trial b: Z
+    (M, N) is the unit-variance fading and W (M, C_u) the noise at the BS,
+    S_i = frames[sends[i]] the scheme's (B, N, C_u) frame rows in each of B
+    trials, and roots[i] (N,) the square roots of its users' gains there.
+    frames (F, B, N, C_u) holds the F frame matrices the schemes send, and
+    sends[i] indexes scheme i's, so schemes that send one frame matrix pass
+    one index.  factors yields each trial's X = [Z, W / sigma], or any F
+    with F^H F = X^H X, such as sysmodel.draw_channels's triangular factor
+    R = Q^H X; it is consumed one factor at a time, so the caller can draw
+    each as it is read.  A projection reads X only through such inner
+    products, so it comes out rotated by Q^H, with as many rows as factor
+    has, and every norm and inner product the receivers take is the same.
+    columns[i] (C_u, n_i) are the estimator columns of the users scheme i
+    scores; the projection's estimate columns and matched rows are theirs,
+    scheme by scheme in order, behind a leading trial axis.  One trial is a
+    stack of one.
 
     Per trial, one product, waveform.synthesize_received, makes every
     estimate, Y_i E_i = F [roots_i * (S_i E_i) ; sigma E_i], and one more
@@ -142,19 +146,13 @@ def project(
     its fading part, which meets roots_i * S_i, and its noise part, scaled
     by sigma.  The rest runs once for the B trials, as stacks of the
     per-trial products: S E once per (frame matrix, columns) pair, and the
-    fading part of the matched filters of the schemes that pass one frame
-    matrix object as one product with it.  sigma E is the same in every
-    trial.  No Y_i is formed.  A user's results are a column and a row of
-    products over all the users projected, so their last bits can depend
-    on which other users share the call, but not on the other trials.
+    fading part of the matched filters of the schemes that send one frame
+    matrix as one product with it.  sigma E is the same in every trial.  No
+    Y_i is formed.  A user's results are a column and a row of products
+    over all the users projected, so their last bits can depend on which
+    other users share the call, but not on the other trials.
     """
-    if frames[0].ndim == 2:
-        # one trial's factor and frames: a stack of one, without its axis
-        lifted = {id(S): S[np.newaxis] for S in frames}
-        estimates, matched = project([factors], sigma, [lifted[id(S)] for S in frames], roots,
-                                     columns)
-        return Projection(estimates[0], matched[0])
-    B, N = frames[0].shape[:2]
+    B, N = frames.shape[1:3]
     widths = [E.shape[1] for E in columns]
     bounds = [0, *itertools.accumulate(widths)]
     # each projected user's scheme's roots, as complex numbers, so that no
@@ -164,10 +162,10 @@ def project(
     # columns of the stack, then scaled by its roots at once
     stacked = np.empty((B, N + columns[0].shape[0], bounds[-1]), dtype=complex)
     products = {}
-    for S, E, lo, hi in zip(frames, columns, bounds, bounds[1:]):
-        if (id(S), id(E)) not in products:
-            products[id(S), id(E)] = S @ E
-        stacked[:, :N, lo:hi] = products[id(S), id(E)]
+    for f, E, lo, hi in zip(sends, columns, bounds, bounds[1:]):
+        if (f, id(E)) not in products:
+            products[f, id(E)] = frames[f] @ E
+        stacked[:, :N, lo:hi] = products[f, id(E)]
     del products
     stacked[:, :N] *= np.repeat(roots.T, widths, axis=1)
     noise = np.concatenate(columns, axis=1)
@@ -201,14 +199,14 @@ def project(
     fading *= np.repeat(roots, widths, axis=0)
     # one product per frame matrix, over the users of the schemes that send it
     users = {}
-    for S, lo, hi in zip(frames, bounds, bounds[1:]):
-        users.setdefault(id(S), (S, []))[1].append((lo, hi))
-    for S, spans in users.values():
+    for f, lo, hi in zip(sends, bounds, bounds[1:]):
+        users.setdefault(f, []).append((lo, hi))
+    for f, spans in users.items():
         if all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:])):
             rows = slice(spans[0][0], spans[-1][1])
         else:
             rows = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-        product = fading[:, rows] @ S
+        product = fading[:, rows] @ frames[f]
         # trial by trial, so each sum runs over contiguous blocks
         for b in range(B):
             matched[b, rows] += product[b]

@@ -11,28 +11,32 @@ reconstructed data contributions rho_d * h_hat * x_hat^T of a chosen
 feedback set: users already updated this sweep contribute
 current-iteration values, the rest the previous iteration's.  When the set
 is fixed, only its members are needed in every sweep.  The caller names
-the users it reads (report); those outside the set are estimated once, in
-the last sweep, against the set's values at that point, and a user in
-neither is neither reduced nor matched-filtered.  per_iteration may feed
-any user back, so it computes everyone.
+the users it reads (report) when it plans a layout's pass (plan_pass);
+those outside the set are estimated once, in the last sweep, against the
+set's values at that point, and a user in neither is neither reduced nor
+matched-filtered.  per_iteration may feed any user back, so it computes
+everyone.
 
 The sweeps never touch the M-antenna block.  Every estimate they make is a
 linear combination of the kept users' one-shot estimates h0_n = Y conj(p_n)
 / (C_u rho_p), so the estimator reads a block only through two arrays
 over the n kept users: G = conj(h0) Y (n x C_u), their matched-filter
 outputs, and R = conj(h0) h0^T (n x n).  The caller projects the block
-onto the kept users' estimator columns (estimators.project), which gives
-h0 and G without forming the block, and reduce_block adds R.  The
-estimator then carries each user as a row of coefficients over that basis;
-its matched-filter output is a combination of G's rows and its power a
-quadratic form in R.  A block's state is thus n (C_u + n) entries whatever
-M is, and a step's matched filter costs n C_u instead of M C_u, so a caller
-can reduce each Monte-Carlo trial as it is drawn and run the sweeps on many
-trials' (G, R) pairs at once, each trial under one layout's profile or its
-own row of a batch of layouts.  Blocks whose layouts give one schedule run
-as one stack.  A user with an empty feedback set gets the one-shot
-estimator's bits, and every computed user gets the bits it has alone,
-whatever else is reported or stacked.
+onto the estimator columns of the users the plan keeps
+(estimators.project), which gives h0 and G without forming the block, and
+reduce_block adds R.  The estimator then carries each user as a row of
+coefficients over that basis; its matched-filter output is a combination
+of G's rows and its power a quadratic form in R.  A block's state is thus
+n (C_u + n) entries whatever M is, and a step's matched filter costs n C_u
+instead of M C_u, so a caller can reduce each Monte-Carlo trial as it is
+drawn and run the sweeps on many trials' (G, R) pairs at once.  A pass is
+planned once per layout and report, and iterative_estimate reads each
+block's plan: the users it keeps, the reported rows among them, the
+schedule's key and the one-layout profile the plan was made for, which
+gives the block its gains.  It plans nothing itself, and blocks whose plans
+share a key run as one stack.  A user with an empty feedback set gets the
+one-shot estimator's bits, and every computed user gets the bits it has
+alone, whatever else is reported or stacked.
 
 predict_profile is the deterministic companion recursion.  It predicts each
 target's channel-error energy psi, its matched-filter error variance and,
@@ -47,23 +51,23 @@ sweep in which nobody is fed back.  The profile carries that set (or None
 for per_iteration, where the set follows the admission rows sweep by
 sweep), the sweep order, and the gains, PowerAllocation and SystemConfig
 it was computed for; the estimator reads all of them, its schedule
-(_schedule) included, from the profile.  The recursion takes one layout or
-a batch of layouts, each with its own gains, and runs each step on the
-whole batch.  A target reads the working row only at the users fed back,
-so under a fixed set a run of targets that no layout of the batch feeds
-back is one step, and a sweep takes one step per member and one per run
-between them; the one-sweep recursion that picks the fixed set, in which
-nobody is fed back, is one step.  A step's psi core is one masked row sum
-of a C-contiguous (B, N) array, and numpy sums each row of such an array
-along axis 1 with the pairwise lanes of a 1-D sum of that row, so every
-layout gets the bits it gets alone.
+(_schedule) included, from the profile a plan carries.  The recursion
+takes one layout or a batch of layouts, each with its own gains, and runs
+each step on the whole batch.  A target reads the working row only at the
+users fed back, so under a fixed set a run of targets that no layout of
+the batch feeds back is one step, and a sweep takes one step per member
+and one per run between them; the one-sweep recursion that picks the fixed
+set, in which nobody is fed back, is one step.  A step's psi core is one
+masked row sum of a C-contiguous (B, N) array, and numpy sums each row of
+such an array along axis 1 with the pairwise lanes of a 1-D sum of that
+row, so every layout gets the bits it gets alone.
 
 All prediction formulas assume unit total power per user, i.e. gains are
 the power-controlled equivalents and every user splits it by one
 PowerAllocation, rho_d^2 + rho_p^2 = 1.  As in analytics, each function
 takes the system objects it reads: the gains, the PowerAllocation and the
 SystemConfig (sigma2, M, C_u, P and the sweep count) go to predict_profile,
-and the profile carries them to the estimator.
+and the profile, through a plan, carries them to the estimator.
 """
 
 from __future__ import annotations
@@ -272,9 +276,34 @@ def predict_profile(
     return profile.layout(0) if single else profile
 
 
-def reduced_users(profile: PredictionProfile, report: np.ndarray) -> np.ndarray:
-    """The users iterative_estimate keeps for (profile, report), in sweep order."""
-    return _plan(profile, report)[1]
+def plan_pass(profile: PredictionProfile, report) -> tuple:
+    """The estimator's pass over one layout for the users `report` lists.
+
+    profile is one layout's; report lists the users the caller reads, as
+    indices into the order the profile was computed for.  Returns (users,
+    rows, kept, basis, key, profile): users are the users the pass keeps,
+    in sweep order, whose reduce_block G and R it reads; rows are the
+    reported users' places among them, in report's order; kept and basis
+    are their sweep positions and the basis's places among them (_kept).
+    _schedule depends on the layout only through the number of kept users,
+    the basis and, under per_iteration, the admission rows in sweep order,
+    which key names, so iterative_estimate runs the blocks of one key as
+    one stack.  The plan carries the profile it was made for, which
+    iterative_estimate reads it from.
+    """
+    if profile.order.ndim != 1:
+        raise ValueError(f"plan one layout's profile at a time, got a batch of "
+                         f"{profile.order.shape[0]}")
+    report = np.asarray(report)
+    if report.ndim != 1 or np.any((report < 0) | (report >= profile.order.size)):
+        raise ValueError(f"report must list user indices in [0, {profile.order.size}), "
+                         f"got {report!r}")
+    position = np.argsort(profile.order)
+    kept, basis = _kept(profile, position[report])
+    key = (kept.size, basis.tobytes(),
+           None if profile.fixed_mask is not None else profile.include[:, profile.order].tobytes())
+    return (profile.order[kept], np.searchsorted(kept, position[report]), kept, basis, key,
+            profile)
 
 
 def reduce_block(projection: Projection) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +311,7 @@ def reduce_block(projection: Projection) -> tuple[np.ndarray, np.ndarray]:
 
     projection is the block, or a stack of T blocks, seen through the
     one-shot estimator columns conj(p_n) / (C_u rho_p) of the n users the
-    estimator keeps, as reduced_users lists them (estimators.estimator_columns
+    estimator keeps, as plan_pass lists them (estimators.estimator_columns
     under the all-SP partition): its estimates are their h0 and its matched
     rows G[..., i, :] = conj(h0_i) Y.  R[..., i, j] = conj(h0_i) . h0_j, with
     a real diagonal that has the bits of the powers estimators.receive
@@ -297,27 +326,19 @@ def reduce_block(projection: Projection) -> tuple[np.ndarray, np.ndarray]:
     return G, R
 
 
-def iterative_estimate(
-    G,
-    R,
-    pilots: np.ndarray,
-    profile: PredictionProfile,
-    report: np.ndarray,
-) -> np.ndarray:
+def iterative_estimate(G, R, pilots: np.ndarray, plans) -> np.ndarray:
     """Joint channel/data estimation over the profile's ordered sweeps.
 
     G and R hold the reduce_block statistics of T blocks, e.g. one block per
-    trial: G[t] (n_t, C_u) and R[t] (n_t, n_t) over the n_t users the
-    estimator keeps for block t (reduced_users), as two sequences or as
-    (T, n, C_u) and (T, n, n) stacks.  profile is one layout's, which
-    serves every block, or a batch of T layouts, whose row t serves block
-    t: it supplies the users' gains, the split, M, P, the sweep order, the
-    sweep count and the feedback set.  pilots holds each user's dedicated
-    column (C_u x N), users in the order the profile was computed for, and
-    report lists the users the caller reads, as indices into that order.
-    Returns their final matched-filter outputs only, in report's order, as a
-    (T, len(report), C_u) array; only the feedback set's decisions are made,
-    the ones fed back.
+    trial, and plans one plan_pass plan per block, of one report: G[t]
+    (n_t, C_u) and R[t] (n_t, n_t) over the n_t users plans[t] keeps, as
+    two sequences or as (T, n, C_u) and (T, n, n) stacks.  A plan's profile
+    supplies its blocks' gains, the sweep order and the feedback set, and
+    the first plan's the split, M, P and the sweep count.  pilots holds each
+    user's dedicated column (C_u x N), users in the order the profiles were
+    computed for.  Returns the reported users' final matched-filter outputs
+    only, in report's order, as a (T, len(report), C_u) array; only the
+    feedback set's decisions are made, the ones fed back.
 
     With a fixed feedback set (every rule but per_iteration) only the set's
     members are re-estimated in every sweep, in sweep order, each deciding
@@ -338,53 +359,47 @@ def iterative_estimate(
     A user with an empty feedback set is its own h0, so it reproduces the
     one-shot estimator and detector exactly.
 
-    Blocks whose layouts give the same schedule (_plan) run as one stack,
+    Blocks whose plans have one key, and so one schedule, run as one stack,
     each with its own users' pilot rows and gains, and blocks of other
     schedules as other stacks; no block is padded to another's size.  Each
     sum runs over the user's own basis in sweep order, as one stacked
     matrix-vector product per block and user, so a user's result depends
     neither on report, nor on the other blocks in the stack, nor on which
-    other users are computed.  The profile is data-independent, so callers
-    running many blocks with the same large-scale state compute it once.
+    other users are computed.  Plans and profiles are data-independent, so
+    callers running many blocks with the same large-scale state make them
+    once.
     """
-    n_users = profile.order.shape[-1]
-    report = _check_report(report, n_users)
     T = len(G)
-    if profile.order.ndim == 1:
-        layouts, at = [profile], [0] * T
-    elif profile.order.shape[0] == T:
-        layouts, at = [profile.layout(t) for t in range(T)], range(T)
-    else:
-        raise ValueError(f"need one layout's profile or one per block, got "
-                         f"{profile.order.shape[0]} layouts for {T} blocks")
+    if len(plans) != T:
+        raise ValueError(f"need one plan per block, got {len(plans)} for {T} blocks")
+    profile = plans[0][5]
+    n_users = profile.order.size
     C_u = pilots.shape[0]
     if pilots.shape != (C_u, n_users):
         raise ValueError(f"pilots must be (C_u, N) = {(C_u, n_users)}, got {pilots.shape}")
     if n_users > C_u:
         raise ValueError(f"{n_users} users exceed the {C_u}-symbol block")
-    kept_of, users_of, rows_of, basis_of, key_of = zip(*(_plan(layout, report)
-                                                         for layout in layouts))
     groups = {}
-    for t, b in enumerate(at):
-        n = users_of[b].size
+    for t, (users, _rows, _kept, _basis, key, _profile) in enumerate(plans):
+        n = users.size
         if np.shape(G[t]) != (n, C_u) or np.shape(R[t]) != (n, n):
             raise ValueError(f"need G (n, {C_u}) and R (n, n) per block over the n = {n} users "
-                             f"its profile and report keep, got {np.shape(G[t])} and "
-                             f"{np.shape(R[t])} for block {t}")
-        groups.setdefault(key_of[b], []).append(t)
-    x_report = np.empty((T, report.size, C_u), dtype=complex)
+                             f"its plan keeps, got {np.shape(G[t])} and {np.shape(R[t])} for "
+                             f"block {t}")
+        groups.setdefault(key, []).append(t)
+    x_report = np.empty((T, plans[0][1].size, C_u), dtype=complex)
     conj_all = _conj_rows(pilots)
     rho_d, rho_p = profile.powers.rho_d, profile.powers.rho_p
     ls_scale = C_u * rho_p
     for blocks in groups.values():
-        first = at[blocks[0]]
-        kept, basis = kept_of[first], basis_of[first]
-        # per layout, one for every block of a one-layout profile: the kept
-        # users' conjugated pilot rows and MF gains
-        sources = [at[t] for t in blocks] if len(layouts) > 1 else [first]
-        conj_rows = conj_all[np.stack([users_of[b] for b in sources])]
-        mf_gain = profile.config.M * rho_d * np.stack([layouts[b].beta[users_of[b]]
-                                                       for b in sources])
+        first = plans[blocks[0]]
+        _users, _rows, kept, basis, _key, layout = first
+        # the kept users' conjugated pilot rows and MF gains per block, or
+        # once for blocks that all share one plan
+        sources = [first] if all(plans[t] is first for t in blocks) else [plans[t] for t in blocks]
+        conj_rows = conj_all[np.stack([plan[0] for plan in sources])]
+        mf_gain = profile.config.M * rho_d * np.stack([plan[5].beta[plan[0]]
+                                                       for plan in sources])
         n_basis = basis.size
         slot = np.full(kept.size, -1)
         slot[basis] = np.arange(n_basis)
@@ -397,7 +412,7 @@ def iterative_estimate(
         coefs = np.zeros((len(blocks), n_basis, n_basis), dtype=complex)
         x_basis = np.zeros((len(blocks), n_basis, C_u), dtype=complex)
         x_tilde = np.zeros((len(blocks), kept.size, C_u), dtype=complex)
-        for step, fed in _schedule(layouts[first], kept, basis):
+        for step, fed in _schedule(layout, kept, basis):
             inside = slot[step.start]
             everyone = fed.size == n_basis
             x_fed, coefs_fed = ((x_basis, coefs) if everyone
@@ -429,31 +444,8 @@ def iterative_estimate(
                 x_basis[:, inside] = decide(x_new[:, 0], profile.config.P)
         # the reported rows in report's order, block by block
         for k, t in enumerate(blocks):
-            x_report[t] = x_tilde[k, rows_of[at[t]]]
+            x_report[t] = x_tilde[k, plans[t][1]]
     return x_report
-
-
-def _check_report(report, n_users: int) -> np.ndarray:
-    report = np.asarray(report)
-    if report.ndim != 1 or np.any((report < 0) | (report >= n_users)):
-        raise ValueError(f"report must list user indices in [0, {n_users}), got {report!r}")
-    return report
-
-
-def _plan(profile: PredictionProfile, report: np.ndarray) -> tuple:
-    """One layout's pass for `report`: (kept, users, rows, basis, key).
-
-    kept and basis are _kept's, users the kept users (reduced_users) and
-    rows the reported ones' places among them.  _schedule depends on the
-    layout only through the number of kept users, the basis and, under
-    per_iteration, the admission rows in sweep order, which key names, so
-    the blocks of one key run one schedule as one stack.
-    """
-    position = np.argsort(profile.order)
-    kept, basis = _kept(profile, position[report])
-    key = (kept.size, basis.tobytes(),
-           None if profile.fixed_mask is not None else profile.include[:, profile.order].tobytes())
-    return kept, profile.order[kept], np.searchsorted(kept, position[report]), basis, key
 
 
 def _kept(profile: PredictionProfile, report: np.ndarray):

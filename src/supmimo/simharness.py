@@ -57,34 +57,38 @@ Gram matrix: the estimates' norms and inner products, the matched filters
 conj(Y E)^T Y and the desired-signal gain ||z||^2 / M, which R gives as X
 does.  Receivers take M from the config, not from the estimates' row count.
 
-What a bench's trials read besides their keys is built once per bench
-(_Plan): the estimator columns and frame row scales of every entry at every
-placement and metric BS, the users an iterated entry's estimator keeps
-there (iterative.reduced_users), and the receivers' constants
-(estimators.Receiver: SP users, pilot rows and matched-filter gains, as
-arrays over the bench's placements).  The trials run in chunks, and a chunk
-in sub-batches whose stacked arrays fit what _CHUNK_BYTES leaves beside the
-chunk's pass inputs.  Only the keyed draws are made trial by trial: each
-tag's payloads, from the trial's own substream, and at each metric BS the
-factor of its fading and noise, with the two products that read it
-(estimators.project).  Every other stage runs once per sub-batch on stacks
-of its trials' arrays: the modulation, the frames, the products of frames
-and estimator columns, the matched filters, and, per metric BS, one
-estimators.receive call and one scoring pass per (tag, payload length),
-against the payloads its entries share.  Each stacked product is a stack of
-the per-trial products, so a trial's outputs have the same bits in any
-sub-batch, and a sub-batch's frames, draws and outputs do not outlive it.
-An entry that iterates is projected at metric BS j onto the users its
-estimator keeps for cell j at the trial's placement; its one-shot outputs
-are received from cell j's users of that projection, and reduce_block
-turns it into the G and R the estimator reads.  Those G and R, with the
-trial's payloads, bits and channel gains, outlive the sub-batch: the
-estimator runs once per (entry, BS) on a chunk of as many trials as fit
-_CHUNK_BYTES at _trial_bytes each, each trial under its placement's profile
-row.  The estimator stacks the trials whose placements give it one schedule
-and runs its products as stacks of per-trial products, so a trial's
-energies have the same bits in any chunk, and they are added to the totals
-in trial order, so the output does not depend on the chunk size.
+What a bench's trials read besides their keys is planned once per bench
+(_Plan), and the layers read that plan instead of deciding again: the
+frame sets, numbered, with each entry's frame index; the estimator columns
+and frame row scales of every entry at every placement and metric BS; each
+iterated entry's pass plan there (iterative.plan_pass), which names the
+users its estimator keeps and the reported rows among them; and the
+receivers' constants (estimators.Receiver: SP users, pilot rows and
+matched-filter gains, as arrays over the bench's placements).  The trials
+run in chunks, and a chunk in sub-batches whose stacked arrays fit what
+_CHUNK_BYTES leaves beside the chunk's pass inputs.  Only the keyed draws
+are made trial by trial: each tag's payloads, from the trial's own
+substream, and at each metric BS the factor of its fading and noise, with
+the two products that read it (estimators.project).  Every other stage
+runs once per sub-batch on stacks of its trials' arrays: the modulation,
+the frames, the products of frames and estimator columns, the matched
+filters, and, per metric BS, one estimators.receive call and one scoring
+pass per (tag, payload length), against the payloads its entries share.
+project reads the sub-batch's frame matrices as one (frame set, trial)
+array and each entry's frame index from the plan.  Each stacked product is
+a stack of the per-trial products, so a trial's outputs have the same bits
+in any sub-batch, and a sub-batch's frames, draws and outputs do not
+outlive it.  An entry that iterates is projected at metric BS j onto the
+users its plan keeps for cell j at the trial's placement; its one-shot
+outputs are received from cell j's users of that projection, and
+reduce_block turns it into the G and R the estimator reads.  Those G and
+R, with the trial's payloads, bits and channel gains, outlive the
+sub-batch: the estimator runs once per (entry, BS) on a chunk of as many
+trials as fit _CHUNK_BYTES at _Plan.trial_bytes each, each trial under its
+placement's plan.  The estimator stacks the trials whose plans give it one
+schedule and runs its products as stacks of per-trial products, so a
+trial's energies have the same bits in any chunk, and they are added to the
+totals in trial order, so the output does not depend on the chunk size.
 
 run_experiment holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards.  A product whose reduction is split over threads
@@ -138,12 +142,13 @@ OPTIONS_READ = {
     "sum_rate_vs_sir": frozenset({"trials", "radii_m"}),
 }
 
-# budget of one chunk of _run_trials: as many trials as fit at _trial_bytes
-# each, and beside what they keep for the pass, sub-batches of as many as
-# fit at _Plan.staged_bytes with one draw.  At seed 5, sinr_vs_m runs one
-# chunk of 20 trials at M = 50 and two of 10 at M = 100 and 200, in
-# sub-batches of 3 or 2 (traced peak of its 20 trials at M = 200: 1,417
-# KiB); ber_vs_k at K = 10 one chunk of 10 in sub-batches of 2.
+# budget of one chunk of _run_trials: as many trials as fit at
+# _Plan.trial_bytes each, and beside what they keep for the pass,
+# sub-batches of as many as fit at _Plan.staged_bytes with one draw.  At
+# seed 5, sinr_vs_m runs one chunk of 20 trials at M = 50 and two of 10 at
+# M = 100 and 200, in sub-batches of 3 or 2 (traced peak of its 20 trials
+# at M = 200: 1,417 KiB); ber_vs_k at K = 10 one chunk of 10 in
+# sub-batches of 2.
 # sum_rate_vs_sir holds only energies, so all its trials fit one chunk,
 # stacked one at a time.
 _CHUNK_BYTES = 1536 * 1024
@@ -184,6 +189,10 @@ class RunOptions:
     rate_cap: bool = True
 
     def __post_init__(self):
+        for name in ("trials", "placements"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1 or self.placements < 1:
             raise ValueError("trial counts must be >= 1")
         if self.selection not in iterative.SELECTION_RULES:
@@ -195,7 +204,8 @@ class RunOptions:
                 raise ValueError(f"{name} must not be empty")
         for name, values in (("m_values", self.m_values), ("k_values", self.k_values),
                              ("m_per_k", (self.m_per_k,))):
-            if not all(isinstance(v, numbers.Integral) and v >= 1 for v in values):
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+                       for v in values):
                 raise ValueError(f"{name} must be integers >= 1, got {getattr(self, name)!r}")
         if not all(v > 0 for v in self.radii_m):
             raise ValueError(f"radii_m must be positive, got {self.radii_m!r}")
@@ -336,20 +346,21 @@ class _Plan:
     """What _run_trials reads of a bench besides its trials, built once per bench.
 
     Per tag, the payload symbols drawn per user, its entries' longest; the
-    frame sets, one per (tag, book, Partition object); sqrt(beta) of every
-    entry's users at every placement and metric BS (roots), the frame row
-    scales; and each entry's estimator columns at each placement and metric
-    BS (columns[p][j][i]), those of its cell's users, shared by the entries
-    on one book and one Partition object.  An entry i that iterates is
-    projected at BS j and placement p onto the users its estimator keeps
-    there (iterative.reduced_users), of which cell j's are scored.
-    counts[j, p, i] users of entry i are projected, from starts[j, p, i] on.  The entries of one (tag, payload length) are
-    received and scored together (groups): their receiver at each BS, over
-    placements, and the projected users it reads at each BS and placement.
-    held_bytes, pass_bytes and staged_bytes count what a trial holds from
-    its sub-batch to the pass, in the pass, and in its sub-batch's stacked
-    stages, and draw_bytes what one trial's draw at one BS holds
-    (_trial_bytes).
+    frame sets, one per (tag, book, Partition object), numbered in table
+    order, each as its first entry, and sends[i], entry i's frame set;
+    sqrt(beta) of every entry's users at every placement and metric BS
+    (roots), the frame row scales; and each entry's estimator columns at
+    each placement and metric BS (columns[p][j][i]), those of its cell's
+    users, shared by the entries on one book and one Partition object.  An
+    entry i that iterates has a pass plan at each BS j and placement p
+    (passes[i, j][p], iterative.plan_pass, for cell j's users): it is
+    projected there onto the users the plan keeps, and cell j's are scored,
+    at the plan's reported rows.  counts[j, p, i] users of entry i are
+    projected, from starts[j, p, i] on.  The entries of one (tag, payload
+    length) are received and scored together (groups): their receiver at
+    each BS, over placements, and the projected users it reads at each BS
+    and placement.  held_bytes, trial_bytes, staged_bytes and draw_bytes
+    count what a trial holds, as the comment on them says.
     """
 
     def __init__(self, bench: _Bench):
@@ -364,11 +375,14 @@ class _Plan:
         n_placements = schemes[0].gains.shape[0]
         cells = np.arange(J * K).reshape(J, K)
         self.lengths = [n for _, _, n in _methods(bench)[: len(schemes)]]
-        self.drawn, self.frame_sets, members = {}, {}, {}
+        self.drawn, frame_of, members = {}, {}, {}
         for i, (s, n) in enumerate(zip(schemes, self.lengths)):
             self.drawn[s.tag] = max(self.drawn.get(s.tag, 0), n)
-            self.frame_sets.setdefault((s.tag, id(s.book), s.partition), s)
             members.setdefault((s.tag, n), []).append(i)
+        # each entry's frame set, numbered in table order, and each set's first entry
+        self.sends = [frame_of.setdefault((s.tag, id(s.book), s.partition), len(frame_of))
+                      for s in schemes]
+        self.frame_sets = [schemes[self.sends.index(f)] for f in range(len(frame_of))]
         self.iterated = [i for i, s in enumerate(schemes) if s.iterated]
         self.held = {schemes[i].tag for i in self.iterated}
         self.roots = np.sqrt(np.stack([s.gains[:, :J].reshape(-1, J, N) for s in schemes]))
@@ -378,18 +392,21 @@ class _Plan:
         self.columns = [[[shared[id(s.book), s.partition][j] for s in schemes] for j in range(J)]
                         for _ in range(n_placements)]
         self.counts = np.full((J, n_placements, len(schemes)), K)
-        scored = {}
+        # each iterated entry's pass plan at each BS and placement, for its
+        # cell's users, and its projection onto the users the plan keeps
+        self.passes = {}
         for i in self.iterated:
             s = schemes[i]
             for j, profile in enumerate(s.iterated[1]):
-                scored[i, j] = np.zeros((n_placements, K), dtype=np.intp)
-                for p in range(n_placements):
-                    users = iterative.reduced_users(profile.layout(p), cells[j])
+                self.passes[i, j] = [iterative.plan_pass(profile.layout(p), cells[j])
+                                     for p in range(n_placements)]
+                for p, (users, *_) in enumerate(self.passes[i, j]):
                     self.columns[p][j][i] = estimator_columns(s.book, s.partition, powers,
                                                               users, C_u)
-                    scored[i, j][p] = np.nonzero(cells[j][:, np.newaxis] == users)[1]
                     self.counts[j, p, i] = users.size
         self.starts = np.cumsum(self.counts, axis=2) - self.counts
+        scored = {key: np.stack([rows for _, rows, *_ in plans])
+                  for key, plans in self.passes.items()}
         self.groups = [(tag, n, entries,
                         [receiver([(schemes[i].book, schemes[i].partition, j,
                                     schemes[i].gains[:, j, j]) for i in entries], powers, cfg)
@@ -398,28 +415,37 @@ class _Plan:
                                          + scored.get((i, j), np.arange(K))
                                          for i in entries], axis=1) for j in range(J)])
                        for (tag, n), entries in members.items()]
-        # bytes per trial: what it keeps from its sub-batch to the pass
-        # (energies and channel gains; per tag of an entry that iterates, its
-        # cells' payloads and bits; per iterated entry and BS, G and R over
-        # the n users kept, at most the largest such set); what the pass adds
-        # (five (n, C_u) working arrays, its outputs and the demapped bits);
-        # and what its sub-batch holds in the stacked stages: the frame
-        # matrices, each group's outputs, the draws' cell columns and the
-        # other tags' payloads and bits at the metric cells, and the larger
-        # of a payload draw with the frame matrix assembled from it and one
-        # BS's projection (the stack, estimates and matched-filter products
-        # over its e users), with the previous BS's where there are several.
-        # Payloads are counted at C_u symbols, their longest.
+        # Bytes per trial, none of which grow with M.  held_bytes is what a
+        # trial keeps from its sub-batch's stacked stages to the pass: its
+        # energies and metric users' channel gains; per tag of an entry that
+        # iterates, its cells' payloads and bits at every metric BS, once
+        # however many entries carry the tag; and per iterated entry and BS
+        # the reduce_block G and R over the n users its plan keeps, at most
+        # the largest such set over the placements.  trial_bytes adds what
+        # the pass adds: at most five (n, C_u) working arrays (G's basis rows
+        # and the users' pilot rows among them), its outputs and the
+        # demapped bits; a chunk of _sum_trials holds as many trials as fit
+        # _CHUNK_BYTES at trial_bytes each.  staged_bytes is what a trial
+        # holds only in its sub-batch's stacked stages, freed before the
+        # pass: the frame matrices, each group's outputs, the draws' cell
+        # columns and the other tags' payloads and bits at the metric cells,
+        # and the larger of a payload draw with the frame matrix assembled
+        # from it and one BS's projection (the stack, estimates and
+        # matched-filter products over its e users), with the previous BS's
+        # where there are several.  draw_bytes is one trial's draw at one
+        # BS, the (r, d) factor of sysmodel.draw_channels, r = min(M, d) and
+        # d = L*K + C_u.  Payloads are counted at C_u symbols, their longest.
         n_bits = waveform.bits_per_symbol(cfg.P)
         d, r = N + C_u, min(cfg.M, N + C_u)
         per_payload = (16 + n_bits) * K * C_u
         self.held_bytes = (8 * J * K * (2 * len(_methods(bench)) + 1)
                            + J * per_payload * len(self.held))
-        self.pass_bytes = 0
-        for (i, j) in scored:
+        pass_bytes = 0
+        for (i, j) in self.passes:
             n = self.counts[j, :, i].max()
             self.held_bytes += 16 * n * (C_u + n)
-            self.pass_bytes += 16 * 5 * n * C_u + per_payload
+            pass_bytes += 16 * 5 * n * C_u + per_payload
+        self.trial_bytes = self.held_bytes + pass_bytes
         e = int(self.counts.sum(axis=2).max())
         self.staged_bytes = (16 * N * C_u * len(self.frame_sets)
                              + 16 * K * (sum(len(g[2]) * g[1] for g in self.groups) + r)
@@ -437,22 +463,24 @@ def _run_trials(bench: _Bench, trials: list):
     placement's gains.  The trials run in sub-batches, as many as fit what
     _CHUNK_BYTES leaves beside the T trials' pass inputs and one draw, at
     the bytes the stacked stages hold per trial (_Plan.staged_bytes), at
-    least one, in runs of equal length (_runs).  Only
-    the keyed draws are made trial by trial: per trial and tag, one payload
-    draw, which serves every entry of that tag, and per trial and metric BS
-    j one factor of fading and noise (streams[j]), which serves every
-    scheme, with its two products in estimators.project.  Everything else
-    runs once per sub-batch on stacks of the trials' arrays: one frame
-    matrix per (tag, book, Partition object), and per metric BS and run of
-    trials on one placement one projection (estimators.project), which
-    makes the estimates and matched filters of every scheme's scored users,
-    with each scheme's gains at BS j folded into its frame rows.  Their
-    cells' users are received in one pass per (tag, payload length) and
-    run, and scored per (tag, payload length) and sub-batch, against the
-    payloads they share.  A user's desired-signal gain ||h||^2 / (M beta)
-    is ||z||^2 / M, the squared norm of its column of the draw, the same
-    for every scheme.  Every stacked step is a stack of the per-trial steps,
-    so a trial's outputs have the same bits in any sub-batch.  Returns
+    least one, in runs of equal length (_runs).  Only the keyed draws are
+    made trial by trial: per trial and tag, one payload draw, which serves
+    every entry of that tag, and per trial and metric BS j one factor of
+    fading and noise (streams[j]), which serves every scheme, with its two
+    products in estimators.project.  Everything else runs once per
+    sub-batch on stacks of the trials' arrays: one frame matrix per frame
+    set, into one (frame set, trial) buffer, and per metric BS and run of
+    trials on one placement one projection (estimators.project) of the
+    run's slice of that buffer, which makes the estimates and matched
+    filters of every scheme's scored users, with each scheme's gains at BS
+    j folded into its frame rows.  Their cells' users are received in one
+    pass per (tag, payload length) and run, and scored per (tag, payload
+    length) and sub-batch, against the payloads they share.  A user's
+    desired-signal gain ||h||^2 / (M beta) is ||z||^2 / M, the squared norm
+    of its column of the draw, the same for every scheme.  Every stacked
+    step is a stack of the per-trial steps, so a trial's outputs have the
+    same bits in any sub-batch.  The iterative pass runs once per (entry,
+    BS) over the batch, each trial under its placement's plan.  Returns
     (sig_res, errs): the (T, methods, 2, J, K) signal and residual energies
     per trial, method, metric BS and user, and the (methods, 2) bit errors
     and bit count per method over the batch (zero for Gaussian payloads),
@@ -493,8 +521,7 @@ def _run_trials(bench: _Bench, trials: list):
         for j in range(J):
             n = plan.counts[j, :, i].max()
             stacks[i, j] = np.empty((T, n, C_u), dtype=complex), np.empty((T, n, n), dtype=complex)
-    buffer = dict(zip(plan.frame_sets, np.empty((len(plan.frame_sets), step, N, C_u),
-                                                 dtype=complex)))
+    buffer = np.empty((len(plan.frame_sets), step, N, C_u), dtype=complex)
     outputs = [np.empty((step, len(entries) * K, n), dtype=complex)
                for _, n, entries, _, _ in plan.groups]
     columns = np.empty((step, min(M, N + C_u), K), dtype=complex)
@@ -502,9 +529,6 @@ def _run_trials(bench: _Bench, trials: list):
         batch = trials[lo:hi]
         B = len(batch)
         at = {tag: slice(lo, lo + B) if tag in plan.held else slice(B) for tag in plan.drawn}
-        # each frame set's matrices, one view, the object project keys its
-        # shared products on
-        views = {frame_set: matrices[:B] for frame_set, matrices in buffer.items()}
         # one tag's draw at a time, freed once its frames are made
         for tag, n in plan.drawn.items():
             data, bits = waveform._draw_payloads(
@@ -512,13 +536,10 @@ def _run_trials(bench: _Bench, trials: list):
             sent[tag][0][at[tag]] = data[:, : J * K].reshape(B, J, K, n)
             if qam:
                 sent[tag][1][at[tag]] = bits[:, : J * K].reshape(B, J, K, n_bits * n)
-            for frame_set, s in plan.frame_sets.items():
-                if frame_set[0] == tag:
-                    views[frame_set][...] = waveform.assemble_frames(cfg, s.book, powers, data,
-                                                                     s.partition)
+            for f, s in enumerate(plan.frame_sets):
+                if s.tag == tag:
+                    buffer[f, :B] = waveform.assemble_frames(cfg, s.book, powers, data, s.partition)
             del data, bits
-        frames = [views[s.tag, id(s.book), s.partition] for s in schemes]
-        del views
         edges = [0, *(cut - lo for cut in cuts if lo < cut < hi), B]
         for j, stream in enumerate(bench.streams):
 
@@ -534,16 +555,8 @@ def _run_trials(bench: _Bench, trials: list):
 
             for a, b in zip(edges, edges[1:]):
                 p = placements[lo + a]
-                run = frames
-                if b - a < B:
-                    # one view per frame matrix, the object project keys its
-                    # shared products on
-                    views = {id(S): S[a:b] for S in frames}
-                    run = [views[id(S)] for S in frames]
-                    del views
-                projection = project(factors(a, b), sigma, run, plan.roots[:, p, j],
-                                     plan.columns[p][j])
-                del run
+                projection = project(factors(a, b), sigma, buffer[:, a:b], plan.sends,
+                                     plan.roots[:, p, j], plan.columns[p][j])
                 for i in plan.iterated:
                     n = plan.counts[j, p, i]
                     users = slice(plan.starts[j, p, i], plan.starts[j, p, i] + n)
@@ -574,7 +587,6 @@ def _run_trials(bench: _Bench, trials: list):
                     wrong += np.sum(waveform.demap(x_tilde, P).reshape(B, len(entries), -1)
                                     != bits[:, np.newaxis, j, :, bits.shape[-1] - n_bits * n :]
                                     .reshape(B, 1, -1), axis=(0, 2))
-        del frames
     del buffer, outputs, columns, projection
     sig_res = np.empty((T, n_schemes + len(plan.iterated), 2, J, K))
     errs = np.zeros((n_schemes + len(plan.iterated), 2), dtype=np.int64)
@@ -584,49 +596,24 @@ def _run_trials(bench: _Bench, trials: list):
             errs[entries, 0] = wrong
             errs[entries, 1] = T * J * K * n_bits * n
     # one pass per (entry, BS) over the batch, each trial under its
-    # placement's profile row, or under one layout's for a batch of one
-    # placement
-    layouts = placements[0] if np.all(placements == placements[0]) else placements
+    # placement's plan
     for m, i in enumerate(plan.iterated, n_schemes):
         s, n = schemes[i], plan.lengths[i]
         data, bits = sent[s.tag]
         pilots = s.book.sp_columns(slice(None))
-        for j, profile in enumerate(s.iterated[1]):
+        for j in range(J):
             G, R = stacks.pop((i, j))
             kept = plan.counts[j, placements, i]
             # the stacks are freed as the pass returns
             x_tilde = iterative.iterative_estimate(
                 [G[t, :k] for t, k in enumerate(kept)], [R[t, :k, :k] for t, k in enumerate(kept)],
-                pilots, profile.layout(layouts), cells[j])
+                pilots, [plan.passes[i, j][p] for p in placements])
             del G, R
             sig_res[:, m, 0, j], sig_res[:, m, 1, j] = signal_residual_power(
                 x_tilde, data[:, j, :, data.shape[-1] - n :], gain[:, j])
             if qam:
                 errs[m] += count_ber(x_tilde, bits[:, j, :, bits.shape[-1] - n_bits * n :], P)
     return sig_res, errs
-
-
-def _trial_bytes(bench: _Bench) -> int:
-    """Bytes one trial adds to a chunk of _run_trials; none of them grow with M.
-
-    A trial keeps, from its sub-batch's stacked stages to the iterative
-    pass, its energies and its metric users' channel gains; for each tag of
-    an entry that iterates, its cells' payloads and bits at every metric BS,
-    once however many entries carry the tag; and for each entry that
-    iterates and metric BS what the pass reads: the reduce_block G and R
-    over the n users the estimator keeps, at most the largest such set over
-    the bench's placements.  The pass adds at most five (n, C_u) working
-    arrays (G's basis rows and the users' pilot rows among them), its
-    outputs, and the demapped copy of the bits.  A payload is counted at
-    C_u symbols, its longest.  What a trial holds only while its sub-batch
-    is in the stacked stages (its payload draw, frame matrices and
-    projections, _Plan.staged_bytes) is freed before the pass and not
-    counted here: _run_trials sizes its sub-batches by it, beside one
-    trial's draw at one BS (_Plan.draw_bytes).  None of it grows with M
-    either: that draw is the (r, d) factor of sysmodel.draw_channels, r =
-    min(M, d) and d = L*K + C_u.
-    """
-    return bench.plan.held_bytes + bench.plan.pass_bytes
 
 
 def _runs(n: int, most: int) -> list:
@@ -651,7 +638,7 @@ def _sum_trials(bench: _Bench, trials: list):
     ((methods, 2, J, K), (methods, 2)), as _run_trials.
     """
     sig_total = err_total = 0  # the first trial's arrays, as 0 + x == x
-    for lo, hi in _runs(len(trials), max(1, _CHUNK_BYTES // _trial_bytes(bench))):
+    for lo, hi in _runs(len(trials), max(1, _CHUNK_BYTES // bench.plan.trial_bytes)):
         sig_res, errs = _run_trials(bench, trials[lo:hi])
         for one in sig_res:
             sig_total += one

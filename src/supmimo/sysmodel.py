@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -87,6 +88,10 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("L", "K", "M", "C_u", "C", "r", "P", "iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("L", "K", "M", "C_u"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

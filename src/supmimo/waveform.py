@@ -321,26 +321,23 @@ def assemble_frames(
     return S
 
 
-def _draw_payloads(n_users: int, n: int, P: int, data_dist: str, rng):
-    """n_users x n payload symbols, drawn user by user from one stream, and their bits.
+def _draw_payloads(n_users: int, n: int, P: int, data_dist: str, rngs):
+    """A stack of n_users x n payload draws, each user by user from one stream, and their bits.
 
-    data_dist is "qam" (unit-power P-QAM) or "gaussian" (unit-variance
-    complex normal).  The bits are n_users rows of n * bits_per_symbol(P),
-    symbol i's bits at columns i * bits_per_symbol(P) on, or None for
-    Gaussian payloads.  So the trailing m symbols of a row carry its
-    trailing m * bits_per_symbol(P) bits.  rng is one Generator, or a
-    sequence of them for a stack of draws, (len(rng), n_users, n), each the
-    draw of its Generator alone.
+    rngs is a sequence of Generators; the draws are (len(rngs), n_users, n),
+    each the draw of its Generator alone.  data_dist is "qam" (unit-power
+    P-QAM) or "gaussian" (unit-variance complex normal).  A draw's bits are
+    n_users rows of n * bits_per_symbol(P), symbol i's bits at columns i *
+    bits_per_symbol(P) on, stacked like the draws, or None for Gaussian
+    payloads.  So the trailing m symbols of a row carry its trailing m *
+    bits_per_symbol(P) bits.
     """
-    if isinstance(rng, np.random.Generator):
-        data, bits = _draw_payloads(n_users, n, P, data_dist, [rng])
-        return data[0], None if bits is None else bits[0]
     if data_dist == "qam":
-        bits = np.stack([_draw_bits(n_users, n * bits_per_symbol(P), one) for one in rng])
-        return modulate(bits, P).reshape(len(rng), n_users, n), bits
+        bits = np.stack([_draw_bits(n_users, n * bits_per_symbol(P), one) for one in rngs])
+        return modulate(bits, P).reshape(len(rngs), n_users, n), bits
     if data_dist == "gaussian":
         # same stream as per-user real then imaginary draws
-        z = np.stack([one.standard_normal((n_users, 2, n)) for one in rng])
+        z = np.stack([one.standard_normal((n_users, 2, n)) for one in rngs])
         return (z[:, :, 0] + 1j * z[:, :, 1]) / math.sqrt(2.0), None
     raise ValueError(f"unknown data distribution {data_dist!r}")
 

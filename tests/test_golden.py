@@ -1,14 +1,17 @@
 """Byte-for-byte pins on the CSV of every experiment at a fixed seed.
 
 Each golden file is what ``supmimo run`` writes for a spec that sets only the
-experiment and the tiny overrides below; everything else is the CLI's
-per-experiment default.  A refactor must reproduce these bytes exactly.  A
-change that deliberately alters how random streams are consumed regenerates
-the goldens of the experiments it changes, and only those, with::
+experiment and the overrides GOLDENS lists for it; everything else is the
+CLI's per-experiment default.  Every experiment has one at tiny trial counts,
+and each bench workload one more at the bench's trial counts and seed, where
+the trial kernel splits a chunk into several sub-batches and the iterative
+pass into several schedule groups.  A refactor must reproduce these bytes
+exactly.  A change that deliberately alters how random streams are consumed
+regenerates the goldens it changes, and only those, by name::
 
-    PYTHONPATH=src python tests/test_golden.py [experiment ...]
+    PYTHONPATH=src python tests/test_golden.py [golden ...]
 
-With no experiment named, every golden file is rewritten.
+With no golden named, every golden file is rewritten.
 """
 
 from __future__ import annotations
@@ -26,28 +29,34 @@ from supmimo.simharness import EXPERIMENTS, _openblas_threads, run_experiment
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-# tiny on purpose: sinr_cdf runs placements x trials trials, and only
-# sinr_cdf reads placements
-OVERRIDES = {"seed": 0, "trials": 2}
-SINR_CDF_OVERRIDES = {"placements": 2}
+# golden name -> (experiment, overrides).  The experiments' own are tiny on
+# purpose: sinr_cdf runs placements x trials trials, and only sinr_cdf reads
+# placements.  The bench workloads' run at bench/run.py's trial counts.
+GOLDENS = {
+    **{experiment: (experiment, {"seed": 0, "trials": 2}) for experiment in EXPERIMENTS},
+    "sinr_cdf": ("sinr_cdf", {"seed": 0, "trials": 2, "placements": 2}),
+    "sinr_vs_m-bench": ("sinr_vs_m", {"seed": 5, "trials": 20}),
+    "ber_vs_k-bench": ("ber_vs_k", {"seed": 5, "trials": 10}),
+    "sum_rate_vs_sir-bench": ("sum_rate_vs_sir", {"seed": 5, "trials": 8}),
+}
 
 
-def write_csv(experiment: str, out: Path) -> None:
+def write_csv(name: str, out: Path) -> None:
+    experiment, overrides = GOLDENS[name]
     spec = out.with_suffix(".yaml")
     spec.write_text(f"experiment: {experiment}\n", encoding="utf-8")
-    overrides = {**OVERRIDES, **(SINR_CDF_OVERRIDES if experiment == "sinr_cdf" else {})}
     parsed = parse_config(str(spec), overrides)
     emit_csv(run_experiment(parsed.config, parsed.experiment, parsed.options), str(out))
 
 
-@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@pytest.mark.parametrize("experiment", GOLDENS)
 def test_csv_matches_golden(experiment, tmp_path):
     out = tmp_path / f"{experiment}.csv"
     write_csv(experiment, out)
     assert out.read_bytes() == (GOLDEN_DIR / f"{experiment}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@pytest.mark.parametrize("experiment", GOLDENS)
 def test_parse_csv_round_trips_golden(experiment, tmp_path):
     golden = GOLDEN_DIR / f"{experiment}.csv"
     out = tmp_path / f"{experiment}.csv"
@@ -55,14 +64,14 @@ def test_parse_csv_round_trips_golden(experiment, tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
-# writes every experiment's CSV into argv[1] after printing the BLAS thread
+# writes every golden's CSV into argv[1] after printing the BLAS thread
 # count the interpreter started with
 _BLAS_CHILD = """\
 import pathlib, sys
 import test_golden
 from supmimo.simharness import _openblas_threads
 print(_openblas_threads()[0]())
-for name in test_golden.EXPERIMENTS:
+for name in test_golden.GOLDENS:
     test_golden.write_csv(name, pathlib.Path(sys.argv[1]) / f"{name}.csv")
 """
 
@@ -78,7 +87,7 @@ def test_goldens_hold_at_every_blas_thread_count(threads, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [str(threads)]
-    for name in EXPERIMENTS:
+    for name in GOLDENS:
         assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
@@ -92,11 +101,11 @@ def test_regeneration_writes_only_the_named_goldens(tmp_path, monkeypatch, capsy
 
 
 def main(argv) -> int:
-    """Rewrite the golden CSVs of the named experiments (all when none is named)."""
-    names = argv or list(EXPERIMENTS)
-    unknown = [name for name in names if name not in EXPERIMENTS]
+    """Rewrite the named golden CSVs (all when none is named)."""
+    names = argv or list(GOLDENS)
+    unknown = [name for name in names if name not in GOLDENS]
     if unknown:
-        print(f"unknown experiment(s) {unknown}; expected some of {EXPERIMENTS}", file=sys.stderr)
+        print(f"unknown golden(s) {unknown}; expected some of {list(GOLDENS)}", file=sys.stderr)
         return 2
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in names:

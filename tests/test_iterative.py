@@ -21,9 +21,9 @@ from supmimo.iterative import (
     SELECTION_RULES,
     alpha_pqam,
     iterative_estimate,
+    plan_pass,
     predict_profile,
     reduce_block,
-    reduced_users,
 )
 from supmimo.rng import substream
 from supmimo.sysmodel import (
@@ -258,11 +258,14 @@ def sp_block(cfg, seed, trials=None):
 
     def received(*key):
         Z = gaussian((cfg.M, beta.size), substream(*key, "channels"))
-        data, _bits = _draw_payloads(beta.size, cfg.C_u, cfg.P, "qam", substream(*key, "frames"))
+        (data,), _bits = _draw_payloads(beta.size, cfg.C_u, cfg.P, "qam",
+                                        [substream(*key, "frames")])
         S = assemble_frames(cfg, book, powers, data, all_sp(cfg.L, cfg.K))
         W = math.sqrt(cfg.sigma2) * gaussian((cfg.M, cfg.C_u), substream(*key, "noise"))
-        projection = project(np.concatenate([Z, W], axis=1), 1.0, [S], [roots], [columns])
-        return synthesize_received(Z, roots[:, np.newaxis] * S) + W, projection
+        estimates, matched = project([np.concatenate([Z, W], axis=1)], 1.0,
+                                     S[np.newaxis, np.newaxis], [0], [roots], [columns])
+        return (synthesize_received(Z, roots[:, np.newaxis] * S) + W,
+                Projection(estimates[0], matched[0]))
 
     if trials is None:
         block = Block(*received(seed))
@@ -286,7 +289,7 @@ def permuted(block, perm):
 
 def reduction(block, profile, report):
     """reduce_block's (G, R) on the kept users' columns of the block's projection."""
-    users = reduced_users(profile, report)
+    users = plan_pass(profile, report)[0]
     estimates, matched = block.projection
     return reduce_block(Projection(estimates[..., users], matched[..., users, :]))
 
@@ -299,7 +302,7 @@ def estimate(block, pilots, profile, report):
     """
     single = block.Y.ndim == 2
     G, R = reduction(stack_of_one(block) if single else block, profile, report)
-    x_tilde = iterative_estimate(G, R, pilots, profile, report)
+    x_tilde = iterative_estimate(G, R, pilots, [plan_pass(profile, report)] * len(G))
     return x_tilde[0] if single else x_tilde
 
 
@@ -516,20 +519,23 @@ def test_a_reduction_is_estimated_like_its_block(block):
     # the members and the reported users, in sweep order, and nothing of size M
     kept = fixed.copy()
     kept[report] = True
-    assert sorted(reduced_users(profile, report).tolist()) == np.flatnonzero(kept).tolist()
+    plan = plan_pass(profile, report)
+    assert sorted(plan[0].tolist()) == np.flatnonzero(kept).tolist()
     assert profile.config.M == cfg.M
     assert G.shape == (kept.sum(), cfg.C_u) and R.shape == (kept.sum(),) * 2
     # the one block's reduction, given a stack axis, is estimated like the
     # block reduced as a stack of one
     from_block = estimate(blk, pilots, profile, report)
-    from_stats = iterative_estimate(G[np.newaxis], R[np.newaxis], pilots, profile, report)
+    from_stats = iterative_estimate(G[np.newaxis], R[np.newaxis], pilots, [plan])
     assert np.array_equal(from_stats[0], from_block)
-    # G and R need a row per user kept for the report, and a stack axis
-    for bad_G, bad_R, bad_report in ((G[np.newaxis], R[np.newaxis], args["report"]),
-                                     (G, R, report),
-                                     (G[np.newaxis], R[np.newaxis, :-1, :-1], report)):
+    # G and R need a row per user the plan keeps, and a stack axis
+    for bad_G, bad_R, bad_plan in ((G[np.newaxis], R[np.newaxis],
+                                    plan_pass(profile, args["report"])),
+                                   (G[np.newaxis], R[np.newaxis, :-1, :-1], plan)):
         with pytest.raises(ValueError, match="need G"):
-            iterative_estimate(bad_G, bad_R, pilots, profile, bad_report)
+            iterative_estimate(bad_G, bad_R, pilots, [bad_plan])
+    with pytest.raises(ValueError, match="one plan per block"):
+        iterative_estimate(G, R, pilots, [plan])
 
 
 def test_empty_feedback_set_is_the_one_shot_estimator(block):
@@ -572,12 +578,18 @@ def test_a_batched_or_foreign_profile_is_rejected(block):
     foreign = predict_profile(args["beta"][:-1], args["powers"],
                               dataclasses.replace(cfg, L=1, K=cfg.L * cfg.K - 1))
     G, R = reduction(stack_of_one(blk), good, args["report"])
-    # two layouts for one block
-    with pytest.raises(ValueError, match="one layout's profile or one per block"):
-        iterative_estimate(G, R, pilots, batched, args["report"])
+    # a pass is planned on one layout, for users the layout has
+    with pytest.raises(ValueError, match="one layout's profile at a time"):
+        plan_pass(batched, args["report"])
+    with pytest.raises(ValueError, match="report must list"):
+        plan_pass(good, [cfg.L * cfg.K])
+    # two plans for one block
+    with pytest.raises(ValueError, match="one plan per block"):
+        iterative_estimate(G, R, pilots, [plan_pass(good, args["report"])] * 2)
     # a profile of one user fewer: its kept rows fit, the N users' pilots do not
     with pytest.raises(ValueError, match="pilots"):
-        iterative_estimate(G[:, :-1], R[:, :-1, :-1], pilots, foreign, args["report"][:-1])
+        iterative_estimate(G[:, :-1], R[:, :-1, :-1], pilots,
+                           [plan_pass(foreign, args["report"][:-1])])
 
 
 @pytest.mark.parametrize("selection", FEEDBACK)
@@ -659,7 +671,9 @@ def test_a_batch_of_layouts_is_estimated_as_each_layout_alone(selection):
         expected.append(estimate(trial, pilots, profile, report))
     if selection == "fixed":
         assert len({g.shape for g in G}) > 1
-    got = iterative_estimate(G, R, pilots, batch.layout([b for b, _t in blocks]), report)
+    # one plan per layout, as the harness plans them
+    plans = [plan_pass(batch.layout(b), report) for b in range(len(layouts))]
+    got = iterative_estimate(G, R, pilots, [plans[b] for b, _t in blocks])
     assert got.shape == (len(blocks), report.size, cfg.C_u)
     assert np.array_equal(got, np.stack(expected))
 
@@ -674,9 +688,9 @@ def test_unreported_non_members_are_not_computed(monkeypatch):
     assert not kept <= set(report.tolist()) and len(kept) < pilots.shape[1]
     # the estimator reads the kept users' G and R rows only, and refuses a
     # reduction of everyone's projection
-    assert set(reduced_users(profile, report).tolist()) == kept
+    assert set(plan_pass(profile, report)[0].tolist()) == kept
     with pytest.raises(ValueError, match="keep"):
-        iterative_estimate(*reduce_block(blk.projection), pilots, profile, report)
+        iterative_estimate(*reduce_block(blk.projection), pilots, [plan_pass(profile, report)] * 2)
     column_of = {col.tobytes(): n for n, col in enumerate(pilots.T)}
     filtered = set()
 
@@ -695,7 +709,7 @@ def test_a_reduction_reads_the_block_through_its_projection(block):
     cfg, blk, pilots, args, _fixed = block
     profile = predict_profile(args["beta"], args["powers"], cfg, "fixed")
     report = args["report"][:cfg.K]
-    users = reduced_users(profile, report)
+    users = plan_pass(profile, report)[0]
     got_G, got_R = reduction(blk, profile, report)
     h0 = blk.Y @ np.conj(pilots[:, users]) / (cfg.C_u * args["powers"].rho_p)
     G, R = np.conj(h0).T @ blk.Y, np.conj(h0).T @ h0

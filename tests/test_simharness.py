@@ -70,6 +70,23 @@ def test_empirical_cdf_sorts_and_ends_at_one():
         simharness.empirical_cdf([])
 
 
+@pytest.mark.parametrize("options, match", [
+    (dict(trials=2.0), "trials must be an integer"),
+    (dict(trials=True), "trials must be an integer"),
+    (dict(placements=1.5), "placements must be an integer"),
+    (dict(placements=True), "placements must be an integer"),
+    (dict(m_values=(50, True)), "m_values"),
+    (dict(k_values=(True,)), "k_values"),
+    (dict(m_per_k=True), "m_per_k"),
+    (dict(m_per_k=50.0), "m_per_k"),
+])
+def test_a_count_that_is_no_integer_is_refused(options, match):
+    # each would otherwise construct, then run one trial or fail in the harness
+    with pytest.raises(ValueError, match=match):
+        RunOptions(**options)
+    assert RunOptions(trials=np.int64(3), m_values=(np.int64(50),)).trials == 3
+
+
 @pytest.fixture(scope="module")
 def bench():
     cfg = SystemConfig(M=40, seed=4)
@@ -137,7 +154,7 @@ def test_each_placement_of_a_bench_runs_as_its_one_placement_bench(selection):
     # the pass runs blocks of several schedules, but for "all", where every
     # layout feeds everyone back
     (profile,) = bench.schemes[1].iterated[1]
-    schedules = {iterative._plan(profile.layout(p), np.arange(cfg.K))[4] for p in range(5)}
+    schedules = {iterative.plan_pass(profile.layout(p), np.arange(cfg.K))[4] for p in range(5)}
     assert len(schedules) == 1 if selection == "all" else len(schedules) > 1
     # placements out of order and repeated, each with its own trial keys
     batch = [(p, (4, "test", p, t)) for t, p in enumerate([3, 0, 4, 0, 1, 2, 3])]
@@ -150,6 +167,24 @@ def test_each_placement_of_a_bench_runs_as_its_one_placement_bench(selection):
         assert np.array_equal(sig_res[t], one[0])
         assert np.array_equal(alone[t], one_errs)
     assert np.array_equal(errs, sum(e for _, e in singles))
+
+
+def test_each_pass_is_planned_once_per_entry_bs_and_placement(monkeypatch):
+    # ber_vs_k's bench at K = 10: one iterated entry, one metric BS and ten
+    # placements, so ten plans, made by the set-up and read by the pass
+    cfg = SystemConfig(K=10, M=500, C_u=70, scenario=Scenario1(), seed=5)
+    layouts = [place_users(cfg, substream(5, "ber_vs_k", 2, t, "layout")) for t in range(10)]
+    bench = simharness._make_bench(cfg, RunOptions(trials=10), layouts)
+    planned, plan_pass = [], iterative.plan_pass
+
+    def spy(profile, report):
+        planned.append(report.tolist())
+        return plan_pass(profile, report)
+
+    monkeypatch.setattr(iterative, "plan_pass", spy)
+    with simharness._one_blas_thread():
+        simharness._sum_trials(bench, [(t, (5, "ber_vs_k", 2, t)) for t in range(10)])
+    assert planned == [list(range(cfg.K))] * 10
 
 
 def trials(n, placements=1):
@@ -219,7 +254,7 @@ def scored_users(bench, j):
     there."""
     cell = j * bench.config.K + np.arange(bench.config.K)
     return [cell if s.iterated is None
-            else iterative.reduced_users(s.iterated[1][j].layout(0), cell)
+            else iterative.plan_pass(s.iterated[1][j].layout(0), cell)[0]
             for s in bench.schemes]
 
 
@@ -282,7 +317,7 @@ def test_one_shot_sp_from_the_reduction_equals_the_one_shot_receiver(selection):
     tp, sp = bench.schemes
     bench = dataclasses.replace(bench,
                                 schemes=(tp, sp._replace(iterated=(sp.iterated[0], (raw,)))))
-    assert iterative.reduced_users(raw.layout(0), np.arange(K))[:K].tolist() != list(range(K))
+    assert iterative.plan_pass(raw.layout(0), np.arange(K))[0][:K].tolist() != list(range(K))
     with simharness._one_blas_thread():
         sig_res, errs = simharness._run_trials(bench, trials(3))
         # the textbook receiver on cell 0's columns of the same projection,
@@ -317,21 +352,23 @@ def trial_frames(bench, key):
     Each tag draws one payload row per user, as long as the longest payload
     of its entries; an entry sends the trailing symbols of each row that its
     payload length asks for.  Entries on one (tag, book, Partition object)
-    send one frame matrix, the same object.
+    send one frame matrix.  Returns the frame matrices, each entry's index
+    into them, and each tag's payloads.
     """
     cfg = bench.config
     longest = {}
     for s in bench.schemes:
         longest[s.tag] = max(longest.get(s.tag, 0), s.book.payload_length(s.partition, cfg.C_u))
     payloads = {tag: waveform._draw_payloads(cfg.L * cfg.K, n, cfg.P, bench.data_dist,
-                                             substream(*key, f"{tag}-frames"))
+                                             [substream(*key, f"{tag}-frames")])[0][0]
                 for tag, n in longest.items()}
-    sent = {}
+    index, frames = {}, []
     for s in bench.schemes:
-        if (s.tag, id(s.book), s.partition) not in sent:
-            sent[s.tag, id(s.book), s.partition] = waveform.assemble_frames(
-                cfg, s.book, bench.powers, payloads[s.tag][0], s.partition)
-    return [sent[s.tag, id(s.book), s.partition] for s in bench.schemes], payloads
+        if (s.tag, id(s.book), s.partition) not in index:
+            index[s.tag, id(s.book), s.partition] = len(frames)
+            frames.append(waveform.assemble_frames(cfg, s.book, bench.powers, payloads[s.tag],
+                                                   s.partition))
+    return frames, [index[s.tag, id(s.book), s.partition] for s in bench.schemes], payloads
 
 
 def textbook_outputs(projection, at, s, j, p, config, powers):
@@ -373,7 +410,7 @@ def per_trial_energies(bench, trial):
     cfg, powers = bench.config, bench.powers
     K, M, sigma = cfg.K, cfg.M, math.sqrt(cfg.sigma2)
     p, key = trial
-    frames, payloads = trial_frames(bench, key)
+    frames, sends, payloads = trial_frames(bench, key)
     energies = np.empty((len(bench.schemes), 2, len(bench.streams), K))
     for j, tag in enumerate(bench.streams):
         factor = draw_channels(cfg, substream(*key, *tag))
@@ -384,14 +421,16 @@ def per_trial_energies(bench, trial):
         columns = [estimator_columns(s.book, s.partition, powers, u, cfg.C_u)
                    for s, u in zip(bench.schemes, users)]
         roots = [np.sqrt(s.gains[p, j].reshape(-1)) for s in bench.schemes]
-        projection = project(factor, sigma, frames, roots, columns)
+        estimates, matched = project([factor], sigma, np.stack(frames)[:, np.newaxis], sends,
+                                     roots, columns)
+        projection = Projection(estimates[0], matched[0])
         lo = 0
         for i, s in enumerate(bench.schemes):
             at = np.searchsorted(users[i], cell, sorter=np.argsort(users[i]))
             at = lo + np.argsort(users[i])[at]  # the cell's users among the projected, in order
             lo += users[i].size
             x_tilde = textbook_outputs(projection, at, s, j, p, cfg, powers)
-            sent = payloads[s.tag][0][cell]
+            sent = payloads[s.tag][cell]
             signal = gain[:, np.newaxis] * sent[:, sent.shape[1] - x_tilde.shape[1] :]
             residual = x_tilde - signal
             energies[i, :, j] = np.vecdot(signal, signal).real, np.vecdot(residual, residual).real
@@ -426,7 +465,8 @@ def test_an_entry_iterates_at_every_metric_bs():
     entry = sp._replace(iterated=(simharness.ITER_METHOD, profiles))
     bench = dataclasses.replace(reference, schemes=(entry,), streams=(("ch", 0), ("ch", 1)))
     report = K + np.arange(K)
-    users = iterative.reduced_users(batch.layout(1), report)
+    plan = iterative.plan_pass(batch.layout(1), report)
+    users = plan[0]
     assert users.size > K  # the pass keeps users outside cell 1
     columns = estimator_columns(sp.book, sp.partition, powers, users, cfg.C_u)
     roots = np.sqrt(sp.gains[0, 1].reshape(-1))
@@ -436,12 +476,13 @@ def test_an_entry_iterates_at_every_metric_bs():
         for t, (_p, key) in enumerate(trials(3)):
             # the entry's one-shot row, from cell j's rows of the same projection
             assert np.array_equal(sig_res[t, :1], per_trial_energies(bench, (0, key)))
-            sent, drawn_bits = waveform._draw_payloads(N, cfg.C_u, cfg.P, "qam",
-                                                       substream(*key, "sp-frames"))
+            (sent,), (drawn_bits,) = waveform._draw_payloads(N, cfg.C_u, cfg.P, "qam",
+                                                             [substream(*key, "sp-frames")])
             S = waveform.assemble_frames(cfg, sp.book, powers, sent, sp.partition)
             factor = draw_channels(cfg, substream(*key, "ch", 1))
-            projection = project(factor, math.sqrt(cfg.sigma2), [S], [roots], [columns])
-            G_t, R_t = iterative.reduce_block(projection)
+            projection = project([factor], math.sqrt(cfg.sigma2), S[np.newaxis, np.newaxis], [0],
+                                 [roots], [columns])
+            (G_t,), (R_t,) = iterative.reduce_block(projection)
             G.append(G_t)
             R.append(R_t)
             data.append(sent[report])
@@ -449,8 +490,7 @@ def test_an_entry_iterates_at_every_metric_bs():
             z = np.ascontiguousarray(factor[:, report]).T
             gain.append(np.vecdot(z, z).real / cfg.M)
         x_tilde = iterative.iterative_estimate(np.stack(G), np.stack(R),
-                                               sp.book.sp_columns(slice(None)),
-                                               batch.layout(1), report)
+                                               sp.book.sp_columns(slice(None)), [plan] * 3)
     signal, residual = simharness.signal_residual_power(x_tilde, np.stack(data), np.stack(gain))
     assert sig_res.shape == (3, 2, 2, 2, K)
     assert np.array_equal(sig_res[:, 1, 0, 1], signal)
@@ -528,10 +568,10 @@ def grouped_receives(monkeypatch, J):
     calls, state = [], {"bs": -1}
     real_project, real_receive = simharness.project, simharness.receive
 
-    def project_spy(factors, sigma, frames, roots, columns):
+    def project_spy(factors, sigma, frames, sends, roots, columns):
         state["bs"] = (state["bs"] + 1) % J
-        state["projection"], state["columns"] = real_project(factors, sigma, frames, roots,
-                                                             columns), columns
+        state["projection"], state["columns"] = real_project(factors, sigma, frames, sends,
+                                                             roots, columns), columns
         return state["projection"]
 
     def receive_spy(projection, users, rx, placement):
@@ -623,7 +663,7 @@ def test_a_sum_rate_trial_makes_one_payload_draw(monkeypatch, radii):
         assert all(one is stack for one in made[k * (2 + radii) : (k + 1) * (2 + radii)])
     for t, (_p, key) in enumerate(trials(3)):
         # the trial's rows of the stack are its own stream's draw
-        alone, _ = draw(N, cfg.C_u, cfg.P, "gaussian", substream(*key, "common-frames"))
+        (alone,), _ = draw(N, cfg.C_u, cfg.P, "gaussian", [substream(*key, "common-frames")])
         assert np.array_equal(data[t], alone)
         # each entry is scored on the trailing symbols of that draw that its
         # payload length asks for: 35 for all-TP and hybrid, 40 for all-SP
@@ -714,7 +754,7 @@ def test_totals_do_not_depend_on_the_chunk_size(any_bench, monkeypatch, per_chun
     totals = {}
     with simharness._one_blas_thread():
         for trials_per_chunk in (1, per_chunk, 5):
-            budget = trials_per_chunk * simharness._trial_bytes(any_bench)
+            budget = trials_per_chunk * any_bench.plan.trial_bytes
             monkeypatch.setattr(simharness, "_CHUNK_BYTES", budget)
             totals[trials_per_chunk] = simharness._sum_trials(
                 any_bench, trials(5, placements(any_bench)))
@@ -726,7 +766,7 @@ def test_totals_do_not_depend_on_the_chunk_size(any_bench, monkeypatch, per_chun
 
 def test_a_chunk_holds_at_least_one_trial(any_bench, monkeypatch):
     sizes = batch_sizes(monkeypatch)
-    monkeypatch.setattr(simharness, "_CHUNK_BYTES", simharness._trial_bytes(any_bench) - 1)
+    monkeypatch.setattr(simharness, "_CHUNK_BYTES", any_bench.plan.trial_bytes - 1)
     sig, errs = simharness._sum_trials(any_bench, trials(2, placements(any_bench)))
     assert sizes == [1, 1]
     assert np.all(sig > 0)

@@ -61,6 +61,18 @@ class TestSystemConfig:
             make_config(path_loss_exponent=exponent)
 
 
+@pytest.mark.parametrize("name", ["L", "K", "M", "C_u", "C", "r", "P", "iterations", "seed"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "4"])
+def test_a_count_that_is_no_integer_is_refused(name, bad):
+    # a float seed would be truncated by the substreams, and a float size
+    # would fail only inside the harness; a bool is no count either
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        make_config(**{name: bad})
+    # numpy integers are integers
+    good = getattr(make_config(), name)
+    assert getattr(make_config(**{name: np.int64(good)}), name) == good
+
+
 @pytest.mark.parametrize("make, match", [
     (lambda: Scenario1(cell_radius_m=math.inf), "cell_radius_m"),
     (lambda: Scenario1(min_dist_m=math.nan), "min_dist_m"),

@@ -32,8 +32,9 @@ class Frames(NamedTuple):
 def draw_frames(cfg, book, powers, rng, partition, data_dist="qam"):
     """One block's frames, on a payload draw as long as the partition's payloads."""
     n = book.payload_length(partition, cfg.C_u)
-    data, bits = _draw_payloads(cfg.L * cfg.K, n, cfg.P, data_dist, rng)
-    return Frames(assemble_frames(cfg, book, powers, data, partition), data, bits)
+    data, bits = _draw_payloads(cfg.L * cfg.K, n, cfg.P, data_dist, [rng])
+    return Frames(assemble_frames(cfg, book, powers, data[0], partition), data[0],
+                  None if bits is None else bits[0])
 
 
 def make_config(**kw):
@@ -250,7 +251,7 @@ class TestFrames:
         # from a draw of C_u symbols per user, each sends its trailing
         # `length`, the frames of that slice alone, and nothing before them
         # but its TP pilot
-        data, _ = _draw_payloads(35, cfg.C_u, cfg.P, "qam", substream(0, "f"))
+        (data,), _ = _draw_payloads(35, cfg.C_u, cfg.P, "qam", [substream(0, "f")])
         S = assemble_frames(cfg, book, HALF, data, part)
         tail = data[:, cfg.C_u - length :]
         assert np.array_equal(S, assemble_frames(cfg, book, HALF, tail.copy(), part))
@@ -279,10 +280,10 @@ class TestFrames:
         assert (bits is None) == (data_dist == "gaussian")
         for t, rng in enumerate(rngs):
             alone = substream(9, "stack", t)
-            one, one_bits = _draw_payloads(35, cfg.C_u, cfg.P, data_dist, alone)
+            (one,), one_bits = _draw_payloads(35, cfg.C_u, cfg.P, data_dist, [alone])
             assert rng.bit_generator.state == alone.bit_generator.state
             assert np.array_equal(data[t], one)
-            assert bits is None or np.array_equal(bits[t], one_bits)
+            assert bits is None or np.array_equal(bits[t], one_bits[0])
             assert np.array_equal(S[t], assemble_frames(cfg, book, HALF, one, part))
 
     def test_bad_arguments(self):
@@ -292,7 +293,7 @@ class TestFrames:
         with pytest.raises(ValueError, match="distribution"):
             draw_frames(cfg, book, powers, substream(0, "f"), all_sp(7, 5), "uniform")
         # payloads of too few users, or too few symbols for the partition's
-        data, _ = _draw_payloads(35, cfg.C_u, cfg.P, "qam", substream(0, "f"))
+        (data,), _ = _draw_payloads(35, cfg.C_u, cfg.P, "qam", [substream(0, "f")])
         for short in (data[:-1], data[:, 1:]):
             with pytest.raises(ValueError, match="payloads of shape"):
                 assemble_frames(cfg, book, powers, short, all_sp(7, 5))
