@@ -12,8 +12,10 @@ columns E: the estimates Y E and their matched filters conj(Y E)^T Y, a
 Projection.  project makes one projection of every scheme's users at one BS
 from the draws they share, without forming any M x C_u block, and from
 their triangular factor, without any M-row array.  The caller passes each
-frame matrix once and each scheme's index into them, and the schemes that
-send one frame matrix share its products.
+frame matrix and each set of estimator columns once, and each scheme's
+pair of indices into them: the schemes of one pair share their product of
+frames and columns, and those that send one frame matrix its
+matched-filter product.
 
 receive is the one receiver of every pilot scheme, and it receives any run
 of projected users of one payload length at once, whatever schemes and
@@ -117,58 +119,58 @@ def project(
     factors,
     sigma: float,
     frames: np.ndarray,
-    sends,
+    pairs,
     roots,
     columns: list,
 ) -> Projection:
     """One Projection of every scheme's users at one BS per trial, from the draws they share.
 
-    Scheme i would receive Y_i = Z (roots[i] * S_i[b]) + W in trial b: Z
-    (M, N) is the unit-variance fading and W (M, C_u) the noise at the BS,
-    S_i = frames[sends[i]] the scheme's (B, N, C_u) frame rows in each of B
-    trials, and roots[i] (N,) the square roots of its users' gains there.
-    frames (F, B, N, C_u) holds the F frame matrices the schemes send, and
-    sends[i] indexes scheme i's, so schemes that send one frame matrix pass
-    one index.  factors yields each trial's X = [Z, W / sigma], or any F
-    with F^H F = X^H X, such as sysmodel.draw_channels's triangular factor
-    R = Q^H X; it is consumed one factor at a time, so the caller can draw
-    each as it is read.  A projection reads X only through such inner
-    products, so it comes out rotated by Q^H, with as many rows as factor
-    has, and every norm and inner product the receivers take is the same.
-    columns[i] (C_u, n_i) are the estimator columns of the users scheme i
-    scores; the projection's estimate columns and matched rows are theirs,
-    scheme by scheme in order, behind a leading trial axis.  One trial is a
-    stack of one.
+    Scheme i, with pairs[i] = (f, c), would receive Y_i = Z (roots[i] *
+    frames[f][b]) + W in trial b and is seen through the estimator columns
+    columns[c]: Z (M, N) is the unit-variance fading and W (M, C_u) the
+    noise at the BS, roots[i] (N,) the square roots of its users' gains
+    there.  frames (F, B, N, C_u) holds the F frame matrices the schemes
+    send in each of B trials, and columns the column sets (C_u, n_c) they
+    project through, so schemes that send one frame matrix pass one f, and
+    schemes that score the same users under one book and partition one c.
+    factors yields each trial's X = [Z, W / sigma], or any F with F^H F =
+    X^H X, such as sysmodel.draw_channels's triangular factor R = Q^H X; it
+    is consumed one factor at a time, so the caller can draw each as it is
+    read.  A projection reads X only through such inner products, so it
+    comes out rotated by Q^H, with as many rows as factor has, and every
+    norm and inner product the receivers take is the same.  The
+    projection's estimate columns and matched rows are the schemes' users,
+    scheme by scheme in order, behind a leading trial axis.
 
     Per trial, one product, waveform.synthesize_received, makes every
     estimate, Y_i E_i = F [roots_i * (S_i E_i) ; sigma E_i], and one more
     every matched filter's part conj(Y_i E_i)^T F, split at column N into
     its fading part, which meets roots_i * S_i, and its noise part, scaled
     by sigma.  The rest runs once for the B trials, as stacks of the
-    per-trial products: S E once per (frame matrix, columns) pair, and the
-    fading part of the matched filters of the schemes that send one frame
-    matrix as one product with it.  sigma E is the same in every trial.  No
-    Y_i is formed.  A user's results are a column and a row of products
-    over all the users projected, so their last bits can depend on which
-    other users share the call, but not on the other trials.
+    per-trial products: S E once per distinct (f, c) pair, and the fading
+    part of the matched filters of the schemes that send one frame matrix
+    as one product with it.  sigma E is the same in every trial.  No Y_i is
+    formed.  A user's results are a column and a row of products over all
+    the users projected, so their last bits can depend on which other users
+    share the call, but not on the other trials.
     """
     B, N = frames.shape[1:3]
-    widths = [E.shape[1] for E in columns]
+    widths = [columns[c].shape[1] for _, c in pairs]
     bounds = [0, *itertools.accumulate(widths)]
     # each projected user's scheme's roots, as complex numbers, so that no
     # product below casts them in an iterator buffer
     roots = np.asarray(roots, dtype=complex)
-    # S E once per (frame matrix, columns) pair, copied into each scheme's
+    # S E once per (frame set, column set) pair, copied into each scheme's
     # columns of the stack, then scaled by its roots at once
     stacked = np.empty((B, N + columns[0].shape[0], bounds[-1]), dtype=complex)
     products = {}
-    for f, E, lo, hi in zip(sends, columns, bounds, bounds[1:]):
-        if (f, id(E)) not in products:
-            products[f, id(E)] = frames[f] @ E
-        stacked[:, :N, lo:hi] = products[f, id(E)]
+    for (f, c), lo, hi in zip(pairs, bounds, bounds[1:]):
+        if (f, c) not in products:
+            products[f, c] = frames[f] @ columns[c]
+        stacked[:, :N, lo:hi] = products[f, c]
     del products
     stacked[:, :N] *= np.repeat(roots.T, widths, axis=1)
-    noise = np.concatenate(columns, axis=1)
+    noise = np.concatenate([columns[c] for _, c in pairs], axis=1)
     noise *= sigma
     stacked[:, N:] = noise
     estimates, through = [], None
@@ -199,7 +201,7 @@ def project(
     fading *= np.repeat(roots, widths, axis=0)
     # one product per frame matrix, over the users of the schemes that send it
     users = {}
-    for f, lo, hi in zip(sends, bounds, bounds[1:]):
+    for (f, _), lo, hi in zip(pairs, bounds, bounds[1:]):
         users.setdefault(f, []).append((lo, hi))
     for f, spans in users.items():
         if all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:])):

@@ -52,12 +52,12 @@ for per_iteration, where the set follows the admission rows sweep by
 sweep), the sweep order, and the gains, PowerAllocation and SystemConfig
 it was computed for; the estimator reads all of them, its schedule
 (_schedule) included, from the profile a plan carries.  The recursion
-takes one layout or a batch of layouts, each with its own gains, and runs
-each step on the whole batch.  A target reads the working row only at the
-users fed back, so under a fixed set a run of targets that no layout of
-the batch feeds back is one step, and a sweep takes one step per member
-and one per run between them; the one-sweep recursion that picks the fixed
-set, in which nobody is fed back, is one step.  A step's psi core is one
+takes a batch of layouts, each with its own gains, and runs each step on
+the whole batch.  A target reads the working row only at the users fed
+back, so under a fixed set a run of targets that no layout of the batch
+feeds back is one step, and a sweep takes one step per member and one per
+run between them; the one-sweep recursion that picks the fixed set, in
+which nobody is fed back, is one step.  A step's psi core is one
 masked row sum of a C-contiguous (B, N) array, and numpy sums each row of
 such an array along axis 1 with the pairwise lanes of a 1-D sum of that
 row, so every layout gets the bits it gets alone.
@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,8 +138,7 @@ class PredictionProfile:
     per-user gains the profile was computed for, and powers and config the
     split, antenna count, QAM order and sweep count.  A profile of a batch
     of B layouts carries a leading B axis on every array; layout(b) is the
-    profile of one of them, and layout of an index array the batch of the
-    layouts it lists.
+    profile of one of them.
     """
 
     interference: np.ndarray
@@ -156,7 +156,8 @@ class PredictionProfile:
         return self.interference.shape[-2] - 1
 
     def layout(self, b) -> "PredictionProfile":
-        """The one-layout profile of row b of a batched profile, or the batch of rows b lists."""
+        """The one-layout profile of row b of a batched profile."""
+        b = operator.index(b)
         rows = {name: getattr(self, name)[b] for name in
                 ("interference", "alpha", "psi", "include", "order", "beta")}
         return replace(self, fixed_mask=None if self.fixed_mask is None else self.fixed_mask[b],
@@ -236,20 +237,19 @@ def predict_profile(
 ) -> PredictionProfile:
     """Run the deterministic error-prediction recursion for config.iterations sweeps.
 
-    beta is one layout's gains (N,) or a batch of B layouts (B, N), users in
-    any order, all under the one split powers; config gives sigma2, M, C_u,
-    P and the sweep count, and N must be its L*K.  Each row is sorted into
-    sweep order for the recursion and its results are returned in the row's
-    own order.  A batch gives a profile with a leading B axis whose
-    layout(b) equals the profile of row b alone, bit for bit.  selection is
-    one of SELECTION_RULES.  The profile keeps a copy of beta, at its shape,
-    with powers and config: they are what iterative_estimate reads.
+    beta is a batch of B layouts' gains (B, N), users in any order, all
+    under the one split powers; config gives sigma2, M, C_u, P and the sweep
+    count, and N must be its L*K.  Each row is sorted into sweep order for
+    the recursion and its results are returned in the row's own order.  The
+    profile has a leading B axis, and its layout(b) equals the profile of
+    row b alone, bit for bit.  selection is one of SELECTION_RULES.  The
+    profile keeps a copy of beta with powers and config: they are what
+    iterative_estimate reads.
     """
-    single = np.ndim(beta) == 1
-    batch = np.atleast_2d(np.array(beta, dtype=float))
-    if batch.shape[-1] != config.L * config.K:
-        raise ValueError(f"need one gain per user, {config.L * config.K} for L={config.L}, "
-                         f"K={config.K}, got {batch.shape[-1]}")
+    batch = np.array(beta, dtype=float)
+    if batch.ndim != 2 or batch.shape[1] != config.L * config.K:
+        raise ValueError(f"need a (B, N) batch of one gain per user, N = {config.L * config.K} "
+                         f"for L={config.L}, K={config.K}, got shape {batch.shape}")
     # the sweep order: decreasing gain, ties in the order given
     order = np.argsort(-batch, axis=1, kind="stable")
     sorted_beta = np.take_along_axis(batch, order, axis=1)
@@ -270,10 +270,9 @@ def predict_profile(
         for a in _recursion(sorted_beta, powers, config, config.iterations, fixed_mask))
     if fixed_mask is not None:
         fixed_mask = np.take_along_axis(fixed_mask, flat[:, 0], axis=1)
-    profile = PredictionProfile(interference=interference, alpha=alpha, psi=psi, include=include,
-                                fixed_mask=fixed_mask, order=order, beta=batch, powers=powers,
-                                config=config)
-    return profile.layout(0) if single else profile
+    return PredictionProfile(interference=interference, alpha=alpha, psi=psi, include=include,
+                             fixed_mask=fixed_mask, order=order, beta=batch, powers=powers,
+                             config=config)
 
 
 def plan_pass(profile: PredictionProfile, report) -> tuple:

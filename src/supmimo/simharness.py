@@ -57,10 +57,10 @@ Gram matrix: the estimates' norms and inner products, the matched filters
 conj(Y E)^T Y and the desired-signal gain ||z||^2 / M, which R gives as X
 does.  Receivers take M from the config, not from the estimates' row count.
 
-What a bench's trials read besides their keys is planned once per bench
-(_Plan), and the layers read that plan instead of deciding again: the
-frame sets, numbered, with each entry's frame index; the estimator columns
-and frame row scales of every entry at every placement and metric BS; each
+A bench is planned once, as it is built (_Bench), and the layers read its
+plan instead of deciding again: the frame sets and the estimator column
+sets, each numbered, with each entry's (frame set, column set) pair; the
+column sets and frame row scales at every placement and metric BS; each
 iterated entry's pass plan there (iterative.plan_pass), which names the
 users its estimator keeps and the reported rows among them; and the
 receivers' constants (estimators.Receiver: SP users, pilot rows and
@@ -73,9 +73,10 @@ the two products that read it (estimators.project).  Every other stage
 runs once per sub-batch on stacks of its trials' arrays: the modulation,
 the frames, the products of frames and estimator columns, the matched
 filters, and, per metric BS, one estimators.receive call and one scoring
-pass per (tag, payload length), against the payloads its entries share.
-project reads the sub-batch's frame matrices as one (frame set, trial)
-array and each entry's frame index from the plan.  Each stacked product is
+pass per (tag, payload length), against the payloads its entries share,
+written straight into the kernel's outputs.  project reads the sub-batch's
+frame matrices as one (frame set, trial) array, and the column sets and
+each entry's pair from the plan.  Each stacked product is
 a stack of the per-trial products, so a trial's outputs have the same bits
 in any sub-batch, and a sub-batch's frames, draws and outputs do not
 outlive it.  An entry that iterates is projected at metric BS j onto the
@@ -84,7 +85,7 @@ outputs are received from cell j's users of that projection, and
 reduce_block turns it into the G and R the estimator reads.  Those G and
 R, with the trial's payloads, bits and channel gains, outlive the
 sub-batch: the estimator runs once per (entry, BS) on a chunk of as many
-trials as fit _CHUNK_BYTES at _Plan.trial_bytes each, each trial under its
+trials as fit _CHUNK_BYTES at _Bench.trial_bytes each, each trial under its
 placement's plan.  The estimator stacks the trials whose plans give it one
 schedule and runs its products as stacks of per-trial products, so a
 trial's energies have the same bits in any chunk, and they are added to the
@@ -143,14 +144,13 @@ OPTIONS_READ = {
 }
 
 # budget of one chunk of _run_trials: as many trials as fit at
-# _Plan.trial_bytes each, and beside what they keep for the pass,
-# sub-batches of as many as fit at _Plan.staged_bytes with one draw.  At
+# _Bench.trial_bytes each, and beside what they keep for the pass,
+# sub-batches of as many as fit at _Bench.staged_bytes with one draw.  At
 # seed 5, sinr_vs_m runs one chunk of 20 trials at M = 50 and two of 10 at
 # M = 100 and 200, in sub-batches of 3 or 2 (traced peak of its 20 trials
-# at M = 200: 1,417 KiB); ber_vs_k at K = 10 one chunk of 10 in
-# sub-batches of 2.
-# sum_rate_vs_sir holds only energies, so all its trials fit one chunk,
-# stacked one at a time.
+# at M = 200: 1,417 KiB); ber_vs_k one chunk of 10 per K, in sub-batches
+# of 10, 5 and 2 at K = 1, 5 and 10.  sum_rate_vs_sir holds only
+# energies, so all its trials fit one chunk, stacked one at a time.
 _CHUNK_BYTES = 1536 * 1024
 
 
@@ -287,129 +287,97 @@ class _Scheme(NamedTuple):
     iterated: tuple | None = None
 
 
-@dataclass(frozen=True)
 class _Bench:
-    """What a run of trials shares: its scheme table and metric BSs.
+    """What a run of trials shares, and what _run_trials reads of it, planned once.
 
-    The schemes are those of one or more user placements, each entry with
-    its gains at every placement, and of one layout or of several
+    The scheme table is that of one or more user placements, each entry
+    with its gains at every placement, and of one layout or of several
     (sum_rate_vs_sir's radii, one placement), each entry with its own
     gains.  streams[j] is the substream tag of metric BS j's draws
-    (sysmodel.draw_channels), whose cell's users are scored.  data_dist is
+    (sysmodel.draw_channels), whose cell's users are scored, and data_dist
     the payload distribution of waveform.assemble_frames.
+
+    methods lists the methods of _run_trials's method axis, as (name,
+    entry, payload symbols per user): every entry of the table, then the
+    iterated pass of each entry that iterates, in table order.  Per tag,
+    drawn holds the payload symbols drawn per user, its entries' longest.
+    Each entry i sends and projects through pairs[i] = (frame set, column
+    set).  Frame sets are numbered in table order, one per (tag, book,
+    Partition object), and frame_sets holds each set's first entry; column
+    sets are numbered in table order too, one per (book, Partition object)
+    of the entries that do not iterate and one per entry that does, so the
+    entries of one pair share their S E product (estimators.project).
+    columns[p][j][c] are column set c's estimator columns at placement p and
+    metric BS j: its cell's users, or an iterated entry's kept users.
+    roots holds sqrt(beta) of every entry's users at every placement and
+    metric BS, the frame row scales.  An entry i that iterates has a pass
+    plan at each BS j and placement p (passes[i, j][p], iterative.plan_pass,
+    for cell j's users): it is projected there onto the users the plan
+    keeps, and cell j's are scored, at the plan's reported rows.
+    counts[j, p, i] users of entry i are projected, from starts[j, p, i] on.
+    The entries of one (tag, payload length) are received and scored
+    together (groups): their receiver at each BS, over placements, and the
+    projected users it reads at each BS and placement.  held_bytes,
+    trial_bytes, staged_bytes and draw_bytes count what a trial holds, as
+    the comment on them says.  An entry that iterates over a user without
+    a superimposed pilot is refused here, before any trial draws.
     """
 
-    config: SystemConfig
-    powers: PowerAllocation
-    schemes: tuple
-    streams: tuple
-    data_dist: str
-
-    @functools.cached_property
-    def plan(self) -> "_Plan":
-        """The set-up _run_trials reads of the bench, built on first use."""
-        return _Plan(self)
-
-
-def _make_bench(config: SystemConfig, options: RunOptions, layouts: list) -> _Bench:
-    """The reference bench over the user placements `layouts`, from one set-up pass.
-
-    TP and SP at BS 0, QAM payloads, and the SP entry iterated.  The state
-    that depends on the config alone (data/pilot split, powers, pilot book)
-    is built once, each entry's gains carry one map per placement, and one
-    prediction recursion runs over the placements' gains at BS 0.
-    """
-    L, K = config.L, config.K
-    powers = PowerAllocation(*analytics.optimal_rho(config.M, L, K, config.C_u))
-    book = waveform.make_pilot_books(config)
-    gains = np.stack([path_loss(layout, config.path_loss_exponent).normalized(config.omega).beta
-                      for layout in layouts])
-    profile = iterative.predict_profile(gains[:, 0].reshape(len(layouts), -1), powers, config,
-                                        options.selection)
-    schemes = (_Scheme(TP_METHOD, "tp", book, gains, all_tp(L, K)),
-               _Scheme(SP_METHOD, "sp", book, gains, all_sp(L, K), (ITER_METHOD, (profile,))))
-    return _Bench(config, powers, schemes, (("channels",),), "qam")
-
-
-def _methods(bench: _Bench) -> list:
-    """The methods of _run_trials's method axis, as (name, entry, payload symbols per user).
-
-    Every entry of the table, then the iterated pass of each entry that
-    iterates, in table order.
-    """
-    schemes, C_u = bench.schemes, bench.config.C_u
-    named = [(s.method, s) for s in schemes] + [(s.iterated[0], s) for s in schemes if s.iterated]
-    return [(name, s, s.book.payload_length(s.partition, C_u)) for name, s in named]
-
-
-class _Plan:
-    """What _run_trials reads of a bench besides its trials, built once per bench.
-
-    Per tag, the payload symbols drawn per user, its entries' longest; the
-    frame sets, one per (tag, book, Partition object), numbered in table
-    order, each as its first entry, and sends[i], entry i's frame set;
-    sqrt(beta) of every entry's users at every placement and metric BS
-    (roots), the frame row scales; and each entry's estimator columns at
-    each placement and metric BS (columns[p][j][i]), those of its cell's
-    users, shared by the entries on one book and one Partition object.  An
-    entry i that iterates has a pass plan at each BS j and placement p
-    (passes[i, j][p], iterative.plan_pass, for cell j's users): it is
-    projected there onto the users the plan keeps, and cell j's are scored,
-    at the plan's reported rows.  counts[j, p, i] users of entry i are
-    projected, from starts[j, p, i] on.  The entries of one (tag, payload
-    length) are received and scored together (groups): their receiver at
-    each BS, over placements, and the projected users it reads at each BS
-    and placement.  held_bytes, trial_bytes, staged_bytes and draw_bytes
-    count what a trial holds, as the comment on them says.
-    """
-
-    def __init__(self, bench: _Bench):
-        cfg, powers, schemes = bench.config, bench.powers, bench.schemes
+    def __init__(self, config: SystemConfig, powers: PowerAllocation, schemes: tuple,
+                 streams: tuple, data_dist: str):
         for i, s in enumerate(schemes):
             # the iterative estimator reads every user's superimposed pilot
             if s.iterated and not s.partition.sp.all():
                 l, k = np.argwhere(~s.partition.sp)[0].tolist()
                 raise ValueError(f"entry {i} ({s.method!r}) iterates, but its user "
                                  f"({l}, {k}) has no superimposed pilot")
-        K, C_u, N, J = cfg.K, cfg.C_u, cfg.L * cfg.K, len(bench.streams)
+        self.config, self.powers, self.schemes = config, powers, schemes
+        self.streams, self.data_dist = streams, data_dist
+        K, C_u, N, J = config.K, config.C_u, config.L * config.K, len(streams)
         n_placements = schemes[0].gains.shape[0]
         cells = np.arange(J * K).reshape(J, K)
-        self.lengths = [n for _, _, n in _methods(bench)[: len(schemes)]]
-        self.drawn, frame_of, members = {}, {}, {}
-        for i, (s, n) in enumerate(zip(schemes, self.lengths)):
+        named = ([(s.method, s) for s in schemes]
+                 + [(s.iterated[0], s) for s in schemes if s.iterated])
+        self.methods = [(name, s, s.book.payload_length(s.partition, C_u)) for name, s in named]
+        self.drawn, frame_of, column_of, members = {}, {}, {}, {}
+        for i, (s, (_, _, n)) in enumerate(zip(schemes, self.methods)):
             self.drawn[s.tag] = max(self.drawn.get(s.tag, 0), n)
             members.setdefault((s.tag, n), []).append(i)
-        # each entry's frame set, numbered in table order, and each set's first entry
-        self.sends = [frame_of.setdefault((s.tag, id(s.book), s.partition), len(frame_of))
-                      for s in schemes]
-        self.frame_sets = [schemes[self.sends.index(f)] for f in range(len(frame_of))]
+        self.pairs = [(frame_of.setdefault((s.tag, id(s.book), s.partition), len(frame_of)),
+                       column_of.setdefault(i if s.iterated else (id(s.book), s.partition),
+                                            len(column_of)))
+                      for i, s in enumerate(schemes)]
+        sends = [f for f, _ in self.pairs]
+        self.frame_sets = [schemes[sends.index(f)] for f in range(len(frame_of))]
         self.iterated = [i for i, s in enumerate(schemes) if s.iterated]
         self.held = {schemes[i].tag for i in self.iterated}
         self.roots = np.sqrt(np.stack([s.gains[:, :J].reshape(-1, J, N) for s in schemes]))
-        unique = {(id(s.book), s.partition): s for s in schemes}
-        shared = {key: [estimator_columns(s.book, s.partition, powers, cell, C_u) for cell in cells]
-                  for key, s in unique.items()}
-        self.columns = [[[shared[id(s.book), s.partition][j] for s in schemes] for j in range(J)]
-                        for _ in range(n_placements)]
+        # each column set at each placement and BS, made by its first entry:
+        # an iterated entry's from its pass plan there, for its cell's users
+        self.columns = [[[] for _ in range(J)] for _ in range(n_placements)]
         self.counts = np.full((J, n_placements, len(schemes)), K)
-        # each iterated entry's pass plan at each BS and placement, for its
-        # cell's users, and its projection onto the users the plan keeps
         self.passes = {}
-        for i in self.iterated:
-            s = schemes[i]
-            for j, profile in enumerate(s.iterated[1]):
-                self.passes[i, j] = [iterative.plan_pass(profile.layout(p), cells[j])
-                                     for p in range(n_placements)]
-                for p, (users, *_) in enumerate(self.passes[i, j]):
-                    self.columns[p][j][i] = estimator_columns(s.book, s.partition, powers,
-                                                              users, C_u)
-                    self.counts[j, p, i] = users.size
+        for i, s in enumerate(schemes):
+            if self.pairs[i][1] < len(self.columns[0][0]):
+                continue  # an earlier entry's set
+            for j in range(J):
+                if s.iterated:
+                    self.passes[i, j] = [iterative.plan_pass(s.iterated[1][j].layout(p), cells[j])
+                                         for p in range(n_placements)]
+                    users = [users for users, *_ in self.passes[i, j]]
+                    self.counts[j, :, i] = [u.size for u in users]
+                    sets = [estimator_columns(s.book, s.partition, powers, u, C_u) for u in users]
+                else:
+                    sets = [estimator_columns(s.book, s.partition, powers, cells[j], C_u)
+                            ] * n_placements
+                for p, E in enumerate(sets):
+                    self.columns[p][j].append(E)
         self.starts = np.cumsum(self.counts, axis=2) - self.counts
         scored = {key: np.stack([rows for _, rows, *_ in plans])
                   for key, plans in self.passes.items()}
         self.groups = [(tag, n, entries,
                         [receiver([(schemes[i].book, schemes[i].partition, j,
-                                    schemes[i].gains[:, j, j]) for i in entries], powers, cfg)
+                                    schemes[i].gains[:, j, j]) for i in entries], powers, config)
                          for j in range(J)],
                         [np.concatenate([self.starts[j, :, i, np.newaxis]
                                          + scored.get((i, j), np.arange(K))
@@ -435,10 +403,10 @@ class _Plan:
         # where there are several.  draw_bytes is one trial's draw at one
         # BS, the (r, d) factor of sysmodel.draw_channels, r = min(M, d) and
         # d = L*K + C_u.  Payloads are counted at C_u symbols, their longest.
-        n_bits = waveform.bits_per_symbol(cfg.P)
-        d, r = N + C_u, min(cfg.M, N + C_u)
+        n_bits = waveform.bits_per_symbol(config.P)
+        d, r = N + C_u, min(config.M, N + C_u)
         per_payload = (16 + n_bits) * K * C_u
-        self.held_bytes = (8 * J * K * (2 * len(_methods(bench)) + 1)
+        self.held_bytes = (8 * J * K * (2 * len(self.methods) + 1)
                            + J * per_payload * len(self.held))
         pass_bytes = 0
         for (i, j) in self.passes:
@@ -456,13 +424,33 @@ class _Plan:
         self.draw_bytes = 16 * (2 * r * d - r * (r + 1) // 2)
 
 
+def _make_bench(config: SystemConfig, options: RunOptions, layouts: list) -> _Bench:
+    """The reference bench over the user placements `layouts`, from one set-up pass.
+
+    TP and SP at BS 0, QAM payloads, and the SP entry iterated.  The state
+    that depends on the config alone (data/pilot split, powers, pilot book)
+    is built once, each entry's gains carry one map per placement, and one
+    prediction recursion runs over the placements' gains at BS 0.
+    """
+    L, K = config.L, config.K
+    powers = PowerAllocation(*analytics.optimal_rho(config.M, L, K, config.C_u))
+    book = waveform.make_pilot_books(config)
+    gains = np.stack([path_loss(layout, config.path_loss_exponent).normalized(config.omega).beta
+                      for layout in layouts])
+    profile = iterative.predict_profile(gains[:, 0].reshape(len(layouts), -1), powers, config,
+                                        options.selection)
+    schemes = (_Scheme(TP_METHOD, "tp", book, gains, all_tp(L, K)),
+               _Scheme(SP_METHOD, "sp", book, gains, all_sp(L, K), (ITER_METHOD, (profile,))))
+    return _Bench(config, powers, schemes, (("channels",),), "qam")
+
+
 def _run_trials(bench: _Bench, trials: list):
     """T trials of a bench, one per (placement, key) pair: drawn, received and scored.
 
     A trial draws its randomness from its key's substreams and runs on its
     placement's gains.  The trials run in sub-batches, as many as fit what
     _CHUNK_BYTES leaves beside the T trials' pass inputs and one draw, at
-    the bytes the stacked stages hold per trial (_Plan.staged_bytes), at
+    the bytes the stacked stages hold per trial (_Bench.staged_bytes), at
     least one, in runs of equal length (_runs).  Only the keyed draws are
     made trial by trial: per trial and tag, one payload draw, which serves
     every entry of that tag, and per trial and metric BS j one factor of
@@ -475,7 +463,8 @@ def _run_trials(bench: _Bench, trials: list):
     filters of every scheme's scored users, with each scheme's gains at BS
     j folded into its frame rows.  Their cells' users are received in one
     pass per (tag, payload length) and run, and scored per (tag, payload
-    length) and sub-batch, against the payloads they share.  A user's
+    length) and sub-batch, against the payloads they share, into the
+    outputs, which are allocated before the first sub-batch.  A user's
     desired-signal gain ||h||^2 / (M beta) is ||z||^2 / M, the squared norm
     of its column of the draw, the same for every scheme.  Every stacked
     step is a stack of the per-trial steps, so a trial's outputs have the
@@ -484,13 +473,12 @@ def _run_trials(bench: _Bench, trials: list):
     (sig_res, errs): the (T, methods, 2, J, K) signal and residual energies
     per trial, method, metric BS and user, and the (methods, 2) bit errors
     and bit count per method over the batch (zero for Gaussian payloads),
-    methods as _methods lists them.
+    methods as _Bench.methods lists them.
     """
-    plan = bench.plan
     cfg, powers, schemes = bench.config, bench.powers, bench.schemes
     K, M, C_u, P, N = cfg.K, cfg.M, cfg.C_u, cfg.P, cfg.L * cfg.K
     sigma = math.sqrt(cfg.sigma2)
-    T, J, n_schemes = len(trials), len(bench.streams), len(schemes)
+    T, J = len(trials), len(bench.streams)
     qam = bench.data_dist == "qam"
     n_bits = waveform.bits_per_symbol(P)
     cells = np.arange(J * K).reshape(J, K)
@@ -498,45 +486,48 @@ def _run_trials(bench: _Bench, trials: list):
     # the trials where the placement changes: a run of one placement's
     # trials is projected in one call
     cuts = (np.flatnonzero(placements[1:] != placements[:-1]) + 1).tolist()
-    step = min(T, max(1, (_CHUNK_BYTES - T * plan.held_bytes - plan.draw_bytes)
-                      // plan.staged_bytes))
+    step = min(T, max(1, (_CHUNK_BYTES - T * bench.held_bytes - bench.draw_bytes)
+                      // bench.staged_bytes))
     # What outlives a sub-batch is allocated once, before the first, so
     # that each sub-batch reuses the heap the one before it freed instead
-    # of growing it past what the allocator trims.  Each (tag, payload
-    # length)'s energies and bit errors over the batch; each tag's payloads
-    # and bits at the metric cells, every trial's for the tag of an entry
-    # that iterates, else the sub-batch's; each trial's G and R per
-    # (iterated entry, BS), over the users kept, in the leading block of
-    # the largest such set's arrays; the frame matrices, the receivers'
-    # outputs per (tag, payload length) and the draws' cell columns of the
-    # sub-batch
-    scores = [(np.empty((T, 2, J, len(entries), K)), np.zeros(len(entries), dtype=np.int64))
-              for _, _, entries, _, _ in plan.groups]
+    # of growing it past what the allocator trims.  The outputs, which each
+    # (tag, payload length) writes its energies and bit errors into; each
+    # tag's payloads and bits at the metric cells, every trial's for the
+    # tag of an entry that iterates, else the sub-batch's; each trial's G
+    # and R per (iterated entry, BS), over the users kept, in the leading
+    # block of the largest such set's arrays; the frame matrices, the
+    # receivers' outputs per (tag, payload length) and the draws' cell
+    # columns of the sub-batch
+    sig_res = np.empty((T, len(bench.methods), 2, J, K))
+    errs = np.zeros((len(bench.methods), 2), dtype=np.int64)
+    if qam:
+        for _, n, entries, _, _ in bench.groups:
+            errs[entries, 1] = T * J * K * n_bits * n
     gain = np.empty((T, J, K))
-    sent = {tag: (np.empty((T if tag in plan.held else step, J, K, n), dtype=complex),
-                  np.empty((T if tag in plan.held else step, J, K, n_bits * n), dtype=np.uint8)
-                  if qam else None) for tag, n in plan.drawn.items()}
+    sent = {tag: (np.empty((T if tag in bench.held else step, J, K, n), dtype=complex),
+                  np.empty((T if tag in bench.held else step, J, K, n_bits * n), dtype=np.uint8)
+                  if qam else None) for tag, n in bench.drawn.items()}
     stacks = {}
-    for i in plan.iterated:
+    for i in bench.iterated:
         for j in range(J):
-            n = plan.counts[j, :, i].max()
+            n = bench.counts[j, :, i].max()
             stacks[i, j] = np.empty((T, n, C_u), dtype=complex), np.empty((T, n, n), dtype=complex)
-    buffer = np.empty((len(plan.frame_sets), step, N, C_u), dtype=complex)
+    buffer = np.empty((len(bench.frame_sets), step, N, C_u), dtype=complex)
     outputs = [np.empty((step, len(entries) * K, n), dtype=complex)
-               for _, n, entries, _, _ in plan.groups]
+               for _, n, entries, _, _ in bench.groups]
     columns = np.empty((step, min(M, N + C_u), K), dtype=complex)
     for lo, hi in _runs(T, step):
         batch = trials[lo:hi]
         B = len(batch)
-        at = {tag: slice(lo, lo + B) if tag in plan.held else slice(B) for tag in plan.drawn}
+        at = {tag: slice(lo, lo + B) if tag in bench.held else slice(B) for tag in bench.drawn}
         # one tag's draw at a time, freed once its frames are made
-        for tag, n in plan.drawn.items():
+        for tag, n in bench.drawn.items():
             data, bits = waveform._draw_payloads(
                 N, n, P, bench.data_dist, [substream(*key, f"{tag}-frames") for _, key in batch])
             sent[tag][0][at[tag]] = data[:, : J * K].reshape(B, J, K, n)
             if qam:
                 sent[tag][1][at[tag]] = bits[:, : J * K].reshape(B, J, K, n_bits * n)
-            for f, s in enumerate(plan.frame_sets):
+            for f, s in enumerate(bench.frame_sets):
                 if s.tag == tag:
                     buffer[f, :B] = waveform.assemble_frames(cfg, s.book, powers, data, s.partition)
             del data, bits
@@ -555,15 +546,15 @@ def _run_trials(bench: _Bench, trials: list):
 
             for a, b in zip(edges, edges[1:]):
                 p = placements[lo + a]
-                projection = project(factors(a, b), sigma, buffer[:, a:b], plan.sends,
-                                     plan.roots[:, p, j], plan.columns[p][j])
-                for i in plan.iterated:
-                    n = plan.counts[j, p, i]
-                    users = slice(plan.starts[j, p, i], plan.starts[j, p, i] + n)
+                projection = project(factors(a, b), sigma, buffer[:, a:b], bench.pairs,
+                                     bench.roots[:, p, j], bench.columns[p][j])
+                for i in bench.iterated:
+                    n = bench.counts[j, p, i]
+                    users = slice(bench.starts[j, p, i], bench.starts[j, p, i] + n)
                     G, R = stacks[i, j]
                     G[lo + a : lo + b, :n], R[lo + a : lo + b, :n, :n] = iterative.reduce_block(
                         Projection(projection.estimates[..., users], projection.matched[:, users]))
-                for out, (_, _, _, rx, users) in zip(outputs, plan.groups):
+                for out, (_, _, _, rx, users) in zip(outputs, bench.groups):
                     out[a:b] = receive(projection, users[j][p], rx[j], p)
                 # with several metric BSs, each projection is freed only as
                 # the next BS's replaces it, so the heap does not shrink to
@@ -573,41 +564,32 @@ def _run_trials(bench: _Bench, trials: list):
                     projection = None
             z = np.swapaxes(columns[:B], 1, 2)
             gain[lo : lo + B, j] = np.vecdot(z, z).real / M
-            for out, (tag, n, entries, _, _), (energies, wrong) in zip(outputs, plan.groups,
-                                                                      scores):
+            for out, (tag, n, entries, _, _) in zip(outputs, bench.groups):
                 x_tilde = out[:B].reshape(B, len(entries), K, n)
                 data, bits = (held if held is None else held[at[tag]] for held in sent[tag])
                 # every entry of the group is scored against the same payloads
-                signal, residual = signal_residual_power(
-                    x_tilde, data[:, np.newaxis, j, :, data.shape[-1] - n :],
-                    gain[lo : lo + B, np.newaxis, j])
-                energies[lo : lo + B, 0, j] = signal
-                energies[lo : lo + B, 1, j] = residual
+                sig_res[lo:hi, entries, 0, j], sig_res[lo:hi, entries, 1, j] = (
+                    signal_residual_power(x_tilde, data[:, np.newaxis, j, :, data.shape[-1] - n :],
+                                          gain[lo:hi, np.newaxis, j]))
                 if qam:
-                    wrong += np.sum(waveform.demap(x_tilde, P).reshape(B, len(entries), -1)
-                                    != bits[:, np.newaxis, j, :, bits.shape[-1] - n_bits * n :]
-                                    .reshape(B, 1, -1), axis=(0, 2))
+                    errs[entries, 0] += np.sum(
+                        waveform.demap(x_tilde, P).reshape(B, len(entries), -1)
+                        != bits[:, np.newaxis, j, :, bits.shape[-1] - n_bits * n :]
+                        .reshape(B, 1, -1), axis=(0, 2))
     del buffer, outputs, columns, projection
-    sig_res = np.empty((T, n_schemes + len(plan.iterated), 2, J, K))
-    errs = np.zeros((n_schemes + len(plan.iterated), 2), dtype=np.int64)
-    for (_, n, entries, _, _), (energies, wrong) in zip(plan.groups, scores):
-        sig_res[:, entries] = np.moveaxis(energies, 3, 1)
-        if qam:
-            errs[entries, 0] = wrong
-            errs[entries, 1] = T * J * K * n_bits * n
     # one pass per (entry, BS) over the batch, each trial under its
     # placement's plan
-    for m, i in enumerate(plan.iterated, n_schemes):
-        s, n = schemes[i], plan.lengths[i]
+    for m, i in enumerate(bench.iterated, len(schemes)):
+        s, n = schemes[i], bench.methods[i][2]
         data, bits = sent[s.tag]
         pilots = s.book.sp_columns(slice(None))
         for j in range(J):
             G, R = stacks.pop((i, j))
-            kept = plan.counts[j, placements, i]
+            kept = bench.counts[j, placements, i]
             # the stacks are freed as the pass returns
             x_tilde = iterative.iterative_estimate(
                 [G[t, :k] for t, k in enumerate(kept)], [R[t, :k, :k] for t, k in enumerate(kept)],
-                pilots, [plan.passes[i, j][p] for p in placements])
+                pilots, [bench.passes[i, j][p] for p in placements])
             del G, R
             sig_res[:, m, 0, j], sig_res[:, m, 1, j] = signal_residual_power(
                 x_tilde, data[:, j, :, data.shape[-1] - n :], gain[:, j])
@@ -633,12 +615,12 @@ def _sum_trials(bench: _Bench, trials: list):
     """Energies and bit errors of the (placement, key) trials at one bench, summed.
 
     The trials run in chunks of as many trials as fit _CHUNK_BYTES at
-    _trial_bytes each, at least one.  Each trial's energies are added in
+    _Bench.trial_bytes each, at least one.  Each trial's energies are added in
     trial order, so the totals do not depend on the chunk size.  Returns
     ((methods, 2, J, K), (methods, 2)), as _run_trials.
     """
     sig_total = err_total = 0  # the first trial's arrays, as 0 + x == x
-    for lo, hi in _runs(len(trials), max(1, _CHUNK_BYTES // bench.plan.trial_bytes)):
+    for lo, hi in _runs(len(trials), max(1, _CHUNK_BYTES // bench.trial_bytes)):
         sig_res, errs = _run_trials(bench, trials[lo:hi])
         for one in sig_res:
             sig_total += one
@@ -675,10 +657,10 @@ def _records_vs_m(config, options, experiment):
         totals, _errs = _sum_trials(bench, trials)
         empirical = totals[:, 0] / totals[:, 1]
         if metric == "rate":
-            n = np.array([n for _, _, n in _methods(bench)])[:, np.newaxis, np.newaxis]
+            n = np.array([n for _, _, n in bench.methods])[:, np.newaxis, np.newaxis]
             empirical = analytics.rate(cfg, empirical, n, cap)
             analytic = analytics.rate(cfg, analytic, n, cap)
-        for (method, _, _), values, predicted in zip(_methods(bench), empirical, analytic):
+        for (method, _, _), values, predicted in zip(bench.methods, empirical, analytic):
             for (j, k), value in np.ndenumerate(values):
                 records.append(MetricsRecord(
                     experiment=experiment, method=method, sweep_var="M", sweep_value=float(M),
@@ -698,7 +680,7 @@ def _records_sinr_cdf(config, options):
         trials = [(p, (config.seed, "sinr_cdf", p, t)) for t in range(options.trials)]
         totals, _errs = _sum_trials(bench, trials)
         sinrs = totals[:, 0] / totals[:, 1]
-        for (method, _, _), sinr in zip(_methods(bench), sinrs):
+        for (method, _, _), sinr in zip(bench.methods, sinrs):
             samples.setdefault(method, []).extend(sinr.reshape(-1))
 
     records = []
@@ -725,7 +707,7 @@ def _records_ber_vs_k(config, options):
         # trial t runs on placement t
         _totals, errs = _sum_trials(bench, [(t, (cfg.seed, "ber_vs_k", ki, t))
                                             for t in range(options.trials)])
-        for (method, _, _), (errors, count) in zip(_methods(bench), errs):
+        for (method, _, _), (errors, count) in zip(bench.methods, errs):
             records.append(MetricsRecord(
                 experiment="ber_vs_k", method=method, sweep_var="K", sweep_value=float(cfg.K),
                 user="all", metric="ber", value=float(errors / count), trials=options.trials,
@@ -741,8 +723,9 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
     tag "common", so every entry sends one payload draw per trial.  Gaussian
     payloads at unit power.  Each metric BS j draws its fading and noise
     factor from ("ch", j), shared by every layout's schemes.  All layouts
-    share one all-TP and one all-SP Partition, so _run_trials builds their
-    estimator columns and frame matrices once.
+    share one all-TP and one all-SP Partition, so their entries send one
+    frame set and project through one column set each, and share its
+    products.
     """
     n_metric = min(cfg.L, 7)
     powers = PowerAllocation(*analytics.optimal_rho(cfg.M, n_metric, cfg.K, cfg.C_u))
@@ -780,7 +763,7 @@ def _records_sum_rate_vs_sir(config, options):
     sinr = totals[:, 0] / totals[:, 1]
 
     records = []
-    for (method, s, n), method_sinr in zip(_methods(bench), sinr):
+    for (method, s, n), method_sinr in zip(bench.methods, sinr):
         # the sweep value is the SIR at the centre BS under power control,
         # which every entry's gains give for its layout
         controlled = PathLossMap(s.gains[0]).normalized(config.omega)

@@ -63,9 +63,9 @@ def draw_frames(cfg, book, powers, rng, partition, data_dist="qam"):
                   None if bits is None else bits[0])
 
 
-def project_one(factor, sigma, frames, sends, roots, columns):
+def project_one(factor, sigma, frames, pairs, roots, columns):
     """project on one trial's factor and frame matrices: a stack of one, without its axis."""
-    estimates, matched = project([factor], sigma, np.stack(frames)[:, np.newaxis], sends, roots,
+    estimates, matched = project([factor], sigma, np.stack(frames)[:, np.newaxis], pairs, roots,
                                  columns)
     return Projection(estimates[0], matched[0])
 
@@ -73,7 +73,7 @@ def project_one(factor, sigma, frames, sends, roots, columns):
 def projection_of(Z, W, S, roots, book, partition, powers, users, C_u):
     """The block Z (roots * S) + W seen through the listed users' estimator columns."""
     columns = estimator_columns(book, partition, powers, users, C_u)
-    return project_one(np.concatenate([Z, W], axis=1), 1.0, [S], [0], [roots], [columns])
+    return project_one(np.concatenate([Z, W], axis=1), 1.0, [S], [(0, 0)], [roots], [columns])
 
 
 def cell_outputs(projection, book, partition, powers, cell, beta_home, config):
@@ -336,7 +336,7 @@ def test_receiver_matches_the_textbook_formulas_on_the_block(reuse, K):
         columns = [estimator_columns(b, part, powers, cell, cfg.C_u) for b, part in schemes]
         sigma = math.sqrt(cfg.sigma2)
         projection = project_one(np.concatenate([Z, W / sigma], axis=1), sigma, frames,
-                                 [0, 1, 2], [roots] * 3, columns)
+                                 [(0, 0), (1, 1), (2, 2)], [roots] * 3, columns)
         assert projection.estimates.shape == (cfg.M, 3 * K)
         for i, ((b, part), S) in enumerate(zip(schemes, frames)):
             Y = synthesize_received(Z, roots[:, np.newaxis] * S) + W
@@ -359,14 +359,16 @@ def test_schemes_that_send_one_frame_matrix_share_its_products():
     S_tp = draw_frames(cfg, book, powers, substream(17, "f", 0), tp).S
     S_sp = draw_frames(cfg, book, powers, substream(17, "f", 1), sp).S
     E_tp = estimator_columns(book, tp, powers, np.arange(K), cfg.C_u)
-    schemes = [(S_tp, E_tp), (S_sp, estimator_columns(book, sp, powers, np.arange(K), cfg.C_u)),
-               (S_tp, E_tp), (S_sp, estimator_columns(book, sp, powers, np.arange(3), cfg.C_u))]
-    sends = [0, 1, 0, 1]  # S_tp and S_sp
+    column_sets = [E_tp, estimator_columns(book, sp, powers, np.arange(K), cfg.C_u),
+                   estimator_columns(book, sp, powers, np.arange(3), cfg.C_u)]
+    # (frame matrix, column set): S_tp and S_sp, the TP pair sent twice
+    pairs = [(0, 0), (1, 1), (0, 0), (1, 2)]
+    schemes = [((S_tp, S_sp)[f], column_sets[c]) for f, c in pairs]
     roots = np.sqrt(substream(17, "gains").uniform(0.1, 1.0, (4, L * K)))
     Z, W = fading(cfg, (17, "h")), noise(cfg, (17, "n"))
     sigma = math.sqrt(cfg.sigma2)
-    projection = project_one(np.concatenate([Z, W / sigma], axis=1), sigma, [S_tp, S_sp], sends,
-                             roots, [E for _, E in schemes])
+    projection = project_one(np.concatenate([Z, W / sigma], axis=1), sigma, [S_tp, S_sp], pairs,
+                             roots, column_sets)
     lo = 0
     for (S, E), root in zip(schemes, roots):
         Y = synthesize_received(Z, root[:, np.newaxis] * S) + W
@@ -390,8 +392,9 @@ def test_a_stack_of_trials_projects_each_as_it_would_alone():
     book = make_pilot_books(cfg)
     tp, sp = all_tp(L, K), all_sp(L, K)
     E_tp = estimator_columns(book, tp, powers, np.arange(K), cfg.C_u)
-    columns = [E_tp, estimator_columns(book, sp, powers, np.arange(K), cfg.C_u), E_tp,
+    columns = [E_tp, estimator_columns(book, sp, powers, np.arange(K), cfg.C_u),
                estimator_columns(book, sp, powers, np.arange(3), cfg.C_u)]
+    pairs = [(0, 0), (1, 1), (0, 0), (1, 2)]
     roots = np.sqrt(substream(18, "gains").uniform(0.1, 1.0, (4, L * K)))
     sigma = math.sqrt(cfg.sigma2)
     S_tp, S_sp = (np.stack([draw_frames(cfg, book, powers, substream(18, "f", i, t), part).S
@@ -406,13 +409,13 @@ def test_a_stack_of_trials_projects_each_as_it_would_alone():
             yield factor
             del factor
 
-    stack = project(factors(), sigma, np.stack([S_tp, S_sp]), [0, 1, 0, 1], roots, columns)
+    stack = project(factors(), sigma, np.stack([S_tp, S_sp]), pairs, roots, columns)
     assert len(made) == 3
     assert stack.estimates.shape == (3, cfg.M, 3 * K + 3)
     assert stack.matched.shape == (3, 3 * K + 3, cfg.C_u)
     for t in range(3):
         alone = project_one(draw_channels(cfg, substream(18, "h", t)), sigma,
-                            [S_tp[t], S_sp[t]], [0, 1, 0, 1], roots, columns)
+                            [S_tp[t], S_sp[t]], pairs, roots, columns)
         assert np.array_equal(stack.estimates[t], alone.estimates)
         assert np.array_equal(stack.matched[t], alone.matched)
 
@@ -432,7 +435,8 @@ def test_a_factor_with_fewer_rows_than_m_receives_as_its_block():
     X = gaussian((cfg.M, d), substream(16, "x"))
     columns = estimator_columns(book, hybrid, powers, np.arange(K), cfg.C_u)
     sigma = math.sqrt(cfg.sigma2)
-    block, factor = (project_one(F, sigma, [frames], [0], [np.sqrt(beta.reshape(-1))], [columns])
+    block, factor = (project_one(F, sigma, [frames], [(0, 0)], [np.sqrt(beta.reshape(-1))],
+                                 [columns])
                      for F in (X, np.linalg.qr(X, mode="r")))
     assert block.estimates.shape == (cfg.M, K) and factor.estimates.shape == (d, K)
     gram = np.conj(block.estimates.T) @ block.estimates

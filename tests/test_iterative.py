@@ -222,7 +222,8 @@ FEEDBACK = ("none", *SELECTION_RULES)
 
 
 def profile_for(beta, powers, cfg, selection):
-    """predict_profile under a selection rule, or for "none" with nobody fed back."""
+    """predict_profile of a (B, N) batch under a selection rule, or for "none" with
+    nobody fed back."""
     if selection != "none":
         return predict_profile(beta, powers, cfg, selection)
     profile = predict_profile(beta, powers, cfg, "fixed")
@@ -263,7 +264,7 @@ def sp_block(cfg, seed, trials=None):
         S = assemble_frames(cfg, book, powers, data, all_sp(cfg.L, cfg.K))
         W = math.sqrt(cfg.sigma2) * gaussian((cfg.M, cfg.C_u), substream(*key, "noise"))
         estimates, matched = project([np.concatenate([Z, W], axis=1)], 1.0,
-                                     S[np.newaxis, np.newaxis], [0], [roots], [columns])
+                                     S[np.newaxis, np.newaxis], [(0, 0)], [roots], [columns])
         return (synthesize_received(Z, roots[:, np.newaxis] * S) + W,
                 Projection(estimates[0], matched[0]))
 
@@ -313,7 +314,7 @@ def test_profile_matches_per_call_recursion(selection, K, M):
     for seed in range(3):
         cfg = SystemConfig(K=K, M=M, C_u=70, seed=seed, scenario=Scenario1())
         beta, powers = layout_users(cfg, seed), split(cfg)
-        profile = predict_profile(beta, powers, cfg, selection)
+        profile = predict_profile(beta[np.newaxis], powers, cfg, selection).layout(0)
         # decreasing gain, ties in index order; the reference sweeps its
         # inputs in index order
         order = profile.order
@@ -343,7 +344,7 @@ def test_batched_profile_equals_one_layout_calls(selection, K):
     batch = predict_profile(beta, powers, cfg, selection)
     assert batch.include.shape == (6, cfg.iterations + 1, cfg.L * K)
     for b in range(6):
-        one = predict_profile(beta[b], powers, cfg, selection)
+        one = predict_profile(beta[b][np.newaxis], powers, cfg, selection).layout(0)
         row = batch.layout(b)
         assert np.array_equal(row.interference, one.interference)
         assert np.array_equal(row.alpha, one.alpha)
@@ -381,7 +382,7 @@ def test_the_recursion_steps_through_the_feedback_set_only(selection, B):
             assert np.array_equal(array[b], ref)
 
 
-@pytest.mark.parametrize("shape", [(34,), (2, 36)])
+@pytest.mark.parametrize("shape", [(1, 34), (2, 36)])
 def test_gains_of_another_user_count_than_the_config_are_refused(shape):
     # 7 cells of 5 users: a profile needs 35 gains per layout
     cfg = SystemConfig(M=40)
@@ -389,10 +390,22 @@ def test_gains_of_another_user_count_than_the_config_are_refused(shape):
         predict_profile(np.ones(shape), split(cfg), cfg)
 
 
+@pytest.mark.parametrize("shape", [(35,), (1, 1, 35)])
+def test_a_profile_is_of_a_batch_of_layouts_only(shape):
+    cfg = SystemConfig(M=40)
+    with pytest.raises(ValueError, match=r"\(B, N\) batch"):
+        predict_profile(np.ones(shape), split(cfg), cfg)
+    # and one layout of it is read by one row index
+    batch = predict_profile(np.ones((2, 35)), split(cfg), cfg)
+    assert batch.layout(np.int64(1)).order.shape == (35,)
+    with pytest.raises(TypeError):
+        batch.layout([1])
+
+
 def test_unknown_selection_rule_rejected():
     with pytest.raises(ValueError, match="selection"):
-        predict_profile(np.ones(2), PowerAllocation(0.36, 0.64), SystemConfig(L=1, K=2, C_u=20),
-                        "bogus")
+        predict_profile(np.ones((1, 2)), PowerAllocation(0.36, 0.64),
+                        SystemConfig(L=1, K=2, C_u=20), "bogus")
 
 
 @given(P=st.sampled_from([4, 16, 64, 256]))
@@ -449,7 +462,7 @@ def profile_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(inputs=profile_inputs())
 def test_profile_rows_start_from_no_estimate(inputs):
-    profile = predict_profile(**inputs)
+    profile = predict_profile(**dict(inputs, beta=inputs["beta"][np.newaxis])).layout(0)
     # the profile carries what it was computed for
     assert np.array_equal(profile.beta, inputs["beta"])
     assert profile.powers is inputs["powers"] and profile.config is inputs["config"]
@@ -470,7 +483,7 @@ def block():
     cfg = SystemConfig(M=40, seed=3)
     blk, pilots, args = sp_block(cfg, 3)
     # the reference selection, run in the profile's sweep order
-    order = predict_profile(args["beta"], args["powers"], cfg, "fixed").order
+    order = predict_profile(args["beta"][np.newaxis], args["powers"], cfg, "fixed").layout(0).order
     fixed = np.empty(order.size, dtype=bool)
     fixed[order] = ref_select_user_set_fixed(args["beta"][order], args["powers"], cfg)
     assert 0 < fixed.sum() < fixed.size
@@ -487,7 +500,7 @@ def test_matches_every_user_every_sweep(block, selection):
         "fixed": fixed, "per_iteration": None, "explicit": explicit,
     }[selection]
     rule = "fixed" if selection == "explicit" else selection
-    profile = profile_for(args["beta"], args["powers"], cfg, rule)
+    profile = profile_for(args["beta"][np.newaxis], args["powers"], cfg, rule).layout(0)
     if selection == "explicit":
         # any fixed set the profile carries drives the estimator
         profile = dataclasses.replace(profile, fixed_mask=explicit)
@@ -502,7 +515,7 @@ def test_matches_every_user_every_sweep(block, selection):
 @pytest.mark.parametrize("selection", FEEDBACK)
 def test_reduced_estimates_match_the_m_space_loop(block, selection):
     cfg, blk, pilots, args, _fixed = block
-    profile = profile_for(args["beta"], args["powers"], cfg, selection)
+    profile = profile_for(args["beta"][np.newaxis], args["powers"], cfg, selection).layout(0)
     got = estimate(blk, pilots, profile, args["report"])
     x_tilde, x_hat = m_space_estimate(
         blk.Y, pilots, args["beta"], args["powers"], cfg.P, cfg.iterations,
@@ -513,7 +526,7 @@ def test_reduced_estimates_match_the_m_space_loop(block, selection):
 
 def test_a_reduction_is_estimated_like_its_block(block):
     cfg, blk, pilots, args, fixed = block
-    profile = predict_profile(args["beta"], args["powers"], cfg, "fixed")
+    profile = predict_profile(args["beta"][np.newaxis], args["powers"], cfg, "fixed").layout(0)
     report = args["report"][:cfg.K]
     G, R = reduction(blk, profile, report)
     # the members and the reported users, in sweep order, and nothing of size M
@@ -540,7 +553,7 @@ def test_a_reduction_is_estimated_like_its_block(block):
 
 def test_empty_feedback_set_is_the_one_shot_estimator(block):
     cfg, blk, pilots, args, _fixed = block
-    profile = profile_for(args["beta"], args["powers"], cfg, "none")
+    profile = profile_for(args["beta"][np.newaxis], args["powers"], cfg, "none").layout(0)
     got = estimate(blk, pilots, profile, args["report"])
     # the one-shot receiver on every cell's users of the same projection;
     # its arithmetic is per user, so at BS 0 it serves every cell's users
@@ -552,7 +565,7 @@ def test_empty_feedback_set_is_the_one_shot_estimator(block):
 
 def test_passed_profile_supplies_the_feedback_set(block):
     cfg, blk, pilots, args, fixed = block
-    profile = predict_profile(args["beta"], args["powers"], cfg, "fixed")
+    profile = predict_profile(args["beta"][np.newaxis], args["powers"], cfg, "fixed").layout(0)
     assert np.array_equal(profile.fixed_mask, fixed)
     got = estimate(blk, pilots, profile, args["report"])
     x_tilde, x_hat = reference_estimate(
@@ -561,8 +574,8 @@ def test_passed_profile_supplies_the_feedback_set(block):
     assert np.array_equal(got, x_tilde)
     assert np.array_equal(decide(got, cfg.P), x_hat)
     # so does the sweep count
-    one_sweep = predict_profile(args["beta"], args["powers"],
-                                dataclasses.replace(cfg, iterations=1), "all")
+    one_sweep = predict_profile(args["beta"][np.newaxis], args["powers"],
+                                dataclasses.replace(cfg, iterations=1), "all").layout(0)
     once = estimate(blk, pilots, one_sweep, args["report"])
     x_tilde, _x = reference_estimate(
         blk, pilots, args["beta"], args["powers"], cfg.P, 1,
@@ -572,11 +585,11 @@ def test_passed_profile_supplies_the_feedback_set(block):
 
 def test_a_batched_or_foreign_profile_is_rejected(block):
     cfg, blk, pilots, args, _fixed = block
-    batched, good = (predict_profile(beta, args["powers"], cfg)
-                     for beta in (np.stack([args["beta"]] * 2), args["beta"]))
+    batched = predict_profile(np.stack([args["beta"]] * 2), args["powers"], cfg)
+    good = predict_profile(args["beta"][np.newaxis], args["powers"], cfg).layout(0)
     # 34 users, as one cell of a config of their own
-    foreign = predict_profile(args["beta"][:-1], args["powers"],
-                              dataclasses.replace(cfg, L=1, K=cfg.L * cfg.K - 1))
+    foreign = predict_profile(args["beta"][np.newaxis, :-1], args["powers"],
+                              dataclasses.replace(cfg, L=1, K=cfg.L * cfg.K - 1)).layout(0)
     G, R = reduction(stack_of_one(blk), good, args["report"])
     # a pass is planned on one layout, for users the layout has
     with pytest.raises(ValueError, match="one layout's profile at a time"):
@@ -641,7 +654,7 @@ def reports(n_users, K):
 def test_reported_rows_equal_the_all_user_rows(selection, K, trials):
     cfg = SystemConfig(K=K, M=100, C_u=70, scenario=Scenario1())
     blk, pilots, args = sp_block(cfg, 6, trials)
-    profile = profile_for(args["beta"], args["powers"], cfg, selection)
+    profile = profile_for(args["beta"][np.newaxis], args["powers"], cfg, selection).layout(0)
     everyone = estimate(blk, pilots, profile, args["report"])
     for report in reports(args["beta"].size, K):
         got = estimate(blk, pilots, profile, report)
@@ -681,7 +694,7 @@ def test_a_batch_of_layouts_is_estimated_as_each_layout_alone(selection):
 def test_unreported_non_members_are_not_computed(monkeypatch):
     cfg = SystemConfig(K=10, M=500, C_u=70, scenario=Scenario1())
     blk, pilots, args = sp_block(cfg, 6, 2)
-    profile = predict_profile(args["beta"], args["powers"], cfg, "fixed")
+    profile = predict_profile(args["beta"][np.newaxis], args["powers"], cfg, "fixed").layout(0)
     report = np.arange(cfg.K)
     kept = set(np.flatnonzero(profile.fixed_mask).tolist()) | set(report.tolist())
     # members outside the report, and users in neither
@@ -707,7 +720,7 @@ def test_a_reduction_reads_the_block_through_its_projection(block):
     # G = conj(h0) Y and R = conj(h0) h0^T of the kept users' one-shot
     # estimates h0 = Y conj(p) / (C_u rho_p), written out on the block
     cfg, blk, pilots, args, _fixed = block
-    profile = predict_profile(args["beta"], args["powers"], cfg, "fixed")
+    profile = predict_profile(args["beta"][np.newaxis], args["powers"], cfg, "fixed").layout(0)
     report = args["report"][:cfg.K]
     users = plan_pass(profile, report)[0]
     got_G, got_R = reduction(blk, profile, report)

@@ -15,8 +15,6 @@ SINR (0.04 dB) and 5 % of SP's (0.2 dB).  sinr_sp_finite_m is 0.06 dB below
 the SP limit at this M.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -36,8 +34,9 @@ def gate():
     layout = place_users(cfg, substream(SEED, "sinr_vs_m", "layout", 0))
     bench = simharness._make_bench(cfg, RunOptions(), [layout])
     # TP and one-shot SP only
-    bench = dataclasses.replace(
-        bench, schemes=tuple(s._replace(iterated=None) for s in bench.schemes))
+    bench = simharness._Bench(bench.config, bench.powers,
+                              tuple(s._replace(iterated=None) for s in bench.schemes),
+                              bench.streams, bench.data_dist)
     with simharness._one_blas_thread():
         sig_res, _errs = simharness._run_trials(
             bench, [(0, (SEED, "large_m", t)) for t in range(TRIALS)])

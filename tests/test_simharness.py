@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from supmimo import iterative, simharness, waveform
+from supmimo import cli, iterative, simharness, waveform
 from supmimo.estimators import Projection, estimator_columns, project, receive, receiver
 from supmimo.rng import substream
 from supmimo.simharness import RunOptions, SystemConfig, run_experiment
@@ -134,12 +134,27 @@ def assert_same_fields(a, b):
         assert a == b
 
 
-def one_placement(bench, p):
-    """The bench of placement p alone: its gains and profile rows, as a one-placement bench."""
-    schemes = tuple(s._replace(gains=s.gains[p : p + 1], iterated=s.iterated and (
-        s.iterated[0], tuple(profile.layout([p]) for profile in s.iterated[1])))
-        for s in bench.schemes)
-    return dataclasses.replace(bench, schemes=schemes)
+# what a bench is built from
+BENCH_INPUTS = ("config", "powers", "schemes", "streams", "data_dist")
+
+
+def derived(bench, **inputs):
+    """A bench built from another's inputs, with those given replaced."""
+    return simharness._Bench(**{name: inputs.get(name, getattr(bench, name))
+                                for name in BENCH_INPUTS})
+
+
+def one_placement(bench, p, selection):
+    """The bench of placement p alone: its gains, and their profile at each metric BS
+    under the selection rule, as a one-placement bench."""
+    def profiles(s):
+        return tuple(iterative.predict_profile(s.gains[p : p + 1, j].reshape(1, -1), bench.powers,
+                                               bench.config, selection)
+                     for j in range(len(s.iterated[1])))
+
+    return derived(bench, schemes=tuple(s._replace(
+        gains=s.gains[p : p + 1], iterated=s.iterated and (s.iterated[0], profiles(s)))
+        for s in bench.schemes))
 
 
 @pytest.mark.parametrize("selection", iterative.SELECTION_RULES)
@@ -150,7 +165,10 @@ def test_each_placement_of_a_bench_runs_as_its_one_placement_bench(selection):
     bench = simharness._make_bench(cfg, options, layouts)
     # the set-up of a placement is that of its layout alone
     for p, layout in enumerate(layouts):
-        assert_same_fields(one_placement(bench, p), simharness._make_bench(cfg, options, [layout]))
+        one, alone = one_placement(bench, p, selection), simharness._make_bench(cfg, options,
+                                                                               [layout])
+        for name in BENCH_INPUTS:
+            assert_same_fields(getattr(one, name), getattr(alone, name))
     # the pass runs blocks of several schedules, but for "all", where every
     # layout feeds everyone back
     (profile,) = bench.schemes[1].iterated[1]
@@ -160,7 +178,7 @@ def test_each_placement_of_a_bench_runs_as_its_one_placement_bench(selection):
     batch = [(p, (4, "test", p, t)) for t, p in enumerate([3, 0, 4, 0, 1, 2, 3])]
     with simharness._one_blas_thread():
         sig_res, errs = simharness._run_trials(bench, batch)
-        singles = [simharness._run_trials(one_placement(bench, p), [(0, key)])
+        singles = [simharness._run_trials(one_placement(bench, p, selection), [(0, key)])
                    for p, key in batch]
         alone = [simharness._run_trials(bench, [trial])[1] for trial in batch]
     for t, (one, one_errs) in enumerate(singles):
@@ -174,7 +192,6 @@ def test_each_pass_is_planned_once_per_entry_bs_and_placement(monkeypatch):
     # placements, so ten plans, made by the set-up and read by the pass
     cfg = SystemConfig(K=10, M=500, C_u=70, scenario=Scenario1(), seed=5)
     layouts = [place_users(cfg, substream(5, "ber_vs_k", 2, t, "layout")) for t in range(10)]
-    bench = simharness._make_bench(cfg, RunOptions(trials=10), layouts)
     planned, plan_pass = [], iterative.plan_pass
 
     def spy(profile, report):
@@ -182,6 +199,7 @@ def test_each_pass_is_planned_once_per_entry_bs_and_placement(monkeypatch):
         return plan_pass(profile, report)
 
     monkeypatch.setattr(iterative, "plan_pass", spy)
+    bench = simharness._make_bench(cfg, RunOptions(trials=10), layouts)
     with simharness._one_blas_thread():
         simharness._sum_trials(bench, [(t, (5, "ber_vs_k", 2, t)) for t in range(10)])
     assert planned == [list(range(cfg.K))] * 10
@@ -199,9 +217,8 @@ def placements(bench):
 def sub_batch_sizes(monkeypatch, bench, T, most):
     """Set the budget so that a chunk of T trials stacks at most `most` of
     them at a time; returns the list each payload draw's trial count goes to."""
-    plan = bench.plan
     monkeypatch.setattr(simharness, "_CHUNK_BYTES",
-                        T * plan.held_bytes + plan.draw_bytes + most * plan.staged_bytes)
+                        T * bench.held_bytes + bench.draw_bytes + most * bench.staged_bytes)
     sizes, draw = [], waveform._draw_payloads
 
     def spy(n_users, n, P, data_dist, rngs):
@@ -223,13 +240,13 @@ def test_a_batch_of_trials_equals_one_trial_batches(any_bench, monkeypatch):
     # one payload draw per tag and sub-batch
     assert sizes == [n for n in (3, 2, 2) for _ in {s.tag for s in b.schemes}]
     cfg, J = b.config, len(b.streams)
-    assert sig_res.shape == (T, len(simharness._methods(b)), 2, J, cfg.K)
+    assert sig_res.shape == (T, len(b.methods), 2, J, cfg.K)
     assert np.array_equal(sig_res, np.concatenate([one for one, _ in singles]))
     assert np.array_equal(errs, sum(e for _, e in singles))
     assert np.all(sig_res > 0)
     bits = T * J * cfg.K * waveform.bits_per_symbol(cfg.P)  # trials x users x bits per symbol
     if b.data_dist == "qam":
-        assert errs[:, 1].tolist() == [bits * n for _, _, n in simharness._methods(b)]
+        assert errs[:, 1].tolist() == [bits * n for _, _, n in b.methods]
     else:
         assert not errs.any()
 
@@ -301,6 +318,38 @@ def test_one_projection_per_trial_and_bs(bench, monkeypatch, radii):
             assert estimates.shape == (rows, n) and n != C_u
 
 
+def test_the_entries_of_one_pair_share_one_s_e_product(monkeypatch):
+    # at sum_rate_vs_sir's four radii the 12 entries project through 6
+    # (frame set, column set) pairs: one for the four all-TP entries, one
+    # for the four all-SP entries and one for each radius's hybrid, whose
+    # book is its own.  project makes one S E product per pair and metric BS.
+    b = sum_rate_bench(5, RunOptions().radii_m)
+    tp, sp, hybrid = b.pairs[0::3], b.pairs[1::3], b.pairs[2::3]
+    assert tp == [tp[0]] * 4 and sp == [sp[0]] * 4
+    assert len(set(b.pairs)) == 6 and len(set(hybrid)) == 4
+    products, per_call = [], []
+
+    class Frames(np.ndarray):
+        # counts the products that take the frames on the left: S E
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and isinstance(inputs[0], Frames):
+                products.append(inputs[1].shape)
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    real_project = simharness.project
+
+    def spy(factors, sigma, frames, pairs, roots, columns):
+        before = len(products)
+        projection = real_project(factors, sigma, frames.view(Frames), pairs, roots, columns)
+        per_call.append(len(products) - before)
+        return projection
+
+    monkeypatch.setattr(simharness, "project", spy)
+    with simharness._one_blas_thread():
+        simharness._run_trials(b, trials(1))
+    assert per_call == [6] * len(b.streams)
+
+
 @pytest.mark.parametrize("selection", ["fixed", "per_iteration"])
 def test_one_shot_sp_from_the_reduction_equals_the_one_shot_receiver(selection):
     # power control ties cell 0's users at BS 0, so the harness's profile
@@ -315,8 +364,7 @@ def test_one_shot_sp_from_the_reduction_equals_the_one_shot_receiver(selection):
         path_loss(layout, cfg.path_loss_exponent).beta[0].reshape(1, -1), bench.powers, cfg,
         selection)
     tp, sp = bench.schemes
-    bench = dataclasses.replace(bench,
-                                schemes=(tp, sp._replace(iterated=(sp.iterated[0], (raw,)))))
+    bench = derived(bench, schemes=(tp, sp._replace(iterated=(sp.iterated[0], (raw,)))))
     assert iterative.plan_pass(raw.layout(0), np.arange(K))[0][:K].tolist() != list(range(K))
     with simharness._one_blas_thread():
         sig_res, errs = simharness._run_trials(bench, trials(3))
@@ -326,7 +374,7 @@ def test_one_shot_sp_from_the_reduction_equals_the_one_shot_receiver(selection):
             assert np.array_equal(sig_res[t, :2], per_trial_energies(bench, trial))
         # without a profile the SP scheme projects onto cell 0's users alone,
         # a product of other shape, which rounds otherwise
-        plain = dataclasses.replace(bench, schemes=(tp, sp._replace(iterated=None)))
+        plain = derived(bench, schemes=(tp, sp._replace(iterated=None)))
         expected, expected_errs = simharness._run_trials(plain, trials(3))
     assert expected.shape == (3, 2, 2, 1, K)
     np.testing.assert_allclose(sig_res[:, :2], expected, rtol=1e-12)
@@ -421,8 +469,9 @@ def per_trial_energies(bench, trial):
         columns = [estimator_columns(s.book, s.partition, powers, u, cfg.C_u)
                    for s, u in zip(bench.schemes, users)]
         roots = [np.sqrt(s.gains[p, j].reshape(-1)) for s in bench.schemes]
-        estimates, matched = project([factor], sigma, np.stack(frames)[:, np.newaxis], sends,
-                                     roots, columns)
+        # a column set of each entry's own
+        estimates, matched = project([factor], sigma, np.stack(frames)[:, np.newaxis],
+                                     [(f, i) for i, f in enumerate(sends)], roots, columns)
         projection = Projection(estimates[0], matched[0])
         lo = 0
         for i, s in enumerate(bench.schemes):
@@ -459,13 +508,13 @@ def test_an_entry_iterates_at_every_metric_bs():
     layout = place_users(cfg, substream(4, "layout"))
     reference = simharness._make_bench(cfg, RunOptions(), [layout])
     sp, powers = reference.schemes[1], reference.powers
-    batch = iterative.predict_profile(sp.gains[0, :2].reshape(2, N), powers, cfg)
     # each BS's profile, a batch of the bench's one placement
-    profiles = (batch.layout([0]), batch.layout([1]))
+    profiles = tuple(iterative.predict_profile(sp.gains[0, j].reshape(1, N), powers, cfg)
+                     for j in (0, 1))
     entry = sp._replace(iterated=(simharness.ITER_METHOD, profiles))
-    bench = dataclasses.replace(reference, schemes=(entry,), streams=(("ch", 0), ("ch", 1)))
+    bench = derived(reference, schemes=(entry,), streams=(("ch", 0), ("ch", 1)))
     report = K + np.arange(K)
-    plan = iterative.plan_pass(batch.layout(1), report)
+    plan = iterative.plan_pass(profiles[1].layout(0), report)
     users = plan[0]
     assert users.size > K  # the pass keeps users outside cell 1
     columns = estimator_columns(sp.book, sp.partition, powers, users, cfg.C_u)
@@ -480,8 +529,8 @@ def test_an_entry_iterates_at_every_metric_bs():
                                                              [substream(*key, "sp-frames")])
             S = waveform.assemble_frames(cfg, sp.book, powers, sent, sp.partition)
             factor = draw_channels(cfg, substream(*key, "ch", 1))
-            projection = project([factor], math.sqrt(cfg.sigma2), S[np.newaxis, np.newaxis], [0],
-                                 [roots], [columns])
+            projection = project([factor], math.sqrt(cfg.sigma2), S[np.newaxis, np.newaxis],
+                                 [(0, 0)], [roots], [columns])
             (G_t,), (R_t,) = iterative.reduce_block(projection)
             G.append(G_t)
             R.append(R_t)
@@ -516,7 +565,7 @@ def test_one_more_entry_is_one_more_row(monkeypatch):
         bench = build(config, layouts)
         all_tp, all_sp = bench.schemes[:2]
         raw_sp = all_sp._replace(method="all-sp-raw", gains=all_tp.gains)
-        return dataclasses.replace(bench, schemes=bench.schemes + (raw_sp,))
+        return derived(bench, schemes=bench.schemes + (raw_sp,))
 
     bench = build(cfg, sum_rate_layouts(cfg, options.radii_m))
     more = grown(cfg, sum_rate_layouts(cfg, options.radii_m))
@@ -546,7 +595,6 @@ def test_an_entry_that_iterates_over_tp_users_is_refused_before_any_draw(monkeyp
     first = tuple(np.argwhere(~hybrid.partition.sp)[0].tolist())
     profile = iterative.predict_profile(hybrid.gains[0, 0].reshape(1, -1), bench.powers, cfg)
     entry = hybrid._replace(iterated=("hybrid-iter", (profile,) * len(bench.streams)))
-    bench = dataclasses.replace(bench, schemes=bench.schemes[:2] + (entry,))
     draws = []
     monkeypatch.setattr(simharness, "draw_channels", lambda *args: draws.append(args))
     monkeypatch.setattr(simharness.waveform, "_draw_payloads", lambda *args: draws.append(args))
@@ -555,7 +603,7 @@ def test_an_entry_that_iterates_over_tp_users_is_refused_before_any_draw(monkeyp
     # entry by its table index and method
     message = rf"entry 2 \('hybrid'\).*user {re.escape(str(first))}"
     with pytest.raises(ValueError, match=message):
-        simharness._run_trials(bench, trials(1))
+        derived(bench, schemes=bench.schemes[:2] + (entry,))
     assert draws == []
 
 
@@ -568,10 +616,10 @@ def grouped_receives(monkeypatch, J):
     calls, state = [], {"bs": -1}
     real_project, real_receive = simharness.project, simharness.receive
 
-    def project_spy(factors, sigma, frames, sends, roots, columns):
+    def project_spy(factors, sigma, frames, pairs, roots, columns):
         state["bs"] = (state["bs"] + 1) % J
-        state["projection"], state["columns"] = real_project(factors, sigma, frames, sends,
-                                                             roots, columns), columns
+        state["projection"] = real_project(factors, sigma, frames, pairs, roots, columns)
+        state["columns"] = [columns[c] for _, c in pairs]
         return state["projection"]
 
     def receive_spy(projection, users, rx, placement):
@@ -754,7 +802,7 @@ def test_totals_do_not_depend_on_the_chunk_size(any_bench, monkeypatch, per_chun
     totals = {}
     with simharness._one_blas_thread():
         for trials_per_chunk in (1, per_chunk, 5):
-            budget = trials_per_chunk * any_bench.plan.trial_bytes
+            budget = trials_per_chunk * any_bench.trial_bytes
             monkeypatch.setattr(simharness, "_CHUNK_BYTES", budget)
             totals[trials_per_chunk] = simharness._sum_trials(
                 any_bench, trials(5, placements(any_bench)))
@@ -766,7 +814,7 @@ def test_totals_do_not_depend_on_the_chunk_size(any_bench, monkeypatch, per_chun
 
 def test_a_chunk_holds_at_least_one_trial(any_bench, monkeypatch):
     sizes = batch_sizes(monkeypatch)
-    monkeypatch.setattr(simharness, "_CHUNK_BYTES", any_bench.plan.trial_bytes - 1)
+    monkeypatch.setattr(simharness, "_CHUNK_BYTES", any_bench.trial_bytes - 1)
     sig, errs = simharness._sum_trials(any_bench, trials(2, placements(any_bench)))
     assert sizes == [1, 1]
     assert np.all(sig > 0)
@@ -882,6 +930,40 @@ def test_four_radii_fit_within_the_earlier_peak_of_one(monkeypatch):
             tracemalloc.stop()
     assert sizes == [8]
     assert peak < SUM_RATE_PEAK_BOUND_BYTES
+
+
+# The chunks and sub-batches the byte model gives the bench's workloads at
+# seed 5, as (trials of a _run_trials call, its sub-batch sizes) per call:
+# sinr_vs_m's one chunk at M = 50 and two at M = 100 and 200, ber_vs_k's
+# one chunk per K, stacked 10, 5 and 2 at a time, and sum_rate_vs_sir's one
+# chunk of 8 one-trial sub-batches.
+BENCH_BATCHES = {
+    "sinr_vs_m": (20, [(20, [3] * 6 + [2])] + [(10, [3, 3, 2, 2])] * 4),
+    "ber_vs_k": (10, [(10, [10]), (10, [5, 5]), (10, [2] * 5)]),
+    "sum_rate_vs_sir": (8, [(8, [1] * 8)]),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(BENCH_BATCHES))
+def test_the_bench_workloads_keep_their_chunks_and_sub_batches(experiment, tmp_path,
+                                                              monkeypatch):
+    trials, expected = BENCH_BATCHES[experiment]
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(f"experiment: {experiment}\noverrides:\n  trials: {trials}\n  seed: 5\n",
+                    encoding="utf-8")
+    spec = cli.parse_config(str(spec))
+    sizes, draws, draw = batch_sizes(monkeypatch), [], waveform._draw_payloads
+
+    def spy(n_users, n, P, data_dist, rngs):
+        draws.append((len(sizes) - 1, len(rngs)))
+        return draw(n_users, n, P, data_dist, rngs)
+
+    monkeypatch.setattr(simharness.waveform, "_draw_payloads", spy)
+    run_experiment(spec.config, spec.experiment, spec.options)
+    # one payload draw per tag and sub-batch: TP's and SP's, or the common one
+    tags = 1 if experiment == "sum_rate_vs_sir" else 2
+    assert [(size, [n for c, n in draws if c == call][::tags])
+            for call, size in enumerate(sizes)] == expected
 
 
 # Minor page faults per repetition of sinr_vs_m and sum_rate_vs_sir at the
