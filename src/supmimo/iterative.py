@@ -328,10 +328,11 @@ def reduce_block(projection: Projection) -> tuple[np.ndarray, np.ndarray]:
 def iterative_estimate(G, R, pilots: np.ndarray, plans) -> np.ndarray:
     """Joint channel/data estimation over the profile's ordered sweeps.
 
-    G and R hold the reduce_block statistics of T blocks, e.g. one block per
-    trial, and plans one plan_pass plan per block, of one report: G[t]
-    (n_t, C_u) and R[t] (n_t, n_t) over the n_t users plans[t] keeps, as
-    two sequences or as (T, n, C_u) and (T, n, n) stacks.  A plan's profile
+    G and R are (T, n, C_u) and (T, n, n) stacks of the reduce_block
+    statistics of T blocks, e.g. one block per trial, and plans one
+    plan_pass plan per block, of one report: block t's statistics are the
+    leading n_t rows of G[t] and n_t x n_t block of R[t], over the n_t <= n
+    users plans[t] keeps; the rows after them are not read.  A plan's profile
     supplies its blocks' gains, the sweep order and the feedback set, and
     the first plan's the split, M, P and the sweep count.  pilots holds each
     user's dedicated column (C_u x N), users in the order the profiles were
@@ -378,34 +379,32 @@ def iterative_estimate(G, R, pilots: np.ndarray, plans) -> np.ndarray:
         raise ValueError(f"pilots must be (C_u, N) = {(C_u, n_users)}, got {pilots.shape}")
     if n_users > C_u:
         raise ValueError(f"{n_users} users exceed the {C_u}-symbol block")
+    n = G.shape[1] if G.ndim == 3 else -1
+    if G.shape != (T, n, C_u) or R.shape != (T, n, n):
+        raise ValueError(f"need G (T, n, {C_u}) and R (T, n, n) stacks, got {G.shape} and "
+                         f"{R.shape}")
+    kept_most = max(plan[0].size for plan in plans)
+    if kept_most > n:
+        raise ValueError(f"a plan keeps {kept_most} users, more than the {n} rows of its stack")
     groups = {}
-    for t, (users, _rows, _kept, _basis, key, _profile) in enumerate(plans):
-        n = users.size
-        if np.shape(G[t]) != (n, C_u) or np.shape(R[t]) != (n, n):
-            raise ValueError(f"need G (n, {C_u}) and R (n, n) per block over the n = {n} users "
-                             f"its plan keeps, got {np.shape(G[t])} and {np.shape(R[t])} for "
-                             f"block {t}")
-        groups.setdefault(key, []).append(t)
+    for t, plan in enumerate(plans):
+        groups.setdefault(plan[4], []).append(t)
     x_report = np.empty((T, plans[0][1].size, C_u), dtype=complex)
     conj_all = _conj_rows(pilots)
     rho_d, rho_p = profile.powers.rho_d, profile.powers.rho_p
     ls_scale = C_u * rho_p
     for blocks in groups.values():
-        first = plans[blocks[0]]
-        _users, _rows, kept, basis, _key, layout = first
-        # the kept users' conjugated pilot rows and MF gains per block, or
-        # once for blocks that all share one plan
-        sources = [first] if all(plans[t] is first for t in blocks) else [plans[t] for t in blocks]
-        conj_rows = conj_all[np.stack([plan[0] for plan in sources])]
-        mf_gain = profile.config.M * rho_d * np.stack([plan[5].beta[plan[0]]
-                                                       for plan in sources])
+        _users, _rows, kept, basis, _key, layout = plans[blocks[0]]
+        # the kept users and their MF gains per block
+        users = np.stack([plans[t][0] for t in blocks])
+        mf_gain = profile.config.M * rho_d * np.stack([plans[t][5].beta[plans[t][0]]
+                                                       for t in blocks])
         n_basis = basis.size
         slot = np.full(kept.size, -1)
         slot[basis] = np.arange(n_basis)
-        # C-contiguous gathers: a product's bits follow its operands' strides,
-        # and a fancy index lays its axes out by the stack size
-        G_basis = np.stack([np.take(G[t], basis, axis=0) for t in blocks])
-        R_basis = np.stack([np.take(R[t], basis, axis=0).take(basis, axis=1) for t in blocks])
+        # C-contiguous gathers: a product's bits follow its operands' strides
+        G_basis = G[np.ix_(blocks, basis)]
+        R_basis = R[np.ix_(blocks, basis, basis)]
         # coefficient rows and decisions of the basis users, the ones fed
         # back; zero rows are the zero estimates nobody has computed yet
         coefs = np.zeros((len(blocks), n_basis, n_basis), dtype=complex)
@@ -418,7 +417,8 @@ def iterative_estimate(G, R, pilots: np.ndarray, plans) -> np.ndarray:
                                 else (a.take(slot[fed], axis=1) for a in (x_basis, coefs)))
             # (T, G, F) weights, then (T, G, B) coefficients: per block and
             # user, the matrix-vector products of one user alone
-            weights = np.matmul(x_fed[:, np.newaxis], conj_rows[:, step, :, np.newaxis])[..., 0]
+            conj_rows = conj_all[users[:, step]]
+            weights = np.matmul(x_fed[:, np.newaxis], conj_rows[..., np.newaxis])[..., 0]
             weights *= rho_d
             weights /= ls_scale
             a = np.matmul(weights[..., np.newaxis, :], coefs_fed[:, np.newaxis])[..., 0, :]
@@ -431,13 +431,13 @@ def iterative_estimate(G, R, pilots: np.ndarray, plans) -> np.ndarray:
                                            a[..., np.newaxis])[..., 0]).real
             if inside < 0:
                 # the users' own h0, at coefficient 1
-                out += np.stack([G[t][step] for t in blocks])
-                R_step = np.stack([R[t][step] for t in blocks])
+                out += G[blocks, step]
+                R_step = R[blocks, step]
                 cross = np.matmul(R_step.take(basis, axis=2)[..., np.newaxis, :],
                                   a[..., np.newaxis])[..., 0, 0]
                 power += 2.0 * cross.real
                 power += np.diagonal(R_step[:, :, step], axis1=1, axis2=2).real
-            x_tilde[:, step] = x_new = sp_output(out, power, np.conj(conj_rows[:, step]), rho_p,
+            x_tilde[:, step] = x_new = sp_output(out, power, np.conj(conj_rows), rho_p,
                                                  mf_gain[:, step])
             if inside >= 0:
                 x_basis[:, inside] = decide(x_new[:, 0], profile.config.P)

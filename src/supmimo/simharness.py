@@ -145,12 +145,9 @@ OPTIONS_READ = {
 
 # budget of one chunk of _run_trials: as many trials as fit at
 # _Bench.trial_bytes each, and beside what they keep for the pass,
-# sub-batches of as many as fit at _Bench.staged_bytes with one draw.  At
-# seed 5, sinr_vs_m runs one chunk of 20 trials at M = 50 and two of 10 at
-# M = 100 and 200, in sub-batches of 3 or 2 (traced peak of its 20 trials
-# at M = 200: 1,417 KiB); ber_vs_k one chunk of 10 per K, in sub-batches
-# of 10, 5 and 2 at K = 1, 5 and 10.  sum_rate_vs_sir holds only
-# energies, so all its trials fit one chunk, stacked one at a time.
+# sub-batches of as many as fit at _Bench.staged_bytes with one draw.  The
+# chunks and sub-batches it gives the bench's workloads are pinned by
+# tests/test_simharness.py (BENCH_BATCHES).
 _CHUNK_BYTES = 1536 * 1024
 
 
@@ -584,13 +581,9 @@ def _run_trials(bench: _Bench, trials: list):
         data, bits = sent[s.tag]
         pilots = s.book.sp_columns(slice(None))
         for j in range(J):
-            G, R = stacks.pop((i, j))
-            kept = bench.counts[j, placements, i]
             # the stacks are freed as the pass returns
-            x_tilde = iterative.iterative_estimate(
-                [G[t, :k] for t, k in enumerate(kept)], [R[t, :k, :k] for t, k in enumerate(kept)],
-                pilots, [bench.passes[i, j][p] for p in placements])
-            del G, R
+            x_tilde = iterative.iterative_estimate(*stacks.pop((i, j)), pilots,
+                                                   [bench.passes[i, j][p] for p in placements])
             sig_res[:, m, 0, j], sig_res[:, m, 1, j] = signal_residual_power(
                 x_tilde, data[:, j, :, data.shape[-1] - n :], gain[:, j])
             if qam:

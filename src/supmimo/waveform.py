@@ -288,7 +288,7 @@ def assemble_frames(
     each as its draw alone would.  A mask of another shape than (L, K), or
     too few rows or symbols, raises ValueError.
     """
-    L, K, C_u, tau = config.L, config.K, config.C_u, config.tau
+    L, K, C_u, tau = config.L, config.K, config.C_u, pilot_book.tau
     if partition.sp.shape != (L, K):
         raise ValueError(f"a {partition.sp.shape} partition for a system of ({L}, {K}) users")
     payload_len = pilot_book.payload_length(partition, C_u)

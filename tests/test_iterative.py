@@ -541,14 +541,34 @@ def test_a_reduction_is_estimated_like_its_block(block):
     from_block = estimate(blk, pilots, profile, report)
     from_stats = iterative_estimate(G[np.newaxis], R[np.newaxis], pilots, [plan])
     assert np.array_equal(from_stats[0], from_block)
-    # G and R need a row per user the plan keeps, and a stack axis
-    for bad_G, bad_R, bad_plan in ((G[np.newaxis], R[np.newaxis],
-                                    plan_pass(profile, args["report"])),
-                                   (G[np.newaxis], R[np.newaxis, :-1, :-1], plan)):
-        with pytest.raises(ValueError, match="need G"):
-            iterative_estimate(bad_G, bad_R, pilots, [bad_plan])
+    # G and R need a stack axis
     with pytest.raises(ValueError, match="one plan per block"):
         iterative_estimate(G, R, pilots, [plan])
+
+
+def test_a_stack_too_short_for_its_plan_or_of_two_shapes_is_refused(block, monkeypatch):
+    cfg, blk, pilots, args, _fixed = block
+    profile = predict_profile(args["beta"][np.newaxis], args["powers"], cfg, "fixed").layout(0)
+    report = args["report"][:cfg.K]
+    G, R = reduction(stack_of_one(blk), profile, report)
+    n = G.shape[1]
+    everyone = plan_pass(profile, args["report"])
+    assert everyone[0].size > n
+    steps = []
+    monkeypatch.setattr(iterative, "_schedule", lambda *a: steps.append(a) or [])
+    # a plan that keeps more users than its stack has rows
+    with pytest.raises(ValueError, match=f"keeps {everyone[0].size} users, more than the {n} "):
+        iterative_estimate(G, R, pilots, [everyone])
+    # G and R of two stack shapes, or no stack axis
+    plan = plan_pass(profile, report)
+    for bad_G, bad_R, plans in ((G, R[:, :-1, :-1], [plan]),
+                                (G[:, :-1], R, [plan]),
+                                (np.concatenate([G, G]), R, [plan] * 2),
+                                (G[0], R[0], [plan] * n)):
+        with pytest.raises(ValueError, match="need G"):
+            iterative_estimate(bad_G, bad_R, pilots, plans)
+    # refused before any step
+    assert steps == []
 
 
 def test_empty_feedback_set_is_the_one_shot_estimator(block):
@@ -684,9 +704,16 @@ def test_a_batch_of_layouts_is_estimated_as_each_layout_alone(selection):
         expected.append(estimate(trial, pilots, profile, report))
     if selection == "fixed":
         assert len({g.shape for g in G}) > 1
+    # each block in the leading rows of one stack, as the harness stacks
+    # them; the rows after them are NaN, which any read of them would spread
+    n = max(len(g) for g in G)
+    G_stack = np.full((len(blocks), n, cfg.C_u), np.nan, dtype=complex)
+    R_stack = np.full((len(blocks), n, n), np.nan, dtype=complex)
+    for t, (G_t, R_t) in enumerate(zip(G, R)):
+        G_stack[t, : len(G_t)], R_stack[t, : len(R_t), : len(R_t)] = G_t, R_t
     # one plan per layout, as the harness plans them
     plans = [plan_pass(batch.layout(b), report) for b in range(len(layouts))]
-    got = iterative_estimate(G, R, pilots, [plans[b] for b, _t in blocks])
+    got = iterative_estimate(G_stack, R_stack, pilots, [plans[b] for b, _t in blocks])
     assert got.shape == (len(blocks), report.size, cfg.C_u)
     assert np.array_equal(got, np.stack(expected))
 
@@ -700,10 +727,12 @@ def test_unreported_non_members_are_not_computed(monkeypatch):
     # members outside the report, and users in neither
     assert not kept <= set(report.tolist()) and len(kept) < pilots.shape[1]
     # the estimator reads the kept users' G and R rows only, and refuses a
-    # reduction of everyone's projection
+    # stack with a row fewer
     assert set(plan_pass(profile, report)[0].tolist()) == kept
+    G, R = reduce_block(blk.projection)
     with pytest.raises(ValueError, match="keep"):
-        iterative_estimate(*reduce_block(blk.projection), pilots, [plan_pass(profile, report)] * 2)
+        iterative_estimate(G[:, : len(kept) - 1], R[:, : len(kept) - 1, : len(kept) - 1], pilots,
+                           [plan_pass(profile, report)] * 2)
     column_of = {col.tobytes(): n for n, col in enumerate(pilots.T)}
     filtered = set()
 

@@ -932,15 +932,17 @@ def test_four_radii_fit_within_the_earlier_peak_of_one(monkeypatch):
     assert peak < SUM_RATE_PEAK_BOUND_BYTES
 
 
-# The chunks and sub-batches the byte model gives the bench's workloads at
-# seed 5, as (trials of a _run_trials call, its sub-batch sizes) per call:
-# sinr_vs_m's one chunk at M = 50 and two at M = 100 and 200, ber_vs_k's
-# one chunk per K, stacked 10, 5 and 2 at a time, and sum_rate_vs_sir's one
+# The runs the byte model splits the bench's workloads into at seed 5, as
+# the trial counts of each simharness._runs call in call order: a
+# _sum_trials call's chunks, then each chunk's sub-batches.  sinr_vs_m runs
+# one chunk of 20 at M = 50 and two of 10 at M = 100 and 200, ber_vs_k one
+# chunk of 10 per K, stacked 10, 5 and 2 at a time, and sum_rate_vs_sir one
 # chunk of 8 one-trial sub-batches.
+SINR_VS_M_AT_100 = [[10, 10], [3, 3, 2, 2], [3, 3, 2, 2]]
 BENCH_BATCHES = {
-    "sinr_vs_m": (20, [(20, [3] * 6 + [2])] + [(10, [3, 3, 2, 2])] * 4),
-    "ber_vs_k": (10, [(10, [10]), (10, [5, 5]), (10, [2] * 5)]),
-    "sum_rate_vs_sir": (8, [(8, [1] * 8)]),
+    "sinr_vs_m": (20, [[20], [3] * 6 + [2], *SINR_VS_M_AT_100, *SINR_VS_M_AT_100]),
+    "ber_vs_k": (10, [[10], [10], [10], [5, 5], [10], [2] * 5]),
+    "sum_rate_vs_sir": (8, [[8], [1] * 8]),
 }
 
 
@@ -952,18 +954,16 @@ def test_the_bench_workloads_keep_their_chunks_and_sub_batches(experiment, tmp_p
     spec.write_text(f"experiment: {experiment}\noverrides:\n  trials: {trials}\n  seed: 5\n",
                     encoding="utf-8")
     spec = cli.parse_config(str(spec))
-    sizes, draws, draw = batch_sizes(monkeypatch), [], waveform._draw_payloads
+    sizes, split = [], simharness._runs
 
-    def spy(n_users, n, P, data_dist, rngs):
-        draws.append((len(sizes) - 1, len(rngs)))
-        return draw(n_users, n, P, data_dist, rngs)
+    def spy(n, most):
+        runs = split(n, most)
+        sizes.append([hi - lo for lo, hi in runs])
+        return runs
 
-    monkeypatch.setattr(simharness.waveform, "_draw_payloads", spy)
+    monkeypatch.setattr(simharness, "_runs", spy)
     run_experiment(spec.config, spec.experiment, spec.options)
-    # one payload draw per tag and sub-batch: TP's and SP's, or the common one
-    tags = 1 if experiment == "sum_rate_vs_sir" else 2
-    assert [(size, [n for c, n in draws if c == call][::tags])
-            for call, size in enumerate(sizes)] == expected
+    assert sizes == expected
 
 
 # Minor page faults per repetition of sinr_vs_m and sum_rate_vs_sir at the

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -335,6 +336,19 @@ class TestFrames:
         frames = draw_frames(cfg, book, HALF, substream(4, "f"), all_tp(7, 5))
         assert np.allclose(np.abs(frames.S[:, : cfg.tau]) ** 2, 1.0, atol=1e-12)
         assert frames.data[0].shape == (cfg.C_u - cfg.tau,)
+
+    def test_a_book_is_framed_by_its_own_training_length(self):
+        # a book of reuse factor 3 under the default config (r = 1): its 15
+        # TP pilot symbols lead each row and its 85 payload symbols follow
+        cfg = SystemConfig()
+        book = make_pilot_books(replace(cfg, r=3))
+        assert (cfg.tau, book.tau, book.payload_length(all_tp(7, 5), cfg.C_u)) == (5, 15, 85)
+        (data,), _ = _draw_payloads(35, cfg.C_u, cfg.P, "qam", [substream(0, "f")])
+        S = assemble_frames(cfg, book, HALF, data, all_tp(7, 5))
+        assert np.array_equal(S[:, :15], book.tp_matrix[:, book.tp_assignment.reshape(-1)].T)
+        assert np.array_equal(S[:, 15:], data[:, 15:])
+        # as under the book's own config
+        assert np.array_equal(S, assemble_frames(replace(cfg, r=3), book, HALF, data, all_tp(7, 5)))
 
     def test_hybrid_sp_user_is_silent_during_training(self):
         cfg = make_config()
