@@ -93,7 +93,9 @@ def _coerce(key: str, value, target):
         if target is tuple:
             if not isinstance(value, (list, tuple)) or any(isinstance(v, bool) for v in value):
                 raise ValueError(f"expected a list of numbers, got {value!r}")
-            return tuple(float(v) if "." in str(v) else int(v) for v in value)
+            # a YAML number keeps its type; a string is an int, or a float with a "."
+            return tuple(v if isinstance(v, (int, float)) else float(v) if "." in str(v)
+                         else int(v) for v in value)
         if target is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"not an integer: {value!r}")
         return target(value)

@@ -32,22 +32,20 @@ sum_rate_vs_sir compares all-TP, all-SP and hybrid pilots at its 7 metric
 BSs with Gaussian payloads, one entry per (radius, method), on one
 placement (_sum_rate_bench).
 
-The schemes of a bench see common random numbers.  A scheme's tag names
-its frame stream: per trial, one payload draw serves every entry of a tag,
-as long as the longest payload among them, and an entry sends, and is
-scored on, the trailing symbols of each user's row that its payload length
-asks for; entries on one (tag, book, Partition object) send one frame
-matrix.  The reference benches give TP and SP their own tags;
-sum_rate_vs_sir gives all its entries one.  At each metric BS one
-unit-variance fading matrix Z and one noise block W per trial serve every
-scheme, so the draws are shared across schemes and, in sum_rate_vs_sir,
-across radii.  A scheme's gains are folded into its frames: its block would
-be Z @ (sqrt(beta) * S) + W.  No block is formed.  Every receiver is linear
-in it, so each trial and metric BS makes one projection of its draws onto
-the estimator columns of every scheme's scored users (estimators.project),
-which gives their estimates and matched filters from one
-synthesize_received call, one more product, and one product per frame
-matrix.
+The schemes of a bench see common random numbers.  Per trial, one payload
+draw from the bench's payload stream serves every entry, as long as the
+longest payload among them, and an entry sends, and is scored on, the
+trailing symbols of each user's row that its payload length asks for;
+entries on one (book, Partition object) send one frame matrix.  At each
+metric BS one unit-variance fading matrix Z and one noise block W per trial
+serve every scheme, so the draws are shared across schemes and, in
+sum_rate_vs_sir, across radii.  A scheme's gains are folded into its
+frames: its block would be Z @ (sqrt(beta) * S) + W.  No block is formed.
+Every receiver is linear in it, so each trial and metric BS makes one
+projection of its draws onto the estimator columns of every scheme's
+scored users (estimators.project), which gives their estimates and matched
+filters from one synthesize_received call, one more product, and one
+product per frame matrix.
 
 Z and W are not drawn either, only the r x d factor R of X = [Z, W / sigma]
 = Q R, d = L*K + C_u and r = min(M, d), from its exact law
@@ -67,13 +65,13 @@ receivers' constants (estimators.Receiver: SP users, pilot rows and
 matched-filter gains, as arrays over the bench's placements).  The trials
 run in chunks, and a chunk in sub-batches whose stacked arrays fit what
 _CHUNK_BYTES leaves beside the chunk's pass inputs.  Only the keyed draws
-are made trial by trial: each tag's payloads, from the trial's own
-substream, and at each metric BS the factor of its fading and noise, with
-the two products that read it (estimators.project).  Every other stage
+are made trial by trial: the payloads, from the trial's own substream, and
+at each metric BS the factor of its fading and noise, with the two
+products that read it (estimators.project).  Every other stage
 runs once per sub-batch on stacks of its trials' arrays: the modulation,
 the frames, the products of frames and estimator columns, the matched
 filters, and, per metric BS, one estimators.receive call and one scoring
-pass per (tag, payload length), against the payloads its entries share,
+pass per payload length, against the payloads every entry shares,
 written straight into the kernel's outputs.  project reads the sub-batch's
 frame matrices as one (frame set, trial) array, and the column sets and
 each entry's pair from the plan.  Each stacked product is
@@ -204,8 +202,8 @@ class RunOptions:
             if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
                        for v in values):
                 raise ValueError(f"{name} must be integers >= 1, got {getattr(self, name)!r}")
-        if not all(v > 0 for v in self.radii_m):
-            raise ValueError(f"radii_m must be positive, got {self.radii_m!r}")
+        if not all(0 < v < math.inf for v in self.radii_m):
+            raise ValueError(f"radii_m must be positive and finite, got {self.radii_m!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +260,18 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 class _Scheme(NamedTuple):
     """One entry of a bench's scheme table: a pilot scheme, scored as one method.
 
-    tag names the entry's frame stream, which it shares with every entry of
-    the same tag: per trial, one payload draw from the (tag + "-frames")
-    substream, as long as the longest payload of the tag's entries, of which
-    the entry sends the trailing PilotBook.payload_length symbols per user.
-    Its frames follow partition and book, one frame matrix per (tag, book,
-    Partition object), are sent over the square roots of its gains, and are
-    received under partition and book.  gains[p] is its (L, L, K) gain
-    map at the bench's placement p.  An entry that iterates has iterated =
-    (method, profiles): profiles[j] is the prediction profile of its gains
-    at metric BS j, a batch of one layout per placement, and at every
-    metric BS the iterative estimator also runs on its projection, scored
-    as that second method.
+    The entry sends the trailing PilotBook.payload_length symbols per user
+    of the bench's one payload draw per trial.  Its frames follow partition
+    and book, one frame matrix per (book, Partition object), are sent over
+    the square roots of its gains, and are received under partition and
+    book.  gains[p] is its (L, L, K) gain map at the bench's placement p.
+    An entry that iterates has iterated = (method, profiles): profiles[j] is
+    the prediction profile of its gains at metric BS j, a batch of one
+    layout per placement, and at every metric BS the iterative estimator
+    also runs on its projection, scored as that second method.
     """
 
     method: str
-    tag: str
     book: waveform.PilotBook
     gains: np.ndarray
     partition: Partition
@@ -290,20 +284,22 @@ class _Bench:
     The scheme table is that of one or more user placements, each entry
     with its gains at every placement, and of one layout or of several
     (sum_rate_vs_sir's radii, one placement), each entry with its own
-    gains.  streams[j] is the substream tag of metric BS j's draws
-    (sysmodel.draw_channels), whose cell's users are scored, and data_dist
-    the payload distribution of waveform.assemble_frames.
+    gains.  streams[j] is the substream key of metric BS j's draws
+    (sysmodel.draw_channels), whose cell's users are scored; payload_stream
+    is that of the one payload draw per trial that every entry sends, and
+    data_dist its distribution (waveform.assemble_frames).
 
     methods lists the methods of _run_trials's method axis, as (name,
     entry, payload symbols per user): every entry of the table, then the
-    iterated pass of each entry that iterates, in table order.  Per tag,
-    drawn holds the payload symbols drawn per user, its entries' longest.
+    iterated pass of each entry that iterates, in table order.  drawn is
+    the payload symbols drawn per user, the entries' longest, and held
+    whether some entry iterates, so that the draws outlive their sub-batch.
     Each entry i sends and projects through pairs[i] = (frame set, column
-    set).  Frame sets are numbered in table order, one per (tag, book,
-    Partition object), and frame_sets holds each set's first entry; column
-    sets are numbered in table order too, one per (book, Partition object)
-    of the entries that do not iterate and one per entry that does, so the
-    entries of one pair share their S E product (estimators.project).
+    set).  Frame sets are numbered in table order, one per (book, Partition
+    object), and frame_sets holds each set's first entry; column sets are
+    numbered in table order too, one per (book, Partition object) of the
+    entries that do not iterate and one per entry that does, so the entries
+    of one pair share their S E product (estimators.project).
     columns[p][j][c] are column set c's estimator columns at placement p and
     metric BS j: its cell's users, or an iterated entry's kept users.
     roots holds sqrt(beta) of every entry's users at every placement and
@@ -312,8 +308,8 @@ class _Bench:
     for cell j's users): it is projected there onto the users the plan
     keeps, and cell j's are scored, at the plan's reported rows.
     counts[j, p, i] users of entry i are projected, from starts[j, p, i] on.
-    The entries of one (tag, payload length) are received and scored
-    together (groups): their receiver at each BS, over placements, and the
+    The entries of one payload length are received and scored together
+    (groups): their receiver at each BS, over placements, and the
     projected users it reads at each BS and placement.  held_bytes,
     trial_bytes, staged_bytes and draw_bytes count what a trial holds, as
     the comment on them says.  An entry that iterates over a user without
@@ -321,7 +317,7 @@ class _Bench:
     """
 
     def __init__(self, config: SystemConfig, powers: PowerAllocation, schemes: tuple,
-                 streams: tuple, data_dist: str):
+                 streams: tuple, payload_stream: str, data_dist: str):
         for i, s in enumerate(schemes):
             # the iterative estimator reads every user's superimposed pilot
             if s.iterated and not s.partition.sp.all():
@@ -329,25 +325,25 @@ class _Bench:
                 raise ValueError(f"entry {i} ({s.method!r}) iterates, but its user "
                                  f"({l}, {k}) has no superimposed pilot")
         self.config, self.powers, self.schemes = config, powers, schemes
-        self.streams, self.data_dist = streams, data_dist
+        self.streams, self.payload_stream, self.data_dist = streams, payload_stream, data_dist
         K, C_u, N, J = config.K, config.C_u, config.L * config.K, len(streams)
         n_placements = schemes[0].gains.shape[0]
         cells = np.arange(J * K).reshape(J, K)
         named = ([(s.method, s) for s in schemes]
                  + [(s.iterated[0], s) for s in schemes if s.iterated])
         self.methods = [(name, s, s.book.payload_length(s.partition, C_u)) for name, s in named]
-        self.drawn, frame_of, column_of, members = {}, {}, {}, {}
-        for i, (s, (_, _, n)) in enumerate(zip(schemes, self.methods)):
-            self.drawn[s.tag] = max(self.drawn.get(s.tag, 0), n)
-            members.setdefault((s.tag, n), []).append(i)
-        self.pairs = [(frame_of.setdefault((s.tag, id(s.book), s.partition), len(frame_of)),
+        self.drawn = max(n for _, _, n in self.methods)
+        frame_of, column_of, members = {}, {}, {}
+        for i, (_, _, n) in enumerate(self.methods[: len(schemes)]):
+            members.setdefault(n, []).append(i)
+        self.pairs = [(frame_of.setdefault((id(s.book), s.partition), len(frame_of)),
                        column_of.setdefault(i if s.iterated else (id(s.book), s.partition),
                                             len(column_of)))
                       for i, s in enumerate(schemes)]
         sends = [f for f, _ in self.pairs]
         self.frame_sets = [schemes[sends.index(f)] for f in range(len(frame_of))]
         self.iterated = [i for i, s in enumerate(schemes) if s.iterated]
-        self.held = {schemes[i].tag for i in self.iterated}
+        self.held = bool(self.iterated)
         self.roots = np.sqrt(np.stack([s.gains[:, :J].reshape(-1, J, N) for s in schemes]))
         # each column set at each placement and BS, made by its first entry:
         # an iterated entry's from its pass plan there, for its cell's users
@@ -372,39 +368,39 @@ class _Bench:
         self.starts = np.cumsum(self.counts, axis=2) - self.counts
         scored = {key: np.stack([rows for _, rows, *_ in plans])
                   for key, plans in self.passes.items()}
-        self.groups = [(tag, n, entries,
+        self.groups = [(n, entries,
                         [receiver([(schemes[i].book, schemes[i].partition, j,
                                     schemes[i].gains[:, j, j]) for i in entries], powers, config)
                          for j in range(J)],
                         [np.concatenate([self.starts[j, :, i, np.newaxis]
                                          + scored.get((i, j), np.arange(K))
                                          for i in entries], axis=1) for j in range(J)])
-                       for (tag, n), entries in members.items()]
+                       for n, entries in members.items()]
         # Bytes per trial, none of which grow with M.  held_bytes is what a
         # trial keeps from its sub-batch's stacked stages to the pass: its
-        # energies and metric users' channel gains; per tag of an entry that
-        # iterates, its cells' payloads and bits at every metric BS, once
-        # however many entries carry the tag; and per iterated entry and BS
-        # the reduce_block G and R over the n users its plan keeps, at most
-        # the largest such set over the placements.  trial_bytes adds what
-        # the pass adds: at most five (n, C_u) working arrays (G's basis rows
-        # and the users' pilot rows among them), its outputs and the
-        # demapped bits; a chunk of _sum_trials holds as many trials as fit
-        # _CHUNK_BYTES at trial_bytes each.  staged_bytes is what a trial
-        # holds only in its sub-batch's stacked stages, freed before the
-        # pass: the frame matrices, each group's outputs, the draws' cell
-        # columns and the other tags' payloads and bits at the metric cells,
-        # and the larger of a payload draw with the frame matrix assembled
-        # from it and one BS's projection (the stack, estimates and
-        # matched-filter products over its e users), with the previous BS's
-        # where there are several.  draw_bytes is one trial's draw at one
-        # BS, the (r, d) factor of sysmodel.draw_channels, r = min(M, d) and
-        # d = L*K + C_u.  Payloads are counted at C_u symbols, their longest.
+        # energies and metric users' channel gains; where an entry iterates,
+        # the payloads and bits at the metric cells, once however many entries
+        # iterate; and per iterated entry and BS the reduce_block G and R over
+        # the n users its plan keeps, at most the largest such set over the
+        # placements.  trial_bytes adds what the pass adds: at most five
+        # (n, C_u) working arrays (G's basis rows and the users' pilot rows
+        # among them), its outputs and the demapped bits; a chunk of
+        # _sum_trials holds as many trials as fit _CHUNK_BYTES at trial_bytes
+        # each.  staged_bytes is what a trial holds only in its sub-batch's
+        # stacked stages, freed before the pass: the frame matrices, each
+        # group's outputs, the draws' cell columns and, where no entry
+        # iterates, the payloads and bits at the metric cells, and the larger
+        # of a payload draw with the frame matrix assembled from it and one
+        # BS's projection (the stack, estimates and matched-filter products
+        # over its e users), with the previous BS's where there are several.
+        # draw_bytes is one trial's draw at one BS, the (r, d) factor of
+        # sysmodel.draw_channels, r = min(M, d) and d = L*K + C_u.  Payloads
+        # are counted at C_u symbols, their longest.
         n_bits = waveform.bits_per_symbol(config.P)
         d, r = N + C_u, min(config.M, N + C_u)
         per_payload = (16 + n_bits) * K * C_u
         self.held_bytes = (8 * J * K * (2 * len(self.methods) + 1)
-                           + J * per_payload * len(self.held))
+                           + J * per_payload * self.held)
         pass_bytes = 0
         for (i, j) in self.passes:
             n = self.counts[j, :, i].max()
@@ -413,8 +409,8 @@ class _Bench:
         self.trial_bytes = self.held_bytes + pass_bytes
         e = int(self.counts.sum(axis=2).max())
         self.staged_bytes = (16 * N * C_u * len(self.frame_sets)
-                             + 16 * K * (sum(len(g[2]) * g[1] for g in self.groups) + r)
-                             + J * per_payload * len(self.drawn.keys() - self.held)
+                             + 16 * K * (sum(len(g[1]) * g[0] for g in self.groups) + r)
+                             + J * per_payload * (not self.held)
                              + max((32 + n_bits) * N * C_u, 16 * e * (2 * d + r))
                              + 16 * e * (r + C_u) * (J > 1))
         # one trial's factor at a time, and the normal draws above its diagonal
@@ -436,9 +432,9 @@ def _make_bench(config: SystemConfig, options: RunOptions, layouts: list) -> _Be
                       for layout in layouts])
     profile = iterative.predict_profile(gains[:, 0].reshape(len(layouts), -1), powers, config,
                                         options.selection)
-    schemes = (_Scheme(TP_METHOD, "tp", book, gains, all_tp(L, K)),
-               _Scheme(SP_METHOD, "sp", book, gains, all_sp(L, K), (ITER_METHOD, (profile,))))
-    return _Bench(config, powers, schemes, (("channels",),), "qam")
+    schemes = (_Scheme(TP_METHOD, book, gains, all_tp(L, K)),
+               _Scheme(SP_METHOD, book, gains, all_sp(L, K), (ITER_METHOD, (profile,))))
+    return _Bench(config, powers, schemes, (("channels",),), "sp-frames", "qam")
 
 
 def _run_trials(bench: _Bench, trials: list):
@@ -449,23 +445,23 @@ def _run_trials(bench: _Bench, trials: list):
     _CHUNK_BYTES leaves beside the T trials' pass inputs and one draw, at
     the bytes the stacked stages hold per trial (_Bench.staged_bytes), at
     least one, in runs of equal length (_runs).  Only the keyed draws are
-    made trial by trial: per trial and tag, one payload draw, which serves
-    every entry of that tag, and per trial and metric BS j one factor of
-    fading and noise (streams[j]), which serves every scheme, with its two
-    products in estimators.project.  Everything else runs once per
+    made trial by trial: per trial one payload draw (payload_stream), which
+    serves every entry, and per trial and metric BS j one factor of fading
+    and noise (streams[j]), which serves every scheme, with its two products
+    in estimators.project.  Everything else runs once per
     sub-batch on stacks of the trials' arrays: one frame matrix per frame
     set, into one (frame set, trial) buffer, and per metric BS and run of
     trials on one placement one projection (estimators.project) of the
     run's slice of that buffer, which makes the estimates and matched
     filters of every scheme's scored users, with each scheme's gains at BS
     j folded into its frame rows.  Their cells' users are received in one
-    pass per (tag, payload length) and run, and scored per (tag, payload
-    length) and sub-batch, against the payloads they share, into the
-    outputs, which are allocated before the first sub-batch.  A user's
-    desired-signal gain ||h||^2 / (M beta) is ||z||^2 / M, the squared norm
-    of its column of the draw, the same for every scheme.  Every stacked
-    step is a stack of the per-trial steps, so a trial's outputs have the
-    same bits in any sub-batch.  The iterative pass runs once per (entry,
+    pass per payload length and run, and scored per payload length and
+    sub-batch, against the trailing symbols of the draw, into the outputs,
+    which are allocated before the first sub-batch.  A user's desired-signal
+    gain ||h||^2 / (M beta) is ||z||^2 / M, the squared norm of its column
+    of the draw, the same for every scheme.  Every stacked step is a stack
+    of the per-trial steps, so a trial's outputs have the same bits in any
+    sub-batch.  The iterative pass runs once per (entry,
     BS) over the batch, each trial under its placement's plan.  Returns
     (sig_res, errs): the (T, methods, 2, J, K) signal and residual energies
     per trial, method, metric BS and user, and the (methods, 2) bit errors
@@ -488,22 +484,20 @@ def _run_trials(bench: _Bench, trials: list):
     # What outlives a sub-batch is allocated once, before the first, so
     # that each sub-batch reuses the heap the one before it freed instead
     # of growing it past what the allocator trims.  The outputs, which each
-    # (tag, payload length) writes its energies and bit errors into; each
-    # tag's payloads and bits at the metric cells, every trial's for the
-    # tag of an entry that iterates, else the sub-batch's; each trial's G
-    # and R per (iterated entry, BS), over the users kept, in the leading
-    # block of the largest such set's arrays; the frame matrices, the
-    # receivers' outputs per (tag, payload length) and the draws' cell
-    # columns of the sub-batch
+    # payload length writes its energies and bit errors into; the payloads
+    # and bits at the metric cells, every trial's where an entry iterates,
+    # else the sub-batch's; each trial's G and R per (iterated entry, BS),
+    # over the users kept, in the leading block of the largest such set's
+    # arrays; the frame matrices, the receivers' outputs per payload length
+    # and the draws' cell columns of the sub-batch
     sig_res = np.empty((T, len(bench.methods), 2, J, K))
     errs = np.zeros((len(bench.methods), 2), dtype=np.int64)
     if qam:
-        for _, n, entries, _, _ in bench.groups:
+        for n, entries, _, _ in bench.groups:
             errs[entries, 1] = T * J * K * n_bits * n
     gain = np.empty((T, J, K))
-    sent = {tag: (np.empty((T if tag in bench.held else step, J, K, n), dtype=complex),
-                  np.empty((T if tag in bench.held else step, J, K, n_bits * n), dtype=np.uint8)
-                  if qam else None) for tag, n in bench.drawn.items()}
+    sent = np.empty((T if bench.held else step, J, K, bench.drawn), dtype=complex)
+    sent_bits = np.empty((len(sent), J, K, n_bits * bench.drawn), dtype=np.uint8) if qam else None
     stacks = {}
     for i in bench.iterated:
         for j in range(J):
@@ -511,23 +505,22 @@ def _run_trials(bench: _Bench, trials: list):
             stacks[i, j] = np.empty((T, n, C_u), dtype=complex), np.empty((T, n, n), dtype=complex)
     buffer = np.empty((len(bench.frame_sets), step, N, C_u), dtype=complex)
     outputs = [np.empty((step, len(entries) * K, n), dtype=complex)
-               for _, n, entries, _, _ in bench.groups]
+               for n, entries, _, _ in bench.groups]
     columns = np.empty((step, min(M, N + C_u), K), dtype=complex)
     for lo, hi in _runs(T, step):
         batch = trials[lo:hi]
         B = len(batch)
-        at = {tag: slice(lo, lo + B) if tag in bench.held else slice(B) for tag in bench.drawn}
-        # one tag's draw at a time, freed once its frames are made
-        for tag, n in bench.drawn.items():
-            data, bits = waveform._draw_payloads(
-                N, n, P, bench.data_dist, [substream(*key, f"{tag}-frames") for _, key in batch])
-            sent[tag][0][at[tag]] = data[:, : J * K].reshape(B, J, K, n)
-            if qam:
-                sent[tag][1][at[tag]] = bits[:, : J * K].reshape(B, J, K, n_bits * n)
-            for f, s in enumerate(bench.frame_sets):
-                if s.tag == tag:
-                    buffer[f, :B] = waveform.assemble_frames(cfg, s.book, powers, data, s.partition)
-            del data, bits
+        at = slice(lo, hi) if bench.held else slice(B)
+        # the draw is freed once the frames are made
+        data, bits = waveform._draw_payloads(N, bench.drawn, P, bench.data_dist,
+                                             [substream(*key, bench.payload_stream)
+                                              for _, key in batch])
+        sent[at] = data[:, : J * K].reshape(B, J, K, bench.drawn)
+        if qam:
+            sent_bits[at] = bits[:, : J * K].reshape(B, J, K, n_bits * bench.drawn)
+        for f, s in enumerate(bench.frame_sets):
+            buffer[f, :B] = waveform.assemble_frames(cfg, s.book, powers, data, s.partition)
+        del data, bits
         edges = [0, *(cut - lo for cut in cuts if lo < cut < hi), B]
         for j, stream in enumerate(bench.streams):
 
@@ -551,7 +544,7 @@ def _run_trials(bench: _Bench, trials: list):
                     G, R = stacks[i, j]
                     G[lo + a : lo + b, :n], R[lo + a : lo + b, :n, :n] = iterative.reduce_block(
                         Projection(projection.estimates[..., users], projection.matched[:, users]))
-                for out, (_, _, _, rx, users) in zip(outputs, bench.groups):
+                for out, (_, _, rx, users) in zip(outputs, bench.groups):
                     out[a:b] = receive(projection, users[j][p], rx[j], p)
                 # with several metric BSs, each projection is freed only as
                 # the next BS's replaces it, so the heap does not shrink to
@@ -561,33 +554,31 @@ def _run_trials(bench: _Bench, trials: list):
                     projection = None
             z = np.swapaxes(columns[:B], 1, 2)
             gain[lo : lo + B, j] = np.vecdot(z, z).real / M
-            for out, (tag, n, entries, _, _) in zip(outputs, bench.groups):
+            for out, (n, entries, _, _) in zip(outputs, bench.groups):
                 x_tilde = out[:B].reshape(B, len(entries), K, n)
-                data, bits = (held if held is None else held[at[tag]] for held in sent[tag])
                 # every entry of the group is scored against the same payloads
                 sig_res[lo:hi, entries, 0, j], sig_res[lo:hi, entries, 1, j] = (
-                    signal_residual_power(x_tilde, data[:, np.newaxis, j, :, data.shape[-1] - n :],
+                    signal_residual_power(x_tilde, sent[at, np.newaxis, j, :, bench.drawn - n :],
                                           gain[lo:hi, np.newaxis, j]))
                 if qam:
                     errs[entries, 0] += np.sum(
                         waveform.demap(x_tilde, P).reshape(B, len(entries), -1)
-                        != bits[:, np.newaxis, j, :, bits.shape[-1] - n_bits * n :]
+                        != sent_bits[at, np.newaxis, j, :, n_bits * (bench.drawn - n) :]
                         .reshape(B, 1, -1), axis=(0, 2))
     del buffer, outputs, columns, projection
     # one pass per (entry, BS) over the batch, each trial under its
     # placement's plan
     for m, i in enumerate(bench.iterated, len(schemes)):
         s, n = schemes[i], bench.methods[i][2]
-        data, bits = sent[s.tag]
         pilots = s.book.sp_columns(slice(None))
         for j in range(J):
             # the stacks are freed as the pass returns
             x_tilde = iterative.iterative_estimate(*stacks.pop((i, j)), pilots,
                                                    [bench.passes[i, j][p] for p in placements])
             sig_res[:, m, 0, j], sig_res[:, m, 1, j] = signal_residual_power(
-                x_tilde, data[:, j, :, data.shape[-1] - n :], gain[:, j])
+                x_tilde, sent[:, j, :, bench.drawn - n :], gain[:, j])
             if qam:
-                errs[m] += count_ber(x_tilde, bits[:, j, :, bits.shape[-1] - n_bits * n :], P)
+                errs[m] += count_ber(x_tilde, sent_bits[:, j, :, n_bits * (bench.drawn - n) :], P)
     return sig_res, errs
 
 
@@ -712,13 +703,12 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
     """All-TP, all-SP and hybrid pilots at the min(L, 7) metric BSs of each layout.
 
     One bench of one placement for the whole sweep: its schemes are the
-    (layout, method) pairs, three per layout in layout order, all on the
-    tag "common", so every entry sends one payload draw per trial.  Gaussian
-    payloads at unit power.  Each metric BS j draws its fading and noise
-    factor from ("ch", j), shared by every layout's schemes.  All layouts
-    share one all-TP and one all-SP Partition, so their entries send one
-    frame set and project through one column set each, and share its
-    products.
+    (layout, method) pairs, three per layout in layout order, which send
+    one payload draw per trial from "common-frames".  Gaussian payloads at
+    unit power.  Each metric BS j draws its fading and noise factor from
+    ("ch", j), shared by every layout's schemes.  All layouts share one
+    all-TP and one all-SP Partition, so their entries send one frame set
+    and project through one column set each, and share its products.
     """
     n_metric = min(cfg.L, 7)
     powers = PowerAllocation(*analytics.optimal_rho(cfg.M, n_metric, cfg.K, cfg.C_u))
@@ -736,13 +726,13 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
         # power control on the SP users only
         beta_hyb = np.where(partition.sp, controlled.beta, beta_raw.beta)
         schemes += [
-            _Scheme(ALL_TP_METHOD, "common", book_full, beta_raw.beta[np.newaxis], tp),
-            _Scheme(ALL_SP_METHOD, "common", book_full, controlled.beta[np.newaxis], sp),
-            _Scheme(HYBRID_METHOD, "common", waveform.make_pilot_books(cfg, partition=partition),
+            _Scheme(ALL_TP_METHOD, book_full, beta_raw.beta[np.newaxis], tp),
+            _Scheme(ALL_SP_METHOD, book_full, controlled.beta[np.newaxis], sp),
+            _Scheme(HYBRID_METHOD, waveform.make_pilot_books(cfg, partition=partition),
                     beta_hyb[np.newaxis], partition),
         ]
     streams = tuple(("ch", j) for j in range(n_metric))
-    return _Bench(cfg, powers, tuple(schemes), streams, "gaussian")
+    return _Bench(cfg, powers, tuple(schemes), streams, "common-frames", "gaussian")
 
 
 def _records_sum_rate_vs_sir(config, options):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -241,6 +242,24 @@ def test_trials_flag_sets_the_sinr_cdf_realizations(tmp_path):
     assert cli.main(["run", str(spec), "--out", str(out), "--trials", "3"]) == 0
     records = cli.parse_csv(str(out))
     assert records and {rec.trials for rec in records} == {3}
+
+
+@pytest.mark.parametrize("written, radii", [("[0.000001]", (1e-06,)),
+                                            ("[5.0e-05, 300]", (5e-05, 300)),
+                                            ("['700.5', '850']", (700.5, 850))])
+def test_a_yaml_number_keeps_its_type_in_a_list(tmp_path, written, radii):
+    # a number was read as an int unless its text held a ".": 1e-06 and
+    # 5e-05 became 0.  A string is still an int, or a float with a "."
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(_spec("sum_rate_vs_sir", f"radii_m: {written}"), encoding="utf-8")
+    parsed = cli.parse_config(str(spec)).options.radii_m
+    assert parsed == radii and [type(r) for r in parsed] == [type(r) for r in radii]
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan])
+def test_a_radius_that_is_not_finite_is_refused(radius):
+    with pytest.raises(ValueError, match="radii_m must be positive and finite"):
+        simharness.RunOptions(radii_m=(500.0, radius))
 
 
 def test_environment_does_not_override_the_spec(tmp_path, monkeypatch):

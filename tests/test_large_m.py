@@ -36,7 +36,7 @@ def gate():
     # TP and one-shot SP only
     bench = simharness._Bench(bench.config, bench.powers,
                               tuple(s._replace(iterated=None) for s in bench.schemes),
-                              bench.streams, bench.data_dist)
+                              bench.streams, bench.payload_stream, bench.data_dist)
     with simharness._one_blas_thread():
         sig_res, _errs = simharness._run_trials(
             bench, [(0, (SEED, "large_m", t)) for t in range(TRIALS)])

@@ -135,7 +135,7 @@ def assert_same_fields(a, b):
 
 
 # what a bench is built from
-BENCH_INPUTS = ("config", "powers", "schemes", "streams", "data_dist")
+BENCH_INPUTS = ("config", "powers", "schemes", "streams", "payload_stream", "data_dist")
 
 
 def derived(bench, **inputs):
@@ -237,8 +237,8 @@ def test_a_batch_of_trials_equals_one_trial_batches(any_bench, monkeypatch):
         singles = [simharness._run_trials(b, [trial]) for trial in trials(T, placements(b))]
         sizes = sub_batch_sizes(monkeypatch, b, T, 3)
         sig_res, errs = simharness._run_trials(b, trials(T, placements(b)))
-    # one payload draw per tag and sub-batch
-    assert sizes == [n for n in (3, 2, 2) for _ in {s.tag for s in b.schemes}]
+    # one payload draw per sub-batch
+    assert sizes == [3, 2, 2]
     cfg, J = b.config, len(b.streams)
     assert sig_res.shape == (T, len(b.methods), 2, J, cfg.K)
     assert np.array_equal(sig_res, np.concatenate([one for one, _ in singles]))
@@ -395,28 +395,25 @@ def test_bs_0s_tied_users_are_swept_in_their_given_order():
 
 
 def trial_frames(bench, key):
-    """A trial's frames by the common-frame rule, and each tag's payload draw.
+    """A trial's frames by the common-frame rule, and its payload draw.
 
-    Each tag draws one payload row per user, as long as the longest payload
-    of its entries; an entry sends the trailing symbols of each row that its
-    payload length asks for.  Entries on one (tag, book, Partition object)
-    send one frame matrix.  Returns the frame matrices, each entry's index
-    into them, and each tag's payloads.
+    The trial draws one payload row per user from the bench's payload
+    stream, as long as the longest payload of its entries; an entry sends
+    the trailing symbols of each row that its payload length asks for.
+    Entries on one (book, Partition object) send one frame matrix.  Returns
+    the frame matrices, each entry's index into them, and the payloads.
     """
     cfg = bench.config
-    longest = {}
-    for s in bench.schemes:
-        longest[s.tag] = max(longest.get(s.tag, 0), s.book.payload_length(s.partition, cfg.C_u))
-    payloads = {tag: waveform._draw_payloads(cfg.L * cfg.K, n, cfg.P, bench.data_dist,
-                                             [substream(*key, f"{tag}-frames")])[0][0]
-                for tag, n in longest.items()}
+    longest = max(s.book.payload_length(s.partition, cfg.C_u) for s in bench.schemes)
+    (payloads,), _bits = waveform._draw_payloads(cfg.L * cfg.K, longest, cfg.P, bench.data_dist,
+                                                 [substream(*key, bench.payload_stream)])
     index, frames = {}, []
     for s in bench.schemes:
-        if (s.tag, id(s.book), s.partition) not in index:
-            index[s.tag, id(s.book), s.partition] = len(frames)
-            frames.append(waveform.assemble_frames(cfg, s.book, bench.powers, payloads[s.tag],
+        if (id(s.book), s.partition) not in index:
+            index[id(s.book), s.partition] = len(frames)
+            frames.append(waveform.assemble_frames(cfg, s.book, bench.powers, payloads,
                                                    s.partition))
-    return frames, [index[s.tag, id(s.book), s.partition] for s in bench.schemes], payloads
+    return frames, [index[id(s.book), s.partition] for s in bench.schemes], payloads
 
 
 def textbook_outputs(projection, at, s, j, p, config, powers):
@@ -451,8 +448,8 @@ def per_trial_energies(bench, trial):
     serves all entries, and entry s would receive Z @ (sqrt(beta_s) * S_s) +
     W.  Every entry's scored users are projected together; each entry's
     cell is received from its own users' columns and scored against the
-    trailing symbols of its tag's draw.  A user's desired-signal gain is
-    ||z||^2 / M of its column of R, read from a contiguous copy of its
+    trailing symbols of the trial's one draw.  A user's desired-signal gain
+    is ||z||^2 / M of its column of R, read from a contiguous copy of its
     cell's columns.
     """
     cfg, powers = bench.config, bench.powers
@@ -479,7 +476,7 @@ def per_trial_energies(bench, trial):
             at = lo + np.argsort(users[i])[at]  # the cell's users among the projected, in order
             lo += users[i].size
             x_tilde = textbook_outputs(projection, at, s, j, p, cfg, powers)
-            sent = payloads[s.tag][cell]
+            sent = payloads[cell]
             signal = gain[:, np.newaxis] * sent[:, sent.shape[1] - x_tilde.shape[1] :]
             residual = x_tilde - signal
             energies[i, :, j] = np.vecdot(signal, signal).real, np.vecdot(residual, residual).real
@@ -491,7 +488,7 @@ def test_sum_rate_energies_equal_the_per_trial_loop(K):
     # at K = 1 the rows are contiguous, and the norms round unlike strided rows
     bench = sum_rate_bench(K)
     assert [s.method for s in bench.schemes] == ["all-tp", "all-sp", "hybrid"] * 2
-    assert [s.tag for s in bench.schemes] == ["common"] * 6
+    assert bench.payload_stream == "common-frames"
     assert len(bench.streams) == 7 and bench.schemes[5].partition.sp.any()
     with simharness._one_blas_thread():
         sig_res, errs = simharness._run_trials(bench, trials(3))
@@ -550,13 +547,13 @@ def test_an_entry_iterates_at_every_metric_bs():
 
 
 def test_one_more_entry_is_one_more_row(monkeypatch):
-    # all-SP on the raw gains of the first radius, on the shared tag: one
-    # entry more in the table, and the kernel and the records code as they
-    # are.  It sends the all-SP frame matrix (same tag, book and Partition)
-    # and the trial's one payload draw.  The entries' columns share one
-    # projection, and the all-SP entries one matched-filter product, so an
-    # entry's last bits can depend on the others (estimators.project): at
-    # the experiment's four radii an appended entry leaves them be.
+    # all-SP on the raw gains of the first radius: one entry more in the
+    # table, and the kernel and the records code as they are.  It sends the
+    # all-SP frame matrix (same book and Partition) and the trial's one
+    # payload draw.  The entries' columns share one projection, and the
+    # all-SP entries one matched-filter product, so an entry's last bits can
+    # depend on the others (estimators.project): at the experiment's four
+    # radii an appended entry leaves them be.
     cfg = SystemConfig(L=7, K=5, M=40, C_u=40, omega=10.0, seed=4)
     options = RunOptions(trials=3)
     build = simharness._sum_rate_bench
@@ -599,8 +596,7 @@ def test_an_entry_that_iterates_over_tp_users_is_refused_before_any_draw(monkeyp
     monkeypatch.setattr(simharness, "draw_channels", lambda *args: draws.append(args))
     monkeypatch.setattr(simharness.waveform, "_draw_payloads", lambda *args: draws.append(args))
     monkeypatch.setattr(simharness.waveform, "assemble_frames", lambda *args: draws.append(args))
-    # every entry carries the tag "common", so the refusal names the
-    # entry by its table index and method
+    # the refusal names the entry by its table index and method
     message = rf"entry 2 \('hybrid'\).*user {re.escape(str(first))}"
     with pytest.raises(ValueError, match=message):
         derived(bench, schemes=bench.schemes[:2] + (entry,))
@@ -651,17 +647,17 @@ def test_the_grouped_pass_receives_each_entry_as_its_projection_alone(bench, mon
     with simharness._one_blas_thread():
         sizes = sub_batch_sizes(monkeypatch, b, 3, 2)
         simharness._run_trials(b, trials(3))
-    # the entries of one (tag, payload length) share a pass, per sub-batch of
-    # 2 and 1 trials
+    # the entries of one payload length share a pass, per sub-batch of 2
+    # and 1 trials
     groups = {}
     for i, s in enumerate(b.schemes):
-        groups.setdefault((s.tag, s.book.payload_length(s.partition, cfg.C_u)), []).append(i)
+        groups.setdefault(s.book.payload_length(s.partition, cfg.C_u), []).append(i)
     assert sorted(set(sizes)) == [1, 2]
     assert len(groups) == 2 and len(calls) == 2 * J * len(groups)
     assert [len(x_tilde) for *_, x_tilde in calls] == [2] * (J * len(groups)) + [1] * (
         J * len(groups))
     for c, (projection, columns, j, users, p, x_tilde) in enumerate(calls):
-        (_tag, n), entries = list(groups.items())[c % len(groups)]
+        n, entries = list(groups.items())[c % len(groups)]
         assert x_tilde.shape == (len(x_tilde), len(entries) * K, n)
         bounds = np.cumsum([0] + [E.shape[1] for E in columns])
         for e, i in enumerate(entries):
@@ -685,7 +681,7 @@ def test_a_sum_rate_trial_makes_one_payload_draw(monkeypatch, radii):
     # assembled from that stack
     b = sum_rate_bench(5, RunOptions().radii_m[:radii])
     cfg, K, N = b.config, b.config.K, b.config.L * b.config.K
-    assert len(b.schemes) == 3 * radii and {s.tag for s in b.schemes} == {"common"}
+    assert len(b.schemes) == 3 * radii and b.payload_stream == "common-frames"
     draws, made = [], []
     draw, assemble = waveform._draw_payloads, waveform.assemble_frames
 
@@ -946,24 +942,108 @@ BENCH_BATCHES = {
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(BENCH_BATCHES))
-def test_the_bench_workloads_keep_their_chunks_and_sub_batches(experiment, tmp_path,
-                                                              monkeypatch):
-    trials, expected = BENCH_BATCHES[experiment]
+def bench_spec(tmp_path, experiment):
+    """The spec of a bench workload: its trial count in BENCH_BATCHES, seed 5."""
     spec = tmp_path / "spec.yaml"
-    spec.write_text(f"experiment: {experiment}\noverrides:\n  trials: {trials}\n  seed: 5\n",
-                    encoding="utf-8")
-    spec = cli.parse_config(str(spec))
-    sizes, split = [], simharness._runs
+    spec.write_text(f"experiment: {experiment}\noverrides:\n"
+                    f"  trials: {BENCH_BATCHES[experiment][0]}\n  seed: 5\n", encoding="utf-8")
+    return cli.parse_config(str(spec))
+
+
+def split_runs(monkeypatch, events):
+    """Spy on simharness._runs; each call's run lengths go to events as ("runs", lengths)."""
+    split = simharness._runs
 
     def spy(n, most):
         runs = split(n, most)
-        sizes.append([hi - lo for lo, hi in runs])
+        events.append(("runs", [hi - lo for lo, hi in runs]))
         return runs
 
     monkeypatch.setattr(simharness, "_runs", spy)
+
+
+@pytest.mark.parametrize("experiment", sorted(BENCH_BATCHES))
+def test_the_bench_workloads_keep_their_chunks_and_sub_batches(experiment, tmp_path,
+                                                              monkeypatch):
+    spec, events = bench_spec(tmp_path, experiment), []
+    split_runs(monkeypatch, events)
     run_experiment(spec.config, spec.experiment, spec.options)
-    assert sizes == expected
+    assert [sizes for _, sizes in events] == BENCH_BATCHES[experiment][1]
+
+
+# Payload draws per repetition of each bench workload: one per sub-batch of
+# BENCH_BATCHES.  When TP and SP drew from streams of their own, the
+# reference benches made two per sub-batch, 46 and 16.
+PAYLOAD_DRAWS = {"sinr_vs_m": 23, "ber_vs_k": 8, "sum_rate_vs_sir": 8}
+
+
+@pytest.mark.parametrize("experiment", sorted(PAYLOAD_DRAWS))
+def test_every_bench_makes_one_payload_draw_per_sub_batch(experiment, tmp_path, monkeypatch):
+    spec, events = bench_spec(tmp_path, experiment), []
+    split_runs(monkeypatch, events)
+    draw = waveform._draw_payloads
+
+    def spy(n_users, n, P, data_dist, rngs):
+        events.append(("draw", n, len(rngs)))
+        return draw(n_users, n, P, data_dist, rngs)
+
+    monkeypatch.setattr(simharness.waveform, "_draw_payloads", spy)
+    run_experiment(spec.config, spec.experiment, spec.options)
+    draws = [event for event in events if event[0] == "draw"]
+    assert len(draws) == PAYLOAD_DRAWS[experiment]
+    # every draw is C_u symbols long, the longest payload
+    assert {n for _, n, _ in draws} == {spec.config.C_u}
+    # the draws that follow a split are one per run of it (a chunk's
+    # sub-batches), or none (a split into chunks, whose first chunk's split
+    # comes next)
+    splits = [i for i, event in enumerate(events) if event[0] == "runs"] + [len(events)]
+    for lo, hi in zip(splits, splits[1:]):
+        after = [size for _, _, size in events[lo + 1 : hi]]
+        assert after in ([], events[lo][1])
+
+
+def test_a_reference_trial_scores_tp_on_the_tail_of_the_draw_sp_sends(bench, monkeypatch):
+    # one draw of C_u symbols per trial from "sp-frames": SP's frames carry
+    # all of it, TP's frames its trailing C_u - tau symbols after the pilots,
+    # and TP is scored on that tail, its energies and its bit errors
+    cfg, K, N = bench.config, bench.config.K, bench.config.L * bench.config.K
+    tp, sp = bench.schemes
+    n = tp.book.payload_length(tp.partition, cfg.C_u)
+    assert bench.payload_stream == "sp-frames" and n == cfg.C_u - cfg.tau
+    assert [length for *_, length in bench.methods] == [n, cfg.C_u, cfg.C_u]
+    sent, calls = [], grouped_receives(monkeypatch, 1)
+    assemble = waveform.assemble_frames
+
+    def spy(config, book, powers, data, partition):
+        frames = assemble(config, book, powers, data, partition)
+        sent.append((data, frames))
+        return frames
+
+    monkeypatch.setattr(simharness.waveform, "assemble_frames", spy)
+    with simharness._one_blas_thread():
+        sizes = sub_batch_sizes(monkeypatch, bench, 2, 2)
+        sig_res, errs = simharness._run_trials(bench, trials(2))
+    assert sizes == [2] and len(sent) == 2 and sent[0][0] is sent[1][0]
+    data, tp_frames = sent[0]  # the frame sets in table order: TP's first
+    # TP's receive at BS 0 is the first group's
+    x_tilde = calls[0][-1]
+    assert x_tilde.shape == (2, K, n)
+    errors = 0
+    for t, (_p, key) in enumerate(trials(2)):
+        (alone,), (bits,) = waveform._draw_payloads(N, cfg.C_u, cfg.P, "qam",
+                                                    [substream(*key, "sp-frames")])
+        assert np.array_equal(data[t], alone)
+        assert np.array_equal(tp_frames[t, :, cfg.tau :], alone[:, cfg.C_u - n :])
+        factor = draw_channels(cfg, substream(*key, "channels"))
+        z = np.ascontiguousarray(factor[:, :K]).T
+        gain = np.vecdot(z, z).real / cfg.M
+        signal = gain[:, np.newaxis] * alone[:K, cfg.C_u - n :]
+        residual = x_tilde[t] - signal
+        assert np.array_equal(sig_res[t, 0, 0, 0], np.vecdot(signal, signal).real)
+        assert np.array_equal(sig_res[t, 0, 1, 0], np.vecdot(residual, residual).real)
+        tail = bits[:K, waveform.bits_per_symbol(cfg.P) * (cfg.C_u - n) :]
+        errors += np.count_nonzero(waveform.demap(x_tilde[t], cfg.P).reshape(K, -1) != tail)
+    assert errs[0, 0] == errors
 
 
 # Minor page faults per repetition of sinr_vs_m and sum_rate_vs_sir at the
