@@ -6,7 +6,6 @@ pilot-type partitioner, and a reproducible Monte-Carlo harness.
 """
 
 from .sysmodel import (
-    PathLossMap,
     PowerAllocation,
     Scenario1,
     Scenario2,
@@ -16,6 +15,7 @@ from .sysmodel import (
     hex_centers,
     path_loss,
     place_users,
+    power_control,
     received_sir,
 )
 from .hybrid import Partition, brute_force_partition, greedy_partition, total_cost
@@ -27,7 +27,6 @@ __all__ = [
     "EXPERIMENTS",
     "MetricsRecord",
     "Partition",
-    "PathLossMap",
     "PowerAllocation",
     "RunOptions",
     "Scenario1",
@@ -40,6 +39,7 @@ __all__ = [
     "hex_centers",
     "path_loss",
     "place_users",
+    "power_control",
     "received_sir",
     "run_experiment",
     "total_cost",

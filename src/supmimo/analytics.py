@@ -1,19 +1,19 @@
 """Closed-form SINR, rate, power-split, and crossover expressions.
 
-Conventions: beta[j, l, k] is the large-scale gain between BS j and user
-(l, k), with any power control already folded in (PathLossMap.normalized);
-every user transmits at unit power, split by one PowerAllocation into data
-and pilot amplitudes rho_d and rho_p with rho_d^2 + rho_p^2 = 1.
+Conventions: the gain map is the (L, L, K) array beta, whose entry
+beta[j, l, k] is the large-scale gain between BS j and user (l, k), with
+any power control already folded in (sysmodel.power_control); it is the
+array sysmodel.path_loss returns and hybrid, iterative and the estimators
+read.  Every user transmits at unit power, split by one PowerAllocation
+into data and pilot amplitudes rho_d and rho_p with rho_d^2 + rho_p^2 = 1.
 
 The SINR forms are maps: each returns one (L, K) array whose entry [j, k]
 is the SINR of user (j, k) at its own BS j.  Each takes what it reads: the
-gain map (PathLossMap), which also sets the cell and user counts L and K;
-the PowerAllocation, when it reads the split; the SystemConfig, when
-it reads M, C_u, tau or the reuse factor r; and, for a hybrid system, the
-Partition.  Pilot contamination is hybrid.copilot_sum, whose cells that
-share a pilot are those of one hybrid.reuse_groups group, as in the pilot
-books.  A hybrid system's SINR map is the TP map on its TP users and the
-SP map on its SP users, np.where(partition.sp, sp_map, tp_map).
+gain map, whose shape sets the cell and user counts L and K; the
+PowerAllocation, when it reads the split; and the SystemConfig, when it
+reads M, C_u or the reuse factor r.  Pilot contamination is
+hybrid.copilot_sum, whose cells that share a pilot are those of one
+hybrid.reuse_groups group, as in the pilot books.
 
 Empty interference sums give +inf; the rate rule optionally caps the
 spectral efficiency at log2(P) to model a fixed constellation.
@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .hybrid import Partition, copilot_sum
-from .sysmodel import PathLossMap, PowerAllocation, SystemConfig
+from .hybrid import copilot_sum
+from .sysmodel import PowerAllocation, SystemConfig
 
 
 def _home(beta: np.ndarray) -> np.ndarray:
@@ -49,52 +49,35 @@ def _sp_signal(beta: np.ndarray, powers: PowerAllocation) -> np.ndarray:
     return powers.rho_p**2 * powers.rho_d**2 * (home * home)
 
 
-def sinr_tp_asymptotic(
-    gains: PathLossMap, config: SystemConfig, partition: Partition | None = None
-) -> np.ndarray:
+def sinr_tp_asymptotic(beta: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Large-M SINR map of time-multiplexed users: pilot contamination only.
 
     Entry [j, k] is beta[j, j, k]^2 over the summed squared gains of the
-    same-pilot users in the other reuse-group cells.  With a hybrid
-    partition, only the same-pilot users that stayed TP contaminate; silent
-    SP users are invisible to the training phase.
+    same-pilot users in the other reuse-group cells.
     """
-    home = _home(gains.beta)
-    sp = None if partition is None else partition.sp
-    return _ratio(home * home, copilot_sum(gains.beta, config, sp))
+    home = _home(beta)
+    return _ratio(home * home, copilot_sum(beta, config))
 
 
 def sinr_sp_asymptotic(
-    gains: PathLossMap,
-    powers: PowerAllocation,
-    config: SystemConfig,
-    partition: Partition | None = None,
+    beta: np.ndarray, powers: PowerAllocation, config: SystemConfig
 ) -> np.ndarray:
     """Large-M SINR map of superimposed users: the self-interference term alone.
 
-    Entry [j, k] is n rho_p^2 rho_d^2 beta[j, j, k]^2 over the summed
-    rho_d^2 beta^2 of the users at BS j, for n = C_u superimposed symbols.
-    With a hybrid partition the superimposed segment spans the n = C_u - tau
-    symbols after training, and only the SP users count in the sum.
+    Entry [j, k] is C_u rho_p^2 rho_d^2 beta[j, j, k]^2 over the summed
+    rho_d^2 beta^2 of the users at BS j.
 
-    Without a partition, C_u * TP / SP of this map and sinr_tp_asymptotic's
-    is the uplink-length crossover kappa: SP beats TP (asymptotically) for
-    user (j, k) iff C_u exceeds it (kappa_symmetric on a symmetric system).
+    C_u * TP / SP of this map and sinr_tp_asymptotic's is the uplink-length
+    crossover kappa: SP beats TP (asymptotically) for user (j, k) iff C_u
+    exceeds it (kappa_symmetric on a symmetric system).
     """
-    beta = gains.beta
-    rho_d2 = powers.rho_d**2
-    weighted = rho_d2 * (beta * beta)
-    if partition is None:
-        n = config.C_u
-    else:
-        n = config.C_u - config.tau
-        weighted = np.where(partition.sp, weighted, 0.0)
-    den = weighted.reshape(beta.shape[0], -1).sum(axis=1)[:, np.newaxis] / n
+    weighted = powers.rho_d**2 * (beta * beta)
+    den = weighted.reshape(beta.shape[0], -1).sum(axis=1)[:, np.newaxis] / config.C_u
     return _ratio(_sp_signal(beta, powers), den)
 
 
 def sinr_sp_finite_m(
-    gains: PathLossMap, powers: PowerAllocation, config: SystemConfig
+    beta: np.ndarray, powers: PowerAllocation, config: SystemConfig
 ) -> np.ndarray:
     """Finite-antenna SINR map at the matched-filter output of SP users.
 
@@ -106,7 +89,6 @@ def sinr_sp_finite_m(
     ValueError unless every user has a positive home gain and the split
     puts power on both data and pilot.
     """
-    beta = gains.beta
     signal = _sp_signal(beta, powers)
     if signal.min() <= 0:
         raise ValueError("every user needs a positive home gain and both amplitudes")
@@ -116,7 +98,7 @@ def sinr_sp_finite_m(
     rows = beta.reshape(beta.shape[0], -1)
     weighted = adm2 * rows
 
-    term_self = 1.0 / sinr_sp_asymptotic(gains, powers, config)
+    term_self = 1.0 / sinr_sp_asymptotic(beta, powers, config)
     # sums over n != t, the target user t = (j, k): the sum over all n less t's term
     term_cross = (rows.sum(axis=1)[:, np.newaxis] - home) / (M * adm2 * home)
     # inner[j, n] = sum over k != n of rho_d^2 beta[j, k]

@@ -86,6 +86,17 @@ def _parse_scenario(raw) -> Scenario1 | Scenario2:
     raise SpecError(f"unknown scenario type {kind!r}")
 
 
+def _number(value):
+    """A list entry: a YAML number keeps its type, and a string is an int if
+    it spells one, else a float (PyYAML leaves 5e-05 and 1e2 strings)."""
+    if isinstance(value, (int, float)):
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        return float(value)
+
+
 def _coerce(key: str, value, target):
     try:
         if (target is bool) != isinstance(value, bool):
@@ -93,9 +104,7 @@ def _coerce(key: str, value, target):
         if target is tuple:
             if not isinstance(value, (list, tuple)) or any(isinstance(v, bool) for v in value):
                 raise ValueError(f"expected a list of numbers, got {value!r}")
-            # a YAML number keeps its type; a string is an int, or a float with a "."
-            return tuple(v if isinstance(v, (int, float)) else float(v) if "." in str(v)
-                         else int(v) for v in value)
+            return tuple(_number(v) for v in value)
         if target is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"not an integer: {value!r}")
         return target(value)

@@ -113,13 +113,13 @@ from .estimators import Projection, estimator_columns, project, receive, receive
 from .hybrid import Partition, all_sp, all_tp, greedy_partition
 from .rng import substream
 from .sysmodel import (
-    PathLossMap,
     PowerAllocation,
     Scenario2,
     SystemConfig,
     draw_channels,
     path_loss,
     place_users,
+    power_control,
     received_sir,
 )
 
@@ -428,7 +428,7 @@ def _make_bench(config: SystemConfig, options: RunOptions, layouts: list) -> _Be
     L, K = config.L, config.K
     powers = PowerAllocation(*analytics.optimal_rho(config.M, L, K, config.C_u))
     book = waveform.make_pilot_books(config)
-    gains = np.stack([path_loss(layout, config.path_loss_exponent).normalized(config.omega).beta
+    gains = np.stack([power_control(path_loss(layout, config.path_loss_exponent), config.omega)
                       for layout in layouts])
     profile = iterative.predict_profile(gains[:, 0].reshape(len(layouts), -1), powers, config,
                                         options.selection)
@@ -629,10 +629,9 @@ def _records_vs_m(config, options, experiment):
         J, K = len(bench.streams), cfg.K
         # each entry's closed form for its pilots at the metric BSs, then each
         # iterated pass's prediction after the last sweep
-        gains = [PathLossMap(s.gains[0]) for s in bench.schemes]
-        analytic = [analytics.sinr_sp_finite_m(g, bench.powers, cfg)[:J]
-                    if s.partition.sp.all() else analytics.sinr_tp_asymptotic(g, cfg)[:J]
-                    for s, g in zip(bench.schemes, gains)]
+        analytic = [analytics.sinr_sp_finite_m(s.gains[0], bench.powers, cfg)[:J]
+                    if s.partition.sp.all() else analytics.sinr_tp_asymptotic(s.gains[0], cfg)[:J]
+                    for s in bench.schemes]
         analytic += [1.0 / np.stack([profile.interference[0, -1, j * K : (j + 1) * K]
                                      for j, profile in enumerate(s.iterated[1])])
                      for s in bench.schemes if s.iterated]
@@ -719,15 +718,15 @@ def _sum_rate_bench(cfg: SystemConfig, layouts: list) -> _Bench:
     schemes = []
     for i, layout in enumerate(layouts):
         beta_raw = path_loss(layout, cfg.path_loss_exponent)
-        controlled = beta_raw.normalized(cfg.omega)
+        controlled = power_control(beta_raw, cfg.omega)
         # greedy SP mask of the metric cells, padded with TP rows for the outer tier
-        greedy = greedy_partition(beta_raw.beta[:n_metric, :n_metric, :], cfg, powers).partition
+        greedy = greedy_partition(beta_raw[:n_metric, :n_metric, :], cfg, powers).partition
         partition = Partition(np.pad(greedy.sp, ((0, cfg.L - n_metric), (0, 0))))
         # power control on the SP users only
-        beta_hyb = np.where(partition.sp, controlled.beta, beta_raw.beta)
+        beta_hyb = np.where(partition.sp, controlled, beta_raw)
         schemes += [
-            _Scheme(ALL_TP_METHOD, book_full, beta_raw.beta[np.newaxis], tp),
-            _Scheme(ALL_SP_METHOD, book_full, controlled.beta[np.newaxis], sp),
+            _Scheme(ALL_TP_METHOD, book_full, beta_raw[np.newaxis], tp),
+            _Scheme(ALL_SP_METHOD, book_full, controlled[np.newaxis], sp),
             _Scheme(HYBRID_METHOD, waveform.make_pilot_books(cfg, partition=partition),
                     beta_hyb[np.newaxis], partition),
         ]
@@ -749,7 +748,7 @@ def _records_sum_rate_vs_sir(config, options):
     for (method, s, n), method_sinr in zip(bench.methods, sinr):
         # the sweep value is the SIR at the centre BS under power control,
         # which every entry's gains give for its layout
-        controlled = PathLossMap(s.gains[0]).normalized(config.omega)
+        controlled = power_control(s.gains[0], config.omega)
         sir_db = 10.0 * math.log10(received_sir(controlled, config.omega, 0))
         records.append(MetricsRecord(
             experiment="sum_rate_vs_sir", method=method, sweep_var="sir_rx_db",

@@ -3,7 +3,9 @@
 The network is a hexagonal grid of L cells (L in {1, 7, 19}) with one
 M-antenna base station at each cell center and K single-antenna users per
 cell.  Large-scale gains are distance-based path loss, normalized so that a
-user at the cell edge has unit gain.  Small-scale fading is i.i.d.
+user at the cell edge has unit gain, held as one (L, L, K) array whose
+entry [j, l, k] couples BS j and user (l, k); power_control folds
+statistics-aware power control into it.  Small-scale fading is i.i.d.
 circularly-symmetric complex Gaussian of unit variance; a user's channel is
 its fading column scaled by the square root of its gain.  A trial draws the
 fading and noise at a BS as the small triangular factor of their joint
@@ -139,51 +141,6 @@ class UserLayout:
     bs_positions: np.ndarray
     cell_radius_m: float
 
-    @property
-    def L(self) -> int:
-        return self.bs_positions.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.positions.shape[1]
-
-
-@dataclass(frozen=True)
-class PathLossMap:
-    """Large-scale gain tensor: beta[j, l, k] couples BS j and user (l, k)."""
-
-    beta: np.ndarray
-
-    @property
-    def L(self) -> int:
-        return self.beta.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.beta.shape[2]
-
-    def home(self) -> np.ndarray:
-        """Per-user gain at the home BS, shape (L, K)."""
-        idx = np.arange(self.L)
-        return self.beta[idx, idx, :]
-
-    def normalized(self, omega: float) -> "PathLossMap":
-        """Equivalent gains under statistics-aware power control.
-
-        Scales user (l, k) by q = omega / beta[l, l, k], so cross gains
-        become at most omega whenever the home gain dominates, and sets every
-        home-cell gain to exactly omega: beta * q can miss it in the last
-        bit, which would break the tie of a cell's users at their BS by
-        rounding.  This is the power-control path: each user's q is folded
-        into its gains, not into its transmit power, so every frame keeps
-        unit total power (see PowerAllocation).
-        """
-        q = omega / self.home()
-        beta = self.beta * q[np.newaxis, :, :]
-        idx = np.arange(self.L)
-        beta[idx, idx, :] = omega
-        return PathLossMap(beta)
-
 
 @dataclass(frozen=True)
 class PowerAllocation:
@@ -193,7 +150,7 @@ class PowerAllocation:
     and summing to 1; PowerAllocation(*analytics.optimal_rho(...)) is the
     split that maximizes the SP SINR bound.  rho_d and rho_p are the
     matching amplitudes.  Power control lives in the gain map
-    (PathLossMap.normalized), not here.
+    (power_control), not here.
     """
 
     data: float
@@ -315,14 +272,12 @@ def _sample_hex_points(n: int, cell_radius_m: float, min_dist_m: float,
     return np.concatenate(accepted)[:n]
 
 
-def path_loss(
-    layout: UserLayout,
-    exponent: float,
-) -> PathLossMap:
+def path_loss(layout: UserLayout, exponent: float) -> np.ndarray:
     """Distance-based gains beta = (d / R) ** (-exponent), R the cell radius.
 
-    A user at the cell edge has beta = 1.  All downstream ratios are
-    invariant to this normalization.
+    beta[j, l, k], shape (L, L, K), couples BS j and user (l, k).  A user at
+    the cell edge has beta = 1.  All downstream ratios are invariant to this
+    normalization.
     """
     if layout.cell_radius_m <= 0:
         raise ValueError("cell radius must be positive")
@@ -330,8 +285,24 @@ def path_loss(
     dist = np.hypot(diff[..., 0], diff[..., 1])
     if np.any(dist <= 0.0):
         raise ValueError("zero BS-user distance; path loss undefined")
-    beta = (dist / layout.cell_radius_m) ** (-float(exponent))
-    return PathLossMap(beta=beta)
+    return (dist / layout.cell_radius_m) ** (-float(exponent))
+
+
+def power_control(beta: np.ndarray, omega: float) -> np.ndarray:
+    """Equivalent gains under statistics-aware power control.
+
+    Scales user (l, k) by q = omega / beta[l, l, k], so cross gains become
+    at most omega whenever the home gain dominates, and sets every
+    home-cell gain to exactly omega: beta * q can miss it in the last bit,
+    which would break the tie of a cell's users at their BS by rounding.
+    This is the power-control path: each user's q is folded into its gains,
+    not into its transmit power, so every frame keeps unit total power (see
+    PowerAllocation).
+    """
+    idx = np.arange(beta.shape[0])
+    controlled = beta * (omega / beta[idx, idx, :])[np.newaxis, :, :]
+    controlled[idx, idx, :] = omega
+    return controlled
 
 
 def draw_channels(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
@@ -381,15 +352,15 @@ def _above_diagonal(r: int, d: int) -> np.ndarray:
     return above
 
 
-def received_sir(beta: PathLossMap, omega: float, j: int) -> float:
+def received_sir(beta: np.ndarray, omega: float, j: int) -> float:
     """omega over the summed squared cross gains seen at BS j.
 
-    Pass the power-controlled gain map; with no interfering cells the result
-    is +inf.
+    Pass the power-controlled (L, L, K) gain map; with no interfering cells
+    the result is +inf.
     """
-    mask = np.ones(beta.L, dtype=bool)
+    mask = np.ones(beta.shape[0], dtype=bool)
     mask[j] = False
-    interference = float(np.sum(beta.beta[j, mask, :] ** 2))
+    interference = float(np.sum(beta[j, mask, :] ** 2))
     if interference == 0.0:
         return math.inf
     return omega / interference

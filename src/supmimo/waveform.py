@@ -13,7 +13,7 @@ Pure TP and pure SP are the all-TP and all-SP partitions; with the
 full-length book the SP frames fill the whole block.  A hybrid partition
 mixes both and needs the (C_u - tau)-length book, so that every user carries
 C_u - tau payload symbols.  Every user transmits at unit power: power
-control is folded into the gain map (sysmodel.PathLossMap.normalized).
+control is folded into the gain map (sysmodel.power_control).
 
 Payloads are drawn apart from the frames (_draw_payloads), one row per
 user, and assemble_frames sends the trailing payload_length symbols of each

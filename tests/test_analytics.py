@@ -12,17 +12,16 @@ from supmimo.analytics import (
     sinr_sp_lower_bound,
     sinr_tp_asymptotic,
 )
-from supmimo.hybrid import Partition, all_sp, all_tp, interference_tp
+from supmimo.hybrid import all_sp, all_tp, interference_tp
 from supmimo.rng import substream
-from supmimo.sysmodel import PathLossMap, PowerAllocation, SystemConfig
+from supmimo.sysmodel import PowerAllocation, SystemConfig, power_control
 from supmimo.waveform import make_pilot_books
 
 
 def make_inputs(beta, lam2, cfg):
-    """(gains, powers, config): the leading arguments of the SP closed forms."""
-    beta = np.asarray(beta, dtype=float)
+    """(beta, powers, config): the leading arguments of the SP closed forms."""
     powers = PowerAllocation(lam2, 1.0 - lam2)
-    return PathLossMap(beta), powers, cfg
+    return np.asarray(beta, dtype=float), powers, cfg
 
 
 def make_config(**kw):
@@ -37,8 +36,8 @@ def scalar_sp_finite_m(inputs, j, m):
     Both exclusion patterns drop single (cell, user) tuples: the target from
     the outer sums, the outer tuple from the inner one.
     """
-    gains, powers, cfg = inputs
-    beta, rho_d, rho_p = gains.beta, powers.rho_d, powers.rho_p
+    beta, powers, cfg = inputs
+    rho_d, rho_p = powers.rho_d, powers.rho_p
     L, _, K = beta.shape
     C_u, M = cfg.C_u, cfg.M
     bm = beta[j, j, m]
@@ -69,35 +68,13 @@ def scalar_sp_finite_m(inputs, j, m):
     return 1.0 / (t1 + t2 + t3)
 
 
-def scalar_tp_asymptotic(beta, r, j, m, sp=None):
-    """Loop-by-loop large-M TP SINR of user (j, m): its co-pilot cells one by one.
-
-    With an SP mask sp, a co-pilot cell whose user (l, m) is SP does not count.
-    """
+def scalar_tp_asymptotic(beta, r, j, m):
+    """Loop-by-loop large-M TP SINR of user (j, m): its co-pilot cells one by one."""
     den = 0.0
     for l in range(beta.shape[0]):
-        if l != j and l % r == j % r and (sp is None or not sp[l, m]):
+        if l != j and l % r == j % r:
             den += beta[j, l, m] ** 2
     return beta[j, j, m] ** 2 / den if den else math.inf
-
-
-def scalar_hybrid_sp(inputs, sp, j, m):
-    """Loop-by-loop large-M SINR of SP user (j, m) of a hybrid system: the SP users one by one."""
-    gains, powers, cfg = inputs
-    beta, rho_d, rho_p = gains.beta, powers.rho_d, powers.rho_p
-    den = 0.0
-    for l in range(beta.shape[1]):
-        for k in range(beta.shape[2]):
-            if sp[l, k]:
-                den += rho_d**2 * beta[j, l, k] ** 2
-    return (cfg.C_u - cfg.tau) * rho_p**2 * rho_d**2 * beta[j, j, m] ** 2 / den
-
-
-def hybrid_sinr(inputs, partition):
-    """A hybrid system's SINR map: the TP map on its TP users, the SP map on its SP users."""
-    gains, _powers, cfg = inputs
-    return np.where(partition.sp, sinr_sp_asymptotic(*inputs, partition),
-                    sinr_tp_asymptotic(gains, cfg, partition))
 
 
 class TestOptimalRho:
@@ -196,8 +173,7 @@ class TestSpSinr:
         beta[idx, idx, :] = 1.0
 
         def controlled(b):
-            eff = PathLossMap(b).normalized(1.0)
-            return make_inputs(eff.beta, 0.46, cfg)
+            return make_inputs(power_control(b, 1.0), 0.46, cfg)
 
         a = sinr_sp_asymptotic(*controlled(beta))[0, 0]
         b = sinr_sp_asymptotic(*controlled(2.0 * beta))[0, 0]
@@ -207,7 +183,7 @@ class TestSpSinr:
 class TestTpSinr:
     def test_no_reuse_sentinel_and_capped_rate(self):
         cfg = make_config(L=7, K=5, r=7)
-        sinr = sinr_tp_asymptotic(PathLossMap(np.ones((7, 7, 5))), cfg)
+        sinr = sinr_tp_asymptotic(np.ones((7, 7, 5)), cfg)
         assert np.all(sinr == math.inf)
         assert rate(cfg, sinr[0, 0], cfg.C_u - cfg.tau, cap_order=4) == pytest.approx(
             (65 / 200) * 2.0)
@@ -217,7 +193,7 @@ class TestTpSinr:
         beta = np.full((7, 7, 5), 0.5)
         idx = np.arange(7)
         beta[idx, idx, :] = 1.0
-        assert sinr_tp_asymptotic(PathLossMap(beta), cfg)[0, 0] == pytest.approx(1.0 / 1.5)
+        assert sinr_tp_asymptotic(beta, cfg)[0, 0] == pytest.approx(1.0 / 1.5)
 
     def test_rate_weights(self):
         # the pre-log is the payload length of the scheme's frames
@@ -247,7 +223,7 @@ class TestKappa:
         beta[idx, idx, :] = 1.0
         cfg = make_config()
         inputs = make_inputs(beta, 0.5, cfg)
-        kappa = cfg.C_u * sinr_tp_asymptotic(PathLossMap(beta), cfg) / sinr_sp_asymptotic(*inputs)
+        kappa = cfg.C_u * sinr_tp_asymptotic(beta, cfg) / sinr_sp_asymptotic(*inputs)
         np.testing.assert_allclose(kappa, kappa_symmetric(5, 7, 0.5), rtol=1e-12)
 
     def test_crossover_property(self):
@@ -258,67 +234,8 @@ class TestKappa:
             cfg = make_config(C_u=C_u, C=200)
             inputs = make_inputs(beta, 0.5, cfg)
             sp = sinr_sp_asymptotic(*inputs)[0, 0]
-            tp = sinr_tp_asymptotic(PathLossMap(beta), cfg)[0, 0]
+            tp = sinr_tp_asymptotic(beta, cfg)[0, 0]
             assert (sp > tp) == sp_wins
-
-
-class TestHybridRates:
-    def test_all_tp_reduces_to_plain_formulas(self):
-        cfg = make_config()
-        rng = substream(36, "hyb")
-        beta = rng.uniform(0.1, 1.0, size=(7, 7, 5))
-        idx = np.arange(7)
-        beta[idx, idx, :] = 1.0
-        inputs = make_inputs(beta, 0.5, cfg)
-        part = all_tp(7, 5)
-        sinr = hybrid_sinr(inputs, part)[0]
-        plain = sinr_tp_asymptotic(PathLossMap(beta), cfg)[0]
-        np.testing.assert_allclose(sinr, plain, rtol=1e-12)
-        # the hybrid book's TP users carry C_u - tau payload symbols
-        n = make_pilot_books(cfg, partition=part).payload_length(part, cfg.C_u)
-        np.testing.assert_allclose(rate(cfg, sinr, n), rate(cfg, plain, cfg.C_u - cfg.tau),
-                                   rtol=1e-12)
-
-    def test_single_sp_user_sinr(self):
-        cfg = make_config()
-        sp = np.zeros((7, 5), dtype=bool)
-        sp[0, 0] = True
-        part = Partition(sp)
-        mu2 = 0.55
-        inputs = make_inputs(np.ones((7, 7, 5)), 1 - mu2, cfg)
-        assert sinr_sp_asymptotic(*inputs, part)[0, 0] == pytest.approx((100 - 5) * mu2)
-
-    def test_silent_extra_user_lifts_sum_rate(self):
-        # both branches carry the (C_u - tau) / C pre-log: TP users spend the
-        # training phase on pilots, SP users on radio silence
-        cfg = make_config()
-        n = cfg.C_u - cfg.tau
-        rng = substream(37, "thm")
-        beta = rng.uniform(0.1, 1.0, size=(7, 7, 6))
-        idx = np.arange(7)
-        beta[idx, idx, :] = 1.0
-        # five users per cell before: user index 5 of each cell not present yet
-        before = hybrid_sinr(make_inputs(beta[:, :, :5], 0.5, cfg), all_tp(7, 5))[0]
-        # six users per cell, and the new pilot 5 of cell 0 the only SP one:
-        # it touches none of the pilots 0-4
-        sp = np.zeros((7, 6), dtype=bool)
-        sp[0, 5] = True
-        after = hybrid_sinr(make_inputs(beta, 0.5, cfg), Partition(sp))[0]
-        np.testing.assert_array_equal(after[:5], before)
-        assert np.sum(rate(cfg, after, n)) > np.sum(rate(cfg, before, n))
-        assert after[5] == pytest.approx((cfg.C_u - cfg.tau) * 0.5)
-
-    def test_tp_branch_ignores_sp_members(self):
-        cfg = make_config()
-        beta = np.full((7, 7, 5), 0.5)
-        idx = np.arange(7)
-        beta[idx, idx, :] = 1.0
-        sp = np.zeros((7, 5), dtype=bool)
-        sp[1:3] = True
-        part = Partition(sp)
-        # four of six contaminating cells remain
-        assert sinr_tp_asymptotic(PathLossMap(beta), cfg, part)[0, 0] == pytest.approx(
-            1.0 / (4 * 0.25))
 
 
 def test_maps_match_per_user_loops():
@@ -327,18 +244,10 @@ def test_maps_match_per_user_loops():
     rng = substream(38, "maps")
     beta = rng.uniform(0.05, 2.0, size=(19, 19, 5))
     inputs = make_inputs(beta, rng.uniform(0.2, 0.8), cfg)
-    part = Partition(rng.uniform(size=(19, 5)) < 0.4)
-    assert part.sp.any() and not part.sp.all()
-    plain = sinr_tp_asymptotic(inputs[0], cfg)
-    hybrid_tp = sinr_tp_asymptotic(inputs[0], cfg, part)
-    hybrid_sp = sinr_sp_asymptotic(*inputs, part)
+    tp = sinr_tp_asymptotic(beta, cfg)
     for j in range(19):
         for m in range(5):
-            assert plain[j, m] == pytest.approx(scalar_tp_asymptotic(beta, 3, j, m), rel=1e-12)
-            assert hybrid_tp[j, m] == pytest.approx(
-                scalar_tp_asymptotic(beta, 3, j, m, part.sp), rel=1e-12)
-            assert hybrid_sp[j, m] == pytest.approx(scalar_hybrid_sp(inputs, part.sp, j, m),
-                                                    rel=1e-12)
+            assert tp[j, m] == pytest.approx(scalar_tp_asymptotic(beta, 3, j, m), rel=1e-12)
     # the finite-M oracle is quadratic in the users: a few of them
     finite = sinr_sp_finite_m(*inputs)
     for j, m in ((0, 0), (7, 2), (18, 4)):
@@ -358,7 +267,7 @@ def test_books_and_closed_forms_share_pilots_with_the_same_cells(L, r):
         for l in set(range(L)) - {j}:
             beta = np.zeros((L, L, 2))
             beta[j, j, 1] = beta[j, l, 1] = 1.0
-            sinr = sinr_tp_asymptotic(PathLossMap(beta), cfg)
+            sinr = sinr_tp_asymptotic(beta, cfg)
             # the other cells' users have no home gain and no co-pilot power
             assert np.all(np.delete(sinr, j, axis=0) == math.inf)
             closed_form = sinr[j, 1] < math.inf

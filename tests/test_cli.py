@@ -65,6 +65,8 @@ BAD_SPECS = {
     "no-k": _spec("ber_vs_k", "k_values: []"),
     "no-radii": _spec("sum_rate_vs_sir", "radii_m: []"),
     "half-m": _spec("sinr_vs_m", "m_values: [1.5]"),
+    # PyYAML leaves 1e2 a string, read as the float 100.0: not an integer
+    "exponent-m": _spec("sinr_vs_m", "trials: 1", "m_values: [1e2]"),
     "bogus-selection": _spec("sinr_vs_m", "selection: bogus"),
     "zero-k": _spec("ber_vs_k", "k_values: [0]"),
     "zero-m-per-k": _spec("ber_vs_k", "m_per_k: 0"),
@@ -246,10 +248,13 @@ def test_trials_flag_sets_the_sinr_cdf_realizations(tmp_path):
 
 @pytest.mark.parametrize("written, radii", [("[0.000001]", (1e-06,)),
                                             ("[5.0e-05, 300]", (5e-05, 300)),
-                                            ("['700.5', '850']", (700.5, 850))])
+                                            ("['700.5', '850']", (700.5, 850)),
+                                            ("[5e-05, 300]", (5e-05, 300)),
+                                            ("[1e2, 850]", (100.0, 850))])
 def test_a_yaml_number_keeps_its_type_in_a_list(tmp_path, written, radii):
     # a number was read as an int unless its text held a ".": 1e-06 and
-    # 5e-05 became 0.  A string is still an int, or a float with a "."
+    # 5e-05 became 0.  PyYAML leaves 5e-05 and 1e2 strings, which were read
+    # as ints and refused; a string is an int if it spells one, else a float
     spec = tmp_path / "spec.yaml"
     spec.write_text(_spec("sum_rate_vs_sir", f"radii_m: {written}"), encoding="utf-8")
     parsed = cli.parse_config(str(spec)).options.radii_m

@@ -18,6 +18,7 @@ from supmimo.hybrid import (
     brute_force_partition,
     greedy_partition,
     interference_sp,
+    interference_tp,
     total_cost,
 )
 from supmimo.rng import substream
@@ -137,6 +138,23 @@ def test_partition_refuses_a_mask_that_is_not_2d(mask):
         Partition(mask)
 
 
+def test_interference_tp_matches_a_per_user_loop():
+    # 19 cells in three reuse groups and a random SP mask: user (j, m) is
+    # contaminated by the TP users (l, m) of the other cells of its group,
+    # and an SP user (l, m), silent in training, does not count
+    cfg = SystemConfig(L=19, K=5, r=3)
+    rng = substream(38, "tp-mask")
+    beta = rng.uniform(0.05, 2.0, size=(19, 19, 5))
+    part = Partition(rng.uniform(size=(19, 5)) < 0.4)
+    assert part.sp.any() and not part.sp.all()
+    injected = interference_tp(part, beta, cfg)
+    for j in range(19):
+        for m in range(5):
+            loop = sum(beta[l, j, m] ** 2 for l in range(19)
+                       if l != j and l % 3 == j % 3 and not part.sp[l, m])
+            assert injected[j, m] == pytest.approx(loop, rel=1e-12)
+
+
 def set_greedy(beta, config, powers):
     """The greedy partitioner on (cell, user) sets, each sum in set order.
 
@@ -187,13 +205,13 @@ def partition_instances():
             for ri, radius in enumerate(RunOptions().radii_m):
                 ring = replace(cfg, scenario=Scenario2(user_circle_radius_m=radius))
                 layout = place_users(ring, substream(0, "sum_rate", ri, "layout"))
-                beta = path_loss(layout, cfg.path_loss_exponent).beta[:7, :7]
+                beta = path_loss(layout, cfg.path_loss_exponent)[:7, :7]
                 yield beta, cfg, powers
     for seed in range(20):
         cfg = SystemConfig(scenario=Scenario1(), seed=seed)
         powers = PowerAllocation(*optimal_rho(cfg.M, cfg.L, cfg.K, cfg.C_u))
         layout = place_users(cfg, substream(seed, "layout"))
-        yield path_loss(layout, cfg.path_loss_exponent).beta, cfg, powers
+        yield path_loss(layout, cfg.path_loss_exponent), cfg, powers
 
 
 def test_greedy_mask_equals_the_set_greedy():

@@ -32,6 +32,7 @@ from supmimo.sysmodel import (
     SystemConfig,
     path_loss,
     place_users,
+    power_control,
 )
 from supmimo.waveform import (
     _draw_payloads,
@@ -213,7 +214,7 @@ def ref_sweeps(beta, powers, cfg, sweeps, fixed_mask):
 def layout_users(cfg, seed):
     """Gains of BS 0's users in flat order, as the harness builds them."""
     beta = path_loss(place_users(cfg, substream(seed, "layout")), cfg.path_loss_exponent)
-    return beta.normalized(cfg.omega).beta[0].reshape(-1)
+    return power_control(beta, cfg.omega)[0].reshape(-1)
 
 
 # the selection rules, and "none": a "fixed" profile with its feedback set

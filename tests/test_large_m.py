@@ -21,7 +21,7 @@ import pytest
 from supmimo import analytics, simharness
 from supmimo.rng import substream
 from supmimo.simharness import RunOptions, SystemConfig
-from supmimo.sysmodel import PathLossMap, place_users
+from supmimo.sysmodel import place_users
 
 M, TRIALS, SEED, BOUND_SE = 10**6, 40, 0, 4.0
 
@@ -44,9 +44,9 @@ def gate():
     sinr = signal.sum(axis=0) / residual.sum(axis=0)
     spread = signal - sinr * residual
     stderr = np.sqrt(np.sum(spread**2, axis=0) / (TRIALS * (TRIALS - 1))) / residual.mean(axis=0)
-    gains = PathLossMap(bench.schemes[0].gains[0])
-    limit = np.stack([analytics.sinr_tp_asymptotic(gains, cfg)[0],
-                      analytics.sinr_sp_asymptotic(gains, bench.powers, cfg)[0]])
+    beta = bench.schemes[0].gains[0]
+    limit = np.stack([analytics.sinr_tp_asymptotic(beta, cfg)[0],
+                      analytics.sinr_sp_asymptotic(beta, bench.powers, cfg)[0]])
     return sinr, stderr, limit
 
 

@@ -110,7 +110,7 @@ def settable_values() -> int:
 
 # the count when a knob was last added or removed; a new parameter or field
 # raises the count, and this bound with it, on purpose and with a reason
-SETTABLE_VALUES = 215
+SETTABLE_VALUES = 213
 
 
 def test_settable_values_do_not_grow():

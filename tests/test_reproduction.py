@@ -26,7 +26,7 @@ from supmimo.simharness import (
     SystemConfig,
     run_experiment,
 )
-from supmimo.sysmodel import path_loss, place_users
+from supmimo.sysmodel import path_loss, place_users, power_control
 
 TRIALS = 100
 
@@ -69,7 +69,7 @@ def test_tp_stays_below_its_large_m_limit(records):
     for mi, M in enumerate(RunOptions().m_values):
         cfg = dataclasses.replace(config, M=M)
         layout = place_users(cfg, substream(cfg.seed, "sinr_vs_m", "layout", mi))
-        gains = path_loss(layout, cfg.path_loss_exponent).normalized(cfg.omega)
+        gains = power_control(path_loss(layout, cfg.path_loss_exponent), cfg.omega)
         limit = analytics.sinr_tp_asymptotic(gains, cfg)[0]
         for k, value in enumerate(limit):
             rec = records[(TP_METHOD, float(M), f"0:{k}")]

@@ -17,7 +17,6 @@ from supmimo.estimators import Projection, estimator_columns, project, receive, 
 from supmimo.rng import substream
 from supmimo.simharness import RunOptions, SystemConfig, run_experiment
 from supmimo.sysmodel import (
-    PathLossMap,
     Scenario1,
     Scenario2,
     draw_channels,
@@ -361,7 +360,7 @@ def test_one_shot_sp_from_the_reduction_equals_the_one_shot_receiver(selection):
     bench = simharness._make_bench(cfg, RunOptions(selection=selection), [layout])
     K = cfg.K
     raw = iterative.predict_profile(
-        path_loss(layout, cfg.path_loss_exponent).beta[0].reshape(1, -1), bench.powers, cfg,
+        path_loss(layout, cfg.path_loss_exponent)[0].reshape(1, -1), bench.powers, cfg,
         selection)
     tp, sp = bench.schemes
     bench = derived(bench, schemes=(tp, sp._replace(iterated=(sp.iterated[0], (raw,)))))
@@ -749,13 +748,12 @@ def test_hybrid_gains_control_the_sp_users_only():
     moved = 0
     for i, layout in enumerate(layouts):
         all_tp, all_sp, hybrid = bench.schemes[3 * i : 3 * i + 3]
-        beta_raw = PathLossMap(all_tp.gains[0])
+        beta_raw = all_tp.gains[0]
         q_hyb = np.ones((cfg.L, cfg.K))
-        home = beta_raw.home()
         for l, k in np.argwhere(hybrid.partition.sp):
-            q_hyb[l, k] = cfg.omega / home[l, k]
-        expected = PathLossMap(beta_raw.beta * q_hyb[np.newaxis, :, :])
-        assert np.array_equal(hybrid.gains, expected.beta[np.newaxis])
+            q_hyb[l, k] = cfg.omega / beta_raw[l, l, k]
+        expected = beta_raw * q_hyb[np.newaxis, :, :]
+        assert np.array_equal(hybrid.gains, expected[np.newaxis])
         moved += np.count_nonzero(hybrid.partition.sp)
     assert moved > 0  # the outer radii move users to SP
 
