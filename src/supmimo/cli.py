@@ -13,9 +13,10 @@ Spec files are YAML::
         user_circle_radius_m: 800
 
 Settings come from three places, each overriding the one before: the
-experiment's defaults, the spec's ``overrides`` mapping, then the --seed
-and --trials flags.  Unknown keys are rejected, and so is a harness option
-the experiment does not read (simharness.OPTIONS_READ).  Exit status is 0 on
+experiment's figure settings, the spec's ``overrides`` mapping, then the
+--seed and --trials flags.  Unknown keys are rejected, and so is a harness
+option the experiment does not read; both the settings and the options read
+are the experiment's row of simharness.EXPERIMENTS.  Exit status is 0 on
 success and nonzero otherwise, with a machine-readable category on stderr:
 "error <category>: message".
 """
@@ -32,7 +33,7 @@ import yaml
 
 from . import analytics
 from .hybrid import greedy_partition
-from .simharness import EXPERIMENTS, OPTIONS_READ, MetricsRecord, RunOptions, run_experiment
+from .simharness import EXPERIMENTS, MetricsRecord, RunOptions, run_experiment
 from .sysmodel import PowerAllocation, Scenario1, Scenario2, SystemConfig
 
 CSV_HEADER = "experiment,method,sweep_var,sweep_value,user,metric,value,trials,analytic_value"
@@ -49,14 +50,6 @@ def _settings(cls) -> dict:
 
 _CONFIG_FIELDS = _settings(SystemConfig)
 _OPTION_FIELDS = _settings(RunOptions)
-
-# experiment-specific defaults applied before user overrides
-_EXPERIMENT_DEFAULTS = {
-    "rate_vs_m": {"P": 16},
-    "sinr_cdf": {"M": 300, "trials": 20, "scenario": {"type": "scenario1"}},
-    "ber_vs_k": {"C_u": 70, "scenario": {"type": "scenario1"}},
-    "sum_rate_vs_sir": {"L": 19, "C_u": 40, "M": 200, "omega": 10.0},
-}
 
 
 class SpecError(ValueError):
@@ -113,12 +106,13 @@ def _coerce(key: str, value, target):
 
 
 def _apply_overrides(experiment, config_kwargs, option_kwargs, overrides, source):
+    _, read, *_ = EXPERIMENTS[experiment]
     for key, value in overrides.items():
         if key == "scenario":
             config_kwargs["scenario"] = _parse_scenario(value)
         elif key in _CONFIG_FIELDS:
             config_kwargs[key] = _coerce(key, value, _CONFIG_FIELDS[key])
-        elif key in OPTIONS_READ[experiment]:
+        elif key in read:
             option_kwargs[key] = _coerce(key, value, _OPTION_FIELDS[key])
         elif key in _OPTION_FIELDS:
             raise SpecError(f"{experiment} does not read override {key!r} (from {source})")
@@ -127,7 +121,7 @@ def _apply_overrides(experiment, config_kwargs, option_kwargs, overrides, source
 
 
 def parse_config(path: str, cli_overrides: dict | None = None) -> ExperimentSpec:
-    """Load a YAML spec; experiment defaults, then its overrides, then CLI flags."""
+    """Load a YAML spec; the experiment's settings, then its overrides, then CLI flags."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh) or {}
@@ -139,16 +133,16 @@ def parse_config(path: str, cli_overrides: dict | None = None) -> ExperimentSpec
     if unknown_top:
         raise SpecError(f"{path}: unknown top-level keys {sorted(unknown_top)}")
     experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise SpecError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
+    # a YAML list or mapping is no key of the table, and cannot be looked up
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
+        raise SpecError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {experiment!r}")
     overrides = raw.get("overrides") or {}
     if not isinstance(overrides, dict):
         raise SpecError("overrides must be a mapping")
 
-    config_kwargs: dict = {}
-    option_kwargs: dict = {}
-    for settings, source in ((_EXPERIMENT_DEFAULTS.get(experiment, {}), "experiment defaults"),
-                             (overrides, path), (cli_overrides or {}, "command line")):
+    *_, config_settings, option_settings = EXPERIMENTS[experiment]
+    config_kwargs, option_kwargs = dict(config_settings), dict(option_settings)
+    for settings, source in ((overrides, path), (cli_overrides or {}, "command line")):
         _apply_overrides(experiment, config_kwargs, option_kwargs, settings, source)
     try:
         config = SystemConfig(**config_kwargs)

@@ -1,4 +1,4 @@
-"""Monte-Carlo experiment engine and the five built-in experiments.
+"""Monte-Carlo experiment engine and the five built-in experiments (EXPERIMENTS).
 
 Simulation runs in power-controlled equivalent coordinates: each scheme's
 gains come from its effective gain map (statistics-aware inversion toward
@@ -77,14 +77,15 @@ frame matrices as one (frame set, trial) array, and the column sets and
 each entry's pair from the plan.  Each stacked product is
 a stack of the per-trial products, so a trial's outputs have the same bits
 in any sub-batch, and a sub-batch's frames, draws and outputs do not
-outlive it.  An entry that iterates is projected at metric BS j onto the
-users its plan keeps for cell j at the trial's placement; its one-shot
-outputs are received from cell j's users of that projection, and
-reduce_block turns it into the G and R the estimator reads.  Those G and
-R, with the trial's payloads, bits and channel gains, outlive the
-sub-batch: the estimator runs once per (entry, BS) on a chunk of as many
-trials as fit _CHUNK_BYTES at _Bench.trial_bytes each, each trial under its
-placement's plan.  The estimator stacks the trials whose plans give it one
+outlive it.  Every trial's payloads and bits at the metric cells, and its
+channel gains, are kept in one store for the whole chunk.  An entry that
+iterates is projected at metric BS j onto the users its plan keeps for
+cell j at the trial's placement; its one-shot outputs are received from
+cell j's users of that projection, and reduce_block turns it into the G
+and R the estimator reads.  Those G and R outlive the sub-batch too: the
+estimator runs once per (entry, BS) on a chunk of as many trials as fit
+_CHUNK_BYTES at _Bench.trial_bytes each, each trial under its placement's
+plan.  The estimator stacks the trials whose plans give it one
 schedule and runs its products as stacks of per-trial products, so a
 trial's energies have the same bits in any chunk, and they are added to the
 totals in trial order, so the output does not depend on the chunk size.
@@ -114,6 +115,7 @@ from .hybrid import Partition, all_sp, all_tp, greedy_partition
 from .rng import substream
 from .sysmodel import (
     PowerAllocation,
+    Scenario1,
     Scenario2,
     SystemConfig,
     draw_channels,
@@ -129,17 +131,6 @@ ITER_METHOD = "sp-iter"
 ALL_TP_METHOD = "all-tp"
 ALL_SP_METHOD = "all-sp"
 HYBRID_METHOD = "hybrid"
-
-EXPERIMENTS = ("sinr_vs_m", "rate_vs_m", "sinr_cdf", "ber_vs_k", "sum_rate_vs_sir")
-
-# the RunOptions fields each experiment reads; the others leave its output as it is
-OPTIONS_READ = {
-    "sinr_vs_m": frozenset({"trials", "selection", "m_values"}),
-    "rate_vs_m": frozenset({"trials", "selection", "m_values", "rate_cap"}),
-    "sinr_cdf": frozenset({"trials", "selection", "placements"}),
-    "ber_vs_k": frozenset({"trials", "selection", "k_values", "m_per_k"}),
-    "sum_rate_vs_sir": frozenset({"trials", "radii_m"}),
-}
 
 # budget of one chunk of _run_trials: as many trials as fit at
 # _Bench.trial_bytes each, and beside what they keep for the pass,
@@ -292,12 +283,11 @@ class _Bench:
     methods lists the methods of _run_trials's method axis, as (name,
     entry, payload symbols per user): every entry of the table, then the
     iterated pass of each entry that iterates, in table order.  drawn is
-    the payload symbols drawn per user, the entries' longest, and held
-    whether some entry iterates, so that the draws outlive their sub-batch.
-    Each entry i sends and projects through pairs[i] = (frame set, column
-    set).  Frame sets are numbered in table order, one per (book, Partition
-    object), and frame_sets holds each set's first entry; column sets are
-    numbered in table order too, one per (book, Partition object) of the
+    the payload symbols drawn per user, the entries' longest.  Each entry i
+    sends and projects through pairs[i] = (frame set, column set).  Frame
+    sets are numbered in table order, one per (book, Partition object),
+    and frame_sets holds each set's first entry; column sets are numbered
+    in table order too, one per (book, Partition object) of the
     entries that do not iterate and one per entry that does, so the entries
     of one pair share their S E product (estimators.project).
     columns[p][j][c] are column set c's estimator columns at placement p and
@@ -343,7 +333,6 @@ class _Bench:
         sends = [f for f, _ in self.pairs]
         self.frame_sets = [schemes[sends.index(f)] for f in range(len(frame_of))]
         self.iterated = [i for i, s in enumerate(schemes) if s.iterated]
-        self.held = bool(self.iterated)
         self.roots = np.sqrt(np.stack([s.gains[:, :J].reshape(-1, J, N) for s in schemes]))
         # each column set at each placement and BS, made by its first entry:
         # an iterated entry's from its pass plan there, for its cell's users
@@ -378,29 +367,26 @@ class _Bench:
                        for n, entries in members.items()]
         # Bytes per trial, none of which grow with M.  held_bytes is what a
         # trial keeps from its sub-batch's stacked stages to the pass: its
-        # energies and metric users' channel gains; where an entry iterates,
-        # the payloads and bits at the metric cells, once however many entries
-        # iterate; and per iterated entry and BS the reduce_block G and R over
-        # the n users its plan keeps, at most the largest such set over the
-        # placements.  trial_bytes adds what the pass adds: at most five
-        # (n, C_u) working arrays (G's basis rows and the users' pilot rows
-        # among them), its outputs and the demapped bits; a chunk of
+        # energies and metric users' channel gains, the payloads and bits at
+        # the metric cells, and per iterated entry and BS the reduce_block G
+        # and R over the n users its plan keeps, at most the largest such set
+        # over the placements.  trial_bytes adds what the pass adds: at most
+        # five (n, C_u) working arrays (G's basis rows and the users' pilot
+        # rows among them), its outputs and the demapped bits; a chunk of
         # _sum_trials holds as many trials as fit _CHUNK_BYTES at trial_bytes
         # each.  staged_bytes is what a trial holds only in its sub-batch's
         # stacked stages, freed before the pass: the frame matrices, each
-        # group's outputs, the draws' cell columns and, where no entry
-        # iterates, the payloads and bits at the metric cells, and the larger
-        # of a payload draw with the frame matrix assembled from it and one
-        # BS's projection (the stack, estimates and matched-filter products
-        # over its e users), with the previous BS's where there are several.
+        # group's outputs, the draws' cell columns, and the larger of a
+        # payload draw with the frame matrix assembled from it and one BS's
+        # projection (the stack, estimates and matched-filter products over
+        # its e users), with the previous BS's where there are several.
         # draw_bytes is one trial's draw at one BS, the (r, d) factor of
         # sysmodel.draw_channels, r = min(M, d) and d = L*K + C_u.  Payloads
         # are counted at C_u symbols, their longest.
         n_bits = waveform.bits_per_symbol(config.P)
         d, r = N + C_u, min(config.M, N + C_u)
         per_payload = (16 + n_bits) * K * C_u
-        self.held_bytes = (8 * J * K * (2 * len(self.methods) + 1)
-                           + J * per_payload * self.held)
+        self.held_bytes = 8 * J * K * (2 * len(self.methods) + 1) + J * per_payload
         pass_bytes = 0
         for (i, j) in self.passes:
             n = self.counts[j, :, i].max()
@@ -410,7 +396,6 @@ class _Bench:
         e = int(self.counts.sum(axis=2).max())
         self.staged_bytes = (16 * N * C_u * len(self.frame_sets)
                              + 16 * K * (sum(len(g[1]) * g[0] for g in self.groups) + r)
-                             + J * per_payload * (not self.held)
                              + max((32 + n_bits) * N * C_u, 16 * e * (2 * d + r))
                              + 16 * e * (r + C_u) * (J > 1))
         # one trial's factor at a time, and the normal draws above its diagonal
@@ -484,20 +469,19 @@ def _run_trials(bench: _Bench, trials: list):
     # What outlives a sub-batch is allocated once, before the first, so
     # that each sub-batch reuses the heap the one before it freed instead
     # of growing it past what the allocator trims.  The outputs, which each
-    # payload length writes its energies and bit errors into; the payloads
-    # and bits at the metric cells, every trial's where an entry iterates,
-    # else the sub-batch's; each trial's G and R per (iterated entry, BS),
-    # over the users kept, in the leading block of the largest such set's
-    # arrays; the frame matrices, the receivers' outputs per payload length
-    # and the draws' cell columns of the sub-batch
+    # payload length writes its energies and bit errors into; every trial's
+    # payloads and bits at the metric cells; each trial's G and R per
+    # (iterated entry, BS), over the users kept, in the leading block of the
+    # largest such set's arrays; the frame matrices, the receivers' outputs
+    # per payload length and the draws' cell columns of the sub-batch
     sig_res = np.empty((T, len(bench.methods), 2, J, K))
     errs = np.zeros((len(bench.methods), 2), dtype=np.int64)
     if qam:
         for n, entries, _, _ in bench.groups:
             errs[entries, 1] = T * J * K * n_bits * n
     gain = np.empty((T, J, K))
-    sent = np.empty((T if bench.held else step, J, K, bench.drawn), dtype=complex)
-    sent_bits = np.empty((len(sent), J, K, n_bits * bench.drawn), dtype=np.uint8) if qam else None
+    sent = np.empty((T, J, K, bench.drawn), dtype=complex)
+    sent_bits = np.empty((T, J, K, n_bits * bench.drawn), dtype=np.uint8) if qam else None
     stacks = {}
     for i in bench.iterated:
         for j in range(J):
@@ -510,14 +494,13 @@ def _run_trials(bench: _Bench, trials: list):
     for lo, hi in _runs(T, step):
         batch = trials[lo:hi]
         B = len(batch)
-        at = slice(lo, hi) if bench.held else slice(B)
         # the draw is freed once the frames are made
         data, bits = waveform._draw_payloads(N, bench.drawn, P, bench.data_dist,
                                              [substream(*key, bench.payload_stream)
                                               for _, key in batch])
-        sent[at] = data[:, : J * K].reshape(B, J, K, bench.drawn)
+        sent[lo:hi] = data[:, : J * K].reshape(B, J, K, bench.drawn)
         if qam:
-            sent_bits[at] = bits[:, : J * K].reshape(B, J, K, n_bits * bench.drawn)
+            sent_bits[lo:hi] = bits[:, : J * K].reshape(B, J, K, n_bits * bench.drawn)
         for f, s in enumerate(bench.frame_sets):
             buffer[f, :B] = waveform.assemble_frames(cfg, s.book, powers, data, s.partition)
         del data, bits
@@ -558,12 +541,13 @@ def _run_trials(bench: _Bench, trials: list):
                 x_tilde = out[:B].reshape(B, len(entries), K, n)
                 # every entry of the group is scored against the same payloads
                 sig_res[lo:hi, entries, 0, j], sig_res[lo:hi, entries, 1, j] = (
-                    signal_residual_power(x_tilde, sent[at, np.newaxis, j, :, bench.drawn - n :],
+                    signal_residual_power(x_tilde,
+                                          sent[lo:hi, np.newaxis, j, :, bench.drawn - n :],
                                           gain[lo:hi, np.newaxis, j]))
                 if qam:
                     errs[entries, 0] += np.sum(
                         waveform.demap(x_tilde, P).reshape(B, len(entries), -1)
-                        != sent_bits[at, np.newaxis, j, :, n_bits * (bench.drawn - n) :]
+                        != sent_bits[lo:hi, np.newaxis, j, :, n_bits * (bench.drawn - n) :]
                         .reshape(B, 1, -1), axis=(0, 2))
     del buffer, outputs, columns, projection
     # one pass per (entry, BS) over the batch, each trial under its
@@ -758,12 +742,21 @@ def _records_sum_rate_vs_sir(config, options):
     return records
 
 
-_DISPATCH = {
-    "sinr_vs_m": functools.partial(_records_vs_m, experiment="sinr_vs_m"),
-    "rate_vs_m": functools.partial(_records_vs_m, experiment="rate_vs_m"),
-    "sinr_cdf": _records_sinr_cdf,
-    "ber_vs_k": _records_ber_vs_k,
-    "sum_rate_vs_sir": _records_sum_rate_vs_sir,
+# One row per experiment: (records function, the RunOptions fields it reads,
+# its figure's SystemConfig settings, its figure's RunOptions settings).  An
+# option it does not read leaves its output as it is; the CLI starts a spec
+# from the two settings.
+EXPERIMENTS = {
+    "sinr_vs_m": (functools.partial(_records_vs_m, experiment="sinr_vs_m"),
+                  frozenset({"trials", "selection", "m_values"}), {}, {}),
+    "rate_vs_m": (functools.partial(_records_vs_m, experiment="rate_vs_m"),
+                  frozenset({"trials", "selection", "m_values", "rate_cap"}), {"P": 16}, {}),
+    "sinr_cdf": (_records_sinr_cdf, frozenset({"trials", "selection", "placements"}),
+                 {"M": 300, "scenario": Scenario1()}, {"trials": 20}),
+    "ber_vs_k": (_records_ber_vs_k, frozenset({"trials", "selection", "k_values", "m_per_k"}),
+                 {"C_u": 70, "scenario": Scenario1()}, {}),
+    "sum_rate_vs_sir": (_records_sum_rate_vs_sir, frozenset({"trials", "radii_m"}),
+                        {"L": 19, "C_u": 40, "M": 200, "omega": 10.0}, {}),
 }
 
 
@@ -811,10 +804,14 @@ def run_experiment(
 ) -> list:
     """Run one named experiment and return its metric records.
 
-    The experiment runs with numpy's OpenBLAS held at one thread, so its
-    output bytes do not depend on the machine's thread count.
+    config and options are run as given: the figure's settings are the
+    experiment's row of EXPERIMENTS.  The experiment runs with numpy's
+    OpenBLAS held at one thread, so its output bytes do not depend on the
+    machine's thread count.
     """
-    if experiment not in _DISPATCH:
-        raise ValueError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}; "
+                         f"expected one of {tuple(EXPERIMENTS)}")
+    records, *_ = EXPERIMENTS[experiment]
     with _one_blas_thread():
-        return _DISPATCH[experiment](config, options or RunOptions())
+        return records(config, options or RunOptions())

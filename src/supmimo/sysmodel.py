@@ -71,8 +71,9 @@ class SystemConfig:
     Each pilot is reused once every r cells.  The time-multiplexed training
     length tau is derived, not set: one K-symbol pilot block per reuse
     group, so tau = r * K, and it must stay below C_u.  snr_db is
-    omega / sigma^2 in dB.  iterations is the sweep count of the data-aided
-    estimator.
+    omega / sigma^2 in dB.  omega lies in [1e-100, 1e100], snr_db in
+    [-1000, 1000] and sigma^2 at or below 1e100.  iterations is the sweep
+    count of the data-aided estimator.
     """
 
     L: int = 7
@@ -108,10 +109,15 @@ class SystemConfig:
             raise ValueError(f"P must be a square QAM order >= 4, got {self.P}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        # beyond these scales a product of gains or noise over- or underflows;
+        # sigma2 is checked through its log10, which cannot overflow
+        if not 1e-100 <= self.omega <= 1e100:
+            raise ValueError(f"omega must be in [1e-100, 1e100], got {self.omega}")
+        if not abs(self.snr_db) <= 1000.0:
+            raise ValueError(f"snr_db must be in [-1000, 1000], got {self.snr_db}")
+        if math.log10(self.omega) - self.snr_db / 10.0 > 100.0:
+            raise ValueError(f"sigma2 = omega / 10^(snr_db/10) must be at most 1e100, got "
+                             f"omega = {self.omega} at snr_db = {self.snr_db}")
         if not (math.isfinite(self.path_loss_exponent) and self.path_loss_exponent > 0):
             raise ValueError("path_loss_exponent must be positive and finite, "
                              f"got {self.path_loss_exponent}")

@@ -110,6 +110,23 @@ BAD_SPECS = {
     "sinr-vs-m-radii": _spec("sinr_vs_m", *_SMALL, "radii_m: [500]"),
     "sum-rate-selection": _spec("sum_rate_vs_sir", "trials: 1", "selection: all"),
     "sinr-vs-m-rate-cap": _spec("sinr_vs_m", *_SMALL, "rate_cap: false"),
+    # scales beyond the range SystemConfig states: each ended in a
+    # traceback, an exit 5 or NaN records with exit 0
+    "snr-4000": _spec("sinr_vs_m", *_SMALL, "snr_db: 4000"),
+    "snr-minus-4000": _spec("sinr_vs_m", *_SMALL, "snr_db: -4000"),
+    "snr-minus-3000": _spec("sinr_vs_m", *_SMALL, "snr_db: -3000"),
+    "omega-1e308": _spec("sinr_vs_m", *_SMALL, "omega: 1e308"),
+    "omega-1e308-ber": _spec("ber_vs_k", "trials: 1", "k_values: [1]", "omega: 1e308"),
+    "omega-1e308-sum-rate": _spec("sum_rate_vs_sir", "trials: 1", "radii_m: [500]",
+                                  "omega: 1e308"),
+    "omega-1e200": _spec("sinr_vs_m", *_SMALL, "omega: 1e200"),
+    "omega-1e-300": _spec("sinr_vs_m", *_SMALL, "omega: 1e-300"),
+    # just beyond the range: omega, snr_db, and sigma2 = 1e100.23
+    "omega-1e-101": _spec("sinr_vs_m", *_SMALL, "omega: 1e-101"),
+    "snr-1000.1": _spec("sinr_vs_m", *_SMALL, "snr_db: 1000.1"),
+    "sigma2-above-1e100": _spec("sinr_vs_m", *_SMALL, "omega: 1e100", "snr_db: -2.3"),
+    # a name that cannot be looked up in the experiment table
+    "experiment-list": "experiment: [sinr_vs_m]\n",
 }
 
 # specs that parse but that the run refuses before its first trial, with

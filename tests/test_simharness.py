@@ -1101,8 +1101,8 @@ OTHER_VALUES = {"selection": "all", "m_values": (30,), "k_values": (2,), "m_per_
 @pytest.mark.parametrize("experiment", simharness.EXPERIMENTS)
 def test_an_option_the_experiment_does_not_read_leaves_its_output(experiment):
     fields = {f.name for f in dataclasses.fields(RunOptions)}
-    assert set().union(*simharness.OPTIONS_READ.values()) == fields
-    read = simharness.OPTIONS_READ[experiment]
+    assert set().union(*(read for _, read, *_ in simharness.EXPERIMENTS.values())) == fields
+    read = simharness.EXPERIMENTS[experiment][1]
     assert "trials" in read and set(OTHER_VALUES) == fields - {"trials"}
     cfg = SystemConfig(L=7, K=1, M=20, C_u=20, seed=3)
     base = RunOptions(trials=1, m_values=(20,), k_values=(1,), m_per_k=20, radii_m=(500.0,),
@@ -1126,7 +1126,8 @@ def test_run_experiment_pins_one_blas_thread_and_restores_the_callers(monkeypatc
             raise RuntimeError("boom")
         return []
 
-    monkeypatch.setitem(simharness._DISPATCH, "sinr_vs_m", record)
+    monkeypatch.setitem(simharness.EXPERIMENTS, "sinr_vs_m",
+                        (record, *simharness.EXPERIMENTS["sinr_vs_m"][1:]))
     try:
         set_(2)
         if fails:
@@ -1138,3 +1139,26 @@ def test_run_experiment_pins_one_blas_thread_and_restores_the_callers(monkeypatc
         assert get() == 2
     finally:
         set_(before)
+
+
+# the corners of the scales SystemConfig accepts, as (omega, snr_db):
+# omega at both ends at the default SNR, snr_db at both ends at omega = 1,
+# and sigma2 = omega / 10^(snr_db/10) at its largest, 1e100, and smallest,
+# 1e-200
+SCALE_ENDS = [(1e-100, 10.0), (1e100, 10.0), (1.0, -1000.0), (1.0, 1000.0),
+              (1e100, 0.0), (1e-100, 1000.0)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega, snr_db", SCALE_ENDS)
+@pytest.mark.parametrize("experiment", simharness.EXPERIMENTS)
+def test_every_experiment_runs_at_the_ends_of_the_scale_range(experiment, omega, snr_db):
+    # beyond them a run overflowed, or wrote NaN records with exit 0
+    _, _, config_settings, option_settings = simharness.EXPERIMENTS[experiment]
+    cfg = SystemConfig(**{**config_settings, "omega": omega, "snr_db": snr_db})
+    options = RunOptions(**{**option_settings, "trials": 1, "placements": 1, "m_values": (50,),
+                            "k_values": (1,), "radii_m": (500.0,)})
+    records = run_experiment(cfg, experiment, options)
+    values = [v for rec in records for v in (rec.sweep_value, rec.value, rec.analytic_value)
+              if v is not None]
+    assert records and not any(math.isnan(v) for v in values)
